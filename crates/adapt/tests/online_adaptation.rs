@@ -156,8 +156,6 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
         ServerConfig {
             engine: EngineConfig {
                 workers: 2,
-                max_batch: 4,
-                max_wait: std::time::Duration::from_millis(1),
                 queue_capacity: 64,
                 fast_math: false,
                 unknown_threshold: None,
@@ -229,8 +227,6 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
         ServerConfig {
             engine: EngineConfig {
                 workers: 2,
-                max_batch: 4,
-                max_wait: std::time::Duration::from_millis(1),
                 queue_capacity: 64,
                 fast_math: false,
                 unknown_threshold: None,

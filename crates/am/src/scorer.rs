@@ -23,8 +23,8 @@ pub trait FrameScorer: Send + Sync {
     ///
     /// The default just loops [`FrameScorer::score_frame`]; model families
     /// override it with batched kernels. Overrides must be **bit-identical**
-    /// to the per-frame path — the decoder's exact (`beam: None`) mode
-    /// promises unchanged output, and tests compare `f32::to_bits`.
+    /// to the per-frame path — the decoder's exact scoring mode promises
+    /// unchanged output, and tests compare `f32::to_bits`.
     fn score_block(&self, frames: &[f32], dim: usize, out: &mut [f32]) {
         let s = self.num_states();
         for (x, o) in frames.chunks_exact(dim).zip(out.chunks_exact_mut(s)) {

@@ -2,8 +2,7 @@
 //! stages whose real-time factors the paper reports — phone-loop decoding,
 //! supervector generation, and the supervector product (SVM scoring) — plus
 //! head-to-head comparisons of the historical hot path (per-frame emission
-//! scoring, dense Viterbi, fresh allocations) against the batched,
-//! beam-pruned, scratch-reusing one.
+//! scoring, fresh allocations) against the batched, scratch-reusing one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lre_am::FrameScorer;
@@ -126,10 +125,10 @@ fn bench_stages(c: &mut Criterion) {
     g.finish();
 }
 
-/// Historical hot path vs the batched/beamed one, on one 30 s utterance:
+/// Historical hot path vs the batched one, on one 30 s utterance:
 /// per-frame scoring against `score_block`, and the full seed decode
-/// (per-frame scoring + dense Viterbi + fresh allocations) against the
-/// batched + beam-pruned + scratch-reusing decode. The ≥2× speedup the
+/// (per-frame scoring + fresh allocations) against the batched,
+/// scratch-reusing decode. The ≥2× speedup the
 /// perf-regression harness (`perfbaseline`) enforces shows up here too.
 fn bench_hot_path_comparison(c: &mut Criterion) {
     let s = setup();
@@ -161,17 +160,13 @@ fn bench_hot_path_comparison(c: &mut Criterion) {
     g.bench_function("decode_seed_path", |b| {
         b.iter(|| black_box(decode(&s.fe_seed.am, &s.feats, &s.fe_seed.decoder)))
     });
-    let beam_cfg = DecoderConfig {
-        beam: Some(12.0),
-        ..s.fe.decoder
-    };
     let mut scratch = DecodeScratch::new();
-    g.bench_function("decode_batched_beam_scratch", |b| {
+    g.bench_function("decode_batched_scratch", |b| {
         b.iter(|| {
             black_box(decode_with_scratch(
                 &s.fe.am,
                 &s.feats,
-                &beam_cfg,
+                &s.fe.decoder,
                 &mut scratch,
             ))
         })

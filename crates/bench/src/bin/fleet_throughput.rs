@@ -21,7 +21,9 @@
 //! worker, so one replica's ceiling is `1/busy` QPS by construction.
 
 use lre_router::{Backend, Router, RouterConfig};
-use lre_serve::{EngineConfig, PipelinedClient, ScoreReply, Scorer, Server, ServerConfig};
+use lre_serve::{
+    EngineConfig, PipelinedClient, ScoreDetail, ScoreReply, Scorer, Server, ServerConfig,
+};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::TcpListener;
@@ -47,9 +49,9 @@ impl Scorer for SleepScorer {
         &self,
         samples: &[f32],
         _scratch: &mut lre_lattice::DecodeScratch,
-    ) -> Result<Vec<f32>, lre_artifact::ArtifactError> {
+    ) -> Result<ScoreDetail, lre_artifact::ArtifactError> {
         std::thread::sleep(self.busy);
-        Ok(synthetic_llrs(samples))
+        Ok(ScoreDetail::from_fused(samples, synthetic_llrs(samples)))
     }
 }
 
@@ -100,8 +102,6 @@ fn spawn_fleet(replicas: usize, busy: Duration, window: usize) -> Vec<Server> {
                 ServerConfig {
                     engine: EngineConfig {
                         workers: 1,
-                        max_batch: 4,
-                        max_wait: Duration::from_millis(1),
                         queue_capacity: (window * 4).max(64),
                         fast_math: false,
                         unknown_threshold: None,

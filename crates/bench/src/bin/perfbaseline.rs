@@ -3,17 +3,14 @@
 //! Times the pipeline stages the paper's §5.4 cost analysis cares about —
 //! emission scoring, phone-loop Viterbi, supervector generation and the
 //! supervector product — for one NN-family and one GMM-family front-end,
-//! comparing the historical per-frame/exact paths against the batched and
-//! beam-pruned ones. Results (stage seconds, speedups, real-time factors)
+//! comparing the historical per-frame path against the batched one.
+//! Results (stage seconds, speedups, real-time factors)
 //! go to stdout and to `BENCH_decoder.json` so successive runs can be
 //! diffed for regressions:
 //!
 //! ```text
 //! cargo run -p lre-bench --release --bin perfbaseline -- --scale smoke
 //! ```
-//!
-//! The exact and beamed decodes are also cross-checked: utterances whose
-//! 1-best segmentation changes under the beam are counted and reported.
 //!
 //! The fast-math scoring mode is benchmarked and validated in the same
 //! run: batched block scoring is re-timed under [`ScoringMode::FastMath`]
@@ -42,10 +39,6 @@ use std::time::Instant;
 
 /// Frame hop of the feature front-end (80 samples at 8 kHz = 10 ms).
 const FRAME_SECONDS: f64 = 0.01;
-
-/// Beam width used for the pruned-decode comparison. Wide enough that the
-/// 1-best segmentation rarely changes on this corpus, tight enough to prune.
-const BEAM: f32 = 12.0;
 
 /// At most this many test utterances per front-end keep demo-scale runs
 /// in seconds, not minutes.
@@ -111,10 +104,8 @@ struct FrontendReport {
     /// allocations per utterance, via the plain `decode` entry point.
     decode_seed_s: f64,
     decode_exact_s: f64,
-    decode_beam_s: f64,
     supervector_s: f64,
     svm_score_s: f64,
-    beam_segment_mismatch_utts: usize,
     /// Worst |fast − exact| over every per-utterance, per-language SVM
     /// score when the whole pipeline runs under fast-math.
     fastmath_max_abs_delta: f64,
@@ -136,19 +127,8 @@ impl FrontendReport {
     fn decode_speedup(&self) -> f64 {
         self.decode_seed_s / self.decode_exact_s.max(1e-12)
     }
-    /// Exact dense Viterbi vs beam-pruned Viterbi, both batched.
-    fn beam_speedup(&self) -> f64 {
-        self.decode_exact_s / self.decode_beam_s.max(1e-12)
-    }
-    /// Seed scoring+decode path vs batched scoring + beam Viterbi + scratch.
-    fn total_speedup(&self) -> f64 {
-        self.decode_seed_s / self.decode_beam_s.max(1e-12)
-    }
     fn rt_exact(&self) -> f64 {
         self.decode_exact_s / self.audio_seconds.max(1e-12)
-    }
-    fn rt_beam(&self) -> f64 {
-        self.decode_beam_s / self.audio_seconds.max(1e-12)
     }
 
     fn to_json(&self) -> String {
@@ -161,12 +141,11 @@ impl FrontendReport {
                 "\"scoring_per_frame_s\":{:.6},\"scoring_batched_s\":{:.6},",
                 "\"scoring_fastmath_s\":{:.6},",
                 "\"decode_seed_s\":{:.6},",
-                "\"decode_exact_s\":{:.6},\"decode_beam_s\":{:.6},",
+                "\"decode_exact_s\":{:.6},",
                 "\"supervector_s\":{:.6},\"svm_score_s\":{:.6}}},",
                 "\"speedups\":{{\"scoring\":{:.3},\"fastmath\":{:.3},",
-                "\"decode\":{:.3},\"beam\":{:.3},\"total\":{:.3}}},",
-                "\"rt_factors\":{{\"decode_exact\":{:.5},\"decode_beam\":{:.5}}},",
-                "\"beam_segment_mismatch_utts\":{},",
+                "\"decode\":{:.3},\"total\":{:.3}}},",
+                "\"rt_factors\":{{\"decode_exact\":{:.5}}},",
                 "\"fastmath_max_abs_delta\":{:.6e},",
                 "\"fastmath_decision_flips\":{}}}"
             ),
@@ -179,17 +158,13 @@ impl FrontendReport {
             self.scoring_fastmath_s,
             self.decode_seed_s,
             self.decode_exact_s,
-            self.decode_beam_s,
             self.supervector_s,
             self.svm_score_s,
             self.scoring_speedup(),
             self.fastmath_speedup(),
             self.decode_speedup(),
-            self.beam_speedup(),
-            self.total_speedup(),
+            self.decode_speedup(),
             self.rt_exact(),
-            self.rt_beam(),
-            self.beam_segment_mismatch_utts,
             self.fastmath_max_abs_delta,
             self.fastmath_decision_flips,
         );
@@ -236,34 +211,17 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
     });
 
     let mut scratch = DecodeScratch::new();
-    let exact_cfg = fe.decoder;
-    let beam_cfg = DecoderConfig {
-        beam: Some(BEAM),
-        ..fe.decoder
-    };
+    let cfg = fe.decoder;
     let decode_exact_s = time_best(4, || {
         for f in &feats {
-            std::hint::black_box(decode_with_scratch(&fe.am, f, &exact_cfg, &mut scratch));
-        }
-    });
-    let decode_beam_s = time_best(4, || {
-        for f in &feats {
-            std::hint::black_box(decode_with_scratch(&fe.am, f, &beam_cfg, &mut scratch));
+            std::hint::black_box(decode_with_scratch(&fe.am, f, &cfg, &mut scratch));
         }
     });
 
-    // Agreement check + decoded networks for the downstream stages.
-    let mut beam_segment_mismatch_utts = 0;
+    // Decoded networks for the downstream stages.
     let networks: Vec<_> = feats
         .iter()
-        .map(|f| {
-            let exact = decode_with_scratch(&fe.am, f, &exact_cfg, &mut scratch);
-            let beamed = decode_with_scratch(&fe.am, f, &beam_cfg, &mut scratch);
-            if exact.segments != beamed.segments {
-                beam_segment_mismatch_utts += 1;
-            }
-            exact.network
-        })
+        .map(|f| decode_with_scratch(&fe.am, f, &cfg, &mut scratch).network)
         .collect();
 
     let supervector_s = time_best(4, || {
@@ -348,7 +306,7 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
     fe.am.scorer = Box::new(NoBatch(batched));
     let decode_seed_s = time_best(4, || {
         for f in &feats {
-            std::hint::black_box(decode(&fe.am, f, &exact_cfg));
+            std::hint::black_box(decode(&fe.am, f, &cfg));
         }
     });
 
@@ -362,10 +320,8 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
         scoring_fastmath_s,
         decode_seed_s,
         decode_exact_s,
-        decode_beam_s,
         supervector_s,
         svm_score_s,
-        beam_segment_mismatch_utts,
         fastmath_max_abs_delta,
         fastmath_decision_flips,
     }
@@ -412,7 +368,7 @@ fn main() {
     }
 
     println!(
-        "{:<12} | {:>9} | {:>9} | {:>9} | {:>7} | {:>9} | {:>9} | {:>9} | {:>7} | {:>8}",
+        "{:<12} | {:>9} | {:>9} | {:>9} | {:>7} | {:>9} | {:>9} | {:>7} | {:>8}",
         "Front-end",
         "score/fr",
         "score/blk",
@@ -420,13 +376,12 @@ fn main() {
         "fm-up",
         "dec-seed",
         "dec-exact",
-        "dec-beam",
         "total",
-        "RT beam"
+        "RT exact"
     );
     for r in &reports {
         println!(
-            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
+            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
             r.name,
             r.scoring_per_frame_s,
             r.scoring_batched_s,
@@ -434,30 +389,22 @@ fn main() {
             r.fastmath_speedup(),
             r.decode_seed_s,
             r.decode_exact_s,
-            r.decode_beam_s,
-            r.total_speedup(),
-            r.rt_beam(),
+            r.decode_speedup(),
+            r.rt_exact(),
         );
         println!(
             "  fast-math: max |dSVM| = {:.2e}, decision flips = {}/{}",
             r.fastmath_max_abs_delta, r.fastmath_decision_flips, r.utterances
         );
-        if r.beam_segment_mismatch_utts > 0 {
-            println!(
-                "  note: beam {} changed the 1-best segmentation on {}/{} utterances",
-                BEAM, r.beam_segment_mismatch_utts, r.utterances
-            );
-        }
     }
 
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\"scale\":\"{}\",\"seed\":{},\"threads\":{},\"beam\":{:.1},\"frontends\":[",
+        "{{\"scale\":\"{}\",\"seed\":{},\"threads\":{},\"frontends\":[",
         args.scale.name(),
         args.seed,
         rayon::current_num_threads(),
-        BEAM
     );
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {

@@ -16,12 +16,6 @@ pub struct DecoderConfig {
     pub top_k: usize,
     /// Temperature on the per-segment phone posteriors (higher = peakier).
     pub posterior_scale: f32,
-    /// Viterbi beam width in log domain. `None` runs the exact search and is
-    /// guaranteed bit-identical to the historical decoder; `Some(b)` keeps
-    /// only states within `b` of the per-frame best hypothesis on the active
-    /// list. A sufficiently wide beam (nothing ever falls outside it)
-    /// reproduces the exact path state-for-state.
-    pub beam: Option<f32>,
     /// Arithmetic used for emission scoring and segment posteriors.
     /// `Exact` (the default) is bit-identical to the historical decoder;
     /// `FastMath` swaps in the bounded-error polynomial kernels from
@@ -36,7 +30,6 @@ impl Default for DecoderConfig {
             phone_insertion_log: -1.0,
             top_k: 4,
             posterior_scale: 1.0,
-            beam: None,
             scoring: ScoringMode::Exact,
         }
     }
@@ -44,21 +37,14 @@ impl Default for DecoderConfig {
 
 impl lre_artifact::ArtifactWrite for DecoderConfig {
     const KIND: [u8; 4] = *b"DCFG";
-    // v2 appends the scoring-mode byte.
-    const VERSION: u32 = 2;
+    // v2 appended the scoring-mode byte; v3 drops the beam flag and width.
+    const VERSION: u32 = 3;
 
     fn write_payload(&self, w: &mut lre_artifact::ArtifactWriter) {
         w.put_f32(self.acoustic_scale);
         w.put_f32(self.phone_insertion_log);
         w.put_u32(self.top_k as u32);
         w.put_f32(self.posterior_scale);
-        match self.beam {
-            Some(b) => {
-                w.put_u8(1);
-                w.put_f32(b);
-            }
-            None => w.put_u8(0),
-        }
         w.put_u8(self.scoring.to_u8());
     }
 }
@@ -71,11 +57,6 @@ impl lre_artifact::ArtifactRead for DecoderConfig {
         let phone_insertion_log = r.get_f32()?;
         let top_k = r.get_u32()? as usize;
         let posterior_scale = r.get_f32()?;
-        let beam = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_f32()?),
-            _ => return Err(lre_artifact::ArtifactError::Corrupt("bad beam flag")),
-        };
         let scoring = ScoringMode::from_u8(r.get_u8()?)
             .ok_or(lre_artifact::ArtifactError::Corrupt("bad scoring mode"))?;
         if top_k == 0 {
@@ -88,7 +69,6 @@ impl lre_artifact::ArtifactRead for DecoderConfig {
             phone_insertion_log,
             top_k,
             posterior_scale,
-            beam,
             scoring,
         })
     }
@@ -111,9 +91,7 @@ pub struct DecodeOutput {
     pub network: ConfusionNetwork,
     /// Number of frames decoded (for RT-factor accounting).
     pub num_frames: usize,
-    /// Total log score of the 1-best path (acoustics + transitions). Beam
-    /// pruning can only lower this, never raise it — the property tests
-    /// exploit that monotonicity.
+    /// Total log score of the 1-best path (acoustics + transitions).
     pub viterbi_score: f32,
 }
 
@@ -149,7 +127,7 @@ pub fn score_all_frames_into_mode(
 }
 
 /// Reusable decoder working memory: emission-score block, Viterbi rows,
-/// back-pointer matrix, beam active lists. One instance per worker thread
+/// back-pointer matrix. One instance per worker thread
 /// amortizes every per-utterance allocation of the hot path; buffers grow to
 /// the largest utterance seen and stay there.
 #[derive(Default)]
@@ -158,10 +136,6 @@ pub struct DecodeScratch {
     delta_prev: Vec<f32>,
     delta_cur: Vec<f32>,
     bp: Vec<u32>,
-    active: Vec<u32>,
-    candidates: Vec<u32>,
-    touched: Vec<u32>,
-    epoch: u32,
     phone_scores: Vec<f32>,
 }
 
@@ -228,160 +202,45 @@ pub fn decode_with_scratch(
         bp[s] = s as u32; // self-start sentinel (never followed past t=0)
     }
 
-    match cfg.beam {
-        None => {
-            // Exact search: dense relaxation over every state. This loop is
-            // the historical decoder verbatim — its output is the bit-exact
-            // reference the beam path is tested against.
-            for t in 1..t_max {
-                // Best phone exit at t-1 (for the loop transition).
-                let mut best_exit = f32::NEG_INFINITY;
-                let mut best_exit_state = 0usize;
-                for p in 0..num_phones {
-                    let s = inv.state_of(p, STATES_PER_PHONE - 1);
-                    let v = delta_prev[s];
-                    if v > best_exit {
-                        best_exit = v;
-                        best_exit_state = s;
-                    }
-                }
-                let loop_score = best_exit + log_next + cfg.phone_insertion_log;
-
-                let frame_scores = &scores[t * num_states..(t + 1) * num_states];
-                let bp_row = &mut bp[t * num_states..(t + 1) * num_states];
-                for s in 0..num_states {
-                    // Self loop.
-                    let mut best = delta_prev[s] + log_self;
-                    let mut back = s as u32;
-                    if inv.is_entry(s) {
-                        // Phone-loop entry.
-                        if loop_score > best {
-                            best = loop_score;
-                            back = best_exit_state as u32 | LOOP_FLAG;
-                        }
-                    } else {
-                        // Advance from the previous state of the same phone.
-                        let cand = delta_prev[s - 1] + log_next;
-                        if cand > best {
-                            best = cand;
-                            back = (s - 1) as u32;
-                        }
-                    }
-                    delta_cur[s] = best + ascale * frame_scores[s];
-                    bp_row[s] = back;
-                }
-                std::mem::swap(delta_prev, delta_cur);
+    // Dense relaxation over every state.
+    for t in 1..t_max {
+        // Best phone exit at t-1 (for the loop transition).
+        let mut best_exit = f32::NEG_INFINITY;
+        let mut best_exit_state = 0usize;
+        for p in 0..num_phones {
+            let s = inv.state_of(p, STATES_PER_PHONE - 1);
+            let v = delta_prev[s];
+            if v > best_exit {
+                best_exit = v;
+                best_exit_state = s;
             }
         }
-        Some(beam) => {
-            // Beam search: only states reachable from the survivor list are
-            // relaxed, and survivors are re-thresholded against the frame
-            // best. Pruned states hold -∞ in `delta_prev`, so each candidate
-            // relaxation below is the exact path's arithmetic restricted to
-            // survivors — a beam wide enough to never prune reproduces the
-            // exact decode bit-for-bit.
-            scratch.touched.resize(num_states, 0);
-            scratch.epoch = scratch.epoch.wrapping_add(1);
-            if scratch.epoch == 0 {
-                scratch.touched.fill(0);
-                scratch.epoch = 1;
+        let loop_score = best_exit + log_next + cfg.phone_insertion_log;
+
+        let frame_scores = &scores[t * num_states..(t + 1) * num_states];
+        let bp_row = &mut bp[t * num_states..(t + 1) * num_states];
+        for s in 0..num_states {
+            // Self loop.
+            let mut best = delta_prev[s] + log_self;
+            let mut back = s as u32;
+            if inv.is_entry(s) {
+                // Phone-loop entry.
+                if loop_score > best {
+                    best = loop_score;
+                    back = best_exit_state as u32 | LOOP_FLAG;
+                }
+            } else {
+                // Advance from the previous state of the same phone.
+                let cand = delta_prev[s - 1] + log_next;
+                if cand > best {
+                    best = cand;
+                    back = (s - 1) as u32;
+                }
             }
-            let active = &mut scratch.active;
-            let candidates = &mut scratch.candidates;
-            active.clear();
-            for p in 0..num_phones {
-                active.push(inv.state_of(p, 0) as u32);
-            }
-
-            for t in 1..t_max {
-                // Best phone exit at t-1, scanned in phone order like the
-                // exact path (pruned exits are -∞ and lose every compare).
-                let mut best_exit = f32::NEG_INFINITY;
-                let mut best_exit_state = 0usize;
-                for p in 0..num_phones {
-                    let s = inv.state_of(p, STATES_PER_PHONE - 1);
-                    let v = delta_prev[s];
-                    if v > best_exit {
-                        best_exit = v;
-                        best_exit_state = s;
-                    }
-                }
-                let loop_score = best_exit + log_next + cfg.phone_insertion_log;
-
-                // Candidate states for frame t: survivors (self loop), their
-                // within-phone successors, and every phone entry (loop arc).
-                let epoch = scratch.epoch;
-                candidates.clear();
-                let mut mark = |s: u32, cands: &mut Vec<u32>| {
-                    let slot = &mut scratch.touched[s as usize];
-                    if *slot != epoch {
-                        *slot = epoch;
-                        cands.push(s);
-                    }
-                };
-                for &s in active.iter() {
-                    mark(s, candidates);
-                    if !inv.is_exit(s as usize) {
-                        mark(s + 1, candidates);
-                    }
-                }
-                for p in 0..num_phones {
-                    mark(inv.state_of(p, 0) as u32, candidates);
-                }
-                scratch.epoch = scratch.epoch.wrapping_add(1);
-                if scratch.epoch == 0 {
-                    scratch.touched.fill(0);
-                    scratch.epoch = 1;
-                }
-
-                let frame_scores = &scores[t * num_states..(t + 1) * num_states];
-                let bp_row = &mut bp[t * num_states..(t + 1) * num_states];
-                let mut frame_best = f32::NEG_INFINITY;
-                for &su in candidates.iter() {
-                    let s = su as usize;
-                    let mut best = delta_prev[s] + log_self;
-                    let mut back = su;
-                    if inv.is_entry(s) {
-                        if loop_score > best {
-                            best = loop_score;
-                            back = best_exit_state as u32 | LOOP_FLAG;
-                        }
-                    } else {
-                        let cand = delta_prev[s - 1] + log_next;
-                        if cand > best {
-                            best = cand;
-                            back = su - 1;
-                        }
-                    }
-                    let v = best + ascale * frame_scores[s];
-                    delta_cur[s] = v;
-                    bp_row[s] = back;
-                    if v > frame_best {
-                        frame_best = v;
-                    }
-                }
-
-                // Prune: survivors must be within `beam` of the frame best.
-                // Reached phone-exit states are exempt: they feed the loop
-                // transition every frame and are the termination set, so
-                // discarding them would leave the final best-exit scan (and
-                // the "no beam beats the exact score" guarantee) ill-defined.
-                let threshold = frame_best - beam;
-                for &su in active.iter() {
-                    delta_prev[su as usize] = f32::NEG_INFINITY;
-                }
-                active.clear();
-                for &su in candidates.iter() {
-                    let v = delta_cur[su as usize];
-                    if v >= threshold || (v > f32::NEG_INFINITY && inv.is_exit(su as usize)) {
-                        active.push(su);
-                    } else {
-                        delta_cur[su as usize] = f32::NEG_INFINITY;
-                    }
-                }
-                std::mem::swap(delta_prev, delta_cur);
-            }
+            delta_cur[s] = best + ascale * frame_scores[s];
+            bp_row[s] = back;
         }
+        std::mem::swap(delta_prev, delta_cur);
     }
 
     // --- Traceback ------------------------------------------------------------------
@@ -624,13 +483,11 @@ mod tests {
         use lre_artifact::{ArtifactRead, ArtifactWrite};
         for scoring in [ScoringMode::Exact, ScoringMode::FastMath] {
             let cfg = DecoderConfig {
-                beam: Some(9.5),
                 scoring,
                 ..Default::default()
             };
             let back = DecoderConfig::from_artifact_bytes(&cfg.to_artifact_bytes()).unwrap();
             assert_eq!(back.scoring, scoring);
-            assert_eq!(back.beam, cfg.beam);
             assert_eq!(back.top_k, cfg.top_k);
         }
     }
@@ -663,72 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_beam_is_bitwise_identical_to_exact() {
-        let am = toy_am();
-        let f = wavy_feats(60);
-        let exact = decode(&am, &f, &DecoderConfig::default());
-        let beamed = decode(
-            &am,
-            &f,
-            &DecoderConfig {
-                beam: Some(1e9),
-                ..Default::default()
-            },
-        );
-        assert_eq!(exact.segments, beamed.segments);
-        assert_eq!(
-            exact.viterbi_score.to_bits(),
-            beamed.viterbi_score.to_bits()
-        );
-        for (a, b) in exact.network.slots().iter().zip(beamed.network.slots()) {
-            assert_eq!(a.len(), b.len());
-            for (ea, eb) in a.iter().zip(b) {
-                assert_eq!(ea.phone, eb.phone);
-                assert_eq!(ea.prob.to_bits(), eb.prob.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn tight_beam_still_tiles_the_utterance() {
-        let am = toy_am();
-        let f = wavy_feats(50);
-        let cfg = DecoderConfig {
-            beam: Some(1.0),
-            ..Default::default()
-        };
-        let out = decode(&am, &f, &cfg);
-        assert_eq!(out.segments.first().unwrap().start, 0);
-        assert_eq!(out.segments.last().unwrap().end, 50);
-        for w in out.segments.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-    }
-
-    #[test]
-    fn beam_score_never_exceeds_exact_score() {
-        let am = toy_am();
-        let f = wavy_feats(40);
-        let exact = decode(&am, &f, &DecoderConfig::default());
-        for beam in [0.5f32, 2.0, 8.0, 32.0] {
-            let out = decode(
-                &am,
-                &f,
-                &DecoderConfig {
-                    beam: Some(beam),
-                    ..Default::default()
-                },
-            );
-            assert!(
-                out.viterbi_score <= exact.viterbi_score + 1e-4,
-                "beam {beam}: {} > {}",
-                out.viterbi_score,
-                exact.viterbi_score
-            );
-        }
-    }
-
-    #[test]
     fn scratch_reuse_across_utterances_matches_fresh_decode() {
         let am = toy_am();
         let mut scratch = DecodeScratch::new();
@@ -736,23 +527,16 @@ mod tests {
         // short one: stale state must not leak.
         let long = wavy_feats(64);
         let _ = decode_with_scratch(&am, &long, &DecoderConfig::default(), &mut scratch);
-        for cfg in [
-            DecoderConfig::default(),
-            DecoderConfig {
-                beam: Some(3.0),
-                ..Default::default()
-            },
-        ] {
-            for n in [1usize, 7, 23] {
-                let f = wavy_feats(n);
-                let fresh = decode(&am, &f, &cfg);
-                let reused = decode_with_scratch(&am, &f, &cfg, &mut scratch);
-                assert_eq!(fresh.segments, reused.segments);
-                assert_eq!(
-                    fresh.viterbi_score.to_bits(),
-                    reused.viterbi_score.to_bits()
-                );
-            }
+        let cfg = DecoderConfig::default();
+        for n in [1usize, 7, 23] {
+            let f = wavy_feats(n);
+            let fresh = decode(&am, &f, &cfg);
+            let reused = decode_with_scratch(&am, &f, &cfg, &mut scratch);
+            assert_eq!(fresh.segments, reused.segments);
+            assert_eq!(
+                fresh.viterbi_score.to_bits(),
+                reused.viterbi_score.to_bits()
+            );
         }
     }
 }

@@ -6,7 +6,7 @@
 //! used to perform phonotactic analysis" (§2.1). It provides:
 //!
 //! - [`decoder`]: a token-passing phone-loop Viterbi decoder over any
-//!   [`FrameScorer`](lre_am::FrameScorer), with beam-style operation and a
+//!   [`FrameScorer`](lre_am::FrameScorer), with a
 //!   posterior **confusion network** output (segment slots with per-phone
 //!   posteriors — a pruned posterior lattice);
 //! - [`lattice`]: a general DAG lattice with forward-backward edge

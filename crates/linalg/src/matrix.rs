@@ -214,7 +214,7 @@ const TILE: usize = 128;
 ///
 /// Each output element is one dot product accumulated strictly in `k`
 /// order, so results are **bit-identical** to the scalar per-row loop. The
-/// exactness matters: the decoder's `beam: None` path promises bit-identical
+/// exactness matters: the decoder's exact scoring mode promises bit-identical
 /// output to the historical per-frame scorer. The speed-up comes from
 /// making the *row* (frame) dimension the inner, data-parallel axis: each
 /// row block is transposed once into a `k × TILE` panel, and for every

@@ -19,7 +19,7 @@
 //!   guard verdicts, swaps, sheds, deadline expiries) that is drainable
 //!   over the wire and dumped to stderr on panic.
 //! - [`span`]: stage constants and the [`TraceSpan`] a traced request
-//!   accumulates as it moves queue → batch → decode → supervector →
+//!   accumulates as it moves queue → decode → supervector →
 //!   score → reply.
 //!
 //! [HDR]: https://github.com/HdrHistogram/HdrHistogram
@@ -42,6 +42,6 @@ pub use flight::{
 pub use hist::{Histogram, HistogramSummary};
 pub use metrics::{Counter, Gauge, MetricValue, Registry, Sketch, SketchSummary};
 pub use span::{
-    stage_name, StageTimes, TraceSpan, STAGE_BATCH, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY,
-    STAGE_SCORE, STAGE_SUPERVECTOR,
+    stage_name, StageTimes, TraceSpan, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY, STAGE_SCORE,
+    STAGE_SUPERVECTOR,
 };

@@ -9,8 +9,7 @@
 //!
 //! | stage | finished when |
 //! |---|---|
-//! | [`STAGE_QUEUE`] | the dispatcher formed the batch holding this request |
-//! | [`STAGE_BATCH`] | a worker picked the request out of its batch |
+//! | [`STAGE_QUEUE`] | a worker picked the request off the queue |
 //! | [`STAGE_DECODE`] | acoustic decode (features + Viterbi) completed |
 //! | [`STAGE_SUPERVECTOR`] | expected-count supervectors were built |
 //! | [`STAGE_SCORE`] | SVM scoring + fusion produced the fused LLRs |
@@ -20,9 +19,9 @@
 //! to omit interior stages; offsets must still be non-decreasing in
 //! stage order (the wire decoder enforces this).
 
-/// Stage ids, in pipeline order.
+/// Stage ids, in pipeline order. They are wire values: id 1 is retired
+/// and is not reused.
 pub const STAGE_QUEUE: u8 = 0;
-pub const STAGE_BATCH: u8 = 1;
 pub const STAGE_DECODE: u8 = 2;
 pub const STAGE_SUPERVECTOR: u8 = 3;
 pub const STAGE_SCORE: u8 = 4;
@@ -32,7 +31,6 @@ pub const STAGE_REPLY: u8 = 5;
 pub fn stage_name(stage: u8) -> &'static str {
     match stage {
         STAGE_QUEUE => "queue",
-        STAGE_BATCH => "batch",
         STAGE_DECODE => "decode",
         STAGE_SUPERVECTOR => "supervector",
         STAGE_SCORE => "score",
@@ -42,8 +40,8 @@ pub fn stage_name(stage: u8) -> &'static str {
 }
 
 /// Stage-time split a scorer reports for one utterance, microseconds.
-/// A scorer that cannot split (the default mock path) leaves decode and
-/// supervector at zero and attributes everything to `score_us`.
+/// A scorer that cannot split (a mock) leaves all three at zero; the
+/// engine then attributes the whole call to `score_us`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimes {
     pub decode_us: u64,
@@ -107,21 +105,21 @@ mod tests {
     fn well_formedness_checks_order_and_monotonicity() {
         let mut span = TraceSpan::new(7);
         span.mark(STAGE_QUEUE, 10);
-        span.mark(STAGE_BATCH, 12);
+        span.mark(STAGE_DECODE, 12);
         span.mark(STAGE_SCORE, 300); // interior stages may be omitted
         span.mark(STAGE_REPLY, 305);
         assert!(span.is_well_formed());
-        assert_eq!(span.offset_of(STAGE_BATCH), Some(12));
-        assert_eq!(span.offset_of(STAGE_DECODE), None);
+        assert_eq!(span.offset_of(STAGE_DECODE), Some(12));
+        assert_eq!(span.offset_of(STAGE_SUPERVECTOR), None);
 
         let mut bad = TraceSpan::new(7);
-        bad.mark(STAGE_BATCH, 12);
+        bad.mark(STAGE_DECODE, 12);
         bad.mark(STAGE_QUEUE, 10); // out of stage order
         assert!(!bad.is_well_formed());
 
         let mut backwards = TraceSpan::new(7);
         backwards.mark(STAGE_QUEUE, 10);
-        backwards.mark(STAGE_BATCH, 5); // time went backwards
+        backwards.mark(STAGE_DECODE, 5); // time went backwards
         assert!(!backwards.is_well_formed());
     }
 }

@@ -353,8 +353,6 @@ fn fleet_stats(shared: &Shared) -> FleetStats {
                 agg.requests += s.requests;
                 agg.completed += s.completed;
                 agg.rejected += s.rejected;
-                agg.batches += s.batches;
-                agg.batched_utts += s.batched_utts;
                 agg.max_queue_depth = agg.max_queue_depth.max(s.max_queue_depth);
                 agg.latency_us_sum += s.latency_us_sum;
                 agg.latency_us_max = agg.latency_us_max.max(s.latency_us_max);

@@ -15,13 +15,12 @@ use lre_serve::protocol::{
     decode_request, encode_stage_ok, read_frame, write_frame, Request, STATUS_CONFLICT,
 };
 use lre_serve::{
-    Client, EngineConfig, FleetReplica, ScoreReply, Scorer, ScorerHandle, Server, ServerConfig,
-    ServerHooks, VoteLog,
+    Client, EngineConfig, FleetReplica, ScoreDetail, ScoreReply, Scorer, ScorerHandle, Server,
+    ServerConfig, ServerHooks, VoteLog,
 };
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 /// Constant-output mock scorer: the identity of the serving model is its
 /// one llr value, so bit-identity checks reduce to `to_bits` equality.
@@ -30,10 +29,10 @@ struct Marker(f32);
 impl Scorer for Marker {
     fn score_utt(
         &self,
-        _samples: &[f32],
+        samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        Ok(vec![self.0, -self.0])
+    ) -> Result<ScoreDetail, ArtifactError> {
+        Ok(ScoreDetail::from_fused(samples, vec![self.0, -self.0]))
     }
 }
 
@@ -66,8 +65,6 @@ fn start_replica(accepts_candidates: bool) -> (Server, String) {
     let cfg = ServerConfig {
         engine: EngineConfig {
             workers: 1,
-            max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 32,
             fast_math: false,
             unknown_threshold: None,
@@ -120,6 +117,7 @@ fn expected_bits(v: u8) -> Vec<u32> {
     candidate_scorer(v)
         .score_utt(&[], &mut scratch)
         .unwrap()
+        .fused
         .iter()
         .map(|x| x.to_bits())
         .collect()

@@ -1,8 +1,8 @@
 //! Deterministic fault injection against a real router: a scripted
-//! replica dies mid-pipelined-batch and the router must answer every
-//! outstanding request exactly once with a typed status — no hangs, no
-//! torn frames, no duplicates — then re-admit the replica once it is
-//! answering health probes again.
+//! replica dies with a pipeline of requests in flight and the router must
+//! answer every outstanding request exactly once with a typed status — no
+//! hangs, no torn frames, no duplicates — then re-admit the replica once
+//! it is answering health probes again.
 
 use lre_router::{Backend, Router, RouterConfig};
 use lre_serve::protocol::{
@@ -18,7 +18,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// A replica stand-in scripted from the test: scores until its budget
-/// runs out, then kills the data connection mid-batch and stops
+/// runs out, then kills the data connection mid-pipeline and stops
 /// answering health probes (so re-admission happens exactly when the
 /// test flips it back to life, never earlier).
 struct FakeReplica {
@@ -72,7 +72,7 @@ fn serve_fake_conn(mut stream: TcpStream, alive: Arc<AtomicBool>, budget: Arc<At
             }
             Ok(Request::ScoreV2 { id, .. }) => {
                 if budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                    // Death mid-batch: play dead, drop the connection
+                    // Death mid-pipeline: play dead, drop the connection
                     // with requests still in flight.
                     alive.store(false, Ordering::SeqCst);
                     return;
@@ -80,7 +80,6 @@ fn serve_fake_conn(mut stream: TcpStream, alive: Arc<AtomicBool>, budget: Arc<At
                 let scored = ScoredUtt {
                     llrs: FAKE_LLRS.to_vec(),
                     decision: 0,
-                    batch_size: 1,
                     generation: 0,
                     span: None,
                     unknown: false,
@@ -103,7 +102,7 @@ fn fast_health() -> RouterConfig {
 }
 
 #[test]
-fn replica_death_mid_batch_fails_fast_typed_then_readmits() {
+fn replica_death_mid_pipeline_fails_fast_typed_then_readmits() {
     const SCORED_BEFORE_DEATH: i64 = 3;
     const SUBMITTED: usize = 8;
 
@@ -115,31 +114,41 @@ fn replica_death_mid_batch_fails_fast_typed_then_readmits() {
     let mut client = PipelinedClient::connect(router.local_addr()).expect("connect");
     let samples = vec![0.5f32; 16];
     let mut outstanding: HashSet<u64> = HashSet::new();
-    for _ in 0..SUBMITTED {
-        assert!(outstanding.insert(client.submit(&samples, None).expect("submit")));
-    }
 
     // Exactly one reply per id, every one of them typed: the ones the
     // replica answered before dying come back scored and bit-identical,
     // the rest fail fast (INTERNAL for in-flight orphans, OVERLOADED if
     // re-routing found the fleet empty) — never a hang or a torn frame.
+    //
+    // Sequenced on acknowledgements: the replies the replica's budget
+    // allows are read back before the rest of the pipeline is sent into
+    // the replica that then dies on its first request. Were all of them
+    // sent at once, the replica would drop its socket with unread requests
+    // buffered, and the kernel may answer that with a reset that discards
+    // the replies it had just written before the router reads them.
     let mut scored = 0usize;
     let mut typed_failures = 0usize;
-    for _ in 0..SUBMITTED {
-        let (id, reply) = client.recv().expect("router always answers");
-        assert!(
-            outstanding.remove(&id),
-            "duplicate or unknown reply id {id}"
-        );
-        match reply {
-            ScoreReply::Scored(s) => {
-                let want: Vec<u32> = FAKE_LLRS.iter().map(|x| x.to_bits()).collect();
-                let got: Vec<u32> = s.llrs.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want, "routed score not bit-identical");
-                scored += 1;
+    let before = SCORED_BEFORE_DEATH as usize;
+    for wave in [before, SUBMITTED - before] {
+        for _ in 0..wave {
+            assert!(outstanding.insert(client.submit(&samples, None).expect("submit")));
+        }
+        for _ in 0..wave {
+            let (id, reply) = client.recv().expect("router always answers");
+            assert!(
+                outstanding.remove(&id),
+                "duplicate or unknown reply id {id}"
+            );
+            match reply {
+                ScoreReply::Scored(s) => {
+                    let want: Vec<u32> = FAKE_LLRS.iter().map(|x| x.to_bits()).collect();
+                    let got: Vec<u32> = s.llrs.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "routed score not bit-identical");
+                    scored += 1;
+                }
+                ScoreReply::Failed | ScoreReply::Overloaded => typed_failures += 1,
+                other => panic!("unexpected reply for {id}: {other:?}"),
             }
-            ScoreReply::Failed | ScoreReply::Overloaded => typed_failures += 1,
-            other => panic!("unexpected reply for {id}: {other:?}"),
         }
     }
     assert!(outstanding.is_empty(), "unanswered ids: {outstanding:?}");

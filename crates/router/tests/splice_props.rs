@@ -119,13 +119,11 @@ proptest! {
         llr_bits in proptest::collection::vec(any::<u32>(), 1..24),
         decision_pick in any::<usize>(),
         generation in any::<u64>(),
-        batch_size in 1usize..64,
         unknown in any::<bool>(),
     ) {
         let llrs: Vec<f32> = llr_bits.iter().copied().map(f32::from_bits).collect();
         let scored = ScoredUtt {
             decision: decision_pick % llrs.len(),
-            batch_size,
             generation,
             span: None,
             unknown,
@@ -139,7 +137,6 @@ proptest! {
         let back = reply.expect("an OK reply stays OK");
         prop_assert_eq!(bits(&back.llrs), bits(&llrs));
         prop_assert_eq!(back.generation, generation);
-        prop_assert_eq!(back.batch_size, batch_size);
         prop_assert_eq!(back.unknown, unknown);
         // The sentinel path recovers the local argmax; the closed-set
         // path carries the wire decision verbatim.

@@ -88,18 +88,13 @@ fn connect_with_retry<C>(addr: &str, connect: impl Fn() -> std::io::Result<C>) -
 }
 
 /// Print the stats line. The field order is a documented contract (CI
-/// and operators' scripts parse it): `requests completed rejected batches
-/// mean_batch max_queue_depth mean_latency_ms max_latency_ms qps`, then —
+/// and operators' scripts parse it): `requests completed rejected
+/// max_queue_depth mean_latency_ms max_latency_ms qps`, then —
 /// extended only — `expired failed shed_global generation swaps rollbacks
 /// fast_math unknown`. Append new fields at the end; never reorder.
 fn print_stats(s: &StatsSnapshot, extended: bool) {
     let qps = if s.uptime_us > 0 {
         s.completed as f64 / (s.uptime_us as f64 / 1e6)
-    } else {
-        0.0
-    };
-    let mean_batch = if s.batches > 0 {
-        s.batched_utts as f64 / s.batches as f64
     } else {
         0.0
     };
@@ -125,12 +120,11 @@ fn print_stats(s: &StatsSnapshot, extended: bool) {
         String::new()
     };
     println!(
-        "stats: requests={} completed={} rejected={} batches={} mean_batch={mean_batch:.2} \
-         max_queue_depth={} mean_latency_ms={mean_lat_ms:.1} max_latency_ms={:.1} qps={qps:.1}{ext}",
+        "stats: requests={} completed={} rejected={} max_queue_depth={} \
+         mean_latency_ms={mean_lat_ms:.1} max_latency_ms={:.1} qps={qps:.1}{ext}",
         s.requests,
         s.completed,
         s.rejected,
-        s.batches,
         s.max_queue_depth,
         s.latency_us_max as f64 / 1e3,
     );
@@ -365,7 +359,6 @@ fn main() {
     };
 
     let mut mismatches = 0usize;
-    let mut batched = 0usize;
     let mut expired = 0usize;
     let mut tolerated = 0usize;
     if utts > 0 {
@@ -406,20 +399,16 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            if scored.batch_size > 1 {
-                batched += 1;
-            }
             let top = if scored.unknown {
                 "unknown".to_string()
             } else {
                 LanguageId::targets()[scored.decision].name().to_string()
             };
             println!(
-                "utt {n:>3} ({}): {} (LLR {:+.3}, batch {})",
+                "utt {n:>3} ({}): {} (LLR {:+.3})",
                 lang.name(),
                 top,
-                scored.llrs[scored.decision],
-                scored.batch_size
+                scored.llrs[scored.decision]
             );
             if let Some(span) = &scored.span {
                 let stages: Vec<String> = span
@@ -512,8 +501,7 @@ fn main() {
             }
             println!(
                 "verification OK: {} utterances bit-identical to the local pipeline \
-                 ({batched} scored in batches > 1, {expired} deadline-expired, \
-                 {tolerated} failed-and-tolerated)",
+                 ({expired} deadline-expired, {tolerated} failed-and-tolerated)",
                 utts - expired - tolerated
             );
         } else if tolerate_failures {

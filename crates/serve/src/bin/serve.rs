@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! lre-serve --bundle PATH [--addr 127.0.0.1:7700] [--workers N]
-//!           [--max-batch N] [--max-wait-ms N] [--queue N]
-//!           [--max-inflight N] [--max-global-inflight N] [--lazy]
+//!           [--queue N] [--max-inflight N] [--max-global-inflight N]
+//!           [--lazy]
 //! ```
 //!
 //! `--max-global-inflight` caps score requests outstanding across *all*
@@ -58,7 +58,7 @@ use std::time::Duration;
 fn usage(msg: &str) -> ! {
     eprintln!(
         "error: {msg}\nusage: lre-serve --bundle PATH [--addr HOST:PORT] [--workers N] \
-         [--max-batch N] [--max-wait-ms N] [--queue N] [--max-inflight N] \
+         [--queue N] [--max-inflight N] \
          [--max-global-inflight N] [--lazy] [--fast-math] [--fleet] [--votelog N] \
          [--wal-dir DIR] [--wal-fsync-ms N] [--unknown-threshold LLR]"
     );
@@ -115,15 +115,6 @@ fn main() {
             "--workers" => {
                 i += 1;
                 cfg.engine.workers = parse_num(&args, i, "--workers");
-            }
-            "--max-batch" => {
-                i += 1;
-                cfg.engine.max_batch = parse_num(&args, i, "--max-batch");
-            }
-            "--max-wait-ms" => {
-                i += 1;
-                cfg.engine.max_wait =
-                    Duration::from_millis(parse_num(&args, i, "--max-wait-ms") as u64);
             }
             "--queue" => {
                 i += 1;

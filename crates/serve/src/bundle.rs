@@ -10,16 +10,18 @@
 //! in a fresh process reproduces the saved experiment's fused scores to
 //! the last bit (covered by `tests/serve_roundtrip.rs`).
 //!
-//! ## Layout (container version 4)
+//! ## Layout (container version 5)
 //!
 //! Version 2 stored each subsystem as an independently sealed artifact
 //! blob addressed by a `u64` **section offset table**, so a reader can map
 //! one subsystem's bytes without decoding any other. Version 3 added the
 //! SVM training configuration (so online adaptation retrains with exactly
 //! the recipe the bundle was built with) and a [`Lineage`] section tying a
-//! boosted bundle back to its parent. Version 4 adds the fast-math opt-in
+//! boosted bundle back to its parent. Version 4 added the fast-math opt-in
 //! byte (and its `SUBS` sections embed the v2 `DCFG` payload, which
-//! carries a scoring-mode byte):
+//! carries a scoring-mode byte). Version 5 has the same header; its `SUBS`
+//! sections embed the v3 `DCFG` payload (no beam flag), so an older bundle
+//! is refused with a typed version error on both load paths:
 //!
 //! ```text
 //! seed (u64) · scale name (str) · N-gram order (u32)
@@ -180,8 +182,9 @@ impl SystemBundle {
 
 impl ArtifactWrite for SubsystemBundle {
     const KIND: [u8; 4] = *b"SUBS";
-    // v2: the embedded decoder payload is DCFG v2 (adds the scoring byte).
-    const VERSION: u32 = 2;
+    // v2: the embedded decoder payload is DCFG v2 (adds the scoring byte);
+    // v3: DCFG v3 (drops the beam flag and width).
+    const VERSION: u32 = 3;
 
     fn write_payload(&self, w: &mut ArtifactWriter) {
         w.put_u8(self.spec_index);
@@ -307,8 +310,9 @@ fn read_header(r: &mut ArtifactReader) -> Result<BundleHeader, ArtifactError> {
 
 impl ArtifactWrite for SystemBundle {
     const KIND: [u8; 4] = *b"BNDL";
-    // v4: adds the fast-math opt-in byte (and SUBS v2 sections).
-    const VERSION: u32 = 4;
+    // v4: adds the fast-math opt-in byte (and SUBS v2 sections);
+    // v5: SUBS v3 sections.
+    const VERSION: u32 = 5;
 
     fn write_payload(&self, w: &mut ArtifactWriter) {
         w.put_u64(self.seed);

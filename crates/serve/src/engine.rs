@@ -1,12 +1,11 @@
-//! The micro-batching inference engine.
+//! The inference engine: one bounded queue, a pool of workers.
 //!
-//! Requests enter a single [`BoundedQueue`] shared by every connection. A
-//! dedicated **dispatcher** thread is the one consumer of that queue: it
-//! coalesces pending requests into batches (flush on `max_batch` or
-//! `max_wait`, whichever comes first) and hands each batch to the worker
-//! pool over a channel. Because formation is global, requests from
-//! mixed-rate clients share batches — the coalescing window opens once per
-//! batch, not once per worker.
+//! Requests enter a single [`BoundedQueue`] shared by every connection,
+//! and every worker pops one request at a time straight off it — the
+//! queue is the only hand-off. Each utterance already gives the emission
+//! kernels a tall matrix (75–750 frames) and every later stage is
+//! row-independent, so there is nothing to gain from grouping requests
+//! before scoring them.
 //!
 //! Workers drive the decode-through-fusion pipeline with one
 //! [`DecodeScratch`] each, so the score-block / Viterbi / back-pointer
@@ -17,9 +16,8 @@
 //! scored into a reply nobody wants.
 //!
 //! Shutdown is a drain: the queue closes (new submissions get
-//! [`SubmitError::ShuttingDown`]), the dispatcher flushes everything
-//! already accepted, workers finish their batches, and every outstanding
-//! reply callback fires exactly once.
+//! [`SubmitError::ShuttingDown`]), workers score everything already
+//! accepted, and every outstanding reply callback fires exactly once.
 
 use crate::obs::ServeObs;
 use crate::queue::{BoundedQueue, PushError};
@@ -27,7 +25,7 @@ use crate::swap::ScorerHandle;
 use crate::system::{ScoreTap, Scorer};
 use lre_lattice::DecodeScratch;
 use lre_obs::{
-    TraceSpan, EV_DEADLINE, EV_SHED, STAGE_BATCH, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY,
+    StageTimes, TraceSpan, EV_DEADLINE, EV_SHED, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY,
     STAGE_SCORE, STAGE_SUPERVECTOR,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,12 +37,6 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Worker threads (clamped to ≥ 1).
     pub workers: usize,
-    /// Largest batch the dispatcher forms at once (clamped to ≥ 1).
-    pub max_batch: usize,
-    /// How long the dispatcher holds a partial batch open waiting for it
-    /// to fill. A pipelined client that keeps the queue non-empty never
-    /// pays this window; a one-at-a-time client pays it per request.
-    pub max_wait: Duration,
     /// Queue capacity; submissions beyond it are shed.
     pub queue_capacity: usize,
     /// Whether the installed scorer runs the fast-math kernels (set by the
@@ -69,8 +61,6 @@ impl Default for EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(2)
                 .min(8),
-            max_batch: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 64,
             fast_math: false,
             unknown_threshold: None,
@@ -85,11 +75,9 @@ pub struct ScoredUtt {
     pub llrs: Vec<f32>,
     /// Index of the top-scoring language (see [`decision`]).
     pub decision: usize,
-    /// Size of the batch this utterance was scored in (observability:
-    /// `> 1` means micro-batching actually coalesced requests).
-    pub batch_size: usize,
-    /// Generation of the model that scored it. Constant 0 until the first
-    /// hot swap; every utterance in one batch carries the same value.
+    /// Generation of the model that scored it: the scorer that produced
+    /// `llrs`, resolved when a worker picked the request up. Constant 0
+    /// until the first hot swap.
     pub generation: u64,
     /// Stage-timestamped trace span, present only for traced requests
     /// (`trace_id != 0` at submission). Never encoded into v1/v2 score
@@ -156,11 +144,6 @@ pub struct StatsSnapshot {
     /// Submissions refused because the queue (or a connection's inflight
     /// window) was full.
     pub rejected: u64,
-    /// Batches formed by the dispatcher.
-    pub batches: u64,
-    /// Utterances across all batches (`batched_utts / batches` = mean
-    /// observed batch size).
-    pub batched_utts: u64,
     /// High-water mark of queue depth.
     pub max_queue_depth: u64,
     /// Sum of per-request latency (enqueue → scored), microseconds.
@@ -198,8 +181,6 @@ struct Counters {
     requests: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
-    batches: AtomicU64,
-    batched_utts: AtomicU64,
     latency_us_sum: AtomicU64,
     latency_us_max: AtomicU64,
     expired: AtomicU64,
@@ -222,21 +203,133 @@ struct Job {
     reply: ReplyFn,
 }
 
-/// The engine: a queue, its dispatcher, and the worker pool.
+/// The engine: a queue and the worker pool that drains it.
 pub struct Engine {
     queue: Arc<BoundedQueue<Job>>,
     counters: Arc<Counters>,
     handle: Arc<ScorerHandle>,
     obs: Option<Arc<ServeObs>>,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     started: Instant,
     fast_math: bool,
 }
 
+/// What one worker thread owns besides its [`DecodeScratch`].
+struct Worker {
+    queue: Arc<BoundedQueue<Job>>,
+    counters: Arc<Counters>,
+    handle: Arc<ScorerHandle>,
+    tap: Option<Arc<dyn ScoreTap>>,
+    obs: Option<Arc<ServeObs>>,
+    unknown_threshold: Option<f32>,
+}
+
+impl Worker {
+    /// Resolve one picked-up request: shed it if its deadline has passed,
+    /// otherwise score it, and fire its reply exactly once.
+    fn run(&self, job: Job, scratch: &mut DecodeScratch) {
+        let (counters, obs) = (&self.counters, self.obs.as_deref());
+        let enqueued = job.enqueued;
+        let since_enqueued = || enqueued.elapsed().as_micros() as u64;
+        let queue_us = since_enqueued();
+        if let Some(obs) = obs {
+            obs.queue_wait_us.record(queue_us);
+        }
+        if job.deadline.is_some_and(|d| Instant::now() >= d) {
+            counters.expired.fetch_add(1, Ordering::Relaxed);
+            if let Some(obs) = obs {
+                obs.flight.record(
+                    EV_DEADLINE,
+                    "queued past deadline",
+                    job.trace_id,
+                    0,
+                    0.0,
+                    0.0,
+                );
+            }
+            (job.reply)(Outcome::DeadlineExceeded);
+            return;
+        }
+        let traced = job.trace_id != 0;
+        if let (true, Some(obs)) = (traced, obs) {
+            obs.traced.incr();
+        }
+        // One versioned scorer per request: a swap landing while it is
+        // inside the scorer affects only later requests.
+        let model = self.handle.current();
+        let Ok(mut detail) = model.scorer.score_utt(&job.samples, scratch) else {
+            counters.failed.fetch_add(1, Ordering::Relaxed);
+            (job.reply)(Outcome::Failed);
+            return;
+        };
+        detail.generation = model.generation;
+        let us = since_enqueued();
+        counters.latency_us_sum.fetch_add(us, Ordering::Relaxed);
+        counters.latency_us_max.fetch_max(us, Ordering::Relaxed);
+        counters.completed.fetch_add(1, Ordering::Relaxed);
+        let mut stage_us = detail.stage_us;
+        if stage_us == StageTimes::default() {
+            // The scorer reported no split (a mock): bill the whole call.
+            stage_us.score_us = us - queue_us;
+        }
+        let top = decision(&detail.fused);
+        let unknown = self
+            .unknown_threshold
+            .is_some_and(|t| detail.fused.get(top).is_none_or(|&v| v < t));
+        if unknown {
+            counters.unknown.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(obs) = obs {
+            obs.latency_us.record(us);
+            obs.decode_us.record(stage_us.decode_us);
+            obs.supervector_us.record(stage_us.supervector_us);
+            obs.score_us.record(stage_us.score_us);
+            if let Some(&llr) = detail.fused.get(top) {
+                obs.lang_sketch(top).record(f64::from(llr));
+            }
+            if unknown {
+                obs.unknown.incr();
+            }
+        }
+        let span = traced.then(|| {
+            // Offsets of the in-scorer stages chain from the pick-up mark;
+            // mocks report no decode/supervector split, so those marks are
+            // omitted.
+            let mut span = TraceSpan::new(job.trace_id);
+            span.mark(STAGE_QUEUE, queue_us);
+            let mut at = queue_us;
+            if stage_us.decode_us + stage_us.supervector_us > 0 {
+                at += stage_us.decode_us;
+                span.mark(STAGE_DECODE, at);
+                at += stage_us.supervector_us;
+                span.mark(STAGE_SUPERVECTOR, at);
+            }
+            span.mark(STAGE_SCORE, at + stage_us.score_us);
+            span.mark(STAGE_REPLY, since_enqueued());
+            span
+        });
+        let llrs = match &self.tap {
+            // An unknown must not vote, so the row is teed only now.
+            Some(tap) if !unknown => {
+                let llrs = detail.fused.clone();
+                tap.record(detail);
+                llrs
+            }
+            _ => detail.fused,
+        };
+        (job.reply)(Outcome::Scored(ScoredUtt {
+            decision: top,
+            llrs,
+            generation: model.generation,
+            span,
+            unknown,
+        }));
+    }
+}
+
 impl Engine {
-    /// Spawn the dispatcher and worker pool over a fixed scorer (wrapped
-    /// in a [`ScorerHandle`] at generation 0, never swapped).
+    /// Spawn the worker pool over a fixed scorer (wrapped in a
+    /// [`ScorerHandle`] at generation 0, never swapped).
     pub fn start(cfg: EngineConfig, scorer: Arc<dyn Scorer>) -> Engine {
         Engine::start_adaptive(cfg, Arc::new(ScorerHandle::new(scorer, 0)), None)
     }
@@ -244,10 +337,9 @@ impl Engine {
     /// Spawn over a hot-swappable scorer handle, optionally teeing every
     /// successful score into `tap` (the adaptation vote log).
     ///
-    /// Workers resolve the handle **once per batch**: all utterances in a
-    /// batch are scored by one [`crate::swap::VersionedScorer`] and their
-    /// replies carry its generation, so a concurrent swap can never
-    /// produce a torn batch.
+    /// Workers resolve the handle **once per request**: the reply carries
+    /// the generation of the [`crate::swap::VersionedScorer`] that
+    /// produced its bits, whatever swap lands while it is being scored.
     pub fn start_adaptive(
         cfg: EngineConfig,
         handle: Arc<ScorerHandle>,
@@ -269,182 +361,21 @@ impl Engine {
     ) -> Engine {
         let queue = Arc::new(BoundedQueue::<Job>::new(cfg.queue_capacity));
         let counters = Arc::new(Counters::default());
-        let max_batch = cfg.max_batch.max(1);
-
-        // Dispatcher → workers: formed batches travel over a channel whose
-        // receiver the workers share, stamped with their formation time so
-        // traced requests can attribute queue wait. Dropping the sender
-        // (queue closed and drained) is the workers' shutdown signal.
-        let (batch_tx, batch_rx) = mpsc::channel::<(Instant, Vec<Job>)>();
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-
-        let dispatcher = {
-            let queue = Arc::clone(&queue);
-            let counters = Arc::clone(&counters);
-            let obs = obs.clone();
-            std::thread::spawn(move || {
-                while let Some(batch) = queue.pop_batch(max_batch, cfg.max_wait) {
-                    counters.batches.fetch_add(1, Ordering::Relaxed);
-                    counters
-                        .batched_utts
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    if let Some(obs) = &obs {
-                        obs.batches_formed.incr();
-                        obs.batch_fill.record(batch.len() as u64);
-                    }
-                    if batch_tx.send((Instant::now(), batch)).is_err() {
-                        break;
-                    }
-                }
-                // Sender drops here: workers drain the channel and exit.
-            })
-        };
-
-        let workers: Vec<std::thread::JoinHandle<()>> = (0..cfg.workers.max(1))
+        let workers = (0..cfg.workers.max(1))
             .map(|_| {
-                let batch_rx = Arc::clone(&batch_rx);
-                let counters = Arc::clone(&counters);
-                let handle = Arc::clone(&handle);
-                let tap = tap.clone();
-                let obs = obs.clone();
-                let unknown_threshold = cfg.unknown_threshold;
+                let worker = Worker {
+                    queue: Arc::clone(&queue),
+                    counters: Arc::clone(&counters),
+                    handle: Arc::clone(&handle),
+                    tap: tap.clone(),
+                    obs: obs.clone(),
+                    unknown_threshold: cfg.unknown_threshold,
+                };
                 std::thread::spawn(move || {
                     let mut scratch = DecodeScratch::new();
-                    loop {
-                        // Hold the lock only for the handoff, not the work.
-                        let (formed_at, batch) = match batch_rx.lock().unwrap().recv() {
-                            Ok(b) => b,
-                            Err(_) => return,
-                        };
-                        // One versioned scorer per batch: a swap landing
-                        // mid-batch affects only *later* batches, so every
-                        // reply in this one carries the same generation.
-                        let model = handle.current();
-                        let batch_size = batch.len();
-                        for job in batch {
-                            let enqueued = job.enqueued;
-                            let queue_us =
-                                formed_at.saturating_duration_since(enqueued).as_micros() as u64;
-                            if let Some(obs) = &obs {
-                                obs.queue_wait_us.record(queue_us);
-                            }
-                            // Checked per job, not per batch: a deadline
-                            // may pass while earlier batch members score.
-                            if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                                counters.expired.fetch_add(1, Ordering::Relaxed);
-                                if let Some(obs) = &obs {
-                                    obs.flight.record(
-                                        EV_DEADLINE,
-                                        "queued past deadline",
-                                        job.trace_id,
-                                        0,
-                                        0.0,
-                                        0.0,
-                                    );
-                                }
-                                (job.reply)(Outcome::DeadlineExceeded);
-                                continue;
-                            }
-                            let mut span = (job.trace_id != 0).then(|| {
-                                let mut span = TraceSpan::new(job.trace_id);
-                                span.mark(STAGE_QUEUE, queue_us);
-                                span.mark(STAGE_BATCH, enqueued.elapsed().as_micros() as u64);
-                                span
-                            });
-                            if span.is_some() {
-                                if let Some(obs) = &obs {
-                                    obs.traced.incr();
-                                }
-                            }
-                            // Stage split reported by the scorer (zeros
-                            // except `score_us` for mocks that can't split).
-                            let mut stage_us = lre_obs::StageTimes::default();
-                            let mut tap_detail = None;
-                            let scored = match &tap {
-                                // Tap installed: score through the detailed
-                                // path (same fused bits). The row is teed
-                                // only after the open-set check below — an
-                                // unknown must not vote.
-                                Some(_) => model
-                                    .scorer
-                                    .score_utt_detailed(&job.samples, &mut scratch)
-                                    .map(|mut detail| {
-                                        detail.generation = model.generation;
-                                        stage_us = detail.stage_us;
-                                        let llrs = detail.fused.clone();
-                                        tap_detail = Some(detail);
-                                        llrs
-                                    }),
-                                None if obs.is_some() || span.is_some() => model
-                                    .scorer
-                                    .score_utt_staged(&job.samples, &mut scratch, &mut stage_us),
-                                None => model.scorer.score_utt(&job.samples, &mut scratch),
-                            };
-                            let outcome = match scored {
-                                Ok(llrs) => {
-                                    let us = enqueued.elapsed().as_micros() as u64;
-                                    counters.latency_us_sum.fetch_add(us, Ordering::Relaxed);
-                                    counters.latency_us_max.fetch_max(us, Ordering::Relaxed);
-                                    counters.completed.fetch_add(1, Ordering::Relaxed);
-                                    let top = decision(&llrs);
-                                    let unknown = unknown_threshold
-                                        .is_some_and(|t| llrs.get(top).is_none_or(|&v| v < t));
-                                    if unknown {
-                                        counters.unknown.fetch_add(1, Ordering::Relaxed);
-                                        if let Some(obs) = &obs {
-                                            obs.unknown.incr();
-                                        }
-                                    } else if let (Some(tap), Some(detail)) =
-                                        (&tap, tap_detail.take())
-                                    {
-                                        tap.record(detail);
-                                    }
-                                    if let Some(obs) = &obs {
-                                        obs.latency_us.record(us);
-                                        obs.decode_us.record(stage_us.decode_us);
-                                        obs.supervector_us.record(stage_us.supervector_us);
-                                        obs.score_us.record(stage_us.score_us);
-                                        if let Some(&llr) = llrs.get(top) {
-                                            obs.lang_sketch(top).record(f64::from(llr));
-                                        }
-                                    }
-                                    let span = span.take().map(|mut span| {
-                                        // Offsets of the in-scorer stages
-                                        // chain from the batch pickup mark;
-                                        // mocks report no decode/supervector
-                                        // split, so those marks are omitted.
-                                        let picked =
-                                            span.offset_of(STAGE_BATCH).unwrap_or(queue_us);
-                                        let mut at = picked;
-                                        if stage_us.decode_us + stage_us.supervector_us > 0 {
-                                            at += stage_us.decode_us;
-                                            span.mark(STAGE_DECODE, at);
-                                            at += stage_us.supervector_us;
-                                            span.mark(STAGE_SUPERVECTOR, at);
-                                        }
-                                        span.mark(STAGE_SCORE, at + stage_us.score_us);
-                                        span.mark(
-                                            STAGE_REPLY,
-                                            enqueued.elapsed().as_micros() as u64,
-                                        );
-                                        span
-                                    });
-                                    Outcome::Scored(ScoredUtt {
-                                        decision: top,
-                                        llrs,
-                                        batch_size,
-                                        generation: model.generation,
-                                        span,
-                                        unknown,
-                                    })
-                                }
-                                Err(_) => {
-                                    counters.failed.fetch_add(1, Ordering::Relaxed);
-                                    Outcome::Failed
-                                }
-                            };
-                            (job.reply)(outcome);
-                        }
+                    // `None` = closed and drained: the shutdown signal.
+                    while let Some(job) = worker.queue.pop() {
+                        worker.run(job, &mut scratch);
                     }
                 })
             })
@@ -454,7 +385,6 @@ impl Engine {
             counters,
             handle,
             obs,
-            dispatcher: Mutex::new(Some(dispatcher)),
             workers: Mutex::new(workers),
             started: Instant::now(),
             fast_math: cfg.fast_math,
@@ -521,15 +451,11 @@ impl Engine {
 
     /// Submit and wait — the in-process client used by the v1 TCP
     /// connection path and by tests.
-    pub fn score_blocking(&self, samples: Vec<f32>) -> Result<ScoredUtt, SubmitError> {
+    pub fn score_blocking(&self, samples: Vec<f32>) -> Result<Outcome, SubmitError> {
         let rx = self.submit(samples)?;
         // A send-side drop without a result only happens if a worker died;
         // surface it as shutdown rather than panicking the connection.
-        match rx.recv().map_err(|_| SubmitError::ShuttingDown)? {
-            Outcome::Scored(s) => Ok(s),
-            // No deadline was set, so the only refusals left are terminal.
-            Outcome::DeadlineExceeded | Outcome::Failed => Err(SubmitError::ShuttingDown),
-        }
+        rx.recv().map_err(|_| SubmitError::ShuttingDown)
     }
 
     /// Record a request shed before it reached the queue (per-connection
@@ -562,8 +488,6 @@ impl Engine {
             requests: c.requests.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
             rejected: c.rejected.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_utts: c.batched_utts.load(Ordering::Relaxed),
             max_queue_depth: self.queue.max_depth() as u64,
             latency_us_sum: c.latency_us_sum.load(Ordering::Relaxed),
             latency_us_max: c.latency_us_max.load(Ordering::Relaxed),
@@ -579,15 +503,12 @@ impl Engine {
         }
     }
 
-    /// Graceful shutdown: refuse new work, let the dispatcher flush
+    /// Graceful shutdown: refuse new work, let the workers score
     /// everything already accepted, resolve every outstanding reply, then
     /// join the threads. Idempotent and safe to call from multiple
     /// threads.
     pub fn shutdown(&self) {
         self.queue.close();
-        if let Some(h) = self.dispatcher.lock().unwrap().take() {
-            let _ = h.join();
-        }
         let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
         for h in handles {
             let _ = h.join();

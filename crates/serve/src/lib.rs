@@ -16,16 +16,16 @@
 //!   raw audio samples into calibrated per-language detection LLRs. The
 //!   [`system::Scorer`] trait is the seam the engine scores through, so
 //!   tests can drive the full serving stack with a mock;
-//! - [`queue`] + [`engine`]: a micro-batching inference engine — a bounded
-//!   request queue drained by a single global dispatcher that coalesces
-//!   pending utterances from every connection into batches (flush on
-//!   `max_batch` or `max_wait`), one reusable [`lre_lattice::DecodeScratch`]
+//! - [`queue`] + [`engine`]: the inference engine — a bounded MPMC request
+//!   queue shared by every connection and popped, one request at a time,
+//!   by a pool of workers; one reusable [`lre_lattice::DecodeScratch`]
 //!   per worker, explicit load shedding when the queue is full, and
 //!   per-request deadlines shed with a typed status;
 //! - [`swap`]: a generation-tagged [`swap::ScorerHandle`] the engine
 //!   scores through, so the online-adaptation worker (`lre-adapt`) can
 //!   atomically hot-swap a freshly boosted bundle — or roll it back —
-//!   without a torn batch ever observing two models;
+//!   without a reply ever pairing one model's bits with another's
+//!   generation;
 //! - [`protocol`] + [`server`] + [`client`]: a length-prefixed TCP protocol
 //!   over `std::net`, consistent with the workspace's no-external-deps
 //!   policy. Protocol v2 adds client-chosen request ids and connection

@@ -10,9 +10,7 @@
 //!
 //! | name | kind | meaning |
 //! |---|---|---|
-//! | `engine.batch.formed` | counter | batches the dispatcher formed |
-//! | `engine.batch.fill` | histogram | utterances per formed batch |
-//! | `engine.queue.wait_us` | histogram | admission → batch formation |
+//! | `engine.queue.wait_us` | histogram | admission → a worker picked it up |
 //! | `engine.latency_us` | histogram | admission → scored |
 //! | `engine.stage.decode_us` | histogram | acoustic decode per utterance |
 //! | `engine.stage.supervector_us` | histogram | supervector build per utterance |
@@ -31,8 +29,6 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 pub struct ServeObs {
     pub registry: Arc<Registry>,
     pub flight: Arc<FlightRecorder>,
-    pub(crate) batches_formed: Arc<Counter>,
-    pub(crate) batch_fill: Arc<Histogram>,
     pub(crate) queue_wait_us: Arc<Histogram>,
     pub(crate) latency_us: Arc<Histogram>,
     pub(crate) decode_us: Arc<Histogram>,
@@ -52,8 +48,6 @@ impl ServeObs {
         let registry = Arc::new(Registry::new());
         Arc::new(ServeObs {
             flight: Arc::new(FlightRecorder::new(flight_capacity)),
-            batches_formed: registry.counter("engine.batch.formed"),
-            batch_fill: registry.histogram("engine.batch.fill"),
             queue_wait_us: registry.histogram("engine.queue.wait_us"),
             latency_us: registry.histogram("engine.latency_us"),
             decode_us: registry.histogram("engine.stage.decode_us"),
@@ -96,8 +90,6 @@ mod tests {
         assert_eq!(
             names,
             [
-                "engine.batch.fill",
-                "engine.batch.formed",
                 "engine.latency_us",
                 "engine.queue.wait_us",
                 "engine.stage.decode_us",

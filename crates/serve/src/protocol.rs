@@ -34,7 +34,7 @@
 //! [`STATUS_DEADLINE_EXCEEDED`] / [`STATUS_INTERNAL`] /
 //! [`STATUS_UNSUPPORTED`]); v2 score replies follow it with the echoed
 //! `u64` request id. An `OK` v1 score body is: `f32` slice of per-language
-//! LLRs, `u32` decision index, `u32` observed batch size. A v2 score body
+//! LLRs, `u32` decision index, one reserved `u32`. A v2 score body
 //! appends the `u64` model generation that produced the row (v1 bodies
 //! stay byte-identical so v1 clients keep working unchanged).
 
@@ -387,7 +387,9 @@ fn put_score_body(w: &mut ArtifactWriter, scored: &ScoredUtt, with_generation: b
     } else {
         scored.decision as u32
     });
-    w.put_u32(scored.batch_size as u32);
+    // Reserved (was the batch size) until the tag-table rewrite: written
+    // as 1, ignored on decode, so body offsets stay where routers splice.
+    w.put_u32(1);
     if with_generation {
         w.put_u64(scored.generation);
     }
@@ -412,8 +414,8 @@ fn get_score_body_inner(
 ) -> Result<ScoredUtt, ArtifactError> {
     let llrs = r.get_f32_slice()?;
     let decision_wire = r.get_u32()?;
-    let batch_size = r.get_u32()? as usize;
-    // v1 replies predate hot swapping; report them as generation 0.
+    r.get_u32()?; // reserved, see `put_score_body`
+                  // v1 replies predate hot swapping; report them as generation 0.
     let generation = if with_generation { r.get_u64()? } else { 0 };
     let unknown = decision_wire == DECISION_UNKNOWN;
     let decision = if unknown {
@@ -433,7 +435,6 @@ fn get_score_body_inner(
     Ok(ScoredUtt {
         llrs,
         decision,
-        batch_size,
         generation,
         span: None,
         unknown,
@@ -544,8 +545,10 @@ fn put_stats(w: &mut ArtifactWriter, s: &StatsSnapshot, extended: bool) {
         s.requests,
         s.completed,
         s.rejected,
-        s.batches,
-        s.batched_utts,
+        // Slots 4–5 are reserved (were the batch counters) until the
+        // tag-table rewrite: written as 0, ignored on decode.
+        0,
+        0,
         s.max_queue_depth,
         s.latency_us_sum,
         s.latency_us_max,
@@ -598,12 +601,14 @@ fn get_stats_counters(
     r: &mut ArtifactReader,
     extended: bool,
 ) -> Result<StatsSnapshot, ArtifactError> {
+    let (requests, completed, rejected) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+    // Reserved slots 4–5, see `put_stats`.
+    r.get_u64()?;
+    r.get_u64()?;
     let mut s = StatsSnapshot {
-        requests: r.get_u64()?,
-        completed: r.get_u64()?,
-        rejected: r.get_u64()?,
-        batches: r.get_u64()?,
-        batched_utts: r.get_u64()?,
+        requests,
+        completed,
+        rejected,
         max_queue_depth: r.get_u64()?,
         latency_us_sum: r.get_u64()?,
         latency_us_max: r.get_u64()?,
@@ -1294,7 +1299,6 @@ mod tests {
         let scored = ScoredUtt {
             llrs: vec![1.5, -0.0, f32::NAN, 3.25e-9],
             decision: 3,
-            batch_size: 7,
             generation: 5,
             span: None,
             unknown: false,
@@ -1303,7 +1307,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(back.decision, 3);
-        assert_eq!(back.batch_size, 7);
         // v1 bodies carry no generation; it decodes as 0.
         assert_eq!(back.generation, 0);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1318,7 +1321,6 @@ mod tests {
         let scored = ScoredUtt {
             llrs: vec![-3.0, -1.5, -7.0],
             decision: 1,
-            batch_size: 2,
             generation: 9,
             span: None,
             unknown: true,
@@ -1358,7 +1360,6 @@ mod tests {
         let scored = ScoredUtt {
             llrs: vec![0.25, -1.0],
             decision: 0,
-            batch_size: 3,
             generation: 42,
             span: None,
             unknown: false,
@@ -1392,16 +1393,15 @@ mod tests {
 
     #[test]
     fn traced_score_reply_carries_the_span() {
-        use lre_obs::{STAGE_BATCH, STAGE_QUEUE, STAGE_SCORE};
+        use lre_obs::{STAGE_DECODE, STAGE_QUEUE, STAGE_SCORE};
         let mut span = TraceSpan::new(0xCAFE);
         span.mark(STAGE_QUEUE, 100);
-        span.mark(STAGE_BATCH, 120);
+        span.mark(STAGE_DECODE, 120);
         span.mark(STAGE_SCORE, 900);
         span.mark(STAGE_REPLY, 950);
         let scored = ScoredUtt {
             llrs: vec![0.25, -1.0],
             decision: 0,
-            batch_size: 3,
             generation: 42,
             span: Some(span.clone()),
             unknown: false,
@@ -1418,7 +1418,7 @@ mod tests {
         // A span whose offsets go backwards is a protocol error.
         let mut bad_span = TraceSpan::new(1);
         bad_span.mark(STAGE_QUEUE, 100);
-        bad_span.mark(STAGE_BATCH, 50);
+        bad_span.mark(STAGE_DECODE, 50);
         let bad = ScoredUtt {
             span: Some(bad_span),
             ..scored.clone()
@@ -1438,7 +1438,6 @@ mod tests {
     #[test]
     fn metrics_reply_roundtrip_and_order_enforcement() {
         let entries = vec![
-            ("engine.batch.formed".to_string(), MetricValue::Counter(17)),
             (
                 "engine.latency_us".to_string(),
                 MetricValue::Histogram(HistogramSummary {
@@ -1451,6 +1450,7 @@ mod tests {
                     p999: 300,
                 }),
             ),
+            ("engine.traced".to_string(), MetricValue::Counter(17)),
             ("router.shed".to_string(), MetricValue::Gauge(2)),
             (
                 "score.llr.top1.lang00".to_string(),
@@ -1523,8 +1523,6 @@ mod tests {
             requests: 100,
             completed: 90,
             rejected: 10,
-            batches: 20,
-            batched_utts: 90,
             max_queue_depth: 12,
             latency_us_sum: 123_456,
             latency_us_max: 9_999,
@@ -1599,8 +1597,6 @@ mod tests {
             requests: 100,
             completed: 80,
             rejected: 5,
-            batches: 20,
-            batched_utts: 80,
             max_queue_depth: 12,
             latency_us_sum: 1,
             latency_us_max: 1,
@@ -1773,8 +1769,6 @@ mod tests {
             requests: 300,
             completed: 290,
             rejected: 4,
-            batches: 60,
-            batched_utts: 290,
             max_queue_depth: 9,
             latency_us_sum: 5_000,
             latency_us_max: 80,

@@ -1,14 +1,13 @@
-//! A bounded, closable MPMC queue with batched removal.
+//! A bounded, closable MPMC queue.
 //!
 //! This is the backpressure point of the serving engine: producers get an
 //! explicit [`PushError::Full`] instead of unbounded buffering (load
-//! shedding), and consumers remove items in *batches* — a consumer that
-//! finds the queue non-empty keeps collecting until it holds `max_batch`
-//! items or `max_wait` has elapsed, which is the micro-batching window.
+//! shedding), and each consumer blocks in [`BoundedQueue::pop`] for the
+//! next item. Closing the queue refuses new pushes but loses no accepted
+//! work: consumers drain what remains, then see `None`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a push was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,37 +67,20 @@ impl<T> BoundedQueue<T> {
         Ok(depth)
     }
 
-    /// Remove the next batch: blocks until at least one item is present,
-    /// then keeps collecting until `max_batch` items are held or `max_wait`
-    /// has elapsed since the first item was seen. Returns `None` once the
-    /// queue is closed *and* drained — remaining items are always handed
-    /// out first, so closing loses no accepted work.
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<T>> {
-        let max_batch = max_batch.max(1);
+    /// Remove the oldest item, blocking until one is present. Returns
+    /// `None` once the queue is closed *and* drained — remaining items are
+    /// always handed out first, so closing loses no accepted work.
+    pub fn pop(&self) -> Option<T> {
         let mut st = self.state.lock().unwrap();
         loop {
-            if !st.items.is_empty() {
-                break;
+            if let Some(item) = st.items.pop_front() {
+                return Some(item);
             }
             if st.closed {
                 return None;
             }
             st = self.cv.wait(st).unwrap();
         }
-        let deadline = Instant::now() + max_wait;
-        while st.items.len() < max_batch && !st.closed {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = self.cv.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        let take = st.items.len().min(max_batch);
-        Some(st.items.drain(..take).collect())
     }
 
     /// Refuse new pushes; consumers drain what remains, then see `None`.
@@ -124,9 +106,8 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::sync::Arc;
-
-    const NO_WAIT: Duration = Duration::from_millis(0);
 
     #[test]
     fn push_pop_fifo() {
@@ -134,7 +115,10 @@ mod tests {
         for i in 0..5 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(10, NO_WAIT), Some(vec![0, 1, 2, 3, 4]));
+        for i in 0..5 {
+            assert_eq!(q.pop(), Some(i));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -148,35 +132,8 @@ mod tests {
         assert_eq!(q.push(4), Err(PushError::Full));
         assert_eq!(q.max_depth(), 3);
         // Draining reopens capacity.
-        assert_eq!(q.pop_batch(1, NO_WAIT), Some(vec![1]));
+        assert_eq!(q.pop(), Some(1));
         assert_eq!(q.push(4), Ok(3));
-    }
-
-    #[test]
-    fn batch_caps_at_max_batch() {
-        let q = BoundedQueue::new(16);
-        for i in 0..7 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.pop_batch(4, NO_WAIT), Some(vec![0, 1, 2, 3]));
-        assert_eq!(q.pop_batch(4, NO_WAIT), Some(vec![4, 5, 6]));
-    }
-
-    #[test]
-    fn batch_window_collects_late_arrivals() {
-        let q = Arc::new(BoundedQueue::new(16));
-        q.push(0u32).unwrap();
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            q2.push(1).unwrap();
-            q2.push(2).unwrap();
-        });
-        // The consumer sees one item immediately but the window keeps it
-        // collecting until the batch fills.
-        let batch = q.pop_batch(3, Duration::from_secs(10));
-        t.join().unwrap();
-        assert_eq!(batch, Some(vec![0, 1, 2]));
     }
 
     #[test]
@@ -187,18 +144,31 @@ mod tests {
         q.close();
         assert_eq!(q.push(3), Err(PushError::Closed));
         // Accepted work survives the close…
-        assert_eq!(q.pop_batch(8, NO_WAIT), Some(vec![1, 2]));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
         // …then consumers see the end.
-        assert_eq!(q.pop_batch(8, NO_WAIT), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn close_wakes_blocked_consumer() {
+    fn blocked_pop_wakes_on_push_and_on_close() {
         let q = Arc::new(BoundedQueue::<u32>::new(8));
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop_batch(4, Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
+        let (tx, rx) = mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                while let Some(v) = q.pop() {
+                    tx.send(v).unwrap();
+                }
+            })
+        };
+        // Whether the consumer is already parked in `pop` or not yet
+        // there, it must hand the item over…
+        q.push(7).unwrap();
+        assert_eq!(rx.recv(), Ok(7));
+        // …and a close must end its loop (the join would hang otherwise).
         q.close();
-        assert_eq!(t.join().unwrap(), None);
+        consumer.join().unwrap();
+        assert!(rx.recv().is_err());
     }
 }

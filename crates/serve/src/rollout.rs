@@ -278,10 +278,10 @@ mod tests {
     impl Scorer for Marker {
         fn score_utt(
             &self,
-            _samples: &[f32],
+            samples: &[f32],
             _scratch: &mut DecodeScratch,
-        ) -> Result<Vec<f32>, ArtifactError> {
-            Ok(vec![self.0])
+        ) -> Result<ScoreDetail, ArtifactError> {
+            Ok(ScoreDetail::from_fused(samples, vec![self.0]))
         }
     }
 
@@ -336,7 +336,8 @@ mod tests {
                 .current()
                 .scorer
                 .score_utt(&[], &mut scratch)
-                .unwrap(),
+                .unwrap()
+                .fused,
             vec![7.0]
         );
         // The staged slot is consumed: a second commit is a conflict.
@@ -394,7 +395,8 @@ mod tests {
                 .current()
                 .scorer
                 .score_utt(&[], &mut scratch)
-                .unwrap(),
+                .unwrap()
+                .fused,
             vec![2.0]
         );
     }

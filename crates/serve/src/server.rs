@@ -309,7 +309,10 @@ fn handle_connection(
                     let result = engine.score_blocking(samples);
                     global_inflight.fetch_sub(1, Ordering::AcqRel);
                     match result {
-                        Ok(scored) => encode_score_ok(&scored),
+                        Ok(Outcome::Scored(scored)) => encode_score_ok(&scored),
+                        // v1 requests carry no deadline; typed all the same.
+                        Ok(Outcome::DeadlineExceeded) => encode_status(STATUS_DEADLINE_EXCEEDED),
+                        Ok(Outcome::Failed) => encode_status(STATUS_INTERNAL),
                         Err(SubmitError::Overloaded) => encode_status(STATUS_OVERLOADED),
                         Err(SubmitError::ShuttingDown) => encode_status(STATUS_SHUTTING_DOWN),
                     }

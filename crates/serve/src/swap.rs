@@ -8,9 +8,9 @@
 //!
 //! - **swap is atomic**: readers clone the `Arc` under a read lock (a
 //!   pointer copy), the swapper replaces it under the write lock. A worker
-//!   loads the versioned scorer **once per batch**, so every utterance in
-//!   a batch is scored by exactly one generation — never a torn mix —
-//!   and its reply carries that generation.
+//!   loads the versioned scorer **once per request**, so every utterance
+//!   is scored by exactly one generation and its reply carries that
+//!   generation.
 //! - **generations are monotonic**: every install (including a rollback)
 //!   gets `previous + 1`. A rollback is *not* a generation decrement; it
 //!   installs the parent's scorer and checksum under a fresh generation,
@@ -58,7 +58,7 @@ impl ScorerHandle {
 
     /// The currently installed scorer. Callers that score more than one
     /// utterance against "the same model" must call this once and reuse
-    /// the returned `Arc` — that is the whole-batch atomicity contract.
+    /// the returned `Arc`.
     pub fn current(&self) -> Arc<VersionedScorer> {
         Arc::clone(&self.current.read().expect("scorer lock poisoned"))
     }
@@ -84,7 +84,7 @@ impl ScorerHandle {
     }
 
     /// Install a new scorer at `current generation + 1`; returns the new
-    /// generation. In-flight batches keep scoring against the `Arc` they
+    /// generation. In-flight requests keep scoring against the `Arc` they
     /// already cloned.
     pub fn swap(&self, scorer: Arc<dyn Scorer>, checksum: u32) -> u64 {
         self.install(scorer, checksum, false)
@@ -115,6 +115,7 @@ impl ScorerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::ScoreDetail;
     use lre_artifact::ArtifactError;
     use lre_lattice::DecodeScratch;
 
@@ -122,10 +123,10 @@ mod tests {
     impl Scorer for Marker {
         fn score_utt(
             &self,
-            _samples: &[f32],
+            samples: &[f32],
             _scratch: &mut DecodeScratch,
-        ) -> Result<Vec<f32>, ArtifactError> {
-            Ok(vec![self.0])
+        ) -> Result<ScoreDetail, ArtifactError> {
+            Ok(ScoreDetail::from_fused(samples, vec![self.0]))
         }
     }
 
@@ -139,7 +140,10 @@ mod tests {
         assert_eq!(cur.generation, 1);
         assert_eq!(cur.checksum, 0xBBBB);
         let mut scratch = DecodeScratch::new();
-        assert_eq!(cur.scorer.score_utt(&[], &mut scratch).unwrap(), vec![1.0]);
+        assert_eq!(
+            cur.scorer.score_utt(&[], &mut scratch).unwrap().fused,
+            vec![1.0]
+        );
         assert_eq!(h.swap_count(), 1);
         assert_eq!(h.rollback_count(), 0);
     }
@@ -158,13 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn a_held_batch_scorer_is_unaffected_by_a_swap() {
+    fn a_held_scorer_is_unaffected_by_a_swap() {
         let h = ScorerHandle::new(Arc::new(Marker(7.0)), 0);
         let pinned = h.current();
         h.swap(Arc::new(Marker(8.0)), 0);
         let mut scratch = DecodeScratch::new();
         assert_eq!(
-            pinned.scorer.score_utt(&[], &mut scratch).unwrap(),
+            pinned.scorer.score_utt(&[], &mut scratch).unwrap().fused,
             vec![7.0]
         );
         assert_eq!(pinned.generation, 0);

@@ -35,9 +35,26 @@ pub struct ScoreDetail {
     /// Per-subsystem TFLLR-scaled supervectors (retraining features).
     pub supervectors: Vec<SparseVec>,
     /// Wall-clock split of the scoring stages (decode, supervector build,
-    /// SVM + fusion), summed across subsystems. Zeros when the scorer
-    /// cannot split (mock scorers using the trait default).
+    /// SVM + fusion), summed across subsystems. All zeros when the scorer
+    /// cannot split; the engine then bills the whole call to `score_us`.
     pub stage_us: StageTimes,
+}
+
+impl ScoreDetail {
+    /// The detail of a scorer that has only a fused row to report: no
+    /// per-subsystem intermediates, no stage split.
+    pub fn from_fused(samples: &[f32], fused: Vec<f32>) -> ScoreDetail {
+        ScoreDetail {
+            digest: sample_digest(samples),
+            num_frames: 0,
+            duration_index: 0,
+            generation: 0,
+            fused,
+            subsystem_scores: Vec::new(),
+            supervectors: Vec::new(),
+            stage_us: StageTimes::default(),
+        }
+    }
 }
 
 /// A sink for per-utterance score details, called by engine workers after
@@ -69,7 +86,9 @@ pub fn sample_digest(samples: &[f32]) -> u64 {
 /// are generic over this, so tests can drive the full pipelined protocol
 /// with a mock scorer instead of minutes of acoustic-model training.
 pub trait Scorer: Send + Sync + 'static {
-    /// Score one utterance into per-language detection LLRs.
+    /// Score one utterance: the fused per-language detection LLRs plus
+    /// whatever intermediates and stage split the scorer has (a mock
+    /// wraps its row with [`ScoreDetail::from_fused`]).
     ///
     /// An `Err` is an internal scorer failure (e.g. a lazily mapped bundle
     /// section that fails to decode) — the server reports it to the client
@@ -78,52 +97,7 @@ pub trait Scorer: Send + Sync + 'static {
         &self,
         samples: &[f32],
         scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError>;
-
-    /// Score one utterance and expose the per-subsystem intermediates.
-    ///
-    /// The default wraps [`Scorer::score_utt`] with empty subsystem detail
-    /// (mocks keep working untouched); [`ScoringSystem`] overrides it with
-    /// the real tap payload. The `fused` row must be bit-identical to what
-    /// `score_utt` returns for the same samples.
-    fn score_utt_detailed(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
-        let started = Instant::now();
-        let fused = self.score_utt(samples, scratch)?;
-        Ok(ScoreDetail {
-            digest: sample_digest(samples),
-            num_frames: 0,
-            duration_index: 0,
-            generation: 0,
-            fused,
-            subsystem_scores: Vec::new(),
-            supervectors: Vec::new(),
-            stage_us: StageTimes {
-                score_us: started.elapsed().as_micros() as u64,
-                ..StageTimes::default()
-            },
-        })
-    }
-
-    /// Score one utterance and report the stage split into `stages`.
-    ///
-    /// The default times the whole score as `score_us` (mocks can't split);
-    /// [`ScoringSystem`] overrides it with real per-stage wall-clock. The
-    /// returned LLRs must be bit-identical to [`Scorer::score_utt`]'s.
-    fn score_utt_staged(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-        stages: &mut StageTimes,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        let started = Instant::now();
-        let fused = self.score_utt(samples, scratch)?;
-        stages.score_us = started.elapsed().as_micros() as u64;
-        Ok(fused)
-    }
+    ) -> Result<ScoreDetail, ArtifactError>;
 }
 
 /// One materialized subsystem: a ready-to-decode front-end plus its VSM.
@@ -371,27 +345,8 @@ impl Scorer for ScoringSystem {
         &self,
         samples: &[f32],
         scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        self.try_score(samples, scratch)
-    }
-
-    fn score_utt_detailed(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError> {
         self.try_score_detailed(samples, scratch)
-    }
-
-    fn score_utt_staged(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-        stages: &mut StageTimes,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        let detail = self.try_score_detailed(samples, scratch)?;
-        *stages = detail.stage_us;
-        Ok(detail.fused)
     }
 }
 

@@ -217,7 +217,7 @@ impl VoteLog {
 
 impl ScoreTap for VoteLog {
     fn record(&self, detail: ScoreDetail) {
-        // Mock scorers (the default `score_utt_detailed`) carry no
+        // Mock scorers (`ScoreDetail::from_fused`) carry no
         // subsystem intermediates; there is nothing to vote on or retrain
         // from, so such rows never enter the log (admit refuses them).
         let _ = self.admit(detail);

@@ -19,8 +19,8 @@ use lre_lattice::DecodeScratch;
 use lre_serve::client::ScoreReply;
 use lre_serve::fuzz;
 use lre_serve::{
-    Client, Engine, EngineConfig, Outcome, PipelinedClient, Scorer, Server, ServerConfig,
-    SubmitError,
+    Client, Engine, EngineConfig, Outcome, PipelinedClient, ScoreDetail, Scorer, Server,
+    ServerConfig, SubmitError,
 };
 use std::net::TcpListener;
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,31 +42,56 @@ impl Scorer for MockScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        Ok(mock_llrs(samples, self.classes))
+    ) -> Result<ScoreDetail, ArtifactError> {
+        Ok(ScoreDetail::from_fused(
+            samples,
+            mock_llrs(samples, self.classes),
+        ))
     }
 }
 
 /// A scorer whose workers block until the test opens the gate — makes
 /// "requests are outstanding" a deterministic state instead of a race.
 struct GatedScorer {
-    open: Mutex<bool>,
+    gate: Mutex<Gate>,
     cv: Condvar,
     classes: usize,
+}
+
+#[derive(Default)]
+struct Gate {
+    open: bool,
+    /// Calls that have reached the scorer so far.
+    entered: usize,
 }
 
 impl GatedScorer {
     fn new(classes: usize) -> GatedScorer {
         GatedScorer {
-            open: Mutex::new(false),
+            gate: Mutex::new(Gate::default()),
             cv: Condvar::new(),
             classes,
         }
     }
 
     fn release(&self) {
-        *self.open.lock().unwrap() = true;
+        self.gate.lock().unwrap().open = true;
         self.cv.notify_all();
+    }
+
+    /// Block until `n` calls have reached the scorer.
+    fn wait_entered(&self, n: usize) {
+        let (gate, timeout) = self
+            .cv
+            .wait_timeout_while(self.gate.lock().unwrap(), Duration::from_secs(10), |g| {
+                g.entered < n
+            })
+            .unwrap();
+        assert!(
+            !timeout.timed_out(),
+            "only {} of {n} calls reached the scorer",
+            gate.entered
+        );
     }
 }
 
@@ -75,13 +100,18 @@ impl Scorer for GatedScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.cv.wait(open).unwrap();
+    ) -> Result<ScoreDetail, ArtifactError> {
+        let mut gate = self.gate.lock().unwrap();
+        gate.entered += 1;
+        self.cv.notify_all();
+        while !gate.open {
+            gate = self.cv.wait(gate).unwrap();
         }
-        drop(open);
-        Ok(mock_llrs(samples, self.classes))
+        drop(gate);
+        Ok(ScoreDetail::from_fused(
+            samples,
+            mock_llrs(samples, self.classes),
+        ))
     }
 }
 
@@ -94,7 +124,7 @@ impl Scorer for FailingScorer {
         &self,
         _samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         Err(ArtifactError::Corrupt("injected scorer failure"))
     }
 }
@@ -108,8 +138,6 @@ fn fast_config() -> ServerConfig {
     ServerConfig {
         engine: EngineConfig {
             workers: 2,
-            max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             fast_math: false,
             unknown_threshold: None,
@@ -430,8 +458,14 @@ fn scorer_failures_map_to_internal_status_and_keep_the_connection() {
     let (_, reply) = client.recv().expect("second reply");
     assert_eq!(reply, ScoreReply::Failed);
 
+    // A v1 client is told the same thing — not that the server is going
+    // away — and its connection survives too.
+    let mut v1 = Client::connect(addr).expect("v1 connect");
+    assert_eq!(v1.score(&[3.0]).expect("v1 reply"), ScoreReply::Failed);
+    assert_eq!(v1.score(&[4.0]).expect("v1 reply"), ScoreReply::Failed);
+
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.failed, 2);
+    assert_eq!(stats.failed, 4);
     assert_eq!(stats.completed, 0);
 
     client.shutdown().expect("shutdown");
@@ -467,12 +501,43 @@ fn v1_clients_still_work_against_a_pipelined_server() {
 }
 
 #[test]
+fn two_idle_workers_take_two_queued_jobs_concurrently() {
+    let gate = Arc::new(GatedScorer::new(2));
+    let engine = Engine::start(
+        EngineConfig {
+            workers: 2,
+            queue_capacity: 16,
+            fast_math: false,
+            unknown_threshold: None,
+        },
+        Arc::clone(&gate) as _,
+    );
+
+    let jobs = [vec![1.0], vec![2.0]];
+    let receivers = jobs
+        .clone()
+        .map(|samples| engine.submit(samples).expect("submit"));
+    // Both jobs must be inside the scorer before either is let out: the
+    // queue hands each idle worker one job, it never parks the second job
+    // behind the first on one worker.
+    gate.wait_entered(2);
+    gate.release();
+
+    for (rx, samples) in receivers.into_iter().zip(&jobs) {
+        match rx.recv().expect("outcome") {
+            Outcome::Scored(s) => assert_eq!(s.llrs, mock_llrs(samples, 2)),
+            other => panic!("job unresolved: {other:?}"),
+        }
+    }
+    assert_eq!(engine.stats().completed, 2);
+    engine.shutdown();
+}
+
+#[test]
 fn engine_shutdown_is_idempotent_and_submissions_after_it_fail_fast() {
     let engine = Engine::start(
         EngineConfig {
             workers: 2,
-            max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 16,
             fast_math: false,
             unknown_threshold: None,

@@ -3,19 +3,19 @@
 //! The swap seam's contracts, exercised against the live engine under
 //! thread contention rather than in single-threaded unit tests:
 //!
-//! - **no torn batches**: every scored utterance was produced by exactly
+//! - **no torn replies**: every scored utterance was produced by exactly
 //!   the model whose generation its reply carries, even while a swapper
 //!   thread replaces the model as fast as it can;
-//! - **a swap landing mid-batch does not leak into that batch**: the
-//!   whole batch scores against the model its worker loaded at batch
-//!   start;
+//! - **a swap landing while a job is inside the scorer does not leak into
+//!   that reply**: it keeps the generation and bits of the model its
+//!   worker resolved at pick-up, and the next job sees the new one;
 //! - **generations are monotonic and unique** under concurrent installs;
 //! - **rollback restores the parent bit-identically**: same scorer
 //!   object, same checksum, same output bits, under a fresh generation.
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
-use lre_serve::{Engine, EngineConfig, Outcome, Scorer, ScorerHandle};
+use lre_serve::{Engine, EngineConfig, Outcome, ScoreDetail, ScoredUtt, Scorer, ScorerHandle};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -29,16 +29,24 @@ struct Marker(f32);
 impl Scorer for Marker {
     fn score_utt(
         &self,
-        _samples: &[f32],
+        samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        Ok(vec![self.0])
+    ) -> Result<ScoreDetail, ArtifactError> {
+        Ok(ScoreDetail::from_fused(samples, vec![self.0]))
+    }
+}
+
+/// Submit, wait, and insist on a scored outcome.
+fn scored(engine: &Engine, samples: Vec<f32>) -> ScoredUtt {
+    match engine.score_blocking(samples) {
+        Ok(Outcome::Scored(s)) => s,
+        other => panic!("expected a scored outcome, got {other:?}"),
     }
 }
 
 /// A marker whose calls block at a gate until the test opens it, and which
-/// counts how many calls have entered — so "the worker is inside this
-/// batch" is a deterministic state, not a sleep.
+/// counts how many calls have entered — so "the worker is inside the
+/// scorer" is a deterministic state, not a sleep.
 struct GatedMarker {
     marker: f32,
     open: Mutex<bool>,
@@ -76,16 +84,16 @@ impl GatedMarker {
 impl Scorer for GatedMarker {
     fn score_utt(
         &self,
-        _samples: &[f32],
+        samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         self.entered.fetch_add(1, Ordering::AcqRel);
         let mut open = self.open.lock().unwrap();
         while !*open {
             open = self.cv.wait(open).unwrap();
         }
         drop(open);
-        Ok(vec![self.marker])
+        Ok(ScoreDetail::from_fused(samples, vec![self.marker]))
     }
 }
 
@@ -103,8 +111,6 @@ fn concurrent_swaps_never_tear_model_from_generation() {
     let engine = Arc::new(Engine::start_adaptive(
         EngineConfig {
             workers: 3,
-            max_batch: 4,
-            max_wait: Duration::from_micros(200),
             queue_capacity: 256,
             fast_math: false,
             unknown_threshold: None,
@@ -130,9 +136,7 @@ fn concurrent_swaps_never_tear_model_from_generation() {
             std::thread::spawn(move || {
                 let mut last_gen = 0u64;
                 for i in 0..PER_CLIENT {
-                    let s = engine
-                        .score_blocking(vec![i as f32])
-                        .expect("scoring survives swaps");
+                    let s = scored(&engine, vec![i as f32]);
                     assert_eq!(
                         s.llrs[0], s.generation as f32,
                         "reply pairs generation {} with another model's output",
@@ -166,20 +170,16 @@ fn concurrent_swaps_never_tear_model_from_generation() {
 }
 
 #[test]
-fn a_swap_landing_mid_batch_does_not_tear_the_batch() {
-    // One worker, one batch of 8, and a gate that parks the worker inside
-    // the batch's first utterance. A swap lands while the batch is
-    // mid-flight; every member must still score against the pre-swap
-    // model and carry its generation.
+fn a_swap_landing_while_a_job_is_inside_the_scorer_does_not_change_that_reply() {
+    // One worker and a gate that parks it inside the first job's scorer
+    // call. A swap lands while that job is in flight: its reply must still
+    // carry the pre-swap model's bits and generation, and the job queued
+    // behind it must see the new model.
     let gate = Arc::new(GatedMarker::new(0.0));
     let handle = Arc::new(ScorerHandle::new(Arc::clone(&gate) as _, 0xC0));
     let engine = Engine::start_adaptive(
         EngineConfig {
             workers: 1,
-            max_batch: 8,
-            // Long fill window: the 8 submissions below land well inside
-            // it, so the dispatcher forms exactly one batch.
-            max_wait: Duration::from_millis(500),
             queue_capacity: 64,
             fast_math: false,
             unknown_threshold: None,
@@ -188,31 +188,28 @@ fn a_swap_landing_mid_batch_does_not_tear_the_batch() {
         None,
     );
 
-    let receivers: Vec<_> = (0..8)
-        .map(|i| engine.submit(vec![i as f32]).expect("submit"))
-        .collect();
+    let in_flight = engine.submit(vec![0.0]).expect("submit");
     gate.wait_entered();
 
-    // The batch is mid-flight: replace the model out from under it.
+    // The job is inside the scorer: replace the model out from under it.
     assert_eq!(handle.swap(Arc::new(Marker(1.0)), 0xC1), 1);
+    let queued_behind = engine.submit(vec![9.0]).expect("submit");
     gate.release();
 
-    for rx in receivers {
-        match rx.recv().expect("outcome") {
-            Outcome::Scored(s) => {
-                assert_eq!(s.generation, 0, "mid-flight batch leaked the new model");
-                assert_eq!(s.llrs, vec![0.0], "scored by the swapped-in model");
-                assert_eq!(s.batch_size, 8, "dispatcher split the batch");
-            }
-            other => panic!("batch member unresolved: {other:?}"),
+    match in_flight.recv().expect("outcome") {
+        Outcome::Scored(s) => {
+            assert_eq!(s.generation, 0, "in-flight job leaked the new generation");
+            assert_eq!(s.llrs, vec![0.0], "scored by the swapped-in model");
         }
+        other => panic!("in-flight job unresolved: {other:?}"),
     }
-    assert_eq!(engine.stats().batches, 1);
-
-    // Later work sees the new model.
-    let s = engine.score_blocking(vec![9.0]).expect("post-swap score");
-    assert_eq!(s.generation, 1);
-    assert_eq!(s.llrs, vec![1.0]);
+    match queued_behind.recv().expect("outcome") {
+        Outcome::Scored(s) => {
+            assert_eq!(s.generation, 1);
+            assert_eq!(s.llrs, vec![1.0]);
+        }
+        other => panic!("queued job unresolved: {other:?}"),
+    }
     engine.shutdown();
 }
 
@@ -256,8 +253,6 @@ fn rollback_restores_the_parent_scorer_and_checksum_bit_identically() {
     let engine = Engine::start_adaptive(
         EngineConfig {
             workers: 2,
-            max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             fast_math: false,
             unknown_threshold: None,
@@ -266,13 +261,13 @@ fn rollback_restores_the_parent_scorer_and_checksum_bit_identically() {
         None,
     );
 
-    let before = engine.score_blocking(vec![1.0]).expect("parent score");
+    let before = scored(&engine, vec![1.0]);
     assert_eq!(before.generation, 0);
     let parent = handle.current();
 
     // Promote a candidate, then roll it back.
     handle.swap(Arc::new(Marker(9.0)), 0xBEEF);
-    let during = engine.score_blocking(vec![1.0]).expect("candidate score");
+    let during = scored(&engine, vec![1.0]);
     assert_eq!(during.generation, 1);
     assert_eq!(during.llrs, vec![9.0]);
     assert_eq!(handle.checksum(), 0xBEEF);
@@ -285,7 +280,7 @@ fn rollback_restores_the_parent_scorer_and_checksum_bit_identically() {
         "rollback must reinstall the parent's exact scorer object"
     );
 
-    let after = engine.score_blocking(vec![1.0]).expect("post-rollback");
+    let after = scored(&engine, vec![1.0]);
     assert_eq!(after.generation, 2);
     let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(

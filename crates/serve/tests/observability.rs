@@ -6,7 +6,7 @@
 //!   trace id preserved (or minted when the client sent 0), stage ids
 //!   strictly increasing, offsets non-decreasing, reply stage last;
 //! - the stats-v3 tag answers a name-sorted metrics snapshot whose core
-//!   engine series (`engine.batch.formed`, `engine.latency_us`) moved
+//!   engine series (`engine.queue.wait_us`, `engine.latency_us`) moved
 //!   with the traffic that was just served;
 //! - the flight-recorder tag drains structured events over the wire
 //!   exactly once (a drain empties the ring, a peek does not);
@@ -18,11 +18,11 @@ use lre_lattice::DecodeScratch;
 use lre_obs::{MetricValue, EV_SWAP, STAGE_QUEUE, STAGE_REPLY};
 use lre_serve::client::ScoreReply;
 use lre_serve::{
-    Client, EngineConfig, Scorer, ScorerHandle, ServeObs, Server, ServerConfig, ServerHooks,
+    Client, EngineConfig, ScoreDetail, Scorer, ScorerHandle, ServeObs, Server, ServerConfig,
+    ServerHooks,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct MockScorer {
     classes: usize,
@@ -33,9 +33,12 @@ impl Scorer for MockScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         let s: f32 = samples.iter().sum();
-        Ok((0..self.classes).map(|i| s + i as f32).collect())
+        Ok(ScoreDetail::from_fused(
+            samples,
+            (0..self.classes).map(|i| s + i as f32).collect(),
+        ))
     }
 }
 
@@ -43,8 +46,6 @@ fn fast_config() -> ServerConfig {
     ServerConfig {
         engine: EngineConfig {
             workers: 2,
-            max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             fast_math: false,
             unknown_threshold: None,
@@ -132,9 +133,9 @@ fn metrics_snapshot_moves_with_traffic_and_is_name_sorted() {
             .map(|(_, v)| v.clone())
             .unwrap_or_else(|| panic!("series {name} missing from snapshot"))
     };
-    match get("engine.batch.formed") {
-        MetricValue::Counter(v) => assert!(v > 0, "batches formed"),
-        other => panic!("engine.batch.formed has wrong kind: {other:?}"),
+    match get("engine.queue.wait_us") {
+        MetricValue::Histogram(h) => assert_eq!(h.count, 8, "one pick-up per request"),
+        other => panic!("engine.queue.wait_us has wrong kind: {other:?}"),
     }
     match get("engine.latency_us") {
         MetricValue::Histogram(h) => {

@@ -18,7 +18,6 @@ use lre_serve::{
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// LLR `i` is `sum(samples) + i` — best is always class `classes-1` with
 /// score `sum + classes - 1`.
@@ -31,9 +30,12 @@ impl Scorer for MockScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         let s: f32 = samples.iter().sum();
-        Ok((0..self.classes).map(|i| s + i as f32).collect())
+        Ok(ScoreDetail::from_fused(
+            samples,
+            (0..self.classes).map(|i| s + i as f32).collect(),
+        ))
     }
 }
 
@@ -41,8 +43,6 @@ fn config(unknown_threshold: Option<f32>) -> ServerConfig {
     ServerConfig {
         engine: EngineConfig {
             workers: 2,
-            max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             fast_math: false,
             unknown_threshold,

@@ -1,9 +1,9 @@
 //! End-to-end serving acceptance: train a PPRVSM system once, package it,
 //! reload it from bytes alone, and serve it over TCP — with the fused
-//! detection LLRs bit-identical to the offline experiment pipeline,
-//! micro-batching observably active, load shedding engaged when the queue
-//! fills, and a clean protocol-driven shutdown. The pipelined test drives
-//! the same workload through protocol v2 over a lazily opened bundle.
+//! detection LLRs bit-identical to the offline experiment pipeline, load
+//! shedding engaged when the queue fills, and a clean protocol-driven
+//! shutdown. The pipelined test drives the same workload through protocol
+//! v2 over a lazily opened bundle.
 //!
 //! Like `tests/full_system.rs`, the training-backed tests build the
 //! complete six-front-end smoke experiment (minutes in release, much
@@ -111,7 +111,7 @@ fn train_save_reload_serve_bit_identical() {
         assert_bits_eq(&got, offline.row(i), &format!("in-process utt {i}"));
     }
 
-    // 2) Over TCP with concurrent v1 clients so micro-batching engages.
+    // 2) Over TCP with concurrent v1 clients so both workers stay busy.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let server = Server::start(
         listener,
@@ -119,8 +119,6 @@ fn train_save_reload_serve_bit_identical() {
         ServerConfig {
             engine: EngineConfig {
                 workers: 2,
-                max_batch: 4,
-                max_wait: std::time::Duration::from_millis(500),
                 queue_capacity: 256,
                 fast_math: false,
                 unknown_threshold: None,
@@ -162,7 +160,6 @@ fn train_save_reload_serve_bit_identical() {
         })
         .collect();
     let mut scored = 0usize;
-    let mut seen_batched = 0usize;
     for h in handles {
         for (i, s) in h.join().expect("client thread") {
             assert_bits_eq(&s.llrs, offline.row(i), &format!("TCP utt {i}"));
@@ -171,17 +168,10 @@ fn train_save_reload_serve_bit_identical() {
                 lre_serve::decision(&s.llrs),
                 "decision must be the argmax the server computed"
             );
-            if s.batch_size > 1 {
-                seen_batched += 1;
-            }
             scored += 1;
         }
     }
     assert_eq!(scored, waves.len());
-    assert!(
-        seen_batched > 0,
-        "no utterance observed a batch > 1 — micro-batching never coalesced"
-    );
 
     // Counters agree with what the clients saw.
     let mut client = Client::connect(addr).expect("stats connection");
@@ -189,14 +179,6 @@ fn train_save_reload_serve_bit_identical() {
     assert_eq!(stats.completed, waves.len() as u64);
     assert_eq!(stats.requests, waves.len() as u64);
     assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.batched_utts, waves.len() as u64);
-    assert!(stats.batches >= 1);
-    assert!(
-        stats.batched_utts > stats.batches,
-        "mean batch size must exceed 1 (batches={}, utts={})",
-        stats.batches,
-        stats.batched_utts
-    );
     assert!(stats.latency_us_sum > 0 && stats.latency_us_max > 0);
 
     // 3) Graceful shutdown over the wire: acknowledged, then the server
@@ -210,8 +192,6 @@ fn train_save_reload_serve_bit_identical() {
     let engine = Engine::start(
         EngineConfig {
             workers: 1,
-            max_batch: 1,
-            max_wait: std::time::Duration::from_millis(0),
             queue_capacity: 2,
             fast_math: false,
             unknown_threshold: None,
@@ -263,8 +243,6 @@ fn pipelined_lazy_round_trip_bit_identical() {
         ServerConfig {
             engine: EngineConfig {
                 workers: 2,
-                max_batch: 8,
-                max_wait: std::time::Duration::from_millis(200),
                 queue_capacity: 256,
                 fast_math: false,
                 unknown_threshold: None,
@@ -283,22 +261,14 @@ fn pipelined_lazy_round_trip_bit_identical() {
         .score_all(&fx.waves, 8, None)
         .expect("pipelined scoring");
     assert_eq!(replies.len(), fx.waves.len());
-    let mut seen_batched = 0usize;
     for (i, reply) in replies.iter().enumerate() {
         match reply {
             ScoreReply::Scored(s) => {
                 assert_bits_eq(&s.llrs, offline.row(i), &format!("pipelined utt {i}"));
-                if s.batch_size > 1 {
-                    seen_batched += 1;
-                }
             }
             other => panic!("utt {i} refused: {other:?}"),
         }
     }
-    assert!(
-        seen_batched > 0,
-        "a full window should have coalesced batches > 1"
-    );
     assert_eq!(
         system.num_loaded(),
         system.num_subsystems(),
@@ -306,13 +276,12 @@ fn pipelined_lazy_round_trip_bit_identical() {
     );
 
     // Extended counters over the wire: everything completed, nothing
-    // expired or failed, and the dispatcher formed real batches.
+    // expired or failed.
     let stats = client.stats().expect("v2 stats");
     assert_eq!(stats.completed, fx.waves.len() as u64);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.expired, 0);
     assert_eq!(stats.failed, 0);
-    assert!(stats.batched_utts > stats.batches);
 
     client.shutdown().expect("v2 shutdown acknowledged");
     server.join();
@@ -339,7 +308,7 @@ fn corrupt_bundles_fail_with_typed_errors_not_panics() {
     w.put_u32(0); // zero fusions: caught by the fusion-count check
     w.put_u32(0); // zero subsystems: structurally valid, semantically not
     w.put_u64_slice(&[0]); // a [0] offset table matching "no sections"
-    let sealed = lre_artifact::seal(*b"BNDL", 4, &w.into_bytes());
+    let sealed = lre_artifact::seal(SystemBundle::KIND, SystemBundle::VERSION, &w.into_bytes());
     // Structurally intact container, semantically invalid payload — for
     // both the eager and the lazy reader.
     match SystemBundle::from_artifact_bytes(&sealed) {

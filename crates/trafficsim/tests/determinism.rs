@@ -9,11 +9,12 @@
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
-use lre_serve::{Client, EngineConfig, Scorer, ScorerHandle, Server, ServerConfig, ServerHooks};
+use lre_serve::{
+    Client, EngineConfig, ScoreDetail, Scorer, ScorerHandle, Server, ServerConfig, ServerHooks,
+};
 use lre_trafficsim::{burst_kill, by_name, generate, phantom_eject, run, CommandStream, SimConfig};
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Flat mock: LLR `i` is `sum(samples) + i`. Always scores, never fails —
 /// the point of these tests is the simulator's plumbing, not the model.
@@ -24,9 +25,12 @@ impl Scorer for MockScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         let s: f32 = samples.iter().sum();
-        Ok((0..3).map(|i| s + i as f32).collect())
+        Ok(ScoreDetail::from_fused(
+            samples,
+            (0..3).map(|i| s + i as f32).collect(),
+        ))
     }
 }
 
@@ -38,8 +42,6 @@ fn start_mock_server() -> Server {
         ServerConfig {
             engine: EngineConfig {
                 workers: 2,
-                max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 queue_capacity: 64,
                 fast_math: false,
                 unknown_threshold: None,
