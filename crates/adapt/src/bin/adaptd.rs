@@ -31,158 +31,64 @@
 //! `--keep-generations N` prunes all but the newest N generations' bytes
 //! after each promote (0 = keep everything).
 
-use lre_adapt::{bundle_checksum, AdaptConfig, AdaptController, AdaptWorker, VoteLog};
+use lre_adapt::{bundle_checksum, AdaptController, AdaptWorker, GuardArgs, VoteLog};
 use lre_artifact::ArtifactRead;
 use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
+use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, DurableVoteLog, ScorerHandle, ScoringSystem, ServeObs, Server, ServerConfig,
+    vote_wal_options, DurableVoteLog, ScoreTap, ScorerHandle, ScoringSystem, ServeObs, Server,
     ServerHooks, SystemBundle, DEFAULT_FLIGHT_CAPACITY,
 };
 use lre_wal::{LineageStore, WalObs};
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: lre-adaptd --bundle PATH --guard PATH [--addr HOST:PORT] \
-         [--workers N] [--max-inflight N] [--max-global-inflight N] [--interval-secs N] \
-         [--min-utts N] [--v-threshold N] [--guard-max-eer-regress X] \
-         [--guard-max-cavg-regress X] [--log-capacity N] [--unknown-threshold LLR] \
-         [--wal-dir DIR] [--wal-fsync-ms N] [--keep-generations N]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "lre-adaptd --bundle PATH --guard PATH [--addr HOST:PORT] [--workers N] \
+    [--max-inflight N] [--max-global-inflight N] [--interval-secs N] [--min-utts N] \
+    [--v-threshold N] [--guard-max-eer-regress X] [--guard-max-cavg-regress X] \
+    [--log-capacity N] [--unknown-threshold LLR] [--wal-dir DIR] [--wal-fsync-ms N] \
+    [--keep-generations N]";
 
 fn main() {
-    let mut bundle_path: Option<PathBuf> = None;
-    let mut guard_path: Option<PathBuf> = None;
-    let mut addr = "127.0.0.1:7700".to_string();
-    let mut cfg = ServerConfig::default();
-    let mut adapt = AdaptConfig::default();
+    let mut args = Args::from_env(USAGE);
+    let mut server = ServerArgs::default();
+    let mut guard_args = GuardArgs::default();
     let mut interval_secs = 0u64;
-    let mut log_capacity = 4096usize;
-    let mut wal_dir: Option<PathBuf> = None;
-    let mut wal_fsync_ms = 50u64;
     let mut keep_generations = 0usize;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let parse_num = |args: &[String], i: usize, what: &str| -> usize {
-        args.get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("bad {what} (non-negative integer)")))
-    };
-    let parse_f64 = |args: &[String], i: usize, what: &str| -> f64 {
-        args.get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("bad {what} (number)")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bundle" => {
-                i += 1;
-                bundle_path = Some(PathBuf::from(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("missing --bundle path")),
-                ));
-            }
-            "--guard" => {
-                i += 1;
-                guard_path = Some(PathBuf::from(
-                    args.get(i).unwrap_or_else(|| usage("missing --guard path")),
-                ));
-            }
-            "--addr" => {
-                i += 1;
-                addr = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("missing --addr"))
-                    .clone();
-            }
-            "--workers" => {
-                i += 1;
-                cfg.engine.workers = parse_num(&args, i, "--workers");
-            }
-            "--max-inflight" => {
-                i += 1;
-                cfg.max_inflight = parse_num(&args, i, "--max-inflight");
-            }
-            "--max-global-inflight" => {
-                i += 1;
-                cfg.max_global_inflight = parse_num(&args, i, "--max-global-inflight");
-            }
-            "--interval-secs" => {
-                i += 1;
-                interval_secs = parse_num(&args, i, "--interval-secs") as u64;
-            }
-            "--min-utts" => {
-                i += 1;
-                adapt.min_utts = parse_num(&args, i, "--min-utts");
-            }
-            "--v-threshold" => {
-                i += 1;
-                adapt.v_threshold = parse_num(&args, i, "--v-threshold") as u8;
-            }
-            "--guard-max-eer-regress" => {
-                i += 1;
-                adapt.max_eer_regress = parse_f64(&args, i, "--guard-max-eer-regress");
-            }
-            "--guard-max-cavg-regress" => {
-                i += 1;
-                adapt.max_cavg_regress = parse_f64(&args, i, "--guard-max-cavg-regress");
-            }
-            "--log-capacity" => {
-                i += 1;
-                log_capacity = parse_num(&args, i, "--log-capacity");
-            }
-            "--wal-dir" => {
-                i += 1;
-                wal_dir = Some(PathBuf::from(
-                    args.get(i).unwrap_or_else(|| usage("missing --wal-dir")),
-                ));
-            }
-            "--wal-fsync-ms" => {
-                i += 1;
-                wal_fsync_ms = parse_num(&args, i, "--wal-fsync-ms") as u64;
-            }
-            "--keep-generations" => {
-                i += 1;
-                keep_generations = parse_num(&args, i, "--keep-generations");
-            }
-            "--unknown-threshold" => {
-                i += 1;
-                let t = parse_f64(&args, i, "--unknown-threshold") as f32;
-                if !t.is_finite() {
-                    usage("bad --unknown-threshold (must be finite)");
-                }
-                cfg.engine.unknown_threshold = Some(t);
-            }
-            other => usage(&format!("unknown argument {other}")),
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--interval-secs" => interval_secs = args.value(&flag),
+            "--keep-generations" => keep_generations = args.value(&flag),
+            other if server.take(other, &mut args) || guard_args.take(other, &mut args) => {}
+            other => args.fail(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
-    let bundle_path = bundle_path.unwrap_or_else(|| usage("--bundle is required"));
-    let guard_path = guard_path.unwrap_or_else(|| usage("--guard is required"));
-
-    let mut bytes = match std::fs::read(&bundle_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: reading {}: {e}", bundle_path.display());
-            std::process::exit(1);
-        }
+    let bundle_path = server.bundle(&args);
+    let Some(guard_path) = guard_args.guard else {
+        args.fail("--guard is required")
     };
+    let ServerArgs {
+        addr,
+        cfg,
+        log_capacity,
+        wal_dir,
+        wal_fsync_ms,
+        ..
+    } = server;
+
+    let mut bytes = or_die(
+        std::fs::read(&bundle_path),
+        format!("reading {}", bundle_path.display()),
+    );
     // The adapting server decodes eagerly: the controller re-decodes the
     // sealed bytes each cycle anyway, and every section must be coherent
     // before generation 0 serves a single request.
-    let mut bundle = match SystemBundle::from_artifact_bytes(&bytes) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: loading {}: {e}", bundle_path.display());
-            std::process::exit(1);
-        }
-    };
+    let mut bundle = or_die(
+        SystemBundle::from_artifact_bytes(&bytes),
+        format!("loading {}", bundle_path.display()),
+    );
     eprintln!(
         "[adaptd] bundle: scale={}, seed={}, {} subsystems, lineage generation {}",
         bundle.scale_name,
@@ -190,13 +96,10 @@ fn main() {
         bundle.subsystems.len(),
         bundle.lineage.generation
     );
-    let guard = match GuardSet::load_artifact(&guard_path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: loading {}: {e}", guard_path.display());
-            std::process::exit(1);
-        }
-    };
+    let guard = or_die(
+        GuardSet::load_artifact(&guard_path),
+        format!("loading {}", guard_path.display()),
+    );
     eprintln!(
         "[adaptd] guard set: {} held-back utterances, {} subsystems",
         guard.num_utts(),
@@ -216,29 +119,17 @@ fn main() {
     // the buffered adaptation window the previous process never drained.
     let mut durable_parts = None;
     if let Some(dir) = &wal_dir {
-        let lineage = match LineageStore::open(&dir.join("lineage")) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: opening lineage store under {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-        };
+        let lineage = or_die(
+            LineageStore::open(&dir.join("lineage")),
+            format!("opening lineage store under {}", dir.display()),
+        );
         if let Some(head) = lineage.head().copied() {
-            let head_bytes = match lineage.load(head.generation) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: loading lineage head {}: {e}", head.generation);
-                    std::process::exit(1);
-                }
-            };
-            bundle = match SystemBundle::from_artifact_bytes(&head_bytes) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: decoding lineage head {}: {e}", head.generation);
-                    std::process::exit(1);
-                }
-            };
-            bytes = head_bytes;
+            let at_head = format!("lineage head {}", head.generation);
+            bytes = or_die(lineage.load(head.generation), format!("loading {at_head}"));
+            bundle = or_die(
+                SystemBundle::from_artifact_bytes(&bytes),
+                format!("decoding {at_head}"),
+            );
             eprintln!(
                 "[adaptd] resuming from lineage head: generation {} ({} chain entries, {} retained)",
                 head.generation,
@@ -249,14 +140,10 @@ fn main() {
         let mut opts = vote_wal_options();
         opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
         let wal_obs = WalObs::new(&obs.registry, Some(Arc::clone(&obs.flight)));
-        let (durable, recovery) =
-            match DurableVoteLog::open(&dir.join("votes"), log_capacity, opts, Some(wal_obs)) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("error: opening vote WAL under {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            };
+        let (durable, recovery) = or_die(
+            DurableVoteLog::open(&dir.join("votes"), log_capacity, opts, Some(wal_obs)),
+            format!("opening vote WAL under {}", dir.display()),
+        );
         eprintln!(
             "[adaptd] vote WAL recovered: {} records replayed, {} torn records skipped",
             recovery.replayed, recovery.torn
@@ -264,15 +151,10 @@ fn main() {
         durable_parts = Some((Arc::new(durable), lineage));
     }
 
-    let system = match ScoringSystem::from_bundle(bundle) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("error: invalid bundle: {e}");
-            std::process::exit(1);
-        }
-    };
+    let system = Arc::new(or_die(ScoringSystem::from_bundle(bundle), "invalid bundle"));
     let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(&bytes)));
-    let (ctl_result, tap, durable_hook) = match durable_parts {
+    let durable_hook = durable_parts.is_some();
+    let (controller, tap): (_, Arc<dyn ScoreTap>) = match durable_parts {
         Some((durable, lineage)) => (
             AdaptController::new_durable(
                 Arc::clone(&handle),
@@ -281,30 +163,27 @@ fn main() {
                 keep_generations,
                 guard,
                 bytes,
-                adapt,
+                guard_args.adapt,
             ),
-            durable as Arc<dyn lre_serve::ScoreTap>,
-            true,
+            durable as _,
         ),
         None => {
             let log = Arc::new(VoteLog::new(log_capacity));
             (
-                AdaptController::new(Arc::clone(&handle), Arc::clone(&log), guard, bytes, adapt),
-                log as Arc<dyn lre_serve::ScoreTap>,
-                false,
+                AdaptController::new(
+                    Arc::clone(&handle),
+                    Arc::clone(&log),
+                    guard,
+                    bytes,
+                    guard_args.adapt,
+                ),
+                log as _,
             )
         }
     };
-    let controller = match ctl_result {
-        Ok(mut c) => {
-            c.set_flight(Arc::clone(&obs.flight));
-            Arc::new(c)
-        }
-        Err(e) => {
-            eprintln!("error: wiring adaptation controller: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut controller = or_die(controller, "wiring adaptation controller");
+    controller.set_flight(Arc::clone(&obs.flight));
+    let controller = Arc::new(controller);
     let worker = (interval_secs > 0).then(|| {
         AdaptWorker::spawn(
             Arc::clone(&controller),
@@ -318,31 +197,18 @@ fn main() {
         )
     });
 
-    let listener = match TcpListener::bind(&addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: binding {addr}: {e}");
-            std::process::exit(1);
-        }
+    let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
+    let hooks = ServerHooks {
+        tap: Some(tap),
+        control: Some(Arc::clone(&controller) as _),
+        fleet: None,
+        durability: durable_hook.then(|| Arc::clone(&controller) as _),
+        obs: Some(obs),
     };
-    let server = match Server::start_adaptive(
-        listener,
-        Arc::clone(&handle),
-        cfg,
-        ServerHooks {
-            tap: Some(tap),
-            control: Some(Arc::clone(&controller) as _),
-            fleet: None,
-            durability: durable_hook.then(|| Arc::clone(&controller) as _),
-            obs: Some(obs),
-        },
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: starting server: {e}");
-            std::process::exit(1);
-        }
-    };
+    let server = or_die(
+        Server::start_adaptive(listener, Arc::clone(&handle), cfg, hooks),
+        "starting server",
+    );
     println!("listening on {}", server.local_addr());
     server.join();
     drop(worker); // stop the cadence before reporting

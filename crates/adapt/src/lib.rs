@@ -37,5 +37,5 @@ pub use lre_serve::votelog;
 pub use lre_serve::{VoteLog, VoteLogSnapshot, VoteRecord};
 pub use worker::{
     boost_round, bundle_checksum, AdaptConfig, AdaptController, AdaptCounters, AdaptWorker,
-    CandidateBundle, RoundOutcome,
+    CandidateBundle, GuardArgs, RoundOutcome,
 };

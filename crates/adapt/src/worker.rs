@@ -28,7 +28,8 @@ use lre_corpus::Duration;
 use lre_dba::{build_tr_dba, dba_round_selection, DbaVariant, GuardSet};
 use lre_eval::ScoreMatrix;
 use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_ROLLBACK, EV_SWAP};
-use lre_serve::protocol::{STATUS_CONFLICT, STATUS_INTERNAL, STATUS_UNSUPPORTED};
+use lre_serve::args::Args;
+use lre_serve::protocol::{RollbackToAck, STATUS_CONFLICT, STATUS_INTERNAL, STATUS_UNSUPPORTED};
 use lre_serve::{
     wal_status_info, AdaptControl, AdaptReport, DurabilityControl, DurableVoteLog, ScorerHandle,
     ScoringSystem, SystemBundle, VersionedScorer, VoteLog, VoteRecord, WalStatusInfo, ADAPT_FAILED,
@@ -36,6 +37,7 @@ use lre_serve::{
 };
 use lre_svm::OneVsRest;
 use lre_wal::{LineageError, LineageStore};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration as StdDuration;
@@ -70,6 +72,32 @@ impl Default for AdaptConfig {
             max_eer_regress: 0.02,
             max_cavg_regress: 0.02,
         }
+    }
+}
+
+/// The adaptation-guard flags `lre-adaptd` and `lre-router` share:
+/// `--guard --min-utts --v-threshold --guard-max-eer-regress
+/// --guard-max-cavg-regress`.
+#[derive(Default)]
+pub struct GuardArgs {
+    /// Path of the held-back guard set.
+    pub guard: Option<PathBuf>,
+    pub adapt: AdaptConfig,
+}
+
+impl GuardArgs {
+    /// Take `flag`'s value if the flag is one of this group's; `false`
+    /// leaves the flag to the caller.
+    pub fn take(&mut self, flag: &str, args: &mut Args) -> bool {
+        match flag {
+            "--guard" => self.guard = Some(args.value(flag)),
+            "--min-utts" => self.adapt.min_utts = args.value(flag),
+            "--v-threshold" => self.adapt.v_threshold = args.value(flag),
+            "--guard-max-eer-regress" => self.adapt.max_eer_regress = args.value(flag),
+            "--guard-max-cavg-regress" => self.adapt.max_cavg_regress = args.value(flag),
+            _ => return false,
+        }
+        true
     }
 }
 
@@ -587,10 +615,9 @@ impl AdaptController {
     /// generation — scores return `f32::to_bits`-identical to when that
     /// generation first served. The one-deep [`AdaptController::rollback`]
     /// history is cleared: it described a promote that is no longer the
-    /// serving model's parent. Returns `(lineage generation, serving
-    /// generation, bundle checksum)`; unknown or pruned generations are
-    /// refused with `STATUS_CONFLICT`.
-    pub fn rollback_to(&self, generation: u64) -> Result<(u64, u64, u32), u8> {
+    /// serving model's parent. Unknown or pruned generations are refused
+    /// with `STATUS_CONFLICT`.
+    pub fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8> {
         let Some(d) = &self.durability else {
             return Err(STATUS_UNSUPPORTED);
         };
@@ -620,7 +647,11 @@ impl AdaptController {
                 0.0,
             );
         }
-        Ok((generation, serving, checksum))
+        Ok(RollbackToAck {
+            restored: generation,
+            serving,
+            checksum,
+        })
     }
 }
 
@@ -629,7 +660,7 @@ impl DurabilityControl for AdaptController {
         AdaptController::wal_status(self)
     }
 
-    fn rollback_to(&self, generation: u64) -> Result<(u64, u64, u32), u8> {
+    fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8> {
         AdaptController::rollback_to(self, generation)
     }
 }

@@ -518,13 +518,13 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
         // Clear the generation-1 votes just teed so the post-rollback
         // window holds only baseline-scored records (the offline pool).
         dh.durable.drain_at_least(1).expect("stale window drains");
-        let (restored, serving, checksum) = client
+        let ack = client
             .rollback_to(0)
             .expect("rollback-to round trip")
             .expect("generation 0 is retained");
-        assert_eq!(restored, 0);
-        assert_eq!(serving, 1, "deep rollback bumps the serving generation");
-        assert_eq!(checksum, bundle_checksum(&fx.bytes));
+        assert_eq!(ack.restored, 0);
+        assert_eq!(ack.serving, 1, "deep rollback bumps the serving generation");
+        assert_eq!(ack.checksum, bundle_checksum(&fx.bytes));
         assert_eq!(dh.h.handle.checksum(), bundle_checksum(&fx.bytes));
         drive(
             &mut client,

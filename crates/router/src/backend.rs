@@ -1,4 +1,4 @@
-//! One routed replica: a pipelined v2 data connection, the pending-reply
+//! One routed replica: a pipelined data connection, the pending-reply
 //! map that matches backend replies to waiting clients, and the
 //! health/backoff state the router's health thread drives.
 //!
@@ -8,9 +8,9 @@
 //! backend connection carries requests from every client, so the router
 //! re-tags each forwarded request with a backend-unique id and patches
 //! the original id back into the reply. Both request and reply carry the
-//! id as a raw little-endian `u64` at bytes `1..9` of the payload (tag
-//! or status byte first), so the rewrite is a 8-byte splice — the score
-//! body itself is forwarded untouched, which is what preserves the
+//! id as a raw little-endian `u64` at [`SCORE_ID`] of the payload (right
+//! after the tag or status byte), so the rewrite is a 8-byte splice — the
+//! score body itself is forwarded untouched, which is what preserves the
 //! fleet's bit-identity contract through the router for free.
 //!
 //! ## Failure semantics
@@ -25,7 +25,8 @@
 
 use lre_obs::{Counter, FlightRecorder, Histogram, EV_EJECT, EV_READMIT};
 use lre_serve::protocol::{
-    encode_request, encode_status_v2, read_frame, write_frame, PingReport, Request, STATUS_INTERNAL,
+    decode_reply, encode_request, encode_status_v2, read_frame, write_frame, PingReport, Request,
+    SAMPLES_AT_V2, SCORE_ID, STATUS_INTERNAL,
 };
 use std::collections::HashMap;
 use std::io;
@@ -180,17 +181,17 @@ impl Backend {
     /// pending.
     fn read_replies(self: Arc<Self>, mut stream: TcpStream, my_epoch: u64) {
         while let Ok(Some(mut frame)) = read_frame(&mut stream) {
-            if frame.len() < 9 {
-                break; // not a v2 reply; the stream is corrupt
-            }
-            let backend_id = u64::from_le_bytes(frame[1..9].try_into().expect("9-byte slice"));
+            let Some(id_bytes) = frame.get(SCORE_ID) else {
+                break; // not a score reply; the stream is corrupt
+            };
+            let backend_id = u64::from_le_bytes(id_bytes.try_into().expect("an 8-byte span"));
             let entry = self
                 .pending
                 .lock()
                 .expect("pending poisoned")
                 .remove(&backend_id);
             if let Some(p) = entry {
-                frame[1..9].copy_from_slice(&p.client_id.to_le_bytes());
+                frame[SCORE_ID].copy_from_slice(&p.client_id.to_le_bytes());
                 p.release();
                 self.completed.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = self.telemetry.get() {
@@ -207,17 +208,20 @@ impl Backend {
         }
     }
 
-    /// Forward one v2 score frame (`frame[1..9]` holds the client id,
-    /// which this rewrites). The pending entry is registered before the
-    /// write so the reply cannot race the bookkeeping.
+    /// Forward one score frame of either tag (`frame[SCORE_ID]` holds the
+    /// client id, which this rewrites). The pending entry is registered
+    /// before the write so the reply cannot race the bookkeeping.
     pub fn forward(
         &self,
         mut frame: Vec<u8>,
         pending: Pending,
     ) -> Result<(), (ForwardError, Pending)> {
-        debug_assert!(frame.len() >= 13, "caller decoded this as a v2 score");
+        debug_assert!(
+            frame.len() > SAMPLES_AT_V2,
+            "caller decoded this as a score"
+        );
         let backend_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        frame[1..9].copy_from_slice(&backend_id.to_le_bytes());
+        frame[SCORE_ID].copy_from_slice(&backend_id.to_le_bytes());
         self.pending
             .lock()
             .expect("pending poisoned")
@@ -345,13 +349,12 @@ pub fn probe_round_trip(addr: &str, req: &Request, timeout: Duration) -> io::Res
 /// Health probe: ping over a throwaway connection.
 pub fn probe_ping(addr: &str, timeout: Duration) -> io::Result<PingReport> {
     let reply = probe_round_trip(addr, &Request::Ping, timeout)?;
-    match lre_serve::protocol::decode_ping_reply(&reply)
+    decode_reply(&reply)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-    {
-        Ok(p) => Ok(p),
-        Err(status) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("ping refused (status {status})"),
-        )),
-    }
+        .map_err(|status| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("ping refused (status {status})"),
+            )
+        })
 }

@@ -17,122 +17,56 @@
 //! fans out rollbacks). A negative `--guard-max-eer-regress` forces
 //! every candidate to fail the guard — the fleet rollback drill.
 
-use lre_adapt::AdaptConfig;
+use lre_adapt::GuardArgs;
 use lre_artifact::ArtifactRead;
 use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
 use lre_router::{Backend, FleetAdapter, Policy, Router, RouterConfig, RouterObs};
+use lre_serve::args::{or_die, Args};
 use lre_serve::DEFAULT_FLIGHT_CAPACITY;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: lre-router --addr HOST:PORT --replica HOST:PORT [--replica ...] \
-         [--policy least-inflight|hash] [--vnodes N] [--max-inflight N] \
-         [--health-interval-ms N] [--bundle PATH --guard PATH] [--min-utts N] \
-         [--v-threshold N] [--guard-max-eer-regress X] [--guard-max-cavg-regress X]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "lre-router --addr HOST:PORT --replica HOST:PORT [--replica ...] \
+    [--policy least-inflight|hash] [--vnodes N] [--max-inflight N] [--health-interval-ms N] \
+    [--bundle PATH --guard PATH] [--min-utts N] [--v-threshold N] \
+    [--guard-max-eer-regress X] [--guard-max-cavg-regress X]";
 
 fn main() {
+    let mut args = Args::from_env(USAGE);
     let mut addr = "127.0.0.1:7800".to_string();
     let mut replicas: Vec<String> = Vec::new();
     let mut cfg = RouterConfig::default();
     let mut bundle_path: Option<PathBuf> = None;
-    let mut guard_path: Option<PathBuf> = None;
-    let mut adapt = AdaptConfig::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let parse_num = |args: &[String], i: usize, what: &str| -> usize {
-        args.get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("bad {what} (non-negative integer)")))
-    };
-    let parse_f64 = |args: &[String], i: usize, what: &str| -> f64 {
-        args.get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("bad {what} (number)")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("missing --addr"))
-                    .clone();
-            }
-            "--replica" => {
-                i += 1;
-                replicas.push(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("missing --replica address"))
-                        .clone(),
-                );
-            }
+    let mut guard_args = GuardArgs::default();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--addr" => addr = args.value(&flag),
+            "--replica" => replicas.push(args.value(&flag)),
             "--policy" => {
-                i += 1;
-                cfg.policy = match args.get(i).map(|s| s.as_str()) {
-                    Some("least-inflight") => Policy::LeastInflight,
-                    Some("hash") => Policy::Hash,
-                    _ => usage("bad --policy (least-inflight|hash)"),
-                };
+                cfg.policy = match args.value::<String>(&flag).as_str() {
+                    "least-inflight" => Policy::LeastInflight,
+                    "hash" => Policy::Hash,
+                    _ => args.fail("bad --policy (least-inflight|hash)"),
+                }
             }
-            "--vnodes" => {
-                i += 1;
-                cfg.vnodes = parse_num(&args, i, "--vnodes");
-            }
-            "--max-inflight" => {
-                i += 1;
-                cfg.max_inflight = parse_num(&args, i, "--max-inflight");
-            }
+            "--vnodes" => cfg.vnodes = args.value(&flag),
+            "--max-inflight" => cfg.max_inflight = args.value(&flag),
             "--health-interval-ms" => {
-                i += 1;
-                cfg.health_interval =
-                    Duration::from_millis(parse_num(&args, i, "--health-interval-ms") as u64);
+                cfg.health_interval = Duration::from_millis(args.value(&flag))
             }
-            "--bundle" => {
-                i += 1;
-                bundle_path = Some(PathBuf::from(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("missing --bundle path")),
-                ));
-            }
-            "--guard" => {
-                i += 1;
-                guard_path = Some(PathBuf::from(
-                    args.get(i).unwrap_or_else(|| usage("missing --guard path")),
-                ));
-            }
-            "--min-utts" => {
-                i += 1;
-                adapt.min_utts = parse_num(&args, i, "--min-utts");
-            }
-            "--v-threshold" => {
-                i += 1;
-                adapt.v_threshold = parse_num(&args, i, "--v-threshold") as u8;
-            }
-            "--guard-max-eer-regress" => {
-                i += 1;
-                adapt.max_eer_regress = parse_f64(&args, i, "--guard-max-eer-regress");
-            }
-            "--guard-max-cavg-regress" => {
-                i += 1;
-                adapt.max_cavg_regress = parse_f64(&args, i, "--guard-max-cavg-regress");
-            }
-            other => usage(&format!("unknown argument {other}")),
+            "--bundle" => bundle_path = Some(args.value(&flag)),
+            other if guard_args.take(other, &mut args) => {}
+            other => args.fail(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
     if replicas.is_empty() {
-        usage("at least one --replica is required");
+        args.fail("at least one --replica is required");
     }
-    if bundle_path.is_some() != guard_path.is_some() {
-        usage("--bundle and --guard come together (both or neither)");
+    if bundle_path.is_some() != guard_args.guard.is_some() {
+        args.fail("--bundle and --guard come together (both or neither)");
     }
 
     let backends: Vec<Arc<Backend>> = replicas
@@ -146,54 +80,29 @@ fn main() {
     let obs = RouterObs::new(DEFAULT_FLIGHT_CAPACITY);
     install_panic_dump(&obs.flight);
 
-    let fleet = match (bundle_path, guard_path) {
-        (Some(bp), Some(gp)) => {
-            let parent_bytes = match std::fs::read(&bp) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: reading {}: {e}", bp.display());
-                    std::process::exit(1);
-                }
-            };
-            let guard = match GuardSet::load_artifact(&gp) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("error: loading {}: {e}", gp.display());
-                    std::process::exit(1);
-                }
-            };
-            match FleetAdapter::new(backends.clone(), guard, parent_bytes, adapt) {
-                Ok(mut f) => {
-                    f.set_flight(Arc::clone(&obs.flight));
-                    eprintln!(
-                        "[router] fleet adaptation armed (min_utts={})",
-                        adapt.min_utts
-                    );
-                    Some(Arc::new(f))
-                }
-                Err(e) => {
-                    eprintln!("error: invalid bundle for fleet adaptation: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        _ => None,
-    };
+    let fleet = bundle_path.zip(guard_args.guard).map(|(bp, gp)| {
+        let parent_bytes = or_die(std::fs::read(&bp), format!("reading {}", bp.display()));
+        let guard = or_die(
+            GuardSet::load_artifact(&gp),
+            format!("loading {}", gp.display()),
+        );
+        let mut adapter = or_die(
+            FleetAdapter::new(backends.clone(), guard, parent_bytes, guard_args.adapt),
+            "invalid bundle for fleet adaptation",
+        );
+        adapter.set_flight(Arc::clone(&obs.flight));
+        eprintln!(
+            "[router] fleet adaptation armed (min_utts={})",
+            guard_args.adapt.min_utts
+        );
+        Arc::new(adapter)
+    });
 
-    let listener = match TcpListener::bind(&addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: binding {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let router = match Router::start_observed(listener, backends, cfg, fleet, Some(obs)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: starting router: {e}");
-            std::process::exit(1);
-        }
-    };
+    let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
+    let router = or_die(
+        Router::start_observed(listener, backends, cfg, fleet, Some(obs)),
+        "starting router",
+    );
     let admitted = router.backends().iter().filter(|b| b.is_healthy()).count();
     eprintln!(
         "[router] {} replicas configured, {} admitted at startup, policy {:?}",

@@ -26,7 +26,8 @@ use lre_artifact::ArtifactRead;
 use lre_dba::GuardSet;
 use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_ROLLBACK, EV_SWAP};
 use lre_serve::protocol::{
-    AdaptReport, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    AdaptReport, CommitAck, RollbackAck, StageAck, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA,
+    ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 use lre_serve::{Client, SystemBundle, VoteLogSnapshot, VoteRecord};
 use std::collections::HashSet;
@@ -226,22 +227,22 @@ impl FleetAdapter {
     }
 
     /// Fleet-wide rollback: every healthy replica reinstalls its
-    /// previous generation. `(true, gen)` only when every one rolled;
-    /// the adapter's own lineage rewinds with them so the next boosting
-    /// round trains from the restored baseline.
-    pub fn rollback(&self) -> (bool, u64) {
+    /// previous generation. `rolled` only when every one did; the
+    /// adapter's own lineage rewinds with them so the next boosting round
+    /// trains from the restored baseline.
+    pub fn rollback(&self) -> RollbackAck {
         let state = &mut *self.state.lock().expect("fleet state poisoned");
         let fleet = self.healthy();
-        let (all, generation) = rollback_backends(&fleet);
-        if all {
+        let ack = rollback_backends(&fleet);
+        if ack.rolled {
             if let Some(f) = &self.flight {
-                f.record(EV_ROLLBACK, "fleet rollback", generation, 0, 0.0, 0.0);
+                f.record(EV_ROLLBACK, "fleet rollback", ack.generation, 0, 0.0, 0.0);
             }
             if let Some(prev) = state.previous.take() {
                 state.parent_bytes = prev;
             }
         }
-        (all, generation)
+        ack
     }
 }
 
@@ -261,7 +262,7 @@ pub fn two_phase_promote(fleet: &[Arc<Backend>], sealed: &[u8], checksum: u32) -
             .and_then(|mut c| c.stage_bundle(sealed))
             .ok()
             .and_then(|r| r.ok());
-        if staged != Some(checksum) {
+        if staged != Some(StageAck { checksum }) {
             for prev in &fleet[..i] {
                 if let Ok(mut c) = Client::connect(&prev.addr) {
                     let _ = c.abort_staged();
@@ -280,7 +281,10 @@ pub fn two_phase_promote(fleet: &[Arc<Backend>], sealed: &[u8], checksum: u32) -
             .ok()
             .and_then(|r| r.ok());
         match committed {
-            Some((generation, ck)) if ck == checksum => generations.push(generation),
+            Some(CommitAck {
+                generation,
+                checksum: ck,
+            }) if ck == checksum => generations.push(generation),
             _ => {
                 for prev in &fleet[..i] {
                     if let Ok(mut c) = Client::connect(&prev.addr) {
@@ -299,26 +303,22 @@ pub fn two_phase_promote(fleet: &[Arc<Backend>], sealed: &[u8], checksum: u32) -
     generations.into_iter().min()
 }
 
-/// Roll every replica in `fleet` back one generation. `(true, min new
-/// generation)` only when every one reported a successful rollback.
-pub fn rollback_backends(fleet: &[Arc<Backend>]) -> (bool, u64) {
-    if fleet.is_empty() {
-        return (false, 0);
-    }
-    let mut all = true;
-    let mut generation = u64::MAX;
+/// Roll every replica in `fleet` back one generation. `rolled` only when
+/// every one reported a successful rollback; `generation` is the lowest
+/// serving generation among those that did.
+pub fn rollback_backends(fleet: &[Arc<Backend>]) -> RollbackAck {
+    let mut all = !fleet.is_empty();
+    let mut generation = None::<u64>;
     for b in fleet {
         match Client::connect(&b.addr).and_then(|mut c| c.rollback()) {
-            Ok((true, g)) => generation = generation.min(g),
+            Ok(ack) if ack.rolled => {
+                generation = Some(generation.map_or(ack.generation, |g| g.min(ack.generation)))
+            }
             _ => all = false,
         }
     }
-    (
-        all,
-        if generation == u64::MAX {
-            0
-        } else {
-            generation
-        },
-    )
+    RollbackAck {
+        rolled: all,
+        generation: generation.unwrap_or(0),
+    }
 }

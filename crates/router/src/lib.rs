@@ -3,7 +3,7 @@
 //! A router sits in front of N `lre-serve --fleet` replicas and gives
 //! clients one address that behaves like a single, larger server:
 //!
-//! - [`router`]: the protocol-v1/v2 front tier — pipelined client
+//! - [`router`]: the front tier — pipelined client
 //!   connections fanned over the fleet, request ids and deadlines
 //!   preserved, replies relayed out of order and bit-identical to what
 //!   the replica produced. Routing is least-inflight by default, or

@@ -1,13 +1,14 @@
-//! The protocol-v2 front tier: accept client connections, fan score
-//! requests over the replica fleet, and answer the control plane
-//! (stats, ping, fleet stats, adapt, rollback, shutdown) in one place.
+//! The front tier: accept client connections, fan score requests over
+//! the replica fleet, and answer the control plane (stats, ping, fleet
+//! stats, adapt, rollback, shutdown) in one place.
 //!
-//! The data plane never decodes a score body. A v2 request is validated,
-//! its id swapped for a backend-unique one, and the frame forwarded
-//! verbatim; the reply comes back with the client's id spliced in and
-//! the scored bytes untouched, so routed scores are bit-identical to
-//! direct ones. v1 requests are translated onto the same pipelined
-//! backend connections and their replies re-encoded to the v1 shape.
+//! The data plane never re-encodes a score. A request is decoded once —
+//! the full `decode_request`, samples included, so a frame the replica
+//! would refuse is refused here — and then the *received bytes* are
+//! forwarded with only the id (and a minted trace id) spliced in at the
+//! offsets the protocol's tag table exports; the reply comes back with the
+//! client's id spliced in and the scored bytes untouched, so routed scores
+//! are bit-identical to direct ones.
 //!
 //! Per-request failure semantics mirror the server's typed statuses:
 //! no healthy replica → `STATUS_OVERLOADED`; replica died after the
@@ -21,12 +22,12 @@ use crate::fleet::FleetAdapter;
 use crate::ring::{hash_bytes, HashRing};
 use lre_obs::{Counter, FlightRecorder, Registry};
 use lre_serve::protocol::{
-    decode_request, decode_score_reply_v2, encode_adapt_ok, encode_fleet_stats_ok,
-    encode_flight_ok, encode_metrics_ok, encode_ping_ok, encode_rollback_ok, encode_score_ok,
-    encode_stats_ok, encode_stats_ok_v2, encode_status, encode_status_v2, read_frame, write_frame,
-    FleetStats, PingReport, ReplicaStat, Request, REQ_SCORE_V2, STATUS_BAD_REQUEST,
-    STATUS_INTERNAL, STATUS_OK, STATUS_OVERLOADED, STATUS_UNSUPPORTED,
+    decode_reply, decode_request, encode_ok, encode_status, encode_status_v2, read_frame,
+    write_frame, Ack, FleetStats, PingReport, ReplicaStat, Request, RollbackAck, WalStatusInfo,
+    SAMPLES_AT_TRACED, SAMPLES_AT_V2, STATUS_BAD_REQUEST, STATUS_INTERNAL, STATUS_OVERLOADED,
+    STATUS_UNSUPPORTED, TRACE_ID,
 };
+use lre_serve::server::answer;
 use lre_serve::{mint_trace_id, Client, StatsSnapshot};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -50,7 +51,7 @@ pub enum Policy {
 #[derive(Clone, Copy, Debug)]
 pub struct RouterConfig {
     pub policy: Policy,
-    /// Per-client-connection v2 window, enforced at the router exactly
+    /// Per-client-connection score window, enforced at the router exactly
     /// like at a single server.
     pub max_inflight: usize,
     /// Virtual nodes per replica on the hash ring.
@@ -272,24 +273,39 @@ fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
     }
 }
 
-/// Route one v2-shaped score frame. `None` means the reply arrives
-/// through the pending machinery; `Some(frame)` is an immediate
-/// (refusal) reply. The caller has already charged
-/// `window`/`global_inflight` by one. `body` is the offset where the
-/// raw sample region starts — 13 for v2 (tag + id + deadline), 21 for
-/// traced (tag + id + deadline + trace id) — so hash affinity follows
-/// content, never ids.
-fn route_score(
+/// Admit and route one score frame of either tag: the connection's
+/// window, then a replica. `None` means the reply arrives through the
+/// pending machinery; `Some(frame)` is an immediate refusal. `trace` is
+/// the request's trace id when it is a traced score.
+fn admit_score(
     shared: &Shared,
     mut frame: Vec<u8>,
     client_id: u64,
+    trace: Option<u64>,
     reply_tx: &mpsc::Sender<Vec<u8>>,
     window: &Arc<AtomicUsize>,
-    body: usize,
 ) -> Option<Vec<u8>> {
+    if window.load(Ordering::Acquire) >= shared.max_inflight {
+        shared.note_shed();
+        return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
+    }
+    // A zero trace id asks the serving tier to mint one; the router is the
+    // admission point here, so it does — patched in place, the body
+    // forwarded untouched.
+    if trace == Some(0) {
+        frame[TRACE_ID].copy_from_slice(&mint_trace_id().to_le_bytes());
+    }
+    // Hash affinity follows content, never ids: the key is the sample
+    // region behind the fixed-size head.
+    let samples_at = match trace {
+        Some(_) => SAMPLES_AT_TRACED,
+        None => SAMPLES_AT_V2,
+    };
+    window.fetch_add(1, Ordering::AcqRel);
+    shared.global_inflight.fetch_add(1, Ordering::AcqRel);
     let mut attempts_left = 2;
     loop {
-        let Some(backend) = shared.pick(&frame[body.min(frame.len())..]) else {
+        let Some(backend) = shared.pick(&frame[samples_at..]) else {
             shared.note_shed();
             window.fetch_sub(1, Ordering::AcqRel);
             shared.global_inflight.fetch_sub(1, Ordering::AcqRel);
@@ -324,17 +340,7 @@ fn route_score(
     }
 }
 
-/// Convert a v2 reply frame to the v1 shape (strip the id, and the
-/// generation from the score body).
-fn v2_reply_to_v1(frame: &[u8]) -> Vec<u8> {
-    match decode_score_reply_v2(frame) {
-        Ok((_id, Ok(scored))) => encode_score_ok(&scored),
-        Ok((_id, Err(status))) => encode_status(status),
-        Err(_) => encode_status(STATUS_INTERNAL),
-    }
-}
-
-/// Live fleet stats: per-replica extended counters summed into one
+/// Live fleet stats: per-replica counters summed into one
 /// aggregate, plus the per-replica breakdown.
 fn fleet_stats(shared: &Shared) -> FleetStats {
     let mut agg = StatsSnapshot::default();
@@ -428,7 +434,7 @@ fn router_ping(shared: &Shared) -> PingReport {
 }
 
 /// Fleet rollback without an adapter: plain fan-out.
-fn rollback_fanout(shared: &Shared) -> (bool, u64) {
+fn rollback_fanout(shared: &Shared) -> RollbackAck {
     let fleet: Vec<Arc<Backend>> = shared
         .backends
         .iter()
@@ -456,109 +462,44 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 
     let window = Arc::new(AtomicUsize::new(0));
 
-    while let Ok(Some(mut frame)) = read_frame(&mut stream) {
+    while let Ok(Some(frame)) = read_frame(&mut stream) {
         let reply = match decode_request(&frame) {
             Ok(Request::ScoreV2 { id, .. }) => {
-                if window.load(Ordering::Acquire) >= shared.max_inflight {
-                    shared.note_shed();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else {
-                    window.fetch_add(1, Ordering::AcqRel);
-                    shared.global_inflight.fetch_add(1, Ordering::AcqRel);
-                    match route_score(&shared, frame, id, &reply_tx, &window, 13) {
-                        Some(immediate) => immediate,
-                        None => continue, // reply via the backend reader
-                    }
-                }
+                admit_score(&shared, frame, id, None, &reply_tx, &window)
             }
             Ok(Request::ScoreTraced { id, trace_id, .. }) => {
-                if window.load(Ordering::Acquire) >= shared.max_inflight {
-                    shared.note_shed();
-                    encode_status_v2(id, STATUS_OVERLOADED)
+                admit_score(&shared, frame, id, Some(trace_id), &reply_tx, &window)
+            }
+            Ok(Request::StatsV2) => Some(encode_ok(&fleet_stats(&shared).aggregate)),
+            Ok(Request::StatsV3) => Some(answer(&shared.obs, |o| Ok(o.registry.snapshot()))),
+            Ok(Request::Flight { drain }) => Some(answer(&shared.obs, |o| {
+                Ok(if drain {
+                    o.flight.drain()
                 } else {
-                    // A zero trace id asks the serving tier to mint one;
-                    // the router is the admission point here, so it does
-                    // — patched in place, the body forwarded untouched.
-                    if trace_id == 0 {
-                        frame[13..21].copy_from_slice(&mint_trace_id().to_le_bytes());
-                    }
-                    window.fetch_add(1, Ordering::AcqRel);
-                    shared.global_inflight.fetch_add(1, Ordering::AcqRel);
-                    match route_score(&shared, frame, id, &reply_tx, &window, 21) {
-                        Some(immediate) => immediate,
-                        None => continue, // reply via the backend reader
-                    }
-                }
-            }
-            Ok(Request::Score { .. }) => {
-                // Translate onto the pipelined backend lane and block for
-                // the one reply, preserving v1's in-order semantics.
-                let mut v2 = Vec::with_capacity(frame.len() + 12);
-                v2.push(REQ_SCORE_V2);
-                v2.extend_from_slice(&0u64.to_le_bytes());
-                v2.extend_from_slice(&0u32.to_le_bytes());
-                v2.extend_from_slice(&frame[1..]);
-                let (tx, rx) = mpsc::channel::<Vec<u8>>();
-                let throwaway = Arc::new(AtomicUsize::new(1));
-                shared.global_inflight.fetch_add(1, Ordering::AcqRel);
-                match route_score(&shared, v2, 0, &tx, &throwaway, 13) {
-                    Some(immediate) => v2_reply_to_v1(&immediate),
-                    None => match rx.recv() {
-                        Ok(reply) => v2_reply_to_v1(&reply),
-                        Err(_) => encode_status(STATUS_INTERNAL),
-                    },
-                }
-            }
-            Ok(Request::Stats) => encode_stats_ok(&fleet_stats(&shared).aggregate),
-            Ok(Request::StatsV2) => encode_stats_ok_v2(&fleet_stats(&shared).aggregate),
-            Ok(Request::StatsV3) => match &shared.obs {
-                Some(o) => encode_metrics_ok(&o.registry.snapshot()),
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::Flight { drain }) => match &shared.obs {
-                Some(o) => {
-                    let events = if drain {
-                        o.flight.drain()
-                    } else {
-                        o.flight.peek()
-                    };
-                    encode_flight_ok(&events)
-                }
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::FleetStats) => encode_fleet_stats_ok(&fleet_stats(&shared)),
-            Ok(Request::Ping) => encode_ping_ok(&router_ping(&shared)),
-            Ok(Request::Adapt) => match &shared.fleet {
-                Some(f) => encode_adapt_ok(&f.cycle()),
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::Rollback) => {
-                let (rolled, generation) = match &shared.fleet {
-                    Some(f) => f.rollback(),
-                    None => rollback_fanout(&shared),
-                };
-                encode_rollback_ok(rolled, generation)
-            }
+                    o.flight.peek()
+                })
+            })),
+            Ok(Request::FleetStats) => Some(encode_ok(&fleet_stats(&shared))),
+            Ok(Request::Ping) => Some(encode_ok(&router_ping(&shared))),
+            Ok(Request::Adapt) => Some(answer(&shared.fleet, |f| Ok(f.cycle()))),
+            Ok(Request::Rollback) => Some(encode_ok(&match &shared.fleet {
+                Some(f) => f.rollback(),
+                None => rollback_fanout(&shared),
+            })),
             // WAL status is observability: proxy it to the first healthy
             // backend that has a WAL (typically the adapt coordinator)
             // and forward its reply verbatim.
-            Ok(Request::WalStatus) => {
-                let mut reply = encode_status(STATUS_UNSUPPORTED);
-                for b in shared.backends.iter().filter(|b| b.is_healthy()) {
-                    if let Ok(frame) =
-                        probe_round_trip(&b.addr, &Request::WalStatus, shared.probe_timeout)
-                    {
-                        if matches!(
-                            lre_serve::protocol::decode_wal_status_reply(&frame),
-                            Ok(Ok(_))
-                        ) {
-                            reply = frame;
-                            break;
-                        }
-                    }
-                }
-                reply
-            }
+            Ok(Request::WalStatus) => Some(
+                shared
+                    .backends
+                    .iter()
+                    .filter(|b| b.is_healthy())
+                    .filter_map(|b| {
+                        probe_round_trip(&b.addr, &Request::WalStatus, shared.probe_timeout).ok()
+                    })
+                    .find(|reply| matches!(decode_reply::<WalStatusInfo>(reply), Ok(Ok(_))))
+                    .unwrap_or_else(|| encode_status(STATUS_UNSUPPORTED)),
+            ),
             // Replica-level rollout tags terminate at the replicas; the
             // router *is* their coordinator and does not proxy them. Deep
             // rollback joins them: restoring a lineage generation is an
@@ -568,10 +509,10 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             | Ok(Request::StageBundle { .. })
             | Ok(Request::CommitStaged)
             | Ok(Request::AbortStaged)
-            | Ok(Request::RollbackTo { .. }) => encode_status(STATUS_UNSUPPORTED),
+            | Ok(Request::RollbackTo { .. }) => Some(encode_status(STATUS_UNSUPPORTED)),
             Ok(Request::Shutdown) => {
                 // Ack, propagate to the fleet best-effort, stop routing.
-                let _ = reply_tx.send(encode_status(STATUS_OK));
+                let _ = reply_tx.send(encode_ok(&Ack));
                 for b in &shared.backends {
                     let _ = probe_round_trip(&b.addr, &Request::Shutdown, shared.probe_timeout);
                 }
@@ -583,7 +524,8 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 break;
             }
         };
-        if reply_tx.send(reply).is_err() {
+        // `None`: the reply comes through the backend reader.
+        if reply.is_some_and(|frame| reply_tx.send(frame).is_err()) {
             break;
         }
     }

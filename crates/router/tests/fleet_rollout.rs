@@ -12,7 +12,7 @@ use lre_artifact::{crc32, ArtifactError};
 use lre_lattice::DecodeScratch;
 use lre_router::{rollback_backends, two_phase_promote, Backend};
 use lre_serve::protocol::{
-    decode_request, encode_stage_ok, read_frame, write_frame, Request, STATUS_CONFLICT,
+    decode_request, encode_ok, read_frame, write_frame, Request, StageAck, STATUS_CONFLICT,
 };
 use lre_serve::{
     Client, EngineConfig, FleetReplica, ScoreDetail, ScoreReply, Scorer, ScorerHandle, Server,
@@ -192,10 +192,10 @@ fn rollback_restores_the_baseline_bit_identically_fleet_wide() {
         );
     }
 
-    let (rolled, generation) = rollback_backends(&backends);
-    assert!(rolled, "every replica reports a successful rollback");
+    let ack = rollback_backends(&backends);
+    assert!(ack.rolled, "every replica reports a successful rollback");
     assert_eq!(
-        generation, 2,
+        ack.generation, 2,
         "rollback is a new generation, never a rewind"
     );
     for (addr, base) in addrs.iter().zip(&baseline) {
@@ -203,8 +203,7 @@ fn rollback_restores_the_baseline_bit_identically_fleet_wide() {
     }
 
     // One-deep: a second rollback has nothing left to restore.
-    let (rolled, _) = rollback_backends(&backends);
-    assert!(!rolled);
+    assert!(!rollback_backends(&backends).rolled);
 }
 
 /// A replica stand-in that validates and ACKs a stage (a real checksum
@@ -226,7 +225,9 @@ fn serve_dropper_conn(mut stream: TcpStream) {
     while let Ok(Some(frame)) = read_frame(&mut stream) {
         match decode_request(&frame) {
             Ok(Request::StageBundle { sealed }) => {
-                let reply = encode_stage_ok(crc32(&sealed));
+                let reply = encode_ok(&StageAck {
+                    checksum: crc32(&sealed),
+                });
                 if write_frame(&mut stream, &reply).is_err() {
                     return;
                 }

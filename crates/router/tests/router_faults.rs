@@ -6,8 +6,7 @@
 
 use lre_router::{Backend, Router, RouterConfig};
 use lre_serve::protocol::{
-    decode_request, encode_ping_ok, encode_score_ok_v2, read_frame, write_frame, PingReport,
-    Request,
+    decode_request, encode_ok, encode_score_ok_v2, read_frame, write_frame, PingReport, Request,
 };
 use lre_serve::{PipelinedClient, ScoreReply, ScoredUtt};
 use std::collections::HashSet;
@@ -60,7 +59,7 @@ fn serve_fake_conn(mut stream: TcpStream, alive: Arc<AtomicBool>, budget: Arc<At
                 if !alive.load(Ordering::SeqCst) {
                     return; // close without a reply: the probe fails
                 }
-                let reply = encode_ping_ok(&PingReport {
+                let reply = encode_ok(&PingReport {
                     generation: 0,
                     inflight: 0,
                     shed: 0,

@@ -1,19 +1,19 @@
 //! Property tests for the router's in-place frame surgery.
 //!
 //! The router never re-encodes a score frame: it splices ids into
-//! `frame[1..9]` ([`lre_router::Backend::forward`] on the way out, the
+//! `frame[SCORE_ID]` ([`lre_router::Backend::forward`] on the way out, the
 //! backend reader on the way back) and mints trace ids into
-//! `frame[13..21]` of a traced request that arrived with trace id 0.
+//! `frame[TRACE_ID]` of a traced request that arrived with trace id 0.
 //! Both splices bank on the wire layout being *positionally stable* for
-//! every possible body — any drift between the encoder and these offsets
-//! corrupts samples or misroutes replies. Until now that contract was
-//! only covered end-to-end; these properties pin it against random
+//! every possible body — any drift between the encoder and the offsets the
+//! tag table exports corrupts samples or misroutes replies. These
+//! properties pin the exported constants against the encoder over random
 //! bodies, including NaN-bit sample payloads.
 
 use lre_serve::engine::decision;
 use lre_serve::protocol::{
     decode_request, decode_score_reply_v2, encode_request, encode_score_ok_v2, Request,
-    REQ_SCORE_TRACED, REQ_SCORE_V2,
+    REQ_SCORE_TRACED, REQ_SCORE_V2, SAMPLES_AT_TRACED, SAMPLES_AT_V2, SCORE_ID, TRACE_ID,
 };
 use lre_serve::ScoredUtt;
 use proptest::prelude::*;
@@ -31,11 +31,11 @@ fn samples_strategy() -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // The traced-score layout: tag, id at 1..9, deadline at 9..13, trace
-    // id at 13..21, then samples. Patching a minted trace id into
-    // 13..21 must change exactly that field and nothing else.
+    // The traced-score layout: tag, id, deadline, trace id, then samples.
+    // Patching a minted trace id into `TRACE_ID` must change exactly that
+    // field and nothing else.
     #[test]
-    fn trace_id_patch_touches_only_bytes_13_to_21(
+    fn trace_id_patch_touches_only_the_trace_id(
         id in any::<u64>(),
         deadline_ms in any::<u32>(),
         minted in any::<u64>().prop_map(|v| v | 1), // non-zero, like mint_trace_id
@@ -47,19 +47,22 @@ proptest! {
             trace_id: 0,
             samples: samples.clone(),
         });
-        // Positional pins the router's splice depends on.
+        // Positional pins the router's splice depends on: the fields sit
+        // back to back where the exported constants say.
         prop_assert_eq!(frame[0], REQ_SCORE_TRACED);
-        prop_assert_eq!(u64::from_le_bytes(frame[1..9].try_into().unwrap()), id);
+        prop_assert_eq!(&frame[SCORE_ID], &id.to_le_bytes()[..]);
+        prop_assert_eq!(&frame[SCORE_ID.end..TRACE_ID.start], &deadline_ms.to_le_bytes()[..]);
+        prop_assert_eq!(&frame[TRACE_ID], &[0u8; 8][..]);
+        prop_assert_eq!(TRACE_ID.end, SAMPLES_AT_TRACED);
         prop_assert_eq!(
-            u32::from_le_bytes(frame[9..13].try_into().unwrap()),
-            deadline_ms
+            &frame[SAMPLES_AT_TRACED..][..4],
+            &(samples.len() as u32).to_le_bytes()[..]
         );
-        prop_assert_eq!(u64::from_le_bytes(frame[13..21].try_into().unwrap()), 0);
 
         let mut patched = frame.clone();
-        patched[13..21].copy_from_slice(&minted.to_le_bytes());
-        prop_assert_eq!(&patched[..13], &frame[..13]);
-        prop_assert_eq!(&patched[21..], &frame[21..]);
+        patched[TRACE_ID].copy_from_slice(&minted.to_le_bytes());
+        prop_assert_eq!(&patched[..TRACE_ID.start], &frame[..TRACE_ID.start]);
+        prop_assert_eq!(&patched[TRACE_ID.end..], &frame[TRACE_ID.end..]);
 
         match decode_request(&patched) {
             Ok(Request::ScoreTraced {
@@ -77,7 +80,7 @@ proptest! {
         }
     }
 
-    // Backend::forward rewrites frame[1..9] with its own id; the frame
+    // Backend::forward rewrites frame[SCORE_ID] with its own id; the frame
     // must still decode as the same request with only the id changed.
     #[test]
     fn request_id_splice_preserves_the_body(
@@ -92,9 +95,14 @@ proptest! {
             samples: samples.clone(),
         });
         prop_assert_eq!(frame[0], REQ_SCORE_V2);
+        prop_assert_eq!(&frame[SCORE_ID], &id.to_le_bytes()[..]);
+        prop_assert_eq!(
+            &frame[SAMPLES_AT_V2..][..4],
+            &(samples.len() as u32).to_le_bytes()[..]
+        );
         let mut spliced = frame.clone();
-        spliced[1..9].copy_from_slice(&backend_id.to_le_bytes());
-        prop_assert_eq!(&spliced[9..], &frame[9..]);
+        spliced[SCORE_ID].copy_from_slice(&backend_id.to_le_bytes());
+        prop_assert_eq!(&spliced[SCORE_ID.end..], &frame[SCORE_ID.end..]);
         match decode_request(&spliced) {
             Ok(Request::ScoreV2 {
                 id: got_id,
@@ -130,8 +138,8 @@ proptest! {
             llrs: llrs.clone(),
         };
         let mut frame = encode_score_ok_v2(backend_id, &scored);
-        prop_assert_eq!(u64::from_le_bytes(frame[1..9].try_into().unwrap()), backend_id);
-        frame[1..9].copy_from_slice(&client_id.to_le_bytes());
+        prop_assert_eq!(&frame[SCORE_ID], &backend_id.to_le_bytes()[..]);
+        frame[SCORE_ID].copy_from_slice(&client_id.to_le_bytes());
         let (got_id, reply) = decode_score_reply_v2(&frame).expect("spliced reply decodes");
         prop_assert_eq!(got_id, client_id);
         let back = reply.expect("an OK reply stays OK");

@@ -32,17 +32,18 @@
 //! in — and reports the count at the end. `--stats` against a router
 //! prints the fleet aggregate plus a per-replica breakdown.
 //!
-//! `--inflight 1` (the default) speaks protocol v1, one request at a time.
-//! `--inflight N>1` speaks v2: up to N requests ride the connection at
-//! once and replies are matched by id. With `--verify`, every TCP reply is
+//! `--inflight 1` (the default) sends one request at a time and retries an
+//! `overloaded` reply; `--inflight N>1` keeps up to N requests riding the
+//! connection at once, replies matched by id. With `--verify`, every TCP reply is
 //! compared bit-for-bit against the score computed locally from the same
 //! bundle — the end-to-end check the CI smoke job runs; it exits non-zero
 //! on any mismatch in either mode. `--fuzz` throws the malformed-input
 //! corpus at the server and verifies it answers typed errors (or just
 //! closes) without dying.
 //!
-//! `--traced` (requires `--inflight 1`) scores through the traced
-//! protocol tag and prints each reply's stage-timestamped span. Telemetry
+//! `--traced` (requires `--inflight 1`: a traced score is submit-and-wait)
+//! scores through the traced protocol tag and prints each reply's
+//! stage-timestamped span. Telemetry
 //! flags: `--metrics` dumps the peer's stats-v3 registry human-readably,
 //! `--metrics-json` as one JSON object; `--flight` prints the peer's
 //! flight-recorder events (`--flight-drain` empties the ring). All three
@@ -56,7 +57,7 @@ use lre_lattice::DecodeScratch;
 use lre_obs::{stage_name, MetricValue};
 use lre_phone::UniversalInventory;
 use lre_serve::client::ScoreReply;
-use lre_serve::{Client, FleetStats, PipelinedClient, ScoringSystem, StatsSnapshot, SystemBundle};
+use lre_serve::{Client, FleetStats, ScoringSystem, StatsSnapshot, SystemBundle};
 use std::path::PathBuf;
 
 fn usage(msg: &str) -> ! {
@@ -71,10 +72,10 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn connect_with_retry<C>(addr: &str, connect: impl Fn() -> std::io::Result<C>) -> C {
+fn connect_with_retry(addr: &str) -> Client {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
-        match connect() {
+        match Client::connect(addr) {
             Ok(c) => return c,
             Err(e) => {
                 if std::time::Instant::now() >= deadline {
@@ -89,10 +90,10 @@ fn connect_with_retry<C>(addr: &str, connect: impl Fn() -> std::io::Result<C>) -
 
 /// Print the stats line. The field order is a documented contract (CI
 /// and operators' scripts parse it): `requests completed rejected
-/// max_queue_depth mean_latency_ms max_latency_ms qps`, then —
-/// extended only — `expired failed shed_global generation swaps rollbacks
-/// fast_math unknown`. Append new fields at the end; never reorder.
-fn print_stats(s: &StatsSnapshot, extended: bool) {
+/// max_queue_depth mean_latency_ms max_latency_ms qps expired failed
+/// shed_global generation swaps rollbacks fast_math unknown`. Append new
+/// fields at the end; never reorder.
+fn print_stats(s: &StatsSnapshot) {
     let qps = if s.uptime_us > 0 {
         s.completed as f64 / (s.uptime_us as f64 / 1e6)
     } else {
@@ -103,35 +104,29 @@ fn print_stats(s: &StatsSnapshot, extended: bool) {
     } else {
         0.0
     };
-    let ext = if extended {
-        format!(
-            " expired={} failed={} shed_global={} generation={} swaps={} rollbacks={} \
-             fast_math={} unknown={}",
-            s.expired,
-            s.failed,
-            s.shed_global,
-            s.generation,
-            s.swaps,
-            s.rollbacks,
-            s.fast_math,
-            s.unknown
-        )
-    } else {
-        String::new()
-    };
     println!(
         "stats: requests={} completed={} rejected={} max_queue_depth={} \
-         mean_latency_ms={mean_lat_ms:.1} max_latency_ms={:.1} qps={qps:.1}{ext}",
+         mean_latency_ms={mean_lat_ms:.1} max_latency_ms={:.1} qps={qps:.1} \
+         expired={} failed={} shed_global={} generation={} swaps={} rollbacks={} \
+         fast_math={} unknown={}",
         s.requests,
         s.completed,
         s.rejected,
         s.max_queue_depth,
         s.latency_us_max as f64 / 1e3,
+        s.expired,
+        s.failed,
+        s.shed_global,
+        s.generation,
+        s.swaps,
+        s.rollbacks,
+        s.fast_math,
+        s.unknown
     );
 }
 
 fn print_fleet_stats(f: &FleetStats) {
-    print_stats(&f.aggregate, true);
+    print_stats(&f.aggregate);
     for r in &f.replicas {
         println!(
             "  replica {}: healthy={} generation={} inflight={} completed={} shed={}",
@@ -140,28 +135,16 @@ fn print_fleet_stats(f: &FleetStats) {
     }
 }
 
-/// Ask the peer for a fleet breakdown; `Ok(None)` means it's a plain
-/// replica (the tag is refused `STATUS_UNSUPPORTED`) and the caller
-/// should fall back to the single-server stats reply. An `Err` — torn
-/// connection, malformed or truncated stats frame — must NOT be
-/// swallowed into the fallback: the caller exits non-zero so a corrupt
-/// reply never passes for a healthy single server.
-fn fetch_fleet_stats(addr: &str) -> std::io::Result<Option<FleetStats>> {
-    Client::connect(addr)?.try_fleet_stats()
-}
-
 /// Resolve `--stats` against an unknown peer: fleet breakdown from a
-/// router, engine counters from a single server, non-zero exit on any
-/// malformed frame along the way.
-fn print_peer_stats(
-    addr: &str,
-    extended: bool,
-    fallback: impl FnOnce() -> std::io::Result<StatsSnapshot>,
-) {
-    match fetch_fleet_stats(addr) {
+/// router, engine counters from a single server (which refuses the fleet
+/// tag `unsupported`). An `Err` — torn connection, malformed or truncated
+/// stats frame — must NOT be swallowed into the fallback: a corrupt reply
+/// never passes for a healthy single server, the client exits non-zero.
+fn print_peer_stats(client: &mut Client) {
+    match client.try_fleet_stats() {
         Ok(Some(f)) => print_fleet_stats(&f),
-        Ok(None) => match fallback() {
-            Ok(s) => print_stats(&s, extended),
+        Ok(None) => match client.stats_v2() {
+            Ok(s) => print_stats(&s),
             Err(e) => {
                 eprintln!("error: stats request failed: {e}");
                 std::process::exit(1);
@@ -302,17 +285,27 @@ fn main() {
         10
     });
     if traced && inflight > 1 {
-        usage("--traced requires --inflight 1 (spans ride the blocking client)");
+        usage("--traced requires --inflight 1 (a traced score is submit-and-wait)");
     }
 
     if fuzz {
         // Wait for the server, then hammer it with the malformed corpus.
-        drop(connect_with_retry(&addr, || Client::connect(&addr)));
+        drop(connect_with_retry(&addr));
         let sock_addr = addr
             .parse()
             .unwrap_or_else(|_| usage("--fuzz needs a numeric HOST:PORT address"));
         match lre_serve::fuzz::run_corpus(sock_addr, std::time::Duration::from_secs(10)) {
-            Ok(n) => println!("fuzz OK: {n} malformed cases, every one refused cleanly"),
+            Ok(ran) => {
+                let total: usize = ran.values().sum();
+                let per_class: Vec<String> = ran
+                    .iter()
+                    .map(|(class, n)| format!("{class} {n}"))
+                    .collect();
+                println!(
+                    "fuzz OK: {total} malformed cases ({}), every one refused cleanly",
+                    per_class.join(", ")
+                );
+            }
             Err(e) => {
                 eprintln!("fuzz FAILED: {e}");
                 std::process::exit(1);
@@ -323,7 +316,7 @@ fn main() {
             eprintln!("fuzz FAILED: server unreachable after corpus: {e}");
             std::process::exit(1);
         });
-        if let Err(e) = probe.stats() {
+        if let Err(e) = probe.stats_v2() {
             eprintln!("fuzz FAILED: stats after corpus: {e}");
             std::process::exit(1);
         }
@@ -331,7 +324,7 @@ fn main() {
     }
 
     if ping {
-        let mut client = connect_with_retry(&addr, || Client::connect(&addr));
+        let mut client = connect_with_retry(&addr);
         match client.ping() {
             Ok(p) => println!(
                 "ping: generation={} inflight={} shed={} completed={}",
@@ -435,8 +428,8 @@ fn main() {
             }
         };
 
+        let mut client = connect_with_retry(&addr);
         if inflight > 1 {
-            let mut client = connect_with_retry(&addr, || PipelinedClient::connect(&addr));
             let samples: Vec<Vec<f32>> = rendered.iter().map(|(_, _, s)| s.clone()).collect();
             let replies = client
                 .score_all(&samples, inflight, deadline)
@@ -447,20 +440,7 @@ fn main() {
             for ((n, lang, samples), reply) in rendered.iter().zip(&replies) {
                 verify_one(*n, *lang, samples, reply);
             }
-            if stats || verify {
-                print_peer_stats(&addr, true, || client.stats());
-            }
-            // With --adapt, shutdown waits for the adaptation report below.
-            if shutdown && !adapt {
-                if let Err(e) = client.shutdown() {
-                    eprintln!("error: shutdown request failed: {e}");
-                    std::process::exit(1);
-                }
-                println!("server acknowledged shutdown");
-                shutdown = false;
-            }
         } else {
-            let mut client = connect_with_retry(&addr, || Client::connect(&addr));
             for (n, lang, samples) in &rendered {
                 let reply = loop {
                     let result = if traced {
@@ -481,17 +461,18 @@ fn main() {
                 };
                 verify_one(*n, *lang, samples, &reply);
             }
-            if stats || verify {
-                print_peer_stats(&addr, false, || client.stats());
+        }
+        if stats || verify {
+            print_peer_stats(&mut client);
+        }
+        // With --adapt, shutdown waits for the adaptation report below.
+        if shutdown && !adapt {
+            if let Err(e) = client.shutdown() {
+                eprintln!("error: shutdown request failed: {e}");
+                std::process::exit(1);
             }
-            if shutdown && !adapt {
-                if let Err(e) = client.shutdown() {
-                    eprintln!("error: shutdown request failed: {e}");
-                    std::process::exit(1);
-                }
-                println!("server acknowledged shutdown");
-                shutdown = false;
-            }
+            println!("server acknowledged shutdown");
+            shutdown = false;
         }
 
         if verify {
@@ -514,7 +495,7 @@ fn main() {
     }
 
     if metrics || metrics_json {
-        let mut client = connect_with_retry(&addr, || Client::connect(&addr));
+        let mut client = connect_with_retry(&addr);
         let entries = match client.metrics() {
             Ok(Some(entries)) => entries,
             Ok(None) => {
@@ -572,7 +553,7 @@ fn main() {
     }
 
     if flight {
-        let mut client = connect_with_retry(&addr, || Client::connect(&addr));
+        let mut client = connect_with_retry(&addr);
         match client.flight(flight_drain) {
             Ok(Some(events)) => {
                 println!("flight recorder: {} events buffered", events.len());
@@ -592,7 +573,7 @@ fn main() {
     }
 
     if wal_status {
-        let mut client = connect_with_retry(&addr, || Client::connect(&addr));
+        let mut client = connect_with_retry(&addr);
         match client.wal_status() {
             Ok(Some(w)) => {
                 // One parseable line; CI's crash-recovery drill greps it.
@@ -627,12 +608,12 @@ fn main() {
     }
 
     if let Some(generation) = rollback_to {
-        let mut client = connect_with_retry(&addr, || Client::connect(&addr));
+        let mut client = connect_with_retry(&addr);
         match client.rollback_to(generation) {
-            Ok(Ok((restored, serving, checksum))) => {
+            Ok(Ok(ack)) => {
                 println!(
-                    "rollback-to: restored={restored} serving_generation={serving} \
-                     checksum={checksum:#010x}"
+                    "rollback-to: restored={} serving_generation={} checksum={:#010x}",
+                    ack.restored, ack.serving, ack.checksum
                 );
             }
             Ok(Err(s)) => {
@@ -647,7 +628,7 @@ fn main() {
     }
 
     if adapt {
-        let mut client = connect_with_retry(&addr, || Client::connect(&addr));
+        let mut client = connect_with_retry(&addr);
         match client.adapt() {
             Ok(report) => {
                 let outcome = match report.outcome {
@@ -669,10 +650,13 @@ fn main() {
     }
 
     if rollback {
-        let mut client = connect_with_retry(&addr, || Client::connect(&addr));
+        let mut client = connect_with_retry(&addr);
         match client.rollback() {
-            Ok((rolled, generation)) => {
-                println!("rollback: rolled={rolled} generation={generation}");
+            Ok(ack) => {
+                println!(
+                    "rollback: rolled={} generation={}",
+                    ack.rolled, ack.generation
+                );
             }
             Err(e) => {
                 eprintln!("error: rollback request failed: {e}");
@@ -682,7 +666,7 @@ fn main() {
     }
 
     if shutdown {
-        let mut client = connect_with_retry(&addr, || Client::connect(&addr));
+        let mut client = connect_with_retry(&addr);
         if let Err(e) = client.shutdown() {
             eprintln!("error: shutdown request failed: {e}");
             std::process::exit(1);

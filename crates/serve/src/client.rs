@@ -1,22 +1,21 @@
-//! Blocking TCP clients for the scoring protocol.
+//! The blocking TCP client for the scoring protocol.
 //!
-//! [`Client`] speaks protocol v1 — one request in flight, replies in
-//! order — and keeps working unchanged against a pipelined server.
-//! [`PipelinedClient`] speaks v2: it tags every score request with a
-//! `u64` id, keeps a window of them outstanding, and matches replies by
-//! the echoed id as they arrive (possibly out of submission order).
+//! One connection type, [`Client`]. Score requests are pipelined: each is
+//! tagged with a `u64` id, up to the server's inflight window may be
+//! outstanding, and replies are matched by the echoed id as they arrive
+//! (possibly out of submission order). Control requests (stats, adapt,
+//! rollout, telemetry, shutdown) are one request → one reply and carry no
+//! id, so they are only valid while no score reply is outstanding.
 
 use crate::engine::{ScoredUtt, StatsSnapshot};
 use crate::protocol::{
-    decode_abort_reply, decode_adapt_reply, decode_commit_reply, decode_drain_reply,
-    decode_fleet_stats_reply, decode_flight_reply, decode_metrics_reply, decode_ping_reply,
-    decode_rollback_reply, decode_rollback_to_reply, decode_score_reply, decode_score_reply_traced,
-    decode_score_reply_v2, decode_stage_reply, decode_stats_reply, decode_stats_reply_v2,
-    decode_wal_status_reply, encode_request, read_frame, write_frame, AdaptReport, DrainReply,
-    FleetStats, PingReport, Request, WalStatusInfo, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL,
-    STATUS_OK, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
+    decode_reply, decode_score_reply_traced, decode_score_reply_v2, encode_request, read_frame,
+    write_frame, AbortAck, Ack, AdaptReport, CommitAck, DrainReply, FleetStats, MetricsDump,
+    PingReport, Request, RollbackAck, RollbackToAck, StageAck, WalStatusInfo, Wire,
+    STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
+    STATUS_UNSUPPORTED,
 };
-use lre_obs::{FlightEvent, MetricValue};
+use lre_obs::FlightEvent;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -30,256 +29,76 @@ pub enum ScoreReply {
     Overloaded,
     /// The server is draining; no further requests will be accepted.
     ShuttingDown,
-    /// The request's deadline passed before a worker reached it (v2 only).
+    /// The request's deadline passed before a worker reached it.
     DeadlineExceeded,
     /// The server's scorer failed internally; the request is lost but the
     /// connection is still usable.
     Failed,
 }
 
-fn reply_from_status(status: u8) -> io::Result<ScoreReply> {
-    match status {
-        STATUS_OVERLOADED => Ok(ScoreReply::Overloaded),
-        STATUS_SHUTTING_DOWN => Ok(ScoreReply::ShuttingDown),
-        STATUS_DEADLINE_EXCEEDED => Ok(ScoreReply::DeadlineExceeded),
-        STATUS_INTERNAL => Ok(ScoreReply::Failed),
-        s => Err(proto_err(&format!("server refused request (status {s})"))),
+impl ScoreReply {
+    fn from_wire(reply: Result<ScoredUtt, u8>) -> io::Result<ScoreReply> {
+        match reply {
+            Ok(scored) => Ok(ScoreReply::Scored(scored)),
+            Err(STATUS_OVERLOADED) => Ok(ScoreReply::Overloaded),
+            Err(STATUS_SHUTTING_DOWN) => Ok(ScoreReply::ShuttingDown),
+            Err(STATUS_DEADLINE_EXCEEDED) => Ok(ScoreReply::DeadlineExceeded),
+            Err(STATUS_INTERNAL) => Ok(ScoreReply::Failed),
+            Err(s) => Err(proto_err(format!("server refused request (status {s})"))),
+        }
     }
 }
 
-/// One v1 connection to a scoring server.
-pub struct Client {
-    stream: TcpStream,
-}
-
-fn proto_err(what: &str) -> io::Error {
+fn proto_err(what: impl ToString) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
 
-impl Client {
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client { stream })
-    }
+/// A refusal the caller has no typed use for becomes an I/O error.
+fn accepted<T>(reply: Result<T, u8>, what: &str) -> io::Result<T> {
+    reply.map_err(|s| proto_err(format!("{what} refused (status {s})")))
+}
 
-    fn round_trip(&mut self, req: &Request) -> io::Result<Vec<u8>> {
-        write_frame(&mut self.stream, &encode_request(req))?;
-        read_frame(&mut self.stream)?.ok_or_else(|| proto_err("server closed mid-request"))
-    }
-
-    /// Score one utterance of raw 8 kHz samples.
-    pub fn score(&mut self, samples: &[f32]) -> io::Result<ScoreReply> {
-        let reply = self.round_trip(&Request::Score {
-            samples: samples.to_vec(),
-        })?;
-        match decode_score_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(scored) => Ok(ScoreReply::Scored(scored)),
-            Err(status) => reply_from_status(status),
-        }
-    }
-
-    /// Fetch the engine counters.
-    pub fn stats(&mut self) -> io::Result<StatsSnapshot> {
-        let reply = self.round_trip(&Request::Stats)?;
-        match decode_stats_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(s) => Ok(s),
-            Err(status) => Err(proto_err(&format!("stats refused (status {status})"))),
-        }
-    }
-
-    /// Extended (v2) stats over a v1 connection: the full counter set —
-    /// expirations, failures, generation, fast-math flag — that the
-    /// pipelined client's stats call sees. The router's per-replica stats
-    /// probe uses this.
-    pub fn stats_v2(&mut self) -> io::Result<StatsSnapshot> {
-        let reply = self.round_trip(&Request::StatsV2)?;
-        match decode_stats_reply_v2(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(s) => Ok(s),
-            Err(s) => Err(proto_err(&format!("stats refused (status {s})"))),
-        }
-    }
-
-    /// Ask the server to run one adaptation cycle now; blocks until the
-    /// cycle resolves and returns its report. Servers without an
-    /// adaptation controller refuse with `STATUS_UNSUPPORTED`.
-    pub fn adapt(&mut self) -> io::Result<AdaptReport> {
-        let reply = self.round_trip(&Request::Adapt)?;
-        match decode_adapt_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(report) => Ok(report),
-            Err(s) => Err(proto_err(&format!("adapt refused (status {s})"))),
-        }
-    }
-
-    /// Health probe: generation, inflight, shed and completed counters,
-    /// answered without touching the server's scoring queue.
-    pub fn ping(&mut self) -> io::Result<PingReport> {
-        let reply = self.round_trip(&Request::Ping)?;
-        match decode_ping_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(report) => Ok(report),
-            Err(s) => Err(proto_err(&format!("ping refused (status {s})"))),
-        }
-    }
-
-    /// Fleet-wide counters with a per-replica breakdown. `Ok(None)` when
-    /// the peer is a bare replica (refuses `STATUS_UNSUPPORTED`) rather
-    /// than a router.
-    pub fn try_fleet_stats(&mut self) -> io::Result<Option<FleetStats>> {
-        let reply = self.round_trip(&Request::FleetStats)?;
-        match decode_fleet_stats_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(stats) => Ok(Some(stats)),
-            Err(STATUS_UNSUPPORTED) => Ok(None),
-            Err(s) => Err(proto_err(&format!("fleet stats refused (status {s})"))),
-        }
-    }
-
-    /// Peek at (or all-or-nothing drain) the peer's vote log.
-    pub fn drain_votes(&mut self, peek: bool, min: u32) -> io::Result<DrainReply> {
-        let reply = self.round_trip(&Request::DrainVotes { peek, min })?;
-        match decode_drain_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(drained) => Ok(drained),
-            Err(s) => Err(proto_err(&format!("vote drain refused (status {s})"))),
-        }
-    }
-
-    /// Stage a sealed candidate bundle (two-phase rollout, phase one).
-    /// `Ok` carries the replica's checksum of the staged bytes;
-    /// `Err(status)` surfaces a typed refusal (`STATUS_CONFLICT` for a
-    /// bundle that failed validation).
-    pub fn stage_bundle(&mut self, sealed: &[u8]) -> io::Result<Result<u32, u8>> {
-        let reply = self.round_trip(&Request::StageBundle {
-            sealed: sealed.to_vec(),
-        })?;
-        decode_stage_reply(&reply).map_err(|e| proto_err(&e.to_string()))
-    }
-
-    /// Commit the staged bundle (phase two): `Ok(Ok((generation,
-    /// checksum)))` on the swap, `Ok(Err(status))` on a typed refusal.
-    pub fn commit_staged(&mut self) -> io::Result<Result<(u64, u32), u8>> {
-        let reply = self.round_trip(&Request::CommitStaged)?;
-        decode_commit_reply(&reply).map_err(|e| proto_err(&e.to_string()))
-    }
-
-    /// Discard the staged bundle; reports whether one existed.
-    pub fn abort_staged(&mut self) -> io::Result<bool> {
-        let reply = self.round_trip(&Request::AbortStaged)?;
-        match decode_abort_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(had_staged) => Ok(had_staged),
-            Err(s) => Err(proto_err(&format!("abort refused (status {s})"))),
-        }
-    }
-
-    /// Reinstall the model displaced by the last commit. Returns
-    /// `(rolled, generation afterwards)`.
-    pub fn rollback(&mut self) -> io::Result<(bool, u64)> {
-        let reply = self.round_trip(&Request::Rollback)?;
-        match decode_rollback_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(r) => Ok(r),
-            Err(s) => Err(proto_err(&format!("rollback refused (status {s})"))),
-        }
-    }
-
-    /// The peer's WAL + lineage summary. `Ok(None)` when the peer runs
-    /// without a durability hook (no `--wal-dir`).
-    pub fn wal_status(&mut self) -> io::Result<Option<WalStatusInfo>> {
-        let reply = self.round_trip(&Request::WalStatus)?;
-        match decode_wal_status_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(info) => Ok(Some(info)),
-            Err(STATUS_UNSUPPORTED) => Ok(None),
-            Err(s) => Err(proto_err(&format!("wal-status refused (status {s})"))),
-        }
-    }
-
-    /// Deep rollback: restore lineage generation `generation` into
-    /// serving. `Ok` carries `(lineage generation restored, serving
-    /// generation afterwards, bundle checksum)`; `Err(status)` a typed
-    /// refusal (unknown/pruned generation, or a peer without a lineage
-    /// store).
-    pub fn rollback_to(&mut self, generation: u64) -> io::Result<Result<(u64, u64, u32), u8>> {
-        let reply = self.round_trip(&Request::RollbackTo { generation })?;
-        decode_rollback_to_reply(&reply).map_err(|e| proto_err(&e.to_string()))
-    }
-
-    /// Score one utterance with tracing: the reply's `span` carries the
-    /// stage-timestamped breakdown. `trace_id == 0` asks the server to
-    /// mint one (the minted id comes back in the span).
-    pub fn score_traced(
-        &mut self,
-        samples: &[f32],
-        deadline: Option<Duration>,
-        trace_id: u64,
-    ) -> io::Result<ScoreReply> {
-        let deadline_ms = deadline
-            .map(|d| u32::try_from(d.as_millis()).unwrap_or(0))
-            .unwrap_or(0);
-        let reply = self.round_trip(&Request::ScoreTraced {
-            id: 0,
-            deadline_ms,
-            trace_id,
-            samples: samples.to_vec(),
-        })?;
-        let (_, result) =
-            decode_score_reply_traced(&reply).map_err(|e| proto_err(&e.to_string()))?;
-        match result {
-            Ok(scored) => Ok(ScoreReply::Scored(scored)),
-            Err(status) => reply_from_status(status),
-        }
-    }
-
-    /// Dump the peer's telemetry registry (stats-v3): name-sorted
-    /// counters, gauges, histogram summaries, and sketches. `Ok(None)`
-    /// when the peer runs without telemetry (`STATUS_UNSUPPORTED`).
-    #[allow(clippy::type_complexity)]
-    pub fn metrics(&mut self) -> io::Result<Option<Vec<(String, MetricValue)>>> {
-        let reply = self.round_trip(&Request::StatsV3)?;
-        match decode_metrics_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(entries) => Ok(Some(entries)),
-            Err(STATUS_UNSUPPORTED) => Ok(None),
-            Err(s) => Err(proto_err(&format!("metrics refused (status {s})"))),
-        }
-    }
-
-    /// Fetch the peer's flight-recorder events, oldest first. `drain`
-    /// empties the ring; otherwise the events stay buffered. `Ok(None)`
-    /// when the peer runs without telemetry.
-    pub fn flight(&mut self, drain: bool) -> io::Result<Option<Vec<FlightEvent>>> {
-        let reply = self.round_trip(&Request::Flight { drain })?;
-        match decode_flight_reply(&reply).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(events) => Ok(Some(events)),
-            Err(STATUS_UNSUPPORTED) => Ok(None),
-            Err(s) => Err(proto_err(&format!("flight dump refused (status {s})"))),
-        }
-    }
-
-    /// Request a graceful server shutdown; resolves once acknowledged.
-    pub fn shutdown(&mut self) -> io::Result<()> {
-        let reply = self.round_trip(&Request::Shutdown)?;
-        match reply.first() {
-            Some(&STATUS_OK) => Ok(()),
-            _ => Err(proto_err("shutdown not acknowledged")),
-        }
+/// `unsupported` means the peer lacks the hook, which callers treat as
+/// `None`; any other refusal is an error.
+fn if_supported<T>(reply: Result<T, u8>, what: &str) -> io::Result<Option<T>> {
+    match reply {
+        Err(STATUS_UNSUPPORTED) => Ok(None),
+        other => accepted(other, what).map(Some),
     }
 }
 
-/// One v2 connection: submit-and-receive are decoupled, so up to the
-/// server's inflight window of requests can be on the wire at once.
+/// The wire form of a deadline: whole milliseconds, `0` = none. `None`, a
+/// zero duration and anything beyond `u32::MAX` ms mean no deadline; any
+/// other duration under a millisecond rounds *up* to 1 so the tightest
+/// deadlines are not the ones silently dropped.
+pub fn deadline_to_wire_ms(deadline: Option<Duration>) -> u32 {
+    match deadline {
+        Some(d) if !d.is_zero() => u32::try_from(d.as_millis()).map_or(0, |ms| ms.max(1)),
+        _ => 0,
+    }
+}
+
+/// One connection to a scoring server or router.
 ///
 /// ```text
-/// let mut c = PipelinedClient::connect(addr)?;
+/// let mut c = Client::connect(addr)?;
 /// for u in &utts { c.submit(u, None)?; }          // fill the window
 /// while c.inflight() > 0 { let (id, r) = c.recv()?; ... }
 /// ```
-pub struct PipelinedClient {
+pub struct Client {
     stream: TcpStream,
     next_id: u64,
     inflight: usize,
 }
 
-impl PipelinedClient {
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<PipelinedClient> {
+/// The name the pipelined half of the client had while there were two.
+pub type PipelinedClient = Client;
+
+impl Client {
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(PipelinedClient {
+        Ok(Client {
             stream,
             next_id: 0,
             inflight: 0,
@@ -291,38 +110,67 @@ impl PipelinedClient {
         self.inflight
     }
 
-    /// Submit one utterance without waiting for its reply; returns the
-    /// request id this client assigned (sequential from 0). A deadline of
-    /// `None` (or one longer than `u32::MAX` ms) means no deadline.
-    pub fn submit(&mut self, samples: &[f32], deadline: Option<Duration>) -> io::Result<u64> {
+    fn send_score(&mut self, request: impl FnOnce(u64) -> Request) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        let deadline_ms = deadline
-            .map(|d| u32::try_from(d.as_millis()).unwrap_or(0))
-            .unwrap_or(0);
-        write_frame(
-            &mut self.stream,
-            &encode_request(&Request::ScoreV2 {
-                id,
-                deadline_ms,
-                samples: samples.to_vec(),
-            }),
-        )?;
+        write_frame(&mut self.stream, &encode_request(&request(id)))?;
         self.inflight += 1;
         Ok(id)
     }
 
-    /// Block for the next score reply, whichever request it answers.
-    pub fn recv(&mut self) -> io::Result<(u64, ScoreReply)> {
+    fn recv_score(&mut self, traced: bool) -> io::Result<(u64, ScoreReply)> {
         let frame = read_frame(&mut self.stream)?
             .ok_or_else(|| proto_err("server closed with replies outstanding"))?;
         self.inflight = self.inflight.saturating_sub(1);
-        let (id, result) = decode_score_reply_v2(&frame).map_err(|e| proto_err(&e.to_string()))?;
-        let reply = match result {
-            Ok(scored) => ScoreReply::Scored(scored),
-            Err(status) => reply_from_status(status)?,
-        };
-        Ok((id, reply))
+        let (id, reply) = if traced {
+            decode_score_reply_traced(&frame)
+        } else {
+            decode_score_reply_v2(&frame)
+        }
+        .map_err(proto_err)?;
+        Ok((id, ScoreReply::from_wire(reply)?))
+    }
+
+    /// Submit one utterance without waiting for its reply; returns the
+    /// request id this client assigned (sequential from 0). See
+    /// [`deadline_to_wire_ms`] for how the deadline travels.
+    pub fn submit(&mut self, samples: &[f32], deadline: Option<Duration>) -> io::Result<u64> {
+        self.send_score(|id| Request::ScoreV2 {
+            id,
+            deadline_ms: deadline_to_wire_ms(deadline),
+            samples: samples.to_vec(),
+        })
+    }
+
+    /// Block for the next score reply, whichever request it answers.
+    pub fn recv(&mut self) -> io::Result<(u64, ScoreReply)> {
+        self.recv_score(false)
+    }
+
+    /// Score one utterance and wait for its reply.
+    pub fn score(&mut self, samples: &[f32]) -> io::Result<ScoreReply> {
+        self.idle("score")?;
+        self.submit(samples, None)?;
+        Ok(self.recv()?.1)
+    }
+
+    /// Score one utterance with tracing and wait: the reply's `span`
+    /// carries the stage-timestamped breakdown. `trace_id == 0` asks the
+    /// serving tier to mint one (the minted id comes back in the span).
+    pub fn score_traced(
+        &mut self,
+        samples: &[f32],
+        deadline: Option<Duration>,
+        trace_id: u64,
+    ) -> io::Result<ScoreReply> {
+        self.idle("score_traced")?;
+        self.send_score(|id| Request::ScoreTraced {
+            id,
+            deadline_ms: deadline_to_wire_ms(deadline),
+            trace_id,
+            samples: samples.to_vec(),
+        })?;
+        Ok(self.recv_score(true)?.1)
     }
 
     /// Drive a whole workload through a fixed window: keep `window`
@@ -360,57 +208,134 @@ impl PipelinedClient {
             .collect())
     }
 
-    /// Fetch the extended engine counters. Only valid while no score
-    /// requests are outstanding (the stats reply carries no id to match).
-    pub fn stats(&mut self) -> io::Result<StatsSnapshot> {
+    /// Control replies carry no id: with score replies outstanding the
+    /// next frame could be either, so the call is refused instead.
+    fn idle(&self, what: &str) -> io::Result<()> {
         if self.inflight != 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "stats with score replies outstanding would misattribute frames",
+                format!("{what} with score replies outstanding would misattribute frames"),
             ));
         }
-        write_frame(&mut self.stream, &encode_request(&Request::StatsV2))?;
-        let frame =
-            read_frame(&mut self.stream)?.ok_or_else(|| proto_err("server closed mid-request"))?;
-        match decode_stats_reply_v2(&frame).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(s) => Ok(s),
-            Err(s) => Err(proto_err(&format!("stats refused (status {s})"))),
-        }
+        Ok(())
     }
 
-    /// Ask the server to run one adaptation cycle now. Only valid while no
-    /// score requests are outstanding (the adapt reply carries no id).
-    pub fn adapt(&mut self) -> io::Result<AdaptReport> {
-        if self.inflight != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "adapt with score replies outstanding would misattribute frames",
-            ));
-        }
-        write_frame(&mut self.stream, &encode_request(&Request::Adapt))?;
+    /// One control round trip: `Ok(Ok(body))`, or `Ok(Err(status))` for a
+    /// typed refusal. Only valid while no score replies are outstanding.
+    pub fn call<T: Wire>(&mut self, req: &Request) -> io::Result<Result<T, u8>> {
+        self.idle("a control request")?;
+        write_frame(&mut self.stream, &encode_request(req))?;
         let frame =
             read_frame(&mut self.stream)?.ok_or_else(|| proto_err("server closed mid-request"))?;
-        match decode_adapt_reply(&frame).map_err(|e| proto_err(&e.to_string()))? {
-            Ok(report) => Ok(report),
-            Err(s) => Err(proto_err(&format!("adapt refused (status {s})"))),
-        }
+        decode_reply(&frame).map_err(proto_err)
+    }
+
+    /// Fetch the engine counters (from a router: the fleet aggregate).
+    pub fn stats_v2(&mut self) -> io::Result<StatsSnapshot> {
+        accepted(self.call(&Request::StatsV2)?, "stats")
+    }
+
+    /// Ask the server to run one adaptation cycle now; blocks until the
+    /// cycle resolves and returns its report. Servers without an
+    /// adaptation controller refuse with `STATUS_UNSUPPORTED`.
+    pub fn adapt(&mut self) -> io::Result<AdaptReport> {
+        accepted(self.call(&Request::Adapt)?, "adapt")
+    }
+
+    /// Health probe: generation, inflight, shed and completed counters,
+    /// answered without touching the server's scoring queue.
+    pub fn ping(&mut self) -> io::Result<PingReport> {
+        accepted(self.call(&Request::Ping)?, "ping")
+    }
+
+    /// Fleet-wide counters with a per-replica breakdown. `Ok(None)` when
+    /// the peer is a bare replica rather than a router.
+    pub fn try_fleet_stats(&mut self) -> io::Result<Option<FleetStats>> {
+        if_supported(self.call(&Request::FleetStats)?, "fleet stats")
+    }
+
+    /// Peek at (or all-or-nothing drain) the peer's vote log.
+    pub fn drain_votes(&mut self, peek: bool, min: u32) -> io::Result<DrainReply> {
+        accepted(self.call(&Request::DrainVotes { peek, min })?, "vote drain")
+    }
+
+    /// Stage a sealed candidate bundle (two-phase rollout, phase one).
+    /// `Err(status)` surfaces a typed refusal (`STATUS_CONFLICT` for a
+    /// bundle that failed validation).
+    pub fn stage_bundle(&mut self, sealed: &[u8]) -> io::Result<Result<StageAck, u8>> {
+        self.call(&Request::StageBundle {
+            sealed: sealed.to_vec(),
+        })
+    }
+
+    /// Commit the staged bundle (phase two); `Err(status)` on a typed
+    /// refusal (`STATUS_CONFLICT` with nothing staged).
+    pub fn commit_staged(&mut self) -> io::Result<Result<CommitAck, u8>> {
+        self.call(&Request::CommitStaged)
+    }
+
+    /// Discard the staged bundle; reports whether one existed.
+    pub fn abort_staged(&mut self) -> io::Result<AbortAck> {
+        accepted(self.call(&Request::AbortStaged)?, "abort")
+    }
+
+    /// Reinstall the model displaced by the last commit.
+    pub fn rollback(&mut self) -> io::Result<RollbackAck> {
+        accepted(self.call(&Request::Rollback)?, "rollback")
+    }
+
+    /// The peer's WAL + lineage summary. `Ok(None)` when the peer runs
+    /// without a durability hook (no `--wal-dir`).
+    pub fn wal_status(&mut self) -> io::Result<Option<WalStatusInfo>> {
+        if_supported(self.call(&Request::WalStatus)?, "wal-status")
+    }
+
+    /// Deep rollback: restore lineage generation `generation` into
+    /// serving. `Err(status)` is a typed refusal (unknown/pruned
+    /// generation, or a peer without a lineage store).
+    pub fn rollback_to(&mut self, generation: u64) -> io::Result<Result<RollbackToAck, u8>> {
+        self.call(&Request::RollbackTo { generation })
+    }
+
+    /// Dump the peer's telemetry registry (stats-v3): name-sorted
+    /// counters, gauges, histogram summaries, and sketches. `Ok(None)`
+    /// when the peer runs without telemetry.
+    pub fn metrics(&mut self) -> io::Result<Option<MetricsDump>> {
+        if_supported(self.call(&Request::StatsV3)?, "metrics")
+    }
+
+    /// Fetch the peer's flight-recorder events, oldest first. `drain`
+    /// empties the ring; otherwise the events stay buffered. `Ok(None)`
+    /// when the peer runs without telemetry.
+    pub fn flight(&mut self, drain: bool) -> io::Result<Option<Vec<FlightEvent>>> {
+        if_supported(self.call(&Request::Flight { drain })?, "flight dump")
     }
 
     /// Request a graceful server shutdown; resolves once acknowledged.
-    /// Only valid while no score requests are outstanding.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        if self.inflight != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "shutdown with score replies outstanding would misattribute frames",
-            ));
-        }
-        write_frame(&mut self.stream, &encode_request(&Request::Shutdown))?;
-        let frame =
-            read_frame(&mut self.stream)?.ok_or_else(|| proto_err("server closed mid-request"))?;
-        match frame.first() {
-            Some(&STATUS_OK) => Ok(()),
-            _ => Err(proto_err("shutdown not acknowledged")),
-        }
+        accepted(self.call::<Ack>(&Request::Shutdown)?, "shutdown").map(|Ack| ())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sub_millisecond_deadlines_round_up_instead_of_vanishing() {
+        let ms = |d| deadline_to_wire_ms(Some(d));
+        assert_eq!(deadline_to_wire_ms(None), 0);
+        assert_eq!(ms(Duration::ZERO), 0, "zero still means no deadline");
+        assert_eq!(ms(Duration::from_nanos(1)), 1);
+        assert_eq!(ms(Duration::from_micros(500)), 1);
+        assert_eq!(ms(Duration::from_micros(999)), 1);
+        assert_eq!(ms(Duration::from_millis(1)), 1);
+        assert_eq!(ms(Duration::from_micros(2_500)), 2);
+        assert_eq!(ms(Duration::from_millis(u64::from(u32::MAX))), u32::MAX);
+        assert_eq!(
+            ms(Duration::from_millis(u64::from(u32::MAX) + 1)),
+            0,
+            "beyond the field's range is documented as no deadline"
+        );
     }
 }

@@ -17,7 +17,7 @@
 //! adaptation controller; [`WalOnlyDurability`] is the degenerate form a
 //! fleet replica mounts — status yes, deep rollback refused.
 
-use crate::protocol::{WalStatusInfo, STATUS_UNSUPPORTED};
+use crate::protocol::{RollbackToAck, WalStatusInfo, STATUS_UNSUPPORTED};
 use crate::system::{ScoreDetail, ScoreTap};
 use crate::votelog::{VoteLog, VoteRecord};
 use lre_artifact::{ArtifactError, ArtifactRead, ArtifactWrite};
@@ -165,9 +165,8 @@ pub trait DurabilityControl: Send + Sync {
     fn wal_status(&self) -> WalStatusInfo;
 
     /// Restore generation `generation` from the lineage store and swap it
-    /// into serving. Returns `(lineage generation, serving generation
-    /// after the swap, bundle checksum)` or a protocol status byte.
-    fn rollback_to(&self, generation: u64) -> Result<(u64, u64, u32), u8>;
+    /// into serving, or refuse with a protocol status byte.
+    fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8>;
 }
 
 /// Status-only durability for replicas that tee votes to a WAL but hold
@@ -187,7 +186,7 @@ impl DurabilityControl for WalOnlyDurability {
         wal_status_info(&self.log.wal().status(), None)
     }
 
-    fn rollback_to(&self, _generation: u64) -> Result<(u64, u64, u32), u8> {
+    fn rollback_to(&self, _generation: u64) -> Result<RollbackToAck, u8> {
         Err(STATUS_UNSUPPORTED)
     }
 }

@@ -42,7 +42,7 @@ pub struct EngineConfig {
     /// Whether the installed scorer runs the fast-math kernels (set by the
     /// serving binary after the bundle opt-in check). Observability only:
     /// the mode itself lives in the scorer's decoder configs; this flag
-    /// surfaces it in [`StatsSnapshot`] and the v2 stats wire.
+    /// surfaces it in [`StatsSnapshot`] and the stats wire.
     pub fast_math: bool,
     /// Open-set rejection threshold on the top fused LLR. `None` (the
     /// default) keeps the closed-set behaviour: every scored utterance is
@@ -80,8 +80,8 @@ pub struct ScoredUtt {
     /// until the first hot swap.
     pub generation: u64,
     /// Stage-timestamped trace span, present only for traced requests
-    /// (`trace_id != 0` at submission). Never encoded into v1/v2 score
-    /// bodies — only the traced reply carries it.
+    /// (`trace_id != 0` at submission). Not part of the score body — only
+    /// the traced reply carries it.
     pub span: Option<TraceSpan>,
     /// Open-set rejection flag: `true` when the engine was configured
     /// with [`EngineConfig::unknown_threshold`] and the top LLR fell
@@ -167,7 +167,7 @@ pub struct StatsSnapshot {
     /// How many of those installs were guard rollbacks.
     pub rollbacks: u64,
     /// `1` if the installed scorer runs fast-math kernels, `0` for exact
-    /// arithmetic (a flag carried as a counter so the v2 stats wire stays a
+    /// arithmetic (a flag carried as a counter so the stats wire stays a
     /// homogeneous `u64` list).
     pub fast_math: u64,
     /// Completed utterances flagged open-set `unknown` (top LLR below the
@@ -400,23 +400,14 @@ impl Engine {
     /// Enqueue one utterance with an optional deadline; `reply` fires
     /// exactly once when the request resolves. On `Err` the callback is
     /// dropped unfired — the submitter still owns the error path.
+    /// `trace: Some(id)` (non-zero) makes the worker stamp a [`TraceSpan`]
+    /// with that id onto the scored reply, stage offsets measured from
+    /// this enqueue.
     pub fn submit_with(
         &self,
         samples: Vec<f32>,
         deadline: Option<Duration>,
-        reply: impl FnOnce(Outcome) + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        self.submit_traced(samples, deadline, 0, reply)
-    }
-
-    /// [`Engine::submit_with`] carrying a trace id. A non-zero id makes
-    /// the worker stamp a [`TraceSpan`] onto the scored reply (stage
-    /// offsets measured from this enqueue).
-    pub fn submit_traced(
-        &self,
-        samples: Vec<f32>,
-        deadline: Option<Duration>,
-        trace_id: u64,
+        trace: Option<u64>,
         reply: impl FnOnce(Outcome) + Send + 'static,
     ) -> Result<(), SubmitError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -425,7 +416,7 @@ impl Engine {
             samples,
             enqueued: now,
             deadline: deadline.map(|d| now + d),
-            trace_id,
+            trace_id: trace.unwrap_or(0),
             reply: Box::new(reply),
         };
         match self.queue.push(job) {
@@ -443,14 +434,13 @@ impl Engine {
         let (tx, rx) = mpsc::channel();
         // A submitter that hung up just discards its result; not an
         // engine error.
-        self.submit_with(samples, None, move |o| {
+        self.submit_with(samples, None, None, move |o| {
             let _ = tx.send(o);
         })?;
         Ok(rx)
     }
 
-    /// Submit and wait — the in-process client used by the v1 TCP
-    /// connection path and by tests.
+    /// Submit and wait — the in-process client.
     pub fn score_blocking(&self, samples: Vec<f32>) -> Result<Outcome, SubmitError> {
         let rx = self.submit(samples)?;
         // A send-side drop without a result only happens if a worker died;

@@ -1,5 +1,6 @@
 //! A deterministic corpus of malformed wire input, shared by the
-//! fault-injection test suite and the `lre-client --fuzz` mode.
+//! fault-injection test suite, the traffic simulator and the
+//! `lre-client --fuzz` mode.
 //!
 //! Every case is a byte stream a hostile or broken peer might produce.
 //! The contract under test: the server answers a well-framed but invalid
@@ -7,12 +8,19 @@
 //! frame (oversized length prefix, mid-frame disconnect) just closes the
 //! connection. It never panics, never allocates anywhere near the bogus
 //! advertised sizes, and never leaks the connection's threads.
+//!
+//! The per-tag half of the corpus is derived from
+//! [`crate::protocol::TAG_TABLE`]: for every request row, a valid frame is
+//! built from the row's field shapes and then torn at and inside every
+//! field, padded, given out-of-range flags and given absurd lengths. A tag
+//! added to the table is fuzzed without touching this file. Only what no
+//! row describes — framing, torn streams, pacing — is written out by hand.
 
 use crate::protocol::{
-    encode_request, read_frame, write_frame, Request, MAX_FRAME_LEN, REQ_ADAPT, REQ_DRAIN_VOTES,
-    REQ_FLEET_STATS, REQ_FLIGHT, REQ_PING, REQ_ROLLBACK_TO, REQ_SCORE, REQ_SCORE_V2, REQ_SHUTDOWN,
-    REQ_STAGE_BUNDLE, REQ_STATS_V2, REQ_STATS_V3, REQ_WAL_STATUS, STATUS_BAD_REQUEST, STATUS_OK,
+    encode_request, read_frame, write_frame, FieldKind, Request, TagRow, MAX_FRAME_LEN,
+    RETIRED_TAGS, STATUS_BAD_REQUEST, STATUS_OK, TAG_TABLE,
 };
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -49,249 +57,223 @@ pub enum Pacing {
 
 /// One malformed-input case: raw bytes to write to a fresh connection.
 pub struct FuzzCase {
-    pub name: &'static str,
+    pub name: String,
+    /// Which part of the corpus the case belongs to: `per-tag` (derived
+    /// from the tag table), `payload`, `stream` or `slow-loris`.
+    pub class: &'static str,
     pub bytes: Vec<u8>,
     pub expect: Expect,
     pub pacing: Pacing,
 }
 
-fn framed(name: &'static str, payload: Vec<u8>) -> FuzzCase {
+fn framed(class: &'static str, name: impl Into<String>, payload: Vec<u8>) -> FuzzCase {
     let mut bytes = Vec::new();
     write_frame(&mut bytes, &payload).expect("Vec write cannot fail");
     FuzzCase {
-        name,
+        name: name.into(),
+        class,
         bytes,
         expect: Expect::BadRequest,
         pacing: Pacing::OneShot,
     }
 }
 
-fn raw(name: &'static str, bytes: Vec<u8>) -> FuzzCase {
+fn raw(name: &str, bytes: Vec<u8>) -> FuzzCase {
     FuzzCase {
-        name,
+        name: name.into(),
+        class: "stream",
         bytes,
         expect: Expect::Close,
         pacing: Pacing::OneShot,
     }
 }
 
-/// Truncate an encoded request to its first `keep` bytes.
-fn truncated(req: &Request, keep: usize) -> Vec<u8> {
-    let mut b = encode_request(req);
-    b.truncate(keep);
-    b
-}
-
-/// Append junk to an otherwise valid request.
-fn padded(req: &Request, junk: &[u8]) -> Vec<u8> {
-    let mut b = encode_request(req);
-    b.extend_from_slice(junk);
-    b
-}
-
-/// A tag followed by a `u32` element count far beyond the actual bytes —
-/// the checked reader must refuse it *before* allocating.
-fn huge_count(tag: u8) -> Vec<u8> {
-    let mut b = vec![tag];
-    if tag == REQ_SCORE_V2 {
-        b.extend_from_slice(&42u64.to_le_bytes()); // id
-        b.extend_from_slice(&0u32.to_le_bytes()); // deadline
+/// A valid request payload for `row`, built from its field shapes alone,
+/// and where each field starts (the payload's length closes the list).
+pub fn example_request(row: &TagRow) -> (Vec<u8>, Vec<usize>) {
+    let mut payload = vec![row.tag];
+    let mut starts = Vec::new();
+    for field in row.fields {
+        starts.push(payload.len());
+        match field.kind {
+            FieldKind::Flag => payload.push(1),
+            FieldKind::U32 => payload.extend_from_slice(&100u32.to_le_bytes()),
+            FieldKind::U64 => payload.extend_from_slice(&7u64.to_le_bytes()),
+            FieldKind::F32Slice => {
+                payload.extend_from_slice(&16u32.to_le_bytes());
+                payload.extend_from_slice(&0.5f32.to_le_bytes().repeat(16));
+            }
+            FieldKind::Blob => {
+                payload.extend_from_slice(&8u32.to_le_bytes());
+                payload.extend_from_slice(&[0xAA; 8]);
+            }
+        }
     }
-    b.extend_from_slice(&u32::MAX.to_le_bytes());
-    b.extend_from_slice(&[0u8; 8]);
-    b
+    starts.push(payload.len());
+    (payload, starts)
 }
 
-/// The malformed-input corpus (deterministic; ≥ 20 cases), including the
-/// slow-loris shapes — for those the hostility is the pacing, and one of
-/// them (`slow-loris: valid stats one byte per write`) is a *valid*
-/// request the server must still answer.
+/// Every way of breaking `row`'s request that its field list implies.
+fn cases_for(row: &TagRow) -> Vec<FuzzCase> {
+    let (valid, starts) = example_request(row);
+    let case = |what: String, payload: Vec<u8>| {
+        framed("per-tag", format!("{}: {what}", row.name), payload)
+    };
+    // Must be refused as malformed, NOT executed: a shutdown, an adapt
+    // cycle or a drain acted on from a frame with junk behind it would be
+    // a corrupted stream steering the server.
+    let mut cases = vec![case("trailing junk".into(), [&valid[..], &[0xAB]].concat())];
+    for (field, span) in row.fields.iter().zip(starts.windows(2)) {
+        let (start, end) = (span[0], span[1]);
+        // Missing from this field on, and torn inside it.
+        for cut in [start, start + (end - start) / 2] {
+            cases.push(case(format!("cut at byte {cut}"), valid[..cut].to_vec()));
+        }
+        match field.kind {
+            // A flag is strictly 0 or 1; a 7 is a corrupted stream, and
+            // draining or rolling back on a guess would destroy the
+            // evidence it carries.
+            FieldKind::Flag => {
+                for bad in [2, 7] {
+                    let mut payload = valid.clone();
+                    payload[start] = bad;
+                    cases.push(case(format!("flag `{}` = {bad}", field.name), payload));
+                }
+            }
+            // A length far past the frame: must be refused before any
+            // allocation anywhere near the advertised size.
+            FieldKind::F32Slice | FieldKind::Blob => {
+                let mut payload = valid[..(start + 12).min(end)].to_vec();
+                payload[start..start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                cases.push(case(format!("`{}` length u32::MAX", field.name), payload));
+            }
+            FieldKind::U32 | FieldKind::U64 => {}
+        }
+    }
+    // A one-byte field has no inside to tear.
+    cases.dedup_by(|a, b| a.bytes == b.bytes);
+    cases
+}
+
+/// The malformed-input corpus (deterministic), including the slow-loris
+/// shapes — for those the hostility is the pacing, and one of them is a
+/// *valid* request the server must still answer.
 pub fn malformed_corpus() -> Vec<FuzzCase> {
-    let score = Request::Score {
-        samples: vec![0.5; 16],
-    };
-    let score_v2 = Request::ScoreV2 {
+    let payload = |name: &str, bytes: Vec<u8>| framed("payload", name, bytes);
+    let stats = encode_request(&Request::StatsV2);
+    let mut torn_score = encode_request(&Request::ScoreV2 {
         id: 7,
         deadline_ms: 100,
         samples: vec![0.5; 16],
+    });
+    torn_score.truncate(torn_score.len() / 2);
+    let slow_loris = |case: FuzzCase, pacing| FuzzCase {
+        class: "slow-loris",
+        pacing,
+        ..case
     };
-    let score_traced = Request::ScoreTraced {
-        id: 7,
-        deadline_ms: 100,
-        trace_id: 0x1234,
-        samples: vec![0.5; 16],
+    let trickle = Pacing::Trickle {
+        gap: Duration::from_millis(1),
     };
 
-    let cases = vec![
-        // — well-framed, invalid payloads —
-        framed("empty payload", Vec::new()),
-        framed("unknown tag 0", vec![0]),
-        framed("unknown tag 99", vec![99]),
-        framed("unknown tag 255", vec![255]),
-        framed("score with no body", vec![REQ_SCORE]),
-        framed("score with truncated samples", truncated(&score, 9)),
-        framed("score with huge element count", huge_count(REQ_SCORE)),
-        framed("score with trailing junk", padded(&score, &[1, 2, 3])),
-        framed("stats with trailing junk", padded(&Request::Stats, &[0])),
-        // Must be refused as malformed, NOT executed as a shutdown.
-        framed("shutdown with trailing junk", vec![REQ_SHUTDOWN, 0xAB]),
-        framed("v2 score with truncated id", truncated(&score_v2, 5)),
-        framed("v2 score with truncated deadline", truncated(&score_v2, 11)),
-        framed(
-            "v2 score with id only",
-            vec![REQ_SCORE_V2, 1, 0, 0, 0, 0, 0, 0, 0],
+    let mut cases: Vec<FuzzCase> = TAG_TABLE.iter().flat_map(cases_for).collect();
+    // — well-framed payloads no row describes —
+    cases.push(payload("empty payload", Vec::new()));
+    for tag in [0, 99, 255] {
+        cases.push(payload(&format!("unknown tag {tag}"), vec![tag]));
+    }
+    for &tag in RETIRED_TAGS {
+        cases.push(payload(&format!("retired tag {tag}"), vec![tag]));
+    }
+    cases.push(payload("retired tag 1 with the score body it once took", {
+        let mut b = vec![1];
+        b.extend_from_slice(&2u32.to_le_bytes());
+        b.extend_from_slice(&0.5f32.to_le_bytes().repeat(2));
+        b
+    }));
+    cases.push(payload(
+        "deterministic garbage",
+        (0..64u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect(),
+    ));
+    cases.push(payload("all 0xFF", vec![0xFF; 64]));
+    cases.push(payload("reply-shaped bytes as request", vec![0; 5]));
+    // — broken framing / torn streams —
+    cases.push(raw(
+        "length prefix u32::MAX",
+        [&u32::MAX.to_le_bytes()[..], b"junk"].concat(),
+    ));
+    cases.push(raw(
+        "length prefix just over the cap",
+        [&((MAX_FRAME_LEN + 1) as u32).to_le_bytes()[..], &[0; 16]].concat(),
+    ));
+    cases.push(raw(
+        "mid-frame disconnect",
+        [&100u32.to_le_bytes()[..], &[7; 10]].concat(),
+    ));
+    cases.push(raw("torn length prefix", vec![0x10, 0x00]));
+    cases.push(raw("connect then immediate close", Vec::new()));
+    cases.push(raw("valid stats then truncated frame", {
+        let mut b = Vec::new();
+        write_frame(&mut b, &stats).expect("Vec write cannot fail");
+        b.extend_from_slice(&50u32.to_le_bytes());
+        b.extend_from_slice(&[1, 2, 3]);
+        b
+    }));
+    // — slow-loris shapes: the bytes are fine or torn, but the *clock* is
+    //   hostile. The server must neither hang its reader thread on a
+    //   stalled peer nor punish a slow-but-valid client. —
+    cases.push(slow_loris(
+        // A plausible length prefix and then... nothing, ever.
+        raw(
+            "slow-loris: header then stall",
+            100u32.to_le_bytes().to_vec(),
         ),
-        framed("v2 score with truncated samples", truncated(&score_v2, 21)),
-        framed("v2 score with huge element count", huge_count(REQ_SCORE_V2)),
-        framed(
-            "v2 score with trailing junk",
-            padded(&score_v2, &[0xDE, 0xAD]),
-        ),
-        framed("v2 stats with trailing junk", vec![REQ_STATS_V2, 9, 9]),
-        // Must be refused as malformed, NOT run as an adaptation cycle.
-        framed("adapt with trailing junk", vec![REQ_ADAPT, 0x01]),
-        // Must be refused, NOT answered as a health probe: a router that
-        // trusts a corrupted ping would mis-read replica health.
-        framed("ping with trailing junk", vec![REQ_PING, 0x42]),
-        framed("fleet-stats with trailing junk", vec![REQ_FLEET_STATS, 7]),
-        framed(
-            "drain with bad peek flag",
-            vec![REQ_DRAIN_VOTES, 2, 0, 0, 0, 0],
-        ),
-        framed("drain with truncated min", vec![REQ_DRAIN_VOTES, 0, 0, 0]),
-        framed("stage with truncated blob", {
-            let mut b = vec![REQ_STAGE_BUNDLE];
-            b.extend_from_slice(&1000u32.to_le_bytes());
-            b.extend_from_slice(&[0xAA; 8]); // 8 bytes where 1000 promised
-            b
-        }),
-        // Blob length far past the frame: must be refused before any
-        // allocation anywhere near the advertised size.
-        framed("stage with huge blob length", {
-            let mut b = vec![REQ_STAGE_BUNDLE];
-            b.extend_from_slice(&u32::MAX.to_le_bytes());
-            b
-        }),
-        // Must be refused as malformed, NOT answered with a metrics
-        // snapshot: a stats-v3 request carries no body at all.
-        framed("stats-v3 with trailing junk", vec![REQ_STATS_V3, 0x5A]),
-        // The flight drain flag is strictly 0 or 1; anything else must be
-        // refused rather than guessed at (a 7 is a corrupted stream, and
-        // draining on a guess would destroy the evidence it carries).
-        framed("flight with bad drain flag", vec![REQ_FLIGHT, 7]),
-        framed(
-            "traced score with truncated trace id",
-            truncated(&score_traced, 17),
-        ),
-        // Must be refused as malformed, NOT answered with a WAL summary:
-        // wal-status carries no body at all.
-        framed("wal-status with trailing junk", vec![REQ_WAL_STATUS, 1]),
-        // A deep rollback names a u64 generation; a short one is a torn
-        // stream, and executing a guessed rollback would swap a model on
-        // corrupted evidence.
-        framed(
-            "rollback-to with truncated generation",
-            vec![REQ_ROLLBACK_TO, 3, 0, 0],
-        ),
-        framed("rollback-to with no body", vec![REQ_ROLLBACK_TO]),
-        framed("rollback-to with trailing junk", {
-            let mut b = encode_request(&Request::RollbackTo { generation: 2 });
-            b.push(0xEE);
-            b
-        }),
-        framed(
-            "deterministic garbage",
-            (0..64u8)
-                .map(|i| i.wrapping_mul(37).wrapping_add(11))
-                .collect(),
-        ),
-        framed("all 0xFF", vec![0xFF; 64]),
-        framed("reply-shaped bytes as request", vec![0, 0, 0, 0, 0]),
-        // — broken framing / torn streams —
-        raw("length prefix u32::MAX", {
-            let mut b = u32::MAX.to_le_bytes().to_vec();
-            b.extend_from_slice(b"junk");
-            b
-        }),
-        raw("length prefix just over the cap", {
-            let mut b = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes().to_vec();
-            b.extend_from_slice(&[0; 16]);
-            b
-        }),
-        raw("mid-frame disconnect", {
-            let mut b = 100u32.to_le_bytes().to_vec();
-            b.extend_from_slice(&[7; 10]);
-            b
-        }),
-        raw("torn length prefix", vec![0x10, 0x00]),
-        raw("connect then immediate close", Vec::new()),
-        raw("valid stats then truncated frame", {
-            let mut b = Vec::new();
-            write_frame(&mut b, &encode_request(&Request::Stats)).unwrap();
-            b.extend_from_slice(&50u32.to_le_bytes());
-            b.extend_from_slice(&[1, 2, 3]);
-            b
-        }),
-        // — slow-loris shapes: the bytes are fine or torn, but the *clock*
-        //   is hostile. The server must neither hang its reader thread on
-        //   a stalled peer nor punish a slow-but-valid client. —
-        FuzzCase {
-            pacing: Pacing::StallAfter {
-                prefix: 4,
-                stall: Duration::from_millis(300),
-            },
-            ..raw(
-                "slow-loris: header then stall",
-                // A plausible length prefix and then... nothing, ever.
-                100u32.to_le_bytes().to_vec(),
-            )
+        Pacing::StallAfter {
+            prefix: 4,
+            stall: Duration::from_millis(300),
         },
-        FuzzCase {
-            pacing: Pacing::Trickle {
-                gap: Duration::from_millis(1),
-            },
-            ..framed(
-                "slow-loris: malformed score one byte per write",
-                truncated(&score, 9),
-            )
-        },
+    ));
+    cases.push(slow_loris(
+        payload("slow-loris: torn score one byte per write", torn_score),
+        trickle,
+    ));
+    cases.push(slow_loris(
         FuzzCase {
             expect: Expect::Answered,
-            pacing: Pacing::Trickle {
-                gap: Duration::from_millis(1),
-            },
-            ..framed(
-                "slow-loris: valid stats one byte per write",
-                encode_request(&Request::Stats),
-            )
+            ..payload("slow-loris: valid stats one byte per write", stats)
         },
-        FuzzCase {
-            pacing: Pacing::StallAfter {
-                prefix: 2,
-                stall: Duration::from_millis(300),
-            },
-            ..raw(
-                "slow-loris: mid-length-prefix stall then disconnect",
-                0x40u32.to_le_bytes()[..2].to_vec(),
-            )
+        trickle,
+    ));
+    cases.push(slow_loris(
+        raw(
+            "slow-loris: mid-length-prefix stall then disconnect",
+            0x40u32.to_le_bytes()[..2].to_vec(),
+        ),
+        Pacing::StallAfter {
+            prefix: 2,
+            stall: Duration::from_millis(300),
         },
-    ];
-
-    // The corpus is a documented floor for the CI gate; keep it honest.
-    assert!(cases.len() >= 20, "fuzz corpus shrank below 20 cases");
+    ));
     cases
 }
 
 /// Throw the whole corpus at a live server, one fresh connection per case.
-/// Returns the number of cases run, or the first violation of the
-/// malformed-input contract. A read that times out counts as a hang and
-/// fails the case — the server must always answer-and-close or just close.
-pub fn run_corpus(addr: SocketAddr, per_case_timeout: Duration) -> Result<usize, String> {
-    let corpus = malformed_corpus();
-    for case in &corpus {
+/// Returns the number of cases run per class, or the first violation of
+/// the malformed-input contract. A read that times out counts as a hang
+/// and fails the case — the server must always answer-and-close or just
+/// close.
+pub fn run_corpus(
+    addr: SocketAddr,
+    per_case_timeout: Duration,
+) -> Result<BTreeMap<&'static str, usize>, String> {
+    let mut ran = BTreeMap::new();
+    for case in &malformed_corpus() {
         run_case(addr, case, per_case_timeout).map_err(|e| format!("case {:?}: {e}", case.name))?;
+        *ran.entry(case.class).or_insert(0) += 1;
     }
-    Ok(corpus.len())
+    Ok(ran)
 }
 
 /// `true` for the error kinds an abruptly closing peer produces — the
@@ -376,13 +358,34 @@ mod tests {
     use crate::protocol::decode_request;
 
     #[test]
-    fn corpus_is_large_and_uniquely_named() {
+    fn corpus_is_uniquely_named_and_every_row_contributes() {
         let corpus = malformed_corpus();
-        assert!(corpus.len() >= 20);
-        let mut names: Vec<_> = corpus.iter().map(|c| c.name).collect();
+        let mut names: Vec<_> = corpus.iter().map(|c| c.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), corpus.len(), "duplicate case names");
+        for row in TAG_TABLE {
+            let prefix = format!("{}: ", row.name);
+            let n = corpus
+                .iter()
+                .filter(|c| c.name.starts_with(&prefix))
+                .count();
+            // Trailing junk for every row; cuts, flags and lengths on top
+            // for every field.
+            assert!(n > 2 * row.fields.len(), "{} has only {n} cases", row.name);
+        }
+    }
+
+    #[test]
+    fn every_example_request_decodes() {
+        // The cases are mutations of these frames; if one were already
+        // invalid, its mutations would prove nothing about the decoder.
+        for row in TAG_TABLE {
+            let (payload, starts) = example_request(row);
+            assert_eq!(starts.len(), row.fields.len() + 1);
+            decode_request(&payload)
+                .unwrap_or_else(|e| panic!("example for {} does not decode: {e}", row.name));
+        }
     }
 
     #[test]
@@ -401,6 +404,38 @@ mod tests {
                 "case {:?} decoded successfully — not malformed",
                 case.name
             );
+        }
+    }
+
+    #[test]
+    fn requests_that_must_be_refused_not_executed_are_in_the_corpus() {
+        // Each of these, executed on a guess, does damage: stops the
+        // server, swaps a model, drains evidence, or reports health a
+        // router then trusts. The derived corpus must keep covering them
+        // (the test above proves each one is refused).
+        let corpus = malformed_corpus();
+        for name in [
+            "shutdown: trailing junk",
+            "adapt: trailing junk",
+            "ping: trailing junk",
+            "stats-v3: trailing junk",
+            "wal-status: trailing junk",
+            "fleet-stats: trailing junk",
+            "flight: flag `drain` = 7",
+            "drain-votes: flag `peek` = 2",
+            "drain-votes: cut at byte 4",
+            "stage-bundle: `sealed` length u32::MAX",
+            "score-v2: `samples` length u32::MAX",
+            "score-traced: cut at byte 17",
+            "rollback-to: cut at byte 5",
+            "rollback-to: cut at byte 1",
+            "rollback-to: trailing junk",
+            "retired tag 1",
+            "retired tag 2",
+        ] {
+            let case = corpus.iter().find(|c| c.name == name);
+            let case = case.unwrap_or_else(|| panic!("corpus lost the case {name:?}"));
+            assert_eq!(case.expect, Expect::BadRequest, "{name}");
         }
     }
 }

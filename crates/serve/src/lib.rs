@@ -28,9 +28,10 @@
 //!   generation;
 //! - [`protocol`] + [`server`] + [`client`]: a length-prefixed TCP protocol
 //!   over `std::net`, consistent with the workspace's no-external-deps
-//!   policy. Protocol v2 adds client-chosen request ids and connection
-//!   pipelining ([`client::PipelinedClient`]); v1 clients keep working
-//!   unchanged.
+//!   policy, described by one tag table. Score requests carry
+//!   client-chosen ids and are pipelined per connection
+//!   ([`client::Client`]);
+//! - [`args`]: the flag parser the three server binaries share.
 //!
 //! ## Quickstart
 //!
@@ -43,6 +44,7 @@
 //!     --addr 127.0.0.1:7700 --utts 20 --inflight 8 --shutdown
 //! ```
 
+pub mod args;
 pub mod bundle;
 pub mod client;
 pub mod durability;

@@ -1,110 +1,46 @@
-//! The wire protocol: length-prefixed frames of `lre-artifact` payloads.
+//! The wire protocol: length-prefixed frames of `lre-artifact` payloads,
+//! described once by the tag table below.
 //!
 //! Every message is one frame: a `u32` little-endian payload length
 //! followed by that many payload bytes. Payloads are packed with the
 //! artifact writer/reader primitives (little-endian integers, IEEE-754 bit
 //! patterns for floats), so both sides share the corpus of checked-read
-//! code with the on-disk bundles. The full layout is documented in
-//! `docs/SERVING.md`.
+//! code with the on-disk bundles.
 //!
-//! Two protocol generations share the tag space, and a server accepts both
-//! on the same connection:
+//! **Requests** start with a tag byte. `tag_table!` holds one row per
+//! tag: its number, its name, its fields in wire order, the body type of
+//! its `OK` reply and who answers it. [`Request`], [`encode_request`],
+//! [`decode_request`], the `REQ_*` constants and [`TAG_TABLE`] are all
+//! generated from those rows; the score-frame offsets the router splices at
+//! ([`SCORE_ID`], [`TRACE_ID`], [`SAMPLES_AT_V2`], [`SAMPLES_AT_TRACED`])
+//! are computed from [`TAG_TABLE`] at compile time; `fuzz::malformed_corpus`
+//! derives its per-tag cases from it and `docs/SERVING.md` is held to it by
+//! a test. Adding a tag is one row plus the handler arm in `server.rs`
+//! (and `router.rs`, if routers answer it).
 //!
-//! **v1** (one request in flight, replies in order):
-//! - [`REQ_SCORE`] — `f32` slice of raw 8 kHz samples;
-//! - [`REQ_STATS`] — empty;
-//! - [`REQ_SHUTDOWN`] — empty.
+//! **Replies** start with a status byte. Every control reply is
+//! `STATUS_OK` + a body implementing [`Wire`], or a bare refusal status:
+//! [`encode_ok`] / [`decode_reply`] own that rule for all of them. Score
+//! replies ([`REQ_SCORE_V2`], [`REQ_SCORE_TRACED`]) echo the request's
+//! `u64` id right after the status byte — on refusals too — so a client
+//! can keep a window of requests outstanding and match replies as they
+//! arrive; the traced reply appends the stage-timestamped span.
 //!
-//! **v2** (pipelined: up to the server's inflight window outstanding,
-//! replies tagged and possibly out of order):
-//! - [`REQ_SCORE_V2`] — client-chosen `u64` request id, `u32` deadline in
-//!   milliseconds (0 = none), then the sample slice. The reply echoes the
-//!   id after the status byte, so a client can keep many requests
-//!   outstanding and match replies as they arrive.
-//! - [`REQ_STATS_V2`] — empty; the reply carries the extended counter set
-//!   (deadline expirations, internal scoring failures, global-admission
-//!   sheds, and the model generation/swap/rollback counters).
-//! - [`REQ_ADAPT`] — empty; ask the server to run one adaptation cycle
-//!   now (drain the vote log, retrain, guard, maybe swap). Answered
-//!   inline like stats; servers without an adaptation controller refuse
-//!   it with [`STATUS_UNSUPPORTED`].
-//!
-//! Replies start with a status byte ([`STATUS_OK`] / [`STATUS_OVERLOADED`]
-//! / [`STATUS_BAD_REQUEST`] / [`STATUS_SHUTTING_DOWN`] /
-//! [`STATUS_DEADLINE_EXCEEDED`] / [`STATUS_INTERNAL`] /
-//! [`STATUS_UNSUPPORTED`]); v2 score replies follow it with the echoed
-//! `u64` request id. An `OK` v1 score body is: `f32` slice of per-language
-//! LLRs, `u32` decision index, one reserved `u32`. A v2 score body
-//! appends the `u64` model generation that produced the row (v1 bodies
-//! stay byte-identical so v1 clients keep working unchanged).
+//! Tags 1 and 2 (the one-request-in-flight score and nine-counter stats of
+//! the first protocol generation) are retired: they decode as unknown tags.
 
 use crate::engine::{ScoredUtt, StatsSnapshot};
 use lre_artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 use lre_obs::{FlightEvent, HistogramSummary, MetricValue, SketchSummary, TraceSpan, STAGE_REPLY};
 use std::io::{self, Read, Write};
-
-pub const REQ_SCORE: u8 = 1;
-pub const REQ_STATS: u8 = 2;
-pub const REQ_SHUTDOWN: u8 = 3;
-pub const REQ_SCORE_V2: u8 = 4;
-pub const REQ_STATS_V2: u8 = 5;
-pub const REQ_ADAPT: u8 = 6;
-/// Lightweight health probe: the reply carries the serving generation,
-/// requests currently in flight, and the shed counters — cheap enough for
-/// a router to send every health interval. Answered inline on the reader
-/// thread without touching the scoring queue.
-pub const REQ_PING: u8 = 7;
-/// Drain (or peek at) the replica's vote log. Body: `u8` peek flag +
-/// `u32` min-records floor. The drain is all-or-nothing: below the floor
-/// the log is untouched and only the buffered count comes back.
-pub const REQ_DRAIN_VOTES: u8 = 8;
-/// Phase one of a two-phase rollout: stage a sealed candidate bundle on
-/// the replica (decode + validate, hold unserved). Body: the sealed bytes
-/// as a blob. Replying OK is the replica's promise that a commit cannot
-/// fail on decode.
-pub const REQ_STAGE_BUNDLE: u8 = 9;
-/// Phase two: atomically swap the staged bundle into serving. Refused
-/// `STATUS_CONFLICT` when nothing is staged.
-pub const REQ_COMMIT_STAGED: u8 = 10;
-/// Discard a staged bundle without serving it (rollout abort path).
-/// Idempotent; the reply reports whether anything was staged.
-pub const REQ_ABORT_STAGED: u8 = 11;
-/// Reinstall the model displaced by the last commit (one-deep,
-/// bit-identical, under a fresh generation).
-pub const REQ_ROLLBACK: u8 = 12;
-/// Router-only: aggregate fleet counters plus a per-replica breakdown
-/// (health, generation, inflight). Single replicas refuse it
-/// `STATUS_UNSUPPORTED`.
-pub const REQ_FLEET_STATS: u8 = 13;
-/// Dump the telemetry registry (stats-v3): every counter, gauge,
-/// histogram summary, and sketch, name-sorted. Servers running without a
-/// telemetry bundle refuse it `STATUS_UNSUPPORTED`.
-pub const REQ_STATS_V3: u8 = 14;
-/// Peek at (flag 0) or drain (flag 1) the flight recorder's event ring.
-/// Refused `STATUS_UNSUPPORTED` without a telemetry bundle.
-pub const REQ_FLIGHT: u8 = 15;
-/// [`REQ_SCORE_V2`] plus a `u64` trace id after the deadline. The OK
-/// reply appends the trace id and the stage-timestamped span to the v2
-/// score body. A zero trace id asks the server to mint one. The request
-/// id stays at bytes 1..9 — the router's id-splicing works unchanged.
-pub const REQ_SCORE_TRACED: u8 = 16;
-/// Report the durability tier's state: write-ahead-log watermarks,
-/// segment counts, replay/torn counters from the last recovery, and the
-/// generation-lineage chain summary. Empty body. Servers running without
-/// a WAL refuse it `STATUS_UNSUPPORTED`.
-pub const REQ_WAL_STATUS: u8 = 17;
-/// Deep rollback: restore a specific previously served generation from
-/// the lineage store, bit-identically. Body: `u64` generation. Refused
-/// `STATUS_CONFLICT` when the generation is unknown or its bytes were
-/// garbage-collected, `STATUS_UNSUPPORTED` without a lineage store.
-pub const REQ_ROLLBACK_TO: u8 = 18;
+use std::ops::Range;
 
 pub const STATUS_OK: u8 = 0;
 pub const STATUS_OVERLOADED: u8 = 1;
 pub const STATUS_BAD_REQUEST: u8 = 2;
 pub const STATUS_SHUTTING_DOWN: u8 = 3;
 /// The request's deadline passed before a worker reached it; the server
-/// shed it without scoring (v2 only — v1 requests carry no deadline).
+/// shed it without scoring.
 pub const STATUS_DEADLINE_EXCEEDED: u8 = 4;
 /// The scorer itself failed (e.g. a lazily mapped bundle section failed to
 /// decode). The request is lost but the connection stays usable.
@@ -129,85 +65,367 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 /// so no target language is claimed. Decoders recover the arg-max index
 /// locally from the LLRs (bit-identical to what the server computed) and
 /// set [`ScoredUtt::unknown`]. Servers running closed-set (no threshold)
-/// never emit it, which keeps their v1/v2 bodies byte-identical to the
-/// pre-open-set wire.
+/// never emit it.
 pub const DECISION_UNKNOWN: u32 = u32::MAX;
 
-/// A decoded request.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// v1: score one utterance of raw samples (reply carries no id).
-    Score { samples: Vec<f32> },
-    /// Report engine counters (v1 nine-counter reply).
-    Stats,
-    /// Gracefully stop the server.
-    Shutdown,
-    /// v2: pipelined score. `deadline_ms == 0` means no deadline.
-    ScoreV2 {
-        id: u64,
-        deadline_ms: u32,
-        samples: Vec<f32>,
-    },
-    /// Report the extended engine counters (v2 reply).
-    StatsV2,
-    /// Run one adaptation cycle now (reply: [`AdaptReport`], or
-    /// [`STATUS_UNSUPPORTED`] without a controller).
-    Adapt,
-    /// Health probe (reply: [`PingReport`]).
-    Ping,
-    /// Drain the vote log all-or-nothing, or just peek at its depth.
-    DrainVotes { peek: bool, min: u32 },
-    /// Stage a sealed candidate bundle (two-phase rollout, phase one).
-    StageBundle { sealed: Vec<u8> },
-    /// Swap the staged bundle into serving (phase two).
-    CommitStaged,
-    /// Discard the staged bundle (rollout abort).
-    AbortStaged,
-    /// Reinstall the model displaced by the last commit.
-    Rollback,
-    /// Aggregate + per-replica fleet counters (router only).
-    FleetStats,
-    /// Dump the telemetry registry (stats-v3 reply).
-    StatsV3,
-    /// Peek at or drain the flight recorder.
-    Flight { drain: bool },
-    /// v2 score carrying a trace id (0 = server mints one); the reply
-    /// appends the stage-timestamped span.
-    ScoreTraced {
-        id: u64,
-        deadline_ms: u32,
-        trace_id: u64,
-        samples: Vec<f32>,
-    },
-    /// Report WAL + lineage durability state ([`WalStatusInfo`] reply).
-    WalStatus,
-    /// Restore a specific retained generation from the lineage store.
-    RollbackTo { generation: u64 },
+/// Tag numbers that once meant something and must never be reused.
+pub const RETIRED_TAGS: &[u8] = &[1, 2];
+
+/// A value with one byte layout: a request field or a reply body.
+pub trait Wire: Sized {
+    fn put(&self, w: &mut ArtifactWriter);
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError>;
 }
 
-/// How a requested adaptation cycle ended.
-pub const ADAPT_PROMOTED: u8 = 0;
-/// The retrained candidate regressed the guard metrics; serving model,
-/// generation and scores are unchanged.
-pub const ADAPT_REJECTED_GUARD: u8 = 1;
-/// The vote log held too few confidently pseudo-labelled utterances;
-/// records were returned to the log for a later cycle.
-pub const ADAPT_INSUFFICIENT_DATA: u8 = 2;
-/// The cycle failed internally (e.g. undecodable parent bundle bytes).
-pub const ADAPT_FAILED: u8 = 3;
+macro_rules! wire_primitive {
+    ($($t:ty => $put:ident / $get:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut ArtifactWriter) {
+                w.$put(*self)
+            }
+            fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+wire_primitive!(u8 => put_u8 / get_u8, u32 => put_u32 / get_u32, u64 => put_u64 / get_u64,
+    f64 => put_f64 / get_f64);
 
-/// Result of one on-demand adaptation cycle ([`Request::Adapt`]).
+/// A flag is strictly 0 or 1: anything else is a corrupted stream, and
+/// acting on a guess (draining, rolling back) would destroy evidence.
+impl Wire for bool {
+    fn put(&self, w: &mut ArtifactWriter) {
+        w.put_u8(u8::from(*self))
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(ArtifactError::Corrupt("flag out of range")),
+        }
+    }
+}
+
+/// Length-prefixed `f32` slice, decoded in one bulk read after the count
+/// has been checked against the bytes actually present.
+impl Wire for Vec<f32> {
+    fn put(&self, w: &mut ArtifactWriter) {
+        w.put_f32_slice(self)
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        r.get_f32_slice()
+    }
+}
+
+/// Length-prefixed opaque blob (a sealed artifact).
+impl Wire for Vec<u8> {
+    fn put(&self, w: &mut ArtifactWriter) {
+        w.put_blob(self)
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        Ok(r.get_blob()?.to_vec())
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut ArtifactWriter) {
+        w.put_str(self)
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        r.get_str()
+    }
+}
+
+/// Presence flag, then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ArtifactWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// `u32` count, then the items. The count is attacker-controlled, so it
+/// bounds no allocation beyond a small reserve.
+fn put_list<T: Wire>(items: &[T], w: &mut ArtifactWriter) {
+    w.put_u32(items.len() as u32);
+    for item in items {
+        item.put(w);
+    }
+}
+
+fn get_list<T: Wire>(r: &mut ArtifactReader) -> Result<Vec<T>, ArtifactError> {
+    let n = r.get_u32()? as usize;
+    let mut items = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        items.push(T::get(r)?);
+    }
+    Ok(items)
+}
+
+/// Give structs their wire form: the fields, in declaration order.
+/// `wire_struct! { pub struct … }` declares the struct as well, so the
+/// layout is stated once; `impl Name { fields }` serves a struct declared
+/// elsewhere; `list of Item` is a `u32` count followed by the items.
+macro_rules! wire_struct {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident { $($(#[$fmeta:meta])* pub $field:ident : $ty:ty),* $(,)? }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $name { $($(#[$fmeta])* pub $field: $ty),* }
+        wire_struct!(impl $name { $($field),* });
+    )*};
+    (impl $name:ident { $($field:ident),* }) => {
+        impl Wire for $name {
+            fn put(&self, w: &mut ArtifactWriter) {
+                $(self.$field.put(w);)*
+            }
+            fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+                Ok($name { $($field: Wire::get(r)?),* })
+            }
+        }
+    };
+    (list of $item:ty) => {
+        impl Wire for Vec<$item> {
+            fn put(&self, w: &mut ArtifactWriter) {
+                put_list(self, w)
+            }
+            fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+                get_list(r)
+            }
+        }
+    };
+}
+
+/// The five shapes a request field takes on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptReport {
-    /// One of the `ADAPT_*` constants.
-    pub outcome: u8,
-    /// Serving generation after the cycle.
-    pub generation: u64,
-    /// Utterances selected by the Eq. 13 vote this cycle.
-    pub selected: u32,
-    /// Vote-log records drained (pre-dedup) this cycle.
-    pub drained: u32,
+pub enum FieldKind {
+    /// One byte, strictly 0 or 1.
+    Flag,
+    U32,
+    U64,
+    /// `u32` element count, then that many `f32` bit patterns.
+    F32Slice,
+    /// `u32` byte count, then that many bytes.
+    Blob,
 }
+
+impl FieldKind {
+    /// Bytes the field occupies when that does not depend on its value.
+    pub const fn fixed_len(self) -> Option<usize> {
+        match self {
+            FieldKind::Flag => Some(1),
+            FieldKind::U32 => Some(4),
+            FieldKind::U64 => Some(8),
+            FieldKind::F32Slice | FieldKind::Blob => None,
+        }
+    }
+}
+
+/// The Rust types a request row may use for a field.
+pub trait RequestField: Wire {
+    const KIND: FieldKind;
+}
+
+macro_rules! request_field {
+    ($($t:ty => $kind:ident),*) => {$(
+        impl RequestField for $t {
+            const KIND: FieldKind = FieldKind::$kind;
+        }
+    )*};
+}
+request_field!(bool => Flag, u32 => U32, u64 => U64, Vec<f32> => F32Slice, Vec<u8> => Blob);
+
+/// One request field as the table describes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Field {
+    pub name: &'static str,
+    pub kind: FieldKind,
+}
+
+/// One row of the tag table, for code that walks the protocol instead of
+/// speaking it: the fuzz corpus, the docs test, the layout constants.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TagRow {
+    pub tag: u8,
+    pub name: &'static str,
+    /// Request fields after the tag byte, in wire order.
+    pub fields: &'static [Field],
+    /// The `OK` reply's body type.
+    pub reply: &'static str,
+    pub answered_by: &'static str,
+}
+
+/// `tag CONST Variant "name" { field: type, … } => ReplyBody, "answered by";`
+macro_rules! tag_table {
+    ($(
+        $(#[$doc:meta])*
+        $tag:literal $konst:ident $variant:ident $name:literal
+        $({ $($field:ident : $ty:ty),* })? => $reply:ty, $who:literal;
+    )*) => {
+        $($(#[$doc])* pub const $konst: u8 = $tag;)*
+
+        /// A decoded request.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Request {
+            $($(#[$doc])* $variant $({ $($field: $ty),* })?,)*
+        }
+
+        /// The table itself, one row per live tag, in tag order.
+        pub const TAG_TABLE: &[TagRow] = &[$(TagRow {
+            tag: $tag,
+            name: $name,
+            fields: &[$($(Field {
+                name: stringify!($field),
+                kind: <$ty as RequestField>::KIND,
+            }),*)?],
+            reply: stringify!($reply),
+            answered_by: $who,
+        }),*];
+
+        // Every row's reply body has a wire form.
+        const _: fn() = || {
+            fn is_wire<T: Wire>() {}
+            $(is_wire::<$reply>();)*
+        };
+
+        pub fn encode_request(req: &Request) -> Vec<u8> {
+            let mut w = ArtifactWriter::new();
+            match req {
+                $(Request::$variant $({ $($field),* })? => {
+                    w.put_u8($konst);
+                    $($($field.put(&mut w);)*)?
+                })*
+            }
+            w.into_bytes()
+        }
+
+        pub fn decode_request(bytes: &[u8]) -> Result<Request, ArtifactError> {
+            let mut r = ArtifactReader::new(bytes);
+            let req = match r.get_u8()? {
+                $($konst => Request::$variant $({ $($field: Wire::get(&mut r)?),* })?,)*
+                _ => return Err(ArtifactError::Corrupt("unknown request tag")),
+            };
+            finish(&r)?;
+            Ok(req)
+        }
+    };
+}
+
+tag_table! {
+    /// Gracefully stop the server. A router relays it to every replica.
+    3 REQ_SHUTDOWN Shutdown "shutdown" => Ack, "server · router (relays to every replica)";
+    /// Pipelined score: client-chosen request id, deadline in milliseconds
+    /// (`0` = none), raw 8 kHz samples. Up to the server's inflight window
+    /// may be outstanding; replies echo the id and may arrive out of order.
+    4 REQ_SCORE_V2 ScoreV2 "score-v2" { id: u64, deadline_ms: u32, samples: Vec<f32> }
+        => ScoredUtt, "server · router (forwards to a replica)";
+    /// Report the engine counters. A router answers the fleet aggregate.
+    5 REQ_STATS_V2 StatsV2 "stats-v2" => StatsSnapshot, "server · router (fleet aggregate)";
+    /// Run one adaptation cycle now (drain the vote log, retrain, guard,
+    /// maybe swap), synchronously on the connection's reader.
+    6 REQ_ADAPT Adapt "adapt" => AdaptReport, "adaptd · router started with --bundle/--guard";
+    /// Lightweight health probe, answered from the engine counters without
+    /// touching the scoring queue — cheap enough for a router to send
+    /// every health interval.
+    7 REQ_PING Ping "ping" => PingReport, "server · router";
+    /// Drain (or peek at) the replica's vote log. The drain is
+    /// all-or-nothing: below the `min` floor the log is untouched and only
+    /// the buffered count comes back.
+    8 REQ_DRAIN_VOTES DrainVotes "drain-votes" { peek: bool, min: u32 }
+        => DrainReply, "fleet replica";
+    /// Phase one of a two-phase rollout: stage a sealed candidate bundle on
+    /// the replica (decode + validate, hold unserved). Replying OK is the
+    /// replica's promise that a commit cannot fail on decode.
+    9 REQ_STAGE_BUNDLE StageBundle "stage-bundle" { sealed: Vec<u8> }
+        => StageAck, "fleet replica";
+    /// Phase two: atomically swap the staged bundle into serving. Refused
+    /// `STATUS_CONFLICT` when nothing is staged.
+    10 REQ_COMMIT_STAGED CommitStaged "commit-staged" => CommitAck, "fleet replica";
+    /// Discard a staged bundle without serving it (rollout abort path).
+    /// Idempotent.
+    11 REQ_ABORT_STAGED AbortStaged "abort-staged" => AbortAck, "fleet replica";
+    /// Reinstall the model displaced by the last commit (one-deep,
+    /// bit-identical, under a fresh generation).
+    12 REQ_ROLLBACK Rollback "rollback" => RollbackAck, "fleet replica · router (fans out)";
+    /// Aggregate fleet counters plus a per-replica breakdown.
+    13 REQ_FLEET_STATS FleetStats "fleet-stats" => FleetStats, "router";
+    /// Dump the telemetry registry: every counter, gauge, histogram
+    /// summary and sketch, name-sorted.
+    14 REQ_STATS_V3 StatsV3 "stats-v3" => MetricsDump, "server · router";
+    /// Peek at (flag 0) or drain (flag 1) the flight recorder's event ring.
+    15 REQ_FLIGHT Flight "flight" { drain: bool } => Vec<FlightEvent>, "server · router";
+    /// [`Request::ScoreV2`] plus a trace id after the deadline (`0` = the
+    /// serving tier mints one). The OK reply appends the stage-timestamped
+    /// span to the score body. The request id stays where `ScoreV2` has
+    /// it, so a router splices both the same way.
+    16 REQ_SCORE_TRACED ScoreTraced "score-traced"
+        { id: u64, deadline_ms: u32, trace_id: u64, samples: Vec<f32> }
+        => ScoredUtt, "server · router (mints the trace id, forwards)";
+    /// Report the durability tier's state: write-ahead-log watermarks,
+    /// recovery counters and the generation-lineage chain summary.
+    17 REQ_WAL_STATUS WalStatus "wal-status"
+        => WalStatusInfo, "server started with --wal-dir · router (proxies to the first such replica)";
+    /// Deep rollback: restore a specific previously served generation from
+    /// the lineage store, bit-identically. Refused `STATUS_CONFLICT` when
+    /// the generation is unknown or its bytes were garbage-collected.
+    18 REQ_ROLLBACK_TO RollbackTo "rollback-to" { generation: u64 }
+        => RollbackToAck, "adaptd started with --wal-dir";
+}
+
+const fn same_str(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() && a[i] == b[i] {
+        i += 1;
+    }
+    i == a.len() && i == b.len()
+}
+
+/// Where `field` of request `tag` sits in the payload (for a slice or blob:
+/// where its length prefix sits). Evaluated at compile time; a field that
+/// follows a variable-length one has no fixed place and fails the build.
+const fn field_span(tag: u8, field: &str) -> Range<usize> {
+    let mut t = 0;
+    while t < TAG_TABLE.len() {
+        let fields = TAG_TABLE[t].fields;
+        let (mut f, mut at) = (0, 1);
+        while TAG_TABLE[t].tag == tag && f < fields.len() {
+            let len = fields[f].kind.fixed_len();
+            if same_str(fields[f].name, field) {
+                return at..at + if let Some(n) = len { n } else { 4 };
+            }
+            at += len.expect("no fixed offset after a variable-length field");
+            f += 1;
+        }
+        t += 1;
+    }
+    panic!("no such tag or field in the tag table")
+}
+
+/// The request id of both score tags. Score replies carry it in the same
+/// place (status byte instead of tag byte), so routers splice ids here in
+/// both directions without decoding anything behind it.
+pub const SCORE_ID: Range<usize> = field_span(REQ_SCORE_V2, "id");
+/// The trace id of a [`REQ_SCORE_TRACED`] request.
+pub const TRACE_ID: Range<usize> = field_span(REQ_SCORE_TRACED, "trace_id");
+/// Where the sample slice (its length prefix first) starts.
+pub const SAMPLES_AT_V2: usize = field_span(REQ_SCORE_V2, "samples").start;
+pub const SAMPLES_AT_TRACED: usize = field_span(REQ_SCORE_TRACED, "samples").start;
+const _: () = {
+    let traced = field_span(REQ_SCORE_TRACED, "id");
+    assert!(traced.start == SCORE_ID.start && traced.end == SCORE_ID.end);
+};
 
 /// Write one frame: `u32` LE length + payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
@@ -242,471 +460,377 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    match req {
-        Request::Score { samples } => {
-            w.put_u8(REQ_SCORE);
-            w.put_f32_slice(samples);
-        }
-        Request::Stats => w.put_u8(REQ_STATS),
-        Request::Shutdown => w.put_u8(REQ_SHUTDOWN),
-        Request::ScoreV2 {
-            id,
-            deadline_ms,
-            samples,
-        } => {
-            w.put_u8(REQ_SCORE_V2);
-            w.put_u64(*id);
-            w.put_u32(*deadline_ms);
-            w.put_f32_slice(samples);
-        }
-        Request::StatsV2 => w.put_u8(REQ_STATS_V2),
-        Request::Adapt => w.put_u8(REQ_ADAPT),
-        Request::Ping => w.put_u8(REQ_PING),
-        Request::DrainVotes { peek, min } => {
-            w.put_u8(REQ_DRAIN_VOTES);
-            w.put_u8(u8::from(*peek));
-            w.put_u32(*min);
-        }
-        Request::StageBundle { sealed } => {
-            w.put_u8(REQ_STAGE_BUNDLE);
-            w.put_blob(sealed);
-        }
-        Request::CommitStaged => w.put_u8(REQ_COMMIT_STAGED),
-        Request::AbortStaged => w.put_u8(REQ_ABORT_STAGED),
-        Request::Rollback => w.put_u8(REQ_ROLLBACK),
-        Request::FleetStats => w.put_u8(REQ_FLEET_STATS),
-        Request::StatsV3 => w.put_u8(REQ_STATS_V3),
-        Request::Flight { drain } => {
-            w.put_u8(REQ_FLIGHT);
-            w.put_u8(u8::from(*drain));
-        }
-        Request::ScoreTraced {
-            id,
-            deadline_ms,
-            trace_id,
-            samples,
-        } => {
-            w.put_u8(REQ_SCORE_TRACED);
-            w.put_u64(*id);
-            w.put_u32(*deadline_ms);
-            w.put_u64(*trace_id);
-            w.put_f32_slice(samples);
-        }
-        Request::WalStatus => w.put_u8(REQ_WAL_STATUS),
-        Request::RollbackTo { generation } => {
-            w.put_u8(REQ_ROLLBACK_TO);
-            w.put_u64(*generation);
-        }
-    }
-    w.into_bytes()
-}
-
-pub fn decode_request(bytes: &[u8]) -> Result<Request, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let req = match r.get_u8()? {
-        REQ_SCORE => Request::Score {
-            samples: r.get_f32_slice()?,
-        },
-        REQ_STATS => Request::Stats,
-        REQ_SHUTDOWN => Request::Shutdown,
-        REQ_SCORE_V2 => Request::ScoreV2 {
-            id: r.get_u64()?,
-            deadline_ms: r.get_u32()?,
-            samples: r.get_f32_slice()?,
-        },
-        REQ_STATS_V2 => Request::StatsV2,
-        REQ_ADAPT => Request::Adapt,
-        REQ_PING => Request::Ping,
-        REQ_DRAIN_VOTES => {
-            let peek = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(ArtifactError::Corrupt("drain peek flag out of range")),
-            };
-            Request::DrainVotes {
-                peek,
-                min: r.get_u32()?,
-            }
-        }
-        REQ_STAGE_BUNDLE => Request::StageBundle {
-            sealed: r.get_blob()?.to_vec(),
-        },
-        REQ_COMMIT_STAGED => Request::CommitStaged,
-        REQ_ABORT_STAGED => Request::AbortStaged,
-        REQ_ROLLBACK => Request::Rollback,
-        REQ_FLEET_STATS => Request::FleetStats,
-        REQ_STATS_V3 => Request::StatsV3,
-        REQ_FLIGHT => {
-            let drain = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(ArtifactError::Corrupt("flight drain flag out of range")),
-            };
-            Request::Flight { drain }
-        }
-        REQ_SCORE_TRACED => Request::ScoreTraced {
-            id: r.get_u64()?,
-            deadline_ms: r.get_u32()?,
-            trace_id: r.get_u64()?,
-            samples: r.get_f32_slice()?,
-        },
-        REQ_WAL_STATUS => Request::WalStatus,
-        REQ_ROLLBACK_TO => Request::RollbackTo {
-            generation: r.get_u64()?,
-        },
-        _ => return Err(ArtifactError::Corrupt("unknown request tag")),
-    };
+/// Every message ends where its last field ends.
+fn finish(r: &ArtifactReader) -> Result<(), ArtifactError> {
     if r.remaining() != 0 {
         return Err(ArtifactError::TrailingBytes);
     }
-    Ok(req)
+    Ok(())
 }
 
-/// A bare status reply (v1 errors, and the shutdown acknowledgement).
+/// A bare refusal of a control request.
 pub fn encode_status(status: u8) -> Vec<u8> {
     vec![status]
 }
 
-/// A v2 status-only reply: status byte + echoed request id.
-pub fn encode_status_v2(id: u64, status: u8) -> Vec<u8> {
+/// A successful control reply: `STATUS_OK` + the body.
+pub fn encode_ok<T: Wire>(body: &T) -> Vec<u8> {
+    let mut w = ArtifactWriter::new();
+    w.put_u8(STATUS_OK);
+    body.put(&mut w);
+    w.into_bytes()
+}
+
+/// Decode a control reply: `Ok(Ok(body))` on success, `Ok(Err(status))` on
+/// a refusal, `Err` when the bytes are neither.
+pub fn decode_reply<T: Wire>(bytes: &[u8]) -> Result<Result<T, u8>, ArtifactError> {
+    let mut r = ArtifactReader::new(bytes);
+    let reply = match r.get_u8()? {
+        STATUS_OK => Ok(T::get(&mut r)?),
+        status => Err(status),
+    };
+    finish(&r)?;
+    Ok(reply)
+}
+
+/// The shutdown acknowledgement: `STATUS_OK` and nothing else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ack;
+
+impl Wire for Ack {
+    fn put(&self, _: &mut ArtifactWriter) {}
+    fn get(_: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        Ok(Ack)
+    }
+}
+
+/// Score body: `f32` slice of per-language LLRs, `u32` decision index (or
+/// [`DECISION_UNKNOWN`]), `u64` generation of the model that scored it.
+/// The span is not part of the body; see [`encode_score_ok_traced`].
+impl Wire for ScoredUtt {
+    fn put(&self, w: &mut ArtifactWriter) {
+        self.llrs.put(w);
+        w.put_u32(if self.unknown {
+            DECISION_UNKNOWN
+        } else {
+            self.decision as u32
+        });
+        self.generation.put(w);
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        let llrs = Vec::<f32>::get(r)?;
+        let decision_wire = r.get_u32()?;
+        let generation = r.get_u64()?;
+        let unknown = decision_wire == DECISION_UNKNOWN;
+        let decision = if unknown {
+            // The sentinel claims no language; recover the best in-set guess
+            // from the LLRs themselves (same arg-max the server computed).
+            if llrs.is_empty() {
+                return Err(ArtifactError::Corrupt("unknown reply with no LLRs"));
+            }
+            crate::engine::decision(&llrs)
+        } else if (decision_wire as usize) < llrs.len().max(1) {
+            decision_wire as usize
+        } else {
+            return Err(ArtifactError::Corrupt("decision index out of range"));
+        };
+        Ok(ScoredUtt {
+            llrs,
+            decision,
+            generation,
+            span: None,
+            unknown,
+        })
+    }
+}
+
+/// `u64` trace id, `u32` stage count, then per stage a `u8` stage id and a
+/// `u64` offset (µs from engine admission). An unknown stage id or stages
+/// out of order are protocol errors.
+impl Wire for TraceSpan {
+    fn put(&self, w: &mut ArtifactWriter) {
+        self.trace_id.put(w);
+        w.put_u32(self.stages.len() as u32);
+        for &(stage, offset_us) in &self.stages {
+            w.put_u8(stage);
+            w.put_u64(offset_us);
+        }
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        let mut span = TraceSpan::new(r.get_u64()?);
+        for _ in 0..r.get_u32()? {
+            let stage = r.get_u8()?;
+            if stage > STAGE_REPLY {
+                return Err(ArtifactError::Corrupt("span stage id out of range"));
+            }
+            span.mark(stage, r.get_u64()?);
+        }
+        if !span.is_well_formed() {
+            return Err(ArtifactError::Corrupt("span stages out of order"));
+        }
+        Ok(span)
+    }
+}
+
+fn score_reply_head(status: u8, id: u64) -> ArtifactWriter {
     let mut w = ArtifactWriter::new();
     w.put_u8(status);
     w.put_u64(id);
-    w.into_bytes()
+    w
 }
 
-/// `with_generation` distinguishes the v2 body (trailing `u64` model
-/// generation) from the v1 body, which must stay byte-identical to the
-/// pre-adaptation wire format.
-fn put_score_body(w: &mut ArtifactWriter, scored: &ScoredUtt, with_generation: bool) {
-    w.put_f32_slice(&scored.llrs);
-    w.put_u32(if scored.unknown {
-        DECISION_UNKNOWN
-    } else {
-        scored.decision as u32
-    });
-    // Reserved (was the batch size) until the tag-table rewrite: written
-    // as 1, ignored on decode, so body offsets stay where routers splice.
-    w.put_u32(1);
-    if with_generation {
-        w.put_u64(scored.generation);
-    }
+/// A score refusal (either score tag): status byte + echoed request id.
+pub fn encode_status_v2(id: u64, status: u8) -> Vec<u8> {
+    score_reply_head(status, id).into_bytes()
 }
 
-fn get_score_body(
-    r: &mut ArtifactReader,
-    with_generation: bool,
-) -> Result<ScoredUtt, ArtifactError> {
-    let scored = get_score_body_inner(r, with_generation)?;
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(scored)
-}
-
-/// The score body alone, leaving the reader positioned after it (the
-/// traced reply appends the span behind the body).
-fn get_score_body_inner(
-    r: &mut ArtifactReader,
-    with_generation: bool,
-) -> Result<ScoredUtt, ArtifactError> {
-    let llrs = r.get_f32_slice()?;
-    let decision_wire = r.get_u32()?;
-    r.get_u32()?; // reserved, see `put_score_body`
-                  // v1 replies predate hot swapping; report them as generation 0.
-    let generation = if with_generation { r.get_u64()? } else { 0 };
-    let unknown = decision_wire == DECISION_UNKNOWN;
-    let decision = if unknown {
-        // The sentinel claims no language; recover the best in-set guess
-        // from the LLRs themselves (same arg-max the server computed).
-        if llrs.is_empty() {
-            return Err(ArtifactError::Corrupt("unknown reply with no LLRs"));
-        }
-        crate::engine::decision(&llrs)
-    } else {
-        let decision = decision_wire as usize;
-        if decision >= llrs.len().max(1) {
-            return Err(ArtifactError::Corrupt("decision index out of range"));
-        }
-        decision
-    };
-    Ok(ScoredUtt {
-        llrs,
-        decision,
-        generation,
-        span: None,
-        unknown,
-    })
-}
-
-pub fn encode_score_ok(scored: &ScoredUtt) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    put_score_body(&mut w, scored, false);
-    w.into_bytes()
-}
-
-/// A v2 score success: status + echoed id + score body (with generation).
+/// A [`REQ_SCORE_V2`] success: status + echoed id + score body.
 pub fn encode_score_ok_v2(id: u64, scored: &ScoredUtt) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u64(id);
-    put_score_body(&mut w, scored, true);
+    let mut w = score_reply_head(STATUS_OK, id);
+    scored.put(&mut w);
     w.into_bytes()
 }
 
-/// `Ok(Ok(scored))` on success, `Ok(Err(status))` on a refusal status.
-pub fn decode_score_reply(bytes: &[u8]) -> Result<Result<ScoredUtt, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
+/// A [`REQ_SCORE_TRACED`] success: the [`REQ_SCORE_V2`] reply plus
+/// `scored.span`.
+pub fn encode_score_ok_traced(id: u64, scored: &ScoredUtt) -> Vec<u8> {
+    let mut w = score_reply_head(STATUS_OK, id);
+    scored.put(&mut w);
+    match &scored.span {
+        Some(span) => span.put(&mut w),
+        None => TraceSpan::default().put(&mut w),
     }
-    Ok(Ok(get_score_body(&mut r, false)?))
+    w.into_bytes()
 }
 
-/// Decode a v2 score reply: `(request id, Ok(scored) | Err(status))`.
-pub fn decode_score_reply_v2(bytes: &[u8]) -> Result<(u64, Result<ScoredUtt, u8>), ArtifactError> {
+fn decode_score(bytes: &[u8], traced: bool) -> Result<(u64, Result<ScoredUtt, u8>), ArtifactError> {
     let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    let id = r.get_u64()?;
-    if status != STATUS_OK {
-        if r.remaining() != 0 {
-            return Err(ArtifactError::TrailingBytes);
+    let (status, id) = (r.get_u8()?, r.get_u64()?);
+    let reply = if status == STATUS_OK {
+        let mut scored = ScoredUtt::get(&mut r)?;
+        if traced {
+            scored.span = Some(TraceSpan::get(&mut r)?);
         }
-        return Ok((id, Err(status)));
-    }
-    Ok((id, Ok(get_score_body(&mut r, true)?)))
+        Ok(scored)
+    } else {
+        Err(status)
+    };
+    finish(&r)?;
+    Ok((id, reply))
 }
 
-/// A traced score success: the v2 reply plus `u64` trace id, `u32` stage
-/// count, then per stage a `u8` stage id and `u64` offset (µs from engine
-/// admission). `trace_id` is passed separately because refusals (which
-/// use [`encode_status_v2`]) leave `scored.span` unset.
-pub fn encode_score_ok_traced(id: u64, trace_id: u64, scored: &ScoredUtt) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u64(id);
-    put_score_body(&mut w, scored, true);
-    w.put_u64(trace_id);
-    let stages: &[(u8, u64)] = scored.span.as_ref().map_or(&[], |s| &s.stages);
-    w.put_u32(stages.len() as u32);
-    for &(stage, offset_us) in stages {
-        w.put_u8(stage);
-        w.put_u64(offset_us);
-    }
-    w.into_bytes()
+/// Decode a [`REQ_SCORE_V2`] reply: `(request id, Ok(scored) | Err(status))`.
+pub fn decode_score_reply_v2(bytes: &[u8]) -> Result<(u64, Result<ScoredUtt, u8>), ArtifactError> {
+    decode_score(bytes, false)
 }
 
-/// Decode a traced score reply: `(request id, Ok(scored with span) |
-/// Err(status))`. A malformed span (unknown stage id, non-increasing
-/// stages, decreasing offsets) is a protocol error, not a refusal.
+/// Decode a [`REQ_SCORE_TRACED`] reply; a scored one carries its span.
 pub fn decode_score_reply_traced(
     bytes: &[u8],
 ) -> Result<(u64, Result<ScoredUtt, u8>), ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    let id = r.get_u64()?;
-    if status != STATUS_OK {
-        if r.remaining() != 0 {
-            return Err(ArtifactError::TrailingBytes);
-        }
-        return Ok((id, Err(status)));
-    }
-    let mut scored = get_score_body_inner(&mut r, true)?;
-    let trace_id = r.get_u64()?;
-    let n_stages = r.get_u32()?;
-    let mut span = TraceSpan::new(trace_id);
-    for _ in 0..n_stages {
-        let stage = r.get_u8()?;
-        if stage > STAGE_REPLY {
-            return Err(ArtifactError::Corrupt("span stage id out of range"));
-        }
-        span.mark(stage, r.get_u64()?);
-    }
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    if !span.is_well_formed() {
-        return Err(ArtifactError::Corrupt("span stages out of order"));
-    }
-    scored.span = Some(span);
-    Ok((id, Ok(scored)))
+    decode_score(bytes, true)
 }
 
-/// The nine v1 counters, in declaration order (a v1 client must keep
-/// decoding stats replies unchanged).
-const V1_COUNTERS: usize = 9;
+// The stats-v2 body: every counter as a `u64`, in declaration order.
+wire_struct!(impl StatsSnapshot {
+    requests,
+    completed,
+    rejected,
+    max_queue_depth,
+    latency_us_sum,
+    latency_us_max,
+    uptime_us,
+    expired,
+    failed,
+    shed_global,
+    generation,
+    swaps,
+    rollbacks,
+    fast_math,
+    unknown
+});
 
-fn put_stats(w: &mut ArtifactWriter, s: &StatsSnapshot, extended: bool) {
-    let mut vals = vec![
-        s.requests,
-        s.completed,
-        s.rejected,
-        // Slots 4–5 are reserved (were the batch counters) until the
-        // tag-table rewrite: written as 0, ignored on decode.
-        0,
-        0,
-        s.max_queue_depth,
-        s.latency_us_sum,
-        s.latency_us_max,
-        s.uptime_us,
-    ];
-    debug_assert_eq!(vals.len(), V1_COUNTERS);
-    if extended {
-        vals.push(s.expired);
-        vals.push(s.failed);
-        vals.push(s.shed_global);
-        vals.push(s.generation);
-        vals.push(s.swaps);
-        vals.push(s.rollbacks);
-        vals.push(s.fast_math);
-        vals.push(s.unknown);
-    }
-    for v in vals {
-        w.put_u64(v);
-    }
-}
+/// How a requested adaptation cycle ended.
+pub const ADAPT_PROMOTED: u8 = 0;
+/// The retrained candidate regressed the guard metrics; serving model,
+/// generation and scores are unchanged.
+pub const ADAPT_REJECTED_GUARD: u8 = 1;
+/// The vote log held too few confidently pseudo-labelled utterances;
+/// records were returned to the log for a later cycle.
+pub const ADAPT_INSUFFICIENT_DATA: u8 = 2;
+/// The cycle failed internally (e.g. undecodable parent bundle bytes).
+pub const ADAPT_FAILED: u8 = 3;
 
-pub fn encode_stats_ok(s: &StatsSnapshot) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    put_stats(&mut w, s, false);
-    w.into_bytes()
-}
-
-/// Extended (v2) stats reply: the nine v1 counters plus deadline
-/// expirations, internal failures, global-admission sheds, the model
-/// generation / swap / rollback counters, and the fast-math flag.
-pub fn encode_stats_ok_v2(s: &StatsSnapshot) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    put_stats(&mut w, s, true);
-    w.into_bytes()
-}
-
-fn get_stats(r: &mut ArtifactReader, extended: bool) -> Result<StatsSnapshot, ArtifactError> {
-    let s = get_stats_counters(r, extended)?;
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(s)
-}
-
-/// The counter block alone, leaving the reader positioned after it (the
-/// fleet-stats reply appends per-replica rows behind the aggregate).
-fn get_stats_counters(
-    r: &mut ArtifactReader,
-    extended: bool,
-) -> Result<StatsSnapshot, ArtifactError> {
-    let (requests, completed, rejected) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
-    // Reserved slots 4–5, see `put_stats`.
-    r.get_u64()?;
-    r.get_u64()?;
-    let mut s = StatsSnapshot {
-        requests,
-        completed,
-        rejected,
-        max_queue_depth: r.get_u64()?,
-        latency_us_sum: r.get_u64()?,
-        latency_us_max: r.get_u64()?,
-        uptime_us: r.get_u64()?,
-        expired: 0,
-        failed: 0,
-        shed_global: 0,
-        generation: 0,
-        swaps: 0,
-        rollbacks: 0,
-        fast_math: 0,
-        unknown: 0,
-    };
-    if extended {
-        s.expired = r.get_u64()?;
-        s.failed = r.get_u64()?;
-        s.shed_global = r.get_u64()?;
-        s.generation = r.get_u64()?;
-        s.swaps = r.get_u64()?;
-        s.rollbacks = r.get_u64()?;
-        s.fast_math = r.get_u64()?;
-        s.unknown = r.get_u64()?;
-    }
-    Ok(s)
-}
-
-/// `Ok(Ok(snapshot))` on success, `Ok(Err(status))` on a refusal status.
-pub fn decode_stats_reply(bytes: &[u8]) -> Result<Result<StatsSnapshot, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    Ok(Ok(get_stats(&mut r, false)?))
-}
-
-/// Decode the extended (v2) stats reply.
-pub fn decode_stats_reply_v2(bytes: &[u8]) -> Result<Result<StatsSnapshot, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    Ok(Ok(get_stats(&mut r, true)?))
-}
-
-/// A successful adaptation-cycle reply.
-pub fn encode_adapt_ok(report: &AdaptReport) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u8(report.outcome);
-    w.put_u64(report.generation);
-    w.put_u32(report.selected);
-    w.put_u32(report.drained);
-    w.into_bytes()
-}
-
-/// `Ok(Ok(report))` on success, `Ok(Err(status))` on a refusal status
-/// (notably [`STATUS_UNSUPPORTED`]).
-pub fn decode_adapt_reply(bytes: &[u8]) -> Result<Result<AdaptReport, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let outcome = r.get_u8()?;
-    if outcome > ADAPT_FAILED {
-        return Err(ArtifactError::Corrupt("unknown adaptation outcome"));
-    }
-    let report = AdaptReport {
-        outcome,
-        generation: r.get_u64()?,
-        selected: r.get_u32()?,
-        drained: r.get_u32()?,
-    };
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(report))
-}
-
-/// The health-probe reply body ([`Request::Ping`]). Everything a router's
-/// health loop needs in four counters, computed from the engine's stats
-/// snapshot without touching the scoring queue.
+/// Result of one on-demand adaptation cycle ([`Request::Adapt`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PingReport {
-    /// Serving model generation.
+pub struct AdaptReport {
+    /// One of the `ADAPT_*` constants.
+    pub outcome: u8,
+    /// Serving generation after the cycle.
     pub generation: u64,
-    /// Requests admitted but not yet resolved (completed/rejected/
-    /// expired/failed).
-    pub inflight: u64,
-    /// Load-shedding refusals so far (queue-full rejections + deadline
-    /// expirations + global-admission sheds) — the router's overload
-    /// signal.
-    pub shed: u64,
-    /// Successfully scored utterances so far.
-    pub completed: u64,
+    /// Utterances selected by the Eq. 13 vote this cycle.
+    pub selected: u32,
+    /// Vote-log records drained (pre-dedup) this cycle.
+    pub drained: u32,
 }
+
+impl Wire for AdaptReport {
+    fn put(&self, w: &mut ArtifactWriter) {
+        self.outcome.put(w);
+        self.generation.put(w);
+        self.selected.put(w);
+        self.drained.put(w);
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        let outcome = r.get_u8()?;
+        if outcome > ADAPT_FAILED {
+            return Err(ArtifactError::Corrupt("unknown adaptation outcome"));
+        }
+        Ok(AdaptReport {
+            outcome,
+            generation: r.get_u64()?,
+            selected: r.get_u32()?,
+            drained: r.get_u32()?,
+        })
+    }
+}
+
+wire_struct! {
+    /// The health-probe reply body ([`Request::Ping`]). Everything a router's
+    /// health loop needs in four counters, computed from the engine's stats
+    /// snapshot without touching the scoring queue.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct PingReport {
+        /// Serving model generation.
+        pub generation: u64,
+        /// Requests admitted but not yet resolved (completed/rejected/
+        /// expired/failed).
+        pub inflight: u64,
+        /// Load-shedding refusals so far (queue-full rejections + deadline
+        /// expirations + global-admission sheds) — the router's overload
+        /// signal.
+        pub shed: u64,
+        /// Successfully scored utterances so far.
+        pub completed: u64,
+    }
+
+    /// A drain (or peek) reply: how many records were buffered, and — when
+    /// the drain went through — the sealed `VLOG` snapshot bytes of
+    /// everything taken.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct DrainReply {
+        /// Records buffered at request time (post-drain the log holds zero).
+        pub buffered: u32,
+        /// `Some(sealed VLOG bytes)` when the drain happened; `None` on a
+        /// peek, or when the buffer was below the requested floor.
+        pub sealed: Option<Vec<u8>>,
+    }
+
+    /// A stage acknowledgement: the replica decoded and validated the
+    /// candidate and holds it unserved. The checksum lets the coordinator
+    /// confirm every replica staged the *same* bytes before committing any.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct StageAck {
+        pub checksum: u32,
+    }
+
+    /// A commit acknowledgement: the staged bundle is serving under
+    /// `generation`; `checksum` echoes the staged bundle's checksum.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct CommitAck {
+        pub generation: u64,
+        pub checksum: u32,
+    }
+
+    /// An abort acknowledgement: `had_staged` reports whether anything was
+    /// actually discarded (the request is idempotent either way).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct AbortAck {
+        pub had_staged: bool,
+    }
+
+    /// A rollback acknowledgement: `rolled` reports whether a displaced
+    /// model existed to restore; `generation` is the serving generation
+    /// afterwards.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct RollbackAck {
+        pub rolled: bool,
+        pub generation: u64,
+    }
+
+    /// A deep-rollback acknowledgement: lineage generation `restored` is
+    /// serving again, under the (monotonic) serving generation `serving`;
+    /// `checksum` is the restored bundle's, which the requester checks
+    /// against the chain entry it asked for.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct RollbackToAck {
+        pub restored: u64,
+        pub serving: u64,
+        pub checksum: u32,
+    }
+
+    /// The durability tier's state: WAL watermarks and recovery counters
+    /// plus the generation-lineage chain summary ([`Request::WalStatus`]
+    /// reply body). Replicas without a lineage store report zeroed lineage
+    /// fields with `chain_ok` true (an empty chain is a sound chain).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct WalStatusInfo {
+        /// Total vote records ever appended (the WAL's next sequence number).
+        pub appended: u64,
+        /// First sequence number still logically in the log.
+        pub low_water: u64,
+        /// Records currently buffered in the WAL (`appended - low_water`).
+        pub buffered: u64,
+        /// Live segment files, open + sealed.
+        pub segments: u64,
+        /// Of those, sealed (compressed, immutable).
+        pub sealed_segments: u64,
+        /// Records replayed by this process's crash recovery.
+        pub replayed: u64,
+        /// Torn tail records skipped by this process's crash recovery.
+        pub torn: u64,
+        /// fsyncs issued since this process opened the WAL.
+        pub fsyncs: u64,
+        /// Newest generation in the lineage chain.
+        pub lineage_head: u64,
+        /// Chain entries, pruned included.
+        pub lineage_entries: u32,
+        /// Entries whose sealed bundle bytes are still on disk.
+        pub lineage_retained: u32,
+        /// Bytes held by retained generations.
+        pub lineage_bytes: u64,
+        /// Whether the chain validated (contiguous, acyclic, files present).
+        pub chain_ok: bool,
+    }
+
+    /// One replica's row in a fleet-stats breakdown.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ReplicaStat {
+        /// Backend address as the router dials it (e.g. `127.0.0.1:7701`).
+        pub addr: String,
+        /// Whether the router currently routes to this replica.
+        pub healthy: bool,
+        /// The replica's serving model generation at its last health probe.
+        pub generation: u64,
+        /// Requests the router currently has outstanding on this replica.
+        pub inflight: u64,
+        /// Utterances this replica has scored (from its last probe).
+        pub completed: u64,
+        /// Load-shedding refusals this replica has issued (from its last
+        /// probe).
+        pub shed: u64,
+    }
+
+    /// The router's fleet-stats reply: the aggregate counter set (summed
+    /// over replicas, `generation` = the minimum replica generation so a
+    /// mixed fleet is visible) plus the per-replica breakdown.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct FleetStats {
+        pub aggregate: StatsSnapshot,
+        pub replicas: Vec<ReplicaStat>,
+    }
+}
+wire_struct!(list of ReplicaStat);
 
 impl PingReport {
     /// Derive the probe body from an engine stats snapshot.
@@ -722,722 +846,293 @@ impl PingReport {
     }
 }
 
-pub fn encode_ping_ok(p: &PingReport) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u64(p.generation);
-    w.put_u64(p.inflight);
-    w.put_u64(p.shed);
-    w.put_u64(p.completed);
-    w.into_bytes()
-}
+wire_struct!(impl HistogramSummary {
+    count,
+    sum,
+    max,
+    p50,
+    p90,
+    p99,
+    p999
+});
+wire_struct!(impl SketchSummary { count, mean, m2 });
 
-/// `Ok(Ok(report))` on success, `Ok(Err(status))` on a refusal status.
-pub fn decode_ping_reply(bytes: &[u8]) -> Result<Result<PingReport, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let report = PingReport {
-        generation: r.get_u64()?,
-        inflight: r.get_u64()?,
-        shed: r.get_u64()?,
-        completed: r.get_u64()?,
-    };
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(report))
-}
-
-/// A drain (or peek) reply: how many records were buffered, and — when the
-/// drain went through — the sealed `VLOG` snapshot bytes of everything
-/// taken.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DrainReply {
-    /// Records buffered at request time (post-drain the log holds zero).
-    pub buffered: u32,
-    /// `Some(sealed VLOG bytes)` when the drain happened; `None` on a
-    /// peek, or when the buffer was below the requested floor.
-    pub sealed: Option<Vec<u8>>,
-}
-
-pub fn encode_drain_ok(reply: &DrainReply) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u32(reply.buffered);
-    match &reply.sealed {
-        Some(bytes) => {
-            w.put_u8(1);
-            w.put_blob(bytes);
-        }
-        None => w.put_u8(0),
-    }
-    w.into_bytes()
-}
-
-/// `Ok(Ok(reply))` on success, `Ok(Err(status))` on a refusal status.
-pub fn decode_drain_reply(bytes: &[u8]) -> Result<Result<DrainReply, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let buffered = r.get_u32()?;
-    let sealed = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_blob()?.to_vec()),
-        _ => return Err(ArtifactError::Corrupt("drain reply flag out of range")),
-    };
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(DrainReply { buffered, sealed }))
-}
-
-/// A stage acknowledgement: the replica decoded and validated the
-/// candidate and holds it unserved. The checksum lets the coordinator
-/// confirm every replica staged the *same* bytes before committing any.
-pub fn encode_stage_ok(checksum: u32) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u32(checksum);
-    w.into_bytes()
-}
-
-/// `Ok(Ok(checksum))` on success, `Ok(Err(status))` on a refusal.
-pub fn decode_stage_reply(bytes: &[u8]) -> Result<Result<u32, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let checksum = r.get_u32()?;
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(checksum))
-}
-
-/// A commit acknowledgement: the staged bundle is serving under
-/// `generation`; `checksum` echoes the staged bundle's checksum.
-pub fn encode_commit_ok(generation: u64, checksum: u32) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u64(generation);
-    w.put_u32(checksum);
-    w.into_bytes()
-}
-
-/// `Ok(Ok((generation, checksum)))` on success, `Ok(Err(status))` on a
-/// refusal (notably [`STATUS_CONFLICT`] with nothing staged).
-pub fn decode_commit_reply(bytes: &[u8]) -> Result<Result<(u64, u32), u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let generation = r.get_u64()?;
-    let checksum = r.get_u32()?;
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok((generation, checksum)))
-}
-
-/// An abort acknowledgement: `had_staged` reports whether anything was
-/// actually discarded (the request is idempotent either way).
-pub fn encode_abort_ok(had_staged: bool) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u8(u8::from(had_staged));
-    w.into_bytes()
-}
-
-/// `Ok(Ok(had_staged))` on success, `Ok(Err(status))` on a refusal.
-pub fn decode_abort_reply(bytes: &[u8]) -> Result<Result<bool, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let had_staged = match r.get_u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(ArtifactError::Corrupt("abort reply flag out of range")),
-    };
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(had_staged))
-}
-
-/// A rollback acknowledgement: `rolled` reports whether a displaced model
-/// existed to restore; `generation` is the serving generation afterwards.
-pub fn encode_rollback_ok(rolled: bool, generation: u64) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u8(u8::from(rolled));
-    w.put_u64(generation);
-    w.into_bytes()
-}
-
-/// `Ok(Ok((rolled, generation)))` on success, `Ok(Err(status))` on a
-/// refusal.
-pub fn decode_rollback_reply(bytes: &[u8]) -> Result<Result<(bool, u64), u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let rolled = match r.get_u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(ArtifactError::Corrupt("rollback reply flag out of range")),
-    };
-    let generation = r.get_u64()?;
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok((rolled, generation)))
-}
-
-/// The durability tier's state: WAL watermarks and recovery counters
-/// plus the generation-lineage chain summary ([`Request::WalStatus`]
-/// reply body). Replicas without a lineage store report zeroed lineage
-/// fields with `chain_ok` true (an empty chain is a sound chain).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WalStatusInfo {
-    /// Total vote records ever appended (the WAL's next sequence number).
-    pub appended: u64,
-    /// First sequence number still logically in the log.
-    pub low_water: u64,
-    /// Records currently buffered in the WAL (`appended - low_water`).
-    pub buffered: u64,
-    /// Live segment files, open + sealed.
-    pub segments: u64,
-    /// Of those, sealed (compressed, immutable).
-    pub sealed_segments: u64,
-    /// Records replayed by this process's crash recovery.
-    pub replayed: u64,
-    /// Torn tail records skipped by this process's crash recovery.
-    pub torn: u64,
-    /// fsyncs issued since this process opened the WAL.
-    pub fsyncs: u64,
-    /// Newest generation in the lineage chain.
-    pub lineage_head: u64,
-    /// Chain entries, pruned included.
-    pub lineage_entries: u32,
-    /// Entries whose sealed bundle bytes are still on disk.
-    pub lineage_retained: u32,
-    /// Bytes held by retained generations.
-    pub lineage_bytes: u64,
-    /// Whether the chain validated (contiguous, acyclic, files present).
-    pub chain_ok: bool,
-}
-
-/// A wal-status reply body.
-pub fn encode_wal_status_ok(info: &WalStatusInfo) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u64(info.appended);
-    w.put_u64(info.low_water);
-    w.put_u64(info.buffered);
-    w.put_u64(info.segments);
-    w.put_u64(info.sealed_segments);
-    w.put_u64(info.replayed);
-    w.put_u64(info.torn);
-    w.put_u64(info.fsyncs);
-    w.put_u64(info.lineage_head);
-    w.put_u32(info.lineage_entries);
-    w.put_u32(info.lineage_retained);
-    w.put_u64(info.lineage_bytes);
-    w.put_u8(u8::from(info.chain_ok));
-    w.into_bytes()
-}
-
-/// `Ok(Ok(info))` on success, `Ok(Err(status))` on a refusal (notably
-/// [`STATUS_UNSUPPORTED`] from a server running without a WAL).
-pub fn decode_wal_status_reply(bytes: &[u8]) -> Result<Result<WalStatusInfo, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let info = WalStatusInfo {
-        appended: r.get_u64()?,
-        low_water: r.get_u64()?,
-        buffered: r.get_u64()?,
-        segments: r.get_u64()?,
-        sealed_segments: r.get_u64()?,
-        replayed: r.get_u64()?,
-        torn: r.get_u64()?,
-        fsyncs: r.get_u64()?,
-        lineage_head: r.get_u64()?,
-        lineage_entries: r.get_u32()?,
-        lineage_retained: r.get_u32()?,
-        lineage_bytes: r.get_u64()?,
-        chain_ok: match r.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(ArtifactError::Corrupt("chain_ok flag out of range")),
-        },
-    };
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(info))
-}
-
-/// A deep-rollback acknowledgement: the requested generation is serving
-/// again; `generation` is the (monotonic) serving generation counter
-/// afterwards, `restored` the lineage generation that was restored, and
-/// `checksum` its bundle checksum — the coordinator checks it against
-/// the chain entry it asked for.
-pub fn encode_rollback_to_ok(generation: u64, restored: u64, checksum: u32) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u64(generation);
-    w.put_u64(restored);
-    w.put_u32(checksum);
-    w.into_bytes()
-}
-
-/// `Ok(Ok((generation, restored, checksum)))` on success, `Ok(Err(status))`
-/// on a refusal ([`STATUS_CONFLICT`] for unknown or pruned generations).
-pub fn decode_rollback_to_reply(
-    bytes: &[u8],
-) -> Result<Result<(u64, u64, u32), u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let generation = r.get_u64()?;
-    let restored = r.get_u64()?;
-    let checksum = r.get_u32()?;
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok((generation, restored, checksum)))
-}
-
-/// One replica's row in a fleet-stats breakdown.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplicaStat {
-    /// Backend address as the router dials it (e.g. `127.0.0.1:7701`).
-    pub addr: String,
-    /// Whether the router currently routes to this replica.
-    pub healthy: bool,
-    /// The replica's serving model generation at its last health probe.
-    pub generation: u64,
-    /// Requests the router currently has outstanding on this replica.
-    pub inflight: u64,
-    /// Utterances this replica has scored (from its last probe).
-    pub completed: u64,
-    /// Load-shedding refusals this replica has issued (from its last
-    /// probe).
-    pub shed: u64,
-}
-
-/// The router's fleet-stats reply: the aggregate extended counter set
-/// (summed over replicas, `generation` = the minimum replica generation so
-/// a mixed fleet is visible) plus the per-replica breakdown.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FleetStats {
-    pub aggregate: StatsSnapshot,
-    pub replicas: Vec<ReplicaStat>,
-}
-
-pub fn encode_fleet_stats_ok(f: &FleetStats) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    put_stats(&mut w, &f.aggregate, true);
-    w.put_u32(f.replicas.len() as u32);
-    for rep in &f.replicas {
-        w.put_str(&rep.addr);
-        w.put_u8(u8::from(rep.healthy));
-        w.put_u64(rep.generation);
-        w.put_u64(rep.inflight);
-        w.put_u64(rep.completed);
-        w.put_u64(rep.shed);
-    }
-    w.into_bytes()
-}
-
-/// `Ok(Ok(stats))` on success, `Ok(Err(status))` on a refusal (notably
-/// [`STATUS_UNSUPPORTED`] from a bare replica).
-pub fn decode_fleet_stats_reply(bytes: &[u8]) -> Result<Result<FleetStats, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let aggregate = get_stats_counters(&mut r, true)?;
-    let n = r.get_u32()? as usize;
-    let mut replicas = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let addr = r.get_str()?;
-        let healthy = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(ArtifactError::Corrupt("replica health flag out of range")),
-        };
-        replicas.push(ReplicaStat {
-            addr,
-            healthy,
-            generation: r.get_u64()?,
-            inflight: r.get_u64()?,
-            completed: r.get_u64()?,
-            shed: r.get_u64()?,
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(FleetStats {
-        aggregate,
-        replicas,
-    }))
-}
-
-/// The stats-v3 reply: every registered series, name-sorted. Entry
-/// layout: `u8` kind (0 counter / 1 gauge / 2 histogram / 3 sketch), the
-/// name, then the kind's payload — a `u64` for counters and gauges; the
-/// seven histogram-summary `u64`s (count, sum, max, p50, p90, p99,
-/// p99.9); or a sketch's `u64` count plus mean and M2 as `f64` bit
-/// patterns. Names must be strictly increasing; the decoder enforces it.
-pub fn encode_metrics_ok(entries: &[(String, MetricValue)]) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u32(entries.len() as u32);
-    for (name, value) in entries {
-        w.put_u8(value.kind());
-        w.put_str(name);
+/// One stats-v3 entry: `u8` kind (0 counter / 1 gauge / 2 histogram /
+/// 3 sketch), the name, then the kind's payload — a `u64` for counters and
+/// gauges; the seven histogram-summary `u64`s; or a sketch's `u64` count
+/// plus mean and M2 as `f64` bit patterns.
+impl Wire for (String, MetricValue) {
+    fn put(&self, w: &mut ArtifactWriter) {
+        let (name, value) = self;
+        value.kind().put(w);
+        name.put(w);
         match value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => w.put_u64(*v),
-            MetricValue::Histogram(h) => {
-                for v in [h.count, h.sum, h.max, h.p50, h.p90, h.p99, h.p999] {
-                    w.put_u64(v);
-                }
-            }
-            MetricValue::Sketch(s) => {
-                w.put_u64(s.count);
-                w.put_u64(s.mean.to_bits());
-                w.put_u64(s.m2.to_bits());
-            }
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => v.put(w),
+            MetricValue::Histogram(h) => h.put(w),
+            MetricValue::Sketch(s) => s.put(w),
         }
     }
-    w.into_bytes()
-}
-
-/// `Ok(Ok(entries))` on success, `Ok(Err(status))` on a refusal (notably
-/// [`STATUS_UNSUPPORTED`] from a server running without telemetry).
-#[allow(clippy::type_complexity)]
-pub fn decode_metrics_reply(
-    bytes: &[u8],
-) -> Result<Result<Vec<(String, MetricValue)>, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let n = r.get_u32()? as usize;
-    let mut entries: Vec<(String, MetricValue)> = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let kind = r.get_u8()?;
-        let name = r.get_str()?;
-        if let Some((prev, _)) = entries.last() {
-            if *prev >= name {
-                return Err(ArtifactError::Corrupt("metric names out of order"));
-            }
-        }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        let (kind, name) = (r.get_u8()?, r.get_str()?);
         let value = match kind {
             0 => MetricValue::Counter(r.get_u64()?),
             1 => MetricValue::Gauge(r.get_u64()?),
-            2 => MetricValue::Histogram(HistogramSummary {
-                count: r.get_u64()?,
-                sum: r.get_u64()?,
-                max: r.get_u64()?,
-                p50: r.get_u64()?,
-                p90: r.get_u64()?,
-                p99: r.get_u64()?,
-                p999: r.get_u64()?,
-            }),
-            3 => MetricValue::Sketch(SketchSummary {
-                count: r.get_u64()?,
-                mean: f64::from_bits(r.get_u64()?),
-                m2: f64::from_bits(r.get_u64()?),
-            }),
+            2 => MetricValue::Histogram(Wire::get(r)?),
+            3 => MetricValue::Sketch(Wire::get(r)?),
             _ => return Err(ArtifactError::Corrupt("metric kind out of range")),
         };
-        entries.push((name, value));
+        Ok((name, value))
     }
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(entries))
 }
 
-/// A flight-recorder reply: the buffered events, oldest first.
-pub fn encode_flight_ok(events: &[FlightEvent]) -> Vec<u8> {
-    let mut w = ArtifactWriter::new();
-    w.put_u8(STATUS_OK);
-    w.put_u32(events.len() as u32);
-    for ev in events {
-        w.put_u64(ev.seq);
-        w.put_u64(ev.at_us);
-        w.put_u8(ev.kind);
-        w.put_str(&ev.detail);
-        w.put_u64(ev.a);
-        w.put_u64(ev.b);
-        w.put_u64(ev.x.to_bits());
-        w.put_u64(ev.y.to_bits());
+/// The stats-v3 reply body: every registered series. Names are strictly
+/// increasing — the decoder enforces it, so every consumer can merge dumps
+/// in a single pass.
+pub type MetricsDump = Vec<(String, MetricValue)>;
+
+impl Wire for MetricsDump {
+    fn put(&self, w: &mut ArtifactWriter) {
+        put_list(self, w)
     }
-    w.into_bytes()
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        let entries: MetricsDump = get_list(r)?;
+        if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(ArtifactError::Corrupt("metric names out of order"));
+        }
+        Ok(entries)
+    }
 }
 
-/// `Ok(Ok(events))` on success, `Ok(Err(status))` on a refusal.
-pub fn decode_flight_reply(bytes: &[u8]) -> Result<Result<Vec<FlightEvent>, u8>, ArtifactError> {
-    let mut r = ArtifactReader::new(bytes);
-    let status = r.get_u8()?;
-    if status != STATUS_OK {
-        return Ok(Err(status));
-    }
-    let n = r.get_u32()? as usize;
-    let mut events = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        events.push(FlightEvent {
-            seq: r.get_u64()?,
-            at_us: r.get_u64()?,
-            kind: r.get_u8()?,
-            detail: r.get_str()?,
-            a: r.get_u64()?,
-            b: r.get_u64()?,
-            x: f64::from_bits(r.get_u64()?),
-            y: f64::from_bits(r.get_u64()?),
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(ArtifactError::TrailingBytes);
-    }
-    Ok(Ok(events))
-}
+// The flight-recorder reply body: the buffered events, oldest first.
+wire_struct!(impl FlightEvent {
+    seq,
+    at_us,
+    kind,
+    detail,
+    a,
+    b,
+    x,
+    y
+});
+wire_struct!(list of FlightEvent);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::example_request;
+    use proptest::prelude::*;
+    use std::fmt::Debug;
+
+    const REFUSALS: [u8; 7] = [
+        STATUS_OVERLOADED,
+        STATUS_BAD_REQUEST,
+        STATUS_SHUTTING_DOWN,
+        STATUS_DEADLINE_EXCEEDED,
+        STATUS_INTERNAL,
+        STATUS_UNSUPPORTED,
+        STATUS_CONFLICT,
+    ];
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn scored(llrs: Vec<f32>, decision: usize, generation: u64) -> ScoredUtt {
+        ScoredUtt {
+            llrs,
+            decision,
+            generation,
+            span: None,
+            unknown: false,
+        }
+    }
+
+    // ------------------------------------------------ requests, per row
 
     #[test]
-    fn request_roundtrip() {
+    fn every_row_round_trips_and_refuses_prefixes_and_trailing_bytes() {
+        for row in TAG_TABLE {
+            let (payload, _) = example_request(row);
+            let req = decode_request(&payload).expect(row.name);
+            assert_eq!(encode_request(&req), payload, "{}", row.name);
+            // Every proper prefix is a typed error: no panic, and no
+            // allocation sized by a length the bytes cannot back.
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_request(&payload[..cut]).is_err(),
+                    "{} decodes from its first {cut} bytes",
+                    row.name
+                );
+            }
+            let padded = [&payload[..], &[0]].concat();
+            assert!(
+                matches!(decode_request(&padded), Err(ArtifactError::TrailingBytes)),
+                "{} accepts a trailing byte",
+                row.name
+            );
+        }
+    }
+
+    #[test]
+    fn table_is_in_tag_order_and_skips_the_retired_tags() {
+        assert!(TAG_TABLE.windows(2).all(|w| w[0].tag < w[1].tag));
+        for &tag in RETIRED_TAGS.iter().chain(&[0, 99, 255]) {
+            assert!(TAG_TABLE.iter().all(|row| row.tag != tag));
+            assert!(
+                matches!(
+                    decode_request(&[tag]),
+                    Err(ArtifactError::Corrupt("unknown request tag"))
+                ),
+                "tag {tag} must decode as unknown"
+            );
+        }
+        // What a first-generation client sent as a score is refused whole.
+        let (v2, starts) = example_request(&TAG_TABLE[1]);
+        let v1_score = [&[1u8][..], &v2[starts[2]..]].concat();
+        assert!(decode_request(&v1_score).is_err());
+    }
+
+    #[test]
+    fn sample_bits_survive_the_request_codec() {
+        let samples = vec![0.0, -0.0, f32::NAN, f32::MIN_POSITIVE, -1.25];
         for req in [
-            Request::Score {
-                samples: vec![0.5, -1.25, f32::MIN_POSITIVE],
-            },
-            Request::Stats,
-            Request::Shutdown,
             Request::ScoreV2 {
                 id: u64::MAX,
                 deadline_ms: 250,
-                samples: vec![0.0, -0.0, f32::NAN],
+                samples: samples.clone(),
             },
-            Request::StatsV2,
-            Request::Adapt,
-            Request::Ping,
-            Request::DrainVotes { peek: true, min: 0 },
-            Request::DrainVotes {
-                peek: false,
-                min: 200,
-            },
-            Request::StageBundle {
-                sealed: vec![0xAB; 37],
-            },
-            Request::CommitStaged,
-            Request::AbortStaged,
-            Request::Rollback,
-            Request::FleetStats,
-            Request::StatsV3,
-            Request::Flight { drain: false },
-            Request::Flight { drain: true },
             Request::ScoreTraced {
                 id: 9,
-                deadline_ms: 100,
+                deadline_ms: 0,
                 trace_id: 0xCAFE,
-                samples: vec![0.25, -0.5],
+                samples: samples.clone(),
             },
-            Request::WalStatus,
-            Request::RollbackTo { generation: 7 },
-            Request::RollbackTo { generation: 0 },
         ] {
-            let back = decode_request(&encode_request(&req)).unwrap();
-            // NaN breaks derived PartialEq; compare the sample bits instead.
-            match (&req, &back) {
-                (
-                    Request::ScoreV2 {
-                        id: a,
-                        deadline_ms: da,
-                        samples: sa,
-                    },
-                    Request::ScoreV2 {
-                        id: b,
-                        deadline_ms: db,
-                        samples: sb,
-                    },
-                ) => {
-                    assert_eq!((a, da), (b, db));
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(sa), bits(sb));
+            match decode_request(&encode_request(&req)).unwrap() {
+                Request::ScoreV2 { samples: back, .. }
+                | Request::ScoreTraced { samples: back, .. } => {
+                    assert_eq!(bits(&back), bits(&samples))
                 }
-                _ => assert_eq!(back, req),
+                other => panic!("decoded as {other:?}"),
             }
         }
     }
 
     #[test]
-    fn score_reply_roundtrip_is_bit_exact() {
-        let scored = ScoredUtt {
-            llrs: vec![1.5, -0.0, f32::NAN, 3.25e-9],
-            decision: 3,
-            generation: 5,
-            span: None,
-            unknown: false,
-        };
-        let back = decode_score_reply(&encode_score_ok(&scored))
-            .unwrap()
-            .unwrap();
-        assert_eq!(back.decision, 3);
-        // v1 bodies carry no generation; it decodes as 0.
-        assert_eq!(back.generation, 0);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back.llrs), bits(&scored.llrs));
-    }
-
-    #[test]
-    fn unknown_reply_roundtrips_via_the_decision_sentinel() {
-        // Open-set servers flag an unknown by writing DECISION_UNKNOWN in
-        // the decision slot; decoders recover the local argmax from the
-        // LLRs so `decision` stays meaningful either way.
-        let scored = ScoredUtt {
-            llrs: vec![-3.0, -1.5, -7.0],
-            decision: 1,
-            generation: 9,
-            span: None,
-            unknown: true,
-        };
-        let back = decode_score_reply(&encode_score_ok(&scored))
-            .unwrap()
-            .unwrap();
-        assert!(back.unknown);
-        assert_eq!(back.decision, 1);
-
-        let (id, r) = decode_score_reply_v2(&encode_score_ok_v2(7, &scored)).unwrap();
-        assert_eq!(id, 7);
-        let back = r.unwrap();
-        assert!(back.unknown);
-        assert_eq!(back.decision, 1);
-        assert_eq!(back.generation, 9);
-
-        // A closed-set reply with the same LLRs is byte-identical to what
-        // pre-open-set servers emitted: the sentinel never appears.
-        let closed = ScoredUtt {
-            unknown: false,
-            ..scored.clone()
-        };
-        let body = encode_score_ok(&closed);
-        assert!(!body.windows(4).any(|w| w == DECISION_UNKNOWN.to_le_bytes()));
-
-        // The sentinel with no LLRs is a protocol error, not a panic.
-        let empty = ScoredUtt {
-            llrs: Vec::new(),
-            ..scored
-        };
-        assert!(decode_score_reply(&encode_score_ok(&empty)).is_err());
-    }
-
-    #[test]
-    fn v2_score_reply_echoes_the_request_id_and_generation() {
-        let scored = ScoredUtt {
-            llrs: vec![0.25, -1.0],
-            decision: 0,
-            generation: 42,
-            span: None,
-            unknown: false,
-        };
-        let (id, r) = decode_score_reply_v2(&encode_score_ok_v2(0xDEAD_BEEF, &scored)).unwrap();
-        assert_eq!(id, 0xDEAD_BEEF);
-        assert_eq!(r.unwrap(), scored);
-
-        let (id, r) =
-            decode_score_reply_v2(&encode_status_v2(77, STATUS_DEADLINE_EXCEEDED)).unwrap();
-        assert_eq!(id, 77);
-        assert_eq!(r, Err(STATUS_DEADLINE_EXCEEDED));
-    }
-
-    #[test]
-    fn traced_request_keeps_the_id_at_bytes_1_to_9() {
-        // The router rewrites request ids by splicing frame[1..9]; a traced
-        // score must keep that invariant or fleet routing breaks.
-        let frame = encode_request(&Request::ScoreTraced {
+    fn layout_constants_are_where_the_encoder_puts_the_fields() {
+        let v2 = encode_request(&Request::ScoreV2 {
             id: 0x1122_3344_5566_7788,
             deadline_ms: 9,
-            trace_id: 42,
             samples: vec![1.0],
         });
-        assert_eq!(frame[0], REQ_SCORE_TRACED);
-        assert_eq!(
-            u64::from_le_bytes(frame[1..9].try_into().unwrap()),
-            0x1122_3344_5566_7788
-        );
+        let traced = encode_request(&Request::ScoreTraced {
+            id: 0x1122_3344_5566_7788,
+            deadline_ms: 9,
+            trace_id: 0xAABB_CCDD_EEFF_0011,
+            samples: vec![1.0],
+        });
+        for frame in [&v2, &traced] {
+            assert_eq!(frame[SCORE_ID], 0x1122_3344_5566_7788u64.to_le_bytes());
+        }
+        assert_eq!(traced[TRACE_ID], 0xAABB_CCDD_EEFF_0011u64.to_le_bytes());
+        assert_eq!(v2[SAMPLES_AT_V2..][..4], 1u32.to_le_bytes());
+        assert_eq!(traced[SAMPLES_AT_TRACED..][..4], 1u32.to_le_bytes());
+        // Replies echo the id in the same place, refusals included.
+        let ok = encode_score_ok_v2(77, &scored(vec![0.5], 0, 1));
+        let refused = encode_status_v2(77, STATUS_OVERLOADED);
+        for frame in [&ok, &refused] {
+            assert_eq!(frame[SCORE_ID], 77u64.to_le_bytes());
+        }
     }
 
-    #[test]
-    fn traced_score_reply_carries_the_span() {
-        use lre_obs::{STAGE_DECODE, STAGE_QUEUE, STAGE_SCORE};
-        let mut span = TraceSpan::new(0xCAFE);
-        span.mark(STAGE_QUEUE, 100);
-        span.mark(STAGE_DECODE, 120);
-        span.mark(STAGE_SCORE, 900);
-        span.mark(STAGE_REPLY, 950);
-        let scored = ScoredUtt {
-            llrs: vec![0.25, -1.0],
-            decision: 0,
-            generation: 42,
-            span: Some(span.clone()),
-            unknown: false,
-        };
-        let frame = encode_score_ok_traced(11, 0xCAFE, &scored);
-        let (id, r) = decode_score_reply_traced(&frame).unwrap();
-        assert_eq!(id, 11);
-        assert_eq!(r.unwrap().span, Some(span));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
 
-        // Refusals stay the v2 status shape.
-        let (id, r) = decode_score_reply_traced(&encode_status_v2(12, STATUS_OVERLOADED)).unwrap();
-        assert_eq!((id, r), (12, Err(STATUS_OVERLOADED)));
-
-        // A span whose offsets go backwards is a protocol error.
-        let mut bad_span = TraceSpan::new(1);
-        bad_span.mark(STAGE_QUEUE, 100);
-        bad_span.mark(STAGE_DECODE, 50);
-        let bad = ScoredUtt {
-            span: Some(bad_span),
-            ..scored.clone()
-        };
-        assert!(decode_score_reply_traced(&encode_score_ok_traced(1, 1, &bad)).is_err());
-
-        // An out-of-range stage id too.
-        let mut alien = TraceSpan::new(1);
-        alien.mark(99, 5);
-        let bad = ScoredUtt {
-            span: Some(alien),
-            ..scored
-        };
-        assert!(decode_score_reply_traced(&encode_score_ok_traced(1, 1, &bad)).is_err());
+        // Mutate valid frames of every row: whatever comes out decodes to a
+        // typed error or to a request whose encoding is exactly those bytes
+        // (one byte string per request: nothing is guessed or normalised).
+        #[test]
+        fn mutated_frames_decode_canonically_or_not_at_all(
+            row in 0..TAG_TABLE.len(),
+            donor in 0..TAG_TABLE.len(),
+            mutation in 0u32..3,
+            at in any::<u32>(),
+            value in any::<u32>(),
+        ) {
+            let (mut frame, _) = example_request(&TAG_TABLE[row]);
+            let at = at as usize % frame.len();
+            match mutation {
+                // bit flip
+                0 => frame[at] ^= 1 << (value % 8),
+                // splice: the tail of another row's frame from `at` on
+                1 => {
+                    let (other, _) = example_request(&TAG_TABLE[donor]);
+                    frame.truncate(at);
+                    frame.extend_from_slice(&other[at.min(other.len())..]);
+                }
+                // length inflate: a large little-endian u32 anywhere
+                _ => {
+                    let inflated = (value | 0x8000_0000).to_le_bytes();
+                    let end = (at + 4).min(frame.len());
+                    frame[at..end].copy_from_slice(&inflated[..end - at]);
+                }
+            }
+            if let Ok(req) = decode_request(&frame) {
+                prop_assert_eq!(encode_request(&req), frame);
+            }
+        }
     }
 
-    #[test]
-    fn metrics_reply_roundtrip_and_order_enforcement() {
-        let entries = vec![
+    // ------------------------------------------------- replies, per row
+
+    /// Round trip, prefixes, trailing byte and refusals for one body type.
+    fn check_reply<T: Wire + PartialEq + Debug>(examples: Vec<T>) {
+        for status in REFUSALS {
+            assert_eq!(
+                decode_reply::<T>(&encode_status(status)).unwrap(),
+                Err(status)
+            );
+            assert!(decode_reply::<T>(&[status, 0]).is_err());
+        }
+        assert!(decode_reply::<T>(&[]).is_err());
+        for body in examples {
+            let frame = encode_ok(&body);
+            for cut in 0..frame.len() {
+                assert!(
+                    decode_reply::<T>(&frame[..cut]).is_err(),
+                    "{body:?} decodes from its first {cut} bytes"
+                );
+            }
+            assert!(matches!(
+                decode_reply::<T>(&[&frame[..], &[0]].concat()),
+                Err(ArtifactError::TrailingBytes)
+            ));
+            assert_eq!(decode_reply::<T>(&frame).unwrap(), Ok(body));
+        }
+    }
+
+    fn stats_example() -> StatsSnapshot {
+        StatsSnapshot {
+            requests: 100,
+            completed: 80,
+            rejected: 5,
+            max_queue_depth: 12,
+            latency_us_sum: 123_456,
+            latency_us_max: 9_999,
+            uptime_us: u64::MAX,
+            expired: 3,
+            failed: 2,
+            shed_global: 7,
+            generation: 4,
+            swaps: 3,
+            rollbacks: 1,
+            fast_math: 1,
+            unknown: 6,
+        }
+    }
+
+    fn metrics_example() -> MetricsDump {
+        vec![
             (
                 "engine.latency_us".to_string(),
                 MetricValue::Histogram(HistogramSummary {
@@ -1460,161 +1155,155 @@ mod tests {
                     m2: 0.5,
                 }),
             ),
-        ];
-        let back = decode_metrics_reply(&encode_metrics_ok(&entries))
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, entries);
-        assert_eq!(
-            decode_metrics_reply(&encode_status(STATUS_UNSUPPORTED)).unwrap(),
-            Err(STATUS_UNSUPPORTED)
-        );
-        // Out-of-order (or duplicate) names are a protocol error, so every
-        // consumer can merge dumps with a single pass.
-        let shuffled = vec![entries[2].clone(), entries[0].clone()];
-        assert!(decode_metrics_reply(&encode_metrics_ok(&shuffled)).is_err());
-        // Truncation is an error, not a short dump.
-        let mut cut = encode_metrics_ok(&entries);
-        cut.truncate(cut.len() - 3);
-        assert!(decode_metrics_reply(&cut).is_err());
+        ]
     }
 
     #[test]
-    fn flight_reply_roundtrip() {
+    fn every_reply_body_round_trips_and_refuses_prefixes_and_trailing_bytes() {
         use lre_obs::{EV_EJECT, EV_GUARD_REJECT};
-        let events = vec![
-            FlightEvent {
-                seq: 7,
-                at_us: 1_000,
-                kind: EV_EJECT,
-                detail: "127.0.0.1:7701".to_string(),
-                a: 3,
-                b: 0,
-                x: 0.0,
-                y: 0.0,
-            },
-            FlightEvent {
-                seq: 8,
-                at_us: 2_000,
-                kind: EV_GUARD_REJECT,
-                detail: String::new(),
-                a: 4,
-                b: 5,
-                x: 0.0125,
-                y: -0.003,
-            },
-        ];
-        let back = decode_flight_reply(&encode_flight_ok(&events))
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, events);
-        assert_eq!(
-            decode_flight_reply(&encode_status(STATUS_UNSUPPORTED)).unwrap(),
-            Err(STATUS_UNSUPPORTED)
-        );
-        let mut cut = encode_flight_ok(&events);
-        cut.truncate(cut.len() - 1);
-        assert!(decode_flight_reply(&cut).is_err());
+        macro_rules! checks {
+            ($($t:ty => $examples:expr;)*) => {
+                [$((stringify!($t), (|| check_reply::<$t>($examples)) as fn())),*]
+            };
+        }
+        fn replica(addr: &str, healthy: bool) -> ReplicaStat {
+            ReplicaStat {
+                addr: addr.into(),
+                healthy,
+                generation: 2,
+                inflight: 3,
+                completed: 150,
+                shed: 1,
+            }
+        }
+        let checks = checks! {
+            Ack => vec![Ack];
+            ScoredUtt => vec![scored(vec![0.25, -1.0], 1, 42), scored(Vec::new(), 0, 0)];
+            StatsSnapshot => vec![stats_example(), StatsSnapshot::default()];
+            AdaptReport => vec![AdaptReport {
+                outcome: ADAPT_PROMOTED,
+                generation: 7,
+                selected: 120,
+                drained: 150,
+            }];
+            PingReport => vec![PingReport::from_stats(&stats_example())];
+            DrainReply => vec![
+                DrainReply { buffered: 42, sealed: None },
+                DrainReply { buffered: 42, sealed: Some(vec![1, 2, 3, 4, 5]) },
+                DrainReply { buffered: 0, sealed: Some(Vec::new()) },
+            ];
+            StageAck => vec![StageAck { checksum: 0xC0FFEE }];
+            CommitAck => vec![CommitAck { generation: 9, checksum: 0xC0FFEE }];
+            AbortAck => vec![AbortAck { had_staged: true }, AbortAck { had_staged: false }];
+            RollbackAck => vec![RollbackAck { rolled: true, generation: 11 }];
+            FleetStats => vec![
+                FleetStats {
+                    aggregate: stats_example(),
+                    replicas: vec![replica("127.0.0.1:7701", true), replica("127.0.0.1:7702", false)],
+                },
+                FleetStats { aggregate: StatsSnapshot::default(), replicas: Vec::new() },
+            ];
+            MetricsDump => vec![metrics_example(), Vec::new()];
+            Vec<FlightEvent> => vec![vec![
+                FlightEvent {
+                    seq: 7,
+                    at_us: 1_000,
+                    kind: EV_EJECT,
+                    detail: "127.0.0.1:7701".to_string(),
+                    a: 3,
+                    b: 0,
+                    x: 0.0,
+                    y: 0.0,
+                },
+                FlightEvent {
+                    seq: 8,
+                    at_us: 2_000,
+                    kind: EV_GUARD_REJECT,
+                    detail: String::new(),
+                    a: 4,
+                    b: 5,
+                    x: 0.0125,
+                    y: -0.003,
+                },
+            ]];
+            WalStatusInfo => vec![WalStatusInfo {
+                appended: 1234,
+                low_water: 1000,
+                buffered: 234,
+                segments: 3,
+                sealed_segments: 2,
+                replayed: 900,
+                torn: 1,
+                fsyncs: 55,
+                lineage_head: 6,
+                lineage_entries: 7,
+                lineage_retained: 4,
+                lineage_bytes: 32_768,
+                chain_ok: true,
+            }];
+            RollbackToAck => vec![RollbackToAck { restored: 4, serving: 9, checksum: 0xC0FFEE }];
+        };
+        for row in TAG_TABLE {
+            let (_, check) = checks
+                .iter()
+                .find(|(name, _)| *name == row.reply)
+                .unwrap_or_else(|| panic!("no reply check for {}'s {}", row.name, row.reply));
+            check();
+        }
     }
 
     #[test]
-    fn stats_reply_roundtrip() {
-        let s = StatsSnapshot {
-            requests: 100,
-            completed: 90,
-            rejected: 10,
-            max_queue_depth: 12,
-            latency_us_sum: 123_456,
-            latency_us_max: 9_999,
-            uptime_us: u64::MAX,
-            expired: 0,
-            failed: 0,
-            shed_global: 0,
+    fn rollback_to_ack_puts_the_restored_generation_first() {
+        // The wire order every producer and consumer has always used:
+        // restored lineage generation, then serving generation, checksum.
+        let frame = encode_ok(&RollbackToAck {
+            restored: 4,
+            serving: 9,
+            checksum: 1,
+        });
+        assert_eq!(frame[1..9], 4u64.to_le_bytes());
+        assert_eq!(frame[9..17], 9u64.to_le_bytes());
+    }
+
+    #[test]
+    fn out_of_range_flags_kinds_and_outcomes_in_replies_are_typed_errors() {
+        let mut drain = encode_ok(&DrainReply {
+            buffered: 1,
+            sealed: None,
+        });
+        *drain.last_mut().unwrap() = 7;
+        assert!(decode_reply::<DrainReply>(&drain).is_err());
+        let mut abort = encode_ok(&AbortAck { had_staged: true });
+        abort[1] = 3;
+        assert!(decode_reply::<AbortAck>(&abort).is_err());
+        let mut adapt = encode_ok(&AdaptReport {
+            outcome: ADAPT_FAILED,
             generation: 0,
-            swaps: 0,
-            rollbacks: 0,
-            fast_math: 0,
-            unknown: 0,
-        };
-        assert_eq!(
-            decode_stats_reply(&encode_stats_ok(&s)).unwrap().unwrap(),
-            s
-        );
-        // The extended reply carries the new counters…
-        let mut ext = s;
-        ext.expired = 4;
-        ext.failed = 1;
-        ext.shed_global = 3;
-        ext.generation = 2;
-        ext.swaps = 3;
-        ext.rollbacks = 1;
-        ext.fast_math = 1;
-        ext.unknown = 6;
-        assert_eq!(
-            decode_stats_reply_v2(&encode_stats_ok_v2(&ext))
-                .unwrap()
-                .unwrap(),
-            ext
-        );
-        // …and a v1 decoder never sees them (wire compatibility).
-        assert_eq!(
-            decode_stats_reply(&encode_stats_ok(&ext)).unwrap().unwrap(),
-            s
-        );
+            selected: 0,
+            drained: 0,
+        });
+        adapt[1] = ADAPT_FAILED + 1;
+        assert!(decode_reply::<AdaptReport>(&adapt).is_err());
+        let mut metrics = encode_ok(&vec![("a".to_string(), MetricValue::Counter(1))]);
+        metrics[5] = 4; // the entry's kind byte, after status and count
+        assert!(decode_reply::<MetricsDump>(&metrics).is_err());
     }
 
     #[test]
-    fn adapt_reply_roundtrip_and_refusal() {
-        let report = AdaptReport {
-            outcome: ADAPT_PROMOTED,
-            generation: 7,
-            selected: 120,
-            drained: 150,
-        };
-        assert_eq!(
-            decode_adapt_reply(&encode_adapt_ok(&report))
-                .unwrap()
-                .unwrap(),
-            report
-        );
-        assert_eq!(
-            decode_adapt_reply(&encode_status(STATUS_UNSUPPORTED)).unwrap(),
-            Err(STATUS_UNSUPPORTED)
-        );
-        // Unknown outcome tags are typed errors.
-        let mut bad = encode_adapt_ok(&report);
-        bad[1] = 9;
-        assert!(decode_adapt_reply(&bad).is_err());
-        // Truncation too.
-        let mut cut = encode_adapt_ok(&report);
-        cut.truncate(cut.len() - 2);
-        assert!(decode_adapt_reply(&cut).is_err());
+    fn metric_names_must_be_strictly_increasing() {
+        let entries = metrics_example();
+        let shuffled = vec![entries[2].clone(), entries[0].clone()];
+        assert!(decode_reply::<MetricsDump>(&encode_ok(&shuffled)).is_err());
+        let repeated = vec![entries[1].clone(), entries[1].clone()];
+        assert!(decode_reply::<MetricsDump>(&encode_ok(&repeated)).is_err());
     }
 
     #[test]
-    fn ping_reply_roundtrip_and_derivation() {
-        let s = StatsSnapshot {
-            requests: 100,
-            completed: 80,
-            rejected: 5,
-            max_queue_depth: 12,
-            latency_us_sum: 1,
-            latency_us_max: 1,
-            uptime_us: 1,
-            expired: 3,
-            failed: 2,
-            shed_global: 7,
-            generation: 4,
-            swaps: 3,
-            rollbacks: 0,
-            fast_math: 0,
-            unknown: 0,
-        };
-        let p = PingReport::from_stats(&s);
+    fn ping_report_is_derived_from_the_counters() {
         // 100 admitted, 80+5+3+2 resolved → 10 in flight; shed counts
         // queue rejections + expirations + global sheds.
         assert_eq!(
-            p,
+            PingReport::from_stats(&stats_example()),
             PingReport {
                 generation: 4,
                 inflight: 10,
@@ -1622,288 +1311,99 @@ mod tests {
                 completed: 80,
             }
         );
-        assert_eq!(decode_ping_reply(&encode_ping_ok(&p)).unwrap().unwrap(), p);
-        assert_eq!(
-            decode_ping_reply(&encode_status(STATUS_SHUTTING_DOWN)).unwrap(),
-            Err(STATUS_SHUTTING_DOWN)
-        );
-        let mut cut = encode_ping_ok(&p);
-        cut.truncate(cut.len() - 1);
-        assert!(decode_ping_reply(&cut).is_err());
     }
 
+    // ----------------------------------------------------- score replies
+
     #[test]
-    fn drain_reply_roundtrip() {
-        for reply in [
-            DrainReply {
-                buffered: 42,
-                sealed: None,
-            },
-            DrainReply {
-                buffered: 42,
-                sealed: Some(vec![1, 2, 3, 4, 5]),
-            },
-            DrainReply {
-                buffered: 0,
-                sealed: Some(Vec::new()),
-            },
-        ] {
-            assert_eq!(
-                decode_drain_reply(&encode_drain_ok(&reply))
-                    .unwrap()
-                    .unwrap(),
-                reply
-            );
+    fn score_replies_echo_the_id_and_are_bit_exact() {
+        let body = scored(vec![1.5, -0.0, f32::NAN, 3.25e-9], 3, 42);
+        let (id, back) = decode_score_reply_v2(&encode_score_ok_v2(0xDEAD_BEEF, &body)).unwrap();
+        let back = back.unwrap();
+        assert_eq!(id, 0xDEAD_BEEF);
+        assert_eq!((back.decision, back.generation), (3, 42));
+        assert_eq!(bits(&back.llrs), bits(&body.llrs));
+
+        for status in REFUSALS {
+            for decode in [decode_score_reply_v2, decode_score_reply_traced] {
+                let frame = encode_status_v2(77, status);
+                assert_eq!(decode(&frame).unwrap(), (77, Err(status)));
+                assert!(decode(&[&frame[..], &[1]].concat()).is_err());
+                assert!(decode(&frame[..frame.len() - 1]).is_err());
+            }
         }
-        assert_eq!(
-            decode_drain_reply(&encode_status(STATUS_UNSUPPORTED)).unwrap(),
-            Err(STATUS_UNSUPPORTED)
-        );
-        // Out-of-range presence flag is a typed error.
-        let mut bad = encode_drain_ok(&DrainReply {
-            buffered: 1,
-            sealed: None,
-        });
-        *bad.last_mut().unwrap() = 7;
-        assert!(decode_drain_reply(&bad).is_err());
-    }
-
-    #[test]
-    fn rollout_acks_roundtrip() {
-        assert_eq!(
-            decode_stage_reply(&encode_stage_ok(0xC0FFEE)).unwrap(),
-            Ok(0xC0FFEE)
-        );
-        assert_eq!(
-            decode_stage_reply(&encode_status(STATUS_CONFLICT)).unwrap(),
-            Err(STATUS_CONFLICT)
-        );
-        assert_eq!(
-            decode_commit_reply(&encode_commit_ok(9, 0xC0FFEE)).unwrap(),
-            Ok((9, 0xC0FFEE))
-        );
-        assert_eq!(
-            decode_commit_reply(&encode_status(STATUS_CONFLICT)).unwrap(),
-            Err(STATUS_CONFLICT)
-        );
-        assert_eq!(
-            decode_abort_reply(&encode_abort_ok(true)).unwrap(),
-            Ok(true)
-        );
-        assert_eq!(
-            decode_abort_reply(&encode_abort_ok(false)).unwrap(),
-            Ok(false)
-        );
-        assert_eq!(
-            decode_rollback_reply(&encode_rollback_ok(true, 11)).unwrap(),
-            Ok((true, 11))
-        );
-        // Truncations are typed errors, not panics.
-        let mut cut = encode_commit_ok(9, 1);
-        cut.truncate(cut.len() - 2);
-        assert!(decode_commit_reply(&cut).is_err());
-        let mut cut = encode_rollback_ok(false, 2);
-        cut.truncate(2);
-        assert!(decode_rollback_reply(&cut).is_err());
-        // Out-of-range flags too.
-        let mut bad = encode_abort_ok(true);
-        bad[1] = 3;
-        assert!(decode_abort_reply(&bad).is_err());
-    }
-
-    #[test]
-    fn wal_status_and_rollback_to_reply_roundtrip() {
-        let info = WalStatusInfo {
-            appended: 1234,
-            low_water: 1000,
-            buffered: 234,
-            segments: 3,
-            sealed_segments: 2,
-            replayed: 900,
-            torn: 1,
-            fsyncs: 55,
-            lineage_head: 6,
-            lineage_entries: 7,
-            lineage_retained: 4,
-            lineage_bytes: 32_768,
-            chain_ok: true,
-        };
-        assert_eq!(
-            decode_wal_status_reply(&encode_wal_status_ok(&info))
-                .unwrap()
-                .unwrap(),
-            info
-        );
-        assert_eq!(
-            decode_wal_status_reply(&encode_status(STATUS_UNSUPPORTED)).unwrap(),
-            Err(STATUS_UNSUPPORTED)
-        );
-        // Truncation and trailing bytes are typed errors.
-        let mut cut = encode_wal_status_ok(&info);
-        cut.truncate(cut.len() - 1);
-        assert!(decode_wal_status_reply(&cut).is_err());
-        let mut long = encode_wal_status_ok(&info);
-        long.push(0);
-        assert!(decode_wal_status_reply(&long).is_err());
-        // So is an out-of-range chain_ok flag.
-        let mut bad = encode_wal_status_ok(&info);
-        *bad.last_mut().unwrap() = 9;
-        assert!(decode_wal_status_reply(&bad).is_err());
-
-        assert_eq!(
-            decode_rollback_to_reply(&encode_rollback_to_ok(4, 9, 0xC0FFEE)).unwrap(),
-            Ok((4, 9, 0xC0FFEE))
-        );
-        assert_eq!(
-            decode_rollback_to_reply(&encode_status(STATUS_CONFLICT)).unwrap(),
-            Err(STATUS_CONFLICT)
-        );
-        let mut cut = encode_rollback_to_ok(4, 9, 1);
-        cut.truncate(cut.len() - 2);
-        assert!(decode_rollback_to_reply(&cut).is_err());
-    }
-
-    #[test]
-    fn fleet_stats_roundtrip() {
-        let mut aggregate = StatsSnapshot {
-            requests: 300,
-            completed: 290,
-            rejected: 4,
-            max_queue_depth: 9,
-            latency_us_sum: 5_000,
-            latency_us_max: 80,
-            uptime_us: 1_000_000,
-            expired: 2,
-            failed: 1,
-            shed_global: 3,
-            generation: 2,
-            swaps: 2,
-            rollbacks: 0,
-            fast_math: 0,
-            unknown: 0,
-        };
-        let f = FleetStats {
-            aggregate,
-            replicas: vec![
-                ReplicaStat {
-                    addr: "127.0.0.1:7701".into(),
-                    healthy: true,
-                    generation: 2,
-                    inflight: 3,
-                    completed: 150,
-                    shed: 1,
-                },
-                ReplicaStat {
-                    addr: "127.0.0.1:7702".into(),
-                    healthy: false,
-                    generation: 1,
-                    inflight: 0,
-                    completed: 140,
-                    shed: 8,
-                },
-            ],
-        };
-        assert_eq!(
-            decode_fleet_stats_reply(&encode_fleet_stats_ok(&f))
-                .unwrap()
-                .unwrap(),
-            f
-        );
-        // An empty fleet still roundtrips.
-        aggregate.requests = 0;
-        let empty = FleetStats {
-            aggregate,
-            replicas: Vec::new(),
-        };
-        assert_eq!(
-            decode_fleet_stats_reply(&encode_fleet_stats_ok(&empty))
-                .unwrap()
-                .unwrap(),
-            empty
-        );
-        // Replicas refuse the tag; the refusal passes through typed.
-        assert_eq!(
-            decode_fleet_stats_reply(&encode_status(STATUS_UNSUPPORTED)).unwrap(),
-            Err(STATUS_UNSUPPORTED)
-        );
-        // Truncating mid-replica-row is a typed error.
-        let mut cut = encode_fleet_stats_ok(&f);
-        cut.truncate(cut.len() - 5);
-        assert!(decode_fleet_stats_reply(&cut).is_err());
-    }
-
-    #[test]
-    fn malformed_fleet_requests_are_typed_errors() {
-        // Drain with a truncated min floor.
-        let mut drain = encode_request(&Request::DrainVotes {
-            peek: false,
-            min: 500,
-        });
-        drain.truncate(3);
-        assert!(decode_request(&drain).is_err());
-        // Drain with an out-of-range peek flag.
-        let mut bad_flag = encode_request(&Request::DrainVotes {
-            peek: false,
-            min: 1,
-        });
-        bad_flag[1] = 9;
-        assert!(decode_request(&bad_flag).is_err());
-        // Stage whose blob length outruns the payload.
-        let mut stage = encode_request(&Request::StageBundle {
-            sealed: vec![7; 64],
-        });
-        stage.truncate(stage.len() - 10);
-        assert!(decode_request(&stage).is_err());
-        // Ping / fleet-stats with trailing junk.
-        for req in [Request::Ping, Request::FleetStats, Request::CommitStaged] {
-            let mut padded = encode_request(&req);
-            padded.push(0);
-            assert!(decode_request(&padded).is_err());
+        let frame = encode_score_ok_v2(1, &body);
+        for cut in 0..frame.len() {
+            assert!(decode_score_reply_v2(&frame[..cut]).is_err());
         }
+        assert!(decode_score_reply_v2(&[&frame[..], &[0]].concat()).is_err());
     }
 
     #[test]
-    fn refusal_statuses_pass_through() {
-        assert_eq!(
-            decode_score_reply(&encode_status(STATUS_OVERLOADED)).unwrap(),
-            Err(STATUS_OVERLOADED)
-        );
-        assert_eq!(
-            decode_stats_reply(&encode_status(STATUS_SHUTTING_DOWN)).unwrap(),
-            Err(STATUS_SHUTTING_DOWN)
-        );
+    fn unknown_reply_roundtrips_via_the_decision_sentinel() {
+        // Open-set servers flag an unknown by writing DECISION_UNKNOWN in
+        // the decision slot; decoders recover the local argmax from the
+        // LLRs so `decision` stays meaningful either way.
+        let unknown = ScoredUtt {
+            unknown: true,
+            ..scored(vec![-3.0, -1.5, -7.0], 1, 9)
+        };
+        let (_, back) = decode_score_reply_v2(&encode_score_ok_v2(7, &unknown)).unwrap();
+        assert_eq!(back.unwrap(), unknown);
+
+        // A closed-set reply never carries the sentinel.
+        let closed = encode_score_ok_v2(7, &scored(vec![-3.0, -1.5, -7.0], 1, 9));
+        assert!(!closed
+            .windows(4)
+            .any(|w| w == DECISION_UNKNOWN.to_le_bytes()));
+
+        // The sentinel with no LLRs is a protocol error, not a panic; so
+        // is a decision index past the LLRs.
+        let empty = ScoredUtt {
+            llrs: Vec::new(),
+            ..unknown
+        };
+        assert!(decode_score_reply_v2(&encode_score_ok_v2(7, &empty)).is_err());
+        assert!(decode_score_reply_v2(&encode_score_ok_v2(7, &scored(vec![0.5], 1, 0))).is_err());
     }
 
     #[test]
-    fn malformed_messages_are_typed_errors_not_panics() {
-        assert!(decode_request(&[]).is_err());
-        assert!(decode_request(&[99]).is_err());
-        // Truncated sample slice.
-        let mut good = encode_request(&Request::Score {
-            samples: vec![1.0; 16],
-        });
-        good.truncate(good.len() - 3);
-        assert!(decode_request(&good).is_err());
-        // Trailing junk after a well-formed request.
-        let mut padded = encode_request(&Request::Stats);
-        padded.push(0);
-        assert!(decode_request(&padded).is_err());
-        assert!(decode_score_reply(&[]).is_err());
-        // v2 with the id truncated away.
-        let mut v2 = encode_request(&Request::ScoreV2 {
-            id: 1,
-            deadline_ms: 0,
-            samples: vec![1.0; 4],
-        });
-        v2.truncate(5);
-        assert!(decode_request(&v2).is_err());
-        // v2 reply missing its id.
-        assert!(decode_score_reply_v2(&[STATUS_OK]).is_err());
-        // v2 refusal with trailing junk.
-        let mut bad = encode_status_v2(9, STATUS_OVERLOADED);
-        bad.push(1);
-        assert!(decode_score_reply_v2(&bad).is_err());
+    fn traced_score_reply_carries_the_span() {
+        use lre_obs::{STAGE_DECODE, STAGE_QUEUE, STAGE_SCORE};
+        let spanned = |marks: &[(u8, u64)]| {
+            let mut span = TraceSpan::new(0xCAFE);
+            for &(stage, at) in marks {
+                span.mark(stage, at);
+            }
+            ScoredUtt {
+                span: Some(span),
+                ..scored(vec![0.25, -1.0], 0, 42)
+            }
+        };
+        let good = spanned(&[
+            (STAGE_QUEUE, 100),
+            (STAGE_DECODE, 120),
+            (STAGE_SCORE, 900),
+            (STAGE_REPLY, 950),
+        ]);
+        let frame = encode_score_ok_traced(11, &good);
+        assert_eq!(decode_score_reply_traced(&frame).unwrap(), (11, Ok(good)));
+        for cut in 0..frame.len() {
+            assert!(decode_score_reply_traced(&frame[..cut]).is_err());
+        }
+        // The two score replies are different shapes: neither decoder
+        // takes the other's frame.
+        assert!(decode_score_reply_v2(&frame).is_err());
+        assert!(decode_score_reply_traced(&encode_score_ok_v2(11, &spanned(&[]))).is_err());
+
+        // Offsets going backwards and unknown stage ids are protocol errors.
+        let backwards = spanned(&[(STAGE_QUEUE, 100), (STAGE_DECODE, 50)]);
+        assert!(decode_score_reply_traced(&encode_score_ok_traced(1, &backwards)).is_err());
+        let alien = spanned(&[(99, 5)]);
+        assert!(decode_score_reply_traced(&encode_score_ok_traced(1, &alien)).is_err());
     }
+
+    // ----------------------------------------------------------- framing
 
     #[test]
     fn framing_roundtrip_and_eof() {
@@ -1929,5 +1429,63 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         buf.truncate(6);
         assert!(read_frame(&mut std::io::Cursor::new(buf)).is_err());
+    }
+
+    // -------------------------------------------------------------- docs
+
+    /// The request table of `docs/SERVING.md`, as that file should have it.
+    fn documented_rows() -> Vec<String> {
+        let kind = |k: FieldKind| match k {
+            FieldKind::Flag => "flag",
+            FieldKind::U32 => "u32",
+            FieldKind::U64 => "u64",
+            FieldKind::F32Slice => "f32 slice",
+            FieldKind::Blob => "blob",
+        };
+        let mut rows: Vec<(u8, String)> = RETIRED_TAGS
+            .iter()
+            .map(|&tag| (tag, format!("| `{tag}` | *retired* | — | — | nobody: refused `bad request` like any unknown tag |")))
+            .collect();
+        for row in TAG_TABLE {
+            let body: Vec<String> = row
+                .fields
+                .iter()
+                .map(|f| format!("`{}` {}", f.name, kind(f.kind)))
+                .collect();
+            let body = if body.is_empty() {
+                "empty".to_string()
+            } else {
+                body.join(" · ")
+            };
+            rows.push((
+                row.tag,
+                format!(
+                    "| `{}` | {} | {body} | `{}` | {} |",
+                    row.tag, row.name, row.reply, row.answered_by
+                ),
+            ));
+        }
+        rows.sort();
+        rows.into_iter().map(|(_, line)| line).collect()
+    }
+
+    #[test]
+    fn serving_md_request_table_matches_the_tag_table() {
+        let doc = include_str!("../../../docs/SERVING.md");
+        let header = "| tag | request | body | `OK` reply body | answered by |";
+        let table: Vec<&str> = doc
+            .lines()
+            .skip_while(|line| *line != header)
+            .skip(2) // the header and its |---| rule
+            .take_while(|line| line.starts_with('|'))
+            .collect();
+        let want = documented_rows();
+        assert!(
+            table == want,
+            "docs/SERVING.md's request table is not what the tag table says.\n\
+             It should read:\n{header}\n|---|---|---|---|---|\n{}\n\nbut reads:\n{}",
+            want.join("\n"),
+            table.join("\n")
+        );
     }
 }

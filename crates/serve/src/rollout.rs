@@ -32,7 +32,7 @@
 
 use crate::bundle::SystemBundle;
 use crate::durability::DurableVoteLog;
-use crate::protocol::{DrainReply, STATUS_CONFLICT};
+use crate::protocol::{AbortAck, CommitAck, DrainReply, RollbackAck, StageAck, STATUS_CONFLICT};
 use crate::swap::{ScorerHandle, VersionedScorer};
 use crate::system::{Scorer, ScoringSystem};
 use crate::votelog::{VoteLog, VoteLogSnapshot, VoteRecord};
@@ -51,17 +51,14 @@ pub trait FleetControl: Send + Sync + 'static {
     /// below the `min` floor leaves the log untouched and reports the
     /// buffered count.
     fn drain_votes(&self, peek: bool, min: u32) -> DrainReply;
-    /// Validate and hold a sealed candidate bundle; `Ok` carries its
-    /// checksum.
-    fn stage(&self, sealed: &[u8]) -> Result<u32, u8>;
-    /// Atomically swap the staged bundle into serving; `Ok` carries the
-    /// new serving generation and the bundle checksum.
-    fn commit(&self) -> Result<(u64, u32), u8>;
+    /// Validate and hold a sealed candidate bundle.
+    fn stage(&self, sealed: &[u8]) -> Result<StageAck, u8>;
+    /// Atomically swap the staged bundle into serving.
+    fn commit(&self) -> Result<CommitAck, u8>;
     /// Discard the staged bundle; reports whether one existed.
-    fn abort(&self) -> bool;
-    /// Reinstall the model displaced by the last commit; reports whether
-    /// one existed and the serving generation afterwards.
-    fn rollback(&self) -> (bool, u64);
+    fn abort(&self) -> AbortAck;
+    /// Reinstall the model displaced by the last commit, if there is one.
+    fn rollback(&self) -> RollbackAck;
 }
 
 /// A fully validated candidate, held between stage and commit.
@@ -214,7 +211,7 @@ impl FleetControl for FleetReplica {
         }
     }
 
-    fn stage(&self, sealed: &[u8]) -> Result<u32, u8> {
+    fn stage(&self, sealed: &[u8]) -> Result<StageAck, u8> {
         // Validate everything a commit would need *now*: seal integrity,
         // full decode, scorer construction. After `Ok`, commit is a pure
         // pointer swap that cannot fail.
@@ -224,10 +221,10 @@ impl FleetControl for FleetReplica {
         // Re-staging replaces a pending candidate; the coordinator aborts
         // explicitly, but a crashed coordinator must not wedge the replica.
         state.staged = Some(Staged { checksum, scorer });
-        Ok(checksum)
+        Ok(StageAck { checksum })
     }
 
-    fn commit(&self) -> Result<(u64, u32), u8> {
+    fn commit(&self) -> Result<CommitAck, u8> {
         let mut state = self.state.lock().expect("rollout state poisoned");
         let staged = state.staged.take().ok_or(STATUS_CONFLICT)?;
         let displaced = self.handle.current();
@@ -243,15 +240,20 @@ impl FleetControl for FleetReplica {
                 0.0,
             );
         }
-        Ok((generation, staged.checksum))
+        Ok(CommitAck {
+            generation,
+            checksum: staged.checksum,
+        })
     }
 
-    fn abort(&self) -> bool {
+    fn abort(&self) -> AbortAck {
         let mut state = self.state.lock().expect("rollout state poisoned");
-        state.staged.take().is_some()
+        AbortAck {
+            had_staged: state.staged.take().is_some(),
+        }
     }
 
-    fn rollback(&self) -> (bool, u64) {
+    fn rollback(&self) -> RollbackAck {
         let mut state = self.state.lock().expect("rollout state poisoned");
         match state.previous.take() {
             Some(parent) => {
@@ -259,9 +261,15 @@ impl FleetControl for FleetReplica {
                 if let Some(flight) = &self.flight {
                     flight.record(EV_ROLLBACK, "fleet rollback", generation, 0, 0.0, 0.0);
                 }
-                (true, generation)
+                RollbackAck {
+                    rolled: true,
+                    generation,
+                }
             }
-            None => (false, self.handle.generation()),
+            None => RollbackAck {
+                rolled: false,
+                generation: self.handle.generation(),
+            },
         }
     }
 }
@@ -321,14 +329,14 @@ mod tests {
     fn stage_commit_swaps_exactly_once() {
         let rep = replica();
         let sealed = candidate(7);
-        let ck = rep.stage(&sealed).expect("stage validates");
+        let ck = rep.stage(&sealed).expect("stage validates").checksum;
         assert_eq!(ck, crc32(&sealed));
         // Nothing served yet: staging must not disturb the handle.
         assert_eq!(rep.handle.generation(), 0);
         assert_eq!(rep.handle.checksum(), 0xAAAA);
-        let (generation, committed_ck) = rep.commit().expect("commit succeeds");
-        assert_eq!(generation, 1);
-        assert_eq!(committed_ck, ck);
+        let committed = rep.commit().expect("commit succeeds");
+        assert_eq!(committed.generation, 1);
+        assert_eq!(committed.checksum, ck);
         assert_eq!(rep.handle.checksum(), ck);
         let mut scratch = DecodeScratch::new();
         assert_eq!(
@@ -355,7 +363,7 @@ mod tests {
     fn stage_of_garbage_is_refused_and_holds_nothing() {
         let rep = replica();
         assert_eq!(rep.stage(b"not a bundle"), Err(STATUS_CONFLICT));
-        assert!(!rep.abort()); // nothing was held
+        assert!(!rep.abort().had_staged); // nothing was held
         assert_eq!(rep.commit(), Err(STATUS_CONFLICT));
         assert_eq!(rep.handle.generation(), 0);
     }
@@ -376,8 +384,8 @@ mod tests {
     fn abort_discards_and_is_idempotent() {
         let rep = replica();
         rep.stage(&candidate(1)).unwrap();
-        assert!(rep.abort());
-        assert!(!rep.abort());
+        assert!(rep.abort().had_staged);
+        assert!(!rep.abort().had_staged);
         assert_eq!(rep.commit(), Err(STATUS_CONFLICT));
         assert_eq!(rep.handle.generation(), 0);
     }
@@ -386,9 +394,8 @@ mod tests {
     fn restage_replaces_the_pending_candidate() {
         let rep = replica();
         rep.stage(&candidate(1)).unwrap();
-        let ck2 = rep.stage(&candidate(2)).unwrap();
-        let (_, committed) = rep.commit().unwrap();
-        assert_eq!(committed, ck2);
+        let staged = rep.stage(&candidate(2)).unwrap();
+        assert_eq!(rep.commit().unwrap().checksum, staged.checksum);
         let mut scratch = DecodeScratch::new();
         assert_eq!(
             rep.handle
@@ -407,15 +414,15 @@ mod tests {
         let parent = rep.handle.current();
         rep.stage(&candidate(1)).unwrap();
         rep.commit().unwrap();
-        let (rolled, generation) = rep.rollback();
-        assert!(rolled);
-        assert_eq!(generation, 2); // monotonic, never back to 0
+        let ack = rep.rollback();
+        assert!(ack.rolled);
+        assert_eq!(ack.generation, 2); // monotonic, never back to 0
         assert_eq!(rep.handle.checksum(), 0xAAAA);
         assert!(Arc::ptr_eq(&rep.handle.current().scorer, &parent.scorer));
         // One-deep: a second rollback has nothing to restore.
-        let (rolled, generation) = rep.rollback();
-        assert!(!rolled);
-        assert_eq!(generation, 2);
+        let ack = rep.rollback();
+        assert!(!ack.rolled);
+        assert_eq!(ack.generation, 2);
     }
 
     #[test]

@@ -3,26 +3,20 @@
 //! Each connection is split into a **reader** (decodes frames, admits
 //! requests) and a **writer** thread (serializes replies onto the socket),
 //! joined by a channel of pre-encoded frames. That split is what makes
-//! pipelining work: a v2 client may have up to
+//! pipelining work: a client may have up to
 //! [`ServerConfig::max_inflight`] score requests outstanding, their
 //! replies are produced on engine worker threads in completion order, and
 //! the writer interleaves them safely with whatever the reader answers
-//! inline (stats, refusals).
-//!
-//! v1 requests keep their one-at-a-time, in-order semantics: the reader
-//! blocks on the engine before reading the next frame, exactly as the
-//! pre-pipelining server did.
+//! inline (stats, control requests, refusals).
 
 use crate::durability::DurabilityControl;
 use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
 use crate::obs::ServeObs;
 use crate::protocol::{
-    decode_request, encode_abort_ok, encode_adapt_ok, encode_commit_ok, encode_drain_ok,
-    encode_flight_ok, encode_metrics_ok, encode_ping_ok, encode_rollback_ok, encode_rollback_to_ok,
-    encode_score_ok, encode_score_ok_traced, encode_score_ok_v2, encode_stage_ok, encode_stats_ok,
-    encode_stats_ok_v2, encode_status, encode_status_v2, encode_wal_status_ok, read_frame,
-    write_frame, AdaptReport, PingReport, Request, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED,
-    STATUS_INTERNAL, STATUS_OK, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
+    decode_request, encode_ok, encode_score_ok_traced, encode_score_ok_v2, encode_status,
+    encode_status_v2, read_frame, write_frame, Ack, AdaptReport, PingReport, Request, Wire,
+    STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
+    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
@@ -36,7 +30,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     pub engine: EngineConfig,
-    /// Most v2 score requests one connection may have outstanding; the
+    /// Most score requests one connection may have outstanding; the
     /// one-past-the-window request is refused `STATUS_OVERLOADED` without
     /// touching the queue.
     pub max_inflight: usize,
@@ -154,62 +148,39 @@ impl Server {
         listener: TcpListener,
         handle: Arc<ScorerHandle>,
         cfg: ServerConfig,
-        hooks: ServerHooks,
+        mut hooks: ServerHooks,
     ) -> std::io::Result<Server> {
-        let ServerHooks {
-            tap,
-            control,
-            fleet,
-            durability,
-            obs,
-        } = hooks;
         let addr = listener.local_addr()?;
-        let engine = Arc::new(Engine::start_observed(cfg.engine, handle, tap, obs.clone()));
+        let engine = Arc::new(Engine::start_observed(
+            cfg.engine,
+            handle,
+            hooks.tap.take(),
+            hooks.obs.clone(),
+        ));
         let stopping = Arc::new(AtomicBool::new(false));
-        let max_inflight = cfg.max_inflight.max(1);
-        let max_global = if cfg.max_global_inflight == 0 {
-            usize::MAX
-        } else {
-            cfg.max_global_inflight
-        };
-        let global_inflight = Arc::new(AtomicUsize::new(0));
-        let accept = {
-            let engine = Arc::clone(&engine);
-            let stopping = Arc::clone(&stopping);
-            std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match conn {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let engine = Arc::clone(&engine);
-                    let stopping = Arc::clone(&stopping);
-                    let global_inflight = Arc::clone(&global_inflight);
-                    let control = control.clone();
-                    let fleet = fleet.clone();
-                    let durability = durability.clone();
-                    let obs = obs.clone();
-                    std::thread::spawn(move || {
-                        handle_connection(
-                            stream,
-                            engine,
-                            stopping,
-                            addr,
-                            max_inflight,
-                            global_inflight,
-                            max_global,
-                            control,
-                            fleet,
-                            durability,
-                            obs,
-                        )
-                    });
+        let shared = Arc::new(Shared {
+            engine: Arc::clone(&engine),
+            stopping: Arc::clone(&stopping),
+            addr,
+            max_inflight: cfg.max_inflight.max(1),
+            max_global: match cfg.max_global_inflight {
+                0 => usize::MAX,
+                n => n,
+            },
+            global_inflight: Arc::new(AtomicUsize::new(0)),
+            hooks,
+        });
+        let accept = std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                if shared.stopping.load(Ordering::SeqCst) {
+                    break;
                 }
-            })
-        };
+                if let Ok(stream) = conn {
+                    let shared = Arc::clone(&shared);
+                    std::thread::spawn(move || handle_connection(stream, &shared));
+                }
+            }
+        });
         Ok(Server {
             addr,
             engine,
@@ -251,20 +222,99 @@ fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    mut stream: TcpStream,
+/// What every connection of one server shares.
+struct Shared {
     engine: Arc<Engine>,
     stopping: Arc<AtomicBool>,
     addr: SocketAddr,
     max_inflight: usize,
-    global_inflight: Arc<AtomicUsize>,
     max_global: usize,
-    control: Option<Arc<dyn AdaptControl>>,
-    fleet: Option<Arc<dyn FleetControl>>,
-    durability: Option<Arc<dyn DurabilityControl>>,
-    obs: Option<Arc<ServeObs>>,
-) {
+    /// Score requests outstanding across every connection.
+    global_inflight: Arc<AtomicUsize>,
+    hooks: ServerHooks,
+}
+
+/// Answer a control request from an optional hook: `OK` + body, the
+/// hook's own typed refusal, or `unsupported` when the hook is absent.
+/// (Public for the router, whose optional parts answer the same way.)
+pub fn answer<H: ?Sized, T: Wire>(
+    hook: &Option<Arc<H>>,
+    ask: impl FnOnce(&H) -> Result<T, u8>,
+) -> Vec<u8> {
+    match hook.as_deref().map(ask) {
+        Some(Ok(body)) => encode_ok(&body),
+        Some(Err(status)) => encode_status(status),
+        None => encode_status(STATUS_UNSUPPORTED),
+    }
+}
+
+/// One connection's score admission state.
+struct ScoreLane<'a> {
+    shared: &'a Shared,
+    reply_tx: &'a mpsc::Sender<Vec<u8>>,
+    /// Score requests outstanding on this connection. Only the reader
+    /// increments, so a plain load-then-add admits at most `max_inflight`.
+    inflight: Arc<AtomicUsize>,
+}
+
+impl ScoreLane<'_> {
+    /// Admit one score request of either tag: the connection's window,
+    /// then the server-wide cap, then the queue. `None` means the reply
+    /// arrives through the engine callback; `Some(frame)` is an immediate
+    /// refusal. `trace: Some(id)` makes the engine stamp a span and the
+    /// reply take the traced shape.
+    fn admit(
+        &self,
+        id: u64,
+        deadline_ms: u32,
+        trace: Option<u64>,
+        samples: Vec<f32>,
+    ) -> Option<Vec<u8>> {
+        let (engine, global) = (&self.shared.engine, &self.shared.global_inflight);
+        if self.inflight.load(Ordering::Acquire) >= self.shared.max_inflight {
+            // Window violation: shed before the queue even sees it.
+            engine.note_shed();
+            return Some(encode_status_v2(id, STATUS_OVERLOADED));
+        }
+        if !try_acquire_global(global, self.shared.max_global) {
+            // Within this connection's window but the server-wide cap is
+            // spent: shed and attribute it separately.
+            engine.note_shed_global();
+            return Some(encode_status_v2(id, STATUS_OVERLOADED));
+        }
+        self.inflight.fetch_add(1, Ordering::AcqRel);
+        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
+        // A zero trace id asks the server to mint one (single-server
+        // clients; the router mints before forwarding).
+        let trace = trace.map(|t| if t == 0 { mint_trace_id() } else { t });
+        let cb_tx = self.reply_tx.clone();
+        let cb_inflight = Arc::clone(&self.inflight);
+        let cb_global = Arc::clone(global);
+        let submitted = engine.submit_with(samples, deadline, trace, move |outcome| {
+            let frame = match outcome {
+                Outcome::Scored(s) if trace.is_some() => encode_score_ok_traced(id, &s),
+                Outcome::Scored(s) => encode_score_ok_v2(id, &s),
+                Outcome::DeadlineExceeded => encode_status_v2(id, STATUS_DEADLINE_EXCEEDED),
+                Outcome::Failed => encode_status_v2(id, STATUS_INTERNAL),
+            };
+            cb_inflight.fetch_sub(1, Ordering::AcqRel);
+            cb_global.fetch_sub(1, Ordering::AcqRel);
+            let _ = cb_tx.send(frame);
+        });
+        let refused = submitted.err()?;
+        // The job (and its callback) was dropped unfired; the reader owns
+        // the refusal.
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        global.fetch_sub(1, Ordering::AcqRel);
+        let status = match refused {
+            SubmitError::Overloaded => STATUS_OVERLOADED,
+            SubmitError::ShuttingDown => STATUS_SHUTTING_DOWN,
+        };
+        Some(encode_status_v2(id, status))
+    }
+}
+
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let mut write_half = match stream.try_clone() {
         Ok(s) => s,
@@ -288,9 +338,12 @@ fn handle_connection(
         }
     });
 
-    // Outstanding v2 requests on this connection. Only the reader
-    // increments, so a plain load-then-add admits at most `max_inflight`.
-    let inflight = Arc::new(AtomicUsize::new(0));
+    let lane = ScoreLane {
+        shared,
+        reply_tx: &reply_tx,
+        inflight: Arc::new(AtomicUsize::new(0)),
+    };
+    let (engine, hooks) = (&shared.engine, &shared.hooks);
 
     // Set when this connection carried a shutdown request; acted on only
     // after the ack has been flushed to the socket.
@@ -299,105 +352,51 @@ fn handle_connection(
     // Anything but a complete frame — clean close, torn connection,
     // oversized length prefix — ends the conversation.
     while let Ok(Some(frame)) = read_frame(&mut stream) {
+        // Everything but a score is answered inline on the reader, in
+        // request order, without touching the scoring queue.
         let reply = match decode_request(&frame) {
-            // v1: answered in order, next frame not read until resolved.
-            Ok(Request::Score { samples }) => {
-                if !try_acquire_global(&global_inflight, max_global) {
-                    engine.note_shed_global();
-                    encode_status(STATUS_OVERLOADED)
-                } else {
-                    let result = engine.score_blocking(samples);
-                    global_inflight.fetch_sub(1, Ordering::AcqRel);
-                    match result {
-                        Ok(Outcome::Scored(scored)) => encode_score_ok(&scored),
-                        // v1 requests carry no deadline; typed all the same.
-                        Ok(Outcome::DeadlineExceeded) => encode_status(STATUS_DEADLINE_EXCEEDED),
-                        Ok(Outcome::Failed) => encode_status(STATUS_INTERNAL),
-                        Err(SubmitError::Overloaded) => encode_status(STATUS_OVERLOADED),
-                        Err(SubmitError::ShuttingDown) => encode_status(STATUS_SHUTTING_DOWN),
-                    }
-                }
+            Ok(Request::ScoreV2 {
+                id,
+                deadline_ms,
+                samples,
+            }) => lane.admit(id, deadline_ms, None, samples),
+            Ok(Request::ScoreTraced {
+                id,
+                deadline_ms,
+                trace_id,
+                samples,
+            }) => lane.admit(id, deadline_ms, Some(trace_id), samples),
+            Ok(Request::StatsV2) => Some(encode_ok(&engine.stats())),
+            // One cycle runs synchronously and the report comes back in
+            // request order.
+            Ok(Request::Adapt) => Some(answer(&hooks.control, |c| Ok(c.adapt_now()))),
+            // Derived from the engine's counters, so the probe stays
+            // answerable while the queue is saturated.
+            Ok(Request::Ping) => Some(encode_ok(&PingReport::from_stats(&engine.stats()))),
+            Ok(Request::DrainVotes { peek, min }) => {
+                Some(answer(&hooks.fleet, |f| Ok(f.drain_votes(peek, min))))
             }
-            Ok(Request::Stats) => encode_stats_ok(&engine.stats()),
-            Ok(Request::StatsV2) => encode_stats_ok_v2(&engine.stats()),
-            // Answered inline on the reader, like stats: one cycle runs
-            // synchronously and the report comes back in request order.
-            Ok(Request::Adapt) => match &control {
-                Some(c) => encode_adapt_ok(&c.adapt_now()),
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            // The health probe never touches the scoring queue: it is
-            // derived from the engine's counters on the reader thread, so
-            // it stays answerable while the queue is saturated.
-            Ok(Request::Ping) => encode_ping_ok(&PingReport::from_stats(&engine.stats())),
-            // The fleet-rollout tags are answered inline like stats; each
-            // is refused `STATUS_UNSUPPORTED` without a fleet hook.
-            Ok(Request::DrainVotes { peek, min }) => match &fleet {
-                Some(f) => encode_drain_ok(&f.drain_votes(peek, min)),
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::StageBundle { sealed }) => match &fleet {
-                Some(f) => match f.stage(&sealed) {
-                    Ok(checksum) => encode_stage_ok(checksum),
-                    Err(status) => encode_status(status),
-                },
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::CommitStaged) => match &fleet {
-                Some(f) => match f.commit() {
-                    Ok((generation, checksum)) => encode_commit_ok(generation, checksum),
-                    Err(status) => encode_status(status),
-                },
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::AbortStaged) => match &fleet {
-                Some(f) => encode_abort_ok(f.abort()),
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::Rollback) => match &fleet {
-                Some(f) => {
-                    let (rolled, generation) = f.rollback();
-                    encode_rollback_ok(rolled, generation)
-                }
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
+            Ok(Request::StageBundle { sealed }) => Some(answer(&hooks.fleet, |f| f.stage(&sealed))),
+            Ok(Request::CommitStaged) => Some(answer(&hooks.fleet, |f| f.commit())),
+            Ok(Request::AbortStaged) => Some(answer(&hooks.fleet, |f| Ok(f.abort()))),
+            Ok(Request::Rollback) => Some(answer(&hooks.fleet, |f| Ok(f.rollback()))),
             // Only the router's front tier aggregates a fleet; a replica
             // (or single server) has nothing to answer with.
-            Ok(Request::FleetStats) => encode_status(STATUS_UNSUPPORTED),
-            // Durability tags are answered inline from the WAL/lineage
-            // indexes (cheap, no scoring-queue involvement). The deep
-            // rollback runs synchronously like `Adapt`: it swaps a model
-            // and the requester wants the outcome in request order.
-            Ok(Request::WalStatus) => match &durability {
-                Some(d) => encode_wal_status_ok(&d.wal_status()),
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::RollbackTo { generation }) => match &durability {
-                Some(d) => match d.rollback_to(generation) {
-                    Ok((gen_restored, serving, checksum)) => {
-                        encode_rollback_to_ok(gen_restored, serving, checksum)
-                    }
-                    Err(status) => encode_status(status),
-                },
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            // Telemetry tags are answered inline from the registry /
-            // recorder snapshots — no scoring-queue involvement.
-            Ok(Request::StatsV3) => match &obs {
-                Some(o) => encode_metrics_ok(&o.registry.snapshot()),
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
-            Ok(Request::Flight { drain }) => match &obs {
-                Some(o) => {
-                    let events = if drain {
-                        o.flight.drain()
-                    } else {
-                        o.flight.peek()
-                    };
-                    encode_flight_ok(&events)
-                }
-                None => encode_status(STATUS_UNSUPPORTED),
-            },
+            Ok(Request::FleetStats) => Some(encode_status(STATUS_UNSUPPORTED)),
+            Ok(Request::WalStatus) => Some(answer(&hooks.durability, |d| Ok(d.wal_status()))),
+            // Runs synchronously like `Adapt`: it swaps a model and the
+            // requester wants the outcome in request order.
+            Ok(Request::RollbackTo { generation }) => {
+                Some(answer(&hooks.durability, |d| d.rollback_to(generation)))
+            }
+            Ok(Request::StatsV3) => Some(answer(&hooks.obs, |o| Ok(o.registry.snapshot()))),
+            Ok(Request::Flight { drain }) => Some(answer(&hooks.obs, |o| {
+                Ok(if drain {
+                    o.flight.drain()
+                } else {
+                    o.flight.peek()
+                })
+            })),
             Ok(Request::Shutdown) => {
                 // Acknowledge, then stop accepting; `Server::join` drains
                 // the engine. The stop itself is deferred until after the
@@ -405,126 +404,23 @@ fn handle_connection(
                 // accept loop (and the process) exit while the ack is still
                 // queued on this handler's reply lane, and the requester
                 // reads EOF instead of STATUS_OK.
-                let _ = reply_tx.send(encode_status(STATUS_OK));
+                let _ = reply_tx.send(encode_ok(&Ack));
                 shutdown_requested = true;
                 break;
-            }
-            Ok(Request::ScoreV2 {
-                id,
-                deadline_ms,
-                samples,
-            }) => {
-                if inflight.load(Ordering::Acquire) >= max_inflight {
-                    // Window violation: shed before the queue even sees it.
-                    engine.note_shed();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else if !try_acquire_global(&global_inflight, max_global) {
-                    // Within this connection's window but the server-wide
-                    // cap is spent: shed and attribute it separately.
-                    engine.note_shed_global();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else {
-                    inflight.fetch_add(1, Ordering::AcqRel);
-                    let deadline =
-                        (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                    let cb_tx = reply_tx.clone();
-                    let cb_inflight = Arc::clone(&inflight);
-                    let cb_global = Arc::clone(&global_inflight);
-                    let submitted = engine.submit_with(samples, deadline, move |outcome| {
-                        let frame = match outcome {
-                            Outcome::Scored(s) => encode_score_ok_v2(id, &s),
-                            Outcome::DeadlineExceeded => {
-                                encode_status_v2(id, STATUS_DEADLINE_EXCEEDED)
-                            }
-                            Outcome::Failed => encode_status_v2(id, STATUS_INTERNAL),
-                        };
-                        cb_inflight.fetch_sub(1, Ordering::AcqRel);
-                        cb_global.fetch_sub(1, Ordering::AcqRel);
-                        let _ = cb_tx.send(frame);
-                    });
-                    match submitted {
-                        Ok(()) => continue, // reply arrives via the callback
-                        Err(e) => {
-                            // The job (and its callback) was dropped
-                            // unfired; the reader owns the refusal.
-                            inflight.fetch_sub(1, Ordering::AcqRel);
-                            global_inflight.fetch_sub(1, Ordering::AcqRel);
-                            let status = match e {
-                                SubmitError::Overloaded => STATUS_OVERLOADED,
-                                SubmitError::ShuttingDown => STATUS_SHUTTING_DOWN,
-                            };
-                            encode_status_v2(id, status)
-                        }
-                    }
-                }
-            }
-            // Same admission path as ScoreV2 (window, then global cap),
-            // plus the trace id that makes the engine stamp a span.
-            Ok(Request::ScoreTraced {
-                id,
-                deadline_ms,
-                trace_id,
-                samples,
-            }) => {
-                if inflight.load(Ordering::Acquire) >= max_inflight {
-                    engine.note_shed();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else if !try_acquire_global(&global_inflight, max_global) {
-                    engine.note_shed_global();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else {
-                    inflight.fetch_add(1, Ordering::AcqRel);
-                    let deadline =
-                        (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                    // A zero id asks the server to mint one (single-server
-                    // clients; the router mints before forwarding).
-                    let trace_id = if trace_id == 0 {
-                        mint_trace_id()
-                    } else {
-                        trace_id
-                    };
-                    let cb_tx = reply_tx.clone();
-                    let cb_inflight = Arc::clone(&inflight);
-                    let cb_global = Arc::clone(&global_inflight);
-                    let submitted =
-                        engine.submit_traced(samples, deadline, trace_id, move |outcome| {
-                            let frame = match outcome {
-                                Outcome::Scored(s) => encode_score_ok_traced(id, trace_id, &s),
-                                Outcome::DeadlineExceeded => {
-                                    encode_status_v2(id, STATUS_DEADLINE_EXCEEDED)
-                                }
-                                Outcome::Failed => encode_status_v2(id, STATUS_INTERNAL),
-                            };
-                            cb_inflight.fetch_sub(1, Ordering::AcqRel);
-                            cb_global.fetch_sub(1, Ordering::AcqRel);
-                            let _ = cb_tx.send(frame);
-                        });
-                    match submitted {
-                        Ok(()) => continue,
-                        Err(e) => {
-                            inflight.fetch_sub(1, Ordering::AcqRel);
-                            global_inflight.fetch_sub(1, Ordering::AcqRel);
-                            let status = match e {
-                                SubmitError::Overloaded => STATUS_OVERLOADED,
-                                SubmitError::ShuttingDown => STATUS_SHUTTING_DOWN,
-                            };
-                            encode_status_v2(id, status)
-                        }
-                    }
-                }
             }
             Err(_) => {
                 let _ = reply_tx.send(encode_status(STATUS_BAD_REQUEST));
                 break;
             }
         };
-        if reply_tx.send(reply).is_err() {
+        if reply.is_some_and(|frame| reply_tx.send(frame).is_err()) {
             break;
         }
     }
 
-    // Drop the reader's sender; the writer exits once the last in-flight
+    // Drop the reader's senders; the writer exits once the last in-flight
     // callback has fired and released its clone.
+    drop(lane);
     drop(reply_tx);
     let _ = writer.join();
 
@@ -533,6 +429,6 @@ fn handle_connection(
     // exit. Triggering earlier races the detached writer thread against
     // process teardown and can strand the ack.
     if shutdown_requested {
-        trigger_stop(&stopping, addr);
+        trigger_stop(&shared.stopping, shared.addr);
     }
 }

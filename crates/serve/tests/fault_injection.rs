@@ -8,7 +8,7 @@
 //! - malformed input (truncated frames, oversized length prefixes, garbage
 //!   tags, mid-frame disconnects) gets a typed refusal or a clean close —
 //!   never a panic, a hang, an outsized allocation, or a leaked thread;
-//! - pipelined v2 connections respect the server's inflight window, match
+//! - pipelined connections respect the server's inflight window, match
 //!   replies to request ids even out of order, and see typed
 //!   `DEADLINE_EXCEEDED` / `INTERNAL` statuses;
 //! - the engine shuts down idempotently, resolving in-flight work and
@@ -19,7 +19,7 @@ use lre_lattice::DecodeScratch;
 use lre_serve::client::ScoreReply;
 use lre_serve::fuzz;
 use lre_serve::{
-    Client, Engine, EngineConfig, Outcome, PipelinedClient, ScoreDetail, Scorer, Server,
+    read_frame, write_frame, Client, Engine, EngineConfig, Outcome, ScoreDetail, Scorer, Server,
     ServerConfig, SubmitError,
 };
 use std::net::TcpListener;
@@ -166,8 +166,13 @@ fn malformed_corpus_against_live_server() {
     let addr = server.local_addr();
     let baseline_threads = thread_count();
 
-    let cases = fuzz::run_corpus(addr, Duration::from_secs(10)).expect("malformed-input contract");
-    assert!(cases >= 20, "corpus shrank to {cases} cases");
+    let ran = fuzz::run_corpus(addr, Duration::from_secs(10)).expect("malformed-input contract");
+    for class in ["per-tag", "payload", "stream", "slow-loris"] {
+        assert!(
+            ran.get(class).is_some_and(|&n| n > 0),
+            "no {class} case ran"
+        );
+    }
 
     // No request ever reached the engine: admission rejects malformed
     // frames before they touch the queue.
@@ -258,7 +263,7 @@ fn pipelined_replies_match_ids_and_are_bit_faithful() {
     let addr = server.local_addr();
 
     let utts: Vec<Vec<f32>> = (0..32).map(|i| vec![i as f32; 8]).collect();
-    let mut client = PipelinedClient::connect(addr).expect("connect");
+    let mut client = Client::connect(addr).expect("connect");
     let replies = client.score_all(&utts, 4, None).expect("pipelined run");
     for (i, (utt, reply)) in utts.iter().zip(&replies).enumerate() {
         match reply {
@@ -270,7 +275,7 @@ fn pipelined_replies_match_ids_and_are_bit_faithful() {
     }
     assert_eq!(client.inflight(), 0);
 
-    let stats = client.stats().expect("v2 stats");
+    let stats = client.stats_v2().expect("stats");
     assert_eq!(stats.completed, utts.len() as u64);
     assert_eq!(stats.rejected, 0);
 
@@ -289,7 +294,7 @@ fn server_enforces_the_inflight_window() {
     let server = start_server(Arc::clone(&gate) as _, cfg);
     let addr = server.local_addr();
 
-    let mut client = PipelinedClient::connect(addr).expect("connect");
+    let mut client = Client::connect(addr).expect("connect");
     for i in 0..5 {
         client.submit(&[i as f32], None).expect("submit");
     }
@@ -322,7 +327,7 @@ fn server_enforces_the_inflight_window() {
     }
 
     // The shed request is accounted: requests = completed + rejected.
-    let stats = client.stats().expect("stats");
+    let stats = client.stats_v2().expect("stats");
     assert_eq!(stats.requests, 6);
     assert_eq!(stats.completed, 5);
     assert_eq!(stats.rejected, 1);
@@ -344,8 +349,8 @@ fn global_admission_cap_sheds_across_connections_with_a_typed_status() {
     let server = start_server(Arc::clone(&gate) as _, cfg);
     let addr = server.local_addr();
 
-    let mut filler = PipelinedClient::connect(addr).expect("filler connect");
-    let mut victim = PipelinedClient::connect(addr).expect("victim connect");
+    let mut filler = Client::connect(addr).expect("filler connect");
+    let mut victim = Client::connect(addr).expect("victim connect");
 
     filler.submit(&[1.0], None).expect("fill slot 1");
     filler.submit(&[2.0], None).expect("fill slot 2");
@@ -353,7 +358,7 @@ fn global_admission_cap_sheds_across_connections_with_a_typed_status() {
     // gate) — the stats request is answered inline, off the scoring path.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = victim.stats().expect("stats while filler outstanding");
+        let stats = victim.stats_v2().expect("stats while filler outstanding");
         if stats.requests >= 2 {
             break;
         }
@@ -392,7 +397,7 @@ fn global_admission_cap_sheds_across_connections_with_a_typed_status() {
     }
 
     // The shed is attributed: rejected overall, shed_global specifically.
-    let stats = victim.stats().expect("final stats");
+    let stats = victim.stats_v2().expect("final stats");
     assert_eq!(stats.requests, 4);
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.rejected, 1);
@@ -410,13 +415,15 @@ fn deadlines_are_shed_with_a_typed_status() {
     let server = start_server(Arc::clone(&gate) as _, cfg);
     let addr = server.local_addr();
 
-    let mut client = PipelinedClient::connect(addr).expect("connect");
-    // The blocker parks the only worker at the closed gate; the victim's
-    // 5 ms deadline then expires while it waits.
+    let mut client = Client::connect(addr).expect("connect");
+    // The blocker parks the only worker at the closed gate; the victims'
+    // deadlines then expire while they wait. The 500 µs one is the
+    // tightest a client can ask for: it must travel as 1 ms, not as the
+    // `0` that means "no deadline".
     let blocker = client.submit(&[1.0], None).expect("blocker");
-    let victim = client
-        .submit(&[2.0], Some(Duration::from_millis(5)))
-        .expect("victim");
+    let victims = [Duration::from_millis(5), Duration::from_micros(500)]
+        .map(|deadline| client.submit(&[2.0], Some(deadline)).expect("victim"));
+    gate.wait_entered(1);
     std::thread::sleep(Duration::from_millis(50));
     gate.release();
 
@@ -429,14 +436,16 @@ fn deadlines_are_shed_with_a_typed_status() {
         ScoreReply::Scored(s) => assert_eq!(s.llrs, mock_llrs(&[1.0], 2)),
         other => panic!("blocker refused: {other:?}"),
     }
-    assert_eq!(
-        outcomes[&victim],
-        ScoreReply::DeadlineExceeded,
-        "an expired request must get the typed status, not a stale score"
-    );
+    for victim in victims {
+        assert_eq!(
+            outcomes[&victim],
+            ScoreReply::DeadlineExceeded,
+            "an expired request must get the typed status, not a stale score"
+        );
+    }
 
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.expired, 1);
+    let stats = client.stats_v2().expect("stats");
+    assert_eq!(stats.expired, 2);
     assert_eq!(stats.completed, 1);
 
     client.shutdown().expect("shutdown");
@@ -448,7 +457,7 @@ fn scorer_failures_map_to_internal_status_and_keep_the_connection() {
     let server = start_server(Arc::new(FailingScorer), fast_config());
     let addr = server.local_addr();
 
-    let mut client = PipelinedClient::connect(addr).expect("connect");
+    let mut client = Client::connect(addr).expect("connect");
     client.submit(&[1.0], None).expect("submit");
     let (_, reply) = client.recv().expect("reply");
     assert_eq!(reply, ScoreReply::Failed);
@@ -458,13 +467,13 @@ fn scorer_failures_map_to_internal_status_and_keep_the_connection() {
     let (_, reply) = client.recv().expect("second reply");
     assert_eq!(reply, ScoreReply::Failed);
 
-    // A v1 client is told the same thing — not that the server is going
-    // away — and its connection survives too.
-    let mut v1 = Client::connect(addr).expect("v1 connect");
-    assert_eq!(v1.score(&[3.0]).expect("v1 reply"), ScoreReply::Failed);
-    assert_eq!(v1.score(&[4.0]).expect("v1 reply"), ScoreReply::Failed);
+    // The submit-and-wait call is told the same thing — not that the
+    // server is going away — and its connection survives too.
+    let mut waiting = Client::connect(addr).expect("second connect");
+    assert_eq!(waiting.score(&[3.0]).expect("reply"), ScoreReply::Failed);
+    assert_eq!(waiting.score(&[4.0]).expect("reply"), ScoreReply::Failed);
 
-    let stats = client.stats().expect("stats");
+    let stats = client.stats_v2().expect("stats");
     assert_eq!(stats.failed, 4);
     assert_eq!(stats.completed, 0);
 
@@ -473,30 +482,47 @@ fn scorer_failures_map_to_internal_status_and_keep_the_connection() {
 }
 
 #[test]
-fn v1_clients_still_work_against_a_pipelined_server() {
+fn retired_v1_tags_are_refused_and_never_reach_the_engine() {
     let server = start_server(Arc::new(MockScorer { classes: 3 }), fast_config());
     let addr = server.local_addr();
 
-    let mut client = Client::connect(addr).expect("v1 connect");
+    // What a first-generation client would send: tag 1 + a sample slice
+    // (score), tag 2 alone (stats).
+    let mut v1_score = vec![1u8];
+    v1_score.extend_from_slice(&4u32.to_le_bytes());
+    v1_score.extend_from_slice(&0.5f32.to_le_bytes().repeat(4));
+    for payload in [v1_score, vec![2u8]] {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        write_frame(&mut stream, &payload).expect("send");
+        let reply = read_frame(&mut stream)
+            .expect("one reply")
+            .expect("a frame");
+        assert_eq!(
+            reply,
+            [lre_serve::protocol::STATUS_BAD_REQUEST],
+            "tag {} must be refused like any unknown tag",
+            payload[0]
+        );
+        assert_eq!(read_frame(&mut stream).expect("clean close"), None);
+    }
+    assert_eq!(server.engine().stats().requests, 0);
+
+    // The blocking call that replaced the v1 score is one pipelined score
+    // at window 1.
+    let mut client = Client::connect(addr).expect("connect");
     for i in 0..8 {
         let samples = vec![i as f32; 4];
-        match client.score(&samples).expect("v1 score") {
+        match client.score(&samples).expect("score") {
             ScoreReply::Scored(s) => {
                 assert_eq!(s.llrs, mock_llrs(&samples, 3));
                 assert_eq!(s.decision, 2, "argmax of an increasing LLR vector");
             }
-            other => panic!("v1 request refused: {other:?}"),
+            other => panic!("request refused: {other:?}"),
         }
     }
-    // The v1 stats reply still decodes (nine counters, no extension).
-    let stats = client.stats().expect("v1 stats");
-    assert_eq!(stats.completed, 8);
-    assert_eq!(
-        stats.expired, 0,
-        "v1 decode fills the extended fields with 0"
-    );
+    assert_eq!(client.stats_v2().expect("stats").completed, 8);
 
-    client.shutdown().expect("v1 shutdown");
+    client.shutdown().expect("shutdown");
     server.join();
 }
 
@@ -580,7 +606,7 @@ fn deadline_zero_means_no_deadline_on_the_wire() {
     // deadline_ms == 0 must travel as "no deadline", not "already expired".
     let server = start_server(Arc::new(MockScorer { classes: 2 }), fast_config());
     let addr = server.local_addr();
-    let mut client = PipelinedClient::connect(addr).expect("connect");
+    let mut client = Client::connect(addr).expect("connect");
     client
         .submit(&[3.0], Some(Duration::from_millis(0)))
         .expect("submit");

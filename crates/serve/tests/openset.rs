@@ -168,7 +168,7 @@ fn no_threshold_means_closed_set() {
 
 #[test]
 fn pipelined_replies_carry_the_unknown_flag() {
-    // The v2 body uses the same decision-sentinel encoding; a pipelined
+    // Out-of-order replies carry the decision sentinel too: a pipelined
     // mix of confident and alien utterances flags exactly the aliens.
     let (server, log) = start_open_set(Some(0.0));
     let mut client = PipelinedClient::connect(server.local_addr()).expect("connect");

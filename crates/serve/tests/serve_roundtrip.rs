@@ -2,8 +2,8 @@
 //! reload it from bytes alone, and serve it over TCP — with the fused
 //! detection LLRs bit-identical to the offline experiment pipeline, load
 //! shedding engaged when the queue fills, and a clean protocol-driven
-//! shutdown. The pipelined test drives the same workload through protocol
-//! v2 over a lazily opened bundle.
+//! shutdown. The pipelined test drives the same workload through one
+//! connection at window 8 over a lazily opened bundle.
 //!
 //! Like `tests/full_system.rs`, the training-backed tests build the
 //! complete six-front-end smoke experiment (minutes in release, much
@@ -21,8 +21,8 @@ use lre_eval::ScoreMatrix;
 use lre_lattice::DecodeScratch;
 use lre_serve::client::ScoreReply;
 use lre_serve::{
-    Client, Engine, EngineConfig, LazyBundle, Outcome, PipelinedClient, ScoringSystem, Server,
-    ServerConfig, SubmitError, SystemBundle,
+    Client, Engine, EngineConfig, LazyBundle, Outcome, ScoringSystem, Server, ServerConfig,
+    SubmitError, SystemBundle,
 };
 use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
@@ -111,7 +111,7 @@ fn train_save_reload_serve_bit_identical() {
         assert_bits_eq(&got, offline.row(i), &format!("in-process utt {i}"));
     }
 
-    // 2) Over TCP with concurrent v1 clients so both workers stay busy.
+    // 2) Over TCP with concurrent window-1 clients so both workers stay busy.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let server = Server::start(
         listener,
@@ -175,7 +175,7 @@ fn train_save_reload_serve_bit_identical() {
 
     // Counters agree with what the clients saw.
     let mut client = Client::connect(addr).expect("stats connection");
-    let stats = client.stats().expect("stats round trip");
+    let stats = client.stats_v2().expect("stats round trip");
     assert_eq!(stats.completed, waves.len() as u64);
     assert_eq!(stats.requests, waves.len() as u64);
     assert_eq!(stats.rejected, 0);
@@ -256,7 +256,7 @@ fn pipelined_lazy_round_trip_bit_identical() {
 
     // One pipelined connection drives the whole workload with a window of
     // eight requests outstanding; replies are matched by id.
-    let mut client = PipelinedClient::connect(addr).expect("pipelined connect");
+    let mut client = Client::connect(addr).expect("pipelined connect");
     let replies = client
         .score_all(&fx.waves, 8, None)
         .expect("pipelined scoring");
@@ -275,15 +275,15 @@ fn pipelined_lazy_round_trip_bit_identical() {
         "scoring must have materialized every lazy section"
     );
 
-    // Extended counters over the wire: everything completed, nothing
+    // Counters over the wire: everything completed, nothing
     // expired or failed.
-    let stats = client.stats().expect("v2 stats");
+    let stats = client.stats_v2().expect("stats");
     assert_eq!(stats.completed, fx.waves.len() as u64);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.expired, 0);
     assert_eq!(stats.failed, 0);
 
-    client.shutdown().expect("v2 shutdown acknowledged");
+    client.shutdown().expect("shutdown acknowledged");
     server.join();
 }
 
