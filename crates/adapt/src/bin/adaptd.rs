@@ -21,7 +21,7 @@
 //! log, so alien speech cannot steer adaptation.
 //!
 //! `--wal-dir DIR` makes adaptation state durable: votes tee into a
-//! segmented write-ahead log under `DIR/votes` (fsynced every
+//! write-ahead log under `DIR/votes` (fsynced every
 //! `--wal-fsync-ms`, default 50; 0 = fsync inline on every append), and
 //! every served generation's pristine sealed bytes land in the lineage
 //! chain under `DIR/lineage` *before* the hot swap. On restart against

@@ -1,6 +1,6 @@
 //! WAL throughput harness: sustained append and crash-replay rates.
 //!
-//! Drives a real [`lre_wal::SegmentedWal`] on real disk through the two
+//! Drives a real [`lre_wal::Wal`] on real disk through the two
 //! paths that gate the durability design: the hot append path (one sealed
 //! vote-sized record per call, fsync batching on) and the cold replay
 //! path (reopen the directory and rebuild every surviving record). Both
@@ -10,16 +10,19 @@
 //!
 //! ```text
 //! cargo run -p lre-bench --release --bin wal_throughput -- \
-//!     --require-append-rate 50000 --require-replay-rate 100000
+//!     --require-append-rate 45000 --require-replay-rate 12500
 //! ```
 //!
-//! Rates are records/second. The defaults (200k records of 120-byte
-//! payload, 50 ms fsync batching, 1 MiB segments) cover dozens of
-//! segment rolls and background seals, so the measured rate includes the
-//! compression worker's interference, not just the framing cost.
+//! Rates are records/second. The default payload is 9 000 bytes because
+//! that is what a vote weighs: `lre-adaptd --wal-dir` on the smoke bundle
+//! writes `VREC` records of ≈ 9.2 KB (six sparse supervectors dominate;
+//! the LLRs are ~100 bytes of it). The default 10 000 records are about
+//! two and a half full windows at the default `--log-capacity 4096` —
+//! 90 MB on disk, and three copies of that in memory while the replay is
+//! checked.
 
 use lre_artifact::seal;
-use lre_wal::{SegmentedWal, WalOptions};
+use lre_wal::{Wal, WalOptions};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -33,7 +36,6 @@ struct Args {
     records: usize,
     payload_bytes: usize,
     fsync_ms: u64,
-    segment_kib: u64,
     require_append_rate: Option<f64>,
     require_replay_rate: Option<f64>,
 }
@@ -41,10 +43,9 @@ struct Args {
 impl Args {
     fn parse() -> Args {
         let mut args = Args {
-            records: 200_000,
-            payload_bytes: 120,
+            records: 10_000,
+            payload_bytes: 9_000,
             fsync_ms: 50,
-            segment_kib: 1024,
             require_append_rate: None,
             require_replay_rate: None,
         };
@@ -60,7 +61,6 @@ impl Args {
                 "--records" => args.records = val("--records") as usize,
                 "--payload-bytes" => args.payload_bytes = val("--payload-bytes") as usize,
                 "--fsync-ms" => args.fsync_ms = val("--fsync-ms") as u64,
-                "--segment-kib" => args.segment_kib = val("--segment-kib") as u64,
                 "--require-append-rate" => {
                     args.require_append_rate = Some(val("--require-append-rate"))
                 }
@@ -77,7 +77,7 @@ impl Args {
 }
 
 /// Deterministic, distinct per-record payload (a stand-in for an encoded
-/// vote: ~23 LLRs plus metadata at the default size).
+/// vote at the default size).
 fn payload(i: usize, bytes: usize) -> Vec<u8> {
     (0..bytes)
         .map(|b| ((i * 131 + b * 7) % 251) as u8)
@@ -86,7 +86,6 @@ fn payload(i: usize, bytes: usize) -> Vec<u8> {
 
 fn options(args: &Args) -> WalOptions {
     let mut opts = WalOptions::new(BENCH_KIND, BENCH_VERSION);
-    opts.segment_bytes = args.segment_kib * 1024;
     opts.fsync_interval = Duration::from_millis(args.fsync_ms);
     opts
 }
@@ -100,10 +99,9 @@ fn main() {
         .map(|i| seal(BENCH_KIND, BENCH_VERSION, &payload(i, args.payload_bytes)))
         .collect();
     eprintln!(
-        "[wal_throughput] {} records x {} payload bytes, segment {} KiB, fsync every {} ms, dir {}",
+        "[wal_throughput] {} records x {} payload bytes, fsync every {} ms, dir {}",
         args.records,
         args.payload_bytes,
-        args.segment_kib,
         args.fsync_ms,
         dir.display()
     );
@@ -111,7 +109,7 @@ fn main() {
     // --- Append leg: open an empty log and push every record through the
     // hot path, then force a final sync so the timed window covers full
     // durability, not just page-cache writes.
-    let (wal, replay) = SegmentedWal::open(&dir, options(&args), None).expect("open empty");
+    let (wal, replay) = Wal::open(&dir, options(&args), None).expect("open empty");
     assert_eq!(replay.records.len(), 0, "bench dir was not empty");
     let t0 = Instant::now();
     for rec in &records {
@@ -121,25 +119,24 @@ fn main() {
     let append_s = t0.elapsed().as_secs_f64();
     let status = wal.status();
     assert_eq!(status.next_seq, args.records as u64);
-    // Drop closes the open segment and joins the seal worker, so the
-    // replay leg below starts from quiesced disk state.
+    // Drop joins the fsync thread, so the replay leg below starts from
+    // quiesced disk state.
     drop(wal);
     let append_rate = args.records as f64 / append_s.max(1e-9);
 
     // --- Replay leg: a cold open of the same directory must rebuild
     // every record, in order, byte-identical.
     let t0 = Instant::now();
-    let (wal, replay) = SegmentedWal::open(&dir, options(&args), None).expect("reopen");
+    let (wal, replay) = Wal::open(&dir, options(&args), None).expect("reopen");
     let replay_s = t0.elapsed().as_secs_f64();
     assert_eq!(replay.torn_tail_records, 0, "clean log replayed torn");
     assert_eq!(replay.records.len(), args.records, "records lost");
-    for (i, (seq, bytes)) in replay.records.iter().enumerate() {
-        assert_eq!(*seq, i as u64, "replay out of order");
+    assert_eq!(replay.low_water, 0, "fresh log does not start at 0");
+    for (i, bytes) in replay.records.iter().enumerate() {
         if bytes != &records[i] {
             panic!("record {i} came back with different bytes");
         }
     }
-    let sealed = wal.status().sealed_segments;
     drop(wal);
     let replay_rate = args.records as f64 / replay_s.max(1e-9);
     let _ = std::fs::remove_dir_all(&dir);
@@ -160,31 +157,25 @@ fn main() {
             1e6 * secs / args.records as f64
         );
     }
-    println!(
-        "segments: {} total, {} sealed; fsyncs: {}",
-        status.segments, sealed, status.fsyncs
-    );
+    println!("fsyncs: {}", status.fsyncs);
 
     let mut json = String::new();
     let _ = write!(
         json,
         concat!(
             "{{\"config\":{{\"records\":{},\"payload_bytes\":{},",
-            "\"fsync_ms\":{},\"segment_kib\":{}}},",
+            "\"fsync_ms\":{}}},",
             "\"append\":{{\"wall_s\":{:.6},\"rate\":{:.1}}},",
             "\"replay\":{{\"wall_s\":{:.6},\"rate\":{:.1}}},",
-            "\"segments\":{},\"sealed_segments\":{},\"fsyncs\":{}}}\n"
+            "\"fsyncs\":{}}}\n"
         ),
         args.records,
         args.payload_bytes,
         args.fsync_ms,
-        args.segment_kib,
         append_s,
         append_rate,
         replay_s,
         replay_rate,
-        status.segments,
-        sealed,
         status.fsyncs,
     );
     std::fs::write("BENCH_wal.json", &json).expect("write BENCH_wal.json");

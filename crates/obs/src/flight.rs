@@ -35,11 +35,9 @@ pub const EV_ROLLBACK: u8 = 6;
 pub const EV_SHED: u8 = 7;
 /// An accepted request expired before a worker reached it.
 pub const EV_DEADLINE: u8 = 8;
-/// A write-ahead-log segment was sealed (`a` = segment id, `b` = raw
-/// bytes, `x` = sealed bytes after compression).
-pub const EV_WAL_SEAL: u8 = 9;
-/// Write-ahead-log garbage collection reclaimed state (`a` = segments
-/// or generations removed, `b` = bytes reclaimed).
+// Kind 9 (`wal_seal`) is retired, not renumbered.
+/// Lineage garbage collection reclaimed state (`a` = generations
+/// removed, `b` = bytes reclaimed).
 pub const EV_WAL_GC: u8 = 10;
 /// Crash recovery replayed a write-ahead log (`a` = records replayed,
 /// `b` = torn tail records skipped).
@@ -57,7 +55,6 @@ pub fn event_name(kind: u8) -> &'static str {
         EV_ROLLBACK => "rollback",
         EV_SHED => "shed",
         EV_DEADLINE => "deadline",
-        EV_WAL_SEAL => "wal_seal",
         EV_WAL_GC => "wal_gc",
         EV_WAL_RECOVER => "wal_recover",
         _ => "unknown",
@@ -286,13 +283,13 @@ mod tests {
             EV_ROLLBACK,
             EV_SHED,
             EV_DEADLINE,
-            EV_WAL_SEAL,
             EV_WAL_GC,
             EV_WAL_RECOVER,
         ] {
             assert_ne!(event_name(kind), "unknown");
         }
         assert_eq!(event_name(0), "unknown");
+        assert_eq!(event_name(9), "unknown");
         assert_eq!(event_name(200), "unknown");
     }
 }

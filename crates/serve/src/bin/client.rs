@@ -579,13 +579,12 @@ fn main() {
                 // One parseable line; CI's crash-recovery drill greps it.
                 println!(
                     "wal-status: appended={} low_water={} buffered={} segments={} \
-                     sealed_segments={} replayed={} torn={} fsyncs={} lineage_head={} \
+                     replayed={} torn={} fsyncs={} lineage_head={} \
                      lineage_entries={} lineage_retained={} lineage_bytes={} chain_ok={}",
                     w.appended,
                     w.low_water,
                     w.buffered,
                     w.segments,
-                    w.sealed_segments,
                     w.replayed,
                     w.torn,
                     w.fsyncs,

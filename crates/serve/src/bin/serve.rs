@@ -3,17 +3,13 @@
 //! ```text
 //! lre-serve --bundle PATH [--addr 127.0.0.1:7700] [--workers N]
 //!           [--queue N] [--max-inflight N] [--max-global-inflight N]
-//!           [--lazy] [--fast-math] [--fleet] [--log-capacity N]
+//!           [--fast-math] [--fleet] [--log-capacity N]
 //!           [--wal-dir DIR] [--wal-fsync-ms N] [--unknown-threshold LLR]
 //! ```
 //!
 //! `--max-global-inflight` caps score requests outstanding across *all*
 //! connections (0 = unlimited), on top of the per-connection window;
 //! refusals surface as `STATUS_OVERLOADED` and the `shed_global` counter.
-//!
-//! `--lazy` opens the bundle through its offset table and decodes each
-//! subsystem section on first use, so startup cost is the header parse
-//! rather than the full model decode.
 //!
 //! `--fast-math` scores with the bounded-error polynomial kernels instead
 //! of exact libm arithmetic. It is refused unless the bundle was built
@@ -36,8 +32,8 @@
 //! adaptation. Without it those tags are refused `STATUS_UNSUPPORTED`.
 //!
 //! `--wal-dir DIR` (fleet mode) makes the vote log durable: every
-//! admitted vote is teed into a segmented write-ahead log under `DIR`,
-//! replayed into the buffer on restart, and truncated by a router drain.
+//! admitted vote is teed into a write-ahead log under `DIR`, replayed
+//! into the buffer on restart, and cleared by a router drain.
 //! `--wal-fsync-ms N` sets the fsync batching interval (0 = fsync every
 //! append; default 50). The `wal-status` protocol tag reports the log's
 //! state. See `docs/DURABILITY.md`.
@@ -47,9 +43,8 @@ use lre_dba::ScoringMode;
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, DurableVoteLog, FleetReplica, LazyBundle, ScorerHandle, ScoringSystem,
-    ServeObs, Server, ServerHooks, SystemBundle, VoteLog, WalOnlyDurability,
-    DEFAULT_FLIGHT_CAPACITY,
+    vote_wal_options, DurableVoteLog, FleetReplica, ScorerHandle, ScoringSystem, ServeObs, Server,
+    ServerHooks, SystemBundle, VoteLog, WalOnlyDurability, DEFAULT_FLIGHT_CAPACITY,
 };
 use lre_wal::WalObs;
 use std::net::TcpListener;
@@ -57,7 +52,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "lre-serve --bundle PATH [--addr HOST:PORT] [--workers N] [--queue N] \
-    [--max-inflight N] [--max-global-inflight N] [--lazy] [--fast-math] [--fleet] \
+    [--max-inflight N] [--max-global-inflight N] [--fast-math] [--fleet] \
     [--log-capacity N] [--wal-dir DIR] [--wal-fsync-ms N] [--unknown-threshold LLR]";
 
 /// `--fast-math` without the bundle's consent is a startup error, not a
@@ -77,11 +72,10 @@ fn check_fastmath_opt_in(requested: bool, opted_in: bool) {
 fn main() {
     let mut args = Args::from_env(USAGE);
     let mut server = ServerArgs::default();
-    let (mut lazy, mut fast_math, mut fleet) = (false, false, false);
+    let (mut fast_math, mut fleet) = (false, false);
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
             "--queue" => server.cfg.engine.queue_capacity = args.value(&flag),
-            "--lazy" => lazy = true,
             "--fast-math" => fast_math = true,
             "--fleet" => fleet = true,
             other if server.take(other, &mut args) => {}
@@ -97,29 +91,18 @@ fn main() {
         wal_fsync_ms,
         ..
     } = server;
-    let loading = format!("loading {}", bundle_path.display());
-
-    let mut system = if lazy {
-        let bundle = or_die(LazyBundle::load(&bundle_path), &loading);
-        eprintln!(
-            "[serve] lazy bundle: scale={}, seed={}, {} subsystems (sections decode on demand)",
-            bundle.scale_name,
-            bundle.seed,
-            bundle.num_subsystems()
-        );
-        check_fastmath_opt_in(fast_math, bundle.fastmath_opt_in);
-        or_die(ScoringSystem::from_lazy(bundle), &loading)
-    } else {
-        let bundle = or_die(SystemBundle::load_artifact(&bundle_path), &loading);
-        eprintln!(
-            "[serve] bundle: scale={}, seed={}, {} subsystems",
-            bundle.scale_name,
-            bundle.seed,
-            bundle.subsystems.len()
-        );
-        check_fastmath_opt_in(fast_math, bundle.fastmath_opt_in);
-        or_die(ScoringSystem::from_bundle(bundle), "invalid bundle")
-    };
+    let bundle = or_die(
+        SystemBundle::load_artifact(&bundle_path),
+        format!("loading {}", bundle_path.display()),
+    );
+    eprintln!(
+        "[serve] bundle: scale={}, seed={}, {} subsystems",
+        bundle.scale_name,
+        bundle.seed,
+        bundle.subsystems.len()
+    );
+    check_fastmath_opt_in(fast_math, bundle.fastmath_opt_in);
+    let mut system = or_die(ScoringSystem::from_bundle(bundle), "invalid bundle");
     if fast_math {
         system.set_scoring_mode(ScoringMode::FastMath);
         cfg.engine.fast_math = true;

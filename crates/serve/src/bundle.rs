@@ -34,15 +34,12 @@
 //! section region: n concatenated sealed "SUBS" artifacts
 //! ```
 //!
-//! [`SystemBundle`] decodes everything eagerly (the shape the offline
-//! verify path wants); [`LazyBundle`] parses only the header, fusions and
-//! offset table, handing out subsystem sections on demand — the serving
-//! startup path, where decoding every acoustic model before the first
-//! request is pure latency.
+//! The offset table and the per-section CRCs let a reader address one
+//! subsystem without decoding the others; [`SystemBundle`], the one reader
+//! here, decodes all of them (every request touches every subsystem) and
+//! holds the table to the size of the section region.
 
-use lre_artifact::{
-    open, ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter, HEADER_LEN,
-};
+use lre_artifact::{ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter};
 use lre_backend::LdaMmiFusion;
 use lre_corpus::Duration;
 use lre_dba::{fuse_duration, standard_subsystems, Experiment};
@@ -50,7 +47,6 @@ use lre_eval::ScoreMatrix;
 use lre_lattice::DecoderConfig;
 use lre_svm::{OneVsRest, SvmTrainConfig};
 use lre_vsm::{SupervectorBuilder, TfllrScaler};
-use std::path::Path;
 
 /// One trained front-end plus its VSM, ready to serialize.
 pub struct SubsystemBundle {
@@ -229,20 +225,6 @@ impl ArtifactRead for SubsystemBundle {
     }
 }
 
-/// Shared header shape of a v2 bundle payload, up to (but not including)
-/// the section region. Both the eager and lazy readers parse this.
-struct BundleHeader {
-    seed: u64,
-    scale_name: String,
-    max_order: u32,
-    svm: SvmTrainConfig,
-    lineage: Lineage,
-    fastmath_opt_in: bool,
-    fusions: Vec<LdaMmiFusion>,
-    /// Section offsets, relative to the region start; `n + 1` entries.
-    offsets: Vec<u64>,
-}
-
 fn write_lineage(w: &mut ArtifactWriter, l: &Lineage) {
     w.put_u64(l.generation);
     w.put_u32(l.parent_checksum);
@@ -256,55 +238,6 @@ fn read_lineage(r: &mut ArtifactReader) -> Result<Lineage, ArtifactError> {
         parent_checksum: r.get_u32()?,
         selected_utts: r.get_u32()?,
         v_threshold: r.get_u8()?,
-    })
-}
-
-fn read_header(r: &mut ArtifactReader) -> Result<BundleHeader, ArtifactError> {
-    let seed = r.get_u64()?;
-    let scale_name = r.get_str()?;
-    let max_order = r.get_u32()?;
-    let svm = SvmTrainConfig::read_payload(r)?;
-    let lineage = read_lineage(r)?;
-    let fastmath_opt_in = match r.get_u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(ArtifactError::Corrupt("bad fastmath opt-in flag")),
-    };
-    let nf = r.get_u32()? as usize;
-    let fusions: Vec<LdaMmiFusion> = (0..nf)
-        .map(|_| LdaMmiFusion::read_payload(r))
-        .collect::<Result<_, _>>()?;
-    let ns = r.get_u32()? as usize;
-    let offsets = r.get_u64_slice()?;
-    if ns == 0 {
-        return Err(ArtifactError::Corrupt("bundle has no subsystems"));
-    }
-    if fusions.len() != Duration::all().len() {
-        return Err(ArtifactError::Corrupt("bundle fusion count mismatch"));
-    }
-    if fusions.iter().any(|f| f.num_subsystems() != ns) {
-        return Err(ArtifactError::Corrupt("fusion subsystem count disagrees"));
-    }
-    if offsets.len() != ns + 1 || offsets[0] != 0 {
-        return Err(ArtifactError::Corrupt("bundle offset table malformed"));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(ArtifactError::Corrupt("bundle offset table not monotone"));
-    }
-    if offsets[ns] != r.remaining() as u64 {
-        return Err(ArtifactError::Corrupt(
-            "bundle offset table disagrees with section region size",
-        ));
-    }
-    Ok(BundleHeader {
-        seed,
-        scale_name,
-        max_order,
-        svm,
-        lineage,
-        fastmath_opt_in,
-        fusions,
-        offsets,
     })
 }
 
@@ -326,7 +259,7 @@ impl ArtifactWrite for SystemBundle {
             f.write_payload(w);
         }
         // Each subsystem is sealed independently (own CRC) and addressed by
-        // the offset table, so lazy readers can map one section at a time.
+        // the offset table, so a reader can address one section at a time.
         let sections: Vec<Vec<u8>> = self
             .subsystems
             .iter()
@@ -349,113 +282,61 @@ impl ArtifactWrite for SystemBundle {
 
 impl ArtifactRead for SystemBundle {
     fn read_payload(r: &mut ArtifactReader) -> Result<SystemBundle, ArtifactError> {
-        let h = read_header(r)?;
-        let ns = h.offsets.len() - 1;
-        let subsystems: Vec<SubsystemBundle> = (0..ns)
-            .map(|q| {
-                let len = (h.offsets[q + 1] - h.offsets[q]) as usize;
-                SubsystemBundle::from_artifact_bytes(r.get_bytes(len)?)
-            })
+        let seed = r.get_u64()?;
+        let scale_name = r.get_str()?;
+        let max_order = r.get_u32()?;
+        let svm = SvmTrainConfig::read_payload(r)?;
+        let lineage = read_lineage(r)?;
+        let fastmath_opt_in = match r.get_u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(ArtifactError::Corrupt("bad fastmath opt-in flag")),
+        };
+        let nf = r.get_u32()? as usize;
+        let fusions: Vec<LdaMmiFusion> = (0..nf)
+            .map(|_| LdaMmiFusion::read_payload(r))
+            .collect::<Result<_, _>>()?;
+        let ns = r.get_u32()? as usize;
+        let offsets = r.get_u64_slice()?;
+        if ns == 0 {
+            return Err(ArtifactError::Corrupt("bundle has no subsystems"));
+        }
+        if fusions.len() != Duration::all().len() {
+            return Err(ArtifactError::Corrupt("bundle fusion count mismatch"));
+        }
+        if fusions.iter().any(|f| f.num_subsystems() != ns) {
+            return Err(ArtifactError::Corrupt("fusion subsystem count disagrees"));
+        }
+        if offsets.len() != ns + 1 || offsets[0] != 0 {
+            return Err(ArtifactError::Corrupt("bundle offset table malformed"));
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(ArtifactError::Corrupt("bundle offset table not monotone"));
+        }
+        if offsets[ns] != r.remaining() as u64 {
+            return Err(ArtifactError::Corrupt(
+                "bundle offset table disagrees with section region size",
+            ));
+        }
+        let subsystems: Vec<SubsystemBundle> = offsets
+            .windows(2)
+            .map(|w| SubsystemBundle::from_artifact_bytes(r.get_bytes((w[1] - w[0]) as usize)?))
             .collect::<Result<_, _>>()?;
         if subsystems
             .iter()
-            .any(|s| s.builder.max_order() != h.max_order as usize)
+            .any(|s| s.builder.max_order() != max_order as usize)
         {
             return Err(ArtifactError::Corrupt("bundle N-gram order disagrees"));
         }
         Ok(SystemBundle {
-            seed: h.seed,
-            scale_name: h.scale_name,
-            max_order: h.max_order,
-            svm: h.svm,
-            lineage: h.lineage,
-            fastmath_opt_in: h.fastmath_opt_in,
+            seed,
+            scale_name,
+            max_order,
+            svm,
+            lineage,
+            fastmath_opt_in,
             subsystems,
-            fusions: h.fusions,
+            fusions,
         })
-    }
-}
-
-/// A bundle opened without decoding its subsystem sections.
-///
-/// `open` verifies the whole container's CRC (so every section byte is
-/// known-intact), parses the header, fusions and offset table, and stops.
-/// [`LazyBundle::subsystem`] decodes one section on demand — each section
-/// is itself a sealed artifact, so it re-verifies its own CRC and all the
-/// structural invariants of [`SubsystemBundle`] at that point.
-pub struct LazyBundle {
-    pub seed: u64,
-    pub scale_name: String,
-    pub max_order: u32,
-    /// SVM training recipe (see [`SystemBundle::svm`]).
-    pub svm: SvmTrainConfig,
-    /// Adaptation provenance (see [`SystemBundle::lineage`]).
-    pub lineage: Lineage,
-    /// Fast-math opt-in (see [`SystemBundle::fastmath_opt_in`]).
-    pub fastmath_opt_in: bool,
-    fusions: Vec<LdaMmiFusion>,
-    /// The entire sealed container.
-    bytes: Vec<u8>,
-    /// Absolute byte offset of the section region within `bytes`.
-    region_start: usize,
-    /// Section offsets relative to `region_start`; `n + 1` entries.
-    offsets: Vec<u64>,
-}
-
-impl LazyBundle {
-    /// Open a sealed bundle from bytes: container checks + header only.
-    pub fn open_bytes(bytes: Vec<u8>) -> Result<LazyBundle, ArtifactError> {
-        let (h, region_start) = {
-            let payload = open(&bytes, SystemBundle::KIND, SystemBundle::VERSION)?;
-            let mut r = ArtifactReader::new(payload);
-            let h = read_header(&mut r)?;
-            let region_start = HEADER_LEN + r.position();
-            (h, region_start)
-        };
-        Ok(LazyBundle {
-            seed: h.seed,
-            scale_name: h.scale_name,
-            max_order: h.max_order,
-            svm: h.svm,
-            lineage: h.lineage,
-            fastmath_opt_in: h.fastmath_opt_in,
-            fusions: h.fusions,
-            bytes,
-            region_start,
-            offsets: h.offsets,
-        })
-    }
-
-    /// Open a bundle file lazily.
-    pub fn load(path: &Path) -> Result<LazyBundle, ArtifactError> {
-        LazyBundle::open_bytes(std::fs::read(path)?)
-    }
-
-    pub fn num_subsystems(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Fusion backends indexed like [`Duration::all`] (decoded eagerly —
-    /// they are a few KiB next to the acoustic models).
-    pub fn fusions(&self) -> &[LdaMmiFusion] {
-        &self.fusions
-    }
-
-    pub(crate) fn take_fusions(&mut self) -> Vec<LdaMmiFusion> {
-        std::mem::take(&mut self.fusions)
-    }
-
-    /// Decode subsystem section `q` on demand.
-    pub fn subsystem(&self, q: usize) -> Result<SubsystemBundle, ArtifactError> {
-        if q >= self.num_subsystems() {
-            return Err(ArtifactError::Corrupt("subsystem index out of range"));
-        }
-        let a = self.region_start + self.offsets[q] as usize;
-        let b = self.region_start + self.offsets[q + 1] as usize;
-        let sub = SubsystemBundle::from_artifact_bytes(&self.bytes[a..b])?;
-        if sub.builder.max_order() != self.max_order as usize {
-            return Err(ArtifactError::Corrupt("bundle N-gram order disagrees"));
-        }
-        Ok(sub)
     }
 }

@@ -1,11 +1,11 @@
 //! Durable vote-log tee and the serving-side durability control seam.
 //!
 //! [`DurableVoteLog`] wraps the in-memory [`VoteLog`] with a
-//! [`lre_wal::SegmentedWal`] so the buffered adaptation window survives a
+//! [`lre_wal::Wal`] so the buffered adaptation window survives a
 //! crash: every record the buffer *admits* (and only those — dedup
 //! rejects and overflow drops never touch disk) is teed into the WAL as
-//! its own sealed `VREC` container, and a drain logically truncates the
-//! WAL at the same instant it empties the buffer. Both composite steps
+//! its own sealed `VREC` container, and a drain clears the WAL at the
+//! same instant it empties the buffer. Both composite steps
 //! hold one gate mutex, so WAL content and buffer content can never
 //! disagree about which records are in the current window — which is
 //! exactly the invariant that makes [`DurableVoteLog::open`]'s replay
@@ -21,13 +21,12 @@ use crate::protocol::{RollbackToAck, WalStatusInfo, STATUS_UNSUPPORTED};
 use crate::system::{ScoreDetail, ScoreTap};
 use crate::votelog::{VoteLog, VoteRecord};
 use lre_artifact::{ArtifactError, ArtifactRead, ArtifactWrite};
-use lre_wal::{LineageStore, SegmentedWal, WalObs, WalOptions, WalStatus};
+use lre_wal::{LineageStore, Wal, WalObs, WalOptions, WalStatus};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// WAL options for a vote log: `VREC` v1 records, default segment budget
-/// and fsync batching.
+/// WAL options for a vote log: `VREC` v1 records, default fsync batching.
 pub fn vote_wal_options() -> WalOptions {
     WalOptions::new(
         <VoteRecord as ArtifactWrite>::KIND,
@@ -47,14 +46,16 @@ pub struct VoteRecovery {
 /// A [`VoteLog`] whose window is write-ahead logged.
 pub struct DurableVoteLog {
     log: VoteLog,
-    wal: SegmentedWal,
+    wal: Wal,
     /// Serializes the two composite operations (admit+append,
-    /// drain+truncate) so the WAL always holds exactly the buffered
+    /// drain+clear) so the WAL always holds exactly the buffered
     /// window.
     gate: Mutex<()>,
-    /// WAL appends that failed after the buffer admitted the record —
+    /// WAL writes that failed after the buffer had already changed: an
+    /// append of an admitted record, or the clear after a drain —
     /// durability degraded, not corrupted (the in-memory window is still
-    /// right; a crash would just lose those records like unsynced ones).
+    /// right; a crash would lose those records like unsynced ones, or
+    /// replay a window that was already drained).
     tee_errors: AtomicU64,
 }
 
@@ -68,10 +69,10 @@ impl DurableVoteLog {
         opts: WalOptions,
         obs: Option<WalObs>,
     ) -> Result<(DurableVoteLog, VoteRecovery), ArtifactError> {
-        let (wal, replay) = SegmentedWal::open(dir, opts, obs)?;
+        let (wal, replay) = Wal::open(dir, opts, obs)?;
         let log = VoteLog::new(capacity);
         let mut replayed = 0u64;
-        for (_, bytes) in &replay.records {
+        for bytes in &replay.records {
             let rec = VoteRecord::from_artifact_bytes(bytes)?;
             if log.replay(rec) {
                 replayed += 1;
@@ -92,14 +93,16 @@ impl DurableVoteLog {
     }
 
     /// Drain the buffer (all-or-nothing, like [`VoteLog::drain_at_least`])
-    /// and truncate the WAL to match: the drained records are now the
+    /// and clear the WAL to match: the drained records are now the
     /// adaptation cycle's problem, not the crash-recovery window's.
     pub fn drain_at_least(&self, min: usize) -> Result<Vec<VoteRecord>, usize> {
         let _gate = self.gate.lock().expect("durability gate poisoned");
         let drained = self.log.drain_at_least(min)?;
         // Everything buffered was drained; everything in the WAL was
         // buffered (the gate's invariant) — so the whole log is spent.
-        let _ = self.wal.truncate_to(self.wal.next_seq());
+        if self.wal.clear().is_err() {
+            self.tee_errors.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(drained)
     }
 
@@ -109,12 +112,13 @@ impl DurableVoteLog {
         &self.log
     }
 
-    /// The underlying WAL (status, sync, seal flushing).
-    pub fn wal(&self) -> &SegmentedWal {
+    /// The underlying WAL (status, sync).
+    pub fn wal(&self) -> &Wal {
         &self.wal
     }
 
-    /// Appends the buffer admitted that never reached the WAL.
+    /// Admitted appends that never reached the WAL, plus drains whose
+    /// clear failed.
     pub fn tee_errors(&self) -> u64 {
         self.tee_errors.load(Ordering::Relaxed)
     }
@@ -140,8 +144,8 @@ pub fn wal_status_info(wal: &WalStatus, lineage: Option<&LineageStore>) -> WalSt
         appended: wal.next_seq,
         low_water: wal.low_water,
         buffered: wal.buffered,
-        segments: wal.segments,
-        sealed_segments: wal.sealed_segments,
+        // One file, present in this count while it holds records.
+        segments: u64::from(wal.buffered > 0),
         replayed: wal.replayed,
         torn: wal.torn,
         fsyncs: wal.fsyncs,
@@ -254,13 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn drain_truncates_the_wal_so_restart_starts_empty() {
+    fn drain_clears_the_wal_so_restart_starts_empty() {
         let d = tmpdir("drain");
         {
             let (log, _) = DurableVoteLog::open(&d, 8, opts(), None).unwrap();
             log.record(detail(1, 1.0));
             log.record(detail(2, 2.0));
-            assert!(matches!(log.drain_at_least(3), Err(2))); // refused: no truncation
+            assert!(matches!(log.drain_at_least(3), Err(2))); // refused: WAL untouched
             assert_eq!(log.wal().status().buffered, 2);
             let drained = log.drain_at_least(2).unwrap();
             assert_eq!(drained.len(), 2);
@@ -272,6 +276,22 @@ mod tests {
         assert_eq!(rec.replayed, 1);
         assert_eq!(log.drain_at_least(1).unwrap()[0].digest, 3);
         std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn a_failed_clear_is_counted_not_dropped() {
+        let d = tmpdir("clearfail");
+        let (log, _) = DurableVoteLog::open(&d, 8, opts(), None).unwrap();
+        log.record(detail(1, 1.0));
+        // The log directory turns into a plain file: the drain's
+        // write-and-rename has nowhere to land.
+        std::fs::remove_dir_all(&d).unwrap();
+        std::fs::write(&d, b"").unwrap();
+        assert_eq!(log.drain_at_least(1).unwrap().len(), 1);
+        assert_eq!(log.tee_errors(), 1);
+        // The WAL still says what is on disk: the window was not cleared.
+        assert_eq!(log.wal().status().buffered, 1);
+        std::fs::remove_file(&d).ok();
     }
 
     #[test]

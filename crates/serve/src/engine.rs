@@ -130,7 +130,7 @@ pub enum Outcome {
     /// The request's deadline passed before a worker reached it; it was
     /// shed unscored.
     DeadlineExceeded,
-    /// The scorer failed (e.g. an undecodable lazy bundle section).
+    /// The scorer returned an error.
     Failed,
 }
 

@@ -10,8 +10,7 @@
 //!   per-duration LDA-MMI fusion backends) into one checksummed
 //!   `lre-artifact` container, with the bit-identity contract that a
 //!   reloaded bundle produces exactly the scores of the experiment it was
-//!   saved from. A v2 bundle carries an offset table over its subsystem
-//!   sections, so [`bundle::LazyBundle`] can decode them on demand;
+//!   saved from;
 //! - [`system`]: a [`ScoringSystem`] reconstructed from a bundle, scoring
 //!   raw audio samples into calibrated per-language detection LLRs. The
 //!   [`system::Scorer`] trait is the seam the engine scores through, so
@@ -59,7 +58,7 @@ pub mod swap;
 pub mod system;
 pub mod votelog;
 
-pub use bundle::{LazyBundle, Lineage, SubsystemBundle, SystemBundle};
+pub use bundle::{Lineage, SubsystemBundle, SystemBundle};
 pub use client::{Client, PipelinedClient, ScoreReply};
 pub use durability::{
     vote_wal_options, wal_status_info, DurabilityControl, DurableVoteLog, VoteRecovery,

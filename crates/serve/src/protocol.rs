@@ -781,10 +781,8 @@ wire_struct! {
         pub low_water: u64,
         /// Records currently buffered in the WAL (`appended - low_water`).
         pub buffered: u64,
-        /// Live segment files, open + sealed.
+        /// Log files holding records: 1, or 0 while the log is empty.
         pub segments: u64,
-        /// Of those, sealed (compressed, immutable).
-        pub sealed_segments: u64,
         /// Records replayed by this process's crash recovery.
         pub replayed: u64,
         /// Torn tail records skipped by this process's crash recovery.
@@ -1230,8 +1228,7 @@ mod tests {
                 appended: 1234,
                 low_water: 1000,
                 buffered: 234,
-                segments: 3,
-                sealed_segments: 2,
+                segments: 1,
                 replayed: 900,
                 torn: 1,
                 fsyncs: 55,

@@ -1,6 +1,6 @@
 //! A [`ScoringSystem`]: raw audio samples in, detection LLRs out.
 
-use crate::bundle::{LazyBundle, SubsystemBundle, SystemBundle};
+use crate::bundle::{SubsystemBundle, SystemBundle};
 use lre_artifact::ArtifactError;
 use lre_corpus::Duration;
 use lre_dba::{standard_subsystems, Frontend, ScoringMode};
@@ -10,7 +10,6 @@ use lre_lattice::DecodeScratch;
 use lre_obs::StageTimes;
 use lre_phone::{PhoneSet, UniversalInventory};
 use lre_vsm::SparseVec;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Everything one scored utterance exposes to a [`ScoreTap`]: the fused
@@ -115,22 +114,14 @@ struct LoadedSub {
 /// utterance's nearest nominal duration. Every stage is row-independent,
 /// so scoring utterances one at a time (as the serving engine does)
 /// produces bit-identical LLRs to the offline batch pipeline.
-///
-/// Built either eagerly ([`ScoringSystem::from_bundle`] — every subsystem
-/// decoded up front, scoring can never fail) or lazily
-/// ([`ScoringSystem::from_lazy`] — subsystem sections are mapped from the
-/// bundle's offset table the first time a score touches them, so startup
-/// cost is the header parse, not the full model decode).
 pub struct ScoringSystem {
-    subs: Vec<OnceLock<LoadedSub>>,
-    /// Present in lazy mode: the still-sealed sections.
-    source: Option<LazyBundle>,
+    subs: Vec<LoadedSub>,
     /// Indexed like [`Duration::all`].
     fusions: Vec<lre_backend::LdaMmiFusion>,
     num_classes: usize,
-    /// Scoring arithmetic applied to every materialized front-end's decoder
-    /// (set once at construction via [`ScoringSystem::set_scoring_mode`],
-    /// before any scoring). `Exact` by default.
+    /// Scoring arithmetic applied to every front-end's decoder (set once
+    /// at construction via [`ScoringSystem::set_scoring_mode`], before any
+    /// scoring). `Exact` by default.
     mode: ScoringMode,
 }
 
@@ -159,65 +150,34 @@ fn load_sub(s: SubsystemBundle, num_classes: usize) -> Result<LoadedSub, Artifac
 }
 
 impl ScoringSystem {
-    /// Reconstruct the scoring pipeline from a fully decoded bundle.
+    /// Reconstruct the scoring pipeline from a decoded bundle.
     pub fn from_bundle(bundle: SystemBundle) -> Result<ScoringSystem, ArtifactError> {
         let num_classes = bundle
             .fusions
             .first()
             .ok_or(ArtifactError::Corrupt("bundle has no fusion backends"))?
             .num_classes();
-        let subs: Vec<OnceLock<LoadedSub>> = bundle
+        let subs = bundle
             .subsystems
             .into_iter()
-            .map(|s| {
-                let cell = OnceLock::new();
-                load_sub(s, num_classes).map(|loaded| {
-                    let _ = cell.set(loaded);
-                    cell
-                })
-            })
+            .map(|s| load_sub(s, num_classes))
             .collect::<Result<_, _>>()?;
         Ok(ScoringSystem {
             subs,
-            source: None,
             fusions: bundle.fusions,
             num_classes,
             mode: ScoringMode::Exact,
         })
     }
 
-    /// Build over a lazily opened bundle: no subsystem section is decoded
-    /// until the first utterance that needs it (then cached for the
-    /// process lifetime). Bit-identity is unaffected — the decoded state
-    /// is byte-for-byte the same as the eager path's.
-    pub fn from_lazy(mut source: LazyBundle) -> Result<ScoringSystem, ArtifactError> {
-        let fusions = source.take_fusions();
-        let num_classes = fusions
-            .first()
-            .ok_or(ArtifactError::Corrupt("bundle has no fusion backends"))?
-            .num_classes();
-        let subs = (0..source.num_subsystems())
-            .map(|_| OnceLock::new())
-            .collect();
-        Ok(ScoringSystem {
-            subs,
-            source: Some(source),
-            fusions,
-            num_classes,
-            mode: ScoringMode::Exact,
-        })
-    }
-
-    /// Switch the scoring arithmetic for every subsystem (already
-    /// materialized or still sealed). Call once at startup, before scoring:
-    /// the serving binary does this after verifying the bundle's
+    /// Switch the scoring arithmetic for every subsystem. Call once at
+    /// startup, before scoring: the serving binary does this after
+    /// verifying the bundle's
     /// [`crate::bundle::SystemBundle::fastmath_opt_in`] flag.
     pub fn set_scoring_mode(&mut self, mode: ScoringMode) {
         self.mode = mode;
-        for cell in &mut self.subs {
-            if let Some(loaded) = cell.get_mut() {
-                loaded.frontend.decoder.scoring = mode;
-            }
+        for sub in &mut self.subs {
+            sub.frontend.decoder.scoring = mode;
         }
     }
 
@@ -235,42 +195,10 @@ impl ScoringSystem {
         self.subs.len()
     }
 
-    /// How many subsystems have been materialized so far (observability:
-    /// equals `num_subsystems` after the first scored utterance, and for
-    /// eagerly built systems always).
-    pub fn num_loaded(&self) -> usize {
-        self.subs.iter().filter(|c| c.get().is_some()).count()
-    }
-
-    /// Materialize subsystem `q`, decoding its section on first use.
-    fn sub(&self, q: usize) -> Result<&LoadedSub, ArtifactError> {
-        if self.subs[q].get().is_none() {
-            let source = self
-                .source
-                .as_ref()
-                .ok_or(ArtifactError::Corrupt("unloaded subsystem in eager system"))?;
-            let mut loaded = load_sub(source.subsystem(q)?, self.num_classes)?;
-            loaded.frontend.decoder.scoring = self.mode;
-            // A concurrent worker may have won the race; both decoded the
-            // same bytes (and apply the same mode), so dropping the loser
-            // changes nothing.
-            let _ = self.subs[q].set(loaded);
-        }
-        Ok(self.subs[q].get().expect("just initialized"))
-    }
-
-    /// Decode every still-sealed section now (optional warm-up, so the
-    /// first request doesn't pay the decode).
-    pub fn preload(&self) -> Result<(), ArtifactError> {
-        for q in 0..self.subs.len() {
-            self.sub(q)?;
-        }
-        Ok(())
-    }
-
     /// Score one utterance of raw 8 kHz samples into calibrated
     /// per-language detection LLRs, reusing caller-owned decoder scratch.
-    /// Fails only in lazy mode, when a section cannot be decoded.
+    /// Never fails today; the `Result` is the [`Scorer`] seam's, which
+    /// other scorers do fail through.
     pub fn try_score(
         &self,
         samples: &[f32],
@@ -292,9 +220,10 @@ impl ScoringSystem {
         let di = duration_index_for(num_frames);
         let mut supervectors = Vec::with_capacity(self.subs.len());
         let mut stage_us = StageTimes::default();
-        let mats: Vec<ScoreMatrix> = (0..self.subs.len())
-            .map(|q| {
-                let sub = self.sub(q)?;
+        let mats: Vec<ScoreMatrix> = self
+            .subs
+            .iter()
+            .map(|sub| {
                 let fe = &sub.frontend;
                 let (sv, decode_us, build_us) = fe.supervector_from_samples_timed(samples, scratch);
                 stage_us.decode_us += decode_us;
@@ -312,9 +241,9 @@ impl ScoringSystem {
                 m.push_row(&sub.vsm.scores(&scaled));
                 stage_us.score_us += score_started.elapsed().as_micros() as u64;
                 supervectors.push(scaled);
-                Ok(m)
+                m
             })
-            .collect::<Result<_, ArtifactError>>()?;
+            .collect();
         let fuse_started = Instant::now();
         let refs: Vec<&ScoreMatrix> = mats.iter().collect();
         let fused = self.fusions[di].apply(&refs).row(0).to_vec();
@@ -331,12 +260,11 @@ impl ScoringSystem {
         })
     }
 
-    /// Infallible scoring for eagerly built systems (the offline verify
-    /// path). Panics if a lazy section fails to decode — use
-    /// [`ScoringSystem::try_score`] when scoring a lazily opened bundle.
+    /// [`ScoringSystem::try_score`] without the `Result` (the offline
+    /// verify path).
     pub fn score(&self, samples: &[f32], scratch: &mut DecodeScratch) -> Vec<f32> {
         self.try_score(samples, scratch)
-            .expect("scoring failed (undecodable lazy section)")
+            .expect("ScoringSystem scoring is infallible")
     }
 }
 

@@ -115,8 +115,7 @@ impl Scorer for GatedScorer {
     }
 }
 
-/// A scorer that always fails — the lazy-bundle "section won't decode"
-/// path without a corrupt bundle.
+/// A scorer that always fails.
 struct FailingScorer;
 
 impl Scorer for FailingScorer {

@@ -2,8 +2,8 @@
 //! reload it from bytes alone, and serve it over TCP — with the fused
 //! detection LLRs bit-identical to the offline experiment pipeline, load
 //! shedding engaged when the queue fills, and a clean protocol-driven
-//! shutdown. The pipelined test drives the same workload through one
-//! connection at window 8 over a lazily opened bundle.
+//! shutdown. The same server then takes the workload again through one
+//! connection at window 8.
 //!
 //! Like `tests/full_system.rs`, the training-backed tests build the
 //! complete six-front-end smoke experiment (minutes in release, much
@@ -21,8 +21,8 @@ use lre_eval::ScoreMatrix;
 use lre_lattice::DecodeScratch;
 use lre_serve::client::ScoreReply;
 use lre_serve::{
-    Client, Engine, EngineConfig, LazyBundle, Outcome, ScoringSystem, Server, ServerConfig,
-    SubmitError, SystemBundle,
+    Client, Engine, EngineConfig, Outcome, ScoringSystem, Server, ServerConfig, SubmitError,
+    SystemBundle,
 };
 use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
@@ -96,12 +96,8 @@ fn train_save_reload_serve_bit_identical() {
     let reloaded = SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads");
     assert_eq!(reloaded.scale_name, "smoke");
     assert_eq!(reloaded.seed, 42);
+    offset_table_damage_is_refused(&fx.bytes, &reloaded);
     let system = Arc::new(ScoringSystem::from_bundle(reloaded).expect("bundle is coherent"));
-    assert_eq!(
-        system.num_loaded(),
-        system.num_subsystems(),
-        "eager construction must materialize every subsystem"
-    );
 
     // 1) In-process spot check: the reloaded pipeline reproduces the
     //    offline fused scores to the bit (full coverage happens over TCP).
@@ -181,6 +177,26 @@ fn train_save_reload_serve_bit_identical() {
     assert_eq!(stats.rejected, 0);
     assert!(stats.latency_us_sum > 0 && stats.latency_us_max > 0);
 
+    // 2b) The same workload again through one pipelined connection with a
+    //     window of eight requests outstanding; replies are matched by id.
+    let replies = client
+        .score_all(&fx.waves, 8, None)
+        .expect("pipelined scoring");
+    assert_eq!(replies.len(), fx.waves.len());
+    for (i, reply) in replies.iter().enumerate() {
+        match reply {
+            ScoreReply::Scored(s) => {
+                assert_bits_eq(&s.llrs, offline.row(i), &format!("pipelined utt {i}"));
+            }
+            other => panic!("utt {i} refused: {other:?}"),
+        }
+    }
+    let stats = client.stats_v2().expect("stats");
+    assert_eq!(stats.completed, 2 * fx.waves.len() as u64);
+    assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.expired, 0);
+    assert_eq!(stats.failed, 0);
+
     // 3) Graceful shutdown over the wire: acknowledged, then the server
     //    joins cleanly.
     client.shutdown().expect("shutdown acknowledged");
@@ -220,71 +236,45 @@ fn train_save_reload_serve_bit_identical() {
     engine.shutdown();
 }
 
-#[test]
-#[ignore = "builds the full experiment; run with --release -- --ignored"]
-fn pipelined_lazy_round_trip_bit_identical() {
-    let fx = fixture();
-    let offline = &fx.offline;
-
-    // Open the bundle through its offset table: nothing decoded yet.
-    let lazy = LazyBundle::open_bytes(fx.bytes.clone()).expect("lazy open");
-    assert_eq!(lazy.scale_name, "smoke");
-    let system = Arc::new(ScoringSystem::from_lazy(lazy).expect("lazy system"));
-    assert_eq!(
-        system.num_loaded(),
-        0,
-        "lazy construction must not decode sections up front"
-    );
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let server = Server::start(
-        listener,
-        Arc::clone(&system) as _,
-        ServerConfig {
-            engine: EngineConfig {
-                workers: 2,
-                queue_capacity: 256,
-                fast_math: false,
-                unknown_threshold: None,
-            },
-            max_inflight: 8,
-            max_global_inflight: 0,
-        },
-    )
-    .expect("server starts");
-    let addr = server.local_addr();
-
-    // One pipelined connection drives the whole workload with a window of
-    // eight requests outstanding; replies are matched by id.
-    let mut client = Client::connect(addr).expect("pipelined connect");
-    let replies = client
-        .score_all(&fx.waves, 8, None)
-        .expect("pipelined scoring");
-    assert_eq!(replies.len(), fx.waves.len());
-    for (i, reply) in replies.iter().enumerate() {
-        match reply {
-            ScoreReply::Scored(s) => {
-                assert_bits_eq(&s.llrs, offline.row(i), &format!("pipelined utt {i}"));
+/// A real bundle whose offset table was edited (and the container
+/// re-sealed, so the CRC holds) must be refused by the table's own checks,
+/// not decoded at the wrong boundaries.
+fn offset_table_damage_is_refused(sealed: &[u8], bundle: &SystemBundle) {
+    use lre_artifact::{seal, ArtifactError, HEADER_LEN, TRAILER_LEN};
+    let payload = &sealed[HEADER_LEN..sealed.len() - TRAILER_LEN];
+    let region: usize = bundle
+        .subsystems
+        .iter()
+        .map(|s| s.to_artifact_bytes().len())
+        .sum();
+    // The table's n + 1 little-endian u64 entries end where the section
+    // region begins.
+    let table_end = payload.len() - region;
+    let entry = |k: usize| table_end - 8 * (bundle.subsystems.len() + 1 - k);
+    let refused = |edit: &dyn Fn(&mut [u8]), what: &str| {
+        let mut bad = payload.to_vec();
+        edit(&mut bad);
+        let resealed = seal(SystemBundle::KIND, SystemBundle::VERSION, &bad);
+        match SystemBundle::from_artifact_bytes(&resealed) {
+            Err(ArtifactError::Corrupt(msg)) => {
+                assert!(msg.contains("offset table"), "{what}: {msg}")
             }
-            other => panic!("utt {i} refused: {other:?}"),
+            Err(other) => panic!("{what}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("{what}: decoded"),
         }
-    }
-    assert_eq!(
-        system.num_loaded(),
-        system.num_subsystems(),
-        "scoring must have materialized every lazy section"
+    };
+    let last = entry(bundle.subsystems.len());
+    refused(&|p| p[last] ^= 1, "end entry off the region size");
+    refused(&|p| p[entry(0)] = 1, "non-zero first entry");
+    let (e1, e2) = (entry(1), entry(2));
+    refused(
+        &|p| {
+            let second = p[e2..e2 + 8].to_vec();
+            p.copy_within(e1..e1 + 8, e2);
+            p[e1..e1 + 8].copy_from_slice(&second);
+        },
+        "entries swapped out of order",
     );
-
-    // Counters over the wire: everything completed, nothing
-    // expired or failed.
-    let stats = client.stats_v2().expect("stats");
-    assert_eq!(stats.completed, fx.waves.len() as u64);
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.expired, 0);
-    assert_eq!(stats.failed, 0);
-
-    client.shutdown().expect("shutdown acknowledged");
-    server.join();
 }
 
 #[test]
@@ -309,26 +299,16 @@ fn corrupt_bundles_fail_with_typed_errors_not_panics() {
     w.put_u32(0); // zero subsystems: structurally valid, semantically not
     w.put_u64_slice(&[0]); // a [0] offset table matching "no sections"
     let sealed = lre_artifact::seal(SystemBundle::KIND, SystemBundle::VERSION, &w.into_bytes());
-    // Structurally intact container, semantically invalid payload — for
-    // both the eager and the lazy reader.
+    // Structurally intact container, semantically invalid payload.
     match SystemBundle::from_artifact_bytes(&sealed) {
         Err(lre_artifact::ArtifactError::Corrupt(_)) => {}
         Err(other) => panic!("expected Corrupt, got {other:?}"),
         Ok(_) => panic!("an empty bundle must not deserialize"),
     }
-    match LazyBundle::open_bytes(sealed.clone()) {
-        Err(lre_artifact::ArtifactError::Corrupt(_)) => {}
-        Err(other) => panic!("expected Corrupt, got {other:?}"),
-        Ok(_) => panic!("an empty bundle must not open lazily"),
-    }
     for cut in 0..sealed.len() {
         assert!(
             SystemBundle::from_artifact_bytes(&sealed[..cut]).is_err(),
             "truncation at {cut} must fail"
-        );
-        assert!(
-            LazyBundle::open_bytes(sealed[..cut].to_vec()).is_err(),
-            "lazy truncation at {cut} must fail"
         );
     }
     for byte in 0..sealed.len() {
@@ -337,10 +317,6 @@ fn corrupt_bundles_fail_with_typed_errors_not_panics() {
         assert!(
             SystemBundle::from_artifact_bytes(&bad).is_err(),
             "bit flip at byte {byte} must fail"
-        );
-        assert!(
-            LazyBundle::open_bytes(bad).is_err(),
-            "lazy bit flip at byte {byte} must fail"
         );
     }
 }

@@ -1,121 +1,31 @@
-//! The segment directory: the WAL's offset index and durable low-water
-//! mark.
-//!
-//! `wal.dir` is a small sealed artifact listing every live segment (by
-//! the sequence number of its first record, which is also its file name)
-//! plus the **low-water mark**: the first sequence number that is still
-//! logically present. A drain does not rewrite megabytes of segments —
-//! it advances the low-water mark durably and lets GC delete segments
-//! whose entire range has fallen below it.
-//!
-//! The directory is rewritten atomically (temp file + rename + fsync of
-//! both file and directory) only on *structural* events — open, roll,
-//! seal, truncate, GC — never per append. Appends change no entry: the
-//! open segment's extent is discovered by scanning it at recovery, which
-//! is exactly the torn-tail-tolerant walk in [`crate::segment`].
+//! Durable directory operations: the write-new-then-rename step both the
+//! vote log ([`crate::log`]) and the lineage store ([`crate::lineage`])
+//! land their files with.
 
-use lre_artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 use std::fs::{self, File};
 use std::io;
 use std::path::Path;
-
-/// Directory file name inside a WAL directory.
-pub const DIR_FILE: &str = "wal.dir";
-
-const DIR_KIND: [u8; 4] = *b"WDIR";
-const DIR_VERSION: u32 = 1;
-
-/// One live segment, keyed by its first record's sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentEntry {
-    pub first_seq: u64,
-    /// Sealed segments are immutable `.seg` containers; the (at most
-    /// one) unsealed entry is the `.log` append target.
-    pub sealed: bool,
-}
-
-/// The decoded `wal.dir` state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WalDir {
-    /// First sequence number still logically in the log; everything
-    /// below has been drained and may be garbage-collected.
-    pub low_water: u64,
-    /// Live segments, ascending by `first_seq`.
-    pub segments: Vec<SegmentEntry>,
-}
-
-impl WalDir {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ArtifactWriter::new();
-        w.put_u64(self.low_water);
-        w.put_u32(self.segments.len() as u32);
-        for s in &self.segments {
-            w.put_u64(s.first_seq);
-            w.put_u8(u8::from(s.sealed));
-        }
-        lre_artifact::seal(DIR_KIND, DIR_VERSION, &w.into_bytes())
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Result<WalDir, ArtifactError> {
-        let payload = lre_artifact::open(bytes, DIR_KIND, DIR_VERSION)?;
-        let mut r = ArtifactReader::new(payload);
-        let low_water = r.get_u64()?;
-        let count = r.get_count(9)?;
-        let mut segments = Vec::with_capacity(count);
-        let mut prev: Option<u64> = None;
-        for _ in 0..count {
-            let first_seq = r.get_u64()?;
-            let sealed = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(ArtifactError::Corrupt("unknown segment state")),
-            };
-            if prev.is_some_and(|p| p >= first_seq) {
-                return Err(ArtifactError::Corrupt("segment entries out of order"));
-            }
-            prev = Some(first_seq);
-            segments.push(SegmentEntry { first_seq, sealed });
-        }
-        if r.remaining() != 0 {
-            return Err(ArtifactError::TrailingBytes);
-        }
-        Ok(WalDir {
-            low_water,
-            segments,
-        })
-    }
-
-    /// Load the directory from `wal_dir`, or a fresh empty one if the
-    /// file does not exist (a brand-new WAL directory).
-    pub fn load(wal_dir: &Path) -> Result<WalDir, ArtifactError> {
-        let path = wal_dir.join(DIR_FILE);
-        match fs::read(&path) {
-            Ok(bytes) => WalDir::from_bytes(&bytes),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(WalDir::default()),
-            Err(e) => Err(ArtifactError::Io(e)),
-        }
-    }
-
-    /// Persist the directory durably: temp file, fsync, rename, fsync the
-    /// containing directory so the rename itself survives a crash.
-    pub fn store(&self, wal_dir: &Path) -> io::Result<()> {
-        write_durable(wal_dir, DIR_FILE, &self.to_bytes())
-    }
-}
 
 /// Write `name` under `dir` atomically and durably: the file appears with
 /// its full contents or not at all, and once this returns both the data
 /// and the directory entry have been fsynced.
 pub fn write_durable(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    replace_file(dir, name, bytes)?;
+    fsync_dir(dir)
+}
+
+/// The first half of [`write_durable`]: `bytes` written and fsynced under
+/// `<name>.tmp`, then renamed over `name`. Returns the handle, still open
+/// for writing and positioned after `bytes`; the rename itself is not
+/// durable until the caller's [`fsync_dir`].
+pub(crate) fn replace_file(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<File> {
     fs::create_dir_all(dir)?;
     let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
-    }
+    let mut f = File::create(&tmp)?;
+    io::Write::write_all(&mut f, bytes)?;
+    f.sync_all()?;
     fs::rename(&tmp, dir.join(name))?;
-    fsync_dir(dir)
+    Ok(f)
 }
 
 /// fsync a directory so renames/unlinks inside it are durable. On
@@ -136,83 +46,14 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("lre_wal_dir_{tag}_{}", std::process::id()));
+    #[test]
+    fn write_durable_replaces_whole_files_and_leaves_no_temp() {
+        let d = std::env::temp_dir().join(format!("lre_wal_dir_{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    #[test]
-    fn load_of_missing_directory_is_empty() {
-        let d = tmpdir("missing");
-        let dir = WalDir::load(&d).unwrap();
-        assert_eq!(dir, WalDir::default());
+        write_durable(&d, "f", b"first contents").unwrap();
+        write_durable(&d, "f", b"second").unwrap();
+        assert_eq!(fs::read(d.join("f")).unwrap(), b"second");
+        assert!(!d.join("f.tmp").exists());
         fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn store_load_roundtrip() {
-        let d = tmpdir("roundtrip");
-        let dir = WalDir {
-            low_water: 42,
-            segments: vec![
-                SegmentEntry {
-                    first_seq: 0,
-                    sealed: true,
-                },
-                SegmentEntry {
-                    first_seq: 128,
-                    sealed: false,
-                },
-            ],
-        };
-        dir.store(&d).unwrap();
-        assert_eq!(WalDir::load(&d).unwrap(), dir);
-        // No temp file left behind.
-        assert!(!d.join(format!("{DIR_FILE}.tmp")).exists());
-        fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn corrupt_directory_is_a_typed_error() {
-        let d = tmpdir("corrupt");
-        let dir = WalDir {
-            low_water: 1,
-            segments: vec![SegmentEntry {
-                first_seq: 0,
-                sealed: false,
-            }],
-        };
-        dir.store(&d).unwrap();
-        let path = d.join(DIR_FILE);
-        let mut bytes = fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n / 2] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        assert!(WalDir::load(&d).is_err());
-        fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn out_of_order_entries_are_refused() {
-        let dir = WalDir {
-            low_water: 0,
-            segments: vec![
-                SegmentEntry {
-                    first_seq: 10,
-                    sealed: true,
-                },
-                SegmentEntry {
-                    first_seq: 5,
-                    sealed: false,
-                },
-            ],
-        };
-        let bytes = dir.to_bytes();
-        assert!(matches!(
-            WalDir::from_bytes(&bytes),
-            Err(ArtifactError::Corrupt(_))
-        ));
     }
 }

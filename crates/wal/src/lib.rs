@@ -7,12 +7,12 @@
 //! knowing anything about votes or bundles — it stores *opaque sealed
 //! `lre-artifact` containers*, which keeps it a leaf below `lre-serve`:
 //!
-//! * [`SegmentedWal`] — a segmented write-ahead log of sealed records:
-//!   per-record CRC framing (each record is its own container), bounded
-//!   append segments indexed by a durable segment directory, background
-//!   sealing + LZSS compression of retired segments, fsync batching with
-//!   a configurable durability interval, logical truncation via a
-//!   low-water mark, and torn-tail-tolerant replay on restart.
+//! * [`Wal`] — a write-ahead log of sealed records in one append-only
+//!   file: a header carrying the first record's sequence number, then
+//!   per-record CRC framing (each record is its own container), fsync
+//!   batching with a configurable durability interval, a drain that
+//!   durably starts the file over, and torn-tail-tolerant replay on
+//!   restart.
 //! * [`LineageStore`] — the generation chain: every served bundle's
 //!   pristine sealed bytes keyed by generation number, with parent
 //!   checksums validated on append and on open, retention/GC by count or
@@ -20,15 +20,11 @@
 //!   `f32::to_bits`-identical scores.
 //!
 //! Telemetry rides [`lre_obs`]: `wal.*` counters and latency histograms
-//! ([`WalObs`]) plus flight-recorder events for seal, GC, and recovery.
+//! ([`WalObs`]) plus flight-recorder events for recovery and lineage GC.
 
-pub mod compress;
 pub mod dir;
 pub mod lineage;
 pub mod log;
-pub mod segment;
 
-pub use dir::{SegmentEntry, WalDir};
 pub use lineage::{generation_name, LineageEntry, LineageError, LineageStore};
-pub use log::{SegmentedWal, WalObs, WalOptions, WalReplay, WalStatus};
-pub use segment::{SealedSegment, Tail};
+pub use log::{Wal, WalObs, WalOptions, WalReplay, WalStatus, LOG_FILE};

@@ -1,84 +1,86 @@
-//! The segmented write-ahead log.
+//! The write-ahead log: one append-only file.
 //!
-//! [`SegmentedWal`] appends opaque *sealed records* — complete
-//! `lre-artifact` containers of one configured kind (the vote log uses
-//! `VREC`) — to a directory of bounded segment files, and on restart
-//! replays every record that was durable at the crash:
+//! [`Wal`] appends opaque *sealed records* — complete `lre-artifact`
+//! containers of one configured kind (the vote log uses `VREC`) — to
+//! `wal.log` in its directory, and on restart replays every record that
+//! was durable at the crash. The file is a small sealed header carrying
+//! `base_seq`, the sequence number of the first record in it, then the
+//! records back to back. Each record is a complete container with its own
+//! length and CRC, so the file needs no further framing and a crash can
+//! only tear the *final* record.
 //!
-//! * **Appends** go to the open segment with one buffered `write_all`;
-//!   durability is batched — a background worker fsyncs the open segment
-//!   every `fsync_interval` (interval zero = fsync inline on every
-//!   append). A kill -9 therefore loses at most one interval of
-//!   acknowledged records, and never a byte that a [`SegmentedWal::sync`]
-//!   returned for.
-//! * **Rolling**: when the open segment reaches its byte budget it is
-//!   retired and queued for the worker, which compresses it into an
-//!   immutable sealed container ([`crate::segment::SealedSegment`]) and
-//!   deletes the raw file.
-//! * **Logical truncation**: a drain calls [`SegmentedWal::truncate_to`],
-//!   which advances the durable low-water mark in the directory index and
-//!   garbage-collects segments whose whole range fell below it. Nothing
-//!   rewrites record data.
-//! * **Replay**: [`SegmentedWal::open`] reconciles the directory index
-//!   with the files on disk, walks every live segment, tolerates a torn
-//!   *tail* record (the signature of a crash mid-append — the file is
-//!   truncated back to the last clean boundary), and hands back every
-//!   surviving record at or above the low-water mark, in sequence order.
+//! * **Appends** are one `write_all`; durability is batched — a
+//!   background thread fsyncs the file every `fsync_interval` (interval
+//!   zero = fsync inline on every append, and no thread). A kill -9
+//!   therefore loses at most one interval of acknowledged records, and
+//!   never a byte that a [`Wal::sync`] returned for.
+//! * **Drain**: [`Wal::clear`] starts the file over as a bare header whose
+//!   `base_seq` is the next sequence number — written under a temp name,
+//!   fsynced, renamed over the log, directory fsynced. A crash at any
+//!   point leaves either the whole old window or the empty log.
+//! * **Replay**: [`Wal::open`] walks the records, cuts a torn *tail*
+//!   record (the signature of a crash mid-append) back to the last clean
+//!   boundary, and hands back every surviving record in order. Damage
+//!   anywhere before the tail cannot be explained by a crash and is
+//!   refused.
+//!
+//! Every crash image is one of four, and all four open: no file; header +
+//! clean records; header + clean records + torn tail; any of those plus a
+//! stray `wal.log.tmp` from an interrupted [`Wal::clear`].
 
-use crate::dir::{fsync_dir, write_durable, SegmentEntry, WalDir};
-use crate::segment::{open_name, sealed_name, walk_records, SealedSegment, Tail};
-use lre_artifact::{ArtifactError, HEADER_LEN, MAGIC};
-use lre_obs::{
-    Counter, FlightRecorder, Histogram, Registry, EV_WAL_GC, EV_WAL_RECOVER, EV_WAL_SEAL,
-};
-use std::collections::VecDeque;
+use crate::dir::{fsync_dir, replace_file};
+use lre_artifact::{open_prefix, seal, ArtifactError, HEADER_LEN, MAGIC, TRAILER_LEN};
+use lre_obs::{Counter, FlightRecorder, Histogram, Registry, EV_WAL_RECOVER};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Configuration for a [`SegmentedWal`].
+/// The log's file name inside its directory.
+pub const LOG_FILE: &str = "wal.log";
+
+/// Index file of the segmented layout this log replaced; a directory
+/// holding one is refused, not reinterpreted.
+const OLD_INDEX_FILE: &str = "wal.dir";
+
+const LOG_KIND: [u8; 4] = *b"WLOG";
+const LOG_VERSION: u32 = 1;
+
+/// Configuration for a [`Wal`].
 #[derive(Clone)]
 pub struct WalOptions {
     /// Container kind every appended record must carry.
     pub record_kind: [u8; 4],
     /// Container version every appended record must carry.
     pub record_version: u32,
-    /// Byte budget of an open segment; reaching it triggers a roll and a
-    /// background seal.
-    pub segment_bytes: u64,
     /// Durability interval for fsync batching. `Duration::ZERO` fsyncs
     /// inline on every append (maximum durability, per-append cost).
     pub fsync_interval: Duration,
 }
 
 impl WalOptions {
-    /// Options for a log of `kind`/`version` records with a 1 MiB
-    /// segment budget and 50 ms fsync batching.
+    /// Options for a log of `kind`/`version` records with 50 ms fsync
+    /// batching.
     pub fn new(record_kind: [u8; 4], record_version: u32) -> WalOptions {
         WalOptions {
             record_kind,
             record_version,
-            segment_bytes: 1 << 20,
             fsync_interval: Duration::from_millis(50),
         }
     }
 }
 
-/// Pre-registered WAL telemetry. Cloneable (the worker thread keeps its
+/// Pre-registered WAL telemetry. Cloneable (the fsync thread keeps its
 /// own handle); every series lives under the `wal.` prefix.
 #[derive(Clone)]
 pub struct WalObs {
     pub append_us: Arc<Histogram>,
-    pub seal_us: Arc<Histogram>,
     pub fsync_us: Arc<Histogram>,
     pub appended_records: Arc<Counter>,
     pub replayed_records: Arc<Counter>,
     pub torn_records: Arc<Counter>,
-    pub sealed_segments: Arc<Counter>,
-    pub gc_segments: Arc<Counter>,
     pub flight: Option<Arc<FlightRecorder>>,
 }
 
@@ -87,27 +89,25 @@ impl WalObs {
     pub fn new(registry: &Registry, flight: Option<Arc<FlightRecorder>>) -> WalObs {
         WalObs {
             append_us: registry.histogram("wal.append_us"),
-            seal_us: registry.histogram("wal.seal_us"),
             fsync_us: registry.histogram("wal.fsync_us"),
             appended_records: registry.counter("wal.appended_records"),
             replayed_records: registry.counter("wal.replayed_records"),
             torn_records: registry.counter("wal.torn_records"),
-            sealed_segments: registry.counter("wal.sealed_segments"),
-            gc_segments: registry.counter("wal.gc_segments"),
             flight,
         }
     }
 }
 
-/// What [`SegmentedWal::open`] recovered from disk.
+/// What [`Wal::open`] recovered from disk.
 pub struct WalReplay {
-    /// Every durable record at or above the low-water mark, ascending by
-    /// sequence number, in its original sealed container form.
-    pub records: Vec<(u64, Vec<u8>)>,
-    /// Torn tail records skipped (0 or 1 — only the final record of the
-    /// final segment can tear).
+    /// Every durable record, in append order and in its original sealed
+    /// container form; record `i` has sequence number `low_water + i`.
+    pub records: Vec<Vec<u8>>,
+    /// Torn tail records cut away (0 or 1 — only the final record can
+    /// tear).
     pub torn_tail_records: u64,
-    /// Durable low-water mark at open.
+    /// Sequence number of the first record in the log (the header's
+    /// `base_seq`): everything below it was drained.
     pub low_water: u64,
     /// Sequence number the next append will receive.
     pub next_seq: u64,
@@ -118,42 +118,40 @@ pub struct WalReplay {
 pub struct WalStatus {
     /// Total records ever appended (the next sequence number).
     pub next_seq: u64,
-    /// First logically present sequence number.
+    /// First sequence number still in the log.
     pub low_water: u64,
     /// Records currently in the log (`next_seq - low_water`).
     pub buffered: u64,
-    /// Live segments, open + sealed.
-    pub segments: u64,
-    /// Of those, sealed (compressed, immutable).
-    pub sealed_segments: u64,
     /// Records replayed by this process's `open`.
     pub replayed: u64,
-    /// Torn tail records skipped by this process's `open`.
+    /// Torn tail records cut away by this process's `open`.
     pub torn: u64,
-    /// fsyncs issued since open.
+    /// Successful fsyncs of the log file since open.
     pub fsyncs: u64,
-    /// Appends not yet covered by an fsync.
+    /// Appends not yet covered by a successful fsync.
     pub unsynced: u64,
 }
 
-struct OpenSegment {
-    file: File,
-    first_seq: u64,
-    bytes: u64,
-}
-
 struct Inner {
-    dir: WalDir,
-    open: Option<OpenSegment>,
+    /// The log file, positioned at its end.
+    file: File,
+    base_seq: u64,
     next_seq: u64,
-    /// Appends since the last fsync of the open segment.
-    unsynced: u64,
+    /// Records below this are on stable storage.
+    synced_seq: u64,
     fsyncs: u64,
     replayed: u64,
     torn: u64,
-    /// Retired open segments awaiting background sealing (first_seq).
-    seal_queue: VecDeque<u64>,
     stopping: bool,
+}
+
+impl Inner {
+    fn sync(&mut self) -> io::Result<()> {
+        self.file.sync_data()?;
+        self.synced_seq = self.next_seq;
+        self.fsyncs += 1;
+        Ok(())
+    }
 }
 
 struct Shared {
@@ -164,122 +162,119 @@ struct Shared {
     obs: Option<WalObs>,
 }
 
-/// The segmented write-ahead log. All methods take `&self`; appends and
-/// truncation serialize on one internal mutex, fsync and sealing run on
-/// a background worker.
-pub struct SegmentedWal {
-    shared: Arc<Shared>,
-    worker: Mutex<Option<thread::JoinHandle<()>>>,
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("wal poisoned")
+    }
+
+    /// One batched fsync: cover every append made so far, outside the
+    /// lock so appends keep flowing. A failed sync changes nothing — the
+    /// records stay counted as unsynced and the next interval retries.
+    fn sync_pending(&self) {
+        let (file, upto) = {
+            let inner = self.lock();
+            if inner.synced_seq == inner.next_seq {
+                return;
+            }
+            match inner.file.try_clone() {
+                Ok(file) => (file, inner.next_seq),
+                Err(_) => return,
+            }
+        };
+        let t0 = Instant::now();
+        if file.sync_data().is_err() {
+            return;
+        }
+        if let Some(obs) = &self.obs {
+            obs.fsync_us.record(t0.elapsed().as_micros() as u64);
+        }
+        let mut inner = self.lock();
+        // A `clear()` meanwhile already moved the mark past `upto`.
+        inner.synced_seq = inner.synced_seq.max(upto);
+        inner.fsyncs += 1;
+    }
 }
 
-impl SegmentedWal {
-    /// Open (or create) the WAL at `path`, replaying whatever survived.
-    /// The caller owns feeding [`WalReplay::records`] back into its
-    /// in-memory state.
+/// The write-ahead log. All methods take `&self`; appends and the drain
+/// serialize on one internal mutex, batched fsync runs on a background
+/// thread.
+pub struct Wal {
+    shared: Arc<Shared>,
+    fsync_thread: Option<thread::JoinHandle<()>>,
+}
+
+impl Wal {
+    /// Open (or create) the WAL in directory `path`, replaying whatever
+    /// survived. The caller owns feeding [`WalReplay::records`] back into
+    /// its in-memory state.
     pub fn open(
         path: &Path,
         opts: WalOptions,
         obs: Option<WalObs>,
-    ) -> Result<(SegmentedWal, WalReplay), ArtifactError> {
+    ) -> Result<(Wal, WalReplay), ArtifactError> {
         fs::create_dir_all(path)?;
-        let mut dir = WalDir::load(path)?;
-        reconcile_with_disk(path, &mut dir)?;
-
-        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut torn_tail = 0u64;
-        let mut next_seq = dir.low_water;
-        let mut open_tail: Option<(u64, u64)> = None; // (first_seq, clean bytes)
-        let last_idx = dir.segments.len().checked_sub(1);
-        for (i, entry) in dir.segments.iter().enumerate() {
-            let is_last = Some(i) == last_idx;
-            let segment_records: Vec<Vec<u8>>;
-            let mut clean_bytes = 0u64;
-            if entry.sealed {
-                let bytes = fs::read(path.join(sealed_name(entry.first_seq)))?;
-                let seg = SealedSegment::open_bytes(&bytes, opts.record_kind, opts.record_version)?;
-                if seg.first_seq != entry.first_seq {
-                    return Err(ArtifactError::Corrupt("sealed segment sequence mismatch"));
-                }
-                segment_records = seg.records;
-            } else {
-                let bytes = fs::read(path.join(open_name(entry.first_seq)))?;
-                let (recs, tail) = walk_records(&bytes, opts.record_kind, opts.record_version)?;
-                if tail == Tail::Torn {
-                    if !is_last {
-                        return Err(ArtifactError::Corrupt("torn record before log tail"));
-                    }
-                    torn_tail += 1;
-                }
-                clean_bytes = recs.iter().map(|r| r.len() as u64).sum();
-                segment_records = recs;
-            }
-            let mut seq = entry.first_seq;
-            for rec in segment_records {
-                if seq >= dir.low_water {
-                    records.push((seq, rec));
-                }
-                seq += 1;
-            }
-            next_seq = next_seq.max(seq);
-            if is_last && !entry.sealed {
-                open_tail = Some((entry.first_seq, clean_bytes));
-            }
+        if path.join(OLD_INDEX_FILE).exists() {
+            return Err(ArtifactError::Corrupt(
+                "directory holds a segmented vote log (wal.dir), which this release cannot read",
+            ));
+        }
+        // Left by a `clear()` that died before its rename: the log it was
+        // about to replace is still whole.
+        match fs::remove_file(path.join(format!("{LOG_FILE}.tmp"))) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
         }
 
-        // Reopen the tail segment for appending, truncating away any torn
-        // record so the stream stays framed.
-        let open = match open_tail {
-            Some((first_seq, clean_bytes)) => {
-                let file = OpenOptions::new()
-                    .append(true)
-                    .open(path.join(open_name(first_seq)))?;
-                file.set_len(clean_bytes)?;
-                if torn_tail > 0 {
+        let log = path.join(LOG_FILE);
+        let (file, base_seq, records, torn) = match fs::read(&log) {
+            Ok(bytes) => {
+                let (payload, header_len) = open_prefix(&bytes, LOG_KIND, LOG_VERSION)?;
+                let base_seq = u64::from_le_bytes(
+                    payload
+                        .try_into()
+                        .map_err(|_| ArtifactError::Corrupt("log header is not a base_seq"))?,
+                );
+                let (records, torn) =
+                    walk_records(&bytes[header_len..], opts.record_kind, opts.record_version)?;
+                let file = OpenOptions::new().append(true).open(&log)?;
+                if torn {
+                    // Cut the torn bytes away so the stream stays framed.
+                    let clean = header_len + records.iter().map(Vec::len).sum::<usize>();
+                    file.set_len(clean as u64)?;
                     file.sync_data()?;
                 }
-                Some(OpenSegment {
-                    file,
-                    first_seq,
-                    bytes: clean_bytes,
-                })
+                (file, base_seq, records, u64::from(torn))
             }
-            None => None,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let file = start_log(path, 0)?;
+                fsync_dir(path)?;
+                (file, 0, Vec::new(), 0)
+            }
+            Err(e) => return Err(e.into()),
         };
+        let replayed = records.len() as u64;
+        let next_seq = base_seq
+            .checked_add(replayed)
+            .ok_or(ArtifactError::Corrupt("log header base_seq overflows"))?;
 
         if let Some(obs) = &obs {
-            obs.replayed_records.add(records.len() as u64);
-            obs.torn_records.add(torn_tail);
+            obs.replayed_records.add(replayed);
+            obs.torn_records.add(torn);
             if let Some(flight) = &obs.flight {
-                flight.record(
-                    EV_WAL_RECOVER,
-                    "wal replay",
-                    records.len() as u64,
-                    torn_tail,
-                    0.0,
-                    0.0,
-                );
+                flight.record(EV_WAL_RECOVER, "wal replay", replayed, torn, 0.0, 0.0);
             }
         }
 
-        let replay = WalReplay {
-            torn_tail_records: torn_tail,
-            low_water: dir.low_water,
-            next_seq,
-            records,
-        };
-        let replayed = replay.records.len() as u64;
-
-        dir.store(path)?;
+        let batched = !opts.fsync_interval.is_zero();
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
-                dir,
-                open,
+                file,
+                base_seq,
                 next_seq,
-                unsynced: 0,
+                synced_seq: next_seq,
                 fsyncs: 0,
                 replayed,
-                torn: torn_tail,
-                seal_queue: VecDeque::new(),
+                torn,
                 stopping: false,
             }),
             cv: Condvar::new(),
@@ -287,19 +282,27 @@ impl SegmentedWal {
             opts,
             obs,
         });
-        let worker = {
+        let fsync_thread = if batched {
             let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("lre-wal".into())
-                .spawn(move || worker_loop(shared))
-                .map_err(ArtifactError::Io)?
+            Some(
+                thread::Builder::new()
+                    .name("lre-wal".into())
+                    .spawn(move || fsync_loop(&shared))?,
+            )
+        } else {
+            None
         };
         Ok((
-            SegmentedWal {
+            Wal {
                 shared,
-                worker: Mutex::new(Some(worker)),
+                fsync_thread,
             },
-            replay,
+            WalReplay {
+                records,
+                torn_tail_records: torn,
+                low_water: base_seq,
+                next_seq,
+            },
         ))
     }
 
@@ -315,51 +318,14 @@ impl SegmentedWal {
         {
             return Err(ArtifactError::Corrupt("append of unframed record"));
         }
-        let mut inner = self.shared.inner.lock().expect("wal poisoned");
-        // Roll a full open segment before this record lands.
-        let mut notify = false;
-        if let Some(open) = &inner.open {
-            if open.bytes >= self.shared.opts.segment_bytes {
-                let open = inner.open.take().expect("checked above");
-                open.file.sync_data()?;
-                inner.seal_queue.push_back(open.first_seq);
-                notify = true;
-            }
-        }
-        if inner.open.is_none() {
-            let first_seq = inner.next_seq;
-            let file = File::create(self.shared.path.join(open_name(first_seq)))?;
-            inner.dir.segments.push(SegmentEntry {
-                first_seq,
-                sealed: false,
-            });
-            // The new entry (and the file's directory entry) must be
-            // durable before any record in it is acknowledged.
-            inner.dir.store(&self.shared.path)?;
-            inner.open = Some(OpenSegment {
-                file,
-                first_seq,
-                bytes: 0,
-            });
-        }
+        let mut inner = self.shared.lock();
+        inner.file.write_all(record)?;
         let seq = inner.next_seq;
-        {
-            let open = inner.open.as_mut().expect("open segment exists");
-            open.file.write_all(record)?;
-            open.bytes += record.len() as u64;
-        }
         inner.next_seq += 1;
         if self.shared.opts.fsync_interval.is_zero() {
-            let open = inner.open.as_ref().expect("open segment exists");
-            open.file.sync_data()?;
-            inner.fsyncs += 1;
-        } else {
-            inner.unsynced += 1;
+            inner.sync()?;
         }
         drop(inner);
-        if notify {
-            self.shared.cv.notify_all();
-        }
         if let Some(obs) = &self.shared.obs {
             obs.appended_records.incr();
             obs.append_us.record(t0.elapsed().as_micros() as u64);
@@ -369,312 +335,120 @@ impl SegmentedWal {
 
     /// Force everything appended so far onto stable storage.
     pub fn sync(&self) -> Result<(), ArtifactError> {
-        let mut inner = self.shared.inner.lock().expect("wal poisoned");
-        if let Some(open) = &inner.open {
-            open.file.sync_data()?;
-        }
-        inner.unsynced = 0;
-        inner.fsyncs += 1;
-        Ok(())
+        Ok(self.shared.lock().sync()?)
     }
 
-    /// Advance the durable low-water mark: records below `seq` are
-    /// logically gone (drained), and segments whose whole range fell
-    /// below it are deleted. This is the drain-side truncation — O(index),
-    /// never a data rewrite.
-    pub fn truncate_to(&self, seq: u64) -> Result<(), ArtifactError> {
-        let mut inner = self.shared.inner.lock().expect("wal poisoned");
-        if seq > inner.next_seq {
-            return Err(ArtifactError::Corrupt("low-water mark past the log head"));
-        }
-        if seq <= inner.dir.low_water {
-            return Ok(());
-        }
-        inner.dir.low_water = seq;
-
-        // End (exclusive) of each segment's range is the next segment's
-        // first_seq; the tail segment ends at next_seq.
-        let next_seq = inner.next_seq;
-        let ends: Vec<u64> = inner
-            .dir
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                inner
-                    .dir
-                    .segments
-                    .get(i + 1)
-                    .map(|n| n.first_seq)
-                    .unwrap_or(next_seq)
-            })
-            .collect();
-        let mut removed = 0u64;
-        let mut reclaimed = 0u64;
-        let segments = std::mem::take(&mut inner.dir.segments);
-        let mut keep = Vec::with_capacity(segments.len());
-        for (entry, end) in segments.into_iter().zip(ends) {
-            if end > seq {
-                keep.push(entry);
-                continue;
-            }
-            let name = if entry.sealed {
-                sealed_name(entry.first_seq)
-            } else {
-                open_name(entry.first_seq)
-            };
-            let path = self.shared.path.join(name);
-            reclaimed += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            fs::remove_file(&path).ok();
-            removed += 1;
-            // A queued-but-unsealed segment that just got drained no
-            // longer needs sealing.
-            inner.seal_queue.retain(|&s| s != entry.first_seq);
-            // The drained segment may be the open one (fully drained log).
-            if inner
-                .open
-                .as_ref()
-                .is_some_and(|o| o.first_seq == entry.first_seq)
-            {
-                inner.open = None;
-            }
-        }
-        inner.dir.segments = keep;
-        inner.dir.store(&self.shared.path)?;
-        if removed > 0 {
-            fsync_dir(&self.shared.path)?;
-            if let Some(obs) = &self.shared.obs {
-                obs.gc_segments.add(removed);
-                if let Some(flight) = &obs.flight {
-                    flight.record(EV_WAL_GC, "wal segment gc", removed, reclaimed, 0.0, 0.0);
-                }
-            }
-        }
-        Ok(())
+    /// The drain: every record in the log is spent. Durably replaces the
+    /// file with a bare header at the next sequence number, so a restart
+    /// replays nothing and sequence numbers carry on. If this fails
+    /// before the rename the log is unchanged, on disk and in memory.
+    pub fn clear(&self) -> Result<(), ArtifactError> {
+        let mut inner = self.shared.lock();
+        inner.file = start_log(&self.shared.path, inner.next_seq)?;
+        inner.base_seq = inner.next_seq;
+        inner.synced_seq = inner.next_seq;
+        Ok(fsync_dir(&self.shared.path)?)
     }
 
     /// Point-in-time status summary.
     pub fn status(&self) -> WalStatus {
-        let inner = self.shared.inner.lock().expect("wal poisoned");
-        let sealed = inner.dir.segments.iter().filter(|s| s.sealed).count() as u64;
+        let inner = self.shared.lock();
         WalStatus {
             next_seq: inner.next_seq,
-            low_water: inner.dir.low_water,
-            buffered: inner.next_seq - inner.dir.low_water,
-            segments: inner.dir.segments.len() as u64,
-            sealed_segments: sealed,
+            low_water: inner.base_seq,
+            buffered: inner.next_seq - inner.base_seq,
             replayed: inner.replayed,
             torn: inner.torn,
             fsyncs: inner.fsyncs,
-            unsynced: inner.unsynced,
-        }
-    }
-
-    /// The sequence number the next append will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.shared.inner.lock().expect("wal poisoned").next_seq
-    }
-
-    /// Block until every queued segment seal has completed (test and
-    /// shutdown support).
-    pub fn flush_seals(&self) {
-        let mut inner = self.shared.inner.lock().expect("wal poisoned");
-        while !inner.seal_queue.is_empty() {
-            self.shared.cv.notify_all();
-            let (guard, _) = self
-                .shared
-                .cv
-                .wait_timeout(inner, Duration::from_millis(10))
-                .expect("wal poisoned");
-            inner = guard;
+            unsynced: inner.next_seq - inner.synced_seq,
         }
     }
 }
 
-impl Drop for SegmentedWal {
+impl Drop for Wal {
     fn drop(&mut self) {
-        {
-            let mut inner = self.shared.inner.lock().expect("wal poisoned");
-            inner.stopping = true;
-            if let Some(open) = &inner.open {
-                let _ = open.file.sync_data();
-            }
-        }
+        self.shared.lock().stopping = true;
         self.shared.cv.notify_all();
-        if let Some(handle) = self.worker.lock().expect("wal poisoned").take() {
+        if let Some(handle) = self.fsync_thread.take() {
             let _ = handle.join();
         }
+        // Orderly shutdown: nothing acknowledged is left in the page cache.
+        let _ = self.shared.lock().file.sync_data();
     }
 }
 
-/// Union the on-disk segment files into the directory index: a crash can
-/// leave a file the index never learned about (or a sealed file whose
-/// index entry still says open); the files are the ground truth for
-/// existence, the index for the low-water mark.
-fn reconcile_with_disk(path: &Path, dir: &mut WalDir) -> Result<(), ArtifactError> {
-    let mut on_disk: Vec<(u64, bool)> = Vec::new();
-    for entry in fs::read_dir(path)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let (stem, sealed) = if let Some(s) = name.strip_suffix(".seg") {
-            (s, true)
-        } else if let Some(s) = name.strip_suffix(".log") {
-            (s, false)
-        } else {
-            continue;
-        };
-        let Some(seq) = stem
-            .strip_prefix("seg-")
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        on_disk.push((seq, sealed));
+/// Put a bare header for `base_seq` in place of the log (temp file, fsync,
+/// rename) and return its handle, positioned for the first append. The
+/// caller fsyncs the directory.
+fn start_log(dir: &Path, base_seq: u64) -> io::Result<File> {
+    let header = seal(LOG_KIND, LOG_VERSION, &base_seq.to_le_bytes());
+    replace_file(dir, LOG_FILE, &header)
+}
+
+fn fsync_loop(shared: &Shared) {
+    let mut inner = shared.lock();
+    while !inner.stopping {
+        let (guard, _) = shared
+            .cv
+            .wait_timeout(inner, shared.opts.fsync_interval)
+            .expect("wal poisoned");
+        drop(guard);
+        shared.sync_pending();
+        inner = shared.lock();
     }
-    for (first_seq, sealed) in on_disk {
-        match dir.segments.iter_mut().find(|s| s.first_seq == first_seq) {
-            Some(entry) => {
-                // A sealed file supersedes its open twin (crash between
-                // writing the seal and updating the index); the leftover
-                // .log is deleted so it cannot shadow anything later.
-                if sealed && !entry.sealed {
-                    entry.sealed = true;
-                    fs::remove_file(path.join(open_name(first_seq))).ok();
-                }
+}
+
+/// Walk a buffer of concatenated sealed records, returning each record's
+/// *container* bytes (header + payload + CRC, exactly as appended — the
+/// in-memory log stores and re-serves the same sealed form) and whether
+/// the stream ended in a torn record.
+///
+/// A damaged *final* record is reported, not refused: a torn tail is the
+/// expected signature of a crash mid-append. Damage anywhere earlier
+/// cannot be explained by a crash (appends are strictly ordered) and is a
+/// hard error.
+fn walk_records(
+    bytes: &[u8],
+    kind: [u8; 4],
+    version: u32,
+) -> Result<(Vec<Vec<u8>>, bool), ArtifactError> {
+    let mut records = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let rest = &bytes[at..];
+        match open_prefix(rest, kind, version) {
+            Ok((_payload, used)) => {
+                records.push(rest[..used].to_vec());
+                at += used;
             }
-            None => dir.segments.push(SegmentEntry { first_seq, sealed }),
-        }
-    }
-    dir.segments.sort_by_key(|s| s.first_seq);
-    // At most the last segment may be unsealed: an unsealed file earlier
-    // in the order is a crash artifact of a completed seal whose .log
-    // deletion never landed — but reconciliation above already preferred
-    // the .seg. Anything still unsealed mid-order has no sealed twin and
-    // the log cannot vouch for its framing; refuse rather than guess.
-    if dir.segments.iter().rev().skip(1).any(|s| !s.sealed) {
-        return Err(ArtifactError::Corrupt("unsealed segment before log tail"));
-    }
-    Ok(())
-}
-
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let job = {
-            let mut inner = shared.inner.lock().expect("wal poisoned");
-            loop {
-                if let Some(first_seq) = inner.seal_queue.front().copied() {
-                    break Some(first_seq);
+            Err(ArtifactError::Truncated) => return Ok((records, true)),
+            Err(ArtifactError::ChecksumMismatch) => {
+                // Every declared byte is there; only the last record may
+                // be missing its tail.
+                let payload_len = u64::from_le_bytes(
+                    rest[12..HEADER_LEN]
+                        .try_into()
+                        .expect("open_prefix read a whole header"),
+                );
+                if (HEADER_LEN + TRAILER_LEN) as u64 + payload_len < rest.len() as u64 {
+                    return Err(ArtifactError::Corrupt("torn record before log tail"));
                 }
-                if inner.stopping {
-                    break None;
-                }
-                let timeout = if shared.opts.fsync_interval.is_zero() {
-                    Duration::from_millis(200)
-                } else {
-                    shared.opts.fsync_interval
-                };
-                let (guard, _) = shared
-                    .cv
-                    .wait_timeout(inner, timeout)
-                    .expect("wal poisoned");
-                inner = guard;
-                // Periodic fsync of the open segment (batched durability).
-                if !shared.opts.fsync_interval.is_zero() && inner.unsynced > 0 {
-                    let t0 = Instant::now();
-                    let cloned = inner.open.as_ref().and_then(|o| o.file.try_clone().ok());
-                    if let Some(file) = cloned {
-                        // Sync outside the lock so appends keep flowing.
-                        inner.unsynced = 0;
-                        inner.fsyncs += 1;
-                        drop(inner);
-                        let _ = file.sync_data();
-                        if let Some(obs) = &shared.obs {
-                            obs.fsync_us.record(t0.elapsed().as_micros() as u64);
-                        }
-                        inner = shared.inner.lock().expect("wal poisoned");
-                    }
-                }
+                return Ok((records, true));
             }
-        };
-        let Some(first_seq) = job else { break };
-        seal_one(&shared, first_seq);
-        let mut inner = shared.inner.lock().expect("wal poisoned");
-        inner.seal_queue.retain(|&s| s != first_seq);
-        drop(inner);
-        shared.cv.notify_all();
-    }
-    // Drain-stop: one final fsync so nothing acknowledged is lost on an
-    // orderly shutdown.
-    let inner = shared.inner.lock().expect("wal poisoned");
-    if let Some(open) = &inner.open {
-        let _ = open.file.sync_data();
-    }
-}
-
-/// Compress one retired open segment into its sealed form. Failures are
-/// non-fatal: the raw `.log` stays behind and replay handles it.
-fn seal_one(shared: &Shared, first_seq: u64) {
-    let t0 = Instant::now();
-    let log_path = shared.path.join(open_name(first_seq));
-    let Ok(bytes) = fs::read(&log_path) else {
-        return; // GC'd concurrently
-    };
-    let Ok((records, Tail::Clean)) =
-        walk_records(&bytes, shared.opts.record_kind, shared.opts.record_version)
-    else {
-        return; // torn or unframed: leave the raw file for replay to judge
-    };
-    let seg = SealedSegment { first_seq, records };
-    let (sealed, raw_len) = seg.seal_bytes();
-    let sealed_len = sealed.len();
-    if write_durable(&shared.path, &sealed_name(first_seq), &sealed).is_err() {
-        return;
-    }
-    {
-        let mut inner = shared.inner.lock().expect("wal poisoned");
-        if let Some(entry) = inner
-            .dir
-            .segments
-            .iter_mut()
-            .find(|s| s.first_seq == first_seq)
-        {
-            entry.sealed = true;
-            let _ = inner.dir.store(&shared.path);
-        } else {
-            // Drained while we sealed: the sealed file is garbage too.
-            drop(inner);
-            fs::remove_file(shared.path.join(sealed_name(first_seq))).ok();
-            return;
+            Err(e) => return Err(e),
         }
     }
-    fs::remove_file(&log_path).ok();
-    if let Some(obs) = &shared.obs {
-        obs.sealed_segments.incr();
-        obs.seal_us.record(t0.elapsed().as_micros() as u64);
-        if let Some(flight) = &obs.flight {
-            flight.record(
-                EV_WAL_SEAL,
-                "wal segment sealed",
-                first_seq,
-                raw_len as u64,
-                sealed_len as f64,
-                0.0,
-            );
-        }
-    }
+    Ok((records, false))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lre_artifact::seal;
 
     const K: [u8; 4] = *b"TREC";
     const V: u32 = 1;
 
     fn rec(i: u64) -> Vec<u8> {
-        // Mildly compressible, record-unique payload.
         let mut p = format!("record payload number {i} ").into_bytes();
         p.extend_from_slice(&i.to_le_bytes());
         p.extend(std::iter::repeat_n(0xA5, 32));
@@ -698,21 +472,18 @@ mod tests {
         let d = tmpdir("replay");
         let sent: Vec<Vec<u8>> = (0..25).map(rec).collect();
         {
-            let (wal, replay) = SegmentedWal::open(&d, opts(), None).unwrap();
+            let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
             assert_eq!(replay.records.len(), 0);
             for (i, r) in sent.iter().enumerate() {
                 assert_eq!(wal.append(r).unwrap(), i as u64);
             }
             assert_eq!(wal.status().next_seq, 25);
         }
-        let (wal, replay) = SegmentedWal::open(&d, opts(), None).unwrap();
+        let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
+        assert_eq!(replay.low_water, 0);
         assert_eq!(replay.next_seq, 25);
         assert_eq!(replay.torn_tail_records, 0);
-        let got: Vec<&Vec<u8>> = replay.records.iter().map(|(_, b)| b).collect();
-        assert_eq!(got.len(), sent.len());
-        for (g, s) in got.iter().zip(&sent) {
-            assert_eq!(*g, s);
-        }
+        assert_eq!(replay.records, sent);
         // Sequence numbers continue, never restart.
         assert_eq!(wal.append(&rec(99)).unwrap(), 25);
         fs::remove_dir_all(&d).ok();
@@ -722,112 +493,74 @@ mod tests {
     fn torn_tail_is_skipped_and_truncated_away() {
         let d = tmpdir("torn");
         {
-            let (wal, _) = SegmentedWal::open(&d, opts(), None).unwrap();
+            let (wal, _) = Wal::open(&d, opts(), None).unwrap();
             for i in 0..5 {
                 wal.append(&rec(i)).unwrap();
             }
         }
-        // Tear the last record: chop 3 bytes off the open segment.
-        let log = d.join(open_name(0));
+        // Tear the last record: chop 3 bytes off the log.
+        let log = d.join(LOG_FILE);
         let len = fs::metadata(&log).unwrap().len();
         let f = OpenOptions::new().write(true).open(&log).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
 
-        let (wal, replay) = SegmentedWal::open(&d, opts(), None).unwrap();
+        let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
         assert_eq!(replay.records.len(), 4);
         assert_eq!(replay.torn_tail_records, 1);
         assert_eq!(replay.next_seq, 4);
         // The torn bytes are gone: appending keeps the stream framed.
         assert_eq!(wal.append(&rec(77)).unwrap(), 4);
         drop(wal);
-        let (_, replay) = SegmentedWal::open(&d, opts(), None).unwrap();
+        let (_, replay) = Wal::open(&d, opts(), None).unwrap();
         assert_eq!(replay.records.len(), 5);
         assert_eq!(replay.torn_tail_records, 0);
         fs::remove_dir_all(&d).ok();
     }
 
     #[test]
-    fn rolling_seals_segments_and_replay_crosses_them() {
-        let d = tmpdir("seal");
-        let mut o = opts();
-        o.segment_bytes = 256; // force frequent rolls
-        let sent: Vec<Vec<u8>> = (0..40).map(rec).collect();
-        {
-            let (wal, _) = SegmentedWal::open(&d, o.clone(), None).unwrap();
-            for r in &sent {
-                wal.append(r).unwrap();
-            }
-            wal.flush_seals();
-            let st = wal.status();
-            assert!(
-                st.segments > 2,
-                "expected rolls, got {} segments",
-                st.segments
-            );
-            assert!(st.sealed_segments >= 1, "expected sealed segments");
-        }
-        let (_, replay) = SegmentedWal::open(&d, o, None).unwrap();
-        assert_eq!(replay.records.len(), sent.len());
-        for ((seq, got), (i, want)) in replay.records.iter().zip(sent.iter().enumerate()) {
-            assert_eq!(*seq, i as u64);
-            assert_eq!(got, want);
-        }
-        fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn truncate_advances_low_water_and_gcs() {
-        let d = tmpdir("gc");
-        let mut o = opts();
-        o.segment_bytes = 256;
-        let (wal, _) = SegmentedWal::open(&d, o.clone(), None).unwrap();
+    fn cleared_log_restarts_empty_at_the_same_next_seq() {
+        let d = tmpdir("clear");
+        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
         for i in 0..40 {
             wal.append(&rec(i)).unwrap();
         }
-        wal.flush_seals();
-        let before = wal.status();
-        wal.truncate_to(35).unwrap();
-        let after = wal.status();
-        assert_eq!(after.low_water, 35);
-        assert_eq!(after.buffered, 5);
-        assert!(
-            after.segments < before.segments,
-            "drained segments should be deleted ({} -> {})",
-            before.segments,
-            after.segments
-        );
+        wal.clear().unwrap();
+        let st = wal.status();
+        assert_eq!((st.next_seq, st.low_water, st.buffered), (40, 40, 0));
+        assert!(!d.join(format!("{LOG_FILE}.tmp")).exists());
         drop(wal);
-        // Replay resumes above the durable low-water mark.
-        let (wal, replay) = SegmentedWal::open(&d, o, None).unwrap();
-        assert_eq!(replay.low_water, 35);
-        assert_eq!(
-            replay.records.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            (35..40).collect::<Vec<_>>()
-        );
-        // Fully drained log: everything deleted, appends continue.
-        wal.truncate_to(40).unwrap();
-        assert_eq!(wal.status().segments, 0);
+        let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
+        assert_eq!(replay.records.len(), 0);
+        assert_eq!((replay.low_water, replay.next_seq), (40, 40));
+        // Appends continue above the drained window, and only they replay.
         assert_eq!(wal.append(&rec(1000)).unwrap(), 40);
+        assert_eq!(wal.append(&rec(1001)).unwrap(), 41);
+        drop(wal);
+        let (_, replay) = Wal::open(&d, opts(), None).unwrap();
+        assert_eq!(replay.low_water, 40);
+        assert_eq!(replay.records, vec![rec(1000), rec(1001)]);
         fs::remove_dir_all(&d).ok();
     }
 
     #[test]
-    fn truncate_past_head_is_refused_and_regress_is_a_noop() {
-        let d = tmpdir("bounds");
-        let (wal, _) = SegmentedWal::open(&d, opts(), None).unwrap();
+    fn clear_of_an_empty_log_changes_nothing() {
+        let d = tmpdir("clear_empty");
+        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        wal.clear().unwrap();
+        assert_eq!(wal.status(), WalStatus::default());
         wal.append(&rec(0)).unwrap();
-        assert!(wal.truncate_to(5).is_err());
-        wal.truncate_to(1).unwrap();
-        wal.truncate_to(0).unwrap(); // regressing the mark: ignored
-        assert_eq!(wal.status().low_water, 1);
+        wal.clear().unwrap();
+        wal.clear().unwrap();
+        let st = wal.status();
+        assert_eq!((st.next_seq, st.low_water, st.unsynced), (1, 1, 0));
         fs::remove_dir_all(&d).ok();
     }
 
     #[test]
     fn unframed_appends_are_refused() {
         let d = tmpdir("unframed");
-        let (wal, _) = SegmentedWal::open(&d, opts(), None).unwrap();
+        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
         assert!(wal.append(b"raw bytes").is_err());
         assert!(wal.append(&seal(*b"XXXX", 1, b"wrong kind")).is_err());
         assert_eq!(wal.status().next_seq, 0);
@@ -840,13 +573,13 @@ mod tests {
         let registry = Registry::new();
         let obs = WalObs::new(&registry, None);
         {
-            let (wal, _) = SegmentedWal::open(&d, opts(), Some(obs.clone())).unwrap();
+            let (wal, _) = Wal::open(&d, opts(), Some(obs.clone())).unwrap();
             for i in 0..3 {
                 wal.append(&rec(i)).unwrap();
             }
         }
         assert_eq!(obs.appended_records.get(), 3);
-        let (_, replay) = SegmentedWal::open(&d, opts(), Some(obs.clone())).unwrap();
+        let (_, replay) = Wal::open(&d, opts(), Some(obs.clone())).unwrap();
         assert_eq!(replay.records.len(), 3);
         assert_eq!(obs.replayed_records.get(), 3);
         fs::remove_dir_all(&d).ok();
@@ -858,15 +591,107 @@ mod tests {
         let mut o = WalOptions::new(K, V);
         o.fsync_interval = Duration::from_millis(5);
         {
-            let (wal, _) = SegmentedWal::open(&d, o.clone(), None).unwrap();
+            let (wal, _) = Wal::open(&d, o.clone(), None).unwrap();
             for i in 0..10 {
                 wal.append(&rec(i)).unwrap();
             }
             wal.sync().unwrap();
             assert_eq!(wal.status().unsynced, 0);
         }
-        let (_, replay) = SegmentedWal::open(&d, o, None).unwrap();
+        let (_, replay) = Wal::open(&d, o, None).unwrap();
         assert_eq!(replay.records.len(), 10);
         fs::remove_dir_all(&d).ok();
+    }
+
+    /// A handle that takes writes but cannot be fsynced (`EINVAL`): one
+    /// end of a socket pair.
+    #[cfg(unix)]
+    fn unsyncable_file() -> (File, std::os::unix::net::UnixStream) {
+        use std::os::fd::OwnedFd;
+        let (ours, peer) = std::os::unix::net::UnixStream::pair().unwrap();
+        (File::from(OwnedFd::from(ours)), peer)
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_fsync_leaves_unsynced_standing_and_is_not_counted() {
+        let d = tmpdir("syncfail");
+        let mut o = WalOptions::new(K, V);
+        // Batched mode, but an interval the thread never reaches: the
+        // test drives `sync_pending` itself.
+        o.fsync_interval = Duration::from_secs(3600);
+        let (wal, _) = Wal::open(&d, o, None).unwrap();
+        wal.append(&rec(0)).unwrap();
+        wal.shared.sync_pending();
+        let healthy = wal.status();
+        assert_eq!((healthy.unsynced, healthy.fsyncs), (0, 1));
+
+        let (broken, _peer) = unsyncable_file();
+        let real = std::mem::replace(&mut wal.shared.lock().file, broken);
+        wal.append(&rec(1)).unwrap();
+        wal.append(&rec(2)).unwrap();
+        wal.shared.sync_pending();
+        assert!(wal.sync().is_err());
+        let failing = wal.status();
+        assert_eq!((failing.unsynced, failing.fsyncs), (2, 1));
+
+        // The disk comes back: the standing records are covered and counted.
+        wal.shared.lock().file = real;
+        wal.shared.sync_pending();
+        let recovered = wal.status();
+        assert_eq!((recovered.unsynced, recovered.fsyncs), (0, 2));
+        fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn walk_handles_clean_and_torn_streams() {
+        let a = seal(K, V, &[1; 10]);
+        let b = seal(K, V, &[]);
+        let c = seal(K, V, &[3; 300]);
+        let stream = [a.clone(), b.clone(), c.clone()].concat();
+        let (records, torn) = walk_records(&stream, K, V).unwrap();
+        assert_eq!(records, vec![a.clone(), b.clone(), c.clone()]);
+        assert!(!torn);
+
+        // Cut anywhere inside the final record: first two survive, torn tail.
+        for cut in 1..c.len() {
+            let (records, torn) = walk_records(&stream[..a.len() + b.len() + cut], K, V).unwrap();
+            assert_eq!(records.len(), 2, "cut {cut}");
+            assert!(torn, "cut {cut}");
+        }
+
+        // A zeroed CRC on the final record (trailer never landed) is also
+        // a torn tail, not an error.
+        let mut zeroed = stream.clone();
+        let n = zeroed.len();
+        zeroed[n - 4..].fill(0);
+        let (records, torn) = walk_records(&zeroed, K, V).unwrap();
+        assert_eq!(records.len(), 2);
+        assert!(torn);
+    }
+
+    #[test]
+    fn walk_rejects_damage_before_the_tail() {
+        let mut stream = seal(K, V, &[1; 8]);
+        stream.extend_from_slice(b"XXXXgarbage that is not a record header!");
+        assert!(matches!(
+            walk_records(&stream, K, V),
+            Err(ArtifactError::BadMagic)
+        ));
+
+        // A record whose CRC fails with more records behind it was not
+        // torn by a crash.
+        let mut stream = [
+            seal(K, V, &[1; 8]),
+            seal(K, V, &[2; 8]),
+            seal(K, V, &[3; 8]),
+        ]
+        .concat();
+        let second_payload = seal(K, V, &[1; 8]).len() + HEADER_LEN;
+        stream[second_payload] ^= 0x40;
+        assert!(matches!(
+            walk_records(&stream, K, V),
+            Err(ArtifactError::Corrupt("torn record before log tail"))
+        ));
     }
 }
