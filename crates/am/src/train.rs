@@ -149,6 +149,21 @@ impl FeatureTransform {
         }
     }
 
+    /// [`FeatureTransform::apply`] without touching `feats`: the normalized
+    /// frames go to `out`, resized to match. Several models can each
+    /// normalize one shared extraction this way, into one reused buffer.
+    pub fn apply_into(&self, feats: &lre_dsp::FrameMatrix, out: &mut lre_dsp::FrameMatrix) {
+        let d = feats.dim();
+        assert_eq!(d, self.mean.len());
+        assert_eq!(d, out.dim(), "output dimension must match the features");
+        out.resize(feats.num_frames());
+        for (o, fr) in out.as_mut_slice().chunks_exact_mut(d).zip(feats.iter()) {
+            for (((o, &v), &m), &s) in o.iter_mut().zip(fr).zip(&self.mean).zip(&self.inv_std) {
+                *o = (v - m) * s;
+            }
+        }
+    }
+
     /// Normalize a flat frame buffer in place.
     pub fn apply_flat(&self, frames: &mut [f32]) {
         let d = self.mean.len();
@@ -417,6 +432,28 @@ mod tests {
         let lang = build_language(LanguageId::Czech, 7, &inv);
         let utts = tiny_utts(LanguageId::Czech, 6);
         (inv, set, lang, utts)
+    }
+
+    /// The non-mutating form writes the bits the in-place form would, into
+    /// a buffer that is reused (grown, shrunk, and holding stale values).
+    #[test]
+    fn apply_into_equals_in_place_apply_bit_for_bit() {
+        let frames: Vec<f32> = (0..7 * 5)
+            .map(|i| ((i * i) as f32 * 0.37).sin() * 9.0)
+            .collect();
+        let transform = FeatureTransform::fit(&frames, 5);
+        let mut out = lre_dsp::FrameMatrix::new(5);
+        for rows in [7, 3, 0, 6] {
+            let feats = lre_dsp::FrameMatrix::from_flat(5, frames[..rows * 5].to_vec());
+            transform.apply_into(&feats, &mut out);
+            let mut want = feats.clone();
+            transform.apply(&mut want);
+            assert_eq!(out.num_frames(), rows);
+            let bits = |m: &lre_dsp::FrameMatrix| -> Vec<u32> {
+                m.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&out), bits(&want));
+        }
     }
 
     #[test]

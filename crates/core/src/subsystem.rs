@@ -2,6 +2,7 @@
 
 use lre_am::{train_acoustic_model, AcousticModel, AmFamily, AmTrainConfig};
 use lre_corpus::{render_utterance, Dataset, LanguageId, UttSpec};
+use lre_dsp::FrameMatrix;
 use lre_lattice::{decode_with_scratch, DecodeScratch, DecoderConfig};
 use lre_phone::{PhoneSet, PhoneSetId, UniversalInventory};
 use lre_vsm::{SparseVec, SupervectorBuilder, TfllrScaler};
@@ -163,31 +164,52 @@ impl Frontend {
     }
 
     /// Decode pre-rendered audio samples into a raw (unscaled) supervector —
-    /// the serving path, where the caller holds a waveform rather than a
-    /// corpus spec.
+    /// the path for a caller that holds a waveform rather than a corpus
+    /// spec: extract this front-end's features, then
+    /// [`Frontend::supervector_from_features`].
     pub fn supervector_from_samples(
         &self,
         samples: &[f32],
         scratch: &mut DecodeScratch,
     ) -> SparseVec {
-        self.supervector_from_samples_timed(samples, scratch).0
+        let feats = lre_am::extract_features(samples, self.am.feature);
+        let mut normalized = FrameMatrix::new(feats.dim());
+        self.supervector_from_features(&feats, &mut normalized, scratch)
     }
 
-    /// [`Frontend::supervector_from_samples`] with a stage-time split for
-    /// the serving tracer: `(supervector, decode_us, build_us)`, where
-    /// `decode_us` covers feature extraction + transform + the phone-loop
-    /// Viterbi decode and `build_us` the expected-count supervector build.
-    /// The supervector is bit-identical to the untimed path's (it *is*
-    /// the untimed path; the clock reads add nothing to the arithmetic).
-    pub fn supervector_from_samples_timed(
+    /// Decode already-extracted features (CMS-normalized, of this
+    /// front-end's [`lre_am::FeatureKind`]) into a raw (unscaled)
+    /// supervector: the acoustic model's global transform into `normalized`
+    /// (a caller-owned buffer, so front-ends sharing one extraction leave it
+    /// untouched and reuse one allocation), phone-loop decode, expected
+    /// counts. Every decode in the workspace — offline, serving, adaptation
+    /// — ends here.
+    pub fn supervector_from_features(
         &self,
-        samples: &[f32],
+        feats: &FrameMatrix,
+        normalized: &mut FrameMatrix,
+        scratch: &mut DecodeScratch,
+    ) -> SparseVec {
+        self.supervector_from_features_timed(feats, normalized, scratch)
+            .0
+    }
+
+    /// [`Frontend::supervector_from_features`] with a stage-time split for
+    /// the serving tracer: `(supervector, decode_us, build_us)`, where
+    /// `decode_us` covers the transform + the phone-loop Viterbi decode
+    /// (the caller bills the shared feature extraction itself) and
+    /// `build_us` the expected-count supervector build. The supervector is
+    /// bit-identical to the untimed path's (it *is* the untimed path; the
+    /// clock reads add nothing to the arithmetic).
+    pub fn supervector_from_features_timed(
+        &self,
+        feats: &FrameMatrix,
+        normalized: &mut FrameMatrix,
         scratch: &mut DecodeScratch,
     ) -> (SparseVec, u64, u64) {
         let t0 = std::time::Instant::now();
-        let mut feats = lre_am::extract_features(samples, self.am.feature);
-        self.am.feature_transform.apply(&mut feats);
-        let out = decode_with_scratch(&self.am, &feats, &self.decoder, scratch);
+        self.am.feature_transform.apply_into(feats, normalized);
+        let out = decode_with_scratch(&self.am, normalized, &self.decoder, scratch);
         let decode_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
         let sv = self.builder.build(&out.network);

@@ -6,46 +6,43 @@
 
 use crate::frames::FrameMatrix;
 
-/// Compute regression deltas of `feats` with the standard formula
-/// `d_t = Σ_{k=1..w} k (x_{t+k} - x_{t-k}) / (2 Σ k²)`, clamping at edges.
-pub fn compute_deltas(feats: &FrameMatrix, window: usize) -> FrameMatrix {
+/// Regression deltas, by the standard formula
+/// `d_t = Σ_{k=1..w} k (x_{t+k} - x_{t-k}) / (2 Σ k²)` clamping at the edges,
+/// of columns `src..src + d` of every `stride`-wide row of `data`, written
+/// to columns `dst..dst + d` of the same rows (the two ranges are disjoint).
+fn deltas_within(data: &mut [f32], stride: usize, src: usize, dst: usize, d: usize, window: usize) {
     assert!(window >= 1);
-    let t_max = feats.num_frames();
-    let d = feats.dim();
+    let t_max = data.len() / stride;
     let denom: f32 = 2.0 * (1..=window).map(|k| (k * k) as f32).sum::<f32>();
-    let mut out = FrameMatrix::with_capacity(d, t_max);
     let mut row = vec![0.0_f32; d];
     for t in 0..t_max {
-        row.iter_mut().for_each(|v| *v = 0.0);
+        row.fill(0.0);
         for k in 1..=window {
-            let fwd = feats.frame((t + k).min(t_max - 1));
-            let bwd = feats.frame(t.saturating_sub(k));
-            for (r, (&f, &b)) in row.iter_mut().zip(fwd.iter().zip(bwd)) {
-                *r += k as f32 * (f - b);
+            let fwd = (t + k).min(t_max - 1) * stride + src;
+            let bwd = t.saturating_sub(k) * stride + src;
+            for (i, r) in row.iter_mut().enumerate() {
+                *r += k as f32 * (data[fwd + i] - data[bwd + i]);
             }
         }
-        for r in row.iter_mut() {
-            *r /= denom;
+        let out = &mut data[t * stride + dst..][..d];
+        for (o, &r) in out.iter_mut().zip(&row) {
+            *o = r / denom;
         }
-        out.push(&row);
     }
-    out
 }
 
-/// Append Δ and ΔΔ features: `[x, Δx, ΔΔx]`, tripling the dimension.
+/// Append Δ and ΔΔ features: `[x, Δx, ΔΔx]`, tripling the dimension. The
+/// statics are copied into the output once and both derivative blocks are
+/// computed in place beside them (ΔΔ is the delta of the Δ block).
 pub fn append_deltas(feats: &FrameMatrix, window: usize) -> FrameMatrix {
-    let d1 = compute_deltas(feats, window);
-    let d2 = compute_deltas(&d1, window);
     let d = feats.dim();
-    let mut out = FrameMatrix::with_capacity(3 * d, feats.num_frames());
-    let mut row = vec![0.0_f32; 3 * d];
-    for t in 0..feats.num_frames() {
-        row[..d].copy_from_slice(feats.frame(t));
-        row[d..2 * d].copy_from_slice(d1.frame(t));
-        row[2 * d..].copy_from_slice(d2.frame(t));
-        out.push(&row);
+    let mut data = vec![0.0_f32; 3 * d * feats.num_frames()];
+    for (row, x) in data.chunks_exact_mut(3 * d).zip(feats.iter()) {
+        row[..d].copy_from_slice(x);
     }
-    out
+    deltas_within(&mut data, 3 * d, 0, d, d, window);
+    deltas_within(&mut data, 3 * d, d, 2 * d, d, window);
+    FrameMatrix::from_flat(3 * d, data)
 }
 
 #[cfg(test)]
@@ -55,8 +52,8 @@ mod tests {
     #[test]
     fn delta_of_constant_is_zero() {
         let f = FrameMatrix::from_flat(2, vec![3.0, -1.0, 3.0, -1.0, 3.0, -1.0, 3.0, -1.0]);
-        let d = compute_deltas(&f, 2);
-        assert!(d.as_slice().iter().all(|&v| v.abs() < 1e-7));
+        let a = append_deltas(&f, 2);
+        assert!(a.iter().all(|fr| fr[2..].iter().all(|&v| v.abs() < 1e-7)));
     }
 
     #[test]
@@ -64,13 +61,17 @@ mod tests {
         // x_t = 2t: interior deltas should equal the slope 2.
         let vals: Vec<f32> = (0..10).map(|t| 2.0 * t as f32).collect();
         let f = FrameMatrix::from_flat(1, vals);
-        let d = compute_deltas(&f, 2);
+        let a = append_deltas(&f, 2);
         for t in 2..8 {
             assert!(
-                (d.frame(t)[0] - 2.0).abs() < 1e-6,
+                (a.frame(t)[1] - 2.0).abs() < 1e-6,
                 "t={t}: {}",
-                d.frame(t)[0]
+                a.frame(t)[1]
             );
+        }
+        // ΔΔ of a ramp vanishes once both windows are clear of the edges.
+        for t in 4..6 {
+            assert!(a.frame(t)[2].abs() < 1e-6);
         }
     }
 

@@ -18,14 +18,20 @@ pub fn hz_to_bark(hz: f32) -> f32 {
 
 /// A bank of spectral weighting filters over FFT bins.
 ///
-/// `weights` is `num_filters × num_bins`, flat row-major; most entries are
-/// zero but the matrix is small (≈ 23 × 129) so dense storage keeps the
-/// application loop branch-free.
+/// `weights` is `num_filters × num_bins`, flat row-major, and ≈ 90 % zeros: a
+/// triangle is non-zero on one contiguous run of bins, recorded in `spans`,
+/// and [`Filterbank::apply_into`] multiplies only that run. Skipping the
+/// zero products leaves every band energy `to_bits`-equal to the full dot
+/// product over a finite spectrum: each skipped term is `+0.0`, the running
+/// sum is `+0.0` until the first non-zero term and never `-0.0` after, and
+/// the terms inside the run are added in the same order.
 #[derive(Clone, Debug)]
 pub struct Filterbank {
     num_filters: usize,
     num_bins: usize,
     weights: Vec<f32>,
+    /// Per filter, the bin range `lo..hi` outside which its weights are zero.
+    spans: Vec<(usize, usize)>,
     /// Center frequency of each filter in Hz (diagnostics, equal-loudness).
     pub centers_hz: Vec<f32>,
 }
@@ -47,10 +53,47 @@ impl Filterbank {
     /// Apply to a power spectrum (`len == num_bins`), producing per-filter
     /// energies.
     pub fn apply(&self, power: &[f32]) -> Vec<f32> {
+        let mut energies = vec![0.0; self.num_filters];
+        self.apply_into(power, &mut energies);
+        energies
+    }
+
+    /// [`Filterbank::apply`] into caller-owned storage (`len == num_filters`).
+    pub fn apply_into(&self, power: &[f32], energies: &mut [f32]) {
         assert_eq!(power.len(), self.num_bins, "spectrum length mismatch");
-        (0..self.num_filters)
-            .map(|f| self.filter(f).iter().zip(power).map(|(w, p)| w * p).sum())
-            .collect()
+        assert_eq!(energies.len(), self.num_filters, "one energy per filter");
+        for ((row, &(lo, hi)), e) in self
+            .weights
+            .chunks_exact(self.num_bins)
+            .zip(&self.spans)
+            .zip(energies)
+        {
+            let mut acc = 0.0_f32;
+            for (w, p) in row[lo..hi].iter().zip(&power[lo..hi]) {
+                acc += w * p;
+            }
+            *e = acc;
+        }
+    }
+}
+
+/// Clamp one frame's band energies, in place, to a floor relative to its
+/// strongest band: bands more than ~40 dB below the peak take the floor.
+/// Synthetic speech otherwise has spectrally empty bands whose log-energy
+/// swings wildly with any additive noise, destabilizing every cepstral
+/// coefficient.
+///
+/// A non-finite energy (a NaN or ±Inf sample reached the frame, or its power
+/// overflowed f32) is no band's peak and takes the floor too, so what leaves
+/// here is always finite and positive.
+pub(crate) fn relative_floor(bands: &mut [f32]) {
+    let peak = bands
+        .iter()
+        .filter(|e| e.is_finite())
+        .fold(1e-10_f32, |m, &e| m.max(e));
+    let floor = peak * 1e-4 + 1e-10;
+    for e in bands {
+        *e = if e.is_finite() { e.max(floor) } else { floor };
     }
 }
 
@@ -112,6 +155,7 @@ fn triangular_bank(edges_hz: &[f32], num_bins: usize, nfft: usize, sample_rate: 
     let bin_hz = sample_rate / nfft as f32;
     let mut weights = vec![0.0_f32; num_filters * num_bins];
     let mut centers_hz = Vec::with_capacity(num_filters);
+    let mut spans = Vec::with_capacity(num_filters);
     for f in 0..num_filters {
         let (lo, ctr, hi) = (edges_hz[f], edges_hz[f + 1], edges_hz[f + 2]);
         centers_hz.push(ctr);
@@ -126,11 +170,15 @@ fn triangular_bank(edges_hz: &[f32], num_bins: usize, nfft: usize, sample_rate: 
                 };
             }
         }
+        let first = row.iter().position(|&w| w != 0.0).unwrap_or(0);
+        let end = row.iter().rposition(|&w| w != 0.0).map_or(first, |b| b + 1);
+        spans.push((first, end));
     }
     Filterbank {
         num_filters,
         num_bins,
         weights,
+        spans,
         centers_hz,
     }
 }
@@ -181,6 +229,56 @@ mod tests {
         let flat = vec![1.0; fb.num_bins()];
         let e = fb.apply(&flat);
         assert!(e.iter().all(|&v| v > 0.0));
+    }
+
+    /// `apply` multiplies only each filter's non-zero run; the result must be
+    /// the full 129-term dot product `Σ_bin filter(f)[bin] · power[bin]`, bit
+    /// for bit, on real power spectra (and on an all-zero one).
+    #[test]
+    fn sparse_rows_equal_the_dense_dot_product_bit_for_bit() {
+        use crate::testsignal::noise_and_tones;
+        let banks = [
+            mel_filterbank(23, 256, 8000.0, 100.0, 3800.0),
+            bark_filterbank(17, 256, 8000.0, 100.0, 3800.0),
+            mel_filterbank(40, 512, 16000.0, 0.0, 8000.0),
+        ];
+        for (b, fb) in banks.iter().enumerate() {
+            let nfft = 2 * (fb.num_bins() - 1);
+            let mut spectra: Vec<Vec<f32>> = (0..32)
+                .map(|seed| crate::power_spectrum(&noise_and_tones(nfft - 56, seed), nfft))
+                .collect();
+            spectra.push(vec![0.0; fb.num_bins()]);
+            for power in &spectra {
+                let got = fb.apply(power);
+                for (f, g) in got.iter().enumerate() {
+                    let dense: f32 = fb.filter(f).iter().zip(power).map(|(w, p)| w * p).sum();
+                    assert_eq!(g.to_bits(), dense.to_bits(), "bank {b} filter {f}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spans_cover_exactly_the_nonzero_weights() {
+        let fb = bark_filterbank(17, 256, 8000.0, 100.0, 3800.0);
+        for (f, &(lo, hi)) in fb.spans.iter().enumerate() {
+            let row = fb.filter(f);
+            assert!(lo < hi, "filter {f} is empty");
+            assert!(row[..lo].iter().chain(&row[hi..]).all(|&w| w == 0.0));
+            assert!(row[lo] != 0.0 && row[hi - 1] != 0.0);
+        }
+    }
+
+    #[test]
+    fn relative_floor_clamps_weak_and_non_finite_bands() {
+        let mut bands = [1.0, 1e-9, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.5];
+        relative_floor(&mut bands);
+        let floor = 1.0_f32 * 1e-4 + 1e-10;
+        assert_eq!(bands, [1.0, floor, floor, floor, floor, 0.5]);
+        // Nothing finite at all: the absolute floor.
+        let mut dead = [f32::NAN; 3];
+        relative_floor(&mut dead);
+        assert_eq!(dead, [1e-10_f32 * 1e-4 + 1e-10; 3]);
     }
 
     #[test]

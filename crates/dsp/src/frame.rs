@@ -59,29 +59,56 @@ pub fn hamming_window(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Cut `signal` into overlapping windowed frames.
+/// Cuts a signal into pre-emphasized, Hamming-windowed frames one at a time,
+/// with the window tabulated once.
 ///
-/// Returns a flat buffer of `num_frames * window_len` samples; caller knows
-/// the stride. (Kept flat so the FFT loop reuses one scratch buffer.)
-pub fn frame_signal(signal: &[f32], cfg: &FrameConfig) -> Vec<f32> {
-    let window = hamming_window(cfg.window_len);
-    let emphasized = if cfg.pre_emphasis != 0.0 {
-        pre_emphasis(signal, cfg.pre_emphasis)
-    } else {
-        signal.to_vec()
-    };
-    let nf = cfg.num_frames(emphasized.len());
-    let mut out = Vec::with_capacity(nf * cfg.window_len);
-    for f in 0..nf {
-        let start = f * cfg.hop;
-        for (w, &s) in window
-            .iter()
-            .zip(&emphasized[start..start + cfg.window_len])
-        {
-            out.push(w * s);
+/// Frame `f`'s sample `i` is `window[i] · y[f·hop + i]` with `y` the
+/// [`pre_emphasis`] of the whole signal — evaluated per frame from the raw
+/// samples (`y[n]` needs only `x[n]` and `x[n-1]`), so no emphasized copy and
+/// no `num_frames × window_len` buffer of the utterance exists.
+#[derive(Clone, Debug)]
+pub struct Framer {
+    cfg: FrameConfig,
+    window: Vec<f32>,
+}
+
+impl Framer {
+    pub fn new(cfg: FrameConfig) -> Framer {
+        assert!(cfg.window_len > 0 && cfg.hop > 0, "degenerate framing");
+        Framer {
+            cfg,
+            window: hamming_window(cfg.window_len),
         }
     }
-    out
+
+    pub fn config(&self) -> &FrameConfig {
+        &self.cfg
+    }
+
+    /// Windowed frame `f` of `signal` into `out` (`len == window_len`);
+    /// `f < config().num_frames(signal.len())`.
+    pub fn frame_into(&self, signal: &[f32], f: usize, out: &mut [f32]) {
+        let start = f * self.cfg.hop;
+        let x = &signal[start..start + self.cfg.window_len];
+        assert_eq!(out.len(), x.len(), "one output per window sample");
+        let a = self.cfg.pre_emphasis;
+        if a == 0.0 {
+            for ((o, &w), &s) in out.iter_mut().zip(&self.window).zip(x) {
+                *o = w * s;
+            }
+            return;
+        }
+        // The signal's very first sample has no predecessor and passes
+        // through; every other frame start has one just before the frame.
+        out[0] = self.window[0]
+            * match start.checked_sub(1) {
+                Some(prev) => x[0] - a * signal[prev],
+                None => x[0],
+            };
+        for ((o, &w), s) in out[1..].iter_mut().zip(&self.window[1..]).zip(x.windows(2)) {
+            *o = w * (s[1] - a * s[0]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -124,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn framing_produces_expected_count_and_window_applied() {
+    fn framer_applies_the_window_at_each_hop() {
         let cfg = FrameConfig {
             sample_rate: 8000.0,
             window_len: 4,
@@ -132,18 +159,51 @@ mod tests {
             pre_emphasis: 0.0,
         };
         let sig = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-        let frames = frame_signal(&sig, &cfg);
-        assert_eq!(frames.len(), 2 * 4);
+        assert_eq!(cfg.num_frames(sig.len()), 2);
+        let framer = Framer::new(cfg);
         let w = hamming_window(4);
-        for (got, want) in frames[..4].iter().zip(&w) {
-            assert!((got - want).abs() < 1e-6);
+        for f in 0..2 {
+            let mut frame = [0.0; 4];
+            framer.frame_into(&sig, f, &mut frame);
+            for (got, want) in frame.iter().zip(&w) {
+                assert!((got - want).abs() < 1e-6);
+            }
+        }
+    }
+
+    /// Per-frame emphasis from the raw samples equals windowing the
+    /// whole-signal [`pre_emphasis`], bit for bit, at every frame — the
+    /// first (no predecessor) included — with and without emphasis.
+    #[test]
+    fn framer_equals_windowed_whole_signal_pre_emphasis() {
+        let signal = crate::testsignal::noise_and_tones(1000, 3);
+        for a in [0.97, 0.0] {
+            let cfg = FrameConfig {
+                pre_emphasis: a,
+                ..FrameConfig::default()
+            };
+            let emphasized = if a != 0.0 {
+                pre_emphasis(&signal, a)
+            } else {
+                signal.clone()
+            };
+            let framer = Framer::new(cfg);
+            let window = hamming_window(cfg.window_len);
+            let mut frame = vec![0.0; cfg.window_len];
+            assert_eq!(cfg.num_frames(signal.len()), 11);
+            for f in 0..11 {
+                framer.frame_into(&signal, f, &mut frame);
+                for (i, got) in frame.iter().enumerate() {
+                    let want = window[i] * emphasized[f * cfg.hop + i];
+                    assert_eq!(got.to_bits(), want.to_bits(), "a {a} frame {f} sample {i}");
+                }
+            }
         }
     }
 
     #[test]
     fn empty_signal_is_fine() {
-        let cfg = FrameConfig::default();
-        assert!(frame_signal(&[], &cfg).is_empty());
+        assert_eq!(FrameConfig::default().num_frames(0), 0);
         assert!(pre_emphasis(&[], 0.97).is_empty());
     }
 }

@@ -74,6 +74,12 @@ impl FrameMatrix {
         self.data.extend_from_slice(frame);
     }
 
+    /// Set the frame count, zero-filling any frames added; keeps the
+    /// allocation, so a matrix can be reused across utterances.
+    pub fn resize(&mut self, frames: usize) {
+        self.data.resize(frames * self.dim, 0.0);
+    }
+
     /// Iterate over frames.
     pub fn iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.dim)

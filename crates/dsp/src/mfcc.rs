@@ -1,8 +1,8 @@
 //! MFCC front-end: power spectrum → mel filterbank → log → DCT-II.
 
-use crate::fft::power_spectrum;
-use crate::filterbank::mel_filterbank;
-use crate::frame::{frame_signal, FrameConfig};
+use crate::analysis::{Analyzer, Cepstrum, TailScratch};
+use crate::filterbank::{mel_filterbank, relative_floor, Filterbank};
+use crate::frame::FrameConfig;
 use crate::frames::FrameMatrix;
 
 /// MFCC extraction parameters (defaults match the paper's telephone setup:
@@ -31,64 +31,162 @@ impl Default for MfccConfig {
     }
 }
 
+/// Orthonormal DCT-II of `n` inputs keeping `k` coefficients, with the
+/// `k × n` cosines `cos(π i (2j + 1) / 2n)` tabulated once. Each entry is
+/// the value the same f64 expression yields when evaluated inside the sum,
+/// and the sum runs over `j` in the same order, so a tabulated transform is
+/// `to_bits`-equal to the direct one.
+#[derive(Clone, Debug)]
+pub struct Dct2 {
+    n: usize,
+    cos: Vec<f64>,
+    norm0: f64,
+    norm: f64,
+}
+
+impl Dct2 {
+    pub fn new(n: usize, k: usize) -> Dct2 {
+        assert!(n > 0 && k <= n);
+        let cos = (0..k)
+            .flat_map(|i| {
+                (0..n).map(move |j| {
+                    (std::f64::consts::PI * i as f64 * (2.0 * j as f64 + 1.0) / (2.0 * n as f64))
+                        .cos()
+                })
+            })
+            .collect();
+        Dct2 {
+            n,
+            cos,
+            norm0: (1.0 / n as f64).sqrt(),
+            norm: (2.0 / n as f64).sqrt(),
+        }
+    }
+
+    /// Coefficients kept (`k`).
+    pub fn num_coeffs(&self) -> usize {
+        self.cos.len() / self.n
+    }
+
+    /// Transform `x` (`len == n`) into `out` (`len == k`).
+    pub fn apply_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.n, "input length must match the table");
+        assert_eq!(out.len(), self.num_coeffs(), "one output per coefficient");
+        for (i, (o, row)) in out
+            .iter_mut()
+            .zip(self.cos.chunks_exact(self.n))
+            .enumerate()
+        {
+            let mut acc = 0.0;
+            for (&xj, &c) in x.iter().zip(row) {
+                acc += xj * c;
+            }
+            *o = acc * if i == 0 { self.norm0 } else { self.norm };
+        }
+    }
+}
+
 /// DCT-II of `x`, keeping `k` coefficients, with orthonormal scaling.
 pub fn dct2(x: &[f64], k: usize) -> Vec<f64> {
-    let n = x.len();
-    assert!(n > 0 && k <= n);
-    let norm0 = (1.0 / n as f64).sqrt();
-    let norm = (2.0 / n as f64).sqrt();
-    (0..k)
-        .map(|i| {
-            let mut acc = 0.0;
-            for (j, &xj) in x.iter().enumerate() {
-                acc += xj
-                    * (std::f64::consts::PI * i as f64 * (2.0 * j as f64 + 1.0) / (2.0 * n as f64))
-                        .cos();
-            }
-            acc * if i == 0 { norm0 } else { norm }
-        })
-        .collect()
+    let mut out = vec![0.0; k];
+    Dct2::new(x.len(), k).apply_into(x, &mut out);
+    out
+}
+
+/// The MFCC half of an analysis, after the power spectrum: mel filterbank →
+/// relative floor → log → DCT-II, all from tables built once.
+#[derive(Clone, Debug)]
+pub struct MfccTail {
+    pub(crate) cfg: MfccConfig,
+    bank: Filterbank,
+    dct: Dct2,
+}
+
+impl MfccTail {
+    pub fn new(cfg: &MfccConfig) -> MfccTail {
+        MfccTail {
+            cfg: cfg.clone(),
+            bank: mel_filterbank(
+                cfg.num_filters,
+                cfg.nfft,
+                cfg.frame.sample_rate,
+                cfg.f_lo,
+                cfg.f_hi,
+            ),
+            dct: Dct2::new(cfg.num_filters, cfg.num_ceps),
+        }
+    }
+
+    pub(crate) fn scratch(&self) -> TailScratch {
+        TailScratch::new(self.cfg.num_filters, self.cfg.num_ceps)
+    }
+
+    /// One frame's cepstra (`out.len() == num_ceps`) from its power spectrum.
+    pub(crate) fn cepstra(&self, power: &[f32], s: &mut TailScratch, out: &mut [f32]) {
+        self.bank.apply_into(power, &mut s.bands);
+        relative_floor(&mut s.bands);
+        for (l, &e) in s.warped.iter_mut().zip(&s.bands) {
+            *l = (e as f64).ln();
+        }
+        self.dct.apply_into(&s.warped, &mut s.coeffs);
+        for (o, &c) in out.iter_mut().zip(&s.coeffs) {
+            *o = c as f32;
+        }
+    }
 }
 
 /// Extract MFCC features for an utterance.
 pub fn mfcc(samples: &[f32], cfg: &MfccConfig) -> FrameMatrix {
-    let fb = mel_filterbank(
-        cfg.num_filters,
-        cfg.nfft,
-        cfg.frame.sample_rate,
-        cfg.f_lo,
-        cfg.f_hi,
-    );
-    let frames = frame_signal(samples, &cfg.frame);
-    let wl = cfg.frame.window_len;
-    let nf = frames.len() / wl.max(1);
-    let mut out = FrameMatrix::with_capacity(cfg.num_ceps, nf);
-    let mut ceps_f32 = vec![0.0_f32; cfg.num_ceps];
-    for f in 0..nf {
-        let ps = power_spectrum(&frames[f * wl..(f + 1) * wl], cfg.nfft);
-        let energies = fb.apply(&ps);
-        // Relative energy floor: bands more than ~40 dB below the frame's
-        // strongest band are clamped. Synthetic speech otherwise has
-        // spectrally empty bands whose log-energy swings wildly with any
-        // additive noise, destabilizing every cepstral coefficient.
-        let peak = energies.iter().fold(1e-10f32, |m, &e| m.max(e));
-        let floor = peak * 1e-4 + 1e-10;
-        let logs: Vec<f64> = energies
-            .iter()
-            .map(|&e| (e.max(floor) as f64).ln())
-            .collect();
-        let ceps = dct2(&logs, cfg.num_ceps);
-        for (o, c) in ceps_f32.iter_mut().zip(&ceps) {
-            *o = *c as f32;
-        }
-        out.push(&ceps_f32);
-    }
-    out
+    Analyzer::new(vec![Cepstrum::Mfcc(MfccTail::new(cfg))])
+        .analyze(samples)
+        .pop()
+        .expect("one matrix per tail")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The DCT as it was before the table existed — a `cos()` per term —
+    /// kept verbatim as the bit-identity reference.
+    fn dct2_direct(x: &[f64], k: usize) -> Vec<f64> {
+        let n = x.len();
+        assert!(n > 0 && k <= n);
+        let norm0 = (1.0 / n as f64).sqrt();
+        let norm = (2.0 / n as f64).sqrt();
+        (0..k)
+            .map(|i| {
+                let mut acc = 0.0;
+                for (j, &xj) in x.iter().enumerate() {
+                    acc += xj
+                        * (std::f64::consts::PI * i as f64 * (2.0 * j as f64 + 1.0)
+                            / (2.0 * n as f64))
+                            .cos();
+                }
+                acc * if i == 0 { norm0 } else { norm }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tabulated_dct_is_bit_identical_to_the_direct_form() {
+        for (n, k) in [(23, 13), (23, 23), (17, 13), (40, 20), (1, 1), (8, 0)] {
+            let table = Dct2::new(n, k);
+            let mut got = vec![0.0; k];
+            for seed in 0..16 {
+                // Log band energies of real frames are the inputs that matter.
+                let x: Vec<f64> = crate::testsignal::noise_and_tones(n, seed)
+                    .iter()
+                    .map(|&v| ((v * v + 1e-6) as f64).ln())
+                    .collect();
+                let want = dct2_direct(&x, k);
+                table.apply_into(&x, &mut got);
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n {n} k {k} seed {seed}");
+                assert_eq!(bits(&dct2(&x, k)), bits(&want));
+            }
+        }
+    }
 
     #[test]
     fn dct2_of_constant_is_only_c0() {

@@ -7,9 +7,9 @@
 //! ("13-dimensional PLP features plus their first and second order
 //! derivatives", §4.1).
 
-use crate::fft::power_spectrum;
-use crate::filterbank::bark_filterbank;
-use crate::frame::{frame_signal, FrameConfig};
+use crate::analysis::{Analyzer, Cepstrum, TailScratch};
+use crate::filterbank::{bark_filterbank, relative_floor, Filterbank};
+use crate::frame::FrameConfig;
 use crate::frames::FrameMatrix;
 use lre_linalg::{levinson_durbin, lpc_to_cepstrum};
 
@@ -50,70 +50,123 @@ pub fn equal_loudness(hz: f32) -> f32 {
     (num / den) as f32
 }
 
+/// The PLP half of an analysis, after the power spectrum: bark critical
+/// bands → equal loudness → relative floor → cube-root compression →
+/// cosine autocorrelation → Levinson-Durbin → LPC cepstra, with the bank,
+/// the loudness weights and the autocorrelation's cosines built once.
+#[derive(Clone, Debug)]
+pub struct PlpTail {
+    pub(crate) cfg: PlpConfig,
+    bank: Filterbank,
+    loudness: Vec<f32>,
+    autocorrelation: CosineAutocorrelation,
+}
+
+impl PlpTail {
+    pub fn new(cfg: &PlpConfig) -> PlpTail {
+        let bank = bark_filterbank(
+            cfg.num_bands,
+            cfg.nfft,
+            cfg.frame.sample_rate,
+            cfg.f_lo,
+            cfg.f_hi,
+        );
+        PlpTail {
+            cfg: cfg.clone(),
+            loudness: bank
+                .centers_hz
+                .iter()
+                .map(|&hz| equal_loudness(hz))
+                .collect(),
+            bank,
+            autocorrelation: CosineAutocorrelation::new(cfg.num_bands, cfg.lpc_order),
+        }
+    }
+
+    pub(crate) fn scratch(&self) -> TailScratch {
+        TailScratch::new(self.cfg.num_bands, self.cfg.lpc_order + 1)
+    }
+
+    /// One frame's cepstra (`out.len() == num_ceps`) from its power spectrum.
+    pub(crate) fn cepstra(&self, power: &[f32], s: &mut TailScratch, out: &mut [f32]) {
+        self.bank.apply_into(power, &mut s.bands);
+        for (e, &w) in s.bands.iter_mut().zip(&self.loudness) {
+            *e *= w;
+        }
+        relative_floor(&mut s.bands);
+        for (c, &e) in s.warped.iter_mut().zip(&s.bands) {
+            *c = (e as f64).powf(1.0 / 3.0);
+        }
+        // The compressed band spectrum is treated as half of a symmetric
+        // spectrum; its autocorrelation is the inverse DCT (type-I style
+        // cosine transform).
+        self.autocorrelation.apply_into(&s.warped, &mut s.coeffs);
+        match levinson_durbin(&s.coeffs, self.cfg.lpc_order) {
+            Some(lpc) => {
+                let ceps = lpc_to_cepstrum(&lpc.coeffs, lpc.error, self.cfg.num_ceps - 1);
+                for (o, &c) in out.iter_mut().zip(&ceps) {
+                    *o = c as f32;
+                }
+            }
+            // Degenerate frame (all-zero energy): emit zeros.
+            None => out.fill(0.0),
+        }
+    }
+}
+
 /// Extract PLP features for an utterance.
 pub fn plp(samples: &[f32], cfg: &PlpConfig) -> FrameMatrix {
-    let fb = bark_filterbank(
-        cfg.num_bands,
-        cfg.nfft,
-        cfg.frame.sample_rate,
-        cfg.f_lo,
-        cfg.f_hi,
-    );
-    let loudness: Vec<f32> = fb.centers_hz.iter().map(|&hz| equal_loudness(hz)).collect();
-    let frames = frame_signal(samples, &cfg.frame);
-    let wl = cfg.frame.window_len;
-    let nf = frames.len() / wl.max(1);
-
-    let mut out = FrameMatrix::with_capacity(cfg.num_ceps, nf);
-    let mut ceps_f32 = vec![0.0_f32; cfg.num_ceps];
-    // The compressed band spectrum is treated as half of a symmetric spectrum;
-    // its autocorrelation is the inverse DCT (type-I style cosine transform).
-    for f in 0..nf {
-        let ps = power_spectrum(&frames[f * wl..(f + 1) * wl], cfg.nfft);
-        let bands = fb.apply(&ps);
-        // Relative energy floor (see the MFCC pipeline for rationale).
-        let peak = bands
-            .iter()
-            .zip(&loudness)
-            .fold(1e-10f32, |m, (&e, &w)| m.max(e * w));
-        let floor = peak * 1e-4 + 1e-10;
-        // Equal loudness + cube-root compression.
-        let compressed: Vec<f64> = bands
-            .iter()
-            .zip(&loudness)
-            .map(|(&e, &w)| ((e * w).max(floor) as f64).powf(1.0 / 3.0))
-            .collect();
-        let r = cosine_autocorrelation(&compressed, cfg.lpc_order);
-        let ceps = match levinson_durbin(&r, cfg.lpc_order) {
-            Some(lpc) => lpc_to_cepstrum(&lpc.coeffs, lpc.error, cfg.num_ceps - 1),
-            // Degenerate frame (all-zero energy): emit zeros.
-            None => vec![0.0; cfg.num_ceps],
-        };
-        for (o, c) in ceps_f32.iter_mut().zip(&ceps) {
-            *o = *c as f32;
-        }
-        out.push(&ceps_f32);
-    }
-    out
+    Analyzer::new(vec![Cepstrum::Plp(PlpTail::new(cfg))])
+        .analyze(samples)
+        .pop()
+        .expect("one matrix per tail")
 }
 
 /// Autocorrelation of the symmetric extension of a one-sided band spectrum:
 /// `r[k] = Σ_j s[j] cos(π k j / (J-1))`, with half weights at the endpoints
 /// (discretized inverse Fourier transform of a real even spectrum).
-fn cosine_autocorrelation(spectrum: &[f64], max_lag: usize) -> Vec<f64> {
-    let j_max = spectrum.len();
-    assert!(j_max >= 2);
-    let mut r = vec![0.0; max_lag + 1];
-    for (k, rk) in r.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (j, &s) in spectrum.iter().enumerate() {
-            let w = if j == 0 || j == j_max - 1 { 0.5 } else { 1.0 };
-            acc +=
-                w * s * (std::f64::consts::PI * k as f64 * j as f64 / (j_max as f64 - 1.0)).cos();
-        }
-        *rk = acc / (j_max as f64 - 1.0);
+///
+/// The `(max_lag + 1) × J` cosines are tabulated from the same f64
+/// expression the sum would evaluate, and each term is still formed as
+/// `weight · s[j] · cos`, left to right, so the lags are `to_bits`-equal to
+/// the direct form's.
+#[derive(Clone, Debug)]
+struct CosineAutocorrelation {
+    j_max: usize,
+    cos: Vec<f64>,
+}
+
+impl CosineAutocorrelation {
+    fn new(j_max: usize, max_lag: usize) -> CosineAutocorrelation {
+        assert!(j_max >= 2);
+        let cos = (0..=max_lag)
+            .flat_map(|k| {
+                (0..j_max).map(move |j| {
+                    (std::f64::consts::PI * k as f64 * j as f64 / (j_max as f64 - 1.0)).cos()
+                })
+            })
+            .collect();
+        CosineAutocorrelation { j_max, cos }
     }
-    r
+
+    /// Lags `0..=max_lag` of `spectrum` (`len == J`) into `r`.
+    fn apply_into(&self, spectrum: &[f64], r: &mut [f64]) {
+        let j_max = self.j_max;
+        assert_eq!(
+            spectrum.len(),
+            j_max,
+            "spectrum length must match the table"
+        );
+        assert_eq!(r.len(), self.cos.len() / j_max, "one output per lag");
+        for (rk, row) in r.iter_mut().zip(self.cos.chunks_exact(j_max)) {
+            let mut acc = 0.0;
+            for (j, (&s, &c)) in spectrum.iter().zip(row).enumerate() {
+                let w = if j == 0 || j == j_max - 1 { 0.5 } else { 1.0 };
+                acc += w * s * c;
+            }
+            *rk = acc / (j_max as f64 - 1.0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -126,10 +179,54 @@ mod tests {
         assert!(equal_loudness(1500.0) > equal_loudness(100.0) * 10.0);
     }
 
+    /// The autocorrelation as it was before the table existed — a `cos()`
+    /// per term — kept verbatim as the bit-identity reference.
+    fn cosine_autocorrelation(spectrum: &[f64], max_lag: usize) -> Vec<f64> {
+        let j_max = spectrum.len();
+        assert!(j_max >= 2);
+        let mut r = vec![0.0; max_lag + 1];
+        for (k, rk) in r.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (j, &s) in spectrum.iter().enumerate() {
+                let w = if j == 0 || j == j_max - 1 { 0.5 } else { 1.0 };
+                acc += w
+                    * s
+                    * (std::f64::consts::PI * k as f64 * j as f64 / (j_max as f64 - 1.0)).cos();
+            }
+            *rk = acc / (j_max as f64 - 1.0);
+        }
+        r
+    }
+
+    fn tabulated(spectrum: &[f64], max_lag: usize) -> Vec<f64> {
+        let mut r = vec![0.0; max_lag + 1];
+        CosineAutocorrelation::new(spectrum.len(), max_lag).apply_into(spectrum, &mut r);
+        r
+    }
+
+    #[test]
+    fn tabulated_autocorrelation_is_bit_identical_to_the_direct_form() {
+        for (j_max, max_lag) in [(17, 12), (17, 0), (2, 1), (33, 20)] {
+            for seed in 0..16 {
+                // Cube-root-compressed band energies are the inputs that matter.
+                let s: Vec<f64> = crate::testsignal::noise_and_tones(j_max, seed)
+                    .iter()
+                    .map(|&v| ((v * v + 1e-6) as f64).powf(1.0 / 3.0))
+                    .collect();
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&tabulated(&s, max_lag)),
+                    bits(&cosine_autocorrelation(&s, max_lag)),
+                    "J {j_max} lags {max_lag} seed {seed}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn cosine_autocorrelation_flat_spectrum() {
         // A flat spectrum corresponds to a white process: r[0] > 0, r[k>0] ≈ 0.
-        let r = cosine_autocorrelation(&[1.0; 33], 4);
+        let r = tabulated(&[1.0; 33], 4);
         assert!(r[0] > 0.0);
         for &v in &r[1..] {
             assert!(v.abs() < 1e-9 * r[0].max(1.0), "lag leak: {v}");
@@ -141,7 +238,7 @@ mod tests {
         let s: Vec<f64> = (0..17)
             .map(|i| 1.0 + (i as f64 * 0.4).sin().abs())
             .collect();
-        let r = cosine_autocorrelation(&s, 8);
+        let r = tabulated(&s, 8);
         for &v in &r[1..] {
             assert!(v.abs() <= r[0] + 1e-12);
         }

@@ -1,10 +1,12 @@
 //! A [`ScoringSystem`]: raw audio samples in, detection LLRs out.
 
 use crate::bundle::{SubsystemBundle, SystemBundle};
+use lre_am::frontend::{FeatureExtractor, FEATURE_DIM};
+use lre_am::FeatureKind;
 use lre_artifact::ArtifactError;
 use lre_corpus::Duration;
 use lre_dba::{standard_subsystems, Frontend, ScoringMode};
-use lre_dsp::FrameConfig;
+use lre_dsp::FrameMatrix;
 use lre_eval::ScoreMatrix;
 use lre_lattice::DecodeScratch;
 use lre_obs::StageTimes;
@@ -102,19 +104,26 @@ pub trait Scorer: Send + Sync + 'static {
 /// One materialized subsystem: a ready-to-decode front-end plus its VSM.
 struct LoadedSub {
     frontend: Frontend,
+    /// Which of the shared extractor's matrices this front-end consumes.
+    feature_index: usize,
     vsm: lre_svm::OneVsRest,
 }
 
 /// A reconstructed, ready-to-score PPRVSM system.
 ///
-/// Scoring one utterance runs the full paper pipeline: per subsystem,
-/// feature extraction → phone-loop Viterbi decode → expected-count
-/// supervector → TFLLR scaling → one-vs-rest SVM scores; then z-norm +
-/// Eq. 15 combination + LDA/MMI backend via the fusion trained for the
-/// utterance's nearest nominal duration. Every stage is row-independent,
-/// so scoring utterances one at a time (as the serving engine does)
-/// produces bit-identical LLRs to the offline batch pipeline.
+/// Scoring one utterance runs the full paper pipeline: one feature
+/// analysis of the audio for all subsystems (each distinct
+/// [`lre_am::FeatureKind`] extracted once); then per subsystem, its
+/// acoustic model's feature transform → phone-loop Viterbi decode →
+/// expected-count supervector → TFLLR scaling → one-vs-rest SVM scores;
+/// then z-norm + Eq. 15 combination + LDA/MMI backend via the fusion
+/// trained for the utterance's nearest nominal duration. Every stage is
+/// row-independent, so scoring utterances one at a time (as the serving
+/// engine does) produces bit-identical LLRs to the offline batch pipeline,
+/// and a shared extraction is bit-identical to a per-subsystem one.
 pub struct ScoringSystem {
+    /// The subsystems' shared feature front-end.
+    features: FeatureExtractor,
     subs: Vec<LoadedSub>,
     /// Indexed like [`Duration::all`].
     fusions: Vec<lre_backend::LdaMmiFusion>,
@@ -125,7 +134,11 @@ pub struct ScoringSystem {
     mode: ScoringMode,
 }
 
-fn load_sub(s: SubsystemBundle, num_classes: usize) -> Result<LoadedSub, ArtifactError> {
+fn load_sub(
+    s: SubsystemBundle,
+    num_classes: usize,
+    features: &FeatureExtractor,
+) -> Result<LoadedSub, ArtifactError> {
     let inv = UniversalInventory::new();
     let specs = standard_subsystems();
     let spec = specs[s.spec_index as usize];
@@ -137,6 +150,9 @@ fn load_sub(s: SubsystemBundle, num_classes: usize) -> Result<LoadedSub, Artifac
         return Err(ArtifactError::Corrupt("VSM class counts disagree"));
     }
     Ok(LoadedSub {
+        feature_index: features
+            .index_of(s.am.feature)
+            .expect("the extractor was built from these subsystems"),
         frontend: Frontend {
             spec,
             phone_set,
@@ -157,12 +173,17 @@ impl ScoringSystem {
             .first()
             .ok_or(ArtifactError::Corrupt("bundle has no fusion backends"))?
             .num_classes();
+        if bundle.subsystems.is_empty() {
+            return Err(ArtifactError::Corrupt("bundle has no subsystems"));
+        }
+        let features = FeatureExtractor::new(bundle.subsystems.iter().map(|s| s.am.feature));
         let subs = bundle
             .subsystems
             .into_iter()
-            .map(|s| load_sub(s, num_classes))
+            .map(|s| load_sub(s, num_classes, &features))
             .collect::<Result<_, _>>()?;
         Ok(ScoringSystem {
+            features,
             subs,
             fusions: bundle.fusions,
             num_classes,
@@ -195,6 +216,12 @@ impl ScoringSystem {
         self.subs.len()
     }
 
+    /// The distinct feature kinds among the subsystems: what one request
+    /// extracts, each once, however many subsystems consume it.
+    pub fn feature_kinds(&self) -> &[FeatureKind] {
+        self.features.kinds()
+    }
+
     /// Score one utterance of raw 8 kHz samples into calibrated
     /// per-language detection LLRs, reusing caller-owned decoder scratch.
     /// Never fails today; the `Result` is the [`Scorer`] seam's, which
@@ -216,16 +243,28 @@ impl ScoringSystem {
         samples: &[f32],
         scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError> {
-        let num_frames = FrameConfig::default().num_frames(samples.len());
+        // One pass over the audio for every subsystem; its time is the
+        // first part of "everything before the supervector".
+        let extract_started = Instant::now();
+        let feats = self.features.extract(samples);
+        let mut stage_us = StageTimes {
+            decode_us: extract_started.elapsed().as_micros() as u64,
+            ..StageTimes::default()
+        };
+        let num_frames = feats[0].num_frames();
         let di = duration_index_for(num_frames);
+        let mut normalized = FrameMatrix::new(FEATURE_DIM);
         let mut supervectors = Vec::with_capacity(self.subs.len());
-        let mut stage_us = StageTimes::default();
         let mats: Vec<ScoreMatrix> = self
             .subs
             .iter()
             .map(|sub| {
                 let fe = &sub.frontend;
-                let (sv, decode_us, build_us) = fe.supervector_from_samples_timed(samples, scratch);
+                let (sv, decode_us, build_us) = fe.supervector_from_features_timed(
+                    &feats[sub.feature_index],
+                    &mut normalized,
+                    scratch,
+                );
                 stage_us.decode_us += decode_us;
                 // TFLLR scaling operates on the supervector, so it bills
                 // to the supervector stage alongside the build.

@@ -3,7 +3,9 @@
 //! detection LLRs bit-identical to the offline experiment pipeline, load
 //! shedding engaged when the queue fills, and a clean protocol-driven
 //! shutdown. The same server then takes the workload again through one
-//! connection at window 8.
+//! connection at window 8. Two more tests hold the in-process
+//! `ScoringSystem` to the per-subsystem public pipeline bit for bit at all
+//! three durations, and throw hostile audio at it.
 //!
 //! Like `tests/full_system.rs`, the training-backed tests build the
 //! complete six-front-end smoke experiment (minutes in release, much
@@ -14,12 +16,14 @@
 //! cargo test --release -p lre-serve --test serve_roundtrip -- --ignored
 //! ```
 
+use lre_am::{extract_features, FeatureKind};
 use lre_artifact::{ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
 use lre_dba::{fuse_duration, Experiment, ExperimentConfig};
 use lre_eval::ScoreMatrix;
-use lre_lattice::DecodeScratch;
+use lre_lattice::{decode_with_scratch, DecodeScratch};
 use lre_serve::client::ScoreReply;
+use lre_serve::system::duration_index_for;
 use lre_serve::{
     Client, Engine, EngineConfig, Outcome, ScoringSystem, Server, ServerConfig, SubmitError,
     SystemBundle,
@@ -33,6 +37,8 @@ use std::sync::{Arc, OnceLock};
 struct Fixture {
     offline: ScoreMatrix,
     waves: Arc<Vec<Vec<f32>>>,
+    /// Two test utterances of each nominal duration, 30 s first.
+    by_duration: Vec<Vec<f32>>,
     bytes: Vec<u8>,
 }
 
@@ -65,10 +71,16 @@ fn fixture() -> &'static Fixture {
             "need ≥100 utterances for the serving smoke; have {}",
             waves.len()
         );
+        let by_duration = Duration::all()
+            .iter()
+            .flat_map(|&d| exp.ds.test_set(d).iter().take(2))
+            .map(|u| render_utterance(u, exp.ds.language(u.language), &exp.inv).samples)
+            .collect();
         let bytes = SystemBundle::from_experiment(exp).to_artifact_bytes();
         Fixture {
             offline,
             waves: Arc::new(waves),
+            by_duration,
             bytes,
         }
     })
@@ -234,6 +246,127 @@ fn train_save_reload_serve_bit_identical() {
     assert_eq!(stats.rejected, shed as u64);
     assert_eq!(stats.completed + stats.rejected, 64);
     engine.shutdown();
+}
+
+/// `try_score_detailed` extracts each feature kind once and shares it across
+/// subsystems; the public per-subsystem pipeline (what `bench-e2e`'s layer
+/// walk times) extracts per subsystem and transforms in place. Both must
+/// produce the same bits at every level — fused row, every subsystem's OvR
+/// row, every scaled supervector — at 30 s, 10 s and 3 s.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn shared_extraction_equals_the_per_subsystem_public_pipeline_bit_for_bit() {
+    let fx = fixture();
+    let bundle = SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads");
+    let system = ScoringSystem::from_bundle(
+        SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads"),
+    )
+    .expect("bundle is coherent");
+
+    // Six subsystems, two kinds: a request makes one analysis pass with two
+    // cepstral tails, not six passes.
+    assert_eq!(system.num_subsystems(), 6);
+    assert_eq!(
+        system.feature_kinds(),
+        [FeatureKind::Mfcc, FeatureKind::Plp]
+    );
+
+    let mut scratch = DecodeScratch::new();
+    let mut frames_seen = Vec::new();
+    for (u, samples) in fx.by_duration.iter().enumerate() {
+        let detail = system
+            .try_score_detailed(samples, &mut scratch)
+            .expect("scores");
+        // The frame count comes from the extracted matrix; it must be the
+        // framing formula's.
+        let num_frames = lre_dsp::FrameConfig::default().num_frames(samples.len());
+        assert_eq!(detail.num_frames as usize, num_frames, "utt {u}");
+        assert_eq!(detail.duration_index, duration_index_for(num_frames));
+        frames_seen.push(num_frames);
+
+        let mut rows = Vec::new();
+        for (q, sub) in bundle.subsystems.iter().enumerate() {
+            let what = format!("utt {u} subsystem {q}");
+            let mut feats = extract_features(samples, sub.am.feature);
+            assert_eq!(feats.num_frames(), num_frames, "{what}");
+            sub.am.feature_transform.apply(&mut feats);
+            let out = decode_with_scratch(&sub.am, &feats, &sub.decoder, &mut scratch);
+            let scaled = sub.scaler.transformed(&sub.builder.build(&out.network));
+            let got: Vec<(u32, u32)> = detail.supervectors[q]
+                .iter()
+                .map(|(i, v)| (i, v.to_bits()))
+                .collect();
+            let want: Vec<(u32, u32)> = scaled.iter().map(|(i, v)| (i, v.to_bits())).collect();
+            assert_eq!(got, want, "{what}: supervector");
+            let row = sub.vsm.scores(&scaled);
+            assert_bits_eq(&detail.subsystem_scores[q], &row, &what);
+            let mut m = ScoreMatrix::new(row.len());
+            m.push_row(&row);
+            rows.push(m);
+        }
+        let refs: Vec<&ScoreMatrix> = rows.iter().collect();
+        let fused = bundle.fusions[detail.duration_index].apply(&refs);
+        assert_bits_eq(&detail.fused, fused.row(0), &format!("utt {u} fused"));
+        assert_bits_eq(
+            &system.score(samples, &mut scratch),
+            fused.row(0),
+            &format!("utt {u} try_score"),
+        );
+    }
+    // All three nominal durations were actually exercised.
+    let mut backends: Vec<usize> = frames_seen.iter().map(|&n| duration_index_for(n)).collect();
+    backends.dedup();
+    assert_eq!(backends, [0, 1, 2], "frame counts {frames_seen:?}");
+}
+
+/// Hostile audio at the one place features are made: too-short utterances
+/// (zero frames: nothing to analyze), and utterances laced with NaN, ±Inf
+/// and samples whose power overflows f32, must come back as `num_classes`
+/// values without a panic.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn hostile_audio_scores_without_panicking() {
+    let fx = fixture();
+    let system = ScoringSystem::from_bundle(
+        SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads"),
+    )
+    .expect("bundle is coherent");
+    let mut scratch = DecodeScratch::new();
+    let clean = &fx.waves[0];
+
+    for len in [0, 1, 199, 200, 279, 280] {
+        let detail = system
+            .try_score_detailed(&clean[..len], &mut scratch)
+            .expect("short utterances score");
+        assert_eq!(detail.fused.len(), system.num_classes(), "{len} samples");
+        assert_eq!(
+            detail.num_frames as usize,
+            if len < 200 { 0 } else { (len - 200) / 80 + 1 }
+        );
+        assert_eq!(detail.subsystem_scores.len(), 6);
+    }
+
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, 1e19] {
+        // A few bad samples among real speech, a run of them, and nothing else.
+        let mut laced = clean.clone();
+        for i in (0..laced.len()).step_by(997) {
+            laced[i] = bad;
+        }
+        let mut run = clean.clone();
+        run[4_000..6_000].fill(bad);
+        for (what, samples) in [("laced", laced), ("run", run), ("all", vec![bad; 2_000])] {
+            let llrs = system
+                .try_score(&samples, &mut scratch)
+                .expect("hostile audio scores");
+            assert_eq!(llrs.len(), system.num_classes(), "{what} with {bad}");
+        }
+    }
+    // The scorer is unharmed: clean audio still scores to the offline bits.
+    assert_bits_eq(
+        &system.score(clean, &mut scratch),
+        fx.offline.row(0),
+        "clean audio after hostile audio",
+    );
 }
 
 /// A real bundle whose offset table was edited (and the container
