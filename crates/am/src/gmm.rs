@@ -245,43 +245,34 @@ impl DiagGmm {
     /// `out` (`n = out.len()` frames; `ft[d · n + t]` holds dimension `d` of
     /// frame `t`).
     ///
-    /// Iterates mixture components in the outer loop and feature dimensions
-    /// in the middle loop, so the innermost loop walks the `n` frames of one
-    /// dimension with unit stride: the serial `q` accumulation chain each
-    /// frame imposes runs for all frames in parallel, which vectorizes where
-    /// the per-frame path cannot. Per frame, the arithmetic (distance
-    /// accumulation order over `d`, max tracking and log-sum-exp order over
-    /// components) is exactly [`DiagGmm::log_likelihood`]'s, so results are
-    /// bit-identical. The caller transposes a frame block once and reuses it
-    /// across every state's GMM.
+    /// Two stages: [`DiagGmm::fill_comps_block_t`] computes every
+    /// component's log term with the frames of one dimension as the
+    /// innermost, unit-stride loop, then [`lse_rows`] folds them into one
+    /// log-sum-exp per frame. Per frame, the distance accumulation order
+    /// over `d` is exactly [`DiagGmm::log_likelihood`]'s and the tail skips
+    /// only work that cannot change a bit of its result, so the output is
+    /// bit-identical to the per-frame path. The caller transposes a frame
+    /// block once and reuses it across every state's GMM.
     ///
     /// `comps` is caller-owned scratch (resized internally) holding the
     /// per-component log terms, `num_mix × n`.
     pub fn log_likelihood_block_t(&self, ft: &[f32], comps: &mut Vec<f32>, out: &mut [f32]) {
         let n = out.len();
         self.fill_comps_block_t(ft, comps, n);
-        for (t, o) in out.iter_mut().enumerate() {
-            let mut max = f32::NEG_INFINITY;
-            for c in 0..self.num_mix {
-                let l = comps[c * n + t];
-                if l > max {
-                    max = l;
-                }
-            }
-            let mut sum = 0.0f32;
-            for c in 0..self.num_mix {
-                sum += (comps[c * n + t] - max).exp();
-            }
-            *o = max + sum.ln();
-        }
+        lse_rows(comps, self.num_mix, out);
     }
 
-    /// Per-component log terms for a transposed block: the Mahalanobis
-    /// distance accumulation and `log_const − q/2` shift shared by the exact
-    /// and fast-math log-sum-exp tails. Operation order matches the
-    /// historical [`DiagGmm::log_likelihood_block_t`] body exactly, so the
-    /// exact path through this helper stays bit-identical.
-    fn fill_comps_block_t(&self, ft: &[f32], comps: &mut Vec<f32>, n: usize) {
+    /// Per-component log terms for a transposed block, `comps[c · n + t] =
+    /// log_const_c − q_c(t)/2`: the Mahalanobis distance accumulation, first
+    /// stage of [`DiagGmm::log_likelihood_block_t`] (public so the kernel
+    /// bench can time it apart from the log-sum-exp tail).
+    ///
+    /// Iterates mixture components in the outer loop and feature dimensions
+    /// in the middle loop, so the innermost loop walks the `n` frames of one
+    /// dimension with unit stride: the serial `q` accumulation chain each
+    /// frame imposes runs for all frames in parallel, which vectorizes where
+    /// the per-frame path cannot.
+    pub fn fill_comps_block_t(&self, ft: &[f32], comps: &mut Vec<f32>, n: usize) {
         debug_assert_eq!(ft.len(), n * self.dim);
         comps.clear();
         comps.resize(self.num_mix * n, 0.0);
@@ -418,6 +409,144 @@ impl DiagGmm {
         for o in out.iter_mut() {
             *o /= sum;
         }
+    }
+}
+
+/// Frames per pass of [`lse_rows`]; its per-frame scratch is stack arrays of
+/// this length. The state scorer's block length, so one pass per call there.
+const LSE_FRAMES: usize = 64;
+
+/// Capacity of [`lse_rows`]'s list of terms waiting for `expf`, drained
+/// whenever one more row of [`LSE_FRAMES`] terms might not fit.
+const LSE_LIST: usize = 1024;
+
+/// Lemma (a): for `x < −104`, `expf(x)` is `+0.0`.
+const EXP_ZERO_BELOW: f32 = -104.0;
+
+/// Lemma (c): for `x < −17.4`, `expf(x) < 2⁻²⁵`.
+const EXP_NEGLIGIBLE_BELOW: f32 = -17.4;
+
+/// The exact log-sum-exp tail: `out[t] = max_t + ln Σ_c expf(l_c(t) − max_t)`
+/// over the `k × n` component rows in `comps` (`n = out.len()`), the sum
+/// taken in component order — bit-identical to the scalar loop
+///
+/// ```text
+/// max = −∞;  for c { if l_c > max { max = l_c } }
+/// sum = 0.0; for c { sum += expf(l_c − max) }
+/// out = max + lnf(sum)
+/// ```
+///
+/// of [`DiagGmm::log_likelihood`], while calling libm only for the terms
+/// that can change a bit of `sum` — on the trained bundles, about a quarter
+/// of them (census in EXPERIMENTS.md). Writing `x = l_c − max` and `a` for
+/// the *first* component with `l_a == max`, a term is **inert** when:
+///
+/// * **(a)** `x < −104`. `e⁻¹⁰⁴ < 2⁻¹⁵⁰`, half the smallest subnormal, so
+///   `expf(x)` rounds to `+0.0`, and `sum + (+0.0) == sum` for every `sum`
+///   the loop can hold (it starts at `+0.0` and never becomes `−0.0`).
+/// * **(b)** `x == 0`. `expf(±0.0)` is exactly `1.0`; no call is needed.
+/// * **(c)** `c > a` and `x < −17.4`. The running sum already holds term
+///   `a`, which is `1.0` by (b), and every term is `≥ +0.0`, so it is
+///   `≥ 1.0` and its half-ulp is `≥ 2⁻²⁴`; `expf(x) < 2⁻²⁵` is below that,
+///   so round-to-nearest returns the sum unchanged. Terms *before* `a` are
+///   always kept: there the running sum can be small enough for them to
+///   move the rounding of a later mid-sized term.
+///
+/// Inert terms of kind (a) and (c) are replaced by `+0.0` and those of kind
+/// (b) by `1.0`; the rest are collected into an index list, sent through
+/// `expf` in one loop and written back, and the rows are then added in
+/// component order. A frame whose sum is exactly `1.0` skips `lnf`
+/// (`lnf(1.0) == +0.0`). Every step is either a unit-stride loop over
+/// frames or an append-and-advance compaction, so no branch depends on the
+/// data: the same skips written as `if`s in the scalar loop cost as much in
+/// mispredictions as the calls they save.
+///
+/// Each predicate has the form "inert if `x < T`", which is false for NaN:
+/// NaN and infinite terms stay live and propagate as in the scalar loop.
+/// The lemmas rest on three facts about the platform's libm, pinned by the
+/// `libm_*` tests below so that a different libm fails loudly.
+fn lse_rows(comps: &mut [f32], k: usize, out: &mut [f32]) {
+    let n = out.len();
+    debug_assert_eq!(comps.len(), k * n);
+    let mut list = [0usize; LSE_LIST];
+    for t0 in (0..n).step_by(LSE_FRAMES) {
+        let bt = LSE_FRAMES.min(n - t0);
+        // Strict `>` never picks a NaN, as the scalar loop's `if l > max`.
+        let mut maxv = [f32::NEG_INFINITY; LSE_FRAMES];
+        for c in 0..k {
+            let row = &comps[c * n + t0..][..bt];
+            for (mx, &l) in maxv.iter_mut().zip(row) {
+                *mx = if l > *mx { l } else { *mx };
+            }
+        }
+        // Rewrite each term in place to its final value (`+0.0` or `1.0`)
+        // or, if it needs libm, to `x`, and list the latter. A frame's
+        // threshold drops from (a)'s to (c)'s once a component has reached
+        // its max.
+        let mut inert_below = [EXP_ZERO_BELOW; LSE_FRAMES];
+        let mut need = [0u32; LSE_FRAMES];
+        let mut pending = 0;
+        for c in 0..k {
+            if pending + bt > LSE_LIST {
+                exp_listed(comps, &list[..pending]);
+                pending = 0;
+            }
+            let base = c * n + t0;
+            let row = &mut comps[base..][..bt];
+            for (((v, nd), &mx), below) in row
+                .iter_mut()
+                .zip(&mut need)
+                .zip(&maxv)
+                .zip(&mut inert_below)
+            {
+                let x = *v - mx;
+                let inert = x < *below;
+                let one = x == 0.0;
+                *v = if inert {
+                    0.0
+                } else if one {
+                    1.0
+                } else {
+                    x
+                };
+                *nd = u32::from(!(inert | one));
+                *below = if one { EXP_NEGLIGIBLE_BELOW } else { *below };
+            }
+            for (j, &nd) in need[..bt].iter().enumerate() {
+                list[pending] = base + j;
+                pending += nd as usize;
+            }
+        }
+        exp_listed(comps, &list[..pending]);
+
+        let mut sums = [0.0f32; LSE_FRAMES];
+        for c in 0..k {
+            let row = &comps[c * n + t0..][..bt];
+            for (s, &e) in sums.iter_mut().zip(row) {
+                *s += e;
+            }
+        }
+        // The same compaction for `lnf`: only sums other than 1.0 (NaN
+        // included) are listed.
+        let mut lns = [0.0f32; LSE_FRAMES];
+        let mut pending = 0;
+        for (j, &s) in sums[..bt].iter().enumerate() {
+            list[pending] = j;
+            pending += usize::from(s != 1.0);
+        }
+        for &j in &list[..pending] {
+            lns[j] = sums[j].ln();
+        }
+        for ((o, &mx), &ln) in out[t0..t0 + bt].iter_mut().zip(&maxv).zip(&lns) {
+            *o = mx + ln;
+        }
+    }
+}
+
+/// `comps[i] = expf(comps[i])` for every listed index.
+fn exp_listed(comps: &mut [f32], list: &[usize]) {
+    for &i in list {
+        comps[i] = comps[i].exp();
     }
 }
 
@@ -575,49 +704,264 @@ mod tests {
 }
 
 #[cfg(test)]
-mod timing {
+mod lse_tests {
     use super::*;
+    use std::hint::black_box;
+
+    /// The scalar tail [`lse_rows`] replaced: one libm call per term.
+    fn lse_rows_reference(comps: &[f32], k: usize, out: &mut [f32]) {
+        let n = out.len();
+        for (t, o) in out.iter_mut().enumerate() {
+            let mut max = f32::NEG_INFINITY;
+            for c in 0..k {
+                let l = comps[c * n + t];
+                if l > max {
+                    max = l;
+                }
+            }
+            let mut sum = 0.0f32;
+            for c in 0..k {
+                sum += (comps[c * n + t] - max).exp();
+            }
+            *o = max + sum.ln();
+        }
+    }
+
+    /// Runs every frame (one `Vec` of `k` component terms each) through
+    /// both tails and compares bits.
+    fn assert_tails_agree(frames: &[Vec<f32>]) {
+        let n = frames.len();
+        let k = frames[0].len();
+        let mut comps = vec![0.0f32; k * n];
+        for (t, f) in frames.iter().enumerate() {
+            assert_eq!(f.len(), k);
+            for (c, &l) in f.iter().enumerate() {
+                comps[c * n + t] = l;
+            }
+        }
+        let mut want = vec![0.0f32; n];
+        lse_rows_reference(&comps, k, &mut want);
+        let mut got = vec![0.0f32; n];
+        lse_rows(&mut comps, k, &mut got);
+        for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+            // Rust leaves the sign and payload of a NaN result unspecified
+            // (with two NaN operands the hardware keeps whichever the
+            // compiler put first), so NaN only has to meet NaN.
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "frame {t} of {n}, terms {:?}: {g} vs {w}",
+                frames[t]
+            );
+        }
+    }
+
+    fn lcg(state: &mut u64) -> f32 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*state >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    fn ulps_from(x: f32, ulps: i32) -> f32 {
+        f32::from_bits((x.to_bits() as i32 + ulps) as u32)
+    }
+
+    // ---- The three facts about libm that lemmas (a)-(c) rest on. ----
 
     #[test]
-    #[ignore = "manual timing probe"]
-    fn block_kernel_stage_split() {
-        let dim = 39;
-        let k = 8;
-        let n = 64;
-        let mut rng = 0x12345u64;
-        let mut next = move || {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((rng >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-        };
-        let means: Vec<f32> = (0..dim * k).map(|_| next() * 4.0).collect();
-        let vars: Vec<f32> = (0..dim * k).map(|_| 0.5 + next().abs() * 2.0).collect();
-        let weights: Vec<f32> = vec![1.0 / k as f32; k];
-        let g = DiagGmm::from_params(means, vars, weights, dim);
-        let ft: Vec<f32> = (0..dim * n).map(|_| next() * 6.0).collect();
+    fn libm_exp_of_zero_is_one_and_ln_of_one_is_zero() {
+        assert_eq!(black_box(0.0f32).exp().to_bits(), 1.0f32.to_bits());
+        assert_eq!(black_box(-0.0f32).exp().to_bits(), 1.0f32.to_bits());
+        assert_eq!(black_box(1.0f32).ln().to_bits(), 0);
+    }
+
+    #[test]
+    fn libm_exp_is_positive_zero_at_and_below_minus_104() {
+        // Negative floats order by their bit patterns: every f32 in
+        // [−200, −104], then a stride down to −f32::MAX, then −∞.
+        let (top, dense_end) = ((-104.0f32).to_bits(), (-200.0f32).to_bits());
+        let strided = (dense_end..=(-f32::MAX).to_bits()).step_by(4099);
+        let mut checked = 0u32;
+        for bits in (top..=dense_end).chain(strided) {
+            let x = f32::from_bits(bits);
+            assert_eq!(x.exp().to_bits(), 0, "expf({x})");
+            checked += 1;
+        }
+        assert!(checked > 8_000_000);
+        assert_eq!(black_box(f32::NEG_INFINITY).exp().to_bits(), 0);
+        assert_eq!(black_box(-f32::MAX).exp().to_bits(), 0);
+    }
+
+    #[test]
+    fn libm_exp_is_below_two_to_minus_25_from_minus_17_4_down() {
+        let bound = 1.0 / (1u32 << 25) as f32;
+        for bits in EXP_NEGLIGIBLE_BELOW.to_bits()..=EXP_ZERO_BELOW.to_bits() {
+            let x = f32::from_bits(bits);
+            assert!(x.exp() < bound, "expf({x}) = {:e}", x.exp());
+        }
+    }
+
+    // ---- The tail against the scalar loop, rule by rule. ----
+
+    const KS: [usize; 5] = [1, 2, 9, 16, 17];
+
+    /// `k` terms at `max + x` for each `x`, the maximum (`x = 0`) placed
+    /// at `argmax` and the other offsets filling the remaining slots in
+    /// order (cycled if there are fewer than `k − 1`).
+    fn spread(k: usize, argmax: usize, max: f32, others: &[f32]) -> Vec<f32> {
+        let mut it = others.iter().cycle();
+        (0..k)
+            .map(|c| {
+                if c == argmax {
+                    max
+                } else {
+                    max + *it.next().unwrap()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equal_terms_and_ties_at_the_max() {
+        for k in KS {
+            let mut frames = vec![vec![-57.25f32; k], vec![0.0; k], vec![-1e30; k]];
+            // Ties at the max in the first and last position, over a floor
+            // that is live before the first tie and inert after it.
+            for floor in [-3.0f32, -17.5, -50.0, -103.0, -105.0] {
+                let mut f = vec![-41.5 + floor; k];
+                f[0] = -41.5;
+                f[k - 1] = -41.5;
+                frames.push(f.clone());
+                f[0] = -41.5 + floor;
+                f[k / 2] = -41.5;
+                frames.push(f);
+            }
+            assert_tails_agree(&frames);
+        }
+    }
+
+    #[test]
+    fn max_at_either_end_with_terms_across_every_threshold() {
+        // Offsets straddling −17.4 and −104 by a few ulps, and inside the
+        // band −104 … −87 where `expf` returns subnormals.
+        let mut offsets = vec![-0.5f32, -5.0, -16.0, -30.0, -86.0, -88.5, -95.0, -103.5];
+        for t in [EXP_NEGLIGIBLE_BELOW, EXP_ZERO_BELOW, -87.336_55] {
+            offsets.extend((-3..=3).map(|u| ulps_from(t, u)));
+        }
+        for k in KS {
+            let mut frames = Vec::new();
+            for argmax in [0, k / 2, k - 1] {
+                // Every offset alone (repeated in all other slots) …
+                for &x in &offsets {
+                    // … at a max where `max + x − max` is exactly `x`.
+                    frames.push(spread(k, argmax, 0.0, &[x]));
+                    frames.push(spread(k, argmax, -63.0, &[x]));
+                }
+                // … and all of them rotated through the slots.
+                for r in 0..offsets.len() {
+                    let mut rot = offsets.clone();
+                    rot.rotate_left(r);
+                    frames.push(spread(k, argmax, -12.75, &rot));
+                }
+            }
+            assert_tails_agree(&frames);
+        }
+    }
+
+    /// Why rule (c) is one-sided: ahead of the max the running sum is far
+    /// below 1.0, so terms of 2⁻²⁶ … 2⁻³⁰ accumulate and shift the rounding
+    /// of a mid-sized term that follows them.
+    #[test]
+    fn small_terms_ahead_of_a_mid_sized_one_ahead_of_the_max() {
+        for k in [9usize, 16, 17] {
+            let mut frames = Vec::new();
+            for small in [-17.5f32, -18.0, -19.3, -20.7] {
+                for mid in [-0.3f32, -2.0, -9.0, -15.0] {
+                    let mut f = vec![small; k];
+                    f[k - 2] = mid;
+                    f[k - 1] = 0.0;
+                    frames.push(f.clone());
+                    // The same terms after the max are inert.
+                    f.reverse();
+                    frames.push(f);
+                }
+            }
+            assert_tails_agree(&frames);
+        }
+        // The one-sidedness is not vacuous: dropping the small terms ahead
+        // of the max changes the result.
+        let mut f = vec![-17.5f32; 17];
+        f[15] = -15.0;
+        f[16] = 0.0;
+        let mut with = [0.0f32];
+        lse_rows_reference(&f, 17, &mut with);
+        let mut without = [0.0f32];
+        lse_rows_reference(&f[15..], 2, &mut without);
+        assert_ne!(with[0].to_bits(), without[0].to_bits());
+    }
+
+    #[test]
+    fn random_spreads_at_every_block_length() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for k in KS {
+            for n in [1usize, 63, 64, 65, 750] {
+                let frames: Vec<Vec<f32>> = (0..n)
+                    .map(|_| {
+                        // Per-frame scale: from "nothing underflows" to
+                        // "nearly everything does".
+                        let scale =
+                            [2.0f32, 20.0, 60.0, 150.0, 400.0][(lcg(&mut state) * 5.0) as usize];
+                        let base = -80.0 * lcg(&mut state);
+                        (0..k).map(|_| base - scale * lcg(&mut state)).collect()
+                    })
+                    .collect();
+                assert_tails_agree(&frames);
+            }
+        }
+    }
+
+    #[test]
+    fn nan_and_infinite_terms_propagate_as_in_the_scalar_loop() {
+        let specials = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for k in KS {
+            let mut frames = Vec::new();
+            for s in specials {
+                frames.push(vec![s; k]);
+                for at in [0, k / 2, k - 1] {
+                    for floor in [-2.0f32, -40.0, -200.0] {
+                        let mut f = spread(k, k / 3, -7.5, &[floor, -1.0]);
+                        f[at] = s;
+                        frames.push(f);
+                    }
+                }
+            }
+            let mut mixed = vec![-3.0f32; k];
+            mixed[0] = f32::NEG_INFINITY;
+            mixed[k - 1] = f32::NAN;
+            frames.push(mixed);
+            assert_tails_agree(&frames);
+        }
+    }
+
+    /// End to end through the fill: `num_mix = 17` is legal via
+    /// `from_params` / `with_background` but has no per-frame oracle (its
+    /// stack buffer holds 16), so the scalar tail stands in.
+    #[test]
+    fn seventeen_mixtures_score_on_the_block_path() {
+        let (dim, k, n) = (3, 17, 130);
+        let mut state = 7u64;
+        let means: Vec<f32> = (0..k * dim).map(|_| 16.0 * lcg(&mut state) - 8.0).collect();
+        let vars: Vec<f32> = (0..k * dim).map(|_| 0.1 + lcg(&mut state)).collect();
+        let g = DiagGmm::from_params(means, vars, vec![1.0; k], dim);
+        let ft: Vec<f32> = (0..dim * n).map(|_| 16.0 * lcg(&mut state) - 8.0).collect();
         let mut comps = Vec::new();
-        let mut out = vec![0.0f32; n];
-        let reps = 20000;
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            g.fill_comps_block_t(&ft, &mut comps, n);
+        let mut got = vec![0.0f32; n];
+        g.log_likelihood_block_t(&ft, &mut comps, &mut got);
+        g.fill_comps_block_t(&ft, &mut comps, n);
+        let mut want = vec![0.0f32; n];
+        lse_rows_reference(&comps, k, &mut want);
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
-        let fill = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            g.log_likelihood_block_t(&ft, &mut comps, &mut out);
-        }
-        let exact = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            g.log_likelihood_block_t_fast(&ft, &mut comps, &mut out);
-        }
-        let fast = t0.elapsed().as_secs_f64();
-        std::hint::black_box(&out);
-        println!(
-            "fill={fill:.3}s exact={exact:.3}s (tail={:.3}s) fast={fast:.3}s",
-            exact - fill
-        );
     }
 }

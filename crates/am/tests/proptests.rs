@@ -278,3 +278,62 @@ proptest! {
         }
     }
 }
+
+/// The exact block kernel against the per-frame oracle, bit for bit, over
+/// every combination of: mixture count, block-length edge, component spread
+/// from "no term underflows" to "nearly all do", and a row holding NaN or
+/// ±Inf.
+#[test]
+fn gmm_block_kernel_bitwise_matches_per_frame() {
+    let dim = 5;
+    let mut r = StdRng::seed_from_u64(0x626c_6f63);
+    let mut uniform = |lo: f32, hi: f32| lo + (hi - lo) * r.random::<f32>();
+    for num_mix in [1, 2, 9, 16] {
+        for n in [1, 63, 64, 65, 750] {
+            for spread in [0.5f32, 3.0, 8.0, 20.0] {
+                for special in [
+                    None,
+                    Some(f32::NAN),
+                    Some(f32::INFINITY),
+                    Some(f32::NEG_INFINITY),
+                ] {
+                    let means: Vec<f32> = (0..num_mix * dim)
+                        .map(|_| uniform(-spread, spread))
+                        .collect();
+                    let vars: Vec<f32> = (0..num_mix * dim).map(|_| uniform(0.1, 1.1)).collect();
+                    let weights: Vec<f32> = (0..num_mix).map(|_| uniform(0.05, 1.05)).collect();
+                    // Every frame lands within a σ or so of some component's mean.
+                    let mut x: Vec<f32> = (0..n)
+                        .flat_map(|t| {
+                            let c = t % num_mix;
+                            means[c * dim..(c + 1) * dim].to_vec()
+                        })
+                        .collect();
+                    x.iter_mut().for_each(|v| *v += uniform(-1.0, 1.0));
+                    if let Some(v) = special {
+                        x[(n / 2) * dim + 2] = v;
+                    }
+                    let g = DiagGmm::from_params(means, vars, weights, dim);
+
+                    let mut ft = vec![0.0f32; n * dim];
+                    for (t, frame) in x.chunks_exact(dim).enumerate() {
+                        for (d, &v) in frame.iter().enumerate() {
+                            ft[d * n + t] = v;
+                        }
+                    }
+                    let mut block = vec![0.0f32; n];
+                    g.log_likelihood_block_t(&ft, &mut Vec::new(), &mut block);
+                    for (t, (frame, &b)) in x.chunks_exact(dim).zip(&block).enumerate() {
+                        let a = g.log_likelihood(frame);
+                        // Rust leaves a NaN's sign and payload unspecified.
+                        assert!(
+                            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                            "frame {t} of {n}, {num_mix} mixtures, spread {spread}, \
+                             special {special:?}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

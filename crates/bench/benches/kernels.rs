@@ -88,17 +88,97 @@ fn bench_am(c: &mut Criterion) {
             black_box(&mut out64);
         })
     });
-    let w: Vec<f32> = (0..141 * 39).map(|_| rng.random::<f32>() - 0.5).collect();
-    let bias: Vec<f32> = (0..141).map(|_| rng.random::<f32>() - 0.5).collect();
-    let x = &frames[..128 * 39];
-    let mut gemm_out = vec![0.0f32; 128 * 141];
-    g.bench_function("gemm_xwt_128x39x141", |b| {
+    // The same kernel on a GMM shaped like the bundle's states: 8 trained
+    // components + the broad background one, means a few σ apart, each
+    // frame drawn near one of them. Most terms then sit hundreds of nats
+    // under the frame's best one, which is what the log-sum-exp tail's cost
+    // depends on and what a GMM trained on uniform noise (above) never
+    // shows. The fill is timed alone so the tail can be read off as the
+    // difference.
+    let (spread_gmm, spread_ft) = bundle_like_gmm_block(&mut rng);
+    g.bench_function("gmm_9mix_39d_block_64frames_bundle_spread/fill", |b| {
         b.iter(|| {
-            lre_linalg::gemm_xwt_f32(x, &w, &bias, 39, &mut gemm_out);
-            black_box(&mut gemm_out);
+            spread_gmm.fill_comps_block_t(&spread_ft, &mut comps, 64);
+            black_box(&mut comps);
         })
     });
+    g.bench_function("gmm_9mix_39d_block_64frames_bundle_spread/fill+tail", |b| {
+        b.iter(|| {
+            spread_gmm.log_likelihood_block_t(&spread_ft, &mut comps, &mut out64);
+            black_box(&mut out64);
+        })
+    });
+
+    // The small historical panel, then the four layer shapes of the served
+    // networks (ANN 39→128→177, DNN 39→128→96→141) at a 30 s utterance.
+    for (rows, k, out_dim) in [
+        (128, 39, 141),
+        (750, 39, 128),
+        (750, 128, 177),
+        (750, 128, 96),
+        (750, 96, 141),
+    ] {
+        let x: Vec<f32> = (0..rows * k).map(|_| rng.random::<f32>() - 0.5).collect();
+        let w: Vec<f32> = (0..out_dim * k)
+            .map(|_| rng.random::<f32>() - 0.5)
+            .collect();
+        let bias: Vec<f32> = (0..out_dim).map(|_| rng.random::<f32>() - 0.5).collect();
+        let mut gemm_out = vec![0.0f32; rows * out_dim];
+        g.bench_function(&format!("gemm_xwt_{rows}x{k}x{out_dim}"), |b| {
+            b.iter(|| {
+                lre_linalg::gemm_xwt_f32(&x, &w, &bias, k, &mut gemm_out);
+                black_box(&mut gemm_out);
+            })
+        });
+    }
     g.finish();
+}
+
+/// A 9-component, 39-dimensional GMM and one transposed 64-frame block whose
+/// mixture terms spread like the trained bundle's (there: 56 % of the terms
+/// more than 104 nats under the frame's best, 11 % the best itself). Prints
+/// the census it achieved.
+fn bundle_like_gmm_block(rng: &mut StdRng) -> (DiagGmm, Vec<f32>) {
+    let (dim, mix, n) = (39, 8, 64);
+    // Component `c` sits `radius_c` σ from the origin per dimension, so the
+    // pairwise distances cover a wide range, as trained states' do.
+    let means: Vec<f32> = (0..mix)
+        .flat_map(|c| {
+            let radius = 0.7 + 0.5 * c as f32;
+            (0..dim)
+                .map(|_| radius * (rng.random::<f32>() * 2.0 - 1.0))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let vars: Vec<f32> = (0..mix * dim)
+        .map(|_| 0.3 + 0.5 * rng.random::<f32>())
+        .collect();
+    let mut ft = vec![0.0f32; n * dim];
+    for t in 0..n {
+        let c = rng.random_range(0..mix);
+        for d in 0..dim {
+            let sd = vars[c * dim + d].sqrt();
+            ft[d * n + t] = means[c * dim + d] + sd * (rng.random::<f32>() * 2.0 - 1.0);
+        }
+    }
+    let gmm = DiagGmm::from_params(means, vars, vec![1.0; mix], dim).with_background(0.08, 3.0);
+
+    let k = gmm.num_mix();
+    let mut comps = Vec::new();
+    gmm.fill_comps_block_t(&ft, &mut comps, n);
+    let (mut zero, mut best) = (0, 0);
+    for t in 0..n {
+        let max = (0..k).map(|c| comps[c * n + t]).fold(f32::MIN, f32::max);
+        zero += (0..k).filter(|c| comps[c * n + t] - max < -104.0).count();
+        best += (0..k).filter(|c| comps[c * n + t] == max).count();
+    }
+    let share = |count: usize| 100.0 * count as f64 / (k * n) as f64;
+    eprintln!(
+        "bundle_spread census: {:.0} % of terms below -104, {:.0} % at the max",
+        share(zero),
+        share(best)
+    );
+    (gmm, ft)
 }
 
 fn bench_phonotactics(c: &mut Criterion) {

@@ -45,11 +45,15 @@ impl Cepstrum {
 }
 
 /// Per-call working storage of one tail: band energies, their warped (log
-/// or cube-root) values, and the transform's output coefficients.
+/// or cube-root) values, the transform's output coefficients, and — PLP
+/// only, empty otherwise — the all-pole model and its cepstra.
 pub(crate) struct TailScratch {
     pub bands: Vec<f32>,
     pub warped: Vec<f64>,
     pub coeffs: Vec<f64>,
+    pub lpc: Vec<f64>,
+    pub reflection: Vec<f64>,
+    pub ceps: Vec<f64>,
 }
 
 impl TailScratch {
@@ -58,6 +62,9 @@ impl TailScratch {
             bands: vec![0.0; bands],
             warped: vec![0.0; bands],
             coeffs: vec![0.0; coeffs],
+            lpc: Vec::new(),
+            reflection: Vec::new(),
+            ceps: Vec::new(),
         }
     }
 }
@@ -70,9 +77,8 @@ impl TailScratch {
 /// into an `nfft / 2 + 1`-bin power spectrum, then each tail's cepstra from
 /// that same spectrum straight into its output row. The analyzer's working
 /// storage is allocated per call, not per frame, and is a few KB whatever
-/// the length of the utterance (the PLP tail's Levinson-Durbin in
-/// `lre-linalg` still returns three ≤ 13-element vectors per frame); the
-/// analyzer itself is immutable and shared across threads.
+/// the length of the utterance; the analyzer itself is immutable and
+/// shared across threads.
 #[derive(Clone, Debug)]
 pub struct Analyzer {
     framer: Framer,

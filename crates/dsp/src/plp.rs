@@ -11,7 +11,7 @@ use crate::analysis::{Analyzer, Cepstrum, TailScratch};
 use crate::filterbank::{bark_filterbank, relative_floor, Filterbank};
 use crate::frame::FrameConfig;
 use crate::frames::FrameMatrix;
-use lre_linalg::{levinson_durbin, lpc_to_cepstrum};
+use lre_linalg::{levinson_durbin_into, lpc_to_cepstrum_into};
 
 /// PLP extraction parameters.
 #[derive(Clone, Debug)]
@@ -84,7 +84,12 @@ impl PlpTail {
     }
 
     pub(crate) fn scratch(&self) -> TailScratch {
-        TailScratch::new(self.cfg.num_bands, self.cfg.lpc_order + 1)
+        TailScratch {
+            lpc: vec![0.0; self.cfg.lpc_order + 1],
+            reflection: vec![0.0; self.cfg.lpc_order],
+            ceps: vec![0.0; self.cfg.num_ceps],
+            ..TailScratch::new(self.cfg.num_bands, self.cfg.lpc_order + 1)
+        }
     }
 
     /// One frame's cepstra (`out.len() == num_ceps`) from its power spectrum.
@@ -101,10 +106,10 @@ impl PlpTail {
         // spectrum; its autocorrelation is the inverse DCT (type-I style
         // cosine transform).
         self.autocorrelation.apply_into(&s.warped, &mut s.coeffs);
-        match levinson_durbin(&s.coeffs, self.cfg.lpc_order) {
-            Some(lpc) => {
-                let ceps = lpc_to_cepstrum(&lpc.coeffs, lpc.error, self.cfg.num_ceps - 1);
-                for (o, &c) in out.iter_mut().zip(&ceps) {
+        match levinson_durbin_into(&s.coeffs, &mut s.lpc, &mut s.reflection) {
+            Some(error) => {
+                lpc_to_cepstrum_into(&s.lpc[1..], error, &mut s.ceps);
+                for (o, &c) in out.iter_mut().zip(&s.ceps) {
                     *o = c as f32;
                 }
             }

@@ -37,12 +37,28 @@ pub fn autocorrelation(x: &[f64], max_lag: usize) -> Vec<f64> {
 /// Returns `None` when `r[0] <= 0` (no signal energy) or the recursion goes
 /// numerically unstable (prediction error becomes non-positive).
 pub fn levinson_durbin(r: &[f64], order: usize) -> Option<LpcResult> {
+    let mut a = vec![0.0_f64; order + 1];
+    let mut reflection = vec![0.0_f64; order];
+    let error = levinson_durbin_into(r, &mut a, &mut reflection)?;
+    Some(LpcResult {
+        coeffs: a[1..].to_vec(),
+        reflection,
+        error,
+    })
+}
+
+/// [`levinson_durbin`] into caller-owned storage, for per-frame use: the
+/// order is `reflection.len()`, `a` has `order + 1` slots (`a[0]` is the
+/// implicit 1 and is left alone; the coefficients land in `a[1..]`), and the
+/// return value is the final prediction-error power. On `None` both slices
+/// hold partial results.
+pub fn levinson_durbin_into(r: &[f64], a: &mut [f64], reflection: &mut [f64]) -> Option<f64> {
+    let order = reflection.len();
+    assert_eq!(a.len(), order + 1, "one slot per coefficient plus a[0]");
     assert!(r.len() > order, "need autocorrelation up to lag `order`");
     if r[0] <= 0.0 {
         return None;
     }
-    let mut a = vec![0.0_f64; order + 1]; // a[0] implicitly 1, slots 1..=order used
-    let mut reflection = Vec::with_capacity(order);
     let mut err = r[0];
 
     for m in 1..=order {
@@ -51,7 +67,7 @@ pub fn levinson_durbin(r: &[f64], order: usize) -> Option<LpcResult> {
             acc += a[k] * r[m - k];
         }
         let k_m = -acc / err;
-        reflection.push(k_m);
+        reflection[m - 1] = k_m;
 
         // Update coefficients symmetrically.
         a[m] = k_m;
@@ -67,12 +83,7 @@ pub fn levinson_durbin(r: &[f64], order: usize) -> Option<LpcResult> {
             return None;
         }
     }
-
-    Some(LpcResult {
-        coeffs: a[1..=order].to_vec(),
-        reflection,
-        error: err,
-    })
+    Some(err)
 }
 
 /// Convert LPC coefficients to `n_cep` cepstral coefficients (excluding c0)
@@ -80,10 +91,16 @@ pub fn levinson_durbin(r: &[f64], order: usize) -> Option<LpcResult> {
 ///
 /// The returned vector is `[c0, c1, ..., c_{n_cep}]` where `c0 = ln(gain2)`.
 pub fn lpc_to_cepstrum(lpc: &[f64], gain2: f64, n_cep: usize) -> Vec<f64> {
-    let p = lpc.len();
     let mut c = vec![0.0; n_cep + 1];
+    lpc_to_cepstrum_into(lpc, gain2, &mut c);
+    c
+}
+
+/// [`lpc_to_cepstrum`] into a caller-owned `c` of `n_cep + 1 ≥ 1` slots.
+pub fn lpc_to_cepstrum_into(lpc: &[f64], gain2: f64, c: &mut [f64]) {
+    let p = lpc.len();
     c[0] = gain2.max(1e-300).ln();
-    for n in 1..=n_cep {
+    for n in 1..c.len() {
         // c_n = -a_n - (1/n) Σ_{k=1}^{n-1} k c_k a_{n-k}
         let mut acc = if n <= p { -lpc[n - 1] } else { 0.0 };
         for k in 1..n {
@@ -93,7 +110,6 @@ pub fn lpc_to_cepstrum(lpc: &[f64], gain2: f64, n_cep: usize) -> Vec<f64> {
         }
         c[n] = acc;
     }
-    c
 }
 
 #[cfg(test)]

@@ -28,7 +28,10 @@ mod stats;
 pub use cholesky::Cholesky;
 pub use eigen::{jacobi_eigen, EigenDecomposition};
 pub use geig::{generalized_symmetric_eigen, GeneralizedEigen};
-pub use levinson::{autocorrelation, levinson_durbin, lpc_to_cepstrum, LpcResult};
+pub use levinson::{
+    autocorrelation, levinson_durbin, levinson_durbin_into, lpc_to_cepstrum, lpc_to_cepstrum_into,
+    LpcResult,
+};
 pub use lu::Lu;
 pub use matrix::{axpy_f32, gemm_xwt_f32, Mat};
 pub use stats::{covariance_matrix, mean_vector, weighted_mean_vector};

@@ -202,26 +202,39 @@ impl Mat {
     }
 }
 
-/// Row-block edge for the blocked `f32` kernels below. A transposed block
-/// panel holds `TILE × k` floats — L1/L2-resident for the feature and
-/// hidden-layer widths used by the acoustic models (k ≤ a few hundred) —
-/// and the per-output accumulator strip is `TILE` floats on the stack.
-const TILE: usize = 128;
+/// Frames per accumulator group of [`gemm_xwt_f32`]'s register block. A
+/// `[f32; LANES]` group is the shape the autovectorizer turns into vector
+/// registers (one 256-bit register, or two 128-bit ones on the baseline
+/// ISA); a flat 32-wide inner loop is unrolled into scalars instead.
+const LANES: usize = 8;
+
+/// Accumulator groups per output in a full register block.
+const GROUPS: usize = 4;
+
+/// Frames per register block, and the row count of the transposed panel:
+/// `TILE × k` floats, L1-resident for the feature and hidden-layer widths
+/// the acoustic models use (k ≤ a few hundred).
+const TILE: usize = GROUPS * LANES;
+
+/// Outputs per register block.
+const OUTS: usize = 4;
 
 /// Blocked `out = x · wᵀ + bias` over `f32` row-major panels — the emission
 /// hot-path kernel (`x`: `rows × k` frames, `w`: `out_dim × k` weights,
 /// `out`: `rows × out_dim`).
 ///
 /// Each output element is one dot product accumulated strictly in `k`
-/// order, so results are **bit-identical** to the scalar per-row loop. The
+/// order, one multiply then one add per step (never a fused multiply-add),
+/// so results are **bit-identical** to the scalar per-row loop. The
 /// exactness matters: the decoder's exact scoring mode promises bit-identical
 /// output to the historical per-frame scorer. The speed-up comes from
-/// making the *row* (frame) dimension the inner, data-parallel axis: each
-/// row block is transposed once into a `k × TILE` panel, and for every
-/// output the `k` accumulation steps then run over `TILE` independent
-/// unit-stride accumulators — the serial chain a single dot product imposes
-/// is carried across frames in parallel instead, which vectorizes where the
-/// per-frame loop cannot.
+/// making the *row* (frame) dimension the data-parallel axis: each block of
+/// `TILE` rows is transposed once into a `k × TILE` panel, and an
+/// `OUTS × TILE` block of outputs is then accumulated with its accumulators
+/// live in registers across the whole `k` loop — the serial chain a single
+/// dot product imposes is carried across frames in parallel, each panel
+/// column is loaded once for `OUTS` outputs, and no partial sum goes
+/// through memory.
 pub fn gemm_xwt_f32(x: &[f32], w: &[f32], bias: &[f32], k: usize, out: &mut [f32]) {
     assert!(k > 0, "inner dimension must be positive");
     let rows = x.len() / k;
@@ -229,31 +242,80 @@ pub fn gemm_xwt_f32(x: &[f32], w: &[f32], bias: &[f32], k: usize, out: &mut [f32
     assert_eq!(x.len(), rows * k, "x must be rows × k");
     assert_eq!(w.len(), out_dim * k, "w must be out_dim × k");
     assert_eq!(out.len(), rows * out_dim, "out must be rows × out_dim");
-    let mut xt = vec![0.0f32; TILE.min(rows.max(1)) * k];
-    let mut acc = [0.0f32; TILE];
+    // Lanes past a ragged last block keep zeros or an earlier block's
+    // frames: they are multiplied like the rest and never stored.
+    let mut xt = vec![0.0f32; TILE * k];
     for r0 in (0..rows).step_by(TILE) {
         let rb = TILE.min(rows - r0);
-        // Transpose the block: xt[kk · rb + j] = x[(r0 + j) · k + kk].
+        // Transpose the block: xt[kk · TILE + j] = x[(r0 + j) · k + kk].
         for j in 0..rb {
             let xr = &x[(r0 + j) * k..(r0 + j + 1) * k];
             for (kk, &v) in xr.iter().enumerate() {
-                xt[kk * rb + j] = v;
+                xt[kk * TILE + j] = v;
             }
         }
-        for o in 0..out_dim {
-            let wo = &w[o * k..(o + 1) * k];
-            let accs = &mut acc[..rb];
-            accs.fill(0.0);
-            for (kk, &wk) in wo.iter().enumerate() {
-                let col = &xt[kk * rb..kk * rb + rb];
-                for (a, &xv) in accs.iter_mut().zip(col) {
+        let orows = &mut out[r0 * out_dim..(r0 + rb) * out_dim];
+        if rb == TILE {
+            panel_frames::<GROUPS>(&xt, 0, w, bias, k, orows);
+        } else {
+            // One group at a time, so a short utterance's tail wastes at
+            // most `LANES − 1` lanes.
+            for j0 in (0..rb).step_by(LANES) {
+                panel_frames::<1>(&xt, j0, w, bias, k, &mut orows[j0 * out_dim..]);
+            }
+        }
+    }
+}
+
+/// Every output of the `G · LANES` frames at panel columns `j0..`, written
+/// to the leading rows of `orows` (all of them, if it has fewer).
+fn panel_frames<const G: usize>(
+    xt: &[f32],
+    j0: usize,
+    w: &[f32],
+    bias: &[f32],
+    k: usize,
+    orows: &mut [f32],
+) {
+    let out_dim = bias.len();
+    let whole = out_dim - out_dim % OUTS;
+    for o0 in (0..whole).step_by(OUTS) {
+        out_block::<OUTS, G>(xt, j0, w, bias, k, o0, orows);
+    }
+    for o0 in whole..out_dim {
+        out_block::<1, G>(xt, j0, w, bias, k, o0, orows);
+    }
+}
+
+/// The register block: outputs `o0..o0 + O` of `G` groups of frames.
+#[inline(always)]
+fn out_block<const O: usize, const G: usize>(
+    xt: &[f32],
+    j0: usize,
+    w: &[f32],
+    bias: &[f32],
+    k: usize,
+    o0: usize,
+    orows: &mut [f32],
+) {
+    let out_dim = bias.len();
+    let wo = &w[o0 * k..(o0 + O) * k];
+    let mut acc = [[[0.0f32; LANES]; G]; O];
+    for (kk, col) in xt.chunks_exact(TILE).enumerate() {
+        let col = &col[j0..j0 + G * LANES];
+        for (o, groups) in acc.iter_mut().enumerate() {
+            let wk = wo[o * k + kk];
+            for (group, xs) in groups.iter_mut().zip(col.chunks_exact(LANES)) {
+                let xs: [f32; LANES] = xs.try_into().expect("LANES columns");
+                for (a, xv) in group.iter_mut().zip(xs) {
                     *a += xv * wk;
                 }
             }
-            let b = bias[o];
-            for (j, &a) in accs.iter().enumerate() {
-                out[(r0 + j) * out_dim + o] = b + a;
-            }
+        }
+    }
+    for (j, orow) in orows.chunks_exact_mut(out_dim).take(G * LANES).enumerate() {
+        for (o, groups) in acc.iter().enumerate() {
+            orow[o0 + o] = bias[o0 + o] + groups[j / LANES][j % LANES];
         }
     }
 }
@@ -356,10 +418,8 @@ mod tests {
         let _ = Mat::from_rows(&[&[1.0, 2.0], &[3.0]]);
     }
 
-    #[test]
-    fn gemm_xwt_matches_scalar_reference_bitwise() {
-        // Odd sizes exercise partial tiles on both axes.
-        let (rows, k, out_dim) = (67, 39, 41);
+    /// The scalar per-row loop `gemm_xwt_f32` must reproduce bit for bit.
+    fn assert_gemm_matches_scalar(rows: usize, k: usize, out_dim: usize) {
         let x: Vec<f32> = (0..rows * k)
             .map(|i| ((i * 37 % 97) as f32 - 48.0) * 0.063)
             .collect();
@@ -367,7 +427,7 @@ mod tests {
             .map(|i| ((i * 53 % 89) as f32 - 44.0) * 0.041)
             .collect();
         let bias: Vec<f32> = (0..out_dim).map(|i| i as f32 * 0.11 - 2.0).collect();
-        let mut out = vec![0.0f32; rows * out_dim];
+        let mut out = vec![f32::NAN; rows * out_dim];
         gemm_xwt_f32(&x, &w, &bias, k, &mut out);
         for r in 0..rows {
             for o in 0..out_dim {
@@ -375,7 +435,25 @@ mod tests {
                 for j in 0..k {
                     acc += x[r * k + j] * w[o * k + j];
                 }
-                assert_eq!(out[r * out_dim + o].to_bits(), (bias[o] + acc).to_bits());
+                assert_eq!(
+                    out[r * out_dim + o].to_bits(),
+                    (bias[o] + acc).to_bits(),
+                    "{rows} × {k} × {out_dim}: row {r}, output {o}"
+                );
+            }
+        }
+    }
+
+    /// Every edge of the register block: rows around multiples of `LANES`
+    /// and `TILE`, outputs around multiples of `OUTS`, and the served
+    /// networks' widths.
+    #[test]
+    fn gemm_xwt_matches_scalar_reference_bitwise() {
+        for rows in [0, 1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 750] {
+            for out_dim in [1, 3, 4, 5, 141, 177] {
+                for k in [1, 39, 128] {
+                    assert_gemm_matches_scalar(rows, k, out_dim);
+                }
             }
         }
     }
