@@ -108,6 +108,11 @@ impl Mlp {
         self.sizes.len() - 1
     }
 
+    /// Weights and biases over all layers.
+    pub fn num_params(&self) -> usize {
+        self.sizes.windows(2).map(|w| (w[0] + 1) * w[1]).sum()
+    }
+
     /// Forward pass; returns the activations of every layer (layer 0 = input
     /// copy). The final layer activation is the softmax posterior.
     fn forward_full(&self, x: &[f32]) -> Vec<Vec<f32>> {

@@ -44,6 +44,13 @@ pub trait FrameScorer: Send + Sync {
         self.score_block(frames, dim, out);
     }
 
+    /// Model parameters read to score one frame (means and variances, or
+    /// weights and biases): what a scheduler can know at load about this
+    /// model's cost relative to another's. `0` = no estimate.
+    fn num_params(&self) -> usize {
+        0
+    }
+
     /// Downcasting hook: artifact serialization needs to recover the
     /// concrete scorer family behind a `Box<dyn FrameScorer>`.
     fn as_any(&self) -> &dyn std::any::Any;
@@ -89,6 +96,10 @@ impl FrameScorer for GmmStateScorer {
 
     fn score_block_mode(&self, frames: &[f32], dim: usize, mode: ScoringMode, out: &mut [f32]) {
         self.score_block_impl(frames, dim, mode, out);
+    }
+
+    fn num_params(&self) -> usize {
+        self.gmms.iter().map(|g| 2 * g.num_mix() * g.dim()).sum()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -211,6 +222,10 @@ impl FrameScorer for NnStateScorer {
                 *o -= lp;
             }
         }
+    }
+
+    fn num_params(&self) -> usize {
+        self.net.num_params()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

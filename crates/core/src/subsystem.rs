@@ -194,26 +194,23 @@ impl Frontend {
             .0
     }
 
-    /// [`Frontend::supervector_from_features`] with a stage-time split for
-    /// the serving tracer: `(supervector, decode_us, build_us)`, where
-    /// `decode_us` covers the transform + the phone-loop Viterbi decode
-    /// (the caller bills the shared feature extraction itself) and
-    /// `build_us` the expected-count supervector build. The supervector is
-    /// bit-identical to the untimed path's (it *is* the untimed path; the
-    /// clock reads add nothing to the arithmetic).
+    /// [`Frontend::supervector_from_features`] with the one clock reading
+    /// the serving tracer cannot take from outside: the instant the
+    /// transform + phone-loop Viterbi decode finished and the
+    /// expected-count supervector build began (the caller brackets the
+    /// call with its own readings). The supervector is bit-identical to
+    /// the untimed path's (it *is* the untimed path; the clock read adds
+    /// nothing to the arithmetic).
     pub fn supervector_from_features_timed(
         &self,
         feats: &FrameMatrix,
         normalized: &mut FrameMatrix,
         scratch: &mut DecodeScratch,
-    ) -> (SparseVec, u64, u64) {
-        let t0 = std::time::Instant::now();
+    ) -> (SparseVec, std::time::Instant) {
         self.am.feature_transform.apply_into(feats, normalized);
         let out = decode_with_scratch(&self.am, normalized, &self.decoder, scratch);
-        let decode_us = t0.elapsed().as_micros() as u64;
-        let t1 = std::time::Instant::now();
-        let sv = self.builder.build(&out.network);
-        (sv, decode_us, t1.elapsed().as_micros() as u64)
+        let decoded = std::time::Instant::now();
+        (self.builder.build(&out.network), decoded)
     }
 
     /// Decode a batch in parallel (rayon over utterances), one reusable

@@ -42,6 +42,9 @@ pub const EV_WAL_GC: u8 = 10;
 /// Crash recovery replayed a write-ahead log (`a` = records replayed,
 /// `b` = torn tail records skipped).
 pub const EV_WAL_RECOVER: u8 = 11;
+/// A scorer panicked under an engine worker; the request failed with a
+/// typed reply and the worker lives on (`a` = trace id, 0 if untraced).
+pub const EV_PANIC: u8 = 12;
 
 /// Stable human name for an event kind (`"unknown"` for anything else,
 /// so a newer peer's events still print).
@@ -57,6 +60,7 @@ pub fn event_name(kind: u8) -> &'static str {
         EV_DEADLINE => "deadline",
         EV_WAL_GC => "wal_gc",
         EV_WAL_RECOVER => "wal_recover",
+        EV_PANIC => "panic",
         _ => "unknown",
     }
 }
@@ -285,6 +289,7 @@ mod tests {
             EV_DEADLINE,
             EV_WAL_GC,
             EV_WAL_RECOVER,
+            EV_PANIC,
         ] {
             assert_ne!(event_name(kind), "unknown");
         }

@@ -36,8 +36,8 @@ pub mod span;
 
 pub use flight::{
     event_name, install_panic_dump, FlightEvent, FlightRecorder, EV_DEADLINE, EV_EJECT,
-    EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_READMIT, EV_ROLLBACK, EV_SHED, EV_SWAP, EV_WAL_GC,
-    EV_WAL_RECOVER,
+    EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PANIC, EV_READMIT, EV_ROLLBACK, EV_SHED, EV_SWAP,
+    EV_WAL_GC, EV_WAL_RECOVER,
 };
 pub use hist::{Histogram, HistogramSummary};
 pub use metrics::{Counter, Gauge, MetricValue, Registry, Sketch, SketchSummary};

@@ -215,6 +215,7 @@ mod tests {
                 SparseVec::from_pairs(vec![(1, -v), (7, 2.0 * v)]),
             ],
             stage_us: Default::default(),
+            stage_done: None,
         }
     }
 

@@ -1,4 +1,4 @@
-//! The inference engine: one bounded queue, a pool of workers.
+//! The inference engine: one bounded queue, one pool of workers.
 //!
 //! Requests enter a single [`BoundedQueue`] shared by every connection,
 //! and every worker pops one request at a time straight off it — the
@@ -7,35 +7,54 @@
 //! row-independent, so there is nothing to gain from grouping requests
 //! before scoring them.
 //!
-//! Workers drive the decode-through-fusion pipeline with one
-//! [`DecodeScratch`] each, so the score-block / Viterbi / back-pointer
-//! allocations are paid once per worker, not once per request. A full
-//! queue sheds load with an explicit [`SubmitError::Overloaded`] instead
-//! of buffering without bound, and a request whose deadline passes while
-//! it waits is shed with [`Outcome::DeadlineExceeded`] instead of being
-//! scored into a reply nobody wants.
+//! What one utterance does offer is independence *inside* it: after the
+//! shared feature pass, its subsystems do not meet again until fusion.
+//! The worker that popped a request (its **owner**) asks the scorer to
+//! split it ([`Scorer::fan_out`]), publishes the tasks as an offer on the
+//! same queue, and claims them itself in a loop; a worker with nothing to
+//! pop (a **helper**) is handed one task at a time, runs it on its own
+//! working set, and goes back to `pop`. A queued request always beats an
+//! offer, so a busy pool never helps; the owner never waits for an
+//! unclaimed task, so it finishes alone if nobody comes; and only a task a
+//! helper is still inside can make it sleep. Gather, fusion and the reply
+//! stay on the owner. The `workers` threads are the only ones the engine
+//! ever has, and a lone worker publishes nothing.
+//!
+//! Each worker owns one [`WorkingSet`] for its whole life, so the
+//! score-block / Viterbi / back-pointer / feature-transform allocations
+//! are paid once per worker, not once per request or task. A full queue
+//! sheds load with an explicit [`SubmitError::Overloaded`] instead of
+//! buffering without bound, and a request whose deadline passes while it
+//! waits is shed with [`Outcome::DeadlineExceeded`] instead of being
+//! scored into a reply nobody wants. A scorer that panics — under the
+//! owner or inside a task on a helper — fails that one request with
+//! [`Outcome::Failed`]; the thread it unwound takes a fresh working set
+//! and lives on.
 //!
 //! Shutdown is a drain: the queue closes (new submissions get
 //! [`SubmitError::ShuttingDown`]), workers score everything already
 //! accepted, and every outstanding reply callback fires exactly once.
 
 use crate::obs::ServeObs;
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::{BoundedQueue, PushError, Work};
 use crate::swap::ScorerHandle;
-use crate::system::{ScoreTap, Scorer};
-use lre_lattice::DecodeScratch;
+use crate::system::{FanOut, ScoreDetail, ScoreTap, Scorer, WorkingSet};
+use lre_artifact::ArtifactError;
 use lre_obs::{
-    StageTimes, TraceSpan, EV_DEADLINE, EV_SHED, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY,
+    StageTimes, TraceSpan, EV_DEADLINE, EV_PANIC, EV_SHED, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY,
     STAGE_SCORE, STAGE_SUPERVECTOR,
 };
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Worker threads (clamped to ≥ 1).
+    /// Worker threads (clamped to ≥ 1): every thread the engine will ever
+    /// have. One with no request to pop helps another score its utterance.
     pub workers: usize,
     /// Queue capacity; submissions beyond it are shed.
     pub queue_capacity: usize,
@@ -130,7 +149,7 @@ pub enum Outcome {
     /// The request's deadline passed before a worker reached it; it was
     /// shed unscored.
     DeadlineExceeded,
-    /// The scorer returned an error.
+    /// The scorer returned an error, or panicked.
     Failed,
 }
 
@@ -203,9 +222,73 @@ struct Job {
     reply: ReplyFn,
 }
 
+/// One request's fan-out while it runs: what its owner publishes on the
+/// queue and a helper is handed.
+struct Offer {
+    tasks: Arc<dyn FanOut>,
+    join: Mutex<Join>,
+    joined: Condvar,
+}
+
+struct Join {
+    /// Tasks that have not returned yet, claimed or not.
+    unfinished: usize,
+    /// What the first task to panic panicked with.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Offer {
+    fn new(tasks: Arc<dyn FanOut>) -> Offer {
+        Offer {
+            join: Mutex::new(Join {
+                unfinished: tasks.num_tasks(),
+                panic: None,
+            }),
+            joined: Condvar::new(),
+            tasks,
+        }
+    }
+
+    /// Run one claimed task on the calling thread. A panic in it is kept
+    /// for the owner: the task still counts as returned, so nobody sleeps
+    /// on it.
+    fn run(&self, task: usize, ws: &mut WorkingSet) {
+        let ran = catch_unwind(AssertUnwindSafe(|| self.tasks.run_task(task, ws)));
+        if ran.is_err() {
+            // The unwound task may have left it half-written.
+            *ws = WorkingSet::new();
+        }
+        let mut join = self.join.lock().expect("join state poisoned");
+        join.unfinished -= 1;
+        if let (Err(panic), None) = (ran, &join.panic) {
+            join.panic = Some(panic);
+        }
+        if join.unfinished == 0 {
+            self.joined.notify_one();
+        }
+    }
+
+    /// The owner's wait, entered with every task claimed: sleep until the
+    /// ones helpers hold have returned, then gather — or go on unwinding
+    /// where a task left off.
+    fn finish(&self) -> Result<ScoreDetail, ArtifactError> {
+        let mut join = self.join.lock().expect("join state poisoned");
+        while join.unfinished > 0 {
+            join = self.joined.wait(join).expect("join state poisoned");
+        }
+        if let Some(panic) = join.panic.take() {
+            resume_unwind(panic);
+        }
+        drop(join);
+        self.tasks.finish()
+    }
+}
+
+type Queue = BoundedQueue<Job, Arc<Offer>>;
+
 /// The engine: a queue and the worker pool that drains it.
 pub struct Engine {
-    queue: Arc<BoundedQueue<Job>>,
+    queue: Arc<Queue>,
     counters: Arc<Counters>,
     handle: Arc<ScorerHandle>,
     obs: Option<Arc<ServeObs>>,
@@ -214,20 +297,75 @@ pub struct Engine {
     fast_math: bool,
 }
 
-/// What one worker thread owns besides its [`DecodeScratch`].
+/// What one worker thread owns besides its [`WorkingSet`].
 struct Worker {
-    queue: Arc<BoundedQueue<Job>>,
+    queue: Arc<Queue>,
     counters: Arc<Counters>,
     handle: Arc<ScorerHandle>,
     tap: Option<Arc<dyn ScoreTap>>,
     obs: Option<Arc<ServeObs>>,
     unknown_threshold: Option<f32>,
+    /// Whether the pool has another worker to offer tasks to.
+    has_peers: bool,
 }
 
 impl Worker {
+    /// The thread's life: requests first, other workers' tasks when there
+    /// is no request, until the queue is closed and drained.
+    fn work(&self) {
+        let mut ws = WorkingSet::new();
+        while let Some(work) = self.queue.pop() {
+            match work {
+                Work::Job(job) => self.run(job, &mut ws),
+                Work::Task(offer, task) => {
+                    if let Some(obs) = &self.obs {
+                        obs.fanout_helped.incr();
+                    }
+                    offer.run(task, &mut ws);
+                }
+            }
+        }
+    }
+
+    /// Score one utterance as its owner: every task of its fan-out run
+    /// once, by this thread or a helper, then gathered here. A scorer that
+    /// does not split is simply called.
+    fn score(
+        &self,
+        scorer: &dyn Scorer,
+        samples: &[f32],
+        ws: &mut WorkingSet,
+    ) -> Result<ScoreDetail, ArtifactError> {
+        let Some(tasks) = scorer.fan_out(samples) else {
+            return scorer.score_utt(samples, &mut ws.scratch);
+        };
+        let n = tasks.num_tasks();
+        let offer = Arc::new(Offer::new(tasks));
+        let ticket = self
+            .has_peers
+            .then(|| self.queue.offer(Arc::clone(&offer), n));
+        let mut unpublished = 0..n;
+        while let Some(task) = match ticket {
+            Some(ticket) => self.queue.claim(ticket),
+            None => unpublished.next(),
+        } {
+            offer.run(task, ws);
+        }
+        let claimed_all = Instant::now();
+        let detail = offer.finish();
+        if let Some(obs) = &self.obs {
+            obs.fanout_tasks.add(n as u64);
+            if ticket.is_some() {
+                obs.fanout_join_wait_us
+                    .record(claimed_all.elapsed().as_micros() as u64);
+            }
+        }
+        detail
+    }
+
     /// Resolve one picked-up request: shed it if its deadline has passed,
     /// otherwise score it, and fire its reply exactly once.
-    fn run(&self, job: Job, scratch: &mut DecodeScratch) {
+    fn run(&self, job: Job, ws: &mut WorkingSet) {
         let (counters, obs) = (&self.counters, self.obs.as_deref());
         let enqueued = job.enqueued;
         let since_enqueued = || enqueued.elapsed().as_micros() as u64;
@@ -257,10 +395,24 @@ impl Worker {
         // One versioned scorer per request: a swap landing while it is
         // inside the scorer affects only later requests.
         let model = self.handle.current();
-        let Ok(mut detail) = model.scorer.score_utt(&job.samples, scratch) else {
-            counters.failed.fetch_add(1, Ordering::Relaxed);
-            (job.reply)(Outcome::Failed);
-            return;
+        let scored = catch_unwind(AssertUnwindSafe(|| {
+            self.score(&*model.scorer, &job.samples, ws)
+        }));
+        let mut detail = match scored {
+            Ok(Ok(detail)) => detail,
+            failed => {
+                if failed.is_err() {
+                    // The unwound scorer may have left it half-written.
+                    *ws = WorkingSet::new();
+                    if let Some(obs) = obs {
+                        obs.flight
+                            .record(EV_PANIC, "scorer panicked", job.trace_id, 0, 0.0, 0.0);
+                    }
+                }
+                counters.failed.fetch_add(1, Ordering::Relaxed);
+                (job.reply)(Outcome::Failed);
+                return;
+            }
         };
         detail.generation = model.generation;
         let us = since_enqueued();
@@ -292,19 +444,21 @@ impl Worker {
             }
         }
         let span = traced.then(|| {
-            // Offsets of the in-scorer stages chain from the pick-up mark;
-            // mocks report no decode/supervector split, so those marks are
-            // omitted.
+            // Every mark is an instant on this request's own clock, so the
+            // span is monotone however many threads scored. Mocks report no
+            // decode/supervector split: those marks are omitted and the
+            // whole call ends at the score mark.
+            let at = |done: Instant| done.saturating_duration_since(enqueued).as_micros() as u64;
             let mut span = TraceSpan::new(job.trace_id);
             span.mark(STAGE_QUEUE, queue_us);
-            let mut at = queue_us;
-            if stage_us.decode_us + stage_us.supervector_us > 0 {
-                at += stage_us.decode_us;
-                span.mark(STAGE_DECODE, at);
-                at += stage_us.supervector_us;
-                span.mark(STAGE_SUPERVECTOR, at);
+            match detail.stage_done {
+                Some(done) => {
+                    span.mark(STAGE_DECODE, at(done.decode));
+                    span.mark(STAGE_SUPERVECTOR, at(done.supervector));
+                    span.mark(STAGE_SCORE, at(done.score));
+                }
+                None => span.mark(STAGE_SCORE, us),
             }
-            span.mark(STAGE_SCORE, at + stage_us.score_us);
             span.mark(STAGE_REPLY, since_enqueued());
             span
         });
@@ -359,9 +513,10 @@ impl Engine {
         tap: Option<Arc<dyn ScoreTap>>,
         obs: Option<Arc<ServeObs>>,
     ) -> Engine {
-        let queue = Arc::new(BoundedQueue::<Job>::new(cfg.queue_capacity));
+        let queue = Arc::new(Queue::new(cfg.queue_capacity));
         let counters = Arc::new(Counters::default());
-        let workers = (0..cfg.workers.max(1))
+        let width = cfg.workers.max(1);
+        let workers = (0..width)
             .map(|_| {
                 let worker = Worker {
                     queue: Arc::clone(&queue),
@@ -370,14 +525,9 @@ impl Engine {
                     tap: tap.clone(),
                     obs: obs.clone(),
                     unknown_threshold: cfg.unknown_threshold,
+                    has_peers: width > 1,
                 };
-                std::thread::spawn(move || {
-                    let mut scratch = DecodeScratch::new();
-                    // `None` = closed and drained: the shutdown signal.
-                    while let Some(job) = worker.queue.pop() {
-                        worker.run(job, &mut scratch);
-                    }
-                })
+                std::thread::spawn(move || worker.work())
             })
             .collect();
         Engine {

@@ -17,7 +17,8 @@
 //!   tests can drive the full serving stack with a mock;
 //! - [`queue`] + [`engine`]: the inference engine — a bounded MPMC request
 //!   queue shared by every connection and popped, one request at a time,
-//!   by a pool of workers; one reusable [`lre_lattice::DecodeScratch`]
+//!   by a pool of workers, an idle one of which helps a busy one score its
+//!   utterance ([`system::FanOut`]); one reusable [`system::WorkingSet`]
 //!   per worker, explicit load shedding when the queue is full, and
 //!   per-request deadlines shed with a typed status;
 //! - [`swap`]: a generation-tagged [`swap::ScorerHandle`] the engine
@@ -74,5 +75,7 @@ pub use queue::BoundedQueue;
 pub use rollout::{FleetControl, FleetReplica};
 pub use server::{mint_trace_id, AdaptControl, Server, ServerConfig, ServerHooks};
 pub use swap::{ScorerHandle, VersionedScorer};
-pub use system::{sample_digest, ScoreDetail, ScoreTap, Scorer, ScoringSystem};
+pub use system::{
+    sample_digest, FanOut, ScoreDetail, ScoreTap, Scorer, ScoringSystem, StageDone, WorkingSet,
+};
 pub use votelog::{VoteLog, VoteLogSnapshot, VoteRecord};

@@ -12,9 +12,12 @@
 //! |---|---|---|
 //! | `engine.queue.wait_us` | histogram | admission → a worker picked it up |
 //! | `engine.latency_us` | histogram | admission → scored |
-//! | `engine.stage.decode_us` | histogram | acoustic decode per utterance |
-//! | `engine.stage.supervector_us` | histogram | supervector build per utterance |
-//! | `engine.stage.score_us` | histogram | SVM + fusion per utterance |
+//! | `engine.stage.decode_us` | histogram | acoustic decode per utterance, busy time summed over subsystems |
+//! | `engine.stage.supervector_us` | histogram | supervector build per utterance, likewise |
+//! | `engine.stage.score_us` | histogram | SVM + fusion per utterance, likewise |
+//! | `engine.fanout.tasks` | counter | per-subsystem tasks run |
+//! | `engine.fanout.helped` | counter | of those, run by a worker other than the request's owner |
+//! | `engine.fanout.join_wait_us` | histogram | owner asleep on tasks a helper still held |
 //! | `engine.traced` | counter | requests that carried a trace id |
 //! | `engine.unknown` | counter | scored replies flagged open-set unknown |
 //! | `score.llr.top1.lang{NN}` | sketch | fused LLR of the winning language |
@@ -34,6 +37,9 @@ pub struct ServeObs {
     pub(crate) decode_us: Arc<Histogram>,
     pub(crate) supervector_us: Arc<Histogram>,
     pub(crate) score_us: Arc<Histogram>,
+    pub(crate) fanout_tasks: Arc<Counter>,
+    pub(crate) fanout_helped: Arc<Counter>,
+    pub(crate) fanout_join_wait_us: Arc<Histogram>,
     pub(crate) traced: Arc<Counter>,
     pub(crate) unknown: Arc<Counter>,
     /// Per-top-1-language fused-LLR sketches, registered on first use
@@ -53,6 +59,9 @@ impl ServeObs {
             decode_us: registry.histogram("engine.stage.decode_us"),
             supervector_us: registry.histogram("engine.stage.supervector_us"),
             score_us: registry.histogram("engine.stage.score_us"),
+            fanout_tasks: registry.counter("engine.fanout.tasks"),
+            fanout_helped: registry.counter("engine.fanout.helped"),
+            fanout_join_wait_us: registry.histogram("engine.fanout.join_wait_us"),
             traced: registry.counter("engine.traced"),
             unknown: registry.counter("engine.unknown"),
             lang_sketches: Mutex::new(Vec::new()),
@@ -90,6 +99,9 @@ mod tests {
         assert_eq!(
             names,
             [
+                "engine.fanout.helped",
+                "engine.fanout.join_wait_us",
+                "engine.fanout.tasks",
                 "engine.latency_us",
                 "engine.queue.wait_us",
                 "engine.stage.decode_us",

@@ -444,6 +444,7 @@ mod tests {
             subsystem_scores: vec![vec![1.0, -1.0]],
             supervectors: vec![SparseVec::from_pairs(vec![(0, 1.0)])],
             stage_us: Default::default(),
+            stage_done: None,
         };
         rep.log().record(detail(1));
         rep.log().record(detail(2));
@@ -495,6 +496,7 @@ mod tests {
             subsystem_scores: vec![vec![1.0, -1.0]],
             supervectors: vec![SparseVec::from_pairs(vec![(0, 1.0)])],
             stage_us: Default::default(),
+            stage_done: None,
         };
         durable.record(detail(1));
         durable.record(detail(2));

@@ -12,6 +12,8 @@ use lre_lattice::DecodeScratch;
 use lre_obs::StageTimes;
 use lre_phone::{PhoneSet, UniversalInventory};
 use lre_vsm::SparseVec;
+use std::cmp::Reverse;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Everything one scored utterance exposes to a [`ScoreTap`]: the fused
@@ -35,10 +37,28 @@ pub struct ScoreDetail {
     pub subsystem_scores: Vec<Vec<f32>>,
     /// Per-subsystem TFLLR-scaled supervectors (retraining features).
     pub supervectors: Vec<SparseVec>,
-    /// Wall-clock split of the scoring stages (decode, supervector build,
-    /// SVM + fusion), summed across subsystems. All zeros when the scorer
-    /// cannot split; the engine then bills the whole call to `score_us`.
+    /// Busy time of the scoring stages (decode, supervector build, SVM +
+    /// fusion), summed across subsystems — so with several threads on one
+    /// request it exceeds the wall clock. All zeros when the scorer cannot
+    /// split; the engine then bills the whole call to `score_us`.
     pub stage_us: StageTimes,
+    /// When each stage was over for the whole utterance; `None` when the
+    /// scorer cannot split.
+    pub stage_done: Option<StageDone>,
+}
+
+/// The instants a traced request's span marks: real points on the
+/// request's timeline, the same definition for any number of threads
+/// (busy-time sums are [`ScoreDetail::stage_us`]). Non-decreasing in field
+/// order by construction.
+#[derive(Clone, Copy, Debug)]
+pub struct StageDone {
+    /// The last subsystem finished its decode.
+    pub decode: Instant,
+    /// The last subsystem finished its TFLLR-scaled supervector.
+    pub supervector: Instant,
+    /// Fusion produced the reply row.
+    pub score: Instant,
 }
 
 impl ScoreDetail {
@@ -54,6 +74,7 @@ impl ScoreDetail {
             subsystem_scores: Vec::new(),
             supervectors: Vec::new(),
             stage_us: StageTimes::default(),
+            stage_done: None,
         }
     }
 }
@@ -99,6 +120,52 @@ pub trait Scorer: Send + Sync + 'static {
         samples: &[f32],
         scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError>;
+
+    /// Split one utterance into independent tasks, so that idle engine
+    /// workers can help the one that owns the request: do the serial part
+    /// (whatever every task needs) here, on the caller, and return the
+    /// rest. The result must be the bits of [`Scorer::score_utt`] whoever
+    /// runs which task. `None` (the default) = this scorer does not split;
+    /// the engine calls `score_utt`.
+    fn fan_out(&self, samples: &[f32]) -> Option<Arc<dyn FanOut>> {
+        let _ = samples;
+        None
+    }
+}
+
+/// One utterance's scoring as [`FanOut::num_tasks`] independent tasks plus
+/// a gather. It owns (or `Arc`-shares) everything the tasks read, so a
+/// model swap after [`Scorer::fan_out`] does not reach it. The engine runs
+/// every task exactly once — handing the indices out in increasing order,
+/// each to whichever of its threads asks next — and then calls
+/// [`FanOut::finish`] once, on the thread that owns the request.
+pub trait FanOut: Send + Sync {
+    /// How many tasks; list the costliest first.
+    fn num_tasks(&self) -> usize;
+    /// Run task `task` on the calling thread's working set and keep its
+    /// result for [`FanOut::finish`].
+    fn run_task(&self, task: usize, ws: &mut WorkingSet);
+    /// Gather the task results, in an order that does not depend on who
+    /// ran what, into the utterance's detail.
+    fn finish(&self) -> Result<ScoreDetail, ArtifactError>;
+}
+
+/// The scoring memory one thread reuses from task to task: the decoder's
+/// scratch and the buffer an acoustic model's feature transform writes
+/// into. An engine worker makes one when it starts and uses it for its own
+/// requests and for tasks it helps with alike.
+pub struct WorkingSet {
+    pub(crate) scratch: DecodeScratch,
+    normalized: FrameMatrix,
+}
+
+impl WorkingSet {
+    pub(crate) fn new() -> WorkingSet {
+        WorkingSet {
+            scratch: DecodeScratch::new(),
+            normalized: FrameMatrix::new(FEATURE_DIM),
+        }
+    }
 }
 
 /// One materialized subsystem: a ready-to-decode front-end plus its VSM.
@@ -107,6 +174,20 @@ struct LoadedSub {
     /// Which of the shared extractor's matrices this front-end consumes.
     feature_index: usize,
     vsm: lre_svm::OneVsRest,
+}
+
+/// What a request's tasks and its fusion read: immutable once serving, and
+/// shared by `Arc` with every fan-out in flight.
+struct Model {
+    subs: Vec<LoadedSub>,
+    /// Subsystem indices, costliest decode first — the order tasks are
+    /// claimed in, so that the long ones start first and the short ones
+    /// fill in behind them. The cost is the emission model's parameter
+    /// count: every subsystem scores the same number of frames.
+    task_order: Vec<usize>,
+    /// Indexed like [`Duration::all`].
+    fusions: Vec<lre_backend::LdaMmiFusion>,
+    num_classes: usize,
 }
 
 /// A reconstructed, ready-to-score PPRVSM system.
@@ -124,10 +205,7 @@ struct LoadedSub {
 pub struct ScoringSystem {
     /// The subsystems' shared feature front-end.
     features: FeatureExtractor,
-    subs: Vec<LoadedSub>,
-    /// Indexed like [`Duration::all`].
-    fusions: Vec<lre_backend::LdaMmiFusion>,
-    num_classes: usize,
+    model: Arc<Model>,
     /// Scoring arithmetic applied to every front-end's decoder (set once
     /// at construction via [`ScoringSystem::set_scoring_mode`], before any
     /// scoring). `Exact` by default.
@@ -177,16 +255,22 @@ impl ScoringSystem {
             return Err(ArtifactError::Corrupt("bundle has no subsystems"));
         }
         let features = FeatureExtractor::new(bundle.subsystems.iter().map(|s| s.am.feature));
-        let subs = bundle
+        let subs: Vec<LoadedSub> = bundle
             .subsystems
             .into_iter()
             .map(|s| load_sub(s, num_classes, &features))
             .collect::<Result<_, _>>()?;
+        let mut task_order: Vec<usize> = (0..subs.len()).collect();
+        // Stable: subsystems of equal cost keep their bundle order.
+        task_order.sort_by_key(|&q| Reverse(subs[q].frontend.am.scorer.num_params()));
         Ok(ScoringSystem {
             features,
-            subs,
-            fusions: bundle.fusions,
-            num_classes,
+            model: Arc::new(Model {
+                subs,
+                task_order,
+                fusions: bundle.fusions,
+                num_classes,
+            }),
             mode: ScoringMode::Exact,
         })
     }
@@ -197,7 +281,9 @@ impl ScoringSystem {
     /// [`crate::bundle::SystemBundle::fastmath_opt_in`] flag.
     pub fn set_scoring_mode(&mut self, mode: ScoringMode) {
         self.mode = mode;
-        for sub in &mut self.subs {
+        let model = Arc::get_mut(&mut self.model)
+            .expect("the scoring mode is set before anything is scored");
+        for sub in &mut model.subs {
             sub.frontend.decoder.scoring = mode;
         }
     }
@@ -209,11 +295,11 @@ impl ScoringSystem {
 
     /// Number of target languages (LLR vector length).
     pub fn num_classes(&self) -> usize {
-        self.num_classes
+        self.model.num_classes
     }
 
     pub fn num_subsystems(&self) -> usize {
-        self.subs.len()
+        self.model.subs.len()
     }
 
     /// The distinct feature kinds among the subsystems: what one request
@@ -235,68 +321,36 @@ impl ScoringSystem {
     }
 
     /// [`ScoringSystem::try_score`] plus the per-subsystem intermediates
-    /// (OvR rows, scaled supervectors) the adaptation tap records. The
-    /// fused row is computed by the identical code path, so it is
-    /// bit-identical to [`ScoringSystem::try_score`]'s.
+    /// (OvR rows, scaled supervectors) the adaptation tap records. This is
+    /// the engine's fan-out ([`Scorer::fan_out`]) with every task run by
+    /// the calling thread: there is one scoring code path, so what a
+    /// server replies is bit-identical to this whoever ran which task.
     pub fn try_score_detailed(
         &self,
         samples: &[f32],
         scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError> {
-        // One pass over the audio for every subsystem; its time is the
-        // first part of "everything before the supervector".
+        let tasks = self.split(samples);
+        let mut normalized = FrameMatrix::new(FEATURE_DIM);
+        for task in 0..tasks.slots.len() {
+            tasks.run(task, scratch, &mut normalized);
+        }
+        tasks.finish()
+    }
+
+    /// The serial head of a request — one pass over the audio for every
+    /// subsystem — and the per-subsystem tasks that remain.
+    fn split(&self, samples: &[f32]) -> UttTasks {
         let extract_started = Instant::now();
         let feats = self.features.extract(samples);
-        let mut stage_us = StageTimes {
-            decode_us: extract_started.elapsed().as_micros() as u64,
-            ..StageTimes::default()
-        };
-        let num_frames = feats[0].num_frames();
-        let di = duration_index_for(num_frames);
-        let mut normalized = FrameMatrix::new(FEATURE_DIM);
-        let mut supervectors = Vec::with_capacity(self.subs.len());
-        let mats: Vec<ScoreMatrix> = self
-            .subs
-            .iter()
-            .map(|sub| {
-                let fe = &sub.frontend;
-                let (sv, decode_us, build_us) = fe.supervector_from_features_timed(
-                    &feats[sub.feature_index],
-                    &mut normalized,
-                    scratch,
-                );
-                stage_us.decode_us += decode_us;
-                // TFLLR scaling operates on the supervector, so it bills
-                // to the supervector stage alongside the build.
-                let scale_started = Instant::now();
-                let scaled = fe
-                    .scaler
-                    .as_ref()
-                    .expect("bundled front-ends carry fitted scalers")
-                    .transformed(&sv);
-                stage_us.supervector_us += build_us + scale_started.elapsed().as_micros() as u64;
-                let score_started = Instant::now();
-                let mut m = ScoreMatrix::new(self.num_classes);
-                m.push_row(&sub.vsm.scores(&scaled));
-                stage_us.score_us += score_started.elapsed().as_micros() as u64;
-                supervectors.push(scaled);
-                m
-            })
-            .collect();
-        let fuse_started = Instant::now();
-        let refs: Vec<&ScoreMatrix> = mats.iter().collect();
-        let fused = self.fusions[di].apply(&refs).row(0).to_vec();
-        stage_us.score_us += fuse_started.elapsed().as_micros() as u64;
-        Ok(ScoreDetail {
+        let extract_us = extract_started.elapsed().as_micros() as u64;
+        UttTasks {
+            model: Arc::clone(&self.model),
             digest: sample_digest(samples),
-            num_frames: num_frames as u32,
-            duration_index: di,
-            generation: 0,
-            fused,
-            subsystem_scores: mats.into_iter().map(|m| m.row(0).to_vec()).collect(),
-            supervectors,
-            stage_us,
-        })
+            feats,
+            extract_us,
+            slots: self.model.subs.iter().map(|_| Mutex::new(None)).collect(),
+        }
     }
 
     /// [`ScoringSystem::try_score`] without the `Result` (the offline
@@ -314,6 +368,137 @@ impl Scorer for ScoringSystem {
         scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError> {
         self.try_score_detailed(samples, scratch)
+    }
+
+    fn fan_out(&self, samples: &[f32]) -> Option<Arc<dyn FanOut>> {
+        Some(Arc::new(self.split(samples)))
+    }
+}
+
+/// One utterance after the shared feature pass: a task per subsystem
+/// (transform → decode → supervector → TFLLR → OvR SVM), each writing its
+/// own slot, then fusion over the slots in subsystem order.
+struct UttTasks {
+    model: Arc<Model>,
+    digest: u64,
+    /// One matrix per distinct feature kind, read by every task.
+    feats: Vec<FrameMatrix>,
+    /// The shared pass: the first part of "everything before the
+    /// supervector", billed once.
+    extract_us: u64,
+    /// Indexed by subsystem, whatever order the tasks ran in.
+    slots: Vec<Mutex<Option<SubScore>>>,
+}
+
+/// What one subsystem's task leaves behind.
+struct SubScore {
+    /// TFLLR-scaled.
+    supervector: SparseVec,
+    /// One-vs-rest SVM scores, one per class.
+    row: Vec<f32>,
+    busy_us: StageTimes,
+    decoded: Instant,
+    scaled: Instant,
+}
+
+impl UttTasks {
+    fn run(&self, task: usize, scratch: &mut DecodeScratch, normalized: &mut FrameMatrix) {
+        let q = self.model.task_order[task];
+        let sub = &self.model.subs[q];
+        let fe = &sub.frontend;
+        let started = Instant::now();
+        let (sv, decoded) =
+            fe.supervector_from_features_timed(&self.feats[sub.feature_index], normalized, scratch);
+        // TFLLR scaling operates on the supervector, so it bills to the
+        // supervector stage alongside the build.
+        let supervector = fe
+            .scaler
+            .as_ref()
+            .expect("bundled front-ends carry fitted scalers")
+            .transformed(&sv);
+        let scaled = Instant::now();
+        let row = sub.vsm.scores(&supervector);
+        let busy_us = StageTimes {
+            decode_us: (decoded - started).as_micros() as u64,
+            supervector_us: (scaled - decoded).as_micros() as u64,
+            score_us: scaled.elapsed().as_micros() as u64,
+        };
+        *self.slots[q].lock().expect("a slot is locked only to move") = Some(SubScore {
+            supervector,
+            row,
+            busy_us,
+            decoded,
+            scaled,
+        });
+    }
+}
+
+impl FanOut for UttTasks {
+    fn num_tasks(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn run_task(&self, task: usize, ws: &mut WorkingSet) {
+        self.run(task, &mut ws.scratch, &mut ws.normalized);
+    }
+
+    fn finish(&self) -> Result<ScoreDetail, ArtifactError> {
+        let subs: Vec<SubScore> = self
+            .slots
+            .iter()
+            .map(|slot| {
+                slot.lock()
+                    .expect("a slot is locked only to move")
+                    .take()
+                    .expect("finish runs once, after every task")
+            })
+            .collect();
+        let mut stage_us = StageTimes {
+            decode_us: self.extract_us,
+            ..StageTimes::default()
+        };
+        // A bundle without subsystems does not load.
+        let (mut decode, mut supervector) = (subs[0].decoded, subs[0].scaled);
+        for sub in &subs {
+            stage_us.decode_us += sub.busy_us.decode_us;
+            stage_us.supervector_us += sub.busy_us.supervector_us;
+            stage_us.score_us += sub.busy_us.score_us;
+            decode = decode.max(sub.decoded);
+            supervector = supervector.max(sub.scaled);
+        }
+
+        let fuse_started = Instant::now();
+        let num_frames = self.feats[0].num_frames();
+        let di = duration_index_for(num_frames);
+        let mats: Vec<ScoreMatrix> = subs
+            .iter()
+            .map(|sub| {
+                let mut m = ScoreMatrix::new(self.model.num_classes);
+                m.push_row(&sub.row);
+                m
+            })
+            .collect();
+        let refs: Vec<&ScoreMatrix> = mats.iter().collect();
+        let fused = self.model.fusions[di].apply(&refs).row(0).to_vec();
+        let score = Instant::now();
+        stage_us.score_us += (score - fuse_started).as_micros() as u64;
+        let (subsystem_scores, supervectors) =
+            subs.into_iter().map(|s| (s.row, s.supervector)).unzip();
+        Ok(ScoreDetail {
+            digest: self.digest,
+            num_frames: num_frames as u32,
+            duration_index: di,
+            generation: 0,
+            fused,
+            subsystem_scores,
+            supervectors,
+            stage_us,
+            stage_done: Some(StageDone {
+                decode,
+                supervector,
+                score,
+            }),
+        })
     }
 }
 

@@ -11,6 +11,8 @@
 //! - pipelined connections respect the server's inflight window, match
 //!   replies to request ids even out of order, and see typed
 //!   `DEADLINE_EXCEEDED` / `INTERNAL` statuses;
+//! - a scorer that panics fails that one request with `INTERNAL`; the
+//!   worker it unwound, the connection and its window all live on;
 //! - the engine shuts down idempotently, resolving in-flight work and
 //!   refusing later submissions with a typed error instead of hanging.
 
@@ -125,6 +127,20 @@ impl Scorer for FailingScorer {
         _scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError> {
         Err(ArtifactError::Corrupt("injected scorer failure"))
+    }
+}
+
+/// A scorer that panics on any utterance whose first sample is negative.
+struct PanickingScorer;
+
+impl Scorer for PanickingScorer {
+    fn score_utt(
+        &self,
+        samples: &[f32],
+        _scratch: &mut DecodeScratch,
+    ) -> Result<ScoreDetail, ArtifactError> {
+        assert!(samples[0] >= 0.0, "injected scorer panic");
+        Ok(ScoreDetail::from_fused(samples, mock_llrs(samples, 2)))
     }
 }
 
@@ -477,6 +493,45 @@ fn scorer_failures_map_to_internal_status_and_keep_the_connection() {
     assert_eq!(stats.completed, 0);
 
     client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn a_scorer_panic_is_a_typed_failure_and_the_only_worker_lives_on() {
+    let mut cfg = fast_config();
+    cfg.engine.workers = 1;
+    cfg.max_inflight = 2;
+    let server = start_server(Arc::new(PanickingScorer), cfg);
+    let addr = server.local_addr();
+
+    // The client gets a thread of its own, and the test a timeout: an
+    // uncontained panic kills the worker with the reply closure unfired,
+    // and the first `recv` below then never returns.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        // More panics than the connection's window has slots: a failed
+        // request must give its slot back.
+        let utts = [-1.0f32, 2.0, -3.0, -4.0, -5.0, 6.0];
+        let replies = utts.map(|first| client.score(&[first, 0.5]).expect("a reply"));
+        let stats = client.stats_v2().expect("stats");
+        tx.send((utts, replies, stats))
+            .expect("the test is waiting");
+        client.shutdown().expect("shutdown");
+    });
+    let (utts, replies, stats) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a request was never answered: its reply died with the worker");
+    for (first, reply) in utts.iter().zip(&replies) {
+        match reply {
+            ScoreReply::Failed => assert!(*first < 0.0, "utt {first} failed"),
+            ScoreReply::Scored(s) => assert_eq!(s.llrs, mock_llrs(&[*first, 0.5], 2)),
+            other => panic!("utt {first}: {other:?}"),
+        }
+    }
+    assert_eq!((stats.failed, stats.completed), (4, 2));
+    assert_eq!(stats.requests, 6);
+    client.join().expect("client thread");
     server.join();
 }
 

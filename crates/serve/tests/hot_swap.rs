@@ -15,7 +15,9 @@
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
-use lre_serve::{Engine, EngineConfig, Outcome, ScoreDetail, ScoredUtt, Scorer, ScorerHandle};
+use lre_serve::{
+    Engine, EngineConfig, FanOut, Outcome, ScoreDetail, ScoredUtt, Scorer, ScorerHandle, WorkingSet,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -46,35 +48,52 @@ fn scored(engine: &Engine, samples: Vec<f32>) -> ScoredUtt {
 
 /// A marker whose calls block at a gate until the test opens it, and which
 /// counts how many calls have entered — so "the worker is inside the
-/// scorer" is a deterministic state, not a sleep.
+/// scorer" is a deterministic state, not a sleep. With `tasks > 0` it
+/// splits every utterance into that many gated tasks through the fan-out
+/// seam, each yielding the marker.
 struct GatedMarker {
     marker: f32,
+    tasks: usize,
+    gate: Arc<Gate>,
+}
+
+#[derive(Default)]
+struct Gate {
     open: Mutex<bool>,
     cv: Condvar,
     entered: AtomicUsize,
 }
 
+impl Gate {
+    fn enter(&self) {
+        self.entered.fetch_add(1, Ordering::AcqRel);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.cv.wait(open).unwrap();
+        }
+    }
+}
+
 impl GatedMarker {
-    fn new(marker: f32) -> GatedMarker {
+    fn new(marker: f32, tasks: usize) -> GatedMarker {
         GatedMarker {
             marker,
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-            entered: AtomicUsize::new(0),
+            tasks,
+            gate: Arc::default(),
         }
     }
 
     fn release(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
+        *self.gate.open.lock().unwrap() = true;
+        self.gate.cv.notify_all();
     }
 
-    fn wait_entered(&self) {
+    fn wait_entered(&self, calls: usize) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while self.entered.load(Ordering::Acquire) == 0 {
+        while self.gate.entered.load(Ordering::Acquire) < calls {
             assert!(
                 std::time::Instant::now() < deadline,
-                "worker never reached the gated scorer"
+                "fewer than {calls} calls reached the gated scorer"
             );
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -87,13 +106,52 @@ impl Scorer for GatedMarker {
         samples: &[f32],
         _scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError> {
-        self.entered.fetch_add(1, Ordering::AcqRel);
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.cv.wait(open).unwrap();
-        }
-        drop(open);
-        Ok(ScoreDetail::from_fused(samples, vec![self.marker]))
+        self.gate.enter();
+        Ok(ScoreDetail::from_fused(
+            samples,
+            vec![self.marker; self.tasks.max(1)],
+        ))
+    }
+
+    fn fan_out(&self, _samples: &[f32]) -> Option<Arc<dyn FanOut>> {
+        (self.tasks > 0).then(|| {
+            Arc::new(GatedTasks {
+                marker: self.marker,
+                gate: Arc::clone(&self.gate),
+                slots: Mutex::new(vec![None; self.tasks]),
+            }) as _
+        })
+    }
+}
+
+/// One utterance of a splitting [`GatedMarker`]: it carries the marker of
+/// the scorer that split it, whatever is installed when its tasks run.
+struct GatedTasks {
+    marker: f32,
+    gate: Arc<Gate>,
+    slots: Mutex<Vec<Option<f32>>>,
+}
+
+impl FanOut for GatedTasks {
+    fn num_tasks(&self) -> usize {
+        self.slots.lock().unwrap().len()
+    }
+
+    fn run_task(&self, task: usize, _ws: &mut WorkingSet) {
+        self.gate.enter();
+        self.slots.lock().unwrap()[task] = Some(self.marker);
+    }
+
+    fn finish(&self) -> Result<ScoreDetail, ArtifactError> {
+        let fused = self
+            .slots
+            .lock()
+            .unwrap()
+            .iter()
+            .flatten()
+            .copied()
+            .collect();
+        Ok(ScoreDetail::from_fused(&[], fused))
     }
 }
 
@@ -171,46 +229,55 @@ fn concurrent_swaps_never_tear_model_from_generation() {
 
 #[test]
 fn a_swap_landing_while_a_job_is_inside_the_scorer_does_not_change_that_reply() {
-    // One worker and a gate that parks it inside the first job's scorer
-    // call. A swap lands while that job is in flight: its reply must still
-    // carry the pre-swap model's bits and generation, and the job queued
-    // behind it must see the new model.
-    let gate = Arc::new(GatedMarker::new(0.0));
-    let handle = Arc::new(ScorerHandle::new(Arc::clone(&gate) as _, 0xC0));
-    let engine = Engine::start_adaptive(
-        EngineConfig {
-            workers: 1,
-            queue_capacity: 64,
-            fast_math: false,
-            unknown_threshold: None,
-        },
-        Arc::clone(&handle),
-        None,
-    );
+    // A gate parks every worker inside the first job's scorer call. A swap
+    // lands while that job is in flight: its reply must still carry the
+    // pre-swap model's bits and generation, and the job queued behind it
+    // must see the new model. `(tasks, workers)`: a scorer that does not
+    // split; one that splits six ways, the swap landing between the
+    // owner's first task and its second; and the same with a helper, the
+    // swap landing with two tasks held and four not yet claimed.
+    for (tasks, workers) in [(0, 1), (6, 1), (6, 2)] {
+        let gate = Arc::new(GatedMarker::new(0.0, tasks));
+        let handle = Arc::new(ScorerHandle::new(Arc::clone(&gate) as _, 0xC0));
+        let engine = Engine::start_adaptive(
+            EngineConfig {
+                workers,
+                queue_capacity: 64,
+                fast_math: false,
+                unknown_threshold: None,
+            },
+            Arc::clone(&handle),
+            None,
+        );
 
-    let in_flight = engine.submit(vec![0.0]).expect("submit");
-    gate.wait_entered();
+        let in_flight = engine.submit(vec![0.0]).expect("submit");
+        gate.wait_entered(workers);
 
-    // The job is inside the scorer: replace the model out from under it.
-    assert_eq!(handle.swap(Arc::new(Marker(1.0)), 0xC1), 1);
-    let queued_behind = engine.submit(vec![9.0]).expect("submit");
-    gate.release();
+        // The job is inside the scorer: replace the model out from under it.
+        assert_eq!(handle.swap(Arc::new(Marker(1.0)), 0xC1), 1);
+        let queued_behind = engine.submit(vec![9.0]).expect("submit");
+        gate.release();
 
-    match in_flight.recv().expect("outcome") {
-        Outcome::Scored(s) => {
-            assert_eq!(s.generation, 0, "in-flight job leaked the new generation");
-            assert_eq!(s.llrs, vec![0.0], "scored by the swapped-in model");
+        match in_flight.recv().expect("outcome") {
+            Outcome::Scored(s) => {
+                assert_eq!(s.generation, 0, "in-flight job leaked the new generation");
+                assert_eq!(
+                    s.llrs,
+                    vec![0.0; tasks.max(1)],
+                    "a task was scored by the swapped-in model"
+                );
+            }
+            other => panic!("in-flight job unresolved: {other:?}"),
         }
-        other => panic!("in-flight job unresolved: {other:?}"),
-    }
-    match queued_behind.recv().expect("outcome") {
-        Outcome::Scored(s) => {
-            assert_eq!(s.generation, 1);
-            assert_eq!(s.llrs, vec![1.0]);
+        match queued_behind.recv().expect("outcome") {
+            Outcome::Scored(s) => {
+                assert_eq!(s.generation, 1);
+                assert_eq!(s.llrs, vec![1.0]);
+            }
+            other => panic!("queued job unresolved: {other:?}"),
         }
-        other => panic!("queued job unresolved: {other:?}"),
+        engine.shutdown();
     }
-    engine.shutdown();
 }
 
 #[test]

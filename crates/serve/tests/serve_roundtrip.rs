@@ -5,7 +5,10 @@
 //! shutdown. The same server then takes the workload again through one
 //! connection at window 8. Two more tests hold the in-process
 //! `ScoringSystem` to the per-subsystem public pipeline bit for bit at all
-//! three durations, and throw hostile audio at it.
+//! three durations, and throw hostile audio at it; and two hold the
+//! engine's fan-out — one utterance's subsystems spread over whichever
+//! workers are idle — to the serial scorer's bits at every pool width and
+//! window, and its traced spans to the wire's monotonicity rule.
 //!
 //! Like `tests/full_system.rs`, the training-backed tests build the
 //! complete six-front-end smoke experiment (minutes in release, much
@@ -16,20 +19,21 @@
 //! cargo test --release -p lre-serve --test serve_roundtrip -- --ignored
 //! ```
 
-use lre_am::{extract_features, FeatureKind};
+use lre_am::{extract_features, AmFamily, FeatureKind};
 use lre_artifact::{ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
-use lre_dba::{fuse_duration, Experiment, ExperimentConfig};
+use lre_dba::{fuse_duration, standard_subsystems, Experiment, ExperimentConfig};
 use lre_eval::ScoreMatrix;
 use lre_lattice::{decode_with_scratch, DecodeScratch};
+use lre_obs::{STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY, STAGE_SCORE, STAGE_SUPERVECTOR};
 use lre_serve::client::ScoreReply;
 use lre_serve::system::duration_index_for;
 use lre_serve::{
-    Client, Engine, EngineConfig, Outcome, ScoringSystem, Server, ServerConfig, SubmitError,
-    SystemBundle,
+    Client, Engine, EngineConfig, Outcome, ScoreDetail, ScoreTap, ScorerHandle, ScoringSystem,
+    Server, ServerConfig, ServerHooks, SubmitError, SystemBundle,
 };
 use std::net::TcpListener;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One smoke-scale training run shared by every `#[ignore]` test in this
 /// binary: the offline fused reference scores, the raw client-side
@@ -84,6 +88,12 @@ fn fixture() -> &'static Fixture {
             bytes,
         }
     })
+}
+
+/// The fixture's bundle as a fresh process would load it.
+fn reloaded_system(fx: &Fixture) -> ScoringSystem {
+    let bundle = SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads");
+    ScoringSystem::from_bundle(bundle).expect("bundle is coherent")
 }
 
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -258,10 +268,7 @@ fn train_save_reload_serve_bit_identical() {
 fn shared_extraction_equals_the_per_subsystem_public_pipeline_bit_for_bit() {
     let fx = fixture();
     let bundle = SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads");
-    let system = ScoringSystem::from_bundle(
-        SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads"),
-    )
-    .expect("bundle is coherent");
+    let system = reloaded_system(fx);
 
     // Six subsystems, two kinds: a request makes one analysis pass with two
     // cepstral tails, not six passes.
@@ -269,6 +276,23 @@ fn shared_extraction_equals_the_per_subsystem_public_pipeline_bit_for_bit() {
     assert_eq!(
         system.feature_kinds(),
         [FeatureKind::Mfcc, FeatureKind::Plp]
+    );
+
+    // The fan-out claims tasks costliest first, by emission parameter
+    // count: on this bundle that must put the two GMM front-ends (the two
+    // long decodes) ahead of the four NN ones.
+    let mut by_cost: Vec<(usize, AmFamily)> = bundle
+        .subsystems
+        .iter()
+        .map(|sub| {
+            let family = standard_subsystems()[sub.spec_index as usize].family;
+            (sub.am.scorer.num_params(), family)
+        })
+        .collect();
+    by_cost.sort_by_key(|&(params, _)| std::cmp::Reverse(params));
+    assert!(
+        by_cost[..2].iter().all(|&(_, f)| f == AmFamily::GmmHmm) && by_cost[5].0 > 0,
+        "{by_cost:?}"
     );
 
     let mut scratch = DecodeScratch::new();
@@ -327,10 +351,7 @@ fn shared_extraction_equals_the_per_subsystem_public_pipeline_bit_for_bit() {
 #[ignore = "builds the full experiment; run with --release -- --ignored"]
 fn hostile_audio_scores_without_panicking() {
     let fx = fixture();
-    let system = ScoringSystem::from_bundle(
-        SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads"),
-    )
-    .expect("bundle is coherent");
+    let system = reloaded_system(fx);
     let mut scratch = DecodeScratch::new();
     let clean = &fx.waves[0];
 
@@ -367,6 +388,173 @@ fn hostile_audio_scores_without_panicking() {
         fx.offline.row(0),
         "clean audio after hostile audio",
     );
+}
+
+/// A tap that keeps every detail the engine tees, in the order scored.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<ScoreDetail>>);
+
+impl ScoreTap for Recorder {
+    fn record(&self, detail: ScoreDetail) {
+        self.0.lock().unwrap().push(detail);
+    }
+}
+
+fn serve_tapped(system: &Arc<ScoringSystem>, workers: usize) -> (Server, Arc<Recorder>) {
+    let tap = Arc::new(Recorder::default());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let server = Server::start_adaptive(
+        listener,
+        Arc::new(ScorerHandle::new(Arc::clone(system) as _, 0)),
+        ServerConfig {
+            engine: EngineConfig {
+                workers,
+                queue_capacity: 64,
+                fast_math: false,
+                unknown_threshold: None,
+            },
+            max_inflight: 8,
+            max_global_inflight: 0,
+        },
+        ServerHooks {
+            tap: Some(Arc::clone(&tap) as _),
+            ..ServerHooks::default()
+        },
+    )
+    .expect("server starts");
+    (server, tap)
+}
+
+/// With a second worker idle, one request's subsystems are scored by two
+/// threads, and the busy time they add up exceeds the request's wall clock.
+/// The span must not be built from those sums: every mark is an instant on
+/// the request's own timeline, so it still decodes (the client refuses a
+/// span whose offsets go backwards) and `score` still precedes `reply`.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn traced_spans_stay_monotone_when_a_helper_shares_the_request() {
+    let fx = fixture();
+    let system = Arc::new(reloaded_system(fx));
+    let (server, tap) = serve_tapped(&system, 2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut scratch = DecodeScratch::new();
+
+    let mut overlapped = 0;
+    for round in 0..3 {
+        // One request outstanding at a time: the other worker is idle.
+        for (u, samples) in fx.by_duration.iter().enumerate() {
+            let what = format!("round {round} utt {u}");
+            let reply = client
+                .score_traced(samples, None, 0)
+                .unwrap_or_else(|e| panic!("{what}: traced reply does not decode: {e}"));
+            let ScoreReply::Scored(scored) = reply else {
+                panic!("{what} refused: {reply:?}");
+            };
+            assert_bits_eq(&scored.llrs, &system.score(samples, &mut scratch), &what);
+            let span = scored.span.expect("a traced reply carries a span");
+            assert!(span.is_well_formed(), "{what}: {:?}", span.stages);
+            let stages: Vec<u8> = span.stages.iter().map(|&(stage, _)| stage).collect();
+            assert_eq!(
+                stages,
+                [
+                    STAGE_QUEUE,
+                    STAGE_DECODE,
+                    STAGE_SUPERVECTOR,
+                    STAGE_SCORE,
+                    STAGE_REPLY
+                ],
+                "{what}"
+            );
+            let wall_us = span.offset_of(STAGE_REPLY).unwrap();
+            // The tap is called before the reply is sent.
+            let detail = tap.0.lock().unwrap().last().cloned().expect("teed");
+            let busy = detail.stage_us;
+            let busy_us = busy.decode_us + busy.supervector_us + busy.score_us;
+            if detail.duration_index == 0 && busy_us > wall_us {
+                overlapped += 1;
+            }
+        }
+    }
+    assert!(
+        overlapped > 0,
+        "no 30 s request had more busy time than wall clock: nobody helped"
+    );
+    client.shutdown().expect("shutdown acknowledged");
+    server.join();
+}
+
+/// Whoever runs which subsystem's task, on however many workers, with one
+/// request outstanding or eight: the reply is `ScoringSystem::score`'s bits
+/// and the tap sees the serial `try_score_detailed`'s per-subsystem rows
+/// and supervectors, in subsystem order — hostile audio included.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn every_pool_width_and_window_replies_with_the_serial_bits() {
+    let fx = fixture();
+    let system = Arc::new(reloaded_system(fx));
+
+    let clean = &fx.waves[0];
+    let mut utts: Vec<Vec<f32>> = fx.by_duration.clone();
+    utts.extend(fx.waves.iter().take(8).cloned());
+    // Zero frames: six zero-frame decodes must still meet at the join.
+    utts.extend([0, 1, 199, 200].map(|len| clean[..len].to_vec()));
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, 1e19] {
+        let mut laced = clean.clone();
+        for i in (0..laced.len()).step_by(997) {
+            laced[i] = bad;
+        }
+        utts.extend([laced, vec![bad; 2_000]]);
+    }
+
+    let mut scratch = DecodeScratch::new();
+    let serial: Vec<ScoreDetail> = utts
+        .iter()
+        .map(|u| system.try_score_detailed(u, &mut scratch).expect("scores"))
+        .collect();
+    let sv_bits = |d: &ScoreDetail| -> Vec<Vec<(u32, u32)>> {
+        d.supervectors
+            .iter()
+            .map(|sv| sv.iter().map(|(i, v)| (i, v.to_bits())).collect())
+            .collect()
+    };
+
+    for workers in [1, 2, 4] {
+        for inflight in [1, 8] {
+            let (server, tap) = serve_tapped(&system, workers);
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            let replies = client
+                .score_all(&utts, inflight, None)
+                .expect("pipelined scoring");
+            let teed = std::mem::take(&mut *tap.0.lock().unwrap());
+            assert_eq!(teed.len(), utts.len());
+            for (u, (reply, want)) in replies.iter().zip(&serial).enumerate() {
+                let what = format!("workers {workers} inflight {inflight} utt {u}");
+                let ScoreReply::Scored(scored) = reply else {
+                    panic!("{what} refused: {reply:?}");
+                };
+                // `to_bits`, so a NaN row equals itself.
+                assert_bits_eq(&scored.llrs, &want.fused, &what);
+                assert_bits_eq(&scored.llrs, &system.score(&utts[u], &mut scratch), &what);
+                let got = teed
+                    .iter()
+                    .find(|d| d.digest == want.digest)
+                    .unwrap_or_else(|| panic!("{what}: never teed"));
+                assert_eq!(got.num_frames, want.num_frames, "{what}");
+                assert_eq!(got.subsystem_scores.len(), 6, "{what}");
+                for (q, (g, w)) in got
+                    .subsystem_scores
+                    .iter()
+                    .zip(&want.subsystem_scores)
+                    .enumerate()
+                {
+                    assert_bits_eq(g, w, &format!("{what} subsystem {q}"));
+                }
+                assert_eq!(sv_bits(got), sv_bits(want), "{what}: supervectors");
+            }
+            client.shutdown().expect("shutdown acknowledged");
+            server.join();
+        }
+    }
 }
 
 /// A real bundle whose offset table was edited (and the container
