@@ -157,7 +157,6 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
             engine: EngineConfig {
                 workers: 2,
                 queue_capacity: 64,
-                fast_math: false,
                 unknown_threshold: None,
             },
             max_inflight: 8,
@@ -228,7 +227,6 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
             engine: EngineConfig {
                 workers: 2,
                 queue_capacity: 64,
-                fast_math: false,
                 unknown_threshold: None,
             },
             max_inflight: 8,

@@ -294,98 +294,6 @@ impl DiagGmm {
         }
     }
 
-    /// [`DiagGmm::log_likelihood_block_t`] under the bounded-error
-    /// fast-math contract.
-    ///
-    /// The Mahalanobis form is expanded around the mean,
-    /// `log_const − q/2 = c₀ + Σ_d (iv·µ)_d·x_d − ½ Σ_d iv_d·x²_d`, and
-    /// accumulated as two fused multiply-adds per element over a shared
-    /// `x²` block — the reassociation + FMA contraction that the exact
-    /// kernel deliberately forgoes to stay bit-identical. The log-sum-exp
-    /// tail runs on the polynomial [`crate::fastmath`] kernels. Each
-    /// rounding difference is at the 1-ulp scale of the partial sums, so
-    /// the per-frame deviation stays well inside
-    /// [`crate::fastmath::FASTMATH_LSE_ABS_BOUND`] for CMVN-normalized
-    /// features. (The speedup assumes FMA hardware; without it `mul_add`
-    /// falls back to a slow-but-correct libm call.)
-    ///
-    /// The log-sum-exp tail is restructured frame-innermost: the exact
-    /// tail's per-frame loop over components is a chain of scalar libm
-    /// calls, while [`crate::fastmath::fast_exp`] is inline branch-free
-    /// arithmetic the autovectorizer can run one vector of *frames* at a
-    /// time. All scratch (component rows, per-frame max/sum, squared
-    /// features) lives in the caller's `comps` buffer, so steady-state
-    /// block scoring does no allocation in either mode.
-    pub fn log_likelihood_block_t_fast(&self, ft: &[f32], comps: &mut Vec<f32>, out: &mut [f32]) {
-        let n = out.len();
-        let dim = self.dim;
-        let k = self.num_mix;
-        debug_assert_eq!(ft.len(), n * dim);
-        comps.clear();
-        comps.resize(k * n + 2 * n + dim * n + dim, 0.0);
-        let (crows, rest) = comps.split_at_mut(k * n);
-        let (maxv, rest) = rest.split_at_mut(n);
-        let (sums, rest) = rest.split_at_mut(n);
-        let (ft2, mrow) = rest.split_at_mut(dim * n);
-        for (x2, &x) in ft2.iter_mut().zip(ft) {
-            *x2 = x * x;
-        }
-        for c in 0..k {
-            let means = &self.means[c * dim..(c + 1) * dim];
-            let ivs = &self.inv_vars[c * dim..(c + 1) * dim];
-            let mut c0 = self.log_consts[c];
-            for ((m, &mu), &iv) in mrow.iter_mut().zip(means).zip(ivs) {
-                *m = mu * iv;
-                c0 -= 0.5 * mu * *m;
-            }
-            let crow = &mut crows[c * n..(c + 1) * n];
-            crow.fill(c0);
-            for d in 0..dim {
-                let m = mrow[d];
-                let v = -0.5 * ivs[d];
-                let col = &ft[d * n..(d + 1) * n];
-                let col2 = &ft2[d * n..(d + 1) * n];
-                for ((q, &x), &x2) in crow.iter_mut().zip(col).zip(col2) {
-                    *q = m.mul_add(x, v.mul_add(x2, *q));
-                }
-            }
-        }
-        maxv.fill(f32::NEG_INFINITY);
-        for c in 0..k {
-            let crow = &crows[c * n..(c + 1) * n];
-            for (mx, &l) in maxv.iter_mut().zip(crow) {
-                *mx = mx.max(l);
-            }
-        }
-        sums.fill(0.0);
-        for c in 0..k {
-            let crow = &crows[c * n..(c + 1) * n];
-            for ((s, &l), &mx) in sums.iter_mut().zip(crow).zip(maxv.iter()) {
-                *s += crate::fastmath::fast_exp(l - mx);
-            }
-        }
-        for ((o, &s), &mx) in out.iter_mut().zip(sums.iter()).zip(maxv.iter()) {
-            *o = mx + crate::fastmath::fast_ln(s);
-        }
-    }
-
-    /// Mode-dispatched transposed-block scoring: `Exact` is the historical
-    /// bit-identical kernel, `FastMath` the bounded-error one.
-    pub fn log_likelihood_block_t_mode(
-        &self,
-        ft: &[f32],
-        comps: &mut Vec<f32>,
-        out: &mut [f32],
-        mode: crate::fastmath::ScoringMode,
-    ) {
-        match mode {
-            crate::fastmath::ScoringMode::Exact => self.log_likelihood_block_t(ft, comps, out),
-            crate::fastmath::ScoringMode::FastMath => {
-                self.log_likelihood_block_t_fast(ft, comps, out)
-            }
-        }
-    }
-
     /// Mixture posteriors for one frame (responsibilities), written to `out`.
     pub fn posteriors(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.num_mix);

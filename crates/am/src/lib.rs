@@ -18,7 +18,6 @@
 //! - [`train`]: supervised acoustic-model training from the synthetic
 //!   corpus's frame-level reference alignments.
 
-pub mod fastmath;
 pub mod frontend;
 pub mod gmm;
 pub mod hmm;
@@ -26,7 +25,6 @@ pub mod nn;
 pub mod scorer;
 pub mod train;
 
-pub use fastmath::ScoringMode;
 pub use frontend::{extract_features, FeatureKind};
 pub use gmm::DiagGmm;
 pub use hmm::{HmmTopology, StateInventory, STATES_PER_PHONE};

@@ -166,30 +166,6 @@ impl Mlp {
     /// applied row-wise in the scalar path's exact sequence, so the output
     /// is bit-identical to calling [`Mlp::log_posteriors_into`] per frame.
     pub fn log_posteriors_block(&self, frames: &[f32], out: &mut [f32]) {
-        self.log_posteriors_block_impl(frames, out, false);
-    }
-
-    /// [`Mlp::log_posteriors_block`] with the transcendentals (hidden-layer
-    /// sigmoid, output softmax, final log) swapped for the
-    /// [`crate::fastmath`] kernels. The GEMMs are unchanged, so the error is
-    /// the kernel error propagated through the remaining layers — small in
-    /// practice but *not* bit-identical; see the FastMath contract in
-    /// DESIGN.md.
-    pub fn log_posteriors_block_fast(&self, frames: &[f32], out: &mut [f32]) {
-        self.log_posteriors_block_impl(frames, out, true);
-    }
-
-    /// Mode-dispatched block forward pass.
-    pub fn log_posteriors_block_mode(
-        &self,
-        frames: &[f32],
-        out: &mut [f32],
-        mode: crate::fastmath::ScoringMode,
-    ) {
-        self.log_posteriors_block_impl(frames, out, mode.is_fast());
-    }
-
-    fn log_posteriors_block_impl(&self, frames: &[f32], out: &mut [f32], fast: bool) {
         let n_in = self.input_dim();
         debug_assert!(n_in > 0);
         let n = frames.len() / n_in;
@@ -208,28 +184,15 @@ impl Mlp {
             lre_linalg::gemm_xwt_f32(&a[..n * k], &self.weights[l], &self.biases[l], k, z);
             if l + 1 == self.num_layers() {
                 for row in z.chunks_exact_mut(n_out) {
-                    if fast {
-                        fast_softmax_in_place(row);
-                    } else {
-                        softmax_in_place(row);
-                    }
+                    softmax_in_place(row);
                 }
-            } else if fast {
-                z.iter_mut()
-                    .for_each(|v| *v = crate::fastmath::fast_sigmoid(*v));
             } else {
                 z.iter_mut().for_each(|v| *v = sigmoid(*v));
             }
             std::mem::swap(&mut a, &mut b);
         }
-        if fast {
-            for (o, &p) in out.iter_mut().zip(a[..n * self.output_dim()].iter()) {
-                *o = crate::fastmath::fast_ln(p.max(1e-12));
-            }
-        } else {
-            for (o, &p) in out.iter_mut().zip(a[..n * self.output_dim()].iter()) {
-                *o = p.max(1e-12).ln();
-            }
+        for (o, &p) in out.iter_mut().zip(a[..n * self.output_dim()].iter()) {
+            *o = p.max(1e-12).ln();
         }
     }
 
@@ -507,20 +470,6 @@ fn softmax_in_place(z: &mut [f32]) {
     let mut sum = 0.0f32;
     for v in z.iter_mut() {
         *v = (*v - max).exp();
-        sum += *v;
-    }
-    for v in z.iter_mut() {
-        *v /= sum;
-    }
-}
-
-/// [`softmax_in_place`] with [`crate::fastmath::fast_exp`]; same max-shift
-/// structure, bounded-error exponentials.
-fn fast_softmax_in_place(z: &mut [f32]) {
-    let max = z.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    let mut sum = 0.0f32;
-    for v in z.iter_mut() {
-        *v = crate::fastmath::fast_exp(*v - max);
         sum += *v;
     }
     for v in z.iter_mut() {

@@ -1,6 +1,5 @@
 //! Frame-level emission scoring abstraction consumed by the decoder.
 
-use crate::fastmath::ScoringMode;
 use crate::gmm::DiagGmm;
 use crate::nn::Mlp;
 use lre_artifact::{ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter};
@@ -23,25 +22,13 @@ pub trait FrameScorer: Send + Sync {
     ///
     /// The default just loops [`FrameScorer::score_frame`]; model families
     /// override it with batched kernels. Overrides must be **bit-identical**
-    /// to the per-frame path — the decoder's exact scoring mode promises
-    /// unchanged output, and tests compare `f32::to_bits`.
+    /// to the per-frame path — every served score is pinned to it, and
+    /// tests compare `f32::to_bits`.
     fn score_block(&self, frames: &[f32], dim: usize, out: &mut [f32]) {
         let s = self.num_states();
         for (x, o) in frames.chunks_exact(dim).zip(out.chunks_exact_mut(s)) {
             self.score_frame(x, o);
         }
-    }
-
-    /// [`FrameScorer::score_block`] with an explicit [`ScoringMode`].
-    ///
-    /// `Exact` must stay bit-identical to the per-frame path; `FastMath`
-    /// may use bounded-error kernels (see `crates/am/src/fastmath.rs`).
-    /// The default ignores the mode and runs the exact block path, so
-    /// scorers without a fast kernel (tests, mocks) remain correct — just
-    /// not faster.
-    fn score_block_mode(&self, frames: &[f32], dim: usize, mode: ScoringMode, out: &mut [f32]) {
-        let _ = mode;
-        self.score_block(frames, dim, out);
     }
 
     /// Model parameters read to score one frame (means and variances, or
@@ -91,24 +78,6 @@ impl FrameScorer for GmmStateScorer {
     /// parameters once per block instead of once per frame and accumulating
     /// the Mahalanobis terms across all frames of the block in parallel.
     fn score_block(&self, frames: &[f32], dim: usize, out: &mut [f32]) {
-        self.score_block_impl(frames, dim, ScoringMode::Exact, out);
-    }
-
-    fn score_block_mode(&self, frames: &[f32], dim: usize, mode: ScoringMode, out: &mut [f32]) {
-        self.score_block_impl(frames, dim, mode, out);
-    }
-
-    fn num_params(&self) -> usize {
-        self.gmms.iter().map(|g| 2 * g.num_mix() * g.dim()).sum()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-impl GmmStateScorer {
-    fn score_block_impl(&self, frames: &[f32], dim: usize, mode: ScoringMode, out: &mut [f32]) {
         const BLOCK: usize = 64;
         let s = self.gmms.len();
         debug_assert!(dim > 0);
@@ -128,13 +97,21 @@ impl GmmStateScorer {
                 }
             }
             for (si, g) in self.gmms.iter().enumerate() {
-                g.log_likelihood_block_t_mode(&ft[..bt * dim], &mut comps, &mut col[..bt], mode);
+                g.log_likelihood_block_t(&ft[..bt * dim], &mut comps, &mut col[..bt]);
                 for (t, &v) in col[..bt].iter().enumerate() {
                     out[(t0 + t) * s + si] = v;
                 }
             }
             t0 += bt;
         }
+    }
+
+    fn num_params(&self) -> usize {
+        self.gmms.iter().map(|g| 2 * g.num_mix() * g.dim()).sum()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 }
 
@@ -211,12 +188,8 @@ impl FrameScorer for NnStateScorer {
     /// blocked matrix multiplies ([`Mlp::log_posteriors_block`]), then the
     /// log-priors are subtracted row-wise in the per-frame order.
     fn score_block(&self, frames: &[f32], dim: usize, out: &mut [f32]) {
-        self.score_block_mode(frames, dim, ScoringMode::Exact, out);
-    }
-
-    fn score_block_mode(&self, frames: &[f32], dim: usize, mode: ScoringMode, out: &mut [f32]) {
         debug_assert_eq!(dim, self.net.input_dim());
-        self.net.log_posteriors_block_mode(frames, out, mode);
+        self.net.log_posteriors_block(frames, out);
         for row in out.chunks_exact_mut(self.net.output_dim()) {
             for (o, lp) in row.iter_mut().zip(&self.log_priors) {
                 *o -= lp;
@@ -369,71 +342,6 @@ mod tests {
             for (s, (a, b)) in single.iter().zip(&block[t * 6..(t + 1) * 6]).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "frame {t} state {s}: {a} vs {b}");
             }
-        }
-    }
-
-    #[test]
-    fn gmm_fast_mode_within_lse_bound_of_exact() {
-        use crate::fastmath::FASTMATH_LSE_ABS_BOUND;
-        use rand::RngExt;
-        let mut rng = StdRng::seed_from_u64(23);
-        let dim = 8;
-        let gmms: Vec<DiagGmm> = (0..5)
-            .map(|_| {
-                let mix = 4;
-                let means: Vec<f32> = (0..mix * dim)
-                    .map(|_| rng.random::<f32>() * 4.0 - 2.0)
-                    .collect();
-                let vars: Vec<f32> = (0..mix * dim).map(|_| 0.3 + rng.random::<f32>()).collect();
-                DiagGmm::from_params(means, vars, vec![0.4, 0.3, 0.2, 0.1], dim)
-            })
-            .collect();
-        let sc = GmmStateScorer::new(gmms);
-        let n = 97;
-        let frames: Vec<f32> = (0..n * dim)
-            .map(|_| rng.random::<f32>() * 4.0 - 2.0)
-            .collect();
-        let s = sc.num_states();
-        let mut exact = vec![0.0f32; n * s];
-        let mut fast = vec![0.0f32; n * s];
-        sc.score_block_mode(&frames, dim, ScoringMode::Exact, &mut exact);
-        sc.score_block_mode(&frames, dim, ScoringMode::FastMath, &mut fast);
-        // Exact via the mode entry point must equal the plain block path bit
-        // for bit; fast must sit inside the LSE error contract.
-        let mut plain = vec![0.0f32; n * s];
-        sc.score_block(&frames, dim, &mut plain);
-        for (a, b) in exact.iter().zip(&plain) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (i, (a, b)) in exact.iter().zip(&fast).enumerate() {
-            assert!(
-                (a - b).abs() <= FASTMATH_LSE_ABS_BOUND,
-                "elem {i}: exact {a} fast {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn nn_fast_mode_close_to_exact() {
-        use rand::RngExt;
-        let mut rng = StdRng::seed_from_u64(29);
-        let net = Mlp::new(&[6, 16, 9], &mut rng);
-        let priors: Vec<f32> = (0..9).map(|i| 0.04 + 0.02 * i as f32).collect();
-        let sc = NnStateScorer::new(net, &priors);
-        let n = 53;
-        let frames: Vec<f32> = (0..n * 6)
-            .map(|_| rng.random::<f32>() * 2.0 - 1.0)
-            .collect();
-        let mut exact = vec![0.0f32; n * 9];
-        let mut fast = vec![0.0f32; n * 9];
-        sc.score_block_mode(&frames, 6, ScoringMode::Exact, &mut exact);
-        sc.score_block_mode(&frames, 6, ScoringMode::FastMath, &mut fast);
-        // Kernel error propagates through the hidden layer's GEMM, so the
-        // bound here is looser than the raw LSE contract but still tight
-        // enough that rankings are preserved in practice.
-        for (i, (a, b)) in exact.iter().zip(&fast).enumerate() {
-            assert!(b.is_finite(), "elem {i} not finite");
-            assert!((a - b).abs() <= 1e-2, "elem {i}: exact {a} fast {b}");
         }
     }
 

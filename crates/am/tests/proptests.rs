@@ -173,112 +173,6 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------- fast-math kernels
-//
-// The fast-math contract has two layers: the scalar kernels' bounds
-// (FAST_EXP_REL_ERR / FAST_LN_ABS_ERR / FASTMATH_LSE_ABS_BOUND, exercised
-// directly below) and the block-kernel bound for *unnormalized* random
-// parameters, which is magnitude-scaled: the mean-expanded accumulation
-// rounds at the ulp of its partial sums, so with means up to ±2 and
-// frames up to ±3 the element-wise deviation is bounded by
-// `GMM_BLOCK_FAST_ABS_BOUND` (CMVN-normalized production features sit an
-// order of magnitude tighter — see the unit test on a trained scorer).
-const GMM_BLOCK_FAST_ABS_BOUND: f32 = 1e-3;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn fast_exp_relative_error_bounded(x in -87.0f32..88.0) {
-        let exact = x.exp();
-        let rel = ((lre_am::fastmath::fast_exp(x) - exact) / exact).abs();
-        prop_assert!(rel <= lre_am::fastmath::FAST_EXP_REL_ERR, "x={x} rel={rel}");
-    }
-
-    #[test]
-    fn fast_ln_absolute_error_bounded(x in 1e-6f32..1e6) {
-        let d = (lre_am::fastmath::fast_ln(x) - x.ln()).abs();
-        prop_assert!(d <= lre_am::fastmath::FAST_LN_ABS_ERR, "x={x} d={d}");
-    }
-
-    #[test]
-    fn fast_lse_within_bound_of_exact(
-        vals in prop::collection::vec(-40.0f32..0.0, 1..24),
-    ) {
-        let max = vals.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exact = max + vals.iter().map(|v| (v - max).exp()).sum::<f32>().ln();
-        let fast = lre_am::fastmath::fast_log_sum_exp(&vals);
-        prop_assert!(
-            (fast - exact).abs() <= lre_am::fastmath::FASTMATH_LSE_ABS_BOUND,
-            "exact={exact} fast={fast}"
-        );
-    }
-
-    #[test]
-    fn fast_lse_monotone_in_its_max_term(
-        mut vals in prop::collection::vec(-30.0f32..0.0, 1..16),
-    ) {
-        // Raising the dominant term by 0.1 raises the true LSE by at least
-        // 0.1/K — far above the kernel error bound, so the fast LSE must
-        // strictly increase too.
-        let before = lre_am::fastmath::fast_log_sum_exp(&vals);
-        let (arg, _) = vals
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap();
-        vals[arg] += 0.1;
-        let after = lre_am::fastmath::fast_log_sum_exp(&vals);
-        prop_assert!(after > before, "before={before} after={after}");
-    }
-
-    #[test]
-    fn fast_lse_permutation_invariant(
-        vals in prop::collection::vec(-20.0f32..0.0, 2..16),
-        rot in 0usize..16,
-    ) {
-        let a = lre_am::fastmath::fast_log_sum_exp(&vals);
-        let mut rotated = vals.clone();
-        rotated.rotate_left(rot % vals.len());
-        let b = lre_am::fastmath::fast_log_sum_exp(&rotated);
-        let mut reversed = vals.clone();
-        reversed.reverse();
-        let c = lre_am::fastmath::fast_log_sum_exp(&reversed);
-        // Only the f32 resummation order differs: ≤ 16 positive terms with
-        // partial sums ≤ 16 keeps any two orderings within a few ulp.
-        prop_assert!((a - b).abs() <= 5e-5, "rotate: {a} vs {b}");
-        prop_assert!((a - c).abs() <= 5e-5, "reverse: {a} vs {c}");
-    }
-
-    #[test]
-    fn gmm_block_fast_tracks_exact_elementwise(
-        seed in 0u64..300,
-        n in 1usize..80,
-        k in 1usize..6,
-    ) {
-        let dim = 7;
-        let mut r = StdRng::seed_from_u64(seed);
-        let means: Vec<f32> = (0..k * dim).map(|_| r.random::<f32>() * 4.0 - 2.0).collect();
-        let vars: Vec<f32> = (0..k * dim).map(|_| 0.5 + r.random::<f32>() * 2.0).collect();
-        let weights: Vec<f32> = (0..k).map(|_| 0.1 + r.random::<f32>()).collect();
-        let g = DiagGmm::from_params(means, vars, weights, dim);
-        // Transposed block: dimension-major, frame-minor.
-        let ft: Vec<f32> = (0..dim * n).map(|_| r.random::<f32>() * 6.0 - 3.0).collect();
-        let mut comps = Vec::new();
-        let mut exact = vec![0.0f32; n];
-        let mut fast = vec![0.0f32; n];
-        g.log_likelihood_block_t(&ft, &mut comps, &mut exact);
-        g.log_likelihood_block_t_fast(&ft, &mut comps, &mut fast);
-        for (t, (e, f)) in exact.iter().zip(&fast).enumerate() {
-            prop_assert!(f.is_finite(), "frame {t} not finite");
-            prop_assert!(
-                (e - f).abs() <= GMM_BLOCK_FAST_ABS_BOUND,
-                "frame {t}: exact={e} fast={f}"
-            );
-        }
-    }
-}
-
 /// The exact block kernel against the per-frame oracle, bit for bit, over
 /// every combination of: mixture count, block-length edge, component spread
 /// from "no term underflows" to "nearly all do", and a row holding NaN or

@@ -103,7 +103,6 @@ fn spawn_fleet(replicas: usize, busy: Duration, window: usize) -> Vec<Server> {
                     engine: EngineConfig {
                         workers: 1,
                         queue_capacity: (window * 4).max(64),
-                        fast_math: false,
                         unknown_threshold: None,
                     },
                     max_inflight: (window * 2).max(32),

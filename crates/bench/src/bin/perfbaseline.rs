@@ -11,29 +11,14 @@
 //! ```text
 //! cargo run -p lre-bench --release --bin perfbaseline -- --scale smoke
 //! ```
-//!
-//! The fast-math scoring mode is benchmarked and validated in the same
-//! run: batched block scoring is re-timed under [`ScoringMode::FastMath`]
-//! (`scoring_fastmath_s`), and the full fast-math pipeline — decode,
-//! confusion network, supervector, SVM scores — is diffed against the
-//! exact one per utterance. `fastmath_max_abs_delta` is the worst
-//! per-language SVM-score deviation and `fastmath_decision_flips` counts
-//! utterances whose arg-max language changed. With
-//! `--require-fastmath-speedup` the run exits non-zero unless every
-//! front-end has zero flips and fast-math block scoring is not slower
-//! than exact on the best front-end — the CI regression gate. (The exact
-//! GMM tail skips the mixture terms that cannot change a bit, so the two
-//! modes are within a few percent: the gate protects the fast-math
-//! contract, not a margin.)
 
-use lre_am::{AcousticModel, DiagGmm, FrameScorer, GmmStateScorer, ScoringMode};
+use lre_am::{AcousticModel, DiagGmm, FrameScorer, GmmStateScorer};
 use lre_bench::HarnessArgs;
 use lre_corpus::{render_utterance, Dataset, DatasetConfig, Duration, UttSpec};
 use lre_dba::{standard_subsystems, Frontend};
 use lre_dsp::FrameMatrix;
 use lre_lattice::{
-    decode, decode_with_scratch, score_all_frames_into, score_all_frames_into_mode, DecodeScratch,
-    DecoderConfig,
+    decode, decode_with_scratch, score_all_frames_into, DecodeScratch, DecoderConfig,
 };
 use lre_phone::UniversalInventory;
 use lre_svm::{OneVsRest, SvmTrainConfig};
@@ -46,13 +31,6 @@ const FRAME_SECONDS: f64 = 0.01;
 /// At most this many test utterances per front-end keep demo-scale runs
 /// in seconds, not minutes.
 const MAX_UTTS: usize = 16;
-
-/// `--require-fastmath-speedup`: minimum acceptable fast-math over exact
-/// block-scoring ratio on the best front-end — fast-math must not cost
-/// time. Both modes are bound by the same arithmetic (Mahalanobis fill,
-/// GEMM), so neither front-end clears more than a few percent and single
-/// ratios sit inside timing noise; hence the best, not each.
-const FASTMATH_SPEEDUP_GATE: f64 = 1.0;
 
 /// Wall-time of `f`, best of `reps` runs (seconds).
 fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -102,29 +80,17 @@ struct FrontendReport {
     audio_seconds: f64,
     scoring_per_frame_s: f64,
     scoring_batched_s: f64,
-    /// Batched block scoring under [`ScoringMode::FastMath`].
-    scoring_fastmath_s: f64,
     /// Full historical path: per-frame scoring + dense Viterbi + fresh
     /// allocations per utterance, via the plain `decode` entry point.
     decode_seed_s: f64,
     decode_exact_s: f64,
     supervector_s: f64,
     svm_score_s: f64,
-    /// Worst |fast − exact| over every per-utterance, per-language SVM
-    /// score when the whole pipeline runs under fast-math.
-    fastmath_max_abs_delta: f64,
-    /// Utterances whose arg-max language differs between the exact and
-    /// fast-math pipelines. The fast-math contract requires zero.
-    fastmath_decision_flips: usize,
 }
 
 impl FrontendReport {
     fn scoring_speedup(&self) -> f64 {
         self.scoring_per_frame_s / self.scoring_batched_s.max(1e-12)
-    }
-    /// Exact block scoring vs the bounded-error fast-math kernels.
-    fn fastmath_speedup(&self) -> f64 {
-        self.scoring_batched_s / self.scoring_fastmath_s.max(1e-12)
     }
     /// Seed decode path (per-frame scoring, dense Viterbi, fresh
     /// allocations) vs the batched exact decode with scratch reuse.
@@ -143,15 +109,11 @@ impl FrontendReport {
                 "{{\"name\":\"{}\",\"utterances\":{},\"frames\":{},",
                 "\"audio_seconds\":{:.4},\"stages\":{{",
                 "\"scoring_per_frame_s\":{:.6},\"scoring_batched_s\":{:.6},",
-                "\"scoring_fastmath_s\":{:.6},",
                 "\"decode_seed_s\":{:.6},",
                 "\"decode_exact_s\":{:.6},",
                 "\"supervector_s\":{:.6},\"svm_score_s\":{:.6}}},",
-                "\"speedups\":{{\"scoring\":{:.3},\"fastmath\":{:.3},",
-                "\"decode\":{:.3},\"total\":{:.3}}},",
-                "\"rt_factors\":{{\"decode_exact\":{:.5}}},",
-                "\"fastmath_max_abs_delta\":{:.6e},",
-                "\"fastmath_decision_flips\":{}}}"
+                "\"speedups\":{{\"scoring\":{:.3},\"decode\":{:.3},\"total\":{:.3}}},",
+                "\"rt_factors\":{{\"decode_exact\":{:.5}}}}}"
             ),
             self.name,
             self.utterances,
@@ -159,18 +121,14 @@ impl FrontendReport {
             self.audio_seconds,
             self.scoring_per_frame_s,
             self.scoring_batched_s,
-            self.scoring_fastmath_s,
             self.decode_seed_s,
             self.decode_exact_s,
             self.supervector_s,
             self.svm_score_s,
             self.scoring_speedup(),
-            self.fastmath_speedup(),
             self.decode_speedup(),
             self.decode_speedup(),
             self.rt_exact(),
-            self.fastmath_max_abs_delta,
-            self.fastmath_decision_flips,
         );
         s
     }
@@ -206,11 +164,6 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
     let scoring_batched_s = time_best(4, || {
         for f in &feats {
             score_all_frames_into(&fe.am, f, &mut scores);
-        }
-    });
-    let scoring_fastmath_s = time_best(4, || {
-        for f in &feats {
-            score_all_frames_into_mode(&fe.am, f, ScoringMode::FastMath, &mut scores);
         }
     });
 
@@ -266,37 +219,6 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
         }
     });
 
-    // Fast-math validation: run the whole front-end pipeline — decode,
-    // confusion network, supervector, scaling, SVM — under fast-math and
-    // diff the per-language scores against the exact pipeline's. The SVM
-    // and fusion layers are linear, so a bounded score delta here bounds
-    // the fused-LLR delta downstream.
-    let argmax = |v: &[f32]| {
-        v.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    };
-    let exact_scores: Vec<Vec<f32>> = svs.iter().map(|sv| vsm.scores(sv)).collect();
-    let fast_cfg = DecoderConfig {
-        scoring: ScoringMode::FastMath,
-        ..fe.decoder
-    };
-    let mut fastmath_max_abs_delta = 0.0f64;
-    let mut fastmath_decision_flips = 0usize;
-    for (f, exact) in feats.iter().zip(&exact_scores) {
-        let out = decode_with_scratch(&fe.am, f, &fast_cfg, &mut scratch);
-        let sv = scaler.transformed(&fe.builder.build(&out.network));
-        let fast = vsm.scores(&sv);
-        for (a, b) in fast.iter().zip(exact) {
-            fastmath_max_abs_delta = fastmath_max_abs_delta.max((a - b).abs() as f64);
-        }
-        if argmax(&fast) != argmax(exact) {
-            fastmath_decision_flips += 1;
-        }
-    }
-
     // Seed-path decode reference, timed last: hiding the batched kernel
     // consumes the front-end's scorer, so nothing below may score frames.
     let placeholder: Box<dyn FrameScorer> =
@@ -321,29 +243,15 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
         audio_seconds,
         scoring_per_frame_s,
         scoring_batched_s,
-        scoring_fastmath_s,
         decode_seed_s,
         decode_exact_s,
         supervector_s,
         svm_score_s,
-        fastmath_max_abs_delta,
-        fastmath_decision_flips,
     }
 }
 
 fn main() {
-    // `--require-fastmath-speedup` is perfbaseline-specific; peel it off
-    // before the shared harness parser (which rejects unknown flags).
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    let require_gate = argv.iter().any(|a| a == "--require-fastmath-speedup");
-    argv.retain(|a| a != "--require-fastmath-speedup");
-    let args = HarnessArgs::parse_from(&argv);
-    if let Some(n) = args.threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("configure global thread pool");
-    }
+    let args = HarnessArgs::parse();
     let inv = UniversalInventory::new();
     eprintln!(
         "[perfbaseline] generating dataset: scale={}, seed={}",
@@ -372,33 +280,19 @@ fn main() {
     }
 
     println!(
-        "{:<12} | {:>9} | {:>9} | {:>9} | {:>7} | {:>9} | {:>9} | {:>7} | {:>8}",
-        "Front-end",
-        "score/fr",
-        "score/blk",
-        "score/fm",
-        "fm-up",
-        "dec-seed",
-        "dec-exact",
-        "total",
-        "RT exact"
+        "{:<12} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7} | {:>8}",
+        "Front-end", "score/fr", "score/blk", "dec-seed", "dec-exact", "total", "RT exact"
     );
     for r in &reports {
         println!(
-            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
+            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
             r.name,
             r.scoring_per_frame_s,
             r.scoring_batched_s,
-            r.scoring_fastmath_s,
-            r.fastmath_speedup(),
             r.decode_seed_s,
             r.decode_exact_s,
             r.decode_speedup(),
             r.rt_exact(),
-        );
-        println!(
-            "  fast-math: max |dSVM| = {:.2e}, decision flips = {}/{}",
-            r.fastmath_max_abs_delta, r.fastmath_decision_flips, r.utterances
         );
     }
 
@@ -419,38 +313,4 @@ fn main() {
     json.push_str("]}\n");
     std::fs::write("BENCH_decoder.json", &json).expect("write BENCH_decoder.json");
     eprintln!("[perfbaseline] wrote BENCH_decoder.json");
-
-    if require_gate {
-        let mut failed = false;
-        for r in &reports {
-            if r.fastmath_decision_flips > 0 {
-                eprintln!(
-                    "[perfbaseline] GATE FAIL: {} fast-math flipped {} decisions (must be 0)",
-                    r.name, r.fastmath_decision_flips
-                );
-                failed = true;
-            }
-        }
-        let ratios: Vec<String> = reports
-            .iter()
-            .map(|r| format!("{} {:.2}x", r.name, r.fastmath_speedup()))
-            .collect();
-        let ratios = ratios.join(", ");
-        let best = reports
-            .iter()
-            .map(|r| r.fastmath_speedup())
-            .fold(0.0f64, f64::max);
-        if best < FASTMATH_SPEEDUP_GATE {
-            eprintln!(
-                "[perfbaseline] GATE FAIL: fast-math scoring is slower than exact on every front-end ({ratios})"
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[perfbaseline] fast-math gate passed: 0 flips, fast-math over exact scoring: {ratios}"
-        );
-    }
 }

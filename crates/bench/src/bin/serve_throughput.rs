@@ -125,7 +125,6 @@ fn server_config(args: &Args) -> ServerConfig {
         engine: EngineConfig {
             workers: args.workers,
             queue_capacity: (args.inflight * 4).max(64),
-            fast_math: false,
             unknown_threshold: None,
         },
         max_inflight: args.inflight,

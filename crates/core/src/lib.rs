@@ -56,6 +56,5 @@ pub use dba::{
 pub use experiment::{BaselineRow, Experiment, ExperimentConfig};
 pub use fusion_pipeline::{fuse, fuse_duration, FusedSystem};
 pub use guard::{GuardReport, GuardSet};
-pub use lre_am::ScoringMode;
 pub use subsystem::{balanced_chunk_order, standard_subsystems, Frontend, SubsystemSpec};
 pub use vote::{select_tr_dba, vote_matrix, PseudoLabel, VoteMatrix};

@@ -1,7 +1,7 @@
 //! Token-passing phone-loop Viterbi decoder with confusion-network output.
 
 use crate::confusion::{ConfusionNetwork, SlotEntry};
-use lre_am::{AcousticModel, ScoringMode, StateInventory, STATES_PER_PHONE};
+use lre_am::{AcousticModel, StateInventory, STATES_PER_PHONE};
 use lre_dsp::FrameMatrix;
 
 /// Decoder parameters.
@@ -16,11 +16,20 @@ pub struct DecoderConfig {
     pub top_k: usize,
     /// Temperature on the per-segment phone posteriors (higher = peakier).
     pub posterior_scale: f32,
-    /// Arithmetic used for emission scoring and segment posteriors.
-    /// `Exact` (the default) is bit-identical to the historical decoder;
-    /// `FastMath` swaps in the bounded-error polynomial kernels from
-    /// `lre_am::fastmath` and is opt-in end to end.
-    pub scoring: ScoringMode,
+    #[doc(hidden)]
+    pub scoring: Exact,
+}
+
+// `bench-e2e/src/walk.rs:191` is held byte for byte and still spells its
+// emission call `score_all_frames_into_mode(am, feats, decoder.scoring, buf)`.
+// One arithmetic is left, so the argument is a zero-sized marker, never
+// serialized. ROADMAP item 2 (benchmark v2) deletes this block and the field.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Exact;
+#[doc(hidden)]
+pub fn score_all_frames_into_mode(am: &AcousticModel, f: &FrameMatrix, _: Exact, s: &mut Vec<f32>) {
+    score_all_frames_into(am, f, s)
 }
 
 impl Default for DecoderConfig {
@@ -30,22 +39,21 @@ impl Default for DecoderConfig {
             phone_insertion_log: -1.0,
             top_k: 4,
             posterior_scale: 1.0,
-            scoring: ScoringMode::Exact,
+            scoring: Exact,
         }
     }
 }
 
 impl lre_artifact::ArtifactWrite for DecoderConfig {
     const KIND: [u8; 4] = *b"DCFG";
-    // v2 appended the scoring-mode byte; v3 drops the beam flag and width.
-    const VERSION: u32 = 3;
+    // v3 dropped the beam flag and width; v4 drops the scoring-mode byte.
+    const VERSION: u32 = 4;
 
     fn write_payload(&self, w: &mut lre_artifact::ArtifactWriter) {
         w.put_f32(self.acoustic_scale);
         w.put_f32(self.phone_insertion_log);
         w.put_u32(self.top_k as u32);
         w.put_f32(self.posterior_scale);
-        w.put_u8(self.scoring.to_u8());
     }
 }
 
@@ -57,8 +65,6 @@ impl lre_artifact::ArtifactRead for DecoderConfig {
         let phone_insertion_log = r.get_f32()?;
         let top_k = r.get_u32()? as usize;
         let posterior_scale = r.get_f32()?;
-        let scoring = ScoringMode::from_u8(r.get_u8()?)
-            .ok_or(lre_artifact::ArtifactError::Corrupt("bad scoring mode"))?;
         if top_k == 0 {
             return Err(lre_artifact::ArtifactError::Corrupt(
                 "decoder top_k is zero",
@@ -69,7 +75,7 @@ impl lre_artifact::ArtifactRead for DecoderConfig {
             phone_insertion_log,
             top_k,
             posterior_scale,
-            scoring,
+            scoring: Exact,
         })
     }
 }
@@ -106,24 +112,11 @@ pub fn score_all_frames(am: &AcousticModel, feats: &FrameMatrix) -> Vec<f32> {
 /// repeated decodes can reuse one allocation. Scoring goes through the
 /// scorer's batched [`lre_am::FrameScorer::score_block`] path.
 pub fn score_all_frames_into(am: &AcousticModel, feats: &FrameMatrix, scores: &mut Vec<f32>) {
-    score_all_frames_into_mode(am, feats, ScoringMode::Exact, scores);
-}
-
-/// [`score_all_frames_into`] with an explicit [`ScoringMode`]: `Exact` is
-/// the historical bit-identical batched path, `FastMath` the bounded-error
-/// kernels (see `lre_am::fastmath`).
-pub fn score_all_frames_into_mode(
-    am: &AcousticModel,
-    feats: &FrameMatrix,
-    mode: ScoringMode,
-    scores: &mut Vec<f32>,
-) {
     let s = am.scorer.num_states();
     let t_max = feats.num_frames();
     scores.clear();
     scores.resize(t_max * s, 0.0);
-    am.scorer
-        .score_block_mode(feats.as_slice(), feats.dim(), mode, scores);
+    am.scorer.score_block(feats.as_slice(), feats.dim(), scores);
 }
 
 /// Reusable decoder working memory: emission-score block, Viterbi rows,
@@ -179,7 +172,7 @@ pub fn decode_with_scratch(
         };
     }
 
-    score_all_frames_into_mode(am, feats, cfg.scoring, &mut scratch.scores);
+    score_all_frames_into(am, feats, &mut scratch.scores);
     let scores = &scratch.scores;
     let ascale = cfg.acoustic_scale;
     let (log_self, log_next) = (am.topology.log_self, am.topology.log_next);
@@ -334,16 +327,9 @@ fn segment_slot(
         max = max.max(*ps);
     }
     let mut denom = 0.0f32;
-    if cfg.scoring.is_fast() {
-        for ps in phone_scores.iter_mut() {
-            *ps = lre_am::fastmath::fast_exp(*ps - max);
-            denom += *ps;
-        }
-    } else {
-        for ps in phone_scores.iter_mut() {
-            *ps = (*ps - max).exp();
-            denom += *ps;
-        }
+    for ps in phone_scores.iter_mut() {
+        *ps = (*ps - max).exp();
+        denom += *ps;
     }
 
     // Top-k selection (num_phones is ≤ 64; a partial selection loop is fine).
@@ -479,44 +465,38 @@ mod tests {
     }
 
     #[test]
-    fn decoder_config_artifact_roundtrip_carries_scoring_mode() {
+    fn decoder_config_artifact_roundtrip() {
         use lre_artifact::{ArtifactRead, ArtifactWrite};
-        for scoring in [ScoringMode::Exact, ScoringMode::FastMath] {
-            let cfg = DecoderConfig {
-                scoring,
-                ..Default::default()
-            };
-            let back = DecoderConfig::from_artifact_bytes(&cfg.to_artifact_bytes()).unwrap();
-            assert_eq!(back.scoring, scoring);
-            assert_eq!(back.top_k, cfg.top_k);
-        }
+        let cfg = DecoderConfig {
+            acoustic_scale: 0.25,
+            phone_insertion_log: -2.5,
+            top_k: 7,
+            posterior_scale: 1.5,
+            ..Default::default()
+        };
+        let back = DecoderConfig::from_artifact_bytes(&cfg.to_artifact_bytes()).unwrap();
+        assert_eq!(back.acoustic_scale, cfg.acoustic_scale);
+        assert_eq!(back.phone_insertion_log, cfg.phone_insertion_log);
+        assert_eq!(back.top_k, cfg.top_k);
+        assert_eq!(back.posterior_scale, cfg.posterior_scale);
     }
 
+    /// A v3 payload (the four fields plus a scoring-mode byte) is refused by
+    /// version, not read as four fields with a trailing byte.
     #[test]
-    fn fastmath_decode_tracks_exact_decode() {
-        let am = toy_am();
-        let f = wavy_feats(60);
-        let exact = decode(&am, &f, &DecoderConfig::default());
-        let fast = decode(
-            &am,
-            &f,
-            &DecoderConfig {
-                scoring: ScoringMode::FastMath,
-                ..Default::default()
-            },
-        );
-        assert_eq!(fast.num_frames, exact.num_frames);
-        // Kernel error on emission scores is ≤ 5e-5 per frame; the path
-        // score sums ~60 of them under the acoustic scale, so a loose 1e-2
-        // tolerance is still orders of magnitude above the expected drift.
-        assert!((fast.viterbi_score - exact.viterbi_score).abs() < 1e-2);
-        // On this well-separated toy model the segmentation itself is
-        // stable under the perturbation.
-        assert_eq!(fast.segments, exact.segments);
-        for (fs, es) in fast.network.slots().iter().zip(exact.network.slots()) {
-            assert_eq!(fs[0].phone, es[0].phone);
-            assert!((fs[0].prob - es[0].prob).abs() < 1e-3);
-        }
+    fn previous_format_decoder_config_is_refused_typed() {
+        use lre_artifact::{ArtifactError, ArtifactRead, ArtifactWrite, ArtifactWriter};
+        let mut w = ArtifactWriter::new();
+        DecoderConfig::default().write_payload(&mut w);
+        w.put_u8(0);
+        let v3 = lre_artifact::seal(DecoderConfig::KIND, 3, &w.into_bytes());
+        assert!(matches!(
+            DecoderConfig::from_artifact_bytes(&v3),
+            Err(ArtifactError::UnsupportedVersion {
+                expected: 4,
+                found: 3
+            })
+        ));
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! ## Why two phases
 //!
 //! Staging is the expensive, fallible half (ship the sealed bytes,
-//! decode, validate against the replica's fast-math mode); a replica
-//! that answers `STATUS_OK` to a stage has promised the commit cannot
-//! fail on decode. Commit is a pure pointer swap. So the coordinator
-//! stages everywhere first, and only when *every* replica holds a
-//! validated candidate does it flip them — any stage refusal aborts the
-//! round with the staged copies discarded and the fleet still serving
-//! the baseline. A commit that fails anyway (a replica dying between
+//! decode, build the scorer); a replica that answers `STATUS_OK` to a
+//! stage has promised the commit cannot fail on decode. Commit is a pure
+//! pointer swap. So the coordinator stages everywhere first, and only when
+//! *every* replica holds a validated candidate does it flip them — any
+//! stage refusal aborts the round with the staged copies discarded and the
+//! fleet still serving the baseline. A commit that fails anyway (a replica dying between
 //! phases) triggers the one-deep rollback on every replica that already
 //! flipped, restoring the baseline bit-identically.
 //!

@@ -368,7 +368,6 @@ fn fleet_stats(shared: &Shared) -> FleetStats {
                 agg.shed_global += s.shed_global;
                 agg.swaps += s.swaps;
                 agg.rollbacks += s.rollbacks;
-                agg.fast_math = agg.fast_math.max(s.fast_math);
                 agg.unknown += s.unknown;
                 min_generation = min_generation.min(s.generation);
                 replicas.push(ReplicaStat {

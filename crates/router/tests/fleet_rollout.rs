@@ -53,20 +53,19 @@ fn candidate(v: u8) -> Vec<u8> {
 fn start_replica(accepts_candidates: bool) -> (Server, String) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
     let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(BASELINE)), 0xB00B_5EED));
-    let mut replica = FleetReplica::new(Arc::clone(&handle), Arc::new(VoteLog::new(16)), false);
+    let mut replica = FleetReplica::new(Arc::clone(&handle), Arc::new(VoteLog::new(16)));
     if accepts_candidates {
-        replica.set_validator(|sealed, _fast_math| match sealed {
+        replica.set_validator(|sealed| match sealed {
             [b'M', v] => Ok(candidate_scorer(*v)),
             _ => Err(STATUS_CONFLICT),
         });
     } else {
-        replica.set_validator(|_, _| Err(STATUS_CONFLICT));
+        replica.set_validator(|_| Err(STATUS_CONFLICT));
     }
     let cfg = ServerConfig {
         engine: EngineConfig {
             workers: 1,
             queue_capacity: 32,
-            fast_math: false,
             unknown_threshold: None,
         },
         ..ServerConfig::default()

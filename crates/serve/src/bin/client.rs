@@ -91,7 +91,7 @@ fn connect_with_retry(addr: &str) -> Client {
 /// Print the stats line. The field order is a documented contract (CI
 /// and operators' scripts parse it): `requests completed rejected
 /// max_queue_depth mean_latency_ms max_latency_ms qps expired failed
-/// shed_global generation swaps rollbacks fast_math unknown`. Append new
+/// shed_global generation swaps rollbacks unknown`. Append new
 /// fields at the end; never reorder.
 fn print_stats(s: &StatsSnapshot) {
     let qps = if s.uptime_us > 0 {
@@ -108,7 +108,7 @@ fn print_stats(s: &StatsSnapshot) {
         "stats: requests={} completed={} rejected={} max_queue_depth={} \
          mean_latency_ms={mean_lat_ms:.1} max_latency_ms={:.1} qps={qps:.1} \
          expired={} failed={} shed_global={} generation={} swaps={} rollbacks={} \
-         fast_math={} unknown={}",
+         unknown={}",
         s.requests,
         s.completed,
         s.rejected,
@@ -120,7 +120,6 @@ fn print_stats(s: &StatsSnapshot) {
         s.generation,
         s.swaps,
         s.rollbacks,
-        s.fast_math,
         s.unknown
     );
 }

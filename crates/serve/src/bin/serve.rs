@@ -3,20 +3,13 @@
 //! ```text
 //! lre-serve --bundle PATH [--addr 127.0.0.1:7700] [--workers N]
 //!           [--queue N] [--max-inflight N] [--max-global-inflight N]
-//!           [--fast-math] [--fleet] [--log-capacity N]
+//!           [--fleet] [--log-capacity N]
 //!           [--wal-dir DIR] [--wal-fsync-ms N] [--unknown-threshold LLR]
 //! ```
 //!
 //! `--max-global-inflight` caps score requests outstanding across *all*
 //! connections (0 = unlimited), on top of the per-connection window;
 //! refusals surface as `STATUS_OVERLOADED` and the `shed_global` counter.
-//!
-//! `--fast-math` scores with the bounded-error polynomial kernels instead
-//! of exact libm arithmetic. It is refused unless the bundle was built
-//! with `lre-train-bundle --allow-fast-math`: fast-math trades the
-//! bit-identity contract for speed, so the producer must have opted in.
-//! The active mode is surfaced as the `fast_math` field of the stats
-//! reply.
 //!
 //! `--unknown-threshold LLR` turns on open-set rejection: a scored
 //! utterance whose *best* fused LLR falls below the threshold is still
@@ -39,7 +32,6 @@
 //! state. See `docs/DURABILITY.md`.
 
 use lre_artifact::{crc32, ArtifactRead};
-use lre_dba::ScoringMode;
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
@@ -52,31 +44,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "lre-serve --bundle PATH [--addr HOST:PORT] [--workers N] [--queue N] \
-    [--max-inflight N] [--max-global-inflight N] [--fast-math] [--fleet] \
-    [--log-capacity N] [--wal-dir DIR] [--wal-fsync-ms N] [--unknown-threshold LLR]";
-
-/// `--fast-math` without the bundle's consent is a startup error, not a
-/// silent downgrade: the operator asked for arithmetic the bundle's
-/// producer never validated.
-fn check_fastmath_opt_in(requested: bool, opted_in: bool) {
-    if requested && !opted_in {
-        eprintln!(
-            "error: --fast-math refused: bundle was not built with \
-             --allow-fast-math (its scores were validated under exact \
-             arithmetic only)"
-        );
-        std::process::exit(1);
-    }
-}
+    [--max-inflight N] [--max-global-inflight N] [--fleet] [--log-capacity N] \
+    [--wal-dir DIR] [--wal-fsync-ms N] [--unknown-threshold LLR]";
 
 fn main() {
     let mut args = Args::from_env(USAGE);
     let mut server = ServerArgs::default();
-    let (mut fast_math, mut fleet) = (false, false);
+    let mut fleet = false;
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
             "--queue" => server.cfg.engine.queue_capacity = args.value(&flag),
-            "--fast-math" => fast_math = true,
             "--fleet" => fleet = true,
             other if server.take(other, &mut args) => {}
             other => args.fail(&format!("unknown argument {other}")),
@@ -85,7 +62,7 @@ fn main() {
     let bundle_path = server.bundle(&args);
     let ServerArgs {
         addr,
-        mut cfg,
+        cfg,
         log_capacity,
         wal_dir,
         wal_fsync_ms,
@@ -101,13 +78,7 @@ fn main() {
         bundle.seed,
         bundle.subsystems.len()
     );
-    check_fastmath_opt_in(fast_math, bundle.fastmath_opt_in);
-    let mut system = or_die(ScoringSystem::from_bundle(bundle), "invalid bundle");
-    if fast_math {
-        system.set_scoring_mode(ScoringMode::FastMath);
-        cfg.engine.fast_math = true;
-        eprintln!("[serve] fast-math scoring enabled (bundle opted in)");
-    }
+    let system = or_die(ScoringSystem::from_bundle(bundle), "invalid bundle");
     if let Some(t) = cfg.engine.unknown_threshold {
         eprintln!("[serve] open-set rejection enabled: best-LLR threshold {t}");
     }
@@ -156,11 +127,11 @@ fn main() {
             );
             hooks.durability = Some(Arc::new(WalOnlyDurability::new(Arc::clone(&log))));
             hooks.tap = Some(Arc::clone(&log) as _);
-            FleetReplica::new_durable(Arc::clone(&handle), log, fast_math)
+            FleetReplica::new_durable(Arc::clone(&handle), log)
         } else {
             let log = Arc::new(VoteLog::new(log_capacity));
             hooks.tap = Some(Arc::clone(&log) as _);
-            FleetReplica::new(Arc::clone(&handle), log, fast_math)
+            FleetReplica::new(Arc::clone(&handle), log)
         };
         // Commits and rollbacks land in the flight recorder.
         replica.set_flight(Arc::clone(&obs.flight));

@@ -2,18 +2,12 @@
 //!
 //! ```text
 //! lre-train-bundle [--scale smoke|demo|paper] [--seed N] --out PATH
-//!                  [--guard-out PATH] [--allow-fast-math]
+//!                  [--guard-out PATH]
 //! ```
 //!
 //! `--guard-out` additionally writes the experiment's dev split as a
 //! sealed [`GuardSet`] — the held-back trial set `lre-adaptd`'s eval guard
 //! shadow-scores adaptation candidates on.
-//!
-//! `--allow-fast-math` marks the bundle as safe to serve with
-//! `lre-serve --fast-math`: the producer asserts the bounded-error
-//! polynomial kernels were validated against this model (zero decision
-//! flips on its corpus). Without the flag, `--fast-math` is refused at
-//! serve startup.
 
 use lre_artifact::ArtifactWrite;
 use lre_corpus::Scale;
@@ -24,7 +18,7 @@ use std::path::PathBuf;
 fn usage(msg: &str) -> ! {
     eprintln!(
         "error: {msg}\nusage: lre-train-bundle [--scale smoke|demo|paper] [--seed N] --out PATH \
-         [--guard-out PATH] [--allow-fast-math]"
+         [--guard-out PATH]"
     );
     std::process::exit(2);
 }
@@ -34,7 +28,6 @@ fn main() {
     let mut seed = 42u64;
     let mut out: Option<PathBuf> = None;
     let mut guard_out: Option<PathBuf> = None;
-    let mut allow_fast_math = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -66,7 +59,6 @@ fn main() {
                         .unwrap_or_else(|| usage("missing --guard-out path")),
                 ));
             }
-            "--allow-fast-math" => allow_fast_math = true,
             other => usage(&format!("unknown argument {other}")),
         }
         i += 1;
@@ -86,11 +78,7 @@ fn main() {
     // Snapshot the dev split before the experiment is consumed: it is the
     // adaptation guard's held-back trial set.
     let guard = guard_out.as_ref().map(|_| GuardSet::from_experiment(&exp));
-    let mut bundle = SystemBundle::from_experiment(exp);
-    bundle.fastmath_opt_in = allow_fast_math;
-    if allow_fast_math {
-        eprintln!("[train-bundle] bundle marked fast-math capable (--allow-fast-math)");
-    }
+    let bundle = SystemBundle::from_experiment(exp);
     if let Err(e) = bundle.save_artifact(&out) {
         eprintln!("error: writing {}: {e}", out.display());
         std::process::exit(1);

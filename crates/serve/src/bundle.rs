@@ -10,25 +10,24 @@
 //! in a fresh process reproduces the saved experiment's fused scores to
 //! the last bit (covered by `tests/serve_roundtrip.rs`).
 //!
-//! ## Layout (container version 5)
+//! ## Layout (container version 6)
 //!
 //! Version 2 stored each subsystem as an independently sealed artifact
 //! blob addressed by a `u64` **section offset table**, so a reader can map
 //! one subsystem's bytes without decoding any other. Version 3 added the
 //! SVM training configuration (so online adaptation retrains with exactly
 //! the recipe the bundle was built with) and a [`Lineage`] section tying a
-//! boosted bundle back to its parent. Version 4 added the fast-math opt-in
-//! byte (and its `SUBS` sections embed the v2 `DCFG` payload, which
-//! carries a scoring-mode byte). Version 5 has the same header; its `SUBS`
-//! sections embed the v3 `DCFG` payload (no beam flag), so an older bundle
-//! is refused with a typed version error on both load paths:
+//! boosted bundle back to its parent. Versions 4 and 5 carried a header
+//! flag and a per-subsystem decoder byte selecting an approximate scoring
+//! arithmetic; there is one arithmetic, so version 6 drops the flag and its
+//! `SUBS` v4 sections embed the v4 `DCFG` payload (four fields); an older
+//! bundle is refused with a typed version error. The payload:
 //!
 //! ```text
 //! seed (u64) · scale name (str) · N-gram order (u32)
 //! svm config (inline "SVCF" payload)
 //! lineage: generation (u64) · parent checksum (u32) ·
 //!          selected utts (u32) · vote threshold (u8)
-//! fastmath opt-in (u8)
 //! fusion count (u32) · fusion payloads (inline)
 //! subsystem count n (u32) · offsets (u64 slice, n+1 entries)
 //! section region: n concatenated sealed "SUBS" artifacts
@@ -106,12 +105,6 @@ pub struct SystemBundle {
     pub svm: SvmTrainConfig,
     /// Adaptation provenance ([`Lineage::root`] for offline bundles).
     pub lineage: Lineage,
-    /// Whether the bundle's producer vouched for fast-math serving
-    /// (`lre-train-bundle --allow-fast-math`). `lre-serve --fast-math`
-    /// refuses to start unless this is set: the bounded-error kernels trade
-    /// bit-identity for speed, so the trade must be accepted at training
-    /// time, not sprung on a bundle whose scores were validated exact.
-    pub fastmath_opt_in: bool,
     pub subsystems: Vec<SubsystemBundle>,
     /// Fusion backends indexed like [`Duration::all`].
     pub fusions: Vec<LdaMmiFusion>,
@@ -169,7 +162,6 @@ impl SystemBundle {
             max_order: cfg.max_order as u32,
             svm: cfg.svm,
             lineage: Lineage::root(),
-            fastmath_opt_in: false,
             subsystems,
             fusions,
         }
@@ -178,9 +170,9 @@ impl SystemBundle {
 
 impl ArtifactWrite for SubsystemBundle {
     const KIND: [u8; 4] = *b"SUBS";
-    // v2: the embedded decoder payload is DCFG v2 (adds the scoring byte);
-    // v3: DCFG v3 (drops the beam flag and width).
-    const VERSION: u32 = 3;
+    // Follows the embedded decoder payload: v3 = DCFG v3 (no beam flag and
+    // width), v4 = DCFG v4 (no scoring-mode byte).
+    const VERSION: u32 = 4;
 
     fn write_payload(&self, w: &mut ArtifactWriter) {
         w.put_u8(self.spec_index);
@@ -243,9 +235,9 @@ fn read_lineage(r: &mut ArtifactReader) -> Result<Lineage, ArtifactError> {
 
 impl ArtifactWrite for SystemBundle {
     const KIND: [u8; 4] = *b"BNDL";
-    // v4: adds the fast-math opt-in byte (and SUBS v2 sections);
-    // v5: SUBS v3 sections.
-    const VERSION: u32 = 5;
+    // v5: SUBS v3 sections; v6: SUBS v4 sections, and the scoring-mode
+    // opt-in byte after the lineage is gone.
+    const VERSION: u32 = 6;
 
     fn write_payload(&self, w: &mut ArtifactWriter) {
         w.put_u64(self.seed);
@@ -253,7 +245,6 @@ impl ArtifactWrite for SystemBundle {
         w.put_u32(self.max_order);
         self.svm.write_payload(w);
         write_lineage(w, &self.lineage);
-        w.put_u8(self.fastmath_opt_in as u8);
         w.put_u32(self.fusions.len() as u32);
         for f in &self.fusions {
             f.write_payload(w);
@@ -287,11 +278,6 @@ impl ArtifactRead for SystemBundle {
         let max_order = r.get_u32()?;
         let svm = SvmTrainConfig::read_payload(r)?;
         let lineage = read_lineage(r)?;
-        let fastmath_opt_in = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(ArtifactError::Corrupt("bad fastmath opt-in flag")),
-        };
         let nf = r.get_u32()? as usize;
         let fusions: Vec<LdaMmiFusion> = (0..nf)
             .map(|_| LdaMmiFusion::read_payload(r))
@@ -334,7 +320,6 @@ impl ArtifactRead for SystemBundle {
             max_order,
             svm,
             lineage,
-            fastmath_opt_in,
             subsystems,
             fusions,
         })

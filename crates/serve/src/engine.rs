@@ -58,11 +58,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Queue capacity; submissions beyond it are shed.
     pub queue_capacity: usize,
-    /// Whether the installed scorer runs the fast-math kernels (set by the
-    /// serving binary after the bundle opt-in check). Observability only:
-    /// the mode itself lives in the scorer's decoder configs; this flag
-    /// surfaces it in [`StatsSnapshot`] and the stats wire.
-    pub fast_math: bool,
     /// Open-set rejection threshold on the top fused LLR. `None` (the
     /// default) keeps the closed-set behaviour: every scored utterance is
     /// attributed to its arg-max language. With `Some(t)`, an utterance
@@ -81,7 +76,6 @@ impl Default for EngineConfig {
                 .unwrap_or(2)
                 .min(8),
             queue_capacity: 64,
-            fast_math: false,
             unknown_threshold: None,
         }
     }
@@ -185,10 +179,6 @@ pub struct StatsSnapshot {
     pub swaps: u64,
     /// How many of those installs were guard rollbacks.
     pub rollbacks: u64,
-    /// `1` if the installed scorer runs fast-math kernels, `0` for exact
-    /// arithmetic (a flag carried as a counter so the stats wire stays a
-    /// homogeneous `u64` list).
-    pub fast_math: u64,
     /// Completed utterances flagged open-set `unknown` (top LLR below the
     /// configured threshold). Always 0 without `--unknown-threshold`.
     /// Counted inside `completed` — an unknown is still a scored reply.
@@ -294,7 +284,6 @@ pub struct Engine {
     obs: Option<Arc<ServeObs>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     started: Instant,
-    fast_math: bool,
 }
 
 /// What one worker thread owns besides its [`WorkingSet`].
@@ -537,7 +526,6 @@ impl Engine {
             obs,
             workers: Mutex::new(workers),
             started: Instant::now(),
-            fast_math: cfg.fast_math,
         }
     }
 
@@ -638,7 +626,6 @@ impl Engine {
             generation: self.handle.generation(),
             swaps: self.handle.swap_count(),
             rollbacks: self.handle.rollback_count(),
-            fast_math: self.fast_math as u64,
             unknown: c.unknown.load(Ordering::Relaxed),
         }
     }

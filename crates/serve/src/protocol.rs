@@ -646,7 +646,6 @@ wire_struct!(impl StatsSnapshot {
     generation,
     swaps,
     rollbacks,
-    fast_math,
     unknown
 });
 
@@ -1124,7 +1123,6 @@ mod tests {
             generation: 4,
             swaps: 3,
             rollbacks: 1,
-            fast_math: 1,
             unknown: 6,
         }
     }
@@ -1293,6 +1291,22 @@ mod tests {
         assert!(decode_reply::<MetricsDump>(&encode_ok(&shuffled)).is_err());
         let repeated = vec![entries[1].clone(), entries[1].clone()];
         assert!(decode_reply::<MetricsDump>(&encode_ok(&repeated)).is_err());
+    }
+
+    /// The stats body is fourteen `u64`s. The previous format's fifteen (a
+    /// mode flag sat before `unknown`) must fail as trailing bytes, not
+    /// decode with the flag read as the unknown count.
+    #[test]
+    fn stats_body_is_fourteen_words_and_fifteen_are_refused() {
+        let frame = encode_ok(&stats_example());
+        assert_eq!(frame.len(), 1 + 14 * 8);
+        let mut previous = frame[..1 + 13 * 8].to_vec();
+        previous.extend(1u64.to_le_bytes());
+        previous.extend(6u64.to_le_bytes());
+        assert!(matches!(
+            decode_reply::<StatsSnapshot>(&previous),
+            Err(ArtifactError::TrailingBytes)
+        ));
     }
 
     #[test]

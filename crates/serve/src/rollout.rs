@@ -9,10 +9,9 @@
 //! 1. **Stage** ([`FleetControl::stage`]): decode and fully validate the
 //!    sealed candidate bundle, build the scorer, hold it *unserved*.
 //!    Replying OK is a promise that a later commit cannot fail on decode —
-//!    every failure mode that can be checked has been. A replica running
-//!    fast-math scoring refuses to stage a bundle that has not opted into
-//!    it ([`STATUS_CONFLICT`]), exactly as `lre-serve` refuses to load one
-//!    at startup.
+//!    every failure mode that can be checked has been; bytes that do not
+//!    decode (an older bundle format included) are refused
+//!    [`STATUS_CONFLICT`] with the serving scorer untouched.
 //! 2. **Commit** ([`FleetControl::commit`]): one atomic swap of the staged
 //!    scorer into the serving handle. Refused [`STATUS_CONFLICT`] when
 //!    nothing is staged — a commit can only follow its stage.
@@ -74,18 +73,14 @@ struct ReplicaState {
     previous: Option<Arc<VersionedScorer>>,
 }
 
-/// The stage-time validation seam: sealed bytes (+ the engine's fast-math
-/// mode) to a ready scorer, or a refusal status. Boxed so the state
-/// machine is testable without building a real trained bundle.
-type StageValidator = dyn Fn(&[u8], bool) -> Result<Arc<dyn Scorer>, u8> + Send + Sync;
+/// The stage-time validation seam: sealed bytes to a ready scorer, or a
+/// refusal status. Boxed so the state machine is testable without building
+/// a real trained bundle.
+type StageValidator = dyn Fn(&[u8]) -> Result<Arc<dyn Scorer>, u8> + Send + Sync;
 
-/// The production validator: full seal + decode + scorer construction, and
-/// the same fast-math opt-in gate `lre-serve` applies at startup.
-fn decode_stage(sealed: &[u8], fast_math: bool) -> Result<Arc<dyn Scorer>, u8> {
+/// The production validator: full seal + decode + scorer construction.
+fn decode_stage(sealed: &[u8]) -> Result<Arc<dyn Scorer>, u8> {
     let bundle = SystemBundle::from_artifact_bytes(sealed).map_err(|_| STATUS_CONFLICT)?;
-    if fast_math && !bundle.fastmath_opt_in {
-        return Err(STATUS_CONFLICT);
-    }
     let system = ScoringSystem::from_bundle(bundle).map_err(|_| STATUS_CONFLICT)?;
     Ok(Arc::new(system))
 }
@@ -119,9 +114,6 @@ impl DrainSource {
 pub struct FleetReplica {
     handle: Arc<ScorerHandle>,
     log: DrainSource,
-    /// Whether the hosting engine scores with fast-math; staged bundles
-    /// must opt in, exactly as at startup.
-    fast_math: bool,
     validate: Box<StageValidator>,
     state: Mutex<ReplicaState>,
     /// When wired, commits and rollbacks leave flight-recorder events
@@ -131,27 +123,22 @@ pub struct FleetReplica {
 
 impl FleetReplica {
     /// Wire a replica controller to the handle it swaps and the vote log
-    /// it drains. `fast_math` mirrors the engine's scoring mode.
-    pub fn new(handle: Arc<ScorerHandle>, log: Arc<VoteLog>, fast_math: bool) -> FleetReplica {
-        FleetReplica::with_source(handle, DrainSource::Plain(log), fast_math)
+    /// it drains.
+    pub fn new(handle: Arc<ScorerHandle>, log: Arc<VoteLog>) -> FleetReplica {
+        FleetReplica::with_source(handle, DrainSource::Plain(log))
     }
 
     /// Like [`FleetReplica::new`], but draining through a WAL-backed vote
     /// log, so a router drain truncates the crash-recovery window in the
     /// same stroke.
-    pub fn new_durable(
-        handle: Arc<ScorerHandle>,
-        log: Arc<DurableVoteLog>,
-        fast_math: bool,
-    ) -> FleetReplica {
-        FleetReplica::with_source(handle, DrainSource::Durable(log), fast_math)
+    pub fn new_durable(handle: Arc<ScorerHandle>, log: Arc<DurableVoteLog>) -> FleetReplica {
+        FleetReplica::with_source(handle, DrainSource::Durable(log))
     }
 
-    fn with_source(handle: Arc<ScorerHandle>, log: DrainSource, fast_math: bool) -> FleetReplica {
+    fn with_source(handle: Arc<ScorerHandle>, log: DrainSource) -> FleetReplica {
         FleetReplica {
             handle,
             log,
-            fast_math,
             validate: Box::new(decode_stage),
             state: Mutex::new(ReplicaState {
                 staged: None,
@@ -178,7 +165,7 @@ impl FleetReplica {
     /// decode-and-construct validator installed by [`FleetReplica::new`].
     pub fn set_validator(
         &mut self,
-        validate: impl Fn(&[u8], bool) -> Result<Arc<dyn Scorer>, u8> + Send + Sync + 'static,
+        validate: impl Fn(&[u8]) -> Result<Arc<dyn Scorer>, u8> + Send + Sync + 'static,
     ) {
         self.validate = Box::new(validate);
     }
@@ -215,7 +202,7 @@ impl FleetControl for FleetReplica {
         // Validate everything a commit would need *now*: seal integrity,
         // full decode, scorer construction. After `Ok`, commit is a pure
         // pointer swap that cannot fail.
-        let scorer = (self.validate)(sealed, self.fast_math)?;
+        let scorer = (self.validate)(sealed)?;
         let checksum = crc32(sealed);
         let mut state = self.state.lock().expect("rollout state poisoned");
         // Re-staging replaces a pending candidate; the coordinator aborts
@@ -296,13 +283,10 @@ mod tests {
     /// Sealed candidates a real trained bundle is too expensive to build
     /// for unit tests; the mock validator accepts exactly the bytes
     /// [`candidate`] produces (real decode is covered by the CI fleet
-    /// smoke and the `--ignored` integration tests). It honours the
-    /// fast-math gate the same way: an `F`-prefixed candidate has opted
-    /// in, a plain one is refused when `fast_math` is on.
-    fn mock_validate(sealed: &[u8], fast_math: bool) -> Result<Arc<dyn Scorer>, u8> {
+    /// smoke and the `--ignored` integration tests).
+    fn mock_validate(sealed: &[u8]) -> Result<Arc<dyn Scorer>, u8> {
         match sealed {
-            [b'F', v] => Ok(Arc::new(Marker(f32::from(*v)))),
-            [b'C', v] if !fast_math => Ok(Arc::new(Marker(f32::from(*v)))),
+            [b'C', v] => Ok(Arc::new(Marker(f32::from(*v)))),
             _ => Err(STATUS_CONFLICT),
         }
     }
@@ -311,18 +295,13 @@ mod tests {
         vec![b'C', v]
     }
 
-    fn replica_with(fast_math: bool) -> FleetReplica {
+    fn replica() -> FleetReplica {
         let mut rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
             Arc::new(VoteLog::new(8)),
-            fast_math,
         );
         rep.validate = Box::new(mock_validate);
         rep
-    }
-
-    fn replica() -> FleetReplica {
-        replica_with(false)
     }
 
     #[test]
@@ -374,10 +353,45 @@ mod tests {
         // refusal, not a panic. (Valid-bundle staging is exercised by the
         // CI fleet smoke against real trained bundles.)
         assert_eq!(
-            decode_stage(b"definitely not a sealed bundle", false).err(),
+            decode_stage(b"definitely not a sealed bundle").err(),
             Some(STATUS_CONFLICT)
         );
-        assert_eq!(decode_stage(&[], true).err(), Some(STATUS_CONFLICT));
+        assert_eq!(decode_stage(&[]).err(), Some(STATUS_CONFLICT));
+    }
+
+    /// A sealed bundle in the previous container format (v5: one more byte
+    /// after the lineage) is refused by its version, typed, not parsed at
+    /// shifted offsets; staging it through the production validator leaves
+    /// the replica holding nothing and serving what it served.
+    #[test]
+    fn previous_format_bundle_is_refused_typed_and_never_staged() {
+        let mut w = lre_artifact::ArtifactWriter::new();
+        w.put_u64(7); // seed
+        w.put_str("smoke");
+        w.put_u32(2); // max_order
+        lre_svm::SvmTrainConfig::default().write_payload(&mut w);
+        w.put_bytes(&[0; 17]); // root lineage: u64 · u32 · u32 · u8
+        w.put_u8(0); // the byte version 6 dropped
+        w.put_u32(0); // fusions
+        w.put_u32(0); // subsystems
+        w.put_u64_slice(&[0]);
+        let v5 = lre_artifact::seal(SystemBundle::KIND, 5, &w.into_bytes());
+        assert!(matches!(
+            SystemBundle::from_artifact_bytes(&v5),
+            Err(ArtifactError::UnsupportedVersion {
+                expected: 6,
+                found: 5
+            })
+        ));
+
+        let rep = FleetReplica::new(
+            Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
+            Arc::new(VoteLog::new(8)),
+        );
+        assert_eq!(rep.stage(&v5), Err(STATUS_CONFLICT));
+        assert!(!rep.abort().had_staged);
+        assert_eq!(rep.handle.generation(), 0);
+        assert_eq!(rep.handle.checksum(), 0xAAAA);
     }
 
     #[test]
@@ -423,13 +437,6 @@ mod tests {
         let ack = rep.rollback();
         assert!(!ack.rolled);
         assert_eq!(ack.generation, 2);
-    }
-
-    #[test]
-    fn fast_math_replica_refuses_a_candidate_without_opt_in() {
-        let rep = replica_with(true);
-        assert_eq!(rep.stage(&candidate(1)), Err(STATUS_CONFLICT));
-        assert!(rep.stage(&[b'F', 1]).is_ok());
     }
 
     #[test]
@@ -483,7 +490,6 @@ mod tests {
         let mut rep = FleetReplica::new_durable(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
             Arc::clone(&durable),
-            false,
         );
         rep.validate = Box::new(mock_validate);
 

@@ -5,7 +5,7 @@ use lre_am::frontend::{FeatureExtractor, FEATURE_DIM};
 use lre_am::FeatureKind;
 use lre_artifact::ArtifactError;
 use lre_corpus::Duration;
-use lre_dba::{standard_subsystems, Frontend, ScoringMode};
+use lre_dba::{standard_subsystems, Frontend};
 use lre_dsp::FrameMatrix;
 use lre_eval::ScoreMatrix;
 use lre_lattice::DecodeScratch;
@@ -206,10 +206,6 @@ pub struct ScoringSystem {
     /// The subsystems' shared feature front-end.
     features: FeatureExtractor,
     model: Arc<Model>,
-    /// Scoring arithmetic applied to every front-end's decoder (set once
-    /// at construction via [`ScoringSystem::set_scoring_mode`], before any
-    /// scoring). `Exact` by default.
-    mode: ScoringMode,
 }
 
 fn load_sub(
@@ -271,26 +267,7 @@ impl ScoringSystem {
                 fusions: bundle.fusions,
                 num_classes,
             }),
-            mode: ScoringMode::Exact,
         })
-    }
-
-    /// Switch the scoring arithmetic for every subsystem. Call once at
-    /// startup, before scoring: the serving binary does this after
-    /// verifying the bundle's
-    /// [`crate::bundle::SystemBundle::fastmath_opt_in`] flag.
-    pub fn set_scoring_mode(&mut self, mode: ScoringMode) {
-        self.mode = mode;
-        let model = Arc::get_mut(&mut self.model)
-            .expect("the scoring mode is set before anything is scored");
-        for sub in &mut model.subs {
-            sub.frontend.decoder.scoring = mode;
-        }
-    }
-
-    /// The scoring arithmetic this system applies (serving stats surface).
-    pub fn scoring_mode(&self) -> ScoringMode {
-        self.mode
     }
 
     /// Number of target languages (LLR vector length).

@@ -188,7 +188,6 @@ fn rig_with_capacity(
         EngineConfig {
             workers,
             queue_capacity,
-            fast_math: false,
             unknown_threshold: None,
         },
         Arc::new(ScorerHandle::new(Arc::new(scorer), 0)),

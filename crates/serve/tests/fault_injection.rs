@@ -154,7 +154,6 @@ fn fast_config() -> ServerConfig {
         engine: EngineConfig {
             workers: 2,
             queue_capacity: 64,
-            fast_math: false,
             unknown_threshold: None,
         },
         max_inflight: 4,
@@ -587,7 +586,6 @@ fn two_idle_workers_take_two_queued_jobs_concurrently() {
         EngineConfig {
             workers: 2,
             queue_capacity: 16,
-            fast_math: false,
             unknown_threshold: None,
         },
         Arc::clone(&gate) as _,
@@ -619,7 +617,6 @@ fn engine_shutdown_is_idempotent_and_submissions_after_it_fail_fast() {
         EngineConfig {
             workers: 2,
             queue_capacity: 16,
-            fast_math: false,
             unknown_threshold: None,
         },
         Arc::new(MockScorer { classes: 2 }),

@@ -170,7 +170,6 @@ fn concurrent_swaps_never_tear_model_from_generation() {
         EngineConfig {
             workers: 3,
             queue_capacity: 256,
-            fast_math: false,
             unknown_threshold: None,
         },
         Arc::clone(&handle),
@@ -243,7 +242,6 @@ fn a_swap_landing_while_a_job_is_inside_the_scorer_does_not_change_that_reply() 
             EngineConfig {
                 workers,
                 queue_capacity: 64,
-                fast_math: false,
                 unknown_threshold: None,
             },
             Arc::clone(&handle),
@@ -321,7 +319,6 @@ fn rollback_restores_the_parent_scorer_and_checksum_bit_identically() {
         EngineConfig {
             workers: 2,
             queue_capacity: 64,
-            fast_math: false,
             unknown_threshold: None,
         },
         Arc::clone(&handle),

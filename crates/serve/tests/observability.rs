@@ -47,7 +47,6 @@ fn fast_config() -> ServerConfig {
         engine: EngineConfig {
             workers: 2,
             queue_capacity: 64,
-            fast_math: false,
             unknown_threshold: None,
         },
         max_inflight: 16,

@@ -44,7 +44,6 @@ fn config(unknown_threshold: Option<f32>) -> ServerConfig {
         engine: EngineConfig {
             workers: 2,
             queue_capacity: 64,
-            fast_math: false,
             unknown_threshold,
         },
         max_inflight: 8,

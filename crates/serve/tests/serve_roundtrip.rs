@@ -138,7 +138,6 @@ fn train_save_reload_serve_bit_identical() {
             engine: EngineConfig {
                 workers: 2,
                 queue_capacity: 256,
-                fast_math: false,
                 unknown_threshold: None,
             },
             max_inflight: 8,
@@ -231,7 +230,6 @@ fn train_save_reload_serve_bit_identical() {
         EngineConfig {
             workers: 1,
             queue_capacity: 2,
-            fast_math: false,
             unknown_threshold: None,
         },
         Arc::clone(&system) as _,
@@ -410,7 +408,6 @@ fn serve_tapped(system: &Arc<ScoringSystem>, workers: usize) -> (Server, Arc<Rec
             engine: EngineConfig {
                 workers,
                 queue_capacity: 64,
-                fast_math: false,
                 unknown_threshold: None,
             },
             max_inflight: 8,
@@ -615,7 +612,6 @@ fn corrupt_bundles_fail_with_typed_errors_not_panics() {
     w.put_u32(0); // lineage: parent checksum
     w.put_u32(0); // lineage: selected utts
     w.put_u8(0); // lineage: vote threshold
-    w.put_u8(0); // fastmath opt-in: exact-only
     w.put_u32(0); // zero fusions: caught by the fusion-count check
     w.put_u32(0); // zero subsystems: structurally valid, semantically not
     w.put_u64_slice(&[0]); // a [0] offset table matching "no sections"

@@ -43,7 +43,6 @@ fn start_mock_server() -> Server {
             engine: EngineConfig {
                 workers: 2,
                 queue_capacity: 64,
-                fast_math: false,
                 unknown_threshold: None,
             },
             max_inflight: 32,

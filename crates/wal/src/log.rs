@@ -13,7 +13,10 @@
 //!   background thread fsyncs the file every `fsync_interval` (interval
 //!   zero = fsync inline on every append, and no thread). A kill -9
 //!   therefore loses at most one interval of acknowledged records, and
-//!   never a byte that a [`Wal::sync`] returned for.
+//!   never a byte that a [`Wal::sync`] returned for. A write that fails
+//!   part-way (a full disk) is cut back to the end of the last whole
+//!   record before the error is returned, so the next append cannot land
+//!   behind a partial one.
 //! * **Drain**: [`Wal::clear`] starts the file over as a bare header whose
 //!   `base_seq` is the next sequence number — written under a temp name,
 //!   fsynced, renamed over the log, directory fsynced. A crash at any
@@ -32,7 +35,7 @@ use crate::dir::{fsync_dir, replace_file};
 use lre_artifact::{open_prefix, seal, ArtifactError, HEADER_LEN, MAGIC, TRAILER_LEN};
 use lre_obs::{Counter, FlightRecorder, Histogram, Registry, EV_WAL_RECOVER};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -135,6 +138,16 @@ pub struct WalStatus {
 struct Inner {
     /// The log file, positioned at its end.
     file: File,
+    /// File length at the end of the last whole record: where a failed
+    /// append cuts the file back to.
+    good_len: u64,
+    /// Set when that cut itself failed. The file may end in a partial
+    /// record, and a record appended behind it would make replay refuse the
+    /// whole log, so every later append fails with this instead.
+    uncut: Option<io::ErrorKind>,
+    /// Test seam: the next append writes half its record, then `ENOSPC`.
+    #[cfg(test)]
+    short_write: bool,
     base_seq: u64,
     next_seq: u64,
     /// Records below this are on stable storage.
@@ -146,6 +159,39 @@ struct Inner {
 }
 
 impl Inner {
+    /// Write one record at the end of the file, whole or not at all.
+    fn write_record(&mut self, record: &[u8]) -> io::Result<()> {
+        if let Some(kind) = self.uncut {
+            return Err(io::Error::new(
+                kind,
+                "an earlier failed append left a partial record that could not be cut away",
+            ));
+        }
+        let written = self.write_all_or_short(record);
+        match &written {
+            Ok(()) => self.good_len += record.len() as u64,
+            Err(e) => {
+                let cut = self
+                    .file
+                    .set_len(self.good_len)
+                    .and_then(|()| self.file.seek(SeekFrom::Start(self.good_len)));
+                if cut.is_err() {
+                    self.uncut = Some(e.kind());
+                }
+            }
+        }
+        written
+    }
+
+    fn write_all_or_short(&mut self, record: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.short_write) {
+            self.file.write_all(&record[..record.len() / 2])?;
+            return Err(io::ErrorKind::StorageFull.into());
+        }
+        self.file.write_all(record)
+    }
+
     fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
         self.synced_seq = self.next_seq;
@@ -226,7 +272,7 @@ impl Wal {
         }
 
         let log = path.join(LOG_FILE);
-        let (file, base_seq, records, torn) = match fs::read(&log) {
+        let (file, good_len, base_seq, records, torn) = match fs::read(&log) {
             Ok(bytes) => {
                 let (payload, header_len) = open_prefix(&bytes, LOG_KIND, LOG_VERSION)?;
                 let base_seq = u64::from_le_bytes(
@@ -237,18 +283,18 @@ impl Wal {
                 let (records, torn) =
                     walk_records(&bytes[header_len..], opts.record_kind, opts.record_version)?;
                 let file = OpenOptions::new().append(true).open(&log)?;
+                let clean = (header_len + records.iter().map(Vec::len).sum::<usize>()) as u64;
                 if torn {
                     // Cut the torn bytes away so the stream stays framed.
-                    let clean = header_len + records.iter().map(Vec::len).sum::<usize>();
-                    file.set_len(clean as u64)?;
+                    file.set_len(clean)?;
                     file.sync_data()?;
                 }
-                (file, base_seq, records, u64::from(torn))
+                (file, clean, base_seq, records, u64::from(torn))
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let file = start_log(path, 0)?;
+                let (file, header_len) = start_log(path, 0)?;
                 fsync_dir(path)?;
-                (file, 0, Vec::new(), 0)
+                (file, header_len, 0, Vec::new(), 0)
             }
             Err(e) => return Err(e.into()),
         };
@@ -269,6 +315,10 @@ impl Wal {
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 file,
+                good_len,
+                uncut: None,
+                #[cfg(test)]
+                short_write: false,
                 base_seq,
                 next_seq,
                 synced_seq: next_seq,
@@ -319,7 +369,7 @@ impl Wal {
             return Err(ArtifactError::Corrupt("append of unframed record"));
         }
         let mut inner = self.shared.lock();
-        inner.file.write_all(record)?;
+        inner.write_record(record)?;
         let seq = inner.next_seq;
         inner.next_seq += 1;
         if self.shared.opts.fsync_interval.is_zero() {
@@ -344,7 +394,8 @@ impl Wal {
     /// before the rename the log is unchanged, on disk and in memory.
     pub fn clear(&self) -> Result<(), ArtifactError> {
         let mut inner = self.shared.lock();
-        inner.file = start_log(&self.shared.path, inner.next_seq)?;
+        (inner.file, inner.good_len) = start_log(&self.shared.path, inner.next_seq)?;
+        inner.uncut = None;
         inner.base_seq = inner.next_seq;
         inner.synced_seq = inner.next_seq;
         Ok(fsync_dir(&self.shared.path)?)
@@ -378,11 +429,11 @@ impl Drop for Wal {
 }
 
 /// Put a bare header for `base_seq` in place of the log (temp file, fsync,
-/// rename) and return its handle, positioned for the first append. The
-/// caller fsyncs the directory.
-fn start_log(dir: &Path, base_seq: u64) -> io::Result<File> {
+/// rename) and return its handle, positioned for the first append, and its
+/// length. The caller fsyncs the directory.
+fn start_log(dir: &Path, base_seq: u64) -> io::Result<(File, u64)> {
     let header = seal(LOG_KIND, LOG_VERSION, &base_seq.to_le_bytes());
-    replace_file(dir, LOG_FILE, &header)
+    Ok((replace_file(dir, LOG_FILE, &header)?, header.len() as u64))
 }
 
 fn fsync_loop(shared: &Shared) {
@@ -600,6 +651,77 @@ mod tests {
         }
         let (_, replay) = Wal::open(&d, o, None).unwrap();
         assert_eq!(replay.records.len(), 10);
+        fs::remove_dir_all(&d).ok();
+    }
+
+    /// The disk fills half-way through a record: the append fails, the
+    /// file is cut back to the last whole record, the next append takes the
+    /// number the failed one would have had, and a restart replays every
+    /// acknowledged record. (Left in place, the half record would sit
+    /// *before* the log tail and replay would refuse the whole file.)
+    #[test]
+    fn a_short_write_is_cut_back_so_later_appends_replay() {
+        let d = tmpdir("shortwrite");
+        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        wal.append(&rec(0)).unwrap();
+        wal.append(&rec(1)).unwrap();
+        let whole = fs::metadata(d.join(LOG_FILE)).unwrap().len();
+
+        wal.shared.lock().short_write = true;
+        match wal.append(&rec(2)) {
+            Err(ArtifactError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
+            other => panic!("expected the write error, got {other:?}"),
+        }
+        assert_eq!(fs::metadata(d.join(LOG_FILE)).unwrap().len(), whole);
+        assert_eq!(wal.status().next_seq, 2);
+
+        assert_eq!(wal.append(&rec(3)).unwrap(), 2);
+        drop(wal);
+        let (_, replay) = Wal::open(&d, opts(), None).unwrap();
+        assert_eq!(replay.torn_tail_records, 0);
+        assert_eq!(replay.records, vec![rec(0), rec(1), rec(3)]);
+
+        // The same through the handle a drain leaves (not `O_APPEND`).
+        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        wal.clear().unwrap();
+        wal.shared.lock().short_write = true;
+        assert!(wal.append(&rec(4)).is_err());
+        assert_eq!(wal.append(&rec(5)).unwrap(), 3);
+        drop(wal);
+        let (_, replay) = Wal::open(&d, opts(), None).unwrap();
+        assert_eq!((replay.low_water, replay.records), (3, vec![rec(5)]));
+        fs::remove_dir_all(&d).ok();
+    }
+
+    /// If the cut fails too, the handle refuses every later append instead
+    /// of burying the partial record; a drain starts a fresh file and
+    /// heals it.
+    #[cfg(unix)]
+    #[test]
+    fn a_short_write_that_cannot_be_cut_back_refuses_later_appends() {
+        use std::io::Read;
+        let d = tmpdir("uncut");
+        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        wal.append(&rec(0)).unwrap();
+        // A socket takes the half record and then refuses `set_len`.
+        let (broken, mut peer) = unsyncable_file();
+        let real = std::mem::replace(&mut wal.shared.lock().file, broken);
+        wal.shared.lock().short_write = true;
+        assert!(wal.append(&rec(1)).is_err());
+        match wal.append(&rec(2)) {
+            Err(ArtifactError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
+            other => panic!("expected the standing error, got {other:?}"),
+        }
+        assert_eq!(wal.status().next_seq, 1);
+        // Nothing followed the half record onto the broken handle.
+        drop(std::mem::replace(&mut wal.shared.lock().file, real));
+        let mut landed = Vec::new();
+        peer.read_to_end(&mut landed).unwrap();
+        assert_eq!(landed, rec(1)[..rec(1).len() / 2]);
+
+        assert!(wal.append(&rec(2)).is_err(), "still refused");
+        wal.clear().unwrap();
+        assert_eq!(wal.append(&rec(3)).unwrap(), 1);
         fs::remove_dir_all(&d).ok();
     }
 

@@ -2,8 +2,10 @@
 //!
 //! The log is one file, so the states are few enough to enumerate: the
 //! file cut at *every* byte length (a kill mid-append), a drain
-//! interrupted on either side of its rename, and — the one refusal — a
-//! directory still holding the segmented layout this log replaced.
+//! interrupted on either side of its rename, and — the refusals — a
+//! directory still holding the segmented layout this log replaced, and a
+//! partial record with a whole one behind it, which no crash leaves and
+//! which `append` must therefore never write.
 
 use lre_artifact::{seal, ArtifactError};
 use lre_wal::{Wal, WalOptions, LOG_FILE};
@@ -122,6 +124,33 @@ fn an_interrupted_clear_leaves_the_whole_window_or_the_empty_log() {
     assert!(replay.records.is_empty());
     assert_eq!((replay.low_water, replay.next_seq), (8, 8));
     assert_eq!(wal.append(&rec(0)).unwrap(), 8);
+    fs::remove_dir_all(&d).ok();
+}
+
+/// good · half · good: what a failed `write_all` (a full disk) followed by
+/// a successful append would leave if the failed bytes stayed in the file.
+/// No crash produces it — a crash tears only the tail — so replay refuses
+/// it, and every record after the fault would be lost with it (a later
+/// record shorter than the missing half is worse: it reads as the torn
+/// tail and is cut away silently). `append` cuts a failed write back to the
+/// last whole record so that this image is unreachable (`log.rs`,
+/// `a_short_write_is_cut_back_so_later_appends_replay`).
+#[test]
+fn a_partial_record_before_the_tail_is_refused() {
+    let d = tmpdir("half_mid");
+    let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+    wal.append(&rec(3)).unwrap();
+    drop(wal);
+    let mut image = fs::read(d.join(LOG_FILE)).unwrap();
+    let half = rec(1);
+    image.extend_from_slice(&half[..half.len() / 2]);
+    image.extend_from_slice(&rec(2));
+    fs::write(d.join(LOG_FILE), &image).unwrap();
+    match Wal::open(&d, opts(), None) {
+        Err(ArtifactError::Corrupt(msg)) => assert_eq!(msg, "torn record before log tail"),
+        Err(other) => panic!("expected the torn-record refusal, got {other}"),
+        Ok(_) => panic!("a buried partial record opened"),
+    }
     fs::remove_dir_all(&d).ok();
 }
 
