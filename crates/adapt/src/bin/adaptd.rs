@@ -37,8 +37,8 @@ use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, DurableVoteLog, ScoreTap, ScorerHandle, ScoringSystem, ServeObs, Server,
-    ServerHooks, SystemBundle, DEFAULT_FLIGHT_CAPACITY,
+    vote_wal_options, ScorerHandle, ScoringSystem, ServeObs, Server, ServerHooks, SystemBundle,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use lre_wal::{LineageStore, WalObs};
 use std::net::TcpListener;
@@ -117,70 +117,55 @@ fn main() {
     // chain already has a head, its pristine bytes are the serving
     // bundle — --bundle only roots a fresh chain. The vote WAL replays
     // the buffered adaptation window the previous process never drained.
-    let mut durable_parts = None;
-    if let Some(dir) = &wal_dir {
-        let lineage = or_die(
-            LineageStore::open(&dir.join("lineage")),
-            format!("opening lineage store under {}", dir.display()),
-        );
-        if let Some(head) = lineage.head().copied() {
-            let at_head = format!("lineage head {}", head.generation);
-            bytes = or_die(lineage.load(head.generation), format!("loading {at_head}"));
-            bundle = or_die(
-                SystemBundle::from_artifact_bytes(&bytes),
-                format!("decoding {at_head}"),
+    let mut lineage = None;
+    let log = match &wal_dir {
+        Some(dir) => {
+            let store = or_die(
+                LineageStore::open(&dir.join("lineage")),
+                format!("opening lineage store under {}", dir.display()),
+            );
+            if let Some(head) = store.head().copied() {
+                let at_head = format!("lineage head {}", head.generation);
+                bytes = or_die(store.load(head.generation), format!("loading {at_head}"));
+                bundle = or_die(
+                    SystemBundle::from_artifact_bytes(&bytes),
+                    format!("decoding {at_head}"),
+                );
+                eprintln!(
+                    "[adaptd] resuming from lineage head: generation {} ({} chain entries, {} retained)",
+                    head.generation,
+                    store.entries().len(),
+                    store.retained()
+                );
+            }
+            lineage = Some((store, keep_generations));
+            let mut opts = vote_wal_options();
+            opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
+            let wal_obs = WalObs::new(&obs.registry, Some(Arc::clone(&obs.flight)));
+            let (log, recovery) = or_die(
+                VoteLog::open(&dir.join("votes"), log_capacity, opts, Some(wal_obs)),
+                format!("opening vote WAL under {}", dir.display()),
             );
             eprintln!(
-                "[adaptd] resuming from lineage head: generation {} ({} chain entries, {} retained)",
-                head.generation,
-                lineage.entries().len(),
-                lineage.retained()
+                "[adaptd] vote WAL recovered: {} records replayed, {} torn records skipped",
+                recovery.replayed, recovery.torn
             );
+            log
         }
-        let mut opts = vote_wal_options();
-        opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
-        let wal_obs = WalObs::new(&obs.registry, Some(Arc::clone(&obs.flight)));
-        let (durable, recovery) = or_die(
-            DurableVoteLog::open(&dir.join("votes"), log_capacity, opts, Some(wal_obs)),
-            format!("opening vote WAL under {}", dir.display()),
-        );
-        eprintln!(
-            "[adaptd] vote WAL recovered: {} records replayed, {} torn records skipped",
-            recovery.replayed, recovery.torn
-        );
-        durable_parts = Some((Arc::new(durable), lineage));
-    }
+        None => VoteLog::new(log_capacity),
+    };
+    let log = Arc::new(log);
 
     let system = Arc::new(or_die(ScoringSystem::from_bundle(bundle), "invalid bundle"));
     let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(&bytes)));
-    let durable_hook = durable_parts.is_some();
-    let (controller, tap): (_, Arc<dyn ScoreTap>) = match durable_parts {
-        Some((durable, lineage)) => (
-            AdaptController::new_durable(
-                Arc::clone(&handle),
-                Arc::clone(&durable),
-                lineage,
-                keep_generations,
-                guard,
-                bytes,
-                guard_args.adapt,
-            ),
-            durable as _,
-        ),
-        None => {
-            let log = Arc::new(VoteLog::new(log_capacity));
-            (
-                AdaptController::new(
-                    Arc::clone(&handle),
-                    Arc::clone(&log),
-                    guard,
-                    bytes,
-                    guard_args.adapt,
-                ),
-                log as _,
-            )
-        }
-    };
+    let controller = AdaptController::new(
+        Arc::clone(&handle),
+        Arc::clone(&log),
+        lineage,
+        guard,
+        bytes,
+        guard_args.adapt,
+    );
     let mut controller = or_die(controller, "wiring adaptation controller");
     controller.set_flight(Arc::clone(&obs.flight));
     let controller = Arc::new(controller);
@@ -199,10 +184,10 @@ fn main() {
 
     let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
     let hooks = ServerHooks {
-        tap: Some(tap),
+        tap: Some(log as _),
         control: Some(Arc::clone(&controller) as _),
         fleet: None,
-        durability: durable_hook.then(|| Arc::clone(&controller) as _),
+        durability: wal_dir.is_some().then(|| Arc::clone(&controller) as _),
         obs: Some(obs),
     };
     let server = or_die(

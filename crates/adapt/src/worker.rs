@@ -31,8 +31,8 @@ use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_ROLLBACK, EV_
 use lre_serve::args::Args;
 use lre_serve::protocol::{RollbackToAck, STATUS_CONFLICT, STATUS_INTERNAL, STATUS_UNSUPPORTED};
 use lre_serve::{
-    wal_status_info, AdaptControl, AdaptReport, DurabilityControl, DurableVoteLog, ScorerHandle,
-    ScoringSystem, SystemBundle, VersionedScorer, VoteLog, VoteRecord, WalStatusInfo, ADAPT_FAILED,
+    wal_status_info, AdaptControl, AdaptReport, DurabilityControl, ScorerHandle, ScoringSystem,
+    SystemBundle, VersionedScorer, VoteLog, VoteRecord, WalStatusInfo, ADAPT_FAILED,
     ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 use lre_svm::OneVsRest;
@@ -149,6 +149,58 @@ pub enum RoundOutcome {
     Candidate(CandidateBundle),
 }
 
+impl RoundOutcome {
+    /// What either coordinator does with a round's verdict: the candidate
+    /// to promote, or the report that ends the cycle (`generation` is what
+    /// the reporter serves). The guard's verdict — selected, drained, EER
+    /// and min-Cavg deltas — goes to `flight` under the label `who`.
+    pub fn judged(
+        self,
+        who: &str,
+        generation: u64,
+        flight: Option<&FlightRecorder>,
+    ) -> Result<CandidateBundle, AdaptReport> {
+        let verdict = |kind, selected: u32, drained: u32, eer_delta, cavg_delta| {
+            if let Some(f) = flight {
+                let (selected, drained) = (u64::from(selected), u64::from(drained));
+                f.record(kind, who, selected, drained, eer_delta, cavg_delta);
+            }
+        };
+        match self {
+            RoundOutcome::Insufficient { drained } => Err(AdaptReport {
+                outcome: ADAPT_INSUFFICIENT_DATA,
+                generation,
+                selected: 0,
+                drained,
+            }),
+            RoundOutcome::RejectedGuard {
+                selected,
+                drained,
+                eer_delta,
+                cavg_delta,
+            } => {
+                verdict(EV_GUARD_REJECT, selected, drained, eer_delta, cavg_delta);
+                Err(AdaptReport {
+                    outcome: ADAPT_REJECTED_GUARD,
+                    generation,
+                    selected,
+                    drained,
+                })
+            }
+            RoundOutcome::Candidate(c) => {
+                verdict(
+                    EV_GUARD_ACCEPT,
+                    c.selected,
+                    c.drained,
+                    c.eer_delta,
+                    c.cavg_delta,
+                );
+                Ok(c)
+            }
+        }
+    }
+}
+
 /// One DBA boosting round as a pure function: records in, sealed
 /// guard-approved candidate (or a typed refusal) out. Shared by the
 /// single-process [`AdaptController`] and the fleet router's adaptation
@@ -251,30 +303,12 @@ struct CtlState {
     previous: Option<(Arc<VersionedScorer>, Arc<Vec<u8>>, u64)>,
 }
 
-/// Where the controller drains its adaptation window from: the plain
-/// in-memory log, or the WAL-backed one (whose drains also logically
-/// truncate the on-disk log).
-enum CtlDrain {
-    Plain(Arc<VoteLog>),
-    Durable(Arc<DurableVoteLog>),
-}
-
-impl CtlDrain {
-    fn drain_at_least(&self, min: usize) -> Result<Vec<VoteRecord>, usize> {
-        match self {
-            CtlDrain::Plain(log) => log.drain_at_least(min),
-            CtlDrain::Durable(log) => log.drain_at_least(min),
-        }
-    }
-}
-
-/// The durable half of a controller: the WAL-backed vote log plus the
-/// generation-lineage chain and its retention policy.
-struct CtlDurability {
-    durable: Arc<DurableVoteLog>,
+/// The generation-lineage chain of a durable controller, and its
+/// retention policy.
+struct CtlLineage {
     /// The controller's state mutex serializes promotes and deep
     /// rollbacks; this inner lock only guards status reads racing them.
-    lineage: Mutex<LineageStore>,
+    store: Mutex<LineageStore>,
     /// Retained generations after each promote's GC; 0 = unlimited.
     keep_generations: usize,
 }
@@ -293,8 +327,8 @@ fn lineage_err(e: LineageError) -> ArtifactError {
 /// history for one serving handle.
 pub struct AdaptController {
     handle: Arc<ScorerHandle>,
-    log: CtlDrain,
-    durability: Option<CtlDurability>,
+    log: Arc<VoteLog>,
+    lineage: Option<CtlLineage>,
     guard: GuardSet,
     cfg: AdaptConfig,
     state: Mutex<CtlState>,
@@ -309,71 +343,23 @@ pub struct AdaptController {
 
 impl AdaptController {
     /// Wire a controller to the serving handle it adapts, the vote log the
-    /// engine taps into, the held-back guard set, and the sealed bytes of
-    /// the bundle currently installed in `handle` (validated by decode).
+    /// engine taps into (over a WAL or not), the held-back guard set, and
+    /// the sealed bytes of the bundle currently installed in `handle`
+    /// (validated by decode).
+    ///
+    /// With `lineage` — the chain and how many generations to retain — the
+    /// controller is durable: every promoted generation is sealed into the
+    /// chain *before* it swaps into serving, so
+    /// [`AdaptController::rollback_to`] can restore any retained
+    /// generation bit-identically. An empty chain is rooted with
+    /// `bundle_bytes`; otherwise the serving bundle must be the chain head
+    /// (start from [`LineageStore::head`]'s bytes after a restart). After
+    /// each promote the oldest generations beyond the newest
+    /// `keep_generations` are pruned (0 = keep everything).
     pub fn new(
         handle: Arc<ScorerHandle>,
         log: Arc<VoteLog>,
-        guard: GuardSet,
-        bundle_bytes: Vec<u8>,
-        cfg: AdaptConfig,
-    ) -> Result<AdaptController, ArtifactError> {
-        AdaptController::build(handle, CtlDrain::Plain(log), None, guard, bundle_bytes, cfg)
-    }
-
-    /// Like [`AdaptController::new`] but durable: the window drains from a
-    /// WAL-backed vote log, and every promoted generation is sealed into
-    /// the lineage chain *before* it swaps into serving, so
-    /// [`AdaptController::rollback_to`] can restore any retained
-    /// generation bit-identically. Roots the chain with `bundle_bytes` if
-    /// it is empty; if it is not, the serving bundle must be the chain
-    /// head (start from [`LineageStore::head`]'s bytes after a restart).
-    ///
-    /// `keep_generations` bounds the chain's retained bytes: after each
-    /// promote the oldest generations beyond the newest N are pruned
-    /// (0 = keep everything).
-    pub fn new_durable(
-        handle: Arc<ScorerHandle>,
-        durable: Arc<DurableVoteLog>,
-        mut lineage: LineageStore,
-        keep_generations: usize,
-        guard: GuardSet,
-        bundle_bytes: Vec<u8>,
-        cfg: AdaptConfig,
-    ) -> Result<AdaptController, ArtifactError> {
-        match lineage.head() {
-            None => lineage
-                .record_root(&bundle_bytes, {
-                    SystemBundle::from_artifact_bytes(&bundle_bytes)?
-                        .lineage
-                        .generation
-                })
-                .map_err(lineage_err)?,
-            Some(head) if head.checksum != bundle_checksum(&bundle_bytes) => {
-                return Err(ArtifactError::Corrupt(
-                    "serving bundle is not the lineage chain head",
-                ));
-            }
-            Some(_) => {}
-        }
-        AdaptController::build(
-            handle,
-            CtlDrain::Durable(Arc::clone(&durable)),
-            Some(CtlDurability {
-                durable,
-                lineage: Mutex::new(lineage),
-                keep_generations,
-            }),
-            guard,
-            bundle_bytes,
-            cfg,
-        )
-    }
-
-    fn build(
-        handle: Arc<ScorerHandle>,
-        log: CtlDrain,
-        durability: Option<CtlDurability>,
+        lineage: Option<(LineageStore, usize)>,
         guard: GuardSet,
         bundle_bytes: Vec<u8>,
         cfg: AdaptConfig,
@@ -383,10 +369,29 @@ impl AdaptController {
             return Err(ArtifactError::Corrupt("guard/bundle subsystem counts"));
         }
         let lineage_generation = bundle.lineage.generation;
+        let lineage = lineage
+            .map(|(mut store, keep_generations)| {
+                match store.head() {
+                    None => store
+                        .record_root(&bundle_bytes, lineage_generation)
+                        .map_err(lineage_err)?,
+                    Some(head) if head.checksum != bundle_checksum(&bundle_bytes) => {
+                        return Err(ArtifactError::Corrupt(
+                            "serving bundle is not the lineage chain head",
+                        ));
+                    }
+                    Some(_) => {}
+                }
+                Ok(CtlLineage {
+                    store: Mutex::new(store),
+                    keep_generations,
+                })
+            })
+            .transpose()?;
         Ok(AdaptController {
             handle,
             log,
-            durability,
+            lineage,
             guard,
             cfg,
             state: Mutex::new(CtlState {
@@ -405,8 +410,8 @@ impl AdaptController {
     /// Attach a flight recorder (call before sharing the controller):
     /// guard verdicts, promotions and rollbacks are recorded as events.
     pub fn set_flight(&mut self, flight: Arc<FlightRecorder>) {
-        if let Some(d) = &self.durability {
-            d.lineage
+        if let Some(l) = &self.lineage {
+            l.store
                 .lock()
                 .expect("lineage store poisoned")
                 .set_flight(Arc::clone(&flight));
@@ -438,84 +443,45 @@ impl AdaptController {
     /// Run one adaptation cycle synchronously. Never panics on bad data —
     /// internal failures come back as `ADAPT_FAILED` reports.
     pub fn run_cycle(&self) -> AdaptReport {
-        match self.try_cycle() {
-            Ok(report) => report,
-            Err(_) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                AdaptReport {
-                    outcome: ADAPT_FAILED,
-                    generation: self.handle.generation(),
-                    selected: 0,
-                    drained: 0,
-                }
-            }
-        }
+        let report = self.try_cycle().unwrap_or_else(|_| AdaptReport {
+            outcome: ADAPT_FAILED,
+            generation: self.handle.generation(),
+            selected: 0,
+            drained: 0,
+        });
+        let counter = match report.outcome {
+            ADAPT_PROMOTED => &self.promoted,
+            ADAPT_REJECTED_GUARD => &self.rejected_guard,
+            ADAPT_INSUFFICIENT_DATA => &self.insufficient_data,
+            _ => &self.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        report
     }
 
     fn try_cycle(&self) -> Result<AdaptReport, ArtifactError> {
-        let records = match self.log.drain_at_least(self.cfg.min_utts) {
-            Ok(r) => r,
-            Err(_) => {
-                self.insufficient_data.fetch_add(1, Ordering::Relaxed);
-                return Ok(AdaptReport {
-                    outcome: ADAPT_INSUFFICIENT_DATA,
-                    generation: self.handle.generation(),
-                    selected: 0,
-                    drained: 0,
-                });
-            }
+        let Ok(records) = self.log.drain_at_least(self.cfg.min_utts) else {
+            return Ok(AdaptReport {
+                outcome: ADAPT_INSUFFICIENT_DATA,
+                generation: self.handle.generation(),
+                selected: 0,
+                drained: 0,
+            });
         };
 
         // Serialize cycles (and rollbacks) end to end: selection, retrain
         // and swap must all act on one consistent parent.
         let mut state = self.state.lock().expect("adapt state poisoned");
         let parent_bytes = Arc::clone(&state.current_bytes);
-        let candidate = match boost_round(&parent_bytes, &records, &self.guard, &self.cfg)? {
-            RoundOutcome::Insufficient { drained } => {
-                self.insufficient_data.fetch_add(1, Ordering::Relaxed);
-                return Ok(AdaptReport {
-                    outcome: ADAPT_INSUFFICIENT_DATA,
-                    generation: self.handle.generation(),
-                    selected: 0,
-                    drained,
-                });
-            }
-            RoundOutcome::RejectedGuard {
-                selected,
-                drained,
-                eer_delta,
-                cavg_delta,
-            } => {
-                self.rejected_guard.fetch_add(1, Ordering::Relaxed);
-                if let Some(f) = &self.flight {
-                    f.record(
-                        EV_GUARD_REJECT,
-                        "adapt guard",
-                        u64::from(selected),
-                        u64::from(drained),
-                        eer_delta,
-                        cavg_delta,
-                    );
-                }
-                return Ok(AdaptReport {
-                    outcome: ADAPT_REJECTED_GUARD,
-                    generation: self.handle.generation(),
-                    selected,
-                    drained,
-                });
-            }
-            RoundOutcome::Candidate(c) => c,
+        let round = boost_round(&parent_bytes, &records, &self.guard, &self.cfg)?;
+        let mut candidate = match round.judged(
+            "adapt guard",
+            self.handle.generation(),
+            self.flight.as_deref(),
+        ) {
+            Ok(candidate) => candidate,
+            Err(report) => return Ok(report),
         };
-        if let Some(f) = &self.flight {
-            f.record(
-                EV_GUARD_ACCEPT,
-                "adapt guard",
-                u64::from(candidate.selected),
-                u64::from(candidate.drained),
-                candidate.eer_delta,
-                candidate.cavg_delta,
-            );
-        }
 
         // Make the promote durable before it is visible. Generations are
         // contiguous serve events: if a deep rollback moved serving off
@@ -523,9 +489,8 @@ impl AdaptController {
         // (its parent pointer still names the rolled-back generation).
         // The append lands on disk before the swap, so a bundle is never
         // served that the chain cannot restore.
-        let mut candidate = candidate;
-        if let Some(d) = &self.durability {
-            let mut lineage = d.lineage.lock().expect("lineage store poisoned");
+        if let Some(l) = &self.lineage {
+            let mut lineage = l.store.lock().expect("lineage store poisoned");
             if let Some(head) = lineage.head() {
                 let next = head.generation + 1;
                 if candidate.lineage_generation != next {
@@ -544,8 +509,8 @@ impl AdaptController {
                     candidate.selected,
                 )
                 .map_err(lineage_err)?;
-            if d.keep_generations > 0 {
-                let _ = lineage.gc(d.keep_generations, None);
+            if l.keep_generations > 0 {
+                let _ = lineage.gc(l.keep_generations, None);
             }
         }
 
@@ -558,7 +523,6 @@ impl AdaptController {
         state.previous = Some((displaced, parent_bytes, state.lineage_generation));
         state.current_bytes = Arc::new(candidate.bytes);
         state.lineage_generation = candidate.lineage_generation;
-        self.promoted.fetch_add(1, Ordering::Relaxed);
         if let Some(f) = &self.flight {
             f.record(
                 EV_SWAP,
@@ -595,18 +559,14 @@ impl AdaptController {
     }
 
     /// Point-in-time WAL + lineage summary. A controller running without
-    /// a WAL reports the zeroed status (with `chain_ok` vacuously true).
+    /// either reports the zeroed status (with `chain_ok` vacuously true).
     pub fn wal_status(&self) -> WalStatusInfo {
-        match &self.durability {
-            Some(d) => {
-                let lineage = d.lineage.lock().expect("lineage store poisoned");
-                wal_status_info(&d.durable.wal().status(), Some(&lineage))
-            }
-            None => WalStatusInfo {
-                chain_ok: true,
-                ..WalStatusInfo::default()
-            },
-        }
+        let wal = self.log.wal_status().unwrap_or_default();
+        let lineage = self
+            .lineage
+            .as_ref()
+            .map(|l| l.store.lock().expect("lineage store poisoned"));
+        wal_status_info(&wal, lineage.as_deref())
     }
 
     /// Deep rollback: load generation `generation`'s pristine sealed
@@ -618,12 +578,12 @@ impl AdaptController {
     /// serving model's parent. Unknown or pruned generations are refused
     /// with `STATUS_CONFLICT`.
     pub fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8> {
-        let Some(d) = &self.durability else {
+        let Some(l) = &self.lineage else {
             return Err(STATUS_UNSUPPORTED);
         };
         let mut state = self.state.lock().expect("adapt state poisoned");
         let bytes = {
-            let lineage = d.lineage.lock().expect("lineage store poisoned");
+            let lineage = l.store.lock().expect("lineage store poisoned");
             lineage.load(generation).map_err(|e| match e {
                 LineageError::UnknownGeneration(_) | LineageError::Pruned(_) => STATUS_CONFLICT,
                 LineageError::Artifact(_) | LineageError::BrokenChain(_) => STATUS_INTERNAL,

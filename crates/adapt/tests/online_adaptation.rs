@@ -24,8 +24,8 @@ use lre_eval::ScoreMatrix;
 use lre_serve::client::ScoreReply;
 use lre_serve::protocol::STATUS_CONFLICT;
 use lre_serve::{
-    vote_wal_options, Client, DurableVoteLog, EngineConfig, ScorerHandle, ScoringSystem, Server,
-    ServerConfig, ServerHooks, SystemBundle, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    vote_wal_options, Client, EngineConfig, ScorerHandle, ScoringSystem, Server, ServerConfig,
+    ServerHooks, SystemBundle, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 use lre_wal::LineageStore;
 use std::net::TcpListener;
@@ -143,6 +143,7 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
         AdaptController::new(
             Arc::clone(&handle),
             Arc::clone(&log),
+            None,
             guard,
             fx.bytes.clone(),
             cfg,
@@ -182,7 +183,7 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
 /// the `lre-adaptd --wal-dir` recovery path.
 struct DurableHarness {
     h: Harness,
-    durable: Arc<DurableVoteLog>,
+    durable: Arc<VoteLog>,
     /// Vote records replayed from the WAL at open.
     replayed: u64,
     /// Lineage generation serving resumed from (0 on a fresh chain).
@@ -204,15 +205,14 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
     let mut opts = vote_wal_options();
     opts.fsync_interval = std::time::Duration::ZERO; // every append durable
     let (durable, recovery) =
-        DurableVoteLog::open(&dir.join("votes"), 4096, opts, None).expect("vote WAL opens");
+        VoteLog::open(&dir.join("votes"), 4096, opts, None).expect("vote WAL opens");
     let durable = Arc::new(durable);
     let guard = GuardSet::from_artifact_bytes(&fx.guard_bytes).expect("guard reloads");
     let controller = Arc::new(
-        AdaptController::new_durable(
+        AdaptController::new(
             Arc::clone(&handle),
             Arc::clone(&durable),
-            lineage,
-            keep,
+            Some((lineage, keep)),
             guard,
             bytes,
             cfg,

@@ -2,222 +2,27 @@
 //! the efficient way to regenerate the full evaluation section
 //! (the per-table binaries each rebuild the experiment).
 
-use lre_bench::{pct, print_dba_table, HarnessArgs};
-use lre_corpus::Duration;
-use lre_dba::{
-    dba::{baseline_votes, run_dba},
-    fuse_duration, select_tr_dba, DbaVariant, Experiment,
+use lre_bench::{
+    print_dba_table, print_figure3, print_headline, print_table1, print_table4, DbaAtV3,
+    HarnessArgs,
 };
-use lre_eval::{det_curve, min_cavg, pooled_eer, probit, split_trials, CavgParams, ScoreMatrix};
-use std::io::Write;
+use lre_dba::DbaVariant;
 
 fn main() {
     let args = HarnessArgs::parse();
     let exp = args.build_experiment();
-    let p = CavgParams::default();
 
-    // ------------------------------------------------------------- Table 1
     println!("\n==================== TABLE 1 ====================");
-    let mut numbers = [0usize; 6];
-    let mut wrongs = [0usize; 6];
-    let mut pool = 0usize;
-    for &d in Duration::all().iter() {
-        let votes = baseline_votes(&exp, d);
-        let truth = &exp.test_labels[Experiment::duration_index(d)];
-        pool += truth.len();
-        for v in 1..=6u8 {
-            let sel = select_tr_dba(&votes, v);
-            numbers[(v - 1) as usize] += sel.len();
-            wrongs[(v - 1) as usize] += sel.iter().filter(|s| s.label != truth[s.utt]).count();
-        }
-    }
-    println!("test pool: {pool} utterances (all durations)");
-    print!("{:<12}", "");
-    for v in (1..=6usize).rev() {
-        print!(" | V = {v}    ");
-    }
-    println!();
-    print!("{:<12}", "number");
-    for v in (1..=6usize).rev() {
-        print!(" | {:<9}", numbers[v - 1]);
-    }
-    println!();
-    print!("{:<12}", "error rate");
-    for v in (1..=6usize).rev() {
-        let n = numbers[v - 1];
-        print!(
-            " | {:<8.2}%",
-            if n == 0 {
-                0.0
-            } else {
-                100.0 * wrongs[v - 1] as f64 / n as f64
-            }
-        );
-    }
-    println!();
-
-    // --------------------------------------------------------- Tables 2 & 3
+    print_table1(&exp);
     println!("\n==================== TABLE 2 ====================");
     print_dba_table(&exp, DbaVariant::M1, &args);
     println!("\n==================== TABLE 3 ====================");
     print_dba_table(&exp, DbaVariant::M2, &args);
-
-    // ------------------------------------------------------------- Table 4
     println!("\n==================== TABLE 4 ====================");
-    let m1 = run_dba(&exp, DbaVariant::M1, 3);
-    let m2 = run_dba(&exp, DbaVariant::M2, 3);
-    let cell = |m: &ScoreMatrix, labels: &[usize]| -> String {
-        format!(
-            "{}/{}",
-            pct(pooled_eer(m, labels)),
-            pct(min_cavg(m, labels, &p))
-        )
-    };
-    println!(
-        "{:<10}{:<14}| 30s          | 10s          | 3s",
-        "System", ""
-    );
-    for (q, fe) in exp.frontends.iter().enumerate() {
-        print!(
-            "{:<10}{:<14}",
-            if q == 0 { "Baseline" } else { "" },
-            fe.spec.name
-        );
-        for &d in Duration::all().iter() {
-            let di = Experiment::duration_index(d);
-            print!(
-                "| {:<13}",
-                cell(&exp.baseline_test_scores[q][di], &exp.test_labels[di])
-            );
-        }
-        println!();
-    }
-    let mut baseline_fused = Vec::new();
-    print!("{:<10}{:<14}", "", "fusion");
-    for &d in Duration::all().iter() {
-        let di = Experiment::duration_index(d);
-        let fused = fuse_duration(
-            &exp,
-            &exp.baseline_dev_scores,
-            &exp.baseline_test_scores
-                .iter()
-                .map(|per| per[di].clone())
-                .collect::<Vec<_>>(),
-            d,
-            None,
-        );
-        print!("| {:<13}", cell(&fused.test_scores, &exp.test_labels[di]));
-        baseline_fused.push(fused.test_scores);
-    }
-    println!();
-    let mut dba_fused = Vec::new();
-    for (q, fe) in exp.frontends.iter().enumerate() {
-        print!(
-            "{:<10}{:<14}",
-            if q == 0 { "DBA" } else { "" },
-            fe.spec.name
-        );
-        for &d in Duration::all().iter() {
-            let di = Experiment::duration_index(d);
-            let labels = &exp.test_labels[di];
-            let (e1, e2) = (
-                pooled_eer(&m1.test_scores[di][q], labels),
-                pooled_eer(&m2.test_scores[di][q], labels),
-            );
-            let best = if e1 <= e2 {
-                &m1.test_scores[di][q]
-            } else {
-                &m2.test_scores[di][q]
-            };
-            print!("| {:<13}", cell(best, labels));
-        }
-        println!();
-    }
-    print!("{:<10}{:<14}", "", "fusion(M1+M2)");
-    let mut m1m2_fused = Vec::new();
-    for &d in Duration::all().iter() {
-        let di = Experiment::duration_index(d);
-        let labels = &exp.test_labels[di];
-        let mut dev = Vec::new();
-        let mut test = Vec::new();
-        let mut counts = Vec::new();
-        for out in [&m1, &m2] {
-            dev.extend(out.dev_scores.iter().cloned());
-            test.extend(out.test_scores[di].iter().cloned());
-            counts.extend(out.criterion_counts.iter().copied());
-        }
-        let fused = fuse_duration(&exp, &dev, &test, d, Some(&counts));
-        print!("| {:<13}", cell(&fused.test_scores, labels));
-        m1m2_fused.push(fused.test_scores);
-    }
-    println!();
-    // M2-only fusion: at reproduction scale DBA-M1 is data-starved on long
-    // segments (hundreds of pseudo-labels vs the paper's ~16k), so the
-    // six-system M2 fusion is the stronger DBA system; reported separately.
-    print!("{:<10}{:<14}", "", "fusion(M2)");
-    for &d in Duration::all().iter() {
-        let di = Experiment::duration_index(d);
-        let labels = &exp.test_labels[di];
-        let fused = fuse_duration(
-            &exp,
-            &m2.dev_scores,
-            &m2.test_scores[di],
-            d,
-            Some(&m2.criterion_counts),
-        );
-        print!("| {:<13}", cell(&fused.test_scores, labels));
-        dba_fused.push(fused.test_scores);
-    }
-    println!();
-    let _ = m1m2_fused;
-
-    // ------------------------------------------------------------- Figure 3
+    let v3 = DbaAtV3::run(&exp);
+    print_table4(&exp, &v3);
     println!("\n==================== FIGURE 3 ====================");
-    let dir = std::path::Path::new("target/figure3");
-    std::fs::create_dir_all(dir).expect("mkdir");
-    for (di, &d) in Duration::all().iter().enumerate() {
-        let labels = &exp.test_labels[di];
-        for (name, m) in [("baseline", &baseline_fused[di]), ("dba", &dba_fused[di])] {
-            let (tar, non) = split_trials(m, labels);
-            let pts = det_curve(&tar, &non);
-            let path = dir.join(format!("{name}_{}.csv", d.name()));
-            let mut f = std::fs::File::create(&path).expect("create CSV");
-            writeln!(f, "threshold,p_fa,p_miss,probit_fa,probit_miss").unwrap();
-            for pt in pts {
-                let fa = pt.p_fa.clamp(1e-6, 1.0 - 1e-6);
-                let miss = pt.p_miss.clamp(1e-6, 1.0 - 1e-6);
-                writeln!(
-                    f,
-                    "{},{:.6},{:.6},{:.4},{:.4}",
-                    pt.threshold,
-                    pt.p_fa,
-                    pt.p_miss,
-                    probit(fa),
-                    probit(miss)
-                )
-                .unwrap();
-            }
-        }
-        println!(
-            "{}: baseline fused EER {}% | DBA fused EER {}%  (CSV in target/figure3/)",
-            d.name(),
-            pct(pooled_eer(&baseline_fused[di], labels)),
-            pct(pooled_eer(&dba_fused[di], labels))
-        );
-    }
-
-    // ---------------------------------------------------- relative gains line
+    print_figure3(&exp, &v3);
     println!("\n==================== HEADLINE ====================");
-    for (di, &d) in Duration::all().iter().enumerate() {
-        let labels = &exp.test_labels[di];
-        let b = pooled_eer(&baseline_fused[di], labels);
-        let a = pooled_eer(&dba_fused[di], labels);
-        println!(
-            "{}: fused EER {} -> {}  (relative change {:+.2}%; paper: -1.8/-11.7/-15.4% for 30/10/3s)",
-            d.name(),
-            pct(b),
-            pct(a),
-            100.0 * (a - b) / b
-        );
-    }
+    print_headline(&exp, &v3);
 }

@@ -1,94 +1,15 @@
 //! **Figure 3** of the paper: DET curves of the baseline fusion versus the
-//! (DBA-M1)+(DBA-M2) V = 3 fusion, for 30s/10s/3s tests, on probit axes.
+//! DBA fusion at V = 3, for 30s/10s/3s tests, on probit axes. The DBA
+//! curve is the DBA-M2 fusion — Table 4's `fusion(M2)` row, the stronger
+//! DBA system at reproduction scale — not the paper's twelve-system
+//! (DBA-M1)+(DBA-M2) one.
 //!
 //! Emits CSV (one file per curve under `target/figure3/`) with columns
 //! `threshold,p_fa,p_miss,probit_fa,probit_miss`, plus a summary to stdout.
 
-use lre_bench::{pct, HarnessArgs};
-use lre_corpus::Duration;
-use lre_dba::{dba::run_dba, fuse_duration, DbaVariant, Experiment};
-use lre_eval::{det_curve, pooled_eer, probit, split_trials, ScoreMatrix};
-use std::io::Write;
-
-fn write_curve(path: &std::path::Path, scores: &ScoreMatrix, labels: &[usize]) {
-    let (tar, non) = split_trials(scores, labels);
-    let pts = det_curve(&tar, &non);
-    let mut f = std::fs::File::create(path).expect("create CSV");
-    writeln!(f, "threshold,p_fa,p_miss,probit_fa,probit_miss").unwrap();
-    for p in pts {
-        // probit is only defined on (0,1): clamp the step-function endpoints.
-        let fa = p.p_fa.clamp(1e-6, 1.0 - 1e-6);
-        let miss = p.p_miss.clamp(1e-6, 1.0 - 1e-6);
-        writeln!(
-            f,
-            "{},{:.6},{:.6},{:.4},{:.4}",
-            p.threshold,
-            p.p_fa,
-            p.p_miss,
-            probit(fa),
-            probit(miss)
-        )
-        .unwrap();
-    }
-}
+use lre_bench::{print_figure3, DbaAtV3, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    let exp = args.build_experiment();
-    let dir = std::path::Path::new("target/figure3");
-    std::fs::create_dir_all(dir).expect("mkdir");
-
-    println!("# Figure 3: DET curves, baseline fusion vs (DBA-M1)+(DBA-M2) V=3 fusion");
-    println!(
-        "# scale={}, seed={}; CSVs in target/figure3/",
-        args.scale.name(),
-        args.seed
-    );
-
-    let m1 = run_dba(&exp, DbaVariant::M1, 3);
-    let m2 = run_dba(&exp, DbaVariant::M2, 3);
-    for &d in Duration::all().iter() {
-        let di = Experiment::duration_index(d);
-        let labels = &exp.test_labels[di];
-
-        // Baseline fusion.
-        let base = fuse_duration(
-            &exp,
-            &exp.baseline_dev_scores,
-            &exp.baseline_test_scores
-                .iter()
-                .map(|per| per[di].clone())
-                .collect::<Vec<_>>(),
-            d,
-            None,
-        );
-        write_curve(
-            &dir.join(format!("baseline_{}.csv", d.name())),
-            &base.test_scores,
-            labels,
-        );
-
-        // DBA fusion: twelve retrained subsystems (M1 + M2) at V = 3.
-        let mut dev = Vec::new();
-        let mut test = Vec::new();
-        let mut counts = Vec::new();
-        for out in [&m1, &m2] {
-            dev.extend(out.dev_scores.iter().cloned());
-            test.extend(out.test_scores[di].iter().cloned());
-            counts.extend(out.criterion_counts.iter().copied());
-        }
-        let dba = fuse_duration(&exp, &dev, &test, d, Some(&counts));
-        write_curve(
-            &dir.join(format!("dba_{}.csv", d.name())),
-            &dba.test_scores,
-            labels,
-        );
-
-        println!(
-            "{}: baseline fused EER {}%  |  DBA fused EER {}%",
-            d.name(),
-            pct(pooled_eer(&base.test_scores, labels)),
-            pct(pooled_eer(&dba.test_scores, labels)),
-        );
-    }
+    let exp = HarnessArgs::parse().build_experiment();
+    print_figure3(&exp, &DbaAtV3::run(&exp));
 }

@@ -3,61 +3,16 @@
 //! pseudo-label error rate.
 //!
 //! Paper values (41,793-segment NIST LRE 2009 pool):
-//! V=6: 4,939 utts / 4.74 %  …  V=1: 35,262 utts / 31.88 %.
+//! V=6: 4,939 utts / 4.74 %  …  V=1: 35,262 utts / 31.88 %
+//! (number 4939 | 8364 | 11845 | 15894 | 22707 | 35262, error rate
+//! 4.74 | 7.61 | 11.12 | 17.23 | 23.94 | 31.88 % for V = 6…1).
 //! The reproduction reports the same two rows over the synthetic test pool
 //! (all three durations pooled, as the paper's counts exceed a single
 //! duration's 41,793/3 share).
 
-use lre_bench::HarnessArgs;
-use lre_corpus::Duration;
-use lre_dba::{dba::baseline_votes, select_tr_dba, Experiment};
+use lre_bench::{print_table1, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    let exp = args.build_experiment();
-
-    println!("# Table 1: Tr_DBA of varied threshold V, DBA-M1");
-    println!(
-        "#   (pooled over the 30s/10s/3s test sets; scale={}, seed={})",
-        args.scale.name(),
-        args.seed
-    );
-    print!("{:<12}", "");
-    for v in (1..=6u8).rev() {
-        print!(" | V = {v}    ");
-    }
-    println!();
-
-    let mut numbers = [0usize; 6];
-    let mut wrongs = [0usize; 6];
-    for &d in Duration::all().iter() {
-        let votes = baseline_votes(&exp, d);
-        let truth = &exp.test_labels[Experiment::duration_index(d)];
-        for v in 1..=6u8 {
-            let sel = select_tr_dba(&votes, v);
-            numbers[(v - 1) as usize] += sel.len();
-            wrongs[(v - 1) as usize] += sel.iter().filter(|p| p.label != truth[p.utt]).count();
-        }
-    }
-
-    print!("{:<12}", "number");
-    for v in (1..=6usize).rev() {
-        print!(" | {:<9}", numbers[v - 1]);
-    }
-    println!();
-    print!("{:<12}", "error rate");
-    for v in (1..=6usize).rev() {
-        let n = numbers[v - 1];
-        let e = if n == 0 {
-            0.0
-        } else {
-            100.0 * wrongs[v - 1] as f64 / n as f64
-        };
-        print!(" | {:<8.2}%", e);
-    }
-    println!();
-    println!();
-    println!("# Paper (for shape comparison):");
-    println!("# number     | 4939 | 8364 | 11845 | 15894 | 22707 | 35262");
-    println!("# error rate | 4.74% | 7.61% | 11.12% | 17.23% | 23.94% | 31.88%");
+    let exp = HarnessArgs::parse().build_experiment();
+    print_table1(&exp);
 }

@@ -1,125 +1,13 @@
 //! **Table 4** of the paper: per-front-end and fused performance, PPRVSM
-//! baseline versus DBA at V = 3 with the (DBA-M1)+(DBA-M2) combination.
+//! baseline versus DBA at V = 3, with the paper's (DBA-M1)+(DBA-M2)
+//! combination and the DBA-M2-only fusion as separate rows.
 //! The paper's fused EER/Cavg: baseline 1.11/2.73/12.37 % → DBA
 //! 1.09/2.41/10.47 % on 30s/10s/3s, i.e. the biggest relative gains on the
 //! shortest utterances.
 
-use lre_bench::{pct, HarnessArgs};
-use lre_corpus::Duration;
-use lre_dba::{dba::run_dba, fuse_duration, DbaVariant, Experiment};
-use lre_eval::{min_cavg, pooled_eer, CavgParams, ScoreMatrix};
+use lre_bench::{print_table4, DbaAtV3, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    let exp = args.build_experiment();
-
-    println!("# Table 4: PPRVSM vs DBA systems, closed set, (DBA-M1)+(DBA-M2), V = 3");
-    println!(
-        "# scale={}, seed={}  (EER/Cavg in %)",
-        args.scale.name(),
-        args.seed
-    );
-    println!(
-        "{:<10}{:<14}| 30s          | 10s          | 3s",
-        "System", ""
-    );
-
-    let p = CavgParams::default();
-    let cell = |m: &ScoreMatrix, labels: &[usize]| -> String {
-        format!(
-            "{}/{}",
-            pct(pooled_eer(m, labels)),
-            pct(min_cavg(m, labels, &p))
-        )
-    };
-
-    // ---- Baseline rows -------------------------------------------------------------
-    for (q, fe) in exp.frontends.iter().enumerate() {
-        print!(
-            "{:<10}{:<14}",
-            if q == 0 { "Baseline" } else { "" },
-            fe.spec.name
-        );
-        for &d in Duration::all().iter() {
-            let di = Experiment::duration_index(d);
-            print!(
-                "| {:<13}",
-                cell(&exp.baseline_test_scores[q][di], &exp.test_labels[di])
-            );
-        }
-        println!();
-    }
-    // Baseline fusion (uniform weights).
-    print!("{:<10}{:<14}", "", "fusion");
-    for &d in Duration::all().iter() {
-        let di = Experiment::duration_index(d);
-        let fused = fuse_duration(
-            &exp,
-            &exp.baseline_dev_scores,
-            &exp.baseline_test_scores
-                .iter()
-                .map(|per| per[di].clone())
-                .collect::<Vec<_>>(),
-            d,
-            None,
-        );
-        print!("| {:<13}", cell(&fused.test_scores, &exp.test_labels[di]));
-    }
-    println!();
-
-    // ---- DBA rows: per-frontend best of M1/M2 at V=3, plus the combined fusion ----
-    let m1 = run_dba(&exp, DbaVariant::M1, 3);
-    let m2 = run_dba(&exp, DbaVariant::M2, 3);
-    let mut dba_rows: Vec<Vec<String>> = vec![Vec::new(); exp.num_subsystems()];
-    let mut fusion_row = Vec::new();
-    for &d in Duration::all().iter() {
-        let di = Experiment::duration_index(d);
-        let labels = &exp.test_labels[di];
-
-        for (q, row) in dba_rows.iter_mut().enumerate() {
-            // Per-front-end entry: the better of the two variants (the paper
-            // reports its single per-frontend "DBA" number this way — M2 on
-            // 30 s, M1 on shorter segments).
-            let (e1, e2) = (
-                pooled_eer(&m1.test_scores[di][q], labels),
-                pooled_eer(&m2.test_scores[di][q], labels),
-            );
-            let best = if e1 <= e2 {
-                &m1.test_scores[di][q]
-            } else {
-                &m2.test_scores[di][q]
-            };
-            row.push(cell(best, labels));
-        }
-
-        // (DBA-M1)+(DBA-M2): fuse all twelve retrained subsystems with
-        // Eq. 15 weights from the criterion counts.
-        let mut dev: Vec<ScoreMatrix> = Vec::new();
-        let mut test: Vec<ScoreMatrix> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        for out in [&m1, &m2] {
-            dev.extend(out.dev_scores.iter().cloned());
-            test.extend(out.test_scores[di].iter().cloned());
-            counts.extend(out.criterion_counts.iter().copied());
-        }
-        let fused = fuse_duration(&exp, &dev, &test, d, Some(&counts));
-        fusion_row.push(cell(&fused.test_scores, labels));
-    }
-
-    for (q, fe) in exp.frontends.iter().enumerate() {
-        print!(
-            "{:<10}{:<14}",
-            if q == 0 { "DBA" } else { "" },
-            fe.spec.name
-        );
-        for c in &dba_rows[q] {
-            print!("| {:<13}", c);
-        }
-        println!();
-    }
-    print!("{:<10}{:<14}", "", "fusion");
-    for c in &fusion_row {
-        print!("| {:<13}", c);
-    }
-    println!();
+    let exp = HarnessArgs::parse().build_experiment();
+    print_table4(&exp, &DbaAtV3::run(&exp));
 }

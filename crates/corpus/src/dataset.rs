@@ -40,6 +40,18 @@ impl Duration {
     }
 }
 
+/// A `--duration` argument: `30s`, `10s` or `3s`.
+impl std::str::FromStr for Duration {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Duration, Self::Err> {
+        Duration::all()
+            .into_iter()
+            .find(|d| d.name() == s)
+            .ok_or("expected 30s|10s|3s")
+    }
+}
+
 /// Corpus size presets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -68,14 +80,18 @@ impl Scale {
             Scale::Paper => "paper",
         }
     }
+}
 
-    /// Parse a `--scale` argument.
-    pub fn parse(s: &str) -> Option<Scale> {
+/// A `--scale` argument: `smoke`, `demo` or `paper`.
+impl std::str::FromStr for Scale {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Scale, Self::Err> {
         match s {
-            "smoke" => Some(Scale::Smoke),
-            "demo" => Some(Scale::Demo),
-            "paper" => Some(Scale::Paper),
-            _ => None,
+            "smoke" => Ok(Scale::Smoke),
+            "demo" => Ok(Scale::Demo),
+            "paper" => Ok(Scale::Paper),
+            _ => Err("expected smoke|demo|paper"),
         }
     }
 }
@@ -326,8 +342,12 @@ mod tests {
     #[test]
     fn scale_parse_roundtrip() {
         for s in [Scale::Smoke, Scale::Demo, Scale::Paper] {
-            assert_eq!(Scale::parse(s.name()), Some(s));
+            assert_eq!(s.name().parse(), Ok(s));
         }
-        assert_eq!(Scale::parse("bogus"), None);
+        assert!("bogus".parse::<Scale>().is_err());
+        for d in Duration::all() {
+            assert_eq!(d.name().parse(), Ok(d));
+        }
+        assert!("30".parse::<Duration>().is_err());
     }
 }

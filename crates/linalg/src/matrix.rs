@@ -300,7 +300,14 @@ fn out_block<const O: usize, const G: usize>(
 ) {
     let out_dim = bias.len();
     let wo = &w[o0 * k..(o0 + O) * k];
-    let mut acc = [[[0.0f32; LANES]; G]; O];
+    // On a cache-line boundary. The compiler keeps the block in memory and
+    // moves it as 32-byte vectors, but aligns a plain array to 16: whether
+    // it then starts half a vector off is decided by the caller's stack
+    // depth alone, and when it does every other access splits a line —
+    // ≈ 15 % of a served request's CPU (EXPERIMENTS.md, "One vote window").
+    #[repr(align(64))]
+    struct Block<const O: usize, const G: usize>([[[f32; LANES]; G]; O]);
+    let Block(acc) = &mut Block([[[0.0f32; LANES]; G]; O]);
     for (kk, col) in xt.chunks_exact(TILE).enumerate() {
         let col = &col[j0..j0 + G * LANES];
         for (o, groups) in acc.iter_mut().enumerate() {

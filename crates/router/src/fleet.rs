@@ -20,13 +20,13 @@
 //! breakdown.
 
 use crate::backend::Backend;
-use lre_adapt::{boost_round, AdaptConfig, RoundOutcome};
+use lre_adapt::{boost_round, AdaptConfig};
 use lre_artifact::ArtifactRead;
 use lre_dba::GuardSet;
-use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_ROLLBACK, EV_SWAP};
+use lre_obs::{FlightRecorder, EV_ROLLBACK, EV_SWAP};
 use lre_serve::protocol::{
     AdaptReport, CommitAck, RollbackAck, StageAck, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA,
-    ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    ADAPT_PROMOTED,
 };
 use lre_serve::{Client, SystemBundle, VoteLogSnapshot, VoteRecord};
 use std::collections::HashSet;
@@ -155,51 +155,13 @@ impl FleetAdapter {
             };
         }
 
-        let candidate = match boost_round(&state.parent_bytes, &records, &self.guard, &self.cfg) {
-            Ok(RoundOutcome::Candidate(c)) => c,
-            Ok(RoundOutcome::Insufficient { drained }) => {
-                return AdaptReport {
-                    outcome: ADAPT_INSUFFICIENT_DATA,
-                    generation: 0,
-                    selected: 0,
-                    drained,
-                }
-            }
-            Ok(RoundOutcome::RejectedGuard {
-                selected,
-                drained,
-                eer_delta,
-                cavg_delta,
-            }) => {
-                if let Some(f) = &self.flight {
-                    f.record(
-                        EV_GUARD_REJECT,
-                        "fleet guard",
-                        u64::from(selected),
-                        u64::from(drained),
-                        eer_delta,
-                        cavg_delta,
-                    );
-                }
-                return AdaptReport {
-                    outcome: ADAPT_REJECTED_GUARD,
-                    generation: 0,
-                    selected,
-                    drained,
-                };
-            }
+        let candidate = match boost_round(&state.parent_bytes, &records, &self.guard, &self.cfg)
+            .map(|round| round.judged("fleet guard", 0, self.flight.as_deref()))
+        {
+            Ok(Ok(candidate)) => candidate,
+            Ok(Err(report)) => return report,
             Err(_) => return failed(drained),
         };
-        if let Some(f) = &self.flight {
-            f.record(
-                EV_GUARD_ACCEPT,
-                "fleet guard",
-                u64::from(candidate.selected),
-                u64::from(candidate.drained),
-                candidate.eer_delta,
-                candidate.cavg_delta,
-            );
-        }
 
         match two_phase_promote(&fleet, &candidate.bytes, candidate.checksum) {
             Some(generation) => {

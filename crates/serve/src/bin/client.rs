@@ -56,35 +56,26 @@ use lre_corpus::{render_utterance, Dataset, DatasetConfig, Duration, LanguageId,
 use lre_lattice::DecodeScratch;
 use lre_obs::{stage_name, MetricValue};
 use lre_phone::UniversalInventory;
+use lre_serve::args::{or_die, Args};
 use lre_serve::client::ScoreReply;
 use lre_serve::{Client, FleetStats, ScoringSystem, StatsSnapshot, SystemBundle};
 use std::path::PathBuf;
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: lre-client --addr HOST:PORT [--utts N] [--scale smoke|demo|paper] \
-         [--seed N] [--duration 30s|10s|3s] [--inflight N] [--deadline-ms N] \
-         [--verify --bundle PATH] [--stats] [--fuzz] [--adapt] [--shutdown] \
-         [--ping] [--rollback] [--tolerate-failures] [--traced] \
-         [--metrics] [--metrics-json] [--flight] [--flight-drain] \
-         [--wal-status] [--rollback-to GEN]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "lre-client --addr HOST:PORT [--utts N] [--scale smoke|demo|paper] \
+    [--seed N] [--duration 30s|10s|3s] [--inflight N] [--deadline-ms N] \
+    [--verify --bundle PATH] [--stats] [--fuzz] [--adapt] [--shutdown] \
+    [--ping] [--rollback] [--tolerate-failures] [--traced] \
+    [--metrics] [--metrics-json] [--flight] [--flight-drain] \
+    [--wal-status] [--rollback-to GEN]";
 
 fn connect_with_retry(addr: &str) -> Client {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
-        match Client::connect(addr) {
-            Ok(c) => return c,
-            Err(e) => {
-                if std::time::Instant::now() >= deadline {
-                    eprintln!("error: connecting to {addr}: {e}");
-                    std::process::exit(1);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(200));
-            }
+        let attempt = Client::connect(addr);
+        if attempt.is_ok() || std::time::Instant::now() >= deadline {
+            return or_die(attempt, format!("connecting to {addr}"));
         }
+        std::thread::sleep(std::time::Duration::from_millis(200));
     }
 }
 
@@ -140,19 +131,9 @@ fn print_fleet_stats(f: &FleetStats) {
 /// stats frame — must NOT be swallowed into the fallback: a corrupt reply
 /// never passes for a healthy single server, the client exits non-zero.
 fn print_peer_stats(client: &mut Client) {
-    match client.try_fleet_stats() {
-        Ok(Some(f)) => print_fleet_stats(&f),
-        Ok(None) => match client.stats_v2() {
-            Ok(s) => print_stats(&s),
-            Err(e) => {
-                eprintln!("error: stats request failed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("error: fleet stats request failed: {e}");
-            std::process::exit(1);
-        }
+    match or_die(client.try_fleet_stats(), "fleet stats request failed") {
+        Some(f) => print_fleet_stats(&f),
+        None => print_stats(&or_die(client.stats_v2(), "stats request failed")),
     }
 }
 
@@ -180,72 +161,23 @@ fn main() {
     let mut flight_drain = false;
     let mut wal_status = false;
     let mut rollback_to: Option<u64> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("missing --addr"))
-                        .clone(),
-                );
-            }
-            "--utts" => {
-                i += 1;
-                utts = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("bad --utts")),
-                );
-            }
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| usage("bad --scale (smoke|demo|paper)"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("bad --seed"));
-            }
-            "--duration" => {
-                i += 1;
-                duration = match args.get(i).map(|s| s.as_str()) {
-                    Some("30s") => Duration::S30,
-                    Some("10s") => Duration::S10,
-                    Some("3s") => Duration::S3,
-                    _ => usage("bad --duration (30s|10s|3s)"),
-                };
-            }
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--addr" => addr = Some(args.value(&flag)),
+            "--utts" => utts = Some(args.value(&flag)),
+            "--scale" => scale = args.value(&flag),
+            "--seed" => seed = args.value(&flag),
+            "--duration" => duration = args.value(&flag),
             "--inflight" => {
-                i += 1;
-                inflight = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("bad --inflight (integer >= 1)"));
+                inflight = args.value(&flag);
+                if inflight < 1 {
+                    args.fail("bad value for --inflight (integer >= 1)");
+                }
             }
-            "--deadline-ms" => {
-                i += 1;
-                deadline_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("bad --deadline-ms"));
-            }
+            "--deadline-ms" => deadline_ms = args.value(&flag),
             "--verify" => verify = true,
-            "--bundle" => {
-                i += 1;
-                bundle_path = Some(PathBuf::from(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("missing --bundle path")),
-                ));
-            }
+            "--bundle" => bundle_path = Some(args.value(&flag)),
             "--stats" => stats = true,
             "--fuzz" => fuzz = true,
             "--adapt" => adapt = true,
@@ -262,19 +194,13 @@ fn main() {
                 flight_drain = true;
             }
             "--wal-status" => wal_status = true,
-            "--rollback-to" => {
-                i += 1;
-                rollback_to = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("bad --rollback-to (generation number)")),
-                );
-            }
-            other => usage(&format!("unknown argument {other}")),
+            "--rollback-to" => rollback_to = Some(args.value(&flag)),
+            other => args.fail(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
-    let addr = addr.unwrap_or_else(|| usage("--addr is required"));
+    let Some(addr) = addr else {
+        args.fail("--addr is required")
+    };
     // A telemetry scrape observes without perturbing: unless --utts was
     // given explicitly, --metrics/--flight skip the default scoring pass
     // so the scraped counters reflect only the server's real traffic.
@@ -284,15 +210,15 @@ fn main() {
         10
     });
     if traced && inflight > 1 {
-        usage("--traced requires --inflight 1 (a traced score is submit-and-wait)");
+        args.fail("--traced requires --inflight 1 (a traced score is submit-and-wait)");
     }
 
     if fuzz {
         // Wait for the server, then hammer it with the malformed corpus.
         drop(connect_with_retry(&addr));
-        let sock_addr = addr
-            .parse()
-            .unwrap_or_else(|_| usage("--fuzz needs a numeric HOST:PORT address"));
+        let Ok(sock_addr) = addr.parse() else {
+            args.fail("--fuzz needs a numeric HOST:PORT address")
+        };
         match lre_serve::fuzz::run_corpus(sock_addr, std::time::Duration::from_secs(10)) {
             Ok(ran) => {
                 let total: usize = ran.values().sum();
@@ -324,28 +250,22 @@ fn main() {
 
     if ping {
         let mut client = connect_with_retry(&addr);
-        match client.ping() {
-            Ok(p) => println!(
-                "ping: generation={} inflight={} shed={} completed={}",
-                p.generation, p.inflight, p.shed, p.completed
-            ),
-            Err(e) => {
-                eprintln!("error: ping request failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let p = or_die(client.ping(), "ping request failed");
+        println!(
+            "ping: generation={} inflight={} shed={} completed={}",
+            p.generation, p.inflight, p.shed, p.completed
+        );
     }
 
     let local = if verify {
-        let path = bundle_path.unwrap_or_else(|| usage("--verify needs --bundle PATH"));
-        let bundle = SystemBundle::load_artifact(&path).unwrap_or_else(|e| {
-            eprintln!("error: loading {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        Some(ScoringSystem::from_bundle(bundle).unwrap_or_else(|e| {
-            eprintln!("error: invalid bundle: {e}");
-            std::process::exit(1);
-        }))
+        let Some(path) = bundle_path else {
+            args.fail("--verify needs --bundle PATH")
+        };
+        let bundle = or_die(
+            SystemBundle::load_artifact(&path),
+            format!("loading {}", path.display()),
+        );
+        Some(or_die(ScoringSystem::from_bundle(bundle), "invalid bundle"))
     } else {
         None
     };
@@ -430,12 +350,10 @@ fn main() {
         let mut client = connect_with_retry(&addr);
         if inflight > 1 {
             let samples: Vec<Vec<f32>> = rendered.iter().map(|(_, _, s)| s.clone()).collect();
-            let replies = client
-                .score_all(&samples, inflight, deadline)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: pipelined scoring failed: {e}");
-                    std::process::exit(1);
-                });
+            let replies = or_die(
+                client.score_all(&samples, inflight, deadline),
+                "pipelined scoring failed",
+            );
             for ((n, lang, samples), reply) in rendered.iter().zip(&replies) {
                 verify_one(*n, *lang, samples, reply);
             }
@@ -447,15 +365,11 @@ fn main() {
                     } else {
                         client.score(samples)
                     };
-                    match result {
-                        Ok(ScoreReply::Overloaded) => {
+                    match or_die(result, "score request failed") {
+                        ScoreReply::Overloaded => {
                             std::thread::sleep(std::time::Duration::from_millis(20));
                         }
-                        Ok(r) => break r,
-                        Err(e) => {
-                            eprintln!("error: score request failed: {e}");
-                            std::process::exit(1);
-                        }
+                        r => break r,
                     }
                 };
                 verify_one(*n, *lang, samples, &reply);
@@ -466,10 +380,7 @@ fn main() {
         }
         // With --adapt, shutdown waits for the adaptation report below.
         if shutdown && !adapt {
-            if let Err(e) = client.shutdown() {
-                eprintln!("error: shutdown request failed: {e}");
-                std::process::exit(1);
-            }
+            or_die(client.shutdown(), "shutdown request failed");
             println!("server acknowledged shutdown");
             shutdown = false;
         }
@@ -495,16 +406,9 @@ fn main() {
 
     if metrics || metrics_json {
         let mut client = connect_with_retry(&addr);
-        let entries = match client.metrics() {
-            Ok(Some(entries)) => entries,
-            Ok(None) => {
-                eprintln!("error: peer runs without telemetry (stats-v3 unsupported)");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: metrics request failed: {e}");
-                std::process::exit(1);
-            }
+        let Some(entries) = or_die(client.metrics(), "metrics request failed") else {
+            eprintln!("error: peer runs without telemetry (stats-v3 unsupported)");
+            std::process::exit(1);
         };
         if metrics_json {
             let fields: Vec<String> = entries
@@ -553,73 +457,51 @@ fn main() {
 
     if flight {
         let mut client = connect_with_retry(&addr);
-        match client.flight(flight_drain) {
-            Ok(Some(events)) => {
-                println!("flight recorder: {} events buffered", events.len());
-                for ev in &events {
-                    println!("{}", ev.render());
-                }
-            }
-            Ok(None) => {
-                eprintln!("error: peer runs without telemetry (flight recorder unsupported)");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: flight request failed: {e}");
-                std::process::exit(1);
-            }
+        let Some(events) = or_die(client.flight(flight_drain), "flight request failed") else {
+            eprintln!("error: peer runs without telemetry (flight recorder unsupported)");
+            std::process::exit(1);
+        };
+        println!("flight recorder: {} events buffered", events.len());
+        for ev in &events {
+            println!("{}", ev.render());
         }
     }
 
     if wal_status {
         let mut client = connect_with_retry(&addr);
-        match client.wal_status() {
-            Ok(Some(w)) => {
-                // One parseable line; CI's crash-recovery drill greps it.
-                println!(
-                    "wal-status: appended={} low_water={} buffered={} segments={} \
-                     replayed={} torn={} fsyncs={} lineage_head={} \
-                     lineage_entries={} lineage_retained={} lineage_bytes={} chain_ok={}",
-                    w.appended,
-                    w.low_water,
-                    w.buffered,
-                    w.segments,
-                    w.replayed,
-                    w.torn,
-                    w.fsyncs,
-                    w.lineage_head,
-                    w.lineage_entries,
-                    w.lineage_retained,
-                    w.lineage_bytes,
-                    w.chain_ok
-                );
-            }
-            Ok(None) => {
-                eprintln!("error: peer runs without a WAL (wal-status unsupported)");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: wal-status request failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let Some(w) = or_die(client.wal_status(), "wal-status request failed") else {
+            eprintln!("error: peer runs without a WAL (wal-status unsupported)");
+            std::process::exit(1);
+        };
+        // One parseable line; CI's crash-recovery drill greps it.
+        println!(
+            "wal-status: appended={} low_water={} buffered={} segments={} \
+             replayed={} torn={} fsyncs={} lineage_head={} \
+             lineage_entries={} lineage_retained={} lineage_bytes={} chain_ok={}",
+            w.appended,
+            w.low_water,
+            w.buffered,
+            w.segments,
+            w.replayed,
+            w.torn,
+            w.fsyncs,
+            w.lineage_head,
+            w.lineage_entries,
+            w.lineage_retained,
+            w.lineage_bytes,
+            w.chain_ok
+        );
     }
 
     if let Some(generation) = rollback_to {
         let mut client = connect_with_retry(&addr);
-        match client.rollback_to(generation) {
-            Ok(Ok(ack)) => {
-                println!(
-                    "rollback-to: restored={} serving_generation={} checksum={:#010x}",
-                    ack.restored, ack.serving, ack.checksum
-                );
-            }
-            Ok(Err(s)) => {
+        match or_die(client.rollback_to(generation), "rollback-to request failed") {
+            Ok(ack) => println!(
+                "rollback-to: restored={} serving_generation={} checksum={:#010x}",
+                ack.restored, ack.serving, ack.checksum
+            ),
+            Err(s) => {
                 eprintln!("error: rollback-to refused (status {s})");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: rollback-to request failed: {e}");
                 std::process::exit(1);
             }
         }
@@ -627,48 +509,31 @@ fn main() {
 
     if adapt {
         let mut client = connect_with_retry(&addr);
-        match client.adapt() {
-            Ok(report) => {
-                let outcome = match report.outcome {
-                    lre_serve::ADAPT_PROMOTED => "promoted",
-                    lre_serve::ADAPT_REJECTED_GUARD => "rejected_guard",
-                    lre_serve::ADAPT_INSUFFICIENT_DATA => "insufficient_data",
-                    _ => "failed",
-                };
-                println!(
-                    "adapt: outcome={outcome} generation={} selected={} drained={}",
-                    report.generation, report.selected, report.drained
-                );
-            }
-            Err(e) => {
-                eprintln!("error: adapt request failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let report = or_die(client.adapt(), "adapt request failed");
+        let outcome = match report.outcome {
+            lre_serve::ADAPT_PROMOTED => "promoted",
+            lre_serve::ADAPT_REJECTED_GUARD => "rejected_guard",
+            lre_serve::ADAPT_INSUFFICIENT_DATA => "insufficient_data",
+            _ => "failed",
+        };
+        println!(
+            "adapt: outcome={outcome} generation={} selected={} drained={}",
+            report.generation, report.selected, report.drained
+        );
     }
 
     if rollback {
         let mut client = connect_with_retry(&addr);
-        match client.rollback() {
-            Ok(ack) => {
-                println!(
-                    "rollback: rolled={} generation={}",
-                    ack.rolled, ack.generation
-                );
-            }
-            Err(e) => {
-                eprintln!("error: rollback request failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let ack = or_die(client.rollback(), "rollback request failed");
+        println!(
+            "rollback: rolled={} generation={}",
+            ack.rolled, ack.generation
+        );
     }
 
     if shutdown {
         let mut client = connect_with_retry(&addr);
-        if let Err(e) = client.shutdown() {
-            eprintln!("error: shutdown request failed: {e}");
-            std::process::exit(1);
-        }
+        or_die(client.shutdown(), "shutdown request failed");
         println!("server acknowledged shutdown");
     }
 }

@@ -35,8 +35,8 @@ use lre_artifact::{crc32, ArtifactRead};
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, DurableVoteLog, FleetReplica, ScorerHandle, ScoringSystem, ServeObs, Server,
-    ServerHooks, SystemBundle, VoteLog, WalOnlyDurability, DEFAULT_FLIGHT_CAPACITY,
+    vote_wal_options, FleetReplica, ScorerHandle, ScoringSystem, ServeObs, Server, ServerHooks,
+    SystemBundle, VoteLog, DEFAULT_FLIGHT_CAPACITY,
 };
 use lre_wal::WalObs;
 use std::net::TcpListener;
@@ -107,32 +107,32 @@ fn main() {
             "[serve] fleet replica mode: vote log capacity {log_capacity}, \
              bundle checksum {checksum:#010x}"
         );
-        let mut replica = if let Some(dir) = &wal_dir {
-            // Durable replica: votes survive a crash, drains truncate the
-            // WAL, and the wal-status tag answers from it.
-            let mut opts = vote_wal_options();
-            opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
-            let wal_obs = WalObs::new(&obs.registry, Some(Arc::clone(&obs.flight)));
-            let (log, recovery) = or_die(
-                DurableVoteLog::open(dir, log_capacity, opts, Some(wal_obs)),
-                format!("opening WAL at {}", dir.display()),
-            );
-            let log = Arc::new(log);
-            eprintln!(
-                "[serve] vote WAL at {}: replayed {} records ({} torn skipped), \
-                 fsync every {wal_fsync_ms} ms",
-                dir.display(),
-                recovery.replayed,
-                recovery.torn
-            );
-            hooks.durability = Some(Arc::new(WalOnlyDurability::new(Arc::clone(&log))));
-            hooks.tap = Some(Arc::clone(&log) as _);
-            FleetReplica::new_durable(Arc::clone(&handle), log)
-        } else {
-            let log = Arc::new(VoteLog::new(log_capacity));
-            hooks.tap = Some(Arc::clone(&log) as _);
-            FleetReplica::new(Arc::clone(&handle), log)
+        // With --wal-dir the votes survive a crash, a router drain clears
+        // the WAL with the buffer, and the wal-status tag answers from it.
+        let log = match &wal_dir {
+            Some(dir) => {
+                let mut opts = vote_wal_options();
+                opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
+                let wal_obs = WalObs::new(&obs.registry, Some(Arc::clone(&obs.flight)));
+                let (log, recovery) = or_die(
+                    VoteLog::open(dir, log_capacity, opts, Some(wal_obs)),
+                    format!("opening WAL at {}", dir.display()),
+                );
+                eprintln!(
+                    "[serve] vote WAL at {}: replayed {} records ({} torn skipped), \
+                     fsync every {wal_fsync_ms} ms",
+                    dir.display(),
+                    recovery.replayed,
+                    recovery.torn
+                );
+                log
+            }
+            None => VoteLog::new(log_capacity),
         };
+        let log = Arc::new(log);
+        hooks.durability = wal_dir.is_some().then(|| Arc::clone(&log) as _);
+        hooks.tap = Some(Arc::clone(&log) as _);
+        let mut replica = FleetReplica::new(Arc::clone(&handle), log);
         // Commits and rollbacks land in the flight recorder.
         replica.set_flight(Arc::clone(&obs.flight));
         hooks.fleet = Some(Arc::new(replica));

@@ -12,58 +12,31 @@
 use lre_artifact::ArtifactWrite;
 use lre_corpus::Scale;
 use lre_dba::{Experiment, ExperimentConfig, GuardSet};
+use lre_serve::args::{or_die, Args};
 use lre_serve::SystemBundle;
 use std::path::PathBuf;
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: lre-train-bundle [--scale smoke|demo|paper] [--seed N] --out PATH \
-         [--guard-out PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "lre-train-bundle [--scale smoke|demo|paper] [--seed N] --out PATH [--guard-out PATH]";
 
 fn main() {
     let mut scale = Scale::Smoke;
     let mut seed = 42u64;
     let mut out: Option<PathBuf> = None;
     let mut guard_out: Option<PathBuf> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| usage("bad --scale (smoke|demo|paper)"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("bad --seed"));
-            }
-            "--out" => {
-                i += 1;
-                out = Some(PathBuf::from(
-                    args.get(i).unwrap_or_else(|| usage("missing --out path")),
-                ));
-            }
-            "--guard-out" => {
-                i += 1;
-                guard_out = Some(PathBuf::from(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("missing --guard-out path")),
-                ));
-            }
-            other => usage(&format!("unknown argument {other}")),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => scale = args.value(&flag),
+            "--seed" => seed = args.value(&flag),
+            "--out" => out = Some(args.value(&flag)),
+            "--guard-out" => guard_out = Some(args.value(&flag)),
+            other => args.fail(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
-    let out = out.unwrap_or_else(|| usage("--out is required"));
+    let Some(out) = out else {
+        args.fail("--out is required")
+    };
 
     eprintln!(
         "[train-bundle] building experiment: scale={}, seed={seed} (AM training + decoding)",
@@ -79,15 +52,15 @@ fn main() {
     // adaptation guard's held-back trial set.
     let guard = guard_out.as_ref().map(|_| GuardSet::from_experiment(&exp));
     let bundle = SystemBundle::from_experiment(exp);
-    if let Err(e) = bundle.save_artifact(&out) {
-        eprintln!("error: writing {}: {e}", out.display());
-        std::process::exit(1);
-    }
+    or_die(
+        bundle.save_artifact(&out),
+        format!("writing {}", out.display()),
+    );
     if let (Some(path), Some(guard)) = (&guard_out, &guard) {
-        if let Err(e) = guard.save_artifact(path) {
-            eprintln!("error: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        or_die(
+            guard.save_artifact(path),
+            format!("writing {}", path.display()),
+        );
         println!(
             "wrote {} ({} held-back utterances)",
             path.display(),

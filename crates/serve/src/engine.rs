@@ -38,7 +38,7 @@
 use crate::obs::ServeObs;
 use crate::queue::{BoundedQueue, PushError, Work};
 use crate::swap::ScorerHandle;
-use crate::system::{FanOut, ScoreDetail, ScoreTap, Scorer, WorkingSet};
+use crate::system::{sample_digest, FanOut, ScoreDetail, ScoreTap, Scorer, WorkingSet};
 use lre_artifact::ArtifactError;
 use lre_obs::{
     StageTimes, TraceSpan, EV_DEADLINE, EV_PANIC, EV_SHED, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY,
@@ -452,9 +452,12 @@ impl Worker {
             span
         });
         let llrs = match &self.tap {
-            // An unknown must not vote, so the row is teed only now.
+            // An unknown must not vote, so the row is teed only now — and
+            // only a teed row needs its dedup key: an engine without a tap
+            // never reads the samples a second time.
             Some(tap) if !unknown => {
                 let llrs = detail.fused.clone();
+                detail.digest = sample_digest(&job.samples);
                 tap.record(detail);
                 llrs
             }

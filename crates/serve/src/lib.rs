@@ -61,10 +61,7 @@ pub mod votelog;
 
 pub use bundle::{Lineage, SubsystemBundle, SystemBundle};
 pub use client::{Client, PipelinedClient, ScoreReply};
-pub use durability::{
-    vote_wal_options, wal_status_info, DurabilityControl, DurableVoteLog, VoteRecovery,
-    WalOnlyDurability,
-};
+pub use durability::{wal_status_info, DurabilityControl};
 pub use engine::{decision, Engine, EngineConfig, Outcome, ScoredUtt, StatsSnapshot, SubmitError};
 pub use obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
 pub use protocol::{
@@ -78,4 +75,4 @@ pub use swap::{ScorerHandle, VersionedScorer};
 pub use system::{
     sample_digest, FanOut, ScoreDetail, ScoreTap, Scorer, ScoringSystem, StageDone, WorkingSet,
 };
-pub use votelog::{VoteLog, VoteLogSnapshot, VoteRecord};
+pub use votelog::{vote_wal_options, VoteLog, VoteLogSnapshot, VoteRecord, VoteRecovery};

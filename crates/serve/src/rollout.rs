@@ -30,11 +30,10 @@
 //! meaningful at fleet scope.
 
 use crate::bundle::SystemBundle;
-use crate::durability::DurableVoteLog;
 use crate::protocol::{AbortAck, CommitAck, DrainReply, RollbackAck, StageAck, STATUS_CONFLICT};
 use crate::swap::{ScorerHandle, VersionedScorer};
 use crate::system::{Scorer, ScoringSystem};
-use crate::votelog::{VoteLog, VoteLogSnapshot, VoteRecord};
+use crate::votelog::{VoteLog, VoteLogSnapshot};
 use lre_artifact::{crc32, ArtifactRead, ArtifactWrite};
 use lre_obs::{FlightRecorder, EV_ROLLBACK, EV_SWAP};
 use std::sync::{Arc, Mutex};
@@ -85,35 +84,11 @@ fn decode_stage(sealed: &[u8]) -> Result<Arc<dyn Scorer>, u8> {
     Ok(Arc::new(system))
 }
 
-/// Where a replica's votes live: the bare in-memory log, or the
-/// WAL-backed tee (whose drain also truncates the WAL, keeping the
-/// crash-recovery window honest).
-enum DrainSource {
-    Plain(Arc<VoteLog>),
-    Durable(Arc<DurableVoteLog>),
-}
-
-impl DrainSource {
-    fn log(&self) -> &VoteLog {
-        match self {
-            DrainSource::Plain(l) => l,
-            DrainSource::Durable(d) => d.log(),
-        }
-    }
-
-    fn drain_at_least(&self, min: usize) -> Result<Vec<VoteRecord>, usize> {
-        match self {
-            DrainSource::Plain(l) => l.drain_at_least(min),
-            DrainSource::Durable(d) => d.drain_at_least(min),
-        }
-    }
-}
-
 /// The standard [`FleetControl`] implementation: a staged two-phase state
 /// machine over the serving [`ScorerHandle`] and the engine's [`VoteLog`].
 pub struct FleetReplica {
     handle: Arc<ScorerHandle>,
-    log: DrainSource,
+    log: Arc<VoteLog>,
     validate: Box<StageValidator>,
     state: Mutex<ReplicaState>,
     /// When wired, commits and rollbacks leave flight-recorder events
@@ -123,19 +98,8 @@ pub struct FleetReplica {
 
 impl FleetReplica {
     /// Wire a replica controller to the handle it swaps and the vote log
-    /// it drains.
+    /// it drains (over a WAL or not: a drain clears whatever the log keeps).
     pub fn new(handle: Arc<ScorerHandle>, log: Arc<VoteLog>) -> FleetReplica {
-        FleetReplica::with_source(handle, DrainSource::Plain(log))
-    }
-
-    /// Like [`FleetReplica::new`], but draining through a WAL-backed vote
-    /// log, so a router drain truncates the crash-recovery window in the
-    /// same stroke.
-    pub fn new_durable(handle: Arc<ScorerHandle>, log: Arc<DurableVoteLog>) -> FleetReplica {
-        FleetReplica::with_source(handle, DrainSource::Durable(log))
-    }
-
-    fn with_source(handle: Arc<ScorerHandle>, log: DrainSource) -> FleetReplica {
         FleetReplica {
             handle,
             log,
@@ -156,7 +120,7 @@ impl FleetReplica {
     /// The vote log this replica drains (the engine taps into the same
     /// one).
     pub fn log(&self) -> &VoteLog {
-        self.log.log()
+        &self.log
     }
 
     /// Replace the stage-time validator. Testing seam: integration tests
@@ -175,7 +139,7 @@ impl FleetControl for FleetReplica {
     fn drain_votes(&self, peek: bool, min: u32) -> DrainReply {
         if peek {
             return DrainReply {
-                buffered: self.log.log().len() as u32,
+                buffered: self.log.len() as u32,
                 sealed: None,
             };
         }
@@ -184,7 +148,7 @@ impl FleetControl for FleetReplica {
                 let buffered = records.len() as u32;
                 let snap = VoteLogSnapshot {
                     records,
-                    dropped: self.log.log().dropped(),
+                    dropped: self.log.dropped(),
                 };
                 DrainReply {
                     buffered,
@@ -478,18 +442,18 @@ mod tests {
 
     #[test]
     fn durable_drain_truncates_the_wal_with_the_buffer() {
-        use crate::durability::vote_wal_options;
+        use crate::votelog::vote_wal_options;
         use std::time::Duration;
 
         let d = std::env::temp_dir().join(format!("lre_rollout_durable_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         let mut opts = vote_wal_options();
         opts.fsync_interval = Duration::ZERO;
-        let (durable, _) = DurableVoteLog::open(&d, 8, opts, None).unwrap();
-        let durable = Arc::new(durable);
-        let mut rep = FleetReplica::new_durable(
+        let (log, _) = VoteLog::open(&d, 8, opts, None).unwrap();
+        let log = Arc::new(log);
+        let mut rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
-            Arc::clone(&durable),
+            Arc::clone(&log),
         );
         rep.validate = Box::new(mock_validate);
 
@@ -504,15 +468,15 @@ mod tests {
             stage_us: Default::default(),
             stage_done: None,
         };
-        durable.record(detail(1));
-        durable.record(detail(2));
-        assert_eq!(durable.wal().status().buffered, 2);
+        log.record(detail(1));
+        log.record(detail(2));
+        assert_eq!(log.wal_status().unwrap().buffered, 2);
 
         let drained = rep.drain_votes(false, 2);
         assert_eq!(drained.buffered, 2);
         assert!(drained.sealed.is_some());
         assert!(rep.log().is_empty());
-        assert_eq!(durable.wal().status().buffered, 0);
+        assert_eq!(log.wal_status().unwrap().buffered, 0);
         std::fs::remove_dir_all(&d).ok();
     }
 }

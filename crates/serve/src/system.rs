@@ -22,7 +22,10 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct ScoreDetail {
     /// Content digest of the raw samples (see [`sample_digest`]) — the
-    /// vote log's dedup key for replayed utterances.
+    /// vote log's dedup key for replayed utterances. Computed where it is
+    /// read: by the engine as it tees a reply into a [`ScoreTap`], and by
+    /// [`ScoringSystem::try_score_detailed`]; a bare [`FanOut::finish`]
+    /// leaves it zero.
     pub digest: u64,
     /// Frame count of the utterance (duration routing provenance).
     pub num_frames: u32,
@@ -312,7 +315,9 @@ impl ScoringSystem {
         for task in 0..tasks.slots.len() {
             tasks.run(task, scratch, &mut normalized);
         }
-        tasks.finish()
+        let mut detail = tasks.finish()?;
+        detail.digest = sample_digest(samples);
+        Ok(detail)
     }
 
     /// The serial head of a request — one pass over the audio for every
@@ -323,7 +328,6 @@ impl ScoringSystem {
         let extract_us = extract_started.elapsed().as_micros() as u64;
         UttTasks {
             model: Arc::clone(&self.model),
-            digest: sample_digest(samples),
             feats,
             extract_us,
             slots: self.model.subs.iter().map(|_| Mutex::new(None)).collect(),
@@ -357,7 +361,6 @@ impl Scorer for ScoringSystem {
 /// own slot, then fusion over the slots in subsystem order.
 struct UttTasks {
     model: Arc<Model>,
-    digest: u64,
     /// One matrix per distinct feature kind, read by every task.
     feats: Vec<FrameMatrix>,
     /// The shared pass: the first part of "everything before the
@@ -462,7 +465,7 @@ impl FanOut for UttTasks {
         let (subsystem_scores, supervectors) =
             subs.into_iter().map(|s| (s.row, s.supervector)).unzip();
         Ok(ScoreDetail {
-            digest: self.digest,
+            digest: 0,
             num_frames: num_frames as u32,
             duration_index: di,
             generation: 0,

@@ -1,5 +1,6 @@
 //! The vote log: a bounded, deduplicating buffer of everything the online
-//! DBA loop needs from each served utterance.
+//! DBA loop needs from each served utterance — the *vote window* one
+//! adaptation cycle drains.
 //!
 //! The serving engine tees one [`VoteRecord`] per successfully scored
 //! utterance into a [`VoteLog`] (via the [`ScoreTap`] seam), holding the
@@ -9,6 +10,16 @@
 //! the utterance content digest, so a replayed utterance never inflates
 //! the pseudo-label pool within one adaptation window.
 //!
+//! A log opened on a directory ([`VoteLog::open`]) keeps its window in a
+//! [`lre_wal::Wal`] as well, so it survives a crash: every record the
+//! buffer *admits* (and only those — dedup rejects and overflow drops never
+//! touch disk) is appended as its own sealed `VREC` container, and a drain
+//! clears the WAL as it empties the buffer. Both happen under the log's one
+//! mutex, so the WAL holds exactly the buffered window — which is what
+//! lets a restart's replay rebuild the buffer, dedup state included, to an
+//! identical drain result. A WAL write that fails degrades durability
+//! (counted in [`lre_wal::WalStatus::write_errors`]), never the window.
+//!
 //! A drained (or in-flight) log can be frozen as a [`VoteLogSnapshot`] —
 //! a sealed, CRC-framed `lre-artifact` container (kind `VLOG`, records as
 //! nested `VREC` artifacts) — for audit or offline replay of an
@@ -17,7 +28,9 @@
 use crate::system::{ScoreDetail, ScoreTap};
 use lre_artifact::{ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter};
 use lre_vsm::SparseVec;
+use lre_wal::{Wal, WalObs, WalOptions, WalStatus};
 use std::collections::HashSet;
+use std::path::Path;
 use std::sync::Mutex;
 
 /// Everything one served utterance contributes to an adaptation cycle.
@@ -112,15 +125,35 @@ struct LogState {
     deduped: u64,
 }
 
+/// WAL options for a vote log: `VREC` v1 records, default fsync batching.
+pub fn vote_wal_options() -> WalOptions {
+    WalOptions::new(
+        <VoteRecord as ArtifactWrite>::KIND,
+        <VoteRecord as ArtifactWrite>::VERSION,
+    )
+}
+
+/// What [`VoteLog::open`] recovered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VoteRecovery {
+    /// Records replayed from the WAL into the buffer.
+    pub replayed: u64,
+    /// Torn tail records the WAL skipped (0 or 1).
+    pub torn: u64,
+}
+
 /// The bounded, deduplicating vote-record buffer the engine taps into.
 pub struct VoteLog {
     state: Mutex<LogState>,
     capacity: usize,
+    /// Written only with `state` held, so it always holds exactly
+    /// `state.records`.
+    wal: Option<Wal>,
 }
 
 impl VoteLog {
-    /// An empty log admitting at most `capacity` buffered records
-    /// (overflow drops the newest record and counts it in
+    /// An empty in-memory log admitting at most `capacity` buffered
+    /// records (overflow drops the newest record and counts it in
     /// [`VoteLog::dropped`]).
     pub fn new(capacity: usize) -> VoteLog {
         VoteLog {
@@ -131,7 +164,36 @@ impl VoteLog {
                 deduped: 0,
             }),
             capacity: capacity.max(1),
+            wal: None,
         }
+    }
+
+    /// [`VoteLog::new`] over the WAL in directory `dir`: the buffer is
+    /// rebuilt from whatever survived there, exactly as the original
+    /// admissions built it (dedup state included), and from then on every
+    /// admission and drain is written through.
+    pub fn open(
+        dir: &Path,
+        capacity: usize,
+        opts: WalOptions,
+        obs: Option<WalObs>,
+    ) -> Result<(VoteLog, VoteRecovery), ArtifactError> {
+        let (wal, replay) = Wal::open(dir, opts, obs)?;
+        let mut log = VoteLog::new(capacity);
+        let mut replayed = 0u64;
+        for bytes in &replay.records {
+            if log.admit(VoteRecord::from_artifact_bytes(bytes)?) {
+                replayed += 1;
+            }
+        }
+        log.wal = Some(wal);
+        Ok((
+            log,
+            VoteRecovery {
+                replayed,
+                torn: replay.torn_tail_records,
+            },
+        ))
     }
 
     /// Records currently buffered.
@@ -153,55 +215,57 @@ impl VoteLog {
         self.state.lock().expect("vote log poisoned").deduped
     }
 
+    /// The WAL's point-in-time summary; `None` for an in-memory log.
+    pub fn wal_status(&self) -> Option<WalStatus> {
+        self.wal.as_ref().map(Wal::status)
+    }
+
     /// Take every buffered record (arrival order) if at least `min` are
     /// buffered; otherwise leave the log untouched and report how many are.
     /// The check and the take are one critical section, so a cycle can
-    /// never half-drain a log that a concurrent scorer is appending to.
+    /// never half-drain a log that a concurrent scorer is appending to —
+    /// and the WAL is cleared inside it: the drained records are now the
+    /// adaptation cycle's problem, not the crash-recovery window's.
     pub fn drain_at_least(&self, min: usize) -> Result<Vec<VoteRecord>, usize> {
         let mut s = self.state.lock().expect("vote log poisoned");
         if s.records.len() < min.max(1) {
             return Err(s.records.len());
         }
         s.seen.clear();
+        if let Some(wal) = &self.wal {
+            // A failed clear leaves a window on disk that a restart would
+            // replay; the WAL counts it.
+            let _ = wal.clear();
+        }
         Ok(std::mem::take(&mut s.records))
     }
 
-    /// Admit one scored utterance, returning the admitted record when it
-    /// entered the buffer (`None` for mock details, duplicates, and
-    /// overflow). This is [`ScoreTap::record`] with a return value — the
-    /// seam a durability tee uses to write-ahead-log exactly the records
-    /// the in-memory buffer accepted, so replay and buffer can never
-    /// disagree about what was admitted.
-    pub fn admit(&self, detail: ScoreDetail) -> Option<VoteRecord> {
-        if detail.supervectors.is_empty() {
-            return None;
-        }
-        self.admit_record(VoteRecord::from(detail))
-    }
-
-    /// Re-admit a record during crash-recovery replay, rebuilding the
-    /// dedup state exactly as the original admissions did. Reports
-    /// whether the record entered the buffer.
-    pub fn replay(&self, rec: VoteRecord) -> bool {
+    /// Admit one record — a fresh score or a replayed one — and report
+    /// whether it entered the buffer. Records without subsystem
+    /// intermediates (mock scorers, [`ScoreDetail::from_fused`]) carry
+    /// nothing to vote on or retrain from and never do; nor do
+    /// within-window duplicates and overflow, which are counted.
+    fn admit(&self, rec: VoteRecord) -> bool {
         if rec.supervectors.is_empty() {
             return false;
         }
-        self.admit_record(rec).is_some()
-    }
-
-    fn admit_record(&self, rec: VoteRecord) -> Option<VoteRecord> {
         let mut s = self.state.lock().expect("vote log poisoned");
         if s.seen.contains(&rec.digest) {
             s.deduped += 1;
-            return None;
+            return false;
         }
         if s.records.len() >= self.capacity {
             s.dropped += 1;
-            return None;
+            return false;
+        }
+        if let Some(wal) = &self.wal {
+            // A failed append leaves a record a crash would lose, like an
+            // unsynced one; the WAL counts it.
+            let _ = wal.append(&rec.to_artifact_bytes());
         }
         s.seen.insert(rec.digest);
-        s.records.push(rec.clone());
-        Some(rec)
+        s.records.push(rec);
+        true
     }
 
     /// Freeze the current buffer as a sealed snapshot (records cloned;
@@ -217,10 +281,7 @@ impl VoteLog {
 
 impl ScoreTap for VoteLog {
     fn record(&self, detail: ScoreDetail) {
-        // Mock scorers (`ScoreDetail::from_fused`) carry no
-        // subsystem intermediates; there is nothing to vote on or retrain
-        // from, so such rows never enter the log (admit refuses them).
-        let _ = self.admit(detail);
+        self.admit(VoteRecord::from(detail));
     }
 }
 
@@ -259,6 +320,8 @@ impl ArtifactRead for VoteLogSnapshot {
 mod tests {
     use super::*;
     use lre_artifact::check_damage_detected;
+    use std::path::PathBuf;
+    use std::time::Duration;
 
     fn detail(digest: u64, di: usize, v: f32) -> ScoreDetail {
         ScoreDetail {
@@ -315,46 +378,84 @@ mod tests {
         assert_eq!(log.deduped(), 0);
     }
 
-    #[test]
-    fn admit_returns_exactly_what_entered_the_buffer() {
-        let log = VoteLog::new(2);
-        let admitted = log.admit(detail(1, 0, 1.0)).expect("first record admitted");
-        assert_eq!(admitted.digest, 1);
-        assert!(log.admit(detail(1, 0, 1.0)).is_none()); // duplicate
-        assert!(log.admit(detail(2, 1, 2.0)).is_some());
-        assert!(log.admit(detail(3, 2, 3.0)).is_none()); // overflow
-        let mut mock = detail(4, 0, 1.0);
-        mock.supervectors = Vec::new();
-        assert!(log.admit(mock).is_none()); // nothing to vote on
-        assert_eq!(log.len(), 2);
+    fn tmpdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("lre_votelog_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    fn opts() -> WalOptions {
+        let mut o = vote_wal_options();
+        o.fsync_interval = Duration::ZERO; // deterministic tests
+        o
+    }
+
+    fn on_disk(log: &VoteLog) -> WalStatus {
+        log.wal_status().expect("opened on a directory")
     }
 
     #[test]
-    fn replay_rebuilds_buffer_and_dedup_state() {
-        // Original log: two admissions.
-        let log = VoteLog::new(8);
-        let a = log.admit(detail(1, 0, 1.0)).unwrap();
-        let b = log.admit(detail(2, 1, 2.0)).unwrap();
-
-        // "Restarted" log replayed from the tee'd records.
-        let rebuilt = VoteLog::new(8);
-        assert!(rebuilt.replay(a));
-        assert!(rebuilt.replay(b));
-        // Dedup state came back too: the digests are still hot.
-        log.record(detail(1, 0, 1.0));
-        rebuilt.record(detail(1, 0, 1.0));
-        assert_eq!(rebuilt.deduped(), log.deduped());
-        // Identical drain result.
-        let want = log.drain_at_least(1).unwrap();
-        let got = rebuilt.drain_at_least(1).unwrap();
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.digest, w.digest);
-            assert_eq!(
-                g.fused.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                w.fused.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+    fn tee_then_reopen_rebuilds_an_identical_window() {
+        let d = tmpdir("tee");
+        {
+            let (log, rec) = VoteLog::open(&d, 8, opts(), None).unwrap();
+            assert_eq!(rec, VoteRecovery::default());
+            log.record(detail(1, 1, 1.0));
+            log.record(detail(1, 1, 1.0)); // dup: buffer refuses, WAL untouched
+            log.record(detail(2, 1, 2.0));
+            assert_eq!(log.len(), 2);
+            assert_eq!(on_disk(&log).buffered, 2);
+            assert_eq!(on_disk(&log).write_errors, 0);
         }
+        let (log, rec) = VoteLog::open(&d, 8, opts(), None).unwrap();
+        assert_eq!(rec.replayed, 2);
+        assert_eq!(rec.torn, 0);
+        // Dedup state came back: the digests are still hot.
+        log.record(detail(2, 1, 2.0));
+        assert_eq!(log.deduped(), 1);
+        let drained = log.drain_at_least(2).unwrap();
+        assert_eq!(drained.len(), 2);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&drained[0].fused), bits(&detail(1, 1, 1.0).fused));
+        assert_eq!(bits(&drained[1].fused), bits(&detail(2, 1, 2.0).fused));
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn drain_clears_the_wal_so_restart_starts_empty() {
+        let d = tmpdir("drain");
+        {
+            let (log, _) = VoteLog::open(&d, 8, opts(), None).unwrap();
+            log.record(detail(1, 1, 1.0));
+            log.record(detail(2, 1, 2.0));
+            assert!(matches!(log.drain_at_least(3), Err(2))); // refused: WAL untouched
+            assert_eq!(on_disk(&log).buffered, 2);
+            let drained = log.drain_at_least(2).unwrap();
+            assert_eq!(drained.len(), 2);
+            assert_eq!(on_disk(&log).buffered, 0);
+            // Post-drain records land above the new low-water mark.
+            log.record(detail(3, 1, 3.0));
+        }
+        let (log, rec) = VoteLog::open(&d, 8, opts(), None).unwrap();
+        assert_eq!(rec.replayed, 1);
+        assert_eq!(log.drain_at_least(1).unwrap()[0].digest, 3);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn a_failed_clear_is_counted_not_dropped() {
+        let d = tmpdir("clearfail");
+        let (log, _) = VoteLog::open(&d, 8, opts(), None).unwrap();
+        log.record(detail(1, 1, 1.0));
+        // The log directory turns into a plain file: the drain's
+        // write-and-rename has nowhere to land.
+        std::fs::remove_dir_all(&d).unwrap();
+        std::fs::write(&d, b"").unwrap();
+        assert_eq!(log.drain_at_least(1).unwrap().len(), 1);
+        assert_eq!(on_disk(&log).write_errors, 1);
+        // The WAL still says what is on disk: the window was not cleared.
+        assert_eq!(on_disk(&log).buffered, 1);
+        std::fs::remove_file(&d).ok();
     }
 
     #[test]

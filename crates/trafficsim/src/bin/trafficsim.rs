@@ -22,6 +22,7 @@
 //! default) is deterministic for a given plan and outcome set; measured
 //! numbers go to stderr only.
 
+use lre_serve::args::{or_die, Args};
 use lre_trafficsim::{
     builtin_scenarios, by_name, generate, run, CommandStream, ScenarioSpec, SimConfig,
 };
@@ -29,21 +30,11 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: lre-trafficsim (--scenario NAME --seed N | \
-         --scenario-file PATH --seed N | --replay PATH) \
-         --addr HOST:PORT [--replica HOST:PORT]... [--adapt-addr HOST:PORT] \
-         [--adaptd-cmd CMD] [--export PATH] [--verdicts-out PATH] [--tick-ms N] \
-         [--export-only] [--list]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_addr(s: &str, what: &str) -> SocketAddr {
-    s.parse()
-        .unwrap_or_else(|_| usage(&format!("bad {what} (want HOST:PORT)")))
-}
+const USAGE: &str = "lre-trafficsim (--scenario NAME --seed N | \
+    --scenario-file PATH --seed N | --replay PATH) \
+    --addr HOST:PORT [--replica HOST:PORT]... [--adapt-addr HOST:PORT] \
+    [--adaptd-cmd CMD] [--export PATH] [--verdicts-out PATH] [--tick-ms N] \
+    [--export-only] [--list]";
 
 fn main() {
     let mut scenario: Option<String> = None;
@@ -59,106 +50,52 @@ fn main() {
     let mut tick_ms = 50u64;
     let mut export_only = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let get = |i: usize, what: &str| -> &String {
-            args.get(i)
-                .unwrap_or_else(|| usage(&format!("missing value for {what}")))
-        };
-        match args[i].as_str() {
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--list" => {
                 for s in builtin_scenarios() {
                     println!("{:<14} {}", s.name, s.about);
                 }
                 return;
             }
-            "--scenario" => {
-                i += 1;
-                scenario = Some(get(i, "--scenario").clone());
-            }
-            "--scenario-file" => {
-                i += 1;
-                scenario_file = Some(PathBuf::from(get(i, "--scenario-file")));
-            }
-            "--adaptd-cmd" => {
-                i += 1;
-                adaptd_cmd = Some(get(i, "--adaptd-cmd").clone());
-            }
-            "--seed" => {
-                i += 1;
-                seed = Some(
-                    get(i, "--seed")
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --seed (want u64)")),
-                );
-            }
-            "--addr" => {
-                i += 1;
-                addr = Some(parse_addr(get(i, "--addr"), "--addr"));
-            }
-            "--replica" => {
-                i += 1;
-                replicas.push(parse_addr(get(i, "--replica"), "--replica"));
-            }
-            "--adapt-addr" => {
-                i += 1;
-                adapt_addr = Some(parse_addr(get(i, "--adapt-addr"), "--adapt-addr"));
-            }
-            "--export" => {
-                i += 1;
-                export = Some(PathBuf::from(get(i, "--export")));
-            }
-            "--replay" => {
-                i += 1;
-                replay = Some(PathBuf::from(get(i, "--replay")));
-            }
-            "--verdicts-out" => {
-                i += 1;
-                verdicts_out = Some(PathBuf::from(get(i, "--verdicts-out")));
-            }
-            "--tick-ms" => {
-                i += 1;
-                tick_ms = get(i, "--tick-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --tick-ms (want u64)"));
-            }
+            "--scenario" => scenario = Some(args.value(&flag)),
+            "--scenario-file" => scenario_file = Some(args.value(&flag)),
+            "--adaptd-cmd" => adaptd_cmd = Some(args.value(&flag)),
+            "--seed" => seed = Some(args.value(&flag)),
+            "--addr" => addr = Some(args.value(&flag)),
+            "--replica" => replicas.push(args.value(&flag)),
+            "--adapt-addr" => adapt_addr = Some(args.value(&flag)),
+            "--export" => export = Some(args.value(&flag)),
+            "--replay" => replay = Some(args.value(&flag)),
+            "--verdicts-out" => verdicts_out = Some(args.value(&flag)),
+            "--tick-ms" => tick_ms = args.value(&flag),
             "--export-only" => export_only = true,
-            other => usage(&format!("unknown argument {other}")),
+            other => args.fail(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
 
     // --- Resolve the scenario file, if any: it supplies both the plan
     // (when generating) and the invariants (always).
     let file_spec: Option<ScenarioSpec> = scenario_file.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: reading {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        ScenarioSpec::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: {}: {e}", path.display());
-            std::process::exit(1);
-        })
+        let text = or_die(
+            std::fs::read_to_string(path),
+            format!("reading {}", path.display()),
+        );
+        or_die(ScenarioSpec::parse(&text), path.display())
     });
     if scenario.is_some() && file_spec.is_some() {
-        usage("--scenario and --scenario-file are mutually exclusive");
+        args.fail("--scenario and --scenario-file are mutually exclusive");
     }
 
     // --- Resolve the command stream: generate fresh or load a replay.
     let stream: CommandStream = match (&replay, &scenario) {
         (Some(path), None) => {
-            let bytes = std::fs::read(path).unwrap_or_else(|e| {
-                eprintln!("error: reading {}: {e}", path.display());
-                std::process::exit(1);
-            });
-            let stream = CommandStream::decode(&bytes).unwrap_or_else(|e| {
-                eprintln!(
-                    "error: {} is not a valid command stream: {e}",
-                    path.display()
-                );
-                std::process::exit(1);
-            });
+            let bytes = or_die(std::fs::read(path), format!("reading {}", path.display()));
+            let stream = or_die(
+                CommandStream::decode(&bytes),
+                format!("{} is not a valid command stream", path.display()),
+            );
             eprintln!(
                 "[trafficsim] replaying {}: scenario={} seed={} ticks={} commands={}",
                 path.display(),
@@ -171,18 +108,19 @@ fn main() {
         }
         (None, Some(name)) => {
             let spec = by_name(name)
-                .unwrap_or_else(|| usage(&format!("unknown scenario {name:?} (see --list)")));
-            let seed = seed.unwrap_or_else(|| usage("--seed is required with --scenario"));
+                .unwrap_or_else(|| args.fail(&format!("unknown scenario {name:?} (see --list)")));
+            let seed = seed.unwrap_or_else(|| args.fail("--seed is required with --scenario"));
             generate(&spec, seed)
         }
         (None, None) => match &file_spec {
             Some(spec) => {
-                let seed = seed.unwrap_or_else(|| usage("--seed is required with --scenario-file"));
+                let seed =
+                    seed.unwrap_or_else(|| args.fail("--seed is required with --scenario-file"));
                 generate(spec, seed)
             }
-            None => usage("one of --scenario, --scenario-file, or --replay is required"),
+            None => args.fail("one of --scenario, --scenario-file, or --replay is required"),
         },
-        (Some(_), Some(_)) => usage("--replay and --scenario are mutually exclusive"),
+        (Some(_), Some(_)) => args.fail("--replay and --scenario are mutually exclusive"),
     };
     // The invariant set always comes from the stream's recorded scenario
     // name, so a replay judges exactly what the original run judged. A
@@ -210,10 +148,10 @@ fn main() {
     };
 
     if let Some(path) = &export {
-        if let Err(e) = std::fs::write(path, stream.encode()) {
-            eprintln!("error: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        or_die(
+            std::fs::write(path, stream.encode()),
+            format!("writing {}", path.display()),
+        );
         eprintln!(
             "[trafficsim] exported {} commands (crc32={:08x}) to {}",
             stream.commands.len(),
@@ -223,12 +161,12 @@ fn main() {
     }
     if export_only {
         if export.is_none() {
-            usage("--export-only needs --export PATH");
+            args.fail("--export-only needs --export PATH");
         }
         return;
     }
 
-    let addr = addr.unwrap_or_else(|| usage("--addr is required"));
+    let addr = addr.unwrap_or_else(|| args.fail("--addr is required"));
     let mut cfg = SimConfig::new(addr);
     cfg.replicas = replicas;
     cfg.adapt_addr = adapt_addr;
@@ -248,10 +186,10 @@ fn main() {
     eprint!("{}", report.detail);
     match &verdicts_out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &report.verdict_text) {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
+            or_die(
+                std::fs::write(path, &report.verdict_text),
+                format!("writing {}", path.display()),
+            );
             eprint!("{}", report.verdict_text);
         }
         None => print!("{}", report.verdict_text),

@@ -84,6 +84,7 @@ pub struct WalObs {
     pub appended_records: Arc<Counter>,
     pub replayed_records: Arc<Counter>,
     pub torn_records: Arc<Counter>,
+    pub write_errors: Arc<Counter>,
     pub flight: Option<Arc<FlightRecorder>>,
 }
 
@@ -96,6 +97,7 @@ impl WalObs {
             appended_records: registry.counter("wal.appended_records"),
             replayed_records: registry.counter("wal.replayed_records"),
             torn_records: registry.counter("wal.torn_records"),
+            write_errors: registry.counter("wal.write_errors"),
             flight,
         }
     }
@@ -133,6 +135,10 @@ pub struct WalStatus {
     pub fsyncs: u64,
     /// Appends not yet covered by a successful fsync.
     pub unsynced: u64,
+    /// [`Wal::append`] and [`Wal::clear`] calls that failed at the file
+    /// since open: each is a record a crash would lose, or a drained
+    /// window a restart would replay.
+    pub write_errors: u64,
 }
 
 struct Inner {
@@ -155,6 +161,7 @@ struct Inner {
     fsyncs: u64,
     replayed: u64,
     torn: u64,
+    write_errors: u64,
     stopping: bool,
 }
 
@@ -211,6 +218,19 @@ struct Shared {
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("wal poisoned")
+    }
+
+    /// A failed append or drain, counted on its way out to the caller: the
+    /// callers that carry on without the log (the vote window does) leave
+    /// the degraded state readable here.
+    fn counted<T>(&self, inner: &mut Inner, result: io::Result<T>) -> io::Result<T> {
+        if result.is_err() {
+            inner.write_errors += 1;
+            if let Some(obs) = &self.obs {
+                obs.write_errors.incr();
+            }
+        }
+        result
     }
 
     /// One batched fsync: cover every append made so far, outside the
@@ -325,6 +345,7 @@ impl Wal {
                 fsyncs: 0,
                 replayed,
                 torn,
+                write_errors: 0,
                 stopping: false,
             }),
             cv: Condvar::new(),
@@ -369,12 +390,15 @@ impl Wal {
             return Err(ArtifactError::Corrupt("append of unframed record"));
         }
         let mut inner = self.shared.lock();
-        inner.write_record(record)?;
         let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if self.shared.opts.fsync_interval.is_zero() {
-            inner.sync()?;
-        }
+        let appended = inner.write_record(record).and_then(|()| {
+            inner.next_seq += 1;
+            if self.shared.opts.fsync_interval.is_zero() {
+                inner.sync()?;
+            }
+            Ok(())
+        });
+        self.shared.counted(&mut inner, appended)?;
         drop(inner);
         if let Some(obs) = &self.shared.obs {
             obs.appended_records.incr();
@@ -394,11 +418,14 @@ impl Wal {
     /// before the rename the log is unchanged, on disk and in memory.
     pub fn clear(&self) -> Result<(), ArtifactError> {
         let mut inner = self.shared.lock();
-        (inner.file, inner.good_len) = start_log(&self.shared.path, inner.next_seq)?;
-        inner.uncut = None;
-        inner.base_seq = inner.next_seq;
-        inner.synced_seq = inner.next_seq;
-        Ok(fsync_dir(&self.shared.path)?)
+        let cleared = start_log(&self.shared.path, inner.next_seq).and_then(|started| {
+            (inner.file, inner.good_len) = started;
+            inner.uncut = None;
+            inner.base_seq = inner.next_seq;
+            inner.synced_seq = inner.next_seq;
+            fsync_dir(&self.shared.path)
+        });
+        Ok(self.shared.counted(&mut inner, cleared)?)
     }
 
     /// Point-in-time status summary.
@@ -412,6 +439,7 @@ impl Wal {
             torn: inner.torn,
             fsyncs: inner.fsyncs,
             unsynced: inner.next_seq - inner.synced_seq,
+            write_errors: inner.write_errors,
         }
     }
 }
@@ -630,6 +658,7 @@ mod tests {
             }
         }
         assert_eq!(obs.appended_records.get(), 3);
+        assert_eq!(obs.write_errors.get(), 0);
         let (_, replay) = Wal::open(&d, opts(), Some(obs.clone())).unwrap();
         assert_eq!(replay.records.len(), 3);
         assert_eq!(obs.replayed_records.get(), 3);
@@ -662,7 +691,8 @@ mod tests {
     #[test]
     fn a_short_write_is_cut_back_so_later_appends_replay() {
         let d = tmpdir("shortwrite");
-        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        let obs = WalObs::new(&Registry::new(), None);
+        let (wal, _) = Wal::open(&d, opts(), Some(obs.clone())).unwrap();
         wal.append(&rec(0)).unwrap();
         wal.append(&rec(1)).unwrap();
         let whole = fs::metadata(d.join(LOG_FILE)).unwrap().len();
@@ -673,7 +703,13 @@ mod tests {
             other => panic!("expected the write error, got {other:?}"),
         }
         assert_eq!(fs::metadata(d.join(LOG_FILE)).unwrap().len(), whole);
-        assert_eq!(wal.status().next_seq, 2);
+        let st = wal.status();
+        assert_eq!((st.next_seq, st.write_errors), (2, 1));
+        assert_eq!(
+            obs.write_errors.get(),
+            1,
+            "and on the wal.write_errors series"
+        );
 
         assert_eq!(wal.append(&rec(3)).unwrap(), 2);
         drop(wal);
@@ -687,6 +723,7 @@ mod tests {
         wal.shared.lock().short_write = true;
         assert!(wal.append(&rec(4)).is_err());
         assert_eq!(wal.append(&rec(5)).unwrap(), 3);
+        assert_eq!(wal.status().write_errors, 1, "counted since this open");
         drop(wal);
         let (_, replay) = Wal::open(&d, opts(), None).unwrap();
         assert_eq!((replay.low_water, replay.records), (3, vec![rec(5)]));
@@ -712,7 +749,8 @@ mod tests {
             Err(ArtifactError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
             other => panic!("expected the standing error, got {other:?}"),
         }
-        assert_eq!(wal.status().next_seq, 1);
+        let st = wal.status();
+        assert_eq!((st.next_seq, st.write_errors), (1, 2));
         // Nothing followed the half record onto the broken handle.
         drop(std::mem::replace(&mut wal.shared.lock().file, real));
         let mut landed = Vec::new();
@@ -722,6 +760,7 @@ mod tests {
         assert!(wal.append(&rec(2)).is_err(), "still refused");
         wal.clear().unwrap();
         assert_eq!(wal.append(&rec(3)).unwrap(), 1);
+        assert_eq!(wal.status().write_errors, 3, "every refusal was counted");
         fs::remove_dir_all(&d).ok();
     }
 

@@ -147,7 +147,7 @@ fn experiment(args: &[String]) {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
     let scale = opt(args, "--scale")
-        .and_then(|s| Scale::parse(&s))
+        .and_then(|s| s.parse().ok())
         .unwrap_or(Scale::Smoke);
     let v: u8 = opt(args, "--v").and_then(|s| s.parse().ok()).unwrap_or(3);
     let exp = Experiment::build(&ExperimentConfig::new(scale, seed));
