@@ -1,4 +1,11 @@
 //! Diagonal-covariance Gaussian mixture models.
+//!
+//! Two scoring paths that agree bit for bit: [`DiagGmm::log_likelihood`], one
+//! frame at a time with `f32::exp` / `f32::ln` — the specification, and what
+//! training calls — and [`DiagGmm::log_likelihood_block_t`], a block of
+//! frames at a time through a vectorised distance fill and a dense
+//! log-sum-exp tail on `lre_linalg`'s slice `expf` / `lnf`, which is what
+//! decoding and serving run.
 
 use rand::RngExt;
 
@@ -7,6 +14,12 @@ use rand::RngExt;
 /// 1.0 but far above numerical noise keeps sparsely-trained states from
 /// becoming high-density "absorber" states that swallow every frame.
 const VAR_FLOOR: f32 = 5e-2;
+
+/// Most components a GMM may have, enforced where one is built and where one
+/// is loaded. Far above anything trained here (8 + background) or in the
+/// paper; it bounds the scratch a hostile artifact can make scoring allocate
+/// (`num_mix` floats per frame, `64 × num_mix` per block).
+const MAX_MIX: usize = 1024;
 
 /// A diagonal-covariance GMM over `dim`-dimensional frames.
 ///
@@ -169,8 +182,14 @@ impl DiagGmm {
     }
 
     /// Build from explicit parameters (weights need not be normalized).
+    /// Panics outside `1..=`[`MAX_MIX`] components: what can be built can be
+    /// saved, loaded and scored on both paths.
     pub fn from_params(means: Vec<f32>, vars: Vec<f32>, weights: Vec<f32>, dim: usize) -> DiagGmm {
         let num_mix = weights.len();
+        assert!(
+            (1..=MAX_MIX).contains(&num_mix),
+            "a GMM has 1..={MAX_MIX} components, not {num_mix}"
+        );
         assert_eq!(means.len(), num_mix * dim);
         assert_eq!(vars.len(), num_mix * dim);
         let wsum: f32 = weights.iter().sum();
@@ -217,9 +236,18 @@ impl DiagGmm {
     pub fn log_likelihood(&self, x: &[f32]) -> f32 {
         debug_assert_eq!(x.len(), self.dim);
         let mut max = f32::NEG_INFINITY;
-        let mut comps = [0f32; 16]; // stack buffer; num_mix is small
-        debug_assert!(self.num_mix <= 16);
-        for (c, slot) in comps.iter_mut().enumerate().take(self.num_mix) {
+        // On the stack for every trained shape; a wider model pays an
+        // allocation per frame here and should be scored in blocks.
+        let mut stack = [0f32; 16];
+        let mut heap = Vec::new();
+        let comps = match stack.get_mut(..self.num_mix) {
+            Some(comps) => comps,
+            None => {
+                heap.resize(self.num_mix, 0f32);
+                &mut heap[..]
+            }
+        };
+        for (c, slot) in comps.iter_mut().enumerate() {
             let mu = &self.means[c * self.dim..(c + 1) * self.dim];
             let iv = &self.inv_vars[c * self.dim..(c + 1) * self.dim];
             let mut q = 0.0f32;
@@ -235,7 +263,7 @@ impl DiagGmm {
         }
         // Log-sum-exp.
         let mut sum = 0.0f32;
-        for &l in &comps[..self.num_mix] {
+        for &l in comps.iter() {
             sum += (l - max).exp();
         }
         max + sum.ln()
@@ -249,10 +277,11 @@ impl DiagGmm {
     /// component's log term with the frames of one dimension as the
     /// innermost, unit-stride loop, then [`lse_rows`] folds them into one
     /// log-sum-exp per frame. Per frame, the distance accumulation order
-    /// over `d` is exactly [`DiagGmm::log_likelihood`]'s and the tail skips
-    /// only work that cannot change a bit of its result, so the output is
-    /// bit-identical to the per-frame path. The caller transposes a frame
-    /// block once and reuses it across every state's GMM.
+    /// over `d` and the sum's order over components are exactly
+    /// [`DiagGmm::log_likelihood`]'s, and the tail's `expf` / `lnf` return
+    /// libm's bits, so the output is bit-identical to the per-frame path.
+    /// The caller transposes a frame block once and reuses it across every
+    /// state's GMM.
     ///
     /// `comps` is caller-owned scratch (resized internally) holding the
     /// per-component log terms, `num_mix × n`.
@@ -320,20 +349,6 @@ impl DiagGmm {
     }
 }
 
-/// Frames per pass of [`lse_rows`]; its per-frame scratch is stack arrays of
-/// this length. The state scorer's block length, so one pass per call there.
-const LSE_FRAMES: usize = 64;
-
-/// Capacity of [`lse_rows`]'s list of terms waiting for `expf`, drained
-/// whenever one more row of [`LSE_FRAMES`] terms might not fit.
-const LSE_LIST: usize = 1024;
-
-/// Lemma (a): for `x < −104`, `expf(x)` is `+0.0`.
-const EXP_ZERO_BELOW: f32 = -104.0;
-
-/// Lemma (c): for `x < −17.4`, `expf(x) < 2⁻²⁵`.
-const EXP_NEGLIGIBLE_BELOW: f32 = -17.4;
-
 /// The exact log-sum-exp tail: `out[t] = max_t + ln Σ_c expf(l_c(t) − max_t)`
 /// over the `k × n` component rows in `comps` (`n = out.len()`), the sum
 /// taken in component order — bit-identical to the scalar loop
@@ -344,117 +359,42 @@ const EXP_NEGLIGIBLE_BELOW: f32 = -17.4;
 /// out = max + lnf(sum)
 /// ```
 ///
-/// of [`DiagGmm::log_likelihood`], while calling libm only for the terms
-/// that can change a bit of `sum` — on the trained bundles, about a quarter
-/// of them (census in EXPERIMENTS.md). Writing `x = l_c − max` and `a` for
-/// the *first* component with `l_a == max`, a term is **inert** when:
-///
-/// * **(a)** `x < −104`. `e⁻¹⁰⁴ < 2⁻¹⁵⁰`, half the smallest subnormal, so
-///   `expf(x)` rounds to `+0.0`, and `sum + (+0.0) == sum` for every `sum`
-///   the loop can hold (it starts at `+0.0` and never becomes `−0.0`).
-/// * **(b)** `x == 0`. `expf(±0.0)` is exactly `1.0`; no call is needed.
-/// * **(c)** `c > a` and `x < −17.4`. The running sum already holds term
-///   `a`, which is `1.0` by (b), and every term is `≥ +0.0`, so it is
-///   `≥ 1.0` and its half-ulp is `≥ 2⁻²⁴`; `expf(x) < 2⁻²⁵` is below that,
-///   so round-to-nearest returns the sum unchanged. Terms *before* `a` are
-///   always kept: there the running sum can be small enough for them to
-///   move the rounding of a later mid-sized term.
-///
-/// Inert terms of kind (a) and (c) are replaced by `+0.0` and those of kind
-/// (b) by `1.0`; the rest are collected into an index list, sent through
-/// `expf` in one loop and written back, and the rows are then added in
-/// component order. A frame whose sum is exactly `1.0` skips `lnf`
-/// (`lnf(1.0) == +0.0`). Every step is either a unit-stride loop over
-/// frames or an append-and-advance compaction, so no branch depends on the
-/// data: the same skips written as `if`s in the scalar loop cost as much in
-/// mispredictions as the calls they save.
-///
-/// Each predicate has the form "inert if `x < T`", which is false for NaN:
-/// NaN and infinite terms stay live and propagate as in the scalar loop.
-/// The lemmas rest on three facts about the platform's libm, pinned by the
-/// `libm_*` tests below so that a different libm fails loudly.
+/// of [`DiagGmm::log_likelihood`]. It is that loop turned inside out: four
+/// dense unit-stride passes over the frames (max, `expf` of every shifted
+/// term, sum, `lnf`), with [`lre_linalg::expf_in_place`] and
+/// [`lre_linalg::lnf_in_place`] — which return `f32::exp`'s and `f32::ln`'s
+/// bits for every input — in place of a libm call per term. No term is
+/// skipped, so there is nothing to prove about which terms could have been.
+/// Row 0 doubles as the accumulator: the scalar loop's first step,
+/// `0.0 + expf(x)`, is `expf(x)` itself for everything `expf` returns.
 fn lse_rows(comps: &mut [f32], k: usize, out: &mut [f32]) {
     let n = out.len();
     debug_assert_eq!(comps.len(), k * n);
-    let mut list = [0usize; LSE_LIST];
-    for t0 in (0..n).step_by(LSE_FRAMES) {
-        let bt = LSE_FRAMES.min(n - t0);
-        // Strict `>` never picks a NaN, as the scalar loop's `if l > max`.
-        let mut maxv = [f32::NEG_INFINITY; LSE_FRAMES];
-        for c in 0..k {
-            let row = &comps[c * n + t0..][..bt];
-            for (mx, &l) in maxv.iter_mut().zip(row) {
-                *mx = if l > *mx { l } else { *mx };
-            }
-        }
-        // Rewrite each term in place to its final value (`+0.0` or `1.0`)
-        // or, if it needs libm, to `x`, and list the latter. A frame's
-        // threshold drops from (a)'s to (c)'s once a component has reached
-        // its max.
-        let mut inert_below = [EXP_ZERO_BELOW; LSE_FRAMES];
-        let mut need = [0u32; LSE_FRAMES];
-        let mut pending = 0;
-        for c in 0..k {
-            if pending + bt > LSE_LIST {
-                exp_listed(comps, &list[..pending]);
-                pending = 0;
-            }
-            let base = c * n + t0;
-            let row = &mut comps[base..][..bt];
-            for (((v, nd), &mx), below) in row
-                .iter_mut()
-                .zip(&mut need)
-                .zip(&maxv)
-                .zip(&mut inert_below)
-            {
-                let x = *v - mx;
-                let inert = x < *below;
-                let one = x == 0.0;
-                *v = if inert {
-                    0.0
-                } else if one {
-                    1.0
-                } else {
-                    x
-                };
-                *nd = u32::from(!(inert | one));
-                *below = if one { EXP_NEGLIGIBLE_BELOW } else { *below };
-            }
-            for (j, &nd) in need[..bt].iter().enumerate() {
-                list[pending] = base + j;
-                pending += nd as usize;
-            }
-        }
-        exp_listed(comps, &list[..pending]);
-
-        let mut sums = [0.0f32; LSE_FRAMES];
-        for c in 0..k {
-            let row = &comps[c * n + t0..][..bt];
-            for (s, &e) in sums.iter_mut().zip(row) {
-                *s += e;
-            }
-        }
-        // The same compaction for `lnf`: only sums other than 1.0 (NaN
-        // included) are listed.
-        let mut lns = [0.0f32; LSE_FRAMES];
-        let mut pending = 0;
-        for (j, &s) in sums[..bt].iter().enumerate() {
-            list[pending] = j;
-            pending += usize::from(s != 1.0);
-        }
-        for &j in &list[..pending] {
-            lns[j] = sums[j].ln();
-        }
-        for ((o, &mx), &ln) in out[t0..t0 + bt].iter_mut().zip(&maxv).zip(&lns) {
-            *o = mx + ln;
+    out.fill(f32::NEG_INFINITY);
+    if comps.is_empty() {
+        return; // No frame, or no component: the scalar loop's `−∞ + lnf(0.0)`.
+    }
+    // Strict `>` never picks a NaN, as the scalar loop's `if l > max`.
+    for row in comps.chunks_exact(n) {
+        for (mx, &l) in out.iter_mut().zip(row) {
+            *mx = if l > *mx { l } else { *mx };
         }
     }
-}
-
-/// `comps[i] = expf(comps[i])` for every listed index.
-fn exp_listed(comps: &mut [f32], list: &[usize]) {
-    for &i in list {
-        comps[i] = comps[i].exp();
+    for row in comps.chunks_exact_mut(n) {
+        for (v, &mx) in row.iter_mut().zip(out.iter()) {
+            *v -= mx;
+        }
+    }
+    lre_linalg::expf_in_place(comps);
+    let (sums, rest) = comps.split_at_mut(n);
+    for row in rest.chunks_exact(n) {
+        for (s, &e) in sums.iter_mut().zip(row) {
+            *s += e;
+        }
+    }
+    lre_linalg::lnf_in_place(sums);
+    for (o, &ln) in out.iter_mut().zip(sums.iter()) {
+        *o += ln;
     }
 }
 
@@ -487,9 +427,8 @@ impl lre_artifact::ArtifactRead for DiagGmm {
         let inv_vars = r.get_f32_slice()?;
         let log_consts = r.get_f32_slice()?;
         let weights = r.get_f32_slice()?;
-        // Scoring uses a 16-slot stack buffer; anything outside [1, 16]
-        // cannot have come from this workspace's training code.
-        if dim == 0 || num_mix == 0 || num_mix > 16 {
+        // `from_params`' rule: nothing outside it came from `write_payload`.
+        if dim == 0 || !(1..=MAX_MIX).contains(&num_mix) {
             return Err(ArtifactError::Corrupt("GMM shape out of range"));
         }
         if means.len() != num_mix * dim
@@ -609,12 +548,22 @@ mod tests {
             total_ll(&g0)
         );
     }
+
+    #[test]
+    fn shapes_outside_the_mixture_bound_are_refused_on_load() {
+        use lre_artifact::{ArtifactError, ArtifactRead, ArtifactWrite};
+        let mut g = DiagGmm::from_params(vec![0.0], vec![1.0], vec![1.0], 1);
+        for num_mix in [0, MAX_MIX + 1] {
+            g.num_mix = num_mix;
+            let got = DiagGmm::from_artifact_bytes(&g.to_artifact_bytes());
+            assert!(matches!(got, Err(ArtifactError::Corrupt(_))), "{num_mix}");
+        }
+    }
 }
 
 #[cfg(test)]
 mod lse_tests {
     use super::*;
-    use std::hint::black_box;
 
     /// The scalar tail [`lse_rows`] replaced: one libm call per term.
     fn lse_rows_reference(comps: &[f32], k: usize, out: &mut [f32]) {
@@ -674,42 +623,7 @@ mod lse_tests {
         f32::from_bits((x.to_bits() as i32 + ulps) as u32)
     }
 
-    // ---- The three facts about libm that lemmas (a)-(c) rest on. ----
-
-    #[test]
-    fn libm_exp_of_zero_is_one_and_ln_of_one_is_zero() {
-        assert_eq!(black_box(0.0f32).exp().to_bits(), 1.0f32.to_bits());
-        assert_eq!(black_box(-0.0f32).exp().to_bits(), 1.0f32.to_bits());
-        assert_eq!(black_box(1.0f32).ln().to_bits(), 0);
-    }
-
-    #[test]
-    fn libm_exp_is_positive_zero_at_and_below_minus_104() {
-        // Negative floats order by their bit patterns: every f32 in
-        // [−200, −104], then a stride down to −f32::MAX, then −∞.
-        let (top, dense_end) = ((-104.0f32).to_bits(), (-200.0f32).to_bits());
-        let strided = (dense_end..=(-f32::MAX).to_bits()).step_by(4099);
-        let mut checked = 0u32;
-        for bits in (top..=dense_end).chain(strided) {
-            let x = f32::from_bits(bits);
-            assert_eq!(x.exp().to_bits(), 0, "expf({x})");
-            checked += 1;
-        }
-        assert!(checked > 8_000_000);
-        assert_eq!(black_box(f32::NEG_INFINITY).exp().to_bits(), 0);
-        assert_eq!(black_box(-f32::MAX).exp().to_bits(), 0);
-    }
-
-    #[test]
-    fn libm_exp_is_below_two_to_minus_25_from_minus_17_4_down() {
-        let bound = 1.0 / (1u32 << 25) as f32;
-        for bits in EXP_NEGLIGIBLE_BELOW.to_bits()..=EXP_ZERO_BELOW.to_bits() {
-            let x = f32::from_bits(bits);
-            assert!(x.exp() < bound, "expf({x}) = {:e}", x.exp());
-        }
-    }
-
-    // ---- The tail against the scalar loop, rule by rule. ----
+    // ---- The tail against the scalar loop, one input family at a time. ----
 
     const KS: [usize; 5] = [1, 2, 9, 16, 17];
 
@@ -733,8 +647,8 @@ mod lse_tests {
     fn equal_terms_and_ties_at_the_max() {
         for k in KS {
             let mut frames = vec![vec![-57.25f32; k], vec![0.0; k], vec![-1e30; k]];
-            // Ties at the max in the first and last position, over a floor
-            // that is live before the first tie and inert after it.
+            // Ties at the max in the first and last position, over floors
+            // from "adds visibly" to "underflows to zero".
             for floor in [-3.0f32, -17.5, -50.0, -103.0, -105.0] {
                 let mut f = vec![-41.5 + floor; k];
                 f[0] = -41.5;
@@ -750,10 +664,11 @@ mod lse_tests {
 
     #[test]
     fn max_at_either_end_with_terms_across_every_threshold() {
-        // Offsets straddling −17.4 and −104 by a few ulps, and inside the
-        // band −104 … −87 where `expf` returns subnormals.
+        // Offsets straddling, by a few ulps, −17.4 (`expf` drops below half
+        // an ulp of 1.0), −104 (`expf` is zero) and −87.34 (`expf` turns
+        // subnormal), and inside the subnormal band.
         let mut offsets = vec![-0.5f32, -5.0, -16.0, -30.0, -86.0, -88.5, -95.0, -103.5];
-        for t in [EXP_NEGLIGIBLE_BELOW, EXP_ZERO_BELOW, -87.336_55] {
+        for t in [-17.4, -104.0, -87.336_55] {
             offsets.extend((-3..=3).map(|u| ulps_from(t, u)));
         }
         for k in KS {
@@ -776,9 +691,9 @@ mod lse_tests {
         }
     }
 
-    /// Why rule (c) is one-sided: ahead of the max the running sum is far
-    /// below 1.0, so terms of 2⁻²⁶ … 2⁻³⁰ accumulate and shift the rounding
-    /// of a mid-sized term that follows them.
+    /// Order matters: ahead of the max the running sum is far below 1.0, so
+    /// terms of 2⁻²⁶ … 2⁻³⁰ accumulate and shift the rounding of a mid-sized
+    /// term that follows them, where after the max they would vanish.
     #[test]
     fn small_terms_ahead_of_a_mid_sized_one_ahead_of_the_max() {
         for k in [9usize, 16, 17] {
@@ -789,15 +704,15 @@ mod lse_tests {
                     f[k - 2] = mid;
                     f[k - 1] = 0.0;
                     frames.push(f.clone());
-                    // The same terms after the max are inert.
+                    // The same terms after the max change nothing.
                     f.reverse();
                     frames.push(f);
                 }
             }
             assert_tails_agree(&frames);
         }
-        // The one-sidedness is not vacuous: dropping the small terms ahead
-        // of the max changes the result.
+        // Not vacuous: dropping the small terms ahead of the max changes
+        // the result.
         let mut f = vec![-17.5f32; 17];
         f[15] = -15.0;
         f[16] = 0.0;
@@ -851,25 +766,39 @@ mod lse_tests {
         }
     }
 
-    /// End to end through the fill: `num_mix = 17` is legal via
-    /// `from_params` / `with_background` but has no per-frame oracle (its
-    /// stack buffer holds 16), so the scalar tail stands in.
+    /// `num_mix = 17` (16 trained components `with_background`) is past the
+    /// per-frame path's stack buffer: it scores there as on the block path,
+    /// and again after a save → load round trip.
     #[test]
-    fn seventeen_mixtures_score_on_the_block_path() {
-        let (dim, k, n) = (3, 17, 130);
+    fn seventeen_mixtures_round_trip_and_score_on_both_paths() {
+        use lre_artifact::{ArtifactRead, ArtifactWrite};
+        let (dim, n) = (3, 130);
         let mut state = 7u64;
-        let means: Vec<f32> = (0..k * dim).map(|_| 16.0 * lcg(&mut state) - 8.0).collect();
-        let vars: Vec<f32> = (0..k * dim).map(|_| 0.1 + lcg(&mut state)).collect();
-        let g = DiagGmm::from_params(means, vars, vec![1.0; k], dim);
-        let ft: Vec<f32> = (0..dim * n).map(|_| 16.0 * lcg(&mut state) - 8.0).collect();
+        let means: Vec<f32> = (0..16 * dim)
+            .map(|_| 16.0 * lcg(&mut state) - 8.0)
+            .collect();
+        let vars: Vec<f32> = (0..16 * dim).map(|_| 0.1 + lcg(&mut state)).collect();
+        let built =
+            DiagGmm::from_params(means, vars, vec![1.0; 16], dim).with_background(0.08, 3.0);
+        assert_eq!(built.num_mix(), 17);
+        let loaded = DiagGmm::from_artifact_bytes(&built.to_artifact_bytes()).expect("loads");
+
+        let frames: Vec<f32> = (0..n * dim).map(|_| 16.0 * lcg(&mut state) - 8.0).collect();
+        let mut ft = vec![0.0f32; dim * n];
+        for (t, frame) in frames.chunks_exact(dim).enumerate() {
+            for (d, &v) in frame.iter().enumerate() {
+                ft[d * n + t] = v;
+            }
+        }
         let mut comps = Vec::new();
-        let mut got = vec![0.0f32; n];
-        g.log_likelihood_block_t(&ft, &mut comps, &mut got);
-        g.fill_comps_block_t(&ft, &mut comps, n);
-        let mut want = vec![0.0f32; n];
-        lse_rows_reference(&comps, k, &mut want);
-        for (a, b) in got.iter().zip(&want) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let mut block = vec![0.0f32; n];
+        for g in [&built, &loaded] {
+            g.log_likelihood_block_t(&ft, &mut comps, &mut block);
+            for (frame, b) in frames.chunks_exact(dim).zip(&block) {
+                let want = built.log_likelihood(frame);
+                assert_eq!(g.log_likelihood(frame).to_bits(), want.to_bits());
+                assert_eq!(b.to_bits(), want.to_bits());
+            }
         }
     }
 }

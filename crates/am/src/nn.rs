@@ -10,6 +10,11 @@
 //! standard CD-free stand-in with the same role: initialize each hidden
 //! layer so that fine-tuning starts from a representation of the input
 //! rather than from noise.
+//!
+//! Training and [`Mlp::posteriors`] / [`Mlp::log_posteriors_into`] run one
+//! frame at a time on `f32::exp` / `f32::ln`; decoding and serving run
+//! [`Mlp::log_posteriors_block`], which takes 64-frame panels through blocked
+//! GEMMs and `lre_linalg`'s slice `expf` / `lnf` and returns the same bits.
 
 use rand::RngExt;
 
@@ -68,6 +73,11 @@ impl Default for PretrainConfig {
         }
     }
 }
+
+/// Frames [`Mlp::log_posteriors_block`] takes through every layer at a time:
+/// a multiple of the GEMM's 32-frame register block, small enough that a
+/// layer's activations stay in L1/L2 until the next layer has read them.
+const PANEL: usize = 64;
 
 #[inline]
 fn sigmoid(x: f32) -> f32 {
@@ -158,41 +168,55 @@ impl Mlp {
     /// Log posteriors for a flat block of frames (`n × input_dim` in,
     /// `n × output_dim` out, both row-major).
     ///
-    /// Each layer is one blocked `X·Wᵀ + b` ([`lre_linalg::gemm_xwt_f32`])
-    /// over the whole block instead of a per-frame matvec, with two
-    /// ping-pong activation buffers replacing the per-frame/per-layer `Vec`
-    /// allocations of [`Mlp::posteriors`]. The kernel keeps each dot
-    /// product's accumulation order, and the sigmoid/softmax/log steps are
-    /// applied row-wise in the scalar path's exact sequence, so the output
-    /// is bit-identical to calling [`Mlp::log_posteriors_into`] per frame.
+    /// The block is walked in panels of [`PANEL`] frames, each taken through
+    /// every layer before the next is touched, so two panel-sized ping-pong
+    /// buffers replace the per-frame/per-layer `Vec` allocations of
+    /// [`Mlp::posteriors`] and a layer's activations are still in cache when
+    /// the next layer reads them. A layer is one blocked `X·Wᵀ + b`
+    /// ([`lre_linalg::gemm_xwt_f32`]), which keeps each dot product's
+    /// accumulation order; the sigmoid, softmax and log steps run as dense
+    /// passes over the activation panel, with [`lre_linalg::expf_in_place`]
+    /// / [`lre_linalg::lnf_in_place`] — which return `f32::exp`'s and
+    /// `f32::ln`'s bits for every input — where the scalar path calls libm
+    /// per element, and every sum and division in the scalar path's order.
+    /// Every step is per frame, so the output is bit-identical to calling
+    /// [`Mlp::log_posteriors_into`] per frame, wherever the panels fall.
     pub fn log_posteriors_block(&self, frames: &[f32], out: &mut [f32]) {
-        let n_in = self.input_dim();
+        let (n_in, n_out) = (self.input_dim(), self.output_dim());
         debug_assert!(n_in > 0);
         let n = frames.len() / n_in;
         debug_assert_eq!(frames.len(), n * n_in);
-        debug_assert_eq!(out.len(), n * self.output_dim());
-        if n == 0 {
-            return;
-        }
-        let max_width = self.sizes.iter().copied().max().unwrap();
-        let mut a = vec![0.0f32; n * max_width];
-        a[..frames.len()].copy_from_slice(frames);
-        let mut b = vec![0.0f32; n * max_width];
-        for l in 0..self.num_layers() {
-            let (k, n_out) = (self.sizes[l], self.sizes[l + 1]);
-            let z = &mut b[..n * n_out];
-            lre_linalg::gemm_xwt_f32(&a[..n * k], &self.weights[l], &self.biases[l], k, z);
-            if l + 1 == self.num_layers() {
-                for row in z.chunks_exact_mut(n_out) {
-                    softmax_in_place(row);
+        debug_assert_eq!(out.len(), n * n_out);
+        let last = self.num_layers() - 1;
+        let hidden_width = self.sizes[1..=last].iter().copied().max().unwrap_or(0);
+        let mut a = vec![0.0f32; PANEL.min(n) * hidden_width];
+        let mut b = a.clone();
+        for (x, o) in frames
+            .chunks(PANEL * n_in)
+            .zip(out.chunks_mut(PANEL * n_out))
+        {
+            let rows = x.len() / n_in;
+            for l in 0..=last {
+                let (k, width) = (self.sizes[l], self.sizes[l + 1]);
+                let input = if l == 0 { x } else { &a[..rows * k] };
+                let z = if l == last {
+                    &mut *o
+                } else {
+                    &mut b[..rows * width]
+                };
+                lre_linalg::gemm_xwt_f32(input, &self.weights[l], &self.biases[l], k, z);
+                if l == last {
+                    softmax_rows_in_place(z, width);
+                } else {
+                    // `sigmoid`, one step per pass.
+                    z.iter_mut().for_each(|v| *v = -*v);
+                    lre_linalg::expf_in_place(z);
+                    z.iter_mut().for_each(|e| *e = 1.0 / (1.0 + *e));
                 }
-            } else {
-                z.iter_mut().for_each(|v| *v = sigmoid(*v));
+                std::mem::swap(&mut a, &mut b);
             }
-            std::mem::swap(&mut a, &mut b);
-        }
-        for (o, &p) in out.iter_mut().zip(a[..n * self.output_dim()].iter()) {
-            *o = p.max(1e-12).ln();
+            o.iter_mut().for_each(|p| *p = p.max(1e-12));
+            lre_linalg::lnf_in_place(o);
         }
     }
 
@@ -477,6 +501,23 @@ fn softmax_in_place(z: &mut [f32]) {
     }
 }
 
+/// [`softmax_in_place`] on every `width`-long row of `z`, with one `expf`
+/// pass over the whole panel between the per-row max and the per-row sum.
+fn softmax_rows_in_place(z: &mut [f32], width: usize) {
+    for row in z.chunks_exact_mut(width) {
+        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        row.iter_mut().for_each(|v| *v -= max);
+    }
+    lre_linalg::expf_in_place(z);
+    for row in z.chunks_exact_mut(width) {
+        let mut sum = 0.0f32;
+        for &e in row.iter() {
+            sum += e;
+        }
+        row.iter_mut().for_each(|e| *e /= sum);
+    }
+}
+
 impl lre_artifact::ArtifactWrite for Mlp {
     const KIND: [u8; 4] = *b"MLP0";
     const VERSION: u32 = 1;
@@ -593,7 +634,8 @@ mod tests {
     fn block_log_posteriors_bitwise_match_per_frame() {
         let mut r = rng();
         let mlp = Mlp::new(&[5, 17, 9, 7], &mut r);
-        let n = 43;
+        // Two whole panels and a ragged third.
+        let n = 171;
         let frames: Vec<f32> = (0..n * 5).map(|_| r.random::<f32>() * 2.0 - 1.0).collect();
 
         let mut block = vec![0.0f32; n * 7];

@@ -181,6 +181,51 @@ fn bundle_like_gmm_block(rng: &mut StdRng) -> (DiagGmm, Vec<f32>) {
     (gmm, ft)
 }
 
+/// `lre_linalg`'s slice `expf` / `lnf` beside a libm call per element, on
+/// inputs spread like the emission paths' own: `expf` sees log-sum-exp terms
+/// `l − max` (over half of them far below −104, a tenth exactly zero), `lnf`
+/// sees floored softmax outputs. The two agree bit for bit (`lre-linalg`'s
+/// exhaustive test), so the ratio is all there is to read: ≈ 4.8 (`expf`) and
+/// ≈ 2.5 (`lnf`) where the three passes vectorise, near 1 when a toolchain
+/// stops vectorising them.
+fn bench_vmath(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(9);
+    let terms: Vec<f32> = (0..4096)
+        .map(|_| match rng.random_range(0..100) {
+            0..56 => -104.0 - 1500.0 * rng.random::<f32>(),
+            56..67 => 0.0,
+            _ => -104.0 * rng.random::<f32>(),
+        })
+        .collect();
+    let posteriors: Vec<f32> = (0..4096)
+        .map(|_| (-30.0 * rng.random::<f32>()).exp().max(1e-12))
+        .collect();
+    let mut buf = vec![0.0f32; 4096];
+
+    type InPlace = fn(&mut [f32]);
+    let rows: [(&str, &[f32], InPlace); 4] = [
+        ("vmath_expf_4096", &terms, lre_linalg::expf_in_place),
+        ("libm_expf_4096", &terms, |xs| {
+            xs.iter_mut().for_each(|v| *v = v.exp())
+        }),
+        ("vmath_lnf_4096", &posteriors, lre_linalg::lnf_in_place),
+        ("libm_lnf_4096", &posteriors, |xs| {
+            xs.iter_mut().for_each(|v| *v = v.ln())
+        }),
+    ];
+    let mut g = c.benchmark_group("vmath");
+    for (name, input, f) in rows {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                buf.copy_from_slice(input);
+                f(&mut buf);
+                black_box(&mut buf);
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_phonotactics(c: &mut Criterion) {
     // A 100-slot confusion network with 4 alternatives per slot.
     let mut rng = StdRng::seed_from_u64(9);
@@ -241,5 +286,12 @@ fn bench_svm(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dsp, bench_am, bench_phonotactics, bench_svm);
+criterion_group!(
+    benches,
+    bench_dsp,
+    bench_am,
+    bench_vmath,
+    bench_phonotactics,
+    bench_svm
+);
 criterion_main!(benches);

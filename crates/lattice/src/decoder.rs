@@ -326,10 +326,11 @@ fn segment_slot(
         *ps *= inv_len;
         max = max.max(*ps);
     }
+    phone_scores.iter_mut().for_each(|ps| *ps -= max);
+    lre_linalg::expf_in_place(phone_scores);
     let mut denom = 0.0f32;
-    for ps in phone_scores.iter_mut() {
-        *ps = (*ps - max).exp();
-        denom += *ps;
+    for &e in phone_scores.iter() {
+        denom += e;
     }
 
     // Top-k selection (num_phones is ≤ 64; a partial selection loop is fine).

@@ -6,6 +6,12 @@
 //! Levinson-Durbin recursion, and the MMI backend needs plain dense solves.
 //! Everything is `f64`, row-major, and allocation-explicit; no external BLAS.
 //!
+//! The exception is the emission hot path's two shared `f32` kernels, which
+//! live here because both acoustic-model families and the decoder use them:
+//! the blocked [`gemm_xwt_f32`], and the slice [`expf_in_place`] /
+//! [`lnf_in_place`] pair, which return `f32::exp`'s and `f32::ln`'s bits
+//! without a libm call per element.
+//!
 //! # Example
 //! ```
 //! use lre_linalg::Mat;
@@ -24,6 +30,7 @@ mod levinson;
 mod lu;
 mod matrix;
 mod stats;
+mod vmath;
 
 pub use cholesky::Cholesky;
 pub use eigen::{jacobi_eigen, EigenDecomposition};
@@ -35,6 +42,7 @@ pub use levinson::{
 pub use lu::Lu;
 pub use matrix::{axpy_f32, gemm_xwt_f32, Mat};
 pub use stats::{covariance_matrix, mean_vector, weighted_mean_vector};
+pub use vmath::{expf_in_place, lnf_in_place};
 
 /// Numerical tolerance used by the decompositions in this crate when deciding
 /// whether a pivot / eigenvalue is effectively zero.

@@ -1,4 +1,5 @@
-//! Row-major dense matrix type.
+//! Row-major dense matrix type, and the `f32` GEMM of the emission hot path
+//! (its transcendentals are in `vmath.rs`).
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -226,8 +227,8 @@ const OUTS: usize = 4;
 /// Each output element is one dot product accumulated strictly in `k`
 /// order, one multiply then one add per step (never a fused multiply-add),
 /// so results are **bit-identical** to the scalar per-row loop. The
-/// exactness matters: the decoder's exact scoring mode promises bit-identical
-/// output to the historical per-frame scorer. The speed-up comes from
+/// exactness matters: block scoring promises bit-identical output to the
+/// per-frame scorer (there is no other scoring mode). The speed-up comes from
 /// making the *row* (frame) dimension the data-parallel axis: each block of
 /// `TILE` rows is transposed once into a `k × TILE` panel, and an
 /// `OUTS × TILE` block of outputs is then accumulated with its accumulators
