@@ -129,7 +129,7 @@ impl Mlp {
         let mut acts = Vec::with_capacity(self.sizes.len());
         acts.push(x.to_vec());
         for l in 0..self.num_layers() {
-            let (n_in, n_out) = (self.sizes[l], self.sizes[l + 1]);
+            let n_in = self.sizes[l];
             let prev = &acts[l];
             let mut z = self.biases[l].clone();
             let w = &self.weights[l];
@@ -147,7 +147,6 @@ impl Mlp {
                 z.iter_mut().for_each(|v| *v = sigmoid(*v));
             }
             acts.push(z);
-            let _ = n_out;
         }
         acts
     }

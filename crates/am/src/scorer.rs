@@ -1,6 +1,6 @@
 //! Frame-level emission scoring abstraction consumed by the decoder.
 
-use crate::gmm::DiagGmm;
+use crate::gmm::{transpose_block, DiagGmm};
 use crate::nn::Mlp;
 use lre_artifact::{ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter};
 
@@ -72,8 +72,9 @@ impl FrameScorer for GmmStateScorer {
     }
 
     /// Batched scoring: frames are processed in cache-sized blocks. Each
-    /// block is transposed to dimension-major layout **once**, then every
-    /// state's GMM runs its vectorized transposed kernel over it
+    /// block is transposed to dimension-major layout (its last one padded
+    /// to whole vector groups) **once**, then every state's GMM runs its
+    /// vectorized transposed kernel over it
     /// ([`DiagGmm::log_likelihood_block_t`]), streaming its mixture
     /// parameters once per block instead of once per frame and accumulating
     /// the Mahalanobis terms across all frames of the block in parallel.
@@ -81,28 +82,19 @@ impl FrameScorer for GmmStateScorer {
         const BLOCK: usize = 64;
         let s = self.gmms.len();
         debug_assert!(dim > 0);
-        let n = frames.len() / dim;
-        debug_assert_eq!(out.len(), n * s);
+        debug_assert_eq!(out.len(), frames.len() / dim * s);
         let mut comps = Vec::new();
-        let mut ft = vec![0.0f32; BLOCK.min(n.max(1)) * dim];
+        let mut ft = Vec::new();
         let mut col = [0.0f32; BLOCK];
-        let mut t0 = 0;
-        while t0 < n {
-            let bt = BLOCK.min(n - t0);
-            // Transpose once per block: ft[d · bt + t] = frame (t0+t), dim d.
-            for t in 0..bt {
-                let x = &frames[(t0 + t) * dim..(t0 + t + 1) * dim];
-                for (d, &v) in x.iter().enumerate() {
-                    ft[d * bt + t] = v;
-                }
-            }
+        for (block, rows) in frames.chunks(BLOCK * dim).zip(out.chunks_mut(BLOCK * s)) {
+            let bt = block.len() / dim;
+            transpose_block(block, dim, &mut ft);
             for (si, g) in self.gmms.iter().enumerate() {
-                g.log_likelihood_block_t(&ft[..bt * dim], &mut comps, &mut col[..bt]);
-                for (t, &v) in col[..bt].iter().enumerate() {
-                    out[(t0 + t) * s + si] = v;
+                g.log_likelihood_block_t(&ft, &mut comps, &mut col[..bt]);
+                for (row, &v) in rows.chunks_exact_mut(s).zip(&col[..bt]) {
+                    row[si] = v;
                 }
             }
-            t0 += bt;
         }
     }
 

@@ -253,12 +253,10 @@ pub fn train_acoustic_model(
                 by_state[l as usize]
                     .extend_from_slice(&frames[i * FEATURE_DIM..(i + 1) * FEATURE_DIM]);
             }
-            // Global background Gaussian over all frames: appended to every
-            // state GMM with small weight so off-distribution frames (other
+            // A broad background Gaussian is appended to every state GMM
+            // with small weight so off-distribution frames (other
             // languages, unseen noise) degrade gracefully instead of
             // collapsing the state likelihoods.
-            let transform_stats = FeatureTransform::fit(&frames, FEATURE_DIM);
-            let _ = &transform_stats;
             let gmms: Vec<DiagGmm> = by_state
                 .par_iter()
                 .enumerate()

@@ -1,5 +1,6 @@
 //! Property-based tests for the acoustic-model substrate.
 
+use lre_am::gmm::transpose_block;
 use lre_am::{DiagGmm, FeatureTransform, Mlp, StateInventory};
 use lre_artifact::{check_damage_detected, ArtifactRead, ArtifactWrite};
 use lre_dsp::FrameMatrix;
@@ -174,16 +175,18 @@ proptest! {
 }
 
 /// The exact block kernel against the per-frame oracle, bit for bit, over
-/// every combination of: mixture count, block-length edge, component spread
-/// from "no term underflows" to "nearly all do", and a row holding NaN or
-/// ±Inf.
+/// every combination of: mixture count (every remainder of the
+/// 3-component register block), block length (whole and ragged 8-frame
+/// groups in every arm of the register block, the 64-frame block's edges,
+/// the served lengths), component spread from "no term underflows" to
+/// "nearly all do", and a row holding NaN or ±Inf.
 #[test]
 fn gmm_block_kernel_bitwise_matches_per_frame() {
     let dim = 5;
     let mut r = StdRng::seed_from_u64(0x626c_6f63);
     let mut uniform = |lo: f32, hi: f32| lo + (hi - lo) * r.random::<f32>();
-    for num_mix in [1, 2, 9, 16] {
-        for n in [1, 63, 64, 65, 750] {
+    for num_mix in [1, 2, 3, 4, 5, 9, 16, 17] {
+        for n in [1, 8, 11, 16, 17, 24, 25, 32, 33, 63, 64, 65, 75, 250, 750] {
             for spread in [0.5f32, 3.0, 8.0, 20.0] {
                 for special in [
                     None,
@@ -209,12 +212,8 @@ fn gmm_block_kernel_bitwise_matches_per_frame() {
                     }
                     let g = DiagGmm::from_params(means, vars, weights, dim);
 
-                    let mut ft = vec![0.0f32; n * dim];
-                    for (t, frame) in x.chunks_exact(dim).enumerate() {
-                        for (d, &v) in frame.iter().enumerate() {
-                            ft[d * n + t] = v;
-                        }
-                    }
+                    let mut ft = Vec::new();
+                    transpose_block(&x, dim, &mut ft);
                     let mut block = vec![0.0f32; n];
                     g.log_likelihood_block_t(&ft, &mut Vec::new(), &mut block);
                     for (t, (frame, &b)) in x.chunks_exact(dim).zip(&block).enumerate() {

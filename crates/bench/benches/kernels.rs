@@ -4,6 +4,7 @@
 //! These are the knobs DESIGN.md's cost model is built on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lre_am::gmm::transpose_block;
 use lre_am::{DiagGmm, Mlp};
 use lre_dsp::{
     mfcc, plp, power_spectrum, Analyzer, Cepstrum, MfccConfig, MfccTail, PlpConfig, PlpTail,
@@ -73,19 +74,14 @@ fn bench_am(c: &mut Criterion) {
     // Batched counterparts: one 64-frame block through the transposed GMM
     // kernel, and a 128-row panel through the blocked gemm — the two kernels
     // the batched `score_block` paths are built on.
-    let block = &frames[..64 * 39];
-    let mut ft = vec![0.0f32; 64 * 39];
-    for t in 0..64 {
-        for d in 0..39 {
-            ft[d * 64 + t] = block[t * 39 + d];
-        }
-    }
+    let mut ft = Vec::new();
+    transpose_block(&frames[..64 * 39], 39, &mut ft);
     let mut comps = Vec::new();
-    let mut out64 = vec![0.0f32; 64];
+    let mut out = vec![0.0f32; 75];
     g.bench_function("gmm_6mix_39d_block_64frames", |b| {
         b.iter(|| {
-            gmm.log_likelihood_block_t(&ft, &mut comps, &mut out64);
-            black_box(&mut out64);
+            gmm.log_likelihood_block_t(&ft, &mut comps, &mut out[..64]);
+            black_box(&mut out);
         })
     });
     // The same kernel on a GMM shaped like the bundle's states: 8 trained
@@ -94,29 +90,50 @@ fn bench_am(c: &mut Criterion) {
     // under the frame's best one, which is what the log-sum-exp tail's cost
     // depends on and what a GMM trained on uniform noise (above) never
     // shows. The fill is timed alone so the tail can be read off as the
-    // difference.
-    let (spread_gmm, spread_ft) = bundle_like_gmm_block(&mut rng);
-    g.bench_function("gmm_9mix_39d_block_64frames_bundle_spread/fill", |b| {
-        b.iter(|| {
-            spread_gmm.fill_comps_block_t(&spread_ft, &mut comps, 64);
-            black_box(&mut comps);
-        })
-    });
-    g.bench_function("gmm_9mix_39d_block_64frames_bundle_spread/fill+tail", |b| {
-        b.iter(|| {
-            spread_gmm.log_likelihood_block_t(&spread_ft, &mut comps, &mut out64);
-            black_box(&mut out64);
-        })
-    });
+    // difference. Beside the full 64-frame block, the ragged lengths of a
+    // 3 s utterance: its 11-frame tail, and 75 frames as one block. Per
+    // frame, 75 should cost within ≈ 15 % of 64, and 11 under twice 64 (it
+    // pays for 16 lanes); a much larger ratio (PR 20: 1.3 × and 4.2 ×)
+    // means the register block's accumulator chains no longer run
+    // independently (EXPERIMENTS.md, "Short utterances at full vector
+    // speed").
+    let (spread_gmm, spread_frames) = bundle_like_gmm_frames(&mut rng, 75);
+    for n in [64, 11, 75] {
+        transpose_block(&spread_frames[..n * 39], 39, &mut ft);
+        g.bench_function(
+            &format!("gmm_9mix_39d_block_{n}frames_bundle_spread/fill"),
+            |b| {
+                b.iter(|| {
+                    spread_gmm.fill_comps_block_t(&ft, &mut comps, n);
+                    black_box(&mut comps);
+                })
+            },
+        );
+        g.bench_function(
+            &format!("gmm_9mix_39d_block_{n}frames_bundle_spread/fill+tail"),
+            |b| {
+                b.iter(|| {
+                    spread_gmm.log_likelihood_block_t(&ft, &mut comps, &mut out[..n]);
+                    black_box(&mut out);
+                })
+            },
+        );
+    }
 
     // The small historical panel, then the four layer shapes of the served
-    // networks (ANN 39→128→177, DNN 39→128→96→141) at a 30 s utterance.
+    // networks (ANN 39→128→177, DNN 39→128→96→141) at a 30 s utterance,
+    // and the first two at a 3 s one (75 = 64 + 11 rows) and at its
+    // 11-row tail alone. Per row, 75 should cost within ≈ 10 % of 750 and
+    // 11 within ≈ 30 % (PR 20: 1.6 × and 4.6 ×).
     for (rows, k, out_dim) in [
         (128, 39, 141),
         (750, 39, 128),
         (750, 128, 177),
         (750, 128, 96),
         (750, 96, 141),
+        (75, 39, 128),
+        (75, 128, 177),
+        (11, 39, 128),
     ] {
         let x: Vec<f32> = (0..rows * k).map(|_| rng.random::<f32>() - 0.5).collect();
         let w: Vec<f32> = (0..out_dim * k)
@@ -134,12 +151,12 @@ fn bench_am(c: &mut Criterion) {
     g.finish();
 }
 
-/// A 9-component, 39-dimensional GMM and one transposed 64-frame block whose
+/// A 9-component, 39-dimensional GMM and `n` frames (flat, `n × 39`) whose
 /// mixture terms spread like the trained bundle's (there: 56 % of the terms
 /// more than 104 nats under the frame's best, 11 % the best itself). Prints
 /// the census it achieved.
-fn bundle_like_gmm_block(rng: &mut StdRng) -> (DiagGmm, Vec<f32>) {
-    let (dim, mix, n) = (39, 8, 64);
+fn bundle_like_gmm_frames(rng: &mut StdRng, n: usize) -> (DiagGmm, Vec<f32>) {
+    let (dim, mix) = (39, 8);
     // Component `c` sits `radius_c` σ from the origin per dimension, so the
     // pairwise distances cover a wide range, as trained states' do.
     let means: Vec<f32> = (0..mix)
@@ -153,18 +170,19 @@ fn bundle_like_gmm_block(rng: &mut StdRng) -> (DiagGmm, Vec<f32>) {
     let vars: Vec<f32> = (0..mix * dim)
         .map(|_| 0.3 + 0.5 * rng.random::<f32>())
         .collect();
-    let mut ft = vec![0.0f32; n * dim];
-    for t in 0..n {
+    let mut frames = Vec::with_capacity(n * dim);
+    for _ in 0..n {
         let c = rng.random_range(0..mix);
         for d in 0..dim {
             let sd = vars[c * dim + d].sqrt();
-            ft[d * n + t] = means[c * dim + d] + sd * (rng.random::<f32>() * 2.0 - 1.0);
+            frames.push(means[c * dim + d] + sd * (rng.random::<f32>() * 2.0 - 1.0));
         }
     }
     let gmm = DiagGmm::from_params(means, vars, vec![1.0; mix], dim).with_background(0.08, 3.0);
 
     let k = gmm.num_mix();
-    let mut comps = Vec::new();
+    let (mut ft, mut comps) = (Vec::new(), Vec::new());
+    transpose_block(&frames, dim, &mut ft);
     gmm.fill_comps_block_t(&ft, &mut comps, n);
     let (mut zero, mut best) = (0, 0);
     for t in 0..n {
@@ -178,7 +196,7 @@ fn bundle_like_gmm_block(rng: &mut StdRng) -> (DiagGmm, Vec<f32>) {
         share(zero),
         share(best)
     );
-    (gmm, ft)
+    (gmm, frames)
 }
 
 /// `lre_linalg`'s slice `expf` / `lnf` beside a libm call per element, on

@@ -1,5 +1,7 @@
 //! Row-major dense matrix type, and the `f32` GEMM of the emission hot path
-//! (its transcendentals are in `vmath.rs`).
+//! (its transcendentals are in `vmath.rs`), whose register block keeps at
+//! least 8 independent accumulator vectors at every block length, the
+//! ragged tail of a short utterance included.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -217,7 +219,7 @@ const GROUPS: usize = 4;
 /// the acoustic models use (k ≤ a few hundred).
 const TILE: usize = GROUPS * LANES;
 
-/// Outputs per register block.
+/// Outputs per full register block.
 const OUTS: usize = 4;
 
 /// Blocked `out = x · wᵀ + bias` over `f32` row-major panels — the emission
@@ -236,6 +238,12 @@ const OUTS: usize = 4;
 /// dot product imposes is carried across frames in parallel, each panel
 /// column is loaded once for `OUTS` outputs, and no partial sum goes
 /// through memory.
+///
+/// A ragged last block (fewer than `TILE` rows: 11 of a 3 s utterance's 75)
+/// keeps at least 8 independent accumulator vectors too, by trading groups
+/// of frames for outputs: one group runs 8 outputs at a time, two or three
+/// groups run 4, four run the full tile. With fewer chains than that, every
+/// step waits on the latency of the add before it.
 pub fn gemm_xwt_f32(x: &[f32], w: &[f32], bias: &[f32], k: usize, out: &mut [f32]) {
     assert!(k > 0, "inner dimension must be positive");
     let rows = x.len() / k;
@@ -256,35 +264,39 @@ pub fn gemm_xwt_f32(x: &[f32], w: &[f32], bias: &[f32], k: usize, out: &mut [f32
             }
         }
         let orows = &mut out[r0 * out_dim..(r0 + rb) * out_dim];
-        if rb == TILE {
-            panel_frames::<GROUPS>(&xt, 0, w, bias, k, orows);
-        } else {
-            // One group at a time, so a short utterance's tail wastes at
-            // most `LANES − 1` lanes.
-            for j0 in (0..rb).step_by(LANES) {
-                panel_frames::<1>(&xt, j0, w, bias, k, &mut orows[j0 * out_dim..]);
-            }
+        // Outputs × groups ≥ 8; a short block wastes at most `LANES − 1`
+        // lanes.
+        match rb.div_ceil(LANES) {
+            1 => panel_frames::<8, 1>(&xt, w, bias, k, orows),
+            2 => panel_frames::<4, 2>(&xt, w, bias, k, orows),
+            3 => panel_frames::<4, 3>(&xt, w, bias, k, orows),
+            _ => panel_frames::<OUTS, GROUPS>(&xt, w, bias, k, orows),
         }
     }
 }
 
-/// Every output of the `G · LANES` frames at panel columns `j0..`, written
-/// to the leading rows of `orows` (all of them, if it has fewer).
-fn panel_frames<const G: usize>(
+/// Every output of the `G · LANES` leading panel columns, `O` outputs at a
+/// time, then what remains 4 and 1 at a time; written to the leading rows
+/// of `orows` (all of them, if it has fewer).
+fn panel_frames<const O: usize, const G: usize>(
     xt: &[f32],
-    j0: usize,
     w: &[f32],
     bias: &[f32],
     k: usize,
     orows: &mut [f32],
 ) {
     let out_dim = bias.len();
-    let whole = out_dim - out_dim % OUTS;
-    for o0 in (0..whole).step_by(OUTS) {
-        out_block::<OUTS, G>(xt, j0, w, bias, k, o0, orows);
+    let mut o0 = 0;
+    while o0 + O <= out_dim {
+        out_block::<O, G>(xt, w, bias, k, o0, orows);
+        o0 += O;
     }
-    for o0 in whole..out_dim {
-        out_block::<1, G>(xt, j0, w, bias, k, o0, orows);
+    while o0 + OUTS <= out_dim {
+        out_block::<OUTS, G>(xt, w, bias, k, o0, orows);
+        o0 += OUTS;
+    }
+    for o0 in o0..out_dim {
+        out_block::<1, G>(xt, w, bias, k, o0, orows);
     }
 }
 
@@ -292,7 +304,6 @@ fn panel_frames<const G: usize>(
 #[inline(always)]
 fn out_block<const O: usize, const G: usize>(
     xt: &[f32],
-    j0: usize,
     w: &[f32],
     bias: &[f32],
     k: usize,
@@ -301,8 +312,8 @@ fn out_block<const O: usize, const G: usize>(
 ) {
     let out_dim = bias.len();
     let wo = &w[o0 * k..(o0 + O) * k];
-    // On a cache-line boundary. The compiler keeps the block in memory and
-    // moves it as 32-byte vectors, but aligns a plain array to 16: whether
+    // On a cache-line boundary. The compiler may keep the block in memory
+    // and move it as 32-byte vectors, but aligns a plain array to 16: whether
     // it then starts half a vector off is decided by the caller's stack
     // depth alone, and when it does every other access splits a line —
     // ≈ 15 % of a served request's CPU (EXPERIMENTS.md, "One vote window").
@@ -310,7 +321,7 @@ fn out_block<const O: usize, const G: usize>(
     struct Block<const O: usize, const G: usize>([[[f32; LANES]; G]; O]);
     let Block(acc) = &mut Block([[[0.0f32; LANES]; G]; O]);
     for (kk, col) in xt.chunks_exact(TILE).enumerate() {
-        let col = &col[j0..j0 + G * LANES];
+        let col = &col[..G * LANES];
         for (o, groups) in acc.iter_mut().enumerate() {
             let wk = wo[o * k + kk];
             for (group, xs) in groups.iter_mut().zip(col.chunks_exact(LANES)) {
@@ -453,12 +464,15 @@ mod tests {
     }
 
     /// Every edge of the register block: rows around multiples of `LANES`
-    /// and `TILE`, outputs around multiples of `OUTS`, and the served
-    /// networks' widths.
+    /// and `TILE` (one-, two-, three- and four-group tails behind 0, 1 and
+    /// 2 full tiles), outputs around multiples of 4 and 8 (every remainder
+    /// of either block), and the served networks' widths.
     #[test]
     fn gemm_xwt_matches_scalar_reference_bitwise() {
-        for rows in [0, 1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 750] {
-            for out_dim in [1, 3, 4, 5, 141, 177] {
+        for rows in [
+            0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 43, 75, 80, 96, 127, 128, 129, 750,
+        ] {
+            for out_dim in [1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 17, 141, 177] {
                 for k in [1, 39, 128] {
                     assert_gemm_matches_scalar(rows, k, out_dim);
                 }
