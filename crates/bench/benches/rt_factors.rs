@@ -72,11 +72,16 @@ fn setup() -> Setup {
     let out = decode(&fe.am, &feats, &fe.decoder);
 
     // Train a small VSM so the supervector product benchmark is realistic.
+    let mut scratch = DecodeScratch::new();
     let raw: Vec<_> = ds
         .train
         .iter()
         .take(92)
-        .map(|u| fe.supervector(u, &ds, &inv))
+        .map(|u| {
+            let r = lre_corpus::render_utterance(u, ds.language(u.language), &inv);
+            let f = lre_am::extract_features(&r.samples, fe.am.feature);
+            fe.supervector_from_features(&f, &mut lre_dsp::FrameMatrix::new(f.dim()), &mut scratch)
+        })
         .collect();
     let train = fe.fit_scaler(&raw);
     let labels: Vec<usize> = ds

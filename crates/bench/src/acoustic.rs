@@ -1,7 +1,7 @@
 //! Acoustic language recognition: per-language GMMs over SDC features.
 //!
 //! §1 of the paper: "acoustic language recognition (LR) systems [3] and
-//! phonotactic LR systems [2] are both widely used". This crate is the
+//! phonotactic LR systems [2] are both widely used". This module is the
 //! acoustic family — the Torres-Carrasquillo-style system: MFCC base
 //! cepstra → shifted delta cepstra → one diagonal GMM per target language →
 //! average frame log-likelihood scores, normalized against the pooled

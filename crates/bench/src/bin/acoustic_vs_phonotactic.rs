@@ -3,7 +3,7 @@
 //! The paper builds on the phonotactic family; this binary grounds that
 //! choice empirically for the reproduction.
 
-use lre_acoustic::{AcousticConfig, AcousticSystem};
+use lre_bench::acoustic::{AcousticConfig, AcousticSystem};
 use lre_bench::{pct, HarnessArgs};
 use lre_corpus::Duration;
 use lre_dba::Experiment;

@@ -9,7 +9,8 @@ use lre_bench::HarnessArgs;
 use lre_corpus::{render_utterance, Dataset, DatasetConfig, LanguageId, UttSpec};
 use lre_dba::standard_subsystems;
 use lre_dba::Frontend;
-use lre_lattice::{decode, DecoderConfig};
+use lre_dsp::FrameMatrix;
+use lre_lattice::{decode, DecodeScratch, DecoderConfig};
 use lre_phone::UniversalInventory;
 
 fn main() {
@@ -72,6 +73,7 @@ fn main() {
             LanguageId::Mandarin,
         ];
         let mut svs = Vec::new();
+        let mut scratch = DecodeScratch::new();
         for (li, &lang) in langs.iter().enumerate() {
             for i in 0..6u64 {
                 let utt = UttSpec {
@@ -81,7 +83,11 @@ fn main() {
                     num_frames: 250,
                     seed: 6_000_000 + li as u64 * 100 + i,
                 };
-                svs.push((li, fe.supervector(&utt, &ds, &inv)));
+                let r = render_utterance(&utt, ds.language(lang), &inv);
+                let feats = extract_features(&r.samples, fe.am.feature);
+                let mut normalized = FrameMatrix::new(feats.dim());
+                let sv = fe.supervector_from_features(&feats, &mut normalized, &mut scratch);
+                svs.push((li, sv));
             }
         }
         // Leave-one-out nearest-centroid accuracy in raw probability space.

@@ -192,7 +192,11 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
         .train
         .iter()
         .take(92)
-        .map(|u| fe.supervector(u, ds, inv))
+        .map(|u| {
+            let r = render_utterance(u, ds.language(u.language), inv);
+            let f = lre_am::extract_features(&r.samples, fe.am.feature);
+            fe.supervector_from_features(&f, &mut FrameMatrix::new(f.dim()), &mut scratch)
+        })
         .collect();
     let train = fe.fit_scaler(&raw);
     let labels: Vec<usize> = ds

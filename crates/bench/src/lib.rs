@@ -6,6 +6,8 @@
 //! and figure is printed by one function here; `table1` … `table4` and
 //! `figure3` call theirs, `alltables` calls them all off one build.
 
+pub mod acoustic;
+
 use lre_corpus::{Duration, Scale};
 use lre_dba::{
     dba::{baseline_votes, run_dba, DbaOutcome},

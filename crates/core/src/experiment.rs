@@ -7,13 +7,17 @@
 //! supervectors, which is precisely the cost structure the paper argues in
 //! §5.4 (`C'_φ ≫ C'_modeling`, Eq. 16–19).
 
+use crate::cache::SupervectorCache;
 use crate::subsystem::{standard_subsystems, Frontend};
-use lre_corpus::{Dataset, DatasetConfig, Duration, LanguageId, Scale};
+use lre_am::frontend::{FeatureExtractor, FEATURE_DIM};
+use lre_corpus::{render_utterance, Dataset, DatasetConfig, Duration, LanguageId, Scale, UttSpec};
+use lre_dsp::FrameMatrix;
 use lre_eval::{min_cavg, pooled_eer, CavgParams, ScoreMatrix};
-use lre_lattice::DecoderConfig;
+use lre_lattice::{DecodeScratch, DecoderConfig};
 use lre_phone::UniversalInventory;
 use lre_svm::{OneVsRest, SvmTrainConfig};
 use lre_vsm::SparseVec;
+use rayon::prelude::*;
 
 /// Number of target languages (closed-set LRE 2009).
 pub const K: usize = lre_corpus::NUM_TARGET_LANGUAGES;
@@ -85,8 +89,14 @@ impl Experiment {
     /// run, which is the §5.4 "cheap" part of the pipeline.
     pub fn build_cached(cfg: &ExperimentConfig, cache_dir: &std::path::Path) -> Experiment {
         let path = crate::cache::cache_path(cache_dir, cfg.scale.name(), cfg.seed);
-        if let Some(c) = crate::cache::load(&path, cfg.seed) {
-            return Self::from_supervectors(cfg, c.train_svs, c.dev_svs, c.test_svs, true);
+        if let Some(svs) = crate::cache::load(&path, cfg.seed) {
+            let inv = UniversalInventory::new();
+            let ds = Dataset::generate(DatasetConfig::new(cfg.scale, cfg.seed));
+            let frontends = standard_subsystems()
+                .into_iter()
+                .map(|spec| Frontend::headless(spec, &inv, cfg.max_order))
+                .collect();
+            return Self::assemble(cfg, ds, inv, frontends, svs);
         }
         let exp = Self::build(cfg);
         if let Err(e) = crate::cache::save(&exp, &path) {
@@ -95,41 +105,91 @@ impl Experiment {
         exp
     }
 
-    /// Assemble an experiment from precomputed (already TFLLR-scaled)
-    /// supervectors.
-    fn from_supervectors(
-        cfg: &ExperimentConfig,
-        train_svs: Vec<Vec<SparseVec>>,
-        dev_svs: Vec<Vec<SparseVec>>,
-        test_svs: Vec<Vec<Vec<SparseVec>>>,
-        headless: bool,
-    ) -> Experiment {
-        assert!(headless);
+    /// Run the full front-end pipeline. This is the heavy call: everything
+    /// else in the crate reuses its caches.
+    ///
+    /// The six recognizers train first; then each split is decoded the way
+    /// the serving path scores a request — one render and one shared
+    /// feature pass per utterance, every front-end decoding from it — and
+    /// each front-end fits its TFLLR scaler on its training supervectors.
+    pub fn build(cfg: &ExperimentConfig) -> Experiment {
         let inv = UniversalInventory::new();
         let ds = Dataset::generate(DatasetConfig::new(cfg.scale, cfg.seed));
-        let train_labels: Vec<usize> = ds
-            .train
-            .iter()
-            .map(|u| u.language.target_index().unwrap())
+        let mut frontends: Vec<Frontend> = standard_subsystems()
+            .into_iter()
+            .enumerate()
+            .map(|(qi, spec)| {
+                let seed = cfg.seed ^ (0xFE00 + qi as u64);
+                Frontend::train(spec, &ds, &inv, cfg.max_order, cfg.decoder, seed)
+            })
             .collect();
-        let dev_labels: Vec<usize> = ds
-            .dev
+        let features = FeatureExtractor::new(frontends.iter().map(|fe| fe.am.feature));
+        let decode = |utts: &[UttSpec]| decode_split(&frontends, &features, &ds, &inv, utts);
+        let train_raw = decode(&ds.train);
+        let dev_raw = decode(&ds.dev);
+        // `[duration][subsystem][utt]`.
+        let test_raw: Vec<_> = Duration::all()
             .iter()
-            .map(|u| u.language.target_index().unwrap())
+            .map(|&d| decode(ds.test_set(d)))
             .collect();
-        let test_labels: Vec<Vec<usize>> = Duration::all()
+
+        let train_svs = frontends
+            .iter_mut()
+            .zip(train_raw)
+            .map(|(fe, raw)| fe.fit_scaler(&raw))
+            .collect();
+        let dev_svs = frontends
             .iter()
-            .map(|&d| {
-                ds.test_set(d)
+            .zip(dev_raw)
+            .map(|(fe, raw)| fe.scale(&raw))
+            .collect();
+        let test_svs = frontends
+            .iter()
+            .enumerate()
+            .map(|(q, fe)| {
+                test_raw
                     .iter()
-                    .map(|u| u.language.target_index().unwrap())
+                    .map(|per_sub| fe.scale(&per_sub[q]))
                     .collect()
             })
             .collect();
-        let frontends: Vec<Frontend> = crate::subsystem::standard_subsystems()
-            .into_iter()
-            .map(|spec| Frontend::headless(spec, &inv, cfg.max_order))
+        let svs = SupervectorCache {
+            train_svs,
+            dev_svs,
+            test_svs,
+        };
+        Self::assemble(cfg, ds, inv, frontends, svs)
+    }
+
+    /// The tail both builders share: labels, the baseline VSMs (Eq. 6/7)
+    /// and their cached score matrices (Eq. 8/9).
+    fn assemble(
+        cfg: &ExperimentConfig,
+        ds: Dataset,
+        inv: UniversalInventory,
+        frontends: Vec<Frontend>,
+        svs: SupervectorCache,
+    ) -> Experiment {
+        let labels = |utts: &[UttSpec]| -> Vec<usize> {
+            utts.iter()
+                .map(|u| {
+                    u.language
+                        .target_index()
+                        .expect("evaluation splits hold target languages only")
+                })
+                .collect()
+        };
+        let train_labels = labels(&ds.train);
+        let dev_labels = labels(&ds.dev);
+        let test_labels: Vec<Vec<usize>> = Duration::all()
+            .iter()
+            .map(|&d| labels(ds.test_set(d)))
             .collect();
+        let SupervectorCache {
+            train_svs,
+            dev_svs,
+            test_svs,
+        } = svs;
         // Shape sanity: a stale cache with the wrong sizes must not be used.
         assert_eq!(
             train_svs.len(),
@@ -141,122 +201,20 @@ impl Experiment {
             "stale cache: train size"
         );
 
-        let mut baseline_vsms = Vec::new();
-        for q in 0..frontends.len() {
-            baseline_vsms.push(OneVsRest::train(
-                &train_svs[q],
-                &train_labels,
-                K,
-                frontends[q].builder.dim(),
-                &cfg.svm,
-            ));
-        }
-        let baseline_test_scores: Vec<Vec<ScoreMatrix>> = (0..frontends.len())
-            .map(|q| {
-                (0..Duration::all().len())
-                    .map(|di| score_set(&baseline_vsms[q], &test_svs[q][di]))
-                    .collect()
-            })
-            .collect();
-        let baseline_dev_scores: Vec<ScoreMatrix> = (0..frontends.len())
-            .map(|q| score_set(&baseline_vsms[q], &dev_svs[q]))
-            .collect();
-
-        Experiment {
-            cfg: cfg.clone(),
-            ds,
-            inv,
-            frontends,
-            train_svs,
-            dev_svs,
-            test_svs,
-            train_labels,
-            dev_labels,
-            test_labels,
-            baseline_vsms,
-            baseline_test_scores,
-            baseline_dev_scores,
-        }
-    }
-
-    /// Run the full front-end pipeline. This is the heavy call: everything
-    /// else in the crate reuses its caches.
-    pub fn build(cfg: &ExperimentConfig) -> Experiment {
-        let inv = UniversalInventory::new();
-        let ds = Dataset::generate(DatasetConfig::new(cfg.scale, cfg.seed));
-
-        let train_labels: Vec<usize> = ds
-            .train
+        let baseline_vsms: Vec<OneVsRest> = frontends
             .iter()
-            .map(|u| {
-                u.language
-                    .target_index()
-                    .expect("train is target languages")
-            })
+            .zip(&train_svs)
+            .map(|(fe, svs)| OneVsRest::train(svs, &train_labels, K, fe.builder.dim(), &cfg.svm))
             .collect();
-        let dev_labels: Vec<usize> = ds
-            .dev
+        let baseline_test_scores: Vec<Vec<ScoreMatrix>> = baseline_vsms
             .iter()
-            .map(|u| u.language.target_index().unwrap())
+            .zip(&test_svs)
+            .map(|(vsm, per_dur)| per_dur.iter().map(|svs| score_set(vsm, svs)).collect())
             .collect();
-        let test_labels: Vec<Vec<usize>> = Duration::all()
+        let baseline_dev_scores: Vec<ScoreMatrix> = baseline_vsms
             .iter()
-            .map(|&d| {
-                ds.test_set(d)
-                    .iter()
-                    .map(|u| u.language.target_index().unwrap())
-                    .collect()
-            })
-            .collect();
-
-        let mut frontends = Vec::new();
-        let mut train_svs = Vec::new();
-        let mut dev_svs = Vec::new();
-        let mut test_svs = Vec::new();
-        for (qi, spec) in standard_subsystems().into_iter().enumerate() {
-            let mut fe = Frontend::train(
-                spec,
-                &ds,
-                &inv,
-                cfg.max_order,
-                cfg.decoder,
-                cfg.seed ^ (0xFE00 + qi as u64),
-            );
-            let raw_train = fe.supervector_batch(&ds.train, &ds, &inv);
-            let train_scaled = fe.fit_scaler(&raw_train);
-            let dev_scaled = fe.scale(&fe.supervector_batch(&ds.dev, &ds, &inv));
-            let mut per_dur = Vec::new();
-            for &d in Duration::all().iter() {
-                let raw = fe.supervector_batch(ds.test_set(d), &ds, &inv);
-                per_dur.push(fe.scale(&raw));
-            }
-            train_svs.push(train_scaled);
-            dev_svs.push(dev_scaled);
-            test_svs.push(per_dur);
-            frontends.push(fe);
-        }
-
-        // Baseline VSMs (Eq. 6/7) + cached score matrices (Eq. 8/9).
-        let dim_of = |q: usize, frontends: &[Frontend]| frontends[q].builder.dim();
-        let mut baseline_vsms = Vec::new();
-        for (q, svs) in train_svs.iter().enumerate() {
-            baseline_vsms.push(OneVsRest::train(
-                svs,
-                &train_labels,
-                K,
-                dim_of(q, &frontends),
-                &cfg.svm,
-            ));
-        }
-        let baseline_test_scores: Vec<Vec<ScoreMatrix>> = (0..frontends.len())
-            .map(|q| {
-                (0..Duration::all().len())
-                    .map(|di| score_set(&baseline_vsms[q], &test_svs[q][di]))
-                    .collect()
-            })
-            .collect();
-        let baseline_dev_scores: Vec<ScoreMatrix> = (0..frontends.len())
-            .map(|q| score_set(&baseline_vsms[q], &dev_svs[q]))
+            .zip(&dev_svs)
+            .map(|(vsm, svs)| score_set(vsm, svs))
             .collect();
 
         Experiment {
@@ -322,6 +280,53 @@ impl Experiment {
     pub fn is_target(lang: LanguageId) -> bool {
         lang.target_index().is_some()
     }
+}
+
+/// Raw (unscaled) supervectors `[subsystem][utt]` of `utts`, parallel over
+/// utterances with one decoder scratch and one transform buffer per worker.
+/// Each utterance is rendered and analysed once (`features` serves every
+/// front-end's kind) and then decoded by every front-end — the serving
+/// path's per-request work.
+fn decode_split(
+    frontends: &[Frontend],
+    features: &FeatureExtractor,
+    ds: &Dataset,
+    inv: &UniversalInventory,
+    utts: &[UttSpec],
+) -> Vec<Vec<SparseVec>> {
+    let kind_index: Vec<usize> = frontends
+        .iter()
+        .map(|fe| {
+            features
+                .index_of(fe.am.feature)
+                .expect("the extractor was built from these front-ends")
+        })
+        .collect();
+    let per_utt: Vec<Vec<SparseVec>> = utts
+        .par_iter()
+        .map_init(
+            || (DecodeScratch::new(), FrameMatrix::new(FEATURE_DIM)),
+            |(scratch, normalized), u| {
+                let rendered = render_utterance(u, ds.language(u.language), inv);
+                let feats = features.extract(&rendered.samples);
+                frontends
+                    .iter()
+                    .zip(&kind_index)
+                    .map(|(fe, &k)| fe.supervector_from_features(&feats[k], normalized, scratch))
+                    .collect()
+            },
+        )
+        .collect();
+    let mut per_sub: Vec<Vec<SparseVec>> = frontends
+        .iter()
+        .map(|_| Vec::with_capacity(utts.len()))
+        .collect();
+    for row in per_utt {
+        for (q, sv) in row.into_iter().enumerate() {
+            per_sub[q].push(sv);
+        }
+    }
+    per_sub
 }
 
 /// Score a supervector set with a one-vs-rest VSM into a matrix (Eq. 9).

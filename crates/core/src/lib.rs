@@ -14,9 +14,11 @@
 //!   a DNN-HMM EN recognizer and GMM-HMM EN/MA recognizers;
 //! - [`Frontend`]: a trained recognizer (acoustic model + supervector
 //!   builder + TFLLR scaler) and its decode path;
-//! - [`Experiment`]: the expensive one-time pipeline — render, decode and
-//!   featurize every utterance for every subsystem — plus cached baseline
-//!   VSMs; everything downstream (V sweeps, DBA variants, fusion) reuses it,
+//! - [`Experiment`]: the expensive one-time pipeline — train the six
+//!   recognizers, then render and analyse every utterance once and decode
+//!   it through every subsystem into a supervector, as serving does — plus
+//!   cached baseline VSMs; everything downstream (V sweeps, DBA variants,
+//!   fusion) reuses it,
 //!   mirroring the paper's cost analysis (§5.4: decoding dominates, DBA
 //!   retraining is nearly free);
 //! - [`vote`]: the votes-counting matrix **C_v** (Eq. 10–13) and the
@@ -56,5 +58,5 @@ pub use dba::{
 pub use experiment::{BaselineRow, Experiment, ExperimentConfig};
 pub use fusion_pipeline::{fuse, fuse_duration, FusedSystem};
 pub use guard::{GuardReport, GuardSet};
-pub use subsystem::{balanced_chunk_order, standard_subsystems, Frontend, SubsystemSpec};
+pub use subsystem::{standard_subsystems, Frontend, SubsystemSpec};
 pub use vote::{select_tr_dba, vote_matrix, PseudoLabel, VoteMatrix};

@@ -1,12 +1,11 @@
 //! The six diversified front-end subsystems of §4.1.
 
 use lre_am::{train_acoustic_model, AcousticModel, AmFamily, AmTrainConfig};
-use lre_corpus::{render_utterance, Dataset, LanguageId, UttSpec};
+use lre_corpus::{Dataset, LanguageId};
 use lre_dsp::FrameMatrix;
 use lre_lattice::{decode_with_scratch, DecodeScratch, DecoderConfig};
 use lre_phone::{PhoneSet, PhoneSetId, UniversalInventory};
 use lre_vsm::{SparseVec, SupervectorBuilder, TfllrScaler};
-use rayon::prelude::*;
 
 /// Static description of one subsystem: which phone set, which acoustic
 /// model family, and which language's data trains the recognizer.
@@ -143,47 +142,14 @@ impl Frontend {
         }
     }
 
-    /// Render, decode and featurize one utterance into a raw (unscaled)
-    /// supervector.
-    pub fn supervector(&self, spec: &UttSpec, ds: &Dataset, inv: &UniversalInventory) -> SparseVec {
-        self.supervector_with_scratch(spec, ds, inv, &mut DecodeScratch::new())
-    }
-
-    /// [`Frontend::supervector`] with caller-owned decoder working memory,
-    /// so batch drivers pay the score-block / Viterbi / back-pointer
-    /// allocations once per worker instead of once per utterance.
-    pub fn supervector_with_scratch(
-        &self,
-        spec: &UttSpec,
-        ds: &Dataset,
-        inv: &UniversalInventory,
-        scratch: &mut DecodeScratch,
-    ) -> SparseVec {
-        let rendered = render_utterance(spec, ds.language(spec.language), inv);
-        self.supervector_from_samples(&rendered.samples, scratch)
-    }
-
-    /// Decode pre-rendered audio samples into a raw (unscaled) supervector —
-    /// the path for a caller that holds a waveform rather than a corpus
-    /// spec: extract this front-end's features, then
-    /// [`Frontend::supervector_from_features`].
-    pub fn supervector_from_samples(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-    ) -> SparseVec {
-        let feats = lre_am::extract_features(samples, self.am.feature);
-        let mut normalized = FrameMatrix::new(feats.dim());
-        self.supervector_from_features(&feats, &mut normalized, scratch)
-    }
-
     /// Decode already-extracted features (CMS-normalized, of this
     /// front-end's [`lre_am::FeatureKind`]) into a raw (unscaled)
     /// supervector: the acoustic model's global transform into `normalized`
     /// (a caller-owned buffer, so front-ends sharing one extraction leave it
     /// untouched and reuse one allocation), phone-loop decode, expected
     /// counts. Every decode in the workspace — offline, serving, adaptation
-    /// — ends here.
+    /// — ends here, and offline and serving alike reach it from one shared
+    /// [`lre_am::frontend::FeatureExtractor`] pass per utterance.
     pub fn supervector_from_features(
         &self,
         feats: &FrameMatrix,
@@ -213,41 +179,6 @@ impl Frontend {
         (self.builder.build(&out.network), decoded)
     }
 
-    /// Decode a batch in parallel (rayon over utterances), one reusable
-    /// [`DecodeScratch`] per worker thread.
-    ///
-    /// The vendored rayon stand-in now work-steals (workers claim small
-    /// index blocks from a shared atomic counter), so load balance no
-    /// longer depends on the submission order. Dispatch still runs through
-    /// [`balanced_chunk_order`] as an *optional* pre-balancer: longest-first
-    /// ordering keeps the tail of the batch short (the last stolen blocks
-    /// are the cheap utterances), which slightly tightens the finish line,
-    /// and the scatter-back below keeps output order matching `specs`
-    /// either way.
-    pub fn supervector_batch(
-        &self,
-        specs: &[UttSpec],
-        ds: &Dataset,
-        inv: &UniversalInventory,
-    ) -> Vec<SparseVec> {
-        let workers = rayon::current_num_threads().min(specs.len()).max(1);
-        let costs: Vec<usize> = specs.iter().map(|s| s.num_frames).collect();
-        let order = balanced_chunk_order(&costs, workers);
-        let permuted: Vec<SparseVec> = order
-            .par_iter()
-            .map_init(DecodeScratch::new, |scratch, &i| {
-                self.supervector_with_scratch(&specs[i], ds, inv, scratch)
-            })
-            .collect();
-        let mut out: Vec<Option<SparseVec>> = vec![None; specs.len()];
-        for (j, sv) in permuted.into_iter().enumerate() {
-            out[order[j]] = Some(sv);
-        }
-        out.into_iter()
-            .map(|o| o.expect("order is a permutation"))
-            .collect()
-    }
-
     /// Fit the TFLLR scaler on raw training supervectors and return the
     /// scaled copies; subsequent [`Frontend::scale`] calls use the same fit.
     pub fn fit_scaler(&mut self, train_raw: &[SparseVec]) -> Vec<SparseVec> {
@@ -264,109 +195,9 @@ impl Frontend {
     }
 }
 
-/// Processing order that balances per-worker cost under a contiguous-chunk
-/// split.
-///
-/// Historically load-bearing: the executor behind `par_iter` used to hand
-/// worker `b` the contiguous index range `[b·⌈n/w⌉, (b+1)·⌈n/w⌉)`, and this
-/// permutation of `0..costs.len()` gives each such range a near-equal share
-/// of `Σ costs` (items taken longest-first — LPT greedy — each placed in
-/// the currently lightest chunk with a free slot). The executor now
-/// work-steals, so correctness and balance no longer depend on this
-/// ordering; it survives as an optional pre-balancer that front-loads
-/// expensive items so the steal queue's tail is cheap.
-pub fn balanced_chunk_order(costs: &[usize], workers: usize) -> Vec<usize> {
-    let n = costs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.min(n).max(1);
-    if workers == 1 {
-        return (0..n).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let num_chunks = n.div_ceil(chunk);
-    let cap = |b: usize| {
-        if b + 1 < num_chunks {
-            chunk
-        } else {
-            n - (num_chunks - 1) * chunk
-        }
-    };
-    // Longest first; ties broken by index so the order is deterministic.
-    let mut by_cost: Vec<usize> = (0..n).collect();
-    by_cost.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); num_chunks];
-    let mut loads = vec![0u64; num_chunks];
-    for i in by_cost {
-        let b = (0..num_chunks)
-            .filter(|&b| buckets[b].len() < cap(b))
-            .min_by_key(|&b| loads[b])
-            .expect("capacities sum to n");
-        buckets[b].push(i);
-        loads[b] += costs[i] as u64;
-    }
-    buckets.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn chunk_loads(costs: &[usize], order: &[usize], workers: usize) -> Vec<u64> {
-        let chunk = order.len().div_ceil(workers);
-        order
-            .chunks(chunk)
-            .map(|c| c.iter().map(|&i| costs[i] as u64).sum())
-            .collect()
-    }
-
-    #[test]
-    fn balanced_order_is_a_permutation() {
-        let costs: Vec<usize> = (0..23).map(|i| (i * 37) % 101 + 1).collect();
-        let order = balanced_chunk_order(&costs, 4);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..costs.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn skewed_batch_is_balanced_across_contiguous_chunks() {
-        // The adversarial layout for a contiguous split: all the long
-        // utterances first. Unpermuted, chunk 0 carries ~10× chunk 3.
-        let mut costs = vec![750usize; 8];
-        costs.extend(vec![75usize; 24]);
-        let workers = 4;
-        let naive: Vec<usize> = (0..costs.len()).collect();
-        let naive_loads = chunk_loads(&costs, &naive, workers);
-        let order = balanced_chunk_order(&costs, workers);
-        let loads = chunk_loads(&costs, &order, workers);
-        let spread = |l: &[u64]| l.iter().max().unwrap() - l.iter().min().unwrap();
-        assert!(
-            spread(&loads) * 4 < spread(&naive_loads),
-            "balanced {loads:?} vs naive {naive_loads:?}"
-        );
-        // Ideal per-chunk load is Σ/4 = 1950; LPT lands within one long
-        // utterance of it.
-        assert!(loads.iter().all(|&l| l <= 1950 + 750));
-    }
-
-    #[test]
-    fn uniform_costs_keep_full_chunks() {
-        let costs = vec![100usize; 10];
-        let order = balanced_chunk_order(&costs, 3);
-        assert_eq!(order.len(), 10);
-        // ⌈10/3⌉ = 4 ⇒ chunks of 4/4/2, matching the executor's split.
-        let loads = chunk_loads(&costs, &order, 3);
-        assert_eq!(loads, vec![400, 400, 200]);
-    }
-
-    #[test]
-    fn degenerate_inputs() {
-        assert!(balanced_chunk_order(&[], 4).is_empty());
-        assert_eq!(balanced_chunk_order(&[5], 4), vec![0]);
-        assert_eq!(balanced_chunk_order(&[5, 9, 2], 1), vec![0, 1, 2]);
-    }
 
     #[test]
     fn six_subsystems_with_paper_structure() {

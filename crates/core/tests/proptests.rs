@@ -1,7 +1,6 @@
-//! Property-based tests for the DBA voting and selection logic (Eq. 10–13)
-//! and the balanced-chunk scheduling order used by the decode hot path.
+//! Property-based tests for the DBA voting and selection logic (Eq. 10–13).
 
-use lre_dba::{balanced_chunk_order, select_tr_dba, vote_matrix};
+use lre_dba::{select_tr_dba, vote_matrix};
 use lre_eval::ScoreMatrix;
 use proptest::prelude::*;
 
@@ -106,93 +105,6 @@ proptest! {
         let after = vote_matrix(&refs2);
         for j in 0..before.num_utts() {
             prop_assert_eq!(before.row(j), after.row(j));
-        }
-    }
-}
-
-/// Per-chunk loads under the executor's contiguous split: worker `b` gets
-/// indices `[b·⌈n/w⌉, (b+1)·⌈n/w⌉)` of `order`.
-fn chunk_loads(costs: &[usize], order: &[usize], workers: usize) -> Vec<u64> {
-    let chunk = order.len().div_ceil(workers.min(order.len()).max(1));
-    order
-        .chunks(chunk)
-        .map(|c| c.iter().map(|&i| costs[i] as u64).sum())
-        .collect()
-}
-
-proptest! {
-    #[test]
-    fn balanced_order_is_always_a_permutation(
-        costs in prop::collection::vec(1usize..1000, 0..60),
-        workers in 1usize..10,
-    ) {
-        let order = balanced_chunk_order(&costs, workers);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..costs.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scatter_back_through_the_order_is_the_identity(
-        costs in prop::collection::vec(1usize..1000, 1..60),
-        workers in 1usize..10,
-    ) {
-        // The pipeline idiom: process items in permuted order, then write
-        // result `j` to slot `order[j]`. For any permutation this must
-        // reproduce the original item order exactly — the scatter-back is
-        // what keeps the scheduling order invisible to downstream stages.
-        let order = balanced_chunk_order(&costs, workers);
-        let processed: Vec<usize> = order.iter().map(|&i| costs[i] * 7 + 1).collect();
-        let mut out = vec![0usize; costs.len()];
-        for (j, v) in processed.into_iter().enumerate() {
-            out[order[j]] = v;
-        }
-        for (i, &c) in costs.iter().enumerate() {
-            prop_assert_eq!(out[i], c * 7 + 1, "slot {} holds another item's result", i);
-        }
-    }
-
-    #[test]
-    fn lpt_makespan_beats_the_duration_sorted_contiguous_split(
-        costs in prop::collection::vec(1usize..1000, 1..60),
-        workers in 1usize..10,
-    ) {
-        // The adversarial contiguous order for this corpus: duration-sorted
-        // (all long utterances first), which is how the dataset naturally
-        // groups them. Any balanced bucket holds at most ⌈n/w⌉ items, so
-        // its load can never exceed the sum of the ⌈n/w⌉ largest costs —
-        // the first chunk of the sorted split. (Identity order is NOT a
-        // sound universal bound: capacity-constrained LPT can lose to a
-        // luckily pre-balanced layout by up to one item.)
-        let order = balanced_chunk_order(&costs, workers);
-        let balanced = chunk_loads(&costs, &order, workers);
-        let mut sorted_desc: Vec<usize> = (0..costs.len()).collect();
-        sorted_desc.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
-        let naive = chunk_loads(&costs, &sorted_desc, workers);
-        let makespan = |l: &[u64]| l.iter().copied().max().unwrap_or(0);
-        prop_assert!(
-            makespan(&balanced) <= makespan(&naive),
-            "balanced {:?} worse than duration-sorted naive {:?}",
-            balanced,
-            naive
-        );
-    }
-
-    #[test]
-    fn balanced_chunks_match_the_executor_capacities(
-        costs in prop::collection::vec(1usize..1000, 1..60),
-        workers in 1usize..10,
-    ) {
-        // Position j of the order must land on the worker the contiguous
-        // splitter assigns it to: every chunk is filled to exactly the
-        // executor's capacity, so no index silently migrates workers.
-        let order = balanced_chunk_order(&costs, workers);
-        let n = costs.len();
-        let chunk = n.div_ceil(workers.min(n).max(1));
-        let lens: Vec<usize> = order.chunks(chunk).map(<[usize]>::len).collect();
-        for (b, &len) in lens.iter().enumerate() {
-            let expect = if (b + 1) * chunk <= n { chunk } else { n - b * chunk };
-            prop_assert_eq!(len, expect, "chunk {} under-filled", b);
         }
     }
 }

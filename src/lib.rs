@@ -1,7 +1,6 @@
 //! Workspace umbrella crate: re-exports the whole LRE-DBA stack so the
 //! `examples/` and `tests/` at the repository root can use one import path.
 
-pub use lre_acoustic as acoustic;
 pub use lre_am as am;
 pub use lre_backend as backend;
 pub use lre_corpus as corpus;

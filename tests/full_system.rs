@@ -6,17 +6,52 @@
 //! cargo test --release --test full_system -- --ignored
 //! ```
 
-use lre_repro::corpus::{Duration, Scale};
+use lre_repro::am::extract_features;
+use lre_repro::corpus::{render_utterance, Duration, Scale};
 use lre_repro::dba::{
     dba::{baseline_votes, run_dba},
     fuse_duration, select_tr_dba, DbaVariant, Experiment, ExperimentConfig,
 };
+use lre_repro::dsp::FrameMatrix;
 use lre_repro::eval::pooled_eer;
+use lre_repro::lattice::DecodeScratch;
+use lre_repro::vsm::SparseVec;
 
 #[test]
 #[ignore = "builds the full experiment; run with --release -- --ignored"]
 fn full_system_invariants() {
     let exp = Experiment::build(&ExperimentConfig::new(Scale::Smoke, 42));
+
+    // --- Cached supervectors are the public leaves' chain, bit for bit ---------
+    // render → single-kind features → decode + count → TFLLR, for the first
+    // utterance of train, dev and every test duration, per front-end.
+    let bits =
+        |sv: &SparseVec| -> Vec<(u32, u32)> { sv.iter().map(|(i, v)| (i, v.to_bits())).collect() };
+    for (q, fe) in exp.frontends.iter().enumerate() {
+        let mut firsts = vec![
+            (exp.ds.train[0], &exp.train_svs[q][0]),
+            (exp.ds.dev[0], &exp.dev_svs[q][0]),
+        ];
+        for (di, &d) in Duration::all().iter().enumerate() {
+            firsts.push((exp.ds.test_set(d)[0], &exp.test_svs[q][di][0]));
+        }
+        let scaler = fe.scaler.as_ref().expect("build fits every scaler");
+        for (utt, cached) in firsts {
+            let r = render_utterance(&utt, exp.ds.language(utt.language), &exp.inv);
+            let feats = extract_features(&r.samples, fe.am.feature);
+            let raw = fe.supervector_from_features(
+                &feats,
+                &mut FrameMatrix::new(feats.dim()),
+                &mut DecodeScratch::new(),
+            );
+            assert_eq!(
+                bits(&scaler.transformed(&raw)),
+                bits(cached),
+                "{}: {utt:?}",
+                fe.spec.name
+            );
+        }
+    }
 
     // --- Baseline subsystems beat chance on every duration -----------------------
     for row in exp.baseline_summary() {
