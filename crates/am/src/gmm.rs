@@ -30,6 +30,23 @@ const MAX_MIX: usize = 1024;
 /// vectors however short the block is.
 const LANES: usize = 8;
 
+/// `0, 1, …, MAX_MIX − 1`: the rows of a whole GMM, for
+/// [`DiagGmm::fill_comps_block_t`].
+const ALL_ROWS: [usize; MAX_MIX] = {
+    let mut rows = [0; MAX_MIX];
+    let mut c = 0;
+    while c < MAX_MIX {
+        rows[c] = c;
+        c += 1;
+    }
+    rows
+};
+
+/// Log-constant −0.0 for every component: a row filled with it holds
+/// exactly `−q/2` (`−0 − y` is `−y`), to which each GMM carrying that row
+/// adds its own constant ([`DiagGmm::add_log_const`]).
+pub(crate) const NEG_ZEROS: [f32; MAX_MIX] = [-0.0; MAX_MIX];
+
 /// `frames` (flat `n × dim`) transposed into the layout
 /// [`DiagGmm::log_likelihood_block_t`] reads: `ft[d · stride + t]` with
 /// `stride` = `n` rounded up to a multiple of 8, the pad lanes zero.
@@ -249,6 +266,11 @@ impl DiagGmm {
         self.num_mix
     }
 
+    /// Per-component constants `ln w_m − ½ Σ_d ln(2π σ²_{m,d})`.
+    pub(crate) fn log_consts(&self) -> &[f32] {
+        &self.log_consts
+    }
+
     /// Normalized mixture weights.
     pub fn weights(&self) -> &[f32] {
         &self.weights
@@ -319,6 +341,16 @@ impl DiagGmm {
     /// q_c(t)/2`: the Mahalanobis distance accumulation, first stage of
     /// [`DiagGmm::log_likelihood_block_t`] (public so the kernel bench can
     /// time it apart from the log-sum-exp tail).
+    pub fn fill_comps_block_t(&self, ft: &[f32], comps: &mut Vec<f32>, n: usize) {
+        // Every element is written below.
+        comps.resize(self.num_mix * n, 0.0);
+        self.fill_rows_block_t(ft, comps, n, &ALL_ROWS[..self.num_mix], &self.log_consts);
+    }
+
+    /// [`DiagGmm::fill_comps_block_t`] for the components in `rows` only,
+    /// with the log-constants `consts[c]` (the GMM's own, or [`NEG_ZEROS`]):
+    /// `comps[c · n + t] = consts[c] − q_c(t)/2` for every `c` in `rows`,
+    /// every other row left as it is.
     ///
     /// A register block of up to 3 components × {4, 2, 1} groups of 8
     /// frames walks the dimensions, each frame's `q` chain running
@@ -328,50 +360,56 @@ impl DiagGmm {
     /// 9-component state runs as 3 + 3 + 3 and an 11-frame block as one
     /// pair of groups. Lanes past `n` read the padding and are never
     /// stored.
-    pub fn fill_comps_block_t(&self, ft: &[f32], comps: &mut Vec<f32>, n: usize) {
-        debug_assert_eq!(ft.len(), n.next_multiple_of(LANES) * self.dim);
-        // Every element is written below.
-        comps.resize(self.num_mix * n, 0.0);
-        let mut c0 = 0;
-        while c0 < self.num_mix {
-            c0 += match self.num_mix - c0 {
-                1 => self.fill_comps::<1>(ft, comps, n, c0),
-                2 => self.fill_comps::<2>(ft, comps, n, c0),
-                _ => self.fill_comps::<3>(ft, comps, n, c0),
-            };
-        }
-    }
-
-    /// Components `c0..c0 + C` of every frame; returns `C`.
-    #[inline(always)]
-    fn fill_comps<const C: usize>(
+    pub(crate) fn fill_rows_block_t(
         &self,
         ft: &[f32],
         comps: &mut [f32],
         n: usize,
-        c0: usize,
-    ) -> usize {
+        rows: &[usize],
+        consts: &[f32],
+    ) {
+        debug_assert_eq!(ft.len(), n.next_multiple_of(LANES) * self.dim);
+        for cs in rows.chunks(3) {
+            match *cs {
+                [a] => self.fill_comps([a], ft, comps, n, consts),
+                [a, b] => self.fill_comps([a, b], ft, comps, n, consts),
+                [a, b, c] => self.fill_comps([a, b, c], ft, comps, n, consts),
+                _ => unreachable!("chunks of 1..=3"),
+            }
+        }
+    }
+
+    /// Components `cs` of every frame.
+    #[inline(always)]
+    fn fill_comps<const C: usize>(
+        &self,
+        cs: [usize; C],
+        ft: &[f32],
+        comps: &mut [f32],
+        n: usize,
+        consts: &[f32],
+    ) {
         let groups = n.div_ceil(LANES);
         let mut g0 = 0;
         while g0 < groups {
             g0 += match groups - g0 {
-                1 => self.fill_block::<C, 1>(ft, comps, n, c0, g0),
-                2 | 3 => self.fill_block::<C, 2>(ft, comps, n, c0, g0),
-                _ => self.fill_block::<C, 4>(ft, comps, n, c0, g0),
+                1 => self.fill_block::<C, 1>(cs, ft, comps, n, consts, g0),
+                2 | 3 => self.fill_block::<C, 2>(cs, ft, comps, n, consts, g0),
+                _ => self.fill_block::<C, 4>(cs, ft, comps, n, consts, g0),
             };
         }
-        C
     }
 
-    /// The register block: components `c0..c0 + C` of the `G · LANES`
-    /// frames from group `g0`; returns `G`.
+    /// The register block: components `cs` of the `G · LANES` frames from
+    /// group `g0`; returns `G`.
     #[inline(always)]
     fn fill_block<const C: usize, const G: usize>(
         &self,
+        cs: [usize; C],
         ft: &[f32],
         comps: &mut [f32],
         n: usize,
-        c0: usize,
+        consts: &[f32],
         g0: usize,
     ) -> usize {
         let (dim, stride) = (self.dim, n.next_multiple_of(LANES));
@@ -383,9 +421,9 @@ impl DiagGmm {
         let Acc(acc) = &mut Acc([[[0.0f32; LANES]; G]; C]);
         for d in 0..dim {
             let col = &ft[d * stride + t0..][..G * LANES];
-            for (c, groups) in acc.iter_mut().enumerate() {
-                let mu = self.means[(c0 + c) * dim + d];
-                let iv = self.inv_vars[(c0 + c) * dim + d];
+            for (&c, groups) in cs.iter().zip(acc.iter_mut()) {
+                let mu = self.means[c * dim + d];
+                let iv = self.inv_vars[c * dim + d];
                 for (q, xs) in groups.iter_mut().zip(col.chunks_exact(LANES)) {
                     let xs: [f32; LANES] = xs.try_into().expect("LANES frames");
                     for (q, x) in q.iter_mut().zip(xs) {
@@ -395,9 +433,9 @@ impl DiagGmm {
                 }
             }
         }
-        for (c, groups) in acc.iter().enumerate() {
-            let log_const = self.log_consts[c0 + c];
-            let crow = &mut comps[(c0 + c) * n..(c0 + c + 1) * n];
+        for (&c, groups) in cs.iter().zip(acc.iter()) {
+            let log_const = consts[c];
+            let crow = &mut comps[c * n..(c + 1) * n];
             for (g, q) in groups.iter().enumerate() {
                 let t = t0 + g * LANES;
                 let l = q.map(|q| log_const - 0.5 * q);
@@ -406,6 +444,31 @@ impl DiagGmm {
             }
         }
         G
+    }
+
+    /// The log term of component `c` of every frame from `half_dist`, that
+    /// row filled with [`NEG_ZEROS`] (exactly `−q_c(t)/2`, possibly by
+    /// another GMM carrying the same row): `comps[c · n + t] = log_const_c +
+    /// half_dist[t]`, which is `log_const_c − q_c(t)/2` bit for bit — `x +
+    /// (−y)` is `x − y` in IEEE arithmetic, and `−0 − y` is `−y` for every
+    /// `y`, signed zeros included.
+    pub(crate) fn add_log_const(&self, c: usize, half_dist: &[f32], comps: &mut [f32]) {
+        let n = half_dist.len();
+        let log_const = self.log_consts[c];
+        for (l, &h) in comps[c * n..(c + 1) * n].iter_mut().zip(half_dist) {
+            *l = log_const + h;
+        }
+    }
+
+    /// Whether component `c` of `self` and component `k` of `other` have the
+    /// same mean and inverse variance, bit for bit.
+    pub(crate) fn same_component(&self, c: usize, other: &DiagGmm, k: usize) -> bool {
+        let d = self.dim;
+        let (a, b) = (c * d..(c + 1) * d, k * d..(k + 1) * d);
+        d == other.dim
+            && (self.means[a.clone()].iter().zip(&other.means[b.clone()]))
+                .chain(self.inv_vars[a].iter().zip(&other.inv_vars[b]))
+                .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     /// Mixture posteriors for one frame (responsibilities), written to `out`.
@@ -452,7 +515,7 @@ impl DiagGmm {
 /// skipped, so there is nothing to prove about which terms could have been.
 /// Row 0 doubles as the accumulator: the scalar loop's first step,
 /// `0.0 + expf(x)`, is `expf(x)` itself for everything `expf` returns.
-fn lse_rows(comps: &mut [f32], k: usize, out: &mut [f32]) {
+pub(crate) fn lse_rows(comps: &mut [f32], k: usize, out: &mut [f32]) {
     let n = out.len();
     debug_assert_eq!(comps.len(), k * n);
     out.fill(f32::NEG_INFINITY);

@@ -1,6 +1,6 @@
 //! Frame-level emission scoring abstraction consumed by the decoder.
 
-use crate::gmm::{transpose_block, DiagGmm};
+use crate::gmm::{lse_rows, transpose_block, DiagGmm, NEG_ZEROS};
 use crate::nn::Mlp;
 use lre_artifact::{ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter};
 
@@ -46,12 +46,54 @@ pub trait FrameScorer: Send + Sync {
 /// GMM-HMM emission model: one diagonal GMM per state.
 pub struct GmmStateScorer {
     gmms: Vec<DiagGmm>,
+    /// Components of state 0's GMM whose row (mean and inverse variance,
+    /// bit for bit) every state's GMM carries — the broad background
+    /// component `with_background` appends — filled once per block for all
+    /// of them. Derived from `gmms` when built or loaded, never serialized.
+    shared: Vec<usize>,
+    /// Per state, how each component's log term is made.
+    rows: Vec<StateRows>,
+}
+
+/// One state's components, split by where their distances come from.
+#[derive(Default)]
+struct StateRows {
+    /// Filled by the state itself.
+    own: Vec<usize>,
+    /// `(component, row of state 0)`: the state's log-constant added to the
+    /// block's shared `−q/2` row.
+    shared: Vec<(usize, usize)>,
 }
 
 impl GmmStateScorer {
     pub fn new(gmms: Vec<DiagGmm>) -> Self {
         assert!(!gmms.is_empty());
-        Self { gmms }
+        let g0 = &gmms[0];
+        // A row is shared when every state carries it (only worth a fill of
+        // its own with two states or more); state 0's first copy is filled.
+        let shared: Vec<usize> = (0..g0.num_mix())
+            .filter(|&c| {
+                gmms.len() > 1
+                    && !(0..c).any(|e| g0.same_component(e, g0, c))
+                    && gmms
+                        .iter()
+                        .all(|g| (0..g.num_mix()).any(|k| g.same_component(k, g0, c)))
+            })
+            .collect();
+        let rows = gmms
+            .iter()
+            .map(|g| {
+                let mut rows = StateRows::default();
+                for k in 0..g.num_mix() {
+                    match shared.iter().find(|&&c| g.same_component(k, g0, c)) {
+                        Some(&c) => rows.shared.push((k, c)),
+                        None => rows.own.push(k),
+                    }
+                }
+                rows
+            })
+            .collect();
+        Self { gmms, shared, rows }
     }
 
     pub fn state_gmm(&self, s: usize) -> &DiagGmm {
@@ -73,24 +115,36 @@ impl FrameScorer for GmmStateScorer {
 
     /// Batched scoring: frames are processed in cache-sized blocks. Each
     /// block is transposed to dimension-major layout (its last one padded
-    /// to whole vector groups) **once**, then every state's GMM runs its
-    /// vectorized transposed kernel over it
-    /// ([`DiagGmm::log_likelihood_block_t`]), streaming its mixture
-    /// parameters once per block instead of once per frame and accumulating
-    /// the Mahalanobis terms across all frames of the block in parallel.
+    /// to whole vector groups) **once**; the rows every state shares get
+    /// their `−q/2` filled once; then every state fills its own rows with
+    /// the vectorized transposed kernel, adds its log-constant to the shared
+    /// ones ([`DiagGmm::add_log_const`], exact) and folds them in its own
+    /// component order ([`DiagGmm::log_likelihood_block_t`]'s two stages),
+    /// streaming its mixture parameters once per block instead of once per
+    /// frame.
     fn score_block(&self, frames: &[f32], dim: usize, out: &mut [f32]) {
         const BLOCK: usize = 64;
         let s = self.gmms.len();
         debug_assert!(dim > 0);
         debug_assert_eq!(out.len(), frames.len() / dim * s);
+        let g0 = &self.gmms[0];
         let mut comps = Vec::new();
+        let mut half_dists = Vec::new();
         let mut ft = Vec::new();
         let mut col = [0.0f32; BLOCK];
         for (block, rows) in frames.chunks(BLOCK * dim).zip(out.chunks_mut(BLOCK * s)) {
             let bt = block.len() / dim;
             transpose_block(block, dim, &mut ft);
-            for (si, g) in self.gmms.iter().enumerate() {
-                g.log_likelihood_block_t(&ft, &mut comps, &mut col[..bt]);
+            half_dists.resize(g0.num_mix() * bt, 0.0);
+            g0.fill_rows_block_t(&ft, &mut half_dists, bt, &self.shared, &NEG_ZEROS);
+            for (si, (g, plan)) in self.gmms.iter().zip(&self.rows).enumerate() {
+                // Every row is written below: own or shared.
+                comps.resize(g.num_mix() * bt, 0.0);
+                g.fill_rows_block_t(&ft, &mut comps, bt, &plan.own, g.log_consts());
+                for &(c, c0) in &plan.shared {
+                    g.add_log_const(c, &half_dists[c0 * bt..(c0 + 1) * bt], &mut comps);
+                }
+                lse_rows(&mut comps, g.num_mix(), &mut col[..bt]);
                 for (row, &v) in rows.chunks_exact_mut(s).zip(&col[..bt]) {
                     row[si] = v;
                 }
@@ -131,7 +185,7 @@ impl ArtifactRead for GmmStateScorer {
         if gmms.iter().any(|g| g.dim() != gmms[0].dim()) {
             return Err(ArtifactError::Corrupt("state GMM dimensions disagree"));
         }
-        Ok(GmmStateScorer { gmms })
+        Ok(GmmStateScorer::new(gmms))
     }
 }
 
@@ -278,37 +332,77 @@ mod tests {
         use rand::RngExt;
         let mut rng = StdRng::seed_from_u64(7);
         let dim = 6;
+        let mut random_params = |mix: usize| {
+            let means: Vec<f32> = (0..mix * dim)
+                .map(|_| rng.random::<f32>() * 4.0 - 2.0)
+                .collect();
+            let vars: Vec<f32> = (0..mix * dim).map(|_| 0.3 + rng.random::<f32>()).collect();
+            let weights: Vec<f32> = (0..mix).map(|c| [0.5, 0.3, 0.2][c % 3]).collect();
+            (means, vars, weights)
+        };
         // Enough states and frames to cross the 64-frame block boundary and
         // exercise partial blocks.
-        let gmms: Vec<DiagGmm> = (0..9)
-            .map(|_| {
-                let mix = 3;
-                let means: Vec<f32> = (0..mix * dim)
-                    .map(|_| rng.random::<f32>() * 4.0 - 2.0)
-                    .collect();
-                let vars: Vec<f32> = (0..mix * dim).map(|_| 0.3 + rng.random::<f32>()).collect();
-                let weights: Vec<f32> = vec![0.5, 0.3, 0.2];
-                DiagGmm::from_params(means, vars, weights, dim)
-            })
+        let params: Vec<_> = (0..9).map(|s| random_params(1 + s % 4)).collect();
+        let plain: Vec<DiagGmm> = params
+            .iter()
+            .map(|(m, v, w)| DiagGmm::from_params(m.clone(), v.clone(), w.clone(), dim))
             .collect();
-        let sc = GmmStateScorer::new(gmms);
-        let n = 131;
-        let frames: Vec<f32> = (0..n * dim)
-            .map(|_| rng.random::<f32>() * 4.0 - 2.0)
-            .collect();
+        // Every state `with_background`: one row shared by all of them.
+        let background: Vec<DiagGmm> = plain.iter().map(|g| g.with_background(0.08, 3.0)).collect();
+        // The same bank with state 4's background inverse variance one ulp
+        // off in one dimension: no row is shared by every state any more.
+        let inv_bg = 1.0f32 / 3.0;
+        let nudged_var = (1..64)
+            .map(|u| f32::from_bits(3.0f32.to_bits() - u))
+            .find(|v| (1.0 / v).to_bits() == inv_bg.to_bits() + 1)
+            .expect("a variance whose reciprocal is one ulp above 1/3");
+        let mut nudged = background.clone();
+        let (m, v, w) = &params[4];
+        let mut vars: Vec<f32> = v.clone();
+        vars.extend([nudged_var].into_iter().chain([3.0; 5]));
+        let weights: Vec<f32> = w.iter().map(|w| w * (1.0 - 0.08)).chain([0.08]).collect();
+        let means: Vec<f32> = m.iter().copied().chain([0.0; 6]).collect();
+        nudged[4] = DiagGmm::from_params(means, vars, weights, dim);
+        // A 1-component state that is the background row alone: all of its
+        // terms come from the shared fill.
+        let mut lone = background.clone();
+        lone.push(DiagGmm::from_params(
+            vec![0.0; dim],
+            vec![3.0; dim],
+            vec![1.0],
+            dim,
+        ));
 
-        let mut block = vec![0.0f32; n * sc.num_states()];
-        sc.score_block(&frames, dim, &mut block);
+        for (name, gmms, shared) in [
+            ("plain", plain, 0),
+            ("background", background, 1),
+            ("nudged", nudged, 0),
+            ("lone", lone, 1),
+        ] {
+            let sc = GmmStateScorer::new(gmms);
+            assert_eq!(sc.shared.len(), shared, "{name}");
+            let n = 131;
+            let frames: Vec<f32> = (0..n * dim)
+                .map(|_| rng.random::<f32>() * 4.0 - 2.0)
+                .collect();
 
-        let mut single = vec![0.0f32; sc.num_states()];
-        for t in 0..n {
-            sc.score_frame(&frames[t * dim..(t + 1) * dim], &mut single);
-            for (s, (a, b)) in single
-                .iter()
-                .zip(&block[t * sc.num_states()..(t + 1) * sc.num_states()])
-                .enumerate()
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "frame {t} state {s}: {a} vs {b}");
+            let mut block = vec![0.0f32; n * sc.num_states()];
+            sc.score_block(&frames, dim, &mut block);
+
+            let mut single = vec![0.0f32; sc.num_states()];
+            for t in 0..n {
+                sc.score_frame(&frames[t * dim..(t + 1) * dim], &mut single);
+                for (s, (a, b)) in single
+                    .iter()
+                    .zip(&block[t * sc.num_states()..(t + 1) * sc.num_states()])
+                    .enumerate()
+                {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{name}: frame {t} state {s}: {a} vs {b}"
+                    );
+                }
             }
         }
     }

@@ -6,10 +6,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lre_am::gmm::transpose_block;
 use lre_am::{DiagGmm, Mlp};
+use lre_am::{HmmTopology, StateInventory};
 use lre_dsp::{
     mfcc, plp, power_spectrum, Analyzer, Cepstrum, MfccConfig, MfccTail, PlpConfig, PlpTail,
 };
-use lre_lattice::{expected_ngram_counts_cn, ConfusionNetwork, SlotEntry};
+use lre_lattice::{
+    expected_ngram_counts_cn, viterbi, ConfusionNetwork, DecodeScratch, DecoderConfig, SlotEntry,
+};
 use lre_svm::{train_binary, SvmTrainConfig};
 use lre_vsm::{SparseVec, TfllrScaler};
 use rand::rngs::StdRng;
@@ -244,6 +247,32 @@ fn bench_vmath(c: &mut Criterion) {
     g.finish();
 }
 
+/// The phone-loop search alone ([`viterbi`]: relaxation and traceback) over
+/// fixed synthetic emission scores, at a 3 s and a 30 s utterance and the
+/// smallest and largest served state counts (`cz_ann`'s 43 phones,
+/// `ma_gmm`'s 64). Scores are independent per state and frame, so no
+/// choice of the relaxation is predictable — a branchy search pays a
+/// mispredict on a large share of them, the select-based one none.
+fn bench_search(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(13);
+    let (topology, cfg) = (HmmTopology::default(), DecoderConfig::default());
+    let mut scratch = DecodeScratch::new();
+    let mut g = c.benchmark_group("lattice");
+    for frames in [75, 750] {
+        for phones in [43, 64] {
+            let inv = StateInventory::from_phone_count(phones);
+            let scores: Vec<f32> = (0..frames * inv.num_states())
+                .map(|_| -60.0 * rng.random::<f32>())
+                .collect();
+            let name = format!("viterbi_dense_{frames}frames_{}states", inv.num_states());
+            g.bench_function(&name, |b| {
+                b.iter(|| black_box(viterbi(&inv, &topology, &scores, &cfg, &mut scratch)))
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_phonotactics(c: &mut Criterion) {
     // A 100-slot confusion network with 4 alternatives per slot.
     let mut rng = StdRng::seed_from_u64(9);
@@ -309,6 +338,7 @@ criterion_group!(
     bench_dsp,
     bench_am,
     bench_vmath,
+    bench_search,
     bench_phonotactics,
     bench_svm
 );

@@ -1,8 +1,10 @@
 //! Perf-regression harness for the decoding hot path.
 //!
 //! Times the pipeline stages the paper's §5.4 cost analysis cares about —
-//! emission scoring, phone-loop Viterbi, supervector generation and the
-//! supervector product — for one NN-family and one GMM-family front-end,
+//! emission scoring, the phone-loop search (Viterbi, traceback and slot
+//! posteriors over precomputed scores, timed on its own), supervector
+//! generation and the supervector product — for one NN-family and one
+//! GMM-family front-end,
 //! comparing the historical per-frame path against the batched one.
 //! Results (stage seconds, speedups, real-time factors)
 //! go to stdout and to `BENCH_decoder.json` so successive runs can be
@@ -18,7 +20,8 @@ use lre_corpus::{render_utterance, Dataset, DatasetConfig, Duration, UttSpec};
 use lre_dba::{standard_subsystems, Frontend};
 use lre_dsp::FrameMatrix;
 use lre_lattice::{
-    decode, decode_with_scratch, score_all_frames_into, DecodeScratch, DecoderConfig,
+    decode, decode_scores, decode_with_scratch, score_all_frames, score_all_frames_into,
+    DecodeScratch, DecoderConfig,
 };
 use lre_phone::UniversalInventory;
 use lre_svm::{OneVsRest, SvmTrainConfig};
@@ -84,6 +87,9 @@ struct FrontendReport {
     /// allocations per utterance, via the plain `decode` entry point.
     decode_seed_s: f64,
     decode_exact_s: f64,
+    /// `decode_exact_s` without emission: the search over scores computed
+    /// beforehand.
+    search_s: f64,
     supervector_s: f64,
     svm_score_s: f64,
 }
@@ -110,7 +116,7 @@ impl FrontendReport {
                 "\"audio_seconds\":{:.4},\"stages\":{{",
                 "\"scoring_per_frame_s\":{:.6},\"scoring_batched_s\":{:.6},",
                 "\"decode_seed_s\":{:.6},",
-                "\"decode_exact_s\":{:.6},",
+                "\"decode_exact_s\":{:.6},\"search_s\":{:.6},",
                 "\"supervector_s\":{:.6},\"svm_score_s\":{:.6}}},",
                 "\"speedups\":{{\"scoring\":{:.3},\"decode\":{:.3},\"total\":{:.3}}},",
                 "\"rt_factors\":{{\"decode_exact\":{:.5}}}}}"
@@ -123,6 +129,7 @@ impl FrontendReport {
             self.scoring_batched_s,
             self.decode_seed_s,
             self.decode_exact_s,
+            self.search_s,
             self.supervector_s,
             self.svm_score_s,
             self.scoring_speedup(),
@@ -172,6 +179,14 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
     let decode_exact_s = time_best(4, || {
         for f in &feats {
             std::hint::black_box(decode_with_scratch(&fe.am, f, &cfg, &mut scratch));
+        }
+    });
+
+    let emissions: Vec<Vec<f32>> = feats.iter().map(|f| score_all_frames(&fe.am, f)).collect();
+    let search_s = time_best(4, || {
+        for scores in &emissions {
+            let (inv, topo) = (&fe.am.inventory, &fe.am.topology);
+            std::hint::black_box(decode_scores(inv, topo, scores, &cfg, &mut scratch));
         }
     });
 
@@ -249,6 +264,7 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
         scoring_batched_s,
         decode_seed_s,
         decode_exact_s,
+        search_s,
         supervector_s,
         svm_score_s,
     }
@@ -284,17 +300,25 @@ fn main() {
     }
 
     println!(
-        "{:<12} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7} | {:>8}",
-        "Front-end", "score/fr", "score/blk", "dec-seed", "dec-exact", "total", "RT exact"
+        "{:<12} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7} | {:>8}",
+        "Front-end",
+        "score/fr",
+        "score/blk",
+        "dec-seed",
+        "dec-exact",
+        "search",
+        "total",
+        "RT exact"
     );
     for r in &reports {
         println!(
-            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
+            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
             r.name,
             r.scoring_per_frame_s,
             r.scoring_batched_s,
             r.decode_seed_s,
             r.decode_exact_s,
+            r.search_s,
             r.decode_speedup(),
             r.rt_exact(),
         );

@@ -1,8 +1,9 @@
 //! Token-passing phone-loop Viterbi decoder with confusion-network output.
 
 use crate::confusion::{ConfusionNetwork, SlotEntry};
-use lre_am::{AcousticModel, StateInventory, STATES_PER_PHONE};
+use lre_am::{AcousticModel, HmmTopology, StateInventory, STATES_PER_PHONE};
 use lre_dsp::FrameMatrix;
+use std::cmp::Ordering;
 
 /// Decoder parameters.
 #[derive(Clone, Copy, Debug)]
@@ -159,31 +160,66 @@ pub fn decode_with_scratch(
     cfg: &DecoderConfig,
     scratch: &mut DecodeScratch,
 ) -> DecodeOutput {
-    let inv = &am.inventory;
+    let mut scores = std::mem::take(&mut scratch.scores);
+    score_all_frames_into(am, feats, &mut scores);
+    let out = decode_scores(&am.inventory, &am.topology, &scores, cfg, scratch);
+    scratch.scores = scores;
+    out
+}
+
+/// The search half of [`decode_with_scratch`]: Viterbi, traceback and slot
+/// posteriors over emission scores already computed (`scores` is the flat
+/// `T × num_states` block [`score_all_frames_into`] writes). Public so the
+/// search can be timed apart from emission.
+pub fn decode_scores(
+    inv: &StateInventory,
+    topology: &HmmTopology,
+    scores: &[f32],
+    cfg: &DecoderConfig,
+    scratch: &mut DecodeScratch,
+) -> DecodeOutput {
+    let (segments, viterbi_score) = viterbi(inv, topology, scores, cfg, scratch);
+    let slots = segments
+        .iter()
+        .map(|seg| segment_slot(seg, scores, inv, cfg, &mut scratch.phone_scores))
+        .collect();
+    DecodeOutput {
+        segments,
+        network: ConfusionNetwork::new(slots),
+        num_frames: scores.len() / inv.num_states(),
+        viterbi_score,
+    }
+}
+
+/// The 1-best phone-loop path through `scores` (flat `T × num_states`):
+/// its segments and total log score (acoustics + transitions), `(∅, 0.0)`
+/// for no frames. The first stage of [`decode_scores`].
+pub fn viterbi(
+    inv: &StateInventory,
+    topology: &HmmTopology,
+    scores: &[f32],
+    cfg: &DecoderConfig,
+    scratch: &mut DecodeScratch,
+) -> (Vec<PhoneSegment>, f32) {
     let num_states = inv.num_states();
     let num_phones = inv.num_phones();
-    let t_max = feats.num_frames();
+    let t_max = scores.len() / num_states;
+    debug_assert_eq!(scores.len(), t_max * num_states);
     if t_max == 0 {
-        return DecodeOutput {
-            segments: Vec::new(),
-            network: ConfusionNetwork::new(vec![]),
-            num_frames: 0,
-            viterbi_score: 0.0,
-        };
+        return (Vec::new(), 0.0);
     }
 
-    score_all_frames_into(am, feats, &mut scratch.scores);
-    let scores = &scratch.scores;
     let ascale = cfg.acoustic_scale;
-    let (log_self, log_next) = (am.topology.log_self, am.topology.log_next);
+    let log_next = topology.log_next;
 
     // --- Viterbi ------------------------------------------------------------------
     scratch.delta_prev.clear();
     scratch.delta_prev.resize(num_states, f32::NEG_INFINITY);
     scratch.delta_cur.clear();
     scratch.delta_cur.resize(num_states, f32::NEG_INFINITY);
-    scratch.bp.clear();
+    // Rows 1.. are written whole below; only row 0 is read before it is set.
     scratch.bp.resize(t_max * num_states, 0);
+    scratch.bp[..num_states].fill(0);
     let delta_prev = &mut scratch.delta_prev;
     let delta_cur = &mut scratch.delta_cur;
     let bp = &mut scratch.bp;
@@ -198,41 +234,21 @@ pub fn decode_with_scratch(
     // Dense relaxation over every state.
     for t in 1..t_max {
         // Best phone exit at t-1 (for the loop transition).
-        let mut best_exit = f32::NEG_INFINITY;
-        let mut best_exit_state = 0usize;
-        for p in 0..num_phones {
-            let s = inv.state_of(p, STATES_PER_PHONE - 1);
-            let v = delta_prev[s];
-            if v > best_exit {
-                best_exit = v;
-                best_exit_state = s;
-            }
-        }
-        let loop_score = best_exit + log_next + cfg.phone_insertion_log;
-
-        let frame_scores = &scores[t * num_states..(t + 1) * num_states];
-        let bp_row = &mut bp[t * num_states..(t + 1) * num_states];
-        for s in 0..num_states {
-            // Self loop.
-            let mut best = delta_prev[s] + log_self;
-            let mut back = s as u32;
-            if inv.is_entry(s) {
-                // Phone-loop entry.
-                if loop_score > best {
-                    best = loop_score;
-                    back = best_exit_state as u32 | LOOP_FLAG;
-                }
-            } else {
-                // Advance from the previous state of the same phone.
-                let cand = delta_prev[s - 1] + log_next;
-                if cand > best {
-                    best = cand;
-                    back = (s - 1) as u32;
-                }
-            }
-            delta_cur[s] = best + ascale * frame_scores[s];
-            bp_row[s] = back;
-        }
+        let (best_exit, best_exit_state) = best_exit(delta_prev);
+        let entry = Entry {
+            score: best_exit + log_next + cfg.phone_insertion_log,
+            back: best_exit_state as u32 | LOOP_FLAG,
+        };
+        let rows = t * num_states..(t + 1) * num_states;
+        relax(
+            delta_prev,
+            delta_cur,
+            &scores[rows.clone()],
+            &mut bp[rows],
+            entry,
+            topology,
+            ascale,
+        );
         std::mem::swap(delta_prev, delta_cur);
     }
 
@@ -280,19 +296,100 @@ pub fn decode_with_scratch(
         let end = boundaries.get(i + 1).copied().unwrap_or(t_max);
         segments.push(PhoneSegment { phone, start, end });
     }
+    (segments, viterbi_score)
+}
 
-    // --- Segment posteriors → confusion network -------------------------------------
-    let slots = segments
-        .iter()
-        .map(|seg| segment_slot(seg, scores, inv, cfg, &mut scratch.phone_scores))
-        .collect();
+/// The phone-loop transition into every entry state at one frame.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// Best exit score at the frame before, plus the loop's penalties.
+    score: f32,
+    /// Back-pointer to that exit, [`LOOP_FLAG`] set.
+    back: u32,
+}
 
-    DecodeOutput {
-        segments,
-        network: ConfusionNetwork::new(slots),
-        num_frames: t_max,
-        viterbi_score,
+/// One frame of the dense relaxation: `cur` and `back` (row `t`) from `prev`
+/// (row `t − 1`), phone by phone in `state_of`'s layout. Every choice is a
+/// select on the strict `>` of the scalar recursion — a NaN candidate never
+/// wins, a tie keeps the self loop — so `delta` and the back-pointers keep
+/// its bits without a data-dependent branch. The rows arrive as separate
+/// slices so the compiler knows they do not overlap and vectorizes the
+/// phones.
+#[inline(never)]
+fn relax(
+    prev: &[f32],
+    cur: &mut [f32],
+    emit: &[f32],
+    back: &mut [u32],
+    entry: Entry,
+    topology: &HmmTopology,
+    ascale: f32,
+) {
+    const K: usize = STATES_PER_PHONE;
+    let (log_self, log_next) = (topology.log_self, topology.log_next);
+    let phones = cur
+        .chunks_exact_mut(K)
+        .zip(prev.chunks_exact(K))
+        .zip(emit.chunks_exact(K).zip(back.chunks_exact_mut(K)));
+    for (p, ((cur, prev), (emit, back))) in phones.enumerate() {
+        let first = (p * K) as u32;
+        // Phone-loop entry, or the self loop.
+        let stay = prev[0] + log_self;
+        let enter = entry.score > stay;
+        let best = if enter { entry.score } else { stay };
+        cur[0] = best + ascale * emit[0];
+        back[0] = if enter { entry.back } else { first };
+        // Advance from the previous state of the same phone, or the self loop.
+        for k in 1..K {
+            let stay = prev[k] + log_self;
+            let advance = prev[k - 1] + log_next;
+            let take = advance > stay;
+            let best = if take { advance } else { stay };
+            cur[k] = best + ascale * emit[k];
+            back[k] = first + k as u32 - take as u32;
+        }
     }
+}
+
+/// Phones per lane group of [`best_exit`].
+const EXIT_LANES: usize = 8;
+
+/// The best phone-exit state of a dense `delta` row and its value, by the
+/// scalar scan `if v > best { best = v; state = s }` from `(−∞, 0)`: the
+/// lowest phone among equal maxima wins, a NaN is never taken, and when
+/// every exit is −∞ (or NaN) the result is state 0. Phone `p` runs in lane
+/// `p mod 8`, each lane a first-wins arg-max by selects, so the scan keeps
+/// eight independent chains and no data-dependent branch; the lanes are
+/// then reduced lowest phone first, a tie going to the lower state.
+fn best_exit(delta: &[f32]) -> (f32, usize) {
+    const K: usize = STATES_PER_PHONE;
+    let mut best = [f32::NEG_INFINITY; EXIT_LANES];
+    let mut state = [0usize; EXIT_LANES];
+    let mut lane = |l: usize, hmm: &[f32], s: usize| {
+        let v = hmm[K - 1];
+        let take = v > best[l];
+        best[l] = if take { v } else { best[l] };
+        state[l] = if take { s + K - 1 } else { state[l] };
+    };
+    let mut groups = delta.chunks_exact(EXIT_LANES * K);
+    let mut s0 = 0;
+    for group in groups.by_ref() {
+        for (l, hmm) in group.chunks_exact(K).enumerate() {
+            lane(l, hmm, s0 + l * K);
+        }
+        s0 += EXIT_LANES * K;
+    }
+    for (l, hmm) in groups.remainder().chunks_exact(K).enumerate() {
+        lane(l, hmm, s0 + l * K);
+    }
+    // A lane that took nothing holds (−∞, 0) and can never win.
+    let (mut top, mut top_state) = (f32::NEG_INFINITY, 0usize);
+    for (&v, &s) in best.iter().zip(&state) {
+        let take = (v > top) | ((v == top) & (s < top_state));
+        top = if take { v } else { top };
+        top_state = if take { s } else { top_state };
+    }
+    (top, top_state)
 }
 
 /// Score every phone over a segment (uniform 3-state alignment over cached
@@ -333,17 +430,46 @@ fn segment_slot(
         denom += e;
     }
 
-    // Top-k selection (num_phones is ≤ 64; a partial selection loop is fine).
-    let mut entries: Vec<SlotEntry> = phone_scores
-        .iter()
-        .enumerate()
-        .map(|(p, &s)| SlotEntry {
-            phone: p as u16,
-            prob: s / denom,
-        })
-        .collect();
+    top_k(phone_scores, denom, cfg.top_k.max(1))
+}
+
+/// The `k` most probable entries `{phone p, prob: exps[p] / denom}`, most
+/// probable first: the first `k` of the entries sorted by descending
+/// probability. When the `k` largest are distinct and strictly above every
+/// other entry that prefix is unique, and a selection pass finds it without
+/// sorting all `num_phones`. On any tie at or above the `k`-th entry, or a
+/// NaN, the order is whatever `sort_unstable_by` makes of it — and since a
+/// slot's entry order is the summation order of its expected counts, that
+/// case runs the sort itself.
+fn top_k(exps: &[f32], denom: f32, k: usize) -> Vec<SlotEntry> {
+    let entries = exps.iter().enumerate().map(|(p, &e)| SlotEntry {
+        phone: p as u16,
+        prob: e / denom,
+    });
+    if k < exps.len() {
+        let mut top: Vec<SlotEntry> = Vec::with_capacity(k + 1);
+        for e in entries.clone() {
+            let at = top
+                .iter()
+                .position(|t| e.prob > t.prob)
+                .unwrap_or(top.len());
+            if at < k {
+                top.insert(at, e);
+                top.truncate(k);
+            }
+        }
+        let kth = top[k - 1].prob;
+        let distinct = top.windows(2).all(|w| w[0].prob > w[1].prob);
+        // Everything not below the k-th entry, a NaN (unordered) included,
+        // so a NaN anywhere falls through.
+        let not_below = |e: &SlotEntry| e.prob.partial_cmp(&kth) != Some(Ordering::Less);
+        if distinct && entries.clone().filter(not_below).count() == k {
+            return top;
+        }
+    }
+    let mut entries: Vec<SlotEntry> = entries.collect();
     entries.sort_unstable_by(|a, b| b.prob.partial_cmp(&a.prob).unwrap());
-    entries.truncate(cfg.top_k.max(1));
+    entries.truncate(k);
     entries
 }
 
@@ -447,6 +573,93 @@ mod tests {
                 end: 1
             }
         );
+    }
+
+    /// The lane scan against the scalar one on exit rows with ties in and
+    /// across lanes, ±0, ±∞ and NaNs. A NaN exit stays NaN to the last
+    /// frame, where the traceback refuses it, so the decoder's outputs never
+    /// show the NaN rule; this does.
+    #[test]
+    fn best_exit_keeps_the_scalar_scans_rules() {
+        let scalar = |delta: &[f32]| {
+            let (mut best, mut state) = (f32::NEG_INFINITY, 0);
+            for s in (STATES_PER_PHONE - 1..delta.len()).step_by(STATES_PER_PHONE) {
+                if delta[s] > best {
+                    best = delta[s];
+                    state = s;
+                }
+            }
+            (best, state)
+        };
+        let palette = [
+            -1.5,
+            -0.0,
+            0.0,
+            2.0,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for phones in 1..=70 {
+            for _ in 0..200 {
+                let delta: Vec<f32> = (0..phones * STATES_PER_PHONE)
+                    .map(|_| {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        // Mostly −∞ and one finite value, so ties are common.
+                        match rng % 16 {
+                            0..7 => f32::NEG_INFINITY,
+                            7..11 => -1.5,
+                            r => palette[r as usize % palette.len()],
+                        }
+                    })
+                    .collect();
+                let (got, want) = (best_exit(&delta), scalar(&delta));
+                assert_eq!(got.1, want.1, "{delta:?}");
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "{delta:?}");
+            }
+        }
+    }
+
+    /// The selection pass against the full sort it replaces, with ties at,
+    /// above and below the k-th entry, zeros, and a NaN-free spread.
+    #[test]
+    fn top_k_matches_the_full_sort_with_ties_at_the_kth_entry() {
+        let full_sort = |exps: &[f32], denom: f32, k: usize| {
+            let mut entries: Vec<SlotEntry> = exps
+                .iter()
+                .enumerate()
+                .map(|(p, &e)| SlotEntry {
+                    phone: p as u16,
+                    prob: e / denom,
+                })
+                .collect();
+            entries.sort_unstable_by(|a, b| b.prob.partial_cmp(&a.prob).unwrap());
+            entries.truncate(k);
+            entries
+        };
+        let cases: [&[f32]; 7] = [
+            &[0.1, 0.3, 0.2, 0.2, 0.05, 0.7],      // tie at the 3rd/4th entry
+            &[0.4, 0.4, 0.1, 0.3, 0.2, 0.05],      // tie above the k-th entry
+            &[0.9, 0.5, 0.3, 0.1, 0.1, 0.1, 0.1],  // tie below the k-th entry
+            &[0.25; 9],                            // every entry tied
+            &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],       // zeros at the k-th entry
+            &[0.11, 0.12, 0.13, 0.14, 0.15, 0.16], // distinct, ascending
+            &[0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05], // distinct, descending
+        ];
+        for exps in cases {
+            let denom: f32 = exps.iter().sum();
+            for k in 1..=exps.len() + 1 {
+                let (got, want) = (top_k(exps, denom, k), full_sort(exps, denom, k));
+                assert_eq!(got.len(), want.len(), "{exps:?} k={k}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.phone, w.phone, "{exps:?} k={k}");
+                    assert_eq!(g.prob.to_bits(), w.prob.to_bits(), "{exps:?} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub mod ngram;
 
 pub use confusion::{ConfusionNetwork, Slot, SlotEntry};
 pub use decoder::{
-    decode, decode_with_scratch, score_all_frames, score_all_frames_into,
-    score_all_frames_into_mode, DecodeOutput, DecodeScratch, DecoderConfig, PhoneSegment,
+    decode, decode_scores, decode_with_scratch, score_all_frames, score_all_frames_into,
+    score_all_frames_into_mode, viterbi, DecodeOutput, DecodeScratch, DecoderConfig, PhoneSegment,
 };
 pub use lattice::{log_add, Edge, Lattice};
 pub use nbest::{decode_lattice, NBestConfig};

@@ -3,6 +3,34 @@
 use crate::confusion::ConfusionNetwork;
 use crate::lattice::Lattice;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hash of a packed N-gram key. The keys are small dense
+/// integers from this process, not attacker-chosen strings, so SipHash's
+/// flooding resistance buys nothing here and costs most of a count. A key's
+/// sum is accumulated in insertion order whatever the hasher, and
+/// [`NgramCounts::iter`]'s order is not part of its contract (supervectors
+/// sort it away), so the hasher moves no result.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        self.0 = (self.0 ^ key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits and tags by the top
+        // seven; the product's best-mixed bits are the high ones.
+        self.0.rotate_left(26)
+    }
+}
 
 /// Sparse expected counts of order-`n` phone N-grams.
 ///
@@ -13,7 +41,7 @@ use std::collections::HashMap;
 pub struct NgramCounts {
     order: usize,
     num_phones: usize,
-    counts: HashMap<u32, f32>,
+    counts: HashMap<u32, f32, BuildHasherDefault<KeyHasher>>,
     total: f32,
 }
 
@@ -24,7 +52,7 @@ impl NgramCounts {
         NgramCounts {
             order,
             num_phones,
-            counts: HashMap::new(),
+            counts: HashMap::default(),
             total: 0.0,
         }
     }
@@ -86,7 +114,7 @@ impl NgramCounts {
         self.counts.len()
     }
 
-    /// Iterate `(key, count)`.
+    /// Iterate `(key, count)`, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, f32)> + '_ {
         self.counts.iter().map(|(&k, &v)| (k, v))
     }

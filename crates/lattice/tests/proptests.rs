@@ -1,12 +1,16 @@
 //! Property-based tests for lattices and decoding.
 
 use lre_am::{
-    AcousticModel, DiagGmm, FeatureKind, FeatureTransform, GmmStateScorer, HmmTopology,
-    StateInventory,
+    AcousticModel, DiagGmm, FeatureKind, FeatureTransform, FrameScorer, GmmStateScorer,
+    HmmTopology, StateInventory, STATES_PER_PHONE,
 };
 use lre_dsp::FrameMatrix;
-use lre_lattice::{decode, expected_ngram_counts_cn, DecoderConfig, Edge, Lattice};
+use lre_lattice::{
+    decode, decode_with_scratch, expected_ngram_counts_cn, viterbi, DecodeScratch, DecoderConfig,
+    Edge, Lattice, PhoneSegment,
+};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Random layered DAG lattice: `layers` node layers with random edges
 /// between consecutive layers (guaranteed connected start→end).
@@ -151,4 +155,240 @@ proptest! {
         prop_assert_eq!(out.segments[0].phone as usize, phone);
         prop_assert!(out.network.slot(0)[0].prob > 0.5);
     }
+}
+
+/// Emission "model" that hands the decoder a fixed score matrix: the frame
+/// whose one feature is `t` scores as row `t`.
+struct TableScorer {
+    rows: Vec<f32>,
+    num_states: usize,
+}
+
+impl FrameScorer for TableScorer {
+    fn num_states(&self) -> usize {
+        self.num_states
+    }
+
+    fn score_frame(&self, frame: &[f32], out: &mut [f32]) {
+        let t = frame[0] as usize;
+        out.copy_from_slice(&self.rows[t * self.num_states..(t + 1) * self.num_states]);
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// The branchy dense relaxation and traceback the decoder ran before its
+/// search became branch-free, kept as the reference: `(segments,
+/// viterbi_score)` of the 1-best path through `scores` (`T × num_states`).
+fn reference_viterbi(
+    scores: &[f32],
+    inv: &StateInventory,
+    topo: &HmmTopology,
+    cfg: &DecoderConfig,
+) -> (Vec<PhoneSegment>, f32) {
+    const LOOP_FLAG: u32 = 1 << 31;
+    let num_states = inv.num_states();
+    let num_phones = inv.num_phones();
+    let t_max = scores.len() / num_states;
+    let ascale = cfg.acoustic_scale;
+    let (log_self, log_next) = (topo.log_self, topo.log_next);
+    let mut delta_prev = vec![f32::NEG_INFINITY; num_states];
+    let mut delta_cur = vec![f32::NEG_INFINITY; num_states];
+    let mut bp = vec![0u32; t_max * num_states];
+    for p in 0..num_phones {
+        let s = inv.state_of(p, 0);
+        delta_prev[s] = ascale * scores[s];
+        bp[s] = s as u32;
+    }
+    for t in 1..t_max {
+        let mut best_exit = f32::NEG_INFINITY;
+        let mut best_exit_state = 0usize;
+        for p in 0..num_phones {
+            let s = inv.state_of(p, STATES_PER_PHONE - 1);
+            let v = delta_prev[s];
+            if v > best_exit {
+                best_exit = v;
+                best_exit_state = s;
+            }
+        }
+        let loop_score = best_exit + log_next + cfg.phone_insertion_log;
+        let frame_scores = &scores[t * num_states..(t + 1) * num_states];
+        let bp_row = &mut bp[t * num_states..(t + 1) * num_states];
+        for s in 0..num_states {
+            let mut best = delta_prev[s] + log_self;
+            let mut back = s as u32;
+            if inv.is_entry(s) {
+                if loop_score > best {
+                    best = loop_score;
+                    back = best_exit_state as u32 | LOOP_FLAG;
+                }
+            } else {
+                let cand = delta_prev[s - 1] + log_next;
+                if cand > best {
+                    best = cand;
+                    back = (s - 1) as u32;
+                }
+            }
+            delta_cur[s] = best + ascale * frame_scores[s];
+            bp_row[s] = back;
+        }
+        std::mem::swap(&mut delta_prev, &mut delta_cur);
+    }
+
+    let mut cur_state = (0..num_phones)
+        .map(|p| inv.state_of(p, STATES_PER_PHONE - 1))
+        .max_by(|&a, &b| delta_prev[a].partial_cmp(&delta_prev[b]).unwrap())
+        .expect("at least one phone");
+    if delta_prev[cur_state] == f32::NEG_INFINITY {
+        cur_state = (0..num_states)
+            .max_by(|&a, &b| delta_prev[a].partial_cmp(&delta_prev[b]).unwrap())
+            .unwrap();
+    }
+    let viterbi_score = delta_prev[cur_state];
+    let mut boundaries = Vec::new();
+    let mut phones_rev = Vec::new();
+    let mut t = t_max - 1;
+    loop {
+        let (phone, _) = inv.phone_of(cur_state);
+        let back = bp[t * num_states + cur_state];
+        if t == 0 {
+            boundaries.push(0usize);
+            phones_rev.push(phone as u16);
+            break;
+        }
+        if back & LOOP_FLAG != 0 {
+            boundaries.push(t);
+            phones_rev.push(phone as u16);
+            cur_state = (back & !LOOP_FLAG) as usize;
+        } else {
+            cur_state = back as usize;
+        }
+        t -= 1;
+    }
+    boundaries.reverse();
+    phones_rev.reverse();
+    let segments = boundaries
+        .iter()
+        .zip(&phones_rev)
+        .enumerate()
+        .map(|(i, (&start, &phone))| PhoneSegment {
+            phone,
+            start,
+            end: boundaries.get(i + 1).copied().unwrap_or(t_max),
+        })
+        .collect();
+    (segments, viterbi_score)
+}
+
+/// A `t_max × 3·phones` score matrix drawn from `seed`. Scores come from a
+/// palette of a few values, so exact ties are common; `specials` bit 0 adds
+/// −∞ entries and whole −∞ frames, bit 1 +∞ entries; `copies` phones take
+/// over another phone's three columns — one lane over, eight phones over
+/// (the same exit lane) or anywhere — so their exit states tie on every
+/// frame.
+fn score_matrix(phones: usize, t_max: usize, seed: u64, specials: u32, copies: usize) -> Vec<f32> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let n = phones * STATES_PER_PHONE;
+    let mut scores: Vec<f32> = (0..t_max * n)
+        .map(|_| match next() % 64 {
+            0 if specials & 1 != 0 => f32::NEG_INFINITY,
+            1 if specials & 2 != 0 => f32::INFINITY,
+            r => -0.5 * (r % 6) as f32,
+        })
+        .collect();
+    if specials & 1 != 0 {
+        for row in scores.chunks_exact_mut(n) {
+            if next() % 16 == 0 {
+                row.fill(f32::NEG_INFINITY);
+            }
+        }
+    }
+    for _ in 0..copies {
+        let from = next() as usize % phones;
+        let to = match next() % 3 {
+            0 => from + 1,
+            1 => from + 8,
+            _ => next() as usize,
+        } % phones;
+        for row in scores.chunks_exact_mut(n) {
+            for k in 0..STATES_PER_PHONE {
+                row[to * STATES_PER_PHONE + k] = row[from * STATES_PER_PHONE + k];
+            }
+        }
+    }
+    scores
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The branch-free search returns the reference's segments and score,
+    /// bit for bit, or panics where it panics (a NaN exit reaches the
+    /// traceback's `partial_cmp`). `decode_with_scratch` returns the same
+    /// wherever it returns: a segment whose posteriors are NaN (a whole −∞
+    /// frame, an infinite score minus an infinite one) is refused by
+    /// `ConfusionNetwork::new` after the search, so the search is also
+    /// compared on its own.
+    #[test]
+    fn branch_free_viterbi_matches_the_branchy_reference(
+        phones in prop::sample::select(vec![1usize, 7, 8, 9, 43, 64]),
+        t_max in 1usize..48,
+        seed in any::<u64>(),
+        specials in 0u32..4,
+        copies in 0usize..12,
+    ) {
+        let scores = score_matrix(phones, t_max, seed, specials, copies);
+        let inv = StateInventory::from_phone_count(phones);
+        let am = AcousticModel {
+            scorer: Box::new(TableScorer { rows: scores.clone(), num_states: inv.num_states() }),
+            topology: HmmTopology::default(),
+            inventory: inv.clone(),
+            feature: FeatureKind::Mfcc,
+            feature_transform: FeatureTransform::identity(1),
+            train_diagnostic: None,
+        };
+        let feats = FrameMatrix::from_flat(1, (0..t_max).map(|t| t as f32).collect());
+        let cfg = DecoderConfig::default();
+        let want = catch_unwind(|| reference_viterbi(&scores, &inv, &am.topology, &cfg));
+        let search = catch_unwind(AssertUnwindSafe(|| {
+            viterbi(&inv, &am.topology, &scores, &cfg, &mut DecodeScratch::new())
+        }));
+        let decoded = catch_unwind(AssertUnwindSafe(|| {
+            let out = decode_with_scratch(&am, &feats, &cfg, &mut DecodeScratch::new());
+            (out.segments, out.viterbi_score)
+        }));
+        match (search, want) {
+            (Ok(got), Ok(want)) => {
+                assert_same_path(&got, &want);
+                if let Ok(decoded) = decoded {
+                    assert_same_path(&decoded, &want);
+                }
+            }
+            (got, want) => assert_eq!(
+                got.is_ok(),
+                want.is_ok(),
+                "the search and the reference disagree on panicking"
+            ),
+        }
+    }
+}
+
+fn assert_same_path(
+    (segs, score): &(Vec<PhoneSegment>, f32),
+    (want_segs, want_score): &(Vec<PhoneSegment>, f32),
+) {
+    assert_eq!(segs, want_segs);
+    // A NaN's payload is the hardware's to pick; NaN meets NaN.
+    assert!(
+        score.to_bits() == want_score.to_bits() || (score.is_nan() && want_score.is_nan()),
+        "viterbi_score {score} vs {want_score}"
+    );
 }

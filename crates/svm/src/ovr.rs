@@ -61,9 +61,21 @@ impl OneVsRest {
     }
 
     /// Decision values of all class models for one input — one row of the
-    /// paper's score matrix **F_q** (Eq. 9).
+    /// paper's score matrix **F_q** (Eq. 9). One walk over `x` feeds every
+    /// class: each class's `Σ v·w` still runs in index order from 0.0 and
+    /// then adds the bias, so every value is [`LinearSvm::score`]'s bits,
+    /// but the classes' chains are independent and overlap.
     pub fn scores(&self, x: &SparseVec) -> Vec<f32> {
-        self.models.iter().map(|m| m.score(x)).collect()
+        let mut acc = vec![0.0f32; self.models.len()];
+        for (i, v) in x.iter() {
+            for (a, m) in acc.iter_mut().zip(&self.models) {
+                *a += v * m.weights()[i as usize];
+            }
+        }
+        for (a, m) in acc.iter_mut().zip(&self.models) {
+            *a += m.bias();
+        }
+        acc
     }
 
     /// Arg-max classification.
@@ -170,6 +182,23 @@ mod tests {
         let ovr = OneVsRest::train(&xs, &ys, 2, 1, &SvmTrainConfig::default());
         assert_eq!(ovr.predict(&sv(&[(0, 1.1)])), 0);
         assert_eq!(ovr.predict(&sv(&[(0, -1.1)])), 1);
+    }
+
+    #[test]
+    fn scores_are_each_class_models_bits() {
+        let (xs, ys) = three_class();
+        let ovr = OneVsRest::train(&xs, &ys, 3, 2, &SvmTrainConfig::default());
+        let mut inputs = xs.clone();
+        inputs.push(SparseVec::new());
+        inputs.push(sv(&[(1, 1e-3)]));
+        inputs.push(sv(&[(0, 3.0e7), (1, -2.5)]));
+        for x in &inputs {
+            let row = ovr.scores(x);
+            assert_eq!(row.len(), ovr.num_classes());
+            for (k, s) in row.iter().enumerate() {
+                assert_eq!(s.to_bits(), ovr.model(k).score(x).to_bits(), "class {k}");
+            }
+        }
     }
 
     #[test]
