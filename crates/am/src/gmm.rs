@@ -419,11 +419,12 @@ impl DiagGmm {
         #[repr(align(64))]
         struct Acc<const C: usize, const G: usize>([[[f32; LANES]; G]; C]);
         let Acc(acc) = &mut Acc([[[0.0f32; LANES]; G]; C]);
+        let means = cs.map(|c| &self.means[c * dim..][..dim]);
+        let inv_vars = cs.map(|c| &self.inv_vars[c * dim..][..dim]);
         for d in 0..dim {
             let col = &ft[d * stride + t0..][..G * LANES];
-            for (&c, groups) in cs.iter().zip(acc.iter_mut()) {
-                let mu = self.means[c * dim + d];
-                let iv = self.inv_vars[c * dim + d];
+            for ((mu, iv), groups) in means.iter().zip(&inv_vars).zip(acc.iter_mut()) {
+                let (mu, iv) = (mu[d], iv[d]);
                 for (q, xs) in groups.iter_mut().zip(col.chunks_exact(LANES)) {
                     let xs: [f32; LANES] = xs.try_into().expect("LANES frames");
                     for (q, x) in q.iter_mut().zip(xs) {
@@ -436,11 +437,23 @@ impl DiagGmm {
         for (&c, groups) in cs.iter().zip(acc.iter()) {
             let log_const = consts[c];
             let crow = &mut comps[c * n..(c + 1) * n];
+            // Whole groups are fixed-size stores. Only the block's last
+            // group can reach past `n`; its variable-length copy (a `memcpy`
+            // call) comes after the loop, since as the other arm of a branch
+            // in it the two copies merge into one `memcpy` that every group
+            // pays. Indices stay constants: a computed one keeps `acc` in
+            // memory through the `d` loop.
             for (g, q) in groups.iter().enumerate() {
                 let t = t0 + g * LANES;
-                let l = q.map(|q| log_const - 0.5 * q);
-                let live = LANES.min(n - t);
-                crow[t..t + live].copy_from_slice(&l[..live]);
+                debug_assert!(g == G - 1 || t + LANES <= n);
+                if t + LANES <= n {
+                    crow[t..t + LANES].copy_from_slice(&q.map(|q| log_const - 0.5 * q));
+                }
+            }
+            let t = t0 + (G - 1) * LANES;
+            if t + LANES > n {
+                let l = groups[G - 1].map(|q| log_const - 0.5 * q);
+                crow[t..].copy_from_slice(&l[..n - t]);
             }
         }
         G

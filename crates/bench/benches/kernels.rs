@@ -8,7 +8,7 @@ use lre_am::gmm::transpose_block;
 use lre_am::{DiagGmm, Mlp};
 use lre_am::{HmmTopology, StateInventory};
 use lre_dsp::{
-    mfcc, plp, power_spectrum, Analyzer, Cepstrum, MfccConfig, MfccTail, PlpConfig, PlpTail,
+    mfcc, plp, Analyzer, Cepstrum, Complex, Fft, MfccConfig, MfccTail, PlpConfig, PlpTail,
 };
 use lre_lattice::{
     expected_ngram_counts_cn, viterbi, ConfusionNetwork, DecodeScratch, DecoderConfig, SlotEntry,
@@ -35,8 +35,15 @@ fn bench_dsp(c: &mut Criterion) {
     let (mfcc_cfg, plp_cfg) = (MfccConfig::default(), PlpConfig::default());
     assert_eq!(mfcc_cfg.frame.num_frames(samples.len()), 750);
     let mut g = c.benchmark_group("dsp");
+    // A planned transform, as the analyzer runs it: `power_spectrum()`
+    // builds the plan (bit-reversal table, 255 twiddles) on every call.
+    let fft = Fft::new(256);
+    let (mut buf, mut power) = (vec![Complex::ZERO; 256], vec![0.0; 129]);
     g.bench_function("fft_256_power_spectrum", |b| {
-        b.iter(|| black_box(power_spectrum(&samples[..256], 256)))
+        b.iter(|| {
+            fft.power_spectrum_into(black_box(&samples[..200]), &mut buf, &mut power);
+            black_box(&power);
+        })
     });
     // One recognizer's pass of each kind; the paper's six recognizers cost
     // 3 × mfcc + 3 × plp when each extracts its own …
@@ -53,6 +60,12 @@ fn bench_dsp(c: &mut Criterion) {
     ]);
     g.bench_function("mfcc_and_plp_shared_spectrum_750_frames", |b| {
         b.iter(|| black_box(shared.analyze(&samples)))
+    });
+    // A 3 s request: 9 whole lane groups and a ragged one of 3 frames.
+    let short = &samples[..200 + 74 * 80];
+    assert_eq!(mfcc_cfg.frame.num_frames(short.len()), 75);
+    g.bench_function("mfcc_and_plp_shared_spectrum_75_frames", |b| {
+        b.iter(|| black_box(shared.analyze(short)))
     });
     g.finish();
 }

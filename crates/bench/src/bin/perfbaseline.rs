@@ -1,7 +1,7 @@
 //! Perf-regression harness for the decoding hot path.
 //!
 //! Times the pipeline stages the paper's §5.4 cost analysis cares about —
-//! emission scoring, the phone-loop search (Viterbi, traceback and slot
+//! feature extraction, emission scoring, the phone-loop search (Viterbi, traceback and slot
 //! posteriors over precomputed scores, timed on its own), supervector
 //! generation and the supervector product — for one NN-family and one
 //! GMM-family front-end,
@@ -81,6 +81,8 @@ struct FrontendReport {
     utterances: usize,
     frames: usize,
     audio_seconds: f64,
+    /// `extract_features` of the front-end's kind (analysis, Δ/ΔΔ, CMS).
+    features_s: f64,
     scoring_per_frame_s: f64,
     scoring_batched_s: f64,
     /// Full historical path: per-frame scoring + dense Viterbi + fresh
@@ -113,7 +115,7 @@ impl FrontendReport {
             s,
             concat!(
                 "{{\"name\":\"{}\",\"utterances\":{},\"frames\":{},",
-                "\"audio_seconds\":{:.4},\"stages\":{{",
+                "\"audio_seconds\":{:.4},\"stages\":{{\"features_s\":{:.6},",
                 "\"scoring_per_frame_s\":{:.6},\"scoring_batched_s\":{:.6},",
                 "\"decode_seed_s\":{:.6},",
                 "\"decode_exact_s\":{:.6},\"search_s\":{:.6},",
@@ -125,6 +127,7 @@ impl FrontendReport {
             self.utterances,
             self.frames,
             self.audio_seconds,
+            self.features_s,
             self.scoring_per_frame_s,
             self.scoring_batched_s,
             self.decode_seed_s,
@@ -142,19 +145,28 @@ impl FrontendReport {
 }
 
 fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> FrontendReport {
-    // Features are precomputed so the stage timings isolate scoring/decoding
-    // from synthesis and feature extraction.
+    // Audio and features are precomputed so the stage timings isolate
+    // feature extraction, scoring and decoding from synthesis and from each
+    // other.
     let utts: Vec<UttSpec> = ds
         .test_set(Duration::S30)
         .iter()
         .take(MAX_UTTS)
         .copied()
         .collect();
-    let feats: Vec<FrameMatrix> = utts
+    let audio: Vec<Vec<f32>> = utts
         .iter()
-        .map(|u| {
-            let r = render_utterance(u, ds.language(u.language), inv);
-            let mut f = lre_am::extract_features(&r.samples, fe.am.feature);
+        .map(|u| render_utterance(u, ds.language(u.language), inv).samples)
+        .collect();
+    let features_s = time_best(4, || {
+        for samples in &audio {
+            std::hint::black_box(lre_am::extract_features(samples, fe.am.feature));
+        }
+    });
+    let feats: Vec<FrameMatrix> = audio
+        .iter()
+        .map(|samples| {
+            let mut f = lre_am::extract_features(samples, fe.am.feature);
             fe.am.feature_transform.apply(&mut f);
             f
         })
@@ -260,6 +272,7 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
         utterances: utts.len(),
         frames,
         audio_seconds,
+        features_s,
         scoring_per_frame_s,
         scoring_batched_s,
         decode_seed_s,
@@ -300,8 +313,9 @@ fn main() {
     }
 
     println!(
-        "{:<12} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7} | {:>8}",
+        "{:<12} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7} | {:>8}",
         "Front-end",
+        "features",
         "score/fr",
         "score/blk",
         "dec-seed",
@@ -312,8 +326,9 @@ fn main() {
     );
     for r in &reports {
         println!(
-            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
+            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
             r.name,
+            r.features_s,
             r.scoring_per_frame_s,
             r.scoring_batched_s,
             r.decode_seed_s,

@@ -1,11 +1,12 @@
 //! The one spectral pass: frame → window → FFT → power spectrum, shared by
-//! every cepstral tail that wants it.
+//! every cepstral tail that wants it, eight frames at a time.
 
-use crate::fft::{Complex, Fft};
+use crate::fft::{ComplexLanes, Fft};
 use crate::frame::{FrameConfig, Framer};
 use crate::frames::FrameMatrix;
 use crate::mfcc::MfccTail;
 use crate::plp::PlpTail;
+use crate::{F32s, F64s, LANES};
 
 /// A cepstral analysis that starts from a frame's power spectrum.
 #[derive(Clone, Debug)]
@@ -29,6 +30,21 @@ impl Cepstrum {
         }
     }
 
+    fn lanes(&self) -> TailLanes {
+        match self {
+            Cepstrum::Mfcc(t) => t.lanes(),
+            Cepstrum::Plp(t) => t.lanes(),
+        }
+    }
+
+    fn cepstra_lanes(&self, power: &[F32s], s: &mut TailLanes) {
+        match self {
+            Cepstrum::Mfcc(t) => t.cepstra_lanes(power, s),
+            Cepstrum::Plp(t) => t.cepstra_lanes(power, s),
+        }
+    }
+
+    #[cfg(test)]
     fn scratch(&self) -> TailScratch {
         match self {
             Cepstrum::Mfcc(t) => t.scratch(),
@@ -36,6 +52,7 @@ impl Cepstrum {
         }
     }
 
+    #[cfg(test)]
     fn cepstra(&self, power: &[f32], scratch: &mut TailScratch, out: &mut [f32]) {
         match self {
             Cepstrum::Mfcc(t) => t.cepstra(power, scratch, out),
@@ -44,9 +61,36 @@ impl Cepstrum {
     }
 }
 
-/// Per-call working storage of one tail: band energies, their warped (log
-/// or cube-root) values, the transform's output coefficients, and — PLP
-/// only, empty otherwise — the all-pole model and its cepstra.
+/// Per-call working storage of one tail over a lane group, row `i` lane `l`
+/// holding value `i` of the group's frame `l`: band energies, their warped
+/// (log or cube-root) values, the transform's output coefficients, PLP's
+/// all-pole model and its cepstra (empty for MFCC), and the cepstra as
+/// stored.
+pub(crate) struct TailLanes {
+    pub bands: Vec<F32s>,
+    pub warped: Vec<F64s>,
+    pub coeffs: Vec<F64s>,
+    pub lpc: Vec<F64s>,
+    pub ceps: Vec<F64s>,
+    pub out: Vec<F32s>,
+}
+
+impl TailLanes {
+    pub fn new(bands: usize, coeffs: usize, out: usize) -> TailLanes {
+        TailLanes {
+            bands: vec![[0.0; LANES]; bands],
+            warped: vec![[0.0; LANES]; bands],
+            coeffs: vec![[0.0; LANES]; coeffs],
+            lpc: Vec::new(),
+            ceps: Vec::new(),
+            out: vec![[0.0; LANES]; out],
+        }
+    }
+}
+
+/// The single-frame form of [`TailLanes`], for the per-frame reference
+/// tails.
+#[cfg(test)]
 pub(crate) struct TailScratch {
     pub bands: Vec<f32>,
     pub warped: Vec<f64>,
@@ -56,6 +100,7 @@ pub(crate) struct TailScratch {
     pub ceps: Vec<f64>,
 }
 
+#[cfg(test)]
 impl TailScratch {
     pub fn new(bands: usize, coeffs: usize) -> TailScratch {
         TailScratch {
@@ -73,12 +118,16 @@ impl TailScratch {
 /// needs (window, FFT plan, and each tail's filterbank and cosines), built
 /// once, and one pass over the samples that serves all tails.
 ///
-/// Per frame: pre-emphasis + window into a `window_len` scratch, **one** FFT
-/// into an `nfft / 2 + 1`-bin power spectrum, then each tail's cepstra from
-/// that same spectrum straight into its output row. The analyzer's working
-/// storage is allocated per call, not per frame, and is a few KB whatever
-/// the length of the utterance; the analyzer itself is immutable and
-/// shared across threads.
+/// The frames run in groups of [`LANES`], one frame per lane: pre-emphasis +
+/// window of each into a `window_len` scratch, **one** lane-wise FFT into
+/// `nfft / 2 + 1` rows of power, then each tail's cepstra from those same
+/// rows, scattered into the group's output rows. Every lane performs the
+/// single-frame pipeline's operations in its order (the libm `ln` / `powf`
+/// stay one call per element), so each row is `to_bits`-equal to analysing
+/// its frame alone; a ragged last group is padded with zero frames whose
+/// lanes are never stored. The working storage is allocated per call, not
+/// per group, and is a few tens of KB whatever the length of the utterance;
+/// the analyzer itself is immutable and shared across threads.
 #[derive(Clone, Debug)]
 pub struct Analyzer {
     framer: Framer,
@@ -118,16 +167,28 @@ impl Analyzer {
         if nf == 0 {
             return outs;
         }
-        let nfft = self.fft.size();
-        let mut frame = vec![0.0_f32; self.framer.config().window_len];
-        let mut buf = vec![Complex::ZERO; nfft];
-        let mut power = vec![0.0_f32; nfft / 2 + 1];
-        let mut scratch: Vec<TailScratch> = self.tails.iter().map(Cepstrum::scratch).collect();
-        for f in 0..nf {
-            self.framer.frame_into(samples, f, &mut frame);
-            self.fft.power_spectrum_into(&frame, &mut buf, &mut power);
+        let (nfft, window_len) = (self.fft.size(), self.framer.config().window_len);
+        let mut frames = vec![0.0_f32; LANES * window_len];
+        let mut buf = vec![ComplexLanes::ZERO; nfft];
+        let mut power = vec![[0.0_f32; LANES]; nfft / 2 + 1];
+        let mut scratch: Vec<TailLanes> = self.tails.iter().map(Cepstrum::lanes).collect();
+        for f0 in (0..nf).step_by(LANES) {
+            let live = LANES.min(nf - f0);
+            for (l, frame) in frames.chunks_exact_mut(window_len).enumerate() {
+                if l < live {
+                    self.framer.frame_into(samples, f0 + l, frame);
+                } else {
+                    frame.fill(0.0);
+                }
+            }
+            self.fft.power_spectra_into(&frames, &mut buf, &mut power);
             for ((tail, s), out) in self.tails.iter().zip(&mut scratch).zip(&mut outs) {
-                tail.cepstra(&power, s, out.frame_mut(f));
+                tail.cepstra_lanes(&power, s);
+                for l in 0..live {
+                    for (o, c) in out.frame_mut(f0 + l).iter_mut().zip(&s.out) {
+                        *o = c[l];
+                    }
+                }
             }
         }
         outs
@@ -147,8 +208,86 @@ mod tests {
         ])
     }
 
+    fn swapped() -> Analyzer {
+        Analyzer::new(vec![
+            Cepstrum::Plp(PlpTail::new(&PlpConfig::default())),
+            Cepstrum::Mfcc(MfccTail::new(&MfccConfig::default())),
+        ])
+    }
+
     fn bits(m: &FrameMatrix) -> Vec<u32> {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The per-frame pipeline the lane groups replaced, kept as their
+    /// reference: each frame alone through `frame_into`,
+    /// `power_spectrum_into` and every tail's single-frame `cepstra`.
+    fn analyze_per_frame(a: &Analyzer, samples: &[f32]) -> Vec<FrameMatrix> {
+        let nf = a.framer.config().num_frames(samples.len());
+        let nfft = a.fft.size();
+        let mut frame = vec![0.0_f32; a.framer.config().window_len];
+        let mut buf = vec![crate::Complex::ZERO; nfft];
+        let mut power = vec![0.0_f32; nfft / 2 + 1];
+        let mut scratch: Vec<TailScratch> = a.tails.iter().map(Cepstrum::scratch).collect();
+        let mut outs: Vec<FrameMatrix> = a
+            .tails
+            .iter()
+            .map(|t| FrameMatrix::from_flat(t.num_ceps(), vec![0.0; t.num_ceps() * nf]))
+            .collect();
+        for f in 0..nf {
+            a.framer.frame_into(samples, f, &mut frame);
+            a.fft.power_spectrum_into(&frame, &mut buf, &mut power);
+            for ((tail, s), out) in a.tails.iter().zip(&mut scratch).zip(&mut outs) {
+                tail.cepstra(&power, s, out.frame_mut(f));
+            }
+        }
+        outs
+    }
+
+    fn assert_lanes_equal_per_frame(x: &[f32], what: &str) {
+        for a in [both(), swapped()] {
+            let (got, want) = (a.analyze(x), analyze_per_frame(&a, x));
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.num_frames(), w.num_frames(), "{what}");
+                assert_eq!(bits(g), bits(w), "{what}");
+            }
+        }
+    }
+
+    /// Lane groups equal the per-frame pipeline bit for bit, for both tail
+    /// orders: every ragged last group (frame counts ≡ 0…7 mod 8), no frame
+    /// and one frame, hostile samples whose frames sit in a single lane of a
+    /// group, and a silent frame between live ones.
+    #[test]
+    fn lane_groups_equal_the_per_frame_pipeline() {
+        for len in [0, 199, 200] {
+            assert_lanes_equal_per_frame(&noise_and_tones(len, 21), &format!("{len} samples"));
+        }
+        for nf in 16..24 {
+            // Whole frames plus a few samples short of another hop.
+            let len = 200 + 80 * (nf - 1) + (nf % 3) * 17;
+            assert_eq!(FrameConfig::default().num_frames(len), nf);
+            assert_lanes_equal_per_frame(&noise_and_tones(len, nf as u64), &format!("{nf} frames"));
+        }
+        // 19 frames: groups of 8, 8 and a ragged 3. Sample 40 reaches frame 0
+        // only; sample 700 frames 7 and 8 only (lane 7 of the first group,
+        // lane 0 of the second, pre-emphasis included); the last sample
+        // frame 18 only (lane 2 of the ragged group).
+        let len = 200 + 80 * 18;
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30] {
+            for at in [40, 700, len - 1] {
+                let mut x = noise_and_tones(len, 23);
+                x[at] = bad;
+                assert_lanes_equal_per_frame(&x, &format!("{bad} at sample {at}"));
+            }
+            assert_lanes_equal_per_frame(&vec![bad; 900], &format!("all {bad}"));
+        }
+        // Frame 11 (lane 3 of the second group) silent, pre-emphasis input
+        // included; its neighbours are only partly so.
+        let mut x = noise_and_tones(len, 29);
+        x[11 * 80 - 1..11 * 80 + 200].fill(0.0);
+        assert_lanes_equal_per_frame(&x, "silent frame 11");
     }
 
     /// Sharing the spectrum changes nothing: both matrices of a two-tail
@@ -157,10 +296,7 @@ mod tests {
     #[test]
     fn shared_spectrum_matrices_equal_single_kind_calls() {
         let shared = both();
-        let swapped = Analyzer::new(vec![
-            Cepstrum::Plp(PlpTail::new(&PlpConfig::default())),
-            Cepstrum::Mfcc(MfccTail::new(&MfccConfig::default())),
-        ]);
+        let swapped = swapped();
         for (len, seed) in [
             (0, 1),
             (199, 2),
@@ -191,16 +327,28 @@ mod tests {
     /// The streaming pass equals the stage-at-a-time pipeline written out
     /// from the crate's public pieces over whole-signal buffers: emphasize
     /// everything, window each frame, `power_spectrum`, the full dense
-    /// filter rows, floor, log, `dct2`.
+    /// filter rows, floor, then log and `dct2` (MFCC) or equal loudness
+    /// before the floor, cube root, the cosine autocorrelation,
+    /// `levinson_durbin` and `lpc_to_cepstrum` (PLP).
     #[test]
     fn streaming_pass_equals_the_stagewise_pipeline() {
-        let cfg = MfccConfig::default();
+        let (cfg, pcfg) = (MfccConfig::default(), PlpConfig::default());
+        assert_eq!(pcfg.frame, cfg.frame);
         let x = noise_and_tones(4_000, 11);
         let emphasized = pre_emphasis(&x, cfg.frame.pre_emphasis);
         let window = hamming_window(cfg.frame.window_len);
         let bank = crate::mel_filterbank(cfg.num_filters, cfg.nfft, 8000.0, cfg.f_lo, cfg.f_hi);
+        let bark = crate::bark_filterbank(pcfg.num_bands, pcfg.nfft, 8000.0, pcfg.f_lo, pcfg.f_hi);
         let got = mfcc(&x, &cfg);
+        let got_plp = plp(&x, &pcfg);
         assert_eq!(got.num_frames(), 48);
+        assert_eq!(got_plp.num_frames(), 48);
+        let floored = |energies: Vec<f32>| -> Vec<f32> {
+            let peak = energies.iter().fold(1e-10f32, |m, &e| m.max(e));
+            let floor = peak * 1e-4 + 1e-10;
+            energies.iter().map(|&e| e.max(floor)).collect()
+        };
+        let to_bits = |c: &[f64]| -> Vec<u32> { c.iter().map(|&c| (c as f32).to_bits()).collect() };
         for f in 0..got.num_frames() {
             let frame: Vec<f32> = window
                 .iter()
@@ -211,18 +359,39 @@ mod tests {
             let energies: Vec<f32> = (0..cfg.num_filters)
                 .map(|b| bank.filter(b).iter().zip(&ps).map(|(w, p)| w * p).sum())
                 .collect();
-            let peak = energies.iter().fold(1e-10f32, |m, &e| m.max(e));
-            let floor = peak * 1e-4 + 1e-10;
-            let logs: Vec<f64> = energies
-                .iter()
-                .map(|&e| (e.max(floor) as f64).ln())
-                .collect();
-            let want: Vec<u32> = crate::mfcc::dct2(&logs, cfg.num_ceps)
-                .iter()
-                .map(|&c| (c as f32).to_bits())
-                .collect();
+            let logs: Vec<f64> = floored(energies).iter().map(|&e| (e as f64).ln()).collect();
+            let want = to_bits(&crate::mfcc::dct2(&logs, cfg.num_ceps));
             let row: Vec<u32> = got.frame(f).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(row, want, "frame {f}");
+            assert_eq!(row, want, "mfcc frame {f}");
+
+            let loud: Vec<f32> = (0..pcfg.num_bands)
+                .map(|b| {
+                    let e: f32 = bark.filter(b).iter().zip(&ps).map(|(w, p)| w * p).sum();
+                    e * crate::plp::equal_loudness(bark.centers_hz[b])
+                })
+                .collect();
+            let cubed: Vec<f64> = floored(loud)
+                .iter()
+                .map(|&e| (e as f64).powf(1.0 / 3.0))
+                .collect();
+            let j = pcfg.num_bands as f64 - 1.0;
+            let r: Vec<f64> = (0..=pcfg.lpc_order)
+                .map(|k| {
+                    let acc = cubed.iter().enumerate().fold(0.0, |acc, (i, &s)| {
+                        let w = if i == 0 || i == pcfg.num_bands - 1 {
+                            0.5
+                        } else {
+                            1.0
+                        };
+                        acc + w * s * (std::f64::consts::PI * k as f64 * i as f64 / j).cos()
+                    });
+                    acc / j
+                })
+                .collect();
+            let lpc = lre_linalg::levinson_durbin(&r, pcfg.lpc_order).expect("a live frame");
+            let ceps = lre_linalg::lpc_to_cepstrum(&lpc.coeffs, lpc.error, pcfg.num_ceps - 1);
+            let row: Vec<u32> = got_plp.frame(f).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(row, to_bits(&ceps), "plp frame {f}");
         }
     }
 

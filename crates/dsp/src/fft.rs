@@ -1,6 +1,8 @@
 //! Iterative radix-2 Cooley-Tukey FFT, planned: the bit-reversal permutation
 //! and the twiddle factors of a length are tabulated once in an [`Fft`].
 
+use crate::{F32s, LANES};
+
 /// Minimal complex number for the FFT (we avoid pulling in a numerics crate).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Complex {
@@ -47,6 +49,62 @@ impl std::ops::Sub for Complex {
     #[inline]
     fn sub(self, other: Complex) -> Complex {
         Complex::new(self.re - other.re, self.im - other.im)
+    }
+}
+
+/// One point of a lane group's transforms: that point of [`LANES`] frames,
+/// frame `l` in lane `l`. Its operations are [`Complex`]'s, lane by lane, in
+/// the same order. One cache line, so a row never splits one.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(64))]
+pub(crate) struct ComplexLanes {
+    pub re: F32s,
+    pub im: F32s,
+}
+
+impl ComplexLanes {
+    pub const ZERO: ComplexLanes = ComplexLanes {
+        re: [0.0; LANES],
+        im: [0.0; LANES],
+    };
+
+    /// [`Complex::norm_sq`] of every lane.
+    #[inline]
+    fn norm_sq(self) -> F32s {
+        std::array::from_fn(|l| self.re[l] * self.re[l] + self.im[l] * self.im[l])
+    }
+}
+
+impl std::ops::Mul<Complex> for ComplexLanes {
+    type Output = ComplexLanes;
+    #[inline]
+    fn mul(self, w: Complex) -> ComplexLanes {
+        ComplexLanes {
+            re: std::array::from_fn(|l| self.re[l] * w.re - self.im[l] * w.im),
+            im: std::array::from_fn(|l| self.re[l] * w.im + self.im[l] * w.re),
+        }
+    }
+}
+
+impl std::ops::Add for ComplexLanes {
+    type Output = ComplexLanes;
+    #[inline]
+    fn add(self, other: ComplexLanes) -> ComplexLanes {
+        ComplexLanes {
+            re: std::array::from_fn(|l| self.re[l] + other.re[l]),
+            im: std::array::from_fn(|l| self.im[l] + other.im[l]),
+        }
+    }
+}
+
+impl std::ops::Sub for ComplexLanes {
+    type Output = ComplexLanes;
+    #[inline]
+    fn sub(self, other: ComplexLanes) -> ComplexLanes {
+        ComplexLanes {
+            re: std::array::from_fn(|l| self.re[l] - other.re[l]),
+            im: std::array::from_fn(|l| self.im[l] - other.im[l]),
+        }
     }
 }
 
@@ -136,18 +194,72 @@ impl Fft {
         }
     }
 
-    /// The `log2 n` butterfly stages over bit-reversed input.
-    fn butterflies(&self, buf: &mut [Complex]) {
+    /// [`Fft::power_spectrum_into`] of [`LANES`] real frames at once, frame
+    /// `l` in lane `l`: `frames` holds them back to back, `buf` is `n`
+    /// points of scratch and `power` gets the `n / 2 + 1` bins. Every lane
+    /// runs the single-frame path's operations in its order — the same
+    /// bit-reversed scatter, the same twiddles and butterflies, `re² + im²` —
+    /// so lane `l` of `power` is `to_bits`-equal to that path on frame `l`.
+    pub(crate) fn power_spectra_into(
+        &self,
+        frames: &[f32],
+        buf: &mut [ComplexLanes],
+        power: &mut [F32s],
+    ) {
+        let n = self.size();
+        let len = frames.len() / LANES;
+        assert_eq!(frames.len(), LANES * len, "one frame per lane");
+        assert!(n >= len, "nfft must cover the frame");
+        assert_eq!(buf.len(), n, "scratch length must match the plan");
+        assert_eq!(power.len(), n / 2 + 1, "one bin per k in 0..=n/2");
+        buf.fill(ComplexLanes::ZERO);
+        for lane in 0..LANES {
+            for (&j, &x) in self.rev.iter().zip(&frames[lane * len..][..len]) {
+                buf[j as usize].re[lane] = x;
+            }
+        }
+        self.butterflies(buf);
+        for (p, c) in power.iter_mut().zip(buf.iter()) {
+            *p = c.norm_sq();
+        }
+    }
+
+    /// The `log2 n` butterfly stages over bit-reversed input, of one frame
+    /// ([`Complex`]) or of a lane group ([`ComplexLanes`]).
+    fn butterflies<T>(&self, buf: &mut [T])
+    where
+        T: Copy
+            + std::ops::Mul<Complex, Output = T>
+            + std::ops::Add<Output = T>
+            + std::ops::Sub<Output = T>,
+    {
+        let butterfly = |a: &mut T, b: &mut T, w: Complex| {
+            let u = *a;
+            let v = *b * w;
+            *a = u + v;
+            *b = u - v;
+        };
         let mut half = 1;
         while half < buf.len() {
             let stage = &self.twiddles[half - 1..2 * half - 1];
             for block in buf.chunks_exact_mut(2 * half) {
                 let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), &w) in lo.iter_mut().zip(hi).zip(stage) {
-                    let u = *a;
-                    let v = *b * w;
-                    *a = u + v;
-                    *b = u - v;
+                if half == 1 {
+                    butterfly(&mut lo[0], &mut hi[0], stage[0]);
+                    continue;
+                }
+                // Two butterflies a step. One a step, with AVX-512, the loop
+                // vectorizer turns a lane group's loop into gathers and
+                // scatters across points (≈ 5 × slower); in pairs it leaves
+                // each butterfly to the SLP vectorizer, one vector per lane
+                // row. `half` is a power of two ≥ 2 here, so no point is left.
+                for ((a, b), w) in lo
+                    .chunks_exact_mut(2)
+                    .zip(hi.chunks_exact_mut(2))
+                    .zip(stage.chunks_exact(2))
+                {
+                    butterfly(&mut a[0], &mut b[0], w[0]);
+                    butterfly(&mut a[1], &mut b[1], w[1]);
                 }
             }
             half <<= 1;
@@ -277,6 +389,35 @@ mod tests {
                 .map(|p| p.to_bits())
                 .collect();
             assert_eq!(via_fn, want);
+        }
+    }
+
+    /// Each lane of a group's spectra is the single-frame spectrum of its
+    /// frame, bit for bit — a non-finite or overflowing sample stays in its
+    /// lane — with the scratch dirty from the previous group.
+    #[test]
+    fn lane_power_spectra_equal_the_single_frame_path() {
+        let fft = Fft::new(256);
+        let mut buf = vec![ComplexLanes::ZERO; 256];
+        let mut power = vec![[0.0; LANES]; 129];
+        let mut single = vec![0.0; 129];
+        for (len, seed) in [(200, 10), (256, 20), (1, 30), (0, 40), (137, 50)] {
+            let mut frames: Vec<f32> = (0..LANES as u64)
+                .flat_map(|l| noise_and_tones(len, seed + l))
+                .collect();
+            if len > 100 {
+                frames[len + 3] = f32::NAN;
+                frames[4 * len + 99] = f32::INFINITY;
+                frames[6 * len] = 1e30;
+            }
+            fft.power_spectra_into(&frames, &mut buf, &mut power);
+            for l in 0..LANES {
+                let frame = &frames[l * len..(l + 1) * len];
+                fft.power_spectrum_into(frame, &mut vec![Complex::ZERO; 256], &mut single);
+                let lane: Vec<u32> = power.iter().map(|p| p[l].to_bits()).collect();
+                let want: Vec<u32> = single.iter().map(|p| p.to_bits()).collect();
+                assert_eq!(lane, want, "frame length {len}, lane {l}");
+            }
         }
     }
 

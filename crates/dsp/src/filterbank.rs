@@ -1,5 +1,7 @@
 //! Mel and bark auditory filterbanks applied to power spectra.
 
+use crate::{F32s, LANES};
+
 /// Hz → mel (HTK convention, matching the HTK-produced front-ends of §4.1).
 pub fn hz_to_mel(hz: f32) -> f32 {
     2595.0 * (1.0 + hz / 700.0).log10()
@@ -75,17 +77,59 @@ impl Filterbank {
             *e = acc;
         }
     }
+
+    /// [`Filterbank::apply_into`] of a lane group: `power` has a row per bin
+    /// and `energies` a row per filter, lane `l` of each belonging to frame
+    /// `l`. Every lane sums its filter's span in the same order as the
+    /// single-frame path, so each is `to_bits`-equal to it.
+    pub(crate) fn apply_lanes(&self, power: &[F32s], energies: &mut [F32s]) {
+        assert_eq!(power.len(), self.num_bins, "spectrum length mismatch");
+        assert_eq!(energies.len(), self.num_filters, "one energy per filter");
+        for ((row, &(lo, hi)), e) in self
+            .weights
+            .chunks_exact(self.num_bins)
+            .zip(&self.spans)
+            .zip(energies)
+        {
+            let mut acc = [0.0_f32; LANES];
+            for (&w, p) in row[lo..hi].iter().zip(&power[lo..hi]) {
+                for (a, &p) in acc.iter_mut().zip(p) {
+                    *a += w * p;
+                }
+            }
+            *e = acc;
+        }
+    }
 }
 
-/// Clamp one frame's band energies, in place, to a floor relative to its
+/// Clamp each frame's band energies, in place, to a floor relative to its
 /// strongest band: bands more than ~40 dB below the peak take the floor.
 /// Synthetic speech otherwise has spectrally empty bands whose log-energy
 /// swings wildly with any additive noise, destabilizing every cepstral
-/// coefficient.
+/// coefficient. Row `b` lane `l` is band `b` of frame `l`; each lane has its
+/// own peak.
 ///
 /// A non-finite energy (a NaN or ±Inf sample reached the frame, or its power
 /// overflowed f32) is no band's peak and takes the floor too, so what leaves
 /// here is always finite and positive.
+pub(crate) fn relative_floor_lanes(bands: &mut [F32s]) {
+    let mut peak = [1e-10_f32; LANES];
+    for e in bands.iter() {
+        for (m, &e) in peak.iter_mut().zip(e) {
+            *m = if e.is_finite() { m.max(e) } else { *m };
+        }
+    }
+    let floor = peak.map(|p| p * 1e-4 + 1e-10);
+    for e in bands {
+        for (e, &floor) in e.iter_mut().zip(&floor) {
+            *e = if e.is_finite() { e.max(floor) } else { floor };
+        }
+    }
+}
+
+/// [`relative_floor_lanes`] of a single frame, as the per-frame pipeline
+/// applied it: the reference each lane must equal.
+#[cfg(test)]
 pub(crate) fn relative_floor(bands: &mut [f32]) {
     let peak = bands
         .iter()
@@ -279,6 +323,33 @@ mod tests {
         let mut dead = [f32::NAN; 3];
         relative_floor(&mut dead);
         assert_eq!(dead, [1e-10_f32 * 1e-4 + 1e-10; 3]);
+    }
+
+    /// Each lane of the lane form is the single-frame floor of its frame,
+    /// bit for bit, whatever its neighbours hold.
+    #[test]
+    fn lane_floor_equals_each_frames_floor() {
+        let frames: [Vec<f32>; LANES] = [
+            vec![1.0, 1e-9, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.5],
+            vec![f32::NAN; 6],
+            vec![0.0; 6],
+            vec![3e38, 1e-30, 2.0, -0.0, 7.0, 1e-5],
+            vec![f32::INFINITY, 1.0, 1.0, 1.0, 1.0, 1e-12],
+            vec![1e-12, 1e-11, 1e-13, 0.0, 1e-10, 1e-14],
+            vec![0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+            vec![f32::NEG_INFINITY, 1e20, 1e16, 5.0, 0.0, 1e15],
+        ];
+        let mut lanes: Vec<F32s> = (0..6)
+            .map(|b| std::array::from_fn(|l| frames[l][b]))
+            .collect();
+        relative_floor_lanes(&mut lanes);
+        for (l, frame) in frames.iter().enumerate() {
+            let mut want = frame.clone();
+            relative_floor(&mut want);
+            let got: Vec<u32> = lanes.iter().map(|b| b[l].to_bits()).collect();
+            let want: Vec<u32> = want.iter().map(|e| e.to_bits()).collect();
+            assert_eq!(got, want, "lane {l}");
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! This crate implements that entire path from raw samples, plus the formant
 //! waveform synthesizer the synthetic corpus uses in place of real speech:
 //!
-//! - [`analysis`]: the [`Analyzer`] — one pass over an utterance, one FFT
-//!   per frame, any number of cepstral tails from that spectrum,
+//! - [`analysis`]: the [`Analyzer`] — one pass over an utterance, eight
+//!   frames at a time, one FFT per frame, any number of cepstral tails from
+//!   that spectrum,
 //! - [`fft`]: iterative radix-2 complex FFT and real power spectra,
 //! - [`frame`]: pre-emphasis, framing, Hamming windows,
 //! - [`filterbank`]: mel and bark filterbanks,
@@ -44,6 +45,28 @@
 //! (PLP). The unit tests keep the pre-table FFT, DCT and autocorrelation
 //! verbatim as references, and `lre-am`'s `feature_golden` test pins digests
 //! recorded before any of this existed.
+//!
+//! That per-frame work runs over **lane groups**: eight consecutive frames
+//! at once, frame `l` in lane `l` of every `[f32; 8]` / `[f64; 8]` row, so
+//! each step is one vector operation for all eight. Per group: the eight
+//! windowed frames are scattered into bit-reversed rows, the butterflies run
+//! every stage across the lanes (`fft::ComplexLanes`) with `re² + im²`
+//! per lane; then each tail applies its filter spans, a per-lane relative
+//! floor (each lane its own peak), the DCT-II or loudness weights, cosine
+//! autocorrelation, Levinson-Durbin and LPC → cepstrum recursions across
+//! the lanes. Why every lane's bits are the single-frame ones: rustc
+//! neither reassociates nor contracts float arithmetic, and each lane
+//! performs exactly the single-frame code's operations, on the same
+//! operands, in the same order — lanes never mix. Where the single-frame
+//! code stops early (Levinson-Durbin's `r[0] <= 0` and `err <= 0` exits),
+//! the lane keeps computing under an `alive` mask built from those same
+//! predicates, so a NaN lane lives on exactly where the single-frame code
+//! would, and a dead lane writes the zeros a degenerate frame always got.
+//! A ragged last group is padded with zero frames whose lanes are never
+//! stored. The one exception to "one vector operation" is libm: `ln` and
+//! `powf(1/3)` (and the cepstrum's `c0 = ln`) stay one scalar call per
+//! element, the functions the single-frame path called. The single-frame
+//! tails survive only in the unit tests, as the lane groups' reference.
 
 pub mod analysis;
 pub mod cmvn;
@@ -70,6 +93,17 @@ pub use mfcc::{mfcc, MfccConfig, MfccTail};
 pub use plp::{plp, PlpConfig, PlpTail};
 pub use sdc::{sdc, SdcConfig};
 pub use synth::{FormantSpec, Segment, SynthConfig, Synthesizer};
+
+/// Frames per lane group: the [`Analyzer`] runs each per-frame step across
+/// this many frames at once, frame `l` of the group in lane `l` of every
+/// `[f32; LANES]` / `[f64; LANES]` row.
+pub(crate) const LANES: usize = 8;
+
+/// One value of each frame of a lane group.
+pub(crate) type F32s = [f32; LANES];
+
+/// [`F32s`] in double precision, for the tails' f64 stages.
+pub(crate) type F64s = [f64; LANES];
 
 /// Deterministic test input shared by the unit tests: seeded noise under two
 /// tones.

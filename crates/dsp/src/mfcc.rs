@@ -1,9 +1,12 @@
 //! MFCC front-end: power spectrum → mel filterbank → log → DCT-II.
 
-use crate::analysis::{Analyzer, Cepstrum, TailScratch};
-use crate::filterbank::{mel_filterbank, relative_floor, Filterbank};
+#[cfg(test)]
+use crate::analysis::TailScratch;
+use crate::analysis::{Analyzer, Cepstrum, TailLanes};
+use crate::filterbank::{mel_filterbank, relative_floor_lanes, Filterbank};
 use crate::frame::FrameConfig;
 use crate::frames::FrameMatrix;
+use crate::{F32s, F64s, LANES};
 
 /// MFCC extraction parameters (defaults match the paper's telephone setup:
 /// 8 kHz, 25 ms/10 ms, 13 coefficients including c0).
@@ -84,6 +87,27 @@ impl Dct2 {
             *o = acc * if i == 0 { self.norm0 } else { self.norm };
         }
     }
+
+    /// [`Dct2::apply_into`] of a lane group, row `j` lane `l` being input `j`
+    /// of frame `l`: each lane's sums run over `j` in the same order.
+    pub(crate) fn apply_lanes(&self, x: &[F64s], out: &mut [F64s]) {
+        assert_eq!(x.len(), self.n, "input length must match the table");
+        assert_eq!(out.len(), self.num_coeffs(), "one output per coefficient");
+        for (i, (o, row)) in out
+            .iter_mut()
+            .zip(self.cos.chunks_exact(self.n))
+            .enumerate()
+        {
+            let mut acc = [0.0; LANES];
+            for (xj, &c) in x.iter().zip(row) {
+                for (a, &xj) in acc.iter_mut().zip(xj) {
+                    *a += xj * c;
+                }
+            }
+            let norm = if i == 0 { self.norm0 } else { self.norm };
+            *o = acc.map(|a| a * norm);
+        }
+    }
 }
 
 /// DCT-II of `x`, keeping `k` coefficients, with orthonormal scaling.
@@ -117,12 +141,33 @@ impl MfccTail {
         }
     }
 
+    pub(crate) fn lanes(&self) -> TailLanes {
+        TailLanes::new(self.cfg.num_filters, self.cfg.num_ceps, self.cfg.num_ceps)
+    }
+
+    /// A lane group's cepstra, into `s.out`, from its power spectra.
+    pub(crate) fn cepstra_lanes(&self, power: &[F32s], s: &mut TailLanes) {
+        self.bank.apply_lanes(power, &mut s.bands);
+        relative_floor_lanes(&mut s.bands);
+        for (l, e) in s.warped.iter_mut().zip(&s.bands) {
+            *l = e.map(|e| (e as f64).ln());
+        }
+        self.dct.apply_lanes(&s.warped, &mut s.coeffs);
+        for (o, c) in s.out.iter_mut().zip(&s.coeffs) {
+            *o = c.map(|c| c as f32);
+        }
+    }
+
+    #[cfg(test)]
     pub(crate) fn scratch(&self) -> TailScratch {
         TailScratch::new(self.cfg.num_filters, self.cfg.num_ceps)
     }
 
-    /// One frame's cepstra (`out.len() == num_ceps`) from its power spectrum.
+    /// One frame's cepstra (`out.len() == num_ceps`) from its power spectrum:
+    /// the reference every lane of [`MfccTail::cepstra_lanes`] must equal.
+    #[cfg(test)]
     pub(crate) fn cepstra(&self, power: &[f32], s: &mut TailScratch, out: &mut [f32]) {
+        use crate::filterbank::relative_floor;
         self.bank.apply_into(power, &mut s.bands);
         relative_floor(&mut s.bands);
         for (l, &e) in s.warped.iter_mut().zip(&s.bands) {
