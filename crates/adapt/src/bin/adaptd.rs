@@ -141,9 +141,9 @@ fn main() {
             lineage = Some((store, keep_generations));
             let mut opts = vote_wal_options();
             opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
-            let wal_obs = WalObs::new(&obs.registry, Some(Arc::clone(&obs.flight)));
+            let wal_obs = WalObs::new(&obs.registry, Arc::clone(&obs.flight));
             let (log, recovery) = or_die(
-                VoteLog::open(&dir.join("votes"), log_capacity, opts, Some(wal_obs)),
+                VoteLog::open(&dir.join("votes"), log_capacity, opts, wal_obs),
                 format!("opening vote WAL under {}", dir.display()),
             );
             eprintln!(
@@ -165,10 +165,9 @@ fn main() {
         guard,
         bytes,
         guard_args.adapt,
+        Arc::clone(&obs.flight),
     );
-    let mut controller = or_die(controller, "wiring adaptation controller");
-    controller.set_flight(Arc::clone(&obs.flight));
-    let controller = Arc::new(controller);
+    let controller = Arc::new(or_die(controller, "wiring adaptation controller"));
     let worker = (interval_secs > 0).then(|| {
         AdaptWorker::spawn(
             Arc::clone(&controller),
@@ -188,10 +187,10 @@ fn main() {
         control: Some(Arc::clone(&controller) as _),
         fleet: None,
         durability: wal_dir.is_some().then(|| Arc::clone(&controller) as _),
-        obs: Some(obs),
+        obs,
     };
     let server = or_die(
-        Server::start_adaptive(listener, Arc::clone(&handle), cfg, hooks),
+        Server::start(listener, Arc::clone(&handle), cfg, hooks),
         "starting server",
     );
     println!("listening on {}", server.local_addr());

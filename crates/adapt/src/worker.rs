@@ -27,7 +27,7 @@ use lre_artifact::{crc32, ArtifactError, ArtifactRead, ArtifactWrite};
 use lre_corpus::Duration;
 use lre_dba::{build_tr_dba, dba_round_selection, DbaVariant, GuardSet};
 use lre_eval::ScoreMatrix;
-use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_ROLLBACK, EV_SWAP};
+use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_ROLLBACK, EV_SWAP, EV_WAL_GC};
 use lre_serve::args::Args;
 use lre_serve::protocol::{RollbackToAck, STATUS_CONFLICT, STATUS_INTERNAL, STATUS_UNSUPPORTED};
 use lre_serve::{
@@ -158,13 +158,11 @@ impl RoundOutcome {
         self,
         who: &str,
         generation: u64,
-        flight: Option<&FlightRecorder>,
+        flight: &FlightRecorder,
     ) -> Result<CandidateBundle, AdaptReport> {
         let verdict = |kind, selected: u32, drained: u32, eer_delta, cavg_delta| {
-            if let Some(f) = flight {
-                let (selected, drained) = (u64::from(selected), u64::from(drained));
-                f.record(kind, who, selected, drained, eer_delta, cavg_delta);
-            }
+            let (selected, drained) = (u64::from(selected), u64::from(drained));
+            flight.record(kind, who, selected, drained, eer_delta, cavg_delta);
         };
         match self {
             RoundOutcome::Insufficient { drained } => Err(AdaptReport {
@@ -336,9 +334,9 @@ pub struct AdaptController {
     rejected_guard: AtomicU64,
     insufficient_data: AtomicU64,
     failed: AtomicU64,
-    /// Optional flight recorder: guard verdicts (with EER/min-Cavg
-    /// deltas), promotions and rollbacks become structured events.
-    flight: Option<Arc<FlightRecorder>>,
+    /// Guard verdicts (with EER/min-Cavg deltas), promotions, rollbacks
+    /// and lineage GC become structured events here.
+    flight: Arc<FlightRecorder>,
 }
 
 impl AdaptController {
@@ -356,6 +354,9 @@ impl AdaptController {
     /// (start from [`LineageStore::head`]'s bytes after a restart). After
     /// each promote the oldest generations beyond the newest
     /// `keep_generations` are pruned (0 = keep everything).
+    ///
+    /// Guard verdicts, promotions, rollbacks and lineage GC are recorded
+    /// into `flight`.
     pub fn new(
         handle: Arc<ScorerHandle>,
         log: Arc<VoteLog>,
@@ -363,6 +364,7 @@ impl AdaptController {
         guard: GuardSet,
         bundle_bytes: Vec<u8>,
         cfg: AdaptConfig,
+        flight: Arc<FlightRecorder>,
     ) -> Result<AdaptController, ArtifactError> {
         let bundle = SystemBundle::from_artifact_bytes(&bundle_bytes)?;
         if bundle.subsystems.len() != guard.num_subsystems() {
@@ -403,20 +405,8 @@ impl AdaptController {
             rejected_guard: AtomicU64::new(0),
             insufficient_data: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            flight: None,
+            flight,
         })
-    }
-
-    /// Attach a flight recorder (call before sharing the controller):
-    /// guard verdicts, promotions and rollbacks are recorded as events.
-    pub fn set_flight(&mut self, flight: Arc<FlightRecorder>) {
-        if let Some(l) = &self.lineage {
-            l.store
-                .lock()
-                .expect("lineage store poisoned")
-                .set_flight(Arc::clone(&flight));
-        }
-        self.flight = Some(flight);
     }
 
     pub fn counters(&self) -> AdaptCounters {
@@ -474,14 +464,11 @@ impl AdaptController {
         let mut state = self.state.lock().expect("adapt state poisoned");
         let parent_bytes = Arc::clone(&state.current_bytes);
         let round = boost_round(&parent_bytes, &records, &self.guard, &self.cfg)?;
-        let mut candidate = match round.judged(
-            "adapt guard",
-            self.handle.generation(),
-            self.flight.as_deref(),
-        ) {
-            Ok(candidate) => candidate,
-            Err(report) => return Ok(report),
-        };
+        let mut candidate =
+            match round.judged("adapt guard", self.handle.generation(), &self.flight) {
+                Ok(candidate) => candidate,
+                Err(report) => return Ok(report),
+            };
 
         // Make the promote durable before it is visible. Generations are
         // contiguous serve events: if a deep rollback moved serving off
@@ -510,7 +497,14 @@ impl AdaptController {
                 )
                 .map_err(lineage_err)?;
             if l.keep_generations > 0 {
-                let _ = lineage.gc(l.keep_generations, None);
+                match lineage.gc(l.keep_generations) {
+                    Ok((pruned, reclaimed)) if pruned > 0 => {
+                        self.flight
+                            .record(EV_WAL_GC, "lineage gc", pruned, reclaimed, 0.0, 0.0)
+                    }
+                    // A failed GC only leaves more generations on disk.
+                    _ => {}
+                }
             }
         }
 
@@ -523,16 +517,14 @@ impl AdaptController {
         state.previous = Some((displaced, parent_bytes, state.lineage_generation));
         state.current_bytes = Arc::new(candidate.bytes);
         state.lineage_generation = candidate.lineage_generation;
-        if let Some(f) = &self.flight {
-            f.record(
-                EV_SWAP,
-                "adapt promote",
-                generation,
-                u64::from(candidate.checksum),
-                candidate.eer_delta,
-                candidate.cavg_delta,
-            );
-        }
+        self.flight.record(
+            EV_SWAP,
+            "adapt promote",
+            generation,
+            u64::from(candidate.checksum),
+            candidate.eer_delta,
+            candidate.cavg_delta,
+        );
         Ok(AdaptReport {
             outcome: ADAPT_PROMOTED,
             generation,
@@ -552,9 +544,8 @@ impl AdaptController {
         let generation = self.handle.rollback_to(&scorer);
         state.current_bytes = Arc::clone(&bytes);
         state.lineage_generation = lineage_generation;
-        if let Some(f) = &self.flight {
-            f.record(EV_ROLLBACK, "adapt rollback", generation, 0, 0.0, 0.0);
-        }
+        self.flight
+            .record(EV_ROLLBACK, "adapt rollback", generation, 0, 0.0, 0.0);
         Some(generation)
     }
 
@@ -597,16 +588,14 @@ impl AdaptController {
         state.previous = None;
         state.current_bytes = Arc::new(bytes);
         state.lineage_generation = generation;
-        if let Some(f) = &self.flight {
-            f.record(
-                EV_ROLLBACK,
-                "deep rollback",
-                serving,
-                u64::from(checksum),
-                0.0,
-                0.0,
-            );
-        }
+        self.flight.record(
+            EV_ROLLBACK,
+            "deep rollback",
+            serving,
+            u64::from(checksum),
+            0.0,
+            0.0,
+        );
         Ok(RollbackToAck {
             restored: generation,
             serving,

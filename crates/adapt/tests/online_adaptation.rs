@@ -27,7 +27,7 @@ use lre_serve::{
     vote_wal_options, Client, EngineConfig, ScorerHandle, ScoringSystem, Server, ServerConfig,
     ServerHooks, SystemBundle, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
-use lre_wal::LineageStore;
+use lre_wal::{LineageStore, WalObs};
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -139,6 +139,7 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
     let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(&fx.bytes)));
     let log = Arc::new(VoteLog::new(4096));
     let guard = GuardSet::from_artifact_bytes(&fx.guard_bytes).expect("guard reloads");
+    let hooks = ServerHooks::default();
     let controller = Arc::new(
         AdaptController::new(
             Arc::clone(&handle),
@@ -147,11 +148,12 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
             guard,
             fx.bytes.clone(),
             cfg,
+            Arc::clone(&hooks.obs.flight),
         )
         .expect("controller wires up"),
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let server = Server::start_adaptive(
+    let server = Server::start(
         listener,
         Arc::clone(&handle),
         ServerConfig {
@@ -166,7 +168,7 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
         ServerHooks {
             tap: Some(log as _),
             control: Some(Arc::clone(&controller) as _),
-            ..ServerHooks::default()
+            ..hooks
         },
     )
     .expect("server starts");
@@ -204,8 +206,10 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
     let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(&bytes)));
     let mut opts = vote_wal_options();
     opts.fsync_interval = std::time::Duration::ZERO; // every append durable
+    let hooks = ServerHooks::default();
+    let wal_obs = WalObs::new(&hooks.obs.registry, Arc::clone(&hooks.obs.flight));
     let (durable, recovery) =
-        VoteLog::open(&dir.join("votes"), 4096, opts, None).expect("vote WAL opens");
+        VoteLog::open(&dir.join("votes"), 4096, opts, wal_obs).expect("vote WAL opens");
     let durable = Arc::new(durable);
     let guard = GuardSet::from_artifact_bytes(&fx.guard_bytes).expect("guard reloads");
     let controller = Arc::new(
@@ -216,11 +220,12 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
             guard,
             bytes,
             cfg,
+            Arc::clone(&hooks.obs.flight),
         )
         .expect("durable controller wires up"),
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let server = Server::start_adaptive(
+    let server = Server::start(
         listener,
         Arc::clone(&handle),
         ServerConfig {
@@ -236,7 +241,7 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
             tap: Some(Arc::clone(&durable) as _),
             control: Some(Arc::clone(&controller) as _),
             durability: Some(Arc::clone(&controller) as _),
-            ..ServerHooks::default()
+            ..hooks
         },
     )
     .expect("server starts");

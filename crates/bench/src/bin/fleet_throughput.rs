@@ -20,9 +20,10 @@
 //! spin scorer would show no scaling at all. Each replica runs one
 //! worker, so one replica's ceiling is `1/busy` QPS by construction.
 
-use lre_router::{Backend, Router, RouterConfig};
+use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::{
-    EngineConfig, PipelinedClient, ScoreDetail, ScoreReply, Scorer, Server, ServerConfig,
+    EngineConfig, PipelinedClient, ScoreDetail, ScoreReply, Scorer, ScorerHandle, Server,
+    ServerConfig, ServerHooks, DEFAULT_FLIGHT_CAPACITY,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -98,7 +99,7 @@ fn spawn_fleet(replicas: usize, busy: Duration, window: usize) -> Vec<Server> {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
             Server::start(
                 listener,
-                Arc::new(SleepScorer { busy }),
+                Arc::new(ScorerHandle::new(Arc::new(SleepScorer { busy }), 0)),
                 ServerConfig {
                     engine: EngineConfig {
                         workers: 1,
@@ -108,6 +109,7 @@ fn spawn_fleet(replicas: usize, busy: Duration, window: usize) -> Vec<Server> {
                     max_inflight: (window * 2).max(32),
                     max_global_inflight: 0,
                 },
+                ServerHooks::default(),
             )
             .expect("replica start")
         })
@@ -115,9 +117,10 @@ fn spawn_fleet(replicas: usize, busy: Duration, window: usize) -> Vec<Server> {
 }
 
 fn start_router(servers: &[Server]) -> Router {
+    let obs = RouterObs::new(DEFAULT_FLIGHT_CAPACITY);
     let backends: Vec<Arc<Backend>> = servers
         .iter()
-        .map(|s| Arc::new(Backend::new(s.local_addr().to_string())))
+        .map(|s| Arc::new(Backend::new(s.local_addr().to_string(), &obs)))
         .collect();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
     Router::start(
@@ -130,6 +133,7 @@ fn start_router(servers: &[Server]) -> Router {
             ..RouterConfig::default()
         },
         None,
+        obs,
     )
     .expect("router start")
 }

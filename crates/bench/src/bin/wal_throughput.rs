@@ -22,9 +22,11 @@
 //! checked.
 
 use lre_artifact::seal;
-use lre_wal::{Wal, WalOptions};
+use lre_obs::{FlightRecorder, Registry};
+use lre_wal::{Wal, WalObs, WalOptions};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Container kind for bench records — framed exactly like vote records,
@@ -109,7 +111,10 @@ fn main() {
     // --- Append leg: open an empty log and push every record through the
     // hot path, then force a final sync so the timed window covers full
     // durability, not just page-cache writes.
-    let (wal, replay) = Wal::open(&dir, options(&args), None).expect("open empty");
+    // The serving binaries always open their WAL with telemetry, so the
+    // bench does too.
+    let obs = WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)));
+    let (wal, replay) = Wal::open(&dir, options(&args), obs.clone()).expect("open empty");
     assert_eq!(replay.records.len(), 0, "bench dir was not empty");
     let t0 = Instant::now();
     for rec in &records {
@@ -127,7 +132,7 @@ fn main() {
     // --- Replay leg: a cold open of the same directory must rebuild
     // every record, in order, byte-identical.
     let t0 = Instant::now();
-    let (wal, replay) = Wal::open(&dir, options(&args), None).expect("reopen");
+    let (wal, replay) = Wal::open(&dir, options(&args), obs).expect("reopen");
     let replay_s = t0.elapsed().as_secs_f64();
     assert_eq!(replay.torn_tail_records, 0, "clean log replayed torn");
     assert_eq!(replay.records.len(), args.records, "records lost");

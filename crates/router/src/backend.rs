@@ -23,6 +23,7 @@
 //! torn frame, which it discards without scoring by the malformed-input
 //! contract.
 
+use crate::router::RouterObs;
 use lre_obs::{Counter, FlightRecorder, Histogram, EV_EJECT, EV_READMIT};
 use lre_serve::protocol::{
     decode_reply, encode_request, encode_status_v2, read_frame, write_frame, PingReport, Request,
@@ -32,7 +33,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A reply waiting to come back from this replica.
@@ -78,17 +79,6 @@ pub enum ForwardError {
 pub const INITIAL_BACKOFF: Duration = Duration::from_millis(100);
 pub const MAX_BACKOFF: Duration = Duration::from_secs(5);
 
-/// Telemetry hooks a router attaches to a backend at startup: the
-/// per-replica routed-latency histogram, the fleet-wide eject/re-admit
-/// counters (shared across backends), and the flight recorder that
-/// keeps the structured eject/re-admit events.
-pub struct BackendTelemetry {
-    pub latency_us: Arc<Histogram>,
-    pub ejected: Arc<Counter>,
-    pub readmitted: Arc<Counter>,
-    pub flight: Arc<FlightRecorder>,
-}
-
 /// One replica as the router sees it.
 pub struct Backend {
     pub addr: String,
@@ -108,14 +98,27 @@ pub struct Backend {
     /// Requests failed typed (`STATUS_INTERNAL`) because the replica died
     /// with them in flight.
     pub failed_inflight: AtomicU64,
-    /// Set once by the hosting router when telemetry is on; absent, the
-    /// backend records nothing (the unit-test path).
-    telemetry: OnceLock<BackendTelemetry>,
+    /// `router.backend.{addr}.latency_us`: forward-write to reply-match.
+    latency_us: Arc<Histogram>,
+    /// `router.backend.ejected` / `.readmitted`, shared by every backend.
+    ejected: Arc<Counter>,
+    readmitted: Arc<Counter>,
+    /// Where eject and re-admit events go.
+    flight: Arc<FlightRecorder>,
 }
 
 impl Backend {
-    pub fn new(addr: String) -> Backend {
+    /// A backend for the replica at `addr`, recording into the router's
+    /// `obs`: its own routed-latency histogram, the shared eject/re-admit
+    /// counters and the flight recorder.
+    pub fn new(addr: String, obs: &RouterObs) -> Backend {
         Backend {
+            latency_us: obs
+                .registry
+                .histogram(&format!("router.backend.{addr}.latency_us")),
+            ejected: obs.registry.counter("router.backend.ejected"),
+            readmitted: obs.registry.counter("router.backend.readmitted"),
+            flight: Arc::clone(&obs.flight),
             addr,
             conn: Mutex::new(None),
             epoch: AtomicU64::new(0),
@@ -130,13 +133,7 @@ impl Backend {
             last_ping: Mutex::new(None),
             completed: AtomicU64::new(0),
             failed_inflight: AtomicU64::new(0),
-            telemetry: OnceLock::new(),
         }
-    }
-
-    /// Attach telemetry (at most once; later calls are ignored).
-    pub fn set_telemetry(&self, t: BackendTelemetry) {
-        let _ = self.telemetry.set(t);
     }
 
     pub fn is_healthy(&self) -> bool {
@@ -194,9 +191,7 @@ impl Backend {
                 frame[SCORE_ID].copy_from_slice(&p.client_id.to_le_bytes());
                 p.release();
                 self.completed.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = self.telemetry.get() {
-                    t.latency_us.record(p.sent.elapsed().as_micros() as u64);
-                }
+                self.latency_us.record(p.sent.elapsed().as_micros() as u64);
                 let _ = p.reply_tx.send(frame); // client may have left; fine
             }
         }
@@ -265,11 +260,9 @@ impl Backend {
         // Only the transition records: eject is idempotent and re-entered
         // by the reader teardown and the health thread.
         if was_healthy {
-            if let Some(t) = self.telemetry.get() {
-                t.ejected.incr();
-                t.flight
-                    .record(EV_EJECT, &self.addr, orphans.len() as u64, 0, 0.0, 0.0);
-            }
+            self.ejected.incr();
+            self.flight
+                .record(EV_EJECT, &self.addr, orphans.len() as u64, 0, 0.0, 0.0);
         }
         for p in orphans {
             p.release();
@@ -311,14 +304,10 @@ impl Backend {
         if !due {
             return;
         }
-        let readmitted = probe_ping(&self.addr, probe_timeout).is_ok() && self.connect().is_ok();
-        if readmitted {
-            if let Some(t) = self.telemetry.get() {
-                t.readmitted.incr();
-                t.flight.record(EV_READMIT, &self.addr, 0, 0, 0.0, 0.0);
-            }
-        }
-        if !readmitted {
+        if probe_ping(&self.addr, probe_timeout).is_ok() && self.connect().is_ok() {
+            self.readmitted.incr();
+            self.flight.record(EV_READMIT, &self.addr, 0, 0, 0.0, 0.0);
+        } else {
             let mut probe = self.probe.lock().expect("probe poisoned");
             probe.next_probe = Instant::now() + probe.backoff;
             probe.backoff = (probe.backoff * 2).min(MAX_BACKOFF);

@@ -69,16 +69,13 @@ fn main() {
         args.fail("--bundle and --guard come together (both or neither)");
     }
 
-    let backends: Vec<Arc<Backend>> = replicas
-        .iter()
-        .map(|a| Arc::new(Backend::new(a.clone())))
-        .collect();
-
-    // Telemetry is always on for the router binary: per-backend routed
-    // latency, eject/re-admit counters, and the flight recorder (which
-    // also dumps to stderr on panic).
+    // The flight recorder also dumps to stderr on panic.
     let obs = RouterObs::new(DEFAULT_FLIGHT_CAPACITY);
     install_panic_dump(&obs.flight);
+    let backends: Vec<Arc<Backend>> = replicas
+        .iter()
+        .map(|a| Arc::new(Backend::new(a.clone(), &obs)))
+        .collect();
 
     let fleet = bundle_path.zip(guard_args.guard).map(|(bp, gp)| {
         let parent_bytes = or_die(std::fs::read(&bp), format!("reading {}", bp.display()));
@@ -86,11 +83,14 @@ fn main() {
             GuardSet::load_artifact(&gp),
             format!("loading {}", gp.display()),
         );
-        let mut adapter = or_die(
-            FleetAdapter::new(backends.clone(), guard, parent_bytes, guard_args.adapt),
-            "invalid bundle for fleet adaptation",
+        let adapter = FleetAdapter::new(
+            backends.clone(),
+            guard,
+            parent_bytes,
+            guard_args.adapt,
+            Arc::clone(&obs.flight),
         );
-        adapter.set_flight(Arc::clone(&obs.flight));
+        let adapter = or_die(adapter, "invalid bundle for fleet adaptation");
         eprintln!(
             "[router] fleet adaptation armed (min_utts={})",
             guard_args.adapt.min_utts
@@ -100,7 +100,7 @@ fn main() {
 
     let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
     let router = or_die(
-        Router::start_observed(listener, backends, cfg, fleet, Some(obs)),
+        Router::start(listener, backends, cfg, fleet, obs),
         "starting router",
     );
     let admitted = router.backends().iter().filter(|b| b.is_healthy()).count();

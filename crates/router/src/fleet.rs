@@ -48,9 +48,9 @@ pub struct FleetAdapter {
     guard: GuardSet,
     cfg: AdaptConfig,
     state: Mutex<FleetState>,
-    /// Optional flight recorder: guard verdicts (with EER/min-Cavg
-    /// deltas), fleet promotions and rollbacks become structured events.
-    flight: Option<Arc<FlightRecorder>>,
+    /// Guard verdicts (with EER/min-Cavg deltas), fleet promotions and
+    /// rollbacks become structured events here.
+    flight: Arc<FlightRecorder>,
 }
 
 fn failed(drained: u32) -> AdaptReport {
@@ -64,12 +64,14 @@ fn failed(drained: u32) -> AdaptReport {
 
 impl FleetAdapter {
     /// `parent_bytes` is the sealed bundle every replica was started
-    /// from; it is validated by decoding once up front.
+    /// from; it is validated by decoding once up front. Cycle verdicts,
+    /// promotions and rollbacks are recorded into `flight`.
     pub fn new(
         backends: Vec<Arc<Backend>>,
         guard: GuardSet,
         parent_bytes: Vec<u8>,
         cfg: AdaptConfig,
+        flight: Arc<FlightRecorder>,
     ) -> Result<FleetAdapter, lre_artifact::ArtifactError> {
         SystemBundle::from_artifact_bytes(&parent_bytes)?;
         Ok(FleetAdapter {
@@ -80,13 +82,8 @@ impl FleetAdapter {
                 parent_bytes,
                 previous: None,
             }),
-            flight: None,
+            flight,
         })
-    }
-
-    /// Attach a flight recorder (call before sharing the adapter).
-    pub fn set_flight(&mut self, flight: Arc<FlightRecorder>) {
-        self.flight = Some(flight);
     }
 
     fn healthy(&self) -> Vec<Arc<Backend>> {
@@ -156,7 +153,7 @@ impl FleetAdapter {
         }
 
         let candidate = match boost_round(&state.parent_bytes, &records, &self.guard, &self.cfg)
-            .map(|round| round.judged("fleet guard", 0, self.flight.as_deref()))
+            .map(|round| round.judged("fleet guard", 0, &self.flight))
         {
             Ok(Ok(candidate)) => candidate,
             Ok(Err(report)) => return report,
@@ -165,16 +162,14 @@ impl FleetAdapter {
 
         match two_phase_promote(&fleet, &candidate.bytes, candidate.checksum) {
             Some(generation) => {
-                if let Some(f) = &self.flight {
-                    f.record(
-                        EV_SWAP,
-                        "fleet promote",
-                        generation,
-                        u64::from(candidate.checksum),
-                        candidate.eer_delta,
-                        candidate.cavg_delta,
-                    );
-                }
+                self.flight.record(
+                    EV_SWAP,
+                    "fleet promote",
+                    generation,
+                    u64::from(candidate.checksum),
+                    candidate.eer_delta,
+                    candidate.cavg_delta,
+                );
                 state.previous = Some(std::mem::replace(&mut state.parent_bytes, candidate.bytes));
                 AdaptReport {
                     outcome: ADAPT_PROMOTED,
@@ -196,9 +191,8 @@ impl FleetAdapter {
         let fleet = self.healthy();
         let ack = rollback_backends(&fleet);
         if ack.rolled {
-            if let Some(f) = &self.flight {
-                f.record(EV_ROLLBACK, "fleet rollback", ack.generation, 0, 0.0, 0.0);
-            }
+            self.flight
+                .record(EV_ROLLBACK, "fleet rollback", ack.generation, 0, 0.0, 0.0);
             if let Some(prev) = state.previous.take() {
                 state.parent_bytes = prev;
             }

@@ -21,7 +21,7 @@ pub mod fleet;
 pub mod ring;
 pub mod router;
 
-pub use backend::{probe_ping, probe_round_trip, Backend, BackendTelemetry, ForwardError, Pending};
+pub use backend::{probe_ping, probe_round_trip, Backend, ForwardError, Pending};
 pub use fleet::{rollback_backends, two_phase_promote, FleetAdapter};
 pub use ring::{hash_bytes, mix64, HashRing};
 pub use router::{least_inflight, Policy, Router, RouterConfig, RouterObs};

@@ -16,8 +16,13 @@
 //! (fail fast — the replica may have scored it, so it is never
 //! re-routed); a torn write before the replica saw a full frame is
 //! re-routed once.
+//!
+//! Every router records into one [`RouterObs`]: its backends register
+//! their series there when they are built, stats-v3 and the flight
+//! recorder are always answered from it, and the stats aggregate reads
+//! its `router.shed` counter for the requests the router refused itself.
 
-use crate::backend::{probe_round_trip, Backend, BackendTelemetry, Pending};
+use crate::backend::{probe_round_trip, Backend, Pending};
 use crate::fleet::FleetAdapter;
 use crate::ring::{hash_bytes, HashRing};
 use lre_obs::{Counter, FlightRecorder, Registry};
@@ -31,7 +36,7 @@ use lre_serve::server::answer;
 use lre_serve::{mint_trace_id, Client, StatsSnapshot};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -81,7 +86,8 @@ impl Default for RouterConfig {
 pub struct RouterObs {
     pub registry: Arc<Registry>,
     pub flight: Arc<FlightRecorder>,
-    /// `router.shed` — requests refused at the router itself.
+    /// `router.shed` — requests refused at the router itself (no healthy
+    /// replica, or the client's window was full).
     pub shed: Arc<Counter>,
 }
 
@@ -105,10 +111,8 @@ struct Shared {
     /// Score requests in flight through the router, across all clients
     /// (an `Arc` because every pending entry holds a decrement duty).
     global_inflight: Arc<AtomicUsize>,
-    /// Requests refused at the router (no healthy replica).
-    shed: AtomicU64,
     fleet: Option<Arc<FleetAdapter>>,
-    obs: Option<Arc<RouterObs>>,
+    obs: Arc<RouterObs>,
     probe_timeout: Duration,
     stopping: AtomicBool,
     addr: SocketAddr,
@@ -124,14 +128,6 @@ pub fn least_inflight(inflights: &[usize], healthy: &[bool]) -> Option<usize> {
 }
 
 impl Shared {
-    /// Count one refusal at the router (stats aggregate + telemetry).
-    fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &self.obs {
-            o.shed.incr();
-        }
-    }
-
     fn pick(&self, key_bytes: &[u8]) -> Option<Arc<Backend>> {
         let healthy: Vec<bool> = self.backends.iter().map(|b| b.is_healthy()).collect();
         let index = match self.policy {
@@ -154,43 +150,20 @@ pub struct Router {
 }
 
 impl Router {
-    /// Start routing over `backends` (one per replica address). Each
-    /// backend gets one synchronous admission attempt so a fleet that is
-    /// already up is routable before the first request; replicas that
-    /// are still starting are admitted by the health thread.
+    /// Start routing over `backends` (one per replica address, each built
+    /// with this same `obs`). Each backend gets one synchronous admission
+    /// attempt so a fleet that is already up is routable before the first
+    /// request; replicas that are still starting are admitted by the
+    /// health thread. The stats-v3 and flight tags are answered from
+    /// `obs`.
     pub fn start(
         listener: TcpListener,
         backends: Vec<Arc<Backend>>,
         cfg: RouterConfig,
         fleet: Option<Arc<FleetAdapter>>,
-    ) -> io::Result<Router> {
-        Router::start_observed(listener, backends, cfg, fleet, None)
-    }
-
-    /// [`Router::start`] with telemetry: each backend gets a
-    /// `router.backend.{addr}.latency_us` histogram plus the shared
-    /// eject/re-admit counters, and the stats-v3 / flight tags are
-    /// answered from `obs`.
-    pub fn start_observed(
-        listener: TcpListener,
-        backends: Vec<Arc<Backend>>,
-        cfg: RouterConfig,
-        fleet: Option<Arc<FleetAdapter>>,
-        obs: Option<Arc<RouterObs>>,
+        obs: Arc<RouterObs>,
     ) -> io::Result<Router> {
         let addr = listener.local_addr()?;
-        if let Some(o) = &obs {
-            for b in &backends {
-                b.set_telemetry(BackendTelemetry {
-                    latency_us: o
-                        .registry
-                        .histogram(&format!("router.backend.{}.latency_us", b.addr)),
-                    ejected: o.registry.counter("router.backend.ejected"),
-                    readmitted: o.registry.counter("router.backend.readmitted"),
-                    flight: Arc::clone(&o.flight),
-                });
-            }
-        }
         for b in &backends {
             let _ = b.connect();
         }
@@ -200,7 +173,6 @@ impl Router {
             policy: cfg.policy,
             max_inflight: cfg.max_inflight.max(1),
             global_inflight: Arc::new(AtomicUsize::new(0)),
-            shed: AtomicU64::new(0),
             fleet,
             obs,
             probe_timeout: cfg.probe_timeout,
@@ -286,7 +258,7 @@ fn admit_score(
     window: &Arc<AtomicUsize>,
 ) -> Option<Vec<u8>> {
     if window.load(Ordering::Acquire) >= shared.max_inflight {
-        shared.note_shed();
+        shared.obs.shed.incr();
         return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
     }
     // A zero trace id asks the serving tier to mint one; the router is the
@@ -306,7 +278,7 @@ fn admit_score(
     let mut attempts_left = 2;
     loop {
         let Some(backend) = shared.pick(&frame[samples_at..]) else {
-            shared.note_shed();
+            shared.obs.shed.incr();
             window.fetch_sub(1, Ordering::AcqRel);
             shared.global_inflight.fetch_sub(1, Ordering::AcqRel);
             return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
@@ -391,7 +363,7 @@ fn fleet_stats(shared: &Shared) -> FleetStats {
     }
     // Refusals at the router itself never reached a replica; account for
     // them so the aggregate is what clients actually experienced.
-    let shed = shared.shed.load(Ordering::Relaxed);
+    let shed = shared.obs.shed.get();
     agg.requests += shed;
     agg.rejected += shed;
     // The aggregate generation is the fleet's committed floor: the lowest
@@ -408,7 +380,7 @@ fn fleet_stats(shared: &Shared) -> FleetStats {
 fn router_ping(shared: &Shared) -> PingReport {
     let mut generation = u64::MAX;
     let mut inflight = 0u64;
-    let mut shed = shared.shed.load(Ordering::Relaxed);
+    let mut shed = shared.obs.shed.get();
     let mut completed = 0u64;
     for b in &shared.backends {
         inflight += b.inflight() as u64;
@@ -470,13 +442,11 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 admit_score(&shared, frame, id, Some(trace_id), &reply_tx, &window)
             }
             Ok(Request::StatsV2) => Some(encode_ok(&fleet_stats(&shared).aggregate)),
-            Ok(Request::StatsV3) => Some(answer(&shared.obs, |o| Ok(o.registry.snapshot()))),
-            Ok(Request::Flight { drain }) => Some(answer(&shared.obs, |o| {
-                Ok(if drain {
-                    o.flight.drain()
-                } else {
-                    o.flight.peek()
-                })
+            Ok(Request::StatsV3) => Some(encode_ok(&shared.obs.registry.snapshot())),
+            Ok(Request::Flight { drain }) => Some(encode_ok(&if drain {
+                shared.obs.flight.drain()
+            } else {
+                shared.obs.flight.peek()
             })),
             Ok(Request::FleetStats) => Some(encode_ok(&fleet_stats(&shared))),
             Ok(Request::Ping) => Some(encode_ok(&router_ping(&shared))),

@@ -10,7 +10,7 @@
 
 use lre_artifact::{crc32, ArtifactError};
 use lre_lattice::DecodeScratch;
-use lre_router::{rollback_backends, two_phase_promote, Backend};
+use lre_router::{rollback_backends, two_phase_promote, Backend, RouterObs};
 use lre_serve::protocol::{
     decode_request, encode_ok, read_frame, write_frame, Request, StageAck, STATUS_CONFLICT,
 };
@@ -53,7 +53,9 @@ fn candidate(v: u8) -> Vec<u8> {
 fn start_replica(accepts_candidates: bool) -> (Server, String) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
     let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(BASELINE)), 0xB00B_5EED));
-    let mut replica = FleetReplica::new(Arc::clone(&handle), Arc::new(VoteLog::new(16)));
+    let hooks = ServerHooks::default();
+    let log = Arc::new(VoteLog::new(16));
+    let mut replica = FleetReplica::new(Arc::clone(&handle), log, Arc::clone(&hooks.obs.flight));
     if accepts_candidates {
         replica.set_validator(|sealed| match sealed {
             [b'M', v] => Ok(candidate_scorer(*v)),
@@ -72,9 +74,9 @@ fn start_replica(accepts_candidates: bool) -> (Server, String) {
     };
     let hooks = ServerHooks {
         fleet: Some(Arc::new(replica)),
-        ..ServerHooks::default()
+        ..hooks
     };
-    let server = Server::start_adaptive(listener, handle, cfg, hooks).expect("start replica");
+    let server = Server::start(listener, handle, cfg, hooks).expect("start replica");
     let addr = server.local_addr().to_string();
     (server, addr)
 }
@@ -87,9 +89,10 @@ fn start_fleet(accepting: &[bool]) -> (Vec<Server>, Vec<String>, Vec<Arc<Backend
         servers.push(server);
         addrs.push(addr);
     }
+    let obs = RouterObs::new(8);
     let backends = addrs
         .iter()
-        .map(|a| Arc::new(Backend::new(a.clone())))
+        .map(|a| Arc::new(Backend::new(a.clone(), &obs)))
         .collect();
     (servers, addrs, backends)
 }
@@ -243,7 +246,8 @@ fn mid_commit_death_rolls_back_the_replicas_that_already_flipped() {
     let baseline: Vec<Vec<u32>> = addrs.iter().map(|a| score_bits(a)).collect();
     // The dropper is last in fleet order, so both real replicas commit
     // before the coordinator discovers the death and must undo them.
-    backends.push(Arc::new(Backend::new(spawn_commit_dropper())));
+    let dropper = Backend::new(spawn_commit_dropper(), &RouterObs::new(8));
+    backends.push(Arc::new(dropper));
 
     let sealed = candidate(5);
     assert_eq!(

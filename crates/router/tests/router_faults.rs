@@ -4,7 +4,7 @@
 //! hangs, no torn frames, no duplicates — then re-admit the replica once
 //! it is answering health probes again.
 
-use lre_router::{Backend, Router, RouterConfig};
+use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::protocol::{
     decode_request, encode_ok, encode_score_ok_v2, read_frame, write_frame, PingReport, Request,
 };
@@ -107,8 +107,9 @@ fn replica_death_mid_pipeline_fails_fast_typed_then_readmits() {
 
     let fake = spawn_fake_replica(SCORED_BEFORE_DEATH);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
-    let backends = vec![Arc::new(Backend::new(fake.addr.clone()))];
-    let router = Router::start(listener, backends, fast_health(), None).expect("start router");
+    let obs = RouterObs::new(8);
+    let backends = vec![Arc::new(Backend::new(fake.addr.clone(), &obs))];
+    let router = Router::start(listener, backends, fast_health(), None, obs).expect("start router");
 
     let mut client = PipelinedClient::connect(router.local_addr()).expect("connect");
     let samples = vec![0.5f32; 16];
@@ -202,8 +203,9 @@ fn empty_fleet_refuses_typed_immediately() {
     drop(parked);
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
-    let backends = vec![Arc::new(Backend::new(dead_addr))];
-    let router = Router::start(listener, backends, fast_health(), None).expect("start router");
+    let obs = RouterObs::new(8);
+    let backends = vec![Arc::new(Backend::new(dead_addr, &obs))];
+    let router = Router::start(listener, backends, fast_health(), None, obs).expect("start router");
 
     let mut client = PipelinedClient::connect(router.local_addr()).expect("connect");
     let id = client.submit(&[0.0f32; 8], None).expect("submit");

@@ -47,7 +47,7 @@
 //! flags: `--metrics` dumps the peer's stats-v3 registry human-readably,
 //! `--metrics-json` as one JSON object; `--flight` prints the peer's
 //! flight-recorder events (`--flight-drain` empties the ring). All three
-//! exit non-zero against a peer running without telemetry, and all three
+//! exit non-zero against a peer that predates their tags, and all three
 //! skip the default scoring pass unless `--utts` is given explicitly —
 //! a scrape observes the server's counters, it doesn't add to them.
 
@@ -407,7 +407,7 @@ fn main() {
     if metrics || metrics_json {
         let mut client = connect_with_retry(&addr);
         let Some(entries) = or_die(client.metrics(), "metrics request failed") else {
-            eprintln!("error: peer runs without telemetry (stats-v3 unsupported)");
+            eprintln!("error: peer predates stats-v3 (unsupported)");
             std::process::exit(1);
         };
         if metrics_json {
@@ -458,7 +458,7 @@ fn main() {
     if flight {
         let mut client = connect_with_retry(&addr);
         let Some(events) = or_die(client.flight(flight_drain), "flight request failed") else {
-            eprintln!("error: peer runs without telemetry (flight recorder unsupported)");
+            eprintln!("error: peer predates the flight recorder tag (unsupported)");
             std::process::exit(1);
         };
         println!("flight recorder: {} events buffered", events.len());

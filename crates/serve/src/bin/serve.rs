@@ -35,8 +35,8 @@ use lre_artifact::{crc32, ArtifactRead};
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, FleetReplica, ScorerHandle, ScoringSystem, ServeObs, Server, ServerHooks,
-    SystemBundle, VoteLog, DEFAULT_FLIGHT_CAPACITY,
+    vote_wal_options, FleetReplica, ScorerHandle, ScoringSystem, Server, ServerHooks, SystemBundle,
+    VoteLog,
 };
 use lre_wal::WalObs;
 use std::net::TcpListener;
@@ -84,14 +84,10 @@ fn main() {
     }
     let system = Arc::new(system);
     let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
-    // Telemetry is always on for the serving binary (overhead is gated
-    // ≤3% by the perfbaseline); the flight recorder also dumps on panic.
-    let obs = ServeObs::new(DEFAULT_FLIGHT_CAPACITY);
+    let mut hooks = ServerHooks::default();
+    let obs = Arc::clone(&hooks.obs);
+    // The flight recorder also dumps to stderr on panic.
     install_panic_dump(&obs.flight);
-    let mut hooks = ServerHooks {
-        obs: Some(Arc::clone(&obs)),
-        ..ServerHooks::default()
-    };
     let handle = if fleet {
         // A fleet replica serves through a hot-swappable handle tagged
         // with the sealed bundle's checksum (what stage/commit/rollback
@@ -113,9 +109,9 @@ fn main() {
             Some(dir) => {
                 let mut opts = vote_wal_options();
                 opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
-                let wal_obs = WalObs::new(&obs.registry, Some(Arc::clone(&obs.flight)));
+                let wal_obs = WalObs::new(&obs.registry, Arc::clone(&obs.flight));
                 let (log, recovery) = or_die(
-                    VoteLog::open(dir, log_capacity, opts, Some(wal_obs)),
+                    VoteLog::open(dir, log_capacity, opts, wal_obs),
                     format!("opening WAL at {}", dir.display()),
                 );
                 eprintln!(
@@ -132,9 +128,7 @@ fn main() {
         let log = Arc::new(log);
         hooks.durability = wal_dir.is_some().then(|| Arc::clone(&log) as _);
         hooks.tap = Some(Arc::clone(&log) as _);
-        let mut replica = FleetReplica::new(Arc::clone(&handle), log);
-        // Commits and rollbacks land in the flight recorder.
-        replica.set_flight(Arc::clone(&obs.flight));
+        let replica = FleetReplica::new(Arc::clone(&handle), log, Arc::clone(&obs.flight));
         hooks.fleet = Some(Arc::new(replica));
         handle
     } else {
@@ -147,7 +141,7 @@ fn main() {
         Arc::new(ScorerHandle::new(system, 0))
     };
     let server = or_die(
-        Server::start_adaptive(listener, handle, cfg, hooks),
+        Server::start(listener, handle, cfg, hooks),
         "starting server",
     );
     println!("listening on {}", server.local_addr());

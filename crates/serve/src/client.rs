@@ -299,14 +299,14 @@ impl Client {
 
     /// Dump the peer's telemetry registry (stats-v3): name-sorted
     /// counters, gauges, histogram summaries, and sketches. `Ok(None)`
-    /// when the peer runs without telemetry.
+    /// when the peer predates the stats-v3 tag.
     pub fn metrics(&mut self) -> io::Result<Option<MetricsDump>> {
         if_supported(self.call(&Request::StatsV3)?, "metrics")
     }
 
     /// Fetch the peer's flight-recorder events, oldest first. `drain`
     /// empties the ring; otherwise the events stay buffered. `Ok(None)`
-    /// when the peer runs without telemetry.
+    /// when the peer predates the flight tag.
     pub fn flight(&mut self, drain: bool) -> io::Result<Option<Vec<FlightEvent>>> {
         if_supported(self.call(&Request::Flight { drain })?, "flight dump")
     }

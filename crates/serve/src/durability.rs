@@ -67,7 +67,9 @@ mod tests {
     use super::*;
     use crate::system::{ScoreDetail, ScoreTap};
     use crate::votelog::vote_wal_options;
+    use lre_obs::{FlightRecorder, Registry};
     use lre_vsm::SparseVec;
+    use lre_wal::WalObs;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -77,7 +79,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         let mut opts = vote_wal_options();
         opts.fsync_interval = Duration::ZERO; // deterministic tests
-        let (log, _) = VoteLog::open(&d, 8, opts, None).unwrap();
+        let wal_obs = WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)));
+        let (log, _) = VoteLog::open(&d, 8, opts, wal_obs).unwrap();
         log.record(ScoreDetail {
             digest: 1,
             num_frames: 75,

@@ -34,6 +34,10 @@
 //! Shutdown is a drain: the queue closes (new submissions get
 //! [`SubmitError::ShuttingDown`]), workers score everything already
 //! accepted, and every outstanding reply callback fires exactly once.
+//!
+//! The engine keeps no counters of its own. Everything it counts goes into
+//! the process's [`ServeObs`] registry, and [`Engine::stats`] is a view
+//! over those series, so stats-v2 and stats-v3 cannot disagree.
 
 use crate::obs::ServeObs;
 use crate::queue::{BoundedQueue, PushError, Work};
@@ -46,7 +50,6 @@ use lre_obs::{
 };
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -147,7 +150,8 @@ pub enum Outcome {
     Failed,
 }
 
-/// Point-in-time view of the engine counters.
+/// Point-in-time view of the engine's registry series (see
+/// [`Engine::stats`] for which series each field reads).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Submissions seen (accepted + shed).
@@ -183,19 +187,6 @@ pub struct StatsSnapshot {
     /// configured threshold). Always 0 without `--unknown-threshold`.
     /// Counted inside `completed` — an unknown is still a scored reply.
     pub unknown: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    requests: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    latency_us_sum: AtomicU64,
-    latency_us_max: AtomicU64,
-    expired: AtomicU64,
-    failed: AtomicU64,
-    shed_global: AtomicU64,
-    unknown: AtomicU64,
 }
 
 /// Invoked exactly once with the request's outcome (possibly on a worker
@@ -279,9 +270,8 @@ type Queue = BoundedQueue<Job, Arc<Offer>>;
 /// The engine: a queue and the worker pool that drains it.
 pub struct Engine {
     queue: Arc<Queue>,
-    counters: Arc<Counters>,
     handle: Arc<ScorerHandle>,
-    obs: Option<Arc<ServeObs>>,
+    obs: Arc<ServeObs>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     started: Instant,
 }
@@ -289,10 +279,9 @@ pub struct Engine {
 /// What one worker thread owns besides its [`WorkingSet`].
 struct Worker {
     queue: Arc<Queue>,
-    counters: Arc<Counters>,
     handle: Arc<ScorerHandle>,
     tap: Option<Arc<dyn ScoreTap>>,
-    obs: Option<Arc<ServeObs>>,
+    obs: Arc<ServeObs>,
     unknown_threshold: Option<f32>,
     /// Whether the pool has another worker to offer tasks to.
     has_peers: bool,
@@ -307,9 +296,7 @@ impl Worker {
             match work {
                 Work::Job(job) => self.run(job, &mut ws),
                 Work::Task(offer, task) => {
-                    if let Some(obs) = &self.obs {
-                        obs.fanout_helped.incr();
-                    }
+                    self.obs.fanout_helped.incr();
                     offer.run(task, &mut ws);
                 }
             }
@@ -342,12 +329,11 @@ impl Worker {
         }
         let claimed_all = Instant::now();
         let detail = offer.finish();
-        if let Some(obs) = &self.obs {
-            obs.fanout_tasks.add(n as u64);
-            if ticket.is_some() {
-                obs.fanout_join_wait_us
-                    .record(claimed_all.elapsed().as_micros() as u64);
-            }
+        self.obs.fanout_tasks.add(n as u64);
+        if ticket.is_some() {
+            self.obs
+                .fanout_join_wait_us
+                .record(claimed_all.elapsed().as_micros() as u64);
         }
         detail
     }
@@ -355,30 +341,26 @@ impl Worker {
     /// Resolve one picked-up request: shed it if its deadline has passed,
     /// otherwise score it, and fire its reply exactly once.
     fn run(&self, job: Job, ws: &mut WorkingSet) {
-        let (counters, obs) = (&self.counters, self.obs.as_deref());
+        let obs = &*self.obs;
         let enqueued = job.enqueued;
         let since_enqueued = || enqueued.elapsed().as_micros() as u64;
         let queue_us = since_enqueued();
-        if let Some(obs) = obs {
-            obs.queue_wait_us.record(queue_us);
-        }
+        obs.queue_wait_us.record(queue_us);
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
-            counters.expired.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = obs {
-                obs.flight.record(
-                    EV_DEADLINE,
-                    "queued past deadline",
-                    job.trace_id,
-                    0,
-                    0.0,
-                    0.0,
-                );
-            }
+            obs.expired.incr();
+            obs.flight.record(
+                EV_DEADLINE,
+                "queued past deadline",
+                job.trace_id,
+                0,
+                0.0,
+                0.0,
+            );
             (job.reply)(Outcome::DeadlineExceeded);
             return;
         }
         let traced = job.trace_id != 0;
-        if let (true, Some(obs)) = (traced, obs) {
+        if traced {
             obs.traced.incr();
         }
         // One versioned scorer per request: a swap landing while it is
@@ -393,21 +375,16 @@ impl Worker {
                 if failed.is_err() {
                     // The unwound scorer may have left it half-written.
                     *ws = WorkingSet::new();
-                    if let Some(obs) = obs {
-                        obs.flight
-                            .record(EV_PANIC, "scorer panicked", job.trace_id, 0, 0.0, 0.0);
-                    }
+                    obs.flight
+                        .record(EV_PANIC, "scorer panicked", job.trace_id, 0, 0.0, 0.0);
                 }
-                counters.failed.fetch_add(1, Ordering::Relaxed);
+                obs.failed.incr();
                 (job.reply)(Outcome::Failed);
                 return;
             }
         };
         detail.generation = model.generation;
         let us = since_enqueued();
-        counters.latency_us_sum.fetch_add(us, Ordering::Relaxed);
-        counters.latency_us_max.fetch_max(us, Ordering::Relaxed);
-        counters.completed.fetch_add(1, Ordering::Relaxed);
         let mut stage_us = detail.stage_us;
         if stage_us == StageTimes::default() {
             // The scorer reported no split (a mock): bill the whole call.
@@ -417,20 +394,15 @@ impl Worker {
         let unknown = self
             .unknown_threshold
             .is_some_and(|t| detail.fused.get(top).is_none_or(|&v| v < t));
-        if unknown {
-            counters.unknown.fetch_add(1, Ordering::Relaxed);
+        obs.latency_us.record(us);
+        obs.decode_us.record(stage_us.decode_us);
+        obs.supervector_us.record(stage_us.supervector_us);
+        obs.score_us.record(stage_us.score_us);
+        if let Some(&llr) = detail.fused.get(top) {
+            obs.lang_sketch(top).record(f64::from(llr));
         }
-        if let Some(obs) = obs {
-            obs.latency_us.record(us);
-            obs.decode_us.record(stage_us.decode_us);
-            obs.supervector_us.record(stage_us.supervector_us);
-            obs.score_us.record(stage_us.score_us);
-            if let Some(&llr) = detail.fused.get(top) {
-                obs.lang_sketch(top).record(f64::from(llr));
-            }
-            if unknown {
-                obs.unknown.incr();
-            }
+        if unknown {
+            obs.unknown.incr();
         }
         let span = traced.then(|| {
             // Every mark is an instant on this request's own clock, so the
@@ -474,48 +446,30 @@ impl Worker {
 }
 
 impl Engine {
-    /// Spawn the worker pool over a fixed scorer (wrapped in a
-    /// [`ScorerHandle`] at generation 0, never swapped).
-    pub fn start(cfg: EngineConfig, scorer: Arc<dyn Scorer>) -> Engine {
-        Engine::start_adaptive(cfg, Arc::new(ScorerHandle::new(scorer, 0)), None)
-    }
-
-    /// Spawn over a hot-swappable scorer handle, optionally teeing every
-    /// successful score into `tap` (the adaptation vote log).
+    /// Spawn the worker pool over a hot-swappable scorer handle, optionally
+    /// teeing every successful score into `tap` (the adaptation vote log).
+    /// Every count, latency and per-language LLR sketch is recorded into
+    /// `obs`, and sheds, deadline expiries and scorer panics land in its
+    /// flight recorder.
     ///
     /// Workers resolve the handle **once per request**: the reply carries
     /// the generation of the [`crate::swap::VersionedScorer`] that
     /// produced its bits, whatever swap lands while it is being scored.
-    pub fn start_adaptive(
+    pub fn start(
         cfg: EngineConfig,
         handle: Arc<ScorerHandle>,
         tap: Option<Arc<dyn ScoreTap>>,
-    ) -> Engine {
-        Engine::start_observed(cfg, handle, tap, None)
-    }
-
-    /// [`Engine::start_adaptive`] with telemetry: every score feeds the
-    /// stage/latency histograms and per-language LLR sketches in `obs`,
-    /// and sheds/deadline expiries land in its flight recorder. With
-    /// `obs == None` the engine records nothing beyond its own counters
-    /// (the telemetry-off perfbaseline leg measures exactly this path).
-    pub fn start_observed(
-        cfg: EngineConfig,
-        handle: Arc<ScorerHandle>,
-        tap: Option<Arc<dyn ScoreTap>>,
-        obs: Option<Arc<ServeObs>>,
+        obs: Arc<ServeObs>,
     ) -> Engine {
         let queue = Arc::new(Queue::new(cfg.queue_capacity));
-        let counters = Arc::new(Counters::default());
         let width = cfg.workers.max(1);
         let workers = (0..width)
             .map(|_| {
                 let worker = Worker {
                     queue: Arc::clone(&queue),
-                    counters: Arc::clone(&counters),
                     handle: Arc::clone(&handle),
                     tap: tap.clone(),
-                    obs: obs.clone(),
+                    obs: Arc::clone(&obs),
                     unknown_threshold: cfg.unknown_threshold,
                     has_peers: width > 1,
                 };
@@ -524,7 +478,6 @@ impl Engine {
             .collect();
         Engine {
             queue,
-            counters,
             handle,
             obs,
             workers: Mutex::new(workers),
@@ -551,7 +504,7 @@ impl Engine {
         trace: Option<u64>,
         reply: impl FnOnce(Outcome) + Send + 'static,
     ) -> Result<(), SubmitError> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.obs.requests.incr();
         let now = Instant::now();
         let job = Job {
             samples,
@@ -563,7 +516,7 @@ impl Engine {
         match self.queue.push(job) {
             Ok(_) => Ok(()),
             Err(PushError::Full) => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                self.obs.rejected.incr();
                 Err(SubmitError::Overloaded)
             }
             Err(PushError::Closed) => Err(SubmitError::ShuttingDown),
@@ -593,43 +546,44 @@ impl Engine {
     /// inflight window violations), so `requests = completed + rejected +
     /// expired + failed` stays an invariant of the counters.
     pub fn note_shed(&self) {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.flight.record(EV_SHED, "window", 0, 0, 0.0, 0.0);
-        }
+        self.obs.requests.incr();
+        self.obs.rejected.incr();
+        self.obs.flight.record(EV_SHED, "window", 0, 0, 0.0, 0.0);
     }
 
     /// Record a request shed by the server's cross-connection global
     /// admission cap. Counted under `rejected` (the invariant above holds)
     /// and attributed separately in `shed_global`.
     pub fn note_shed_global(&self) {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        self.counters.shed_global.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.flight.record(EV_SHED, "global", 0, 0, 0.0, 0.0);
-        }
+        self.obs.requests.incr();
+        self.obs.rejected.incr();
+        self.obs.shed_global.incr();
+        self.obs.flight.record(EV_SHED, "global", 0, 0, 0.0, 0.0);
     }
 
-    /// Snapshot the counters.
+    /// The stats-v2 view of the registry: `completed`, `latency_us_sum`
+    /// and `latency_us_max` are `engine.latency_us`'s count, sum and max,
+    /// and each other count is the `engine.*` counter of the same name.
+    /// Queue depth, uptime and the model fields come from the queue and
+    /// the scorer handle.
     pub fn stats(&self) -> StatsSnapshot {
-        let c = &self.counters;
+        let obs = &self.obs;
+        let latency = obs.latency_us.snapshot();
         StatsSnapshot {
-            requests: c.requests.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
+            requests: obs.requests.get(),
+            completed: latency.count,
+            rejected: obs.rejected.get(),
             max_queue_depth: self.queue.max_depth() as u64,
-            latency_us_sum: c.latency_us_sum.load(Ordering::Relaxed),
-            latency_us_max: c.latency_us_max.load(Ordering::Relaxed),
+            latency_us_sum: latency.sum,
+            latency_us_max: latency.max,
             uptime_us: self.started.elapsed().as_micros() as u64,
-            expired: c.expired.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            shed_global: c.shed_global.load(Ordering::Relaxed),
+            expired: obs.expired.get(),
+            failed: obs.failed.get(),
+            shed_global: obs.shed_global.get(),
             generation: self.handle.generation(),
             swaps: self.handle.swap_count(),
             rollbacks: self.handle.rollback_count(),
-            unknown: c.unknown.load(Ordering::Relaxed),
+            unknown: obs.unknown.get(),
         }
     }
 

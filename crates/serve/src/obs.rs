@@ -1,15 +1,22 @@
 //! The serving stack's telemetry bundle: one registry, one flight
 //! recorder, and the engine's pre-registered series.
 //!
-//! A [`ServeObs`] is built once per process (by the serving binaries) and
-//! threaded to the engine and server through
-//! [`crate::server::ServerHooks::obs`]. All hot-path series are resolved
+//! Every serving process builds one [`ServeObs`] and threads it to the
+//! engine and server through [`crate::server::ServerHooks::obs`]; there is
+//! no way to run either without one. All hot-path series are resolved
 //! to `Arc`s here, at construction, so recording in the engine loop never
-//! touches the registry lock. Metric names are part of the stats-v3 wire
-//! contract and documented in `docs/OBSERVABILITY.md`:
+//! touches the registry lock. The engine keeps no other counters: the
+//! stats-v2 reply ([`crate::Engine::stats`]) is read from these series.
+//! Metric names are part of the stats-v3 wire contract and documented in
+//! `docs/OBSERVABILITY.md`:
 //!
 //! | name | kind | meaning |
 //! |---|---|---|
+//! | `engine.requests` | counter | submissions seen, accepted or shed |
+//! | `engine.rejected` | counter | submissions shed: queue full, connection window or global cap |
+//! | `engine.shed_global` | counter | of those, shed by the global admission cap |
+//! | `engine.expired` | counter | accepted requests shed because their deadline passed |
+//! | `engine.failed` | counter | requests whose scorer returned an error or panicked |
 //! | `engine.queue.wait_us` | histogram | admission → a worker picked it up |
 //! | `engine.latency_us` | histogram | admission → scored |
 //! | `engine.stage.decode_us` | histogram | acoustic decode per utterance, busy time summed over subsystems |
@@ -32,6 +39,11 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 pub struct ServeObs {
     pub registry: Arc<Registry>,
     pub flight: Arc<FlightRecorder>,
+    pub(crate) requests: Arc<Counter>,
+    pub(crate) rejected: Arc<Counter>,
+    pub(crate) shed_global: Arc<Counter>,
+    pub(crate) expired: Arc<Counter>,
+    pub(crate) failed: Arc<Counter>,
     pub(crate) queue_wait_us: Arc<Histogram>,
     pub(crate) latency_us: Arc<Histogram>,
     pub(crate) decode_us: Arc<Histogram>,
@@ -54,6 +66,11 @@ impl ServeObs {
         let registry = Arc::new(Registry::new());
         Arc::new(ServeObs {
             flight: Arc::new(FlightRecorder::new(flight_capacity)),
+            requests: registry.counter("engine.requests"),
+            rejected: registry.counter("engine.rejected"),
+            shed_global: registry.counter("engine.shed_global"),
+            expired: registry.counter("engine.expired"),
+            failed: registry.counter("engine.failed"),
             queue_wait_us: registry.histogram("engine.queue.wait_us"),
             latency_us: registry.histogram("engine.latency_us"),
             decode_us: registry.histogram("engine.stage.decode_us"),
@@ -99,11 +116,16 @@ mod tests {
         assert_eq!(
             names,
             [
+                "engine.expired",
+                "engine.failed",
                 "engine.fanout.helped",
                 "engine.fanout.join_wait_us",
                 "engine.fanout.tasks",
                 "engine.latency_us",
                 "engine.queue.wait_us",
+                "engine.rejected",
+                "engine.requests",
+                "engine.shed_global",
                 "engine.stage.decode_us",
                 "engine.stage.score_us",
                 "engine.stage.supervector_us",

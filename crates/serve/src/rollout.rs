@@ -91,15 +91,20 @@ pub struct FleetReplica {
     log: Arc<VoteLog>,
     validate: Box<StageValidator>,
     state: Mutex<ReplicaState>,
-    /// When wired, commits and rollbacks leave flight-recorder events
-    /// (`a` = resulting generation, `b` = bundle checksum).
-    flight: Option<Arc<FlightRecorder>>,
+    /// Commits and rollbacks leave events here (`a` = resulting
+    /// generation, `b` = bundle checksum).
+    flight: Arc<FlightRecorder>,
 }
 
 impl FleetReplica {
-    /// Wire a replica controller to the handle it swaps and the vote log
-    /// it drains (over a WAL or not: a drain clears whatever the log keeps).
-    pub fn new(handle: Arc<ScorerHandle>, log: Arc<VoteLog>) -> FleetReplica {
+    /// Wire a replica controller to the handle it swaps, the vote log it
+    /// drains (over a WAL or not: a drain clears whatever the log keeps)
+    /// and the flight recorder its commits and rollbacks go to.
+    pub fn new(
+        handle: Arc<ScorerHandle>,
+        log: Arc<VoteLog>,
+        flight: Arc<FlightRecorder>,
+    ) -> FleetReplica {
         FleetReplica {
             handle,
             log,
@@ -108,13 +113,8 @@ impl FleetReplica {
                 staged: None,
                 previous: None,
             }),
-            flight: None,
+            flight,
         }
-    }
-
-    /// Record commits and rollbacks into this flight recorder.
-    pub fn set_flight(&mut self, flight: Arc<FlightRecorder>) {
-        self.flight = Some(flight);
     }
 
     /// The vote log this replica drains (the engine taps into the same
@@ -181,16 +181,14 @@ impl FleetControl for FleetReplica {
         let displaced = self.handle.current();
         let generation = self.handle.swap(staged.scorer, staged.checksum);
         state.previous = Some(displaced);
-        if let Some(flight) = &self.flight {
-            flight.record(
-                EV_SWAP,
-                "fleet commit",
-                generation,
-                u64::from(staged.checksum),
-                0.0,
-                0.0,
-            );
-        }
+        self.flight.record(
+            EV_SWAP,
+            "fleet commit",
+            generation,
+            u64::from(staged.checksum),
+            0.0,
+            0.0,
+        );
         Ok(CommitAck {
             generation,
             checksum: staged.checksum,
@@ -209,9 +207,8 @@ impl FleetControl for FleetReplica {
         match state.previous.take() {
             Some(parent) => {
                 let generation = self.handle.rollback_to(&parent);
-                if let Some(flight) = &self.flight {
-                    flight.record(EV_ROLLBACK, "fleet rollback", generation, 0, 0.0, 0.0);
-                }
+                self.flight
+                    .record(EV_ROLLBACK, "fleet rollback", generation, 0, 0.0, 0.0);
                 RollbackAck {
                     rolled: true,
                     generation,
@@ -231,7 +228,9 @@ mod tests {
     use crate::system::{ScoreDetail, ScoreTap};
     use lre_artifact::{ArtifactError, ArtifactRead};
     use lre_lattice::DecodeScratch;
+    use lre_obs::Registry;
     use lre_vsm::SparseVec;
+    use lre_wal::WalObs;
 
     struct Marker(f32);
     impl Scorer for Marker {
@@ -263,6 +262,7 @@ mod tests {
         let mut rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
             Arc::new(VoteLog::new(8)),
+            Arc::new(FlightRecorder::new(8)),
         );
         rep.validate = Box::new(mock_validate);
         rep
@@ -351,6 +351,7 @@ mod tests {
         let rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
             Arc::new(VoteLog::new(8)),
+            Arc::new(FlightRecorder::new(8)),
         );
         assert_eq!(rep.stage(&v5), Err(STATUS_CONFLICT));
         assert!(!rep.abort().had_staged);
@@ -449,11 +450,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         let mut opts = vote_wal_options();
         opts.fsync_interval = Duration::ZERO;
-        let (log, _) = VoteLog::open(&d, 8, opts, None).unwrap();
+        let flight = Arc::new(FlightRecorder::new(8));
+        let wal_obs = WalObs::new(&Registry::new(), Arc::clone(&flight));
+        let (log, _) = VoteLog::open(&d, 8, opts, wal_obs).unwrap();
         let log = Arc::new(log);
         let mut rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
             Arc::clone(&log),
+            flight,
         );
         rep.validate = Box::new(mock_validate);
 

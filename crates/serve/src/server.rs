@@ -8,10 +8,14 @@
 //! replies are produced on engine worker threads in completion order, and
 //! the writer interleaves them safely with whatever the reader answers
 //! inline (stats, control requests, refusals).
+//!
+//! Every server records into one [`ServeObs`], so stats-v2, stats-v3 and
+//! the flight recorder are always answered, and all three read the same
+//! series.
 
 use crate::durability::DurabilityControl;
 use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
-use crate::obs::ServeObs;
+use crate::obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
 use crate::protocol::{
     decode_request, encode_ok, encode_score_ok_traced, encode_score_ok_v2, encode_status,
     encode_status_v2, read_frame, write_frame, Ack, AdaptReport, PingReport, Request, Wire,
@@ -20,7 +24,7 @@ use crate::protocol::{
 };
 use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
-use crate::system::{ScoreTap, Scorer};
+use crate::system::ScoreTap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -59,10 +63,9 @@ pub trait AdaptControl: Send + Sync + 'static {
     fn adapt_now(&self) -> AdaptReport;
 }
 
-/// Everything a server may be wired to beyond the engine itself. All
-/// optional; a request whose hook is absent is refused
-/// [`STATUS_UNSUPPORTED`].
-#[derive(Default)]
+/// Everything a server is wired to beyond the engine itself. The
+/// control hooks are optional, and a request whose hook is absent is
+/// refused [`STATUS_UNSUPPORTED`]; telemetry is not.
 pub struct ServerHooks {
     /// Tee every scored utterance into this tap (the adaptation vote log).
     pub tap: Option<Arc<dyn ScoreTap>>,
@@ -75,10 +78,22 @@ pub struct ServerHooks {
     /// Answer the durability tags: WAL status and deep rollback to a
     /// lineage generation.
     pub durability: Option<Arc<dyn DurabilityControl>>,
-    /// Telemetry bundle: the engine records into it, and the stats-v3 /
-    /// flight-recorder tags are answered from it. Absent, those tags are
-    /// refused [`STATUS_UNSUPPORTED`] and the engine records nothing.
-    pub obs: Option<Arc<ServeObs>>,
+    /// Telemetry bundle: the engine records into it, and the stats-v2,
+    /// stats-v3 and flight-recorder tags are answered from it.
+    pub obs: Arc<ServeObs>,
+}
+
+impl Default for ServerHooks {
+    /// No control hooks, and a fresh [`ServeObs`].
+    fn default() -> ServerHooks {
+        ServerHooks {
+            tap: None,
+            control: None,
+            fleet: None,
+            durability: None,
+            obs: ServeObs::new(DEFAULT_FLIGHT_CAPACITY),
+        }
+    }
 }
 
 /// Mint a process-unique, non-zero trace id for a traced request that
@@ -127,35 +142,22 @@ pub struct Server {
 
 impl Server {
     /// Start serving on an already-bound listener (bind to port 0 to let
-    /// the OS pick, then read [`Server::local_addr`]).
+    /// the OS pick, then read [`Server::local_addr`]) over a hot-swappable
+    /// scorer handle, with whichever [`ServerHooks`] the host wires in
+    /// (vote-log tap, local adaptation control, fleet-rollout control,
+    /// durability, telemetry).
     pub fn start(
-        listener: TcpListener,
-        scorer: Arc<dyn Scorer>,
-        cfg: ServerConfig,
-    ) -> std::io::Result<Server> {
-        Server::start_adaptive(
-            listener,
-            Arc::new(ScorerHandle::new(scorer, 0)),
-            cfg,
-            ServerHooks::default(),
-        )
-    }
-
-    /// Start serving over a hot-swappable scorer handle, with whichever
-    /// [`ServerHooks`] the host wires in (vote-log tap, local adaptation
-    /// control, fleet-rollout control).
-    pub fn start_adaptive(
         listener: TcpListener,
         handle: Arc<ScorerHandle>,
         cfg: ServerConfig,
         mut hooks: ServerHooks,
     ) -> std::io::Result<Server> {
         let addr = listener.local_addr()?;
-        let engine = Arc::new(Engine::start_observed(
+        let engine = Arc::new(Engine::start(
             cfg.engine,
             handle,
             hooks.tap.take(),
-            hooks.obs.clone(),
+            Arc::clone(&hooks.obs),
         ));
         let stopping = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
@@ -389,13 +391,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             Ok(Request::RollbackTo { generation }) => {
                 Some(answer(&hooks.durability, |d| d.rollback_to(generation)))
             }
-            Ok(Request::StatsV3) => Some(answer(&hooks.obs, |o| Ok(o.registry.snapshot()))),
-            Ok(Request::Flight { drain }) => Some(answer(&hooks.obs, |o| {
-                Ok(if drain {
-                    o.flight.drain()
-                } else {
-                    o.flight.peek()
-                })
+            Ok(Request::StatsV3) => Some(encode_ok(&hooks.obs.registry.snapshot())),
+            Ok(Request::Flight { drain }) => Some(encode_ok(&if drain {
+                hooks.obs.flight.drain()
+            } else {
+                hooks.obs.flight.peek()
             })),
             Ok(Request::Shutdown) => {
                 // Acknowledge, then stop accepting; `Server::join` drains

@@ -176,7 +176,7 @@ impl VoteLog {
         dir: &Path,
         capacity: usize,
         opts: WalOptions,
-        obs: Option<WalObs>,
+        obs: WalObs,
     ) -> Result<(VoteLog, VoteRecovery), ArtifactError> {
         let (wal, replay) = Wal::open(dir, opts, obs)?;
         let mut log = VoteLog::new(capacity);
@@ -320,7 +320,9 @@ impl ArtifactRead for VoteLogSnapshot {
 mod tests {
     use super::*;
     use lre_artifact::check_damage_detected;
+    use lre_obs::{FlightRecorder, Registry};
     use std::path::PathBuf;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn detail(digest: u64, di: usize, v: f32) -> ScoreDetail {
@@ -390,6 +392,10 @@ mod tests {
         o
     }
 
+    fn wal_obs() -> WalObs {
+        WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)))
+    }
+
     fn on_disk(log: &VoteLog) -> WalStatus {
         log.wal_status().expect("opened on a directory")
     }
@@ -398,7 +404,7 @@ mod tests {
     fn tee_then_reopen_rebuilds_an_identical_window() {
         let d = tmpdir("tee");
         {
-            let (log, rec) = VoteLog::open(&d, 8, opts(), None).unwrap();
+            let (log, rec) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
             assert_eq!(rec, VoteRecovery::default());
             log.record(detail(1, 1, 1.0));
             log.record(detail(1, 1, 1.0)); // dup: buffer refuses, WAL untouched
@@ -407,7 +413,7 @@ mod tests {
             assert_eq!(on_disk(&log).buffered, 2);
             assert_eq!(on_disk(&log).write_errors, 0);
         }
-        let (log, rec) = VoteLog::open(&d, 8, opts(), None).unwrap();
+        let (log, rec) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
         assert_eq!(rec.replayed, 2);
         assert_eq!(rec.torn, 0);
         // Dedup state came back: the digests are still hot.
@@ -425,7 +431,7 @@ mod tests {
     fn drain_clears_the_wal_so_restart_starts_empty() {
         let d = tmpdir("drain");
         {
-            let (log, _) = VoteLog::open(&d, 8, opts(), None).unwrap();
+            let (log, _) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
             log.record(detail(1, 1, 1.0));
             log.record(detail(2, 1, 2.0));
             assert!(matches!(log.drain_at_least(3), Err(2))); // refused: WAL untouched
@@ -436,7 +442,7 @@ mod tests {
             // Post-drain records land above the new low-water mark.
             log.record(detail(3, 1, 3.0));
         }
-        let (log, rec) = VoteLog::open(&d, 8, opts(), None).unwrap();
+        let (log, rec) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
         assert_eq!(rec.replayed, 1);
         assert_eq!(log.drain_at_least(1).unwrap()[0].digest, 3);
         std::fs::remove_dir_all(&d).ok();
@@ -445,7 +451,7 @@ mod tests {
     #[test]
     fn a_failed_clear_is_counted_not_dropped() {
         let d = tmpdir("clearfail");
-        let (log, _) = VoteLog::open(&d, 8, opts(), None).unwrap();
+        let (log, _) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
         log.record(detail(1, 1, 1.0));
         // The log directory turns into a plain file: the drain's
         // write-and-rename has nowhere to land.

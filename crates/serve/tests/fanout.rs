@@ -184,7 +184,7 @@ fn rig_with_capacity(
         hook: Arc::new(hook),
     };
     let obs = ServeObs::new(8);
-    let engine = Engine::start_observed(
+    let engine = Engine::start(
         EngineConfig {
             workers,
             queue_capacity,
@@ -192,7 +192,7 @@ fn rig_with_capacity(
         },
         Arc::new(ScorerHandle::new(Arc::new(scorer), 0)),
         None,
-        Some(Arc::clone(&obs)),
+        Arc::clone(&obs),
     );
     Rig {
         engine: Arc::new(engine),

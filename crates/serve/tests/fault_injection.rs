@@ -21,8 +21,8 @@ use lre_lattice::DecodeScratch;
 use lre_serve::client::ScoreReply;
 use lre_serve::fuzz;
 use lre_serve::{
-    read_frame, write_frame, Client, Engine, EngineConfig, Outcome, ScoreDetail, Scorer, Server,
-    ServerConfig, SubmitError,
+    read_frame, write_frame, Client, Engine, EngineConfig, Outcome, ScoreDetail, Scorer,
+    ScorerHandle, ServeObs, Server, ServerConfig, ServerHooks, SubmitError,
 };
 use std::net::TcpListener;
 use std::sync::{Arc, Condvar, Mutex};
@@ -146,7 +146,8 @@ impl Scorer for PanickingScorer {
 
 fn start_server(scorer: Arc<dyn Scorer>, cfg: ServerConfig) -> Server {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    Server::start(listener, scorer, cfg).expect("server starts")
+    let handle = Arc::new(ScorerHandle::new(scorer, 0));
+    Server::start(listener, handle, cfg, ServerHooks::default()).expect("server starts")
 }
 
 fn fast_config() -> ServerConfig {
@@ -588,7 +589,9 @@ fn two_idle_workers_take_two_queued_jobs_concurrently() {
             queue_capacity: 16,
             unknown_threshold: None,
         },
-        Arc::clone(&gate) as _,
+        Arc::new(ScorerHandle::new(Arc::clone(&gate) as _, 0)),
+        None,
+        ServeObs::new(8),
     );
 
     let jobs = [vec![1.0], vec![2.0]];
@@ -619,7 +622,9 @@ fn engine_shutdown_is_idempotent_and_submissions_after_it_fail_fast() {
             queue_capacity: 16,
             unknown_threshold: None,
         },
-        Arc::new(MockScorer { classes: 2 }),
+        Arc::new(ScorerHandle::new(Arc::new(MockScorer { classes: 2 }), 0)),
+        None,
+        ServeObs::new(8),
     );
 
     // In-flight work submitted before shutdown resolves (drain, not drop).

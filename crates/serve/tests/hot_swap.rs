@@ -16,7 +16,8 @@
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_serve::{
-    Engine, EngineConfig, FanOut, Outcome, ScoreDetail, ScoredUtt, Scorer, ScorerHandle, WorkingSet,
+    Engine, EngineConfig, FanOut, Outcome, ScoreDetail, ScoredUtt, Scorer, ScorerHandle, ServeObs,
+    WorkingSet,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -166,7 +167,7 @@ fn concurrent_swaps_never_tear_model_from_generation() {
     const PER_CLIENT: usize = 80;
 
     let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0));
-    let engine = Arc::new(Engine::start_adaptive(
+    let engine = Arc::new(Engine::start(
         EngineConfig {
             workers: 3,
             queue_capacity: 256,
@@ -174,6 +175,7 @@ fn concurrent_swaps_never_tear_model_from_generation() {
         },
         Arc::clone(&handle),
         None,
+        ServeObs::new(8),
     ));
 
     let swapper = {
@@ -238,7 +240,7 @@ fn a_swap_landing_while_a_job_is_inside_the_scorer_does_not_change_that_reply() 
     for (tasks, workers) in [(0, 1), (6, 1), (6, 2)] {
         let gate = Arc::new(GatedMarker::new(0.0, tasks));
         let handle = Arc::new(ScorerHandle::new(Arc::clone(&gate) as _, 0xC0));
-        let engine = Engine::start_adaptive(
+        let engine = Engine::start(
             EngineConfig {
                 workers,
                 queue_capacity: 64,
@@ -246,6 +248,7 @@ fn a_swap_landing_while_a_job_is_inside_the_scorer_does_not_change_that_reply() 
             },
             Arc::clone(&handle),
             None,
+            ServeObs::new(8),
         );
 
         let in_flight = engine.submit(vec![0.0]).expect("submit");
@@ -315,7 +318,7 @@ fn concurrent_installs_get_unique_monotonic_generations() {
 #[test]
 fn rollback_restores_the_parent_scorer_and_checksum_bit_identically() {
     let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(0.5)), 0xDEAD));
-    let engine = Engine::start_adaptive(
+    let engine = Engine::start(
         EngineConfig {
             workers: 2,
             queue_capacity: 64,
@@ -323,6 +326,7 @@ fn rollback_restores_the_parent_scorer_and_checksum_bit_identically() {
         },
         Arc::clone(&handle),
         None,
+        ServeObs::new(8),
     );
 
     let before = scored(&engine, vec![1.0]);

@@ -71,7 +71,7 @@ impl ScoreTap for CountingTap {
 fn start_open_set(threshold: Option<f32>) -> (Server, Arc<CountingTap>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let log = Arc::new(CountingTap::default());
-    let server = Server::start_adaptive(
+    let server = Server::start(
         listener,
         Arc::new(ScorerHandle::new(Arc::new(MockScorer { classes: 3 }), 0)),
         config(threshold),

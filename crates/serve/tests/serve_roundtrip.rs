@@ -30,7 +30,7 @@ use lre_serve::client::ScoreReply;
 use lre_serve::system::duration_index_for;
 use lre_serve::{
     Client, Engine, EngineConfig, Outcome, ScoreDetail, ScoreTap, ScorerHandle, ScoringSystem,
-    Server, ServerConfig, ServerHooks, SubmitError, SystemBundle,
+    ServeObs, Server, ServerConfig, ServerHooks, SubmitError, SystemBundle,
 };
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -133,7 +133,7 @@ fn train_save_reload_serve_bit_identical() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let server = Server::start(
         listener,
-        Arc::clone(&system) as _,
+        Arc::new(ScorerHandle::new(Arc::clone(&system) as _, 0)),
         ServerConfig {
             engine: EngineConfig {
                 workers: 2,
@@ -143,6 +143,7 @@ fn train_save_reload_serve_bit_identical() {
             max_inflight: 8,
             max_global_inflight: 0,
         },
+        ServerHooks::default(),
     )
     .expect("server starts");
     let addr = server.local_addr();
@@ -232,7 +233,9 @@ fn train_save_reload_serve_bit_identical() {
             queue_capacity: 2,
             unknown_threshold: None,
         },
-        Arc::clone(&system) as _,
+        Arc::new(ScorerHandle::new(Arc::clone(&system) as _, 0)),
+        None,
+        ServeObs::new(8),
     );
     let mut receivers = Vec::new();
     let mut shed = 0usize;
@@ -401,7 +404,7 @@ impl ScoreTap for Recorder {
 fn serve_tapped(system: &Arc<ScoringSystem>, workers: usize) -> (Server, Arc<Recorder>) {
     let tap = Arc::new(Recorder::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let server = Server::start_adaptive(
+    let server = Server::start(
         listener,
         Arc::new(ScorerHandle::new(Arc::clone(system) as _, 0)),
         ServerConfig {

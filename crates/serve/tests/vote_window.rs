@@ -7,18 +7,22 @@
 //! dedup state included.
 
 use lre_artifact::{crc32, ArtifactWrite};
+use lre_obs::{FlightRecorder, Registry};
 use lre_serve::{vote_wal_options, ScoreDetail, ScoreTap, VoteLog, VoteRecord, VoteRecovery};
 use lre_vsm::SparseVec;
+use lre_wal::WalObs;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The WAL-backed side of the pair, every append fsynced inline.
 fn open_walled(dir: &Path, capacity: usize) -> (VoteLog, VoteRecovery) {
     let mut opts = vote_wal_options();
     opts.fsync_interval = Duration::ZERO;
-    VoteLog::open(dir, capacity, opts, None).expect("vote WAL opens")
+    let obs = WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)));
+    VoteLog::open(dir, capacity, opts, obs).expect("vote WAL opens")
 }
 
 /// `(len, dropped, deduped, records in the WAL)` of the WAL-backed side.

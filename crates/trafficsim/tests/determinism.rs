@@ -36,7 +36,7 @@ impl Scorer for MockScorer {
 
 fn start_mock_server() -> Server {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    Server::start_adaptive(
+    Server::start(
         listener,
         Arc::new(ScorerHandle::new(Arc::new(MockScorer), 0)),
         ServerConfig {

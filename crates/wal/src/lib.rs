@@ -15,12 +15,13 @@
 //!   restart.
 //! * [`LineageStore`] — the generation chain: every served bundle's
 //!   pristine sealed bytes keyed by generation number, with parent
-//!   checksums validated on append and on open, retention/GC by count or
-//!   bytes, and checksum-verified loads so `rollback --to <gen>` restores
+//!   checksums validated on append and on open, retention/GC by count,
+//!   and checksum-verified loads so `rollback --to <gen>` restores
 //!   `f32::to_bits`-identical scores.
 //!
 //! Telemetry rides [`lre_obs`]: `wal.*` counters and latency histograms
-//! ([`WalObs`]) plus flight-recorder events for recovery and lineage GC.
+//! plus a flight-recorder event per replay ([`WalObs`], which every
+//! [`Wal`] is opened with).
 
 pub mod dir;
 pub mod lineage;

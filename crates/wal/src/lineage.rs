@@ -17,16 +17,14 @@
 //! the chain acyclic even though it is not a straight line.
 //!
 //! Retention. [`LineageStore::gc`] prunes the oldest generations' *bytes*
-//! by count or byte budget but keeps their index entries (marked pruned),
+//! down to a retained count but keeps their index entries (marked pruned),
 //! so the chain stays checkable end to end; loading a pruned generation
 //! is a typed refusal, not a file-not-found surprise.
 
 use crate::dir::{fsync_dir, write_durable};
 use lre_artifact::{crc32, ArtifactError, ArtifactReader, ArtifactWriter};
-use lre_obs::{FlightRecorder, EV_WAL_GC};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const IDX_FILE: &str = "lineage.idx";
 const IDX_KIND: [u8; 4] = *b"GLIN";
@@ -50,8 +48,8 @@ pub struct LineageEntry {
     pub parent_checksum: u32,
     /// Utterances selected into the boost round that produced it.
     pub selected: u32,
-    /// Sealed bundle byte length (kept for byte-budget GC accounting
-    /// even after pruning).
+    /// Sealed bundle byte length (kept after pruning, so a GC can report
+    /// what it reclaimed).
     pub bytes_len: u64,
     /// Bytes discarded by GC; the entry remains for chain validation.
     pub pruned: bool,
@@ -101,7 +99,6 @@ impl From<std::io::Error> for LineageError {
 pub struct LineageStore {
     path: PathBuf,
     entries: Vec<LineageEntry>,
-    flight: Option<Arc<FlightRecorder>>,
 }
 
 impl LineageStore {
@@ -119,15 +116,9 @@ impl LineageStore {
         let store = LineageStore {
             path: path.to_path_buf(),
             entries,
-            flight: None,
         };
         store.validate_chain()?;
         Ok(store)
-    }
-
-    /// Record GC events into this flight recorder.
-    pub fn set_flight(&mut self, flight: Arc<FlightRecorder>) {
-        self.flight = Some(flight);
     }
 
     fn validate_chain(&self) -> Result<(), LineageError> {
@@ -262,44 +253,27 @@ impl LineageStore {
     }
 
     /// Prune the oldest retained generations until at most `keep_count`
-    /// remain and (when given) at most `max_bytes` are held. The head is
-    /// never pruned — the serving generation must stay restorable.
-    /// Returns (generations pruned, bytes reclaimed).
-    pub fn gc(
-        &mut self,
-        keep_count: usize,
-        max_bytes: Option<u64>,
-    ) -> Result<(u64, u64), LineageError> {
+    /// remain. The head is never pruned — the serving generation must stay
+    /// restorable. Returns (generations pruned, bytes reclaimed).
+    pub fn gc(&mut self, keep_count: usize) -> Result<(u64, u64), LineageError> {
         let keep_count = keep_count.max(1);
         let mut pruned = 0u64;
         let mut reclaimed = 0u64;
-        loop {
-            let retained = self.retained();
-            let over_count = retained > keep_count;
-            let over_bytes = max_bytes.is_some_and(|b| self.retained_bytes() > b) && retained > 1;
-            if !over_count && !over_bytes {
-                break;
-            }
-            let Some(oldest) = self
+        // At least two are retained here, so the oldest is not the head.
+        while self.retained() > keep_count {
+            let oldest = self
                 .entries
-                .iter()
-                .position(|e| !e.pruned)
-                .filter(|&i| i + 1 < self.entries.len())
-            else {
-                break; // only the head left
-            };
-            let gen = self.entries[oldest].generation;
-            fs::remove_file(self.path.join(generation_name(gen))).ok();
-            self.entries[oldest].pruned = true;
+                .iter_mut()
+                .find(|e| !e.pruned)
+                .expect("more than one generation is retained");
+            fs::remove_file(self.path.join(generation_name(oldest.generation))).ok();
+            oldest.pruned = true;
             pruned += 1;
-            reclaimed += self.entries[oldest].bytes_len;
+            reclaimed += oldest.bytes_len;
         }
         if pruned > 0 {
             fsync_dir(&self.path)?;
             self.store_index()?;
-            if let Some(flight) = &self.flight {
-                flight.record(EV_WAL_GC, "lineage gc", pruned, reclaimed, 0.0, 0.0);
-            }
         }
         Ok((pruned, reclaimed))
     }
@@ -432,7 +406,7 @@ mod tests {
             store.append(&b, g, parent, g as u32).unwrap();
             bundles.push(b);
         }
-        let (pruned, reclaimed) = store.gc(3, None).unwrap();
+        let (pruned, reclaimed) = store.gc(3).unwrap();
         assert_eq!(pruned, 3);
         assert!(reclaimed > 0);
         assert_eq!(store.retained(), 3);
@@ -445,24 +419,15 @@ mod tests {
         // Entries survive for chain validation, and reopen still validates.
         assert_eq!(store.entries().len(), 6);
         drop(store);
-        let store = LineageStore::open(&d).unwrap();
+        let mut store = LineageStore::open(&d).unwrap();
         assert_eq!(store.retained(), 3);
         assert_eq!(store.load(4).unwrap(), bundles[4]);
-        fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn gc_by_bytes_never_prunes_the_head() {
-        let d = tmpdir("bytes");
-        let mut store = LineageStore::open(&d).unwrap();
-        let b0 = bundle(0, &[1.0; 100]);
-        store.record_root(&b0, 0).unwrap();
-        let b1 = bundle(1, &[2.0; 100]);
-        store.append(&b1, 1, crc32(&b0), 0).unwrap();
-        // Budget below even one bundle: everything but the head goes.
-        store.gc(10, Some(8)).unwrap();
+        // Asked to keep nothing, GC still keeps the head.
+        let (pruned, reclaimed) = store.gc(0).unwrap();
+        let freed = store.entries()[3].bytes_len + store.entries()[4].bytes_len;
+        assert_eq!((pruned, reclaimed), (2, freed));
         assert_eq!(store.retained(), 1);
-        assert_eq!(store.load(1).unwrap(), b1);
+        assert_eq!(store.load(5).unwrap(), bundles[5]);
         fs::remove_dir_all(&d).ok();
     }
 

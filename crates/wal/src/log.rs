@@ -85,12 +85,13 @@ pub struct WalObs {
     pub replayed_records: Arc<Counter>,
     pub torn_records: Arc<Counter>,
     pub write_errors: Arc<Counter>,
-    pub flight: Option<Arc<FlightRecorder>>,
+    pub flight: Arc<FlightRecorder>,
 }
 
 impl WalObs {
-    /// Register (or re-attach to) the `wal.*` series in `registry`.
-    pub fn new(registry: &Registry, flight: Option<Arc<FlightRecorder>>) -> WalObs {
+    /// Register (or re-attach to) the `wal.*` series in `registry`; replay
+    /// events go to `flight`.
+    pub fn new(registry: &Registry, flight: Arc<FlightRecorder>) -> WalObs {
         WalObs {
             append_us: registry.histogram("wal.append_us"),
             fsync_us: registry.histogram("wal.fsync_us"),
@@ -212,7 +213,7 @@ struct Shared {
     cv: Condvar,
     path: PathBuf,
     opts: WalOptions,
-    obs: Option<WalObs>,
+    obs: WalObs,
 }
 
 impl Shared {
@@ -226,9 +227,7 @@ impl Shared {
     fn counted<T>(&self, inner: &mut Inner, result: io::Result<T>) -> io::Result<T> {
         if result.is_err() {
             inner.write_errors += 1;
-            if let Some(obs) = &self.obs {
-                obs.write_errors.incr();
-            }
+            self.obs.write_errors.incr();
         }
         result
     }
@@ -251,9 +250,7 @@ impl Shared {
         if file.sync_data().is_err() {
             return;
         }
-        if let Some(obs) = &self.obs {
-            obs.fsync_us.record(t0.elapsed().as_micros() as u64);
-        }
+        self.obs.fsync_us.record(t0.elapsed().as_micros() as u64);
         let mut inner = self.lock();
         // A `clear()` meanwhile already moved the mark past `upto`.
         inner.synced_seq = inner.synced_seq.max(upto);
@@ -276,7 +273,7 @@ impl Wal {
     pub fn open(
         path: &Path,
         opts: WalOptions,
-        obs: Option<WalObs>,
+        obs: WalObs,
     ) -> Result<(Wal, WalReplay), ArtifactError> {
         fs::create_dir_all(path)?;
         if path.join(OLD_INDEX_FILE).exists() {
@@ -323,13 +320,10 @@ impl Wal {
             .checked_add(replayed)
             .ok_or(ArtifactError::Corrupt("log header base_seq overflows"))?;
 
-        if let Some(obs) = &obs {
-            obs.replayed_records.add(replayed);
-            obs.torn_records.add(torn);
-            if let Some(flight) = &obs.flight {
-                flight.record(EV_WAL_RECOVER, "wal replay", replayed, torn, 0.0, 0.0);
-            }
-        }
+        obs.replayed_records.add(replayed);
+        obs.torn_records.add(torn);
+        obs.flight
+            .record(EV_WAL_RECOVER, "wal replay", replayed, torn, 0.0, 0.0);
 
         let batched = !opts.fsync_interval.is_zero();
         let shared = Arc::new(Shared {
@@ -400,10 +394,9 @@ impl Wal {
         });
         self.shared.counted(&mut inner, appended)?;
         drop(inner);
-        if let Some(obs) = &self.shared.obs {
-            obs.appended_records.incr();
-            obs.append_us.record(t0.elapsed().as_micros() as u64);
-        }
+        let obs = &self.shared.obs;
+        obs.appended_records.incr();
+        obs.append_us.record(t0.elapsed().as_micros() as u64);
         Ok(seq)
     }
 
@@ -546,19 +539,23 @@ mod tests {
         o
     }
 
+    fn obs() -> WalObs {
+        WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)))
+    }
+
     #[test]
     fn append_reopen_replays_identically() {
         let d = tmpdir("replay");
         let sent: Vec<Vec<u8>> = (0..25).map(rec).collect();
         {
-            let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
+            let (wal, replay) = Wal::open(&d, opts(), obs()).unwrap();
             assert_eq!(replay.records.len(), 0);
             for (i, r) in sent.iter().enumerate() {
                 assert_eq!(wal.append(r).unwrap(), i as u64);
             }
             assert_eq!(wal.status().next_seq, 25);
         }
-        let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!(replay.low_water, 0);
         assert_eq!(replay.next_seq, 25);
         assert_eq!(replay.torn_tail_records, 0);
@@ -572,7 +569,7 @@ mod tests {
     fn torn_tail_is_skipped_and_truncated_away() {
         let d = tmpdir("torn");
         {
-            let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+            let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
             for i in 0..5 {
                 wal.append(&rec(i)).unwrap();
             }
@@ -584,14 +581,14 @@ mod tests {
         f.set_len(len - 3).unwrap();
         drop(f);
 
-        let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!(replay.records.len(), 4);
         assert_eq!(replay.torn_tail_records, 1);
         assert_eq!(replay.next_seq, 4);
         // The torn bytes are gone: appending keeps the stream framed.
         assert_eq!(wal.append(&rec(77)).unwrap(), 4);
         drop(wal);
-        let (_, replay) = Wal::open(&d, opts(), None).unwrap();
+        let (_, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!(replay.records.len(), 5);
         assert_eq!(replay.torn_tail_records, 0);
         fs::remove_dir_all(&d).ok();
@@ -600,7 +597,7 @@ mod tests {
     #[test]
     fn cleared_log_restarts_empty_at_the_same_next_seq() {
         let d = tmpdir("clear");
-        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
         for i in 0..40 {
             wal.append(&rec(i)).unwrap();
         }
@@ -609,14 +606,14 @@ mod tests {
         assert_eq!((st.next_seq, st.low_water, st.buffered), (40, 40, 0));
         assert!(!d.join(format!("{LOG_FILE}.tmp")).exists());
         drop(wal);
-        let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!(replay.records.len(), 0);
         assert_eq!((replay.low_water, replay.next_seq), (40, 40));
         // Appends continue above the drained window, and only they replay.
         assert_eq!(wal.append(&rec(1000)).unwrap(), 40);
         assert_eq!(wal.append(&rec(1001)).unwrap(), 41);
         drop(wal);
-        let (_, replay) = Wal::open(&d, opts(), None).unwrap();
+        let (_, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!(replay.low_water, 40);
         assert_eq!(replay.records, vec![rec(1000), rec(1001)]);
         fs::remove_dir_all(&d).ok();
@@ -625,7 +622,7 @@ mod tests {
     #[test]
     fn clear_of_an_empty_log_changes_nothing() {
         let d = tmpdir("clear_empty");
-        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
         wal.clear().unwrap();
         assert_eq!(wal.status(), WalStatus::default());
         wal.append(&rec(0)).unwrap();
@@ -639,7 +636,7 @@ mod tests {
     #[test]
     fn unframed_appends_are_refused() {
         let d = tmpdir("unframed");
-        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
         assert!(wal.append(b"raw bytes").is_err());
         assert!(wal.append(&seal(*b"XXXX", 1, b"wrong kind")).is_err());
         assert_eq!(wal.status().next_seq, 0);
@@ -649,19 +646,20 @@ mod tests {
     #[test]
     fn obs_series_record_appends_and_replay() {
         let d = tmpdir("obs");
-        let registry = Registry::new();
-        let obs = WalObs::new(&registry, None);
+        let obs = obs();
         {
-            let (wal, _) = Wal::open(&d, opts(), Some(obs.clone())).unwrap();
+            let (wal, _) = Wal::open(&d, opts(), obs.clone()).unwrap();
             for i in 0..3 {
                 wal.append(&rec(i)).unwrap();
             }
         }
         assert_eq!(obs.appended_records.get(), 3);
         assert_eq!(obs.write_errors.get(), 0);
-        let (_, replay) = Wal::open(&d, opts(), Some(obs.clone())).unwrap();
+        let (_, replay) = Wal::open(&d, opts(), obs.clone()).unwrap();
         assert_eq!(replay.records.len(), 3);
         assert_eq!(obs.replayed_records.get(), 3);
+        let replays: Vec<(u8, u64)> = obs.flight.peek().iter().map(|e| (e.kind, e.a)).collect();
+        assert_eq!(replays, [(EV_WAL_RECOVER, 0), (EV_WAL_RECOVER, 3)]);
         fs::remove_dir_all(&d).ok();
     }
 
@@ -671,14 +669,14 @@ mod tests {
         let mut o = WalOptions::new(K, V);
         o.fsync_interval = Duration::from_millis(5);
         {
-            let (wal, _) = Wal::open(&d, o.clone(), None).unwrap();
+            let (wal, _) = Wal::open(&d, o.clone(), obs()).unwrap();
             for i in 0..10 {
                 wal.append(&rec(i)).unwrap();
             }
             wal.sync().unwrap();
             assert_eq!(wal.status().unsynced, 0);
         }
-        let (_, replay) = Wal::open(&d, o, None).unwrap();
+        let (_, replay) = Wal::open(&d, o, obs()).unwrap();
         assert_eq!(replay.records.len(), 10);
         fs::remove_dir_all(&d).ok();
     }
@@ -691,8 +689,7 @@ mod tests {
     #[test]
     fn a_short_write_is_cut_back_so_later_appends_replay() {
         let d = tmpdir("shortwrite");
-        let obs = WalObs::new(&Registry::new(), None);
-        let (wal, _) = Wal::open(&d, opts(), Some(obs.clone())).unwrap();
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
         wal.append(&rec(0)).unwrap();
         wal.append(&rec(1)).unwrap();
         let whole = fs::metadata(d.join(LOG_FILE)).unwrap().len();
@@ -706,26 +703,26 @@ mod tests {
         let st = wal.status();
         assert_eq!((st.next_seq, st.write_errors), (2, 1));
         assert_eq!(
-            obs.write_errors.get(),
+            wal.shared.obs.write_errors.get(),
             1,
             "and on the wal.write_errors series"
         );
 
         assert_eq!(wal.append(&rec(3)).unwrap(), 2);
         drop(wal);
-        let (_, replay) = Wal::open(&d, opts(), None).unwrap();
+        let (_, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!(replay.torn_tail_records, 0);
         assert_eq!(replay.records, vec![rec(0), rec(1), rec(3)]);
 
         // The same through the handle a drain leaves (not `O_APPEND`).
-        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
         wal.clear().unwrap();
         wal.shared.lock().short_write = true;
         assert!(wal.append(&rec(4)).is_err());
         assert_eq!(wal.append(&rec(5)).unwrap(), 3);
         assert_eq!(wal.status().write_errors, 1, "counted since this open");
         drop(wal);
-        let (_, replay) = Wal::open(&d, opts(), None).unwrap();
+        let (_, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!((replay.low_water, replay.records), (3, vec![rec(5)]));
         fs::remove_dir_all(&d).ok();
     }
@@ -738,7 +735,7 @@ mod tests {
     fn a_short_write_that_cannot_be_cut_back_refuses_later_appends() {
         use std::io::Read;
         let d = tmpdir("uncut");
-        let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
         wal.append(&rec(0)).unwrap();
         // A socket takes the half record and then refuses `set_len`.
         let (broken, mut peer) = unsyncable_file();
@@ -781,7 +778,7 @@ mod tests {
         // Batched mode, but an interval the thread never reaches: the
         // test drives `sync_pending` itself.
         o.fsync_interval = Duration::from_secs(3600);
-        let (wal, _) = Wal::open(&d, o, None).unwrap();
+        let (wal, _) = Wal::open(&d, o, obs()).unwrap();
         wal.append(&rec(0)).unwrap();
         wal.shared.sync_pending();
         let healthy = wal.status();

@@ -8,9 +8,11 @@
 //! which `append` must therefore never write.
 
 use lre_artifact::{seal, ArtifactError};
-use lre_wal::{Wal, WalOptions, LOG_FILE};
+use lre_obs::{FlightRecorder, Registry};
+use lre_wal::{Wal, WalObs, WalOptions, LOG_FILE};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 const K: [u8; 4] = *b"TREC";
@@ -28,6 +30,10 @@ fn opts() -> WalOptions {
     o
 }
 
+fn obs() -> WalObs {
+    WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)))
+}
+
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("lre_wal_crash_{tag}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&d);
@@ -37,7 +43,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// A log that has been drained once (so its header's `base_seq` is not
 /// zero) and then took `n` appends. Returns the appended records.
 fn drained_then_appended(dir: &Path, n: u64) -> Vec<Vec<u8>> {
-    let (wal, _) = Wal::open(dir, opts(), None).unwrap();
+    let (wal, _) = Wal::open(dir, opts(), obs()).unwrap();
     for i in 0..3 {
         wal.append(&rec(100 + i)).unwrap();
     }
@@ -66,14 +72,14 @@ fn every_cut_of_the_file_opens_to_a_prefix() {
             // Not a crash image: the header lands by rename, whole or not
             // at all. A short one is damage, and says so.
             assert!(
-                matches!(Wal::open(&d, opts(), None), Err(ArtifactError::Truncated)),
+                matches!(Wal::open(&d, opts(), obs()), Err(ArtifactError::Truncated)),
                 "cut {cut}"
             );
             continue;
         }
 
         let (wal, replay) =
-            Wal::open(&d, opts(), None).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            Wal::open(&d, opts(), obs()).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
         let n = replay.records.len();
         assert_eq!(replay.records, sent[..n], "cut {cut}: not a prefix");
         let clean: usize = header_len + sent[..n].iter().map(Vec::len).sum::<usize>();
@@ -88,7 +94,7 @@ fn every_cut_of_the_file_opens_to_a_prefix() {
         // The next append takes the next number and survives a reopen.
         assert_eq!(wal.append(&rec(200)).unwrap(), 3 + n as u64, "cut {cut}");
         drop(wal);
-        let (_, again) = Wal::open(&d, opts(), None).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        let (_, again) = Wal::open(&d, opts(), obs()).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
         assert_eq!(again.torn_tail_records, 0, "cut {cut}");
         assert_eq!(again.records.len(), n + 1, "cut {cut}");
         assert_eq!(again.records[..n], sent[..n], "cut {cut}");
@@ -107,7 +113,7 @@ fn an_interrupted_clear_leaves_the_whole_window_or_the_empty_log() {
     let tmp = d.join(format!("{LOG_FILE}.tmp"));
     for stray in [&b""[..], &b"LREAWLOG\x01\0\0"[..]] {
         fs::write(&tmp, stray).unwrap();
-        let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
+        let (wal, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!(replay.records, sent);
         assert_eq!((replay.low_water, replay.next_seq), (3, 8));
         assert_eq!(replay.torn_tail_records, 0);
@@ -117,10 +123,10 @@ fn an_interrupted_clear_leaves_the_whole_window_or_the_empty_log() {
 
     // After the rename (the directory fsync never ran): exactly what a
     // completed clear leaves. Taken from a real one.
-    let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+    let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
     wal.clear().unwrap();
     drop(wal);
-    let (wal, replay) = Wal::open(&d, opts(), None).unwrap();
+    let (wal, replay) = Wal::open(&d, opts(), obs()).unwrap();
     assert!(replay.records.is_empty());
     assert_eq!((replay.low_water, replay.next_seq), (8, 8));
     assert_eq!(wal.append(&rec(0)).unwrap(), 8);
@@ -138,7 +144,7 @@ fn an_interrupted_clear_leaves_the_whole_window_or_the_empty_log() {
 #[test]
 fn a_partial_record_before_the_tail_is_refused() {
     let d = tmpdir("half_mid");
-    let (wal, _) = Wal::open(&d, opts(), None).unwrap();
+    let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
     wal.append(&rec(3)).unwrap();
     drop(wal);
     let mut image = fs::read(d.join(LOG_FILE)).unwrap();
@@ -146,7 +152,7 @@ fn a_partial_record_before_the_tail_is_refused() {
     image.extend_from_slice(&half[..half.len() / 2]);
     image.extend_from_slice(&rec(2));
     fs::write(d.join(LOG_FILE), &image).unwrap();
-    match Wal::open(&d, opts(), None) {
+    match Wal::open(&d, opts(), obs()) {
         Err(ArtifactError::Corrupt(msg)) => assert_eq!(msg, "torn record before log tail"),
         Err(other) => panic!("expected the torn-record refusal, got {other}"),
         Ok(_) => panic!("a buried partial record opened"),
@@ -164,7 +170,7 @@ fn the_segmented_layout_is_refused_not_ignored() {
     fs::write(d.join("wal.dir"), seal(*b"WDIR", 1, &[0; 12])).unwrap();
     fs::write(d.join("seg-00000000000000000000.log"), rec(0)).unwrap();
     fs::write(d.join("seg-00000000000000000001.log"), rec(1)).unwrap();
-    match Wal::open(&d, opts(), None) {
+    match Wal::open(&d, opts(), obs()) {
         Err(ArtifactError::Corrupt(msg)) => assert!(msg.contains("wal.dir"), "{msg}"),
         Err(other) => panic!("expected a Corrupt refusal, got {other}"),
         Ok(_) => panic!("an old-layout directory opened as an empty log"),

@@ -103,7 +103,7 @@ proptest! {
                     serving = retained[pick % retained.len()];
                 }
                 Op::Gc(keep) => {
-                    store.gc(*keep, None).unwrap();
+                    store.gc(*keep).unwrap();
                     // Serving a pruned generation is impossible from the
                     // controller (it never prunes what it could re-serve
                     // without reloading); keep the model honest by moving
