@@ -37,8 +37,8 @@ use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, ScorerHandle, ScoringSystem, ServeObs, Server, ServerHooks, SystemBundle,
-    DEFAULT_FLIGHT_CAPACITY,
+    vote_wal_options, FleetReplica, ScorerHandle, ScoringSystem, ServeObs, Server, ServerHooks,
+    SystemBundle, DEFAULT_FLIGHT_CAPACITY,
 };
 use lre_wal::{LineageStore, WalObs};
 use std::net::TcpListener;
@@ -108,8 +108,9 @@ fn main() {
     if let Some(t) = cfg.engine.unknown_threshold {
         eprintln!("[adaptd] open-set rejection enabled: best-LLR threshold {t}");
     }
-    // Telemetry: guard verdicts, promotions, rollbacks and WAL activity
-    // land in the flight recorder, which also dumps to stderr on panic.
+    // Telemetry: guard verdicts, promotions, installs, rollbacks and WAL
+    // activity land in the flight recorder, which also dumps to stderr on
+    // panic.
     let obs = ServeObs::new(DEFAULT_FLIGHT_CAPACITY);
     install_panic_dump(&obs.flight);
 
@@ -117,7 +118,7 @@ fn main() {
     // chain already has a head, its pristine bytes are the serving
     // bundle — --bundle only roots a fresh chain. The vote WAL replays
     // the buffered adaptation window the previous process never drained.
-    let mut lineage = None;
+    let mut chain = None;
     let log = match &wal_dir {
         Some(dir) => {
             let store = or_die(
@@ -138,7 +139,7 @@ fn main() {
                     store.retained()
                 );
             }
-            lineage = Some((store, keep_generations));
+            chain = Some(store);
             let mut opts = vote_wal_options();
             opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
             let wal_obs = WalObs::new(&obs.registry, Arc::clone(&obs.flight));
@@ -158,10 +159,17 @@ fn main() {
 
     let system = Arc::new(or_die(ScoringSystem::from_bundle(bundle), "invalid bundle"));
     let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(&bytes)));
-    let controller = AdaptController::new(
+    // The controller adapts a fleet of one: the replica over the handle
+    // and vote log this process serves from. It records its installs into
+    // the same flight recorder as the controller's decisions.
+    let replica = FleetReplica::new(
         Arc::clone(&handle),
         Arc::clone(&log),
-        lineage,
+        Arc::clone(&obs.flight),
+    );
+    let controller = AdaptController::new(
+        vec![Arc::new(replica)],
+        chain.map(|store| (store, keep_generations, Arc::clone(&log))),
         guard,
         bytes,
         guard_args.adapt,
@@ -185,6 +193,8 @@ fn main() {
     let hooks = ServerHooks {
         tap: Some(log as _),
         control: Some(Arc::clone(&controller) as _),
+        // The replica is driven in process only: no fleet-rollout tag
+        // (drain, stage, commit, abort, rollback) is answered on the wire.
         fleet: None,
         durability: wal_dir.is_some().then(|| Arc::clone(&controller) as _),
         obs,

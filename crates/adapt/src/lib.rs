@@ -8,17 +8,20 @@
 //! - [`votelog`]: a bounded, deduplicating [`VoteLog`] the serving engine
 //!   tees every scored utterance into (fused row, per-subsystem OvR rows,
 //!   scaled supervectors), freezable as a CRC-framed `VLOG` artifact;
-//! - [`worker`]: the [`AdaptController`] — one cycle drains the log,
-//!   applies the *same* Eq. 13 selection code as `lre_dba::run_dba`,
-//!   retrains with the bundle's frozen SVM recipe, shadow-scores the
-//!   candidate on a held-back [`lre_dba::GuardSet`], and either promotes
-//!   it through an atomic generation-tagged hot swap or rejects it with
-//!   serving state untouched. A displaced model is retained so
+//! - [`worker`]: the [`AdaptController`], the one adaptation coordinator —
+//!   one cycle drains its replicas' vote logs, applies the *same* Eq. 13
+//!   selection code as `lre_dba::run_dba`, retrains with the bundle's
+//!   frozen SVM recipe, shadow-scores the candidate on a held-back
+//!   [`lre_dba::GuardSet`], and either promotes it to every replica
+//!   through [`two_phase_promote`] or rejects it with serving state
+//!   untouched. Each replica retains the model it displaced, so
 //!   [`AdaptController::rollback`] restores it bit-identically. The
 //!   [`AdaptWorker`] runs cycles on a cadence in the background.
 //!
-//! The `lre-adaptd` binary wires all of it to a TCP serving socket: an
-//! adapting server whose clients can watch the model generation move.
+//! The `lre-adaptd` binary wires all of it to a TCP serving socket over
+//! one in-process replica: an adapting server whose clients can watch the
+//! model generation move. `lre-router` runs the same controller over its
+//! replicas.
 //!
 //! **Bit-identity contract.** When utterances arrive duration-major (all
 //! 30 s, then 10 s, then 3 s — each in test-set order), the vote log's
@@ -36,6 +39,6 @@ pub mod worker;
 pub use lre_serve::votelog;
 pub use lre_serve::{VoteLog, VoteLogSnapshot, VoteRecord};
 pub use worker::{
-    boost_round, bundle_checksum, AdaptConfig, AdaptController, AdaptCounters, AdaptWorker,
-    CandidateBundle, GuardArgs, RoundOutcome,
+    boost_round, bundle_checksum, rollback_backends, two_phase_promote, AdaptConfig,
+    AdaptController, AdaptWorker, CandidateBundle, GuardArgs, RoundOutcome,
 };

@@ -1,14 +1,17 @@
-//! The boosting worker: drain the vote log, select pseudo-labels with the
-//! Eq. 13 vote rule, retrain, guard, and hot-swap.
+//! The adaptation coordinator: drain the replicas' vote logs, select
+//! pseudo-labels with the Eq. 13 vote rule, retrain, guard, and promote
+//! through a two-phase rollout.
 //!
 //! One adaptation cycle ([`AdaptController::run_cycle`]) is the online
 //! mirror of one offline `lre_dba::run_dba` round, sharing its exact
 //! selection and assembly code so the two are bit-identical over the same
 //! utterances:
 //!
-//! 1. **Drain** the [`VoteLog`] (all-or-nothing, arrival order) and group
-//!    the records by routed duration — the log's duration-major view *is*
-//!    the offline test pool when utterances arrive duration-major.
+//! 1. **Drain** every healthy replica's vote log (peek the total first, so
+//!    a pool below the floor leaves every log untouched), merge the
+//!    records by content digest, and group them by routed duration — the
+//!    duration-major view *is* the offline test pool when utterances
+//!    arrive duration-major.
 //! 2. **Select** with [`lre_dba::dba_round_selection`] — the same Eq. 13
 //!    vote rule `run_dba` uses, applied to the served OvR rows.
 //! 3. **Retrain** each subsystem's one-vs-rest VSM on the pseudo-labelled
@@ -16,29 +19,39 @@
 //!    utterances only), with the SVM recipe frozen in the bundle.
 //! 4. **Guard**: shadow-score parent and candidate VSMs on the held-back
 //!    [`GuardSet`]; a candidate that regresses pooled EER or min-Cavg past
-//!    the configured slack is rejected — no swap, generation and live
-//!    scores untouched.
-//! 5. **Promote**: seal the candidate bundle with its [`Lineage`] (parent
-//!    checksum, generation, selection stats) and atomically swap it into
-//!    the serving [`ScorerHandle`]; the displaced model is retained so
-//!    [`AdaptController::rollback`] can restore it bit-identically.
+//!    the configured slack is rejected — nothing staged, generations and
+//!    live scores untouched.
+//! 5. **Promote**: seal the candidate bundle with its lineage (parent
+//!    checksum, generation, selection stats), append it to the lineage
+//!    chain when durable, and flip every replica with
+//!    [`two_phase_promote`]. Each replica keeps the model it displaced, so
+//!    [`AdaptController::rollback`] restores it bit-identically.
+//!
+//! The replicas are [`FleetControl`]s: `lre-adaptd` passes the one
+//! in-process [`lre_serve::FleetReplica`] it serves from, `lre-router` its
+//! TCP `Backend`s. The controller never touches a serving handle itself.
 
 use lre_artifact::{crc32, ArtifactError, ArtifactRead, ArtifactWrite};
 use lre_corpus::Duration;
 use lre_dba::{build_tr_dba, dba_round_selection, DbaVariant, GuardSet};
 use lre_eval::ScoreMatrix;
-use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_ROLLBACK, EV_SWAP, EV_WAL_GC};
+use lre_obs::{
+    FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
+};
 use lre_serve::args::Args;
-use lre_serve::protocol::{RollbackToAck, STATUS_CONFLICT, STATUS_INTERNAL, STATUS_UNSUPPORTED};
+use lre_serve::protocol::{
+    CommitAck, RollbackAck, RollbackToAck, StageAck, STATUS_CONFLICT, STATUS_INTERNAL,
+    STATUS_UNSUPPORTED,
+};
 use lre_serve::{
-    wal_status_info, AdaptControl, AdaptReport, DurabilityControl, ScorerHandle, ScoringSystem,
-    SystemBundle, VersionedScorer, VoteLog, VoteRecord, WalStatusInfo, ADAPT_FAILED,
-    ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    wal_status_info, AdaptControl, AdaptReport, DurabilityControl, FleetControl, SystemBundle,
+    VoteLog, VoteRecord, WalStatusInfo, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED,
+    ADAPT_REJECTED_GUARD,
 };
 use lre_svm::OneVsRest;
 use lre_wal::{LineageError, LineageStore};
+use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration as StdDuration;
 
@@ -101,18 +114,8 @@ impl GuardArgs {
     }
 }
 
-/// Outcome counters (observability; mirrors the per-report outcomes).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdaptCounters {
-    pub promoted: u64,
-    pub rejected_guard: u64,
-    pub insufficient_data: u64,
-    pub failed: u64,
-}
-
 /// A guard-approved candidate from one boosting round: the sealed bundle
-/// ready to install (or to stage fleet-wide), plus the round's selection
-/// stats.
+/// ready to stage, plus the round's selection stats.
 pub struct CandidateBundle {
     /// Sealed bundle bytes, lineage already stamped
     /// (`parent lineage generation + 1`, parent checksum, selection
@@ -150,19 +153,18 @@ pub enum RoundOutcome {
 }
 
 impl RoundOutcome {
-    /// What either coordinator does with a round's verdict: the candidate
-    /// to promote, or the report that ends the cycle (`generation` is what
-    /// the reporter serves). The guard's verdict — selected, drained, EER
-    /// and min-Cavg deltas — goes to `flight` under the label `who`.
+    /// What the controller does with a round's verdict: the candidate to
+    /// promote, or the report that ends the cycle (`generation` is what
+    /// the replicas serve). The guard's verdict — selected, drained, EER
+    /// and min-Cavg deltas — goes to `flight`.
     pub fn judged(
         self,
-        who: &str,
         generation: u64,
         flight: &FlightRecorder,
     ) -> Result<CandidateBundle, AdaptReport> {
         let verdict = |kind, selected: u32, drained: u32, eer_delta, cavg_delta| {
             let (selected, drained) = (u64::from(selected), u64::from(drained));
-            flight.record(kind, who, selected, drained, eer_delta, cavg_delta);
+            flight.record(kind, "guard", selected, drained, eer_delta, cavg_delta);
         };
         match self {
             RoundOutcome::Insufficient { drained } => Err(AdaptReport {
@@ -200,10 +202,9 @@ impl RoundOutcome {
 }
 
 /// One DBA boosting round as a pure function: records in, sealed
-/// guard-approved candidate (or a typed refusal) out. Shared by the
-/// single-process [`AdaptController`] and the fleet router's adaptation
-/// cycle, so a fleet-staged candidate is bit-identical to what the local
-/// controller would have promoted from the same records.
+/// guard-approved candidate (or a typed refusal) out — the round
+/// [`AdaptController::run_cycle`] runs over the merged pool, and the one
+/// `tests/online_adaptation.rs` holds to offline `run_dba`.
 ///
 /// `parent_bytes` is the sealed bundle currently serving; the candidate's
 /// lineage is stamped from its decoded lineage generation and checksum.
@@ -290,25 +291,39 @@ pub fn boost_round(
 }
 
 struct CtlState {
-    /// Sealed bytes of the bundle currently installed in the handle.
-    current_bytes: Arc<Vec<u8>>,
-    /// Lineage generation of the current bundle (not the serving
-    /// generation — rollbacks advance the latter but not the former).
-    lineage_generation: u64,
-    /// The displaced model retained for rollback: the exact
-    /// [`VersionedScorer`] (and its sealed bytes and lineage generation)
-    /// that was serving before the last promotion.
-    previous: Option<(Arc<VersionedScorer>, Arc<Vec<u8>>, u64)>,
+    /// Sealed bytes of the bundle the replicas serve: the next round's
+    /// parent.
+    current: Arc<Vec<u8>>,
+    /// The bundle the last install displaced, for one-deep rollback (each
+    /// replica holds its scorer).
+    previous: Option<Arc<Vec<u8>>>,
 }
 
-/// The generation-lineage chain of a durable controller, and its
-/// retention policy.
+impl CtlState {
+    /// Flip `fleet` to `bytes` — the one install path, a promote's and a
+    /// deep rollback's. The bytes become the next round's parent, and the
+    /// bundle they displace is what a one-deep rollback restores.
+    fn install(
+        &mut self,
+        fleet: &[Arc<dyn FleetControl>],
+        bytes: Vec<u8>,
+        checksum: u32,
+    ) -> Option<u64> {
+        let generation = two_phase_promote(fleet, &bytes, checksum)?;
+        self.previous = Some(std::mem::replace(&mut self.current, Arc::new(bytes)));
+        Some(generation)
+    }
+}
+
+/// The generation-lineage chain of a durable controller, its retention
+/// policy, and the WAL-backed vote log `wal-status` reports beside it.
 struct CtlLineage {
     /// The controller's state mutex serializes promotes and deep
     /// rollbacks; this inner lock only guards status reads racing them.
     store: Mutex<LineageStore>,
     /// Retained generations after each promote's GC; 0 = unlimited.
     keep_generations: usize,
+    votes: Arc<VoteLog>,
 }
 
 /// Lineage failures surfaced through the cycle's artifact-error channel.
@@ -321,34 +336,33 @@ fn lineage_err(e: LineageError) -> ArtifactError {
     }
 }
 
-/// The adaptation controller: owns the cycle logic and the rollback
-/// history for one serving handle.
+/// The adaptation coordinator: runs the cycle over a set of replicas and
+/// keeps the parent bundle the next round trains from.
 pub struct AdaptController {
-    handle: Arc<ScorerHandle>,
-    log: Arc<VoteLog>,
+    replicas: Vec<Arc<dyn FleetControl>>,
     lineage: Option<CtlLineage>,
     guard: GuardSet,
     cfg: AdaptConfig,
+    /// Serializes cycles and rollbacks end to end: selection, retrain and
+    /// promote must all act on one consistent parent.
     state: Mutex<CtlState>,
-    promoted: AtomicU64,
-    rejected_guard: AtomicU64,
-    insufficient_data: AtomicU64,
-    failed: AtomicU64,
     /// Guard verdicts (with EER/min-Cavg deltas), promotions, rollbacks
-    /// and lineage GC become structured events here.
+    /// and lineage GC become structured events here; each replica records
+    /// its own installs.
     flight: Arc<FlightRecorder>,
 }
 
 impl AdaptController {
-    /// Wire a controller to the serving handle it adapts, the vote log the
-    /// engine taps into (over a WAL or not), the held-back guard set, and
-    /// the sealed bytes of the bundle currently installed in `handle`
-    /// (validated by decode).
+    /// Wire a coordinator to the replicas it adapts (an unhealthy one sits
+    /// a cycle out), the held-back guard set, and the sealed bytes of the
+    /// bundle every replica serves (validated by decode; a guard whose
+    /// subsystem count disagrees with it is refused here).
     ///
-    /// With `lineage` — the chain and how many generations to retain — the
-    /// controller is durable: every promoted generation is sealed into the
-    /// chain *before* it swaps into serving, so
-    /// [`AdaptController::rollback_to`] can restore any retained
+    /// With `lineage` — the chain, how many generations to retain, and the
+    /// WAL-backed vote log whose state `wal-status` reports beside the
+    /// chain — the controller is durable: every promoted generation is
+    /// sealed into the chain *before* any replica stages it, so
+    /// [`DurabilityControl::rollback_to`] can restore any retained
     /// generation bit-identically. An empty chain is rooted with
     /// `bundle_bytes`; otherwise the serving bundle must be the chain head
     /// (start from [`LineageStore::head`]'s bytes after a restart). After
@@ -358,9 +372,8 @@ impl AdaptController {
     /// Guard verdicts, promotions, rollbacks and lineage GC are recorded
     /// into `flight`.
     pub fn new(
-        handle: Arc<ScorerHandle>,
-        log: Arc<VoteLog>,
-        lineage: Option<(LineageStore, usize)>,
+        replicas: Vec<Arc<dyn FleetControl>>,
+        lineage: Option<(LineageStore, usize, Arc<VoteLog>)>,
         guard: GuardSet,
         bundle_bytes: Vec<u8>,
         cfg: AdaptConfig,
@@ -370,12 +383,11 @@ impl AdaptController {
         if bundle.subsystems.len() != guard.num_subsystems() {
             return Err(ArtifactError::Corrupt("guard/bundle subsystem counts"));
         }
-        let lineage_generation = bundle.lineage.generation;
         let lineage = lineage
-            .map(|(mut store, keep_generations)| {
+            .map(|(mut store, keep_generations, votes)| {
                 match store.head() {
                     None => store
-                        .record_root(&bundle_bytes, lineage_generation)
+                        .record_root(&bundle_bytes, bundle.lineage.generation)
                         .map_err(lineage_err)?,
                     Some(head) if head.checksum != bundle_checksum(&bundle_bytes) => {
                         return Err(ArtifactError::Corrupt(
@@ -387,192 +399,197 @@ impl AdaptController {
                 Ok(CtlLineage {
                     store: Mutex::new(store),
                     keep_generations,
+                    votes,
                 })
             })
             .transpose()?;
         Ok(AdaptController {
-            handle,
-            log,
+            replicas,
             lineage,
             guard,
             cfg,
             state: Mutex::new(CtlState {
-                current_bytes: Arc::new(bundle_bytes),
-                lineage_generation,
+                current: Arc::new(bundle_bytes),
                 previous: None,
             }),
-            promoted: AtomicU64::new(0),
-            rejected_guard: AtomicU64::new(0),
-            insufficient_data: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
             flight,
         })
     }
 
-    pub fn counters(&self) -> AdaptCounters {
-        AdaptCounters {
-            promoted: self.promoted.load(Ordering::Relaxed),
-            rejected_guard: self.rejected_guard.load(Ordering::Relaxed),
-            insufficient_data: self.insufficient_data.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Sealed bytes of the currently installed bundle (what a rollback of
+    /// Sealed bytes of the bundle the replicas serve (what a rollback of
     /// the *next* promotion would restore).
     pub fn current_bundle_bytes(&self) -> Arc<Vec<u8>> {
-        Arc::clone(
-            &self
-                .state
-                .lock()
-                .expect("adapt state poisoned")
-                .current_bytes,
-        )
+        Arc::clone(&self.state.lock().expect("adapt state poisoned").current)
     }
 
-    /// Run one adaptation cycle synchronously. Never panics on bad data —
-    /// internal failures come back as `ADAPT_FAILED` reports.
-    pub fn run_cycle(&self) -> AdaptReport {
-        let report = self.try_cycle().unwrap_or_else(|_| AdaptReport {
-            outcome: ADAPT_FAILED,
-            generation: self.handle.generation(),
-            selected: 0,
-            drained: 0,
-        });
-        let counter = match report.outcome {
-            ADAPT_PROMOTED => &self.promoted,
-            ADAPT_REJECTED_GUARD => &self.rejected_guard,
-            ADAPT_INSUFFICIENT_DATA => &self.insufficient_data,
-            _ => &self.failed,
+    /// Make a promote durable before it is visible (a no-op without a
+    /// lineage). Generations are contiguous serve events: if a deep
+    /// rollback moved serving off the chain head, the candidate is
+    /// renumbered to extend the head (its parent pointer still names the
+    /// rolled-back generation). The append lands on disk before any
+    /// replica stages, so a bundle is never served that the chain cannot
+    /// restore.
+    fn seal(&self, candidate: &mut CandidateBundle, parent: &[u8]) -> Result<(), ArtifactError> {
+        let Some(l) = &self.lineage else {
+            return Ok(());
         };
-        counter.fetch_add(1, Ordering::Relaxed);
-        report
-    }
-
-    fn try_cycle(&self) -> Result<AdaptReport, ArtifactError> {
-        let Ok(records) = self.log.drain_at_least(self.cfg.min_utts) else {
-            return Ok(AdaptReport {
-                outcome: ADAPT_INSUFFICIENT_DATA,
-                generation: self.handle.generation(),
-                selected: 0,
-                drained: 0,
-            });
-        };
-
-        // Serialize cycles (and rollbacks) end to end: selection, retrain
-        // and swap must all act on one consistent parent.
-        let mut state = self.state.lock().expect("adapt state poisoned");
-        let parent_bytes = Arc::clone(&state.current_bytes);
-        let round = boost_round(&parent_bytes, &records, &self.guard, &self.cfg)?;
-        let mut candidate =
-            match round.judged("adapt guard", self.handle.generation(), &self.flight) {
-                Ok(candidate) => candidate,
-                Err(report) => return Ok(report),
-            };
-
-        // Make the promote durable before it is visible. Generations are
-        // contiguous serve events: if a deep rollback moved serving off
-        // the chain head, the candidate is renumbered to extend the head
-        // (its parent pointer still names the rolled-back generation).
-        // The append lands on disk before the swap, so a bundle is never
-        // served that the chain cannot restore.
-        if let Some(l) = &self.lineage {
-            let mut lineage = l.store.lock().expect("lineage store poisoned");
-            if let Some(head) = lineage.head() {
-                let next = head.generation + 1;
-                if candidate.lineage_generation != next {
-                    let mut bundle = SystemBundle::from_artifact_bytes(&candidate.bytes)?;
-                    bundle.lineage.generation = next;
-                    candidate.bytes = bundle.to_artifact_bytes();
-                    candidate.checksum = bundle_checksum(&candidate.bytes);
-                    candidate.lineage_generation = next;
-                }
-            }
-            lineage
-                .append(
-                    &candidate.bytes,
-                    candidate.lineage_generation,
-                    bundle_checksum(&parent_bytes),
-                    candidate.selected,
-                )
-                .map_err(lineage_err)?;
-            if l.keep_generations > 0 {
-                match lineage.gc(l.keep_generations) {
-                    Ok((pruned, reclaimed)) if pruned > 0 => {
-                        self.flight
-                            .record(EV_WAL_GC, "lineage gc", pruned, reclaimed, 0.0, 0.0)
-                    }
-                    // A failed GC only leaves more generations on disk.
-                    _ => {}
-                }
+        let mut lineage = l.store.lock().expect("lineage store poisoned");
+        if let Some(head) = lineage.head() {
+            let next = head.generation + 1;
+            if candidate.lineage_generation != next {
+                let mut bundle = SystemBundle::from_artifact_bytes(&candidate.bytes)?;
+                bundle.lineage.generation = next;
+                candidate.bytes = bundle.to_artifact_bytes();
+                candidate.checksum = bundle_checksum(&candidate.bytes);
+                candidate.lineage_generation = next;
             }
         }
+        lineage
+            .append(
+                &candidate.bytes,
+                candidate.lineage_generation,
+                bundle_checksum(parent),
+                candidate.selected,
+            )
+            .map_err(lineage_err)?;
+        if l.keep_generations > 0 {
+            match lineage.gc(l.keep_generations) {
+                Ok((pruned, reclaimed)) if pruned > 0 => {
+                    self.flight
+                        .record(EV_WAL_GC, "lineage gc", pruned, reclaimed, 0.0, 0.0)
+                }
+                // A failed GC only leaves more generations on disk.
+                _ => {}
+            }
+        }
+        Ok(())
+    }
 
-        // Promote atomically: build the scorer from the sealed candidate
-        // bytes — the exact decode a fleet replica runs at stage time.
-        let system =
-            ScoringSystem::from_bundle(SystemBundle::from_artifact_bytes(&candidate.bytes)?)?;
-        let displaced = self.handle.current();
-        let generation = self.handle.swap(Arc::new(system), candidate.checksum);
-        state.previous = Some((displaced, parent_bytes, state.lineage_generation));
-        state.current_bytes = Arc::new(candidate.bytes);
-        state.lineage_generation = candidate.lineage_generation;
+    fn healthy(&self) -> Vec<Arc<dyn FleetControl>> {
+        self.replicas
+            .iter()
+            .filter(|r| r.is_healthy())
+            .cloned()
+            .collect()
+    }
+
+    /// Run one adaptation cycle synchronously: peek → drain → merge →
+    /// boost → guard → lineage (when durable) → two-phase promote. Never
+    /// panics on bad data — internal failures come back as `ADAPT_FAILED`
+    /// reports. Every report's `generation` is the lowest the healthy
+    /// replicas serve when the cycle ends; `drained` counts the records
+    /// handed to the round after digest dedup (0 below the floor).
+    pub fn run_cycle(&self) -> AdaptReport {
+        let state = &mut *self.state.lock().expect("adapt state poisoned");
+        let fleet = self.healthy();
+        let floor = || fleet.iter().map(|r| r.generation()).min().unwrap_or(0);
+        let ended = |outcome, drained| AdaptReport {
+            outcome,
+            generation: floor(),
+            selected: 0,
+            drained,
+        };
+        if fleet.is_empty() {
+            return ended(ADAPT_FAILED, 0);
+        }
+
+        // Peek first: if the total is below the floor, no log is touched
+        // (the all-or-nothing contract of one log's drain, lifted to the
+        // fleet).
+        let buffered: usize = fleet
+            .iter()
+            .map(|r| r.drain_votes(true, 0).err().unwrap_or(0) as usize)
+            .sum();
+        if buffered < self.cfg.min_utts {
+            return ended(ADAPT_INSUFFICIENT_DATA, 0);
+        }
+
+        // Drain and merge. Replicas may have scored the same utterance
+        // (client retries across backends), so records are deduplicated
+        // by content digest exactly like one vote log would.
+        let mut seen = HashSet::new();
+        let records: Vec<VoteRecord> = fleet
+            .iter()
+            .filter_map(|r| r.drain_votes(false, 1).ok())
+            .flatten()
+            .filter(|rec| seen.insert(rec.digest))
+            .collect();
+        let drained = records.len() as u32;
+        if records.is_empty() {
+            return ended(ADAPT_INSUFFICIENT_DATA, 0);
+        }
+
+        let round = boost_round(&state.current, &records, &self.guard, &self.cfg);
+        let mut candidate = match round.map(|round| round.judged(floor(), &self.flight)) {
+            Ok(Ok(candidate)) => candidate,
+            Ok(Err(report)) => return report,
+            Err(_) => return ended(ADAPT_FAILED, drained),
+        };
+        let promoted = (self.seal(&mut candidate, &state.current).ok())
+            .and_then(|()| state.install(&fleet, candidate.bytes, candidate.checksum));
+        let Some(generation) = promoted else {
+            return ended(ADAPT_FAILED, drained);
+        };
         self.flight.record(
-            EV_SWAP,
+            EV_PROMOTE,
             "adapt promote",
             generation,
             u64::from(candidate.checksum),
             candidate.eer_delta,
             candidate.cavg_delta,
         );
-        Ok(AdaptReport {
+        AdaptReport {
             outcome: ADAPT_PROMOTED,
             generation,
             selected: candidate.selected,
-            drained: candidate.drained,
-        })
+            drained,
+        }
     }
 
-    /// Restore the model displaced by the last promotion — the exact
-    /// retained object, so the handle's checksum returns to the parent's
-    /// bit-identically — under a fresh (still monotonic) generation.
-    /// Returns the new generation, or `None` if there is nothing to roll
-    /// back to (no promotion since startup or since the last rollback).
-    pub fn rollback(&self) -> Option<u64> {
-        let mut state = self.state.lock().expect("adapt state poisoned");
-        let (scorer, bytes, lineage_generation) = state.previous.take()?;
-        let generation = self.handle.rollback_to(&scorer);
-        state.current_bytes = Arc::clone(&bytes);
-        state.lineage_generation = lineage_generation;
-        self.flight
-            .record(EV_ROLLBACK, "adapt rollback", generation, 0, 0.0, 0.0);
-        Some(generation)
+    /// One-deep rollback: every healthy replica reinstalls the exact model
+    /// its last install displaced — a promote's parent, or what a deep
+    /// rollback replaced — under a fresh (still monotonic) generation.
+    /// `rolled` only when every one did; the parent the next round trains
+    /// from rewinds with them.
+    pub fn rollback(&self) -> RollbackAck {
+        let state = &mut *self.state.lock().expect("adapt state poisoned");
+        let ack = rollback_backends(&self.healthy());
+        if ack.rolled {
+            self.flight
+                .record(EV_ROLLBACK, "adapt rollback", ack.generation, 0, 0.0, 0.0);
+            if let Some(previous) = state.previous.take() {
+                state.current = previous;
+            }
+        }
+        ack
+    }
+}
+
+impl DurabilityControl for AdaptController {
+    /// Point-in-time WAL + lineage summary. A controller without a lineage
+    /// reports the zeroed status (with `chain_ok` vacuously true).
+    fn wal_status(&self) -> WalStatusInfo {
+        match &self.lineage {
+            Some(l) => wal_status_info(
+                &l.votes.wal_status().unwrap_or_default(),
+                Some(&l.store.lock().expect("lineage store poisoned")),
+            ),
+            None => wal_status_info(&Default::default(), None),
+        }
     }
 
-    /// Point-in-time WAL + lineage summary. A controller running without
-    /// either reports the zeroed status (with `chain_ok` vacuously true).
-    pub fn wal_status(&self) -> WalStatusInfo {
-        let wal = self.log.wal_status().unwrap_or_default();
-        let lineage = self
-            .lineage
-            .as_ref()
-            .map(|l| l.store.lock().expect("lineage store poisoned"));
-        wal_status_info(&wal, lineage.as_deref())
-    }
-
-    /// Deep rollback: load generation `generation`'s pristine sealed
-    /// bytes from the lineage chain, rebuild the scorer from them, and
-    /// swap it into serving under a fresh (still monotonic) serving
-    /// generation — scores return `f32::to_bits`-identical to when that
-    /// generation first served. The one-deep [`AdaptController::rollback`]
-    /// history is cleared: it described a promote that is no longer the
-    /// serving model's parent. Unknown or pruned generations are refused
-    /// with `STATUS_CONFLICT`.
-    pub fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8> {
+    /// Deep rollback: load generation `generation`'s pristine sealed bytes
+    /// from the lineage chain and stage + commit them on every healthy
+    /// replica under a fresh (still monotonic) serving generation — scores
+    /// return `f32::to_bits`-identical to when that generation first
+    /// served. It is an install like a promote, so a one-deep
+    /// [`AdaptController::rollback`] undoes it. Unknown or pruned
+    /// generations are refused with `STATUS_CONFLICT`.
+    fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8> {
         let Some(l) = &self.lineage else {
             return Err(STATUS_UNSUPPORTED);
         };
-        let mut state = self.state.lock().expect("adapt state poisoned");
+        let state = &mut *self.state.lock().expect("adapt state poisoned");
         let bytes = {
             let lineage = l.store.lock().expect("lineage store poisoned");
             lineage.load(generation).map_err(|e| match e {
@@ -580,14 +597,10 @@ impl AdaptController {
                 LineageError::Artifact(_) | LineageError::BrokenChain(_) => STATUS_INTERNAL,
             })?
         };
-        let system = SystemBundle::from_artifact_bytes(&bytes)
-            .and_then(ScoringSystem::from_bundle)
-            .map_err(|_| STATUS_INTERNAL)?;
         let checksum = bundle_checksum(&bytes);
-        let serving = self.handle.swap(Arc::new(system), checksum);
-        state.previous = None;
-        state.current_bytes = Arc::new(bytes);
-        state.lineage_generation = generation;
+        let serving = state
+            .install(&self.healthy(), bytes, checksum)
+            .ok_or(STATUS_INTERNAL)?;
         self.flight.record(
             EV_ROLLBACK,
             "deep rollback",
@@ -604,19 +617,73 @@ impl AdaptController {
     }
 }
 
-impl DurabilityControl for AdaptController {
-    fn wal_status(&self) -> WalStatusInfo {
-        AdaptController::wal_status(self)
-    }
-
-    fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8> {
-        AdaptController::rollback_to(self, generation)
-    }
-}
-
 impl AdaptControl for AdaptController {
     fn adapt_now(&self) -> AdaptReport {
         self.run_cycle()
+    }
+}
+
+/// The two-phase flip over any replica set: the controller's promote and
+/// deep rollback, and the fault-injection tests, share this exact path.
+/// Staging is the expensive, fallible half (decode, build the scorer), and
+/// a replica that stages OK has promised its commit cannot fail on decode;
+/// a commit is a pointer swap. So every replica stages before any flips.
+/// `Some(min committed generation)` when every replica committed; `None`
+/// after any failure, with staged copies aborted and committed replicas
+/// rolled back so the set is left uniformly on what it served.
+pub fn two_phase_promote(
+    fleet: &[Arc<dyn FleetControl>],
+    sealed: &[u8],
+    checksum: u32,
+) -> Option<u64> {
+    if fleet.is_empty() {
+        return None;
+    }
+    for (i, replica) in fleet.iter().enumerate() {
+        if replica.stage(sealed) != Ok(StageAck { checksum }) {
+            for prev in &fleet[..i] {
+                prev.abort();
+            }
+            return None;
+        }
+    }
+    // A failed commit means a replica died between the phases: undo the
+    // flip everywhere it landed and discard the stage everywhere it did
+    // not.
+    let mut generations: Vec<u64> = Vec::with_capacity(fleet.len());
+    for (i, replica) in fleet.iter().enumerate() {
+        match replica.commit() {
+            Ok(CommitAck {
+                generation,
+                checksum: ck,
+            }) if ck == checksum => generations.push(generation),
+            _ => {
+                for prev in &fleet[..i] {
+                    prev.rollback();
+                }
+                for rest in &fleet[i + 1..] {
+                    rest.abort();
+                }
+                return None;
+            }
+        }
+    }
+    generations.into_iter().min()
+}
+
+/// Roll every replica in `fleet` back one install. `rolled` only when
+/// every one reported a successful rollback; `generation` is the lowest
+/// serving generation among those that did.
+pub fn rollback_backends(fleet: &[Arc<dyn FleetControl>]) -> RollbackAck {
+    let acks: Vec<RollbackAck> = fleet.iter().map(|r| r.rollback()).collect();
+    RollbackAck {
+        rolled: !acks.is_empty() && acks.iter().all(|a| a.rolled),
+        generation: acks
+            .iter()
+            .filter(|a| a.rolled)
+            .map(|a| a.generation)
+            .min()
+            .unwrap_or(0),
     }
 }
 

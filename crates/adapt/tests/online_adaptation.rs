@@ -6,7 +6,9 @@
 //!
 //! The second test forces the eval guard to reject (negative regression
 //! slack) and requires the serving generation, checksum, and scores to be
-//! untouched — a rejected candidate must leave no trace in serving.
+//! untouched — a rejected candidate must leave no trace in serving. The
+//! third drives the durable (WAL + lineage) controller across restarts and
+//! deep rollbacks; the fourth runs one coordinator over two replicas.
 //!
 //! Like `lre-serve`'s `serve_roundtrip`, these build the full smoke-scale
 //! experiment (minutes in release), shared through a `OnceLock`, so they
@@ -21,11 +23,13 @@ use lre_artifact::{ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
 use lre_dba::{run_dba, DbaVariant, Experiment, ExperimentConfig, GuardSet};
 use lre_eval::ScoreMatrix;
+use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP};
 use lre_serve::client::ScoreReply;
-use lre_serve::protocol::STATUS_CONFLICT;
+use lre_serve::protocol::{RollbackAck, STATUS_CONFLICT};
 use lre_serve::{
-    vote_wal_options, Client, EngineConfig, ScorerHandle, ScoringSystem, Server, ServerConfig,
-    ServerHooks, SystemBundle, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    vote_wal_options, Client, EngineConfig, FleetControl, FleetReplica, ScorerHandle,
+    ScoringSystem, Server, ServerConfig, ServerHooks, SystemBundle, ADAPT_INSUFFICIENT_DATA,
+    ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 use lre_wal::{LineageStore, WalObs};
 use std::net::TcpListener;
@@ -124,58 +128,97 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+fn server_config() -> ServerConfig {
+    ServerConfig {
+        engine: EngineConfig {
+            workers: 2,
+            queue_capacity: 64,
+            unknown_threshold: None,
+        },
+        max_inflight: 8,
+        max_global_inflight: 0,
+    }
+}
+
+fn guard(fx: &Fixture) -> GuardSet {
+    GuardSet::from_artifact_bytes(&fx.guard_bytes).expect("guard reloads")
+}
+
+/// A served bundle with its vote log tapped, and the `FleetReplica` over
+/// the two: what an adaptation controller drives, in process.
+struct Replica {
+    handle: Arc<ScorerHandle>,
+    replica: Arc<FleetReplica>,
+    hooks: ServerHooks,
+}
+
+fn replica(bytes: &[u8], log: Arc<VoteLog>, hooks: ServerHooks) -> Replica {
+    let bundle = SystemBundle::from_artifact_bytes(bytes).expect("bundle reloads");
+    let system = Arc::new(ScoringSystem::from_bundle(bundle).expect("bundle is coherent"));
+    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(bytes)));
+    let replica = FleetReplica::new(
+        Arc::clone(&handle),
+        Arc::clone(&log),
+        Arc::clone(&hooks.obs.flight),
+    );
+    Replica {
+        handle,
+        replica: Arc::new(replica),
+        hooks: ServerHooks {
+            tap: Some(log as _),
+            ..hooks
+        },
+    }
+}
+
 struct Harness {
     handle: Arc<ScorerHandle>,
     controller: Arc<AdaptController>,
     server: Server,
+    /// The recorder the controller and its replica share, as in
+    /// `lre-adaptd`.
+    flight: Arc<FlightRecorder>,
 }
 
-/// Stand up an adapting server over the fixture bundle. A single v1
-/// client scores one utterance at a time, so the vote log's arrival order
-/// is exactly the drive order regardless of worker count.
+/// How many events of `kind` the recorder holds.
+fn events(flight: &FlightRecorder, kind: u8) -> usize {
+    flight.peek().iter().filter(|e| e.kind == kind).count()
+}
+
+/// Stand up an adapting server over the fixture bundle: the `lre-adaptd`
+/// shape, one controller over the one in-process replica it serves from.
+/// A single v1 client scores one utterance at a time, so the vote log's
+/// arrival order is exactly the drive order regardless of worker count.
 fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
-    let bundle = SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads");
-    let system = Arc::new(ScoringSystem::from_bundle(bundle).expect("bundle is coherent"));
-    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(&fx.bytes)));
-    let log = Arc::new(VoteLog::new(4096));
-    let guard = GuardSet::from_artifact_bytes(&fx.guard_bytes).expect("guard reloads");
-    let hooks = ServerHooks::default();
+    let r = replica(
+        &fx.bytes,
+        Arc::new(VoteLog::new(4096)),
+        ServerHooks::default(),
+    );
+    let flight = Arc::clone(&r.hooks.obs.flight);
     let controller = Arc::new(
         AdaptController::new(
-            Arc::clone(&handle),
-            Arc::clone(&log),
+            vec![r.replica],
             None,
-            guard,
+            guard(fx),
             fx.bytes.clone(),
             cfg,
-            Arc::clone(&hooks.obs.flight),
+            Arc::clone(&flight),
         )
         .expect("controller wires up"),
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let server = Server::start(
-        listener,
-        Arc::clone(&handle),
-        ServerConfig {
-            engine: EngineConfig {
-                workers: 2,
-                queue_capacity: 64,
-                unknown_threshold: None,
-            },
-            max_inflight: 8,
-            max_global_inflight: 0,
-        },
-        ServerHooks {
-            tap: Some(log as _),
-            control: Some(Arc::clone(&controller) as _),
-            ..hooks
-        },
-    )
-    .expect("server starts");
+    let hooks = ServerHooks {
+        control: Some(Arc::clone(&controller) as _),
+        ..r.hooks
+    };
+    let server = Server::start(listener, Arc::clone(&r.handle), server_config(), hooks)
+        .expect("server starts");
     Harness {
-        handle,
+        handle: r.handle,
         controller,
         server,
+        flight,
     }
 }
 
@@ -201,55 +244,40 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
         ),
         None => (fx.bytes.clone(), 0),
     };
-    let bundle = SystemBundle::from_artifact_bytes(&bytes).expect("bundle reloads");
-    let system = Arc::new(ScoringSystem::from_bundle(bundle).expect("bundle is coherent"));
-    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(&bytes)));
     let mut opts = vote_wal_options();
     opts.fsync_interval = std::time::Duration::ZERO; // every append durable
     let hooks = ServerHooks::default();
-    let wal_obs = WalObs::new(&hooks.obs.registry, Arc::clone(&hooks.obs.flight));
+    let flight = Arc::clone(&hooks.obs.flight);
+    let wal_obs = WalObs::new(&hooks.obs.registry, Arc::clone(&flight));
     let (durable, recovery) =
         VoteLog::open(&dir.join("votes"), 4096, opts, wal_obs).expect("vote WAL opens");
     let durable = Arc::new(durable);
-    let guard = GuardSet::from_artifact_bytes(&fx.guard_bytes).expect("guard reloads");
+    let r = replica(&bytes, Arc::clone(&durable), hooks);
     let controller = Arc::new(
         AdaptController::new(
-            Arc::clone(&handle),
-            Arc::clone(&durable),
-            Some((lineage, keep)),
-            guard,
+            vec![r.replica],
+            Some((lineage, keep, Arc::clone(&durable))),
+            guard(fx),
             bytes,
             cfg,
-            Arc::clone(&hooks.obs.flight),
+            Arc::clone(&flight),
         )
         .expect("durable controller wires up"),
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let server = Server::start(
-        listener,
-        Arc::clone(&handle),
-        ServerConfig {
-            engine: EngineConfig {
-                workers: 2,
-                queue_capacity: 64,
-                unknown_threshold: None,
-            },
-            max_inflight: 8,
-            max_global_inflight: 0,
-        },
-        ServerHooks {
-            tap: Some(Arc::clone(&durable) as _),
-            control: Some(Arc::clone(&controller) as _),
-            durability: Some(Arc::clone(&controller) as _),
-            ..hooks
-        },
-    )
-    .expect("server starts");
+    let hooks = ServerHooks {
+        control: Some(Arc::clone(&controller) as _),
+        durability: Some(Arc::clone(&controller) as _),
+        ..r.hooks
+    };
+    let server = Server::start(listener, Arc::clone(&r.handle), server_config(), hooks)
+        .expect("server starts");
     DurableHarness {
         h: Harness {
-            handle,
+            handle: r.handle,
             controller,
             server,
+            flight,
         },
         durable,
         replayed: recovery.replayed,
@@ -324,7 +352,19 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
         "online selection must match the offline round's"
     );
     assert_eq!(h.handle.generation(), 1);
-    assert_eq!(h.controller.counters().promoted, 1);
+    // The controller records its decisions, the replica its install: one
+    // of each, in the one recorder `lre-adaptd` serves `--flight` from.
+    assert_eq!(events(&h.flight, EV_GUARD_ACCEPT), 1);
+    assert_eq!(events(&h.flight, EV_PROMOTE), 1);
+    assert_eq!(events(&h.flight, EV_SWAP), 1);
+    // The replica is driven in process only: the wire still refuses the
+    // fleet-rollout tags, as it always has on an adapting server.
+    assert!(client.rollback().is_err(), "rollback tag is not answered");
+    assert!(
+        client.drain_votes(true, 0).is_err(),
+        "drain tag is not answered"
+    );
+    let mut client = Client::connect(addr).expect("client reconnects");
 
     // Lineage: the promoted bundle names its parent by checksum.
     let cand_bytes = h.controller.current_bundle_bytes();
@@ -347,7 +387,11 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
 
     // 4) Rollback restores the parent bit-identically under a fresh
     //    generation: baseline scores and checksum return exactly.
-    assert_eq!(h.controller.rollback(), Some(2));
+    let rolled = RollbackAck {
+        rolled: true,
+        generation: 2,
+    };
+    assert_eq!(h.controller.rollback(), rolled);
     assert_eq!(h.handle.checksum(), bundle_checksum(&fx.bytes));
     drive(
         &mut client,
@@ -356,9 +400,8 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
         |_| 2,
         "rolled-back",
     );
-    assert_eq!(
-        h.controller.rollback(),
-        None,
+    assert!(
+        !h.controller.rollback().rolled,
         "one-deep history: nothing left to roll back"
     );
 
@@ -408,11 +451,13 @@ fn guard_rejection_leaves_serving_untouched() {
         bundle_checksum(&fx.bytes),
         "no swap: the parent bundle is still installed"
     );
-    assert_eq!(h.controller.counters().rejected_guard, 1);
-    assert_eq!(h.controller.counters().promoted, 0);
+    assert_eq!(events(&h.flight, EV_GUARD_REJECT), 1);
     assert_eq!(
-        h.controller.rollback(),
-        None,
+        events(&h.flight, EV_PROMOTE) + events(&h.flight, EV_SWAP),
+        0
+    );
+    assert!(
+        !h.controller.rollback().rolled,
         "a rejected candidate leaves nothing to roll back"
     );
 
@@ -586,7 +631,8 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
     }
 
     // Phase 4: final restart validates the pruned chain and resumes from
-    // generation 2 bit-identically.
+    // generation 2 bit-identically. A deep rollback is an install like a
+    // promote, so the one-deep rollback undoes it back to the head.
     {
         let dh = start_durable_server(fx, cfg, &dir, 0);
         assert_eq!(dh.head, 2);
@@ -598,8 +644,181 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
             |_| 2,
             "resumed-pruned-chain",
         );
+        // What serves, as the replica holds it, and which lineage
+        // generation the controller's next round would train from.
+        let head = dh.h.handle.current();
+        let parent_generation = || {
+            let bytes = dh.h.controller.current_bundle_bytes();
+            let bundle = SystemBundle::from_artifact_bytes(&bytes).expect("parent decodes");
+            bundle.lineage.generation
+        };
+        assert_eq!(parent_generation(), 2);
+        let ack = client
+            .rollback_to(1)
+            .expect("round trip")
+            .expect("retained");
+        assert_eq!((ack.restored, ack.serving), (1, 1));
+        assert!(!Arc::ptr_eq(&dh.h.handle.current().scorer, &head.scorer));
+        assert_eq!(parent_generation(), 1);
+        let undone = dh.h.controller.rollback();
+        assert_eq!((undone.rolled, undone.generation), (true, 2));
+        assert!(
+            Arc::ptr_eq(&dh.h.handle.current().scorer, &head.scorer),
+            "the head's scorer serves again"
+        );
+        assert_eq!(parent_generation(), 2, "and is the next round's parent");
+        drive(
+            &mut client,
+            &fx.waves,
+            &fx.expected_adapted,
+            |_| 2,
+            "deep-rollback-undone",
+        );
         client.shutdown().expect("shutdown acknowledged");
         dh.h.server.join();
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One member of an in-process fleet: a served replica over the fixture
+/// bundle (`lre-serve --fleet`) and the `FleetReplica` a coordinator
+/// drives, with the recorder the replica's installs land in.
+struct Member {
+    handle: Arc<ScorerHandle>,
+    replica: Arc<FleetReplica>,
+    server: Server,
+    flight: Arc<FlightRecorder>,
+}
+
+fn start_member(fx: &Fixture) -> Member {
+    let r = replica(
+        &fx.bytes,
+        Arc::new(VoteLog::new(4096)),
+        ServerHooks::default(),
+    );
+    let flight = Arc::clone(&r.hooks.obs.flight);
+    let hooks = ServerHooks {
+        fleet: Some(Arc::clone(&r.replica) as _),
+        ..r.hooks
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let server = Server::start(listener, Arc::clone(&r.handle), server_config(), hooks)
+        .expect("server starts");
+    Member {
+        handle: r.handle,
+        replica: r.replica,
+        server,
+        flight,
+    }
+}
+
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn one_coordinator_over_two_replicas_matches_offline_run_dba() {
+    let fx = fixture();
+    let fleet = [start_member(fx), start_member(fx)];
+    let replicas: Vec<Arc<dyn FleetControl>> =
+        fleet.iter().map(|m| Arc::clone(&m.replica) as _).collect();
+    let flight = Arc::new(FlightRecorder::new(64));
+    let coordinator = |guard, max_regress| {
+        let cfg = AdaptConfig {
+            v_threshold: V,
+            min_utts: 8,
+            max_eer_regress: max_regress,
+            max_cavg_regress: max_regress,
+        };
+        let bytes = fx.bytes.clone();
+        AdaptController::new(
+            replicas.clone(),
+            None,
+            guard,
+            bytes,
+            cfg,
+            Arc::clone(&flight),
+        )
+    };
+
+    // A guard that disagrees with the bundle is refused at construction,
+    // not on the first cycle.
+    let mut short = guard(fx);
+    short.svs.pop();
+    assert!(coordinator(short, f64::INFINITY).is_err());
+    let ctl = coordinator(guard(fx), f64::INFINITY).expect("controller wires up");
+
+    // Below the floor: no log touched, nothing drained, floor generation.
+    let idle = ctl.run_cycle();
+    assert_eq!(
+        (idle.outcome, idle.generation, idle.drained),
+        (ADAPT_INSUFFICIENT_DATA, 0, 0)
+    );
+
+    // The pool goes duration-major into replica 0. Replica 1 scores two
+    // of the same utterances, which the digest merge drops again.
+    let mut clients: Vec<Client> = fleet
+        .iter()
+        .map(|m| Client::connect(m.server.local_addr()).expect("client connects"))
+        .collect();
+    let total = drive(
+        &mut clients[0],
+        &fx.waves,
+        &fx.expected_baseline,
+        |_| usize::MAX,
+        "replica 0 baseline",
+    );
+    drive(
+        &mut clients[1],
+        &fx.waves,
+        &fx.expected_baseline,
+        |di| if di == 0 { 2 } else { 0 },
+        "replica 1 baseline",
+    );
+
+    let report = ctl.run_cycle();
+    assert_eq!(report.outcome, ADAPT_PROMOTED, "cycle must promote");
+    assert_eq!(report.generation, 1, "both replicas flip to generation 1");
+    assert_eq!(report.drained as usize, total, "drained counts after dedup");
+    assert_eq!(report.selected as usize, fx.offline_selected);
+    for (i, (m, client)) in fleet.iter().zip(&mut clients).enumerate() {
+        assert_eq!(m.handle.generation(), 1);
+        let what = format!("replica {i} adapted");
+        drive(
+            client,
+            &fx.waves,
+            &fx.expected_adapted,
+            |_| usize::MAX,
+            &what,
+        );
+        // The coordinator decides; each replica records its own install.
+        assert_eq!(events(&m.flight, EV_SWAP), 1);
+    }
+    assert_eq!(events(&flight, EV_GUARD_ACCEPT), 1);
+    assert_eq!(events(&flight, EV_PROMOTE), 1);
+    assert_eq!(events(&flight, EV_SWAP), 0);
+
+    // Rollback restores the baseline bits on both.
+    let ack = ctl.rollback();
+    assert_eq!((ack.rolled, ack.generation), (true, 2));
+    for (i, (m, client)) in fleet.iter().zip(&mut clients).enumerate() {
+        assert_eq!(m.handle.generation(), 2);
+        let what = format!("replica {i} rolled back");
+        drive(client, &fx.waves, &fx.expected_baseline, |_| 2, &what);
+    }
+
+    // Move replica 1 one generation ahead; a forced rejection must then
+    // report the floor, replica 0's generation, and install nothing.
+    fleet[1].replica.stage(&fx.bytes).expect("restage");
+    assert_eq!(fleet[1].replica.commit().map(|c| c.generation), Ok(3));
+    let reject = coordinator(guard(fx), -1.0).expect("controller wires up");
+    let report = reject.run_cycle();
+    assert_eq!(report.outcome, ADAPT_REJECTED_GUARD);
+    assert_eq!(
+        report.generation, 2,
+        "the healthy replicas' lowest generation"
+    );
+    assert_eq!(fleet.each_ref().map(|m| m.handle.generation()), [2, 3]);
+
+    for (m, mut client) in fleet.into_iter().zip(clients) {
+        client.shutdown().expect("shutdown acknowledged");
+        m.server.join();
+    }
 }

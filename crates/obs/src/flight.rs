@@ -45,6 +45,11 @@ pub const EV_WAL_RECOVER: u8 = 11;
 /// A scorer panicked under an engine worker; the request failed with a
 /// typed reply and the worker lives on (`a` = trace id, 0 if untraced).
 pub const EV_PANIC: u8 = 12;
+/// An adaptation coordinator promoted a candidate to every replica it
+/// drives (`a` = the replicas' lowest generation after, `b` = bundle
+/// checksum, `x` / `y` = the guard deltas). Each replica's install is its
+/// own [`EV_SWAP`].
+pub const EV_PROMOTE: u8 = 13;
 
 /// Stable human name for an event kind (`"unknown"` for anything else,
 /// so a newer peer's events still print).
@@ -61,6 +66,7 @@ pub fn event_name(kind: u8) -> &'static str {
         EV_WAL_GC => "wal_gc",
         EV_WAL_RECOVER => "wal_recover",
         EV_PANIC => "panic",
+        EV_PROMOTE => "promote",
         _ => "unknown",
     }
 }
@@ -290,6 +296,7 @@ mod tests {
             EV_WAL_GC,
             EV_WAL_RECOVER,
             EV_PANIC,
+            EV_PROMOTE,
         ] {
             assert_ne!(event_name(kind), "unknown");
         }

@@ -26,9 +26,11 @@
 use crate::router::RouterObs;
 use lre_obs::{Counter, FlightRecorder, Histogram, EV_EJECT, EV_READMIT};
 use lre_serve::protocol::{
-    decode_reply, encode_request, encode_status_v2, read_frame, write_frame, PingReport, Request,
-    SAMPLES_AT_V2, SCORE_ID, STATUS_INTERNAL,
+    decode_reply, encode_request, encode_status_v2, read_frame, write_frame, AbortAck, CommitAck,
+    DrainReply, PingReport, Request, RollbackAck, StageAck, SAMPLES_AT_V2, SCORE_ID,
+    STATUS_INTERNAL,
 };
+use lre_serve::{Client, FleetControl, VoteRecord};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -91,14 +93,11 @@ pub struct Backend {
     next_id: AtomicU64,
     healthy: AtomicBool,
     probe: Mutex<Probe>,
-    /// Most recent successful health probe (router ping aggregation).
+    /// Most recent successful health probe (router ping aggregation, and
+    /// the generation the replica reports to an adaptation coordinator).
     last_ping: Mutex<Option<PingReport>>,
-    /// Replies this backend returned to clients through the router.
-    pub completed: AtomicU64,
-    /// Requests failed typed (`STATUS_INTERNAL`) because the replica died
-    /// with them in flight.
-    pub failed_inflight: AtomicU64,
     /// `router.backend.{addr}.latency_us`: forward-write to reply-match.
+    /// Its count is the replies this backend returned to clients.
     latency_us: Arc<Histogram>,
     /// `router.backend.ejected` / `.readmitted`, shared by every backend.
     ejected: Arc<Counter>,
@@ -131,8 +130,6 @@ impl Backend {
                 backoff: INITIAL_BACKOFF,
             }),
             last_ping: Mutex::new(None),
-            completed: AtomicU64::new(0),
-            failed_inflight: AtomicU64::new(0),
         }
     }
 
@@ -145,12 +142,24 @@ impl Backend {
         self.pending.lock().expect("pending poisoned").len()
     }
 
+    /// Replies this backend returned to clients through the router.
+    pub fn completed(&self) -> u64 {
+        self.latency_us.count()
+    }
+
     pub fn last_ping(&self) -> Option<PingReport> {
         *self.last_ping.lock().expect("ping poisoned")
     }
 
     pub fn record_ping(&self, p: PingReport) {
         *self.last_ping.lock().expect("ping poisoned") = Some(p);
+    }
+
+    /// One request/reply on a fresh control connection.
+    fn call<T>(&self, ask: impl FnOnce(&mut Client) -> io::Result<T>) -> Option<T> {
+        Client::connect(&self.addr)
+            .and_then(|mut c| ask(&mut c))
+            .ok()
     }
 
     /// Establish (or re-establish) the data connection and spawn its
@@ -190,7 +199,6 @@ impl Backend {
             if let Some(p) = entry {
                 frame[SCORE_ID].copy_from_slice(&p.client_id.to_le_bytes());
                 p.release();
-                self.completed.fetch_add(1, Ordering::Relaxed);
                 self.latency_us.record(p.sent.elapsed().as_micros() as u64);
                 let _ = p.reply_tx.send(frame); // client may have left; fine
             }
@@ -266,7 +274,6 @@ impl Backend {
         }
         for p in orphans {
             p.release();
-            self.failed_inflight.fetch_add(1, Ordering::Relaxed);
             let _ = p
                 .reply_tx
                 .send(encode_status_v2(p.client_id, STATUS_INTERNAL));
@@ -312,6 +319,48 @@ impl Backend {
             probe.next_probe = Instant::now() + probe.backoff;
             probe.backoff = (probe.backoff * 2).min(MAX_BACKOFF);
         }
+    }
+}
+
+/// The remote replica an adaptation coordinator drives: each call is one
+/// [`Client`] round trip on a fresh control connection. A replica that
+/// cannot be reached answers like one that refused — nothing drained,
+/// staged, committed, aborted or rolled back.
+impl FleetControl for Backend {
+    fn drain_votes(&self, peek: bool, min: u32) -> Result<Vec<VoteRecord>, u32> {
+        self.call(|c| c.drain_votes(peek, min))
+            .map_or(Err(0), DrainReply::unseal)
+    }
+
+    fn stage(&self, sealed: &[u8]) -> Result<StageAck, u8> {
+        self.call(|c| c.stage_bundle(sealed))
+            .unwrap_or(Err(STATUS_INTERNAL))
+    }
+
+    fn commit(&self) -> Result<CommitAck, u8> {
+        self.call(Client::commit_staged)
+            .unwrap_or(Err(STATUS_INTERNAL))
+    }
+
+    fn abort(&self) -> AbortAck {
+        self.call(Client::abort_staged)
+            .unwrap_or(AbortAck { had_staged: false })
+    }
+
+    fn rollback(&self) -> RollbackAck {
+        self.call(Client::rollback).unwrap_or(RollbackAck {
+            rolled: false,
+            generation: 0,
+        })
+    }
+
+    /// As of the last health probe.
+    fn generation(&self) -> u64 {
+        self.last_ping().map_or(0, |p| p.generation)
+    }
+
+    fn is_healthy(&self) -> bool {
+        Backend::is_healthy(self)
     }
 }
 

@@ -9,19 +9,20 @@
 //!            [--guard-max-cavg-regress X]
 //! ```
 //!
-//! With `--bundle` and `--guard` the router also coordinates fleet-wide
-//! adaptation: `lre-client --adapt` drains every replica's vote log,
-//! boosts one candidate from the merged pool, and promotes it through
-//! the two-phase rollout. Without them, adapt requests are refused
-//! `STATUS_UNSUPPORTED` (the router still routes, health-checks, and
-//! fans out rollbacks). A negative `--guard-max-eer-regress` forces
-//! every candidate to fail the guard — the fleet rollback drill.
+//! With `--bundle` and `--guard` the router also runs the adaptation
+//! controller over its replicas: `lre-client --adapt` drains every
+//! replica's vote log, boosts one candidate from the merged pool, and
+//! promotes it through the two-phase rollout. Without them, adapt
+//! requests are refused `STATUS_UNSUPPORTED` (the router still routes,
+//! health-checks, and fans out rollbacks). A negative
+//! `--guard-max-eer-regress` forces every candidate to fail the guard —
+//! the fleet rollback drill.
 
-use lre_adapt::GuardArgs;
+use lre_adapt::{AdaptController, GuardArgs};
 use lre_artifact::ArtifactRead;
 use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
-use lre_router::{Backend, FleetAdapter, Policy, Router, RouterConfig, RouterObs};
+use lre_router::{Backend, Policy, Router, RouterConfig, RouterObs};
 use lre_serve::args::{or_die, Args};
 use lre_serve::DEFAULT_FLIGHT_CAPACITY;
 use std::net::TcpListener;
@@ -77,30 +78,31 @@ fn main() {
         .map(|a| Arc::new(Backend::new(a.clone(), &obs)))
         .collect();
 
-    let fleet = bundle_path.zip(guard_args.guard).map(|(bp, gp)| {
+    let adapt = bundle_path.zip(guard_args.guard).map(|(bp, gp)| {
         let parent_bytes = or_die(std::fs::read(&bp), format!("reading {}", bp.display()));
         let guard = or_die(
             GuardSet::load_artifact(&gp),
             format!("loading {}", gp.display()),
         );
-        let adapter = FleetAdapter::new(
-            backends.clone(),
+        let controller = AdaptController::new(
+            backends.iter().map(|b| Arc::clone(b) as _).collect(),
+            None,
             guard,
             parent_bytes,
             guard_args.adapt,
             Arc::clone(&obs.flight),
         );
-        let adapter = or_die(adapter, "invalid bundle for fleet adaptation");
+        let controller = or_die(controller, "invalid bundle or guard for fleet adaptation");
         eprintln!(
             "[router] fleet adaptation armed (min_utts={})",
             guard_args.adapt.min_utts
         );
-        Arc::new(adapter)
+        Arc::new(controller)
     });
 
     let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
     let router = or_die(
-        Router::start(listener, backends, cfg, fleet, obs),
+        Router::start(listener, backends, cfg, adapt, obs),
         "starting router",
     );
     let admitted = router.backends().iter().filter(|b| b.is_healthy()).count();

@@ -23,12 +23,12 @@
 //! its `router.shed` counter for the requests the router refused itself.
 
 use crate::backend::{probe_round_trip, Backend, Pending};
-use crate::fleet::FleetAdapter;
 use crate::ring::{hash_bytes, HashRing};
+use lre_adapt::{rollback_backends, AdaptController};
 use lre_obs::{Counter, FlightRecorder, Registry};
 use lre_serve::protocol::{
     decode_reply, decode_request, encode_ok, encode_status, encode_status_v2, read_frame,
-    write_frame, Ack, FleetStats, PingReport, ReplicaStat, Request, RollbackAck, WalStatusInfo,
+    write_frame, Ack, FleetStats, PingReport, ReplicaStat, Request, WalStatusInfo,
     SAMPLES_AT_TRACED, SAMPLES_AT_V2, STATUS_BAD_REQUEST, STATUS_INTERNAL, STATUS_OVERLOADED,
     STATUS_UNSUPPORTED, TRACE_ID,
 };
@@ -81,8 +81,9 @@ impl Default for RouterConfig {
 
 /// The router's telemetry bundle: its own registry (per-backend routed
 /// latency, eject/re-admit counters, router sheds) and the flight
-/// recorder fed by backend health transitions and fleet rollouts. The
-/// stats-v3 and flight protocol tags are answered from it.
+/// recorder fed by backend health transitions and the adaptation
+/// controller's decisions. The stats-v3 and flight protocol tags are
+/// answered from it.
 pub struct RouterObs {
     pub registry: Arc<Registry>,
     pub flight: Arc<FlightRecorder>,
@@ -111,7 +112,8 @@ struct Shared {
     /// Score requests in flight through the router, across all clients
     /// (an `Arc` because every pending entry holds a decrement duty).
     global_inflight: Arc<AtomicUsize>,
-    fleet: Option<Arc<FleetAdapter>>,
+    /// The adaptation controller over `backends`, when armed.
+    adapt: Option<Arc<AdaptController>>,
     obs: Arc<RouterObs>,
     probe_timeout: Duration,
     stopping: AtomicBool,
@@ -154,13 +156,14 @@ impl Router {
     /// with this same `obs`). Each backend gets one synchronous admission
     /// attempt so a fleet that is already up is routable before the first
     /// request; replicas that are still starting are admitted by the
-    /// health thread. The stats-v3 and flight tags are answered from
-    /// `obs`.
+    /// health thread. `adapt`, a controller over the same backends,
+    /// answers adapt and rollback requests. The stats-v3 and flight tags
+    /// are answered from `obs`.
     pub fn start(
         listener: TcpListener,
         backends: Vec<Arc<Backend>>,
         cfg: RouterConfig,
-        fleet: Option<Arc<FleetAdapter>>,
+        adapt: Option<Arc<AdaptController>>,
         obs: Arc<RouterObs>,
     ) -> io::Result<Router> {
         let addr = listener.local_addr()?;
@@ -173,7 +176,7 @@ impl Router {
             policy: cfg.policy,
             max_inflight: cfg.max_inflight.max(1),
             global_inflight: Arc::new(AtomicUsize::new(0)),
-            fleet,
+            adapt,
             obs,
             probe_timeout: cfg.probe_timeout,
             stopping: AtomicBool::new(false),
@@ -356,7 +359,7 @@ fn fleet_stats(shared: &Shared) -> FleetStats {
                 healthy: false,
                 generation: b.last_ping().map(|p| p.generation).unwrap_or(0),
                 inflight: b.inflight() as u64,
-                completed: b.completed.load(Ordering::Relaxed),
+                completed: b.completed(),
                 shed: 0,
             }),
         }
@@ -384,7 +387,7 @@ fn router_ping(shared: &Shared) -> PingReport {
     let mut completed = 0u64;
     for b in &shared.backends {
         inflight += b.inflight() as u64;
-        completed += b.completed.load(Ordering::Relaxed);
+        completed += b.completed();
         if b.is_healthy() {
             if let Some(p) = b.last_ping() {
                 generation = generation.min(p.generation);
@@ -402,17 +405,6 @@ fn router_ping(shared: &Shared) -> PingReport {
         shed,
         completed,
     }
-}
-
-/// Fleet rollback without an adapter: plain fan-out.
-fn rollback_fanout(shared: &Shared) -> RollbackAck {
-    let fleet: Vec<Arc<Backend>> = shared
-        .backends
-        .iter()
-        .filter(|b| b.is_healthy())
-        .cloned()
-        .collect();
-    crate::fleet::rollback_backends(&fleet)
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
@@ -450,10 +442,14 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             })),
             Ok(Request::FleetStats) => Some(encode_ok(&fleet_stats(&shared))),
             Ok(Request::Ping) => Some(encode_ok(&router_ping(&shared))),
-            Ok(Request::Adapt) => Some(answer(&shared.fleet, |f| Ok(f.cycle()))),
-            Ok(Request::Rollback) => Some(encode_ok(&match &shared.fleet {
-                Some(f) => f.rollback(),
-                None => rollback_fanout(&shared),
+            Ok(Request::Adapt) => Some(answer(&shared.adapt, |c| Ok(c.run_cycle()))),
+            // Without a controller, a rollback is a plain fan-out.
+            Ok(Request::Rollback) => Some(encode_ok(&match &shared.adapt {
+                Some(c) => c.rollback(),
+                None => {
+                    let healthy = shared.backends.iter().filter(|b| b.is_healthy());
+                    rollback_backends(&healthy.map(|b| Arc::clone(b) as _).collect::<Vec<_>>())
+                }
             })),
             // WAL status is observability: proxy it to the first healthy
             // backend that has a WAL (typically the adapt coordinator)

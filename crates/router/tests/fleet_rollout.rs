@@ -1,22 +1,25 @@
-//! Two-phase rollout against a real fleet: three in-process `lre-serve`
+//! Two-phase rollout against a real fleet: in-process `lre-serve`
 //! replicas (mock scorers behind the real server, engine, and wire
-//! protocol) coordinated by `two_phase_promote` / `rollback_backends`.
+//! protocol) reached through the router's `Backend`s and coordinated by
+//! `lre_adapt::{two_phase_promote, rollback_backends}`.
 //!
 //! The properties under test are the fleet generation's atomicity: a
 //! promotion flips every replica or none, a stage refusal anywhere
 //! leaves every replica serving the baseline untouched, and a rollback
 //! (voluntary or forced by a replica dying between stage and commit)
-//! restores baseline scores bit-for-bit (`f32::to_bits` equality).
+//! restores baseline scores bit-for-bit (`f32::to_bits` equality) — for
+//! a TCP replica and an in-process one alike.
 
+use lre_adapt::{rollback_backends, two_phase_promote};
 use lre_artifact::{crc32, ArtifactError};
 use lre_lattice::DecodeScratch;
-use lre_router::{rollback_backends, two_phase_promote, Backend, RouterObs};
+use lre_router::{Backend, RouterObs};
 use lre_serve::protocol::{
     decode_request, encode_ok, read_frame, write_frame, Request, StageAck, STATUS_CONFLICT,
 };
 use lre_serve::{
-    Client, EngineConfig, FleetReplica, ScoreDetail, ScoreReply, Scorer, ScorerHandle, Server,
-    ServerConfig, ServerHooks, VoteLog,
+    Client, EngineConfig, FleetControl, FleetReplica, ScoreDetail, ScoreReply, Scorer,
+    ScorerHandle, Server, ServerConfig, ServerHooks, VoteLog,
 };
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -50,7 +53,8 @@ fn candidate(v: u8) -> Vec<u8> {
     vec![b'M', v]
 }
 
-fn start_replica(accepts_candidates: bool) -> (Server, String) {
+/// A served replica, and the same `FleetReplica` in process.
+fn start_replica(accepts_candidates: bool) -> (Server, String, Arc<FleetReplica>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
     let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(BASELINE)), 0xB00B_5EED));
     let hooks = ServerHooks::default();
@@ -72,28 +76,30 @@ fn start_replica(accepts_candidates: bool) -> (Server, String) {
         },
         ..ServerConfig::default()
     };
+    let replica = Arc::new(replica);
     let hooks = ServerHooks {
-        fleet: Some(Arc::new(replica)),
+        fleet: Some(Arc::clone(&replica) as _),
         ..hooks
     };
     let server = Server::start(listener, handle, cfg, hooks).expect("start replica");
     let addr = server.local_addr().to_string();
-    (server, addr)
+    (server, addr, replica)
 }
 
-fn start_fleet(accepting: &[bool]) -> (Vec<Server>, Vec<String>, Vec<Arc<Backend>>) {
+/// The router's view of the replica at `addr`.
+fn remote(addr: &str) -> Arc<dyn FleetControl> {
+    Arc::new(Backend::new(addr.to_string(), &RouterObs::new(8)))
+}
+
+fn start_fleet(accepting: &[bool]) -> (Vec<Server>, Vec<String>, Vec<Arc<dyn FleetControl>>) {
     let mut servers = Vec::new();
     let mut addrs = Vec::new();
     for &a in accepting {
-        let (server, addr) = start_replica(a);
+        let (server, addr, _) = start_replica(a);
         servers.push(server);
         addrs.push(addr);
     }
-    let obs = RouterObs::new(8);
-    let backends = addrs
-        .iter()
-        .map(|a| Arc::new(Backend::new(a.clone(), &obs)))
-        .collect();
+    let backends = addrs.iter().map(|a| remote(a)).collect();
     (servers, addrs, backends)
 }
 
@@ -246,8 +252,7 @@ fn mid_commit_death_rolls_back_the_replicas_that_already_flipped() {
     let baseline: Vec<Vec<u32>> = addrs.iter().map(|a| score_bits(a)).collect();
     // The dropper is last in fleet order, so both real replicas commit
     // before the coordinator discovers the death and must undo them.
-    let dropper = Backend::new(spawn_commit_dropper(), &RouterObs::new(8));
-    backends.push(Arc::new(dropper));
+    backends.push(remote(&spawn_commit_dropper()));
 
     let sealed = candidate(5);
     assert_eq!(
@@ -266,4 +271,37 @@ fn mid_commit_death_rolls_back_the_replicas_that_already_flipped() {
         // model change.
         assert_eq!(generation_of(addr), 2);
     }
+}
+
+/// One coordinator seam for both kinds of replica: an in-process
+/// `FleetReplica` first, TCP backends behind it. A stage refusal behind
+/// the local replica must abort its staged copy, and a death between the
+/// phases must roll its commit back.
+#[test]
+fn mixed_fleet_abort_and_undo_reach_the_in_process_replica() {
+    let (_local_server, local_addr, local) = start_replica(true);
+    let baseline = score_bits(&local_addr);
+
+    let (_refusing, refusing_addr, _) = start_replica(false);
+    let fleet: Vec<Arc<dyn FleetControl>> = vec![local.clone(), remote(&refusing_addr)];
+    let sealed = candidate(4);
+    assert_eq!(two_phase_promote(&fleet, &sealed, crc32(&sealed)), None);
+    assert_eq!(local.commit(), Err(STATUS_CONFLICT), "local stage aborted");
+    assert_eq!(local.generation(), 0);
+    assert_eq!(score_bits(&local_addr), baseline);
+
+    let (_accepting, addr, _) = start_replica(true);
+    let fleet: Vec<Arc<dyn FleetControl>> = vec![
+        local.clone(),
+        remote(&addr),
+        remote(&spawn_commit_dropper()),
+    ];
+    let sealed = candidate(5);
+    assert_eq!(two_phase_promote(&fleet, &sealed, crc32(&sealed)), None);
+    for a in [&local_addr, &addr] {
+        assert_eq!(score_bits(a), baseline, "commit undone bit-identically");
+        // Commit then forced rollback: two generation bumps.
+        assert_eq!(generation_of(a), 2);
+    }
+    assert_eq!(local.generation(), 2);
 }

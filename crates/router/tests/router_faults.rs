@@ -188,7 +188,7 @@ fn replica_death_mid_pipeline_fails_fast_typed_then_readmits() {
     // reply the backend produced was counted.
     assert_eq!(router.backends()[0].inflight(), 0);
     assert_eq!(
-        router.backends()[0].completed.load(Ordering::Relaxed),
+        router.backends()[0].completed(),
         SCORED_BEFORE_DEATH as u64 + 1
     );
     router.stop();

@@ -1,10 +1,13 @@
-//! The replica half of a two-phase fleet rollout.
+//! The replica half of a two-phase rollout, and the seam every adaptation
+//! coordinator drives.
 //!
-//! A single adapting server promotes a candidate with one atomic
-//! [`ScorerHandle::swap`]. A fleet cannot: N independent swaps leave a
-//! window where clients see scores from two model generations depending on
-//! which replica their request lands on. The router closes that window
-//! with a two-phase protocol, and this module is the replica's side of it:
+//! One replica promotes a candidate with one atomic [`ScorerHandle::swap`].
+//! A fleet cannot: N independent swaps leave a window where clients see
+//! scores from two model generations depending on which replica their
+//! request lands on. The coordinator (`lre_adapt::AdaptController`) closes
+//! that window with a two-phase protocol, and [`FleetControl`] is the
+//! replica's side of it — in process ([`FleetReplica`]) or over TCP (the
+//! router's `Backend`):
 //!
 //! 1. **Stage** ([`FleetControl::stage`]): decode and fully validate the
 //!    sealed candidate bundle, build the scorer, hold it *unserved*.
@@ -24,31 +27,34 @@
 //!    failed to commit, restoring the fleet to one generation again.
 //!
 //! The vote-log drain ([`FleetControl::drain_votes`]) rides the same
-//! trait: the router peeks every replica's buffered count, and only when
-//! the fleet-wide sum clears the adaptation floor drains them all —
-//! keeping the all-or-nothing property of [`VoteLog::drain_at_least`]
-//! meaningful at fleet scope.
+//! trait: the coordinator peeks every replica's buffered count, and only
+//! when the sum clears the adaptation floor drains them all — keeping the
+//! all-or-nothing property of [`VoteLog::drain_at_least`] meaningful at
+//! fleet scope. The seam hands over [`VoteRecord`]s; only the wire seals
+//! them ([`DrainReply::seal`] in the server, [`DrainReply::unseal`] in
+//! the router).
 
 use crate::bundle::SystemBundle;
 use crate::protocol::{AbortAck, CommitAck, DrainReply, RollbackAck, StageAck, STATUS_CONFLICT};
 use crate::swap::{ScorerHandle, VersionedScorer};
 use crate::system::{Scorer, ScoringSystem};
-use crate::votelog::{VoteLog, VoteLogSnapshot};
+use crate::votelog::{VoteLog, VoteLogSnapshot, VoteRecord};
 use lre_artifact::{crc32, ArtifactRead, ArtifactWrite};
 use lre_obs::{FlightRecorder, EV_ROLLBACK, EV_SWAP};
 use std::sync::{Arc, Mutex};
 
-/// The server's hook for the fleet-rollout request tags
+/// One replica as an adaptation coordinator drives it, and the server's
+/// hook for the fleet-rollout request tags
 /// ([`crate::protocol::REQ_DRAIN_VOTES`] through
-/// [`crate::protocol::REQ_ROLLBACK`]). Refusals are returned as protocol
-/// status bytes so the connection handler can encode them directly.
-/// Implemented by [`FleetReplica`]; servers started without a fleet hook
-/// refuse all five tags `STATUS_UNSUPPORTED`.
+/// [`crate::protocol::REQ_ROLLBACK`]). Refusals are protocol status bytes
+/// so the connection handler can encode them directly. Implemented by
+/// [`FleetReplica`] and by the router's `Backend`; servers started
+/// without a fleet hook refuse all five tags `STATUS_UNSUPPORTED`.
 pub trait FleetControl: Send + Sync + 'static {
-    /// Peek at (or all-or-nothing drain) the replica's vote log; a drain
-    /// below the `min` floor leaves the log untouched and reports the
-    /// buffered count.
-    fn drain_votes(&self, peek: bool, min: u32) -> DrainReply;
+    /// Peek at (or all-or-nothing drain) the replica's vote log: `Ok` with
+    /// the records taken, or `Err(buffered)` when nothing was taken —
+    /// always on a peek, and on a drain below the `min` floor.
+    fn drain_votes(&self, peek: bool, min: u32) -> Result<Vec<VoteRecord>, u32>;
     /// Validate and hold a sealed candidate bundle.
     fn stage(&self, sealed: &[u8]) -> Result<StageAck, u8>;
     /// Atomically swap the staged bundle into serving.
@@ -57,6 +63,47 @@ pub trait FleetControl: Send + Sync + 'static {
     fn abort(&self) -> AbortAck;
     /// Reinstall the model displaced by the last commit, if there is one.
     fn rollback(&self) -> RollbackAck;
+    /// The generation the replica serves.
+    fn generation(&self) -> u64;
+    /// Whether a coordinator should include the replica in a round.
+    fn is_healthy(&self) -> bool {
+        true
+    }
+}
+
+impl DrainReply {
+    /// A [`FleetControl::drain_votes`] result in its wire form: the records
+    /// taken travel as one sealed `VLOG` snapshot (whose `dropped` count is
+    /// 0 — a drain hands over records, not the log's counters).
+    pub fn seal(drain: Result<Vec<VoteRecord>, u32>) -> DrainReply {
+        match drain {
+            Ok(records) => DrainReply {
+                buffered: records.len() as u32,
+                sealed: Some(
+                    VoteLogSnapshot {
+                        records,
+                        dropped: 0,
+                    }
+                    .to_artifact_bytes(),
+                ),
+            },
+            Err(buffered) => DrainReply {
+                buffered,
+                sealed: None,
+            },
+        }
+    }
+
+    /// [`DrainReply::seal`] reversed. A snapshot that does not unseal
+    /// reads as nothing taken.
+    pub fn unseal(self) -> Result<Vec<VoteRecord>, u32> {
+        match self.sealed {
+            Some(bytes) => VoteLogSnapshot::from_artifact_bytes(&bytes)
+                .map(|snap| snap.records)
+                .map_err(|_| 0),
+            None => Err(self.buffered),
+        }
+    }
 }
 
 /// A fully validated candidate, held between stage and commit.
@@ -117,12 +164,6 @@ impl FleetReplica {
         }
     }
 
-    /// The vote log this replica drains (the engine taps into the same
-    /// one).
-    pub fn log(&self) -> &VoteLog {
-        &self.log
-    }
-
     /// Replace the stage-time validator. Testing seam: integration tests
     /// stand up whole fleets around sealed candidates cheap enough to
     /// build in-process, while production replicas keep the full
@@ -136,30 +177,13 @@ impl FleetReplica {
 }
 
 impl FleetControl for FleetReplica {
-    fn drain_votes(&self, peek: bool, min: u32) -> DrainReply {
+    fn drain_votes(&self, peek: bool, min: u32) -> Result<Vec<VoteRecord>, u32> {
         if peek {
-            return DrainReply {
-                buffered: self.log.len() as u32,
-                sealed: None,
-            };
+            return Err(self.log.len() as u32);
         }
-        match self.log.drain_at_least(min as usize) {
-            Ok(records) => {
-                let buffered = records.len() as u32;
-                let snap = VoteLogSnapshot {
-                    records,
-                    dropped: self.log.dropped(),
-                };
-                DrainReply {
-                    buffered,
-                    sealed: Some(snap.to_artifact_bytes()),
-                }
-            }
-            Err(buffered) => DrainReply {
-                buffered: buffered as u32,
-                sealed: None,
-            },
-        }
+        self.log
+            .drain_at_least(min as usize)
+            .map_err(|buffered| buffered as u32)
     }
 
     fn stage(&self, sealed: &[u8]) -> Result<StageAck, u8> {
@@ -219,6 +243,10 @@ impl FleetControl for FleetReplica {
                 generation: self.handle.generation(),
             },
         }
+    }
+
+    fn generation(&self) -> u64 {
+        self.handle.generation()
     }
 }
 
@@ -418,27 +446,26 @@ mod tests {
             stage_us: Default::default(),
             stage_done: None,
         };
-        rep.log().record(detail(1));
-        rep.log().record(detail(2));
+        rep.log.record(detail(1));
+        rep.log.record(detail(2));
 
-        let peeked = rep.drain_votes(true, 0);
-        assert_eq!(peeked.buffered, 2);
-        assert!(peeked.sealed.is_none());
-        assert_eq!(rep.log().len(), 2);
+        assert_eq!(rep.drain_votes(true, 0).err(), Some(2));
+        assert_eq!(rep.log.len(), 2);
 
-        // Below the floor: untouched.
-        let refused = rep.drain_votes(false, 5);
-        assert_eq!(refused.buffered, 2);
-        assert!(refused.sealed.is_none());
-        assert_eq!(rep.log().len(), 2);
+        // Below the floor: untouched, on the seam and on the wire.
+        assert_eq!(rep.drain_votes(false, 5).err(), Some(2));
+        let refused = DrainReply::seal(rep.drain_votes(false, 5));
+        assert_eq!((refused.buffered, refused.sealed.is_some()), (2, false));
+        assert_eq!(rep.log.len(), 2);
 
-        // At the floor: everything comes out as a sealed VLOG snapshot.
-        let drained = rep.drain_votes(false, 2);
+        // At the floor: everything comes out, and survives the wire's
+        // seal / unseal round trip record for record.
+        let drained = DrainReply::seal(rep.drain_votes(false, 2));
         assert_eq!(drained.buffered, 2);
-        let snap = VoteLogSnapshot::from_artifact_bytes(&drained.sealed.expect("drained")).unwrap();
-        assert_eq!(snap.records.len(), 2);
-        assert_eq!(snap.records[0].digest, 1);
-        assert!(rep.log().is_empty());
+        let records = drained.unseal().expect("drained");
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].digest, 1);
+        assert!(rep.log.is_empty());
     }
 
     #[test]
@@ -476,10 +503,8 @@ mod tests {
         log.record(detail(2));
         assert_eq!(log.wal_status().unwrap().buffered, 2);
 
-        let drained = rep.drain_votes(false, 2);
-        assert_eq!(drained.buffered, 2);
-        assert!(drained.sealed.is_some());
-        assert!(rep.log().is_empty());
+        assert_eq!(rep.drain_votes(false, 2).map(|r| r.len()), Ok(2));
+        assert!(rep.log.is_empty());
         assert_eq!(log.wal_status().unwrap().buffered, 0);
         std::fs::remove_dir_all(&d).ok();
     }

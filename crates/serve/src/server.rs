@@ -18,8 +18,8 @@ use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
 use crate::obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
 use crate::protocol::{
     decode_request, encode_ok, encode_score_ok_traced, encode_score_ok_v2, encode_status,
-    encode_status_v2, read_frame, write_frame, Ack, AdaptReport, PingReport, Request, Wire,
-    STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
+    encode_status_v2, read_frame, write_frame, Ack, AdaptReport, DrainReply, PingReport, Request,
+    Wire, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
     STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use crate::rollout::FleetControl;
@@ -69,11 +69,11 @@ pub trait AdaptControl: Send + Sync + 'static {
 pub struct ServerHooks {
     /// Tee every scored utterance into this tap (the adaptation vote log).
     pub tap: Option<Arc<dyn ScoreTap>>,
-    /// Answer [`Request::Adapt`] (a local, single-process adaptation
-    /// cycle).
+    /// Answer [`Request::Adapt`] (a cycle of the adaptation controller
+    /// this process hosts).
     pub control: Option<Arc<dyn AdaptControl>>,
     /// Answer the fleet-rollout tags: vote drain, stage/commit/abort,
-    /// rollback (a router-coordinated fleet cycle).
+    /// rollback (the replica half of a cycle a router coordinates).
     pub fleet: Option<Arc<dyn FleetControl>>,
     /// Answer the durability tags: WAL status and deep rollback to a
     /// lineage generation.
@@ -375,9 +375,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             // Derived from the engine's counters, so the probe stays
             // answerable while the queue is saturated.
             Ok(Request::Ping) => Some(encode_ok(&PingReport::from_stats(&engine.stats()))),
-            Ok(Request::DrainVotes { peek, min }) => {
-                Some(answer(&hooks.fleet, |f| Ok(f.drain_votes(peek, min))))
-            }
+            Ok(Request::DrainVotes { peek, min }) => Some(answer(&hooks.fleet, |f| {
+                Ok(DrainReply::seal(f.drain_votes(peek, min)))
+            })),
             Ok(Request::StageBundle { sealed }) => Some(answer(&hooks.fleet, |f| f.stage(&sealed))),
             Ok(Request::CommitStaged) => Some(answer(&hooks.fleet, |f| f.commit())),
             Ok(Request::AbortStaged) => Some(answer(&hooks.fleet, |f| Ok(f.abort()))),
