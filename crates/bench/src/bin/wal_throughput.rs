@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! cargo run -p lre-bench --release --bin wal_throughput -- \
-//!     --require-append-rate 45000 --require-replay-rate 12500
+//!     --require-append-rate 45000 --require-replay-rate 22000
 //! ```
 //!
 //! Rates are records/second. The default payload is 9 000 bytes because

@@ -68,10 +68,18 @@ fn main() {
         wal_fsync_ms,
         ..
     } = server;
+    // The file is read once: decoded, and checksummed for a fleet replica's
+    // handle (what stage/commit/rollback verify against).
+    let sealed = or_die(
+        std::fs::read(&bundle_path),
+        format!("reading {}", bundle_path.display()),
+    );
     let bundle = or_die(
-        SystemBundle::load_artifact(&bundle_path),
+        SystemBundle::from_artifact_bytes(&sealed),
         format!("loading {}", bundle_path.display()),
     );
+    let checksum = fleet.then(|| crc32(&sealed));
+    drop(sealed);
     eprintln!(
         "[serve] bundle: scale={}, seed={}, {} subsystems",
         bundle.scale_name,
@@ -88,16 +96,10 @@ fn main() {
     let obs = Arc::clone(&hooks.obs);
     // The flight recorder also dumps to stderr on panic.
     install_panic_dump(&obs.flight);
-    let handle = if fleet {
+    let handle = if let Some(checksum) = checksum {
         // A fleet replica serves through a hot-swappable handle tagged
-        // with the sealed bundle's checksum (what stage/commit/rollback
-        // verify against) and tees scores into the vote log the router
-        // drains.
-        let sealed = or_die(
-            std::fs::read(&bundle_path),
-            format!("reading {}", bundle_path.display()),
-        );
-        let checksum = crc32(&sealed);
+        // with the sealed bundle's checksum and tees scores into the vote
+        // log the router drains.
         let handle = Arc::new(ScorerHandle::new(system, checksum));
         eprintln!(
             "[serve] fleet replica mode: vote log capacity {log_capacity}, \
