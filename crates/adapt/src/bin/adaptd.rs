@@ -27,7 +27,8 @@
 //! chain under `DIR/lineage` *before* the hot swap. On restart against
 //! the same `DIR` the daemon replays the vote window, resumes serving
 //! from the chain head (ignoring `--bundle` except to root a fresh
-//! chain), and answers `lre-client --wal-status` / `--rollback-to GEN`.
+//! chain), publishes the WAL and the chain on its `wal.*` and `lineage.*`
+//! series (`lre-client --wal-status`), and answers `--rollback-to GEN`.
 //! `--keep-generations N` prunes all but the newest N generations' bytes
 //! after each promote (0 = keep everything).
 
@@ -169,7 +170,7 @@ fn main() {
     );
     let controller = AdaptController::new(
         vec![Arc::new(replica)],
-        chain.map(|store| (store, keep_generations, Arc::clone(&log))),
+        chain.map(|store| (store, keep_generations, &*obs.registry)),
         guard,
         bytes,
         guard_args.adapt,
@@ -196,7 +197,6 @@ fn main() {
         // The replica is driven in process only: no fleet-rollout tag
         // (drain, stage, commit, abort, rollback) is answered on the wire.
         fleet: None,
-        durability: wal_dir.is_some().then(|| Arc::clone(&controller) as _),
         obs,
     };
     let server = or_die(

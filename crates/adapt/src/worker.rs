@@ -36,7 +36,7 @@ use lre_corpus::Duration;
 use lre_dba::{build_tr_dba, dba_round_selection, DbaVariant, GuardSet};
 use lre_eval::ScoreMatrix;
 use lre_obs::{
-    FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
+    FlightRecorder, Registry, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
 };
 use lre_serve::args::Args;
 use lre_serve::protocol::{
@@ -44,9 +44,8 @@ use lre_serve::protocol::{
     STATUS_UNSUPPORTED,
 };
 use lre_serve::{
-    wal_status_info, AdaptControl, AdaptReport, DurabilityControl, FleetControl, SystemBundle,
-    VoteLog, VoteRecord, WalStatusInfo, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED,
-    ADAPT_REJECTED_GUARD,
+    AdaptControl, AdaptReport, FleetControl, SystemBundle, VoteRecord, ADAPT_FAILED,
+    ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 use lre_svm::OneVsRest;
 use lre_wal::{LineageError, LineageStore};
@@ -315,15 +314,14 @@ impl CtlState {
     }
 }
 
-/// The generation-lineage chain of a durable controller, its retention
-/// policy, and the WAL-backed vote log `wal-status` reports beside it.
+/// The generation-lineage chain of a durable controller and its retention
+/// policy.
 struct CtlLineage {
-    /// The controller's state mutex serializes promotes and deep
-    /// rollbacks; this inner lock only guards status reads racing them.
-    store: Mutex<LineageStore>,
+    /// Locked by promotes and deep rollbacks (under the controller's state
+    /// mutex, after any retrain) and by the `lineage.*` readers.
+    store: Arc<Mutex<LineageStore>>,
     /// Retained generations after each promote's GC; 0 = unlimited.
     keep_generations: usize,
-    votes: Arc<VoteLog>,
 }
 
 /// Lineage failures surfaced through the cycle's artifact-error channel.
@@ -359,10 +357,10 @@ impl AdaptController {
     /// subsystem count disagrees with it is refused here).
     ///
     /// With `lineage` — the chain, how many generations to retain, and the
-    /// WAL-backed vote log whose state `wal-status` reports beside the
-    /// chain — the controller is durable: every promoted generation is
-    /// sealed into the chain *before* any replica stages it, so
-    /// [`DurabilityControl::rollback_to`] can restore any retained
+    /// registry its `lineage.head` / `.entries` / `.retained` / `.bytes`
+    /// gauges are read into — the controller is durable: every promoted
+    /// generation is sealed into the chain *before* any replica stages it,
+    /// so [`AdaptControl::rollback_to`] can restore any retained
     /// generation bit-identically. An empty chain is rooted with
     /// `bundle_bytes`; otherwise the serving bundle must be the chain head
     /// (start from [`LineageStore::head`]'s bytes after a restart). After
@@ -373,7 +371,7 @@ impl AdaptController {
     /// into `flight`.
     pub fn new(
         replicas: Vec<Arc<dyn FleetControl>>,
-        lineage: Option<(LineageStore, usize, Arc<VoteLog>)>,
+        lineage: Option<(LineageStore, usize, &Registry)>,
         guard: GuardSet,
         bundle_bytes: Vec<u8>,
         cfg: AdaptConfig,
@@ -384,7 +382,7 @@ impl AdaptController {
             return Err(ArtifactError::Corrupt("guard/bundle subsystem counts"));
         }
         let lineage = lineage
-            .map(|(mut store, keep_generations, votes)| {
+            .map(|(mut store, keep_generations, registry)| {
                 match store.head() {
                     None => store
                         .record_root(&bundle_bytes, bundle.lineage.generation)
@@ -396,10 +394,19 @@ impl AdaptController {
                     }
                     Some(_) => {}
                 }
+                // The chain summary is read from the store at every snapshot.
+                let store = Arc::new(Mutex::new(store));
+                let bind = |name, read: fn(&LineageStore) -> u64| {
+                    let store = Arc::clone(&store);
+                    registry.gauge_fn(name, move || read(&store.lock().expect("lineage poisoned")));
+                };
+                bind("lineage.head", |s| s.head().map_or(0, |e| e.generation));
+                bind("lineage.entries", |s| s.entries().len() as u64);
+                bind("lineage.retained", |s| s.retained() as u64);
+                bind("lineage.bytes", LineageStore::retained_bytes);
                 Ok(CtlLineage {
-                    store: Mutex::new(store),
+                    store,
                     keep_generations,
-                    votes,
                 })
             })
             .transpose()?;
@@ -565,17 +572,9 @@ impl AdaptController {
     }
 }
 
-impl DurabilityControl for AdaptController {
-    /// Point-in-time WAL + lineage summary. A controller without a lineage
-    /// reports the zeroed status (with `chain_ok` vacuously true).
-    fn wal_status(&self) -> WalStatusInfo {
-        match &self.lineage {
-            Some(l) => wal_status_info(
-                &l.votes.wal_status().unwrap_or_default(),
-                Some(&l.store.lock().expect("lineage store poisoned")),
-            ),
-            None => wal_status_info(&Default::default(), None),
-        }
+impl AdaptControl for AdaptController {
+    fn adapt_now(&self) -> AdaptReport {
+        self.run_cycle()
     }
 
     /// Deep rollback: load generation `generation`'s pristine sealed bytes
@@ -584,7 +583,8 @@ impl DurabilityControl for AdaptController {
     /// return `f32::to_bits`-identical to when that generation first
     /// served. It is an install like a promote, so a one-deep
     /// [`AdaptController::rollback`] undoes it. Unknown or pruned
-    /// generations are refused with `STATUS_CONFLICT`.
+    /// generations are refused with `STATUS_CONFLICT`, and every
+    /// generation `STATUS_UNSUPPORTED` by a controller without a lineage.
     fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8> {
         let Some(l) = &self.lineage else {
             return Err(STATUS_UNSUPPORTED);
@@ -614,12 +614,6 @@ impl DurabilityControl for AdaptController {
             serving,
             checksum,
         })
-    }
-}
-
-impl AdaptControl for AdaptController {
-    fn adapt_now(&self) -> AdaptReport {
-        self.run_cycle()
     }
 }
 

@@ -8,7 +8,10 @@
 //! slack) and requires the serving generation, checksum, and scores to be
 //! untouched — a rejected candidate must leave no trace in serving. The
 //! third drives the durable (WAL + lineage) controller across restarts and
-//! deep rollbacks; the fourth runs one coordinator over two replicas.
+//! deep rollbacks, holding every wal-status field to the WAL's status and
+//! the chain on disk; the fourth runs one coordinator over two replicas;
+//! the fifth holds a cycle inside the controller and requires ping and the
+//! metrics dump to answer meanwhile.
 //!
 //! Like `lre-serve`'s `serve_roundtrip`, these build the full smoke-scale
 //! experiment (minutes in release), shared through a `OnceLock`, so they
@@ -23,18 +26,20 @@ use lre_artifact::{ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
 use lre_dba::{run_dba, DbaVariant, Experiment, ExperimentConfig, GuardSet};
 use lre_eval::ScoreMatrix;
-use lre_obs::{FlightRecorder, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP};
+use lre_obs::{FlightRecorder, MetricValue, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP};
 use lre_serve::client::ScoreReply;
-use lre_serve::protocol::{RollbackAck, STATUS_CONFLICT};
+use lre_serve::protocol::{
+    AbortAck, CommitAck, RollbackAck, StageAck, STATUS_CONFLICT, STATUS_INTERNAL,
+};
 use lre_serve::{
     vote_wal_options, Client, EngineConfig, FleetControl, FleetReplica, ScorerHandle,
-    ScoringSystem, Server, ServerConfig, ServerHooks, SystemBundle, ADAPT_INSUFFICIENT_DATA,
-    ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    ScoringSystem, Server, ServerConfig, ServerHooks, SystemBundle, VoteRecord, WalStatusInfo,
+    ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 use lre_wal::{LineageStore, WalObs};
 use std::net::TcpListener;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Every utterance is selected at V = 1 (each subsystem always casts one
 /// vote), so the cycle is deterministic at any pool size — the test pins
@@ -248,7 +253,8 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
     opts.fsync_interval = std::time::Duration::ZERO; // every append durable
     let hooks = ServerHooks::default();
     let flight = Arc::clone(&hooks.obs.flight);
-    let wal_obs = WalObs::new(&hooks.obs.registry, Arc::clone(&flight));
+    let registry = Arc::clone(&hooks.obs.registry);
+    let wal_obs = WalObs::new(&registry, Arc::clone(&flight));
     let (durable, recovery) =
         VoteLog::open(&dir.join("votes"), 4096, opts, wal_obs).expect("vote WAL opens");
     let durable = Arc::new(durable);
@@ -256,7 +262,7 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
     let controller = Arc::new(
         AdaptController::new(
             vec![r.replica],
-            Some((lineage, keep, Arc::clone(&durable))),
+            Some((lineage, keep, &*registry)),
             guard(fx),
             bytes,
             cfg,
@@ -267,7 +273,6 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let hooks = ServerHooks {
         control: Some(Arc::clone(&controller) as _),
-        durability: Some(Arc::clone(&controller) as _),
         ..r.hooks
     };
     let server = Server::start(listener, Arc::clone(&r.handle), server_config(), hooks)
@@ -283,6 +288,33 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
         replayed: recovery.replayed,
         head,
     }
+}
+
+/// `client`'s wal-status view, required to be field for field the vote
+/// WAL's own status plus the lineage chain on disk under `dir`.
+fn wal_status(client: &mut Client, durable: &VoteLog, dir: &Path) -> WalStatusInfo {
+    let view = client
+        .wal_status()
+        .expect("wal-status round trip")
+        .expect("WAL is mounted");
+    let wal = durable.wal_status().expect("opened on a directory");
+    let chain = LineageStore::open(&dir.join("lineage")).expect("chain opens");
+    let want = WalStatusInfo {
+        appended: wal.next_seq,
+        low_water: wal.low_water,
+        buffered: wal.buffered,
+        segments: u64::from(wal.buffered > 0),
+        replayed: wal.replayed,
+        torn: wal.torn,
+        fsyncs: wal.fsyncs,
+        lineage_head: chain.head().map_or(0, |e| e.generation),
+        lineage_entries: chain.entries().len() as u32,
+        lineage_retained: chain.retained() as u32,
+        lineage_bytes: chain.retained_bytes(),
+        chain_ok: true,
+    };
+    assert_eq!(view, want);
+    view
 }
 
 /// Score `waves[di][..take(di)]` duration-major through `client`, checking
@@ -357,6 +389,8 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
     assert_eq!(events(&h.flight, EV_GUARD_ACCEPT), 1);
     assert_eq!(events(&h.flight, EV_PROMOTE), 1);
     assert_eq!(events(&h.flight, EV_SWAP), 1);
+    // Without a WAL there is no wal-status view.
+    assert_eq!(client.wal_status().expect("round trip"), None);
     // The replica is driven in process only: the wire still refuses the
     // fleet-rollout tags, as it always has on an adapting server.
     assert!(client.rollback().is_err(), "rollback tag is not answered");
@@ -501,10 +535,7 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
             |_| usize::MAX,
             "baseline",
         );
-        let status = client
-            .wal_status()
-            .expect("wal-status round trip")
-            .expect("WAL is mounted");
+        let status = wal_status(&mut client, &dh.durable, &dir);
         assert_eq!(status.buffered as usize, total, "every vote hit the WAL");
         assert_eq!(status.lineage_head, 0);
         assert!(status.chain_ok);
@@ -540,7 +571,7 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
             |_| 2,
             "adapted-after-restart",
         );
-        let status = client.wal_status().expect("round trip").expect("mounted");
+        let status = wal_status(&mut client, &dh.durable, &dir);
         assert_eq!(status.lineage_head, 1);
         assert_eq!(status.lineage_entries, 2);
         assert!(status.chain_ok);
@@ -611,7 +642,7 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
         // keep-generations pruned the oldest bytes at the promote: the
         // chain still validates end to end, but generation 0 is now a
         // typed refusal (as is a generation that never existed).
-        let status = client.wal_status().expect("round trip").expect("mounted");
+        let status = wal_status(&mut client, &dh.durable, &dir);
         assert_eq!(status.lineage_head, 2);
         assert_eq!(status.lineage_entries, 3);
         assert_eq!(status.lineage_retained, 2);
@@ -821,4 +852,129 @@ fn one_coordinator_over_two_replicas_matches_offline_run_dba() {
         client.shutdown().expect("shutdown acknowledged");
         m.server.join();
     }
+}
+
+/// A replica whose vote drain parks until the test opens the gate. A cycle
+/// parked in it holds the controller's state lock, as a cycle does for the
+/// whole of a retrain.
+#[derive(Default)]
+struct ParkedDrain {
+    /// (a drain has entered, the gate is open)
+    gate: Mutex<(bool, bool)>,
+    cv: Condvar,
+}
+
+impl ParkedDrain {
+    fn wait_entered(&self) {
+        let mut gate = self.gate.lock().expect("gate poisoned");
+        while !gate.0 {
+            gate = self.cv.wait(gate).expect("gate poisoned");
+        }
+    }
+
+    fn open(&self) {
+        self.gate.lock().expect("gate poisoned").1 = true;
+        self.cv.notify_all();
+    }
+}
+
+impl FleetControl for ParkedDrain {
+    /// A peek reports more than any floor; a drain parks, then takes
+    /// nothing.
+    fn drain_votes(&self, peek: bool, _min: u32) -> Result<Vec<VoteRecord>, u32> {
+        if peek {
+            return Err(u32::MAX);
+        }
+        let mut gate = self.gate.lock().expect("gate poisoned");
+        gate.0 = true;
+        self.cv.notify_all();
+        while !gate.1 {
+            gate = self.cv.wait(gate).expect("gate poisoned");
+        }
+        Err(0)
+    }
+
+    fn stage(&self, _sealed: &[u8]) -> Result<StageAck, u8> {
+        Err(STATUS_INTERNAL)
+    }
+
+    fn commit(&self) -> Result<CommitAck, u8> {
+        Err(STATUS_INTERNAL)
+    }
+
+    fn abort(&self) -> AbortAck {
+        AbortAck { had_staged: false }
+    }
+
+    fn rollback(&self) -> RollbackAck {
+        RollbackAck {
+            rolled: false,
+            generation: 0,
+        }
+    }
+
+    fn generation(&self) -> u64 {
+        0
+    }
+}
+
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn ping_and_the_dump_answer_while_a_cycle_holds_the_controller() {
+    let fx = fixture();
+    let dir = std::env::temp_dir().join(format!("lre_adapt_midcycle_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let parked = Arc::new(ParkedDrain::default());
+    let r = replica(
+        &fx.bytes,
+        Arc::new(VoteLog::new(16)),
+        ServerHooks::default(),
+    );
+    let lineage = LineageStore::open(&dir).expect("lineage opens");
+    let controller = AdaptController::new(
+        vec![Arc::clone(&parked) as _],
+        Some((lineage, 0, &*r.hooks.obs.registry)),
+        guard(fx),
+        fx.bytes.clone(),
+        AdaptConfig::default(),
+        Arc::clone(&r.hooks.obs.flight),
+    )
+    .expect("durable controller wires up");
+    let hooks = ServerHooks {
+        control: Some(Arc::new(controller) as _),
+        ..r.hooks
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let server = Server::start(listener, r.handle, server_config(), hooks).expect("server starts");
+    let addr = server.local_addr();
+    let cycle = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("client connects");
+        client.adapt().expect("adapt round trip")
+    });
+    parked.wait_entered();
+
+    // Every reader the dump calls (the lineage store's included) must
+    // answer without the lock the parked cycle holds.
+    let mut client = Client::connect(addr).expect("client connects");
+    assert_eq!(client.ping().expect("ping mid-cycle").generation, 0);
+    let dump = client
+        .metrics()
+        .expect("stats-v3 mid-cycle")
+        .expect("answered");
+    let entries = dump.iter().find(|(name, _)| name == "lineage.entries");
+    assert_eq!(
+        entries.map(|(_, v)| v),
+        Some(&MetricValue::Gauge(1)),
+        "the root"
+    );
+
+    parked.open();
+    let report = cycle.join().expect("cycle thread");
+    assert_eq!(
+        report.outcome, ADAPT_INSUFFICIENT_DATA,
+        "the drain took nothing"
+    );
+    client.shutdown().expect("shutdown acknowledged");
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
 }

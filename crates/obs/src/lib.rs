@@ -14,7 +14,8 @@
 //! - [`metrics`]: monotonic [`Counter`]s, [`Gauge`]s, Welford
 //!   [`Sketch`]es (count/mean/M2 — the per-language fused-LLR drift
 //!   signal), and the by-name [`Registry`] that snapshots them all
-//!   without stopping the world.
+//!   without stopping the world, along with readers bound to values their
+//!   owners already keep.
 //! - [`flight`]: a bounded ring of structured [`FlightEvent`]s (ejections,
 //!   guard verdicts, swaps, sheds, deadline expiries) that is drainable
 //!   over the wire and dumped to stderr on panic.

@@ -2,10 +2,13 @@
 //!
 //! Series are registered once (typically at startup) and the returned
 //! `Arc` is held by the hot path, so recording never touches the
-//! registry lock. A [`Registry::snapshot`] walks the name map, loads
-//! every series with relaxed atomics, and returns the entries in
-//! name-sorted order — the exact order the stats-v3 wire frame and
-//! `lre-client --metrics` print.
+//! registry lock. A value its owner already keeps (a queue's high-water
+//! mark, a model generation, a clock) is exported instead by binding a
+//! reader to a name ([`Registry::counter_fn`], [`Registry::gauge_fn`]),
+//! so nothing is recorded twice. A [`Registry::snapshot`] walks the name
+//! map, loads every series with relaxed atomics, calls every reader, and
+//! returns the entries in name-sorted order — the exact order the
+//! stats-v3 wire frame and `lre-client --metrics` print.
 
 use crate::hist::{Histogram, HistogramSummary};
 use std::collections::BTreeMap;
@@ -114,12 +117,31 @@ impl SketchSummary {
     }
 }
 
+/// Reads a value its owner keeps, at snapshot time.
+type Reader = Arc<dyn Fn() -> u64 + Send + Sync>;
+
 /// One registered series, as held by the registry.
+#[derive(Clone)]
 enum Series {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     Sketch(Arc<Sketch>),
+    ReadCounter(Reader),
+    ReadGauge(Reader),
+}
+
+impl Series {
+    fn value(&self) -> MetricValue {
+        match self {
+            Series::Counter(c) => MetricValue::Counter(c.get()),
+            Series::Gauge(g) => MetricValue::Gauge(g.get()),
+            Series::Histogram(h) => MetricValue::Histogram(h.summary()),
+            Series::Sketch(sk) => MetricValue::Sketch(sk.summary()),
+            Series::ReadCounter(read) => MetricValue::Counter(read()),
+            Series::ReadGauge(read) => MetricValue::Gauge(read()),
+        }
+    }
 }
 
 /// A point-in-time value of one series (what goes on the wire).
@@ -200,22 +222,37 @@ impl Registry {
         }
     }
 
+    /// Export a count its owner already keeps as counter `name`: `read`
+    /// is called at every snapshot. Binding a bound name again replaces
+    /// the reader (the latest owner wins).
+    pub fn counter_fn(&self, name: &str, read: impl Fn() -> u64 + Send + Sync + 'static) {
+        self.bind(name, Series::ReadCounter(Arc::new(read)));
+    }
+
+    /// [`Registry::counter_fn`] for a level.
+    pub fn gauge_fn(&self, name: &str, read: impl Fn() -> u64 + Send + Sync + 'static) {
+        self.bind(name, Series::ReadGauge(Arc::new(read)));
+    }
+
+    fn bind(&self, name: &str, series: Series) {
+        let mut map = self.series.lock().expect("registry poisoned");
+        match map.get(name) {
+            None | Some(Series::ReadCounter(_) | Series::ReadGauge(_)) => {}
+            Some(_) => panic!("metric {name} already registered as a different kind"),
+        }
+        map.insert(name.to_string(), series);
+    }
+
     /// Snapshot every series, name-sorted. Writers are never stopped:
     /// each series is loaded with the same relaxed atomics the hot path
-    /// writes with.
+    /// writes with. Readers run after the registry lock is released, so
+    /// one may take its owner's lock without ordering against this one.
     pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
-        let map = self.series.lock().expect("registry poisoned");
-        map.iter()
-            .map(|(name, s)| {
-                let v = match s {
-                    Series::Counter(c) => MetricValue::Counter(c.get()),
-                    Series::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Series::Histogram(h) => MetricValue::Histogram(h.summary()),
-                    Series::Sketch(sk) => MetricValue::Sketch(sk.summary()),
-                };
-                (name.clone(), v)
-            })
-            .collect()
+        let series: Vec<(String, Series)> = {
+            let map = self.series.lock().expect("registry poisoned");
+            map.iter().map(|(n, s)| (n.clone(), s.clone())).collect()
+        };
+        series.into_iter().map(|(n, s)| (n, s.value())).collect()
     }
 }
 
@@ -269,6 +306,33 @@ mod tests {
             }
             other => panic!("expected sketch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn readers_are_called_at_snapshot_and_rebinding_replaces_them() {
+        let r = Registry::new();
+        let level = Arc::new(AtomicU64::new(3));
+        let seen = Arc::clone(&level);
+        r.gauge_fn("q.depth", move || seen.load(Ordering::Relaxed));
+        r.counter_fn("q.swaps", || 1);
+        level.store(5, Ordering::Relaxed);
+        assert_eq!(
+            r.snapshot(),
+            [
+                ("q.depth".to_string(), MetricValue::Gauge(5)),
+                ("q.swaps".to_string(), MetricValue::Counter(1)),
+            ]
+        );
+        r.counter_fn("q.swaps", || 2);
+        assert_eq!(r.snapshot()[1].1, MetricValue::Counter(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "different kind")]
+    fn a_reader_cannot_replace_a_recorded_series() {
+        let r = Registry::new();
+        let _ = r.counter("x");
+        r.counter_fn("x", || 0);
     }
 
     #[test]

@@ -28,12 +28,12 @@ use lre_adapt::{rollback_backends, AdaptController};
 use lre_obs::{Counter, FlightRecorder, Registry};
 use lre_serve::protocol::{
     decode_reply, decode_request, encode_ok, encode_status, encode_status_v2, read_frame,
-    write_frame, Ack, FleetStats, PingReport, ReplicaStat, Request, WalStatusInfo,
-    SAMPLES_AT_TRACED, SAMPLES_AT_V2, STATUS_BAD_REQUEST, STATUS_INTERNAL, STATUS_OVERLOADED,
-    STATUS_UNSUPPORTED, TRACE_ID,
+    write_frame, Ack, FleetStats, PingReport, ReplicaStat, Request, SAMPLES_AT_TRACED,
+    SAMPLES_AT_V2, STATUS_BAD_REQUEST, STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_UNSUPPORTED,
+    TRACE_ID,
 };
 use lre_serve::server::answer;
-use lre_serve::{mint_trace_id, Client, StatsSnapshot};
+use lre_serve::{mint_trace_id, StatsSnapshot};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -315,22 +315,24 @@ fn admit_score(
     }
 }
 
+/// A healthy replica's engine counters: the stats-v2 view of its stats-v3
+/// dump, scraped with the health probe's timeouts, so a stalled replica
+/// cannot wedge the caller.
+fn scrape(b: &Backend, timeout: Duration) -> Option<StatsSnapshot> {
+    let reply = b
+        .is_healthy()
+        .then(|| probe_round_trip(&b.addr, &Request::StatsV3, timeout))?;
+    StatsSnapshot::from_dump(&decode_reply(&reply.ok()?).ok()?.ok()?)
+}
+
 /// Live fleet stats: per-replica counters summed into one
 /// aggregate, plus the per-replica breakdown.
 fn fleet_stats(shared: &Shared) -> FleetStats {
     let mut agg = StatsSnapshot::default();
     let mut replicas = Vec::with_capacity(shared.backends.len());
-    let mut min_generation = u64::MAX;
-    let mut any = false;
     for b in &shared.backends {
-        let stats = if b.is_healthy() {
-            Client::connect(&b.addr).and_then(|mut c| c.stats_v2()).ok()
-        } else {
-            None
-        };
-        match stats {
+        match scrape(b, shared.probe_timeout) {
             Some(s) => {
-                any = true;
                 agg.requests += s.requests;
                 agg.completed += s.completed;
                 agg.rejected += s.rejected;
@@ -344,7 +346,6 @@ fn fleet_stats(shared: &Shared) -> FleetStats {
                 agg.swaps += s.swaps;
                 agg.rollbacks += s.rollbacks;
                 agg.unknown += s.unknown;
-                min_generation = min_generation.min(s.generation);
                 replicas.push(ReplicaStat {
                     addr: b.addr.clone(),
                     healthy: true,
@@ -354,12 +355,13 @@ fn fleet_stats(shared: &Shared) -> FleetStats {
                     shed: s.rejected + s.expired + s.shed_global,
                 });
             }
+            // Its own counts as of its last health probe.
             None => replicas.push(ReplicaStat {
                 addr: b.addr.clone(),
                 healthy: false,
-                generation: b.last_ping().map(|p| p.generation).unwrap_or(0),
+                generation: b.last_ping().map_or(0, |p| p.generation),
                 inflight: b.inflight() as u64,
-                completed: b.completed(),
+                completed: b.last_ping().map_or(0, |p| p.completed),
                 shed: 0,
             }),
         }
@@ -371,7 +373,8 @@ fn fleet_stats(shared: &Shared) -> FleetStats {
     agg.rejected += shed;
     // The aggregate generation is the fleet's committed floor: the lowest
     // generation any healthy replica is serving.
-    agg.generation = if any { min_generation } else { 0 };
+    let healthy = replicas.iter().filter(|r| r.healthy);
+    agg.generation = healthy.map(|r| r.generation).min().unwrap_or(0);
     FleetStats {
         aggregate: agg,
         replicas,
@@ -433,7 +436,6 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             Ok(Request::ScoreTraced { id, trace_id, .. }) => {
                 admit_score(&shared, frame, id, Some(trace_id), &reply_tx, &window)
             }
-            Ok(Request::StatsV2) => Some(encode_ok(&fleet_stats(&shared).aggregate)),
             Ok(Request::StatsV3) => Some(encode_ok(&shared.obs.registry.snapshot())),
             Ok(Request::Flight { drain }) => Some(encode_ok(&if drain {
                 shared.obs.flight.drain()
@@ -451,20 +453,6 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                     rollback_backends(&healthy.map(|b| Arc::clone(b) as _).collect::<Vec<_>>())
                 }
             })),
-            // WAL status is observability: proxy it to the first healthy
-            // backend that has a WAL (typically the adapt coordinator)
-            // and forward its reply verbatim.
-            Ok(Request::WalStatus) => Some(
-                shared
-                    .backends
-                    .iter()
-                    .filter(|b| b.is_healthy())
-                    .filter_map(|b| {
-                        probe_round_trip(&b.addr, &Request::WalStatus, shared.probe_timeout).ok()
-                    })
-                    .find(|reply| matches!(decode_reply::<WalStatusInfo>(reply), Ok(Ok(_))))
-                    .unwrap_or_else(|| encode_status(STATUS_UNSUPPORTED)),
-            ),
             // Replica-level rollout tags terminate at the replicas; the
             // router *is* their coordinator and does not proxy them. Deep
             // rollback joins them: restoring a lineage generation is an

@@ -2,13 +2,18 @@
 //! replica dies with a pipeline of requests in flight and the router must
 //! answer every outstanding request exactly once with a typed status — no
 //! hangs, no torn frames, no duplicates — then re-admit the replica once
-//! it is answering health probes again.
+//! it is answering health probes again. Fleet stats are built from
+//! scripted replicas' stats-v3 dumps: the aggregate is the sum of their
+//! views, an ejected replica's row is its last probe, and a replica that
+//! never answers the scrape cannot wedge the reply.
 
+use lre_obs::Registry;
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::protocol::{
-    decode_request, encode_ok, encode_score_ok_v2, read_frame, write_frame, PingReport, Request,
+    decode_request, encode_ok, encode_score_ok_v2, read_frame, write_frame, MetricsDump,
+    PingReport, ReplicaStat, Request,
 };
-use lre_serve::{PipelinedClient, ScoreReply, ScoredUtt};
+use lre_serve::{Client, PipelinedClient, ScoreReply, ScoredUtt, StatsSnapshot};
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -212,5 +217,205 @@ fn empty_fleet_refuses_typed_immediately() {
     let (rid, reply) = client.recv().expect("typed refusal");
     assert_eq!(rid, id);
     assert!(matches!(reply, ScoreReply::Overloaded), "got {reply:?}");
+    router.stop();
+}
+
+/// A replica stand-in for fleet stats: answers `Ping` with `ping` while
+/// `alive` (and closes the probe otherwise), and `StatsV3` with `dump` —
+/// or, with no dump, reads the request and never replies, like a replica
+/// whose reader is wedged.
+struct StatsReplica {
+    addr: String,
+    alive: Arc<AtomicBool>,
+}
+
+fn spawn_stats_replica(ping: PingReport, dump: Option<MetricsDump>) -> StatsReplica {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let alive = Arc::new(AtomicBool::new(true));
+    let answering = Arc::clone(&alive);
+    thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut stream) = conn else { continue };
+            let (alive, dump) = (Arc::clone(&answering), dump.clone());
+            thread::spawn(move || {
+                while let Ok(Some(frame)) = read_frame(&mut stream) {
+                    let reply = match (decode_request(&frame), &dump) {
+                        (Ok(Request::Ping), _) if alive.load(Ordering::SeqCst) => encode_ok(&ping),
+                        (Ok(Request::StatsV3), Some(dump)) => encode_ok(dump),
+                        (Ok(Request::StatsV3), None) => continue,
+                        _ => return,
+                    };
+                    if write_frame(&mut stream, &reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    StatsReplica { addr, alive }
+}
+
+/// A replica's engine series as its registry would dump them.
+fn engine_dump(counts: [u64; 6], latencies_us: &[u64], generation: u64) -> MetricsDump {
+    let r = Registry::new();
+    let names = [
+        "engine.requests",
+        "engine.rejected",
+        "engine.expired",
+        "engine.failed",
+        "engine.shed_global",
+        "engine.unknown",
+    ];
+    for (name, n) in names.into_iter().zip(counts) {
+        r.counter(name).add(n);
+    }
+    for &us in latencies_us {
+        r.histogram("engine.latency_us").record(us);
+    }
+    r.gauge("engine.generation").set(generation);
+    r.gauge("engine.queue.max_depth").set(generation + 4);
+    r.gauge("engine.uptime_us").set(1_000 * generation);
+    r.counter("engine.swaps").add(generation);
+    r.counter("engine.rollbacks").add(1);
+    r.snapshot()
+}
+
+/// A router over `replicas`, returned once every one has been probed.
+fn stats_router(replicas: &[&StatsReplica]) -> (Router, Arc<RouterObs>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let obs = RouterObs::new(8);
+    let backends = replicas
+        .iter()
+        .map(|r| Arc::new(Backend::new(r.addr.clone(), &obs)))
+        .collect();
+    let router = Router::start(listener, backends, fast_health(), None, Arc::clone(&obs))
+        .expect("start router");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !router.backends().iter().all(|b| b.last_ping().is_some()) {
+        assert!(Instant::now() < deadline, "a replica was never probed");
+        thread::sleep(Duration::from_millis(10));
+    }
+    (router, obs)
+}
+
+fn fleet_stats(router: &Router) -> lre_serve::FleetStats {
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    client
+        .try_fleet_stats()
+        .expect("fleet stats round trip")
+        .expect("a router aggregates")
+}
+
+/// What a healthy replica's row reads: its scraped view.
+fn healthy_row(addr: &str, s: &StatsSnapshot) -> ReplicaStat {
+    ReplicaStat {
+        addr: addr.to_string(),
+        healthy: true,
+        generation: s.generation,
+        inflight: 0,
+        completed: s.completed,
+        shed: s.rejected + s.expired + s.shed_global,
+    }
+}
+
+/// The aggregate of `views` plus the router's own sheds.
+fn aggregate(views: &[StatsSnapshot], router_shed: u64) -> StatsSnapshot {
+    let sum = |f: fn(&StatsSnapshot) -> u64| views.iter().map(f).sum::<u64>();
+    let max = |f: fn(&StatsSnapshot) -> u64| views.iter().map(f).max().unwrap_or(0);
+    StatsSnapshot {
+        requests: sum(|s| s.requests) + router_shed,
+        completed: sum(|s| s.completed),
+        rejected: sum(|s| s.rejected) + router_shed,
+        max_queue_depth: max(|s| s.max_queue_depth),
+        latency_us_sum: sum(|s| s.latency_us_sum),
+        latency_us_max: max(|s| s.latency_us_max),
+        uptime_us: max(|s| s.uptime_us),
+        expired: sum(|s| s.expired),
+        failed: sum(|s| s.failed),
+        shed_global: sum(|s| s.shed_global),
+        generation: views.iter().map(|s| s.generation).min().unwrap_or(0),
+        swaps: sum(|s| s.swaps),
+        rollbacks: sum(|s| s.rollbacks),
+        unknown: sum(|s| s.unknown),
+    }
+}
+
+#[test]
+fn fleet_stats_sum_the_replica_views_and_keep_an_ejected_rows_last_probe() {
+    let dumps = [
+        engine_dump([10, 2, 1, 1, 1, 1], &[100, 200, 300], 3),
+        engine_dump([6, 1, 0, 0, 0, 0], &[50, 70], 2),
+    ];
+    let views = dumps
+        .clone()
+        .map(|d| StatsSnapshot::from_dump(&d).expect("an engine dump"));
+    // The probe's own counts differ from the scrape's, so each row shows
+    // which one it read.
+    let probe = |generation, completed| PingReport {
+        generation,
+        inflight: 0,
+        shed: 0,
+        completed,
+    };
+    let a = spawn_stats_replica(probe(3, 30), Some(dumps[0].clone()));
+    let b = spawn_stats_replica(probe(2, 70), Some(dumps[1].clone()));
+    let (router, obs) = stats_router(&[&a, &b]);
+    obs.shed.add(4);
+
+    let both = fleet_stats(&router);
+    assert_eq!(both.aggregate, aggregate(&views, 4));
+    assert_eq!(both.aggregate.generation, 2, "the healthy minimum");
+    assert_eq!(
+        both.replicas,
+        [
+            healthy_row(&a.addr, &views[0]),
+            healthy_row(&b.addr, &views[1])
+        ]
+    );
+
+    // Replica b stops answering probes: ejected after two strikes, its
+    // row is what its last probe said, and only a is summed.
+    b.alive.store(false, Ordering::SeqCst);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while router.backends()[1].is_healthy() {
+        assert!(Instant::now() < deadline, "replica b was never ejected");
+        thread::sleep(Duration::from_millis(10));
+    }
+    let one = fleet_stats(&router);
+    assert_eq!(one.aggregate, aggregate(&views[..1], 4));
+    assert_eq!(one.aggregate.generation, 3, "the healthy minimum");
+    assert_eq!(
+        one.replicas[1],
+        ReplicaStat {
+            addr: b.addr.clone(),
+            healthy: false,
+            generation: 2,
+            inflight: 0,
+            completed: 70,
+            shed: 0,
+        }
+    );
+    router.stop();
+}
+
+#[test]
+fn fleet_stats_answer_when_a_replica_never_answers_the_scrape() {
+    let probe = PingReport {
+        generation: 1,
+        inflight: 0,
+        shed: 0,
+        completed: 5,
+    };
+    let live = spawn_stats_replica(probe, Some(engine_dump([1; 6], &[10], 1)));
+    let stalled = spawn_stats_replica(probe, None);
+    let (router, _obs) = stats_router(&[&live, &stalled]);
+    let fleet = fleet_stats(&router);
+    assert!(fleet.replicas[0].healthy);
+    assert!(
+        !fleet.replicas[1].healthy,
+        "a replica whose scrape fails is not a healthy row"
+    );
+    assert_eq!(fleet.replicas[1].completed, 5, "its last probe");
     router.stop();
 }

@@ -14,7 +14,9 @@
 //!
 //! `--wal-status` prints the peer's write-ahead-log and generation-
 //! lineage summary (buffered votes, segments, replay counts, lineage
-//! chain) and exits non-zero against a peer running without `--wal-dir`.
+//! chain), read from its `wal.*` and `lineage.*` series, and exits
+//! non-zero against a peer running without `--wal-dir` (a router
+//! included).
 //! `--rollback-to GEN` asks the peer to restore lineage generation GEN
 //! into serving (a *deep* rollback — any retained generation, not just
 //! the previous one). See `docs/DURABILITY.md`.
@@ -470,7 +472,7 @@ fn main() {
     if wal_status {
         let mut client = connect_with_retry(&addr);
         let Some(w) = or_die(client.wal_status(), "wal-status request failed") else {
-            eprintln!("error: peer runs without a WAL (wal-status unsupported)");
+            eprintln!("error: peer runs without a WAL (no wal.* series)");
             std::process::exit(1);
         };
         // One parseable line; CI's crash-recovery drill greps it.

@@ -15,8 +15,8 @@
 //! utterance whose *best* fused LLR falls below the threshold is still
 //! answered (with its full LLR vector) but flagged `unknown` via the
 //! reply's decision sentinel, and its score is kept out of the
-//! adaptation vote log. The count is surfaced as the `unknown` field of
-//! the stats reply. See `docs/SERVING.md`.
+//! adaptation vote log. The count is the `engine.unknown` series, the
+//! `unknown` field of `lre-client --stats`. See `docs/SERVING.md`.
 //!
 //! `--fleet` runs the server as a routable fleet replica: scored
 //! utterances are teed into a vote log (`--log-capacity N` caps it) and the
@@ -28,8 +28,8 @@
 //! admitted vote is teed into a write-ahead log under `DIR`, replayed
 //! into the buffer on restart, and cleared by a router drain.
 //! `--wal-fsync-ms N` sets the fsync batching interval (0 = fsync every
-//! append; default 50). The `wal-status` protocol tag reports the log's
-//! state. See `docs/DURABILITY.md`.
+//! append; default 50). The log's state is on the `wal.*` series, which
+//! `lre-client --wal-status` reads. See `docs/DURABILITY.md`.
 
 use lre_artifact::{crc32, ArtifactRead};
 use lre_obs::install_panic_dump;
@@ -106,7 +106,7 @@ fn main() {
              bundle checksum {checksum:#010x}"
         );
         // With --wal-dir the votes survive a crash, a router drain clears
-        // the WAL with the buffer, and the wal-status tag answers from it.
+        // the WAL with the buffer, and the wal.* series report it.
         let log = match &wal_dir {
             Some(dir) => {
                 let mut opts = vote_wal_options();
@@ -128,7 +128,6 @@ fn main() {
             None => VoteLog::new(log_capacity),
         };
         let log = Arc::new(log);
-        hooks.durability = wal_dir.is_some().then(|| Arc::clone(&log) as _);
         hooks.tap = Some(Arc::clone(&log) as _);
         let replica = FleetReplica::new(Arc::clone(&handle), log, Arc::clone(&obs.flight));
         hooks.fleet = Some(Arc::new(replica));

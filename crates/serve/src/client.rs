@@ -5,15 +5,17 @@
 //! outstanding, and replies are matched by the echoed id as they arrive
 //! (possibly out of submission order). Control requests (stats, adapt,
 //! rollout, telemetry, shutdown) are one request → one reply and carry no
-//! id, so they are only valid while no score reply is outstanding.
+//! id, so they are only valid while no score reply is outstanding. The
+//! engine counters and the WAL summary are views the client computes from
+//! the peer's stats-v3 dump.
 
-use crate::engine::{ScoredUtt, StatsSnapshot};
+use crate::engine::ScoredUtt;
+use crate::obs::{StatsSnapshot, WalStatusInfo};
 use crate::protocol::{
     decode_reply, decode_score_reply_traced, decode_score_reply_v2, encode_request, read_frame,
     write_frame, AbortAck, Ack, AdaptReport, CommitAck, DrainReply, FleetStats, MetricsDump,
-    PingReport, Request, RollbackAck, RollbackToAck, StageAck, WalStatusInfo, Wire,
-    STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
-    STATUS_UNSUPPORTED,
+    PingReport, Request, RollbackAck, RollbackToAck, StageAck, Wire, STATUS_DEADLINE_EXCEEDED,
+    STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use lre_obs::FlightEvent;
 use std::io;
@@ -230,9 +232,15 @@ impl Client {
         decode_reply(&frame).map_err(proto_err)
     }
 
-    /// Fetch the engine counters (from a router: the fleet aggregate).
+    /// The engine counters: the [`StatsSnapshot::from_dump`] view of the
+    /// peer's stats-v3 dump. A router's dump has no engine series, so from
+    /// a router this is the fleet-stats aggregate.
     pub fn stats_v2(&mut self) -> io::Result<StatsSnapshot> {
-        accepted(self.call(&Request::StatsV2)?, "stats")
+        match StatsSnapshot::from_dump(&self.metrics()?.unwrap_or_default()) {
+            Some(stats) => Ok(stats),
+            None => accepted(self.call::<FleetStats>(&Request::FleetStats)?, "stats")
+                .map(|f| f.aggregate),
+        }
     }
 
     /// Ask the server to run one adaptation cycle now; blocks until the
@@ -284,10 +292,13 @@ impl Client {
         accepted(self.call(&Request::Rollback)?, "rollback")
     }
 
-    /// The peer's WAL + lineage summary. `Ok(None)` when the peer runs
-    /// without a durability hook (no `--wal-dir`).
+    /// The peer's WAL + lineage summary: the [`WalStatusInfo::from_dump`]
+    /// view of its stats-v3 dump. `Ok(None)` when the peer runs without a
+    /// WAL (no `--wal-dir`, or a router).
     pub fn wal_status(&mut self) -> io::Result<Option<WalStatusInfo>> {
-        if_supported(self.call(&Request::WalStatus)?, "wal-status")
+        Ok(self
+            .metrics()?
+            .and_then(|dump| WalStatusInfo::from_dump(&dump)))
     }
 
     /// Deep rollback: restore lineage generation `generation` into

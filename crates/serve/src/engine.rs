@@ -36,10 +36,11 @@
 //! accepted, and every outstanding reply callback fires exactly once.
 //!
 //! The engine keeps no counters of its own. Everything it counts goes into
-//! the process's [`ServeObs`] registry, and [`Engine::stats`] is a view
-//! over those series, so stats-v2 and stats-v3 cannot disagree.
+//! the process's [`ServeObs`] registry, what the queue and the scorer
+//! handle keep is read from them when the registry is snapshotted, and
+//! [`Engine::stats`] is the stats-v2 view of that snapshot.
 
-use crate::obs::ServeObs;
+use crate::obs::{ServeObs, StatsSnapshot};
 use crate::queue::{BoundedQueue, PushError, Work};
 use crate::swap::ScorerHandle;
 use crate::system::{sample_digest, FanOut, ScoreDetail, ScoreTap, Scorer, WorkingSet};
@@ -150,45 +151,6 @@ pub enum Outcome {
     Failed,
 }
 
-/// Point-in-time view of the engine's registry series (see
-/// [`Engine::stats`] for which series each field reads).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Submissions seen (accepted + shed).
-    pub requests: u64,
-    /// Utterances scored to completion.
-    pub completed: u64,
-    /// Submissions refused because the queue (or a connection's inflight
-    /// window) was full.
-    pub rejected: u64,
-    /// High-water mark of queue depth.
-    pub max_queue_depth: u64,
-    /// Sum of per-request latency (enqueue → scored), microseconds.
-    pub latency_us_sum: u64,
-    /// Worst per-request latency, microseconds.
-    pub latency_us_max: u64,
-    /// Engine uptime, microseconds (QPS = `completed / uptime`).
-    pub uptime_us: u64,
-    /// Accepted requests shed unscored because their deadline passed.
-    pub expired: u64,
-    /// Requests lost to scorer failures.
-    pub failed: u64,
-    /// Subset of `rejected` shed by the server's *global* admission cap
-    /// (`--max-global-inflight`), counted across every connection.
-    pub shed_global: u64,
-    /// Generation of the currently installed model (bumps on every hot
-    /// swap, including rollbacks).
-    pub generation: u64,
-    /// Model installs performed over the engine's lifetime.
-    pub swaps: u64,
-    /// How many of those installs were guard rollbacks.
-    pub rollbacks: u64,
-    /// Completed utterances flagged open-set `unknown` (top LLR below the
-    /// configured threshold). Always 0 without `--unknown-threshold`.
-    /// Counted inside `completed` — an unknown is still a scored reply.
-    pub unknown: u64,
-}
-
 /// Invoked exactly once with the request's outcome (possibly on a worker
 /// thread, after the submitter has moved on — the pipelining hook).
 type ReplyFn = Box<dyn FnOnce(Outcome) + Send>;
@@ -273,7 +235,6 @@ pub struct Engine {
     handle: Arc<ScorerHandle>,
     obs: Arc<ServeObs>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    started: Instant,
 }
 
 /// What one worker thread owns besides its [`WorkingSet`].
@@ -450,7 +411,9 @@ impl Engine {
     /// teeing every successful score into `tap` (the adaptation vote log).
     /// Every count, latency and per-language LLR sketch is recorded into
     /// `obs`, and sheds, deadline expiries and scorer panics land in its
-    /// flight recorder.
+    /// flight recorder. The queue's depth high-water mark, the handle's
+    /// generation and install counts and the uptime are bound into its
+    /// registry as readers.
     ///
     /// Workers resolve the handle **once per request**: the reply carries
     /// the generation of the [`crate::swap::VersionedScorer`] that
@@ -462,6 +425,19 @@ impl Engine {
         obs: Arc<ServeObs>,
     ) -> Engine {
         let queue = Arc::new(Queue::new(cfg.queue_capacity));
+        let registry = &obs.registry;
+        let q = Arc::clone(&queue);
+        registry.gauge_fn("engine.queue.max_depth", move || q.max_depth() as u64);
+        let started = Instant::now();
+        registry.gauge_fn("engine.uptime_us", move || {
+            started.elapsed().as_micros() as u64
+        });
+        let h = Arc::clone(&handle);
+        registry.gauge_fn("engine.generation", move || h.generation());
+        let h = Arc::clone(&handle);
+        registry.counter_fn("engine.swaps", move || h.swap_count());
+        let h = Arc::clone(&handle);
+        registry.counter_fn("engine.rollbacks", move || h.rollback_count());
         let width = cfg.workers.max(1);
         let workers = (0..width)
             .map(|_| {
@@ -481,7 +457,6 @@ impl Engine {
             handle,
             obs,
             workers: Mutex::new(workers),
-            started: Instant::now(),
         }
     }
 
@@ -561,30 +536,11 @@ impl Engine {
         self.obs.flight.record(EV_SHED, "global", 0, 0, 0.0, 0.0);
     }
 
-    /// The stats-v2 view of the registry: `completed`, `latency_us_sum`
-    /// and `latency_us_max` are `engine.latency_us`'s count, sum and max,
-    /// and each other count is the `engine.*` counter of the same name.
-    /// Queue depth, uptime and the model fields come from the queue and
-    /// the scorer handle.
+    /// The stats-v2 view ([`StatsSnapshot::from_dump`]) of a snapshot of
+    /// this engine's registry.
     pub fn stats(&self) -> StatsSnapshot {
-        let obs = &self.obs;
-        let latency = obs.latency_us.snapshot();
-        StatsSnapshot {
-            requests: obs.requests.get(),
-            completed: latency.count,
-            rejected: obs.rejected.get(),
-            max_queue_depth: self.queue.max_depth() as u64,
-            latency_us_sum: latency.sum,
-            latency_us_max: latency.max,
-            uptime_us: self.started.elapsed().as_micros() as u64,
-            expired: obs.expired.get(),
-            failed: obs.failed.get(),
-            shed_global: obs.shed_global.get(),
-            generation: self.handle.generation(),
-            swaps: self.handle.swap_count(),
-            rollbacks: self.handle.rollback_count(),
-            unknown: obs.unknown.get(),
-        }
+        StatsSnapshot::from_dump(&self.obs.registry.snapshot())
+            .expect("the engine's registry holds engine.requests")
     }
 
     /// Graceful shutdown: refuse new work, let the workers score

@@ -160,7 +160,7 @@ fn cases_for(row: &TagRow) -> Vec<FuzzCase> {
 /// *valid* request the server must still answer.
 pub fn malformed_corpus() -> Vec<FuzzCase> {
     let payload = |name: &str, bytes: Vec<u8>| framed("payload", name, bytes);
-    let stats = encode_request(&Request::StatsV2);
+    let stats = encode_request(&Request::StatsV3);
     let mut torn_score = encode_request(&Request::ScoreV2 {
         id: 7,
         deadline_ms: 100,
@@ -419,7 +419,6 @@ mod tests {
             "adapt: trailing junk",
             "ping: trailing junk",
             "stats-v3: trailing junk",
-            "wal-status: trailing junk",
             "fleet-stats: trailing junk",
             "flight: flag `drain` = 7",
             "drain-votes: flag `peek` = 2",
@@ -432,6 +431,8 @@ mod tests {
             "rollback-to: trailing junk",
             "retired tag 1",
             "retired tag 2",
+            "retired tag 5",
+            "retired tag 17",
         ] {
             let case = corpus.iter().find(|c| c.name == name);
             let case = case.unwrap_or_else(|| panic!("corpus lost the case {name:?}"));

@@ -47,7 +47,6 @@
 pub mod args;
 pub mod bundle;
 pub mod client;
-pub mod durability;
 pub mod engine;
 pub mod fuzz;
 pub mod obs;
@@ -61,12 +60,11 @@ pub mod votelog;
 
 pub use bundle::{Lineage, SubsystemBundle, SystemBundle};
 pub use client::{Client, PipelinedClient, ScoreReply};
-pub use durability::{wal_status_info, DurabilityControl};
-pub use engine::{decision, Engine, EngineConfig, Outcome, ScoredUtt, StatsSnapshot, SubmitError};
-pub use obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
+pub use engine::{decision, Engine, EngineConfig, Outcome, ScoredUtt, SubmitError};
+pub use obs::{ServeObs, StatsSnapshot, WalStatusInfo, DEFAULT_FLIGHT_CAPACITY};
 pub use protocol::{
     read_frame, write_frame, AdaptReport, DrainReply, FleetStats, PingReport, ReplicaStat, Request,
-    WalStatusInfo, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 pub use queue::BoundedQueue;
 pub use rollout::{FleetControl, FleetReplica};

@@ -26,10 +26,14 @@
 //! can keep a window of requests outstanding and match replies as they
 //! arrive; the traced reply appends the stage-timestamped span.
 //!
-//! Tags 1 and 2 (the one-request-in-flight score and nine-counter stats of
-//! the first protocol generation) are retired: they decode as unknown tags.
+//! Retired tags decode as unknown tags: 1 and 2 (the one-request-in-flight
+//! score and nine-counter stats of the first protocol generation), and 5
+//! and 17 (stats-v2 and wal-status, whose bodies are now client-side
+//! views over the stats-v3 dump: [`StatsSnapshot::from_dump`],
+//! [`crate::WalStatusInfo::from_dump`]).
 
-use crate::engine::{ScoredUtt, StatsSnapshot};
+use crate::engine::ScoredUtt;
+use crate::obs::StatsSnapshot;
 use lre_artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 use lre_obs::{FlightEvent, HistogramSummary, MetricValue, SketchSummary, TraceSpan, STAGE_REPLY};
 use std::io::{self, Read, Write};
@@ -69,7 +73,7 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 pub const DECISION_UNKNOWN: u32 = u32::MAX;
 
 /// Tag numbers that once meant something and must never be reused.
-pub const RETIRED_TAGS: &[u8] = &[1, 2];
+pub const RETIRED_TAGS: &[u8] = &[1, 2, 5, 17];
 
 /// A value with one byte layout: a request field or a reply body.
 pub trait Wire: Sized {
@@ -330,8 +334,6 @@ tag_table! {
     /// may be outstanding; replies echo the id and may arrive out of order.
     4 REQ_SCORE_V2 ScoreV2 "score-v2" { id: u64, deadline_ms: u32, samples: Vec<f32> }
         => ScoredUtt, "server · router (forwards to a replica)";
-    /// Report the engine counters. A router answers the fleet aggregate.
-    5 REQ_STATS_V2 StatsV2 "stats-v2" => StatsSnapshot, "server · router (fleet aggregate)";
     /// Run one adaptation cycle now (drain the vote log, retrain, guard,
     /// maybe swap), synchronously on the connection's reader.
     6 REQ_ADAPT Adapt "adapt" => AdaptReport, "adaptd · router started with --bundle/--guard";
@@ -372,10 +374,6 @@ tag_table! {
     16 REQ_SCORE_TRACED ScoreTraced "score-traced"
         { id: u64, deadline_ms: u32, trace_id: u64, samples: Vec<f32> }
         => ScoredUtt, "server · router (mints the trace id, forwards)";
-    /// Report the durability tier's state: write-ahead-log watermarks,
-    /// recovery counters and the generation-lineage chain summary.
-    17 REQ_WAL_STATUS WalStatus "wal-status"
-        => WalStatusInfo, "server started with --wal-dir · router (proxies to the first such replica)";
     /// Deep rollback: restore a specific previously served generation from
     /// the lineage store, bit-identically. Refused `STATUS_CONFLICT` when
     /// the generation is unknown or its bytes were garbage-collected.
@@ -631,7 +629,7 @@ pub fn decode_score_reply_traced(
     decode_score(bytes, true)
 }
 
-// The stats-v2 body: every counter as a `u64`, in declaration order.
+// The fleet-stats aggregate: every field as a `u64`, in declaration order.
 wire_struct!(impl StatsSnapshot {
     requests,
     completed,
@@ -768,38 +766,6 @@ wire_struct! {
         pub checksum: u32,
     }
 
-    /// The durability tier's state: WAL watermarks and recovery counters
-    /// plus the generation-lineage chain summary ([`Request::WalStatus`]
-    /// reply body). Replicas without a lineage store report zeroed lineage
-    /// fields with `chain_ok` true (an empty chain is a sound chain).
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct WalStatusInfo {
-        /// Total vote records ever appended (the WAL's next sequence number).
-        pub appended: u64,
-        /// First sequence number still logically in the log.
-        pub low_water: u64,
-        /// Records currently buffered in the WAL (`appended - low_water`).
-        pub buffered: u64,
-        /// Log files holding records: 1, or 0 while the log is empty.
-        pub segments: u64,
-        /// Records replayed by this process's crash recovery.
-        pub replayed: u64,
-        /// Torn tail records skipped by this process's crash recovery.
-        pub torn: u64,
-        /// fsyncs issued since this process opened the WAL.
-        pub fsyncs: u64,
-        /// Newest generation in the lineage chain.
-        pub lineage_head: u64,
-        /// Chain entries, pruned included.
-        pub lineage_entries: u32,
-        /// Entries whose sealed bundle bytes are still on disk.
-        pub lineage_retained: u32,
-        /// Bytes held by retained generations.
-        pub lineage_bytes: u64,
-        /// Whether the chain validated (contiguous, acyclic, files present).
-        pub chain_ok: bool,
-    }
-
     /// One replica's row in a fleet-stats breakdown.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct ReplicaStat {
@@ -807,14 +773,16 @@ wire_struct! {
         pub addr: String,
         /// Whether the router currently routes to this replica.
         pub healthy: bool,
-        /// The replica's serving model generation at its last health probe.
+        /// The replica's serving model generation: scraped now for a
+        /// healthy row, as of its last health probe otherwise.
         pub generation: u64,
         /// Requests the router currently has outstanding on this replica.
         pub inflight: u64,
-        /// Utterances this replica has scored (from its last probe).
+        /// Utterances the replica has scored, by its own count: scraped now
+        /// for a healthy row, as of its last health probe otherwise.
         pub completed: u64,
-        /// Load-shedding refusals this replica has issued (from its last
-        /// probe).
+        /// Load-shedding refusals the replica has issued (healthy rows; 0
+        /// otherwise).
         pub shed: u64,
     }
 
@@ -1175,7 +1143,6 @@ mod tests {
         let checks = checks! {
             Ack => vec![Ack];
             ScoredUtt => vec![scored(vec![0.25, -1.0], 1, 42), scored(Vec::new(), 0, 0)];
-            StatsSnapshot => vec![stats_example(), StatsSnapshot::default()];
             AdaptReport => vec![AdaptReport {
                 outcome: ADAPT_PROMOTED,
                 generation: 7,
@@ -1222,20 +1189,6 @@ mod tests {
                     y: -0.003,
                 },
             ]];
-            WalStatusInfo => vec![WalStatusInfo {
-                appended: 1234,
-                low_water: 1000,
-                buffered: 234,
-                segments: 1,
-                replayed: 900,
-                torn: 1,
-                fsyncs: 55,
-                lineage_head: 6,
-                lineage_entries: 7,
-                lineage_retained: 4,
-                lineage_bytes: 32_768,
-                chain_ok: true,
-            }];
             RollbackToAck => vec![RollbackToAck { restored: 4, serving: 9, checksum: 0xC0FFEE }];
         };
         for row in TAG_TABLE {
@@ -1293,9 +1246,9 @@ mod tests {
         assert!(decode_reply::<MetricsDump>(&encode_ok(&repeated)).is_err());
     }
 
-    /// The stats body is fourteen `u64`s. The previous format's fifteen (a
-    /// mode flag sat before `unknown`) must fail as trailing bytes, not
-    /// decode with the flag read as the unknown count.
+    /// The fleet-stats aggregate is fourteen `u64`s. The previous format's
+    /// fifteen (a mode flag sat before `unknown`) must fail as trailing
+    /// bytes, not decode with the flag read as the unknown count.
     #[test]
     fn stats_body_is_fourteen_words_and_fifteen_are_refused() {
         let frame = encode_ok(&stats_example());

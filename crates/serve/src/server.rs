@@ -9,18 +9,17 @@
 //! the writer interleaves them safely with whatever the reader answers
 //! inline (stats, control requests, refusals).
 //!
-//! Every server records into one [`ServeObs`], so stats-v2, stats-v3 and
-//! the flight recorder are always answered, and all three read the same
-//! series.
+//! Every server records into one [`ServeObs`], so stats-v3 and the flight
+//! recorder are always answered; stats-v2 and wal-status are views a
+//! client computes from the stats-v3 dump.
 
-use crate::durability::DurabilityControl;
 use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
 use crate::obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
 use crate::protocol::{
     decode_request, encode_ok, encode_score_ok_traced, encode_score_ok_v2, encode_status,
     encode_status_v2, read_frame, write_frame, Ack, AdaptReport, DrainReply, PingReport, Request,
-    Wire, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
-    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
+    RollbackToAck, Wire, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL,
+    STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
@@ -57,10 +56,16 @@ impl Default for ServerConfig {
 
 /// The server's hook into an adaptation controller: a [`Request::Adapt`]
 /// frame runs one cycle synchronously on the connection's reader thread
-/// and replies with the report. Implemented by `lre-adapt`'s controller;
-/// servers started without one refuse the request `STATUS_UNSUPPORTED`.
+/// and replies with the report, and a [`Request::RollbackTo`] frame
+/// restores a lineage generation the same way. Implemented by
+/// `lre-adapt`'s controller; servers started without one refuse both
+/// requests `STATUS_UNSUPPORTED`.
 pub trait AdaptControl: Send + Sync + 'static {
     fn adapt_now(&self) -> AdaptReport;
+
+    /// Restore lineage generation `generation` and swap it into serving,
+    /// or refuse with a protocol status byte.
+    fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8>;
 }
 
 /// Everything a server is wired to beyond the engine itself. The
@@ -69,17 +74,14 @@ pub trait AdaptControl: Send + Sync + 'static {
 pub struct ServerHooks {
     /// Tee every scored utterance into this tap (the adaptation vote log).
     pub tap: Option<Arc<dyn ScoreTap>>,
-    /// Answer [`Request::Adapt`] (a cycle of the adaptation controller
-    /// this process hosts).
+    /// Answer [`Request::Adapt`] and [`Request::RollbackTo`] (the
+    /// adaptation controller this process hosts).
     pub control: Option<Arc<dyn AdaptControl>>,
     /// Answer the fleet-rollout tags: vote drain, stage/commit/abort,
     /// rollback (the replica half of a cycle a router coordinates).
     pub fleet: Option<Arc<dyn FleetControl>>,
-    /// Answer the durability tags: WAL status and deep rollback to a
-    /// lineage generation.
-    pub durability: Option<Arc<dyn DurabilityControl>>,
-    /// Telemetry bundle: the engine records into it, and the stats-v2,
-    /// stats-v3 and flight-recorder tags are answered from it.
+    /// Telemetry bundle: the engine records into it, and the stats-v3 and
+    /// flight-recorder tags are answered from it.
     pub obs: Arc<ServeObs>,
 }
 
@@ -90,7 +92,6 @@ impl Default for ServerHooks {
             tap: None,
             control: None,
             fleet: None,
-            durability: None,
             obs: ServeObs::new(DEFAULT_FLIGHT_CAPACITY),
         }
     }
@@ -145,7 +146,7 @@ impl Server {
     /// the OS pick, then read [`Server::local_addr`]) over a hot-swappable
     /// scorer handle, with whichever [`ServerHooks`] the host wires in
     /// (vote-log tap, local adaptation control, fleet-rollout control,
-    /// durability, telemetry).
+    /// telemetry).
     pub fn start(
         listener: TcpListener,
         handle: Arc<ScorerHandle>,
@@ -368,7 +369,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 trace_id,
                 samples,
             }) => lane.admit(id, deadline_ms, Some(trace_id), samples),
-            Ok(Request::StatsV2) => Some(encode_ok(&engine.stats())),
             // One cycle runs synchronously and the report comes back in
             // request order.
             Ok(Request::Adapt) => Some(answer(&hooks.control, |c| Ok(c.adapt_now()))),
@@ -385,11 +385,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             // Only the router's front tier aggregates a fleet; a replica
             // (or single server) has nothing to answer with.
             Ok(Request::FleetStats) => Some(encode_status(STATUS_UNSUPPORTED)),
-            Ok(Request::WalStatus) => Some(answer(&hooks.durability, |d| Ok(d.wal_status()))),
             // Runs synchronously like `Adapt`: it swaps a model and the
             // requester wants the outcome in request order.
             Ok(Request::RollbackTo { generation }) => {
-                Some(answer(&hooks.durability, |d| d.rollback_to(generation)))
+                Some(answer(&hooks.control, |c| c.rollback_to(generation)))
             }
             Ok(Request::StatsV3) => Some(encode_ok(&hooks.obs.registry.snapshot())),
             Ok(Request::Flight { drain }) => Some(encode_ok(&if drain {

@@ -13,19 +13,29 @@
 //! - every server answers stats-v3 and flight, even one started from
 //!   `ServerHooks::default()`;
 //! - stats-v2 is a view over the stats-v3 series: after scored replies,
-//!   a window shed, a global shed, a deadline expiry, a scorer failure
-//!   and an open-set unknown, every stats-v2 counter equals its series.
+//!   a window shed, a global shed, a deadline expiry, a scorer failure,
+//!   an open-set unknown, a swap and a rollback, every stats-v2 field
+//!   equals its series;
+//! - wal-status is a view over the `wal.*` series: against a WAL-backed
+//!   server every field equals the log's own status after appends, a
+//!   drain and a reopen over a torn tail, and a server without a WAL has
+//!   no view. Neither kind mounts an adaptation controller, so both refuse
+//!   a deep rollback `unsupported`.
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_obs::{HistogramSummary, MetricValue, EV_SWAP, STAGE_QUEUE, STAGE_REPLY};
 use lre_serve::client::ScoreReply;
-use lre_serve::protocol::MetricsDump;
+use lre_serve::protocol::{MetricsDump, STATUS_UNSUPPORTED};
 use lre_serve::{
-    Client, EngineConfig, ScoreDetail, Scorer, ScorerHandle, ServeObs, Server, ServerConfig,
-    ServerHooks,
+    vote_wal_options, Client, EngineConfig, ScoreDetail, ScoreTap, Scorer, ScorerHandle, ServeObs,
+    Server, ServerConfig, ServerHooks, VoteLog, WalStatusInfo,
 };
+use lre_vsm::SparseVec;
+use lre_wal::{WalObs, LOG_FILE};
+use std::fs::OpenOptions;
 use std::net::TcpListener;
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -265,6 +275,13 @@ fn counter(dump: &MetricsDump, name: &str) -> u64 {
     }
 }
 
+fn gauge(dump: &MetricsDump, name: &str) -> u64 {
+    match dump.iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Gauge(v))) => *v,
+        other => panic!("{name} is not a gauge in the dump: {other:?}"),
+    }
+}
+
 fn histogram(dump: &MetricsDump, name: &str) -> HistogramSummary {
     match dump.iter().find(|(n, _)| n == name) {
         Some((_, MetricValue::Histogram(h))) => *h,
@@ -319,17 +336,32 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     assert_eq!(id, queued);
     assert!(matches!(reply, ScoreReply::Scored(_)));
 
+    // A swap and a rollback, as the adaptation loop installs them.
+    let handle = server.engine().scorer_handle();
+    let parent = handle.current();
+    handle.swap(Arc::new(ScriptedScorer::default()), 1);
+    handle.rollback_to(&parent);
+
     let stats = a.stats_v2().expect("stats-v2");
     let dump = a.metrics().expect("stats-v3").expect("always answered");
     let latency = histogram(&dump, "engine.latency_us");
     assert_eq!(stats.requests, counter(&dump, "engine.requests"));
     assert_eq!(stats.completed, latency.count);
     assert_eq!(stats.rejected, counter(&dump, "engine.rejected"));
+    assert_eq!(
+        stats.max_queue_depth,
+        gauge(&dump, "engine.queue.max_depth")
+    );
     assert_eq!(stats.latency_us_sum, latency.sum);
     assert_eq!(stats.latency_us_max, latency.max);
+    // The clock reads later in the later dump.
+    assert!(0 < stats.uptime_us && stats.uptime_us <= gauge(&dump, "engine.uptime_us"));
     assert_eq!(stats.expired, counter(&dump, "engine.expired"));
     assert_eq!(stats.failed, counter(&dump, "engine.failed"));
     assert_eq!(stats.shed_global, counter(&dump, "engine.shed_global"));
+    assert_eq!(stats.generation, gauge(&dump, "engine.generation"));
+    assert_eq!(stats.swaps, counter(&dump, "engine.swaps"));
+    assert_eq!(stats.rollbacks, counter(&dump, "engine.rollbacks"));
     assert_eq!(stats.unknown, counter(&dump, "engine.unknown"));
     // Every kind of outcome in the script happened, and they add up.
     assert_eq!(
@@ -338,8 +370,133 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     );
     assert_eq!((stats.shed_global, stats.unknown), (1, 1));
     assert_eq!(stats.requests, 8);
+    // The expiring request and `b`'s queued one waited behind the hold.
+    assert_eq!(stats.max_queue_depth, 2);
+    assert_eq!((stats.generation, stats.swaps, stats.rollbacks), (2, 2, 1));
+    assert_eq!(
+        server.engine().stats().generation,
+        2,
+        "ping reads the same view"
+    );
 
     drop((a, b));
     server.stop();
     server.join();
+}
+
+/// A vote carrying the intermediates a vote log keeps.
+fn vote(digest: u64) -> ScoreDetail {
+    ScoreDetail {
+        digest,
+        num_frames: 75,
+        duration_index: 1,
+        generation: 0,
+        fused: vec![1.0, -1.0, 0.5],
+        subsystem_scores: vec![vec![1.0, -1.0, 0.0]],
+        supervectors: vec![SparseVec::from_pairs(vec![(0, 1.0)])],
+        stage_us: Default::default(),
+        stage_done: None,
+    }
+}
+
+/// A server teeing into a vote log over the WAL in `dir` (`lre-serve
+/// --fleet --wal-dir`, every append fsynced inline).
+fn start_wal_server(dir: &Path) -> (Server, Arc<VoteLog>, String) {
+    let mut hooks = ServerHooks::default();
+    let mut opts = vote_wal_options();
+    opts.fsync_interval = Duration::ZERO;
+    let wal_obs = WalObs::new(&hooks.obs.registry, Arc::clone(&hooks.obs.flight));
+    let (log, _) = VoteLog::open(dir, 64, opts, wal_obs).expect("WAL opens");
+    let log = Arc::new(log);
+    hooks.tap = Some(Arc::clone(&log) as _);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let handle = Arc::new(ScorerHandle::new(Arc::new(MockScorer { classes: 3 }), 0));
+    let server = Server::start(listener, handle, fast_config(), hooks).expect("server starts");
+    let addr = server.local_addr().to_string();
+    (server, log, addr)
+}
+
+/// The view over the server's dump, field for field the log's own status.
+fn assert_view_is_the_wal_status(addr: &str, log: &VoteLog) -> WalStatusInfo {
+    let mut client = Client::connect(addr).expect("connect");
+    let view = client
+        .wal_status()
+        .expect("stats-v3 round trip")
+        .expect("a WAL-backed server has the view");
+    let wal = log.wal_status().expect("opened on a directory");
+    let want = WalStatusInfo {
+        appended: wal.next_seq,
+        low_water: wal.low_water,
+        buffered: wal.buffered,
+        segments: u64::from(wal.buffered > 0),
+        replayed: wal.replayed,
+        torn: wal.torn,
+        fsyncs: wal.fsyncs,
+        chain_ok: true,
+        ..WalStatusInfo::default()
+    };
+    assert_eq!(view, want);
+    view
+}
+
+#[test]
+fn wal_status_is_a_view_over_the_wal_series() {
+    let dir = std::env::temp_dir().join(format!("lre_obs_walview_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let (server, log, addr) = start_wal_server(&dir);
+        for digest in 0..5 {
+            log.record(vote(digest));
+        }
+        let view = assert_view_is_the_wal_status(&addr, &log);
+        assert_eq!((view.appended, view.buffered, view.fsyncs), (5, 5, 5));
+        log.drain_at_least(1).expect("five buffered");
+        let view = assert_view_is_the_wal_status(&addr, &log);
+        assert_eq!((view.low_water, view.buffered, view.segments), (5, 0, 0));
+        for digest in 5..8 {
+            log.record(vote(digest));
+        }
+        assert_view_is_the_wal_status(&addr, &log);
+        server.stop();
+        server.join();
+    }
+
+    // Tear the last record, as a crash mid-append would.
+    let wal_log = OpenOptions::new()
+        .write(true)
+        .open(dir.join(LOG_FILE))
+        .expect("log exists");
+    let len = wal_log.metadata().expect("stat").len();
+    wal_log.set_len(len - 3).expect("cut");
+    drop(wal_log);
+    let (server, log, addr) = start_wal_server(&dir);
+    let view = assert_view_is_the_wal_status(&addr, &log);
+    assert_eq!(
+        (view.appended, view.low_water, view.replayed, view.torn),
+        (7, 5, 2, 1)
+    );
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(
+        client.rollback_to(0).expect("round trip"),
+        Err(STATUS_UNSUPPORTED)
+    );
+    drop((client, log));
+    server.stop();
+    server.join();
+
+    let (server, _obs, addr) = start_mock();
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(
+        client.wal_status().expect("round trip"),
+        None,
+        "no WAL, no view"
+    );
+    assert_eq!(
+        client.rollback_to(0).expect("round trip"),
+        Err(STATUS_UNSUPPORTED)
+    );
+    drop(client);
+    server.stop();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -33,7 +33,7 @@
 
 use crate::dir::{fsync_dir, replace_file};
 use lre_artifact::{open_prefix, seal, ArtifactError, HEADER_LEN, MAGIC, TRAILER_LEN};
-use lre_obs::{Counter, FlightRecorder, Histogram, Registry, EV_WAL_RECOVER};
+use lre_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry, EV_WAL_RECOVER};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -76,7 +76,8 @@ impl WalOptions {
 }
 
 /// Pre-registered WAL telemetry. Cloneable (the fsync thread keeps its
-/// own handle); every series lives under the `wal.` prefix.
+/// own handle); every series lives under the `wal.` prefix. The log keeps
+/// no second copy of any count here: [`Wal::status`] reads these series.
 #[derive(Clone)]
 pub struct WalObs {
     pub append_us: Arc<Histogram>,
@@ -85,6 +86,12 @@ pub struct WalObs {
     pub replayed_records: Arc<Counter>,
     pub torn_records: Arc<Counter>,
     pub write_errors: Arc<Counter>,
+    /// Successful fsyncs of the log file.
+    pub fsyncs: Arc<Counter>,
+    /// The sequence number the next append will receive.
+    pub next_seq: Arc<Gauge>,
+    /// The first sequence number still in the log.
+    pub low_water: Arc<Gauge>,
     pub flight: Arc<FlightRecorder>,
 }
 
@@ -99,6 +106,9 @@ impl WalObs {
             replayed_records: registry.counter("wal.replayed_records"),
             torn_records: registry.counter("wal.torn_records"),
             write_errors: registry.counter("wal.write_errors"),
+            fsyncs: registry.counter("wal.fsyncs"),
+            next_seq: registry.gauge("wal.next_seq"),
+            low_water: registry.gauge("wal.low_water"),
             flight,
         }
     }
@@ -119,7 +129,9 @@ pub struct WalReplay {
     pub next_seq: u64,
 }
 
-/// A point-in-time summary of the log, cheap enough for a status RPC.
+/// A point-in-time summary of the log. The counts are the [`WalObs`]
+/// series, so they cover every log opened on the same registry (one per
+/// serving process).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStatus {
     /// Total records ever appended (the next sequence number).
@@ -128,17 +140,17 @@ pub struct WalStatus {
     pub low_water: u64,
     /// Records currently in the log (`next_seq - low_water`).
     pub buffered: u64,
-    /// Records replayed by this process's `open`.
+    /// Records replayed by `open` (`wal.replayed_records`).
     pub replayed: u64,
-    /// Torn tail records cut away by this process's `open`.
+    /// Torn tail records cut away by `open` (`wal.torn_records`).
     pub torn: u64,
-    /// Successful fsyncs of the log file since open.
+    /// Successful fsyncs of the log file (`wal.fsyncs`).
     pub fsyncs: u64,
     /// Appends not yet covered by a successful fsync.
     pub unsynced: u64,
     /// [`Wal::append`] and [`Wal::clear`] calls that failed at the file
-    /// since open: each is a record a crash would lose, or a drained
-    /// window a restart would replay.
+    /// (`wal.write_errors`): each is a record a crash would lose, or a
+    /// drained window a restart would replay.
     pub write_errors: u64,
 }
 
@@ -159,10 +171,6 @@ struct Inner {
     next_seq: u64,
     /// Records below this are on stable storage.
     synced_seq: u64,
-    fsyncs: u64,
-    replayed: u64,
-    torn: u64,
-    write_errors: u64,
     stopping: bool,
 }
 
@@ -199,13 +207,6 @@ impl Inner {
         }
         self.file.write_all(record)
     }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
-        self.synced_seq = self.next_seq;
-        self.fsyncs += 1;
-        Ok(())
-    }
 }
 
 struct Shared {
@@ -224,12 +225,19 @@ impl Shared {
     /// A failed append or drain, counted on its way out to the caller: the
     /// callers that carry on without the log (the vote window does) leave
     /// the degraded state readable here.
-    fn counted<T>(&self, inner: &mut Inner, result: io::Result<T>) -> io::Result<T> {
+    fn counted<T>(&self, result: io::Result<T>) -> io::Result<T> {
         if result.is_err() {
-            inner.write_errors += 1;
             self.obs.write_errors.incr();
         }
         result
+    }
+
+    /// Cover every append so far with an inline fsync.
+    fn sync(&self, inner: &mut Inner) -> io::Result<()> {
+        inner.file.sync_data()?;
+        inner.synced_seq = inner.next_seq;
+        self.obs.fsyncs.incr();
+        Ok(())
     }
 
     /// One batched fsync: cover every append made so far, outside the
@@ -254,7 +262,7 @@ impl Shared {
         let mut inner = self.lock();
         // A `clear()` meanwhile already moved the mark past `upto`.
         inner.synced_seq = inner.synced_seq.max(upto);
-        inner.fsyncs += 1;
+        self.obs.fsyncs.incr();
     }
 }
 
@@ -322,6 +330,10 @@ impl Wal {
 
         obs.replayed_records.add(replayed);
         obs.torn_records.add(torn);
+        // `next_seq` first: a reader that loads `low_water` first never
+        // sees it above `next_seq`.
+        obs.next_seq.set(next_seq);
+        obs.low_water.set(base_seq);
         obs.flight
             .record(EV_WAL_RECOVER, "wal replay", replayed, torn, 0.0, 0.0);
 
@@ -336,10 +348,6 @@ impl Wal {
                 base_seq,
                 next_seq,
                 synced_seq: next_seq,
-                fsyncs: 0,
-                replayed,
-                torn,
-                write_errors: 0,
                 stopping: false,
             }),
             cv: Condvar::new(),
@@ -383,18 +391,20 @@ impl Wal {
         {
             return Err(ArtifactError::Corrupt("append of unframed record"));
         }
-        let mut inner = self.shared.lock();
+        let shared = &*self.shared;
+        let mut inner = shared.lock();
         let seq = inner.next_seq;
         let appended = inner.write_record(record).and_then(|()| {
             inner.next_seq += 1;
-            if self.shared.opts.fsync_interval.is_zero() {
-                inner.sync()?;
+            shared.obs.next_seq.set(inner.next_seq);
+            if shared.opts.fsync_interval.is_zero() {
+                shared.sync(&mut inner)?;
             }
             Ok(())
         });
-        self.shared.counted(&mut inner, appended)?;
+        shared.counted(appended)?;
         drop(inner);
-        let obs = &self.shared.obs;
+        let obs = &shared.obs;
         obs.appended_records.incr();
         obs.append_us.record(t0.elapsed().as_micros() as u64);
         Ok(seq)
@@ -402,7 +412,7 @@ impl Wal {
 
     /// Force everything appended so far onto stable storage.
     pub fn sync(&self) -> Result<(), ArtifactError> {
-        Ok(self.shared.lock().sync()?)
+        Ok(self.shared.sync(&mut self.shared.lock())?)
     }
 
     /// The drain: every record in the log is spent. Durably replaces the
@@ -416,23 +426,26 @@ impl Wal {
             inner.uncut = None;
             inner.base_seq = inner.next_seq;
             inner.synced_seq = inner.next_seq;
+            self.shared.obs.low_water.set(inner.base_seq);
             fsync_dir(&self.shared.path)
         });
-        Ok(self.shared.counted(&mut inner, cleared)?)
+        Ok(self.shared.counted(cleared)?)
     }
 
-    /// Point-in-time status summary.
+    /// Point-in-time status summary: the watermarks under the log's lock,
+    /// the counts from its series.
     pub fn status(&self) -> WalStatus {
         let inner = self.shared.lock();
+        let obs = &self.shared.obs;
         WalStatus {
             next_seq: inner.next_seq,
             low_water: inner.base_seq,
             buffered: inner.next_seq - inner.base_seq,
-            replayed: inner.replayed,
-            torn: inner.torn,
-            fsyncs: inner.fsyncs,
+            replayed: obs.replayed_records.get(),
+            torn: obs.torn_records.get(),
+            fsyncs: obs.fsyncs.get(),
             unsynced: inner.next_seq - inner.synced_seq,
-            write_errors: inner.write_errors,
+            write_errors: obs.write_errors.get(),
         }
     }
 }
@@ -702,11 +715,6 @@ mod tests {
         assert_eq!(fs::metadata(d.join(LOG_FILE)).unwrap().len(), whole);
         let st = wal.status();
         assert_eq!((st.next_seq, st.write_errors), (2, 1));
-        assert_eq!(
-            wal.shared.obs.write_errors.get(),
-            1,
-            "and on the wal.write_errors series"
-        );
 
         assert_eq!(wal.append(&rec(3)).unwrap(), 2);
         drop(wal);
@@ -720,7 +728,7 @@ mod tests {
         wal.shared.lock().short_write = true;
         assert!(wal.append(&rec(4)).is_err());
         assert_eq!(wal.append(&rec(5)).unwrap(), 3);
-        assert_eq!(wal.status().write_errors, 1, "counted since this open");
+        assert_eq!(wal.status().write_errors, 1, "counted on this log's series");
         drop(wal);
         let (_, replay) = Wal::open(&d, opts(), obs()).unwrap();
         assert_eq!((replay.low_water, replay.records), (3, vec![rec(5)]));
