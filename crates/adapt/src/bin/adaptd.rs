@@ -32,7 +32,7 @@
 //! `--keep-generations N` prunes all but the newest N generations' bytes
 //! after each promote (0 = keep everything).
 
-use lre_adapt::{bundle_checksum, AdaptController, AdaptWorker, GuardArgs, VoteLog};
+use lre_adapt::{bundle_checksum, AdaptController, AdaptWorker, DrainPath, GuardArgs, VoteLog};
 use lre_artifact::ArtifactRead;
 use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
@@ -41,7 +41,7 @@ use lre_serve::{
     vote_wal_options, FleetReplica, ScorerHandle, ScoringSystem, ServeObs, Server, ServerHooks,
     SystemBundle, DEFAULT_FLIGHT_CAPACITY,
 };
-use lre_wal::{LineageStore, WalObs};
+use lre_wal::LineageStore;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -143,9 +143,15 @@ fn main() {
             chain = Some(store);
             let mut opts = vote_wal_options();
             opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
-            let wal_obs = WalObs::new(&obs.registry, Arc::clone(&obs.flight));
             let (log, recovery) = or_die(
-                VoteLog::open(&dir.join("votes"), log_capacity, opts, wal_obs),
+                VoteLog::open(
+                    &dir.join("votes"),
+                    log_capacity,
+                    DrainPath::InProcess,
+                    opts,
+                    &obs.registry,
+                    Arc::clone(&obs.flight),
+                ),
                 format!("opening vote WAL under {}", dir.display()),
             );
             eprintln!(
@@ -154,7 +160,7 @@ fn main() {
             );
             log
         }
-        None => VoteLog::new(log_capacity),
+        None => VoteLog::new(log_capacity, DrainPath::InProcess, &obs.registry),
     };
     let log = Arc::new(log);
 

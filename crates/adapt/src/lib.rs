@@ -37,7 +37,7 @@ pub mod worker;
 /// cycle without depending on this crate. Re-exported here so existing
 /// adaptation code keeps one import path.
 pub use lre_serve::votelog;
-pub use lre_serve::{VoteLog, VoteLogSnapshot, VoteRecord};
+pub use lre_serve::{DrainPath, VoteLog, VoteLogSnapshot, VoteRecord};
 pub use worker::{
     boost_round, bundle_checksum, rollback_backends, two_phase_promote, AdaptConfig,
     AdaptController, AdaptWorker, CandidateBundle, GuardArgs, RoundOutcome,

@@ -207,9 +207,13 @@ impl RoundOutcome {
 ///
 /// `parent_bytes` is the sealed bundle currently serving; the candidate's
 /// lineage is stamped from its decoded lineage generation and checksum.
+/// The round consumes `records`: their supervectors move into the pool
+/// instead of being copied, so the drained records keep no second copy.
+/// Each subsystem's training set still clones the selected ones of that
+/// subsystem while it trains.
 pub fn boost_round(
     parent_bytes: &[u8],
-    records: &[VoteRecord],
+    records: Vec<VoteRecord>,
     guard: &GuardSet,
     cfg: &AdaptConfig,
 ) -> Result<RoundOutcome, ArtifactError> {
@@ -526,7 +530,7 @@ impl AdaptController {
             return ended(ADAPT_INSUFFICIENT_DATA, 0);
         }
 
-        let round = boost_round(&state.current, &records, &self.guard, &self.cfg);
+        let round = boost_round(&state.current, records, &self.guard, &self.cfg);
         let mut candidate = match round.map(|round| round.judged(floor(), &self.flight)) {
             Ok(Ok(candidate)) => candidate,
             Ok(Err(report)) => return report,
@@ -683,6 +687,8 @@ pub fn rollback_backends(fleet: &[Arc<dyn FleetControl>]) -> RollbackAck {
 
 /// The drained log regrouped the way the offline DBA round sees its test
 /// pool: scores and supervectors per duration, arrival order within each.
+/// A record the vote log trimmed contributes its score rows and empty
+/// supervectors, which no selection reads.
 struct DurationPool {
     /// `[duration][subsystem]`: one OvR row per record, arrival order.
     scores: Vec<Vec<ScoreMatrix>>,
@@ -692,7 +698,13 @@ struct DurationPool {
 }
 
 impl DurationPool {
-    fn build(records: &[VoteRecord], num_subsystems: usize) -> Result<DurationPool, ArtifactError> {
+    /// Regroup `records`, moving their supervectors. Records that disagree
+    /// with the bundle's subsystem count, or with the first record's class
+    /// count, are refused: they come off the wire.
+    fn build(
+        records: Vec<VoteRecord>,
+        num_subsystems: usize,
+    ) -> Result<DurationPool, ArtifactError> {
         let num_durations = Duration::all().len();
         let num_classes = records
             .first()
@@ -714,13 +726,21 @@ impl DurationPool {
             {
                 return Err(ArtifactError::Corrupt("vote record subsystem count"));
             }
+            if rec
+                .subsystem_scores
+                .iter()
+                .any(|row| row.len() != num_classes)
+            {
+                return Err(ArtifactError::Corrupt("vote record class count"));
+            }
             let di = rec.duration_index;
             if di >= num_durations {
                 return Err(ArtifactError::Corrupt("vote record duration index"));
             }
-            for q in 0..num_subsystems {
-                scores[di][q].push_row(&rec.subsystem_scores[q]);
-                svs[q][di].push(rec.supervectors[q].clone());
+            let per_subsystem = rec.subsystem_scores.iter().zip(rec.supervectors);
+            for (q, (row, sv)) in per_subsystem.enumerate() {
+                scores[di][q].push_row(row);
+                svs[q][di].push(sv);
             }
         }
         Ok(DurationPool { scores, svs })

@@ -21,22 +21,27 @@
 //! cargo test --release -p lre-adapt --test online_adaptation -- --ignored
 //! ```
 
-use lre_adapt::{bundle_checksum, AdaptConfig, AdaptController, VoteLog};
+use lre_adapt::{
+    boost_round, bundle_checksum, AdaptConfig, AdaptController, DrainPath, RoundOutcome, VoteLog,
+};
 use lre_artifact::{ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
 use lre_dba::{run_dba, DbaVariant, Experiment, ExperimentConfig, GuardSet};
 use lre_eval::ScoreMatrix;
-use lre_obs::{FlightRecorder, MetricValue, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP};
+use lre_lattice::DecodeScratch;
+use lre_obs::{
+    FlightRecorder, MetricValue, Registry, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP,
+};
 use lre_serve::client::ScoreReply;
 use lre_serve::protocol::{
     AbortAck, CommitAck, RollbackAck, StageAck, STATUS_CONFLICT, STATUS_INTERNAL,
 };
 use lre_serve::{
-    vote_wal_options, Client, EngineConfig, FleetControl, FleetReplica, ScorerHandle,
-    ScoringSystem, Server, ServerConfig, ServerHooks, SystemBundle, VoteRecord, WalStatusInfo,
-    ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    vote_wal_options, Client, EngineConfig, FleetControl, FleetReplica, ScoreDetail, ScoreTap,
+    Scorer, ScorerHandle, ScoringSystem, Server, ServerConfig, ServerHooks, SystemBundle,
+    VoteRecord, WalStatusInfo, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
-use lre_wal::{LineageStore, WalObs};
+use lre_wal::LineageStore;
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -195,11 +200,13 @@ fn events(flight: &FlightRecorder, kind: u8) -> usize {
 /// A single v1 client scores one utterance at a time, so the vote log's
 /// arrival order is exactly the drive order regardless of worker count.
 fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
-    let r = replica(
-        &fx.bytes,
-        Arc::new(VoteLog::new(4096)),
-        ServerHooks::default(),
-    );
+    let hooks = ServerHooks::default();
+    let log = Arc::new(VoteLog::new(
+        4096,
+        DrainPath::InProcess,
+        &hooks.obs.registry,
+    ));
+    let r = replica(&fx.bytes, log, hooks);
     let flight = Arc::clone(&r.hooks.obs.flight);
     let controller = Arc::new(
         AdaptController::new(
@@ -254,9 +261,15 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
     let hooks = ServerHooks::default();
     let flight = Arc::clone(&hooks.obs.flight);
     let registry = Arc::clone(&hooks.obs.registry);
-    let wal_obs = WalObs::new(&registry, Arc::clone(&flight));
-    let (durable, recovery) =
-        VoteLog::open(&dir.join("votes"), 4096, opts, wal_obs).expect("vote WAL opens");
+    let (durable, recovery) = VoteLog::open(
+        &dir.join("votes"),
+        4096,
+        DrainPath::InProcess,
+        opts,
+        &registry,
+        Arc::clone(&flight),
+    )
+    .expect("vote WAL opens");
     let durable = Arc::new(durable);
     let r = replica(&bytes, Arc::clone(&durable), hooks);
     let controller = Arc::new(
@@ -441,6 +454,82 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
 
     client.shutdown().expect("shutdown acknowledged");
     h.server.join();
+}
+
+/// A round's verdict, comparable: outcome kind, selected, drained, guard
+/// deltas as bits, and the candidate's sealed bytes.
+type Verdict = ((u8, u32, u32, u64, u64), Vec<u8>);
+
+fn verdict(round: RoundOutcome) -> Verdict {
+    match round {
+        RoundOutcome::Insufficient { drained } => ((0, 0, drained, 0, 0), Vec::new()),
+        RoundOutcome::RejectedGuard {
+            selected,
+            drained,
+            eer_delta,
+            cavg_delta,
+        } => {
+            let deltas = (eer_delta.to_bits(), cavg_delta.to_bits());
+            ((1, selected, drained, deltas.0, deltas.1), Vec::new())
+        }
+        RoundOutcome::Candidate(c) => {
+            let deltas = (c.eer_delta.to_bits(), c.cavg_delta.to_bits());
+            ((2, c.selected, c.drained, deltas.0, deltas.1), c.bytes)
+        }
+    }
+}
+
+/// The vote log drops the supervectors of records Eq. 13 can select at no
+/// V. A boosting round over the trimmed window must be the round over the
+/// whole records, at every V the six subsystems allow: same outcome, same
+/// counts, same guard deltas, byte-identical candidate.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn trimming_changes_no_round_at_any_v() {
+    let fx = fixture();
+    let bundle = SystemBundle::from_artifact_bytes(&fx.bytes).expect("bundle reloads");
+    let system = ScoringSystem::from_bundle(bundle).expect("bundle is coherent");
+    let mut scratch = DecodeScratch::new();
+    let details: Vec<ScoreDetail> = fx
+        .waves
+        .iter()
+        .flatten()
+        .map(|w| system.score_utt(w, &mut scratch).expect("scores"))
+        .collect();
+    let whole: Vec<VoteRecord> = details.iter().cloned().map(VoteRecord::from).collect();
+    let log = VoteLog::new(whole.len(), DrainPath::InProcess, &Registry::new());
+    for d in details {
+        log.record(d);
+    }
+    let trimmed = log
+        .drain_at_least(whole.len())
+        .expect("every record admitted");
+    let share = log.trimmed() as f64 / whole.len() as f64;
+    eprintln!(
+        "trimmed {} of {} records ({share:.3})",
+        log.trimmed(),
+        whole.len()
+    );
+    assert!(log.trimmed() > 0, "the pool must exercise the trim");
+
+    for v in 1..=6u8 {
+        // No slack limit: every round that selects seals a candidate, so
+        // the bytes are compared at every V; the deltas still are too.
+        let cfg = AdaptConfig {
+            v_threshold: v,
+            min_utts: 1,
+            max_eer_regress: f64::INFINITY,
+            max_cavg_regress: f64::INFINITY,
+        };
+        let round = |records: Vec<VoteRecord>| {
+            verdict(boost_round(&fx.bytes, records, &guard(fx), &cfg).expect("round runs"))
+        };
+        let (want, got) = (round(whole.clone()), round(trimmed.clone()));
+        assert_eq!(got.0, want.0, "V = {v}: outcome, counts and deltas");
+        assert!(got.1 == want.1, "V = {v}: candidate bytes differ");
+        let (kind, selected, drained, ..) = got.0;
+        eprintln!("V = {v}: outcome {kind}, selected {selected} of {drained}");
+    }
 }
 
 #[test]
@@ -722,11 +811,13 @@ struct Member {
 }
 
 fn start_member(fx: &Fixture) -> Member {
-    let r = replica(
-        &fx.bytes,
-        Arc::new(VoteLog::new(4096)),
-        ServerHooks::default(),
-    );
+    let hooks = ServerHooks::default();
+    let log = Arc::new(VoteLog::new(
+        4096,
+        DrainPath::InProcess,
+        &hooks.obs.registry,
+    ));
+    let r = replica(&fx.bytes, log, hooks);
     let flight = Arc::clone(&r.hooks.obs.flight);
     let hooks = ServerHooks {
         fleet: Some(Arc::clone(&r.replica) as _),
@@ -925,11 +1016,9 @@ fn ping_and_the_dump_answer_while_a_cycle_holds_the_controller() {
     let dir = std::env::temp_dir().join(format!("lre_adapt_midcycle_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let parked = Arc::new(ParkedDrain::default());
-    let r = replica(
-        &fx.bytes,
-        Arc::new(VoteLog::new(16)),
-        ServerHooks::default(),
-    );
+    let hooks = ServerHooks::default();
+    let log = Arc::new(VoteLog::new(16, DrainPath::InProcess, &hooks.obs.registry));
+    let r = replica(&fx.bytes, log, hooks);
     let lineage = LineageStore::open(&dir).expect("lineage opens");
     let controller = AdaptController::new(
         vec![Arc::clone(&parked) as _],

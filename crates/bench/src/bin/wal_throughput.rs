@@ -13,13 +13,17 @@
 //!     --require-append-rate 45000 --require-replay-rate 22000
 //! ```
 //!
-//! Rates are records/second. The default payload is 9 000 bytes because
-//! that is what a vote weighs: `lre-adaptd --wal-dir` on the smoke bundle
-//! writes `VREC` records of ≈ 9.2 KB (six sparse supervectors dominate;
-//! the LLRs are ~100 bytes of it). The default 10 000 records are about
-//! two and a half full windows at the default `--log-capacity 4096` —
-//! 90 MB on disk, and three copies of that in memory while the replay is
-//! checked.
+//! Rates are records/second. The default payload is 9 000 bytes: an
+//! untrimmed 3 s vote, the per-record worst case at that duration.
+//! `lre-adaptd --wal-dir` on the smoke bundle writes a `VREC` of ≈ 9 KB for
+//! a 3 s vote Eq. 13 can select (six sparse supervectors dominate; the
+//! LLRs are ~100 bytes of it) and one of ≈ 1 KB for a vote it trims to its
+//! score rows. The
+//! default 10 000 records are 90 MB of untrimmed 3 s votes on disk, and
+//! three copies of that in memory while the replay is checked: about two
+//! and a half full `lre-adaptd` windows at the default `--log-capacity
+//! 4096`, or 5.4 `lre-serve --fleet` windows, which stop at one 16 MiB
+//! drain frame.
 
 use lre_artifact::seal;
 use lre_obs::{FlightRecorder, Registry};

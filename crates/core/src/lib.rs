@@ -59,4 +59,4 @@ pub use experiment::{BaselineRow, Experiment, ExperimentConfig};
 pub use fusion_pipeline::{fuse, fuse_duration, FusedSystem};
 pub use guard::{GuardReport, GuardSet};
 pub use subsystem::{standard_subsystems, Frontend, SubsystemSpec};
-pub use vote::{select_tr_dba, vote_matrix, PseudoLabel, VoteMatrix};
+pub use vote::{select_tr_dba, selectable, vote_matrix, PseudoLabel, VoteMatrix};

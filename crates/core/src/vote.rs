@@ -62,19 +62,7 @@ pub fn vote_matrix(subsystem_scores: &[&ScoreMatrix]) -> VoteMatrix {
     let mut counts = vec![0u8; num_utts * num_classes];
     for m in subsystem_scores {
         for j in 0..num_utts {
-            let row = m.row(j);
-            // Find the positive-scoring language, if it is unique.
-            let mut positive = None;
-            for (k, &s) in row.iter().enumerate() {
-                if s > 0.0 {
-                    if positive.is_some() {
-                        positive = None;
-                        break;
-                    }
-                    positive = Some(k);
-                }
-            }
-            if let Some(k) = positive {
+            if let Some(k) = eq13_vote(m.row(j)) {
                 counts[j * num_classes + k] += 1;
             }
         }
@@ -83,6 +71,53 @@ pub fn vote_matrix(subsystem_scores: &[&ScoreMatrix]) -> VoteMatrix {
         num_classes,
         counts,
     }
+}
+
+/// One subsystem's Eq. 13 vote on one utterance: the language whose score
+/// is the only strictly positive one in its OvR row, if there is one.
+fn eq13_vote(row: &[f32]) -> Option<usize> {
+    let mut positive = None;
+    for (k, &s) in row.iter().enumerate() {
+        if s > 0.0 {
+            if positive.is_some() {
+                return None;
+            }
+            positive = Some(k);
+        }
+    }
+    positive
+}
+
+/// Whether one utterance can enter `Tr_DBA` at any threshold, judged from
+/// its own per-subsystem OvR rows (`rows[q]` = subsystem `q`'s scores):
+/// the rows' Eq. 13 votes give one language a count no other language
+/// ties. It is `!select_tr_dba(&vote_matrix(..), 1).is_empty()` over a
+/// one-utterance pool; votes and selection are per utterance, every legal
+/// V is ≥ 1 and a higher V selects a subset, so an utterance it refuses is
+/// selected at no V in any pool. Rows must share one class count and
+/// number at most `u8::MAX`, as for [`vote_matrix`]; no rows, or rows of
+/// no classes, select nothing.
+pub fn selectable(rows: &[Vec<f32>]) -> bool {
+    let num_classes = rows.first().map_or(0, Vec::len);
+    if num_classes == 0 {
+        return false;
+    }
+    assert!(rows.len() <= u8::MAX as usize);
+    let mut counts = vec![0u8; num_classes];
+    for row in rows {
+        assert_eq!(row.len(), num_classes);
+        if let Some(k) = eq13_vote(row) {
+            counts[k] += 1;
+        }
+    }
+    !select_tr_dba(
+        &VoteMatrix {
+            num_classes,
+            counts,
+        },
+        1,
+    )
+    .is_empty()
 }
 
 /// A pseudo-labelled test utterance selected into `T_DBA`.
@@ -283,6 +318,20 @@ mod tests {
         );
         // A threshold above the single subsystem's reach selects nothing.
         assert!(select_tr_dba(&v, 2).is_empty());
+    }
+
+    #[test]
+    fn selectable_is_a_one_utterance_pool_at_v_1() {
+        let rows = |rows: &[&[f32]]| rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>();
+        // A unique leader is selectable; a tie, no votes or no rows is not.
+        assert!(selectable(&rows(&[&[1.0, -1.0], &[1.0, 0.5]])));
+        assert!(!selectable(&rows(&[&[1.0, -1.0], &[-1.0, 1.0]])));
+        assert!(!selectable(&rows(&[&[-1.0, -1.0], &[1.0, 0.5]])));
+        assert!(!selectable(&[]));
+        // One class: its only vote is a unique win; zero classes vote nothing.
+        assert!(selectable(&rows(&[&[0.5]])));
+        assert!(!selectable(&rows(&[&[0.0]])));
+        assert!(!selectable(&rows(&[&[], &[]])));
     }
 
     #[test]

@@ -18,9 +18,10 @@ use lre_serve::protocol::{
     decode_request, encode_ok, read_frame, write_frame, Request, StageAck, STATUS_CONFLICT,
 };
 use lre_serve::{
-    Client, EngineConfig, FleetControl, FleetReplica, ScoreDetail, ScoreReply, Scorer,
-    ScorerHandle, Server, ServerConfig, ServerHooks, VoteLog,
+    Client, DrainPath, EngineConfig, FleetControl, FleetReplica, ScoreDetail, ScoreReply, ScoreTap,
+    Scorer, ScorerHandle, Server, ServerConfig, ServerHooks, VoteLog,
 };
+use lre_vsm::SparseVec;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -58,7 +59,7 @@ fn start_replica(accepts_candidates: bool) -> (Server, String, Arc<FleetReplica>
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
     let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(BASELINE)), 0xB00B_5EED));
     let hooks = ServerHooks::default();
-    let log = Arc::new(VoteLog::new(16));
+    let log = Arc::new(VoteLog::new(16, DrainPath::Wire, &hooks.obs.registry));
     let mut replica = FleetReplica::new(Arc::clone(&handle), log, Arc::clone(&hooks.obs.flight));
     if accepts_candidates {
         replica.set_validator(|sealed| match sealed {
@@ -304,4 +305,63 @@ fn mixed_fleet_abort_and_undo_reach_the_in_process_replica() {
         assert_eq!(generation_of(a), 2);
     }
     assert_eq!(local.generation(), 2);
+}
+
+/// A vote window that seals past one frame used to be sealed whole, then
+/// refused by the router's `read_frame` after the replica had already
+/// emptied its log, and lost. A served replica's log (`DrainPath::Wire`)
+/// now admits no more than one drain reply can carry, so a drain through
+/// the router returns every record it admitted.
+#[test]
+fn a_multi_megabyte_window_drains_whole_through_the_router() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
+    let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(BASELINE)), 0xB00B_5EED));
+    let hooks = ServerHooks::default();
+    let log = Arc::new(VoteLog::new(16, DrainPath::Wire, &hooks.obs.registry));
+    let replica = FleetReplica::new(
+        Arc::clone(&handle),
+        Arc::clone(&log),
+        Arc::clone(&hooks.obs.flight),
+    );
+    let hooks = ServerHooks {
+        fleet: Some(Arc::new(replica) as _),
+        ..hooks
+    };
+    let server = Server::start(listener, handle, ServerConfig::default(), hooks).expect("start");
+
+    // Three selectable 6 MB votes: 18 MB do not fit one 16 MiB frame.
+    const NNZ: u32 = 750_000;
+    let big = |digest| ScoreDetail {
+        digest,
+        num_frames: 75,
+        duration_index: 0,
+        generation: 0,
+        fused: vec![1.0, -1.0],
+        subsystem_scores: vec![vec![1.0, -1.0]],
+        supervectors: vec![SparseVec::from_parts(
+            (0..NNZ).collect(),
+            vec![0.5; NNZ as usize],
+        )],
+        stage_us: Default::default(),
+        stage_done: None,
+    };
+    for digest in 1..=3 {
+        log.record(big(digest));
+    }
+    let admitted = log.len();
+    assert_eq!(
+        (admitted, log.dropped()),
+        (2, 1),
+        "the third vote is over the bound"
+    );
+
+    let drained = remote(&server.local_addr().to_string())
+        .drain_votes(false, 1)
+        .expect("the window drains");
+    let digests: Vec<u64> = drained.iter().map(|r| r.digest).collect();
+    assert_eq!(digests, vec![1, 2]);
+    assert!(drained
+        .iter()
+        .all(|r| r.supervectors[0].nnz() == NNZ as usize));
+    assert!(log.is_empty());
 }

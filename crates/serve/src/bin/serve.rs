@@ -35,10 +35,9 @@ use lre_artifact::{crc32, ArtifactRead};
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, FleetReplica, ScorerHandle, ScoringSystem, Server, ServerHooks, SystemBundle,
-    VoteLog,
+    vote_wal_options, DrainPath, FleetReplica, ScorerHandle, ScoringSystem, Server, ServerHooks,
+    SystemBundle, VoteLog,
 };
-use lre_wal::WalObs;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -111,9 +110,15 @@ fn main() {
             Some(dir) => {
                 let mut opts = vote_wal_options();
                 opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
-                let wal_obs = WalObs::new(&obs.registry, Arc::clone(&obs.flight));
                 let (log, recovery) = or_die(
-                    VoteLog::open(dir, log_capacity, opts, wal_obs),
+                    VoteLog::open(
+                        dir,
+                        log_capacity,
+                        DrainPath::Wire,
+                        opts,
+                        &obs.registry,
+                        Arc::clone(&obs.flight),
+                    ),
                     format!("opening WAL at {}", dir.display()),
                 );
                 eprintln!(
@@ -125,7 +130,7 @@ fn main() {
                 );
                 log
             }
-            None => VoteLog::new(log_capacity),
+            None => VoteLog::new(log_capacity, DrainPath::Wire, &obs.registry),
         };
         let log = Arc::new(log);
         hooks.tap = Some(Arc::clone(&log) as _);

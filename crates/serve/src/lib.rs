@@ -73,4 +73,6 @@ pub use swap::{ScorerHandle, VersionedScorer};
 pub use system::{
     sample_digest, FanOut, ScoreDetail, ScoreTap, Scorer, ScoringSystem, StageDone, WorkingSet,
 };
-pub use votelog::{vote_wal_options, VoteLog, VoteLogSnapshot, VoteRecord, VoteRecovery};
+pub use votelog::{
+    vote_wal_options, DrainPath, VoteLog, VoteLogSnapshot, VoteRecord, VoteRecovery,
+};

@@ -63,6 +63,12 @@ pub const STATUS_CONFLICT: u8 = 7;
 /// corrupt or hostile length prefix cannot trigger a huge allocation.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
+/// The largest sealed `VLOG` one [`DrainReply`] frame can carry: the
+/// frame cap less the status byte, `buffered`, the presence flag and the
+/// blob's length prefix. A vote log never holds a window that seals
+/// larger, so every drain fits one reply.
+pub const MAX_DRAIN_VLOG_LEN: usize = MAX_FRAME_LEN - (1 + 4 + 1 + 4);
+
 /// Sentinel in the score body's `u32` decision field marking an open-set
 /// `unknown` reply: the utterance was scored (the LLR slice is present as
 /// usual) but its best LLR fell below the server's `--unknown-threshold`,
@@ -425,9 +431,19 @@ const _: () = {
     assert!(traced.start == SCORE_ID.start && traced.end == SCORE_ID.end);
 };
 
-/// Write one frame: `u32` LE length + payload.
+/// Write one frame: `u32` LE length + payload. A payload over
+/// [`MAX_FRAME_LEN`], which every peer's [`read_frame`] would refuse, is
+/// refused here instead, before a byte is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
+                payload.len()
+            ),
+        ));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
@@ -1385,6 +1401,28 @@ mod tests {
         let mut buf = (u32::MAX).to_le_bytes().to_vec();
         buf.extend_from_slice(b"junk");
         assert!(read_frame(&mut std::io::Cursor::new(buf)).is_err());
+    }
+
+    #[test]
+    fn an_oversize_payload_is_refused_before_a_byte_is_written() {
+        let mut buf = Vec::new();
+        let err = write_frame(&mut buf, &vec![0; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn the_largest_drainable_window_fills_one_frame_exactly() {
+        let full = encode_ok(&DrainReply {
+            buffered: u32::MAX,
+            sealed: Some(vec![0; MAX_DRAIN_VLOG_LEN]),
+        });
+        assert_eq!(full.len(), MAX_FRAME_LEN);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &full).unwrap();
+        let back = read_frame(&mut std::io::Cursor::new(buf)).unwrap().unwrap();
+        let reply = decode_reply::<DrainReply>(&back).unwrap().unwrap();
+        assert_eq!(reply.sealed.map(|v| v.len()), Some(MAX_DRAIN_VLOG_LEN));
     }
 
     #[test]

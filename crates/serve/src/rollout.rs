@@ -254,11 +254,11 @@ impl FleetControl for FleetReplica {
 mod tests {
     use super::*;
     use crate::system::{ScoreDetail, ScoreTap};
+    use crate::votelog::DrainPath;
     use lre_artifact::{ArtifactError, ArtifactRead};
     use lre_lattice::DecodeScratch;
     use lre_obs::Registry;
     use lre_vsm::SparseVec;
-    use lre_wal::WalObs;
 
     struct Marker(f32);
     impl Scorer for Marker {
@@ -289,7 +289,7 @@ mod tests {
     fn replica() -> FleetReplica {
         let mut rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
-            Arc::new(VoteLog::new(8)),
+            Arc::new(VoteLog::new(8, DrainPath::InProcess, &Registry::new())),
             Arc::new(FlightRecorder::new(8)),
         );
         rep.validate = Box::new(mock_validate);
@@ -378,7 +378,7 @@ mod tests {
 
         let rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
-            Arc::new(VoteLog::new(8)),
+            Arc::new(VoteLog::new(8, DrainPath::InProcess, &Registry::new())),
             Arc::new(FlightRecorder::new(8)),
         );
         assert_eq!(rep.stage(&v5), Err(STATUS_CONFLICT));
@@ -478,8 +478,15 @@ mod tests {
         let mut opts = vote_wal_options();
         opts.fsync_interval = Duration::ZERO;
         let flight = Arc::new(FlightRecorder::new(8));
-        let wal_obs = WalObs::new(&Registry::new(), Arc::clone(&flight));
-        let (log, _) = VoteLog::open(&d, 8, opts, wal_obs).unwrap();
+        let (log, _) = VoteLog::open(
+            &d,
+            8,
+            DrainPath::InProcess,
+            opts,
+            &Registry::new(),
+            Arc::clone(&flight),
+        )
+        .unwrap();
         let log = Arc::new(log);
         let mut rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),

@@ -10,30 +10,72 @@
 //! the utterance content digest, so a replayed utterance never inflates
 //! the pseudo-label pool within one adaptation window.
 //!
+//! **Only a record Eq. 13 can select keeps its supervectors.** Admission
+//! runs the vote rule on the record's own score rows
+//! ([`lre_dba::selectable`]: `vote_matrix` and `select_tr_dba` at V = 1).
+//! Votes and selection are per utterance, every legal V is ≥ 1 and a
+//! higher V selects a subset, so a record whose votes give no language a
+//! lead of its own is selected by no round at any V, and the retrain
+//! (`build_tr_dba`) reads supervectors of selected records only. Such a
+//! record is *trimmed*: its supervectors become empty [`SparseVec`]s,
+//! while its score rows, fused LLRs, digest and duration stay, so it still
+//! counts as drained, still dedups and still enters the Eq. 15 criterion
+//! counts. The record keeps its shape (`VREC` v1, `VLOG` and the drain
+//! reply are unchanged), and a window written before trimming existed is
+//! trimmed by the same rule as it replays. The rule has no knob: no
+//! `--v-threshold` can select what it trimmed.
+//!
+//! **A window a router drains is bounded in bytes too.** A `lre-serve
+//! --fleet` replica hands its window to the router sealed into one drain
+//! reply frame, so its log ([`DrainPath::Wire`]) keeps the sealed length
+//! of the window's `VLOG` as it admits records (each record's sealed
+//! length is computed, not sealed), and a record that would take it past
+//! [`MAX_DRAIN_VLOG_LEN`] — what one drain reply frame can carry — is
+//! dropped and counted like overflow. Every window a router drains
+//! therefore reaches it whole. On the smoke bundle an untrimmed vote seals
+//! to ≈ 9 KB at 3 s, ≈ 23 KB at 10 s and ≈ 44 KB at 30 s, so the bound is
+//! ≈ 1 850, ≈ 740 or ≈ 380 such votes; a trimmed vote seals to ≈ 1 KB at
+//! any duration. A window handed over in process (`lre-adaptd`,
+//! [`DrainPath::InProcess`]) never becomes a frame and is bounded in
+//! records only.
+//!
+//! Trimmed, dropped and deduplicated records are counted in the process
+//! registry as `votelog.trimmed`, `votelog.dropped` and `votelog.deduped`.
+//!
 //! A log opened on a directory ([`VoteLog::open`]) keeps its window in a
 //! [`lre_wal::Wal`] as well, so it survives a crash: every record the
 //! buffer *admits* (and only those — dedup rejects and overflow drops never
-//! touch disk) is appended as its own sealed `VREC` container, and a drain
-//! clears the WAL as it empties the buffer. Both happen under the log's one
-//! mutex, so the WAL holds exactly the buffered window — which is what
-//! lets a restart's replay rebuild the buffer, dedup state included, to an
-//! identical drain result. A WAL write that fails degrades durability
-//! (counted in [`lre_wal::WalStatus::write_errors`]), never the window.
+//! touch disk) is appended, trimmed, as its own sealed `VREC` container,
+//! and a drain clears the WAL as it empties the buffer. Both happen under
+//! the log's one mutex, so the WAL holds exactly the buffered window —
+//! which is what lets a restart's replay rebuild the buffer, dedup state
+//! included, to an identical drain result. A WAL write that fails degrades
+//! durability (counted in [`lre_wal::WalStatus::write_errors`]), never the
+//! window.
 //!
 //! A drained (or in-flight) log can be frozen as a [`VoteLogSnapshot`] —
 //! a sealed, CRC-framed `lre-artifact` container (kind `VLOG`, records as
 //! nested `VREC` artifacts) — for audit or offline replay of an
 //! adaptation decision.
 
+use crate::protocol::MAX_DRAIN_VLOG_LEN;
 use crate::system::{ScoreDetail, ScoreTap};
-use lre_artifact::{ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter};
+use lre_artifact::{
+    ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter, HEADER_LEN,
+    TRAILER_LEN,
+};
+use lre_obs::{Counter, FlightRecorder, Registry};
 use lre_vsm::SparseVec;
 use lre_wal::{Wal, WalObs, WalOptions, WalStatus};
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Everything one served utterance contributes to an adaptation cycle.
+///
+/// In a [`VoteLog`] a record that Eq. 13 cannot select at any V holds
+/// empty supervectors (see the module docs); every other field is as
+/// scored.
 #[derive(Clone, Debug)]
 pub struct VoteRecord {
     /// Content digest of the raw samples (see `lre_serve::sample_digest`).
@@ -48,8 +90,37 @@ pub struct VoteRecord {
     pub fused: Vec<f32>,
     /// Per-subsystem OvR score rows (`[subsystem][class]`) — Eq. 13 inputs.
     pub subsystem_scores: Vec<Vec<f32>>,
-    /// Per-subsystem TFLLR-scaled supervectors — retraining features.
+    /// Per-subsystem TFLLR-scaled supervectors — retraining features;
+    /// empty when the record is trimmed.
     pub supervectors: Vec<SparseVec>,
+}
+
+impl VoteRecord {
+    /// Length of the sealed `VREC` container, without sealing it.
+    fn sealed_len(&self) -> usize {
+        let f32_slice = |n: usize| 4 + 4 * n;
+        let rows: usize = self
+            .subsystem_scores
+            .iter()
+            .map(|r| f32_slice(r.len()))
+            .sum();
+        let svs: usize = self.supervectors.iter().map(|sv| 4 + sv.sealed_len()).sum();
+        HEADER_LEN + 8 + 4 + 1 + 8 + f32_slice(self.fused.len()) + 4 + rows + svs + TRAILER_LEN
+    }
+
+    /// Whether the record carries one score row and one supervector per
+    /// subsystem, at most `u8::MAX` of them (the vote rule's limit), with
+    /// one score per fused class in every row. A mock's detail
+    /// ([`ScoreDetail::from_fused`]) carries neither.
+    fn votable(&self) -> bool {
+        let q = self.supervectors.len();
+        (1..=u8::MAX as usize).contains(&q)
+            && self.subsystem_scores.len() == q
+            && self
+                .subsystem_scores
+                .iter()
+                .all(|row| row.len() == self.fused.len())
+    }
 }
 
 impl From<ScoreDetail> for VoteRecord {
@@ -115,14 +186,19 @@ impl ArtifactRead for VoteRecord {
     }
 }
 
+/// Sealed length of an empty window's `VLOG`: header, the `dropped` count,
+/// the record count, CRC trailer. Each record adds its length prefix and
+/// its sealed `VREC`.
+const EMPTY_WINDOW_LEN: usize = HEADER_LEN + 8 + 4 + TRAILER_LEN;
+
 struct LogState {
     records: Vec<VoteRecord>,
     /// Digests currently buffered — the within-window dedup key. Cleared on
     /// drain: an utterance replayed *after* a cycle consumed it is new
     /// evidence (possibly under a new model) and is recorded again.
     seen: HashSet<u64>,
-    dropped: u64,
-    deduped: u64,
+    /// What `records` seal to as a [`VoteLogSnapshot`].
+    sealed_len: usize,
 }
 
 /// WAL options for a vote log: `VREC` v1 records, default fsync batching.
@@ -142,44 +218,83 @@ pub struct VoteRecovery {
     pub torn: u64,
 }
 
+/// How a log's window leaves the process, which decides whether its sealed
+/// bytes are bounded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DrainPath {
+    /// Handed over as [`VoteRecord`]s by an in-process replica
+    /// (`lre-adaptd`): bounded in records only. Such a log must not back a
+    /// server's fleet hook.
+    InProcess,
+    /// Sealed into one drain reply frame by a served replica (`lre-serve
+    /// --fleet`): the window also stops at [`MAX_DRAIN_VLOG_LEN`] sealed
+    /// bytes.
+    Wire,
+}
+
+impl DrainPath {
+    fn max_sealed_len(self) -> usize {
+        match self {
+            DrainPath::InProcess => usize::MAX,
+            DrainPath::Wire => MAX_DRAIN_VLOG_LEN,
+        }
+    }
+}
+
 /// The bounded, deduplicating vote-record buffer the engine taps into.
 pub struct VoteLog {
     state: Mutex<LogState>,
     capacity: usize,
+    /// The most `state.sealed_len` may reach (see [`DrainPath`]).
+    max_sealed_len: usize,
     /// Written only with `state` held, so it always holds exactly
     /// `state.records`.
     wal: Option<Wal>,
+    /// `votelog.trimmed`: admitted records Eq. 13 can select at no V.
+    trimmed: Arc<Counter>,
+    /// `votelog.dropped`: records refused because the window was full, in
+    /// records or (on the wire) in sealed bytes.
+    dropped: Arc<Counter>,
+    /// `votelog.deduped`: records refused as within-window duplicates.
+    deduped: Arc<Counter>,
 }
 
 impl VoteLog {
     /// An empty in-memory log admitting at most `capacity` buffered
-    /// records (overflow drops the newest record and counts it in
-    /// [`VoteLog::dropped`]).
-    pub fn new(capacity: usize) -> VoteLog {
+    /// records, and, drained over the wire, no more than one drain reply
+    /// can carry (a refused record is counted in `votelog.dropped`). Its
+    /// counters are registered in `registry`.
+    pub fn new(capacity: usize, drain: DrainPath, registry: &Registry) -> VoteLog {
         VoteLog {
             state: Mutex::new(LogState {
                 records: Vec::new(),
                 seen: HashSet::new(),
-                dropped: 0,
-                deduped: 0,
+                sealed_len: EMPTY_WINDOW_LEN,
             }),
             capacity: capacity.max(1),
+            max_sealed_len: drain.max_sealed_len(),
             wal: None,
+            trimmed: registry.counter("votelog.trimmed"),
+            dropped: registry.counter("votelog.dropped"),
+            deduped: registry.counter("votelog.deduped"),
         }
     }
 
-    /// [`VoteLog::new`] over the WAL in directory `dir`: the buffer is
+    /// [`VoteLog::new`] over the WAL in directory `dir`, whose `wal.*`
+    /// series go to `registry` and replay events to `flight`: the buffer is
     /// rebuilt from whatever survived there, exactly as the original
-    /// admissions built it (dedup state included), and from then on every
-    /// admission and drain is written through.
+    /// admissions built it (dedup state and trimming included), and from
+    /// then on every admission and drain is written through.
     pub fn open(
         dir: &Path,
         capacity: usize,
+        drain: DrainPath,
         opts: WalOptions,
-        obs: WalObs,
+        registry: &Registry,
+        flight: Arc<FlightRecorder>,
     ) -> Result<(VoteLog, VoteRecovery), ArtifactError> {
-        let (wal, replay) = Wal::open(dir, opts, obs)?;
-        let mut log = VoteLog::new(capacity);
+        let (wal, replay) = Wal::open(dir, opts, WalObs::new(registry, flight))?;
+        let mut log = VoteLog::new(capacity, drain, registry);
         let mut replayed = 0u64;
         for bytes in &replay.records {
             if log.admit(VoteRecord::from_artifact_bytes(bytes)?) {
@@ -205,14 +320,19 @@ impl VoteLog {
         self.len() == 0
     }
 
-    /// Records dropped because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().expect("vote log poisoned").dropped
+    /// Records admitted with their supervectors trimmed (`votelog.trimmed`).
+    pub fn trimmed(&self) -> u64 {
+        self.trimmed.get()
     }
 
-    /// Records skipped as within-window duplicates.
+    /// Records dropped because the window was full (`votelog.dropped`).
+    pub fn dropped(&self) -> u64 {
+        self.dropped.get()
+    }
+
+    /// Records skipped as within-window duplicates (`votelog.deduped`).
     pub fn deduped(&self) -> u64 {
-        self.state.lock().expect("vote log poisoned").deduped
+        self.deduped.get()
     }
 
     /// The WAL's point-in-time summary; `None` for an in-memory log.
@@ -232,6 +352,7 @@ impl VoteLog {
             return Err(s.records.len());
         }
         s.seen.clear();
+        s.sealed_len = EMPTY_WINDOW_LEN;
         if let Some(wal) = &self.wal {
             // A failed clear leaves a window on disk that a restart would
             // replay; the WAL counts it.
@@ -240,22 +361,29 @@ impl VoteLog {
         Ok(std::mem::take(&mut s.records))
     }
 
-    /// Admit one record — a fresh score or a replayed one — and report
-    /// whether it entered the buffer. Records without subsystem
-    /// intermediates (mock scorers, [`ScoreDetail::from_fused`]) carry
+    /// Admit one record — a fresh score or a replayed one — trimmed if
+    /// Eq. 13 can select it at no V, and report whether it entered the
+    /// buffer. Records without one well-formed score row and supervector
+    /// per subsystem (mock scorers, [`ScoreDetail::from_fused`]) carry
     /// nothing to vote on or retrain from and never do; nor do
-    /// within-window duplicates and overflow, which are counted.
-    fn admit(&self, rec: VoteRecord) -> bool {
-        if rec.supervectors.is_empty() {
+    /// within-window duplicates and records the window has no room for,
+    /// which are counted.
+    fn admit(&self, mut rec: VoteRecord) -> bool {
+        if !rec.votable() {
             return false;
         }
+        let trimmed = !lre_dba::selectable(&rec.subsystem_scores);
+        if trimmed {
+            rec.supervectors.fill_with(SparseVec::new);
+        }
+        let grows_by = 4 + rec.sealed_len();
         let mut s = self.state.lock().expect("vote log poisoned");
         if s.seen.contains(&rec.digest) {
-            s.deduped += 1;
+            self.deduped.incr();
             return false;
         }
-        if s.records.len() >= self.capacity {
-            s.dropped += 1;
+        if s.records.len() >= self.capacity || s.sealed_len + grows_by > self.max_sealed_len {
+            self.dropped.incr();
             return false;
         }
         if let Some(wal) = &self.wal {
@@ -263,6 +391,10 @@ impl VoteLog {
             // unsynced one; the WAL counts it.
             let _ = wal.append(&rec.to_artifact_bytes());
         }
+        if trimmed {
+            self.trimmed.incr();
+        }
+        s.sealed_len += grows_by;
         s.seen.insert(rec.digest);
         s.records.push(rec);
         true
@@ -274,7 +406,7 @@ impl VoteLog {
         let s = self.state.lock().expect("vote log poisoned");
         VoteLogSnapshot {
             records: s.records.clone(),
-            dropped: s.dropped,
+            dropped: self.dropped.get(),
         }
     }
 }
@@ -320,9 +452,7 @@ impl ArtifactRead for VoteLogSnapshot {
 mod tests {
     use super::*;
     use lre_artifact::check_damage_detected;
-    use lre_obs::{FlightRecorder, Registry};
     use std::path::PathBuf;
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn detail(digest: u64, di: usize, v: f32) -> ScoreDetail {
@@ -344,7 +474,7 @@ mod tests {
 
     #[test]
     fn records_dedupe_and_bound() {
-        let log = VoteLog::new(2);
+        let log = mem(2);
         log.record(detail(1, 0, 1.0));
         log.record(detail(1, 0, 1.0)); // same digest: deduped
         log.record(detail(2, 1, 2.0));
@@ -356,7 +486,7 @@ mod tests {
 
     #[test]
     fn mock_details_without_intermediates_are_ignored() {
-        let log = VoteLog::new(8);
+        let log = mem(8);
         let mut d = detail(9, 0, 1.0);
         d.supervectors = Vec::new();
         d.subsystem_scores = Vec::new();
@@ -364,9 +494,141 @@ mod tests {
         assert!(log.is_empty());
     }
 
+    /// [`detail`] with scores no vote rule can select: subsystem 0 votes
+    /// class 0, subsystem 1 class 1, a tie at one vote each.
+    fn unselectable(digest: u64) -> ScoreDetail {
+        ScoreDetail {
+            subsystem_scores: vec![vec![1.0, -1.0, -1.0], vec![-1.0, 1.0, -1.0]],
+            ..detail(digest, 0, 1.0)
+        }
+    }
+
+    #[test]
+    fn a_record_no_v_can_select_keeps_everything_but_its_supervectors() {
+        let log = mem(8);
+        log.record(unselectable(1));
+        log.record(detail(2, 0, 1.0)); // subsystem 0 alone votes: selectable
+        assert_eq!((log.len(), log.trimmed()), (2, 1));
+        let drained = log.drain_at_least(2).unwrap();
+        let (kept, trimmed) = (&drained[1], &drained[0]);
+        let want = VoteRecord::from(unselectable(1));
+        assert_eq!(trimmed.subsystem_scores, want.subsystem_scores);
+        assert_eq!(trimmed.fused, want.fused);
+        assert_eq!(
+            (trimmed.digest, trimmed.duration_index, trimmed.num_frames),
+            (1, 0, 75)
+        );
+        assert_eq!(trimmed.supervectors, vec![SparseVec::new(); 2]);
+        assert_eq!(
+            kept.supervectors,
+            VoteRecord::from(detail(2, 0, 1.0)).supervectors
+        );
+    }
+
+    #[test]
+    fn misshapen_records_are_refused_like_mocks_without_panicking() {
+        let log = mem(8);
+        let mut extra_row = detail(1, 0, 1.0);
+        extra_row.subsystem_scores.push(vec![1.0, -1.0, -1.0]);
+        let mut short_row = detail(2, 0, 1.0);
+        short_row.subsystem_scores[1].pop();
+        let mut long_rows = detail(3, 0, 1.0);
+        long_rows
+            .subsystem_scores
+            .iter_mut()
+            .for_each(|r| r.push(1.0));
+        let mut too_many = detail(4, 0, 1.0);
+        too_many.subsystem_scores = vec![vec![1.0, -1.0, -1.0]; 256];
+        too_many.supervectors = vec![SparseVec::new(); 256];
+        let mut no_rows = detail(5, 0, 1.0);
+        no_rows.subsystem_scores.clear();
+        for d in [extra_row, short_row, long_rows, too_many, no_rows] {
+            log.record(d);
+        }
+        assert!(log.is_empty());
+        assert_eq!((log.trimmed(), log.dropped(), log.deduped()), (0, 0, 0));
+    }
+
+    #[test]
+    fn counters_are_series_of_the_registry_they_were_given() {
+        let registry = Registry::new();
+        let log = VoteLog::new(1, DrainPath::Wire, &registry);
+        log.record(unselectable(1));
+        log.record(unselectable(1));
+        log.record(detail(2, 0, 1.0));
+        let read = |name: &str| {
+            let dump = registry.snapshot();
+            match dump.iter().find(|(n, _)| n == name) {
+                Some((_, lre_obs::MetricValue::Counter(v))) => *v,
+                other => panic!("{name}: {other:?}"),
+            }
+        };
+        assert_eq!(read("votelog.trimmed"), 1);
+        assert_eq!(read("votelog.deduped"), 1);
+        assert_eq!(read("votelog.dropped"), 1);
+    }
+
+    #[test]
+    fn sealed_lengths_are_computed_not_sealed() {
+        let mut odd = VoteRecord::from(detail(7, 2, -0.5));
+        odd.fused.clear();
+        odd.subsystem_scores = vec![Vec::new(); 2];
+        for rec in [
+            VoteRecord::from(detail(1, 0, 1.0)),
+            VoteRecord::from(unselectable(2)),
+            odd,
+        ] {
+            assert_eq!(rec.sealed_len(), rec.to_artifact_bytes().len());
+        }
+        // The window's running length is its snapshot's, through admits,
+        // trims, refusals and drains.
+        let log = mem(3);
+        let window = |log: &VoteLog| log.state.lock().unwrap().sealed_len;
+        assert_eq!(window(&log), log.snapshot().to_artifact_bytes().len());
+        for d in [detail(1, 0, 1.0), unselectable(2), detail(1, 0, 1.0)] {
+            log.record(d);
+            assert_eq!(window(&log), log.snapshot().to_artifact_bytes().len());
+        }
+        log.drain_at_least(1).unwrap();
+        assert_eq!(window(&log), log.snapshot().to_artifact_bytes().len());
+    }
+
+    /// A selectable vote whose one supervector seals to ≈ 6 MB.
+    fn six_megabytes(digest: u64) -> ScoreDetail {
+        const NNZ: u32 = 750_000;
+        ScoreDetail {
+            fused: vec![1.0, -1.0],
+            subsystem_scores: vec![vec![1.0, -1.0]],
+            supervectors: vec![SparseVec::from_parts(
+                (0..NNZ).collect(),
+                vec![0.5; NNZ as usize],
+            )],
+            ..detail(digest, 0, 1.0)
+        }
+    }
+
+    #[test]
+    fn only_a_window_drained_over_the_wire_is_bounded_in_bytes() {
+        let sealed = |log: &VoteLog| log.state.lock().unwrap().sealed_len;
+        // Three votes seal to ≈ 18 MB, past one 16 MiB frame.
+        let in_process = VoteLog::new(3, DrainPath::InProcess, &Registry::new());
+        let wire = VoteLog::new(3, DrainPath::Wire, &Registry::new());
+        for digest in 1..=3 {
+            in_process.record(six_megabytes(digest));
+            wire.record(six_megabytes(digest));
+        }
+        assert_eq!((in_process.len(), in_process.dropped()), (3, 0));
+        assert!(sealed(&in_process) > MAX_DRAIN_VLOG_LEN);
+        assert_eq!((wire.len(), wire.dropped()), (2, 1));
+        assert!(sealed(&wire) <= MAX_DRAIN_VLOG_LEN);
+        // The record bound still holds in process.
+        in_process.record(six_megabytes(4));
+        assert_eq!((in_process.len(), in_process.dropped()), (3, 1));
+    }
+
     #[test]
     fn drain_is_all_or_nothing_and_resets_dedup() {
-        let log = VoteLog::new(8);
+        let log = mem(8);
         log.record(detail(1, 0, 1.0));
         assert!(matches!(log.drain_at_least(2), Err(1)));
         log.record(detail(2, 1, 2.0));
@@ -392,8 +654,13 @@ mod tests {
         o
     }
 
-    fn wal_obs() -> WalObs {
-        WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)))
+    fn mem(capacity: usize) -> VoteLog {
+        VoteLog::new(capacity, DrainPath::Wire, &Registry::new())
+    }
+
+    fn open(d: &Path) -> (VoteLog, VoteRecovery) {
+        let flight = Arc::new(FlightRecorder::new(8));
+        VoteLog::open(d, 8, DrainPath::Wire, opts(), &Registry::new(), flight).unwrap()
     }
 
     fn on_disk(log: &VoteLog) -> WalStatus {
@@ -404,7 +671,7 @@ mod tests {
     fn tee_then_reopen_rebuilds_an_identical_window() {
         let d = tmpdir("tee");
         {
-            let (log, rec) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
+            let (log, rec) = open(&d);
             assert_eq!(rec, VoteRecovery::default());
             log.record(detail(1, 1, 1.0));
             log.record(detail(1, 1, 1.0)); // dup: buffer refuses, WAL untouched
@@ -413,7 +680,7 @@ mod tests {
             assert_eq!(on_disk(&log).buffered, 2);
             assert_eq!(on_disk(&log).write_errors, 0);
         }
-        let (log, rec) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
+        let (log, rec) = open(&d);
         assert_eq!(rec.replayed, 2);
         assert_eq!(rec.torn, 0);
         // Dedup state came back: the digests are still hot.
@@ -431,7 +698,7 @@ mod tests {
     fn drain_clears_the_wal_so_restart_starts_empty() {
         let d = tmpdir("drain");
         {
-            let (log, _) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
+            let (log, _) = open(&d);
             log.record(detail(1, 1, 1.0));
             log.record(detail(2, 1, 2.0));
             assert!(matches!(log.drain_at_least(3), Err(2))); // refused: WAL untouched
@@ -442,7 +709,7 @@ mod tests {
             // Post-drain records land above the new low-water mark.
             log.record(detail(3, 1, 3.0));
         }
-        let (log, rec) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
+        let (log, rec) = open(&d);
         assert_eq!(rec.replayed, 1);
         assert_eq!(log.drain_at_least(1).unwrap()[0].digest, 3);
         std::fs::remove_dir_all(&d).ok();
@@ -451,7 +718,7 @@ mod tests {
     #[test]
     fn a_failed_clear_is_counted_not_dropped() {
         let d = tmpdir("clearfail");
-        let (log, _) = VoteLog::open(&d, 8, opts(), wal_obs()).unwrap();
+        let (log, _) = open(&d);
         log.record(detail(1, 1, 1.0));
         // The log directory turns into a plain file: the drain's
         // write-and-rename has nowhere to land.
@@ -466,7 +733,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_bit_identically() {
-        let log = VoteLog::new(8);
+        let log = mem(8);
         log.record(detail(11, 0, 0.125));
         log.record(detail(12, 2, -3.5));
         let snap = log.snapshot();
@@ -492,7 +759,7 @@ mod tests {
 
     #[test]
     fn damage_is_detected() {
-        let log = VoteLog::new(8);
+        let log = mem(8);
         log.record(detail(11, 0, 0.125));
         let bytes = log.snapshot().to_artifact_bytes();
         check_damage_detected::<VoteLogSnapshot>(&bytes, 5);

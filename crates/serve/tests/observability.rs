@@ -28,11 +28,11 @@ use lre_obs::{HistogramSummary, MetricValue, EV_SWAP, STAGE_QUEUE, STAGE_REPLY};
 use lre_serve::client::ScoreReply;
 use lre_serve::protocol::{MetricsDump, STATUS_UNSUPPORTED};
 use lre_serve::{
-    vote_wal_options, Client, EngineConfig, ScoreDetail, ScoreTap, Scorer, ScorerHandle, ServeObs,
-    Server, ServerConfig, ServerHooks, VoteLog, WalStatusInfo,
+    vote_wal_options, Client, DrainPath, EngineConfig, ScoreDetail, ScoreTap, Scorer, ScorerHandle,
+    ServeObs, Server, ServerConfig, ServerHooks, VoteLog, WalStatusInfo,
 };
 use lre_vsm::SparseVec;
-use lre_wal::{WalObs, LOG_FILE};
+use lre_wal::LOG_FILE;
 use std::fs::OpenOptions;
 use std::net::TcpListener;
 use std::path::Path;
@@ -405,8 +405,9 @@ fn start_wal_server(dir: &Path) -> (Server, Arc<VoteLog>, String) {
     let mut hooks = ServerHooks::default();
     let mut opts = vote_wal_options();
     opts.fsync_interval = Duration::ZERO;
-    let wal_obs = WalObs::new(&hooks.obs.registry, Arc::clone(&hooks.obs.flight));
-    let (log, _) = VoteLog::open(dir, 64, opts, wal_obs).expect("WAL opens");
+    let flight = Arc::clone(&hooks.obs.flight);
+    let (log, _) = VoteLog::open(dir, 64, DrainPath::Wire, opts, &hooks.obs.registry, flight)
+        .expect("WAL opens");
     let log = Arc::new(log);
     hooks.tap = Some(Arc::clone(&log) as _);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");

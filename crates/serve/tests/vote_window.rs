@@ -5,12 +5,21 @@
 //! refusal out of every drain — while the WAL holds exactly the buffered
 //! window after every step and a restart replays exactly that window,
 //! dedup state included.
+//!
+//! Beside it: admission trims a record's supervectors exactly when the
+//! Eq. 13 selection over a one-utterance pool is empty at V = 1, and a WAL
+//! of whole records (as written before trimming existed) replays into the
+//! window a live log builds from the same scores.
 
 use lre_artifact::{crc32, ArtifactWrite};
+use lre_dba::{select_tr_dba, vote_matrix};
+use lre_eval::ScoreMatrix;
 use lre_obs::{FlightRecorder, Registry};
-use lre_serve::{vote_wal_options, ScoreDetail, ScoreTap, VoteLog, VoteRecord, VoteRecovery};
+use lre_serve::{
+    vote_wal_options, DrainPath, ScoreDetail, ScoreTap, VoteLog, VoteRecord, VoteRecovery,
+};
 use lre_vsm::SparseVec;
-use lre_wal::WalObs;
+use lre_wal::{Wal, WalObs};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,8 +30,16 @@ use std::time::Duration;
 fn open_walled(dir: &Path, capacity: usize) -> (VoteLog, VoteRecovery) {
     let mut opts = vote_wal_options();
     opts.fsync_interval = Duration::ZERO;
-    let obs = WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)));
-    VoteLog::open(dir, capacity, opts, obs).expect("vote WAL opens")
+    let flight = Arc::new(FlightRecorder::new(8));
+    VoteLog::open(
+        dir,
+        capacity,
+        DrainPath::Wire,
+        opts,
+        &Registry::new(),
+        flight,
+    )
+    .expect("vote WAL opens")
 }
 
 /// `(len, dropped, deduped, records in the WAL)` of the WAL-backed side.
@@ -129,7 +146,7 @@ proptest! {
         (capacity, ops) in (3usize..9, prop::collection::vec(op(), 1..48))
     ) {
         let dir = fresh_dir();
-        let plain = VoteLog::new(capacity);
+        let plain = VoteLog::new(capacity, DrainPath::Wire, &Registry::new());
         let (mut walled, recovery) = open_walled(&dir, capacity);
         prop_assert_eq!(recovery, VoteRecovery::default());
         // The plain side's counters when the WAL side was last opened: a
@@ -183,4 +200,99 @@ proptest! {
         drop(walled);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Scores drawn from a handful of values, so ties, all-negative rows,
+/// multi-positive rows and zeros on the hyperplane all turn up.
+const SCORES: [f32; 5] = [-1.0, -0.0, 0.0, 0.5, 2.0];
+
+/// A vote with `rows` as its per-subsystem OvR scores and one non-empty
+/// supervector per subsystem.
+fn vote(digest: u64, rows: Vec<Vec<f32>>) -> ScoreDetail {
+    let q = rows.len();
+    ScoreDetail {
+        digest,
+        num_frames: 75,
+        duration_index: (digest % 3) as usize,
+        generation: 1,
+        fused: rows[0].iter().map(|x| 0.5 * x).collect(),
+        subsystem_scores: rows,
+        supervectors: (0..q as u32)
+            .map(|i| SparseVec::from_pairs(vec![(i, 1.0), (9 + i, -0.25)]))
+            .collect(),
+        stage_us: Default::default(),
+        stage_done: None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_record_is_trimmed_exactly_when_no_v_can_select_it(
+        (q, k, flat) in (
+            1usize..7,
+            1usize..6,
+            prop::collection::vec(prop::sample::select(SCORES.to_vec()), 30),
+        )
+    ) {
+        let rows: Vec<Vec<f32>> = flat.chunks(5).take(q).map(|c| c[..k].to_vec()).collect();
+        let matrices: Vec<ScoreMatrix> = rows
+            .iter()
+            .map(|row| ScoreMatrix::from_rows(k, std::slice::from_ref(row)))
+            .collect();
+        let refs: Vec<&ScoreMatrix> = matrices.iter().collect();
+        let votes = vote_matrix(&refs);
+        let selectable = !select_tr_dba(&votes, 1).is_empty();
+        // Exact for every legal V: nothing V = 1 leaves out is taken higher.
+        for v in 2..=q as u8 + 1 {
+            prop_assert!(selectable || select_tr_dba(&votes, v).is_empty());
+        }
+
+        let log = VoteLog::new(4, DrainPath::Wire, &Registry::new());
+        log.record(vote(1, rows.clone()));
+        let rec = log.drain_at_least(1).expect("admitted").remove(0);
+        prop_assert_eq!(log.trimmed(), u64::from(!selectable));
+        prop_assert_eq!(rec.supervectors.len(), q);
+        prop_assert_eq!(rec.supervectors.iter().all(SparseVec::is_empty), !selectable);
+        prop_assert_eq!(&rec.subsystem_scores, &rows);
+    }
+}
+
+#[test]
+fn an_untrimmed_wal_replays_into_the_window_a_live_log_builds() {
+    let sel = vec![vec![1.0, -1.0, -1.0], vec![0.5, -1.0, -1.0]];
+    let tie = vec![vec![1.0, -1.0, -1.0], vec![-1.0, 0.5, -1.0]];
+    let none = vec![vec![-1.0, -1.0, -1.0], vec![1.0, 0.5, -1.0]];
+    let votes: Vec<ScoreDetail> = (0..12u64)
+        .map(|i| vote(i, [&sel, &tie, &none][i as usize % 3].clone()))
+        .collect();
+
+    // Whole records straight into a vote WAL, as a log that never trimmed
+    // wrote them.
+    let dir = fresh_dir();
+    {
+        let mut opts = vote_wal_options();
+        opts.fsync_interval = Duration::ZERO;
+        let obs = WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)));
+        let (wal, _) = Wal::open(&dir, opts, obs).expect("vote WAL opens");
+        for v in &votes {
+            wal.append(&VoteRecord::from(v.clone()).to_artifact_bytes())
+                .expect("append");
+        }
+    }
+    let (replayed, recovery) = open_walled(&dir, 64);
+    assert_eq!(recovery.replayed, 12);
+
+    let live = VoteLog::new(64, DrainPath::Wire, &Registry::new());
+    for v in votes {
+        live.record(v);
+    }
+    assert_eq!((replayed.trimmed(), live.trimmed()), (8, 8));
+    assert_eq!(
+        view(replayed.drain_at_least(1)),
+        view(live.drain_at_least(1))
+    );
+    drop(replayed);
+    std::fs::remove_dir_all(&dir).ok();
 }

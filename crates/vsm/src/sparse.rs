@@ -134,6 +134,13 @@ impl SparseVec {
     pub fn max_dim(&self) -> usize {
         self.indices.last().map_or(0, |&i| i as usize + 1)
     }
+
+    /// Length of the sealed `SPVC` container, without sealing it: header,
+    /// the two length-prefixed slices, CRC trailer.
+    pub fn sealed_len(&self) -> usize {
+        use lre_artifact::{HEADER_LEN, TRAILER_LEN};
+        HEADER_LEN + 2 * 4 + self.nnz() * (4 + 4) + TRAILER_LEN
+    }
 }
 
 impl lre_artifact::ArtifactWrite for SparseVec {
@@ -174,6 +181,18 @@ mod tests {
 
     fn v(pairs: &[(u32, f32)]) -> SparseVec {
         SparseVec::from_pairs(pairs.to_vec())
+    }
+
+    #[test]
+    fn sealed_len_is_the_sealed_length() {
+        use lre_artifact::ArtifactWrite;
+        for s in [
+            SparseVec::new(),
+            v(&[(3, 1.5)]),
+            v(&[(0, 1.0), (9, -2.0), (70, 0.5)]),
+        ] {
+            assert_eq!(s.sealed_len(), s.to_artifact_bytes().len());
+        }
     }
 
     #[test]
