@@ -130,7 +130,6 @@ fn start_router(servers: &[Server]) -> Router {
             max_inflight: 64,
             health_interval: Duration::from_millis(25),
             probe_timeout: Duration::from_millis(500),
-            ..RouterConfig::default()
         },
         None,
         obs,

@@ -24,7 +24,8 @@ pub struct DecoderConfig {
 // `bench-e2e/src/walk.rs:191` is held byte for byte and still spells its
 // emission call `score_all_frames_into_mode(am, feats, decoder.scoring, buf)`.
 // One arithmetic is left, so the argument is a zero-sized marker, never
-// serialized. ROADMAP item 2 (benchmark v2) deletes this block and the field.
+// serialized. ROADMAP item 7 (the next benchmark change) deletes this block
+// and the field.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Exact;

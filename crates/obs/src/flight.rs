@@ -33,7 +33,8 @@ pub const EV_SWAP: u8 = 5;
 pub const EV_ROLLBACK: u8 = 6;
 /// A request was shed unscored (queue full or admission cap).
 pub const EV_SHED: u8 = 7;
-/// An accepted request expired before a worker reached it.
+/// An accepted request expired before a worker reached it (`a` = its
+/// trace id).
 pub const EV_DEADLINE: u8 = 8;
 // Kind 9 (`wal_seal`) is retired, not renumbered.
 /// Lineage garbage collection reclaimed state (`a` = generations
@@ -43,7 +44,7 @@ pub const EV_WAL_GC: u8 = 10;
 /// `b` = torn tail records skipped).
 pub const EV_WAL_RECOVER: u8 = 11;
 /// A scorer panicked under an engine worker; the request failed with a
-/// typed reply and the worker lives on (`a` = trace id, 0 if untraced).
+/// typed reply and the worker lives on (`a` = the request's trace id).
 pub const EV_PANIC: u8 = 12;
 /// An adaptation coordinator promoted a candidate to every replica it
 /// drives (`a` = the replicas' lowest generation after, `b` = bundle

@@ -19,7 +19,7 @@
 //! - [`flight`]: a bounded ring of structured [`FlightEvent`]s (ejections,
 //!   guard verdicts, swaps, sheds, deadline expiries) that is drainable
 //!   over the wire and dumped to stderr on panic.
-//! - [`span`]: stage constants and the [`TraceSpan`] a traced request
+//! - [`span`]: stage constants and the [`TraceSpan`] every scored request
 //!   accumulates as it moves queue → decode → supervector →
 //!   score → reply.
 //!

@@ -1,4 +1,4 @@
-//! Per-request trace spans: the stage clock a traced request carries
+//! Per-request trace spans: the stage clock every scored reply carries
 //! from admission to reply.
 //!
 //! A span is a trace id plus a list of `(stage, offset_us)` pairs, each
@@ -49,11 +49,11 @@ pub struct StageTimes {
     pub score_us: u64,
 }
 
-/// One traced request's stage breakdown.
+/// One request's stage breakdown.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceSpan {
-    /// Minted at admission (router or server); `0` never appears on a
-    /// completed span.
+    /// Minted by the serving engine when it admits the request (a router
+    /// forwards the replica's); `0` never appears on a completed span.
     pub trace_id: u64,
     /// `(stage, offset_us)` pairs in recording order; offsets are from
     /// engine admission and non-decreasing.

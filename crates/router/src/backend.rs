@@ -27,8 +27,7 @@ use crate::router::RouterObs;
 use lre_obs::{Counter, FlightRecorder, Histogram, EV_EJECT, EV_READMIT};
 use lre_serve::protocol::{
     decode_reply, encode_request, encode_status_v2, read_frame, write_frame, AbortAck, CommitAck,
-    DrainReply, PingReport, Request, RollbackAck, StageAck, SAMPLES_AT_V2, SCORE_ID,
-    STATUS_INTERNAL,
+    DrainReply, PingReport, Request, RollbackAck, StageAck, SCORE_ID, STATUS_INTERNAL,
 };
 use lre_serve::{Client, FleetControl, VoteRecord};
 use std::collections::HashMap;
@@ -211,18 +210,14 @@ impl Backend {
         }
     }
 
-    /// Forward one score frame of either tag (`frame[SCORE_ID]` holds the
-    /// client id, which this rewrites). The pending entry is registered
+    /// Forward one score frame (`frame[SCORE_ID]` holds the client id,
+    /// which this rewrites). The pending entry is registered
     /// before the write so the reply cannot race the bookkeeping.
     pub fn forward(
         &self,
         mut frame: Vec<u8>,
         pending: Pending,
     ) -> Result<(), (ForwardError, Pending)> {
-        debug_assert!(
-            frame.len() > SAMPLES_AT_V2,
-            "caller decoded this as a score"
-        );
         let backend_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         frame[SCORE_ID].copy_from_slice(&backend_id.to_le_bytes());
         self.pending

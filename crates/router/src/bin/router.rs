@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! lre-router --addr HOST:PORT --replica HOST:PORT [--replica ...]
-//!            [--policy least-inflight|hash] [--vnodes N]
 //!            [--max-inflight N] [--health-interval-ms N]
 //!            [--bundle PATH --guard PATH] [--min-utts N]
 //!            [--v-threshold N] [--guard-max-eer-regress X]
@@ -22,7 +21,7 @@ use lre_adapt::{AdaptController, GuardArgs};
 use lre_artifact::ArtifactRead;
 use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
-use lre_router::{Backend, Policy, Router, RouterConfig, RouterObs};
+use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::args::{or_die, Args};
 use lre_serve::DEFAULT_FLIGHT_CAPACITY;
 use std::net::TcpListener;
@@ -31,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "lre-router --addr HOST:PORT --replica HOST:PORT [--replica ...] \
-    [--policy least-inflight|hash] [--vnodes N] [--max-inflight N] [--health-interval-ms N] \
+    [--max-inflight N] [--health-interval-ms N] \
     [--bundle PATH --guard PATH] [--min-utts N] [--v-threshold N] \
     [--guard-max-eer-regress X] [--guard-max-cavg-regress X]";
 
@@ -46,14 +45,6 @@ fn main() {
         match flag.as_str() {
             "--addr" => addr = args.value(&flag),
             "--replica" => replicas.push(args.value(&flag)),
-            "--policy" => {
-                cfg.policy = match args.value::<String>(&flag).as_str() {
-                    "least-inflight" => Policy::LeastInflight,
-                    "hash" => Policy::Hash,
-                    _ => args.fail("bad --policy (least-inflight|hash)"),
-                }
-            }
-            "--vnodes" => cfg.vnodes = args.value(&flag),
             "--max-inflight" => cfg.max_inflight = args.value(&flag),
             "--health-interval-ms" => {
                 cfg.health_interval = Duration::from_millis(args.value(&flag))
@@ -107,10 +98,9 @@ fn main() {
     );
     let admitted = router.backends().iter().filter(|b| b.is_healthy()).count();
     eprintln!(
-        "[router] {} replicas configured, {} admitted at startup, policy {:?}",
+        "[router] {} replicas configured, {} admitted at startup",
         router.backends().len(),
-        admitted,
-        cfg.policy
+        admitted
     );
     println!("listening on {}", router.local_addr());
     router.join();

@@ -6,8 +6,8 @@
 //! - [`router`]: the front tier — pipelined client
 //!   connections fanned over the fleet, request ids and deadlines
 //!   preserved, replies relayed out of order and bit-identical to what
-//!   the replica produced. Routing is least-inflight by default, or
-//!   consistent-hash ([`ring`]) when replica affinity matters;
+//!   the replica produced. Each request goes to the healthy replica with
+//!   the fewest requests in flight ([`least_inflight`]);
 //! - [`backend`]: one routed replica — its pipelined data connection,
 //!   the pending-reply map, typed fail-fast when the replica dies
 //!   mid-flight, and ejection / doubling-backoff / re-admission health.
@@ -19,9 +19,7 @@
 //!   semantics and one-deep bit-identical rollback.
 
 pub mod backend;
-pub mod ring;
 pub mod router;
 
 pub use backend::{probe_ping, probe_round_trip, Backend, ForwardError, Pending};
-pub use ring::{hash_bytes, mix64, HashRing};
-pub use router::{least_inflight, Policy, Router, RouterConfig, RouterObs};
+pub use router::{least_inflight, Router, RouterConfig, RouterObs};

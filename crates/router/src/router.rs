@@ -5,10 +5,11 @@
 //! The data plane never re-encodes a score. A request is decoded once —
 //! the full `decode_request`, samples included, so a frame the replica
 //! would refuse is refused here — and then the *received bytes* are
-//! forwarded with only the id (and a minted trace id) spliced in at the
-//! offsets the protocol's tag table exports; the reply comes back with the
-//! client's id spliced in and the scored bytes untouched, so routed scores
-//! are bit-identical to direct ones.
+//! forwarded with only the id spliced in at the offset the protocol's tag
+//! table exports; the reply comes back with the client's id spliced in and
+//! the scored bytes (the replica's span included) untouched, so routed
+//! scores are bit-identical to direct ones. Every request goes to the
+//! healthy replica with the fewest requests in flight.
 //!
 //! Per-request failure semantics mirror the server's typed statuses:
 //! no healthy replica → `STATUS_OVERLOADED`; replica died after the
@@ -23,44 +24,27 @@
 //! its `router.shed` counter for the requests the router refused itself.
 
 use crate::backend::{probe_round_trip, Backend, Pending};
-use crate::ring::{hash_bytes, HashRing};
 use lre_adapt::{rollback_backends, AdaptController};
 use lre_obs::{Counter, FlightRecorder, Registry};
 use lre_serve::protocol::{
     decode_reply, decode_request, encode_ok, encode_status, encode_status_v2, read_frame,
-    write_frame, Ack, FleetStats, PingReport, ReplicaStat, Request, SAMPLES_AT_TRACED,
-    SAMPLES_AT_V2, STATUS_BAD_REQUEST, STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_UNSUPPORTED,
-    TRACE_ID,
+    write_frame, Ack, FleetStats, PingReport, ReplicaStat, Request, STATUS_BAD_REQUEST,
+    STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_UNSUPPORTED,
 };
 use lre_serve::server::answer;
-use lre_serve::{mint_trace_id, StatsSnapshot};
+use lre_serve::StatsSnapshot;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// How the router picks a replica for a score request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// The healthy replica with the fewest requests in flight (ties go to
-    /// the lowest index). The default: best latency under uneven load.
-    LeastInflight,
-    /// Consistent hash of the utterance samples over the ring: the same
-    /// content always lands on the same replica while it is healthy, for
-    /// replica-side cache affinity.
-    Hash,
-}
-
 /// Router tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct RouterConfig {
-    pub policy: Policy,
     /// Per-client-connection score window, enforced at the router exactly
     /// like at a single server.
     pub max_inflight: usize,
-    /// Virtual nodes per replica on the hash ring.
-    pub vnodes: usize,
     /// Health thread cadence.
     pub health_interval: Duration,
     /// Connect/read timeout for health and control probes.
@@ -70,9 +54,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
-            policy: Policy::LeastInflight,
             max_inflight: 32,
-            vnodes: 64,
             health_interval: Duration::from_millis(200),
             probe_timeout: Duration::from_secs(1),
         }
@@ -106,8 +88,6 @@ impl RouterObs {
 
 struct Shared {
     backends: Vec<Arc<Backend>>,
-    ring: HashRing,
-    policy: Policy,
     max_inflight: usize,
     /// Score requests in flight through the router, across all clients
     /// (an `Arc` because every pending entry holds a decrement duty).
@@ -120,9 +100,9 @@ struct Shared {
     addr: SocketAddr,
 }
 
-/// Least-inflight selection: the healthy entry with the fewest requests
-/// in flight, lowest index winning ties. Pure so the policy is testable
-/// without a live fleet.
+/// The routing rule: the healthy entry with the fewest requests in
+/// flight, lowest index winning ties. Pure so it is testable without a
+/// live fleet.
 pub fn least_inflight(inflights: &[usize], healthy: &[bool]) -> Option<usize> {
     (0..inflights.len())
         .filter(|&i| healthy.get(i).copied().unwrap_or(false))
@@ -130,16 +110,10 @@ pub fn least_inflight(inflights: &[usize], healthy: &[bool]) -> Option<usize> {
 }
 
 impl Shared {
-    fn pick(&self, key_bytes: &[u8]) -> Option<Arc<Backend>> {
+    fn pick(&self) -> Option<Arc<Backend>> {
         let healthy: Vec<bool> = self.backends.iter().map(|b| b.is_healthy()).collect();
-        let index = match self.policy {
-            Policy::LeastInflight => {
-                let inflights: Vec<usize> = self.backends.iter().map(|b| b.inflight()).collect();
-                least_inflight(&inflights, &healthy)
-            }
-            Policy::Hash => self.ring.lookup(hash_bytes(key_bytes), &healthy),
-        };
-        index.map(|i| Arc::clone(&self.backends[i]))
+        let inflights: Vec<usize> = self.backends.iter().map(|b| b.inflight()).collect();
+        least_inflight(&inflights, &healthy).map(|i| Arc::clone(&self.backends[i]))
     }
 }
 
@@ -171,9 +145,7 @@ impl Router {
             let _ = b.connect();
         }
         let shared = Arc::new(Shared {
-            ring: HashRing::new(backends.len(), cfg.vnodes),
             backends,
-            policy: cfg.policy,
             max_inflight: cfg.max_inflight.max(1),
             global_inflight: Arc::new(AtomicUsize::new(0)),
             adapt,
@@ -248,15 +220,13 @@ fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
     }
 }
 
-/// Admit and route one score frame of either tag: the connection's
-/// window, then a replica. `None` means the reply arrives through the
-/// pending machinery; `Some(frame)` is an immediate refusal. `trace` is
-/// the request's trace id when it is a traced score.
+/// Admit and route one score frame: the connection's window, then a
+/// replica. `None` means the reply arrives through the pending machinery;
+/// `Some(frame)` is an immediate refusal.
 fn admit_score(
     shared: &Shared,
     mut frame: Vec<u8>,
     client_id: u64,
-    trace: Option<u64>,
     reply_tx: &mpsc::Sender<Vec<u8>>,
     window: &Arc<AtomicUsize>,
 ) -> Option<Vec<u8>> {
@@ -264,23 +234,11 @@ fn admit_score(
         shared.obs.shed.incr();
         return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
     }
-    // A zero trace id asks the serving tier to mint one; the router is the
-    // admission point here, so it does — patched in place, the body
-    // forwarded untouched.
-    if trace == Some(0) {
-        frame[TRACE_ID].copy_from_slice(&mint_trace_id().to_le_bytes());
-    }
-    // Hash affinity follows content, never ids: the key is the sample
-    // region behind the fixed-size head.
-    let samples_at = match trace {
-        Some(_) => SAMPLES_AT_TRACED,
-        None => SAMPLES_AT_V2,
-    };
     window.fetch_add(1, Ordering::AcqRel);
     shared.global_inflight.fetch_add(1, Ordering::AcqRel);
     let mut attempts_left = 2;
     loop {
-        let Some(backend) = shared.pick(&frame[samples_at..]) else {
+        let Some(backend) = shared.pick() else {
             shared.obs.shed.incr();
             window.fetch_sub(1, Ordering::AcqRel);
             shared.global_inflight.fetch_sub(1, Ordering::AcqRel);
@@ -430,12 +388,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 
     while let Ok(Some(frame)) = read_frame(&mut stream) {
         let reply = match decode_request(&frame) {
-            Ok(Request::ScoreV2 { id, .. }) => {
-                admit_score(&shared, frame, id, None, &reply_tx, &window)
-            }
-            Ok(Request::ScoreTraced { id, trace_id, .. }) => {
-                admit_score(&shared, frame, id, Some(trace_id), &reply_tx, &window)
-            }
+            Ok(Request::ScoreV2 { id, .. }) => admit_score(&shared, frame, id, &reply_tx, &window),
             Ok(Request::StatsV3) => Some(encode_ok(&shared.obs.registry.snapshot())),
             Ok(Request::Flight { drain }) => Some(encode_ok(&if drain {
                 shared.obs.flight.drain()

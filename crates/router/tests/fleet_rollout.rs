@@ -8,12 +8,14 @@
 //! leaves every replica serving the baseline untouched, and a rollback
 //! (voluntary or forced by a replica dying between stage and commit)
 //! restores baseline scores bit-for-bit (`f32::to_bits` equality) — for
-//! a TCP replica and an in-process one alike.
+//! a TCP replica and an in-process one alike. Scores routed over two such
+//! replicas come back with the span the replica's engine minted.
 
 use lre_adapt::{rollback_backends, two_phase_promote};
 use lre_artifact::{crc32, ArtifactError};
 use lre_lattice::DecodeScratch;
-use lre_router::{Backend, RouterObs};
+use lre_obs::{STAGE_QUEUE, STAGE_REPLY};
+use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::protocol::{
     decode_request, encode_ok, read_frame, write_frame, Request, StageAck, STATUS_CONFLICT,
 };
@@ -213,6 +215,50 @@ fn rollback_restores_the_baseline_bit_identically_fleet_wide() {
 
     // One-deep: a second rollback has nothing left to restore.
     assert!(!rollback_backends(&backends).rolled);
+}
+
+#[test]
+fn every_routed_reply_carries_the_span_its_replica_minted() {
+    let (servers, addrs, _) = start_fleet(&[true, true]);
+    let obs = RouterObs::new(8);
+    let backends = addrs
+        .iter()
+        .map(|a| Arc::new(Backend::new(a.clone(), &obs)))
+        .collect();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let router =
+        Router::start(listener, backends, RouterConfig::default(), None, obs).expect("router");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+
+    let utts: Vec<Vec<f32>> = (0..16).map(|n| vec![n as f32; 8]).collect();
+    let baseline = vec![BASELINE.to_bits(), (-BASELINE).to_bits()];
+    let mut trace_ids = std::collections::HashSet::new();
+    for window in [1, 8] {
+        let replies = client
+            .score_all(&utts, window, None)
+            .expect("routed scores");
+        for (n, reply) in replies.iter().enumerate() {
+            let ScoreReply::Scored(scored) = reply else {
+                panic!("window {window}, utt {n}: refused {reply:?}");
+            };
+            let bits: Vec<u32> = scored.llrs.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(bits, baseline, "window {window}, utt {n}");
+            let span = &scored.span;
+            assert_ne!(span.trace_id, 0, "window {window}, utt {n}");
+            assert!(span.is_well_formed(), "window {window}, utt {n}: {span:?}");
+            assert_eq!(span.stages.first().map(|m| m.0), Some(STAGE_QUEUE));
+            assert_eq!(span.stages.last().map(|m| m.0), Some(STAGE_REPLY));
+            trace_ids.insert(span.trace_id);
+        }
+    }
+    assert_eq!(trace_ids.len(), 2 * utts.len(), "one trace id per request");
+
+    drop(client);
+    router.stop();
+    for server in servers {
+        server.stop();
+        server.join();
+    }
 }
 
 /// A replica stand-in that validates and ACKs a stage (a real checksum

@@ -7,7 +7,7 @@
 //! views, an ejected replica's row is its last probe, and a replica that
 //! never answers the scrape cannot wedge the reply.
 
-use lre_obs::Registry;
+use lre_obs::{Registry, TraceSpan, STAGE_QUEUE, STAGE_REPLY, STAGE_SCORE};
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::protocol::{
     decode_request, encode_ok, encode_score_ok_v2, read_frame, write_frame, MetricsDump,
@@ -32,6 +32,15 @@ struct FakeReplica {
 }
 
 const FAKE_LLRS: [f32; 2] = [0.25, -0.75];
+
+/// The span every fake score carries, as a mock-scored one would.
+fn fake_span() -> TraceSpan {
+    let mut span = TraceSpan::new(0xFA4E);
+    span.mark(STAGE_QUEUE, 1);
+    span.mark(STAGE_SCORE, 2);
+    span.mark(STAGE_REPLY, 3);
+    span
+}
 
 fn spawn_fake_replica(score_budget: i64) -> FakeReplica {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
@@ -85,7 +94,7 @@ fn serve_fake_conn(mut stream: TcpStream, alive: Arc<AtomicBool>, budget: Arc<At
                     llrs: FAKE_LLRS.to_vec(),
                     decision: 0,
                     generation: 0,
-                    span: None,
+                    span: fake_span(),
                     unknown: false,
                 };
                 if write_frame(&mut stream, &encode_score_ok_v2(id, &scored)).is_err() {
@@ -149,6 +158,7 @@ fn replica_death_mid_pipeline_fails_fast_typed_then_readmits() {
                     let want: Vec<u32> = FAKE_LLRS.iter().map(|x| x.to_bits()).collect();
                     let got: Vec<u32> = s.llrs.iter().map(|x| x.to_bits()).collect();
                     assert_eq!(got, want, "routed score not bit-identical");
+                    assert_eq!(s.span, fake_span(), "the replica's span comes through");
                     scored += 1;
                 }
                 ScoreReply::Failed | ScoreReply::Overloaded => typed_failures += 1,

@@ -36,16 +36,16 @@
 //!
 //! `--inflight 1` (the default) sends one request at a time and retries an
 //! `overloaded` reply; `--inflight N>1` keeps up to N requests riding the
-//! connection at once, replies matched by id. With `--verify`, every TCP reply is
+//! connection at once, replies matched by id. Either way every request
+//! carries `--deadline-ms`. With `--verify`, every TCP reply is
 //! compared bit-for-bit against the score computed locally from the same
 //! bundle — the end-to-end check the CI smoke job runs; it exits non-zero
 //! on any mismatch in either mode. `--fuzz` throws the malformed-input
 //! corpus at the server and verifies it answers typed errors (or just
 //! closes) without dying.
 //!
-//! `--traced` (requires `--inflight 1`: a traced score is submit-and-wait)
-//! scores through the traced protocol tag and prints each reply's
-//! stage-timestamped span. Telemetry
+//! `--traced` prints the stage-timestamped span every scored reply
+//! carries, at any `--inflight`. Telemetry
 //! flags: `--metrics` dumps the peer's stats-v3 registry human-readably,
 //! `--metrics-json` as one JSON object; `--flight` prints the peer's
 //! flight-recorder events (`--flight-drain` empties the ring). All three
@@ -211,9 +211,6 @@ fn main() {
     } else {
         10
     });
-    if traced && inflight > 1 {
-        args.fail("--traced requires --inflight 1 (a traced score is submit-and-wait)");
-    }
 
     if fuzz {
         // Wait for the server, then hammer it with the malformed corpus.
@@ -324,7 +321,8 @@ fn main() {
                 top,
                 scored.llrs[scored.decision]
             );
-            if let Some(span) = &scored.span {
+            if traced {
+                let span = &scored.span;
                 let stages: Vec<String> = span
                     .stages
                     .iter()
@@ -362,12 +360,8 @@ fn main() {
         } else {
             for (n, lang, samples) in &rendered {
                 let reply = loop {
-                    let result = if traced {
-                        client.score_traced(samples, deadline, 0)
-                    } else {
-                        client.score(samples)
-                    };
-                    match or_die(result, "score request failed") {
+                    or_die(client.submit(samples, deadline), "score request failed");
+                    match or_die(client.recv(), "score request failed").1 {
                         ScoreReply::Overloaded => {
                             std::thread::sleep(std::time::Duration::from_millis(20));
                         }

@@ -12,10 +12,10 @@
 use crate::engine::ScoredUtt;
 use crate::obs::{StatsSnapshot, WalStatusInfo};
 use crate::protocol::{
-    decode_reply, decode_score_reply_traced, decode_score_reply_v2, encode_request, read_frame,
-    write_frame, AbortAck, Ack, AdaptReport, CommitAck, DrainReply, FleetStats, MetricsDump,
-    PingReport, Request, RollbackAck, RollbackToAck, StageAck, Wire, STATUS_DEADLINE_EXCEEDED,
-    STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
+    decode_reply, decode_score_reply_v2, encode_request, read_frame, write_frame, AbortAck, Ack,
+    AdaptReport, CommitAck, DrainReply, FleetStats, MetricsDump, PingReport, Request, RollbackAck,
+    RollbackToAck, StageAck, Wire, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
+    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use lre_obs::FlightEvent;
 use std::io;
@@ -112,41 +112,30 @@ impl Client {
         self.inflight
     }
 
-    fn send_score(&mut self, request: impl FnOnce(u64) -> Request) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.stream, &encode_request(&request(id)))?;
-        self.inflight += 1;
-        Ok(id)
-    }
-
-    fn recv_score(&mut self, traced: bool) -> io::Result<(u64, ScoreReply)> {
-        let frame = read_frame(&mut self.stream)?
-            .ok_or_else(|| proto_err("server closed with replies outstanding"))?;
-        self.inflight = self.inflight.saturating_sub(1);
-        let (id, reply) = if traced {
-            decode_score_reply_traced(&frame)
-        } else {
-            decode_score_reply_v2(&frame)
-        }
-        .map_err(proto_err)?;
-        Ok((id, ScoreReply::from_wire(reply)?))
-    }
-
     /// Submit one utterance without waiting for its reply; returns the
     /// request id this client assigned (sequential from 0). See
     /// [`deadline_to_wire_ms`] for how the deadline travels.
     pub fn submit(&mut self, samples: &[f32], deadline: Option<Duration>) -> io::Result<u64> {
-        self.send_score(|id| Request::ScoreV2 {
+        let id = self.next_id;
+        self.next_id += 1;
+        let request = Request::ScoreV2 {
             id,
             deadline_ms: deadline_to_wire_ms(deadline),
             samples: samples.to_vec(),
-        })
+        };
+        write_frame(&mut self.stream, &encode_request(&request))?;
+        self.inflight += 1;
+        Ok(id)
     }
 
-    /// Block for the next score reply, whichever request it answers.
+    /// Block for the next score reply, whichever request it answers. A
+    /// scored one carries its stage-timestamped span.
     pub fn recv(&mut self) -> io::Result<(u64, ScoreReply)> {
-        self.recv_score(false)
+        let frame = read_frame(&mut self.stream)?
+            .ok_or_else(|| proto_err("server closed with replies outstanding"))?;
+        self.inflight = self.inflight.saturating_sub(1);
+        let (id, reply) = decode_score_reply_v2(&frame).map_err(proto_err)?;
+        Ok((id, ScoreReply::from_wire(reply)?))
     }
 
     /// Score one utterance and wait for its reply.
@@ -154,25 +143,6 @@ impl Client {
         self.idle("score")?;
         self.submit(samples, None)?;
         Ok(self.recv()?.1)
-    }
-
-    /// Score one utterance with tracing and wait: the reply's `span`
-    /// carries the stage-timestamped breakdown. `trace_id == 0` asks the
-    /// serving tier to mint one (the minted id comes back in the span).
-    pub fn score_traced(
-        &mut self,
-        samples: &[f32],
-        deadline: Option<Duration>,
-        trace_id: u64,
-    ) -> io::Result<ScoreReply> {
-        self.idle("score_traced")?;
-        self.send_score(|id| Request::ScoreTraced {
-            id,
-            deadline_ms: deadline_to_wire_ms(deadline),
-            trace_id,
-            samples: samples.to_vec(),
-        })?;
-        Ok(self.recv_score(true)?.1)
     }
 
     /// Drive a whole workload through a fixed window: keep `window`

@@ -51,8 +51,9 @@ use lre_obs::{
 };
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -96,10 +97,9 @@ pub struct ScoredUtt {
     /// `llrs`, resolved when a worker picked the request up. Constant 0
     /// until the first hot swap.
     pub generation: u64,
-    /// Stage-timestamped trace span, present only for traced requests
-    /// (`trace_id != 0` at submission). Not part of the score body — only
-    /// the traced reply carries it.
-    pub span: Option<TraceSpan>,
+    /// Stage-timestamped trace span under the trace id the engine minted
+    /// when it admitted the request. Every scored reply carries it.
+    pub span: TraceSpan,
     /// Open-set rejection flag: `true` when the engine was configured
     /// with [`EngineConfig::unknown_threshold`] and the top LLR fell
     /// below it. `decision` still carries the arg-max index (the best
@@ -159,8 +159,8 @@ struct Job {
     samples: Vec<f32>,
     enqueued: Instant,
     deadline: Option<Instant>,
-    /// Non-zero for traced requests; the reply then carries a
-    /// [`TraceSpan`] with this id.
+    /// Minted at admission, never 0: the reply's span and the request's
+    /// flight events carry it.
     trace_id: u64,
     reply: ReplyFn,
 }
@@ -228,6 +228,25 @@ impl Offer {
 }
 
 type Queue = BoundedQueue<Job, Arc<Offer>>;
+
+/// A process-unique, non-zero trace id for a request being admitted.
+/// Seeded once from the wall clock so ids from different server processes
+/// are unlikely to collide in shared logs.
+fn mint_trace_id() -> u64 {
+    static NEXT: OnceLock<AtomicU64> = OnceLock::new();
+    let next = NEXT.get_or_init(|| {
+        let seed = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(1);
+        AtomicU64::new(seed | 1)
+    });
+    let mut id = next.fetch_add(1, Ordering::Relaxed);
+    while id == 0 {
+        id = next.fetch_add(1, Ordering::Relaxed);
+    }
+    id
+}
 
 /// The engine: a queue and the worker pool that drains it.
 pub struct Engine {
@@ -320,10 +339,6 @@ impl Worker {
             (job.reply)(Outcome::DeadlineExceeded);
             return;
         }
-        let traced = job.trace_id != 0;
-        if traced {
-            obs.traced.incr();
-        }
         // One versioned scorer per request: a swap landing while it is
         // inside the scorer affects only later requests.
         let model = self.handle.current();
@@ -365,25 +380,22 @@ impl Worker {
         if unknown {
             obs.unknown.incr();
         }
-        let span = traced.then(|| {
-            // Every mark is an instant on this request's own clock, so the
-            // span is monotone however many threads scored. Mocks report no
-            // decode/supervector split: those marks are omitted and the
-            // whole call ends at the score mark.
-            let at = |done: Instant| done.saturating_duration_since(enqueued).as_micros() as u64;
-            let mut span = TraceSpan::new(job.trace_id);
-            span.mark(STAGE_QUEUE, queue_us);
-            match detail.stage_done {
-                Some(done) => {
-                    span.mark(STAGE_DECODE, at(done.decode));
-                    span.mark(STAGE_SUPERVECTOR, at(done.supervector));
-                    span.mark(STAGE_SCORE, at(done.score));
-                }
-                None => span.mark(STAGE_SCORE, us),
+        // Every mark is an instant on this request's own clock, so the span
+        // is monotone however many threads scored. Mocks report no
+        // decode/supervector split: those marks are omitted and the whole
+        // call ends at the score mark.
+        let at = |done: Instant| done.saturating_duration_since(enqueued).as_micros() as u64;
+        let mut span = TraceSpan::new(job.trace_id);
+        span.mark(STAGE_QUEUE, queue_us);
+        match detail.stage_done {
+            Some(done) => {
+                span.mark(STAGE_DECODE, at(done.decode));
+                span.mark(STAGE_SUPERVECTOR, at(done.supervector));
+                span.mark(STAGE_SCORE, at(done.score));
             }
-            span.mark(STAGE_REPLY, since_enqueued());
-            span
-        });
+            None => span.mark(STAGE_SCORE, us),
+        }
+        span.mark(STAGE_REPLY, since_enqueued());
         let llrs = match &self.tap {
             // An unknown must not vote, so the row is teed only now — and
             // only a teed row needs its dedup key: an engine without a tap
@@ -468,15 +480,13 @@ impl Engine {
 
     /// Enqueue one utterance with an optional deadline; `reply` fires
     /// exactly once when the request resolves. On `Err` the callback is
-    /// dropped unfired — the submitter still owns the error path.
-    /// `trace: Some(id)` (non-zero) makes the worker stamp a [`TraceSpan`]
-    /// with that id onto the scored reply, stage offsets measured from
-    /// this enqueue.
+    /// dropped unfired — the submitter still owns the error path. The
+    /// request gets a fresh trace id here, and a scored reply carries the
+    /// [`TraceSpan`] under it, stage offsets measured from this enqueue.
     pub fn submit_with(
         &self,
         samples: Vec<f32>,
         deadline: Option<Duration>,
-        trace: Option<u64>,
         reply: impl FnOnce(Outcome) + Send + 'static,
     ) -> Result<(), SubmitError> {
         self.obs.requests.incr();
@@ -485,7 +495,7 @@ impl Engine {
             samples,
             enqueued: now,
             deadline: deadline.map(|d| now + d),
-            trace_id: trace.unwrap_or(0),
+            trace_id: mint_trace_id(),
             reply: Box::new(reply),
         };
         match self.queue.push(job) {
@@ -503,7 +513,7 @@ impl Engine {
         let (tx, rx) = mpsc::channel();
         // A submitter that hung up just discards its result; not an
         // engine error.
-        self.submit_with(samples, None, None, move |o| {
+        self.submit_with(samples, None, move |o| {
             let _ = tx.send(o);
         })?;
         Ok(rx)

@@ -192,6 +192,19 @@ pub fn malformed_corpus() -> Vec<FuzzCase> {
         b
     }));
     cases.push(payload(
+        "retired tag 16 with the traced body it once took",
+        {
+            // id, deadline, trace id (0 asked the server to mint one), samples
+            let mut b = vec![16];
+            b.extend_from_slice(&7u64.to_le_bytes());
+            b.extend_from_slice(&100u32.to_le_bytes());
+            b.extend_from_slice(&0u64.to_le_bytes());
+            b.extend_from_slice(&2u32.to_le_bytes());
+            b.extend_from_slice(&0.5f32.to_le_bytes().repeat(2));
+            b
+        },
+    ));
+    cases.push(payload(
         "deterministic garbage",
         (0..64u8)
             .map(|i| i.wrapping_mul(37).wrapping_add(11))
@@ -425,13 +438,14 @@ mod tests {
             "drain-votes: cut at byte 4",
             "stage-bundle: `sealed` length u32::MAX",
             "score-v2: `samples` length u32::MAX",
-            "score-traced: cut at byte 17",
             "rollback-to: cut at byte 5",
             "rollback-to: cut at byte 1",
             "rollback-to: trailing junk",
             "retired tag 1",
             "retired tag 2",
             "retired tag 5",
+            "retired tag 16",
+            "retired tag 16 with the traced body it once took",
             "retired tag 17",
         ] {
             let case = corpus.iter().find(|c| c.name == name);

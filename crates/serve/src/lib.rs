@@ -68,7 +68,7 @@ pub use protocol::{
 };
 pub use queue::BoundedQueue;
 pub use rollout::{FleetControl, FleetReplica};
-pub use server::{mint_trace_id, AdaptControl, Server, ServerConfig, ServerHooks};
+pub use server::{AdaptControl, Server, ServerConfig, ServerHooks};
 pub use swap::{ScorerHandle, VersionedScorer};
 pub use system::{
     sample_digest, FanOut, ScoreDetail, ScoreTap, Scorer, ScoringSystem, StageDone, WorkingSet,

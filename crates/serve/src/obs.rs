@@ -33,7 +33,6 @@
 //! | `engine.fanout.tasks` | counter | per-subsystem tasks run |
 //! | `engine.fanout.helped` | counter | of those, run by a worker other than the request's owner |
 //! | `engine.fanout.join_wait_us` | histogram | owner asleep on tasks a helper still held |
-//! | `engine.traced` | counter | requests that carried a trace id |
 //! | `engine.unknown` | counter | scored replies flagged open-set unknown |
 //! | `engine.queue.max_depth` | gauge (read) | high-water mark of queue depth |
 //! | `engine.uptime_us` | gauge (read) | time since the engine started |
@@ -72,7 +71,6 @@ pub struct ServeObs {
     pub(crate) fanout_tasks: Arc<Counter>,
     pub(crate) fanout_helped: Arc<Counter>,
     pub(crate) fanout_join_wait_us: Arc<Histogram>,
-    pub(crate) traced: Arc<Counter>,
     pub(crate) unknown: Arc<Counter>,
     /// Per-top-1-language fused-LLR sketches, registered on first use
     /// (the engine learns the language count from the scores themselves).
@@ -99,7 +97,6 @@ impl ServeObs {
             fanout_tasks: registry.counter("engine.fanout.tasks"),
             fanout_helped: registry.counter("engine.fanout.helped"),
             fanout_join_wait_us: registry.histogram("engine.fanout.join_wait_us"),
-            traced: registry.counter("engine.traced"),
             unknown: registry.counter("engine.unknown"),
             lang_sketches: Mutex::new(Vec::new()),
             registry,
@@ -317,7 +314,6 @@ mod tests {
                 "engine.stage.score_us",
                 "engine.stage.supervector_us",
                 "engine.swaps",
-                "engine.traced",
                 "engine.unknown",
                 "engine.uptime_us",
             ]

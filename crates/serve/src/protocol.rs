@@ -11,26 +11,27 @@
 //! tag: its number, its name, its fields in wire order, the body type of
 //! its `OK` reply and who answers it. [`Request`], [`encode_request`],
 //! [`decode_request`], the `REQ_*` constants and [`TAG_TABLE`] are all
-//! generated from those rows; the score-frame offsets the router splices at
-//! ([`SCORE_ID`], [`TRACE_ID`], [`SAMPLES_AT_V2`], [`SAMPLES_AT_TRACED`])
-//! are computed from [`TAG_TABLE`] at compile time; `fuzz::malformed_corpus`
+//! generated from those rows; the one score-frame offset the router splices
+//! at, [`SCORE_ID`], is computed from [`TAG_TABLE`] at compile time;
+//! `fuzz::malformed_corpus`
 //! derives its per-tag cases from it and `docs/SERVING.md` is held to it by
 //! a test. Adding a tag is one row plus the handler arm in `server.rs`
 //! (and `router.rs`, if routers answer it).
 //!
 //! **Replies** start with a status byte. Every control reply is
 //! `STATUS_OK` + a body implementing [`Wire`], or a bare refusal status:
-//! [`encode_ok`] / [`decode_reply`] own that rule for all of them. Score
-//! replies ([`REQ_SCORE_V2`], [`REQ_SCORE_TRACED`]) echo the request's
-//! `u64` id right after the status byte — on refusals too — so a client
-//! can keep a window of requests outstanding and match replies as they
-//! arrive; the traced reply appends the stage-timestamped span.
+//! [`encode_ok`] / [`decode_reply`] own that rule for all of them. A score
+//! reply ([`REQ_SCORE_V2`]) echoes the request's `u64` id right after the
+//! status byte — on refusals too — so a client can keep a window of
+//! requests outstanding and match replies as they arrive; a scored one
+//! carries the stage-timestamped span after the score body.
 //!
 //! Retired tags decode as unknown tags: 1 and 2 (the one-request-in-flight
-//! score and nine-counter stats of the first protocol generation), and 5
-//! and 17 (stats-v2 and wal-status, whose bodies are now client-side
-//! views over the stats-v3 dump: [`StatsSnapshot::from_dump`],
-//! [`crate::WalStatusInfo::from_dump`]).
+//! score and nine-counter stats of the first protocol generation), 5 and
+//! 17 (stats-v2 and wal-status, whose bodies are now client-side views
+//! over the stats-v3 dump: [`StatsSnapshot::from_dump`],
+//! [`crate::WalStatusInfo::from_dump`]), and 16 (score-traced, whose span
+//! every score reply now carries).
 
 use crate::engine::ScoredUtt;
 use crate::obs::StatsSnapshot;
@@ -79,7 +80,7 @@ pub const MAX_DRAIN_VLOG_LEN: usize = MAX_FRAME_LEN - (1 + 4 + 1 + 4);
 pub const DECISION_UNKNOWN: u32 = u32::MAX;
 
 /// Tag numbers that once meant something and must never be reused.
-pub const RETIRED_TAGS: &[u8] = &[1, 2, 5, 17];
+pub const RETIRED_TAGS: &[u8] = &[1, 2, 5, 16, 17];
 
 /// A value with one byte layout: a request field or a reply body.
 pub trait Wire: Sized {
@@ -337,7 +338,8 @@ tag_table! {
     3 REQ_SHUTDOWN Shutdown "shutdown" => Ack, "server · router (relays to every replica)";
     /// Pipelined score: client-chosen request id, deadline in milliseconds
     /// (`0` = none), raw 8 kHz samples. Up to the server's inflight window
-    /// may be outstanding; replies echo the id and may arrive out of order.
+    /// may be outstanding; replies echo the id and may arrive out of order,
+    /// and a scored one carries the request's stage-timestamped span.
     4 REQ_SCORE_V2 ScoreV2 "score-v2" { id: u64, deadline_ms: u32, samples: Vec<f32> }
         => ScoredUtt, "server · router (forwards to a replica)";
     /// Run one adaptation cycle now (drain the vote log, retrain, guard,
@@ -373,13 +375,6 @@ tag_table! {
     14 REQ_STATS_V3 StatsV3 "stats-v3" => MetricsDump, "server · router";
     /// Peek at (flag 0) or drain (flag 1) the flight recorder's event ring.
     15 REQ_FLIGHT Flight "flight" { drain: bool } => Vec<FlightEvent>, "server · router";
-    /// [`Request::ScoreV2`] plus a trace id after the deadline (`0` = the
-    /// serving tier mints one). The OK reply appends the stage-timestamped
-    /// span to the score body. The request id stays where `ScoreV2` has
-    /// it, so a router splices both the same way.
-    16 REQ_SCORE_TRACED ScoreTraced "score-traced"
-        { id: u64, deadline_ms: u32, trace_id: u64, samples: Vec<f32> }
-        => ScoredUtt, "server · router (mints the trace id, forwards)";
     /// Deep rollback: restore a specific previously served generation from
     /// the lineage store, bit-identically. Refused `STATUS_CONFLICT` when
     /// the generation is unknown or its bytes were garbage-collected.
@@ -417,19 +412,10 @@ const fn field_span(tag: u8, field: &str) -> Range<usize> {
     panic!("no such tag or field in the tag table")
 }
 
-/// The request id of both score tags. Score replies carry it in the same
+/// The request id of a score request. Score replies carry it in the same
 /// place (status byte instead of tag byte), so routers splice ids here in
 /// both directions without decoding anything behind it.
 pub const SCORE_ID: Range<usize> = field_span(REQ_SCORE_V2, "id");
-/// The trace id of a [`REQ_SCORE_TRACED`] request.
-pub const TRACE_ID: Range<usize> = field_span(REQ_SCORE_TRACED, "trace_id");
-/// Where the sample slice (its length prefix first) starts.
-pub const SAMPLES_AT_V2: usize = field_span(REQ_SCORE_V2, "samples").start;
-pub const SAMPLES_AT_TRACED: usize = field_span(REQ_SCORE_TRACED, "samples").start;
-const _: () = {
-    let traced = field_span(REQ_SCORE_TRACED, "id");
-    assert!(traced.start == SCORE_ID.start && traced.end == SCORE_ID.end);
-};
 
 /// Write one frame: `u32` LE length + payload. A payload over
 /// [`MAX_FRAME_LEN`], which every peer's [`read_frame`] would refuse, is
@@ -519,8 +505,8 @@ impl Wire for Ack {
 }
 
 /// Score body: `f32` slice of per-language LLRs, `u32` decision index (or
-/// [`DECISION_UNKNOWN`]), `u64` generation of the model that scored it.
-/// The span is not part of the body; see [`encode_score_ok_traced`].
+/// [`DECISION_UNKNOWN`]), `u64` generation of the model that scored it,
+/// then the request's [`TraceSpan`].
 impl Wire for ScoredUtt {
     fn put(&self, w: &mut ArtifactWriter) {
         self.llrs.put(w);
@@ -530,6 +516,7 @@ impl Wire for ScoredUtt {
             self.decision as u32
         });
         self.generation.put(w);
+        self.span.put(w);
     }
     fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
         let llrs = Vec::<f32>::get(r)?;
@@ -552,7 +539,7 @@ impl Wire for ScoredUtt {
             llrs,
             decision,
             generation,
-            span: None,
+            span: TraceSpan::get(r)?,
             unknown,
         })
     }
@@ -593,56 +580,29 @@ fn score_reply_head(status: u8, id: u64) -> ArtifactWriter {
     w
 }
 
-/// A score refusal (either score tag): status byte + echoed request id.
+/// A score refusal: status byte + echoed request id.
 pub fn encode_status_v2(id: u64, status: u8) -> Vec<u8> {
     score_reply_head(status, id).into_bytes()
 }
 
-/// A [`REQ_SCORE_V2`] success: status + echoed id + score body.
+/// A [`REQ_SCORE_V2`] success: status + echoed id + score body (its span
+/// included).
 pub fn encode_score_ok_v2(id: u64, scored: &ScoredUtt) -> Vec<u8> {
     let mut w = score_reply_head(STATUS_OK, id);
     scored.put(&mut w);
     w.into_bytes()
 }
 
-/// A [`REQ_SCORE_TRACED`] success: the [`REQ_SCORE_V2`] reply plus
-/// `scored.span`.
-pub fn encode_score_ok_traced(id: u64, scored: &ScoredUtt) -> Vec<u8> {
-    let mut w = score_reply_head(STATUS_OK, id);
-    scored.put(&mut w);
-    match &scored.span {
-        Some(span) => span.put(&mut w),
-        None => TraceSpan::default().put(&mut w),
-    }
-    w.into_bytes()
-}
-
-fn decode_score(bytes: &[u8], traced: bool) -> Result<(u64, Result<ScoredUtt, u8>), ArtifactError> {
+/// Decode a [`REQ_SCORE_V2`] reply: `(request id, Ok(scored) | Err(status))`.
+pub fn decode_score_reply_v2(bytes: &[u8]) -> Result<(u64, Result<ScoredUtt, u8>), ArtifactError> {
     let mut r = ArtifactReader::new(bytes);
     let (status, id) = (r.get_u8()?, r.get_u64()?);
-    let reply = if status == STATUS_OK {
-        let mut scored = ScoredUtt::get(&mut r)?;
-        if traced {
-            scored.span = Some(TraceSpan::get(&mut r)?);
-        }
-        Ok(scored)
-    } else {
-        Err(status)
+    let reply = match status {
+        STATUS_OK => Ok(ScoredUtt::get(&mut r)?),
+        status => Err(status),
     };
     finish(&r)?;
     Ok((id, reply))
-}
-
-/// Decode a [`REQ_SCORE_V2`] reply: `(request id, Ok(scored) | Err(status))`.
-pub fn decode_score_reply_v2(bytes: &[u8]) -> Result<(u64, Result<ScoredUtt, u8>), ArtifactError> {
-    decode_score(bytes, false)
-}
-
-/// Decode a [`REQ_SCORE_TRACED`] reply; a scored one carries its span.
-pub fn decode_score_reply_traced(
-    bytes: &[u8],
-) -> Result<(u64, Result<ScoredUtt, u8>), ArtifactError> {
-    decode_score(bytes, true)
 }
 
 // The fleet-stats aggregate: every field as a `u64`, in declaration order.
@@ -918,12 +878,44 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    fn span(trace_id: u64, marks: &[(u8, u64)]) -> TraceSpan {
+        let mut span = TraceSpan::new(trace_id);
+        for &(stage, at) in marks {
+            span.mark(stage, at);
+        }
+        span
+    }
+
+    /// The span a real scorer's reply carries: all five stages.
+    fn five_marks() -> TraceSpan {
+        use lre_obs::{STAGE_DECODE, STAGE_QUEUE, STAGE_SCORE, STAGE_SUPERVECTOR};
+        span(
+            0xCAFE,
+            &[
+                (STAGE_QUEUE, 100),
+                (STAGE_DECODE, 120),
+                (STAGE_SUPERVECTOR, 700),
+                (STAGE_SCORE, 900),
+                (STAGE_REPLY, 950),
+            ],
+        )
+    }
+
+    /// A mock scorer reports no decode / supervector split.
+    fn three_marks() -> TraceSpan {
+        use lre_obs::{STAGE_QUEUE, STAGE_SCORE};
+        span(
+            0xF00D,
+            &[(STAGE_QUEUE, 3), (STAGE_SCORE, 40), (STAGE_REPLY, 41)],
+        )
+    }
+
     fn scored(llrs: Vec<f32>, decision: usize, generation: u64) -> ScoredUtt {
         ScoredUtt {
             llrs,
             decision,
             generation,
-            span: None,
+            span: five_marks(),
             unknown: false,
         }
     }
@@ -976,48 +968,25 @@ mod tests {
     #[test]
     fn sample_bits_survive_the_request_codec() {
         let samples = vec![0.0, -0.0, f32::NAN, f32::MIN_POSITIVE, -1.25];
-        for req in [
-            Request::ScoreV2 {
-                id: u64::MAX,
-                deadline_ms: 250,
-                samples: samples.clone(),
-            },
-            Request::ScoreTraced {
-                id: 9,
-                deadline_ms: 0,
-                trace_id: 0xCAFE,
-                samples: samples.clone(),
-            },
-        ] {
-            match decode_request(&encode_request(&req)).unwrap() {
-                Request::ScoreV2 { samples: back, .. }
-                | Request::ScoreTraced { samples: back, .. } => {
-                    assert_eq!(bits(&back), bits(&samples))
-                }
-                other => panic!("decoded as {other:?}"),
-            }
+        let req = Request::ScoreV2 {
+            id: u64::MAX,
+            deadline_ms: 250,
+            samples: samples.clone(),
+        };
+        match decode_request(&encode_request(&req)).unwrap() {
+            Request::ScoreV2 { samples: back, .. } => assert_eq!(bits(&back), bits(&samples)),
+            other => panic!("decoded as {other:?}"),
         }
     }
 
     #[test]
-    fn layout_constants_are_where_the_encoder_puts_the_fields() {
-        let v2 = encode_request(&Request::ScoreV2 {
+    fn score_id_is_where_the_encoder_puts_the_id() {
+        let request = encode_request(&Request::ScoreV2 {
             id: 0x1122_3344_5566_7788,
             deadline_ms: 9,
             samples: vec![1.0],
         });
-        let traced = encode_request(&Request::ScoreTraced {
-            id: 0x1122_3344_5566_7788,
-            deadline_ms: 9,
-            trace_id: 0xAABB_CCDD_EEFF_0011,
-            samples: vec![1.0],
-        });
-        for frame in [&v2, &traced] {
-            assert_eq!(frame[SCORE_ID], 0x1122_3344_5566_7788u64.to_le_bytes());
-        }
-        assert_eq!(traced[TRACE_ID], 0xAABB_CCDD_EEFF_0011u64.to_le_bytes());
-        assert_eq!(v2[SAMPLES_AT_V2..][..4], 1u32.to_le_bytes());
-        assert_eq!(traced[SAMPLES_AT_TRACED..][..4], 1u32.to_le_bytes());
+        assert_eq!(request[SCORE_ID], 0x1122_3344_5566_7788u64.to_le_bytes());
         // Replies echo the id in the same place, refusals included.
         let ok = encode_score_ok_v2(77, &scored(vec![0.5], 0, 1));
         let refused = encode_status_v2(77, STATUS_OVERLOADED);
@@ -1125,7 +1094,7 @@ mod tests {
                     p999: 300,
                 }),
             ),
-            ("engine.traced".to_string(), MetricValue::Counter(17)),
+            ("engine.requests".to_string(), MetricValue::Counter(17)),
             ("router.shed".to_string(), MetricValue::Gauge(2)),
             (
                 "score.llr.top1.lang00".to_string(),
@@ -1158,7 +1127,11 @@ mod tests {
         }
         let checks = checks! {
             Ack => vec![Ack];
-            ScoredUtt => vec![scored(vec![0.25, -1.0], 1, 42), scored(Vec::new(), 0, 0)];
+            ScoredUtt => vec![
+                scored(vec![0.25, -1.0], 1, 42),
+                ScoredUtt { span: three_marks(), ..scored(vec![1.5], 0, 3) },
+                scored(Vec::new(), 0, 0),
+            ];
             AdaptReport => vec![AdaptReport {
                 outcome: ADAPT_PROMOTED,
                 generation: 7,
@@ -1305,12 +1278,10 @@ mod tests {
         assert_eq!(bits(&back.llrs), bits(&body.llrs));
 
         for status in REFUSALS {
-            for decode in [decode_score_reply_v2, decode_score_reply_traced] {
-                let frame = encode_status_v2(77, status);
-                assert_eq!(decode(&frame).unwrap(), (77, Err(status)));
-                assert!(decode(&[&frame[..], &[1]].concat()).is_err());
-                assert!(decode(&frame[..frame.len() - 1]).is_err());
-            }
+            let frame = encode_status_v2(77, status);
+            assert_eq!(decode_score_reply_v2(&frame).unwrap(), (77, Err(status)));
+            assert!(decode_score_reply_v2(&[&frame[..], &[1]].concat()).is_err());
+            assert!(decode_score_reply_v2(&frame[..frame.len() - 1]).is_err());
         }
         let frame = encode_score_ok_v2(1, &body);
         for cut in 0..frame.len() {
@@ -1348,39 +1319,48 @@ mod tests {
     }
 
     #[test]
-    fn traced_score_reply_carries_the_span() {
-        use lre_obs::{STAGE_DECODE, STAGE_QUEUE, STAGE_SCORE};
-        let spanned = |marks: &[(u8, u64)]| {
-            let mut span = TraceSpan::new(0xCAFE);
-            for &(stage, at) in marks {
-                span.mark(stage, at);
-            }
-            ScoredUtt {
-                span: Some(span),
+    fn every_scored_reply_carries_its_span_after_the_score_body() {
+        for span in [five_marks(), three_marks()] {
+            let body = ScoredUtt {
+                span: span.clone(),
                 ..scored(vec![0.25, -1.0], 0, 42)
-            }
-        };
-        let good = spanned(&[
-            (STAGE_QUEUE, 100),
-            (STAGE_DECODE, 120),
-            (STAGE_SCORE, 900),
-            (STAGE_REPLY, 950),
-        ]);
-        let frame = encode_score_ok_traced(11, &good);
-        assert_eq!(decode_score_reply_traced(&frame).unwrap(), (11, Ok(good)));
-        for cut in 0..frame.len() {
-            assert!(decode_score_reply_traced(&frame[..cut]).is_err());
+            };
+            let frame = encode_score_ok_v2(11, &body);
+            assert_eq!(decode_score_reply_v2(&frame).unwrap(), (11, Ok(body)));
+            // After the score body: trace id, stage count, then nine bytes
+            // a mark — 57 bytes for a real scorer's five marks.
+            let marks = span.stages.len();
+            let score_body = 1 + 8 + (4 + 2 * 4) + 4 + 8;
+            assert_eq!(frame.len(), score_body + 8 + 4 + 9 * marks);
+            assert_eq!(&frame[score_body..][..8], &span.trace_id.to_le_bytes());
         }
-        // The two score replies are different shapes: neither decoder
-        // takes the other's frame.
-        assert!(decode_score_reply_v2(&frame).is_err());
-        assert!(decode_score_reply_traced(&encode_score_ok_v2(11, &spanned(&[]))).is_err());
+        assert_eq!(
+            encode_score_ok_v2(1, &scored(vec![0.5], 0, 1)).len(),
+            1 + 8 + 8 + 4 + 8 + 57
+        );
+
+        // A reply cut before its span ends — the whole span, or a mark —
+        // is not a reply.
+        let frame = encode_score_ok_v2(11, &scored(vec![0.25, -1.0], 0, 42));
+        for cut in frame.len() - 57..frame.len() {
+            assert!(
+                decode_score_reply_v2(&frame[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
 
         // Offsets going backwards and unknown stage ids are protocol errors.
-        let backwards = spanned(&[(STAGE_QUEUE, 100), (STAGE_DECODE, 50)]);
-        assert!(decode_score_reply_traced(&encode_score_ok_traced(1, &backwards)).is_err());
-        let alien = spanned(&[(99, 5)]);
-        assert!(decode_score_reply_traced(&encode_score_ok_traced(1, &alien)).is_err());
+        use lre_obs::{STAGE_DECODE, STAGE_QUEUE};
+        for bad in [
+            span(1, &[(STAGE_QUEUE, 100), (STAGE_DECODE, 50)]),
+            span(1, &[(99, 5)]),
+        ] {
+            let body = ScoredUtt {
+                span: bad,
+                ..scored(vec![0.5], 0, 1)
+            };
+            assert!(decode_score_reply_v2(&encode_score_ok_v2(1, &body)).is_err());
+        }
     }
 
     // ----------------------------------------------------------- framing

@@ -16,18 +16,18 @@
 use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
 use crate::obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
 use crate::protocol::{
-    decode_request, encode_ok, encode_score_ok_traced, encode_score_ok_v2, encode_status,
-    encode_status_v2, read_frame, write_frame, Ack, AdaptReport, DrainReply, PingReport, Request,
-    RollbackToAck, Wire, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL,
-    STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
+    decode_request, encode_ok, encode_score_ok_v2, encode_status, encode_status_v2, read_frame,
+    write_frame, Ack, AdaptReport, DrainReply, PingReport, Request, RollbackToAck, Wire,
+    STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
+    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
 use crate::system::ScoreTap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -95,27 +95,6 @@ impl Default for ServerHooks {
             obs: ServeObs::new(DEFAULT_FLIGHT_CAPACITY),
         }
     }
-}
-
-/// Mint a process-unique, non-zero trace id for a traced request that
-/// arrived with id 0. Seeded once from the wall clock so ids from
-/// different server processes are unlikely to collide in shared logs.
-/// Public because the router mints the same way when it admits a traced
-/// request whose client left the id to the serving tier.
-pub fn mint_trace_id() -> u64 {
-    static NEXT: OnceLock<AtomicU64> = OnceLock::new();
-    let next = NEXT.get_or_init(|| {
-        let seed = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(1);
-        AtomicU64::new(seed | 1)
-    });
-    let mut id = next.fetch_add(1, Ordering::Relaxed);
-    while id == 0 {
-        id = next.fetch_add(1, Ordering::Relaxed);
-    }
-    id
 }
 
 /// Reserve one slot under the global cap, exactly (no overshoot under
@@ -261,18 +240,10 @@ struct ScoreLane<'a> {
 }
 
 impl ScoreLane<'_> {
-    /// Admit one score request of either tag: the connection's window,
-    /// then the server-wide cap, then the queue. `None` means the reply
-    /// arrives through the engine callback; `Some(frame)` is an immediate
-    /// refusal. `trace: Some(id)` makes the engine stamp a span and the
-    /// reply take the traced shape.
-    fn admit(
-        &self,
-        id: u64,
-        deadline_ms: u32,
-        trace: Option<u64>,
-        samples: Vec<f32>,
-    ) -> Option<Vec<u8>> {
+    /// Admit one score request: the connection's window, then the
+    /// server-wide cap, then the queue. `None` means the reply arrives
+    /// through the engine callback; `Some(frame)` is an immediate refusal.
+    fn admit(&self, id: u64, deadline_ms: u32, samples: Vec<f32>) -> Option<Vec<u8>> {
         let (engine, global) = (&self.shared.engine, &self.shared.global_inflight);
         if self.inflight.load(Ordering::Acquire) >= self.shared.max_inflight {
             // Window violation: shed before the queue even sees it.
@@ -287,15 +258,11 @@ impl ScoreLane<'_> {
         }
         self.inflight.fetch_add(1, Ordering::AcqRel);
         let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-        // A zero trace id asks the server to mint one (single-server
-        // clients; the router mints before forwarding).
-        let trace = trace.map(|t| if t == 0 { mint_trace_id() } else { t });
         let cb_tx = self.reply_tx.clone();
         let cb_inflight = Arc::clone(&self.inflight);
         let cb_global = Arc::clone(global);
-        let submitted = engine.submit_with(samples, deadline, trace, move |outcome| {
+        let submitted = engine.submit_with(samples, deadline, move |outcome| {
             let frame = match outcome {
-                Outcome::Scored(s) if trace.is_some() => encode_score_ok_traced(id, &s),
                 Outcome::Scored(s) => encode_score_ok_v2(id, &s),
                 Outcome::DeadlineExceeded => encode_status_v2(id, STATUS_DEADLINE_EXCEEDED),
                 Outcome::Failed => encode_status_v2(id, STATUS_INTERNAL),
@@ -362,13 +329,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 id,
                 deadline_ms,
                 samples,
-            }) => lane.admit(id, deadline_ms, None, samples),
-            Ok(Request::ScoreTraced {
-                id,
-                deadline_ms,
-                trace_id,
-                samples,
-            }) => lane.admit(id, deadline_ms, Some(trace_id), samples),
+            }) => lane.admit(id, deadline_ms, samples),
             // One cycle runs synchronously and the report comes back in
             // request order.
             Ok(Request::Adapt) => Some(answer(&hooks.control, |c| Ok(c.adapt_now()))),

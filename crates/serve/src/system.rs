@@ -50,7 +50,7 @@ pub struct ScoreDetail {
     pub stage_done: Option<StageDone>,
 }
 
-/// The instants a traced request's span marks: real points on the
+/// The instants a reply's span marks: real points on the
 /// request's timeline, the same definition for any number of threads
 /// (busy-time sums are [`ScoreDetail::stage_us`]). Non-decreasing in field
 /// order by construction.

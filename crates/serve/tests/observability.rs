@@ -2,9 +2,10 @@
 //!
 //! The contracts under test:
 //!
-//! - a traced score request comes back with a well-formed stage span —
-//!   trace id preserved (or minted when the client sent 0), stage ids
-//!   strictly increasing, offsets non-decreasing, reply stage last;
+//! - every scored reply, at window 1 and pipelined, comes back with a
+//!   well-formed stage span — a trace id the engine minted, stage ids
+//!   strictly increasing, offsets non-decreasing, reply stage last — and
+//!   the deadline and panic flight events carry the request's trace id;
 //! - the stats-v3 tag answers a name-sorted metrics snapshot whose core
 //!   engine series (`engine.queue.wait_us`, `engine.latency_us`) moved
 //!   with the traffic that was just served;
@@ -24,7 +25,9 @@
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
-use lre_obs::{HistogramSummary, MetricValue, EV_SWAP, STAGE_QUEUE, STAGE_REPLY};
+use lre_obs::{
+    HistogramSummary, MetricValue, EV_DEADLINE, EV_PANIC, EV_SWAP, STAGE_QUEUE, STAGE_REPLY,
+};
 use lre_serve::client::ScoreReply;
 use lre_serve::protocol::{MetricsDump, STATUS_UNSUPPORTED};
 use lre_serve::{
@@ -83,33 +86,42 @@ fn start_mock() -> (Server, Arc<ServeObs>, String) {
     start_server(Arc::new(MockScorer { classes: 3 }), fast_config())
 }
 
+/// A well-formed span from the engine's mint: non-zero trace id, queue
+/// mark first, reply mark last, stages in order and offsets monotone.
+fn assert_minted_span(reply: &ScoreReply, what: &str) -> u64 {
+    let ScoreReply::Scored(scored) = reply else {
+        panic!("{what}: expected a scored reply, got {reply:?}");
+    };
+    let span = &scored.span;
+    assert_ne!(
+        span.trace_id, 0,
+        "{what}: the engine mints a non-zero trace id"
+    );
+    assert!(span.is_well_formed(), "{what}: stages {:?}", span.stages);
+    let stage_ids: Vec<u8> = span.stages.iter().map(|&(s, _)| s).collect();
+    assert_eq!(stage_ids.first(), Some(&STAGE_QUEUE), "{what}");
+    assert_eq!(stage_ids.last(), Some(&STAGE_REPLY), "{what}");
+    span.trace_id
+}
+
 #[test]
 fn traced_request_returns_a_well_formed_span() {
     let (server, _obs, addr) = start_mock();
     let mut client = Client::connect(&addr).expect("connect");
+    let mut ids = std::collections::HashSet::new();
 
-    // trace id 0 asks the server to mint one.
-    let reply = client
-        .score_traced(&[0.25; 16], None, 0)
-        .expect("traced score");
-    let ScoreReply::Scored(scored) = reply else {
-        panic!("expected a scored reply, got a refusal");
-    };
-    let span = scored.span.expect("traced reply carries a span");
-    assert_ne!(span.trace_id, 0, "server minted a non-zero trace id");
-    assert!(span.is_well_formed(), "stages: {:?}", span.stages);
-    let stage_ids: Vec<u8> = span.stages.iter().map(|&(s, _)| s).collect();
-    assert_eq!(stage_ids.first(), Some(&STAGE_QUEUE));
-    assert_eq!(stage_ids.last(), Some(&STAGE_REPLY));
-
-    // A caller-chosen trace id is preserved end to end.
-    let reply = client
-        .score_traced(&[0.5; 16], None, 0xDEAD_BEEF)
-        .expect("traced score");
-    let ScoreReply::Scored(scored) = reply else {
-        panic!("expected a scored reply, got a refusal");
-    };
-    assert_eq!(scored.span.expect("span").trace_id, 0xDEAD_BEEF);
+    // Window 1: submit and wait.
+    for n in 0..4 {
+        let reply = client.score(&[0.25 * n as f32; 16]).expect("score");
+        ids.insert(assert_minted_span(&reply, &format!("window 1, utt {n}")));
+    }
+    // Window 8: replies arrive in completion order, each with its own span.
+    let utts: Vec<Vec<f32>> = (0..16).map(|n| vec![n as f32; 16]).collect();
+    let replies = client.score_all(&utts, 8, None).expect("pipelined scores");
+    for (n, reply) in replies.iter().enumerate() {
+        ids.insert(assert_minted_span(reply, &format!("window 8, utt {n}")));
+    }
+    assert_eq!(ids.len(), 20, "every request gets a trace id of its own");
 
     drop(client);
     server.stop();
@@ -213,13 +225,14 @@ fn a_server_from_default_hooks_answers_metrics_and_flight() {
 
 /// First samples the scripted scorer reacts to.
 const FAIL: f32 = -1.0;
+const PANIC: f32 = -2.0;
 const HOLD: f32 = 9.0;
 /// Top LLR is `samples[0] + 2`, so with the threshold at 0 this one is
 /// flagged unknown.
 const ALIEN: f32 = -5.0;
 
-/// LLR `i` is `samples[0] + i`; `FAIL` returns an error and `HOLD` parks
-/// the worker until the test opens the gate.
+/// LLR `i` is `samples[0] + i`; `FAIL` returns an error, `PANIC` panics and
+/// `HOLD` parks the worker until the test opens the gate.
 #[derive(Default)]
 struct ScriptedScorer {
     gate: Mutex<(bool, usize)>,
@@ -253,6 +266,7 @@ impl Scorer for ScriptedScorer {
     ) -> Result<ScoreDetail, ArtifactError> {
         match samples[0] {
             FAIL => return Err(ArtifactError::Corrupt("scripted failure")),
+            PANIC => panic!("scripted panic"),
             HOLD => {
                 let mut gate = self.gate.lock().unwrap();
                 gate.1 += 1;
@@ -380,6 +394,56 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     );
 
     drop((a, b));
+    server.stop();
+    server.join();
+}
+
+#[test]
+fn deadline_and_panic_events_carry_the_requests_trace_id() {
+    let scorer = Arc::new(ScriptedScorer::default());
+    let mut cfg = fast_config();
+    cfg.engine.workers = 1;
+    let (server, obs, addr) = start_server(Arc::clone(&scorer) as _, cfg);
+    let mut client = Client::connect(&addr).expect("connect");
+
+    assert_eq!(client.score(&[PANIC]).expect("score"), ScoreReply::Failed);
+    // The hold parks the only worker, and a request with a 1 ms deadline
+    // waits behind it. The gate opens only after that request is on the
+    // queue and more than its deadline has passed, so it expires there.
+    let hold = client.submit(&[HOLD], None).expect("submit");
+    scorer.wait_held();
+    let late = client
+        .submit(&[2.0], Some(Duration::from_millis(1)))
+        .expect("submit");
+    while server.engine().stats().max_queue_depth == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(5));
+    scorer.release();
+    let mut replies = std::collections::HashMap::new();
+    while client.inflight() > 0 {
+        let (id, reply) = client.recv().expect("reply");
+        replies.insert(id, reply);
+    }
+    assert!(matches!(replies[&hold], ScoreReply::Scored(_)));
+    assert_eq!(replies[&late], ScoreReply::DeadlineExceeded);
+
+    let events = obs.flight.peek();
+    let trace_of = |kind: u8| {
+        let found: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(found.len(), 1, "one {kind} event in {events:?}");
+        found[0]
+    };
+    let (panicked, expired) = (trace_of(EV_PANIC), trace_of(EV_DEADLINE));
+    assert_ne!(panicked, 0, "the panic event names its request");
+    assert_ne!(expired, 0, "the deadline event names its request");
+    assert_ne!(panicked, expired);
+
+    drop(client);
     server.stop();
     server.join();
 }

@@ -8,7 +8,7 @@
 //! three durations, and throw hostile audio at it; and two hold the
 //! engine's fan-out — one utterance's subsystems spread over whichever
 //! workers are idle — to the serial scorer's bits at every pool width and
-//! window, and its traced spans to the wire's monotonicity rule.
+//! window, and its reply spans to the wire's monotonicity rule.
 //!
 //! Like `tests/full_system.rs`, the training-backed tests build the
 //! complete six-front-end smoke experiment (minutes in release, much
@@ -432,7 +432,7 @@ fn serve_tapped(system: &Arc<ScoringSystem>, workers: usize) -> (Server, Arc<Rec
 /// span whose offsets go backwards) and `score` still precedes `reply`.
 #[test]
 #[ignore = "builds the full experiment; run with --release -- --ignored"]
-fn traced_spans_stay_monotone_when_a_helper_shares_the_request() {
+fn spans_stay_monotone_when_a_helper_shares_the_request() {
     let fx = fixture();
     let system = Arc::new(reloaded_system(fx));
     let (server, tap) = serve_tapped(&system, 2);
@@ -445,13 +445,13 @@ fn traced_spans_stay_monotone_when_a_helper_shares_the_request() {
         for (u, samples) in fx.by_duration.iter().enumerate() {
             let what = format!("round {round} utt {u}");
             let reply = client
-                .score_traced(samples, None, 0)
-                .unwrap_or_else(|e| panic!("{what}: traced reply does not decode: {e}"));
+                .score(samples)
+                .unwrap_or_else(|e| panic!("{what}: reply does not decode: {e}"));
             let ScoreReply::Scored(scored) = reply else {
                 panic!("{what} refused: {reply:?}");
             };
             assert_bits_eq(&scored.llrs, &system.score(samples, &mut scratch), &what);
-            let span = scored.span.expect("a traced reply carries a span");
+            let span = scored.span;
             assert!(span.is_well_formed(), "{what}: {:?}", span.stages);
             let stages: Vec<u8> = span.stages.iter().map(|&(stage, _)| stage).collect();
             assert_eq!(
