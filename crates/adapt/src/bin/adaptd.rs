@@ -4,16 +4,16 @@
 //! ```text
 //! lre-adaptd --bundle PATH --guard PATH [--addr 127.0.0.1:7700]
 //!            [--workers N] [--max-inflight N] [--max-global-inflight N]
-//!            [--interval-secs N] [--min-utts N] [--v-threshold N]
+//!            [--min-utts N] [--v-threshold N]
 //!            [--guard-max-eer-regress X] [--guard-max-cavg-regress X]
 //!            [--log-capacity N] [--unknown-threshold LLR]
 //!            [--wal-dir DIR] [--wal-fsync-ms N] [--keep-generations N]
 //! ```
 //!
-//! `--interval-secs 0` (the default) disables the background cadence;
-//! cycles then run only when a client sends an adapt request
-//! (`lre-client --adapt`). A negative `--guard-max-eer-regress` forces
-//! every candidate to fail the guard — the rollback drill CI exercises.
+//! A cycle runs when a client sends an adapt request (`lre-client
+//! --adapt`); to adapt on a cadence, run that on an external schedule. A
+//! negative `--guard-max-eer-regress` forces every candidate to fail the
+//! guard — the rollback drill CI exercises.
 //!
 //! `--unknown-threshold LLR` enables open-set rejection exactly as on
 //! `lre-serve`: replies whose best fused LLR falls below the threshold
@@ -32,7 +32,7 @@
 //! `--keep-generations N` prunes all but the newest N generations' bytes
 //! after each promote (0 = keep everything).
 
-use lre_adapt::{bundle_checksum, AdaptController, AdaptWorker, DrainPath, GuardArgs, VoteLog};
+use lre_adapt::{bundle_checksum, AdaptController, DrainPath, GuardArgs, VoteLog};
 use lre_artifact::ArtifactRead;
 use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "lre-adaptd --bundle PATH --guard PATH [--addr HOST:PORT] [--workers N] \
-    [--max-inflight N] [--max-global-inflight N] [--interval-secs N] [--min-utts N] \
+    [--max-inflight N] [--max-global-inflight N] [--min-utts N] \
     [--v-threshold N] [--guard-max-eer-regress X] [--guard-max-cavg-regress X] \
     [--log-capacity N] [--unknown-threshold LLR] [--wal-dir DIR] [--wal-fsync-ms N] \
     [--keep-generations N]";
@@ -56,11 +56,9 @@ fn main() {
     let mut args = Args::from_env(USAGE);
     let mut server = ServerArgs::default();
     let mut guard_args = GuardArgs::default();
-    let mut interval_secs = 0u64;
     let mut keep_generations = 0usize;
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
-            "--interval-secs" => interval_secs = args.value(&flag),
             "--keep-generations" => keep_generations = args.value(&flag),
             other if server.take(other, &mut args) || guard_args.take(other, &mut args) => {}
             other => args.fail(&format!("unknown argument {other}")),
@@ -183,19 +181,6 @@ fn main() {
         Arc::clone(&obs.flight),
     );
     let controller = Arc::new(or_die(controller, "wiring adaptation controller"));
-    let worker = (interval_secs > 0).then(|| {
-        AdaptWorker::spawn(
-            Arc::clone(&controller),
-            Duration::from_secs(interval_secs),
-            |report| {
-                eprintln!(
-                    "[adaptd] cycle: outcome={} generation={} selected={} drained={}",
-                    report.outcome, report.generation, report.selected, report.drained
-                );
-            },
-        )
-    });
-
     let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
     let hooks = ServerHooks {
         tap: Some(log as _),
@@ -211,7 +196,6 @@ fn main() {
     );
     println!("listening on {}", server.local_addr());
     server.join();
-    drop(worker); // stop the cadence before reporting
     eprintln!(
         "[adaptd] shut down cleanly at generation {}",
         handle.generation()

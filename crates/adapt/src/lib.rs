@@ -15,8 +15,8 @@
 //!   [`lre_dba::GuardSet`], and either promotes it to every replica
 //!   through [`two_phase_promote`] or rejects it with serving state
 //!   untouched. Each replica retains the model it displaced, so
-//!   [`AdaptController::rollback`] restores it bit-identically. The
-//!   [`AdaptWorker`] runs cycles on a cadence in the background.
+//!   [`AdaptController::rollback`] restores it bit-identically. A cycle
+//!   runs when a client asks for one (`lre-client --adapt`).
 //!
 //! The `lre-adaptd` binary wires all of it to a TCP serving socket over
 //! one in-process replica: an adapting server whose clients can watch the
@@ -40,5 +40,5 @@ pub use lre_serve::votelog;
 pub use lre_serve::{DrainPath, VoteLog, VoteLogSnapshot, VoteRecord};
 pub use worker::{
     boost_round, bundle_checksum, rollback_backends, two_phase_promote, AdaptConfig,
-    AdaptController, AdaptWorker, CandidateBundle, GuardArgs, RoundOutcome,
+    AdaptController, CandidateBundle, GuardArgs, RoundOutcome,
 };

@@ -51,8 +51,7 @@ use lre_svm::OneVsRest;
 use lre_wal::{LineageError, LineageStore};
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration as StdDuration;
+use std::sync::{Arc, Mutex};
 
 /// Checksum identifying a sealed bundle, as carried by [`Lineage`] and the
 /// serving [`ScorerHandle`]: CRC-32 over the full sealed byte stream.
@@ -751,64 +750,5 @@ impl DurationPool {
             .iter()
             .map(|per_dur| per_dur.iter().collect())
             .collect()
-    }
-}
-
-/// A background thread running [`AdaptController::run_cycle`] on a fixed
-/// cadence, with prompt shutdown.
-pub struct AdaptWorker {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl AdaptWorker {
-    /// Run a cycle every `interval`, reporting each outcome to `on_cycle`.
-    pub fn spawn<F>(ctl: Arc<AdaptController>, interval: StdDuration, on_cycle: F) -> AdaptWorker
-    where
-        F: Fn(AdaptReport) + Send + 'static,
-    {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let (flag, cv) = &*stop;
-                let mut stopped = flag.lock().expect("worker stop flag poisoned");
-                loop {
-                    let (guard, timeout) = cv
-                        .wait_timeout(stopped, interval)
-                        .expect("worker stop flag poisoned");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        drop(stopped);
-                        on_cycle(ctl.run_cycle());
-                        stopped = flag.lock().expect("worker stop flag poisoned");
-                    }
-                }
-            })
-        };
-        AdaptWorker {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stop the cadence and join the thread (idempotent; also runs on
-    /// drop).
-    pub fn stop(&mut self) {
-        let (flag, cv) = &*self.stop;
-        *flag.lock().expect("worker stop flag poisoned") = true;
-        cv.notify_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for AdaptWorker {
-    fn drop(&mut self) {
-        self.stop();
     }
 }

@@ -27,9 +27,9 @@ use crate::router::RouterObs;
 use lre_obs::{Counter, FlightRecorder, Histogram, EV_EJECT, EV_READMIT};
 use lre_serve::protocol::{
     decode_reply, encode_request, encode_status_v2, read_frame, write_frame, AbortAck, CommitAck,
-    DrainReply, PingReport, Request, RollbackAck, StageAck, SCORE_ID, STATUS_INTERNAL,
+    DrainReply, MetricsDump, Request, RollbackAck, StageAck, SCORE_ID, STATUS_INTERNAL,
 };
-use lre_serve::{Client, FleetControl, VoteRecord};
+use lre_serve::{Client, FleetControl, StatsSnapshot, VoteRecord};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -45,8 +45,6 @@ pub struct Pending {
     pub reply_tx: mpsc::Sender<Vec<u8>>,
     /// Per-client-connection inflight window counter.
     pub window: Arc<AtomicUsize>,
-    /// Router-wide inflight counter.
-    pub global: Arc<AtomicUsize>,
     /// When the request was handed to this backend (per-backend routed
     /// latency, forward-write to reply-match).
     pub sent: Instant,
@@ -55,7 +53,6 @@ pub struct Pending {
 impl Pending {
     fn release(&self) {
         self.window.fetch_sub(1, Ordering::AcqRel);
-        self.global.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -92,9 +89,10 @@ pub struct Backend {
     next_id: AtomicU64,
     healthy: AtomicBool,
     probe: Mutex<Probe>,
-    /// Most recent successful health probe (router ping aggregation, and
-    /// the generation the replica reports to an adaptation coordinator).
-    last_ping: Mutex<Option<PingReport>>,
+    /// The stats-v3 dump of the most recent probe that answered: the
+    /// router's fleet rows for a replica that does not answer now, and the
+    /// generation the replica reports to an adaptation coordinator.
+    last_probe: Mutex<Option<Arc<MetricsDump>>>,
     /// `router.backend.{addr}.latency_us`: forward-write to reply-match.
     /// Its count is the replies this backend returned to clients.
     latency_us: Arc<Histogram>,
@@ -128,7 +126,7 @@ impl Backend {
                 next_probe: Instant::now(),
                 backoff: INITIAL_BACKOFF,
             }),
-            last_ping: Mutex::new(None),
+            last_probe: Mutex::new(None),
         }
     }
 
@@ -141,17 +139,24 @@ impl Backend {
         self.pending.lock().expect("pending poisoned").len()
     }
 
-    /// Replies this backend returned to clients through the router.
-    pub fn completed(&self) -> u64 {
-        self.latency_us.count()
+    /// The dump of the most recent probe that answered.
+    pub fn last_probe(&self) -> Option<Arc<MetricsDump>> {
+        self.last_probe
+            .lock()
+            .expect("probe cache poisoned")
+            .clone()
     }
 
-    pub fn last_ping(&self) -> Option<PingReport> {
-        *self.last_ping.lock().expect("ping poisoned")
-    }
-
-    pub fn record_ping(&self, p: PingReport) {
-        *self.last_ping.lock().expect("ping poisoned") = Some(p);
+    /// Scrape the replica's stats-v3 dump over a throwaway connection
+    /// with `timeout` on connect, write and read, so a wedged replica
+    /// cannot hang the caller. A dump that answers is cached as
+    /// [`Backend::last_probe`] and returned. The health thread and the
+    /// router's stats-v3 handler both probe through here.
+    pub fn probe(&self, timeout: Duration) -> Option<Arc<MetricsDump>> {
+        let reply = probe_round_trip(&self.addr, &Request::StatsV3, timeout).ok()?;
+        let dump = Arc::new(decode_reply::<MetricsDump>(&reply).ok()?.ok()?);
+        *self.last_probe.lock().expect("probe cache poisoned") = Some(Arc::clone(&dump));
+        Some(dump)
     }
 
     /// One request/reply on a fresh control connection.
@@ -275,18 +280,15 @@ impl Backend {
         }
     }
 
-    /// One health-thread step. Healthy: ping through a throwaway control
-    /// connection; two consecutive failures eject. Unhealthy: once the
-    /// backoff expires, probe and — on success — reconnect the data
-    /// path; each failed probe doubles the backoff up to [`MAX_BACKOFF`].
+    /// One health-thread step. Healthy: [`Backend::probe`]; two
+    /// consecutive failures eject. Unhealthy: once the backoff expires,
+    /// probe and — on success — reconnect the data path; each failed
+    /// probe doubles the backoff up to [`MAX_BACKOFF`].
     pub fn health_step(self: &Arc<Self>, probe_timeout: Duration) {
         if self.is_healthy() {
-            match probe_ping(&self.addr, probe_timeout) {
-                Ok(p) => {
-                    self.record_ping(p);
-                    self.probe.lock().expect("probe poisoned").strikes = 0;
-                }
-                Err(_) => {
+            match self.probe(probe_timeout) {
+                Some(_) => self.probe.lock().expect("probe poisoned").strikes = 0,
+                None => {
                     let strikes = {
                         let mut probe = self.probe.lock().expect("probe poisoned");
                         probe.strikes += 1;
@@ -306,7 +308,7 @@ impl Backend {
         if !due {
             return;
         }
-        if probe_ping(&self.addr, probe_timeout).is_ok() && self.connect().is_ok() {
+        if self.probe(probe_timeout).is_some() && self.connect().is_ok() {
             self.readmitted.incr();
             self.flight.record(EV_READMIT, &self.addr, 0, 0, 0.0, 0.0);
         } else {
@@ -349,9 +351,10 @@ impl FleetControl for Backend {
         })
     }
 
-    /// As of the last health probe.
+    /// As of the last probe that answered.
     fn generation(&self) -> u64 {
-        self.last_ping().map_or(0, |p| p.generation)
+        let last = self.last_probe().unwrap_or_default();
+        StatsSnapshot::from_dump(&last).map_or(0, |s| s.generation)
     }
 
     fn is_healthy(&self) -> bool {
@@ -377,17 +380,4 @@ pub fn probe_round_trip(addr: &str, req: &Request, timeout: Duration) -> io::Res
     write_frame(&mut stream, &encode_request(req))?;
     read_frame(&mut stream)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "replica closed on probe"))
-}
-
-/// Health probe: ping over a throwaway connection.
-pub fn probe_ping(addr: &str, timeout: Duration) -> io::Result<PingReport> {
-    let reply = probe_round_trip(addr, &Request::Ping, timeout)?;
-    decode_reply(&reply)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        .map_err(|status| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("ping refused (status {status})"),
-            )
-        })
 }

@@ -44,7 +44,15 @@ fn main() {
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
             "--addr" => addr = args.value(&flag),
-            "--replica" => replicas.push(args.value(&flag)),
+            "--replica" => {
+                // One row per address in the stats-v3 dump: a repeat would
+                // name its series twice.
+                let replica: String = args.value(&flag);
+                if replicas.contains(&replica) {
+                    args.fail(&format!("--replica {replica} given twice"));
+                }
+                replicas.push(replica);
+            }
             "--max-inflight" => cfg.max_inflight = args.value(&flag),
             "--health-interval-ms" => {
                 cfg.health_interval = Duration::from_millis(args.value(&flag))

@@ -1,6 +1,6 @@
 //! The front tier: accept client connections, fan score requests over
-//! the replica fleet, and answer the control plane (stats, ping, fleet
-//! stats, adapt, rollback, shutdown) in one place.
+//! the replica fleet, and answer the control plane (stats-v3, flight,
+//! adapt, rollback, shutdown) in one place.
 //!
 //! The data plane never re-encodes a score. A request is decoded once —
 //! the full `decode_request`, samples included, so a frame the replica
@@ -19,20 +19,22 @@
 //! re-routed once.
 //!
 //! Every router records into one [`RouterObs`]: its backends register
-//! their series there when they are built, stats-v3 and the flight
-//! recorder are always answered from it, and the stats aggregate reads
-//! its `router.shed` counter for the requests the router refused itself.
+//! their series there when they are built, and the flight recorder is
+//! answered from it. The stats-v3 reply is its registry plus the fleet:
+//! the router scrapes every routable replica first (see [`fleet_dump`]),
+//! and clients compute fleet stats and ping from that one dump
+//! (`lre_serve::FleetStats::from_dump`).
 
 use crate::backend::{probe_round_trip, Backend, Pending};
 use lre_adapt::{rollback_backends, AdaptController};
 use lre_obs::{Counter, FlightRecorder, Registry};
+use lre_serve::obs::backend_series;
 use lre_serve::protocol::{
-    decode_reply, decode_request, encode_ok, encode_status, encode_status_v2, read_frame,
-    write_frame, Ack, FleetStats, PingReport, ReplicaStat, Request, STATUS_BAD_REQUEST,
-    STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_UNSUPPORTED,
+    decode_request, encode_ok, encode_status, encode_status_v2, read_frame, write_frame, Ack,
+    MetricsDump, Request, STATUS_BAD_REQUEST, STATUS_INTERNAL, STATUS_OVERLOADED,
+    STATUS_UNSUPPORTED,
 };
 use lre_serve::server::answer;
-use lre_serve::StatsSnapshot;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -47,7 +49,8 @@ pub struct RouterConfig {
     pub max_inflight: usize,
     /// Health thread cadence.
     pub health_interval: Duration,
-    /// Connect/read timeout for health and control probes.
+    /// Connect/read timeout for health probes, fleet scrapes and control
+    /// round trips.
     pub probe_timeout: Duration,
 }
 
@@ -89,9 +92,6 @@ impl RouterObs {
 struct Shared {
     backends: Vec<Arc<Backend>>,
     max_inflight: usize,
-    /// Score requests in flight through the router, across all clients
-    /// (an `Arc` because every pending entry holds a decrement duty).
-    global_inflight: Arc<AtomicUsize>,
     /// The adaptation controller over `backends`, when armed.
     adapt: Option<Arc<AdaptController>>,
     obs: Arc<RouterObs>,
@@ -147,7 +147,6 @@ impl Router {
         let shared = Arc::new(Shared {
             backends,
             max_inflight: cfg.max_inflight.max(1),
-            global_inflight: Arc::new(AtomicUsize::new(0)),
             adapt,
             obs,
             probe_timeout: cfg.probe_timeout,
@@ -235,20 +234,17 @@ fn admit_score(
         return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
     }
     window.fetch_add(1, Ordering::AcqRel);
-    shared.global_inflight.fetch_add(1, Ordering::AcqRel);
     let mut attempts_left = 2;
     loop {
         let Some(backend) = shared.pick() else {
             shared.obs.shed.incr();
             window.fetch_sub(1, Ordering::AcqRel);
-            shared.global_inflight.fetch_sub(1, Ordering::AcqRel);
             return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
         };
         let pending = Pending {
             client_id,
             reply_tx: reply_tx.clone(),
             window: Arc::clone(window),
-            global: Arc::clone(&shared.global_inflight),
             sent: Instant::now(),
         };
         attempts_left -= 1;
@@ -261,111 +257,39 @@ fn admit_score(
             Ok(()) => return None,
             Err((_torn_write, p)) if attempts_left > 0 => {
                 // The replica never saw a whole frame; safe to re-route.
-                drop(p); // counters stay charged for the retry
+                drop(p); // the window stays charged for the retry
                 continue;
             }
             Err((_torn_write, p)) => {
                 p.window.fetch_sub(1, Ordering::AcqRel);
-                p.global.fetch_sub(1, Ordering::AcqRel);
                 return Some(encode_status_v2(client_id, STATUS_INTERNAL));
             }
         }
     }
 }
 
-/// A healthy replica's engine counters: the stats-v2 view of its stats-v3
-/// dump, scraped with the health probe's timeouts, so a stalled replica
-/// cannot wedge the caller.
-fn scrape(b: &Backend, timeout: Duration) -> Option<StatsSnapshot> {
-    let reply = b
-        .is_healthy()
-        .then(|| probe_round_trip(&b.addr, &Request::StatsV3, timeout))?;
-    StatsSnapshot::from_dump(&decode_reply(&reply.ok()?).ok()?.ok()?)
-}
-
-/// Live fleet stats: per-replica counters summed into one
-/// aggregate, plus the per-replica breakdown.
-fn fleet_stats(shared: &Shared) -> FleetStats {
-    let mut agg = StatsSnapshot::default();
-    let mut replicas = Vec::with_capacity(shared.backends.len());
-    for b in &shared.backends {
-        match scrape(b, shared.probe_timeout) {
-            Some(s) => {
-                agg.requests += s.requests;
-                agg.completed += s.completed;
-                agg.rejected += s.rejected;
-                agg.max_queue_depth = agg.max_queue_depth.max(s.max_queue_depth);
-                agg.latency_us_sum += s.latency_us_sum;
-                agg.latency_us_max = agg.latency_us_max.max(s.latency_us_max);
-                agg.uptime_us = agg.uptime_us.max(s.uptime_us);
-                agg.expired += s.expired;
-                agg.failed += s.failed;
-                agg.shed_global += s.shed_global;
-                agg.swaps += s.swaps;
-                agg.rollbacks += s.rollbacks;
-                agg.unknown += s.unknown;
-                replicas.push(ReplicaStat {
-                    addr: b.addr.clone(),
-                    healthy: true,
-                    generation: s.generation,
-                    inflight: b.inflight() as u64,
-                    completed: s.completed,
-                    shed: s.rejected + s.expired + s.shed_global,
-                });
-            }
-            // Its own counts as of its last health probe.
-            None => replicas.push(ReplicaStat {
-                addr: b.addr.clone(),
-                healthy: false,
-                generation: b.last_ping().map_or(0, |p| p.generation),
-                inflight: b.inflight() as u64,
-                completed: b.last_ping().map_or(0, |p| p.completed),
-                shed: 0,
-            }),
-        }
+/// The router's stats-v3 reply: its registry plus, per backend, the
+/// series [`backend_series`] names. Every routable replica is probed first
+/// ([`Backend::probe`], the health thread's probe), so the fleet in it is
+/// scraped now.
+fn fleet_dump(shared: &Shared) -> MetricsDump {
+    let mut dump = shared.obs.registry.snapshot();
+    for (index, b) in shared.backends.iter().enumerate() {
+        let (routable, inflight) = (b.is_healthy(), b.inflight());
+        let answered = routable.then(|| b.probe(shared.probe_timeout)).flatten();
+        let now = answered.is_some();
+        let last = answered.or_else(|| b.last_probe());
+        dump.extend(backend_series(
+            &b.addr,
+            index,
+            inflight,
+            routable,
+            last.as_deref(),
+            now,
+        ));
     }
-    // Refusals at the router itself never reached a replica; account for
-    // them so the aggregate is what clients actually experienced.
-    let shed = shared.obs.shed.get();
-    agg.requests += shed;
-    agg.rejected += shed;
-    // The aggregate generation is the fleet's committed floor: the lowest
-    // generation any healthy replica is serving.
-    let healthy = replicas.iter().filter(|r| r.healthy);
-    agg.generation = healthy.map(|r| r.generation).min().unwrap_or(0);
-    FleetStats {
-        aggregate: agg,
-        replicas,
-    }
-}
-
-/// The router's own ping: cached per-replica probes plus live pending
-/// counts — cheap, no replica round trips.
-fn router_ping(shared: &Shared) -> PingReport {
-    let mut generation = u64::MAX;
-    let mut inflight = 0u64;
-    let mut shed = shared.obs.shed.get();
-    let mut completed = 0u64;
-    for b in &shared.backends {
-        inflight += b.inflight() as u64;
-        completed += b.completed();
-        if b.is_healthy() {
-            if let Some(p) = b.last_ping() {
-                generation = generation.min(p.generation);
-                shed += p.shed;
-            }
-        }
-    }
-    PingReport {
-        generation: if generation == u64::MAX {
-            0
-        } else {
-            generation
-        },
-        inflight,
-        shed,
-        completed,
-    }
+    dump.sort_by(|a, b| a.0.cmp(&b.0));
+    dump
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
@@ -389,14 +313,12 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     while let Ok(Some(frame)) = read_frame(&mut stream) {
         let reply = match decode_request(&frame) {
             Ok(Request::ScoreV2 { id, .. }) => admit_score(&shared, frame, id, &reply_tx, &window),
-            Ok(Request::StatsV3) => Some(encode_ok(&shared.obs.registry.snapshot())),
+            Ok(Request::StatsV3) => Some(encode_ok(&fleet_dump(&shared))),
             Ok(Request::Flight { drain }) => Some(encode_ok(&if drain {
                 shared.obs.flight.drain()
             } else {
                 shared.obs.flight.peek()
             })),
-            Ok(Request::FleetStats) => Some(encode_ok(&fleet_stats(&shared))),
-            Ok(Request::Ping) => Some(encode_ok(&router_ping(&shared))),
             Ok(Request::Adapt) => Some(answer(&shared.adapt, |c| Ok(c.run_cycle()))),
             // Without a controller, a rollback is a plain fan-out.
             Ok(Request::Rollback) => Some(encode_ok(&match &shared.adapt {

@@ -2,21 +2,23 @@
 //! replica dies with a pipeline of requests in flight and the router must
 //! answer every outstanding request exactly once with a typed status — no
 //! hangs, no torn frames, no duplicates — then re-admit the replica once
-//! it is answering health probes again. Fleet stats are built from
-//! scripted replicas' stats-v3 dumps: the aggregate is the sum of their
-//! views, an ejected replica's row is its last probe, and a replica that
-//! never answers the scrape cannot wedge the reply.
+//! it is answering health probes again. Fleet stats are the client's view
+//! of the router's stats-v3 dump, built over scripted replicas that speak
+//! stats-v3 only (the health probe and the scrape are the same request):
+//! the aggregate is the sum of their views plus the router's sheds, an
+//! ejected replica's row is its last probe, and a replica that stops
+//! answering cannot wedge the reply.
 
 use lre_obs::{Registry, TraceSpan, STAGE_QUEUE, STAGE_REPLY, STAGE_SCORE};
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::protocol::{
-    decode_request, encode_ok, encode_score_ok_v2, read_frame, write_frame, MetricsDump,
-    PingReport, ReplicaStat, Request,
+    decode_request, encode_ok, encode_score_ok_v2, read_frame, write_frame, MetricsDump, Request,
 };
-use lre_serve::{Client, PipelinedClient, ScoreReply, ScoredUtt, StatsSnapshot};
+use lre_serve::{fuzz, FleetStats, StatsSnapshot};
+use lre_serve::{Client, PingReport, PipelinedClient, ReplicaStat, ScoreReply, ScoredUtt};
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -69,17 +71,11 @@ fn spawn_fake_replica(score_budget: i64) -> FakeReplica {
 fn serve_fake_conn(mut stream: TcpStream, alive: Arc<AtomicBool>, budget: Arc<AtomicI64>) {
     while let Ok(Some(frame)) = read_frame(&mut stream) {
         match decode_request(&frame) {
-            Ok(Request::Ping) => {
+            Ok(Request::StatsV3) => {
                 if !alive.load(Ordering::SeqCst) {
                     return; // close without a reply: the probe fails
                 }
-                let reply = encode_ok(&PingReport {
-                    generation: 0,
-                    inflight: 0,
-                    shed: 0,
-                    completed: 0,
-                });
-                if write_frame(&mut stream, &reply).is_err() {
+                if write_frame(&mut stream, &encode_ok(&MetricsDump::new())).is_err() {
                     return;
                 }
             }
@@ -123,7 +119,8 @@ fn replica_death_mid_pipeline_fails_fast_typed_then_readmits() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
     let obs = RouterObs::new(8);
     let backends = vec![Arc::new(Backend::new(fake.addr.clone(), &obs))];
-    let router = Router::start(listener, backends, fast_health(), None, obs).expect("start router");
+    let router = Router::start(listener, backends, fast_health(), None, Arc::clone(&obs))
+        .expect("start router");
 
     let mut client = PipelinedClient::connect(router.local_addr()).expect("connect");
     let samples = vec![0.5f32; 16];
@@ -202,8 +199,9 @@ fn replica_death_mid_pipeline_fails_fast_typed_then_readmits() {
     // Bookkeeping: nothing is still charged as in flight, and every
     // reply the backend produced was counted.
     assert_eq!(router.backends()[0].inflight(), 0);
+    let routed = format!("router.backend.{}.latency_us", fake.addr);
     assert_eq!(
-        router.backends()[0].completed(),
+        obs.registry.histogram(&routed).count(),
         SCORED_BEFORE_DEATH as u64 + 1
     );
     router.stop();
@@ -230,30 +228,35 @@ fn empty_fleet_refuses_typed_immediately() {
     router.stop();
 }
 
-/// A replica stand-in for fleet stats: answers `Ping` with `ping` while
-/// `alive` (and closes the probe otherwise), and `StatsV3` with `dump` —
-/// or, with no dump, reads the request and never replies, like a replica
-/// whose reader is wedged.
+/// What a [`StatsReplica`] does with a stats-v3 request.
+const ANSWER: u8 = 0;
+/// Close the connection without a reply: the probe fails at once.
+const CLOSE: u8 = 1;
+/// Read the request and never reply, like a replica whose reader is
+/// wedged: the probe fails at its timeout.
+const STALL: u8 = 2;
+
+/// A replica stand-in for fleet stats that speaks stats-v3 only: it
+/// answers with `dump` while its mode is [`ANSWER`].
 struct StatsReplica {
     addr: String,
-    alive: Arc<AtomicBool>,
+    mode: Arc<AtomicU8>,
 }
 
-fn spawn_stats_replica(ping: PingReport, dump: Option<MetricsDump>) -> StatsReplica {
+fn spawn_stats_replica(dump: MetricsDump) -> StatsReplica {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
     let addr = listener.local_addr().expect("local addr").to_string();
-    let alive = Arc::new(AtomicBool::new(true));
-    let answering = Arc::clone(&alive);
+    let mode = Arc::new(AtomicU8::new(ANSWER));
+    let shared_mode = Arc::clone(&mode);
     thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(mut stream) = conn else { continue };
-            let (alive, dump) = (Arc::clone(&answering), dump.clone());
+            let (mode, dump) = (Arc::clone(&shared_mode), dump.clone());
             thread::spawn(move || {
                 while let Ok(Some(frame)) = read_frame(&mut stream) {
-                    let reply = match (decode_request(&frame), &dump) {
-                        (Ok(Request::Ping), _) if alive.load(Ordering::SeqCst) => encode_ok(&ping),
-                        (Ok(Request::StatsV3), Some(dump)) => encode_ok(dump),
-                        (Ok(Request::StatsV3), None) => continue,
+                    let reply = match (decode_request(&frame), mode.load(Ordering::SeqCst)) {
+                        (Ok(Request::StatsV3), ANSWER) => encode_ok(&dump),
+                        (Ok(Request::StatsV3), STALL) => continue,
                         _ => return,
                     };
                     if write_frame(&mut stream, &reply).is_err() {
@@ -263,7 +266,7 @@ fn spawn_stats_replica(ping: PingReport, dump: Option<MetricsDump>) -> StatsRepl
             });
         }
     });
-    StatsReplica { addr, alive }
+    StatsReplica { addr, mode }
 }
 
 /// A replica's engine series as its registry would dump them.
@@ -302,14 +305,14 @@ fn stats_router(replicas: &[&StatsReplica]) -> (Router, Arc<RouterObs>) {
     let router = Router::start(listener, backends, fast_health(), None, Arc::clone(&obs))
         .expect("start router");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !router.backends().iter().all(|b| b.last_ping().is_some()) {
+    while !router.backends().iter().all(|b| b.last_probe().is_some()) {
         assert!(Instant::now() < deadline, "a replica was never probed");
         thread::sleep(Duration::from_millis(10));
     }
     (router, obs)
 }
 
-fn fleet_stats(router: &Router) -> lre_serve::FleetStats {
+fn fleet_stats(router: &Router) -> FleetStats {
     let mut client = Client::connect(router.local_addr()).expect("connect");
     client
         .try_fleet_stats()
@@ -360,16 +363,8 @@ fn fleet_stats_sum_the_replica_views_and_keep_an_ejected_rows_last_probe() {
     let views = dumps
         .clone()
         .map(|d| StatsSnapshot::from_dump(&d).expect("an engine dump"));
-    // The probe's own counts differ from the scrape's, so each row shows
-    // which one it read.
-    let probe = |generation, completed| PingReport {
-        generation,
-        inflight: 0,
-        shed: 0,
-        completed,
-    };
-    let a = spawn_stats_replica(probe(3, 30), Some(dumps[0].clone()));
-    let b = spawn_stats_replica(probe(2, 70), Some(dumps[1].clone()));
+    let a = spawn_stats_replica(dumps[0].clone());
+    let b = spawn_stats_replica(dumps[1].clone());
     let (router, obs) = stats_router(&[&a, &b]);
     obs.shed.add(4);
 
@@ -383,10 +378,15 @@ fn fleet_stats_sum_the_replica_views_and_keep_an_ejected_rows_last_probe() {
             healthy_row(&b.addr, &views[1])
         ]
     );
+    // A router's ping is the same view of the fleet aggregate.
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let ping = client.ping().expect("ping round trip");
+    assert_eq!(ping, PingReport::from_stats(&both.aggregate));
+    assert_eq!((ping.generation, ping.completed), (2, 5));
 
     // Replica b stops answering probes: ejected after two strikes, its
     // row is what its last probe said, and only a is summed.
-    b.alive.store(false, Ordering::SeqCst);
+    b.mode.store(CLOSE, Ordering::SeqCst);
     let deadline = Instant::now() + Duration::from_secs(10);
     while router.backends()[1].is_healthy() {
         assert!(Instant::now() < deadline, "replica b was never ejected");
@@ -402,7 +402,7 @@ fn fleet_stats_sum_the_replica_views_and_keep_an_ejected_rows_last_probe() {
             healthy: false,
             generation: 2,
             inflight: 0,
-            completed: 70,
+            completed: 2,
             shed: 0,
         }
     );
@@ -410,16 +410,11 @@ fn fleet_stats_sum_the_replica_views_and_keep_an_ejected_rows_last_probe() {
 }
 
 #[test]
-fn fleet_stats_answer_when_a_replica_never_answers_the_scrape() {
-    let probe = PingReport {
-        generation: 1,
-        inflight: 0,
-        shed: 0,
-        completed: 5,
-    };
-    let live = spawn_stats_replica(probe, Some(engine_dump([1; 6], &[10], 1)));
-    let stalled = spawn_stats_replica(probe, None);
+fn fleet_stats_answer_when_a_replica_stops_answering_the_scrape() {
+    let live = spawn_stats_replica(engine_dump([1; 6], &[10], 1));
+    let stalled = spawn_stats_replica(engine_dump([1; 6], &[10, 20, 30, 40, 50], 1));
     let (router, _obs) = stats_router(&[&live, &stalled]);
+    stalled.mode.store(STALL, Ordering::SeqCst);
     let fleet = fleet_stats(&router);
     assert!(fleet.replicas[0].healthy);
     assert!(
@@ -427,5 +422,28 @@ fn fleet_stats_answer_when_a_replica_never_answers_the_scrape() {
         "a replica whose scrape fails is not a healthy row"
     );
     assert_eq!(fleet.replicas[1].completed, 5, "its last probe");
+    router.stop();
+}
+
+#[test]
+fn retired_tags_are_refused_bad_request() {
+    let replica = spawn_stats_replica(engine_dump([1; 6], &[10], 1));
+    let (router, _obs) = stats_router(&[&replica]);
+    let corpus = fuzz::malformed_corpus();
+    let retired: Vec<_> = corpus
+        .iter()
+        .filter(|c| c.name.starts_with("retired tag"))
+        .collect();
+    for tag in ["retired tag 7", "retired tag 13"] {
+        assert!(
+            retired.iter().any(|c| c.name == tag),
+            "{tag} is not in the corpus"
+        );
+    }
+    for case in retired {
+        assert_eq!(case.expect, fuzz::Expect::BadRequest);
+        fuzz::run_case(router.local_addr(), case, Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("case {:?}: {e}", case.name));
+    }
     router.stop();
 }

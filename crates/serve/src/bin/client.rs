@@ -25,8 +25,9 @@
 //! scoring) and prints the report — outcome, serving generation, selection
 //! counts; it exits non-zero if the server has no adaptation controller.
 //!
-//! `--ping` prints the lightweight health probe (generation, inflight,
-//! shed, completed) the router's health checker uses. `--rollback` asks
+//! `--ping` prints the health summary (generation, inflight, shed,
+//! completed) computed from the peer's stats-v3 dump: a server's own
+//! counters, or a router's fleet aggregate. `--rollback` asks
 //! the server to restore its previous scorer generation; against a router
 //! it rolls the whole fleet. `--tolerate-failures` keeps scoring through
 //! typed per-request failures (internal/overloaded/shutting-down) instead
@@ -128,10 +129,10 @@ fn print_fleet_stats(f: &FleetStats) {
 }
 
 /// Resolve `--stats` against an unknown peer: fleet breakdown from a
-/// router, engine counters from a single server (which refuses the fleet
-/// tag `unsupported`). An `Err` — torn connection, malformed or truncated
-/// stats frame — must NOT be swallowed into the fallback: a corrupt reply
-/// never passes for a healthy single server, the client exits non-zero.
+/// router, engine counters from a single server (whose dump has no fleet
+/// view). An `Err` — torn connection, malformed or truncated stats frame —
+/// must NOT be swallowed into the fallback: a corrupt reply never passes
+/// for a healthy single server, the client exits non-zero.
 fn print_peer_stats(client: &mut Client) {
     match or_die(client.try_fleet_stats(), "fleet stats request failed") {
         Some(f) => print_fleet_stats(&f),

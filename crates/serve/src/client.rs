@@ -6,16 +6,16 @@
 //! (possibly out of submission order). Control requests (stats, adapt,
 //! rollout, telemetry, shutdown) are one request → one reply and carry no
 //! id, so they are only valid while no score reply is outstanding. The
-//! engine counters and the WAL summary are views the client computes from
-//! the peer's stats-v3 dump.
+//! engine counters, the health summary, the fleet breakdown and the WAL
+//! summary are views the client computes from the peer's stats-v3 dump.
 
 use crate::engine::ScoredUtt;
-use crate::obs::{StatsSnapshot, WalStatusInfo};
+use crate::obs::{FleetStats, PingReport, StatsSnapshot, WalStatusInfo};
 use crate::protocol::{
     decode_reply, decode_score_reply_v2, encode_request, read_frame, write_frame, AbortAck, Ack,
-    AdaptReport, CommitAck, DrainReply, FleetStats, MetricsDump, PingReport, Request, RollbackAck,
-    RollbackToAck, StageAck, Wire, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
-    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
+    AdaptReport, CommitAck, DrainReply, MetricsDump, Request, RollbackAck, RollbackToAck, StageAck,
+    Wire, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
+    STATUS_UNSUPPORTED,
 };
 use lre_obs::FlightEvent;
 use std::io;
@@ -204,13 +204,12 @@ impl Client {
 
     /// The engine counters: the [`StatsSnapshot::from_dump`] view of the
     /// peer's stats-v3 dump. A router's dump has no engine series, so from
-    /// a router this is the fleet-stats aggregate.
+    /// a router this is the [`FleetStats`] aggregate of the same dump.
     pub fn stats_v2(&mut self) -> io::Result<StatsSnapshot> {
-        match StatsSnapshot::from_dump(&self.metrics()?.unwrap_or_default()) {
-            Some(stats) => Ok(stats),
-            None => accepted(self.call::<FleetStats>(&Request::FleetStats)?, "stats")
-                .map(|f| f.aggregate),
-        }
+        let dump = self.metrics()?.unwrap_or_default();
+        StatsSnapshot::from_dump(&dump)
+            .or_else(|| FleetStats::from_dump(&dump).map(|f| f.aggregate))
+            .ok_or_else(|| proto_err("stats: the peer's dump has no engine or router series"))
     }
 
     /// Ask the server to run one adaptation cycle now; blocks until the
@@ -220,16 +219,20 @@ impl Client {
         accepted(self.call(&Request::Adapt)?, "adapt")
     }
 
-    /// Health probe: generation, inflight, shed and completed counters,
-    /// answered without touching the server's scoring queue.
+    /// Generation, inflight, shed and completed: the
+    /// [`PingReport::from_stats`] view of [`Client::stats_v2`] — a server's
+    /// own counters, or a router's fleet aggregate.
     pub fn ping(&mut self) -> io::Result<PingReport> {
-        accepted(self.call(&Request::Ping)?, "ping")
+        Ok(PingReport::from_stats(&self.stats_v2()?))
     }
 
-    /// Fleet-wide counters with a per-replica breakdown. `Ok(None)` when
-    /// the peer is a bare replica rather than a router.
+    /// Fleet-wide counters with a per-replica breakdown: the
+    /// [`FleetStats::from_dump`] view of the peer's stats-v3 dump.
+    /// `Ok(None)` when the peer is a bare replica rather than a router.
     pub fn try_fleet_stats(&mut self) -> io::Result<Option<FleetStats>> {
-        if_supported(self.call(&Request::FleetStats)?, "fleet stats")
+        Ok(self
+            .metrics()?
+            .and_then(|dump| FleetStats::from_dump(&dump)))
     }
 
     /// Peek at (or all-or-nothing drain) the peer's vote log.

@@ -430,9 +430,7 @@ mod tests {
         for name in [
             "shutdown: trailing junk",
             "adapt: trailing junk",
-            "ping: trailing junk",
             "stats-v3: trailing junk",
-            "fleet-stats: trailing junk",
             "flight: flag `drain` = 7",
             "drain-votes: flag `peek` = 2",
             "drain-votes: cut at byte 4",
@@ -444,6 +442,8 @@ mod tests {
             "retired tag 1",
             "retired tag 2",
             "retired tag 5",
+            "retired tag 7",
+            "retired tag 13",
             "retired tag 16",
             "retired tag 16 with the traced body it once took",
             "retired tag 17",

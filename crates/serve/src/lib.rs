@@ -61,10 +61,13 @@ pub mod votelog;
 pub use bundle::{Lineage, SubsystemBundle, SystemBundle};
 pub use client::{Client, PipelinedClient, ScoreReply};
 pub use engine::{decision, Engine, EngineConfig, Outcome, ScoredUtt, SubmitError};
-pub use obs::{ServeObs, StatsSnapshot, WalStatusInfo, DEFAULT_FLIGHT_CAPACITY};
+pub use obs::{
+    FleetStats, PingReport, ReplicaStat, ServeObs, StatsSnapshot, WalStatusInfo,
+    DEFAULT_FLIGHT_CAPACITY,
+};
 pub use protocol::{
-    read_frame, write_frame, AdaptReport, DrainReply, FleetStats, PingReport, ReplicaStat, Request,
-    ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    read_frame, write_frame, AdaptReport, DrainReply, Request, ADAPT_FAILED,
+    ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 pub use queue::BoundedQueue;
 pub use rollout::{FleetControl, FleetReplica};

@@ -11,12 +11,14 @@
 //! registry is snapshotted.
 //!
 //! The stats-v3 dump is the only counter format a process speaks.
-//! [`StatsSnapshot`] and [`WalStatusInfo`] are views over it, computed by
-//! whoever holds a dump: the client ([`crate::Client::stats_v2`],
+//! [`StatsSnapshot`], [`PingReport`], [`FleetStats`] (with its
+//! [`ReplicaStat`] rows) and [`WalStatusInfo`] are views over it, computed
+//! by whoever holds a dump: the client ([`crate::Client::stats_v2`],
+//! [`crate::Client::ping`], [`crate::Client::try_fleet_stats`],
 //! [`crate::Client::wal_status`]), the engine ([`crate::Engine::stats`])
-//! and the router's fleet scrape. Every field of either view reads exactly
-//! one series. Metric names are part of the stats-v3 wire contract and
-//! documented in `docs/OBSERVABILITY.md`:
+//! and the router. Every field of a view reads exactly one series, or
+//! sums one over replicas. Metric names are part of the stats-v3 wire
+//! contract and documented in `docs/OBSERVABILITY.md`:
 //!
 //! | name | kind | meaning |
 //! |---|---|---|
@@ -43,7 +45,9 @@
 //!
 //! [`WalStatusInfo`] reads the `wal.*` series a WAL-backed vote log
 //! records (`lre_wal::WalObs`) and the `lineage.*` gauges a durable
-//! adaptation controller binds to its chain.
+//! adaptation controller binds to its chain. [`FleetStats`] reads a
+//! router's dump: its `router.shed` counter and, per backend, the series
+//! [`backend_series`] writes.
 
 use crate::protocol::MetricsDump;
 use lre_obs::{
@@ -133,7 +137,7 @@ fn scalar(dump: &MetricsDump, name: &str) -> Option<u64> {
 
 /// The engine's counters: the stats-v2 view of a stats-v3 dump (see
 /// [`StatsSnapshot::from_dump`] for which series each field reads), and,
-/// summed over replicas, the router's fleet-stats aggregate.
+/// summed over replicas, the fleet aggregate of [`FleetStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Submissions seen (accepted + shed).
@@ -178,13 +182,19 @@ impl StatsSnapshot {
     /// is the `engine.*` series of its own name. `None` when the dump has
     /// no `engine.requests` — a router's, which serves no engine.
     pub fn from_dump(dump: &MetricsDump) -> Option<StatsSnapshot> {
-        let n = |name| scalar(dump, name).unwrap_or(0);
-        let latency = match series(dump, "engine.latency_us") {
+        StatsSnapshot::under(dump, "")
+    }
+
+    /// The same view of the series whose names start with `prefix`.
+    fn under(dump: &MetricsDump, prefix: &str) -> Option<StatsSnapshot> {
+        let at = |name: &str| format!("{prefix}{name}");
+        let n = |name| scalar(dump, &at(name)).unwrap_or(0);
+        let latency = match series(dump, &at("engine.latency_us")) {
             Some(MetricValue::Histogram(h)) => *h,
             _ => HistogramSummary::default(),
         };
         Some(StatsSnapshot {
-            requests: scalar(dump, "engine.requests")?,
+            requests: scalar(dump, &at("engine.requests"))?,
             completed: latency.count,
             rejected: n("engine.rejected"),
             max_queue_depth: n("engine.queue.max_depth"),
@@ -198,6 +208,182 @@ impl StatsSnapshot {
             swaps: n("engine.swaps"),
             rollbacks: n("engine.rollbacks"),
             unknown: n("engine.unknown"),
+        })
+    }
+}
+
+/// The health summary: four numbers from the engine counters, as
+/// [`PingReport::from_stats`] derives them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PingReport {
+    /// Serving model generation.
+    pub generation: u64,
+    /// Requests admitted but not yet resolved (completed / rejected /
+    /// expired / failed).
+    pub inflight: u64,
+    /// Load-shedding refusals so far: queue-full and window rejections,
+    /// deadline expirations and global-admission sheds.
+    pub shed: u64,
+    /// Successfully scored utterances so far.
+    pub completed: u64,
+}
+
+impl PingReport {
+    /// Derive the summary from engine counters: one server's, or a fleet
+    /// aggregate.
+    pub fn from_stats(s: &StatsSnapshot) -> PingReport {
+        PingReport {
+            generation: s.generation,
+            inflight: s
+                .requests
+                .saturating_sub(s.completed + s.rejected + s.expired + s.failed),
+            shed: s.rejected + s.expired + s.shed_global,
+            completed: s.completed,
+        }
+    }
+}
+
+/// One replica's row in a fleet breakdown.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReplicaStat {
+    /// Backend address as the router dials it (e.g. `127.0.0.1:7701`).
+    pub addr: String,
+    /// Whether the router routes to this replica and it answered the
+    /// router's scrape for this dump.
+    pub healthy: bool,
+    /// The replica's serving model generation, as of the last probe that
+    /// answered (for a healthy row, the scrape for this dump).
+    pub generation: u64,
+    /// Requests the router has outstanding on this replica.
+    pub inflight: u64,
+    /// Utterances the replica has scored, by its own count, as of the same
+    /// probe as `generation`.
+    pub completed: u64,
+    /// Load-shedding refusals the replica has issued (healthy rows; 0
+    /// otherwise).
+    pub shed: u64,
+}
+
+/// A router's fleet: the aggregate counter set (summed over the healthy
+/// replicas, plus the router's own sheds; `generation` is the lowest a
+/// healthy replica serves, so a mixed fleet is visible) and one row per
+/// backend, in the router's order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FleetStats {
+    pub aggregate: StatsSnapshot,
+    pub replicas: Vec<ReplicaStat>,
+}
+
+/// Name of router-side series `what` of the backend at `addr`.
+fn backend_gauge(addr: &str, what: &str) -> String {
+    format!("router.backend.{addr}.{what}")
+}
+
+/// The prefix before every series of the dump the replica at `addr`
+/// answered a router's scrape with.
+fn replica_prefix(addr: &str) -> String {
+    format!("replica.{addr}.")
+}
+
+/// The series a router's stats-v3 reply carries for its backend at
+/// `addr`, as [`FleetStats::from_dump`] reads them back: five gauges —
+/// `router.backend.{addr}.index` (its place in the router's order),
+/// `.inflight` (requests the router has outstanding on it), `.routable`
+/// (1 or 0), and `.probe.generation` / `.probe.completed` (of the
+/// [`StatsSnapshot`] view of `last_probe`, the last dump the replica
+/// answered a probe with) — and, when `answered_now`, every series of
+/// `last_probe` under `replica.{addr}.`.
+pub fn backend_series(
+    addr: &str,
+    index: usize,
+    inflight: usize,
+    routable: bool,
+    last_probe: Option<&MetricsDump>,
+    answered_now: bool,
+) -> MetricsDump {
+    let last = last_probe
+        .and_then(StatsSnapshot::from_dump)
+        .unwrap_or_default();
+    let gauges = [
+        ("index", index as u64),
+        ("inflight", inflight as u64),
+        ("routable", u64::from(routable)),
+        ("probe.generation", last.generation),
+        ("probe.completed", last.completed),
+    ];
+    let mut series: MetricsDump = gauges
+        .map(|(what, v)| (backend_gauge(addr, what), MetricValue::Gauge(v)))
+        .into();
+    let prefix = replica_prefix(addr);
+    let answered = last_probe.filter(|_| answered_now).into_iter().flatten();
+    series.extend(answered.map(|(name, v)| (format!("{prefix}{name}"), v.clone())));
+    series
+}
+
+impl FleetStats {
+    /// The fleet view of a router's dump. Backends are the
+    /// `router.backend.{addr}.index` gauges, in index order. A row is
+    /// healthy when its replica's dump is in this one under
+    /// `replica.{addr}.` with an `engine.requests` series; `generation` and
+    /// `completed` are the backend's `probe.generation` / `probe.completed`
+    /// gauges, `inflight` its `inflight` gauge, and `shed` the replica view's
+    /// [`PingReport::shed`]. The aggregate sums the healthy
+    /// replicas' [`StatsSnapshot`] views (maximum for `max_queue_depth`,
+    /// `latency_us_max` and `uptime_us`) and adds `router.shed` to
+    /// `requests` and `rejected`. `None` when the dump has no
+    /// `router.shed`: the peer is not a router.
+    pub fn from_dump(dump: &MetricsDump) -> Option<FleetStats> {
+        let router_shed = scalar(dump, "router.shed")?;
+        let mut backends: Vec<(u64, &str)> = dump
+            .iter()
+            .filter_map(|(name, _)| {
+                let addr = name
+                    .strip_prefix("router.backend.")?
+                    .strip_suffix(".index")?;
+                Some((scalar(dump, name)?, addr))
+            })
+            .collect();
+        backends.sort_unstable();
+        let mut agg = StatsSnapshot {
+            requests: router_shed,
+            rejected: router_shed,
+            ..StatsSnapshot::default()
+        };
+        let mut replicas = Vec::with_capacity(backends.len());
+        for (_, addr) in backends {
+            let gauge = |what| scalar(dump, &backend_gauge(addr, what)).unwrap_or(0);
+            let view = StatsSnapshot::under(dump, &replica_prefix(addr));
+            if let Some(s) = &view {
+                agg.requests += s.requests;
+                agg.completed += s.completed;
+                agg.rejected += s.rejected;
+                agg.max_queue_depth = agg.max_queue_depth.max(s.max_queue_depth);
+                agg.latency_us_sum += s.latency_us_sum;
+                agg.latency_us_max = agg.latency_us_max.max(s.latency_us_max);
+                agg.uptime_us = agg.uptime_us.max(s.uptime_us);
+                agg.expired += s.expired;
+                agg.failed += s.failed;
+                agg.shed_global += s.shed_global;
+                agg.swaps += s.swaps;
+                agg.rollbacks += s.rollbacks;
+                agg.unknown += s.unknown;
+            }
+            replicas.push(ReplicaStat {
+                addr: addr.to_string(),
+                healthy: view.is_some(),
+                generation: gauge("probe.generation"),
+                inflight: gauge("inflight"),
+                completed: gauge("probe.completed"),
+                shed: view.map_or(0, |s| PingReport::from_stats(&s).shed),
+            });
+        }
+        // The fleet's committed floor: the lowest generation a healthy
+        // replica serves.
+        let healthy = replicas.iter().filter(|r| r.healthy);
+        agg.generation = healthy.map(|r| r.generation).min().unwrap_or(0);
+        Some(FleetStats {
+            aggregate: agg,
+            replicas,
         })
     }
 }
@@ -342,6 +528,112 @@ mod tests {
         assert!(wal.chain_ok);
         let drained = WalStatusInfo::from_dump(&wal_dump(7, 7)).expect("a WAL dump");
         assert_eq!((drained.buffered, drained.segments), (0, 0));
+    }
+
+    fn stats_example() -> StatsSnapshot {
+        StatsSnapshot {
+            requests: 100,
+            completed: 80,
+            rejected: 5,
+            max_queue_depth: 12,
+            latency_us_sum: 123_456,
+            latency_us_max: 9_999,
+            uptime_us: 77,
+            expired: 3,
+            failed: 2,
+            shed_global: 7,
+            generation: 4,
+            swaps: 3,
+            rollbacks: 1,
+            unknown: 6,
+        }
+    }
+
+    #[test]
+    fn ping_report_is_derived_from_the_counters() {
+        // 100 admitted, 80+5+3+2 resolved → 10 in flight; shed counts
+        // queue rejections + expirations + global sheds.
+        assert_eq!(
+            PingReport::from_stats(&stats_example()),
+            PingReport {
+                generation: 4,
+                inflight: 10,
+                shed: 15,
+                completed: 80,
+            }
+        );
+    }
+
+    /// A replica's engine dump with `requests` admitted, `completed`
+    /// scored in 10 µs each, serving `generation`.
+    fn replica_dump(requests: u64, completed: u64, generation: u64) -> MetricsDump {
+        let r = Registry::new();
+        r.counter("engine.requests").add(requests);
+        r.counter("engine.rejected").add(requests - completed);
+        for _ in 0..completed {
+            r.histogram("engine.latency_us").record(10);
+        }
+        r.gauge("engine.generation").set(generation);
+        r.snapshot()
+    }
+
+    /// A router's dump as its stats-v3 handler builds it: backends in
+    /// `rows` order, `(addr, last probe, answered now)`, one request in
+    /// flight on each.
+    fn router_dump(shed: u64, rows: &[(&str, MetricsDump, bool)]) -> MetricsDump {
+        let r = Registry::new();
+        r.counter("router.shed").add(shed);
+        r.histogram("router.backend.0.0.0.0:1.latency_us");
+        let mut dump = r.snapshot();
+        for (index, (addr, last, now)) in rows.iter().enumerate() {
+            dump.extend(backend_series(addr, index, 1, *now, Some(last), *now));
+        }
+        dump.sort_by(|a, b| a.0.cmp(&b.0));
+        dump
+    }
+
+    #[test]
+    fn fleet_view_sums_the_answering_replicas_in_router_order() {
+        assert_eq!(FleetStats::from_dump(&replica_dump(3, 2, 1)), None);
+        let dump = router_dump(
+            4,
+            &[
+                ("10.0.0.9:80", replica_dump(10, 7, 3), true),
+                ("10.0.0.1:80", replica_dump(50, 40, 1), false),
+                ("10.0.0.5:80", replica_dump(6, 6, 2), true),
+            ],
+        );
+        // Engine and WAL views read exact names, never a replica's copy.
+        assert_eq!(StatsSnapshot::from_dump(&dump), None);
+        assert_eq!(WalStatusInfo::from_dump(&dump), None);
+        let fleet = FleetStats::from_dump(&dump).expect("a router dump");
+        let addrs: Vec<&str> = fleet.replicas.iter().map(|r| r.addr.as_str()).collect();
+        assert_eq!(addrs, ["10.0.0.9:80", "10.0.0.1:80", "10.0.0.5:80"]);
+        assert_eq!(
+            fleet.replicas[1],
+            ReplicaStat {
+                addr: "10.0.0.1:80".into(),
+                healthy: false,
+                generation: 1,
+                inflight: 1,
+                completed: 40,
+                shed: 0,
+            }
+        );
+        assert_eq!((fleet.replicas[0].shed, fleet.replicas[2].shed), (3, 0));
+        let agg = fleet.aggregate;
+        assert_eq!((agg.requests, agg.rejected, agg.completed), (20, 7, 13));
+        assert_eq!(agg.generation, 2, "the healthy floor");
+        assert_eq!(agg.latency_us_sum, 130);
+        let ping = PingReport::from_stats(&agg);
+        assert_eq!((ping.inflight, ping.shed), (0, 7));
+        // No healthy replica: the router's sheds alone, generation 0.
+        let lost = [("a:1", replica_dump(9, 9, 5), false)];
+        let empty = FleetStats::from_dump(&router_dump(2, &lost)).expect("a router dump");
+        assert_eq!(
+            (empty.aggregate.requests, empty.aggregate.generation),
+            (2, 0)
+        );
     }
 
     #[test]

@@ -27,14 +27,12 @@
 //! carries the stage-timestamped span after the score body.
 //!
 //! Retired tags decode as unknown tags: 1 and 2 (the one-request-in-flight
-//! score and nine-counter stats of the first protocol generation), 5 and
-//! 17 (stats-v2 and wal-status, whose bodies are now client-side views
-//! over the stats-v3 dump: [`StatsSnapshot::from_dump`],
-//! [`crate::WalStatusInfo::from_dump`]), and 16 (score-traced, whose span
-//! every score reply now carries).
+//! score and nine-counter stats of the first protocol generation), 5, 7,
+//! 13 and 17 (stats-v2, ping, fleet-stats and wal-status, whose bodies are
+//! now client-side views over the stats-v3 dump in [`crate::obs`]), and 16
+//! (score-traced, whose span every score reply now carries).
 
 use crate::engine::ScoredUtt;
-use crate::obs::StatsSnapshot;
 use lre_artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 use lre_obs::{FlightEvent, HistogramSummary, MetricValue, SketchSummary, TraceSpan, STAGE_REPLY};
 use std::io::{self, Read, Write};
@@ -80,7 +78,7 @@ pub const MAX_DRAIN_VLOG_LEN: usize = MAX_FRAME_LEN - (1 + 4 + 1 + 4);
 pub const DECISION_UNKNOWN: u32 = u32::MAX;
 
 /// Tag numbers that once meant something and must never be reused.
-pub const RETIRED_TAGS: &[u8] = &[1, 2, 5, 16, 17];
+pub const RETIRED_TAGS: &[u8] = &[1, 2, 5, 7, 13, 16, 17];
 
 /// A value with one byte layout: a request field or a reply body.
 pub trait Wire: Sized {
@@ -186,7 +184,7 @@ fn get_list<T: Wire>(r: &mut ArtifactReader) -> Result<Vec<T>, ArtifactError> {
 /// Give structs their wire form: the fields, in declaration order.
 /// `wire_struct! { pub struct … }` declares the struct as well, so the
 /// layout is stated once; `impl Name { fields }` serves a struct declared
-/// elsewhere; `list of Item` is a `u32` count followed by the items.
+/// elsewhere.
 macro_rules! wire_struct {
     ($(
         $(#[$meta:meta])*
@@ -203,16 +201,6 @@ macro_rules! wire_struct {
             }
             fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
                 Ok($name { $($field: Wire::get(r)?),* })
-            }
-        }
-    };
-    (list of $item:ty) => {
-        impl Wire for Vec<$item> {
-            fn put(&self, w: &mut ArtifactWriter) {
-                put_list(self, w)
-            }
-            fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
-                get_list(r)
             }
         }
     };
@@ -345,10 +333,6 @@ tag_table! {
     /// Run one adaptation cycle now (drain the vote log, retrain, guard,
     /// maybe swap), synchronously on the connection's reader.
     6 REQ_ADAPT Adapt "adapt" => AdaptReport, "adaptd · router started with --bundle/--guard";
-    /// Lightweight health probe, answered from the engine counters without
-    /// touching the scoring queue — cheap enough for a router to send
-    /// every health interval.
-    7 REQ_PING Ping "ping" => PingReport, "server · router";
     /// Drain (or peek at) the replica's vote log. The drain is
     /// all-or-nothing: below the `min` floor the log is untouched and only
     /// the buffered count comes back.
@@ -368,8 +352,6 @@ tag_table! {
     /// Reinstall the model displaced by the last commit (one-deep,
     /// bit-identical, under a fresh generation).
     12 REQ_ROLLBACK Rollback "rollback" => RollbackAck, "fleet replica · router (fans out)";
-    /// Aggregate fleet counters plus a per-replica breakdown.
-    13 REQ_FLEET_STATS FleetStats "fleet-stats" => FleetStats, "router";
     /// Dump the telemetry registry: every counter, gauge, histogram
     /// summary and sketch, name-sorted.
     14 REQ_STATS_V3 StatsV3 "stats-v3" => MetricsDump, "server · router";
@@ -605,24 +587,6 @@ pub fn decode_score_reply_v2(bytes: &[u8]) -> Result<(u64, Result<ScoredUtt, u8>
     Ok((id, reply))
 }
 
-// The fleet-stats aggregate: every field as a `u64`, in declaration order.
-wire_struct!(impl StatsSnapshot {
-    requests,
-    completed,
-    rejected,
-    max_queue_depth,
-    latency_us_sum,
-    latency_us_max,
-    uptime_us,
-    expired,
-    failed,
-    shed_global,
-    generation,
-    swaps,
-    rollbacks,
-    unknown
-});
-
 /// How a requested adaptation cycle ended.
 pub const ADAPT_PROMOTED: u8 = 0;
 /// The retrained candidate regressed the guard metrics; serving model,
@@ -669,24 +633,6 @@ impl Wire for AdaptReport {
 }
 
 wire_struct! {
-    /// The health-probe reply body ([`Request::Ping`]). Everything a router's
-    /// health loop needs in four counters, computed from the engine's stats
-    /// snapshot without touching the scoring queue.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct PingReport {
-        /// Serving model generation.
-        pub generation: u64,
-        /// Requests admitted but not yet resolved (completed/rejected/
-        /// expired/failed).
-        pub inflight: u64,
-        /// Load-shedding refusals so far (queue-full rejections + deadline
-        /// expirations + global-admission sheds) — the router's overload
-        /// signal.
-        pub shed: u64,
-        /// Successfully scored utterances so far.
-        pub completed: u64,
-    }
-
     /// A drain (or peek) reply: how many records were buffered, and — when
     /// the drain went through — the sealed `VLOG` snapshot bytes of
     /// everything taken.
@@ -740,50 +686,6 @@ wire_struct! {
         pub restored: u64,
         pub serving: u64,
         pub checksum: u32,
-    }
-
-    /// One replica's row in a fleet-stats breakdown.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct ReplicaStat {
-        /// Backend address as the router dials it (e.g. `127.0.0.1:7701`).
-        pub addr: String,
-        /// Whether the router currently routes to this replica.
-        pub healthy: bool,
-        /// The replica's serving model generation: scraped now for a
-        /// healthy row, as of its last health probe otherwise.
-        pub generation: u64,
-        /// Requests the router currently has outstanding on this replica.
-        pub inflight: u64,
-        /// Utterances the replica has scored, by its own count: scraped now
-        /// for a healthy row, as of its last health probe otherwise.
-        pub completed: u64,
-        /// Load-shedding refusals the replica has issued (healthy rows; 0
-        /// otherwise).
-        pub shed: u64,
-    }
-
-    /// The router's fleet-stats reply: the aggregate counter set (summed
-    /// over replicas, `generation` = the minimum replica generation so a
-    /// mixed fleet is visible) plus the per-replica breakdown.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct FleetStats {
-        pub aggregate: StatsSnapshot,
-        pub replicas: Vec<ReplicaStat>,
-    }
-}
-wire_struct!(list of ReplicaStat);
-
-impl PingReport {
-    /// Derive the probe body from an engine stats snapshot.
-    pub fn from_stats(s: &StatsSnapshot) -> PingReport {
-        PingReport {
-            generation: s.generation,
-            inflight: s
-                .requests
-                .saturating_sub(s.completed + s.rejected + s.expired + s.failed),
-            shed: s.rejected + s.expired + s.shed_global,
-            completed: s.completed,
-        }
     }
 }
 
@@ -855,7 +757,14 @@ wire_struct!(impl FlightEvent {
     x,
     y
 });
-wire_struct!(list of FlightEvent);
+impl Wire for Vec<FlightEvent> {
+    fn put(&self, w: &mut ArtifactWriter) {
+        put_list(self, w)
+    }
+    fn get(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        get_list(r)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1061,25 +970,6 @@ mod tests {
         }
     }
 
-    fn stats_example() -> StatsSnapshot {
-        StatsSnapshot {
-            requests: 100,
-            completed: 80,
-            rejected: 5,
-            max_queue_depth: 12,
-            latency_us_sum: 123_456,
-            latency_us_max: 9_999,
-            uptime_us: u64::MAX,
-            expired: 3,
-            failed: 2,
-            shed_global: 7,
-            generation: 4,
-            swaps: 3,
-            rollbacks: 1,
-            unknown: 6,
-        }
-    }
-
     fn metrics_example() -> MetricsDump {
         vec![
             (
@@ -1115,16 +1005,6 @@ mod tests {
                 [$((stringify!($t), (|| check_reply::<$t>($examples)) as fn())),*]
             };
         }
-        fn replica(addr: &str, healthy: bool) -> ReplicaStat {
-            ReplicaStat {
-                addr: addr.into(),
-                healthy,
-                generation: 2,
-                inflight: 3,
-                completed: 150,
-                shed: 1,
-            }
-        }
         let checks = checks! {
             Ack => vec![Ack];
             ScoredUtt => vec![
@@ -1138,7 +1018,6 @@ mod tests {
                 selected: 120,
                 drained: 150,
             }];
-            PingReport => vec![PingReport::from_stats(&stats_example())];
             DrainReply => vec![
                 DrainReply { buffered: 42, sealed: None },
                 DrainReply { buffered: 42, sealed: Some(vec![1, 2, 3, 4, 5]) },
@@ -1148,13 +1027,6 @@ mod tests {
             CommitAck => vec![CommitAck { generation: 9, checksum: 0xC0FFEE }];
             AbortAck => vec![AbortAck { had_staged: true }, AbortAck { had_staged: false }];
             RollbackAck => vec![RollbackAck { rolled: true, generation: 11 }];
-            FleetStats => vec![
-                FleetStats {
-                    aggregate: stats_example(),
-                    replicas: vec![replica("127.0.0.1:7701", true), replica("127.0.0.1:7702", false)],
-                },
-                FleetStats { aggregate: StatsSnapshot::default(), replicas: Vec::new() },
-            ];
             MetricsDump => vec![metrics_example(), Vec::new()];
             Vec<FlightEvent> => vec![vec![
                 FlightEvent {
@@ -1233,37 +1105,6 @@ mod tests {
         assert!(decode_reply::<MetricsDump>(&encode_ok(&shuffled)).is_err());
         let repeated = vec![entries[1].clone(), entries[1].clone()];
         assert!(decode_reply::<MetricsDump>(&encode_ok(&repeated)).is_err());
-    }
-
-    /// The fleet-stats aggregate is fourteen `u64`s. The previous format's
-    /// fifteen (a mode flag sat before `unknown`) must fail as trailing
-    /// bytes, not decode with the flag read as the unknown count.
-    #[test]
-    fn stats_body_is_fourteen_words_and_fifteen_are_refused() {
-        let frame = encode_ok(&stats_example());
-        assert_eq!(frame.len(), 1 + 14 * 8);
-        let mut previous = frame[..1 + 13 * 8].to_vec();
-        previous.extend(1u64.to_le_bytes());
-        previous.extend(6u64.to_le_bytes());
-        assert!(matches!(
-            decode_reply::<StatsSnapshot>(&previous),
-            Err(ArtifactError::TrailingBytes)
-        ));
-    }
-
-    #[test]
-    fn ping_report_is_derived_from_the_counters() {
-        // 100 admitted, 80+5+3+2 resolved → 10 in flight; shed counts
-        // queue rejections + expirations + global sheds.
-        assert_eq!(
-            PingReport::from_stats(&stats_example()),
-            PingReport {
-                generation: 4,
-                inflight: 10,
-                shed: 15,
-                completed: 80,
-            }
-        );
     }
 
     // ----------------------------------------------------- score replies

@@ -10,16 +10,16 @@
 //! inline (stats, control requests, refusals).
 //!
 //! Every server records into one [`ServeObs`], so stats-v3 and the flight
-//! recorder are always answered; stats-v2 and wal-status are views a
+//! recorder are always answered; stats-v2, ping and wal-status are views a
 //! client computes from the stats-v3 dump.
 
 use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
 use crate::obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
 use crate::protocol::{
     decode_request, encode_ok, encode_score_ok_v2, encode_status, encode_status_v2, read_frame,
-    write_frame, Ack, AdaptReport, DrainReply, PingReport, Request, RollbackToAck, Wire,
-    STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
-    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
+    write_frame, Ack, AdaptReport, DrainReply, Request, RollbackToAck, Wire, STATUS_BAD_REQUEST,
+    STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
+    STATUS_UNSUPPORTED,
 };
 use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
@@ -313,7 +313,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         reply_tx: &reply_tx,
         inflight: Arc::new(AtomicUsize::new(0)),
     };
-    let (engine, hooks) = (&shared.engine, &shared.hooks);
+    let hooks = &shared.hooks;
 
     // Set when this connection carried a shutdown request; acted on only
     // after the ack has been flushed to the socket.
@@ -333,9 +333,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             // One cycle runs synchronously and the report comes back in
             // request order.
             Ok(Request::Adapt) => Some(answer(&hooks.control, |c| Ok(c.adapt_now()))),
-            // Derived from the engine's counters, so the probe stays
-            // answerable while the queue is saturated.
-            Ok(Request::Ping) => Some(encode_ok(&PingReport::from_stats(&engine.stats()))),
             Ok(Request::DrainVotes { peek, min }) => Some(answer(&hooks.fleet, |f| {
                 Ok(DrainReply::seal(f.drain_votes(peek, min)))
             })),
@@ -343,9 +340,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             Ok(Request::CommitStaged) => Some(answer(&hooks.fleet, |f| f.commit())),
             Ok(Request::AbortStaged) => Some(answer(&hooks.fleet, |f| Ok(f.abort()))),
             Ok(Request::Rollback) => Some(answer(&hooks.fleet, |f| Ok(f.rollback()))),
-            // Only the router's front tier aggregates a fleet; a replica
-            // (or single server) has nothing to answer with.
-            Ok(Request::FleetStats) => Some(encode_status(STATUS_UNSUPPORTED)),
             // Runs synchronously like `Adapt`: it swaps a model and the
             // requester wants the outcome in request order.
             Ok(Request::RollbackTo { generation }) => {

@@ -16,7 +16,7 @@
 //! - stats-v2 is a view over the stats-v3 series: after scored replies,
 //!   a window shed, a global shed, a deadline expiry, a scorer failure,
 //!   an open-set unknown, a swap and a rollback, every stats-v2 field
-//!   equals its series;
+//!   equals its series, and ping is `PingReport::from_stats` of that view;
 //! - wal-status is a view over the `wal.*` series: against a WAL-backed
 //!   server every field equals the log's own status after appends, a
 //!   drain and a reopen over a torn tail, and a server without a WAL has
@@ -31,8 +31,8 @@ use lre_obs::{
 use lre_serve::client::ScoreReply;
 use lre_serve::protocol::{MetricsDump, STATUS_UNSUPPORTED};
 use lre_serve::{
-    vote_wal_options, Client, DrainPath, EngineConfig, ScoreDetail, ScoreTap, Scorer, ScorerHandle,
-    ServeObs, Server, ServerConfig, ServerHooks, VoteLog, WalStatusInfo,
+    vote_wal_options, Client, DrainPath, EngineConfig, PingReport, ScoreDetail, ScoreTap, Scorer,
+    ScorerHandle, ServeObs, Server, ServerConfig, ServerHooks, VoteLog, WalStatusInfo,
 };
 use lre_vsm::SparseVec;
 use lre_wal::LOG_FILE;
@@ -387,10 +387,17 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     // The expiring request and `b`'s queued one waited behind the hold.
     assert_eq!(stats.max_queue_depth, 2);
     assert_eq!((stats.generation, stats.swaps, stats.rollbacks), (2, 2, 1));
+    // Ping is the same view, summed up; nothing moved in between.
+    let ping = a.ping().expect("ping");
+    assert_eq!(ping, PingReport::from_stats(&stats));
     assert_eq!(
-        server.engine().stats().generation,
-        2,
-        "ping reads the same view"
+        ping,
+        PingReport {
+            generation: 2,
+            inflight: 0,
+            shed: 4,
+            completed: 4,
+        }
     );
 
     drop((a, b));
