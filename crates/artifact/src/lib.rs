@@ -622,7 +622,12 @@ pub trait ArtifactRead: ArtifactWrite + Sized {
     /// Open + verify a sealed container and decode the payload. The payload
     /// must be consumed exactly; leftover bytes are an error.
     fn from_artifact_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let payload = open(bytes, Self::KIND, Self::VERSION)?;
+        Self::from_payload(open(bytes, Self::KIND, Self::VERSION)?)
+    }
+
+    /// Decode a payload whose container was already verified (by [`open`]
+    /// or [`open_prefix`]). The payload must be consumed exactly.
+    fn from_payload(payload: &[u8]) -> Result<Self, ArtifactError> {
         let mut r = ArtifactReader::new(payload);
         let out = Self::read_payload(&mut r)?;
         if r.remaining() != 0 {

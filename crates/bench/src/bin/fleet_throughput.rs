@@ -22,8 +22,8 @@
 
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::{
-    EngineConfig, PipelinedClient, ScoreDetail, ScoreReply, Scorer, ScorerHandle, Server,
-    ServerConfig, ServerHooks, DEFAULT_FLIGHT_CAPACITY,
+    Client, EngineConfig, ScoreDetail, ScoreReply, Scorer, ScorerHandle, Server, ServerConfig,
+    ServerHooks, DEFAULT_FLIGHT_CAPACITY,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -150,7 +150,7 @@ struct Pass {
 /// else counts as a typed failure (the router never leaves a request
 /// unanswered, so this loop always terminates).
 fn drive(
-    client: &mut PipelinedClient,
+    client: &mut Client,
     utts: &[Vec<f32>],
     window: usize,
     kill_at: Option<(usize, &dyn Fn())>,
@@ -206,7 +206,7 @@ fn p99_ms(latencies: &mut [Duration]) -> f64 {
 
 /// Shut the whole stack down through the router (the router propagates
 /// the shutdown to every replica it can still reach).
-fn teardown(mut client: PipelinedClient, router: Router, servers: Vec<Server>) {
+fn teardown(mut client: Client, router: Router, servers: Vec<Server>) {
     client.shutdown().expect("shutdown through router");
     for s in servers {
         s.stop();
@@ -218,7 +218,7 @@ fn teardown(mut client: PipelinedClient, router: Router, servers: Vec<Server>) {
 fn scaling_pass(replicas: usize, utts: &[Vec<f32>], args: &Args) -> (f64, f64) {
     let servers = spawn_fleet(replicas, Duration::from_micros(args.busy_us), args.window);
     let router = start_router(&servers);
-    let mut client = PipelinedClient::connect(router.local_addr()).expect("connect");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
     // Warm connections, threads and allocator before timing.
     let _ = drive(&mut client, &utts[..8], args.window.min(8), None);
     let pass = drive(&mut client, utts, args.window, None);
@@ -255,7 +255,7 @@ fn main() {
     // typed) and the survivor carries the rest of the workload.
     let servers = spawn_fleet(2, Duration::from_micros(args.busy_us), args.window);
     let router = start_router(&servers);
-    let mut client = PipelinedClient::connect(router.local_addr()).expect("connect");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
     let _ = drive(&mut client, &utts[..8], args.window.min(8), None);
     let victim = &servers[0];
     let kill = || victim.stop();

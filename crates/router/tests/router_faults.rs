@@ -15,7 +15,7 @@ use lre_serve::protocol::{
     decode_request, encode_ok, encode_score_ok_v2, read_frame, write_frame, MetricsDump, Request,
 };
 use lre_serve::{fuzz, FleetStats, StatsSnapshot};
-use lre_serve::{Client, PingReport, PipelinedClient, ReplicaStat, ScoreReply, ScoredUtt};
+use lre_serve::{Client, PingReport, ReplicaStat, ScoreReply, ScoredUtt};
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, Ordering};
@@ -122,7 +122,7 @@ fn replica_death_mid_pipeline_fails_fast_typed_then_readmits() {
     let router = Router::start(listener, backends, fast_health(), None, Arc::clone(&obs))
         .expect("start router");
 
-    let mut client = PipelinedClient::connect(router.local_addr()).expect("connect");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
     let samples = vec![0.5f32; 16];
     let mut outstanding: HashSet<u64> = HashSet::new();
 
@@ -220,7 +220,7 @@ fn empty_fleet_refuses_typed_immediately() {
     let backends = vec![Arc::new(Backend::new(dead_addr, &obs))];
     let router = Router::start(listener, backends, fast_health(), None, obs).expect("start router");
 
-    let mut client = PipelinedClient::connect(router.local_addr()).expect("connect");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
     let id = client.submit(&[0.0f32; 8], None).expect("submit");
     let (rid, reply) = client.recv().expect("typed refusal");
     assert_eq!(rid, id);

@@ -94,6 +94,8 @@ pub struct Client {
 }
 
 /// The name the pipelined half of the client had while there were two.
+/// Nothing in the workspace uses it; the benchmark package (`bench-e2e`)
+/// still does, so it goes with the next change to that package.
 pub type PipelinedClient = Client;
 
 impl Client {

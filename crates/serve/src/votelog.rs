@@ -42,16 +42,28 @@
 //! Trimmed, dropped and deduplicated records are counted in the process
 //! registry as `votelog.trimmed`, `votelog.dropped` and `votelog.deduped`.
 //!
-//! A log opened on a directory ([`VoteLog::open`]) keeps its window in a
-//! [`lre_wal::Wal`] as well, so it survives a crash: every record the
-//! buffer *admits* (and only those — dedup rejects and overflow drops never
-//! touch disk) is appended, trimmed, as its own sealed `VREC` container,
-//! and a drain clears the WAL as it empties the buffer. Both happen under
-//! the log's one mutex, so the WAL holds exactly the buffered window —
-//! which is what lets a restart's replay rebuild the buffer, dedup state
-//! included, to an identical drain result. A WAL write that fails degrades
-//! durability (counted in [`lre_wal::WalStatus::write_errors`]), never the
-//! window.
+//! **A log opened on a directory ([`VoteLog::open`]) keeps its window in a
+//! [`lre_wal::Wal`] only**, so it survives a crash and is not held twice.
+//! Every record the log *admits* (and only those — dedup rejects and
+//! overflow drops never touch disk) is appended, trimmed, as its own sealed
+//! `VREC` container; RAM keeps the index alone: the buffered digests, the
+//! record count and the window's sealed length. A drain or a snapshot reads
+//! the records back through the WAL's open handle ([`lre_wal::Wal::take`],
+//! [`lre_wal::Wal::records`]), and a drain clears the WAL as it does. All of
+//! it happens under the log's one mutex, so the WAL holds exactly the
+//! window — which is what lets a restart's replay rebuild the index, dedup
+//! state included, to an identical drain result. Replay runs admission
+//! again (a smaller `--log-capacity` refuses some records) and, if that
+//! changes anything, rewrites the WAL atomically to what it admitted. A
+//! vote the disk refuses is not in the window: it is dropped and counted in
+//! `votelog.dropped` as well as [`lre_wal::WalStatus::write_errors`]. A
+//! window the disk cannot give back whole (a failed read, damage) is
+//! dropped and counted the same way, and the log starts over empty. A drain
+//! whose clear fails still hands the window over (the WAL counts it); only
+//! a restart replays it.
+//!
+//! A log without a WAL (`VoteLog::new`) holds its window as
+//! [`VoteRecord`]s in RAM.
 //!
 //! A drained (or in-flight) log can be frozen as a [`VoteLogSnapshot`] —
 //! a sealed, CRC-framed `lre-artifact` container (kind `VLOG`, records as
@@ -69,7 +81,7 @@ use lre_vsm::SparseVec;
 use lre_wal::{Wal, WalObs, WalOptions, WalStatus};
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Everything one served utterance contributes to an adaptation cycle.
 ///
@@ -191,14 +203,61 @@ impl ArtifactRead for VoteRecord {
 /// its sealed `VREC`.
 const EMPTY_WINDOW_LEN: usize = HEADER_LEN + 8 + 4 + TRAILER_LEN;
 
+/// Where a log's window is.
+enum Window {
+    /// In RAM: a log without a WAL.
+    Memory(Vec<VoteRecord>),
+    /// In the WAL only; RAM keeps how many records it holds.
+    Wal { wal: Wal, len: usize },
+}
+
+impl Window {
+    fn len(&self) -> usize {
+        match self {
+            Window::Memory(records) => records.len(),
+            Window::Wal { len, .. } => *len,
+        }
+    }
+}
+
 struct LogState {
-    records: Vec<VoteRecord>,
+    window: Window,
     /// Digests currently buffered — the within-window dedup key. Cleared on
     /// drain: an utterance replayed *after* a cycle consumed it is new
     /// evidence (possibly under a new model) and is recorded again.
     seen: HashSet<u64>,
-    /// What `records` seal to as a [`VoteLogSnapshot`].
+    /// What the window seals to as a [`VoteLogSnapshot`].
     sealed_len: usize,
+}
+
+/// A record past admission's first two checks, as the window would hold
+/// it.
+struct Candidate {
+    rec: VoteRecord,
+    /// Whether its supervectors were emptied.
+    trimmed: bool,
+    /// What it adds to the window's sealed length.
+    grows_by: usize,
+}
+
+impl Candidate {
+    /// The record trimmed if Eq. 13 can select it at no V; `None` if it
+    /// carries nothing to vote on or retrain from.
+    fn new(mut rec: VoteRecord) -> Option<Candidate> {
+        if !rec.votable() {
+            return None;
+        }
+        let trimmed = !lre_dba::selectable(&rec.subsystem_scores);
+        if trimmed {
+            rec.supervectors.fill_with(SparseVec::new);
+        }
+        let grows_by = 4 + rec.sealed_len();
+        Some(Candidate {
+            rec,
+            trimmed,
+            grows_by,
+        })
+    }
 }
 
 /// WAL options for a vote log: `VREC` v1 records, default fsync batching.
@@ -212,14 +271,15 @@ pub fn vote_wal_options() -> WalOptions {
 /// What [`VoteLog::open`] recovered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VoteRecovery {
-    /// Records replayed from the WAL into the buffer.
+    /// Records replayed from the WAL into the window.
     pub replayed: u64,
     /// Torn tail records the WAL skipped (0 or 1).
     pub torn: u64,
 }
 
 /// How a log's window leaves the process, which decides whether its sealed
-/// bytes are bounded.
+/// bytes are bounded. Either way, [`VoteLog::new`] keeps the window in
+/// RAM and [`VoteLog::open`] in a WAL only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DrainPath {
     /// Handed over as [`VoteRecord`]s by an in-process replica
@@ -247,13 +307,10 @@ pub struct VoteLog {
     capacity: usize,
     /// The most `state.sealed_len` may reach (see [`DrainPath`]).
     max_sealed_len: usize,
-    /// Written only with `state` held, so it always holds exactly
-    /// `state.records`.
-    wal: Option<Wal>,
     /// `votelog.trimmed`: admitted records Eq. 13 can select at no V.
     trimmed: Arc<Counter>,
     /// `votelog.dropped`: records refused because the window was full, in
-    /// records or (on the wire) in sealed bytes.
+    /// records or (on the wire) in sealed bytes, or lost to the disk.
     dropped: Arc<Counter>,
     /// `votelog.deduped`: records refused as within-window duplicates.
     deduped: Arc<Counter>,
@@ -267,24 +324,25 @@ impl VoteLog {
     pub fn new(capacity: usize, drain: DrainPath, registry: &Registry) -> VoteLog {
         VoteLog {
             state: Mutex::new(LogState {
-                records: Vec::new(),
+                window: Window::Memory(Vec::new()),
                 seen: HashSet::new(),
                 sealed_len: EMPTY_WINDOW_LEN,
             }),
             capacity: capacity.max(1),
             max_sealed_len: drain.max_sealed_len(),
-            wal: None,
             trimmed: registry.counter("votelog.trimmed"),
             dropped: registry.counter("votelog.dropped"),
             deduped: registry.counter("votelog.deduped"),
         }
     }
 
-    /// [`VoteLog::new`] over the WAL in directory `dir`, whose `wal.*`
-    /// series go to `registry` and replay events to `flight`: the buffer is
-    /// rebuilt from whatever survived there, exactly as the original
-    /// admissions built it (dedup state and trimming included), and from
-    /// then on every admission and drain is written through.
+    /// [`VoteLog::new`] with its window in the WAL in directory `dir`,
+    /// whose `wal.*` series go to `registry` and replay events to `flight`.
+    /// Whatever survived there is admitted again, as the original
+    /// admissions did (dedup state and trimming included, and refusals
+    /// counted); if that refuses or trims anything, the WAL is rewritten
+    /// atomically to exactly the admitted window. From then on every
+    /// admission is appended to the WAL and every drain reads it back.
     pub fn open(
         dir: &Path,
         capacity: usize,
@@ -294,26 +352,40 @@ impl VoteLog {
         flight: Arc<FlightRecorder>,
     ) -> Result<(VoteLog, VoteRecovery), ArtifactError> {
         let (wal, replay) = Wal::open(dir, opts, WalObs::new(registry, flight))?;
-        let mut log = VoteLog::new(capacity, drain, registry);
-        let mut replayed = 0u64;
-        for bytes in &replay.records {
-            if log.admit(VoteRecord::from_artifact_bytes(bytes)?) {
-                replayed += 1;
-            }
+        let log = VoteLog::new(capacity, drain, registry);
+        let mut s = log.lock();
+        s.window = Window::Wal { wal, len: 0 };
+        let (mut kept, mut changed) = (Vec::new(), false);
+        for bytes in replay.records {
+            let Some(c) = Candidate::new(VoteRecord::from_artifact_bytes(&bytes)?)
+                .filter(|c| log.fits(&s, c))
+            else {
+                changed = true;
+                continue;
+            };
+            let sealed = c.rec.to_artifact_bytes();
+            changed |= sealed != bytes;
+            kept.push(sealed);
+            log.enter(&mut s, c);
         }
-        log.wal = Some(wal);
-        Ok((
-            log,
-            VoteRecovery {
-                replayed,
-                torn: replay.torn_tail_records,
-            },
-        ))
+        if let (true, Window::Wal { wal, .. }) = (changed, &s.window) {
+            wal.rewrite(&kept)?;
+        }
+        drop(s);
+        let recovery = VoteRecovery {
+            replayed: kept.len() as u64,
+            torn: replay.torn_tail_records,
+        };
+        Ok((log, recovery))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LogState> {
+        self.state.lock().expect("vote log poisoned")
     }
 
     /// Records currently buffered.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("vote log poisoned").records.len()
+        self.lock().window.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -325,7 +397,8 @@ impl VoteLog {
         self.trimmed.get()
     }
 
-    /// Records dropped because the window was full (`votelog.dropped`).
+    /// Records dropped because the window was full or the disk lost them
+    /// (`votelog.dropped`).
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
     }
@@ -337,75 +410,130 @@ impl VoteLog {
 
     /// The WAL's point-in-time summary; `None` for an in-memory log.
     pub fn wal_status(&self) -> Option<WalStatus> {
-        self.wal.as_ref().map(Wal::status)
+        match &self.lock().window {
+            Window::Memory(_) => None,
+            Window::Wal { wal, .. } => Some(wal.status()),
+        }
     }
 
     /// Take every buffered record (arrival order) if at least `min` are
     /// buffered; otherwise leave the log untouched and report how many are.
     /// The check and the take are one critical section, so a cycle can
     /// never half-drain a log that a concurrent scorer is appending to —
-    /// and the WAL is cleared inside it: the drained records are now the
-    /// adaptation cycle's problem, not the crash-recovery window's.
+    /// and the WAL is read back and cleared inside it: the drained records
+    /// are now the adaptation cycle's problem, not the crash-recovery
+    /// window's. A window the disk cannot give back is dropped (see the
+    /// module docs) and reported as 0 buffered.
     pub fn drain_at_least(&self, min: usize) -> Result<Vec<VoteRecord>, usize> {
-        let mut s = self.state.lock().expect("vote log poisoned");
-        if s.records.len() < min.max(1) {
-            return Err(s.records.len());
+        let mut s = self.lock();
+        let len = s.window.len();
+        if len < min.max(1) {
+            return Err(len);
         }
-        s.seen.clear();
-        s.sealed_len = EMPTY_WINDOW_LEN;
-        if let Some(wal) = &self.wal {
-            // A failed clear leaves a window on disk that a restart would
-            // replay; the WAL counts it.
-            let _ = wal.clear();
+        let records = self.read_back(&mut s, true);
+        if records.is_empty() {
+            return Err(0);
         }
-        Ok(std::mem::take(&mut s.records))
+        Ok(records)
     }
 
-    /// Admit one record — a fresh score or a replayed one — trimmed if
-    /// Eq. 13 can select it at no V, and report whether it entered the
-    /// buffer. Records without one well-formed score row and supervector
+    /// The window's records in arrival order, taken out of it if `drain`.
+    /// A window in a WAL that cannot give back exactly the records the log
+    /// admitted is lost: it is counted in `votelog.dropped`, the WAL is
+    /// cleared, and the log starts over empty.
+    fn read_back(&self, s: &mut LogState, drain: bool) -> Vec<VoteRecord> {
+        let (records, emptied) = match &mut s.window {
+            Window::Memory(records) if drain => (std::mem::take(records), true),
+            Window::Memory(records) => (records.clone(), false),
+            Window::Wal { wal, len } => {
+                let read = if drain {
+                    wal.take(VoteRecord::from_payload)
+                } else {
+                    wal.records(VoteRecord::from_payload)
+                };
+                match read {
+                    Ok(records) if records.len() == *len => {
+                        if drain {
+                            *len = 0;
+                        }
+                        (records, drain)
+                    }
+                    _ => {
+                        self.dropped.add(*len as u64);
+                        // A failed clear is counted by the WAL.
+                        let _ = wal.clear();
+                        *len = 0;
+                        (Vec::new(), true)
+                    }
+                }
+            }
+        };
+        if emptied {
+            s.seen.clear();
+            s.sealed_len = EMPTY_WINDOW_LEN;
+        }
+        records
+    }
+
+    /// Admit one fresh score to the window, trimmed if Eq. 13 can select it
+    /// at no V. Records without one well-formed score row and supervector
     /// per subsystem (mock scorers, [`ScoreDetail::from_fused`]) carry
-    /// nothing to vote on or retrain from and never do; nor do
-    /// within-window duplicates and records the window has no room for,
-    /// which are counted.
-    fn admit(&self, mut rec: VoteRecord) -> bool {
-        if !rec.votable() {
-            return false;
+    /// nothing to vote on or retrain from and never enter; nor do
+    /// within-window duplicates, records the window has no room for and,
+    /// over a WAL, records the disk refuses, which are counted.
+    fn admit(&self, rec: VoteRecord) {
+        let Some(c) = Candidate::new(rec) else {
+            return;
+        };
+        let mut s = self.lock();
+        if !self.fits(&s, &c) {
+            return;
         }
-        let trimmed = !lre_dba::selectable(&rec.subsystem_scores);
-        if trimmed {
-            rec.supervectors.fill_with(SparseVec::new);
+        if let Window::Wal { wal, .. } = &s.window {
+            if wal.append(&c.rec.to_artifact_bytes()).is_err() {
+                // The WAL counts the failed write too.
+                self.dropped.incr();
+                return;
+            }
         }
-        let grows_by = 4 + rec.sealed_len();
-        let mut s = self.state.lock().expect("vote log poisoned");
-        if s.seen.contains(&rec.digest) {
+        self.enter(&mut s, c);
+    }
+
+    /// Whether the window has room for `c`: not a within-window duplicate,
+    /// and within capacity in records and sealed bytes. A refusal is
+    /// counted.
+    fn fits(&self, s: &LogState, c: &Candidate) -> bool {
+        if s.seen.contains(&c.rec.digest) {
             self.deduped.incr();
             return false;
         }
-        if s.records.len() >= self.capacity || s.sealed_len + grows_by > self.max_sealed_len {
+        if s.window.len() >= self.capacity || s.sealed_len + c.grows_by > self.max_sealed_len {
             self.dropped.incr();
             return false;
         }
-        if let Some(wal) = &self.wal {
-            // A failed append leaves a record a crash would lose, like an
-            // unsynced one; the WAL counts it.
-            let _ = wal.append(&rec.to_artifact_bytes());
-        }
-        if trimmed {
-            self.trimmed.incr();
-        }
-        s.sealed_len += grows_by;
-        s.seen.insert(rec.digest);
-        s.records.push(rec);
         true
     }
 
-    /// Freeze the current buffer as a sealed snapshot (records cloned;
-    /// the log keeps running).
+    /// Make `c` a member of the window: held in RAM, or, over a WAL that
+    /// already has it, indexed.
+    fn enter(&self, s: &mut LogState, c: Candidate) {
+        if c.trimmed {
+            self.trimmed.incr();
+        }
+        s.sealed_len += c.grows_by;
+        s.seen.insert(c.rec.digest);
+        match &mut s.window {
+            Window::Memory(records) => records.push(c.rec),
+            Window::Wal { len, .. } => *len += 1,
+        }
+    }
+
+    /// Freeze the current window as a sealed snapshot (records cloned or
+    /// read back; the log keeps running).
     pub fn snapshot(&self) -> VoteLogSnapshot {
-        let s = self.state.lock().expect("vote log poisoned");
+        let mut s = self.lock();
         VoteLogSnapshot {
-            records: s.records.clone(),
+            records: self.read_back(&mut s, false),
             dropped: self.dropped.get(),
         }
     }
@@ -420,7 +548,7 @@ impl ScoreTap for VoteLog {
 /// A frozen vote log: the audit-trail artifact of an adaptation window.
 pub struct VoteLogSnapshot {
     pub records: Vec<VoteRecord>,
-    /// Overflow drops up to the freeze point.
+    /// `votelog.dropped` at the freeze point.
     pub dropped: u64,
 }
 
@@ -686,6 +814,10 @@ mod tests {
         // Dedup state came back: the digests are still hot.
         log.record(detail(2, 1, 2.0));
         assert_eq!(log.deduped(), 1);
+        // A snapshot reads the window back and leaves it in place.
+        let digests = |records: &[VoteRecord]| records.iter().map(|r| r.digest).collect::<Vec<_>>();
+        assert_eq!(digests(&log.snapshot().records), [1, 2]);
+        assert_eq!((log.len(), on_disk(&log).buffered), (2, 2));
         let drained = log.drain_at_least(2).unwrap();
         assert_eq!(drained.len(), 2);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -728,7 +860,79 @@ mod tests {
         assert_eq!(on_disk(&log).write_errors, 1);
         // The WAL still says what is on disk: the window was not cleared.
         assert_eq!(on_disk(&log).buffered, 1);
+        // The window read back through the open handle, and the next drain
+        // reads only what came after the spent one.
+        log.record(detail(2, 1, 2.0));
+        assert_eq!(log.len(), 1);
+        let drained = log.drain_at_least(1).unwrap();
+        assert_eq!(drained.iter().map(|r| r.digest).collect::<Vec<_>>(), [2]);
+        assert_eq!(on_disk(&log).write_errors, 2);
+        assert_eq!(log.dropped(), 0);
         std::fs::remove_file(&d).ok();
+    }
+
+    #[test]
+    fn replay_keeps_only_what_admission_keeps_and_rewrites_the_wal_to_it() {
+        let d = tmpdir("recap");
+        let flight = || Arc::new(FlightRecorder::new(8));
+        let open_at = |capacity| {
+            VoteLog::open(
+                &d,
+                capacity,
+                DrainPath::Wire,
+                opts(),
+                &Registry::new(),
+                flight(),
+            )
+            .unwrap()
+        };
+        {
+            let (log, _) = open_at(8);
+            for digest in 1..=6 {
+                log.record(detail(digest, 1, digest as f32));
+            }
+            assert_eq!(on_disk(&log).buffered, 6);
+        }
+        let (log, rec) = open_at(4);
+        assert_eq!(rec.replayed, 4);
+        assert_eq!((log.len(), on_disk(&log).buffered), (4, 4));
+        assert_eq!(log.dropped(), 2);
+        // A crash now replays the admitted window and nothing else.
+        drop(log);
+        let (log, rec) = open_at(8);
+        assert_eq!(rec.replayed, 4);
+        let drained = log.drain_at_least(1).unwrap();
+        assert_eq!(
+            drained.iter().map(|r| r.digest).collect::<Vec<_>>(),
+            [1, 2, 3, 4]
+        );
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn a_window_the_disk_cannot_give_back_is_dropped_and_counted() {
+        let d = tmpdir("damaged");
+        let (log, _) = open(&d);
+        for digest in 1..=3 {
+            log.record(detail(digest, 1, digest as f32));
+        }
+        // Flip one byte inside the second of the three equal-sized records
+        // behind the 32-byte file header.
+        let path = d.join(lre_wal::LOG_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let record_len = (bytes.len() - 32) / 3;
+        bytes[32 + record_len + record_len / 2] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(log.drain_at_least(1), Err(0)));
+        assert_eq!((log.len(), log.dropped()), (0, 3));
+        assert_eq!(on_disk(&log).buffered, 0);
+        // The log carries on, and the digests are fresh again.
+        log.record(detail(1, 1, 1.0));
+        drop(log);
+        let (log, rec) = open(&d);
+        assert_eq!(rec.replayed, 1);
+        assert_eq!(log.drain_at_least(1).unwrap()[0].digest, 1);
+        std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]

@@ -12,8 +12,8 @@ use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_serve::client::ScoreReply;
 use lre_serve::{
-    Client, EngineConfig, PipelinedClient, ScoreDetail, ScoreTap, Scorer, ScorerHandle, Server,
-    ServerConfig, ServerHooks,
+    Client, EngineConfig, ScoreDetail, ScoreTap, Scorer, ScorerHandle, Server, ServerConfig,
+    ServerHooks,
 };
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -170,7 +170,7 @@ fn pipelined_replies_carry_the_unknown_flag() {
     // Out-of-order replies carry the decision sentinel too: a pipelined
     // mix of confident and alien utterances flags exactly the aliens.
     let (server, log) = start_open_set(Some(0.0));
-    let mut client = PipelinedClient::connect(server.local_addr()).expect("connect");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     let utts: Vec<Vec<f32>> = vec![vec![5.0], vec![-20.0], vec![7.0], vec![-30.0]];
     let replies = client.score_all(&utts, 4, None).expect("pipelined run");
     let flags: Vec<bool> = replies

@@ -13,7 +13,7 @@ use crate::plan::{CommandStream, SimCommand, UttPlan};
 use crate::scenario::InvariantSpec;
 use lre_corpus::{build_language, render_utterance, Channel, LanguageId, LanguageModel, UttSpec};
 use lre_phone::UniversalInventory;
-use lre_serve::client::{Client, PipelinedClient, ScoreReply};
+use lre_serve::client::{Client, ScoreReply};
 use lre_serve::fuzz::{self, FuzzCase};
 use lre_serve::protocol::ADAPT_REJECTED_GUARD;
 use lre_serve::{StatsSnapshot, WalStatusInfo};
@@ -149,7 +149,7 @@ enum RecvFault {
 }
 
 fn classify_recv_error(err: &io::Error) -> RecvFault {
-    // `PipelinedClient` wraps both decode failures and
+    // `Client::recv` wraps both decode failures and
     // "server closed with replies outstanding" as `InvalidData`; only the
     // former is a torn reply. A clean close is the connection dying.
     if err.kind() == ErrorKind::InvalidData && !err.to_string().contains("closed") {
@@ -198,11 +198,7 @@ fn p99(latencies: &mut [f64]) -> Option<f64> {
 /// Drain every outstanding reply on the pipe, folding outcomes into the
 /// tally. On a connection fault the remaining in-flight requests are lost
 /// un-replied and count as untyped failures.
-fn drain(
-    pipe: &mut Option<PipelinedClient>,
-    pending: &mut HashMap<u64, Instant>,
-    tally: &mut Tally,
-) {
+fn drain(pipe: &mut Option<Client>, pending: &mut HashMap<u64, Instant>, tally: &mut Tally) {
     let Some(client) = pipe.as_mut() else {
         tally.untyped_failures += pending.len() as u64;
         pending.clear();
@@ -338,7 +334,7 @@ pub fn run(stream: &CommandStream, invariants: &InvariantSpec, cfg: &SimConfig) 
     let corpus: Vec<FuzzCase> = fuzz::malformed_corpus();
     let mut renderer = Renderer::new();
     let mut tally = Tally::default();
-    let mut pipe: Option<PipelinedClient> = None;
+    let mut pipe: Option<Client> = None;
     let mut pending: HashMap<u64, Instant> = HashMap::new();
     let mut scrape_client: Option<Client> = None;
 
@@ -366,7 +362,7 @@ pub fn run(stream: &CommandStream, invariants: &InvariantSpec, cfg: &SimConfig) 
                 } => {
                     let samples = renderer.render(plan);
                     if pipe.is_none() {
-                        pipe = PipelinedClient::connect(cfg.addr).ok();
+                        pipe = Client::connect(cfg.addr).ok();
                     }
                     tally.submitted += 1;
                     let deadline = Some(Duration::from_millis(u64::from(*deadline_ms)));

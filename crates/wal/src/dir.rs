@@ -2,7 +2,7 @@
 //! vote log ([`crate::log`]) and the lineage store ([`crate::lineage`])
 //! land their files with.
 
-use std::fs::{self, File};
+use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::path::Path;
 
@@ -16,12 +16,17 @@ pub fn write_durable(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
 
 /// The first half of [`write_durable`]: `bytes` written and fsynced under
 /// `<name>.tmp`, then renamed over `name`. Returns the handle, still open
-/// for writing and positioned after `bytes`; the rename itself is not
-/// durable until the caller's [`fsync_dir`].
+/// for reading and writing and positioned after `bytes`; the rename itself
+/// is not durable until the caller's [`fsync_dir`].
 pub(crate) fn replace_file(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<File> {
     fs::create_dir_all(dir)?;
     let tmp = dir.join(format!("{name}.tmp"));
-    let mut f = File::create(&tmp)?;
+    let mut f = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp)?;
     io::Write::write_all(&mut f, bytes)?;
     f.sync_all()?;
     fs::rename(&tmp, dir.join(name))?;

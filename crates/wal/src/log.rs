@@ -14,13 +14,20 @@
 //!   zero = fsync inline on every append, and no thread). A kill -9
 //!   therefore loses at most one interval of acknowledged records, and
 //!   never a byte that a [`Wal::sync`] returned for. A write that fails
-//!   part-way (a full disk) is cut back to the end of the last whole
-//!   record before the error is returned, so the next append cannot land
-//!   behind a partial one.
+//!   part-way (a full disk), or an inline fsync that fails, is cut back to
+//!   the end of the last whole record before the error is returned, so the
+//!   next append cannot land behind a partial one and a failed append is
+//!   never in the log.
+//! * **Read-back**: [`Wal::records`] decodes the live window — the
+//!   records not yet spent — through the log's own open handle, never its
+//!   path, checking each record's CRC once; [`Wal::take`] does the same
+//!   and then drains. A caller can therefore keep its window in the file
+//!   alone (the vote log does).
 //! * **Drain**: [`Wal::clear`] starts the file over as a bare header whose
 //!   `base_seq` is the next sequence number — written under a temp name,
 //!   fsynced, renamed over the log, directory fsynced. A crash at any
 //!   point leaves either the whole old window or the empty log.
+//!   [`Wal::rewrite`] is the same step keeping some of the records.
 //! * **Replay**: [`Wal::open`] walks the records, cuts a torn *tail*
 //!   record (the signature of a crash mid-append) back to the last clean
 //!   boundary, and hands back every surviving record in order. Damage
@@ -35,7 +42,7 @@ use crate::dir::{fsync_dir, replace_file};
 use lre_artifact::{open_prefix, seal, ArtifactError, HEADER_LEN, MAGIC, TRAILER_LEN};
 use lre_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry, EV_WAL_RECOVER};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -50,6 +57,8 @@ const OLD_INDEX_FILE: &str = "wal.dir";
 
 const LOG_KIND: [u8; 4] = *b"WLOG";
 const LOG_VERSION: u32 = 1;
+/// Length of the file's sealed header (its payload is `base_seq`).
+const LOG_HEADER_LEN: u64 = (HEADER_LEN + 8 + TRAILER_LEN) as u64;
 
 /// Configuration for a [`Wal`].
 #[derive(Clone)]
@@ -148,9 +157,9 @@ pub struct WalStatus {
     pub fsyncs: u64,
     /// Appends not yet covered by a successful fsync.
     pub unsynced: u64,
-    /// [`Wal::append`] and [`Wal::clear`] calls that failed at the file
-    /// (`wal.write_errors`): each is a record a crash would lose, or a
-    /// drained window a restart would replay.
+    /// Appends and drains that failed at the file (`wal.write_errors`):
+    /// each is a record that never reached the log, or a drained window a
+    /// restart would replay.
     pub write_errors: u64,
 }
 
@@ -158,11 +167,15 @@ struct Inner {
     /// The log file, positioned at its end.
     file: File,
     /// File length at the end of the last whole record: where a failed
-    /// append cuts the file back to.
+    /// append cuts the file back to, and where the live window ends.
     good_len: u64,
-    /// Set when that cut itself failed. The file may end in a partial
-    /// record, and a record appended behind it would make replay refuse the
-    /// whole log, so every later append fails with this instead.
+    /// Where the live window starts: the header's end, or, after a drain
+    /// that could not replace the file, the end of the window it spent.
+    live_start: u64,
+    /// Set when that cut itself failed (or a read-back could not put the
+    /// handle back at `good_len`). The file may end in a partial record,
+    /// and a record appended behind it would make replay refuse the whole
+    /// log, so every later append fails with this instead.
     uncut: Option<io::ErrorKind>,
     /// Test seam: the next append writes half its record, then `ENOSPC`.
     #[cfg(test)]
@@ -175,15 +188,65 @@ struct Inner {
 }
 
 impl Inner {
-    /// Write one record at the end of the file, whole or not at all.
-    fn write_record(&mut self, record: &[u8]) -> io::Result<()> {
+    /// Decode every record of the live window, in order. Each record was
+    /// whole when written or replayed, so anything short of that here is
+    /// damage. The handle is left positioned at `good_len`, where appends
+    /// go.
+    fn read_window<T>(
+        &mut self,
+        opts: &WalOptions,
+        mut decode: impl FnMut(&[u8]) -> Result<T, ArtifactError>,
+    ) -> Result<Vec<T>, ArtifactError> {
+        let mut read = || {
+            let mut out = Vec::new();
+            let mut buf = vec![0; HEADER_LEN];
+            let mut at = self.file.seek(SeekFrom::Start(self.live_start))?;
+            while at < self.good_len {
+                buf.resize(HEADER_LEN, 0);
+                self.file.read_exact(&mut buf)?;
+                let payload_len = u64::from_le_bytes(
+                    buf[12..HEADER_LEN]
+                        .try_into()
+                        .expect("a container header ends in an 8-byte length"),
+                );
+                let len = payload_len.saturating_add((HEADER_LEN + TRAILER_LEN) as u64);
+                if len > self.good_len - at {
+                    return Err(ArtifactError::Corrupt("record runs past the live window"));
+                }
+                buf.resize(len as usize, 0);
+                self.file.read_exact(&mut buf[HEADER_LEN..])?;
+                let (payload, _) = open_prefix(&buf, opts.record_kind, opts.record_version)?;
+                out.push(decode(payload)?);
+                at += len;
+            }
+            Ok(out)
+        };
+        let read = read();
+        if let Err(e) = self.file.seek(SeekFrom::Start(self.good_len)) {
+            // An append through this handle would land at an unknown
+            // offset: refuse appends until a drain starts a fresh file.
+            self.uncut = Some(e.kind());
+        }
+        read
+    }
+
+    /// Write one record at the end of the file, whole or not at all, and
+    /// fsync it if `sync`: a record that cannot be synced is cut away like
+    /// one that cannot be written, so `Ok` means it is in the log.
+    fn write_record(&mut self, record: &[u8], sync: bool) -> io::Result<()> {
         if let Some(kind) = self.uncut {
             return Err(io::Error::new(
                 kind,
                 "an earlier failed append left a partial record that could not be cut away",
             ));
         }
-        let written = self.write_all_or_short(record);
+        let written = self.write_all_or_short(record).and_then(|()| {
+            if sync {
+                self.file.sync_data()
+            } else {
+                Ok(())
+            }
+        });
         match &written {
             Ok(()) => self.good_len += record.len() as u64,
             Err(e) => {
@@ -230,6 +293,32 @@ impl Shared {
             self.obs.write_errors.incr();
         }
         result
+    }
+
+    /// Put `records` in place of the log (see [`start_log`]) and make
+    /// them the window: they keep the last `records.len()` sequence numbers
+    /// below `next_seq`, everything before them is drained. If the rename
+    /// does not happen, nothing changes.
+    fn restart(&self, inner: &mut Inner, records: &[Vec<u8>]) -> io::Result<()> {
+        let base_seq = inner.next_seq - records.len() as u64;
+        (inner.file, inner.good_len) = start_log(&self.path, base_seq, records)?;
+        inner.live_start = LOG_HEADER_LEN;
+        inner.uncut = None;
+        inner.base_seq = base_seq;
+        inner.synced_seq = inner.next_seq;
+        self.obs.low_water.set(base_seq);
+        fsync_dir(&self.path)
+    }
+
+    /// The drain, under the lock: the window is spent. If the file cannot
+    /// be replaced it keeps the window for a restart to replay, but no
+    /// read-back returns it again.
+    fn clear(&self, inner: &mut Inner) -> io::Result<()> {
+        let cleared = self.restart(inner, &[]);
+        if cleared.is_err() {
+            inner.live_start = inner.good_len;
+        }
+        self.counted(cleared)
     }
 
     /// Cover every append so far with an inline fsync.
@@ -307,7 +396,7 @@ impl Wal {
                 );
                 let (records, torn) =
                     walk_records(&bytes[header_len..], opts.record_kind, opts.record_version)?;
-                let file = OpenOptions::new().append(true).open(&log)?;
+                let file = OpenOptions::new().read(true).append(true).open(&log)?;
                 let clean = (header_len + records.iter().map(Vec::len).sum::<usize>()) as u64;
                 if torn {
                     // Cut the torn bytes away so the stream stays framed.
@@ -317,7 +406,7 @@ impl Wal {
                 (file, clean, base_seq, records, u64::from(torn))
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let (file, header_len) = start_log(path, 0)?;
+                let (file, header_len) = start_log(path, 0, &[])?;
                 fsync_dir(path)?;
                 (file, header_len, 0, Vec::new(), 0)
             }
@@ -342,6 +431,7 @@ impl Wal {
             inner: Mutex::new(Inner {
                 file,
                 good_len,
+                live_start: LOG_HEADER_LEN,
                 uncut: None,
                 #[cfg(test)]
                 short_write: false,
@@ -394,15 +484,14 @@ impl Wal {
         let shared = &*self.shared;
         let mut inner = shared.lock();
         let seq = inner.next_seq;
-        let appended = inner.write_record(record).and_then(|()| {
-            inner.next_seq += 1;
-            shared.obs.next_seq.set(inner.next_seq);
-            if shared.opts.fsync_interval.is_zero() {
-                shared.sync(&mut inner)?;
-            }
-            Ok(())
-        });
-        shared.counted(appended)?;
+        let sync = shared.opts.fsync_interval.is_zero();
+        shared.counted(inner.write_record(record, sync))?;
+        inner.next_seq += 1;
+        shared.obs.next_seq.set(inner.next_seq);
+        if sync {
+            inner.synced_seq = inner.next_seq;
+            shared.obs.fsyncs.incr();
+        }
         drop(inner);
         let obs = &shared.obs;
         obs.appended_records.incr();
@@ -418,18 +507,63 @@ impl Wal {
     /// The drain: every record in the log is spent. Durably replaces the
     /// file with a bare header at the next sequence number, so a restart
     /// replays nothing and sequence numbers carry on. If this fails
-    /// before the rename the log is unchanged, on disk and in memory.
+    /// before the rename the file is unchanged, and a restart replays the
+    /// spent window; the failure is counted, and no read-back in this
+    /// process returns those records again.
     pub fn clear(&self) -> Result<(), ArtifactError> {
-        let mut inner = self.shared.lock();
-        let cleared = start_log(&self.shared.path, inner.next_seq).and_then(|started| {
-            (inner.file, inner.good_len) = started;
-            inner.uncut = None;
-            inner.base_seq = inner.next_seq;
-            inner.synced_seq = inner.next_seq;
-            self.shared.obs.low_water.set(inner.base_seq);
-            fsync_dir(&self.shared.path)
-        });
-        Ok(self.shared.counted(cleared)?)
+        let shared = &*self.shared;
+        Ok(shared.clear(&mut shared.lock())?)
+    }
+
+    /// Every record of the live window, in append order, each checked
+    /// against its CRC and handed to `decode` as its payload. Read through
+    /// the log's open handle: a directory replaced or removed under a
+    /// running log does not change what this returns.
+    pub fn records<T>(
+        &self,
+        decode: impl FnMut(&[u8]) -> Result<T, ArtifactError>,
+    ) -> Result<Vec<T>, ArtifactError> {
+        self.shared.lock().read_window(&self.shared.opts, decode)
+    }
+
+    /// [`Wal::records`] and [`Wal::clear`] as one step under the log's
+    /// lock, so no append lands between them. A failed read changes
+    /// nothing; a failed clear is counted and still hands the records
+    /// over.
+    pub fn take<T>(
+        &self,
+        decode: impl FnMut(&[u8]) -> Result<T, ArtifactError>,
+    ) -> Result<Vec<T>, ArtifactError> {
+        let shared = &*self.shared;
+        let mut inner = shared.lock();
+        let records = inner.read_window(&shared.opts, decode)?;
+        let _ = shared.clear(&mut inner);
+        Ok(records)
+    }
+
+    /// Durably replace the live window with `records` — by the caller's
+    /// promise some of its records, in their order (what it kept of a
+    /// replay) — the same way [`Wal::clear`] replaces it with none.
+    /// Sequence numbers carry on: the kept records take the last
+    /// `records.len()` numbers, and the ones left out count as drained. If
+    /// this fails before the rename the log is unchanged.
+    pub fn rewrite(&self, records: &[Vec<u8>]) -> Result<(), ArtifactError> {
+        let shared = &*self.shared;
+        let opts = &shared.opts;
+        let whole = |r: &Vec<u8>| {
+            matches!(open_prefix(r, opts.record_kind, opts.record_version),
+                     Ok((_, used)) if used == r.len())
+        };
+        if !records.iter().all(whole) {
+            return Err(ArtifactError::Corrupt("rewrite of unframed record"));
+        }
+        let mut inner = shared.lock();
+        if records.len() as u64 > inner.next_seq - inner.base_seq {
+            return Err(ArtifactError::Corrupt(
+                "rewrite keeps more records than the log holds",
+            ));
+        }
+        Ok(shared.counted(shared.restart(&mut inner, records))?)
     }
 
     /// Point-in-time status summary: the watermarks under the log's lock,
@@ -462,12 +596,15 @@ impl Drop for Wal {
     }
 }
 
-/// Put a bare header for `base_seq` in place of the log (temp file, fsync,
-/// rename) and return its handle, positioned for the first append, and its
-/// length. The caller fsyncs the directory.
-fn start_log(dir: &Path, base_seq: u64) -> io::Result<(File, u64)> {
-    let header = seal(LOG_KIND, LOG_VERSION, &base_seq.to_le_bytes());
-    Ok((replace_file(dir, LOG_FILE, &header)?, header.len() as u64))
+/// Put a header for `base_seq` followed by `records` in place of the log
+/// (temp file, fsync, rename) and return its handle, positioned for the
+/// next append, and its length. The caller fsyncs the directory.
+fn start_log(dir: &Path, base_seq: u64, records: &[Vec<u8>]) -> io::Result<(File, u64)> {
+    let mut bytes = seal(LOG_KIND, LOG_VERSION, &base_seq.to_le_bytes());
+    for r in records {
+        bytes.extend_from_slice(r);
+    }
+    Ok((replace_file(dir, LOG_FILE, &bytes)?, bytes.len() as u64))
 }
 
 fn fsync_loop(shared: &Shared) {
@@ -484,9 +621,9 @@ fn fsync_loop(shared: &Shared) {
 }
 
 /// Walk a buffer of concatenated sealed records, returning each record's
-/// *container* bytes (header + payload + CRC, exactly as appended — the
-/// in-memory log stores and re-serves the same sealed form) and whether
-/// the stream ended in a torn record.
+/// *container* bytes (header + payload + CRC, exactly as appended, so a
+/// caller can keep some of them with [`Wal::rewrite`]) and whether the
+/// stream ended in a torn record.
 ///
 /// A damaged *final* record is reported, not refused: a torn tail is the
 /// expected signature of a crash mid-append. Damage anywhere earlier
@@ -735,6 +872,144 @@ mod tests {
         fs::remove_dir_all(&d).ok();
     }
 
+    fn payloads(records: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        records
+            .iter()
+            .map(|r| r[HEADER_LEN..r.len() - TRAILER_LEN].to_vec())
+            .collect()
+    }
+
+    fn read_back(wal: &Wal) -> Vec<Vec<u8>> {
+        wal.records(|p| Ok(p.to_vec())).unwrap()
+    }
+
+    #[test]
+    fn take_reads_the_window_back_and_drains_it() {
+        let d = tmpdir("take");
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
+        let sent: Vec<Vec<u8>> = (0..5).map(rec).collect();
+        for r in &sent {
+            wal.append(r).unwrap();
+        }
+        assert_eq!(read_back(&wal), payloads(&sent));
+        assert_eq!(wal.status().buffered, 5, "reading spends nothing");
+        assert_eq!(wal.take(|p| Ok(p.to_vec())).unwrap(), payloads(&sent));
+        let st = wal.status();
+        assert_eq!((st.next_seq, st.low_water, st.buffered), (5, 5, 0));
+        assert!(read_back(&wal).is_empty());
+        // Appends after a take land in the next window, and only they replay.
+        wal.append(&rec(7)).unwrap();
+        wal.append(&rec(8)).unwrap();
+        assert_eq!(read_back(&wal), payloads(&[rec(7), rec(8)]));
+        // A decode error is the caller's and spends nothing, and the next
+        // append still lands at the end (this handle, from the drain, is not
+        // `O_APPEND`).
+        let refused: Result<Vec<()>, _> = wal.take(|_| Err(ArtifactError::Corrupt("no")));
+        assert!(refused.is_err());
+        wal.append(&rec(9)).unwrap();
+        drop(wal);
+        let (_, replay) = Wal::open(&d, opts(), obs()).unwrap();
+        assert_eq!(replay.records, vec![rec(7), rec(8), rec(9)]);
+        fs::remove_dir_all(&d).ok();
+    }
+
+    /// A record length the live window cannot hold is damage, refused
+    /// before anything is allocated for it.
+    #[test]
+    fn a_length_past_the_live_window_is_refused() {
+        let d = tmpdir("take_len");
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
+        wal.append(&rec(0)).unwrap();
+        wal.append(&rec(1)).unwrap();
+        let second = LOG_HEADER_LEN as usize + rec(0).len();
+        for len in [rec(1).len() as u64, u64::MAX - 3] {
+            let mut image = fs::read(d.join(LOG_FILE)).unwrap();
+            image[second + 12..second + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+            fs::write(d.join(LOG_FILE), &image).unwrap();
+            match wal.records(|p| Ok(p.to_vec())) {
+                Err(ArtifactError::Corrupt(msg)) => {
+                    assert_eq!(msg, "record runs past the live window")
+                }
+                other => panic!("length {len}: expected the refusal, got {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&d).ok();
+    }
+
+    /// A failed append leaves the live window exactly the records before
+    /// it, so what this process reads back and what a restart replays
+    /// never diverge.
+    #[test]
+    fn a_failed_append_is_in_neither_the_window_nor_the_replay() {
+        let d = tmpdir("take_short");
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
+        wal.append(&rec(0)).unwrap();
+        wal.append(&rec(1)).unwrap();
+        wal.shared.lock().short_write = true;
+        assert!(wal.append(&rec(2)).is_err());
+        assert_eq!(read_back(&wal), payloads(&[rec(0), rec(1)]));
+        wal.append(&rec(3)).unwrap();
+        let live = read_back(&wal);
+        assert_eq!(wal.status().write_errors, 1);
+        drop(wal);
+        let (wal, replay) = Wal::open(&d, opts(), obs()).unwrap();
+        assert_eq!(payloads(&replay.records), live);
+        assert_eq!(wal.take(|p| Ok(p.to_vec())).unwrap(), live);
+        fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn rewrite_keeps_some_records_and_the_sequence_numbers() {
+        let d = tmpdir("rewrite");
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
+        for i in 0..5 {
+            wal.append(&rec(i)).unwrap();
+        }
+        let kept = vec![rec(1), rec(3)];
+        assert!(
+            wal.rewrite(&vec![rec(0); 6]).is_err(),
+            "more than the log holds"
+        );
+        assert!(wal.rewrite(&[b"raw bytes".to_vec()]).is_err());
+        assert_eq!(
+            wal.status().buffered,
+            5,
+            "a refused rewrite changes nothing"
+        );
+        wal.rewrite(&kept).unwrap();
+        let st = wal.status();
+        assert_eq!((st.next_seq, st.low_water, st.buffered), (5, 3, 2));
+        assert_eq!(read_back(&wal), payloads(&kept));
+        assert!(!d.join(format!("{LOG_FILE}.tmp")).exists());
+        assert_eq!(wal.append(&rec(9)).unwrap(), 5);
+        drop(wal);
+        let (_, replay) = Wal::open(&d, opts(), obs()).unwrap();
+        assert_eq!((replay.low_water, replay.next_seq), (3, 6));
+        assert_eq!(replay.records, vec![rec(1), rec(3), rec(9)]);
+        fs::remove_dir_all(&d).ok();
+    }
+
+    /// A read-back that cannot put the handle back where appends go
+    /// refuses appends until a drain starts a fresh file.
+    #[cfg(unix)]
+    #[test]
+    fn a_read_back_that_loses_the_append_position_refuses_appends() {
+        let d = tmpdir("lost_pos");
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
+        wal.append(&rec(0)).unwrap();
+        // A socket refuses `seek`.
+        let (broken, _peer) = unsyncable_file();
+        let real = std::mem::replace(&mut wal.shared.lock().file, broken);
+        assert!(wal.records(|p| Ok(p.to_vec())).is_err());
+        wal.shared.lock().file = real;
+        assert!(wal.append(&rec(1)).is_err(), "position unknown");
+        assert_eq!(read_back(&wal), payloads(&[rec(0)]));
+        wal.clear().unwrap();
+        assert_eq!(wal.append(&rec(2)).unwrap(), 1);
+        assert_eq!(read_back(&wal), payloads(&[rec(2)]));
+        fs::remove_dir_all(&d).ok();
+    }
+
     /// If the cut fails too, the handle refuses every later append instead
     /// of burying the partial record; a drain starts a fresh file and
     /// heals it.
@@ -776,6 +1051,24 @@ mod tests {
         use std::os::fd::OwnedFd;
         let (ours, peer) = std::os::unix::net::UnixStream::pair().unwrap();
         (File::from(OwnedFd::from(ours)), peer)
+    }
+
+    /// With inline fsync, a record the disk will not sync is a failed
+    /// append: not in the log, not numbered.
+    #[cfg(unix)]
+    #[test]
+    fn an_inline_fsync_that_fails_is_a_failed_append() {
+        let d = tmpdir("inline_syncfail");
+        let (wal, _) = Wal::open(&d, opts(), obs()).unwrap();
+        wal.append(&rec(0)).unwrap();
+        let (broken, _peer) = unsyncable_file();
+        let real = std::mem::replace(&mut wal.shared.lock().file, broken);
+        assert!(wal.append(&rec(1)).is_err());
+        wal.shared.lock().file = real;
+        let st = wal.status();
+        assert_eq!((st.next_seq, st.fsyncs, st.write_errors), (1, 1, 1));
+        assert_eq!(read_back(&wal), payloads(&[rec(0)]));
+        fs::remove_dir_all(&d).ok();
     }
 
     #[cfg(unix)]
