@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! lre-adaptd --bundle PATH --guard PATH [--addr 127.0.0.1:7700]
-//!            [--workers N] [--max-inflight N] [--max-global-inflight N]
-//!            [--min-utts N] [--v-threshold N]
+//!            [--workers N] [--max-inflight N] [--min-utts N]
+//!            [--v-threshold N]
 //!            [--guard-max-eer-regress X] [--guard-max-cavg-regress X]
 //!            [--log-capacity N] [--unknown-threshold LLR]
 //!            [--wal-dir DIR] [--wal-fsync-ms N] [--keep-generations N]
@@ -32,22 +32,21 @@
 //! `--keep-generations N` prunes all but the newest N generations' bytes
 //! after each promote (0 = keep everything).
 
-use lre_adapt::{bundle_checksum, AdaptController, DrainPath, GuardArgs, VoteLog};
-use lre_artifact::ArtifactRead;
+use lre_adapt::{AdaptController, DrainPath, GuardArgs};
+use lre_artifact::{bundle_checksum, ArtifactRead};
 use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, FleetReplica, ScorerHandle, ScoringSystem, ServeObs, Server, ServerHooks,
-    SystemBundle, DEFAULT_FLIGHT_CAPACITY,
+    FleetReplica, ScorerHandle, ScoringSystem, ServeObs, Server, ServerHooks, SystemBundle,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use lre_wal::LineageStore;
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "lre-adaptd --bundle PATH --guard PATH [--addr HOST:PORT] [--workers N] \
-    [--max-inflight N] [--max-global-inflight N] [--min-utts N] \
+    [--max-inflight N] [--min-utts N] \
     [--v-threshold N] [--guard-max-eer-regress X] [--guard-max-cavg-regress X] \
     [--log-capacity N] [--unknown-threshold LLR] [--wal-dir DIR] [--wal-fsync-ms N] \
     [--keep-generations N]";
@@ -68,15 +67,6 @@ fn main() {
     let Some(guard_path) = guard_args.guard else {
         args.fail("--guard is required")
     };
-    let ServerArgs {
-        addr,
-        cfg,
-        log_capacity,
-        wal_dir,
-        wal_fsync_ms,
-        ..
-    } = server;
-
     let mut bytes = or_die(
         std::fs::read(&bundle_path),
         format!("reading {}", bundle_path.display()),
@@ -104,7 +94,7 @@ fn main() {
         guard.num_utts(),
         guard.num_subsystems()
     );
-    if let Some(t) = cfg.engine.unknown_threshold {
+    if let Some(t) = server.cfg.engine.unknown_threshold {
         eprintln!("[adaptd] open-set rejection enabled: best-LLR threshold {t}");
     }
     // Telemetry: guard verdicts, promotions, installs, rollbacks and WAL
@@ -117,49 +107,29 @@ fn main() {
     // chain already has a head, its pristine bytes are the serving
     // bundle — --bundle only roots a fresh chain. The vote WAL replays
     // the buffered adaptation window the previous process never drained.
-    let mut chain = None;
-    let log = match &wal_dir {
-        Some(dir) => {
-            let store = or_die(
-                LineageStore::open(&dir.join("lineage")),
-                format!("opening lineage store under {}", dir.display()),
-            );
-            if let Some(head) = store.head().copied() {
-                let at_head = format!("lineage head {}", head.generation);
-                bytes = or_die(store.load(head.generation), format!("loading {at_head}"));
-                bundle = or_die(
-                    SystemBundle::from_artifact_bytes(&bytes),
-                    format!("decoding {at_head}"),
-                );
-                eprintln!(
-                    "[adaptd] resuming from lineage head: generation {} ({} chain entries, {} retained)",
-                    head.generation,
-                    store.entries().len(),
-                    store.retained()
-                );
-            }
-            chain = Some(store);
-            let mut opts = vote_wal_options();
-            opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
-            let (log, recovery) = or_die(
-                VoteLog::open(
-                    &dir.join("votes"),
-                    log_capacity,
-                    DrainPath::InProcess,
-                    opts,
-                    &obs.registry,
-                    Arc::clone(&obs.flight),
-                ),
-                format!("opening vote WAL under {}", dir.display()),
+    let chain = server.wal_dir.as_ref().map(|dir| {
+        let store = or_die(
+            LineageStore::open(&dir.join("lineage")),
+            format!("opening lineage store under {}", dir.display()),
+        );
+        if let Some(head) = store.head().copied() {
+            let at_head = format!("lineage head {}", head.generation);
+            bytes = or_die(store.load(head.generation), format!("loading {at_head}"));
+            bundle = or_die(
+                SystemBundle::from_artifact_bytes(&bytes),
+                format!("decoding {at_head}"),
             );
             eprintln!(
-                "[adaptd] vote WAL recovered: {} records replayed, {} torn records skipped",
-                recovery.replayed, recovery.torn
+                "[adaptd] resuming from lineage head: generation {} ({} chain entries, {} retained)",
+                head.generation,
+                store.entries().len(),
+                store.retained()
             );
-            log
         }
-        None => VoteLog::new(log_capacity, DrainPath::InProcess, &obs.registry),
-    };
+        store
+    });
+    let votes = server.wal_dir.as_ref().map(|dir| dir.join("votes"));
+    let log = server.vote_log(votes.as_deref(), DrainPath::InProcess, &obs, "adaptd");
     let log = Arc::new(log);
 
     let system = Arc::new(or_die(ScoringSystem::from_bundle(bundle), "invalid bundle"));
@@ -181,7 +151,10 @@ fn main() {
         Arc::clone(&obs.flight),
     );
     let controller = Arc::new(or_die(controller, "wiring adaptation controller"));
-    let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
+    let listener = or_die(
+        TcpListener::bind(&server.addr),
+        format!("binding {}", server.addr),
+    );
     let hooks = ServerHooks {
         tap: Some(log as _),
         control: Some(Arc::clone(&controller) as _),
@@ -191,7 +164,7 @@ fn main() {
         obs,
     };
     let server = or_die(
-        Server::start(listener, Arc::clone(&handle), cfg, hooks),
+        Server::start(listener, Arc::clone(&handle), server.cfg, hooks),
         "starting server",
     );
     println!("listening on {}", server.local_addr());

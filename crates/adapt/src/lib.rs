@@ -39,6 +39,6 @@ pub mod worker;
 pub use lre_serve::votelog;
 pub use lre_serve::{DrainPath, VoteLog, VoteLogSnapshot, VoteRecord};
 pub use worker::{
-    boost_round, bundle_checksum, rollback_backends, two_phase_promote, AdaptConfig,
-    AdaptController, CandidateBundle, GuardArgs, RoundOutcome,
+    boost_round, rollback_backends, two_phase_promote, AdaptConfig, AdaptController,
+    CandidateBundle, GuardArgs, RoundOutcome,
 };

@@ -31,7 +31,7 @@
 //! in-process [`lre_serve::FleetReplica`] it serves from, `lre-router` its
 //! TCP `Backend`s. The controller never touches a serving handle itself.
 
-use lre_artifact::{crc32, ArtifactError, ArtifactRead, ArtifactWrite};
+use lre_artifact::{bundle_checksum, ArtifactError, ArtifactRead, ArtifactWrite};
 use lre_corpus::Duration;
 use lre_dba::{build_tr_dba, dba_round_selection, DbaVariant, GuardSet};
 use lre_eval::ScoreMatrix;
@@ -52,12 +52,6 @@ use lre_wal::{LineageError, LineageStore};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-
-/// Checksum identifying a sealed bundle, as carried by [`Lineage`] and the
-/// serving [`ScorerHandle`]: CRC-32 over the full sealed byte stream.
-pub fn bundle_checksum(sealed: &[u8]) -> u32 {
-    crc32(sealed)
-}
 
 /// Adaptation-cycle tuning.
 #[derive(Clone, Copy, Debug)]

@@ -21,10 +21,8 @@
 //! cargo test --release -p lre-adapt --test online_adaptation -- --ignored
 //! ```
 
-use lre_adapt::{
-    boost_round, bundle_checksum, AdaptConfig, AdaptController, DrainPath, RoundOutcome, VoteLog,
-};
-use lre_artifact::{ArtifactRead, ArtifactWrite};
+use lre_adapt::{boost_round, AdaptConfig, AdaptController, DrainPath, RoundOutcome, VoteLog};
+use lre_artifact::{bundle_checksum, ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
 use lre_dba::{run_dba, DbaVariant, Experiment, ExperimentConfig, GuardSet};
 use lre_eval::ScoreMatrix;
@@ -146,7 +144,6 @@ fn server_config() -> ServerConfig {
             unknown_threshold: None,
         },
         max_inflight: 8,
-        max_global_inflight: 0,
     }
 }
 

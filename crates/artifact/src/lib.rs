@@ -177,6 +177,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// The identity of a sealed bundle, as serving handles, stage and commit
+/// acks and lineage entries carry it: CRC-32 over the whole sealed
+/// container, trailer included. Every place that names or compares a
+/// bundle's identity calls this one function. (Trailer included, it is the
+/// same CRC-32 residue for every intact container, so today it does not
+/// tell two bundles apart; a fix is a change to this function alone.)
+pub fn bundle_checksum(sealed: &[u8]) -> u32 {
+    crc32(sealed)
+}
+
 /// The bytewise loop `crc32` replaced: one table lookup per byte.
 #[cfg(test)]
 fn crc32_bytewise(bytes: &[u8]) -> u32 {

@@ -107,7 +107,6 @@ fn spawn_fleet(replicas: usize, busy: Duration, window: usize) -> Vec<Server> {
                         unknown_threshold: None,
                     },
                     max_inflight: (window * 2).max(32),
-                    max_global_inflight: 0,
                 },
                 ServerHooks::default(),
             )

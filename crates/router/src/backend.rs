@@ -29,31 +29,25 @@ use lre_serve::protocol::{
     decode_reply, encode_request, encode_status_v2, read_frame, write_frame, AbortAck, CommitAck,
     DrainReply, MetricsDump, Request, RollbackAck, StageAck, SCORE_ID, STATUS_INTERNAL,
 };
+use lre_serve::server::Lane;
 use lre_serve::{Client, FleetControl, StatsSnapshot, VoteRecord};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A reply waiting to come back from this replica.
 pub struct Pending {
     /// The id the client sent; spliced back into the reply.
     pub client_id: u64,
-    /// The client connection's writer lane.
-    pub reply_tx: mpsc::Sender<Vec<u8>>,
-    /// Per-client-connection inflight window counter.
-    pub window: Arc<AtomicUsize>,
+    /// The client connection's reply lane, holding the request's window
+    /// slot.
+    pub lane: Lane,
     /// When the request was handed to this backend (per-backend routed
     /// latency, forward-write to reply-match).
     pub sent: Instant,
-}
-
-impl Pending {
-    fn release(&self) {
-        self.window.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 /// Reconnect/backoff state, advanced by the health thread.
@@ -202,9 +196,8 @@ impl Backend {
                 .remove(&backend_id);
             if let Some(p) = entry {
                 frame[SCORE_ID].copy_from_slice(&p.client_id.to_le_bytes());
-                p.release();
                 self.latency_us.record(p.sent.elapsed().as_micros() as u64);
-                let _ = p.reply_tx.send(frame); // client may have left; fine
+                p.lane.reply(frame);
             }
         }
         // Only the reader that still owns the current epoch may tear the
@@ -273,10 +266,7 @@ impl Backend {
                 .record(EV_EJECT, &self.addr, orphans.len() as u64, 0, 0.0, 0.0);
         }
         for p in orphans {
-            p.release();
-            let _ = p
-                .reply_tx
-                .send(encode_status_v2(p.client_id, STATUS_INTERNAL));
+            p.lane.reply(encode_status_v2(p.client_id, STATUS_INTERNAL));
         }
     }
 

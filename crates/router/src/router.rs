@@ -1,6 +1,8 @@
 //! The front tier: accept client connections, fan score requests over
 //! the replica fleet, and answer the control plane (stats-v3, flight,
-//! adapt, rollback, shutdown) in one place.
+//! adapt, rollback, shutdown) in one place. The connection loop is the
+//! scoring server's ([`OpenDoor`]); this module is the router's [`Door`]
+//! into it.
 //!
 //! The data plane never re-encodes a score. A request is decoded once —
 //! the full `decode_request`, samples included, so a frame the replica
@@ -30,15 +32,15 @@ use lre_adapt::{rollback_backends, AdaptController};
 use lre_obs::{Counter, FlightRecorder, Registry};
 use lre_serve::obs::backend_series;
 use lre_serve::protocol::{
-    decode_request, encode_ok, encode_status, encode_status_v2, read_frame, write_frame, Ack,
-    MetricsDump, Request, STATUS_BAD_REQUEST, STATUS_INTERNAL, STATUS_OVERLOADED,
-    STATUS_UNSUPPORTED,
+    encode_ok, encode_status, encode_status_v2, MetricsDump, Request, STATUS_INTERNAL,
+    STATUS_OVERLOADED, STATUS_UNSUPPORTED,
 };
-use lre_serve::server::answer;
+use lre_serve::server::{answer, Door, Lane, OpenDoor};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Router tuning knobs.
@@ -89,15 +91,14 @@ impl RouterObs {
     }
 }
 
+/// The router's door: scores go to a replica, the controller (when armed)
+/// answers the coordinator tags, and a shutdown is relayed to the fleet.
 struct Shared {
     backends: Vec<Arc<Backend>>,
-    max_inflight: usize,
     /// The adaptation controller over `backends`, when armed.
     adapt: Option<Arc<AdaptController>>,
     obs: Arc<RouterObs>,
     probe_timeout: Duration,
-    stopping: AtomicBool,
-    addr: SocketAddr,
 }
 
 /// The routing rule: the healthy entry with the fewest requests in
@@ -117,12 +118,12 @@ impl Shared {
     }
 }
 
-/// A running router.
+/// A running router: an [`OpenDoor`] over the fleet, and the health
+/// thread that ejects and re-admits replicas.
 pub struct Router {
-    addr: SocketAddr,
+    door: OpenDoor,
     shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    health: Option<std::thread::JoinHandle<()>>,
+    health: JoinHandle<()>,
 }
 
 impl Router {
@@ -140,23 +141,20 @@ impl Router {
         adapt: Option<Arc<AdaptController>>,
         obs: Arc<RouterObs>,
     ) -> io::Result<Router> {
-        let addr = listener.local_addr()?;
         for b in &backends {
             let _ = b.connect();
         }
         let shared = Arc::new(Shared {
             backends,
-            max_inflight: cfg.max_inflight.max(1),
             adapt,
             obs,
             probe_timeout: cfg.probe_timeout,
-            stopping: AtomicBool::new(false),
-            addr,
         });
+        let door = OpenDoor::open(listener, Arc::clone(&shared) as _, cfg.max_inflight)?;
         let health = {
-            let shared = Arc::clone(&shared);
+            let (shared, stopping) = (Arc::clone(&shared), door.stopping());
             std::thread::spawn(move || {
-                while !shared.stopping.load(Ordering::SeqCst) {
+                while !stopping.load(Ordering::SeqCst) {
                     for b in &shared.backends {
                         b.health_step(shared.probe_timeout);
                     }
@@ -164,32 +162,15 @@ impl Router {
                 }
             })
         };
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if shared.stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match conn {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || handle_connection(stream, shared));
-                }
-            })
-        };
         Ok(Router {
-            addr,
+            door,
             shared,
-            accept: Some(accept),
-            health: Some(health),
+            health,
         })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.door.local_addr()
     }
 
     pub fn backends(&self) -> &[Arc<Backend>] {
@@ -199,71 +180,90 @@ impl Router {
     /// Stop from the hosting process (equivalent to a client shutdown,
     /// without the fleet propagation).
     pub fn stop(&self) {
-        trigger_stop(&self.shared.stopping, self.addr);
+        self.door.stop();
     }
 
     /// Block until shutdown is requested, then join the service threads.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
+    pub fn join(self) {
+        self.door.join();
+        let _ = self.health.join();
     }
 }
 
-fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
-    if !stopping.swap(true, Ordering::SeqCst) {
-        let _ = TcpStream::connect(addr);
-    }
-}
-
-/// Admit and route one score frame: the connection's window, then a
-/// replica. `None` means the reply arrives through the pending machinery;
-/// `Some(frame)` is an immediate refusal.
-fn admit_score(
-    shared: &Shared,
-    mut frame: Vec<u8>,
-    client_id: u64,
-    reply_tx: &mpsc::Sender<Vec<u8>>,
-    window: &Arc<AtomicUsize>,
-) -> Option<Vec<u8>> {
-    if window.load(Ordering::Acquire) >= shared.max_inflight {
-        shared.obs.shed.incr();
-        return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
-    }
-    window.fetch_add(1, Ordering::AcqRel);
-    let mut attempts_left = 2;
-    loop {
-        let Some(backend) = shared.pick() else {
-            shared.obs.shed.incr();
-            window.fetch_sub(1, Ordering::AcqRel);
-            return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
-        };
-        let pending = Pending {
-            client_id,
-            reply_tx: reply_tx.clone(),
-            window: Arc::clone(window),
-            sent: Instant::now(),
-        };
-        attempts_left -= 1;
-        let send = if attempts_left > 0 {
-            frame.clone()
-        } else {
-            std::mem::take(&mut frame)
-        };
-        match backend.forward(send, pending) {
-            Ok(()) => return None,
-            Err((_torn_write, p)) if attempts_left > 0 => {
+impl Door for Shared {
+    /// Route one score to a replica: the received bytes, id spliced. `None`
+    /// means the reply arrives through the backend reader.
+    fn admit(
+        &self,
+        client_id: u64,
+        _deadline_ms: u32,
+        _samples: Vec<f32>,
+        mut frame: Vec<u8>,
+        lane: Lane,
+    ) -> Option<Vec<u8>> {
+        let mut attempts_left = 2;
+        loop {
+            let Some(backend) = self.pick() else {
+                self.obs.shed.incr();
+                return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
+            };
+            let pending = Pending {
+                client_id,
+                lane: lane.clone(),
+                sent: Instant::now(),
+            };
+            attempts_left -= 1;
+            let send = if attempts_left > 0 {
+                frame.clone()
+            } else {
+                std::mem::take(&mut frame)
+            };
+            match backend.forward(send, pending) {
+                Ok(()) => return None,
                 // The replica never saw a whole frame; safe to re-route.
-                drop(p); // the window stays charged for the retry
-                continue;
+                // The window stays charged for the retry.
+                Err(_) if attempts_left > 0 => continue,
+                Err(_) => return Some(encode_status_v2(client_id, STATUS_INTERNAL)),
             }
-            Err((_torn_write, p)) => {
-                p.window.fetch_sub(1, Ordering::AcqRel);
-                return Some(encode_status_v2(client_id, STATUS_INTERNAL));
-            }
+        }
+    }
+
+    fn note_shed(&self) {
+        self.obs.shed.incr();
+    }
+
+    fn stats(&self) -> MetricsDump {
+        fleet_dump(self)
+    }
+
+    fn flight(&self) -> &FlightRecorder {
+        &self.obs.flight
+    }
+
+    fn control(&self, request: Request) -> Vec<u8> {
+        match request {
+            Request::Adapt => answer(&self.adapt, |c| Ok(c.run_cycle())),
+            // Without a controller, a rollback is a plain fan-out.
+            Request::Rollback => encode_ok(&match &self.adapt {
+                Some(c) => c.rollback(),
+                None => {
+                    let healthy = self.backends.iter().filter(|b| b.is_healthy());
+                    rollback_backends(&healthy.map(|b| Arc::clone(b) as _).collect::<Vec<_>>())
+                }
+            }),
+            // Replica-level rollout tags terminate at the replicas; the
+            // router *is* their coordinator and does not proxy them. Deep
+            // rollback joins them: restoring a lineage generation is an
+            // action against the durable adapt coordinator, not something
+            // to mirror blindly across stateless replicas.
+            _ => encode_status(STATUS_UNSUPPORTED),
+        }
+    }
+
+    /// Relay the shutdown to every replica, best-effort.
+    fn shutdown(&self) {
+        for b in &self.backends {
+            let _ = probe_round_trip(&b.addr, &Request::Shutdown, self.probe_timeout);
         }
     }
 }
@@ -290,74 +290,4 @@ fn fleet_dump(shared: &Shared) -> MetricsDump {
     }
     dump.sort_by(|a, b| a.0.cmp(&b.0));
     dump
-}
-
-fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let mut write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer = std::thread::spawn(move || {
-        while let Ok(frame) = reply_rx.recv() {
-            if write_frame(&mut write_half, &frame).is_err() {
-                while reply_rx.recv().is_ok() {}
-                return;
-            }
-        }
-    });
-
-    let window = Arc::new(AtomicUsize::new(0));
-
-    while let Ok(Some(frame)) = read_frame(&mut stream) {
-        let reply = match decode_request(&frame) {
-            Ok(Request::ScoreV2 { id, .. }) => admit_score(&shared, frame, id, &reply_tx, &window),
-            Ok(Request::StatsV3) => Some(encode_ok(&fleet_dump(&shared))),
-            Ok(Request::Flight { drain }) => Some(encode_ok(&if drain {
-                shared.obs.flight.drain()
-            } else {
-                shared.obs.flight.peek()
-            })),
-            Ok(Request::Adapt) => Some(answer(&shared.adapt, |c| Ok(c.run_cycle()))),
-            // Without a controller, a rollback is a plain fan-out.
-            Ok(Request::Rollback) => Some(encode_ok(&match &shared.adapt {
-                Some(c) => c.rollback(),
-                None => {
-                    let healthy = shared.backends.iter().filter(|b| b.is_healthy());
-                    rollback_backends(&healthy.map(|b| Arc::clone(b) as _).collect::<Vec<_>>())
-                }
-            })),
-            // Replica-level rollout tags terminate at the replicas; the
-            // router *is* their coordinator and does not proxy them. Deep
-            // rollback joins them: restoring a lineage generation is an
-            // action against the durable adapt coordinator, not something
-            // to mirror blindly across stateless replicas.
-            Ok(Request::DrainVotes { .. })
-            | Ok(Request::StageBundle { .. })
-            | Ok(Request::CommitStaged)
-            | Ok(Request::AbortStaged)
-            | Ok(Request::RollbackTo { .. }) => Some(encode_status(STATUS_UNSUPPORTED)),
-            Ok(Request::Shutdown) => {
-                // Ack, propagate to the fleet best-effort, stop routing.
-                let _ = reply_tx.send(encode_ok(&Ack));
-                for b in &shared.backends {
-                    let _ = probe_round_trip(&b.addr, &Request::Shutdown, shared.probe_timeout);
-                }
-                trigger_stop(&shared.stopping, shared.addr);
-                break;
-            }
-            Err(_) => {
-                let _ = reply_tx.send(encode_status(STATUS_BAD_REQUEST));
-                break;
-            }
-        };
-        // `None`: the reply comes through the backend reader.
-        if reply.is_some_and(|frame| reply_tx.send(frame).is_err()) {
-            break;
-        }
-    }
-
-    drop(reply_tx);
-    let _ = writer.join();
 }

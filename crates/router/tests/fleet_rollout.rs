@@ -12,7 +12,7 @@
 //! replicas come back with the span the replica's engine minted.
 
 use lre_adapt::{rollback_backends, two_phase_promote};
-use lre_artifact::{crc32, ArtifactError};
+use lre_artifact::{bundle_checksum, ArtifactError};
 use lre_lattice::DecodeScratch;
 use lre_obs::{STAGE_QUEUE, STAGE_REPLY};
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
@@ -140,7 +140,7 @@ fn promote_flips_every_replica_or_none() {
     let baseline: Vec<Vec<u32>> = addrs.iter().map(|a| score_bits(a)).collect();
 
     let sealed = candidate(9);
-    let generation = two_phase_promote(&backends, &sealed, crc32(&sealed));
+    let generation = two_phase_promote(&backends, &sealed, bundle_checksum(&sealed));
     assert_eq!(generation, Some(1), "every replica commits exactly once");
 
     for addr in &addrs {
@@ -155,7 +155,7 @@ fn promote_flips_every_replica_or_none() {
     // A second round stacks on the first: the fleet flips together again.
     let sealed = candidate(11);
     assert_eq!(
-        two_phase_promote(&backends, &sealed, crc32(&sealed)),
+        two_phase_promote(&backends, &sealed, bundle_checksum(&sealed)),
         Some(2)
     );
     for addr in &addrs {
@@ -173,7 +173,10 @@ fn stage_refusal_anywhere_leaves_the_whole_fleet_on_the_baseline() {
     let baseline: Vec<Vec<u32>> = addrs.iter().map(|a| score_bits(a)).collect();
 
     let sealed = candidate(4);
-    assert_eq!(two_phase_promote(&backends, &sealed, crc32(&sealed)), None);
+    assert_eq!(
+        two_phase_promote(&backends, &sealed, bundle_checksum(&sealed)),
+        None
+    );
 
     for (addr, base) in addrs.iter().zip(&baseline) {
         assert_eq!(&score_bits(addr), base, "baseline scores disturbed");
@@ -192,7 +195,7 @@ fn rollback_restores_the_baseline_bit_identically_fleet_wide() {
 
     let sealed = candidate(7);
     assert_eq!(
-        two_phase_promote(&backends, &sealed, crc32(&sealed)),
+        two_phase_promote(&backends, &sealed, bundle_checksum(&sealed)),
         Some(1)
     );
     for addr in &addrs {
@@ -281,7 +284,7 @@ fn serve_dropper_conn(mut stream: TcpStream) {
         match decode_request(&frame) {
             Ok(Request::StageBundle { sealed }) => {
                 let reply = encode_ok(&StageAck {
-                    checksum: crc32(&sealed),
+                    checksum: bundle_checksum(&sealed),
                 });
                 if write_frame(&mut stream, &reply).is_err() {
                     return;
@@ -303,7 +306,7 @@ fn mid_commit_death_rolls_back_the_replicas_that_already_flipped() {
 
     let sealed = candidate(5);
     assert_eq!(
-        two_phase_promote(&backends, &sealed, crc32(&sealed)),
+        two_phase_promote(&backends, &sealed, bundle_checksum(&sealed)),
         None,
         "a death between the phases fails the round"
     );
@@ -332,7 +335,10 @@ fn mixed_fleet_abort_and_undo_reach_the_in_process_replica() {
     let (_refusing, refusing_addr, _) = start_replica(false);
     let fleet: Vec<Arc<dyn FleetControl>> = vec![local.clone(), remote(&refusing_addr)];
     let sealed = candidate(4);
-    assert_eq!(two_phase_promote(&fleet, &sealed, crc32(&sealed)), None);
+    assert_eq!(
+        two_phase_promote(&fleet, &sealed, bundle_checksum(&sealed)),
+        None
+    );
     assert_eq!(local.commit(), Err(STATUS_CONFLICT), "local stage aborted");
     assert_eq!(local.generation(), 0);
     assert_eq!(score_bits(&local_addr), baseline);
@@ -344,7 +350,10 @@ fn mixed_fleet_abort_and_undo_reach_the_in_process_replica() {
         remote(&spawn_commit_dropper()),
     ];
     let sealed = candidate(5);
-    assert_eq!(two_phase_promote(&fleet, &sealed, crc32(&sealed)), None);
+    assert_eq!(
+        two_phase_promote(&fleet, &sealed, bundle_checksum(&sealed)),
+        None
+    );
     for a in [&local_addr, &addr] {
         assert_eq!(score_bits(a), baseline, "commit undone bit-identically");
         // Commit then forced rollback: two generation bumps.

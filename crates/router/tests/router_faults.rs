@@ -270,14 +270,13 @@ fn spawn_stats_replica(dump: MetricsDump) -> StatsReplica {
 }
 
 /// A replica's engine series as its registry would dump them.
-fn engine_dump(counts: [u64; 6], latencies_us: &[u64], generation: u64) -> MetricsDump {
+fn engine_dump(counts: [u64; 5], latencies_us: &[u64], generation: u64) -> MetricsDump {
     let r = Registry::new();
     let names = [
         "engine.requests",
         "engine.rejected",
         "engine.expired",
         "engine.failed",
-        "engine.shed_global",
         "engine.unknown",
     ];
     for (name, n) in names.into_iter().zip(counts) {
@@ -328,7 +327,7 @@ fn healthy_row(addr: &str, s: &StatsSnapshot) -> ReplicaStat {
         generation: s.generation,
         inflight: 0,
         completed: s.completed,
-        shed: s.rejected + s.expired + s.shed_global,
+        shed: s.rejected + s.expired,
     }
 }
 
@@ -346,7 +345,6 @@ fn aggregate(views: &[StatsSnapshot], router_shed: u64) -> StatsSnapshot {
         uptime_us: max(|s| s.uptime_us),
         expired: sum(|s| s.expired),
         failed: sum(|s| s.failed),
-        shed_global: sum(|s| s.shed_global),
         generation: views.iter().map(|s| s.generation).min().unwrap_or(0),
         swaps: sum(|s| s.swaps),
         rollbacks: sum(|s| s.rollbacks),
@@ -357,8 +355,8 @@ fn aggregate(views: &[StatsSnapshot], router_shed: u64) -> StatsSnapshot {
 #[test]
 fn fleet_stats_sum_the_replica_views_and_keep_an_ejected_rows_last_probe() {
     let dumps = [
-        engine_dump([10, 2, 1, 1, 1, 1], &[100, 200, 300], 3),
-        engine_dump([6, 1, 0, 0, 0, 0], &[50, 70], 2),
+        engine_dump([10, 2, 1, 1, 1], &[100, 200, 300], 3),
+        engine_dump([6, 1, 0, 0, 0], &[50, 70], 2),
     ];
     let views = dumps
         .clone()
@@ -411,8 +409,8 @@ fn fleet_stats_sum_the_replica_views_and_keep_an_ejected_rows_last_probe() {
 
 #[test]
 fn fleet_stats_answer_when_a_replica_stops_answering_the_scrape() {
-    let live = spawn_stats_replica(engine_dump([1; 6], &[10], 1));
-    let stalled = spawn_stats_replica(engine_dump([1; 6], &[10, 20, 30, 40, 50], 1));
+    let live = spawn_stats_replica(engine_dump([1; 5], &[10], 1));
+    let stalled = spawn_stats_replica(engine_dump([1; 5], &[10, 20, 30, 40, 50], 1));
     let (router, _obs) = stats_router(&[&live, &stalled]);
     stalled.mode.store(STALL, Ordering::SeqCst);
     let fleet = fleet_stats(&router);
@@ -427,7 +425,7 @@ fn fleet_stats_answer_when_a_replica_stops_answering_the_scrape() {
 
 #[test]
 fn retired_tags_are_refused_bad_request() {
-    let replica = spawn_stats_replica(engine_dump([1; 6], &[10], 1));
+    let replica = spawn_stats_replica(engine_dump([1; 5], &[10], 1));
     let (router, _obs) = stats_router(&[&replica]);
     let corpus = fuzz::malformed_corpus();
     let retired: Vec<_> = corpus

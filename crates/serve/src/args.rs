@@ -1,13 +1,17 @@
 //! The flag parser `lre-serve`, `lre-adaptd` and `lre-router` share: a
 //! cursor over `--flag value` pairs, the group of flags the two scoring
-//! servers have in common, and the one way a binary dies on a start-up
-//! error. (The adaptation-guard group `lre-adaptd` and `lre-router` share
+//! servers have in common and the vote log they build from it, and the
+//! one way a binary dies on a start-up error. (The adaptation-guard group `lre-adaptd` and `lre-router` share
 //! sits beside `AdaptConfig` in `lre-adapt`, which this crate cannot name.)
 
+use crate::obs::ServeObs;
 use crate::server::ServerConfig;
+use crate::votelog::{vote_wal_options, DrainPath, VoteLog};
 use std::fmt::Display;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The process's arguments, consumed front to back.
 pub struct Args {
@@ -53,8 +57,8 @@ pub fn or_die<T, E: Display>(result: Result<T, E>, what: impl Display) -> T {
 }
 
 /// What `lre-serve` and `lre-adaptd` both take: `--bundle --addr --workers
-/// --max-inflight --max-global-inflight --unknown-threshold --log-capacity
-/// --wal-dir --wal-fsync-ms`.
+/// --max-inflight --unknown-threshold --log-capacity --wal-dir
+/// --wal-fsync-ms`.
 pub struct ServerArgs {
     pub bundle: Option<PathBuf>,
     pub addr: String,
@@ -88,7 +92,6 @@ impl ServerArgs {
             "--addr" => self.addr = args.value(flag),
             "--workers" => self.cfg.engine.workers = args.value(flag),
             "--max-inflight" => self.cfg.max_inflight = args.value(flag),
-            "--max-global-inflight" => self.cfg.max_global_inflight = args.value(flag),
             "--unknown-threshold" => {
                 let t: f32 = args.value(flag);
                 if !t.is_finite() {
@@ -110,5 +113,40 @@ impl ServerArgs {
             Some(path) => path.clone(),
             None => args.fail("--bundle is required"),
         }
+    }
+
+    /// The vote log a server tees its scores into: in RAM, or, given a
+    /// `dir`, durable there (`--wal-fsync-ms` batching) with what it
+    /// replayed printed under `[name]`. Exits 1 when the WAL does not open.
+    pub fn vote_log(
+        &self,
+        dir: Option<&Path>,
+        drain: DrainPath,
+        obs: &ServeObs,
+        name: &str,
+    ) -> VoteLog {
+        let Some(dir) = dir else {
+            return VoteLog::new(self.log_capacity, drain, &obs.registry);
+        };
+        let mut opts = vote_wal_options();
+        opts.fsync_interval = Duration::from_millis(self.wal_fsync_ms);
+        let opened = VoteLog::open(
+            dir,
+            self.log_capacity,
+            drain,
+            opts,
+            &obs.registry,
+            Arc::clone(&obs.flight),
+        );
+        let (log, recovery) = or_die(opened, format!("opening vote WAL at {}", dir.display()));
+        eprintln!(
+            "[{name}] vote WAL recovered: {} records replayed, {} torn records skipped \
+             ({}, fsync every {} ms)",
+            recovery.replayed,
+            recovery.torn,
+            dir.display(),
+            self.wal_fsync_ms
+        );
+        log
     }
 }

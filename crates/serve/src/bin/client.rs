@@ -85,8 +85,8 @@ fn connect_with_retry(addr: &str) -> Client {
 /// Print the stats line. The field order is a documented contract (CI
 /// and operators' scripts parse it): `requests completed rejected
 /// max_queue_depth mean_latency_ms max_latency_ms qps expired failed
-/// shed_global generation swaps rollbacks unknown`. Append new
-/// fields at the end; never reorder.
+/// generation swaps rollbacks unknown`. Append new fields at the end;
+/// never reorder.
 fn print_stats(s: &StatsSnapshot) {
     let qps = if s.uptime_us > 0 {
         s.completed as f64 / (s.uptime_us as f64 / 1e6)
@@ -101,7 +101,7 @@ fn print_stats(s: &StatsSnapshot) {
     println!(
         "stats: requests={} completed={} rejected={} max_queue_depth={} \
          mean_latency_ms={mean_lat_ms:.1} max_latency_ms={:.1} qps={qps:.1} \
-         expired={} failed={} shed_global={} generation={} swaps={} rollbacks={} \
+         expired={} failed={} generation={} swaps={} rollbacks={} \
          unknown={}",
         s.requests,
         s.completed,
@@ -110,7 +110,6 @@ fn print_stats(s: &StatsSnapshot) {
         s.latency_us_max as f64 / 1e3,
         s.expired,
         s.failed,
-        s.shed_global,
         s.generation,
         s.swaps,
         s.rollbacks,

@@ -2,14 +2,10 @@
 //!
 //! ```text
 //! lre-serve --bundle PATH [--addr 127.0.0.1:7700] [--workers N]
-//!           [--queue N] [--max-inflight N] [--max-global-inflight N]
+//!           [--queue N] [--max-inflight N]
 //!           [--fleet] [--log-capacity N]
 //!           [--wal-dir DIR] [--wal-fsync-ms N] [--unknown-threshold LLR]
 //! ```
-//!
-//! `--max-global-inflight` caps score requests outstanding across *all*
-//! connections (0 = unlimited), on top of the per-connection window;
-//! refusals surface as `STATUS_OVERLOADED` and the `shed_global` counter.
 //!
 //! `--unknown-threshold LLR` turns on open-set rejection: a scored
 //! utterance whose *best* fused LLR falls below the threshold is still
@@ -24,27 +20,26 @@
 //! rollback — are answered, so an `lre-router` can coordinate fleet-wide
 //! adaptation. Without it those tags are refused `STATUS_UNSUPPORTED`.
 //!
-//! `--wal-dir DIR` (fleet mode) makes the vote log durable: every
+//! `--wal-dir DIR` (fleet mode only; without `--fleet` it is a usage
+//! error) makes the vote log durable: every
 //! admitted vote is teed into a write-ahead log under `DIR`, replayed
 //! into the buffer on restart, and cleared by a router drain.
 //! `--wal-fsync-ms N` sets the fsync batching interval (0 = fsync every
 //! append; default 50). The log's state is on the `wal.*` series, which
 //! `lre-client --wal-status` reads. See `docs/DURABILITY.md`.
 
-use lre_artifact::{crc32, ArtifactRead};
+use lre_artifact::{bundle_checksum, ArtifactRead};
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
-    vote_wal_options, DrainPath, FleetReplica, ScorerHandle, ScoringSystem, Server, ServerHooks,
-    SystemBundle, VoteLog,
+    DrainPath, FleetReplica, ScorerHandle, ScoringSystem, Server, ServerHooks, SystemBundle,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "lre-serve --bundle PATH [--addr HOST:PORT] [--workers N] [--queue N] \
-    [--max-inflight N] [--max-global-inflight N] [--fleet] [--log-capacity N] \
-    [--wal-dir DIR] [--wal-fsync-ms N] [--unknown-threshold LLR]";
+    [--max-inflight N] [--fleet] [--log-capacity N] \
+    [--wal-dir DIR (with --fleet)] [--wal-fsync-ms N] [--unknown-threshold LLR]";
 
 fn main() {
     let mut args = Args::from_env(USAGE);
@@ -59,14 +54,9 @@ fn main() {
         }
     }
     let bundle_path = server.bundle(&args);
-    let ServerArgs {
-        addr,
-        cfg,
-        log_capacity,
-        wal_dir,
-        wal_fsync_ms,
-        ..
-    } = server;
+    if server.wal_dir.is_some() && !fleet {
+        args.fail("--wal-dir needs --fleet (lre-adaptd is the durable single adapting server)");
+    }
     // The file is read once: decoded, and checksummed for a fleet replica's
     // handle (what stage/commit/rollback verify against).
     let sealed = or_die(
@@ -77,7 +67,7 @@ fn main() {
         SystemBundle::from_artifact_bytes(&sealed),
         format!("loading {}", bundle_path.display()),
     );
-    let checksum = fleet.then(|| crc32(&sealed));
+    let checksum = fleet.then(|| bundle_checksum(&sealed));
     drop(sealed);
     eprintln!(
         "[serve] bundle: scale={}, seed={}, {} subsystems",
@@ -86,11 +76,14 @@ fn main() {
         bundle.subsystems.len()
     );
     let system = or_die(ScoringSystem::from_bundle(bundle), "invalid bundle");
-    if let Some(t) = cfg.engine.unknown_threshold {
+    if let Some(t) = server.cfg.engine.unknown_threshold {
         eprintln!("[serve] open-set rejection enabled: best-LLR threshold {t}");
     }
     let system = Arc::new(system);
-    let listener = or_die(TcpListener::bind(&addr), format!("binding {addr}"));
+    let listener = or_die(
+        TcpListener::bind(&server.addr),
+        format!("binding {}", server.addr),
+    );
     let mut hooks = ServerHooks::default();
     let obs = Arc::clone(&hooks.obs);
     // The flight recorder also dumps to stderr on panic.
@@ -98,56 +91,24 @@ fn main() {
     let handle = if let Some(checksum) = checksum {
         // A fleet replica serves through a hot-swappable handle tagged
         // with the sealed bundle's checksum and tees scores into the vote
-        // log the router drains.
+        // log the router drains. With --wal-dir the votes survive a crash,
+        // and a router drain clears the WAL with the buffer.
         let handle = Arc::new(ScorerHandle::new(system, checksum));
         eprintln!(
-            "[serve] fleet replica mode: vote log capacity {log_capacity}, \
-             bundle checksum {checksum:#010x}"
+            "[serve] fleet replica mode: vote log capacity {}, bundle checksum {checksum:#010x}",
+            server.log_capacity
         );
-        // With --wal-dir the votes survive a crash, a router drain clears
-        // the WAL with the buffer, and the wal.* series report it.
-        let log = match &wal_dir {
-            Some(dir) => {
-                let mut opts = vote_wal_options();
-                opts.fsync_interval = Duration::from_millis(wal_fsync_ms);
-                let (log, recovery) = or_die(
-                    VoteLog::open(
-                        dir,
-                        log_capacity,
-                        DrainPath::Wire,
-                        opts,
-                        &obs.registry,
-                        Arc::clone(&obs.flight),
-                    ),
-                    format!("opening WAL at {}", dir.display()),
-                );
-                eprintln!(
-                    "[serve] vote WAL at {}: replayed {} records ({} torn skipped), \
-                     fsync every {wal_fsync_ms} ms",
-                    dir.display(),
-                    recovery.replayed,
-                    recovery.torn
-                );
-                log
-            }
-            None => VoteLog::new(log_capacity, DrainPath::Wire, &obs.registry),
-        };
-        let log = Arc::new(log);
+        let wal_dir = server.wal_dir.as_deref();
+        let log = Arc::new(server.vote_log(wal_dir, DrainPath::Wire, &obs, "serve"));
         hooks.tap = Some(Arc::clone(&log) as _);
         let replica = FleetReplica::new(Arc::clone(&handle), log, Arc::clone(&obs.flight));
         hooks.fleet = Some(Arc::new(replica));
         handle
     } else {
-        if wal_dir.is_some() {
-            eprintln!(
-                "[serve] note: --wal-dir only applies with --fleet \
-                 (use lre-adaptd for a durable single adapting server)"
-            );
-        }
         Arc::new(ScorerHandle::new(system, 0))
     };
     let server = or_die(
-        Server::start(listener, handle, cfg, hooks),
+        Server::start(listener, handle, server.cfg, hooks),
         "starting server",
     );
     println!("listening on {}", server.local_addr());

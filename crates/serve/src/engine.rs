@@ -536,16 +536,6 @@ impl Engine {
         self.obs.flight.record(EV_SHED, "window", 0, 0, 0.0, 0.0);
     }
 
-    /// Record a request shed by the server's cross-connection global
-    /// admission cap. Counted under `rejected` (the invariant above holds)
-    /// and attributed separately in `shed_global`.
-    pub fn note_shed_global(&self) {
-        self.obs.requests.incr();
-        self.obs.rejected.incr();
-        self.obs.shed_global.incr();
-        self.obs.flight.record(EV_SHED, "global", 0, 0, 0.0, 0.0);
-    }
-
     /// The stats-v2 view ([`StatsSnapshot::from_dump`]) of a snapshot of
     /// this engine's registry.
     pub fn stats(&self) -> StatsSnapshot {

@@ -30,7 +30,8 @@
 //!   over `std::net`, consistent with the workspace's no-external-deps
 //!   policy, described by one tag table. Score requests carry
 //!   client-chosen ids and are pipelined per connection
-//!   ([`client::Client`]);
+//!   ([`client::Client`]). [`server::OpenDoor`] is the one connection loop,
+//!   shared by the scoring server and `lre-router`;
 //! - [`args`]: the flag parser the three server binaries share.
 //!
 //! ## Quickstart

@@ -23,8 +23,7 @@
 //! | name | kind | meaning |
 //! |---|---|---|
 //! | `engine.requests` | counter | submissions seen, accepted or shed |
-//! | `engine.rejected` | counter | submissions shed: queue full, connection window or global cap |
-//! | `engine.shed_global` | counter | of those, shed by the global admission cap |
+//! | `engine.rejected` | counter | submissions shed: queue full or connection window |
 //! | `engine.expired` | counter | accepted requests shed because their deadline passed |
 //! | `engine.failed` | counter | requests whose scorer returned an error or panicked |
 //! | `engine.queue.wait_us` | histogram | admission → a worker picked it up |
@@ -64,7 +63,6 @@ pub struct ServeObs {
     pub flight: Arc<FlightRecorder>,
     pub(crate) requests: Arc<Counter>,
     pub(crate) rejected: Arc<Counter>,
-    pub(crate) shed_global: Arc<Counter>,
     pub(crate) expired: Arc<Counter>,
     pub(crate) failed: Arc<Counter>,
     pub(crate) queue_wait_us: Arc<Histogram>,
@@ -90,7 +88,6 @@ impl ServeObs {
             flight: Arc::new(FlightRecorder::new(flight_capacity)),
             requests: registry.counter("engine.requests"),
             rejected: registry.counter("engine.rejected"),
-            shed_global: registry.counter("engine.shed_global"),
             expired: registry.counter("engine.expired"),
             failed: registry.counter("engine.failed"),
             queue_wait_us: registry.histogram("engine.queue.wait_us"),
@@ -159,9 +156,6 @@ pub struct StatsSnapshot {
     pub expired: u64,
     /// Requests lost to scorer failures.
     pub failed: u64,
-    /// Subset of `rejected` shed by the server's *global* admission cap
-    /// (`--max-global-inflight`), counted across every connection.
-    pub shed_global: u64,
     /// Generation of the currently installed model (bumps on every hot
     /// swap, including rollbacks).
     pub generation: u64,
@@ -203,7 +197,6 @@ impl StatsSnapshot {
             uptime_us: n("engine.uptime_us"),
             expired: n("engine.expired"),
             failed: n("engine.failed"),
-            shed_global: n("engine.shed_global"),
             generation: n("engine.generation"),
             swaps: n("engine.swaps"),
             rollbacks: n("engine.rollbacks"),
@@ -221,8 +214,8 @@ pub struct PingReport {
     /// Requests admitted but not yet resolved (completed / rejected /
     /// expired / failed).
     pub inflight: u64,
-    /// Load-shedding refusals so far: queue-full and window rejections,
-    /// deadline expirations and global-admission sheds.
+    /// Load-shedding refusals so far: queue-full and window rejections
+    /// plus deadline expirations, each counted once.
     pub shed: u64,
     /// Successfully scored utterances so far.
     pub completed: u64,
@@ -237,7 +230,7 @@ impl PingReport {
             inflight: s
                 .requests
                 .saturating_sub(s.completed + s.rejected + s.expired + s.failed),
-            shed: s.rejected + s.expired + s.shed_global,
+            shed: s.rejected + s.expired,
             completed: s.completed,
         }
     }
@@ -363,7 +356,6 @@ impl FleetStats {
                 agg.uptime_us = agg.uptime_us.max(s.uptime_us);
                 agg.expired += s.expired;
                 agg.failed += s.failed;
-                agg.shed_global += s.shed_global;
                 agg.swaps += s.swaps;
                 agg.rollbacks += s.rollbacks;
                 agg.unknown += s.unknown;
@@ -495,7 +487,6 @@ mod tests {
                 "engine.rejected",
                 "engine.requests",
                 "engine.rollbacks",
-                "engine.shed_global",
                 "engine.stage.decode_us",
                 "engine.stage.score_us",
                 "engine.stage.supervector_us",
@@ -541,7 +532,6 @@ mod tests {
             uptime_us: 77,
             expired: 3,
             failed: 2,
-            shed_global: 7,
             generation: 4,
             swaps: 3,
             rollbacks: 1,
@@ -552,13 +542,13 @@ mod tests {
     #[test]
     fn ping_report_is_derived_from_the_counters() {
         // 100 admitted, 80+5+3+2 resolved → 10 in flight; shed counts
-        // queue rejections + expirations + global sheds.
+        // queue and window rejections + expirations.
         assert_eq!(
             PingReport::from_stats(&stats_example()),
             PingReport {
                 generation: 4,
                 inflight: 10,
-                shed: 15,
+                shed: 8,
                 completed: 80,
             }
         );

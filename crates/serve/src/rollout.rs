@@ -39,7 +39,7 @@ use crate::protocol::{AbortAck, CommitAck, DrainReply, RollbackAck, StageAck, ST
 use crate::swap::{ScorerHandle, VersionedScorer};
 use crate::system::{Scorer, ScoringSystem};
 use crate::votelog::{VoteLog, VoteLogSnapshot, VoteRecord};
-use lre_artifact::{crc32, ArtifactRead, ArtifactWrite};
+use lre_artifact::{bundle_checksum, ArtifactRead, ArtifactWrite};
 use lre_obs::{FlightRecorder, EV_ROLLBACK, EV_SWAP};
 use std::sync::{Arc, Mutex};
 
@@ -191,7 +191,7 @@ impl FleetControl for FleetReplica {
         // full decode, scorer construction. After `Ok`, commit is a pure
         // pointer swap that cannot fail.
         let scorer = (self.validate)(sealed)?;
-        let checksum = crc32(sealed);
+        let checksum = bundle_checksum(sealed);
         let mut state = self.state.lock().expect("rollout state poisoned");
         // Re-staging replaces a pending candidate; the coordinator aborts
         // explicitly, but a crashed coordinator must not wedge the replica.
@@ -301,7 +301,7 @@ mod tests {
         let rep = replica();
         let sealed = candidate(7);
         let ck = rep.stage(&sealed).expect("stage validates").checksum;
-        assert_eq!(ck, crc32(&sealed));
+        assert_eq!(ck, bundle_checksum(&sealed));
         // Nothing served yet: staging must not disturb the handle.
         assert_eq!(rep.handle.generation(), 0);
         assert_eq!(rep.handle.checksum(), 0xAAAA);

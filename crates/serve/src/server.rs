@@ -1,33 +1,276 @@
-//! The TCP scoring server: `std::net` + threads, no external runtime.
+//! The front door both serving processes share, and the scoring server
+//! built on it.
 //!
-//! Each connection is split into a **reader** (decodes frames, admits
-//! requests) and a **writer** thread (serializes replies onto the socket),
-//! joined by a channel of pre-encoded frames. That split is what makes
-//! pipelining work: a client may have up to
-//! [`ServerConfig::max_inflight`] score requests outstanding, their
-//! replies are produced on engine worker threads in completion order, and
-//! the writer interleaves them safely with whatever the reader answers
-//! inline (stats, control requests, refusals).
+//! [`OpenDoor`] owns a listening socket's whole connection lifecycle. One
+//! thread accepts; each connection is split into a **reader** (decodes
+//! frames, admits requests) and a **writer** thread (serializes replies
+//! onto the socket), joined by a channel of pre-encoded frames, the reply
+//! [`Lane`]. That split is what makes pipelining work: a client may have
+//! up to its window of score requests outstanding, their replies arrive in
+//! completion order, and the writer interleaves them safely with whatever
+//! the reader answers inline (stats-v3, flight, control requests,
+//! refusals). A [`Door`] supplies only what differs between the two front
+//! doors: how a score is admitted, where window refusals are counted, the
+//! stats-v3 body and the coordinator arms. [`Server`] admits into an
+//! [`Engine`]; `lre_router::Router` forwards to a replica fleet.
 //!
-//! Every server records into one [`ServeObs`], so stats-v3 and the flight
-//! recorder are always answered; stats-v2, ping and wal-status are views a
-//! client computes from the stats-v3 dump.
+//! The connection contract, the same at both doors:
+//! - a score past the connection's window is refused `overloaded` under
+//!   its id, before the door sees it;
+//! - an undecodable frame is answered `bad request`, then the connection
+//!   closes;
+//! - stats-v3 and flight are always answered;
+//! - a shutdown is acknowledged on the wire and the writer joined (every
+//!   queued reply, the ack included, is on the socket), then
+//!   [`Door::shutdown`] runs and the accept loop stops.
 
 use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
 use crate::obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
 use crate::protocol::{
     decode_request, encode_ok, encode_score_ok_v2, encode_status, encode_status_v2, read_frame,
-    write_frame, Ack, AdaptReport, DrainReply, Request, RollbackToAck, Wire, STATUS_BAD_REQUEST,
-    STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
-    STATUS_UNSUPPORTED,
+    write_frame, Ack, AdaptReport, DrainReply, MetricsDump, Request, RollbackToAck, Wire,
+    STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
+    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
 use crate::system::ScoreTap;
+use lre_obs::FlightRecorder;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// What one kind of front door adds to the shared connection loop.
+pub trait Door: Send + Sync + 'static {
+    /// Admit a score request the connection's window has room for (`frame`
+    /// is the request as received). `None`: the door answers it later,
+    /// exactly once, through [`Lane::reply`]. `Some(frame)`: a refusal,
+    /// sent now.
+    fn admit(
+        &self,
+        id: u64,
+        deadline_ms: u32,
+        samples: Vec<f32>,
+        frame: Vec<u8>,
+        lane: Lane,
+    ) -> Option<Vec<u8>>;
+
+    /// Count one score refused by a connection's window.
+    fn note_shed(&self);
+
+    /// The stats-v3 reply body.
+    fn stats(&self) -> MetricsDump;
+
+    /// The flight recorder the flight tag reads.
+    fn flight(&self) -> &FlightRecorder;
+
+    /// Answer a coordinator request: adapt, the fleet-rollout tags,
+    /// rollback, rollback-to.
+    fn control(&self, request: Request) -> Vec<u8>;
+
+    /// Runs once a client's shutdown has been acknowledged, before the
+    /// accept loop stops.
+    fn shutdown(&self) {}
+}
+
+/// An admitted score's way back to its connection: the reply lane and the
+/// window slot the score holds.
+#[derive(Clone)]
+pub struct Lane {
+    tx: mpsc::Sender<Vec<u8>>,
+    window: Arc<AtomicUsize>,
+}
+
+impl Lane {
+    /// Answer one admitted score: release its window slot, then queue the
+    /// frame. Released first, so a client that has read the reply finds the
+    /// slot free.
+    pub fn reply(&self, frame: Vec<u8>) {
+        self.window.fetch_sub(1, Ordering::AcqRel);
+        let _ = self.tx.send(frame); // the client may have left; fine
+    }
+}
+
+/// A listening front door: the accept thread and the flag that stops it.
+/// Connection threads are detached; they exit on peer close.
+pub struct OpenDoor {
+    addr: SocketAddr,
+    stopping: Arc<AtomicBool>,
+    accept: JoinHandle<()>,
+}
+
+/// What every connection of one door shares.
+struct Entry {
+    door: Arc<dyn Door>,
+    max_inflight: usize,
+    stopping: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
+
+impl OpenDoor {
+    /// Accept connections on `listener` and speak the frame protocol on
+    /// each, with a window of `max_inflight` (at least 1) score requests.
+    pub fn open(
+        listener: TcpListener,
+        door: Arc<dyn Door>,
+        max_inflight: usize,
+    ) -> std::io::Result<OpenDoor> {
+        let addr = listener.local_addr()?;
+        let stopping = Arc::new(AtomicBool::new(false));
+        let entry = Arc::new(Entry {
+            door,
+            max_inflight: max_inflight.max(1),
+            stopping: Arc::clone(&stopping),
+            addr,
+        });
+        let accept = std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                if entry.stopping.load(Ordering::SeqCst) {
+                    break;
+                }
+                if let Ok(stream) = conn {
+                    let entry = Arc::clone(&entry);
+                    std::thread::spawn(move || entry.converse(stream));
+                }
+            }
+        });
+        Ok(OpenDoor {
+            addr,
+            stopping,
+            accept,
+        })
+    }
+
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The stop flag, for service threads that live as long as the door.
+    pub fn stopping(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.stopping)
+    }
+
+    /// Stop accepting (what a client's shutdown does once it is acked).
+    pub fn stop(&self) {
+        trigger_stop(&self.stopping, self.addr);
+    }
+
+    /// Block until the accept loop has stopped.
+    pub fn join(self) {
+        let _ = self.accept.join();
+    }
+}
+
+/// Flip the stop flag and wake the blocking `accept` with a throwaway
+/// connection so the accept loop observes it.
+fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
+    if !stopping.swap(true, Ordering::SeqCst) {
+        let _ = TcpStream::connect(addr);
+    }
+}
+
+impl Entry {
+    /// One connection, from accept to close.
+    fn converse(&self, mut stream: TcpStream) {
+        let _ = stream.set_nodelay(true);
+        let Ok(mut write_half) = stream.try_clone() else {
+            return;
+        };
+        // The writer lives until every sender is gone: until the reader has
+        // returned *and* the door has answered every admitted score, so a
+        // drained shutdown never strands a reply and never leaks the thread.
+        let (tx, rx) = mpsc::channel::<Vec<u8>>();
+        let writer = std::thread::spawn(move || {
+            while let Ok(frame) = rx.recv() {
+                if write_frame(&mut write_half, &frame).is_err() {
+                    // Peer is gone; keep draining so senders resolve, but
+                    // stop touching the socket.
+                    while rx.recv().is_ok() {}
+                    return;
+                }
+            }
+        });
+        let lane = Lane {
+            tx,
+            window: Arc::new(AtomicUsize::new(0)),
+        };
+        let door = &*self.door;
+        let mut shutdown = false;
+
+        // Anything but a complete frame (clean close, torn connection,
+        // oversized length prefix) ends the conversation.
+        while let Ok(Some(frame)) = read_frame(&mut stream) {
+            // Everything but an admitted score is answered here, in request
+            // order.
+            let reply = match decode_request(&frame) {
+                Ok(Request::ScoreV2 {
+                    id,
+                    deadline_ms,
+                    samples,
+                }) => {
+                    // Only the reader takes a slot, so a plain
+                    // load-then-add admits at most `max_inflight`.
+                    if lane.window.load(Ordering::Acquire) < self.max_inflight {
+                        lane.window.fetch_add(1, Ordering::AcqRel);
+                        if let Some(refusal) =
+                            door.admit(id, deadline_ms, samples, frame, lane.clone())
+                        {
+                            lane.reply(refusal);
+                        }
+                        continue;
+                    }
+                    door.note_shed();
+                    encode_status_v2(id, STATUS_OVERLOADED)
+                }
+                Ok(Request::StatsV3) => encode_ok(&door.stats()),
+                Ok(Request::Flight { drain }) => encode_ok(&if drain {
+                    door.flight().drain()
+                } else {
+                    door.flight().peek()
+                }),
+                Ok(Request::Shutdown) => {
+                    let _ = lane.tx.send(encode_ok(&Ack));
+                    shutdown = true;
+                    break;
+                }
+                Ok(request) => door.control(request),
+                Err(_) => {
+                    let _ = lane.tx.send(encode_status(STATUS_BAD_REQUEST));
+                    break;
+                }
+            };
+            if lane.tx.send(reply).is_err() {
+                break;
+            }
+        }
+
+        drop(lane);
+        let _ = writer.join();
+        // Only now, with every queued reply (the shutdown ack included) on
+        // the wire, may the process begin to exit. Stopping earlier races
+        // the writer against process teardown, and the requester reads EOF
+        // instead of the ack.
+        if shutdown {
+            door.shutdown();
+            trigger_stop(&self.stopping, self.addr);
+        }
+    }
+}
+
+/// Answer a control request from an optional hook: `OK` + body, the
+/// hook's own typed refusal, or `unsupported` when the hook is absent.
+pub fn answer<H: ?Sized, T: Wire>(
+    hook: &Option<Arc<H>>,
+    ask: impl FnOnce(&H) -> Result<T, u8>,
+) -> Vec<u8> {
+    match hook.as_deref().map(ask) {
+        Some(Ok(body)) => encode_ok(&body),
+        Some(Err(status)) => encode_status(status),
+        None => encode_status(STATUS_UNSUPPORTED),
+    }
+}
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -37,11 +280,6 @@ pub struct ServerConfig {
     /// one-past-the-window request is refused `STATUS_OVERLOADED` without
     /// touching the queue.
     pub max_inflight: usize,
-    /// Most score requests the whole server may have outstanding, counted
-    /// across every connection on top of the per-connection window
-    /// (`0` = unlimited). Refusals are `STATUS_OVERLOADED` and attributed
-    /// to the `shed_global` stats counter.
-    pub max_global_inflight: usize,
 }
 
 impl Default for ServerConfig {
@@ -49,7 +287,6 @@ impl Default for ServerConfig {
         ServerConfig {
             engine: EngineConfig::default(),
             max_inflight: 32,
-            max_global_inflight: 0,
         }
     }
 }
@@ -97,27 +334,75 @@ impl Default for ServerHooks {
     }
 }
 
-/// Reserve one slot under the global cap, exactly (no overshoot under
-/// concurrent readers).
-fn try_acquire_global(global: &AtomicUsize, max: usize) -> bool {
-    global
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-            (v < max).then_some(v + 1)
-        })
-        .is_ok()
+/// The scoring server's door: scores go to the engine's queue, and the
+/// hooks answer everything else.
+struct EngineDoor {
+    engine: Arc<Engine>,
+    hooks: ServerHooks,
 }
 
-/// A running server. One thread accepts connections; each connection gets
-/// reader + writer threads that speak the frame protocol and submit score
-/// requests to the shared [`Engine`]. Connection threads are detached —
-/// they exit on peer close — while [`Server::join`] owns the
-/// graceful-shutdown sequence: stop accepting, drain the engine queue,
-/// join the workers.
+impl Door for EngineDoor {
+    fn admit(
+        &self,
+        id: u64,
+        deadline_ms: u32,
+        samples: Vec<f32>,
+        _frame: Vec<u8>,
+        lane: Lane,
+    ) -> Option<Vec<u8>> {
+        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
+        let submitted = self.engine.submit_with(samples, deadline, move |outcome| {
+            lane.reply(match outcome {
+                Outcome::Scored(s) => encode_score_ok_v2(id, &s),
+                Outcome::DeadlineExceeded => encode_status_v2(id, STATUS_DEADLINE_EXCEEDED),
+                Outcome::Failed => encode_status_v2(id, STATUS_INTERNAL),
+            })
+        });
+        // A refused job's callback was dropped unfired: the refusal is ours.
+        let status = match submitted.err()? {
+            SubmitError::Overloaded => STATUS_OVERLOADED,
+            SubmitError::ShuttingDown => STATUS_SHUTTING_DOWN,
+        };
+        Some(encode_status_v2(id, status))
+    }
+
+    fn note_shed(&self) {
+        self.engine.note_shed();
+    }
+
+    fn stats(&self) -> MetricsDump {
+        self.hooks.obs.registry.snapshot()
+    }
+
+    fn flight(&self) -> &FlightRecorder {
+        &self.hooks.obs.flight
+    }
+
+    /// Each runs synchronously on the reader: the requester wants the
+    /// outcome in request order.
+    fn control(&self, request: Request) -> Vec<u8> {
+        let (control, fleet) = (&self.hooks.control, &self.hooks.fleet);
+        match request {
+            Request::Adapt => answer(control, |c| Ok(c.adapt_now())),
+            Request::RollbackTo { generation } => answer(control, |c| c.rollback_to(generation)),
+            Request::DrainVotes { peek, min } => {
+                answer(fleet, |f| Ok(DrainReply::seal(f.drain_votes(peek, min))))
+            }
+            Request::StageBundle { sealed } => answer(fleet, |f| f.stage(&sealed)),
+            Request::CommitStaged => answer(fleet, |f| f.commit()),
+            Request::AbortStaged => answer(fleet, |f| Ok(f.abort())),
+            Request::Rollback => answer(fleet, |f| Ok(f.rollback())),
+            _ => encode_status(STATUS_UNSUPPORTED),
+        }
+    }
+}
+
+/// A running server: an [`OpenDoor`] whose scores go to one shared
+/// [`Engine`]. [`Server::join`] owns the graceful-shutdown sequence: stop
+/// accepting, drain the engine queue, join the workers.
 pub struct Server {
-    addr: SocketAddr,
+    door: OpenDoor,
     engine: Arc<Engine>,
-    stopping: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -132,47 +417,24 @@ impl Server {
         cfg: ServerConfig,
         mut hooks: ServerHooks,
     ) -> std::io::Result<Server> {
-        let addr = listener.local_addr()?;
         let engine = Arc::new(Engine::start(
             cfg.engine,
             handle,
             hooks.tap.take(),
             Arc::clone(&hooks.obs),
         ));
-        let stopping = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(Shared {
+        let door = Arc::new(EngineDoor {
             engine: Arc::clone(&engine),
-            stopping: Arc::clone(&stopping),
-            addr,
-            max_inflight: cfg.max_inflight.max(1),
-            max_global: match cfg.max_global_inflight {
-                0 => usize::MAX,
-                n => n,
-            },
-            global_inflight: Arc::new(AtomicUsize::new(0)),
             hooks,
         });
-        let accept = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if shared.stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = conn {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || handle_connection(stream, &shared));
-                }
-            }
-        });
         Ok(Server {
-            addr,
+            door: OpenDoor::open(listener, door, cfg.max_inflight)?,
             engine,
-            stopping,
-            accept: Some(accept),
         })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.door.local_addr()
     }
 
     /// The shared engine (stats access for embedding tests).
@@ -183,206 +445,13 @@ impl Server {
     /// Ask the server to stop from the hosting process (equivalent to a
     /// client shutdown request).
     pub fn stop(&self) {
-        trigger_stop(&self.stopping, self.addr);
+        self.door.stop();
     }
 
     /// Block until shutdown is requested, then drain and join. In-flight
     /// requests accepted before the shutdown are still scored and answered.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+    pub fn join(self) {
+        self.door.join();
         self.engine.shutdown();
-    }
-}
-
-/// Flip the stop flag and wake the blocking `accept` with a throwaway
-/// connection so the accept loop observes it.
-fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
-    if !stopping.swap(true, Ordering::SeqCst) {
-        let _ = TcpStream::connect(addr);
-    }
-}
-
-/// What every connection of one server shares.
-struct Shared {
-    engine: Arc<Engine>,
-    stopping: Arc<AtomicBool>,
-    addr: SocketAddr,
-    max_inflight: usize,
-    max_global: usize,
-    /// Score requests outstanding across every connection.
-    global_inflight: Arc<AtomicUsize>,
-    hooks: ServerHooks,
-}
-
-/// Answer a control request from an optional hook: `OK` + body, the
-/// hook's own typed refusal, or `unsupported` when the hook is absent.
-/// (Public for the router, whose optional parts answer the same way.)
-pub fn answer<H: ?Sized, T: Wire>(
-    hook: &Option<Arc<H>>,
-    ask: impl FnOnce(&H) -> Result<T, u8>,
-) -> Vec<u8> {
-    match hook.as_deref().map(ask) {
-        Some(Ok(body)) => encode_ok(&body),
-        Some(Err(status)) => encode_status(status),
-        None => encode_status(STATUS_UNSUPPORTED),
-    }
-}
-
-/// One connection's score admission state.
-struct ScoreLane<'a> {
-    shared: &'a Shared,
-    reply_tx: &'a mpsc::Sender<Vec<u8>>,
-    /// Score requests outstanding on this connection. Only the reader
-    /// increments, so a plain load-then-add admits at most `max_inflight`.
-    inflight: Arc<AtomicUsize>,
-}
-
-impl ScoreLane<'_> {
-    /// Admit one score request: the connection's window, then the
-    /// server-wide cap, then the queue. `None` means the reply arrives
-    /// through the engine callback; `Some(frame)` is an immediate refusal.
-    fn admit(&self, id: u64, deadline_ms: u32, samples: Vec<f32>) -> Option<Vec<u8>> {
-        let (engine, global) = (&self.shared.engine, &self.shared.global_inflight);
-        if self.inflight.load(Ordering::Acquire) >= self.shared.max_inflight {
-            // Window violation: shed before the queue even sees it.
-            engine.note_shed();
-            return Some(encode_status_v2(id, STATUS_OVERLOADED));
-        }
-        if !try_acquire_global(global, self.shared.max_global) {
-            // Within this connection's window but the server-wide cap is
-            // spent: shed and attribute it separately.
-            engine.note_shed_global();
-            return Some(encode_status_v2(id, STATUS_OVERLOADED));
-        }
-        self.inflight.fetch_add(1, Ordering::AcqRel);
-        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-        let cb_tx = self.reply_tx.clone();
-        let cb_inflight = Arc::clone(&self.inflight);
-        let cb_global = Arc::clone(global);
-        let submitted = engine.submit_with(samples, deadline, move |outcome| {
-            let frame = match outcome {
-                Outcome::Scored(s) => encode_score_ok_v2(id, &s),
-                Outcome::DeadlineExceeded => encode_status_v2(id, STATUS_DEADLINE_EXCEEDED),
-                Outcome::Failed => encode_status_v2(id, STATUS_INTERNAL),
-            };
-            cb_inflight.fetch_sub(1, Ordering::AcqRel);
-            cb_global.fetch_sub(1, Ordering::AcqRel);
-            let _ = cb_tx.send(frame);
-        });
-        let refused = submitted.err()?;
-        // The job (and its callback) was dropped unfired; the reader owns
-        // the refusal.
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
-        global.fetch_sub(1, Ordering::AcqRel);
-        let status = match refused {
-            SubmitError::Overloaded => STATUS_OVERLOADED,
-            SubmitError::ShuttingDown => STATUS_SHUTTING_DOWN,
-        };
-        Some(encode_status_v2(id, status))
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_nodelay(true);
-    let mut write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-
-    // Reply lane: reader and engine callbacks enqueue pre-encoded frames,
-    // one writer serializes them onto the socket. The writer lives until
-    // every sender is gone — i.e. until the reader has returned *and* every
-    // outstanding engine callback for this connection has fired — so a
-    // drained shutdown never strands a reply and never leaks the thread.
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer = std::thread::spawn(move || {
-        while let Ok(frame) = reply_rx.recv() {
-            if write_frame(&mut write_half, &frame).is_err() {
-                // Peer is gone; keep draining so senders resolve, but stop
-                // touching the socket.
-                while reply_rx.recv().is_ok() {}
-                return;
-            }
-        }
-    });
-
-    let lane = ScoreLane {
-        shared,
-        reply_tx: &reply_tx,
-        inflight: Arc::new(AtomicUsize::new(0)),
-    };
-    let hooks = &shared.hooks;
-
-    // Set when this connection carried a shutdown request; acted on only
-    // after the ack has been flushed to the socket.
-    let mut shutdown_requested = false;
-
-    // Anything but a complete frame — clean close, torn connection,
-    // oversized length prefix — ends the conversation.
-    while let Ok(Some(frame)) = read_frame(&mut stream) {
-        // Everything but a score is answered inline on the reader, in
-        // request order, without touching the scoring queue.
-        let reply = match decode_request(&frame) {
-            Ok(Request::ScoreV2 {
-                id,
-                deadline_ms,
-                samples,
-            }) => lane.admit(id, deadline_ms, samples),
-            // One cycle runs synchronously and the report comes back in
-            // request order.
-            Ok(Request::Adapt) => Some(answer(&hooks.control, |c| Ok(c.adapt_now()))),
-            Ok(Request::DrainVotes { peek, min }) => Some(answer(&hooks.fleet, |f| {
-                Ok(DrainReply::seal(f.drain_votes(peek, min)))
-            })),
-            Ok(Request::StageBundle { sealed }) => Some(answer(&hooks.fleet, |f| f.stage(&sealed))),
-            Ok(Request::CommitStaged) => Some(answer(&hooks.fleet, |f| f.commit())),
-            Ok(Request::AbortStaged) => Some(answer(&hooks.fleet, |f| Ok(f.abort()))),
-            Ok(Request::Rollback) => Some(answer(&hooks.fleet, |f| Ok(f.rollback()))),
-            // Runs synchronously like `Adapt`: it swaps a model and the
-            // requester wants the outcome in request order.
-            Ok(Request::RollbackTo { generation }) => {
-                Some(answer(&hooks.control, |c| c.rollback_to(generation)))
-            }
-            Ok(Request::StatsV3) => Some(encode_ok(&hooks.obs.registry.snapshot())),
-            Ok(Request::Flight { drain }) => Some(encode_ok(&if drain {
-                hooks.obs.flight.drain()
-            } else {
-                hooks.obs.flight.peek()
-            })),
-            Ok(Request::Shutdown) => {
-                // Acknowledge, then stop accepting; `Server::join` drains
-                // the engine. The stop itself is deferred until after the
-                // writer joins below — flipping `stopping` first lets the
-                // accept loop (and the process) exit while the ack is still
-                // queued on this handler's reply lane, and the requester
-                // reads EOF instead of STATUS_OK.
-                let _ = reply_tx.send(encode_ok(&Ack));
-                shutdown_requested = true;
-                break;
-            }
-            Err(_) => {
-                let _ = reply_tx.send(encode_status(STATUS_BAD_REQUEST));
-                break;
-            }
-        };
-        if reply.is_some_and(|frame| reply_tx.send(frame).is_err()) {
-            break;
-        }
-    }
-
-    // Drop the reader's senders; the writer exits once the last in-flight
-    // callback has fired and released its clone.
-    drop(lane);
-    drop(reply_tx);
-    let _ = writer.join();
-
-    // Only now — with every queued reply (the shutdown ack included) on
-    // the wire — is it safe to stop the accept loop and let the process
-    // exit. Triggering earlier races the detached writer thread against
-    // process teardown and can strand the ack.
-    if shutdown_requested {
-        trigger_stop(&shared.stopping, shared.addr);
     }
 }

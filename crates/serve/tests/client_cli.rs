@@ -1,7 +1,7 @@
 //! The `lre-client` binary against a scripted peer: what it puts on the
 //! wire for the flags it is given, and what it prints of the replies.
 //! The peer answers each score request at once, so nothing here waits on
-//! a clock.
+//! a clock. Also the one `lre-serve` flag combination it refuses.
 
 use lre_obs::{TraceSpan, STAGE_QUEUE, STAGE_REPLY, STAGE_SCORE};
 use lre_serve::protocol::{
@@ -98,4 +98,17 @@ fn traced_prints_every_replys_span_at_any_window() {
         assert!(stdout.contains(&line), "missing {line:?} in:\n{stdout}");
     }
     assert_eq!(peer.join().expect("peer"), [0, 0], "no deadline was given");
+}
+
+#[test]
+fn serve_refuses_a_wal_dir_without_fleet() {
+    // Refused before either path is touched: neither exists.
+    let output = Command::new(env!("CARGO_BIN_EXE_lre-serve"))
+        .args(["--bundle", "absent.bundle", "--wal-dir", "absent-wal"])
+        .output()
+        .expect("lre-serve runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--wal-dir needs --fleet"), "{stderr}");
+    assert!(stderr.contains("usage: lre-serve"), "{stderr}");
 }

@@ -158,7 +158,6 @@ fn fast_config() -> ServerConfig {
             unknown_threshold: None,
         },
         max_inflight: 4,
-        max_global_inflight: 0,
     }
 }
 
@@ -348,77 +347,6 @@ fn server_enforces_the_inflight_window() {
     assert_eq!(stats.rejected, 1);
 
     client.shutdown().expect("shutdown");
-    server.join();
-}
-
-#[test]
-fn global_admission_cap_sheds_across_connections_with_a_typed_status() {
-    // Per-connection windows are wide (4), the *global* cap is 2: one
-    // connection fills the whole server, and the second is shed with
-    // OVERLOADED even though its own window is empty.
-    let gate = Arc::new(GatedScorer::new(2));
-    let mut cfg = fast_config();
-    cfg.engine.workers = 2;
-    cfg.max_inflight = 4;
-    cfg.max_global_inflight = 2;
-    let server = start_server(Arc::clone(&gate) as _, cfg);
-    let addr = server.local_addr();
-
-    let mut filler = Client::connect(addr).expect("filler connect");
-    let mut victim = Client::connect(addr).expect("victim connect");
-
-    filler.submit(&[1.0], None).expect("fill slot 1");
-    filler.submit(&[2.0], None).expect("fill slot 2");
-    // Wait until the server has *admitted* both (they park at the closed
-    // gate) — the stats request is answered inline, off the scoring path.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = victim.stats_v2().expect("stats while filler outstanding");
-        if stats.requests >= 2 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "filler requests never reached the engine"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    // The global window is full: the victim's first request is refused.
-    victim.submit(&[3.0], None).expect("victim submit");
-    let (_, reply) = victim.recv().expect("refusal arrives");
-    assert_eq!(
-        reply,
-        ScoreReply::Overloaded,
-        "a globally shed request must get the typed status"
-    );
-
-    // Draining the filler releases the global slots.
-    gate.release();
-    while filler.inflight() > 0 {
-        let (_, reply) = filler.recv().expect("filler drain");
-        assert!(
-            matches!(reply, ScoreReply::Scored(_)),
-            "admitted request refused: {reply:?}"
-        );
-    }
-
-    // The victim is admitted now that slots are free.
-    victim.submit(&[4.0], None).expect("victim retry");
-    let (_, reply) = victim.recv().expect("victim reply");
-    match reply {
-        ScoreReply::Scored(s) => assert_eq!(s.llrs, mock_llrs(&[4.0], 2)),
-        other => panic!("post-drain victim refused: {other:?}"),
-    }
-
-    // The shed is attributed: rejected overall, shed_global specifically.
-    let stats = victim.stats_v2().expect("final stats");
-    assert_eq!(stats.requests, 4);
-    assert_eq!(stats.completed, 3);
-    assert_eq!(stats.rejected, 1);
-    assert_eq!(stats.shed_global, 1);
-
-    filler.shutdown().expect("shutdown");
     server.join();
 }
 

@@ -47,7 +47,6 @@ fn config(unknown_threshold: Option<f32>) -> ServerConfig {
             unknown_threshold,
         },
         max_inflight: 8,
-        max_global_inflight: 0,
     }
 }
 

@@ -141,7 +141,6 @@ fn train_save_reload_serve_bit_identical() {
                 unknown_threshold: None,
             },
             max_inflight: 8,
-            max_global_inflight: 0,
         },
         ServerHooks::default(),
     )
@@ -414,7 +413,6 @@ fn serve_tapped(system: &Arc<ScoringSystem>, workers: usize) -> (Server, Arc<Rec
                 unknown_threshold: None,
             },
             max_inflight: 8,
-            max_global_inflight: 0,
         },
         ServerHooks {
             tap: Some(Arc::clone(&tap) as _),

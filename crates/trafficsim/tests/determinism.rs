@@ -46,7 +46,6 @@ fn start_mock_server() -> Server {
                 unknown_threshold: None,
             },
             max_inflight: 32,
-            max_global_inflight: 0,
         },
         ServerHooks::default(),
     )

@@ -22,7 +22,7 @@
 //! is a typed refusal, not a file-not-found surprise.
 
 use crate::dir::{fsync_dir, write_durable};
-use lre_artifact::{crc32, ArtifactError, ArtifactReader, ArtifactWriter};
+use lre_artifact::{bundle_checksum, ArtifactError, ArtifactReader, ArtifactWriter};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -195,7 +195,7 @@ impl LineageStore {
     ) -> Result<(), LineageError> {
         let entry = LineageEntry {
             generation,
-            checksum: crc32(sealed),
+            checksum: bundle_checksum(sealed),
             parent_checksum,
             selected,
             bytes_len: sealed.len() as u64,
@@ -222,7 +222,7 @@ impl LineageStore {
         }
         let bytes =
             fs::read(self.path.join(generation_name(generation))).map_err(ArtifactError::Io)?;
-        if crc32(&bytes) != entry.checksum {
+        if bundle_checksum(&bytes) != entry.checksum {
             return Err(ArtifactError::ChecksumMismatch.into());
         }
         Ok(bytes)
@@ -355,8 +355,8 @@ mod tests {
         {
             let mut store = LineageStore::open(&d).unwrap();
             store.record_root(&b0, 0).unwrap();
-            store.append(&b1, 1, crc32(&b0), 10).unwrap();
-            store.append(&b2, 2, crc32(&b1), 12).unwrap();
+            store.append(&b1, 1, bundle_checksum(&b0), 10).unwrap();
+            store.append(&b2, 2, bundle_checksum(&b1), 12).unwrap();
         }
         let store = LineageStore::open(&d).unwrap();
         assert_eq!(store.head().unwrap().generation, 2);
@@ -379,7 +379,7 @@ mod tests {
         store.record_root(&b0, 0).unwrap();
         // Gap in numbering.
         assert!(matches!(
-            store.append(&bundle(2, &[2.0]), 2, crc32(&b0), 0),
+            store.append(&bundle(2, &[2.0]), 2, bundle_checksum(&b0), 0),
             Err(LineageError::BrokenChain(_))
         ));
         // Unknown parent checksum.
@@ -389,8 +389,10 @@ mod tests {
         ));
         // Parent may be any earlier generation (post-deep-rollback shape).
         let b1 = bundle(1, &[2.0]);
-        store.append(&b1, 1, crc32(&b0), 0).unwrap();
-        store.append(&bundle(2, &[3.0]), 2, crc32(&b0), 0).unwrap();
+        store.append(&b1, 1, bundle_checksum(&b0), 0).unwrap();
+        store
+            .append(&bundle(2, &[3.0]), 2, bundle_checksum(&b0), 0)
+            .unwrap();
         fs::remove_dir_all(&d).ok();
     }
 
@@ -402,7 +404,7 @@ mod tests {
         store.record_root(&bundles[0], 0).unwrap();
         for g in 1..6u64 {
             let b = bundle(g, &[g as f32]);
-            let parent = crc32(&bundles[g as usize - 1]);
+            let parent = bundle_checksum(&bundles[g as usize - 1]);
             store.append(&b, g, parent, g as u32).unwrap();
             bundles.push(b);
         }

@@ -3,7 +3,7 @@
 //! contiguous and acyclic, and every retained generation reloads
 //! byte-identically — with its decoded scores pinned by `f32::to_bits`.
 
-use lre_artifact::{crc32, seal, ArtifactReader, ArtifactWriter};
+use lre_artifact::{bundle_checksum, seal, ArtifactReader, ArtifactWriter};
 use lre_wal::{generation_name, LineageError, LineageStore};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,7 +88,7 @@ proptest! {
                 Op::Promote(scores) => {
                     let next = store.head().unwrap().generation + 1;
                     let sealed = bundle(next, scores);
-                    let parent_ck = crc32(&truth[serving as usize].0);
+                    let parent_ck = bundle_checksum(&truth[serving as usize].0);
                     store.append(&sealed, next, parent_ck, scores.len() as u32).unwrap();
                     truth.push((sealed, scores.clone()));
                     serving = next;
