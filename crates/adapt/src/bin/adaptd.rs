@@ -26,9 +26,11 @@
 //! every served generation's pristine sealed bytes land in the lineage
 //! chain under `DIR/lineage` *before* the hot swap. On restart against
 //! the same `DIR` the daemon replays the vote window, resumes serving
-//! from the chain head (ignoring `--bundle` except to root a fresh
-//! chain), publishes the WAL and the chain on its `wal.*` and `lineage.*`
-//! series (`lre-client --wal-status`), and answers `--rollback-to GEN`.
+//! from the chain head (`--bundle` must still decode, but only roots a
+//! fresh chain), publishes the WAL and the chain on its `wal.*` and
+//! `lineage.*` series (`lre-client --wal-status`), and answers
+//! `--rollback-to GEN`. Every adaptation cycle lands in its `adapt.*`
+//! series.
 //! `--keep-generations N` prunes all but the newest N generations' bytes
 //! after each promote (0 = keep everything).
 
@@ -67,24 +69,8 @@ fn main() {
     let Some(guard_path) = guard_args.guard else {
         args.fail("--guard is required")
     };
-    let mut bytes = or_die(
-        std::fs::read(&bundle_path),
-        format!("reading {}", bundle_path.display()),
-    );
-    // The adapting server decodes eagerly: the controller re-decodes the
-    // sealed bytes each cycle anyway, and every section must be coherent
-    // before generation 0 serves a single request.
-    let mut bundle = or_die(
-        SystemBundle::from_artifact_bytes(&bytes),
-        format!("loading {}", bundle_path.display()),
-    );
-    eprintln!(
-        "[adaptd] bundle: scale={}, seed={}, {} subsystems, lineage generation {}",
-        bundle.scale_name,
-        bundle.seed,
-        bundle.subsystems.len(),
-        bundle.lineage.generation
-    );
+    // The guard first: its file buffer is freed before the bundle file is
+    // read, so no sealed image is ever held beside its own decoded copy.
     let guard = or_die(
         GuardSet::load_artifact(&guard_path),
         format!("loading {}", guard_path.display()),
@@ -103,20 +89,41 @@ fn main() {
     let obs = ServeObs::new(DEFAULT_FLIGHT_CAPACITY);
     install_panic_dump(&obs.flight);
 
+    // The one decode of the served bundle: the scorer is built from its
+    // decoded half and the controller keeps its sealed half as the next
+    // round's parent. --bundle must decode even when a lineage head
+    // supersedes it.
+    let (mut bundle, mut sealed) = or_die(
+        SystemBundle::load_sealed(&bundle_path),
+        format!("loading {}", bundle_path.display()),
+    );
+    eprintln!(
+        "[adaptd] bundle: scale={}, seed={}, {} subsystems, lineage generation {}",
+        bundle.scale_name,
+        bundle.seed,
+        bundle.subsystems.len(),
+        bundle.lineage.generation
+    );
+
     // Durable state recovery, before anything serves: if the lineage
     // chain already has a head, its pristine bytes are the serving
-    // bundle — --bundle only roots a fresh chain. The vote WAL replays
-    // the buffered adaptation window the previous process never drained.
+    // bundle — --bundle only roots a fresh chain, and both its halves are
+    // dropped before the head's bytes are read. The vote WAL replays the
+    // buffered adaptation window the previous process never drained.
     let chain = server.wal_dir.as_ref().map(|dir| {
-        let store = or_die(
+        or_die(
             LineageStore::open(&dir.join("lineage")),
             format!("opening lineage store under {}", dir.display()),
-        );
+        )
+    });
+    if let Some(store) = &chain {
         if let Some(head) = store.head().copied() {
+            drop(bundle);
+            drop(sealed);
             let at_head = format!("lineage head {}", head.generation);
-            bytes = or_die(store.load(head.generation), format!("loading {at_head}"));
-            bundle = or_die(
-                SystemBundle::from_artifact_bytes(&bytes),
+            let bytes = or_die(store.load(head.generation), format!("loading {at_head}"));
+            (bundle, sealed) = or_die(
+                SystemBundle::decode_sealed(bytes),
                 format!("decoding {at_head}"),
             );
             eprintln!(
@@ -126,14 +133,13 @@ fn main() {
                 store.retained()
             );
         }
-        store
-    });
+    }
     let votes = server.wal_dir.as_ref().map(|dir| dir.join("votes"));
     let log = server.vote_log(votes.as_deref(), DrainPath::InProcess, &obs, "adaptd");
     let log = Arc::new(log);
 
     let system = Arc::new(or_die(ScoringSystem::from_bundle(bundle), "invalid bundle"));
-    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(&bytes)));
+    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(sealed.bytes())));
     // The controller adapts a fleet of one: the replica over the handle
     // and vote log this process serves from. It records its installs into
     // the same flight recorder as the controller's decisions.
@@ -144,9 +150,10 @@ fn main() {
     );
     let controller = AdaptController::new(
         vec![Arc::new(replica)],
-        chain.map(|store| (store, keep_generations, &*obs.registry)),
+        chain.map(|store| (store, keep_generations)),
+        &obs.registry,
         guard,
-        bytes,
+        sealed,
         guard_args.adapt,
         Arc::clone(&obs.flight),
     );

@@ -40,5 +40,5 @@ pub use lre_serve::votelog;
 pub use lre_serve::{DrainPath, VoteLog, VoteLogSnapshot, VoteRecord};
 pub use worker::{
     boost_round, rollback_backends, two_phase_promote, AdaptConfig, AdaptController,
-    CandidateBundle, GuardArgs, RoundOutcome,
+    CandidateBundle, GuardArgs, GuardVerdict, RoundOutcome,
 };

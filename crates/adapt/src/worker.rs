@@ -33,10 +33,11 @@
 
 use lre_artifact::{bundle_checksum, ArtifactError, ArtifactRead, ArtifactWrite};
 use lre_corpus::Duration;
-use lre_dba::{build_tr_dba, dba_round_selection, DbaVariant, GuardSet};
+use lre_dba::{build_tr_dba, dba_round_selection, vote_matrix, DbaVariant, GuardReport, GuardSet};
 use lre_eval::ScoreMatrix;
 use lre_obs::{
-    FlightRecorder, Registry, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
+    Counter, FlightRecorder, Histogram, Registry, Sketch, EV_GUARD_ACCEPT, EV_GUARD_REJECT,
+    EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
 };
 use lre_serve::args::Args;
 use lre_serve::protocol::{
@@ -44,7 +45,7 @@ use lre_serve::protocol::{
     STATUS_UNSUPPORTED,
 };
 use lre_serve::{
-    AdaptControl, AdaptReport, FleetControl, SystemBundle, VoteRecord, ADAPT_FAILED,
+    AdaptControl, AdaptReport, FleetControl, SealedBundle, SystemBundle, VoteRecord, ADAPT_FAILED,
     ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 use lre_svm::OneVsRest;
@@ -52,6 +53,7 @@ use lre_wal::{LineageError, LineageStore};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Adaptation-cycle tuning.
 #[derive(Clone, Copy, Debug)]
@@ -106,6 +108,26 @@ impl GuardArgs {
     }
 }
 
+/// The guard's two readings of one round: parent and candidate VSMs on the
+/// held-back set.
+#[derive(Clone, Copy, Debug)]
+pub struct GuardVerdict {
+    pub parent: GuardReport,
+    pub candidate: GuardReport,
+}
+
+impl GuardVerdict {
+    /// Guard EER delta, candidate minus parent (negative = improvement).
+    pub fn eer_delta(&self) -> f64 {
+        self.candidate.eer - self.parent.eer
+    }
+
+    /// Guard min-Cavg delta, candidate minus parent.
+    pub fn cavg_delta(&self) -> f64 {
+        self.candidate.min_cavg - self.parent.min_cavg
+    }
+}
+
 /// A guard-approved candidate from one boosting round: the sealed bundle
 /// ready to stage, plus the round's selection stats.
 pub struct CandidateBundle {
@@ -121,10 +143,7 @@ pub struct CandidateBundle {
     pub selected: u32,
     /// Records consumed by the round.
     pub drained: u32,
-    /// Guard EER delta, candidate minus parent (negative = improvement).
-    pub eer_delta: f64,
-    /// Guard min-Cavg delta, candidate minus parent.
-    pub cavg_delta: f64,
+    pub guard: GuardVerdict,
 }
 
 /// How one boosting round over an already-drained record set ended.
@@ -133,64 +152,14 @@ pub enum RoundOutcome {
     /// trained.
     Insufficient { drained: u32 },
     /// The candidate regressed the guard metrics past the configured
-    /// slack. Deltas are candidate minus parent on the guard set.
+    /// slack.
     RejectedGuard {
         selected: u32,
         drained: u32,
-        eer_delta: f64,
-        cavg_delta: f64,
+        guard: GuardVerdict,
     },
     /// The candidate cleared the guard and is ready to install.
     Candidate(CandidateBundle),
-}
-
-impl RoundOutcome {
-    /// What the controller does with a round's verdict: the candidate to
-    /// promote, or the report that ends the cycle (`generation` is what
-    /// the replicas serve). The guard's verdict — selected, drained, EER
-    /// and min-Cavg deltas — goes to `flight`.
-    pub fn judged(
-        self,
-        generation: u64,
-        flight: &FlightRecorder,
-    ) -> Result<CandidateBundle, AdaptReport> {
-        let verdict = |kind, selected: u32, drained: u32, eer_delta, cavg_delta| {
-            let (selected, drained) = (u64::from(selected), u64::from(drained));
-            flight.record(kind, "guard", selected, drained, eer_delta, cavg_delta);
-        };
-        match self {
-            RoundOutcome::Insufficient { drained } => Err(AdaptReport {
-                outcome: ADAPT_INSUFFICIENT_DATA,
-                generation,
-                selected: 0,
-                drained,
-            }),
-            RoundOutcome::RejectedGuard {
-                selected,
-                drained,
-                eer_delta,
-                cavg_delta,
-            } => {
-                verdict(EV_GUARD_REJECT, selected, drained, eer_delta, cavg_delta);
-                Err(AdaptReport {
-                    outcome: ADAPT_REJECTED_GUARD,
-                    generation,
-                    selected,
-                    drained,
-                })
-            }
-            RoundOutcome::Candidate(c) => {
-                verdict(
-                    EV_GUARD_ACCEPT,
-                    c.selected,
-                    c.drained,
-                    c.eer_delta,
-                    c.cavg_delta,
-                );
-                Ok(c)
-            }
-        }
-    }
 }
 
 /// One DBA boosting round as a pure function: records in, sealed
@@ -210,14 +179,24 @@ pub fn boost_round(
     guard: &GuardSet,
     cfg: &AdaptConfig,
 ) -> Result<RoundOutcome, ArtifactError> {
-    let drained = records.len() as u32;
+    let pool = DurationPool::build(records, guard.num_subsystems())?;
+    boost_pool(parent_bytes, pool, guard, cfg)
+}
+
+/// [`boost_round`] over records already regrouped into a pool.
+fn boost_pool(
+    parent_bytes: &[u8],
+    pool: DurationPool,
+    guard: &GuardSet,
+    cfg: &AdaptConfig,
+) -> Result<RoundOutcome, ArtifactError> {
+    let drained = pool.len as u32;
     let mut bundle = SystemBundle::from_artifact_bytes(parent_bytes)?;
     if bundle.subsystems.len() != guard.num_subsystems() {
         return Err(ArtifactError::Corrupt("guard/bundle subsystem counts"));
     }
 
     let num_subsystems = bundle.subsystems.len();
-    let pool = DurationPool::build(records, num_subsystems)?;
     let sel = dba_round_selection(&pool.score_refs(), cfg.v_threshold);
     let selected = sel.num_selected() as u32;
     if selected == 0 {
@@ -247,18 +226,18 @@ pub fn boost_round(
 
     // The eval guard: candidate vs parent on the held-back trial set.
     let parent_vsms: Vec<OneVsRest> = bundle.subsystems.iter().map(|s| s.vsm.clone()).collect();
-    let parent_report = guard.evaluate(&parent_vsms, &bundle.fusions);
-    let cand_report = guard.evaluate(&cand_vsms, &bundle.fusions);
-    let eer_delta = cand_report.eer - parent_report.eer;
-    let cavg_delta = cand_report.min_cavg - parent_report.min_cavg;
-    let regressed = cand_report.eer > parent_report.eer + cfg.max_eer_regress
-        || cand_report.min_cavg > parent_report.min_cavg + cfg.max_cavg_regress;
+    let verdict = GuardVerdict {
+        parent: guard.evaluate(&parent_vsms, &bundle.fusions),
+        candidate: guard.evaluate(&cand_vsms, &bundle.fusions),
+    };
+    let (parent, cand) = (verdict.parent, verdict.candidate);
+    let regressed = cand.eer > parent.eer + cfg.max_eer_regress
+        || cand.min_cavg > parent.min_cavg + cfg.max_cavg_regress;
     if regressed {
         return Ok(RoundOutcome::RejectedGuard {
             selected,
             drained,
-            eer_delta,
-            cavg_delta,
+            guard: verdict,
         });
     }
 
@@ -281,8 +260,7 @@ pub fn boost_round(
         lineage_generation,
         selected,
         drained,
-        eer_delta,
-        cavg_delta,
+        guard: verdict,
     }))
 }
 
@@ -331,6 +309,63 @@ fn lineage_err(e: LineageError) -> ArtifactError {
     }
 }
 
+/// The series the controller registers: one per decision it makes, so a
+/// cycle's verdict can be read from the stats-v3 dump.
+struct CycleObs {
+    /// Wall time of each [`AdaptController::run_cycle`], in ms.
+    cycle_ms: Arc<Histogram>,
+    /// Cycles per outcome, indexed by the `ADAPT_*` code.
+    cycles: [Arc<Counter>; 4],
+    drained: Arc<Counter>,
+    selected: Arc<Counter>,
+    /// Guard EER and min-Cavg of the parent and of the candidate, one
+    /// sample per guarded round.
+    parent_eer: Arc<Sketch>,
+    candidate_eer: Arc<Sketch>,
+    parent_min_cavg: Arc<Sketch>,
+    candidate_min_cavg: Arc<Sketch>,
+    /// Eq. 12's `c_jk` at each drained utterance's winning language: Table
+    /// 1's selection frontier, live.
+    winning_votes: Arc<Histogram>,
+}
+
+impl CycleObs {
+    fn new(registry: &Registry, v_threshold: u8) -> CycleObs {
+        registry
+            .gauge("adapt.v_threshold")
+            .set(u64::from(v_threshold));
+        let outcome = |name: &str| registry.counter(&format!("adapt.cycles.{name}"));
+        CycleObs {
+            cycle_ms: registry.histogram("adapt.cycle_ms"),
+            // In `ADAPT_*` code order.
+            cycles: ["promoted", "rejected_guard", "insufficient", "failed"].map(outcome),
+            drained: registry.counter("adapt.drained"),
+            selected: registry.counter("adapt.selected"),
+            parent_eer: registry.sketch("adapt.guard.parent_eer"),
+            candidate_eer: registry.sketch("adapt.guard.candidate_eer"),
+            parent_min_cavg: registry.sketch("adapt.guard.parent_min_cavg"),
+            candidate_min_cavg: registry.sketch("adapt.guard.candidate_min_cavg"),
+            winning_votes: registry.histogram("adapt.c_jk"),
+        }
+    }
+
+    fn guard(&self, verdict: &GuardVerdict) {
+        self.parent_eer.record(verdict.parent.eer);
+        self.candidate_eer.record(verdict.candidate.eer);
+        self.parent_min_cavg.record(verdict.parent.min_cavg);
+        self.candidate_min_cavg.record(verdict.candidate.min_cavg);
+    }
+
+    fn report(&self, report: &AdaptReport, started: Instant) {
+        self.cycle_ms.record(started.elapsed().as_millis() as u64);
+        if let Some(c) = self.cycles.get(usize::from(report.outcome)) {
+            c.incr();
+        }
+        self.drained.add(u64::from(report.drained));
+        self.selected.add(u64::from(report.selected));
+    }
+}
+
 /// The adaptation coordinator: runs the cycle over a set of replicas and
 /// keeps the parent bundle the next round trains from.
 pub struct AdaptController {
@@ -345,46 +380,50 @@ pub struct AdaptController {
     /// and lineage GC become structured events here; each replica records
     /// its own installs.
     flight: Arc<FlightRecorder>,
+    obs: CycleObs,
 }
 
 impl AdaptController {
     /// Wire a coordinator to the replicas it adapts (an unhealthy one sits
-    /// a cycle out), the held-back guard set, and the sealed bytes of the
-    /// bundle every replica serves (validated by decode; a guard whose
-    /// subsystem count disagrees with it is refused here).
+    /// a cycle out), the held-back guard set, and the bundle every replica
+    /// serves, sealed as [`SystemBundle::decode_sealed`] proved it (a guard
+    /// whose subsystem count disagrees with it is refused here). The
+    /// controller keeps those bytes as the next round's parent and decodes
+    /// nothing itself.
     ///
-    /// With `lineage` — the chain, how many generations to retain, and the
-    /// registry its `lineage.head` / `.entries` / `.retained` / `.bytes`
-    /// gauges are read into — the controller is durable: every promoted
-    /// generation is sealed into the chain *before* any replica stages it,
-    /// so [`AdaptControl::rollback_to`] can restore any retained
-    /// generation bit-identically. An empty chain is rooted with
-    /// `bundle_bytes`; otherwise the serving bundle must be the chain head
-    /// (start from [`LineageStore::head`]'s bytes after a restart). After
-    /// each promote the oldest generations beyond the newest
-    /// `keep_generations` are pruned (0 = keep everything).
+    /// With `lineage` — the chain and how many generations to retain — the
+    /// controller is durable: every promoted generation is sealed into the
+    /// chain *before* any replica stages it, so
+    /// [`AdaptControl::rollback_to`] can restore any retained generation
+    /// bit-identically, and the chain is read into the `lineage.head` /
+    /// `.entries` / `.retained` / `.bytes` gauges of `registry`. An empty
+    /// chain is rooted with `bundle`; otherwise the serving bundle must be
+    /// the chain head (start from [`LineageStore::head`]'s bytes after a
+    /// restart). After each promote the oldest generations beyond the
+    /// newest `keep_generations` are pruned (0 = keep everything).
     ///
-    /// Guard verdicts, promotions, rollbacks and lineage GC are recorded
-    /// into `flight`.
+    /// Every cycle's outcome, counts, time, guard readings and winning
+    /// vote counts are recorded into `adapt.*` series of `registry`; guard
+    /// verdicts, promotions, rollbacks and lineage GC into `flight`.
     pub fn new(
         replicas: Vec<Arc<dyn FleetControl>>,
-        lineage: Option<(LineageStore, usize, &Registry)>,
+        lineage: Option<(LineageStore, usize)>,
+        registry: &Registry,
         guard: GuardSet,
-        bundle_bytes: Vec<u8>,
+        bundle: SealedBundle,
         cfg: AdaptConfig,
         flight: Arc<FlightRecorder>,
     ) -> Result<AdaptController, ArtifactError> {
-        let bundle = SystemBundle::from_artifact_bytes(&bundle_bytes)?;
-        if bundle.subsystems.len() != guard.num_subsystems() {
+        if bundle.subsystems() != guard.num_subsystems() {
             return Err(ArtifactError::Corrupt("guard/bundle subsystem counts"));
         }
         let lineage = lineage
-            .map(|(mut store, keep_generations, registry)| {
+            .map(|(mut store, keep_generations)| {
                 match store.head() {
                     None => store
-                        .record_root(&bundle_bytes, bundle.lineage.generation)
+                        .record_root(bundle.bytes(), bundle.generation())
                         .map_err(lineage_err)?,
-                    Some(head) if head.checksum != bundle_checksum(&bundle_bytes) => {
+                    Some(head) if head.checksum != bundle_checksum(bundle.bytes()) => {
                         return Err(ArtifactError::Corrupt(
                             "serving bundle is not the lineage chain head",
                         ));
@@ -413,10 +452,11 @@ impl AdaptController {
             guard,
             cfg,
             state: Mutex::new(CtlState {
-                current: Arc::new(bundle_bytes),
+                current: Arc::new(bundle.into_bytes()),
                 previous: None,
             }),
             flight,
+            obs: CycleObs::new(registry, cfg.v_threshold),
         })
     }
 
@@ -484,6 +524,13 @@ impl AdaptController {
     /// replicas serve when the cycle ends; `drained` counts the records
     /// handed to the round after digest dedup (0 below the floor).
     pub fn run_cycle(&self) -> AdaptReport {
+        let started = Instant::now();
+        let report = self.cycle();
+        self.obs.report(&report, started);
+        report
+    }
+
+    fn cycle(&self) -> AdaptReport {
         let state = &mut *self.state.lock().expect("adapt state poisoned");
         let fleet = self.healthy();
         let floor = || fleet.iter().map(|r| r.generation()).min().unwrap_or(0);
@@ -523,8 +570,13 @@ impl AdaptController {
             return ended(ADAPT_INSUFFICIENT_DATA, 0);
         }
 
-        let round = boost_round(&state.current, records, &self.guard, &self.cfg);
-        let mut candidate = match round.map(|round| round.judged(floor(), &self.flight)) {
+        let round = DurationPool::build(records, self.guard.num_subsystems()).and_then(|pool| {
+            for votes in pool.winning_votes() {
+                self.obs.winning_votes.record(u64::from(votes));
+            }
+            boost_pool(&state.current, pool, &self.guard, &self.cfg)
+        });
+        let mut candidate = match round.map(|round| self.judge(round, floor())) {
             Ok(Ok(candidate)) => candidate,
             Ok(Err(report)) => return report,
             Err(_) => return ended(ADAPT_FAILED, drained),
@@ -539,14 +591,54 @@ impl AdaptController {
             "adapt promote",
             generation,
             u64::from(candidate.checksum),
-            candidate.eer_delta,
-            candidate.cavg_delta,
+            candidate.guard.eer_delta(),
+            candidate.guard.cavg_delta(),
         );
         AdaptReport {
             outcome: ADAPT_PROMOTED,
             generation,
             selected: candidate.selected,
             drained,
+        }
+    }
+
+    /// What the controller does with a round's verdict: the candidate to
+    /// promote, or the report that ends the cycle (`generation` is what
+    /// the replicas serve). The guard's verdict — selected, drained, EER
+    /// and min-Cavg deltas — goes to the flight recorder, its two readings
+    /// to the `adapt.guard.*` sketches.
+    fn judge(&self, round: RoundOutcome, generation: u64) -> Result<CandidateBundle, AdaptReport> {
+        let verdict = |kind, selected: u32, drained: u32, guard: &GuardVerdict| {
+            let (selected, drained) = (u64::from(selected), u64::from(drained));
+            let (eer, cavg) = (guard.eer_delta(), guard.cavg_delta());
+            self.flight
+                .record(kind, "guard", selected, drained, eer, cavg);
+            self.obs.guard(guard);
+        };
+        match round {
+            RoundOutcome::Insufficient { drained } => Err(AdaptReport {
+                outcome: ADAPT_INSUFFICIENT_DATA,
+                generation,
+                selected: 0,
+                drained,
+            }),
+            RoundOutcome::RejectedGuard {
+                selected,
+                drained,
+                guard,
+            } => {
+                verdict(EV_GUARD_REJECT, selected, drained, &guard);
+                Err(AdaptReport {
+                    outcome: ADAPT_REJECTED_GUARD,
+                    generation,
+                    selected,
+                    drained,
+                })
+            }
+            RoundOutcome::Candidate(c) => {
+                verdict(EV_GUARD_ACCEPT, c.selected, c.drained, &c.guard);
+                Ok(c)
+            }
         }
     }
 
@@ -683,6 +775,8 @@ pub fn rollback_backends(fleet: &[Arc<dyn FleetControl>]) -> RollbackAck {
 /// A record the vote log trimmed contributes its score rows and empty
 /// supervectors, which no selection reads.
 struct DurationPool {
+    /// Records regrouped.
+    len: usize,
     /// `[duration][subsystem]`: one OvR row per record, arrival order.
     scores: Vec<Vec<ScoreMatrix>>,
     /// `[subsystem][duration][utt]`, aligned with `scores` row order —
@@ -713,6 +807,7 @@ impl DurationPool {
         let mut svs: Vec<Vec<Vec<lre_vsm::SparseVec>>> = (0..num_subsystems)
             .map(|_| (0..num_durations).map(|_| Vec::new()).collect())
             .collect();
+        let len = records.len();
         for rec in records {
             if rec.subsystem_scores.len() != num_subsystems
                 || rec.supervectors.len() != num_subsystems
@@ -736,7 +831,18 @@ impl DurationPool {
                 svs[q][di].push(sv);
             }
         }
-        Ok(DurationPool { scores, svs })
+        Ok(DurationPool { len, scores, svs })
+    }
+
+    /// Each record's winning vote count `c_jk` (Eq. 12), duration-major.
+    fn winning_votes(&self) -> Vec<u8> {
+        self.score_refs()
+            .iter()
+            .flat_map(|refs| {
+                let votes = vote_matrix(refs);
+                (0..votes.num_utts()).map(move |j| votes.winner(j).1)
+            })
+            .collect()
     }
 
     fn score_refs(&self) -> Vec<Vec<&ScoreMatrix>> {

@@ -11,7 +11,9 @@
 //! deep rollbacks, holding every wal-status field to the WAL's status and
 //! the chain on disk; the fourth runs one coordinator over two replicas;
 //! the fifth holds a cycle inside the controller and requires ping and the
-//! metrics dump to answer meanwhile.
+//! metrics dump to answer meanwhile; the sixth holds the constructor's
+//! refusals. The promote and the guard-reject cases also hold the
+//! controller's `adapt.*` series to what the cycle reported.
 //!
 //! Like `lre-serve`'s `serve_roundtrip`, these build the full smoke-scale
 //! experiment (minutes in release), shared through a `OnceLock`, so they
@@ -22,8 +24,9 @@
 //! ```
 
 use lre_adapt::{boost_round, AdaptConfig, AdaptController, DrainPath, RoundOutcome, VoteLog};
-use lre_artifact::{bundle_checksum, ArtifactRead, ArtifactWrite};
+use lre_artifact::{bundle_checksum, ArtifactError, ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
+use lre_dba::dba::baseline_votes;
 use lre_dba::{run_dba, DbaVariant, Experiment, ExperimentConfig, GuardSet};
 use lre_eval::ScoreMatrix;
 use lre_lattice::DecodeScratch;
@@ -35,9 +38,10 @@ use lre_serve::protocol::{
     AbortAck, CommitAck, RollbackAck, StageAck, STATUS_CONFLICT, STATUS_INTERNAL,
 };
 use lre_serve::{
-    vote_wal_options, Client, EngineConfig, FleetControl, FleetReplica, ScoreDetail, ScoreTap,
-    Scorer, ScorerHandle, ScoringSystem, Server, ServerConfig, ServerHooks, SystemBundle,
-    VoteRecord, WalStatusInfo, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    vote_wal_options, AdaptReport, Client, EngineConfig, FleetControl, FleetReplica, ScoreDetail,
+    ScoreTap, Scorer, ScorerHandle, ScoringSystem, SealedBundle, Server, ServerConfig, ServerHooks,
+    SystemBundle, VoteRecord, WalStatusInfo, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED,
+    ADAPT_REJECTED_GUARD,
 };
 use lre_wal::LineageStore;
 use std::net::TcpListener;
@@ -63,6 +67,9 @@ struct Fixture {
     /// — what serving must produce once the online cycle promotes.
     expected_adapted: Vec<ScoreMatrix>,
     offline_selected: usize,
+    /// `[duration][utt]`: the baseline vote matrix's `c_jk` at each test
+    /// utterance's winning language (Table 1's vote counts).
+    winning_votes: Vec<Vec<u8>>,
 }
 
 static FIXTURE: OnceLock<Fixture> = OnceLock::new();
@@ -99,6 +106,13 @@ fn fixture() -> &'static Fixture {
             })
             .collect();
         let adapted = out.test_scores;
+        let winning_votes = Duration::all()
+            .iter()
+            .map(|&d| {
+                let votes = baseline_votes(&exp, d);
+                (0..votes.num_utts()).map(|j| votes.winner(j).1).collect()
+            })
+            .collect();
 
         let bytes = SystemBundle::from_experiment(exp).to_artifact_bytes();
         // Fuse both references through the *bundle's* backends — the exact
@@ -121,6 +135,7 @@ fn fixture() -> &'static Fixture {
             bytes,
             guard_bytes,
             offline_selected,
+            winning_votes,
         }
     })
 }
@@ -151,18 +166,27 @@ fn guard(fx: &Fixture) -> GuardSet {
     GuardSet::from_artifact_bytes(&fx.guard_bytes).expect("guard reloads")
 }
 
-/// A served bundle with its vote log tapped, and the `FleetReplica` over
-/// the two: what an adaptation controller drives, in process.
+/// `bytes` as the one decode a controller's parent comes from.
+fn sealed(bytes: &[u8]) -> SealedBundle {
+    SystemBundle::decode_sealed(bytes.to_vec())
+        .expect("bundle reloads")
+        .1
+}
+
+/// A served bundle with its vote log tapped, the `FleetReplica` over the
+/// two — what an adaptation controller drives, in process — and the sealed
+/// half of the one decode, as `lre-adaptd` hands it to its controller.
 struct Replica {
     handle: Arc<ScorerHandle>,
     replica: Arc<FleetReplica>,
     hooks: ServerHooks,
+    sealed: SealedBundle,
 }
 
-fn replica(bytes: &[u8], log: Arc<VoteLog>, hooks: ServerHooks) -> Replica {
-    let bundle = SystemBundle::from_artifact_bytes(bytes).expect("bundle reloads");
+fn replica(bytes: Vec<u8>, log: Arc<VoteLog>, hooks: ServerHooks) -> Replica {
+    let (bundle, sealed) = SystemBundle::decode_sealed(bytes).expect("bundle reloads");
     let system = Arc::new(ScoringSystem::from_bundle(bundle).expect("bundle is coherent"));
-    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(bytes)));
+    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(sealed.bytes())));
     let replica = FleetReplica::new(
         Arc::clone(&handle),
         Arc::clone(&log),
@@ -175,6 +199,7 @@ fn replica(bytes: &[u8], log: Arc<VoteLog>, hooks: ServerHooks) -> Replica {
             tap: Some(log as _),
             ..hooks
         },
+        sealed,
     }
 }
 
@@ -203,14 +228,15 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
         DrainPath::InProcess,
         &hooks.obs.registry,
     ));
-    let r = replica(&fx.bytes, log, hooks);
+    let r = replica(fx.bytes.clone(), log, hooks);
     let flight = Arc::clone(&r.hooks.obs.flight);
     let controller = Arc::new(
         AdaptController::new(
             vec![r.replica],
             None,
+            &r.hooks.obs.registry,
             guard(fx),
-            fx.bytes.clone(),
+            r.sealed,
             cfg,
             Arc::clone(&flight),
         )
@@ -268,13 +294,14 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
     )
     .expect("vote WAL opens");
     let durable = Arc::new(durable);
-    let r = replica(&bytes, Arc::clone(&durable), hooks);
+    let r = replica(bytes, Arc::clone(&durable), hooks);
     let controller = Arc::new(
         AdaptController::new(
             vec![r.replica],
-            Some((lineage, keep, &*registry)),
+            Some((lineage, keep)),
+            &registry,
             guard(fx),
-            bytes,
+            r.sealed,
             cfg,
             Arc::clone(&flight),
         )
@@ -325,6 +352,96 @@ fn wal_status(client: &mut Client, durable: &VoteLog, dir: &Path) -> WalStatusIn
     };
     assert_eq!(view, want);
     view
+}
+
+/// The controller's `adapt.*` series in `client`'s stats-v3 dump, held to
+/// the reports of every cycle run so far, to the guard flight events in
+/// `flight`, and to the offline `c_jk` of the drained utterances.
+fn assert_adapt_series(
+    client: &mut Client,
+    reports: &[AdaptReport],
+    flight: &FlightRecorder,
+    winning_votes: &[u8],
+) {
+    let dump = client
+        .metrics()
+        .expect("stats-v3 round trip")
+        .expect("answered");
+    let value = |name: &str| {
+        let found = dump.iter().find(|(n, _)| n == name);
+        found
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("{name} missing from the dump"))
+    };
+    let histogram = |name: &str| match value(name) {
+        MetricValue::Histogram(h) => h,
+        other => panic!("{name} is {other:?}, not a histogram"),
+    };
+    let sketch = |name: &str| match value(name) {
+        MetricValue::Sketch(s) => s,
+        other => panic!("{name} is {other:?}, not a sketch"),
+    };
+
+    let outcomes = [
+        ("promoted", ADAPT_PROMOTED),
+        ("rejected_guard", ADAPT_REJECTED_GUARD),
+        ("insufficient", ADAPT_INSUFFICIENT_DATA),
+        ("failed", ADAPT_FAILED),
+    ];
+    for (name, code) in outcomes {
+        let cycles = reports.iter().filter(|r| r.outcome == code).count() as u64;
+        let series = format!("adapt.cycles.{name}");
+        assert_eq!(value(&series), MetricValue::Counter(cycles), "{series}");
+    }
+    let total = |count: fn(&AdaptReport) -> u32| reports.iter().map(|r| u64::from(count(r))).sum();
+    assert_eq!(
+        value("adapt.drained"),
+        MetricValue::Counter(total(|r| r.drained))
+    );
+    assert_eq!(
+        value("adapt.selected"),
+        MetricValue::Counter(total(|r| r.selected))
+    );
+    assert_eq!(value("adapt.v_threshold"), MetricValue::Gauge(u64::from(V)));
+    assert_eq!(histogram("adapt.cycle_ms").count, reports.len() as u64);
+
+    // Table 1, live: one sample per drained utterance, the served votes'
+    // counts equal to the offline baseline vote matrix's.
+    let votes = histogram("adapt.c_jk");
+    let want = winning_votes.iter().map(|&c| u64::from(c));
+    assert_eq!(votes.count, winning_votes.len() as u64, "adapt.c_jk count");
+    assert_eq!(votes.sum, want.clone().sum::<u64>(), "adapt.c_jk sum");
+    assert_eq!(votes.max, want.max().unwrap_or(0), "adapt.c_jk max");
+
+    // One reading of each model per guarded round; with one round, the
+    // readings' differences are the deltas its flight event carries.
+    let guarded: Vec<_> = flight
+        .peek()
+        .into_iter()
+        .filter(|e| e.kind == EV_GUARD_ACCEPT || e.kind == EV_GUARD_REJECT)
+        .collect();
+    let [parent_eer, candidate_eer, parent_cavg, candidate_cavg] = [
+        "adapt.guard.parent_eer",
+        "adapt.guard.candidate_eer",
+        "adapt.guard.parent_min_cavg",
+        "adapt.guard.candidate_min_cavg",
+    ]
+    .map(sketch);
+    for s in [parent_eer, candidate_eer, parent_cavg, candidate_cavg] {
+        assert_eq!(
+            s.count,
+            guarded.len() as u64,
+            "one reading per guarded round"
+        );
+    }
+    if let ([event], [report]) = (guarded.as_slice(), reports) {
+        let eer_delta = candidate_eer.mean - parent_eer.mean;
+        let cavg_delta = candidate_cavg.mean - parent_cavg.mean;
+        assert_eq!(eer_delta.to_bits(), event.x.to_bits(), "EER delta");
+        assert_eq!(cavg_delta.to_bits(), event.y.to_bits(), "min-Cavg delta");
+        let counts = (u64::from(report.selected), u64::from(report.drained));
+        assert_eq!((event.a, event.b), counts, "guard event counts");
+    }
 }
 
 /// Score `waves[di][..take(di)]` duration-major through `client`, checking
@@ -409,6 +526,8 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
         "drain tag is not answered"
     );
     let mut client = Client::connect(addr).expect("client reconnects");
+    let drained: Vec<u8> = fx.winning_votes.concat();
+    assert_adapt_series(&mut client, &[report], &h.flight, &drained);
 
     // Lineage: the promoted bundle names its parent by checksum.
     let cand_bytes = h.controller.current_bundle_bytes();
@@ -463,14 +582,16 @@ fn verdict(round: RoundOutcome) -> Verdict {
         RoundOutcome::RejectedGuard {
             selected,
             drained,
-            eer_delta,
-            cavg_delta,
+            guard,
         } => {
-            let deltas = (eer_delta.to_bits(), cavg_delta.to_bits());
+            let deltas = (guard.eer_delta().to_bits(), guard.cavg_delta().to_bits());
             ((1, selected, drained, deltas.0, deltas.1), Vec::new())
         }
         RoundOutcome::Candidate(c) => {
-            let deltas = (c.eer_delta.to_bits(), c.cavg_delta.to_bits());
+            let deltas = (
+                c.guard.eer_delta().to_bits(),
+                c.guard.cavg_delta().to_bits(),
+            );
             ((2, c.selected, c.drained, deltas.0, deltas.1), c.bytes)
         }
     }
@@ -580,6 +701,8 @@ fn guard_rejection_leaves_serving_untouched() {
         !h.controller.rollback().rolled,
         "a rejected candidate leaves nothing to roll back"
     );
+    let drained = &fx.winning_votes[di_3s][..24];
+    assert_adapt_series(&mut client, &[report], &h.flight, drained);
 
     // Serving still produces the baseline bits.
     drive(
@@ -814,7 +937,7 @@ fn start_member(fx: &Fixture) -> Member {
         DrainPath::InProcess,
         &hooks.obs.registry,
     ));
-    let r = replica(&fx.bytes, log, hooks);
+    let r = replica(fx.bytes.clone(), log, hooks);
     let flight = Arc::clone(&r.hooks.obs.flight);
     let hooks = ServerHooks {
         fleet: Some(Arc::clone(&r.replica) as _),
@@ -839,30 +962,26 @@ fn one_coordinator_over_two_replicas_matches_offline_run_dba() {
     let replicas: Vec<Arc<dyn FleetControl>> =
         fleet.iter().map(|m| Arc::clone(&m.replica) as _).collect();
     let flight = Arc::new(FlightRecorder::new(64));
-    let coordinator = |guard, max_regress| {
+    let registry = Registry::new();
+    let coordinator = |max_regress| {
         let cfg = AdaptConfig {
             v_threshold: V,
             min_utts: 8,
             max_eer_regress: max_regress,
             max_cavg_regress: max_regress,
         };
-        let bytes = fx.bytes.clone();
         AdaptController::new(
             replicas.clone(),
             None,
-            guard,
-            bytes,
+            &registry,
+            guard(fx),
+            sealed(&fx.bytes),
             cfg,
             Arc::clone(&flight),
         )
+        .expect("controller wires up")
     };
-
-    // A guard that disagrees with the bundle is refused at construction,
-    // not on the first cycle.
-    let mut short = guard(fx);
-    short.svs.pop();
-    assert!(coordinator(short, f64::INFINITY).is_err());
-    let ctl = coordinator(guard(fx), f64::INFINITY).expect("controller wires up");
+    let ctl = coordinator(f64::INFINITY);
 
     // Below the floor: no log touched, nothing drained, floor generation.
     let idle = ctl.run_cycle();
@@ -927,7 +1046,7 @@ fn one_coordinator_over_two_replicas_matches_offline_run_dba() {
     // report the floor, replica 0's generation, and install nothing.
     fleet[1].replica.stage(&fx.bytes).expect("restage");
     assert_eq!(fleet[1].replica.commit().map(|c| c.generation), Ok(3));
-    let reject = coordinator(guard(fx), -1.0).expect("controller wires up");
+    let reject = coordinator(-1.0);
     let report = reject.run_cycle();
     assert_eq!(report.outcome, ADAPT_REJECTED_GUARD);
     assert_eq!(
@@ -1015,13 +1134,14 @@ fn ping_and_the_dump_answer_while_a_cycle_holds_the_controller() {
     let parked = Arc::new(ParkedDrain::default());
     let hooks = ServerHooks::default();
     let log = Arc::new(VoteLog::new(16, DrainPath::InProcess, &hooks.obs.registry));
-    let r = replica(&fx.bytes, log, hooks);
+    let r = replica(fx.bytes.clone(), log, hooks);
     let lineage = LineageStore::open(&dir).expect("lineage opens");
     let controller = AdaptController::new(
         vec![Arc::clone(&parked) as _],
-        Some((lineage, 0, &*r.hooks.obs.registry)),
+        Some((lineage, 0)),
+        &r.hooks.obs.registry,
         guard(fx),
-        fx.bytes.clone(),
+        r.sealed,
         AdaptConfig::default(),
         Arc::clone(&r.hooks.obs.flight),
     )
@@ -1062,5 +1182,62 @@ fn ping_and_the_dump_answer_while_a_cycle_holds_the_controller() {
     );
     client.shutdown().expect("shutdown acknowledged");
     server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The constructor refuses a guard whose subsystem count disagrees with
+/// the bundle, and a durable chain whose head is not the serving bundle:
+/// both from the facts of the one decode that built the `SealedBundle`,
+/// before any cycle runs.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn constructor_refuses_a_foreign_guard_or_chain_head() {
+    let fx = fixture();
+    let dir = std::env::temp_dir().join(format!("lre_adapt_ctor_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = Registry::new();
+    let flight = Arc::new(FlightRecorder::new(8));
+    let build = |guard, lineage| {
+        let replicas = Vec::new();
+        let cfg = AdaptConfig::default();
+        let flight = Arc::clone(&flight);
+        AdaptController::new(
+            replicas,
+            lineage,
+            &registry,
+            guard,
+            sealed(&fx.bytes),
+            cfg,
+            flight,
+        )
+    };
+    let refusal = |built: Result<AdaptController, ArtifactError>| match built {
+        Err(ArtifactError::Corrupt(msg)) => msg,
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(_) => panic!("controller wired up"),
+    };
+
+    let mut short = guard(fx);
+    short.svs.pop();
+    assert_eq!(refusal(build(short, None)), "guard/bundle subsystem counts");
+
+    // A chain rooted with other bytes than the served bundle's.
+    let mut foreign = LineageStore::open(&dir.join("foreign")).expect("lineage opens");
+    foreign
+        .record_root(b"not the served bundle", 0)
+        .expect("chain roots");
+    assert_eq!(
+        refusal(build(guard(fx), Some((foreign, 0)))),
+        "serving bundle is not the lineage chain head"
+    );
+
+    // An empty chain is rooted with the served bytes, and a restart on it
+    // finds the serving bundle at its head.
+    let own = |what| LineageStore::open(&dir.join("own")).expect(what);
+    build(guard(fx), Some((own("lineage opens"), 0))).expect("an empty chain is rooted");
+    let chain = own("lineage reopens");
+    let head = chain.head().copied().expect("rooted");
+    assert_eq!(chain.load(head.generation).expect("root loads"), fx.bytes);
+    build(guard(fx), Some((chain, 0))).expect("the serving bundle is the head");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -23,7 +23,7 @@ use lre_dba::GuardSet;
 use lre_obs::install_panic_dump;
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::args::{or_die, Args};
-use lre_serve::DEFAULT_FLIGHT_CAPACITY;
+use lre_serve::{SystemBundle, DEFAULT_FLIGHT_CAPACITY};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -78,16 +78,24 @@ fn main() {
         .collect();
 
     let adapt = bundle_path.zip(guard_args.guard).map(|(bp, gp)| {
-        let parent_bytes = or_die(std::fs::read(&bp), format!("reading {}", bp.display()));
+        // The guard first, so its file buffer is freed before the bundle
+        // is read. The bundle is decoded once, to prove it; the router
+        // scores nothing, so the decoded half is dropped and the
+        // controller keeps the sealed bytes as the parent.
         let guard = or_die(
             GuardSet::load_artifact(&gp),
             format!("loading {}", gp.display()),
         );
+        let (_, parent) = or_die(
+            SystemBundle::load_sealed(&bp),
+            format!("loading {}", bp.display()),
+        );
         let controller = AdaptController::new(
             backends.iter().map(|b| Arc::clone(b) as _).collect(),
             None,
+            &obs.registry,
             guard,
-            parent_bytes,
+            parent,
             guard_args.adapt,
             Arc::clone(&obs.flight),
         );

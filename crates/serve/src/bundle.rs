@@ -46,6 +46,7 @@ use lre_eval::ScoreMatrix;
 use lre_lattice::DecoderConfig;
 use lre_svm::{OneVsRest, SvmTrainConfig};
 use lre_vsm::{SupervectorBuilder, TfllrScaler};
+use std::path::Path;
 
 /// One trained front-end plus its VSM, ready to serialize.
 pub struct SubsystemBundle {
@@ -88,6 +89,38 @@ impl Lineage {
             selected_utts: 0,
             v_threshold: 0,
         }
+    }
+}
+
+/// A bundle's sealed bytes, proven to decode, with the facts that decode
+/// read: what an adaptation controller keeps as the parent its next round
+/// trains from. Only [`SystemBundle::decode_sealed`] builds one, so a
+/// holder checks these facts without decoding the bytes again.
+pub struct SealedBundle {
+    bytes: Vec<u8>,
+    subsystems: usize,
+    generation: u64,
+}
+
+impl SealedBundle {
+    /// The sealed container, exactly as it was handed to the decode.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The sealed container, given up to its new owner.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
+
+    /// Number of subsystems the bundle scores with.
+    pub fn subsystems(&self) -> usize {
+        self.subsystems
+    }
+
+    /// The bundle's [`Lineage::generation`].
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 }
 
@@ -165,6 +198,27 @@ impl SystemBundle {
             subsystems,
             fusions,
         }
+    }
+
+    /// The one verifying decode of a bundle a process adapts: the decoded
+    /// bundle, and the sealed bytes it came from with the facts the
+    /// controller checks. A process that decodes its bundle here never
+    /// decodes it twice; the freed heap of a dropped second copy would stay
+    /// resident under glibc. Refuses exactly what
+    /// [`ArtifactRead::from_artifact_bytes`] refuses.
+    pub fn decode_sealed(bytes: Vec<u8>) -> Result<(SystemBundle, SealedBundle), ArtifactError> {
+        let bundle = SystemBundle::from_artifact_bytes(&bytes)?;
+        let sealed = SealedBundle {
+            bytes,
+            subsystems: bundle.subsystems.len(),
+            generation: bundle.lineage.generation,
+        };
+        Ok((bundle, sealed))
+    }
+
+    /// Read the file at `path` and [`SystemBundle::decode_sealed`] it.
+    pub fn load_sealed(path: &Path) -> Result<(SystemBundle, SealedBundle), ArtifactError> {
+        SystemBundle::decode_sealed(std::fs::read(path)?)
     }
 }
 

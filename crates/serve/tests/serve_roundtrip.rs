@@ -20,7 +20,7 @@
 //! ```
 
 use lre_am::{extract_features, AmFamily, FeatureKind};
-use lre_artifact::{ArtifactRead, ArtifactWrite};
+use lre_artifact::{ArtifactError, ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
 use lre_dba::{fuse_duration, standard_subsystems, Experiment, ExperimentConfig};
 use lre_eval::ScoreMatrix;
@@ -636,5 +636,87 @@ fn corrupt_bundles_fail_with_typed_errors_not_panics() {
             SystemBundle::from_artifact_bytes(&bad).is_err(),
             "bit flip at byte {byte} must fail"
         );
+    }
+}
+
+/// `SystemBundle::decode_sealed` refuses `bytes` with the very error
+/// `from_artifact_bytes` gives.
+fn refused_alike(bytes: &[u8], what: &str) {
+    let want = SystemBundle::from_artifact_bytes(bytes).err();
+    let got = SystemBundle::decode_sealed(bytes.to_vec()).err();
+    let (want, got) = (want.map(|e| e.to_string()), got.map(|e| e.to_string()));
+    assert!(want.is_some(), "{what}: the reference decode accepted it");
+    assert_eq!(got, want, "{what}");
+}
+
+#[test]
+fn sealed_decode_refuses_every_flip_and_cut_like_the_plain_decode() {
+    // The semantically invalid bundle above: every truncation and every
+    // single-byte flip of it, and the intact container itself.
+    let mut w = lre_artifact::ArtifactWriter::new();
+    w.put_u64(7);
+    w.put_str("smoke");
+    w.put_u32(2);
+    lre_svm::SvmTrainConfig::default().write_payload(&mut w);
+    w.put_bytes(&[0; 17]); // root lineage
+    w.put_u32(0); // fusions
+    w.put_u32(0); // subsystems
+    w.put_u64_slice(&[0]);
+    let sealed = lre_artifact::seal(SystemBundle::KIND, SystemBundle::VERSION, &w.into_bytes());
+    refused_alike(&sealed, "intact but empty");
+    for cut in 0..sealed.len() {
+        refused_alike(&sealed[..cut], &format!("truncation at {cut}"));
+    }
+    for byte in 0..sealed.len() {
+        for flip in [0x01, 0x80, 0xFF] {
+            let mut bad = sealed.clone();
+            bad[byte] ^= flip;
+            refused_alike(&bad, &format!("byte {byte} ^ {flip:#04x}"));
+        }
+    }
+}
+
+/// The fixture bundle decoded through `decode_sealed`, so
+/// `check_damage_detected` drives the sealed entry point.
+struct ViaSealed;
+
+impl ArtifactWrite for ViaSealed {
+    const KIND: [u8; 4] = SystemBundle::KIND;
+    const VERSION: u32 = SystemBundle::VERSION;
+
+    fn write_payload(&self, _: &mut lre_artifact::ArtifactWriter) {
+        unreachable!("only decoded")
+    }
+}
+
+impl ArtifactRead for ViaSealed {
+    fn read_payload(_: &mut lre_artifact::ArtifactReader) -> Result<Self, ArtifactError> {
+        unreachable!("from_artifact_bytes is overridden")
+    }
+
+    fn from_artifact_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        SystemBundle::decode_sealed(bytes.to_vec()).map(|_| ViaSealed)
+    }
+}
+
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn sealed_decode_keeps_the_input_bytes_and_refuses_damage() {
+    let fx = fixture();
+    let (bundle, sealed) = SystemBundle::decode_sealed(fx.bytes.clone()).expect("bundle decodes");
+    assert!(sealed.bytes() == fx.bytes, "the sealed half is the input");
+    assert_eq!(sealed.subsystems(), bundle.subsystems.len());
+    assert_eq!(sealed.subsystems(), standard_subsystems().len());
+    assert_eq!(sealed.generation(), bundle.lineage.generation);
+    assert_eq!(sealed.generation(), 0, "a trained bundle is a lineage root");
+    assert!(
+        bundle.to_artifact_bytes() == fx.bytes,
+        "the decoded half reseals to the input"
+    );
+    for probe in [0, 7, 4_099, 65_537, 1_000_003, fx.bytes.len() - 3] {
+        lre_artifact::check_damage_detected::<ViaSealed>(&fx.bytes, probe);
+        let mut bad = fx.bytes.clone();
+        bad[probe % fx.bytes.len()] ^= 0x5A;
+        refused_alike(&bad, &format!("byte {probe} ^ 0x5a"));
     }
 }
