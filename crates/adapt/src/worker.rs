@@ -168,7 +168,7 @@ pub enum RoundOutcome {
 /// `tests/online_adaptation.rs` holds to offline `run_dba`.
 ///
 /// `parent_bytes` is the sealed bundle currently serving; the candidate's
-/// lineage is stamped from its decoded lineage generation and checksum.
+/// lineage is stamped `parent + 1` and with the parent's checksum.
 /// The round consumes `records`: their supervectors move into the pool
 /// instead of being copied, so the drained records keep no second copy.
 /// Each subsystem's training set still clones the selected ones of that
@@ -180,15 +180,18 @@ pub fn boost_round(
     cfg: &AdaptConfig,
 ) -> Result<RoundOutcome, ArtifactError> {
     let pool = DurationPool::build(records, guard.num_subsystems())?;
-    boost_pool(parent_bytes, pool, guard, cfg)
+    boost_pool(parent_bytes, pool, guard, cfg, None)
 }
 
-/// [`boost_round`] over records already regrouped into a pool.
+/// [`boost_round`] over records already regrouped into a pool. The
+/// candidate is stamped lineage generation `generation`, or `parent + 1`
+/// when `None`.
 fn boost_pool(
     parent_bytes: &[u8],
     pool: DurationPool,
     guard: &GuardSet,
     cfg: &AdaptConfig,
+    generation: Option<u64>,
 ) -> Result<RoundOutcome, ArtifactError> {
     let drained = pool.len as u32;
     let mut bundle = SystemBundle::from_artifact_bytes(parent_bytes)?;
@@ -242,7 +245,7 @@ fn boost_pool(
     }
 
     // Seal the candidate with its lineage.
-    let lineage_generation = bundle.lineage.generation + 1;
+    let lineage_generation = generation.unwrap_or(bundle.lineage.generation + 1);
     for (sub, vsm) in bundle.subsystems.iter_mut().zip(cand_vsms) {
         sub.vsm = vsm;
     }
@@ -466,28 +469,25 @@ impl AdaptController {
         Arc::clone(&self.state.lock().expect("adapt state poisoned").current)
     }
 
+    /// The lineage generation the next candidate is stamped with: the
+    /// chain head's successor. Generations are contiguous serve events,
+    /// so after a deep rollback moved serving off the head the candidate
+    /// still extends the head (its parent pointer names the rolled-back
+    /// generation). `None` without a lineage: `parent + 1`.
+    fn next_generation(&self) -> Option<u64> {
+        let l = self.lineage.as_ref()?;
+        let store = l.store.lock().expect("lineage store poisoned");
+        store.head().map(|head| head.generation + 1)
+    }
+
     /// Make a promote durable before it is visible (a no-op without a
-    /// lineage). Generations are contiguous serve events: if a deep
-    /// rollback moved serving off the chain head, the candidate is
-    /// renumbered to extend the head (its parent pointer still names the
-    /// rolled-back generation). The append lands on disk before any
-    /// replica stages, so a bundle is never served that the chain cannot
-    /// restore.
-    fn seal(&self, candidate: &mut CandidateBundle, parent: &[u8]) -> Result<(), ArtifactError> {
+    /// lineage). The append lands on disk before any replica stages, so a
+    /// bundle is never served that the chain cannot restore.
+    fn seal(&self, candidate: &CandidateBundle, parent: &[u8]) -> Result<(), ArtifactError> {
         let Some(l) = &self.lineage else {
             return Ok(());
         };
         let mut lineage = l.store.lock().expect("lineage store poisoned");
-        if let Some(head) = lineage.head() {
-            let next = head.generation + 1;
-            if candidate.lineage_generation != next {
-                let mut bundle = SystemBundle::from_artifact_bytes(&candidate.bytes)?;
-                bundle.lineage.generation = next;
-                candidate.bytes = bundle.to_artifact_bytes();
-                candidate.checksum = bundle_checksum(&candidate.bytes);
-                candidate.lineage_generation = next;
-            }
-        }
         lineage
             .append(
                 &candidate.bytes,
@@ -574,14 +574,15 @@ impl AdaptController {
             for votes in pool.winning_votes() {
                 self.obs.winning_votes.record(u64::from(votes));
             }
-            boost_pool(&state.current, pool, &self.guard, &self.cfg)
+            let generation = self.next_generation();
+            boost_pool(&state.current, pool, &self.guard, &self.cfg, generation)
         });
-        let mut candidate = match round.map(|round| self.judge(round, floor())) {
+        let candidate = match round.map(|round| self.judge(round, floor())) {
             Ok(Ok(candidate)) => candidate,
             Ok(Err(report)) => return report,
             Err(_) => return ended(ADAPT_FAILED, drained),
         };
-        let promoted = (self.seal(&mut candidate, &state.current).ok())
+        let promoted = (self.seal(&candidate, &state.current).ok())
             .and_then(|()| state.install(&fleet, candidate.bytes, candidate.checksum));
         let Some(generation) = promoted else {
             return ended(ADAPT_FAILED, drained);

@@ -381,6 +381,15 @@ fn fleet_stats_sum_the_replica_views_and_keep_an_ejected_rows_last_probe() {
     let ping = client.ping().expect("ping round trip");
     assert_eq!(ping, PingReport::from_stats(&both.aggregate));
     assert_eq!((ping.generation, ping.completed), (2, 5));
+    // The same scrape carries each replica's own dump under its prefix.
+    let dump = client.metrics().expect("round trip").expect("stats-v3");
+    for replica in [&a, &b] {
+        let name = format!("replica.{}.engine.requests", replica.addr);
+        assert!(dump.iter().any(|(n, _)| *n == name), "{name} missing");
+    }
+    // A router runs without a WAL: its dump has no `wal.*` series, so the
+    // wal-status view is refused rather than proxied.
+    assert_eq!(client.wal_status().expect("round trip"), None);
 
     // Replica b stops answering probes: ejected after two strikes, its
     // row is what its last probe said, and only a is summed.

@@ -6,7 +6,7 @@
 //!            [--seed N] [--duration 30s|10s|3s] [--inflight N]
 //!            [--deadline-ms N] [--verify --bundle PATH]
 //!            [--stats] [--fuzz] [--adapt] [--shutdown]
-//!            [--ping] [--rollback] [--tolerate-failures]
+//!            [--ping] [--rollback]
 //!            [--traced] [--metrics] [--metrics-json]
 //!            [--flight] [--flight-drain]
 //!            [--wal-status] [--rollback-to GEN]
@@ -29,10 +29,7 @@
 //! completed) computed from the peer's stats-v3 dump: a server's own
 //! counters, or a router's fleet aggregate. `--rollback` asks
 //! the server to restore its previous scorer generation; against a router
-//! it rolls the whole fleet. `--tolerate-failures` keeps scoring through
-//! typed per-request failures (internal/overloaded/shutting-down) instead
-//! of exiting — the mode the CI kill-a-replica drill drives the router
-//! in — and reports the count at the end. `--stats` against a router
+//! it rolls the whole fleet. `--stats` against a router
 //! prints the fleet aggregate plus a per-replica breakdown.
 //!
 //! `--inflight 1` (the default) sends one request at a time and retries an
@@ -67,7 +64,7 @@ use std::path::PathBuf;
 const USAGE: &str = "lre-client --addr HOST:PORT [--utts N] [--scale smoke|demo|paper] \
     [--seed N] [--duration 30s|10s|3s] [--inflight N] [--deadline-ms N] \
     [--verify --bundle PATH] [--stats] [--fuzz] [--adapt] [--shutdown] \
-    [--ping] [--rollback] [--tolerate-failures] [--traced] \
+    [--ping] [--rollback] [--traced] \
     [--metrics] [--metrics-json] [--flight] [--flight-drain] \
     [--wal-status] [--rollback-to GEN]";
 
@@ -155,7 +152,6 @@ fn main() {
     let mut shutdown = false;
     let mut ping = false;
     let mut rollback = false;
-    let mut tolerate_failures = false;
     let mut traced = false;
     let mut metrics = false;
     let mut metrics_json = false;
@@ -186,7 +182,6 @@ fn main() {
             "--shutdown" => shutdown = true,
             "--ping" => ping = true,
             "--rollback" => rollback = true,
-            "--tolerate-failures" => tolerate_failures = true,
             "--traced" => traced = true,
             "--metrics" => metrics = true,
             "--metrics-json" => metrics_json = true,
@@ -271,7 +266,6 @@ fn main() {
 
     let mut mismatches = 0usize;
     let mut expired = 0usize;
-    let mut tolerated = 0usize;
     if utts > 0 {
         let inv = UniversalInventory::new();
         let ds = Dataset::generate(DatasetConfig::new(scale, seed));
@@ -301,11 +295,6 @@ fn main() {
                     return;
                 }
                 other => {
-                    if tolerate_failures {
-                        tolerated += 1;
-                        println!("utt {n:>3} ({}): failed ({other:?})", lang.name());
-                        return;
-                    }
                     eprintln!("error: utt {n} refused: {other:?}");
                     std::process::exit(1);
                 }
@@ -388,14 +377,8 @@ fn main() {
             }
             println!(
                 "verification OK: {} utterances bit-identical to the local pipeline \
-                 ({expired} deadline-expired, {tolerated} failed-and-tolerated)",
-                utts - expired - tolerated
-            );
-        } else if tolerate_failures {
-            println!(
-                "scoring done: {}/{utts} utterances scored, {tolerated} failed \
-                 with typed statuses, {expired} deadline-expired",
-                utts - expired - tolerated
+                 ({expired} deadline-expired)",
+                utts - expired
             );
         }
     }

@@ -364,10 +364,16 @@ fn deadlines_are_shed_with_a_typed_status() {
     // tightest a client can ask for: it must travel as 1 ms, not as the
     // `0` that means "no deadline".
     let blocker = client.submit(&[1.0], None).expect("blocker");
+    gate.wait_entered(1);
     let victims = [Duration::from_millis(5), Duration::from_micros(500)]
         .map(|deadline| client.submit(&[2.0], Some(deadline)).expect("victim"));
-    gate.wait_entered(1);
-    std::thread::sleep(Duration::from_millis(50));
+    // The blocker left the queue before the victims came, so its depth
+    // reads 2 only once both are on it; each was admitted before that, so
+    // 5 ms later both deadlines have passed.
+    while server.engine().stats().max_queue_depth < 2 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(5));
     gate.release();
 
     let mut outcomes = std::collections::HashMap::new();

@@ -303,6 +303,18 @@ fn histogram(dump: &MetricsDump, name: &str) -> HistogramSummary {
     }
 }
 
+/// Wait until `depth` requests have sat on the engine's queue at once,
+/// then until a `deadline` each took at admission has passed: all of them
+/// were admitted before the depth was seen, so their deadline instants
+/// lie at most `deadline` after it. The engine sheds a request whose
+/// deadline is at or before the instant a worker picks it up.
+fn wait_queued_then_expired(server: &Server, depth: u64, deadline: Duration) {
+    while server.engine().stats().max_queue_depth < depth {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(deadline);
+}
+
 #[test]
 fn stats_v2_is_a_view_over_the_stats_v3_series() {
     let scorer = Arc::new(ScriptedScorer::default());
@@ -331,9 +343,10 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     a.submit(&[3.0], None).expect("submit");
     assert_eq!(a.recv().expect("window refusal").1, ScoreReply::Overloaded);
     // Another connection's window is its own: `b`'s request is admitted
-    // and queued behind the hold too.
+    // and queued behind the hold too. Release only once both sit on the
+    // queue and the late one's deadline has passed.
     let queued = b.submit(&[4.0], None).expect("submit");
-    std::thread::sleep(Duration::from_millis(20));
+    wait_queued_then_expired(&server, 2, Duration::from_millis(1));
     scorer.release();
 
     let mut replies = std::collections::HashMap::new();
@@ -412,17 +425,17 @@ fn deadline_and_panic_events_carry_the_requests_trace_id() {
 
     assert_eq!(client.score(&[PANIC]).expect("score"), ScoreReply::Failed);
     // The hold parks the only worker, and a request with a 1 ms deadline
-    // waits behind it. The gate opens only after that request is on the
-    // queue and more than its deadline has passed, so it expires there.
+    // waits behind it, then one without a deadline, so the queue's depth
+    // reaches 2 (the panicking request above already made it 1). The gate
+    // opens only after both are on the queue and the deadline has passed,
+    // so the first expires there.
     let hold = client.submit(&[HOLD], None).expect("submit");
     scorer.wait_held();
     let late = client
         .submit(&[2.0], Some(Duration::from_millis(1)))
         .expect("submit");
-    while server.engine().stats().max_queue_depth == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    std::thread::sleep(Duration::from_millis(5));
+    client.submit(&[3.0], None).expect("submit");
+    wait_queued_then_expired(&server, 2, Duration::from_millis(1));
     scorer.release();
     let mut replies = std::collections::HashMap::new();
     while client.inflight() > 0 {

@@ -1,22 +1,23 @@
 //! Command-line front end for the traffic simulator.
 //!
 //! ```text
-//! lre-trafficsim --scenario NAME --seed N --addr HOST:PORT
-//!                [--replica HOST:PORT]... [--adapt-addr HOST:PORT]
-//!                [--adaptd-cmd CMD] [--export PATH] [--verdicts-out PATH]
+//! lre-trafficsim --scenario NAME|PATH --seed N [--bundle PATH] [--guard PATH]
+//!                [--work-dir DIR] [--export PATH] [--verdicts-out PATH]
 //!                [--tick-ms N]
-//! lre-trafficsim --scenario-file PATH --seed N --addr HOST:PORT [...]
-//! lre-trafficsim --replay PATH --addr HOST:PORT [...]
-//! lre-trafficsim --scenario NAME --seed N --export PATH --export-only
+//! lre-trafficsim --replay PATH [--scenario PATH] [--bundle PATH] [...]
+//! lre-trafficsim --scenario NAME|PATH --seed N --export PATH --export-only
 //! lre-trafficsim --list
 //! ```
 //!
-//! `--scenario-file` loads a [`ScenarioSpec`] from the `key = value` text
-//! format instead of a built-in; replaying a stream generated from a file
-//! needs the same `--scenario-file` again, since the invariants live in
-//! the file, not the stream. `--adaptd-cmd` hands the driver the shell
-//! command that starts the adapting server, which is what crash-recovery
-//! scenarios use to deliver a real SIGKILL and respawn it.
+//! `--scenario` takes a built-in's name (`--list`) or the path of a
+//! scenario file. The scenario starts its own processes — binaries from
+//! this executable's directory, `{bundle}` / `{guard}` / `{work}` in its
+//! process lines standing for `--bundle`, `--guard` and `--work-dir` —
+//! and every run, a replay included, starts them fresh. `--work-dir`
+//! (default: a new directory under the system temp dir) receives each
+//! process's stderr as `NAME.log`; it must be empty or absent. A replay
+//! judges the invariants of the scenario its stream names; a stream
+//! generated from a file needs `--scenario PATH` again.
 //!
 //! Exit status 0 iff every invariant passed. The verdict file (stdout by
 //! default) is deterministic for a given plan and outcome set; measured
@@ -26,29 +27,20 @@ use lre_serve::args::{or_die, Args};
 use lre_trafficsim::{
     builtin_scenarios, by_name, generate, run, CommandStream, ScenarioSpec, SimConfig,
 };
-use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::Duration;
 
-const USAGE: &str = "lre-trafficsim (--scenario NAME --seed N | \
-    --scenario-file PATH --seed N | --replay PATH) \
-    --addr HOST:PORT [--replica HOST:PORT]... [--adapt-addr HOST:PORT] \
-    [--adaptd-cmd CMD] [--export PATH] [--verdicts-out PATH] [--tick-ms N] \
-    [--export-only] [--list]";
+const USAGE: &str = "lre-trafficsim (--scenario NAME|PATH --seed N | --replay PATH \
+    [--scenario PATH]) [--bundle PATH] [--guard PATH] [--work-dir DIR] \
+    [--export PATH] [--verdicts-out PATH] [--tick-ms N] [--export-only] [--list]";
 
 fn main() {
     let mut scenario: Option<String> = None;
-    let mut scenario_file: Option<PathBuf> = None;
-    let mut adaptd_cmd: Option<String> = None;
     let mut seed: Option<u64> = None;
-    let mut addr: Option<SocketAddr> = None;
-    let mut replicas: Vec<SocketAddr> = Vec::new();
-    let mut adapt_addr: Option<SocketAddr> = None;
     let mut export: Option<PathBuf> = None;
     let mut replay: Option<PathBuf> = None;
     let mut verdicts_out: Option<PathBuf> = None;
-    let mut tick_ms = 50u64;
     let mut export_only = false;
+    let mut cfg = SimConfig::default();
 
     let mut args = Args::from_env(USAGE);
     while let Some(flag) = args.next_flag() {
@@ -60,91 +52,54 @@ fn main() {
                 return;
             }
             "--scenario" => scenario = Some(args.value(&flag)),
-            "--scenario-file" => scenario_file = Some(args.value(&flag)),
-            "--adaptd-cmd" => adaptd_cmd = Some(args.value(&flag)),
             "--seed" => seed = Some(args.value(&flag)),
-            "--addr" => addr = Some(args.value(&flag)),
-            "--replica" => replicas.push(args.value(&flag)),
-            "--adapt-addr" => adapt_addr = Some(args.value(&flag)),
+            "--bundle" => cfg.deployment.bundle = Some(args.value(&flag)),
+            "--guard" => cfg.deployment.guard = Some(args.value(&flag)),
+            "--work-dir" => cfg.deployment.work_dir = args.value(&flag),
             "--export" => export = Some(args.value(&flag)),
             "--replay" => replay = Some(args.value(&flag)),
             "--verdicts-out" => verdicts_out = Some(args.value(&flag)),
-            "--tick-ms" => tick_ms = args.value(&flag),
+            "--tick-ms" => cfg.tick_ms = args.value(&flag),
             "--export-only" => export_only = true,
             other => args.fail(&format!("unknown argument {other}")),
         }
     }
 
-    // --- Resolve the scenario file, if any: it supplies both the plan
-    // (when generating) and the invariants (always).
-    let file_spec: Option<ScenarioSpec> = scenario_file.as_ref().map(|path| {
-        let text = or_die(
-            std::fs::read_to_string(path),
-            format!("reading {}", path.display()),
-        );
-        or_die(ScenarioSpec::parse(&text), path.display())
+    // --- A built-in by name, else a scenario file.
+    let spec: Option<ScenarioSpec> = scenario.as_ref().map(|name| {
+        by_name(name).unwrap_or_else(|| {
+            let text = or_die(
+                std::fs::read_to_string(name),
+                format!("{name:?} is no built-in scenario (see --list) and reading it"),
+            );
+            or_die(ScenarioSpec::parse(&text), name)
+        })
     });
-    if scenario.is_some() && file_spec.is_some() {
-        args.fail("--scenario and --scenario-file are mutually exclusive");
-    }
 
     // --- Resolve the command stream: generate fresh or load a replay.
-    let stream: CommandStream = match (&replay, &scenario) {
-        (Some(path), None) => {
+    let (stream, spec) = match (&replay, spec) {
+        (Some(path), spec) => {
             let bytes = or_die(std::fs::read(path), format!("reading {}", path.display()));
             let stream = or_die(
                 CommandStream::decode(&bytes),
                 format!("{} is not a valid command stream", path.display()),
             );
-            eprintln!(
-                "[trafficsim] replaying {}: scenario={} seed={} ticks={} commands={}",
-                path.display(),
-                stream.scenario,
-                stream.seed,
-                stream.ticks,
-                stream.commands.len()
-            );
-            stream
+            // The invariants come from the scenario the stream names, so
+            // a replay judges exactly what the original run judged.
+            let spec = spec.or_else(|| by_name(&stream.scenario));
+            let spec = spec
+                .filter(|s| s.name == stream.scenario)
+                .ok_or("give its file as --scenario");
+            (
+                stream.clone(),
+                or_die(spec, format!("stream of scenario {:?}", stream.scenario)),
+            )
         }
-        (None, Some(name)) => {
-            let spec = by_name(name)
-                .unwrap_or_else(|| args.fail(&format!("unknown scenario {name:?} (see --list)")));
+        (None, Some(spec)) => {
             let seed = seed.unwrap_or_else(|| args.fail("--seed is required with --scenario"));
-            generate(&spec, seed)
+            (generate(&spec, seed), spec)
         }
-        (None, None) => match &file_spec {
-            Some(spec) => {
-                let seed =
-                    seed.unwrap_or_else(|| args.fail("--seed is required with --scenario-file"));
-                generate(spec, seed)
-            }
-            None => args.fail("one of --scenario, --scenario-file, or --replay is required"),
-        },
-        (Some(_), Some(_)) => args.fail("--replay and --scenario are mutually exclusive"),
-    };
-    // The invariant set always comes from the stream's recorded scenario
-    // name, so a replay judges exactly what the original run judged. A
-    // stream generated from a scenario file carries the file's name, and
-    // replaying it needs the same file again (checked by name).
-    let spec = match file_spec {
-        Some(spec) => {
-            if spec.name != stream.scenario {
-                eprintln!(
-                    "error: stream was generated from scenario {:?} but the file defines {:?}",
-                    stream.scenario, spec.name
-                );
-                std::process::exit(1);
-            }
-            spec
-        }
-        None => by_name(&stream.scenario).unwrap_or_else(|| {
-            eprintln!(
-                "error: stream names unknown scenario {:?}; pass its --scenario-file, \
-                 or this binary is too old or too new",
-                stream.scenario
-            );
-            std::process::exit(1);
-        }),
+        (None, None) => args.fail("one of --scenario or --replay is required"),
     };
 
     if let Some(path) = &export {
@@ -166,23 +121,15 @@ fn main() {
         return;
     }
 
-    let addr = addr.unwrap_or_else(|| args.fail("--addr is required"));
-    let mut cfg = SimConfig::new(addr);
-    cfg.replicas = replicas;
-    cfg.adapt_addr = adapt_addr;
-    cfg.tick_ms = tick_ms;
-    cfg.hostile_timeout = Duration::from_secs(5);
-    cfg.adaptd_cmd = adaptd_cmd;
-
     eprintln!(
-        "[trafficsim] running scenario={} seed={} ticks={} commands={} against {}",
+        "[trafficsim] running scenario={} seed={} ticks={} commands={} in {}",
         stream.scenario,
         stream.seed,
         stream.ticks,
         stream.commands.len(),
-        addr
+        cfg.deployment.work_dir.display()
     );
-    let report = run(&stream, &spec.invariants, &cfg);
+    let report = run(&stream, &spec, &cfg);
     eprint!("{}", report.detail);
     match &verdicts_out {
         Some(path) => {

@@ -14,13 +14,14 @@
 //!    adaptation trigger, pinned to ticks. Generation
 //!    ([`scenario::generate`]) is a pure function of (scenario, seed):
 //!    same seed, byte-identical stream.
-//! 2. **Drive** ([`driver`]): replay the stream against real processes,
-//!    scraping stats and flight-recorder telemetry between ticks. Nothing
-//!    observed ever feeds back into the plan.
+//! 2. **Drive** ([`driver`]): start the scenario's processes
+//!    ([`topology`]), replay the stream against them, scraping stats and
+//!    flight-recorder telemetry between ticks, then shut them down.
+//!    Nothing observed ever feeds back into the plan.
 //! 3. **Judge**: fold the tallies into the scenario's [`InvariantSpec`] —
 //!    shed-rate bounds, p99 ceilings, zero torn replies, typed-failure-only
-//!    during replica kills, guard rejection under drift, open-set unknowns
-//!    actually flagged.
+//!    during replica kills, adaptation and rollback acks, bit-identical
+//!    replies, open-set unknowns actually flagged, a clean exit.
 //!
 //! Because the plan never depends on live behavior, every run can export
 //! its stream to a sealed artifact and any violation reproduces from
@@ -29,10 +30,11 @@
 pub mod driver;
 pub mod plan;
 pub mod scenario;
+pub mod topology;
 
 pub use driver::{run, RunReport, SimConfig, SIM_CORPUS_SEED};
 pub use plan::{CommandStream, SimCommand, UttPlan, STREAM_KIND, STREAM_VERSION};
 pub use scenario::{
-    builtin_scenarios, burst_kill, by_name, crash_recover, drift_guard, generate, phantom_eject,
-    DriftPlan, InvariantSpec, ScenarioSpec,
+    builtin_scenarios, by_name, generate, DriftPlan, Expect, InvariantSpec, ScenarioSpec,
 };
+pub use topology::Deployment;

@@ -66,21 +66,43 @@ pub enum SimCommand {
     /// Open a fresh connection and run fuzz-corpus case
     /// `case_index % corpus_len` against it.
     Hostile { tick: u32, case_index: u32 },
-    /// Ask replica `replica` (index into the driver's replica list) to
-    /// shut down gracefully mid-run.
+    /// SIGKILL replica `replica` (index into the scenario's replica
+    /// processes) mid-run.
     KillReplica { tick: u32, replica: u32 },
     /// Trigger one adaptation cycle on the adapt endpoint.
     Adapt { tick: u32 },
-    /// SIGKILL the driver-spawned adapting server (no shutdown handshake,
-    /// no fsync opportunity) — the crash-recovery drill. Requires the
-    /// driver to own the process (`--adaptd-cmd`).
+    /// SIGKILL the front process (no shutdown handshake, no fsync
+    /// opportunity) — the crash-recovery drill.
     CrashAdaptd { tick: u32 },
-    /// Respawn the adapting server with the same command (hence the same
-    /// `--wal-dir`) and wait until it accepts connections again.
+    /// Respawn the front process with the same command line (hence the
+    /// same `--wal-dir`) on the same port.
     RestartAdaptd { tick: u32 },
+    /// Respawn replica `replica` on the port it had.
+    RestartReplica { tick: u32, replica: u32 },
+    /// Run the whole malformed corpus against the front.
+    Fuzz { tick: u32 },
+    /// One-deep rollback at the front (a router rolls its fleet).
+    Rollback { tick: u32 },
+    /// Deep rollback of the front to lineage generation `generation`.
+    RollbackTo { tick: u32, generation: u64 },
 }
 
 impl SimCommand {
+    fn tag(&self) -> u8 {
+        match self {
+            SimCommand::Score { .. } => CMD_SCORE,
+            SimCommand::Hostile { .. } => CMD_HOSTILE,
+            SimCommand::KillReplica { .. } => CMD_KILL,
+            SimCommand::Adapt { .. } => CMD_ADAPT,
+            SimCommand::CrashAdaptd { .. } => CMD_CRASH_ADAPTD,
+            SimCommand::RestartAdaptd { .. } => CMD_RESTART_ADAPTD,
+            SimCommand::RestartReplica { .. } => CMD_RESTART_REPLICA,
+            SimCommand::Fuzz { .. } => CMD_FUZZ,
+            SimCommand::Rollback { .. } => CMD_ROLLBACK,
+            SimCommand::RollbackTo { .. } => CMD_ROLLBACK_TO,
+        }
+    }
+
     pub fn tick(&self) -> u32 {
         match self {
             SimCommand::Score { tick, .. }
@@ -88,7 +110,11 @@ impl SimCommand {
             | SimCommand::KillReplica { tick, .. }
             | SimCommand::Adapt { tick }
             | SimCommand::CrashAdaptd { tick }
-            | SimCommand::RestartAdaptd { tick } => *tick,
+            | SimCommand::RestartAdaptd { tick }
+            | SimCommand::RestartReplica { tick, .. }
+            | SimCommand::Fuzz { tick }
+            | SimCommand::Rollback { tick }
+            | SimCommand::RollbackTo { tick, .. } => *tick,
         }
     }
 }
@@ -99,6 +125,10 @@ const CMD_KILL: u8 = 3;
 const CMD_ADAPT: u8 = 4;
 const CMD_CRASH_ADAPTD: u8 = 5;
 const CMD_RESTART_ADAPTD: u8 = 6;
+const CMD_RESTART_REPLICA: u8 = 7;
+const CMD_FUZZ: u8 = 8;
+const CMD_ROLLBACK: u8 = 9;
+const CMD_ROLLBACK_TO: u8 = 10;
 /// `second_language` sentinel for "no code switch".
 const NO_SECOND: u8 = 0xFF;
 
@@ -123,14 +153,12 @@ impl CommandStream {
         w.put_u32(self.ticks);
         w.put_u64(self.commands.len() as u64);
         for cmd in &self.commands {
+            w.put_u8(cmd.tag());
+            w.put_u32(cmd.tick());
             match cmd {
                 SimCommand::Score {
-                    tick,
-                    plan,
-                    deadline_ms,
+                    plan, deadline_ms, ..
                 } => {
-                    w.put_u8(CMD_SCORE);
-                    w.put_u32(*tick);
                     w.put_u8(plan.language);
                     w.put_u8(plan.second_language.unwrap_or(NO_SECOND));
                     w.put_u32(plan.num_frames);
@@ -141,28 +169,11 @@ impl CommandStream {
                     w.put_u8(plan.open_set as u8);
                     w.put_u32(*deadline_ms);
                 }
-                SimCommand::Hostile { tick, case_index } => {
-                    w.put_u8(CMD_HOSTILE);
-                    w.put_u32(*tick);
-                    w.put_u32(*case_index);
-                }
-                SimCommand::KillReplica { tick, replica } => {
-                    w.put_u8(CMD_KILL);
-                    w.put_u32(*tick);
-                    w.put_u32(*replica);
-                }
-                SimCommand::Adapt { tick } => {
-                    w.put_u8(CMD_ADAPT);
-                    w.put_u32(*tick);
-                }
-                SimCommand::CrashAdaptd { tick } => {
-                    w.put_u8(CMD_CRASH_ADAPTD);
-                    w.put_u32(*tick);
-                }
-                SimCommand::RestartAdaptd { tick } => {
-                    w.put_u8(CMD_RESTART_ADAPTD);
-                    w.put_u32(*tick);
-                }
+                SimCommand::Hostile { case_index: n, .. }
+                | SimCommand::KillReplica { replica: n, .. }
+                | SimCommand::RestartReplica { replica: n, .. } => w.put_u32(*n),
+                SimCommand::RollbackTo { generation, .. } => w.put_u64(*generation),
+                _ => {}
             }
         }
         seal(STREAM_KIND, STREAM_VERSION, &w.into_bytes())
@@ -196,9 +207,9 @@ impl CommandStream {
         let num_languages = LanguageId::all().len() as u8;
         let mut commands = Vec::with_capacity(count);
         for _ in 0..count {
-            let cmd = match r.get_u8()? {
+            let (tag, tick) = (r.get_u8()?, r.get_u32()?);
+            let cmd = match tag {
                 CMD_SCORE => {
-                    let tick = r.get_u32()?;
                     let language = r.get_u8()?;
                     let second = r.get_u8()?;
                     let num_frames = r.get_u32()?;
@@ -228,16 +239,26 @@ impl CommandStream {
                     }
                 }
                 CMD_HOSTILE => SimCommand::Hostile {
-                    tick: r.get_u32()?,
+                    tick,
                     case_index: r.get_u32()?,
                 },
                 CMD_KILL => SimCommand::KillReplica {
-                    tick: r.get_u32()?,
+                    tick,
                     replica: r.get_u32()?,
                 },
-                CMD_ADAPT => SimCommand::Adapt { tick: r.get_u32()? },
-                CMD_CRASH_ADAPTD => SimCommand::CrashAdaptd { tick: r.get_u32()? },
-                CMD_RESTART_ADAPTD => SimCommand::RestartAdaptd { tick: r.get_u32()? },
+                CMD_ADAPT => SimCommand::Adapt { tick },
+                CMD_CRASH_ADAPTD => SimCommand::CrashAdaptd { tick },
+                CMD_RESTART_ADAPTD => SimCommand::RestartAdaptd { tick },
+                CMD_RESTART_REPLICA => SimCommand::RestartReplica {
+                    tick,
+                    replica: r.get_u32()?,
+                },
+                CMD_FUZZ => SimCommand::Fuzz { tick },
+                CMD_ROLLBACK => SimCommand::Rollback { tick },
+                CMD_ROLLBACK_TO => SimCommand::RollbackTo {
+                    tick,
+                    generation: r.get_u64()?,
+                },
                 _ => return Err(ArtifactError::Corrupt("unknown sim command tag")),
             };
             if cmd.tick() >= ticks {

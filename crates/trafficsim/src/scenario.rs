@@ -1,10 +1,13 @@
-//! Built-in scenarios and the pure command generator.
+//! Scenarios and the pure command generator.
 //!
 //! A [`ScenarioSpec`] composes the traffic shapes real deployments see —
 //! diurnal load curves, bursts, hostile clients from the fuzz corpus,
 //! deadline mixes, channel/SNR drift across ticks, code-switching
 //! utterances, and open-set segments in languages the system was never
-//! trained on — plus the [`InvariantSpec`] the run is judged against.
+//! trained on — plus the processes the run drives and the
+//! [`InvariantSpec`] it is judged against. Every scenario is a `key =
+//! value` text file ([`ScenarioSpec::parse`]); the built-ins are the
+//! files under `crates/trafficsim/scenarios/`, embedded at build time.
 //!
 //! [`generate`] expands a spec + seed into a [`CommandStream`] using only
 //! seeded RNG draws and integer/affine arithmetic (no transcendentals, no
@@ -15,15 +18,92 @@
 use crate::plan::{CommandStream, SimCommand, UttPlan};
 use lre_corpus::DeriveRng;
 use rand::RngExt;
+use std::collections::BTreeMap;
 
 /// Indices into [`LanguageId::all`]: the two trailing entries are the
 /// out-of-set languages (no target detector exists for them).
 const NUM_LANGUAGES: u8 = 25;
 const NUM_TARGETS: u8 = 23;
 
+/// The built-in scenario files, in `--list` order.
+const BUILTIN: [&str; 9] = [
+    include_str!("../scenarios/burst-kill.scn"),
+    include_str!("../scenarios/drift-guard.scn"),
+    include_str!("../scenarios/phantom-eject.scn"),
+    include_str!("../scenarios/crash-recover.scn"),
+    include_str!("../scenarios/serve-smoke.scn"),
+    include_str!("../scenarios/adapt-live.scn"),
+    include_str!("../scenarios/fleet.scn"),
+    include_str!("../scenarios/fleet-reject.scn"),
+    include_str!("../scenarios/deep-rollback.scn"),
+];
+
+/// Adaptation outcomes by their `ADAPT_*` wire value.
+pub const ADAPT_OUTCOMES: [&str; 4] = ["promoted", "rejected_guard", "insufficient_data", "failed"];
+
+/// A counted check on flight-recorder events or on one metric series,
+/// written `NAME[%M](=|>=)N[@replicas]`, judged on the front process or,
+/// with `@replicas`, on every replica. A bare `NAME` means `NAME>=1`. For
+/// a series the value is a counter's or gauge's value, or a histogram's
+/// or sketch's count; `%M` takes it modulo M.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Expect {
+    /// The check as written; the verdict quotes it.
+    pub text: String,
+    pub name: String,
+    pub modulo: Option<u64>,
+    /// `>=` when true, `=` otherwise.
+    pub at_least: bool,
+    pub value: u64,
+    pub on_replicas: bool,
+}
+
+impl Expect {
+    fn parse(text: &str) -> Result<Expect, String> {
+        let bad = || format!("bad check {text:?} (want NAME[%M](=|>=)N[@replicas])");
+        let (body, on_replicas) = match text.split_once('@') {
+            None => (text, false),
+            Some((body, "replicas")) => (body, true),
+            Some(_) => return Err(bad()),
+        };
+        let (lhs, at_least, value) = match (body.split_once(">="), body.split_once('=')) {
+            (Some((lhs, n)), _) => (lhs, true, n.trim().parse().map_err(|_| bad())?),
+            (None, Some((lhs, n))) => (lhs, false, n.trim().parse().map_err(|_| bad())?),
+            (None, None) => (body, true, 1),
+        };
+        let (name, modulo) = match lhs.split_once('%') {
+            Some((name, m)) => (name, Some(m.trim().parse().map_err(|_| bad())?)),
+            None => (lhs, None),
+        };
+        if name.trim().is_empty() || modulo == Some(0) {
+            return Err(bad());
+        }
+        Ok(Expect {
+            text: text.to_string(),
+            name: name.trim().to_string(),
+            modulo,
+            at_least,
+            value,
+            on_replicas,
+        })
+    }
+
+    pub fn holds(&self, observed: u64) -> bool {
+        let v = self.modulo.map_or(observed, |m| observed % m);
+        if self.at_least {
+            v >= self.value
+        } else {
+            v == self.value
+        }
+    }
+}
+
 /// What the run must uphold. Every field with `Option`/`bool` off is
 /// simply not checked — scenarios assert only what they arrange to test.
-#[derive(Clone, Debug, PartialEq)]
+/// Every run is also judged `clean-exit`: after the closing shutdown each
+/// process exits 0 within 30 s with no panic in its log. A scenario file
+/// starts from torn-free, typed-only, hostile-clean and one completion.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct InvariantSpec {
     /// Scraped `rejected / requests` must stay at or below this.
     pub max_shed_rate: Option<f64>,
@@ -35,40 +115,33 @@ pub struct InvariantSpec {
     /// (overloaded / shutting down / deadline / internal) — never a raw
     /// connection error. The invariant under replica kills.
     pub typed_failures_only: bool,
-    /// Every adaptation cycle must come back `rejected_guard` and the
-    /// serving generation must still be 0 at the end.
-    pub expect_guard_reject: bool,
-    /// Flight-recorder event names that must appear during the run.
-    pub expect_flight: Vec<String>,
+    /// Flight-recorder event counts (`eject`, `swap=1@replicas`, …).
+    pub expect_flight: Vec<Expect>,
+    /// Metric series read from the final stats-v3 dumps.
+    pub expect_counter: Vec<Expect>,
     /// The run must complete at least this many scores.
     pub min_completed: u64,
     /// The scraped `unknown` counter must be positive (open-set traffic
     /// against a thresholded server must actually be flagged).
     pub require_unknown: bool,
-    /// No hostile connection may violate the malformed-input contract.
+    /// No hostile connection or fuzz pass may violate the malformed-input
+    /// contract.
     pub hostile_contract: bool,
     /// The run crashed and restarted the adapting server: the WAL replay
     /// after the restart must account for every vote buffered before the
     /// SIGKILL (zero lost votes, zero torn records), and the generation
     /// lineage chain must still validate at the end of the run.
     pub expect_wal_recovery: bool,
-}
-
-impl Default for InvariantSpec {
-    fn default() -> InvariantSpec {
-        InvariantSpec {
-            max_shed_rate: None,
-            p99_ms: None,
-            zero_torn_replies: true,
-            typed_failures_only: true,
-            expect_guard_reject: false,
-            expect_flight: Vec::new(),
-            min_completed: 1,
-            require_unknown: false,
-            hostile_contract: true,
-            expect_wal_recovery: false,
-        }
-    }
+    /// Every scored reply from a serving generation the driver knows
+    /// serves `--bundle` is `f32::to_bits`-equal to a local scorer's.
+    pub verify_bits: bool,
+    /// Each adaptation cycle's ack, in order, as `OUTCOME:GENERATION`.
+    pub expect_adapt: Vec<String>,
+    /// Each rollback's expected ack, keyed `rollback@TICK` (`rolled` /
+    /// `unrolled`) or `rollback-to@TICK` (`restored:GEN` / `refused`).
+    pub expect_ack: BTreeMap<String, String>,
+    /// `(head, entries)` of a validated lineage chain at the end.
+    pub expect_lineage: Option<(u64, u64)>,
 }
 
 /// SNR drift across the run: linear from `start_snr_db` at tick 0 to
@@ -80,11 +153,16 @@ pub struct DriftPlan {
 }
 
 /// One composable scenario.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioSpec {
     pub name: String,
     /// One-line description for `--list`.
     pub about: String,
+    /// Process lines (`replica = lre-serve --bundle {bundle} …`), one
+    /// per replica, in index order. See [`crate::topology`].
+    pub replicas: Vec<String>,
+    /// The process every request, control call and shutdown goes to.
+    pub front: Option<String>,
     pub ticks: u32,
     /// Mean scores per tick before the diurnal factor.
     pub base_load: u32,
@@ -110,16 +188,26 @@ pub struct ScenarioSpec {
     pub code_switch_prob: f64,
     /// Probability an utterance is in an out-of-set language.
     pub open_set_prob: f64,
-    /// `(tick, replica_index)`: kill that replica at that tick.
+    /// `(tick, replica_index)`: SIGKILL that replica at the end of that
+    /// tick.
     pub kill_replica_at: Option<(u32, u32)>,
-    /// Trigger one adaptation cycle at this tick.
-    pub adapt_at: Option<u32>,
-    /// SIGKILL the driver-spawned adapting server at the *end* of this
-    /// tick (after its traffic has settled).
+    /// `(tick, replica_index)`: respawn that replica on its port at the
+    /// start of that tick.
+    pub restart_replica_at: Option<(u32, u32)>,
+    /// Trigger one adaptation cycle at the end of each of these ticks.
+    pub adapt_at: Vec<u32>,
+    /// SIGKILL the front process at the *end* of this tick (after its
+    /// traffic has settled).
     pub crash_adaptd_at: Option<u32>,
-    /// Respawn the adapting server at the *start* of this tick, before
-    /// any of its traffic is submitted.
+    /// Respawn the front process at the *start* of this tick, before any
+    /// of its traffic is submitted.
     pub restart_adaptd_at: Option<u32>,
+    /// Run the whole malformed corpus against the front in this tick.
+    pub fuzz_at: Option<u32>,
+    /// One-deep rollbacks, at the end of each tick.
+    pub rollback_at: Vec<u32>,
+    /// `(tick, generation)`: deep rollbacks, at the end of each tick.
+    pub rollback_to_at: Vec<(u32, u64)>,
     pub invariants: InvariantSpec,
 }
 
@@ -146,13 +234,18 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> CommandStream {
     let mut commands = Vec::new();
     for tick in 0..spec.ticks {
         let mut rng = root.derive(u64::from(tick)).rng();
-        // Restart comes first within its tick so the tick's traffic lands
-        // on the revived server, and crash comes last so the tick's
-        // traffic settles before the SIGKILL — no scores are ever planned
-        // into the window where the server is down.
-        if spec.restart_adaptd_at == Some(tick) {
-            commands.push(SimCommand::RestartAdaptd { tick });
-        }
+        // Restarts come first within their tick so the tick's traffic
+        // lands on the revived process, and the crash comes last so the
+        // tick's traffic settles before the SIGKILL — no scores are ever
+        // planned into the window where the server is down.
+        use SimCommand as C;
+        let on = |at: Option<u32>, cmd: SimCommand| (at == Some(tick)).then_some(cmd);
+        let listed = |ticks: &[u32]| ticks.contains(&tick).then_some(tick);
+        let (restart_at, restart) = spec.restart_replica_at.unzip();
+        let (kill_at, kill) = spec.kill_replica_at.unzip();
+        commands.extend(on(spec.restart_adaptd_at, C::RestartAdaptd { tick }));
+        let replica = restart.unwrap_or(0);
+        commands.extend(on(restart_at, C::RestartReplica { tick, replica }));
         let factor = 1.0 + spec.diurnal_amplitude * triangle(tick, spec.diurnal_period);
         let mut load = (spec.base_load as f64 * factor).round() as u32;
         if spec.burst_prob > 0.0 && rng.random::<f64>() < spec.burst_prob {
@@ -212,17 +305,15 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> CommandStream {
                 case_index: rng.random::<u32>(),
             });
         }
-        if let Some((kill_tick, replica)) = spec.kill_replica_at {
-            if kill_tick == tick {
-                commands.push(SimCommand::KillReplica { tick, replica });
-            }
+        commands.extend(on(spec.fuzz_at, C::Fuzz { tick }));
+        let replica = kill.unwrap_or(0);
+        commands.extend(on(kill_at, C::KillReplica { tick, replica }));
+        commands.extend(on(listed(&spec.adapt_at), C::Adapt { tick }));
+        commands.extend(on(listed(&spec.rollback_at), C::Rollback { tick }));
+        for &(_, generation) in spec.rollback_to_at.iter().filter(|(t, _)| *t == tick) {
+            commands.push(C::RollbackTo { tick, generation });
         }
-        if spec.adapt_at == Some(tick) {
-            commands.push(SimCommand::Adapt { tick });
-        }
-        if spec.crash_adaptd_at == Some(tick) {
-            commands.push(SimCommand::CrashAdaptd { tick });
-        }
+        commands.extend(on(spec.crash_adaptd_at, C::CrashAdaptd { tick }));
     }
     CommandStream {
         scenario: spec.name.clone(),
@@ -232,161 +323,12 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> CommandStream {
     }
 }
 
-/// Bursty diurnal load with hostile clients and a mid-run replica kill —
-/// the "messy Tuesday plus a hardware failure" drill. Run it against a
-/// router fronting ≥ 2 replicas.
-pub fn burst_kill() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "burst-kill".into(),
-        about: "diurnal + bursts + hostile clients, replica killed mid-run".into(),
-        ticks: 8,
-        base_load: 6,
-        diurnal_amplitude: 0.5,
-        diurnal_period: 8,
-        burst_prob: 0.4,
-        burst_mean: 8,
-        hostile_per_tick: 1,
-        short_deadline_frac: 0.3,
-        short_deadline_ms: 250,
-        long_deadline_ms: 5_000,
-        utt_frames: 75,
-        drift: None,
-        code_switch_prob: 0.15,
-        open_set_prob: 0.0,
-        kill_replica_at: Some((4, 1)),
-        adapt_at: None,
-        crash_adaptd_at: None,
-        restart_adaptd_at: None,
-        invariants: InvariantSpec {
-            max_shed_rate: Some(0.5),
-            p99_ms: Some(5_000.0),
-            expect_flight: vec!["eject".into()],
-            min_completed: 20,
-            ..InvariantSpec::default()
-        },
-    }
-}
-
-/// Channel drift into heavy noise plus open-set traffic, ending in an
-/// adaptation cycle that the guard must reject. Run it against an
-/// adaptation-capable server started with an impossible guard (negative
-/// regression slack) and an open-set threshold.
-pub fn drift_guard() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "drift-guard".into(),
-        about: "SNR drifts 20→0 dB with open-set traffic; guard must reject the adapt".into(),
-        ticks: 6,
-        base_load: 5,
-        diurnal_amplitude: 0.0,
-        diurnal_period: 6,
-        burst_prob: 0.0,
-        burst_mean: 0,
-        hostile_per_tick: 1,
-        short_deadline_frac: 0.0,
-        short_deadline_ms: 250,
-        long_deadline_ms: 10_000,
-        utt_frames: 75,
-        drift: Some(DriftPlan {
-            start_snr_db: 20.0,
-            end_snr_db: 0.0,
-        }),
-        code_switch_prob: 0.1,
-        open_set_prob: 0.3,
-        kill_replica_at: None,
-        adapt_at: Some(5),
-        crash_adaptd_at: None,
-        restart_adaptd_at: None,
-        invariants: InvariantSpec {
-            p99_ms: Some(10_000.0),
-            expect_guard_reject: true,
-            expect_flight: vec!["guard_reject".into()],
-            min_completed: 15,
-            require_unknown: true,
-            ..InvariantSpec::default()
-        },
-    }
-}
-
-/// A deliberately failing scenario: it demands an `eject` flight event
-/// but never kills anything, so the invariant fails — deterministically,
-/// on the original run and on every `--replay` of it. This is the pinned
-/// proof that a violated invariant reproduces from the exported stream.
-pub fn phantom_eject() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "phantom-eject".into(),
-        about: "deliberate failure: expects an eject that never happens".into(),
-        ticks: 2,
-        base_load: 3,
-        diurnal_amplitude: 0.0,
-        diurnal_period: 2,
-        burst_prob: 0.0,
-        burst_mean: 0,
-        hostile_per_tick: 0,
-        short_deadline_frac: 0.0,
-        short_deadline_ms: 250,
-        long_deadline_ms: 10_000,
-        utt_frames: 75,
-        drift: None,
-        code_switch_prob: 0.0,
-        open_set_prob: 0.0,
-        kill_replica_at: None,
-        adapt_at: None,
-        crash_adaptd_at: None,
-        restart_adaptd_at: None,
-        invariants: InvariantSpec {
-            expect_flight: vec!["eject".into()],
-            min_completed: 1,
-            ..InvariantSpec::default()
-        },
-    }
-}
-
-/// The durability drill: steady traffic into an adapting server, SIGKILL
-/// it mid-window (no shutdown handshake, no flush), restart it against
-/// the same `--wal-dir`, keep the traffic coming. Judged on zero lost
-/// votes across the crash and an intact generation-lineage chain. Run it
-/// with `--adaptd-cmd` so the driver owns the process it is killing, and
-/// start the server with `--wal-fsync-ms 0` so "zero lost" is exact.
-pub fn crash_recover() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "crash-recover".into(),
-        about: "kill -9 the adapting server mid-window; WAL replay must lose nothing".into(),
-        ticks: 7,
-        base_load: 5,
-        diurnal_amplitude: 0.0,
-        diurnal_period: 7,
-        burst_prob: 0.0,
-        burst_mean: 0,
-        hostile_per_tick: 1,
-        short_deadline_frac: 0.0,
-        short_deadline_ms: 250,
-        long_deadline_ms: 10_000,
-        utt_frames: 75,
-        drift: None,
-        code_switch_prob: 0.1,
-        open_set_prob: 0.0,
-        kill_replica_at: None,
-        adapt_at: None,
-        crash_adaptd_at: Some(3),
-        restart_adaptd_at: Some(4),
-        invariants: InvariantSpec {
-            p99_ms: Some(10_000.0),
-            expect_flight: vec!["wal_recover".into()],
-            min_completed: 15,
-            expect_wal_recovery: true,
-            ..InvariantSpec::default()
-        },
-    }
-}
-
-/// All built-in scenarios.
+/// All built-in scenarios, parsed from their embedded files.
 pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
-    vec![
-        burst_kill(),
-        drift_guard(),
-        phantom_eject(),
-        crash_recover(),
-    ]
+    BUILTIN
+        .iter()
+        .map(|text| ScenarioSpec::parse(text).expect("embedded scenario parses"))
+        .collect()
 }
 
 /// Look a scenario up by its stream-recorded name.
@@ -394,13 +336,17 @@ pub fn by_name(name: &str) -> Option<ScenarioSpec> {
     builtin_scenarios().into_iter().find(|s| s.name == name)
 }
 
+/// Split a comma-separated list, dropping empty items.
+fn items(value: &str) -> impl Iterator<Item = &str> {
+    value.split(',').map(str::trim).filter(|s| !s.is_empty())
+}
+
 impl ScenarioSpec {
-    /// Parse a scenario from the on-disk text format: one `key = value`
-    /// per line, `#` starts a comment, unset keys keep quiet defaults
-    /// (no bursts, no hostiles, no kills, default invariants). Every
-    /// built-in field is reachable, so `--scenario-file` can express
-    /// anything a built-in can — including the crash-recovery drill —
-    /// without recompiling. Unknown keys and malformed values are hard
+    /// Parse a scenario from the text format: one `key = value` per line,
+    /// `#` starts a comment, unset keys keep quiet defaults (no bursts, no
+    /// hostiles, no kills, no processes, default invariants). List keys
+    /// take comma-separated items, and `TICK:…` items split at `:`.
+    /// Unknown keys, unknown placeholders and malformed values are hard
     /// errors: a typo must not silently weaken what a run asserts.
     pub fn parse(text: &str) -> Result<ScenarioSpec, String> {
         let mut spec = ScenarioSpec {
@@ -408,23 +354,18 @@ impl ScenarioSpec {
             about: "scenario loaded from a file".into(),
             ticks: 4,
             base_load: 4,
-            diurnal_amplitude: 0.0,
             diurnal_period: 4,
-            burst_prob: 0.0,
-            burst_mean: 0,
-            hostile_per_tick: 0,
-            short_deadline_frac: 0.0,
             short_deadline_ms: 250,
             long_deadline_ms: 10_000,
             utt_frames: 75,
-            drift: None,
-            code_switch_prob: 0.0,
-            open_set_prob: 0.0,
-            kill_replica_at: None,
-            adapt_at: None,
-            crash_adaptd_at: None,
-            restart_adaptd_at: None,
-            invariants: InvariantSpec::default(),
+            invariants: InvariantSpec {
+                zero_torn_replies: true,
+                typed_failures_only: true,
+                hostile_contract: true,
+                min_completed: 1,
+                ..InvariantSpec::default()
+            },
+            ..ScenarioSpec::default()
         };
         let mut drift_start: Option<f32> = None;
         let mut drift_end: Option<f32> = None;
@@ -443,15 +384,32 @@ impl ScenarioSpec {
                 ($want:literal) => {
                     value.parse().map_err(|_| bad($want))?
                 };
+                ($s:expr, $want:literal) => {
+                    $s.parse().map_err(|_| bad($want))?
+                };
             }
             let flag = || match value {
                 "true" => Ok(true),
                 "false" => Ok(false),
                 _ => Err(bad("true|false")),
             };
+            // The items of a list value, each split at `:` into `n` fields.
+            let fields = |n: usize, want: &str| {
+                let split = |item| str::split(item, ':').map(str::trim).collect::<Vec<_>>();
+                let all: Vec<Vec<&str>> = items(value).map(split).collect();
+                match all.iter().all(|f| f.len() == n) {
+                    true => Ok(all),
+                    false => Err(bad(want)),
+                }
+            };
+            let at_line = |e: String| format!("line {lineno}: {e}");
+            let process = || crate::topology::check_line(value).map(|()| value.to_string());
+            let inv = &mut spec.invariants;
             match key {
                 "name" => spec.name = value.to_string(),
                 "about" => spec.about = value.to_string(),
+                "replica" => spec.replicas.push(process().map_err(at_line)?),
+                "front" => spec.front = Some(process().map_err(at_line)?),
                 "ticks" => spec.ticks = num!("u32"),
                 "base_load" => spec.base_load = num!("u32"),
                 "diurnal_amplitude" => spec.diurnal_amplitude = num!("f64"),
@@ -467,32 +425,83 @@ impl ScenarioSpec {
                 "drift_end_snr_db" => drift_end = Some(num!("f32")),
                 "code_switch_prob" => spec.code_switch_prob = num!("f64"),
                 "open_set_prob" => spec.open_set_prob = num!("f64"),
-                "kill_replica_at" => {
-                    let (t, r) = value.split_once(':').ok_or_else(|| bad("TICK:REPLICA"))?;
-                    spec.kill_replica_at = Some((
-                        t.trim().parse().map_err(|_| bad("TICK:REPLICA"))?,
-                        r.trim().parse().map_err(|_| bad("TICK:REPLICA"))?,
-                    ));
+                "kill_replica_at" | "restart_replica_at" => {
+                    let f = &fields(2, "TICK:REPLICA")?[..];
+                    let [f] = f else {
+                        return Err(bad("TICK:REPLICA"));
+                    };
+                    let at = Some((num!(f[0], "TICK:REPLICA"), num!(f[1], "TICK:REPLICA")));
+                    match key {
+                        "kill_replica_at" => spec.kill_replica_at = at,
+                        _ => spec.restart_replica_at = at,
+                    }
                 }
-                "adapt_at" => spec.adapt_at = Some(num!("u32")),
+                "adapt_at" => {
+                    for f in fields(1, "TICK, …")? {
+                        spec.adapt_at.push(num!(f[0], "TICK, …"));
+                    }
+                }
                 "crash_adaptd_at" => spec.crash_adaptd_at = Some(num!("u32")),
                 "restart_adaptd_at" => spec.restart_adaptd_at = Some(num!("u32")),
-                "max_shed_rate" => spec.invariants.max_shed_rate = Some(num!("f64")),
-                "p99_ms" => spec.invariants.p99_ms = Some(num!("f64")),
-                "zero_torn_replies" => spec.invariants.zero_torn_replies = flag()?,
-                "typed_failures_only" => spec.invariants.typed_failures_only = flag()?,
-                "expect_guard_reject" => spec.invariants.expect_guard_reject = flag()?,
-                "expect_flight" => {
-                    spec.invariants.expect_flight = value
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect();
+                "fuzz_at" => spec.fuzz_at = Some(num!("u32")),
+                "rollback_at" => {
+                    for f in fields(2, "TICK:rolled|unrolled, …")? {
+                        let tick: u32 = num!(f[0], "TICK:rolled|unrolled, …");
+                        if !matches!(f[1], "rolled" | "unrolled") {
+                            return Err(bad("TICK:rolled|unrolled, …"));
+                        }
+                        spec.rollback_at.push(tick);
+                        inv.expect_ack
+                            .insert(format!("rollback@{tick}"), f[1].into());
+                    }
                 }
-                "min_completed" => spec.invariants.min_completed = num!("u64"),
-                "require_unknown" => spec.invariants.require_unknown = flag()?,
-                "hostile_contract" => spec.invariants.hostile_contract = flag()?,
-                "expect_wal_recovery" => spec.invariants.expect_wal_recovery = flag()?,
+                "rollback_to_at" => {
+                    for f in fields(3, "TICK:GEN:restored|refused, …")? {
+                        let tick: u32 = num!(f[0], "TICK:GEN:restored|refused, …");
+                        let generation: u64 = num!(f[1], "TICK:GEN:restored|refused, …");
+                        let ack = match f[2] {
+                            "restored" => format!("restored:{generation}"),
+                            "refused" => "refused".to_string(),
+                            _ => return Err(bad("TICK:GEN:restored|refused, …")),
+                        };
+                        spec.rollback_to_at.push((tick, generation));
+                        inv.expect_ack.insert(format!("rollback-to@{tick}"), ack);
+                    }
+                }
+                "max_shed_rate" => inv.max_shed_rate = Some(num!("f64")),
+                "p99_ms" => inv.p99_ms = Some(num!("f64")),
+                "zero_torn_replies" => inv.zero_torn_replies = flag()?,
+                "typed_failures_only" => inv.typed_failures_only = flag()?,
+                "expect_flight" | "expect_counter" => {
+                    let checks = items(value).map(Expect::parse);
+                    let checks = checks.collect::<Result<_, _>>().map_err(at_line)?;
+                    match key {
+                        "expect_flight" => inv.expect_flight = checks,
+                        _ => inv.expect_counter = checks,
+                    }
+                }
+                "expect_adapt" => {
+                    for f in fields(2, "OUTCOME:GEN, …")? {
+                        if !ADAPT_OUTCOMES.contains(&f[0]) || f[1].parse::<u64>().is_err() {
+                            return Err(bad("OUTCOME:GEN, …"));
+                        }
+                    }
+                    inv.expect_adapt = items(value).map(str::to_string).collect();
+                }
+                "expect_lineage" => {
+                    let want = |k: &str| {
+                        let v = items(value).find_map(|i| i.strip_prefix(k)?.strip_prefix('='));
+                        v.and_then(|v| v.trim().parse().ok())
+                    };
+                    let head_entries = want("head").zip(want("entries"));
+                    inv.expect_lineage =
+                        Some(head_entries.ok_or_else(|| bad("head=N, entries=N"))?);
+                }
+                "min_completed" => inv.min_completed = num!("u64"),
+                "require_unknown" => inv.require_unknown = flag()?,
+                "hostile_contract" => inv.hostile_contract = flag()?,
+                "expect_wal_recovery" => inv.expect_wal_recovery = flag()?,
+                "verify_bits" => inv.verify_bits = flag()?,
                 _ => return Err(format!("line {lineno}: unknown key {key:?}")),
             }
         }
@@ -514,6 +523,16 @@ impl ScenarioSpec {
                 return Err("restart_adaptd_at must come after crash_adaptd_at".into());
             }
         }
+        if let (Some((kill, r)), Some((restart, q))) =
+            (spec.kill_replica_at, spec.restart_replica_at)
+        {
+            if restart <= kill || r != q {
+                return Err("restart_replica_at must restart the killed replica later".into());
+            }
+        }
+        if !spec.replicas.is_empty() && spec.front.is_none() {
+            return Err("replica processes need a front process".into());
+        }
         Ok(spec)
     }
 }
@@ -522,9 +541,13 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
 
+    fn builtin(name: &str) -> ScenarioSpec {
+        by_name(name).expect("built-in scenario")
+    }
+
     #[test]
     fn same_seed_same_bytes_different_seed_different_bytes() {
-        let spec = burst_kill();
+        let spec = builtin("burst-kill");
         let a = generate(&spec, 42).encode();
         let b = generate(&spec, 42).encode();
         assert_eq!(a, b, "generation must be a pure function of the seed");
@@ -540,7 +563,7 @@ mod tests {
         );
         assert_ne!(
             generate(&spec, 42).crc32(),
-            generate(&drift_guard(), 42).crc32(),
+            generate(&builtin("drift-guard"), 42).crc32(),
             "stream CRC must depend on the scenario"
         );
     }
@@ -556,7 +579,7 @@ mod tests {
 
     #[test]
     fn corrupted_streams_are_typed_errors() {
-        let mut bytes = generate(&burst_kill(), 9).encode();
+        let mut bytes = generate(&builtin("burst-kill"), 9).encode();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         assert!(CommandStream::decode(&bytes).is_err(), "bit flip accepted");
@@ -569,7 +592,7 @@ mod tests {
 
     #[test]
     fn crash_recover_plans_the_outage_window_empty() {
-        let stream = generate(&crash_recover(), 11);
+        let stream = generate(&builtin("crash-recover"), 11);
         let crash_pos = stream
             .commands
             .iter()
@@ -589,7 +612,7 @@ mod tests {
             crash_pos + 1,
             "commands were planned into the outage window"
         );
-        assert!(crash_recover().invariants.expect_wal_recovery);
+        assert!(builtin("crash-recover").invariants.expect_wal_recovery);
     }
 
     #[test]
@@ -611,7 +634,13 @@ min_completed = 8
         assert_eq!(spec.name, "file-crash");
         assert_eq!(spec.crash_adaptd_at, Some(2));
         assert_eq!(spec.restart_adaptd_at, Some(3));
-        assert_eq!(spec.invariants.expect_flight, vec!["wal_recover", "eject"]);
+        let flight: Vec<&str> = spec
+            .invariants
+            .expect_flight
+            .iter()
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(flight, vec!["wal_recover", "eject"]);
         assert!(spec.invariants.expect_wal_recovery);
         assert_eq!(spec.invariants.min_completed, 8);
         // A file spec feeds the same pure generator as a built-in.
@@ -644,6 +673,19 @@ min_completed = 8
             ScenarioSpec::parse("expect_wal_recovery = yes").is_err(),
             "non-boolean flag"
         );
+        for bad in [
+            "expect_guard_reject = true",
+            "front = lre-serve --bundle {bundel}",
+            "replica = lre-serve --bundle {bundle}",
+            "expect_adapt = promoted",
+            "expect_adapt = adopted:1",
+            "rollback_at = 3",
+            "rollback_to_at = 3:0:maybe",
+            "expect_lineage = head=1",
+            "kill_replica_at = 3:1\nrestart_replica_at = 4:0",
+        ] {
+            assert!(ScenarioSpec::parse(bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]
@@ -661,7 +703,7 @@ min_completed = 8
 
     #[test]
     fn scenario_shapes_hold() {
-        let stream = generate(&burst_kill(), 1);
+        let stream = generate(&builtin("burst-kill"), 1);
         assert!(stream.commands.iter().any(|c| matches!(
             c,
             SimCommand::KillReplica {
@@ -676,7 +718,7 @@ min_completed = 8
             .count();
         assert_eq!(hostiles, 8, "one hostile per tick");
 
-        let drift = generate(&drift_guard(), 1);
+        let drift = generate(&builtin("drift-guard"), 1);
         assert!(drift
             .commands
             .iter()
@@ -704,5 +746,121 @@ min_completed = 8
             .collect();
         assert!(!open.is_empty(), "drift-guard sent no open-set traffic");
         assert!(open.iter().all(|&l| l >= NUM_TARGETS));
+    }
+
+    #[test]
+    fn builtin_plans_keep_their_crc_at_the_ci_seeds() {
+        // The plans the four original built-ins generated as Rust
+        // constructors, before they became files.
+        for (name, seed, crc) in [
+            ("burst-kill", 42, 0xde19_cdca),
+            ("drift-guard", 7, 0x69de_0cb5),
+            ("crash-recover", 42, 0x9ade_2d97),
+            ("phantom-eject", 1, 0xc9c3_5eef),
+        ] {
+            assert_eq!(generate(&builtin(name), seed).crc32(), crc, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_embedded_file_parses_under_a_unique_name() {
+        let specs = builtin_scenarios();
+        assert_eq!(specs.len(), BUILTIN.len());
+        let names: std::collections::BTreeSet<&str> =
+            specs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names.len(), specs.len(), "duplicate scenario names");
+        for spec in &specs {
+            assert!(
+                spec.front.is_some(),
+                "{} starts no front process",
+                spec.name
+            );
+            assert_ne!(spec.about, "scenario loaded from a file", "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn checks_parse_with_count_modulo_and_scope() {
+        let e = Expect::parse("swap=1@replicas").expect("parses");
+        assert_eq!(
+            (e.name.as_str(), e.at_least, e.value, e.on_replicas),
+            ("swap", false, 1, true)
+        );
+        assert!(e.holds(1) && !e.holds(0) && !e.holds(2));
+        let e = Expect::parse("eject").expect("parses");
+        assert_eq!((e.at_least, e.value, e.on_replicas), (true, 1, false));
+        let e = Expect::parse("engine.fanout.tasks%6=0").expect("parses");
+        assert_eq!(e.modulo, Some(6));
+        assert!(e.holds(12) && !e.holds(13));
+        assert!(Expect::parse("x>=1").expect("parses").holds(5));
+        for bad in ["swap=one", "swap@fleet", "swap@front", "%6=0", "tasks%0=0"] {
+            assert!(Expect::parse(bad).is_err(), "{bad} accepted");
+        }
+    }
+
+    #[test]
+    fn control_commands_land_at_the_end_of_their_tick_in_plan_order() {
+        let spec = builtin("fleet");
+        let stream = generate(&spec, 1);
+        let tail = |tick: u32| -> Vec<&SimCommand> {
+            let of_tick: Vec<&SimCommand> = stream
+                .commands
+                .iter()
+                .filter(|c| c.tick() == tick)
+                .collect();
+            of_tick
+                .into_iter()
+                .filter(|c| !matches!(c, SimCommand::Score { .. }))
+                .collect()
+        };
+        assert!(matches!(
+            tail(0)[..],
+            [SimCommand::Hostile { .. }, SimCommand::Fuzz { tick: 0 }]
+        ));
+        assert!(matches!(
+            tail(2)[..],
+            [
+                SimCommand::Hostile { .. },
+                SimCommand::KillReplica {
+                    tick: 2,
+                    replica: 2
+                }
+            ]
+        ));
+        assert!(matches!(
+            stream.commands.iter().find(|c| c.tick() == 4),
+            Some(SimCommand::RestartReplica {
+                tick: 4,
+                replica: 2
+            })
+        ));
+        assert!(matches!(tail(6)[1..], [SimCommand::Adapt { tick: 6 }]));
+        assert!(matches!(tail(7)[1..], [SimCommand::Rollback { tick: 7 }]));
+        assert_eq!(spec.invariants.expect_ack["rollback@7"], "rolled");
+
+        let deep = builtin("deep-rollback");
+        let stream = generate(&deep, 1);
+        let deep_rollbacks: Vec<&SimCommand> = stream
+            .commands
+            .iter()
+            .filter(|c| matches!(c, SimCommand::RollbackTo { .. }))
+            .collect();
+        assert!(matches!(
+            deep_rollbacks[..],
+            [
+                SimCommand::RollbackTo {
+                    tick: 4,
+                    generation: 0
+                },
+                SimCommand::RollbackTo {
+                    tick: 5,
+                    generation: 99
+                }
+            ]
+        ));
+        assert_eq!(deep.invariants.expect_ack["rollback-to@4"], "restored:0");
+        assert_eq!(deep.invariants.expect_ack["rollback-to@5"], "refused");
+        assert_eq!(deep.invariants.expect_lineage, Some((3, 4)));
+        assert_eq!(deep.adapt_at, vec![1, 3, 6]);
     }
 }

@@ -4,15 +4,18 @@
 //! byte-identical plans, and a run that *fails* must fail identically
 //! when re-driven from its exported stream alone. The second is pinned
 //! with the deliberately failing `phantom-eject` scenario against a real
-//! in-process server: the original run and the replay-from-file run must
-//! produce byte-identical verdict text, both FAILing the same invariant.
+//! in-process server: the original run and the replay-from-file run, each
+//! against a fresh server, must produce byte-identical verdict text, both
+//! FAILing the same invariant.
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_serve::{
-    Client, EngineConfig, ScoreDetail, Scorer, ScorerHandle, Server, ServerConfig, ServerHooks,
+    EngineConfig, ScoreDetail, Scorer, ScorerHandle, Server, ServerConfig, ServerHooks,
 };
-use lre_trafficsim::{burst_kill, by_name, generate, phantom_eject, run, CommandStream, SimConfig};
+use lre_trafficsim::{
+    builtin_scenarios, by_name, generate, run, CommandStream, ScenarioSpec, SimConfig,
+};
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -52,15 +55,25 @@ fn start_mock_server() -> Server {
     .expect("server starts")
 }
 
-fn stop(addr: std::net::SocketAddr, server: Server) {
-    let mut client = Client::connect(addr).expect("connect for shutdown");
-    client.shutdown().expect("shutdown acknowledged");
+/// Drive `stream` against a fresh mock server; the run ends with the
+/// shutdown every run sends its front door.
+fn run_against_mock(stream: &CommandStream, spec: &ScenarioSpec) -> lre_trafficsim::RunReport {
+    let server = start_mock_server();
+    let mut spec = spec.clone();
+    spec.front = None;
+    let cfg = SimConfig {
+        front: Some(server.local_addr()),
+        tick_ms: 0,
+        ..SimConfig::default()
+    };
+    let report = run(stream, &spec, &cfg);
     server.join();
+    report
 }
 
 #[test]
 fn same_seed_is_byte_identical_and_survives_the_file_roundtrip() {
-    let spec = burst_kill();
+    let spec = by_name("burst-kill").expect("built-in");
     let a = generate(&spec, 2026);
     let b = generate(&spec, 2026);
     assert_eq!(a.encode(), b.encode(), "same seed must give the same bytes");
@@ -83,14 +96,10 @@ fn a_violated_invariant_reproduces_from_the_exported_replay_alone() {
     // phantom-eject demands an `eject` flight event but never kills a
     // replica, so it fails deterministically — the pinned proof that a
     // red run stays red on replay.
-    let spec = phantom_eject();
+    let spec = by_name("phantom-eject").expect("built-in");
     let stream = generate(&spec, 7);
 
-    let server = start_mock_server();
-    let addr = server.local_addr();
-    let mut cfg = SimConfig::new(addr);
-    cfg.tick_ms = 0;
-    let original = run(&stream, &spec.invariants, &cfg);
+    let original = run_against_mock(&stream, &spec);
     assert!(!original.pass, "phantom-eject must fail");
     assert!(
         original.verdict_text.contains("FAIL flight:eject"),
@@ -100,6 +109,11 @@ fn a_violated_invariant_reproduces_from_the_exported_replay_alone() {
     assert!(
         original.verdict_text.contains("PASS min-completed"),
         "the mock server should have scored the traffic:\n{}",
+        original.verdict_text
+    );
+    assert!(
+        original.verdict_text.contains("PASS clean-exit"),
+        "the mock server must have acknowledged the closing shutdown:\n{}",
         original.verdict_text
     );
     assert!(original.verdict_text.ends_with("result=FAIL\n"));
@@ -115,11 +129,25 @@ fn a_violated_invariant_reproduces_from_the_exported_replay_alone() {
     let replay_spec = by_name(&replayed.scenario).expect("stream names a builtin scenario");
     assert_eq!(replay_spec.invariants, spec.invariants);
 
-    let replay = run(&replayed, &replay_spec.invariants, &cfg);
+    let replay = run_against_mock(&replayed, &replay_spec);
     assert!(!replay.pass);
     assert_eq!(
         replay.verdict_text, original.verdict_text,
         "a replayed failure must render the identical verdict"
     );
-    stop(addr, server);
+}
+
+#[test]
+fn list_shows_every_embedded_scenario() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lre-trafficsim"))
+        .arg("--list")
+        .output()
+        .expect("lre-trafficsim --list runs");
+    assert!(out.status.success());
+    let listed: Vec<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.split_whitespace().next().map(str::to_string))
+        .collect();
+    let names: Vec<String> = builtin_scenarios().into_iter().map(|s| s.name).collect();
+    assert_eq!(listed, names);
 }
