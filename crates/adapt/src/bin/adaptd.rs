@@ -32,7 +32,9 @@
 //! `--rollback-to GEN`. Every adaptation cycle lands in its `adapt.*`
 //! series.
 //! `--keep-generations N` prunes all but the newest N generations' bytes
-//! after each promote (0 = keep everything).
+//! after each promote (0 = keep everything). Without `--wal-dir` the vote
+//! window is a scratch WAL under `TMPDIR` (or `/tmp`), never replayed and
+//! removed at a graceful shutdown.
 
 use lre_adapt::{AdaptController, DrainPath, GuardArgs};
 use lre_artifact::{bundle_checksum, ArtifactRead};
@@ -163,7 +165,7 @@ fn main() {
         format!("binding {}", server.addr),
     );
     let hooks = ServerHooks {
-        tap: Some(log as _),
+        tap: Some(Arc::clone(&log) as _),
         control: Some(Arc::clone(&controller) as _),
         // The replica is driven in process only: no fleet-rollout tag
         // (drain, stage, commit, abort, rollback) is answered on the wire.
@@ -176,6 +178,9 @@ fn main() {
     );
     println!("listening on {}", server.local_addr());
     server.join();
+    // Connection threads the door does not join may still hold the log,
+    // and an exit runs no drop: a scratch window's directory goes now.
+    log.remove_scratch_dir();
     eprintln!(
         "[adaptd] shut down cleanly at generation {}",
         handle.generation()

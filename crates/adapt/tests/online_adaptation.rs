@@ -217,17 +217,20 @@ fn events(flight: &FlightRecorder, kind: u8) -> usize {
     flight.peek().iter().filter(|e| e.kind == kind).count()
 }
 
+/// An in-process replica's vote log over a scratch WAL, as `lre-adaptd`
+/// without `--wal-dir` builds it.
+fn scratch_log(capacity: usize, registry: &Registry) -> VoteLog {
+    VoteLog::new(capacity, DrainPath::InProcess, vote_wal_options(), registry)
+        .expect("scratch vote WAL opens")
+}
+
 /// Stand up an adapting server over the fixture bundle: the `lre-adaptd`
 /// shape, one controller over the one in-process replica it serves from.
 /// A single v1 client scores one utterance at a time, so the vote log's
 /// arrival order is exactly the drive order regardless of worker count.
 fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
     let hooks = ServerHooks::default();
-    let log = Arc::new(VoteLog::new(
-        4096,
-        DrainPath::InProcess,
-        &hooks.obs.registry,
-    ));
+    let log = Arc::new(scratch_log(4096, &hooks.obs.registry));
     let r = replica(fx.bytes.clone(), log, hooks);
     let flight = Arc::clone(&r.hooks.obs.flight);
     let controller = Arc::new(
@@ -615,7 +618,7 @@ fn trimming_changes_no_round_at_any_v() {
         .map(|w| system.score_utt(w, &mut scratch).expect("scores"))
         .collect();
     let whole: Vec<VoteRecord> = details.iter().cloned().map(VoteRecord::from).collect();
-    let log = VoteLog::new(whole.len(), DrainPath::InProcess, &Registry::new());
+    let log = scratch_log(whole.len(), &Registry::new());
     for d in details {
         log.record(d);
     }
@@ -932,11 +935,7 @@ struct Member {
 
 fn start_member(fx: &Fixture) -> Member {
     let hooks = ServerHooks::default();
-    let log = Arc::new(VoteLog::new(
-        4096,
-        DrainPath::InProcess,
-        &hooks.obs.registry,
-    ));
+    let log = Arc::new(scratch_log(4096, &hooks.obs.registry));
     let r = replica(fx.bytes.clone(), log, hooks);
     let flight = Arc::clone(&r.hooks.obs.flight);
     let hooks = ServerHooks {
@@ -1133,7 +1132,7 @@ fn ping_and_the_dump_answer_while_a_cycle_holds_the_controller() {
     let _ = std::fs::remove_dir_all(&dir);
     let parked = Arc::new(ParkedDrain::default());
     let hooks = ServerHooks::default();
-    let log = Arc::new(VoteLog::new(16, DrainPath::InProcess, &hooks.obs.registry));
+    let log = Arc::new(scratch_log(16, &hooks.obs.registry));
     let r = replica(fx.bytes.clone(), log, hooks);
     let lineage = LineageStore::open(&dir).expect("lineage opens");
     let controller = AdaptController::new(

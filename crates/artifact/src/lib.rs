@@ -489,6 +489,19 @@ pub fn seal(kind: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
 /// Validate a container's magic, kind, version, declared length and CRC,
 /// returning the payload slice. Any deviation is a typed error.
 pub fn open(bytes: &[u8], kind: [u8; 4], version: u32) -> Result<&[u8], ArtifactError> {
+    let payload = open_framed(bytes, kind, version)?;
+    let body_end = bytes.len() - TRAILER_LEN;
+    let stored_crc = u32::from_le_bytes(bytes[body_end..].try_into().unwrap());
+    if crc32(&bytes[..body_end]) != stored_crc {
+        return Err(ArtifactError::ChecksumMismatch);
+    }
+    Ok(payload)
+}
+
+/// [`open`] without the CRC: magic, kind, version and an exact declared
+/// length are checked, the trailer is not. Only for a container nested in
+/// a payload whose own CRC was verified, which covers every byte here.
+pub fn open_framed(bytes: &[u8], kind: [u8; 4], version: u32) -> Result<&[u8], ArtifactError> {
     if bytes.len() < HEADER_LEN + TRAILER_LEN {
         return Err(ArtifactError::Truncated);
     }
@@ -519,12 +532,7 @@ pub fn open(bytes: &[u8], kind: [u8; 4], version: u32) -> Result<&[u8], Artifact
         std::cmp::Ordering::Greater => return Err(ArtifactError::TrailingBytes),
         std::cmp::Ordering::Equal => {}
     }
-    let body_end = bytes.len() - TRAILER_LEN;
-    let stored_crc = u32::from_le_bytes(bytes[body_end..].try_into().unwrap());
-    if crc32(&bytes[..body_end]) != stored_crc {
-        return Err(ArtifactError::ChecksumMismatch);
-    }
-    Ok(&bytes[HEADER_LEN..body_end])
+    Ok(&bytes[HEADER_LEN..bytes.len() - TRAILER_LEN])
 }
 
 /// Validate a sealed container sitting at the *head* of a longer buffer —
@@ -656,6 +664,15 @@ pub trait ArtifactRead: ArtifactWrite + Sized {
     fn read_nested(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
         let blob = r.get_blob()?;
         Self::from_artifact_bytes(blob)
+    }
+
+    /// [`ArtifactRead::read_nested`] without the nested container's own CRC
+    /// ([`open_framed`]): for a `read_payload` that only ever runs on a
+    /// payload whose container was just verified, whose CRC covers these
+    /// bytes already. Frame and lengths are still checked.
+    fn read_nested_covered(r: &mut ArtifactReader) -> Result<Self, ArtifactError> {
+        let blob = r.get_blob()?;
+        Self::from_payload(open_framed(blob, Self::KIND, Self::VERSION)?)
     }
 
     /// Counterpart to [`ArtifactRead::read_nested`]: seal `self` and embed it
@@ -990,6 +1007,67 @@ mod tests {
         let mut r = ArtifactReader::new(&bytes);
         let p = Point::read_nested(&mut r).unwrap();
         assert_eq!((p.x, p.y), (5.0, 6.0));
+        let mut r = ArtifactReader::new(&bytes);
+        let p = Point::read_nested_covered(&mut r).unwrap();
+        assert_eq!((p.x, p.y), (5.0, 6.0));
+    }
+
+    /// Two points nested covered in one sealed container.
+    struct Pair(Point, Point);
+
+    impl ArtifactWrite for Pair {
+        const KIND: [u8; 4] = *b"PAIR";
+        const VERSION: u32 = 1;
+        fn write_payload(&self, w: &mut ArtifactWriter) {
+            self.0.write_nested(w);
+            self.1.write_nested(w);
+        }
+    }
+
+    impl ArtifactRead for Pair {
+        fn read_payload(r: &mut ArtifactReader) -> Result<Pair, ArtifactError> {
+            Ok(Pair(
+                Point::read_nested_covered(r)?,
+                Point::read_nested_covered(r)?,
+            ))
+        }
+    }
+
+    #[test]
+    fn covered_nesting_is_framed_and_the_outer_crc_catches_every_flip() {
+        let sealed = Pair(Point { x: 1.0, y: 2.0 }, Point { x: 3.0, y: -4.0 }).to_artifact_bytes();
+        for byte in 0..sealed.len() {
+            for bit in 0..8 {
+                let mut bad = sealed.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(
+                    Pair::from_artifact_bytes(&bad).is_err(),
+                    "flip {byte}:{bit}"
+                );
+            }
+        }
+        for cut in 0..sealed.len() {
+            assert!(Pair::from_artifact_bytes(&sealed[..cut]).is_err());
+        }
+        // A nested frame is still checked without its CRC: a wrong kind or
+        // a length that disagrees with the blob is refused, a bad trailer
+        // is not looked at.
+        let nested = Point { x: 1.0, y: 2.0 }.to_artifact_bytes();
+        let (kind, version) = (Point::KIND, Point::VERSION);
+        let mut trailer = nested.clone();
+        *trailer.last_mut().unwrap() ^= 1;
+        assert!(open_framed(&trailer, kind, version).is_ok());
+        assert!(open(&trailer, kind, version).is_err());
+        let mut wrong_kind = nested.clone();
+        wrong_kind[4] ^= 1;
+        assert!(open_framed(&wrong_kind, kind, version).is_err());
+        assert!(open_framed(&nested[..nested.len() - 1], kind, version).is_err());
+        let mut longer = nested.clone();
+        longer.push(0);
+        assert!(matches!(
+            open_framed(&longer, kind, version),
+            Err(ArtifactError::TrailingBytes)
+        ));
     }
 
     /// Deterministic bytes without a dependency (xorshift64*).

@@ -1,8 +1,10 @@
 //! The flag parser `lre-serve`, `lre-adaptd` and `lre-router` share: a
 //! cursor over `--flag value` pairs, the group of flags the two scoring
-//! servers have in common and the vote log they build from it, and the
-//! one way a binary dies on a start-up error. (The adaptation-guard group `lre-adaptd` and `lre-router` share
-//! sits beside `AdaptConfig` in `lre-adapt`, which this crate cannot name.)
+//! servers have in common and the vote log they build from it (a durable
+//! WAL under `--wal-dir`, a scratch one under the temp directory without
+//! it), and the one way a binary dies on a start-up error. (The
+//! adaptation-guard group `lre-adaptd` and `lre-router` share sits beside
+//! `AdaptConfig` in `lre-adapt`, which this crate cannot name.)
 
 use crate::obs::ServeObs;
 use crate::server::ServerConfig;
@@ -115,9 +117,10 @@ impl ServerArgs {
         }
     }
 
-    /// The vote log a server tees its scores into: in RAM, or, given a
-    /// `dir`, durable there (`--wal-fsync-ms` batching) with what it
-    /// replayed printed under `[name]`. Exits 1 when the WAL does not open.
+    /// The vote log a server tees its scores into, over a WAL fsynced
+    /// every `--wal-fsync-ms`: durable in `dir`, with what it replayed
+    /// printed under `[name]`, or, without one, a scratch WAL under the
+    /// temp directory. Exits 1 when the WAL does not open.
     pub fn vote_log(
         &self,
         dir: Option<&Path>,
@@ -125,11 +128,16 @@ impl ServerArgs {
         obs: &ServeObs,
         name: &str,
     ) -> VoteLog {
-        let Some(dir) = dir else {
-            return VoteLog::new(self.log_capacity, drain, &obs.registry);
-        };
         let mut opts = vote_wal_options();
         opts.fsync_interval = Duration::from_millis(self.wal_fsync_ms);
+        let Some(dir) = dir else {
+            let scratch = VoteLog::new(self.log_capacity, drain, opts, &obs.registry);
+            let tmp = std::env::temp_dir();
+            return or_die(
+                scratch,
+                format!("opening a scratch vote WAL under {}", tmp.display()),
+            );
+        };
         let opened = VoteLog::open(
             dir,
             self.log_capacity,

@@ -20,13 +20,18 @@
 //! rollback — are answered, so an `lre-router` can coordinate fleet-wide
 //! adaptation. Without it those tags are refused `STATUS_UNSUPPORTED`.
 //!
-//! `--wal-dir DIR` (fleet mode only; without `--fleet` it is a usage
-//! error) makes the vote log durable: every
-//! admitted vote is teed into a write-ahead log under `DIR`, replayed
-//! into the buffer on restart, and cleared by a router drain.
-//! `--wal-fsync-ms N` sets the fsync batching interval (0 = fsync every
-//! append; default 50). The log's state is on the `wal.*` series, which
-//! `lre-client --wal-status` reads. See `docs/DURABILITY.md`.
+//! The vote log keeps its window in a write-ahead log, never in RAM: every
+//! admitted vote is appended to it, and a router drain reads the window
+//! back and clears it. Without `--wal-dir` that WAL is scratch: a fresh
+//! `lre-votes-<pid>-<n>` directory under `TMPDIR` (or `/tmp`), never
+//! replayed and removed at a graceful shutdown; a SIGKILLed replica leaves
+//! it behind, and a `TMPDIR` where it cannot be made stops `--fleet` at
+//! start (exit 1). `--wal-dir DIR` (fleet mode only; without `--fleet` it
+//! is a usage error) makes the WAL durable under `DIR`: replayed into the
+//! window on restart, and published on the `wal.*` series, which
+//! `lre-client --wal-status` reads. `--wal-fsync-ms N` sets the fsync
+//! batching interval of either (0 = fsync every append; default 50). See
+//! `docs/DURABILITY.md`.
 
 use lre_artifact::{bundle_checksum, ArtifactRead};
 use lre_obs::install_panic_dump;
@@ -88,11 +93,11 @@ fn main() {
     let obs = Arc::clone(&hooks.obs);
     // The flight recorder also dumps to stderr on panic.
     install_panic_dump(&obs.flight);
-    let handle = if let Some(checksum) = checksum {
+    let (handle, vote_log) = if let Some(checksum) = checksum {
         // A fleet replica serves through a hot-swappable handle tagged
         // with the sealed bundle's checksum and tees scores into the vote
-        // log the router drains. With --wal-dir the votes survive a crash,
-        // and a router drain clears the WAL with the buffer.
+        // log the router drains. With --wal-dir the votes survive a crash;
+        // without it they sit in a scratch WAL that goes with the log.
         let handle = Arc::new(ScorerHandle::new(system, checksum));
         eprintln!(
             "[serve] fleet replica mode: vote log capacity {}, bundle checksum {checksum:#010x}",
@@ -101,11 +106,15 @@ fn main() {
         let wal_dir = server.wal_dir.as_deref();
         let log = Arc::new(server.vote_log(wal_dir, DrainPath::Wire, &obs, "serve"));
         hooks.tap = Some(Arc::clone(&log) as _);
-        let replica = FleetReplica::new(Arc::clone(&handle), log, Arc::clone(&obs.flight));
+        let replica = FleetReplica::new(
+            Arc::clone(&handle),
+            Arc::clone(&log),
+            Arc::clone(&obs.flight),
+        );
         hooks.fleet = Some(Arc::new(replica));
-        handle
+        (handle, Some(log))
     } else {
-        Arc::new(ScorerHandle::new(system, 0))
+        (Arc::new(ScorerHandle::new(system, 0)), None)
     };
     let server = or_die(
         Server::start(listener, handle, server.cfg, hooks),
@@ -113,5 +122,10 @@ fn main() {
     );
     println!("listening on {}", server.local_addr());
     server.join();
+    // Connection threads the door does not join may still hold the log,
+    // and an exit runs no drop: a scratch window's directory goes now.
+    if let Some(log) = vote_log {
+        log.remove_scratch_dir();
+    }
     eprintln!("[serve] shut down cleanly");
 }

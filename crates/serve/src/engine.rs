@@ -423,9 +423,9 @@ impl Engine {
     /// teeing every successful score into `tap` (the adaptation vote log).
     /// Every count, latency and per-language LLR sketch is recorded into
     /// `obs`, and sheds, deadline expiries and scorer panics land in its
-    /// flight recorder. The queue's depth high-water mark, the handle's
-    /// generation and install counts and the uptime are bound into its
-    /// registry as readers.
+    /// flight recorder. The queue's depth and its high-water mark, the
+    /// handle's generation and install counts and the uptime are bound into
+    /// its registry as readers.
     ///
     /// Workers resolve the handle **once per request**: the reply carries
     /// the generation of the [`crate::swap::VersionedScorer`] that
@@ -438,6 +438,8 @@ impl Engine {
     ) -> Engine {
         let queue = Arc::new(Queue::new(cfg.queue_capacity));
         let registry = &obs.registry;
+        let q = Arc::clone(&queue);
+        registry.gauge_fn("engine.queue.depth", move || q.len() as u64);
         let q = Arc::clone(&queue);
         registry.gauge_fn("engine.queue.max_depth", move || q.max_depth() as u64);
         let started = Instant::now();

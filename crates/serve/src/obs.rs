@@ -482,6 +482,7 @@ mod tests {
                 "engine.fanout.tasks",
                 "engine.generation",
                 "engine.latency_us",
+                "engine.queue.depth",
                 "engine.queue.max_depth",
                 "engine.queue.wait_us",
                 "engine.rejected",

@@ -145,8 +145,8 @@ pub struct FleetReplica {
 
 impl FleetReplica {
     /// Wire a replica controller to the handle it swaps, the vote log it
-    /// drains (over a WAL or not: a drain clears whatever the log keeps)
-    /// and the flight recorder its commits and rollbacks go to.
+    /// drains (durable or scratch: a drain clears the log's WAL either
+    /// way) and the flight recorder its commits and rollbacks go to.
     pub fn new(
         handle: Arc<ScorerHandle>,
         log: Arc<VoteLog>,
@@ -254,7 +254,7 @@ impl FleetControl for FleetReplica {
 mod tests {
     use super::*;
     use crate::system::{ScoreDetail, ScoreTap};
-    use crate::votelog::DrainPath;
+    use crate::votelog::{vote_wal_options, DrainPath};
     use lre_artifact::{ArtifactError, ArtifactRead};
     use lre_lattice::DecodeScratch;
     use lre_obs::Registry;
@@ -286,10 +286,20 @@ mod tests {
         vec![b'C', v]
     }
 
+    fn scratch_log() -> Arc<VoteLog> {
+        let log = VoteLog::new(
+            8,
+            DrainPath::InProcess,
+            vote_wal_options(),
+            &Registry::new(),
+        );
+        Arc::new(log.expect("scratch vote WAL opens"))
+    }
+
     fn replica() -> FleetReplica {
         let mut rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
-            Arc::new(VoteLog::new(8, DrainPath::InProcess, &Registry::new())),
+            scratch_log(),
             Arc::new(FlightRecorder::new(8)),
         );
         rep.validate = Box::new(mock_validate);
@@ -378,7 +388,7 @@ mod tests {
 
         let rep = FleetReplica::new(
             Arc::new(ScorerHandle::new(Arc::new(Marker(0.0)), 0xAAAA)),
-            Arc::new(VoteLog::new(8, DrainPath::InProcess, &Registry::new())),
+            scratch_log(),
             Arc::new(FlightRecorder::new(8)),
         );
         assert_eq!(rep.stage(&v5), Err(STATUS_CONFLICT));
@@ -470,7 +480,6 @@ mod tests {
 
     #[test]
     fn durable_drain_truncates_the_wal_with_the_buffer() {
-        use crate::votelog::vote_wal_options;
         use std::time::Duration;
 
         let d = std::env::temp_dir().join(format!("lre_rollout_durable_{}", std::process::id()));

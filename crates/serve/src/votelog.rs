@@ -42,28 +42,38 @@
 //! Trimmed, dropped and deduplicated records are counted in the process
 //! registry as `votelog.trimmed`, `votelog.dropped` and `votelog.deduped`.
 //!
-//! **A log opened on a directory ([`VoteLog::open`]) keeps its window in a
-//! [`lre_wal::Wal`] only**, so it survives a crash and is not held twice.
-//! Every record the log *admits* (and only those — dedup rejects and
-//! overflow drops never touch disk) is appended, trimmed, as its own sealed
-//! `VREC` container; RAM keeps the index alone: the buffered digests, the
-//! record count and the window's sealed length. A drain or a snapshot reads
-//! the records back through the WAL's open handle ([`lre_wal::Wal::take`],
-//! [`lre_wal::Wal::records`]), and a drain clears the WAL as it does. All of
-//! it happens under the log's one mutex, so the WAL holds exactly the
-//! window — which is what lets a restart's replay rebuild the index, dedup
-//! state included, to an identical drain result. Replay runs admission
-//! again (a smaller `--log-capacity` refuses some records) and, if that
-//! changes anything, rewrites the WAL atomically to what it admitted. A
-//! vote the disk refuses is not in the window: it is dropped and counted in
-//! `votelog.dropped` as well as [`lre_wal::WalStatus::write_errors`]. A
-//! window the disk cannot give back whole (a failed read, damage) is
-//! dropped and counted the same way, and the log starts over empty. A drain
-//! whose clear fails still hands the window over (the WAL counts it); only
-//! a restart replays it.
+//! **Every log keeps its window in a [`lre_wal::Wal`] only**, never as
+//! records in RAM. Every record the log *admits* (and only those — dedup
+//! rejects and overflow drops never touch disk) is appended, trimmed, as
+//! its own sealed `VREC` container; RAM keeps the index alone: the
+//! buffered digests, the record count and the window's sealed length. A
+//! drain or a snapshot reads the records back through the WAL's open
+//! handle ([`lre_wal::Wal::take`], [`lre_wal::Wal::records`]), and a drain
+//! clears the WAL as it does. All of it happens under the log's one mutex,
+//! so the WAL holds exactly the window. A vote the disk refuses is not in
+//! the window: it is dropped and counted in `votelog.dropped` (and in the
+//! WAL's `write_errors`). A window the disk cannot give back whole (a
+//! failed read, damage) is dropped and counted the same way, and the log
+//! starts over empty. A drain whose clear fails still hands the window
+//! over (the WAL counts it).
 //!
-//! A log without a WAL (`VoteLog::new`) holds its window as
-//! [`VoteRecord`]s in RAM.
+//! The two kinds of log differ only in replay:
+//!
+//! * **Durable** ([`VoteLog::open`], `--wal-dir`): the WAL lives in a
+//!   directory the caller names, its `wal.*` series and replay events go
+//!   to the process's registry and flight recorder, and a restart replays
+//!   it, rebuilding the index, dedup state included, to an identical drain
+//!   result. Replay runs admission again (a smaller `--log-capacity`
+//!   refuses some records) and, if that changes anything, rewrites the WAL
+//!   atomically to what it admitted. A drain whose clear failed is
+//!   replayed by the next restart.
+//! * **Scratch** ([`VoteLog::new`]): the WAL lives in a fresh
+//!   `lre-votes-<pid>-<n>` directory under [`std::env::temp_dir`], records
+//!   into a private, unread `wal.*` registry, is never replayed and is
+//!   removed when the log drops (or, at a process's exit, by
+//!   [`VoteLog::remove_scratch_dir`]). A process killed before that leaves
+//!   the directory behind; a `TMPDIR` where no directory can be made stops
+//!   the log from being built at all.
 //!
 //! A drained (or in-flight) log can be frozen as a [`VoteLogSnapshot`] —
 //! a sealed, CRC-framed `lre-artifact` container (kind `VLOG`, records as
@@ -80,7 +90,8 @@ use lre_obs::{Counter, FlightRecorder, Registry};
 use lre_vsm::SparseVec;
 use lre_wal::{Wal, WalObs, WalOptions, WalStatus};
 use std::collections::HashSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Everything one served utterance contributes to an adaptation cycle.
@@ -180,8 +191,10 @@ impl ArtifactRead for VoteRecord {
         let subsystem_scores: Vec<Vec<f32>> = (0..nq)
             .map(|_| r.get_f32_slice())
             .collect::<Result<_, _>>()?;
+        // The record's own CRC, verified before any payload is read,
+        // covers the nested supervectors.
         let supervectors: Vec<SparseVec> = (0..nq)
-            .map(|_| SparseVec::read_nested(r))
+            .map(|_| SparseVec::read_nested_covered(r))
             .collect::<Result<_, _>>()?;
         if subsystem_scores.iter().any(|row| row.len() != fused.len()) {
             return Err(ArtifactError::Corrupt("vote record class counts disagree"));
@@ -203,25 +216,12 @@ impl ArtifactRead for VoteRecord {
 /// its sealed `VREC`.
 const EMPTY_WINDOW_LEN: usize = HEADER_LEN + 8 + 4 + TRAILER_LEN;
 
-/// Where a log's window is.
-enum Window {
-    /// In RAM: a log without a WAL.
-    Memory(Vec<VoteRecord>),
-    /// In the WAL only; RAM keeps how many records it holds.
-    Wal { wal: Wal, len: usize },
-}
-
-impl Window {
-    fn len(&self) -> usize {
-        match self {
-            Window::Memory(records) => records.len(),
-            Window::Wal { len, .. } => *len,
-        }
-    }
-}
-
 struct LogState {
-    window: Window,
+    /// Holds the window: exactly the records the log admitted since the
+    /// last drain.
+    wal: Wal,
+    /// How many records the WAL holds.
+    len: usize,
     /// Digests currently buffered — the within-window dedup key. Cleared on
     /// drain: an utterance replayed *after* a cycle consumed it is new
     /// evidence (possibly under a new model) and is recorded again.
@@ -278,8 +278,7 @@ pub struct VoteRecovery {
 }
 
 /// How a log's window leaves the process, which decides whether its sealed
-/// bytes are bounded. Either way, [`VoteLog::new`] keeps the window in
-/// RAM and [`VoteLog::open`] in a WAL only.
+/// bytes are bounded. Either way the window is in a WAL only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DrainPath {
     /// Handed over as [`VoteRecord`]s by an in-process replica
@@ -314,17 +313,74 @@ pub struct VoteLog {
     dropped: Arc<Counter>,
     /// `votelog.deduped`: records refused as within-window duplicates.
     deduped: Arc<Counter>,
+    /// The directory of a scratch log's WAL, removed after the WAL closes
+    /// (fields drop in order); `None` for a log opened on a directory.
+    scratch: Option<ScratchDir>,
+}
+
+/// A directory this process created for one scratch WAL; dropping it
+/// removes the directory and everything in it.
+struct ScratchDir(PathBuf);
+
+/// Scratch directories this process has named so far.
+static SCRATCH_DIRS: AtomicU64 = AtomicU64::new(0);
+
+impl ScratchDir {
+    /// A new, empty `lre-votes-<pid>-<n>` directory under `parent`. A name
+    /// that exists already is never reused: it is someone else's window.
+    fn create(parent: &Path) -> std::io::Result<ScratchDir> {
+        loop {
+            let n = SCRATCH_DIRS.fetch_add(1, Ordering::Relaxed);
+            let dir = parent.join(format!("lre-votes-{}-{n}", std::process::id()));
+            match std::fs::create_dir(&dir) {
+                Ok(()) => return Ok(ScratchDir(dir)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl VoteLog {
-    /// An empty in-memory log admitting at most `capacity` buffered
-    /// records, and, drained over the wire, no more than one drain reply
-    /// can carry (a refused record is counted in `votelog.dropped`). Its
-    /// counters are registered in `registry`.
-    pub fn new(capacity: usize, drain: DrainPath, registry: &Registry) -> VoteLog {
+    /// An empty log admitting at most `capacity` buffered records, and,
+    /// drained over the wire, no more than one drain reply can carry (a
+    /// refused record is counted in `votelog.dropped`). Its counters are
+    /// registered in `registry`.
+    ///
+    /// Its window is a *scratch* WAL (`opts`): a fresh directory under
+    /// [`std::env::temp_dir`], private to this log and removed when it
+    /// drops. Nothing ever replays it, and its `wal.*` series and events
+    /// go nowhere: [`VoteLog::wal_status`] is `None`.
+    pub fn new(
+        capacity: usize,
+        drain: DrainPath,
+        opts: WalOptions,
+        registry: &Registry,
+    ) -> Result<VoteLog, ArtifactError> {
+        let scratch = ScratchDir::create(&std::env::temp_dir())?;
+        let obs = WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(1)));
+        let (wal, _) = Wal::open(&scratch.0, opts, obs)?;
+        Ok(VoteLog::over(wal, Some(scratch), capacity, drain, registry))
+    }
+
+    /// An empty log whose window is `wal`.
+    fn over(
+        wal: Wal,
+        scratch: Option<ScratchDir>,
+        capacity: usize,
+        drain: DrainPath,
+        registry: &Registry,
+    ) -> VoteLog {
         VoteLog {
             state: Mutex::new(LogState {
-                window: Window::Memory(Vec::new()),
+                wal,
+                len: 0,
                 seen: HashSet::new(),
                 sealed_len: EMPTY_WINDOW_LEN,
             }),
@@ -333,16 +389,17 @@ impl VoteLog {
             trimmed: registry.counter("votelog.trimmed"),
             dropped: registry.counter("votelog.dropped"),
             deduped: registry.counter("votelog.deduped"),
+            scratch,
         }
     }
 
-    /// [`VoteLog::new`] with its window in the WAL in directory `dir`,
-    /// whose `wal.*` series go to `registry` and replay events to `flight`.
+    /// A durable log: its window in the WAL in directory `dir`, whose
+    /// `wal.*` series go to `registry` and replay events to `flight`.
     /// Whatever survived there is admitted again, as the original
     /// admissions did (dedup state and trimming included, and refusals
     /// counted); if that refuses or trims anything, the WAL is rewritten
-    /// atomically to exactly the admitted window. From then on every
-    /// admission is appended to the WAL and every drain reads it back.
+    /// atomically to exactly the admitted window. From then on it works as
+    /// [`VoteLog::new`]'s does.
     pub fn open(
         dir: &Path,
         capacity: usize,
@@ -352,9 +409,8 @@ impl VoteLog {
         flight: Arc<FlightRecorder>,
     ) -> Result<(VoteLog, VoteRecovery), ArtifactError> {
         let (wal, replay) = Wal::open(dir, opts, WalObs::new(registry, flight))?;
-        let log = VoteLog::new(capacity, drain, registry);
+        let log = VoteLog::over(wal, None, capacity, drain, registry);
         let mut s = log.lock();
-        s.window = Window::Wal { wal, len: 0 };
         let (mut kept, mut changed) = (Vec::new(), false);
         for bytes in replay.records {
             let Some(c) = Candidate::new(VoteRecord::from_artifact_bytes(&bytes)?)
@@ -368,8 +424,8 @@ impl VoteLog {
             kept.push(sealed);
             log.enter(&mut s, c);
         }
-        if let (true, Window::Wal { wal, .. }) = (changed, &s.window) {
-            wal.rewrite(&kept)?;
+        if changed {
+            s.wal.rewrite(&kept)?;
         }
         drop(s);
         let recovery = VoteRecovery {
@@ -383,9 +439,20 @@ impl VoteLog {
         self.state.lock().expect("vote log poisoned")
     }
 
+    /// Remove a scratch log's directory now rather than when the log
+    /// drops, for a process about to exit while threads it does not join
+    /// (a server's connection threads) still hold the log. The WAL's open
+    /// handle keeps working for them; nothing is left on disk. A durable
+    /// log is untouched.
+    pub fn remove_scratch_dir(&self) {
+        if let Some(ScratchDir(dir)) = &self.scratch {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
     /// Records currently buffered.
     pub fn len(&self) -> usize {
-        self.lock().window.len()
+        self.lock().len
     }
 
     pub fn is_empty(&self) -> bool {
@@ -408,11 +475,12 @@ impl VoteLog {
         self.deduped.get()
     }
 
-    /// The WAL's point-in-time summary; `None` for an in-memory log.
+    /// The WAL's point-in-time summary; `None` for a scratch log, which
+    /// has no durable WAL to report.
     pub fn wal_status(&self) -> Option<WalStatus> {
-        match &self.lock().window {
-            Window::Memory(_) => None,
-            Window::Wal { wal, .. } => Some(wal.status()),
+        match self.scratch {
+            Some(_) => None,
+            None => Some(self.lock().wal.status()),
         }
     }
 
@@ -426,9 +494,8 @@ impl VoteLog {
     /// module docs) and reported as 0 buffered.
     pub fn drain_at_least(&self, min: usize) -> Result<Vec<VoteRecord>, usize> {
         let mut s = self.lock();
-        let len = s.window.len();
-        if len < min.max(1) {
-            return Err(len);
+        if s.len < min.max(1) {
+            return Err(s.len);
         }
         let records = self.read_back(&mut s, true);
         if records.is_empty() {
@@ -438,37 +505,25 @@ impl VoteLog {
     }
 
     /// The window's records in arrival order, taken out of it if `drain`.
-    /// A window in a WAL that cannot give back exactly the records the log
-    /// admitted is lost: it is counted in `votelog.dropped`, the WAL is
+    /// A WAL that cannot give back exactly the records the log admitted
+    /// loses the window: it is counted in `votelog.dropped`, the WAL is
     /// cleared, and the log starts over empty.
     fn read_back(&self, s: &mut LogState, drain: bool) -> Vec<VoteRecord> {
-        let (records, emptied) = match &mut s.window {
-            Window::Memory(records) if drain => (std::mem::take(records), true),
-            Window::Memory(records) => (records.clone(), false),
-            Window::Wal { wal, len } => {
-                let read = if drain {
-                    wal.take(VoteRecord::from_payload)
-                } else {
-                    wal.records(VoteRecord::from_payload)
-                };
-                match read {
-                    Ok(records) if records.len() == *len => {
-                        if drain {
-                            *len = 0;
-                        }
-                        (records, drain)
-                    }
-                    _ => {
-                        self.dropped.add(*len as u64);
-                        // A failed clear is counted by the WAL.
-                        let _ = wal.clear();
-                        *len = 0;
-                        (Vec::new(), true)
-                    }
-                }
+        let read = match drain {
+            true => s.wal.take(VoteRecord::from_payload),
+            false => s.wal.records(VoteRecord::from_payload),
+        };
+        let records = match read {
+            Ok(records) if records.len() == s.len => records,
+            _ => {
+                self.dropped.add(s.len as u64);
+                // A failed clear is counted by the WAL.
+                let _ = s.wal.clear();
+                Vec::new()
             }
         };
-        if emptied {
+        if drain || records.len() != s.len {
+            s.len = 0;
             s.seen.clear();
             s.sealed_len = EMPTY_WINDOW_LEN;
         }
@@ -479,8 +534,8 @@ impl VoteLog {
     /// at no V. Records without one well-formed score row and supervector
     /// per subsystem (mock scorers, [`ScoreDetail::from_fused`]) carry
     /// nothing to vote on or retrain from and never enter; nor do
-    /// within-window duplicates, records the window has no room for and,
-    /// over a WAL, records the disk refuses, which are counted.
+    /// within-window duplicates, records the window has no room for and
+    /// records the disk refuses, which are counted.
     fn admit(&self, rec: VoteRecord) {
         let Some(c) = Candidate::new(rec) else {
             return;
@@ -489,12 +544,10 @@ impl VoteLog {
         if !self.fits(&s, &c) {
             return;
         }
-        if let Window::Wal { wal, .. } = &s.window {
-            if wal.append(&c.rec.to_artifact_bytes()).is_err() {
-                // The WAL counts the failed write too.
-                self.dropped.incr();
-                return;
-            }
+        if s.wal.append(&c.rec.to_artifact_bytes()).is_err() {
+            // The WAL counts the failed write too.
+            self.dropped.incr();
+            return;
         }
         self.enter(&mut s, c);
     }
@@ -507,29 +560,25 @@ impl VoteLog {
             self.deduped.incr();
             return false;
         }
-        if s.window.len() >= self.capacity || s.sealed_len + c.grows_by > self.max_sealed_len {
+        if s.len >= self.capacity || s.sealed_len + c.grows_by > self.max_sealed_len {
             self.dropped.incr();
             return false;
         }
         true
     }
 
-    /// Make `c` a member of the window: held in RAM, or, over a WAL that
-    /// already has it, indexed.
+    /// Index `c`, which the WAL already holds, as a member of the window.
     fn enter(&self, s: &mut LogState, c: Candidate) {
         if c.trimmed {
             self.trimmed.incr();
         }
         s.sealed_len += c.grows_by;
         s.seen.insert(c.rec.digest);
-        match &mut s.window {
-            Window::Memory(records) => records.push(c.rec),
-            Window::Wal { len, .. } => *len += 1,
-        }
+        s.len += 1;
     }
 
-    /// Freeze the current window as a sealed snapshot (records cloned or
-    /// read back; the log keeps running).
+    /// Freeze the current window as a sealed snapshot (records read back;
+    /// the log keeps running).
     pub fn snapshot(&self) -> VoteLogSnapshot {
         let mut s = self.lock();
         VoteLogSnapshot {
@@ -570,7 +619,7 @@ impl ArtifactRead for VoteLogSnapshot {
         let dropped = r.get_u64()?;
         let n = r.get_u32()? as usize;
         let records: Vec<VoteRecord> = (0..n)
-            .map(|_| VoteRecord::read_nested(r))
+            .map(|_| VoteRecord::read_nested_covered(r))
             .collect::<Result<_, _>>()?;
         Ok(VoteLogSnapshot { records, dropped })
     }
@@ -680,7 +729,7 @@ mod tests {
     #[test]
     fn counters_are_series_of_the_registry_they_were_given() {
         let registry = Registry::new();
-        let log = VoteLog::new(1, DrainPath::Wire, &registry);
+        let log = VoteLog::new(1, DrainPath::Wire, opts(), &registry).unwrap();
         log.record(unselectable(1));
         log.record(unselectable(1));
         log.record(detail(2, 0, 1.0));
@@ -739,8 +788,8 @@ mod tests {
     fn only_a_window_drained_over_the_wire_is_bounded_in_bytes() {
         let sealed = |log: &VoteLog| log.state.lock().unwrap().sealed_len;
         // Three votes seal to ≈ 18 MB, past one 16 MiB frame.
-        let in_process = VoteLog::new(3, DrainPath::InProcess, &Registry::new());
-        let wire = VoteLog::new(3, DrainPath::Wire, &Registry::new());
+        let scratch = |drain| VoteLog::new(3, drain, opts(), &Registry::new()).unwrap();
+        let (in_process, wire) = (scratch(DrainPath::InProcess), scratch(DrainPath::Wire));
         for digest in 1..=3 {
             in_process.record(six_megabytes(digest));
             wire.record(six_megabytes(digest));
@@ -783,7 +832,50 @@ mod tests {
     }
 
     fn mem(capacity: usize) -> VoteLog {
-        VoteLog::new(capacity, DrainPath::Wire, &Registry::new())
+        VoteLog::new(capacity, DrainPath::Wire, opts(), &Registry::new()).unwrap()
+    }
+
+    fn scratch_dir(log: &VoteLog) -> PathBuf {
+        log.scratch.as_ref().expect("a scratch log").0.clone()
+    }
+
+    #[test]
+    fn a_scratch_window_is_private_fresh_and_removed_with_its_log() {
+        let (a, b) = (mem(8), mem(8));
+        let (dir_a, dir_b) = (scratch_dir(&a), scratch_dir(&b));
+        assert_ne!(dir_a, dir_b);
+        assert!(dir_a.starts_with(std::env::temp_dir()));
+        assert!(a.wal_status().is_none(), "a scratch WAL reports no status");
+        a.record(detail(1, 0, 1.0));
+        assert!(b.is_empty());
+        drop((a, b));
+        assert!(!dir_a.exists() && !dir_b.exists());
+
+        // Removed ahead of the drop, the window still works through the
+        // WAL's open handle.
+        let c = mem(8);
+        c.record(detail(1, 0, 1.0));
+        c.remove_scratch_dir();
+        assert!(!scratch_dir(&c).exists());
+        c.record(detail(2, 0, 1.0));
+        assert_eq!(c.snapshot().records.len(), 2);
+        drop(c);
+
+        // Directories left where the next scratch names would go (a killed
+        // process with this pid) hold windows; a new one takes none of them.
+        let parent = tmpdir("stale");
+        let next = SCRATCH_DIRS.load(Ordering::Relaxed);
+        let stale: Vec<PathBuf> = (next..next + 16)
+            .map(|n| parent.join(format!("lre-votes-{}-{n}", std::process::id())))
+            .collect();
+        for d in &stale {
+            open(d).0.record(detail(2, 0, 1.0));
+        }
+        let fresh = ScratchDir::create(&parent).unwrap();
+        assert!(!stale.contains(&fresh.0));
+        assert_eq!(std::fs::read_dir(&fresh.0).unwrap().count(), 0);
+        drop(fresh);
+        std::fs::remove_dir_all(&parent).unwrap();
     }
 
     fn open(d: &Path) -> (VoteLog, VoteRecovery) {

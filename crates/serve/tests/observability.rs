@@ -303,13 +303,14 @@ fn histogram(dump: &MetricsDump, name: &str) -> HistogramSummary {
     }
 }
 
-/// Wait until `depth` requests have sat on the engine's queue at once,
-/// then until a `deadline` each took at admission has passed: all of them
-/// were admitted before the depth was seen, so their deadline instants
-/// lie at most `deadline` after it. The engine sheds a request whose
-/// deadline is at or before the instant a worker picks it up.
-fn wait_queued_then_expired(server: &Server, depth: u64, deadline: Duration) {
-    while server.engine().stats().max_queue_depth < depth {
+/// Wait until `depth` requests sit on the engine's queue (its live
+/// `engine.queue.depth` gauge), then until a `deadline` each took at
+/// admission has passed: all of them were admitted before the depth was
+/// seen, so their deadline instants lie at most `deadline` after it. The
+/// engine sheds a request whose deadline is at or before the instant a
+/// worker picks it up.
+fn wait_queued_then_expired(obs: &ServeObs, depth: u64, deadline: Duration) {
+    while gauge(&obs.registry.snapshot(), "engine.queue.depth") < depth {
         std::thread::sleep(Duration::from_millis(1));
     }
     std::thread::sleep(deadline);
@@ -322,7 +323,7 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     cfg.engine.workers = 1;
     cfg.engine.unknown_threshold = Some(0.0);
     cfg.max_inflight = 2;
-    let (server, _obs, addr) = start_server(Arc::clone(&scorer) as _, cfg);
+    let (server, obs, addr) = start_server(Arc::clone(&scorer) as _, cfg);
     let mut a = Client::connect(&addr).expect("connect");
     let mut b = Client::connect(&addr).expect("connect");
 
@@ -346,7 +347,7 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     // and queued behind the hold too. Release only once both sit on the
     // queue and the late one's deadline has passed.
     let queued = b.submit(&[4.0], None).expect("submit");
-    wait_queued_then_expired(&server, 2, Duration::from_millis(1));
+    wait_queued_then_expired(&obs, 2, Duration::from_millis(1));
     scorer.release();
 
     let mut replies = std::collections::HashMap::new();
@@ -393,8 +394,10 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     );
     assert_eq!(stats.unknown, 1);
     assert_eq!(stats.requests, 7);
-    // The expiring request and `b`'s queued one waited behind the hold.
+    // The expiring request and `b`'s queued one waited behind the hold;
+    // every request has been answered, so none is queued now.
     assert_eq!(stats.max_queue_depth, 2);
+    assert_eq!(gauge(&dump, "engine.queue.depth"), 0);
     assert_eq!((stats.generation, stats.swaps, stats.rollbacks), (2, 2, 1));
     // Ping is the same view, summed up; nothing moved in between. Its
     // `shed` is the window refusal and the expiry, once each.
@@ -425,17 +428,14 @@ fn deadline_and_panic_events_carry_the_requests_trace_id() {
 
     assert_eq!(client.score(&[PANIC]).expect("score"), ScoreReply::Failed);
     // The hold parks the only worker, and a request with a 1 ms deadline
-    // waits behind it, then one without a deadline, so the queue's depth
-    // reaches 2 (the panicking request above already made it 1). The gate
-    // opens only after both are on the queue and the deadline has passed,
-    // so the first expires there.
+    // waits behind it. The gate opens only after it is on the queue and
+    // its deadline has passed, so it expires there.
     let hold = client.submit(&[HOLD], None).expect("submit");
     scorer.wait_held();
     let late = client
         .submit(&[2.0], Some(Duration::from_millis(1)))
         .expect("submit");
-    client.submit(&[3.0], None).expect("submit");
-    wait_queued_then_expired(&server, 2, Duration::from_millis(1));
+    wait_queued_then_expired(&obs, 1, Duration::from_millis(1));
     scorer.release();
     let mut replies = std::collections::HashMap::new();
     while client.inflight() > 0 {

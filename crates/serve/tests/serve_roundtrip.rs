@@ -720,3 +720,69 @@ fn sealed_decode_keeps_the_input_bytes_and_refuses_damage() {
         refused_alike(&bad, &format!("byte {probe} ^ 0x5a"));
     }
 }
+
+/// The `lre-serve` binary as a fleet replica without `--wal-dir`: its vote
+/// window is a scratch WAL under its own `TMPDIR`, which holds the window
+/// while it serves and is empty again after a graceful shutdown.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn a_fleet_replica_keeps_its_votes_in_tmpdir_and_leaves_it_empty() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let fx = fixture();
+    let root = std::env::temp_dir().join(format!("lre_scratch_votes_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let tmp = root.join("tmp");
+    std::fs::create_dir_all(&tmp).expect("private TMPDIR");
+    let bundle = root.join("smoke.bundle");
+    std::fs::write(&bundle, &fx.bytes).expect("bundle written");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lre-serve"))
+        .arg("--bundle")
+        .arg(&bundle)
+        .args(["--fleet", "--addr", "127.0.0.1:0", "--workers", "1"])
+        .env("TMPDIR", &tmp)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("lre-serve spawns");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let addr = stdout
+        .lines()
+        .map_while(Result::ok)
+        .find_map(|l| Some(l.strip_prefix("listening on ")?.trim().to_string()))
+        .expect("lre-serve prints its address");
+
+    let mut client = Client::connect(&addr).expect("client connects");
+    for wave in &fx.by_duration {
+        assert!(matches!(
+            client.score(wave).expect("score"),
+            ScoreReply::Scored(_)
+        ));
+    }
+    let windows: Vec<_> = std::fs::read_dir(&tmp)
+        .expect("TMPDIR reads")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    assert_eq!(windows.len(), 1, "one scratch window: {windows:?}");
+    let name = windows[0]
+        .file_name()
+        .unwrap()
+        .to_string_lossy()
+        .into_owned();
+    assert!(name.starts_with("lre-votes-"), "{name}");
+    let wal = std::fs::metadata(windows[0].join(lre_wal::LOG_FILE)).expect("the window's WAL");
+    assert!(wal.len() > 0);
+    // The replica reports no WAL: a scratch window has nothing to recover.
+    assert_eq!(client.wal_status().expect("stats-v3 round trip"), None);
+
+    // A second connection stays open through the shutdown, as a router's
+    // do: its thread still holds the log when the process exits.
+    let idle = Client::connect(&addr).expect("second client connects");
+    client.shutdown().expect("shutdown acknowledged");
+    assert!(child.wait().expect("lre-serve exits").success());
+    let left: Vec<_> = std::fs::read_dir(&tmp).expect("TMPDIR reads").collect();
+    assert!(left.is_empty(), "a clean shutdown left {left:?}");
+    drop(idle);
+    std::fs::remove_dir_all(&root).ok();
+}

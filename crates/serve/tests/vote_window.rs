@@ -1,10 +1,12 @@
 //! Differential property test for the vote window: any sequence of
-//! records, drains and restarts reads the same from a window with a WAL
-//! under it as from a plain in-memory one — same buffered count, same
+//! records, drains and restarts reads the same from a scratch window
+//! (`VoteLog::new`) and from a durable one (`VoteLog::open`) as from a
+//! reference model — the window as plain records in RAM, admitted by the
+//! rules the module docs state — with the same buffered count, the same
 //! overflow / dedup counters, the same records (bit for bit) or the same
-//! refusal out of every drain — while the WAL holds exactly the buffered
-//! window after every step and a restart replays exactly that window,
-//! dedup state included.
+//! refusal out of every drain, while the durable WAL holds exactly the
+//! buffered window after every step and a restart replays exactly that
+//! window, dedup state included.
 //!
 //! Beside it: admission trims a record's supervectors exactly when the
 //! Eq. 13 selection over a one-utterance pool is empty at V = 1, and a WAL
@@ -19,33 +21,104 @@ use lre_serve::{
     vote_wal_options, DrainPath, ScoreDetail, ScoreTap, VoteLog, VoteRecord, VoteRecovery,
 };
 use lre_vsm::SparseVec;
-use lre_wal::{Wal, WalObs};
+use lre_wal::{Wal, WalObs, WalOptions};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The WAL-backed side of the pair, every append fsynced inline.
-fn open_walled(dir: &Path, capacity: usize) -> (VoteLog, VoteRecovery) {
+/// Vote WAL options with every append fsynced inline.
+fn inline_fsync() -> WalOptions {
     let mut opts = vote_wal_options();
     opts.fsync_interval = Duration::ZERO;
+    opts
+}
+
+/// The durable log over the WAL in `dir`.
+fn open_walled(dir: &Path, capacity: usize) -> (VoteLog, VoteRecovery) {
     let flight = Arc::new(FlightRecorder::new(8));
     VoteLog::open(
         dir,
         capacity,
         DrainPath::Wire,
-        opts,
+        inline_fsync(),
         &Registry::new(),
         flight,
     )
     .expect("vote WAL opens")
 }
 
-/// `(len, dropped, deduped, records in the WAL)` of the WAL-backed side.
+/// A scratch log.
+fn scratch(capacity: usize) -> VoteLog {
+    VoteLog::new(capacity, DrainPath::Wire, inline_fsync(), &Registry::new())
+        .expect("scratch vote WAL opens")
+}
+
+/// `(len, dropped, deduped, records in the WAL)` of the durable log.
 fn counts(w: &VoteLog) -> (usize, u64, u64, u64) {
     let on_disk = w.wal_status().expect("opened on a directory");
     (w.len(), w.dropped(), w.deduped(), on_disk.buffered)
+}
+
+/// Whether Eq. 13 over a one-utterance pool with these OvR score rows
+/// selects anything at V = 1.
+fn selectable(rows: &[Vec<f32>]) -> bool {
+    let k = rows[0].len();
+    let matrices: Vec<ScoreMatrix> = rows
+        .iter()
+        .map(|row| ScoreMatrix::from_rows(k, std::slice::from_ref(row)))
+        .collect();
+    let refs: Vec<&ScoreMatrix> = matrices.iter().collect();
+    !select_tr_dba(&vote_matrix(&refs), 1).is_empty()
+}
+
+/// The reference window: records in RAM. A detail without intermediates
+/// never enters; a buffered digest is deduplicated, a full window drops;
+/// an admitted record no V can select loses its supervectors. (The byte
+/// bound is far above anything these windows reach.)
+struct Model {
+    capacity: usize,
+    window: Vec<VoteRecord>,
+    dropped: u64,
+    deduped: u64,
+}
+
+impl Model {
+    fn new(capacity: usize) -> Model {
+        Model {
+            capacity,
+            window: Vec::new(),
+            dropped: 0,
+            deduped: 0,
+        }
+    }
+
+    fn record(&mut self, d: ScoreDetail) {
+        let mut rec = VoteRecord::from(d);
+        if rec.supervectors.is_empty() {
+            return;
+        }
+        if self.window.iter().any(|r| r.digest == rec.digest) {
+            self.deduped += 1;
+            return;
+        }
+        if self.window.len() >= self.capacity {
+            self.dropped += 1;
+            return;
+        }
+        if !selectable(&rec.subsystem_scores) {
+            rec.supervectors.fill_with(SparseVec::new);
+        }
+        self.window.push(rec);
+    }
+
+    fn drain_at_least(&mut self, min: usize) -> Result<Vec<VoteRecord>, usize> {
+        match self.window.len() < min.max(1) {
+            true => Err(self.window.len()),
+            false => Ok(std::mem::take(&mut self.window)),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -146,24 +219,32 @@ proptest! {
         (capacity, ops) in (3usize..9, prop::collection::vec(op(), 1..48))
     ) {
         let dir = fresh_dir();
-        let plain = VoteLog::new(capacity, DrainPath::Wire, &Registry::new());
+        let mut model = Model::new(capacity);
+        let scratch = scratch(capacity);
         let (mut walled, recovery) = open_walled(&dir, capacity);
         prop_assert_eq!(recovery, VoteRecovery::default());
-        // The plain side's counters when the WAL side was last opened: a
+        // The model's counters when the durable side was last opened: a
         // restart zeroes the counters, not the window.
         let (mut dropped0, mut deduped0) = (0, 0);
 
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 Op::Record { digest, v, mock } => {
-                    plain.record(detail(digest, v, mock));
+                    model.record(detail(digest, v, mock));
+                    scratch.record(detail(digest, v, mock));
                     walled.record(detail(digest, v, mock));
                 }
                 Op::Drain(min) => {
+                    let want = view(model.drain_at_least(min));
+                    prop_assert_eq!(
+                        view(scratch.drain_at_least(min)),
+                        want.clone(),
+                        "step {}: scratch drain_at_least({})", step, min
+                    );
                     prop_assert_eq!(
                         view(walled.drain_at_least(min)),
-                        view(plain.drain_at_least(min)),
-                        "step {}: drain_at_least({})", step, min
+                        want,
+                        "step {}: durable drain_at_least({})", step, min
                     );
                 }
                 Op::Reopen => {
@@ -172,30 +253,41 @@ proptest! {
                     walled = reopened;
                     prop_assert_eq!(
                         recovery,
-                        VoteRecovery { replayed: plain.len() as u64, torn: 0 },
+                        VoteRecovery { replayed: model.window.len() as u64, torn: 0 },
                         "step {}: replay", step
                     );
-                    (dropped0, deduped0) = (plain.dropped(), plain.deduped());
+                    (dropped0, deduped0) = (model.dropped, model.deduped);
                     // The dedup set came back hot: a digest that is still
                     // buffered is refused, and never reaches the disk.
-                    if let Some(first) = plain.snapshot().records.first() {
-                        plain.record(detail(first.digest, 9.0, false));
-                        walled.record(detail(first.digest, 9.0, false));
+                    if let Some(first) = model.window.first().map(|r| r.digest) {
+                        model.record(detail(first, 9.0, false));
+                        scratch.record(detail(first, 9.0, false));
+                        walled.record(detail(first, 9.0, false));
                         prop_assert_eq!(counts(&walled).2, 1, "step {}: dedup after replay", step);
                     }
                 }
             }
-            let (len, dropped, deduped, on_disk) = counts(&walled);
-            prop_assert_eq!(len, plain.len(), "step {}: len after {:?}", step, op);
-            prop_assert_eq!(dropped, plain.dropped() - dropped0, "step {}: dropped", step);
-            prop_assert_eq!(deduped, plain.deduped() - deduped0, "step {}: deduped", step);
+            let len = model.window.len();
+            let scratch_counts = (scratch.len(), scratch.dropped(), scratch.deduped());
+            prop_assert_eq!(scratch_counts, (len, model.dropped, model.deduped), "step {}: scratch after {:?}", step, op);
+            prop_assert!(scratch.wal_status().is_none());
+            let (wlen, dropped, deduped, on_disk) = counts(&walled);
+            prop_assert_eq!(wlen, len, "step {}: len after {:?}", step, op);
+            prop_assert_eq!(dropped, model.dropped - dropped0, "step {}: dropped", step);
+            prop_assert_eq!(deduped, model.deduped - deduped0, "step {}: deduped", step);
             prop_assert_eq!(on_disk, len as u64, "step {}: WAL vs buffer", step);
         }
 
-        // Whatever is left comes back from the disk bit for bit.
+        // Whatever is left comes back, from the disk too, bit for bit.
+        prop_assert_eq!(
+            view(Ok(scratch.snapshot().records)),
+            view(Ok(model.window.clone()))
+        );
         drop(walled);
         let (walled, _) = open_walled(&dir, capacity);
-        prop_assert_eq!(view(walled.drain_at_least(0)), view(plain.drain_at_least(0)));
+        let want = view(model.drain_at_least(0));
+        prop_assert_eq!(view(scratch.drain_at_least(0)), want.clone());
+        prop_assert_eq!(view(walled.drain_at_least(0)), want);
         prop_assert_eq!(counts(&walled).3, 0);
         drop(walled);
         std::fs::remove_dir_all(&dir).ok();
@@ -243,18 +335,18 @@ proptest! {
             .collect();
         let refs: Vec<&ScoreMatrix> = matrices.iter().collect();
         let votes = vote_matrix(&refs);
-        let selectable = !select_tr_dba(&votes, 1).is_empty();
+        let selects = selectable(&rows);
         // Exact for every legal V: nothing V = 1 leaves out is taken higher.
         for v in 2..=q as u8 + 1 {
-            prop_assert!(selectable || select_tr_dba(&votes, v).is_empty());
+            prop_assert!(selects || select_tr_dba(&votes, v).is_empty());
         }
 
-        let log = VoteLog::new(4, DrainPath::Wire, &Registry::new());
+        let log = scratch(4);
         log.record(vote(1, rows.clone()));
         let rec = log.drain_at_least(1).expect("admitted").remove(0);
-        prop_assert_eq!(log.trimmed(), u64::from(!selectable));
+        prop_assert_eq!(log.trimmed(), u64::from(!selects));
         prop_assert_eq!(rec.supervectors.len(), q);
-        prop_assert_eq!(rec.supervectors.iter().all(SparseVec::is_empty), !selectable);
+        prop_assert_eq!(rec.supervectors.iter().all(SparseVec::is_empty), !selects);
         prop_assert_eq!(&rec.subsystem_scores, &rows);
     }
 }
@@ -272,10 +364,8 @@ fn an_untrimmed_wal_replays_into_the_window_a_live_log_builds() {
     // wrote them.
     let dir = fresh_dir();
     {
-        let mut opts = vote_wal_options();
-        opts.fsync_interval = Duration::ZERO;
         let obs = WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(8)));
-        let (wal, _) = Wal::open(&dir, opts, obs).expect("vote WAL opens");
+        let (wal, _) = Wal::open(&dir, inline_fsync(), obs).expect("vote WAL opens");
         for v in &votes {
             wal.append(&VoteRecord::from(v.clone()).to_artifact_bytes())
                 .expect("append");
@@ -284,7 +374,7 @@ fn an_untrimmed_wal_replays_into_the_window_a_live_log_builds() {
     let (replayed, recovery) = open_walled(&dir, 64);
     assert_eq!(recovery.replayed, 12);
 
-    let live = VoteLog::new(64, DrainPath::Wire, &Registry::new());
+    let live = scratch(64);
     for v in votes {
         live.record(v);
     }

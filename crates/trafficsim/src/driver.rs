@@ -223,6 +223,8 @@ impl Verifier {
 struct Counts {
     submitted: u64,
     scored: u64,
+    /// Scores the front refused `overloaded` (shed).
+    overloaded: u64,
     unknown_replies: u64,
     typed_failures: u64,
     untyped_failures: u64,
@@ -327,6 +329,7 @@ impl Drive {
             }
             let ScoreReply::Scored(scored) = reply else {
                 n.typed_failures += 1;
+                n.overloaded += u64::from(reply == ScoreReply::Overloaded);
                 continue;
             };
             n.scored += 1;
@@ -594,7 +597,9 @@ fn judge(stream: &CommandStream, inv: &InvariantSpec, mut tally: Tally) -> RunRe
     line(inv.typed_failures_only, "typed-failures-only", ok);
     let ok = t.hostile_violations.is_empty();
     line(inv.hostile_contract, "hostile-contract", ok);
-    let shed = |max| stats.is_some_and(|s| s.rejected as f64 <= max * s.requests as f64);
+    // Judged on the replies the driver saw: a router's own view loses the
+    // counters of a replica killed during the run.
+    let shed = |max| n.overloaded as f64 <= max * n.submitted as f64;
     let ok = inv.max_shed_rate.is_some_and(shed);
     line(inv.max_shed_rate.is_some(), "max-shed-rate", ok);
     let ok = inv
@@ -789,6 +794,21 @@ mod tests {
             ..healthy()
         };
         assert_eq!(verdict_line("", tally, "clean-exit"), "FAIL clean-exit");
+    }
+
+    #[test]
+    fn max_shed_rate_is_judged_on_the_replies_not_the_fronts_stats() {
+        let spec = "max_shed_rate = 0.5";
+        let shed = |overloaded| {
+            let mut t = healthy();
+            (t.n.submitted, t.n.overloaded) = (10, overloaded);
+            // The front's view reads no shed: a killed replica took them.
+            t.stats = Some(StatsSnapshot::default());
+            t
+        };
+        let line = "max-shed-rate";
+        assert_eq!(verdict_line(spec, shed(5), line), "PASS max-shed-rate");
+        assert_eq!(verdict_line(spec, shed(6), line), "FAIL max-shed-rate");
     }
 
     #[test]

@@ -105,7 +105,8 @@ impl Expect {
 /// starts from torn-free, typed-only, hostile-clean and one completion.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct InvariantSpec {
-    /// Scraped `rejected / requests` must stay at or below this.
+    /// Scores answered `overloaded`, per score submitted, must stay at or
+    /// below this.
     pub max_shed_rate: Option<f64>,
     /// Client-observed p99 score latency (ms) must stay at or below this.
     pub p99_ms: Option<f64>,

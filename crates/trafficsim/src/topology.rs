@@ -15,8 +15,10 @@
 //! 127.0.0.1:PORT` (port 0 the first time, the port it had on a
 //! restart). A process is ready when it prints its `listening on ADDR`
 //! line, which must come within [`READY_BOUND`]; its stderr goes to
-//! `{work}/NAME.log` (`replica0`, …, `front`). Replicas start first, in
-//! order, so the front's `{replicas}` can name them.
+//! `{work}/NAME.log` (`replica0`, …, `front`), and its `TMPDIR` is
+//! `{work}`, so whatever a SIGKILLed process leaves in its temp directory
+//! (a scratch vote WAL) goes away with the work directory. Replicas start
+//! first, in order, so the front's `{replicas}` can name them.
 
 use lre_serve::Client;
 use std::io::{BufRead, BufReader};
@@ -161,6 +163,7 @@ impl Topology {
             .args(&p.argv[1..])
             .arg("--addr")
             .arg(format!("127.0.0.1:{port}"))
+            .env("TMPDIR", &self.dep.work_dir)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(log)

@@ -423,8 +423,11 @@ impl Wal {
         // sees it above `next_seq`.
         obs.next_seq.set(next_seq);
         obs.low_water.set(base_seq);
-        obs.flight
-            .record(EV_WAL_RECOVER, "wal replay", replayed, torn, 0.0, 0.0);
+        // A recovery is an event; opening an empty log is not.
+        if replayed > 0 || torn > 0 {
+            obs.flight
+                .record(EV_WAL_RECOVER, "wal replay", replayed, torn, 0.0, 0.0);
+        }
 
         let batched = !opts.fsync_interval.is_zero();
         let shared = Arc::new(Shared {
@@ -799,6 +802,10 @@ mod tests {
         let obs = obs();
         {
             let (wal, _) = Wal::open(&d, opts(), obs.clone()).unwrap();
+            assert!(
+                obs.flight.peek().is_empty(),
+                "a fresh open recovers nothing"
+            );
             for i in 0..3 {
                 wal.append(&rec(i)).unwrap();
             }
@@ -809,7 +816,7 @@ mod tests {
         assert_eq!(replay.records.len(), 3);
         assert_eq!(obs.replayed_records.get(), 3);
         let replays: Vec<(u8, u64)> = obs.flight.peek().iter().map(|e| (e.kind, e.a)).collect();
-        assert_eq!(replays, [(EV_WAL_RECOVER, 0), (EV_WAL_RECOVER, 3)]);
+        assert_eq!(replays, [(EV_WAL_RECOVER, 3)]);
         fs::remove_dir_all(&d).ok();
     }
 
