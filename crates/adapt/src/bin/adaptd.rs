@@ -33,8 +33,12 @@
 //! series.
 //! `--keep-generations N` prunes all but the newest N generations' bytes
 //! after each promote (0 = keep everything). Without `--wal-dir` the vote
-//! window is a scratch WAL under `TMPDIR` (or `/tmp`), never replayed and
-//! removed at a graceful shutdown.
+//! window is a scratch WAL under `TMPDIR` (or `/tmp`), never replayed.
+//!
+//! A graceful shutdown is `Server::join` (every connection answered and
+//! joined, the engine drained) followed by the ordinary drops at the end
+//! of `main`: the vote log's drop closes its WAL, whose drop fsyncs what
+//! is still unsynced, and removes a scratch window's directory.
 
 use lre_adapt::{AdaptController, DrainPath, GuardArgs};
 use lre_artifact::{bundle_checksum, ArtifactRead};
@@ -178,9 +182,6 @@ fn main() {
     );
     println!("listening on {}", server.local_addr());
     server.join();
-    // Connection threads the door does not join may still hold the log,
-    // and an exit runs no drop: a scratch window's directory goes now.
-    log.remove_scratch_dir();
     eprintln!(
         "[adaptd] shut down cleanly at generation {}",
         handle.generation()

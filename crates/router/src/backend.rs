@@ -21,21 +21,25 @@
 //! it; "answered exactly once" beats "maybe scored twice"). A request
 //! whose *write* failed is safe to re-route: the replica saw at most a
 //! torn frame, which it discards without scoring by the malformed-input
-//! contract.
+//! contract. A replica that refuses a score `shutting down` has stopped:
+//! it leaves rotation at once, and its connection stays up for the
+//! replies it still owes.
 
 use crate::router::RouterObs;
 use lre_obs::{Counter, FlightRecorder, Histogram, EV_EJECT, EV_READMIT};
 use lre_serve::protocol::{
     decode_reply, encode_request, encode_status_v2, read_frame, write_frame, AbortAck, CommitAck,
     DrainReply, MetricsDump, Request, RollbackAck, StageAck, SCORE_ID, STATUS_INTERNAL,
+    STATUS_SHUTTING_DOWN,
 };
 use lre_serve::server::Lane;
 use lre_serve::{Client, FleetControl, StatsSnapshot, VoteRecord};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A reply waiting to come back from this replica.
@@ -76,9 +80,9 @@ pub struct Backend {
     pub addr: String,
     /// Write half of the live data connection (`None` while ejected).
     conn: Mutex<Option<TcpStream>>,
-    /// Bumps on every disconnect so a stale reader thread can tell it
-    /// lost the race against a reconnect and must not touch shared state.
-    epoch: AtomicU64,
+    /// The data connection's reader: at most one, joined before the next
+    /// is spawned.
+    reader: Mutex<Option<JoinHandle<()>>>,
     pending: Mutex<HashMap<u64, Pending>>,
     next_id: AtomicU64,
     healthy: AtomicBool,
@@ -111,7 +115,7 @@ impl Backend {
             flight: Arc::clone(&obs.flight),
             addr,
             conn: Mutex::new(None),
-            epoch: AtomicU64::new(0),
+            reader: Mutex::new(None),
             pending: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             healthy: AtomicBool::new(false),
@@ -160,13 +164,16 @@ impl Backend {
             .ok()
     }
 
-    /// Establish (or re-establish) the data connection and spawn its
-    /// reader. On success the backend is healthy and routable.
+    /// Establish (or re-establish) the data connection of an unrouted
+    /// backend and spawn its reader, once the previous connection's reader
+    /// is joined: a backend leaves rotation only by an eject, which shuts
+    /// that connection down, or by its replica stopping, which closes it.
+    /// On success the backend is healthy and routable.
     pub fn connect(self: &Arc<Self>) -> io::Result<()> {
         let stream = connect_to(&self.addr, Duration::from_secs(2))?;
         stream.set_nodelay(true).ok();
         let read_half = stream.try_clone()?;
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        self.join_reader();
         *self.conn.lock().expect("conn poisoned") = Some(stream);
         self.healthy.store(true, Ordering::Release);
         {
@@ -175,15 +182,31 @@ impl Backend {
             probe.backoff = INITIAL_BACKOFF;
         }
         let me = Arc::clone(self);
-        std::thread::spawn(move || me.read_replies(read_half, epoch));
+        let reader = std::thread::spawn(move || me.read_replies(read_half));
+        *self.reader.lock().expect("reader poisoned") = Some(reader);
         Ok(())
+    }
+
+    fn join_reader(&self) {
+        let reader = self.reader.lock().expect("reader poisoned").take();
+        if let Some(reader) = reader {
+            let _ = reader.join();
+        }
+    }
+
+    /// Close the data connection for good and join its reader (the
+    /// router's exit). Not counted as an eject.
+    pub fn close(&self) {
+        self.healthy.store(false, Ordering::Release);
+        self.eject();
+        self.join_reader();
     }
 
     /// The data connection's reader: match replies to pending requests,
     /// splice the client id back in, hand the frame to the client's
     /// writer. Exits when the connection dies, failing whatever is still
     /// pending.
-    fn read_replies(self: Arc<Self>, mut stream: TcpStream, my_epoch: u64) {
+    fn read_replies(self: Arc<Self>, mut stream: TcpStream) {
         while let Ok(Some(mut frame)) = read_frame(&mut stream) {
             let Some(id_bytes) = frame.get(SCORE_ID) else {
                 break; // not a score reply; the stream is corrupt
@@ -194,18 +217,19 @@ impl Backend {
                 .lock()
                 .expect("pending poisoned")
                 .remove(&backend_id);
+            // A replica that refuses `shutting down` has stopped: nothing
+            // more is routed to it, and its connection stays up for the
+            // replies it still owes.
+            if frame[0] == STATUS_SHUTTING_DOWN && self.healthy.swap(false, Ordering::AcqRel) {
+                self.record_eject(0);
+            }
             if let Some(p) = entry {
                 frame[SCORE_ID].copy_from_slice(&p.client_id.to_le_bytes());
                 self.latency_us.record(p.sent.elapsed().as_micros() as u64);
                 p.lane.reply(frame);
             }
         }
-        // Only the reader that still owns the current epoch may tear the
-        // backend down — a stale reader waking up after a reconnect must
-        // not fail the new connection's pending requests.
-        if self.epoch.load(Ordering::Acquire) == my_epoch {
-            self.eject();
-        }
+        self.eject();
     }
 
     /// Forward one score frame (`frame[SCORE_ID]` holds the client id,
@@ -247,13 +271,15 @@ impl Backend {
         }
     }
 
-    /// Take the replica out of rotation: close the data connection and
-    /// fail every in-flight request typed, under its client id. Safe to
-    /// call from any thread, repeatedly.
+    /// Take the replica out of rotation: shut the data connection down
+    /// both ways (its reader ends, and so does the replica's side) and fail
+    /// every in-flight request typed, under its client id. Safe to call
+    /// from any thread, repeatedly.
     pub fn eject(&self) {
         let was_healthy = self.healthy.swap(false, Ordering::AcqRel);
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        *self.conn.lock().expect("conn poisoned") = None;
+        if let Some(conn) = self.conn.lock().expect("conn poisoned").take() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
         let orphans: Vec<Pending> = {
             let mut pending = self.pending.lock().expect("pending poisoned");
             pending.drain().map(|(_, p)| p).collect()
@@ -261,13 +287,18 @@ impl Backend {
         // Only the transition records: eject is idempotent and re-entered
         // by the reader teardown and the health thread.
         if was_healthy {
-            self.ejected.incr();
-            self.flight
-                .record(EV_EJECT, &self.addr, orphans.len() as u64, 0, 0.0, 0.0);
+            self.record_eject(orphans.len());
         }
         for p in orphans {
             p.lane.reply(encode_status_v2(p.client_id, STATUS_INTERNAL));
         }
+    }
+
+    /// Count one transition out of rotation, failing `failed` requests.
+    fn record_eject(&self, failed: usize) {
+        self.ejected.incr();
+        self.flight
+            .record(EV_EJECT, &self.addr, failed as u64, 0, 0.0, 0.0);
     }
 
     /// One health-thread step. Healthy: [`Backend::probe`]; two

@@ -38,7 +38,7 @@ use lre_serve::protocol::{
 use lre_serve::server::{answer, Door, Lane, OpenDoor};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -119,11 +119,16 @@ impl Shared {
 }
 
 /// A running router: an [`OpenDoor`] over the fleet, and the health
-/// thread that ejects and re-admits replicas.
+/// thread that ejects and re-admits replicas. [`Router::join`] waits for
+/// the stop; the drop that follows (or a drop without a join, which stops
+/// the router first) takes it down: the door and its connections, then
+/// the health thread, then each backend's data connection and reader.
 pub struct Router {
     door: OpenDoor,
     shared: Arc<Shared>,
-    health: JoinHandle<()>,
+    /// The health thread, and the sender whose drop stops it (`None` once
+    /// joined).
+    health: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
 }
 
 impl Router {
@@ -151,21 +156,22 @@ impl Router {
             probe_timeout: cfg.probe_timeout,
         });
         let door = OpenDoor::open(listener, Arc::clone(&shared) as _, cfg.max_inflight)?;
+        let (stop, stopped) = mpsc::channel::<()>();
         let health = {
-            let (shared, stopping) = (Arc::clone(&shared), door.stopping());
-            std::thread::spawn(move || {
-                while !stopping.load(Ordering::SeqCst) {
-                    for b in &shared.backends {
-                        b.health_step(shared.probe_timeout);
-                    }
-                    std::thread::sleep(cfg.health_interval);
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || loop {
+                for b in &shared.backends {
+                    b.health_step(shared.probe_timeout);
+                }
+                if stopped.recv_timeout(cfg.health_interval) != Err(RecvTimeoutError::Timeout) {
+                    break;
                 }
             })
         };
         Ok(Router {
             door,
             shared,
-            health,
+            health: Some((stop, health)),
         })
     }
 
@@ -184,9 +190,27 @@ impl Router {
     }
 
     /// Block until shutdown is requested, then join the service threads.
-    pub fn join(self) {
+    /// Every request admitted before the stop is answered first: by its
+    /// replica, or typed when the health thread ejects a replica that
+    /// stopped answering.
+    pub fn join(mut self) {
         self.door.join();
-        let _ = self.health.join();
+    }
+}
+
+impl Drop for Router {
+    fn drop(&mut self) {
+        // The health thread outlives the door's connections: only it ejects
+        // a wedged replica, which answers that replica's pending requests.
+        self.door.stop();
+        self.door.join();
+        if let Some((stop, health)) = self.health.take() {
+            drop(stop);
+            let _ = health.join();
+        }
+        for b in &self.shared.backends {
+            b.close();
+        }
     }
 }
 

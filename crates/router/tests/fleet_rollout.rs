@@ -62,23 +62,13 @@ fn scratch_log(registry: &Registry) -> VoteLog {
     VoteLog::new(16, DrainPath::Wire, vote_wal_options(), registry).expect("scratch vote WAL opens")
 }
 
-/// Removes a replica's scratch vote window when dropped: the server's
-/// connection threads are detached and can keep the log itself alive.
-struct Window(Arc<VoteLog>);
-
-impl Drop for Window {
-    fn drop(&mut self) {
-        self.0.remove_scratch_dir();
-    }
-}
-
-/// A served replica, the same `FleetReplica` in process, and its window.
-fn start_replica(accepts_candidates: bool) -> (Server, String, Arc<FleetReplica>, Window) {
+/// A served replica and the same `FleetReplica` in process. Its scratch
+/// vote window goes when the last of the two drops.
+fn start_replica(accepts_candidates: bool) -> (Server, String, Arc<FleetReplica>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
     let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(BASELINE)), 0xB00B_5EED));
     let hooks = ServerHooks::default();
     let log = Arc::new(scratch_log(&hooks.obs.registry));
-    let window = Window(Arc::clone(&log));
     let mut replica = FleetReplica::new(Arc::clone(&handle), log, Arc::clone(&hooks.obs.flight));
     if accepts_candidates {
         replica.set_validator(|sealed| match sealed {
@@ -103,7 +93,7 @@ fn start_replica(accepts_candidates: bool) -> (Server, String, Arc<FleetReplica>
     };
     let server = Server::start(listener, handle, cfg, hooks).expect("start replica");
     let addr = server.local_addr().to_string();
-    (server, addr, replica, window)
+    (server, addr, replica)
 }
 
 /// The router's view of the replica at `addr`.
@@ -111,18 +101,14 @@ fn remote(addr: &str) -> Arc<dyn FleetControl> {
     Arc::new(Backend::new(addr.to_string(), &RouterObs::new(8)))
 }
 
-type Fleet = (
-    Vec<(Server, Window)>,
-    Vec<String>,
-    Vec<Arc<dyn FleetControl>>,
-);
+type Fleet = (Vec<Server>, Vec<String>, Vec<Arc<dyn FleetControl>>);
 
 fn start_fleet(accepting: &[bool]) -> Fleet {
     let mut servers = Vec::new();
     let mut addrs = Vec::new();
     for &a in accepting {
-        let (server, addr, _, window) = start_replica(a);
-        servers.push((server, window));
+        let (server, addr, _) = start_replica(a);
+        servers.push(server);
         addrs.push(addr);
     }
     let backends = addrs.iter().map(|a| remote(a)).collect();
@@ -281,7 +267,7 @@ fn every_routed_reply_carries_the_span_its_replica_minted() {
 
     drop(client);
     router.stop();
-    for (server, _window) in servers {
+    for server in servers {
         server.stop();
         server.join();
     }
@@ -352,10 +338,10 @@ fn mid_commit_death_rolls_back_the_replicas_that_already_flipped() {
 /// phases must roll its commit back.
 #[test]
 fn mixed_fleet_abort_and_undo_reach_the_in_process_replica() {
-    let (_local_server, local_addr, local, _local_window) = start_replica(true);
+    let (_local_server, local_addr, local) = start_replica(true);
     let baseline = score_bits(&local_addr);
 
-    let (_refusing, refusing_addr, _, _refusing_window) = start_replica(false);
+    let (_refusing, refusing_addr, _) = start_replica(false);
     let fleet: Vec<Arc<dyn FleetControl>> = vec![local.clone(), remote(&refusing_addr)];
     let sealed = candidate(4);
     assert_eq!(
@@ -366,7 +352,7 @@ fn mixed_fleet_abort_and_undo_reach_the_in_process_replica() {
     assert_eq!(local.generation(), 0);
     assert_eq!(score_bits(&local_addr), baseline);
 
-    let (_accepting, addr, _, _accepting_window) = start_replica(true);
+    let (_accepting, addr, _) = start_replica(true);
     let fleet: Vec<Arc<dyn FleetControl>> = vec![
         local.clone(),
         remote(&addr),
@@ -396,7 +382,6 @@ fn a_multi_megabyte_window_drains_whole_through_the_router() {
     let handle = Arc::new(ScorerHandle::new(Arc::new(Marker(BASELINE)), 0xB00B_5EED));
     let hooks = ServerHooks::default();
     let log = Arc::new(scratch_log(&hooks.obs.registry));
-    let _window = Window(Arc::clone(&log));
     let replica = FleetReplica::new(
         Arc::clone(&handle),
         Arc::clone(&log),

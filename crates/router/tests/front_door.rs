@@ -4,7 +4,9 @@
 //! stats-v3 and flight are answered, and a score past the window is
 //! refused `overloaded` under its own id while the admitted one is still
 //! answered. A client's shutdown through a router is acknowledged, relayed
-//! to every replica, and then stops the router.
+//! to every replica, and then stops the router. A backend ejected while its
+//! replica is still up closes its data connection on both sides, so the
+//! replica never holds more than the one the router reconnects.
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
@@ -15,7 +17,7 @@ use lre_serve::{
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A scorer that holds every call while its gate is shut, so "a score is
 /// outstanding" is a state the test sets, not a race.
@@ -167,4 +169,35 @@ fn a_shutdown_through_the_router_is_acked_relayed_then_stops_it() {
         let joined = rx.recv_timeout(Duration::from_secs(20));
         assert_eq!(joined, Ok(who), "a {who} never stopped");
     }
+}
+
+/// The replica's live connections once they settle at `n` (or after 10 s:
+/// a connection's thread ends once the router's side has closed).
+fn settled(replica: &Server, n: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while replica.connections() != n && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    replica.connections()
+}
+
+#[test]
+fn ejecting_a_live_replica_closes_its_data_connection() {
+    let replica = start_server(Gate::new(true), 4);
+    let backend = Arc::new(Backend::new(
+        replica.local_addr().to_string(),
+        &RouterObs::new(8),
+    ));
+    backend.connect().expect("the replica is up");
+    assert_eq!(settled(&replica, 1), 1, "one data connection");
+    for round in 1..=5 {
+        backend.eject();
+        backend.health_step(Duration::from_secs(1));
+        assert!(backend.is_healthy(), "round {round}: not re-admitted");
+        assert_eq!(settled(&replica, 1), 1, "round {round}: data connections");
+    }
+    backend.close();
+    assert_eq!(settled(&replica, 0), 0, "closed, yet connected");
+    replica.stop();
+    replica.join();
 }

@@ -24,14 +24,18 @@
 //! admitted vote is appended to it, and a router drain reads the window
 //! back and clears it. Without `--wal-dir` that WAL is scratch: a fresh
 //! `lre-votes-<pid>-<n>` directory under `TMPDIR` (or `/tmp`), never
-//! replayed and removed at a graceful shutdown; a SIGKILLed replica leaves
-//! it behind, and a `TMPDIR` where it cannot be made stops `--fleet` at
-//! start (exit 1). `--wal-dir DIR` (fleet mode only; without `--fleet` it
-//! is a usage error) makes the WAL durable under `DIR`: replayed into the
-//! window on restart, and published on the `wal.*` series, which
-//! `lre-client --wal-status` reads. `--wal-fsync-ms N` sets the fsync
-//! batching interval of either (0 = fsync every append; default 50). See
-//! `docs/DURABILITY.md`.
+//! replayed and removed when the log drops at a graceful shutdown; a
+//! SIGKILLed replica leaves it behind, and a `TMPDIR` where it cannot be
+//! made stops `--fleet` at start (exit 1). `--wal-dir DIR` (fleet mode
+//! only; without `--fleet` it is a usage error) makes the WAL durable
+//! under `DIR`: replayed into the window on restart, and published on the
+//! `wal.*` series, which `lre-client --wal-status` reads. `--wal-fsync-ms
+//! N` sets the fsync batching interval of either (0 = fsync every append;
+//! default 50). See `docs/DURABILITY.md`.
+//!
+//! A graceful shutdown is `Server::join` (every connection answered and
+//! joined, the engine drained) and the drops that follow it: the vote
+//! log's drop closes its WAL (a last fsync) and removes a scratch window.
 
 use lre_artifact::{bundle_checksum, ArtifactRead};
 use lre_obs::install_panic_dump;
@@ -93,7 +97,7 @@ fn main() {
     let obs = Arc::clone(&hooks.obs);
     // The flight recorder also dumps to stderr on panic.
     install_panic_dump(&obs.flight);
-    let (handle, vote_log) = if let Some(checksum) = checksum {
+    let handle = if let Some(checksum) = checksum {
         // A fleet replica serves through a hot-swappable handle tagged
         // with the sealed bundle's checksum and tees scores into the vote
         // log the router drains. With --wal-dir the votes survive a crash;
@@ -112,20 +116,17 @@ fn main() {
             Arc::clone(&obs.flight),
         );
         hooks.fleet = Some(Arc::new(replica));
-        (handle, Some(log))
+        handle
     } else {
-        (Arc::new(ScorerHandle::new(system, 0)), None)
+        Arc::new(ScorerHandle::new(system, 0))
     };
     let server = or_die(
         Server::start(listener, handle, server.cfg, hooks),
         "starting server",
     );
     println!("listening on {}", server.local_addr());
+    // Every connection is answered and joined, then the engine drained:
+    // nothing holds the vote log after this, and it drops with the server.
     server.join();
-    // Connection threads the door does not join may still hold the log,
-    // and an exit runs no drop: a scratch window's directory goes now.
-    if let Some(log) = vote_log {
-        log.remove_scratch_dir();
-    }
     eprintln!("[serve] shut down cleanly");
 }

@@ -14,12 +14,25 @@
 //! stats-v3 body and the coordinator arms. [`Server`] admits into an
 //! [`Engine`]; `lre_router::Router` forwards to a replica fleet.
 //!
+//! Every thread has an owner that joins it: the accept thread owns the
+//! connection threads, and each connection thread (the reader) owns its
+//! writer. When the door stops, every reader stops at its next frame
+//! boundary with nothing more arrived (a frame the peer is still sending
+//! is read to its end), and the accept thread joins them all, so
+//! [`OpenDoor::join`] returns only once every reply the door owed has been
+//! written (or its peer has stopped taking bytes, see [`WRITE_STALL`]) and
+//! nothing the door shares is held by a thread of its own any more.
+//!
 //! The connection contract, the same at both doors:
 //! - a score past the connection's window is refused `overloaded` under
-//!   its id, before the door sees it;
+//!   its id, before the door sees it; a score read after the door stopped
+//!   is refused `shutting down`;
 //! - an undecodable frame is answered `bad request`, then the connection
 //!   closes;
 //! - stats-v3 and flight are always answered;
+//! - a connection holds at most its window of unwritten inline replies:
+//!   past that its reader stops reading until the writer catches up, so a
+//!   peer that sends without reading is pushed back by TCP;
 //! - a shutdown is acknowledged on the wire and the writer joined (every
 //!   queued reply, the ack included, is on the socket), then
 //!   [`Door::shutdown`] runs and the accept loop stops.
@@ -36,11 +49,20 @@ use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
 use crate::system::ScoreTap;
 use lre_obs::FlightRecorder;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
+
+/// How often an idle connection's reader looks at its door's stop flag.
+const READ_TICK: Duration = Duration::from_millis(100);
+
+/// The longest a connection's writer waits on a peer that takes no bytes
+/// before it shuts the connection down: a peer that stops reading cannot
+/// hold its connection, and so [`OpenDoor::join`], for longer.
+pub const WRITE_STALL: Duration = Duration::from_secs(10);
 
 /// What one kind of front door adds to the shared connection loop.
 pub trait Door: Send + Sync + 'static {
@@ -75,30 +97,49 @@ pub trait Door: Send + Sync + 'static {
     fn shutdown(&self) {}
 }
 
-/// An admitted score's way back to its connection: the reply lane and the
-/// window slot the score holds.
-#[derive(Clone)]
-pub struct Lane {
-    tx: mpsc::Sender<Vec<u8>>,
-    window: Arc<AtomicUsize>,
+/// A frame queued for a connection's writer.
+enum Reply {
+    /// An admitted score's answer: it holds a window slot until the
+    /// writer takes it.
+    Score(Vec<u8>),
+    /// Everything the reader answers itself.
+    Inline(Vec<u8>),
 }
 
+/// An admitted score's way back to its connection. Sending never blocks.
+#[derive(Clone)]
+pub struct Lane(mpsc::Sender<Reply>);
+
 impl Lane {
-    /// Answer one admitted score: release its window slot, then queue the
-    /// frame. Released first, so a client that has read the reply finds the
-    /// slot free.
+    /// Answer one admitted score. Its window slot is released as the
+    /// writer takes the frame, before the bytes go out, so a client that
+    /// has read the reply finds the slot free.
     pub fn reply(&self, frame: Vec<u8>) {
-        self.window.fetch_sub(1, Ordering::AcqRel);
-        let _ = self.tx.send(frame); // the client may have left; fine
+        let _ = self.0.send(Reply::Score(frame)); // the client may have left; fine
     }
 }
 
-/// A listening front door: the accept thread and the flag that stops it.
-/// Connection threads are detached; they exit on peer close.
+/// What a connection's reader and writer count between them.
+#[derive(Default)]
+struct Owed {
+    /// Admitted scores whose reply is not yet taken by the writer: the
+    /// window.
+    scores: AtomicUsize,
+    /// Inline replies not yet written.
+    inline: AtomicUsize,
+    /// Set once the writer has given the socket up: nothing more is read.
+    closed: AtomicBool,
+}
+
+/// A listening front door: the accept thread, the flag that stops it and
+/// the connections it owns.
 pub struct OpenDoor {
     addr: SocketAddr,
     stopping: Arc<AtomicBool>,
-    accept: JoinHandle<()>,
+    /// The connection threads.
+    live: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// `None` once joined.
+    accept: Option<JoinHandle<()>>,
 }
 
 /// What every connection of one door shares.
@@ -119,27 +160,45 @@ impl OpenDoor {
     ) -> std::io::Result<OpenDoor> {
         let addr = listener.local_addr()?;
         let stopping = Arc::new(AtomicBool::new(false));
+        let live = Arc::new(Mutex::new(Vec::<JoinHandle<()>>::new()));
         let entry = Arc::new(Entry {
             door,
             max_inflight: max_inflight.max(1),
             stopping: Arc::clone(&stopping),
             addr,
         });
-        let accept = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if entry.stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = conn {
+        let accept = {
+            let live = Arc::clone(&live);
+            std::thread::spawn(move || {
+                for conn in listener.incoming() {
+                    if entry.stopping.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = conn else {
+                        continue;
+                    };
                     let entry = Arc::clone(&entry);
-                    std::thread::spawn(move || entry.converse(stream));
+                    let thread = std::thread::spawn(move || entry.converse(stream));
+                    let mut live = live.lock().expect("connections poisoned");
+                    for done in live.extract_if(.., |t| t.is_finished()) {
+                        let _ = done.join();
+                    }
+                    live.push(thread);
                 }
-            }
-        });
+                // Every reader stops at its next frame boundary with nothing
+                // more arrived; every connection finishes what it owes and
+                // is joined.
+                let live = std::mem::take(&mut *live.lock().expect("connections poisoned"));
+                for thread in live {
+                    let _ = thread.join();
+                }
+            })
+        };
         Ok(OpenDoor {
             addr,
             stopping,
-            accept,
+            live,
+            accept: Some(accept),
         })
     }
 
@@ -147,9 +206,10 @@ impl OpenDoor {
         self.addr
     }
 
-    /// The stop flag, for service threads that live as long as the door.
-    pub fn stopping(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stopping)
+    /// Connections whose thread is still running.
+    pub fn connections(&self) -> usize {
+        let live = self.live.lock().expect("connections poisoned");
+        live.iter().filter(|t| !t.is_finished()).count()
     }
 
     /// Stop accepting (what a client's shutdown does once it is acked).
@@ -157,9 +217,19 @@ impl OpenDoor {
         trigger_stop(&self.stopping, self.addr);
     }
 
-    /// Block until the accept loop has stopped.
-    pub fn join(self) {
-        let _ = self.accept.join();
+    /// Block until the door has stopped and every connection is joined.
+    pub fn join(&mut self) {
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+}
+
+/// A door dropped is stopped and joined.
+impl Drop for OpenDoor {
+    fn drop(&mut self) {
+        self.stop();
+        self.join();
     }
 }
 
@@ -172,39 +242,54 @@ fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
 }
 
 impl Entry {
-    /// One connection, from accept to close.
-    fn converse(&self, mut stream: TcpStream) {
+    /// One connection, from accept to close, on its reader thread.
+    fn converse(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
-        let Ok(mut write_half) = stream.try_clone() else {
+        let Ok(write_half) = stream.try_clone() else {
             return;
+        };
+        let _ = stream.set_read_timeout(Some(READ_TICK));
+        let mut incoming = Incoming {
+            socket: &stream,
+            stopping: &self.stopping,
+            mid_frame: false,
         };
         // The writer lives until every sender is gone: until the reader has
         // returned *and* the door has answered every admitted score, so a
-        // drained shutdown never strands a reply and never leaks the thread.
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
-        let writer = std::thread::spawn(move || {
-            while let Ok(frame) = rx.recv() {
-                if write_frame(&mut write_half, &frame).is_err() {
-                    // Peer is gone; keep draining so senders resolve, but
-                    // stop touching the socket.
-                    while rx.recv().is_ok() {}
-                    return;
-                }
+        // drained shutdown never strands a reply.
+        let (tx, rx) = mpsc::channel();
+        let owed = Arc::new(Owed::default());
+        let writer = {
+            let (owed, reader) = (Arc::clone(&owed), std::thread::current());
+            std::thread::spawn(move || write_replies(write_half, rx, &owed, &reader))
+        };
+        let lane = Lane(tx);
+        // Past a window of unwritten inline replies, wait for the writer.
+        let inline = |frame: Vec<u8>| {
+            while owed.inline.load(Ordering::Acquire) >= self.max_inflight {
+                std::thread::park();
             }
-        });
-        let lane = Lane {
-            tx,
-            window: Arc::new(AtomicUsize::new(0)),
+            owed.inline.fetch_add(1, Ordering::AcqRel);
+            let _ = lane.0.send(Reply::Inline(frame));
         };
         let door = &*self.door;
         let mut shutdown = false;
 
         // Anything but a complete frame (clean close, torn connection,
-        // oversized length prefix) ends the conversation.
-        while let Ok(Some(frame)) = read_frame(&mut stream) {
+        // oversized length prefix, the door's stop at a frame boundary)
+        // ends the conversation, and so does a writer that gave the socket
+        // up.
+        while !owed.closed.load(Ordering::Acquire) {
+            incoming.mid_frame = false;
+            let Ok(Some(frame)) = read_frame(&mut incoming) else {
+                break;
+            };
             // Everything but an admitted score is answered here, in request
             // order.
             let reply = match decode_request(&frame) {
+                Ok(Request::ScoreV2 { id, .. }) if self.stopping.load(Ordering::SeqCst) => {
+                    encode_status_v2(id, STATUS_SHUTTING_DOWN)
+                }
                 Ok(Request::ScoreV2 {
                     id,
                     deadline_ms,
@@ -212,8 +297,8 @@ impl Entry {
                 }) => {
                     // Only the reader takes a slot, so a plain
                     // load-then-add admits at most `max_inflight`.
-                    if lane.window.load(Ordering::Acquire) < self.max_inflight {
-                        lane.window.fetch_add(1, Ordering::AcqRel);
+                    if owed.scores.load(Ordering::Acquire) < self.max_inflight {
+                        owed.scores.fetch_add(1, Ordering::AcqRel);
                         if let Some(refusal) =
                             door.admit(id, deadline_ms, samples, frame, lane.clone())
                         {
@@ -231,19 +316,17 @@ impl Entry {
                     door.flight().peek()
                 }),
                 Ok(Request::Shutdown) => {
-                    let _ = lane.tx.send(encode_ok(&Ack));
+                    inline(encode_ok(&Ack));
                     shutdown = true;
                     break;
                 }
                 Ok(request) => door.control(request),
                 Err(_) => {
-                    let _ = lane.tx.send(encode_status(STATUS_BAD_REQUEST));
+                    inline(encode_status(STATUS_BAD_REQUEST));
                     break;
                 }
             };
-            if lane.tx.send(reply).is_err() {
-                break;
-            }
+            inline(reply);
         }
 
         drop(lane);
@@ -255,6 +338,72 @@ impl Entry {
         if shutdown {
             door.shutdown();
             trigger_stop(&self.stopping, self.addr);
+        }
+    }
+}
+
+/// A connection's socket as its reader sees it. Reads time out every
+/// [`READ_TICK`], so an idle reader notices the door's stop: once the door
+/// has stopped, a frame boundary with nothing more arrived reads as the
+/// peer's close. A frame the peer is still sending is read to its end (its
+/// score is then refused `shutting down`), unless the peer sends nothing
+/// for [`WRITE_STALL`].
+struct Incoming<'a> {
+    socket: &'a TcpStream,
+    stopping: &'a AtomicBool,
+    /// Part of the current frame has been read.
+    mid_frame: bool,
+}
+
+impl Read for Incoming<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut quiet = Duration::ZERO;
+        loop {
+            match self.socket.read(buf) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    let stopped = self.stopping.load(Ordering::SeqCst);
+                    if stopped && (!self.mid_frame || quiet >= WRITE_STALL) {
+                        return Ok(0);
+                    }
+                    quiet += READ_TICK;
+                }
+                Ok(n) => {
+                    self.mid_frame = true;
+                    return Ok(n);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// A connection's writer: every queued frame in order, until the reader
+/// and every admitted score's lane are gone. A peer that takes no bytes
+/// for [`WRITE_STALL`], or is gone, has its socket shut down both ways
+/// (which ends the reader); the rest is drained unwritten, so every slot
+/// is still released.
+fn write_replies(mut socket: TcpStream, rx: mpsc::Receiver<Reply>, owed: &Owed, reader: &Thread) {
+    // A write that got part of a frame out returns only when its timeout
+    // runs out, and the next one may then stall a whole timeout: two
+    // halves make the bound.
+    let _ = socket.set_write_timeout(Some(WRITE_STALL / 2));
+    let mut open = true;
+    for reply in rx {
+        let (frame, inline) = match reply {
+            Reply::Score(frame) => {
+                owed.scores.fetch_sub(1, Ordering::AcqRel);
+                (frame, false)
+            }
+            Reply::Inline(frame) => (frame, true),
+        };
+        if open && write_frame(&mut socket, &frame).is_err() {
+            open = false;
+            owed.closed.store(true, Ordering::Release);
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        if inline {
+            owed.inline.fetch_sub(1, Ordering::AcqRel);
+            reader.unpark();
         }
     }
 }
@@ -398,8 +547,10 @@ impl Door for EngineDoor {
 }
 
 /// A running server: an [`OpenDoor`] whose scores go to one shared
-/// [`Engine`]. [`Server::join`] owns the graceful-shutdown sequence: stop
-/// accepting, drain the engine queue, join the workers.
+/// [`Engine`]. [`Server::join`] owns the graceful-shutdown sequence: wait
+/// for the stop, join the door (every connection answered), drain the
+/// engine queue, join the workers. Dropped without a join, a server stops
+/// and runs the same sequence.
 pub struct Server {
     door: OpenDoor,
     engine: Arc<Engine>,
@@ -442,15 +593,20 @@ impl Server {
         &self.engine
     }
 
+    /// Live connections (see [`OpenDoor::connections`]).
+    pub fn connections(&self) -> usize {
+        self.door.connections()
+    }
+
     /// Ask the server to stop from the hosting process (equivalent to a
     /// client shutdown request).
     pub fn stop(&self) {
         self.door.stop();
     }
 
-    /// Block until shutdown is requested, then drain and join. In-flight
-    /// requests accepted before the shutdown are still scored and answered.
-    pub fn join(self) {
+    /// Block until shutdown is requested, then drain and join. Every
+    /// request admitted before the stop is still scored and answered.
+    pub fn join(mut self) {
         self.door.join();
         self.engine.shutdown();
     }

@@ -70,10 +70,11 @@
 //! * **Scratch** ([`VoteLog::new`]): the WAL lives in a fresh
 //!   `lre-votes-<pid>-<n>` directory under [`std::env::temp_dir`], records
 //!   into a private, unread `wal.*` registry, is never replayed and is
-//!   removed when the log drops (or, at a process's exit, by
-//!   [`VoteLog::remove_scratch_dir`]). A process killed before that leaves
-//!   the directory behind; a `TMPDIR` where no directory can be made stops
-//!   the log from being built at all.
+//!   removed when the log drops: a serving process drops it at a graceful
+//!   exit, once `Server::join` has joined every thread that held it. A
+//!   process killed before that leaves the directory behind; a `TMPDIR`
+//!   where no directory can be made stops the log from being built at
+//!   all.
 //!
 //! A drained (or in-flight) log can be frozen as a [`VoteLogSnapshot`] —
 //! a sealed, CRC-framed `lre-artifact` container (kind `VLOG`, records as
@@ -437,17 +438,6 @@ impl VoteLog {
 
     fn lock(&self) -> MutexGuard<'_, LogState> {
         self.state.lock().expect("vote log poisoned")
-    }
-
-    /// Remove a scratch log's directory now rather than when the log
-    /// drops, for a process about to exit while threads it does not join
-    /// (a server's connection threads) still hold the log. The WAL's open
-    /// handle keeps working for them; nothing is left on disk. A durable
-    /// log is untouched.
-    pub fn remove_scratch_dir(&self) {
-        if let Some(ScratchDir(dir)) = &self.scratch {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 
     /// Records currently buffered.
@@ -850,16 +840,6 @@ mod tests {
         assert!(b.is_empty());
         drop((a, b));
         assert!(!dir_a.exists() && !dir_b.exists());
-
-        // Removed ahead of the drop, the window still works through the
-        // WAL's open handle.
-        let c = mem(8);
-        c.record(detail(1, 0, 1.0));
-        c.remove_scratch_dir();
-        assert!(!scratch_dir(&c).exists());
-        c.record(detail(2, 0, 1.0));
-        assert_eq!(c.snapshot().records.len(), 2);
-        drop(c);
 
         // Directories left where the next scratch names would go (a killed
         // process with this pid) hold windows; a new one takes none of them.

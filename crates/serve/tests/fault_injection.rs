@@ -14,19 +14,25 @@
 //! - a scorer that panics fails that one request with `INTERNAL`; the
 //!   worker it unwound, the connection and its window all live on;
 //! - the engine shuts down idempotently, resolving in-flight work and
-//!   refusing later submissions with a typed error instead of hanging.
+//!   refusing later submissions with a typed error instead of hanging;
+//! - a peer that sends without reading costs the server a bounded backlog
+//!   and loses its connection once the writer has made no progress for
+//!   [`WRITE_STALL`].
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
+use lre_obs::MetricValue;
 use lre_serve::client::ScoreReply;
 use lre_serve::fuzz;
+use lre_serve::protocol::encode_request;
+use lre_serve::server::WRITE_STALL;
 use lre_serve::{
-    read_frame, write_frame, Client, Engine, EngineConfig, Outcome, ScoreDetail, Scorer,
+    read_frame, write_frame, Client, Engine, EngineConfig, Outcome, Request, ScoreDetail, Scorer,
     ScorerHandle, ServeObs, Server, ServerConfig, ServerHooks, SubmitError,
 };
-use std::net::TcpListener;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministic mock: LLR `i` is `sum(samples) + i`, so replies are
 /// attributable to the exact samples that produced them.
@@ -145,9 +151,17 @@ impl Scorer for PanickingScorer {
 }
 
 fn start_server(scorer: Arc<dyn Scorer>, cfg: ServerConfig) -> Server {
+    start_observed(scorer, cfg).0
+}
+
+/// A server and the telemetry it records into.
+fn start_observed(scorer: Arc<dyn Scorer>, cfg: ServerConfig) -> (Server, Arc<ServeObs>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let handle = Arc::new(ScorerHandle::new(scorer, 0));
-    Server::start(listener, handle, cfg, ServerHooks::default()).expect("server starts")
+    let hooks = ServerHooks::default();
+    let obs = Arc::clone(&hooks.obs);
+    let server = Server::start(listener, handle, cfg, hooks).expect("server starts");
+    (server, obs)
 }
 
 fn fast_config() -> ServerConfig {
@@ -161,24 +175,21 @@ fn fast_config() -> ServerConfig {
     }
 }
 
-/// Threads in this process, per the kernel.
-fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|n| n.parse().ok())
-        })
-        .unwrap_or(0)
+/// Wait until `within` has passed or the server's live connections number
+/// `n` (a connection's thread ends once its peer is gone, and the door
+/// counts the threads still running); the count is returned.
+fn connections_reach(server: &Server, n: usize, within: Duration) -> usize {
+    let deadline = Instant::now() + within;
+    while server.connections() != n && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    server.connections()
 }
 
 #[test]
 fn malformed_corpus_against_live_server() {
     let server = start_server(Arc::new(MockScorer { classes: 3 }), fast_config());
     let addr = server.local_addr();
-    let baseline_threads = thread_count();
 
     let ran = fuzz::run_corpus(addr, Duration::from_secs(10)).expect("malformed-input contract");
     for class in ["per-tag", "payload", "stream", "slow-loris"] {
@@ -201,25 +212,10 @@ fn malformed_corpus_against_live_server() {
     }
 
     // No leaked connection threads: every per-connection reader/writer
-    // pair must wind down once its peer is gone (allow the scheduler a
-    // moment to reap them).
-    if baseline_threads > 0 {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            // `client` above is still connected: its reader+writer pair is
-            // legitimately alive.
-            if thread_count() <= baseline_threads + 2 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "connection threads leaked: {} now vs {} before the corpus",
-                thread_count(),
-                baseline_threads
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
+    // pair must wind down once its peer is gone. `client` above is still
+    // connected: its connection is the one left.
+    let live = connections_reach(&server, 1, Duration::from_secs(10));
+    assert_eq!(live, 1, "connection threads leaked");
 
     client.shutdown().expect("shutdown acknowledged");
     server.join();
@@ -233,7 +229,6 @@ fn slow_loris_cases_never_leak_the_reader_thread() {
     // must be answered, not punished for its pacing.
     let server = start_server(Arc::new(MockScorer { classes: 3 }), fast_config());
     let addr = server.local_addr();
-    let baseline_threads = thread_count();
 
     let corpus = fuzz::malformed_corpus();
     let loris: Vec<_> = corpus
@@ -250,22 +245,8 @@ fn slow_loris_cases_never_leak_the_reader_thread() {
             .unwrap_or_else(|e| panic!("case {:?}: {e}", case.name));
     }
 
-    if baseline_threads > 0 {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            // +2 tolerates threads other concurrently-running tests own.
-            if thread_count() <= baseline_threads + 2 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "slow-loris reader threads leaked: {} now vs {} before",
-                thread_count(),
-                baseline_threads
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
+    let live = connections_reach(&server, 0, Duration::from_secs(10));
+    assert_eq!(live, 0, "slow-loris reader threads leaked");
     let mut client = Client::connect(addr).expect("connect for shutdown");
     client.shutdown().expect("shutdown acknowledged");
     server.join();
@@ -355,8 +336,17 @@ fn deadlines_are_shed_with_a_typed_status() {
     let gate = Arc::new(GatedScorer::new(2));
     let mut cfg = fast_config();
     cfg.engine.workers = 1;
-    let server = start_server(Arc::clone(&gate) as _, cfg);
+    let (server, obs) = start_observed(Arc::clone(&gate) as _, cfg);
     let addr = server.local_addr();
+    let queued = || match obs
+        .registry
+        .snapshot()
+        .iter()
+        .find(|m| m.0 == "engine.queue.depth")
+    {
+        Some((_, MetricValue::Gauge(depth))) => *depth,
+        other => panic!("engine.queue.depth is not a gauge: {other:?}"),
+    };
 
     let mut client = Client::connect(addr).expect("connect");
     // The blocker parks the only worker at the closed gate; the victims'
@@ -370,7 +360,7 @@ fn deadlines_are_shed_with_a_typed_status() {
     // The blocker left the queue before the victims came, so its depth
     // reads 2 only once both are on it; each was admitted before that, so
     // 5 ms later both deadlines have passed.
-    while server.engine().stats().max_queue_depth < 2 {
+    while queued() < 2 {
         std::thread::sleep(Duration::from_millis(1));
     }
     std::thread::sleep(Duration::from_millis(5));
@@ -606,5 +596,39 @@ fn deadline_zero_means_no_deadline_on_the_wire() {
         other => panic!("zero deadline must not expire anything: {other:?}"),
     }
     client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// A peer that pipelines stats-v3 requests and reads nothing. Its
+/// connection holds at most a window of unwritten replies, so the reader
+/// stops reading and TCP pushes back on the peer until its writes block;
+/// once the server's writer has made no progress for [`WRITE_STALL`] it
+/// gives the connection up (the peer's blocked write fails), and the
+/// server still joins.
+#[test]
+fn a_peer_that_never_reads_is_dropped_after_the_write_stall() {
+    let server = start_server(Arc::new(MockScorer { classes: 3 }), fast_config());
+    let peer = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut sending = peer.try_clone().expect("clone");
+    let (sent, refused) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let stats = encode_request(&Request::StatsV3);
+        let mut requests = 0u64;
+        while write_frame(&mut sending, &stats).is_ok() {
+            requests += 1;
+        }
+        let _ = sent.send(requests);
+    });
+    let started = Instant::now();
+    let slack = Duration::from_secs(10);
+    let requests = refused.recv_timeout(WRITE_STALL + slack);
+    // Unblocks the sender if the server never gave it up.
+    let _ = peer.shutdown(Shutdown::Both);
+    let requests = requests.expect("the server kept a peer that reads nothing");
+    let took = started.elapsed();
+    let live = connections_reach(&server, 0, slack);
+    assert_eq!(live, 0, "the given-up connection is still running");
+    eprintln!("non-reader: {requests} requests written, refused after {took:?}");
+    server.stop();
     server.join();
 }

@@ -8,7 +8,11 @@
 //! three durations, and throw hostile audio at it; and two hold the
 //! engine's fan-out — one utterance's subsystems spread over whichever
 //! workers are idle — to the serial scorer's bits at every pool width and
-//! window, and its reply spans to the wire's monotonicity rule.
+//! window, and its reply spans to the wire's monotonicity rule. The built
+//! binaries are held to their exit: a fleet replica's scratch vote window
+//! is gone after a graceful shutdown, and a shutdown of `lre-serve`, or of
+//! `lre-router` over two of them, answers every score admitted before it
+//! (the router variant needs `lre-router` built beside `lre-serve`).
 //!
 //! Like `tests/full_system.rs`, the training-backed tests build the
 //! complete six-front-end smoke experiment (minutes in release, much
@@ -32,7 +36,11 @@ use lre_serve::{
     Client, Engine, EngineConfig, Outcome, ScoreDetail, ScoreTap, ScorerHandle, ScoringSystem,
     ServeObs, Server, ServerConfig, ServerHooks, SubmitError, SystemBundle,
 };
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One smoke-scale training run shared by every `#[ignore]` test in this
@@ -721,37 +729,51 @@ fn sealed_decode_keeps_the_input_bytes_and_refuses_damage() {
     }
 }
 
+const SERVE: &str = env!("CARGO_BIN_EXE_lre-serve");
+
+/// Start a serving binary with `args` (and `--addr 127.0.0.1:0`) under
+/// `tmpdir` as its `TMPDIR`, and wait for the address it prints.
+fn spawn_listening(bin: &Path, args: &[&str], tmpdir: &Path) -> (Child, String) {
+    let mut child = Command::new(bin)
+        .args(args)
+        .args(["--addr", "127.0.0.1:0"])
+        .env("TMPDIR", tmpdir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap_or_else(|e| panic!("{} spawns: {e}", bin.display()));
+    let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let addr = stdout
+        .lines()
+        .map_while(Result::ok)
+        .find_map(|l| Some(l.strip_prefix("listening on ")?.trim().to_string()))
+        .unwrap_or_else(|| panic!("{} prints its address", bin.display()));
+    (child, addr)
+}
+
+/// A fresh directory under the system temp dir holding the fixture's
+/// bundle and a private `TMPDIR`.
+fn scratch_root(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
+    let root = std::env::temp_dir().join(format!("lre_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let tmp = root.join("tmp");
+    std::fs::create_dir_all(&tmp).expect("private TMPDIR");
+    let bundle = root.join("smoke.bundle");
+    std::fs::write(&bundle, &fixture().bytes).expect("bundle written");
+    (root, tmp, bundle)
+}
+
 /// The `lre-serve` binary as a fleet replica without `--wal-dir`: its vote
 /// window is a scratch WAL under its own `TMPDIR`, which holds the window
 /// while it serves and is empty again after a graceful shutdown.
 #[test]
 #[ignore = "builds the full experiment; run with --release -- --ignored"]
 fn a_fleet_replica_keeps_its_votes_in_tmpdir_and_leaves_it_empty() {
-    use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
-
     let fx = fixture();
-    let root = std::env::temp_dir().join(format!("lre_scratch_votes_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let tmp = root.join("tmp");
-    std::fs::create_dir_all(&tmp).expect("private TMPDIR");
-    let bundle = root.join("smoke.bundle");
-    std::fs::write(&bundle, &fx.bytes).expect("bundle written");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_lre-serve"))
-        .arg("--bundle")
-        .arg(&bundle)
-        .args(["--fleet", "--addr", "127.0.0.1:0", "--workers", "1"])
-        .env("TMPDIR", &tmp)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("lre-serve spawns");
-    let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
-    let addr = stdout
-        .lines()
-        .map_while(Result::ok)
-        .find_map(|l| Some(l.strip_prefix("listening on ")?.trim().to_string()))
-        .expect("lre-serve prints its address");
+    let (root, tmp, bundle) = scratch_root("scratch_votes");
+    let bundle = bundle.to_str().expect("a UTF-8 path");
+    let args = ["--bundle", bundle, "--fleet", "--workers", "1"];
+    let (mut child, addr) = spawn_listening(Path::new(SERVE), &args, &tmp);
 
     let mut client = Client::connect(&addr).expect("client connects");
     for wave in &fx.by_duration {
@@ -777,7 +799,7 @@ fn a_fleet_replica_keeps_its_votes_in_tmpdir_and_leaves_it_empty() {
     assert_eq!(client.wal_status().expect("stats-v3 round trip"), None);
 
     // A second connection stays open through the shutdown, as a router's
-    // do: its thread still holds the log when the process exits.
+    // do: the server joins it before it exits and drops the log.
     let idle = Client::connect(&addr).expect("second client connects");
     client.shutdown().expect("shutdown acknowledged");
     assert!(child.wait().expect("lre-serve exits").success());
@@ -785,4 +807,98 @@ fn a_fleet_replica_keeps_its_votes_in_tmpdir_and_leaves_it_empty() {
     assert!(left.is_empty(), "a clean shutdown left {left:?}");
     drop(idle);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// 30 s scores pipelined on one connection before the shutdown.
+const IN_FLIGHT: usize = 24;
+
+/// A graceful shutdown answers every score admitted before it. `routed`:
+/// the front is `lre-router` over two `lre-serve --workers 1` replicas
+/// (the binary beside `lre-serve`); otherwise one `lre-serve --workers 1`.
+/// [`IN_FLIGHT`] 30 s scores are pipelined on one connection, a shutdown
+/// is sent on a second, and the first is read to EOF: every id must get
+/// exactly one reply, scored or (read after the stop) `shutting down`,
+/// and every process must exit 0.
+fn shutdown_answers_every_admitted_score(routed: bool) {
+    let fx = fixture();
+    let tag = if routed {
+        "routed_drain"
+    } else {
+        "direct_drain"
+    };
+    let (root, tmp, bundle) = scratch_root(tag);
+    let bundle = bundle.to_str().expect("a UTF-8 path");
+    let replica_args = ["--bundle", bundle, "--workers", "1"];
+    let mut children = Vec::new();
+    let front = if routed {
+        let router = Path::new(SERVE).with_file_name("lre-router");
+        assert!(
+            router.exists(),
+            "{} is missing: cargo build --release -p lre-router",
+            router.display()
+        );
+        let mut router_args = Vec::new();
+        for _ in 0..2 {
+            let (child, addr) = spawn_listening(Path::new(SERVE), &replica_args, &tmp);
+            children.push(("lre-serve", child));
+            router_args.extend(["--replica".to_string(), addr]);
+        }
+        let router_args: Vec<&str> = router_args.iter().map(String::as_str).collect();
+        let (child, addr) = spawn_listening(&router, &router_args, &tmp);
+        children.push(("lre-router", child));
+        addr
+    } else {
+        let (child, addr) = spawn_listening(Path::new(SERVE), &replica_args, &tmp);
+        children.push(("lre-serve", child));
+        addr
+    };
+
+    let long: Vec<&Vec<f32>> = fx.by_duration.iter().take(2).collect();
+    let mut client = Client::connect(&front).expect("client connects");
+    for n in 0..IN_FLIGHT {
+        client.submit(long[n % 2], None).expect("submit");
+    }
+    Client::connect(&front)
+        .and_then(|mut c| c.shutdown())
+        .expect("shutdown acknowledged");
+    let mut replies: HashMap<u64, Vec<ScoreReply>> = HashMap::new();
+    while let Ok((id, reply)) = client.recv() {
+        replies.entry(id).or_default().push(reply);
+    }
+    let missing = (0..IN_FLIGHT as u64)
+        .filter(|id| !replies.contains_key(id))
+        .count();
+    let wrong: Vec<_> = replies
+        .iter()
+        .filter(|(_, r)| {
+            !matches!(
+                r.as_slice(),
+                [ScoreReply::Scored(_) | ScoreReply::ShuttingDown]
+            )
+        })
+        .collect();
+    let exits: Vec<_> = children
+        .into_iter()
+        .map(|(name, mut child)| (name, child.wait().expect("exits")))
+        .filter(|(_, status)| !status.success())
+        .collect();
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(missing, 0, "{missing} of {IN_FLIGHT} scores never answered");
+    assert!(
+        wrong.is_empty(),
+        "not one scored or shutting-down reply: {wrong:?}"
+    );
+    assert!(exits.is_empty(), "exited non-zero: {exits:?}");
+}
+
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn a_server_shutdown_answers_every_admitted_score() {
+    shutdown_answers_every_admitted_score(false);
+}
+
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn a_router_shutdown_answers_every_admitted_score() {
+    shutdown_answers_every_admitted_score(true);
 }

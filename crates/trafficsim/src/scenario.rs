@@ -101,7 +101,8 @@ impl Expect {
 /// What the run must uphold. Every field with `Option`/`bool` off is
 /// simply not checked — scenarios assert only what they arrange to test.
 /// Every run is also judged `clean-exit`: after the closing shutdown each
-/// process exits 0 within 30 s with no panic in its log. A scenario file
+/// process exits 0 within 30 s, leaves no scratch vote window of its own
+/// in the work dir, and has no panic in its log. A scenario file
 /// starts from torn-free, typed-only, hostile-clean and one completion.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct InvariantSpec {

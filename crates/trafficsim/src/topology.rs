@@ -23,7 +23,7 @@
 use lre_serve::Client;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -240,8 +240,11 @@ impl Topology {
     }
 
     /// Send the front door a shutdown, then require every live process to
-    /// exit 0 within [`EXIT_BOUND`] and every log to hold no panic; each
-    /// miss is a note. Any process still running is SIGKILLed on drop.
+    /// exit 0 within [`EXIT_BOUND`], leaving no scratch vote window
+    /// (`lre-votes-<its pid>-*`) in `{work}`, and every log to hold no
+    /// panic; each miss is a note. A process SIGKILLed before is not
+    /// judged on its window. Any process still running is SIGKILLed on
+    /// drop.
     pub fn stop(mut self, notes: &mut Vec<String>) -> bool {
         let before = notes.len();
         match self
@@ -255,6 +258,7 @@ impl Topology {
         let work_dir = &self.dep.work_dir;
         for p in &mut self.procs {
             if let Some(mut child) = p.child.take() {
+                let window = format!("lre-votes-{}-", child.id());
                 // A bounded poll: std offers no wait with a timeout.
                 let status = loop {
                     match child.try_wait() {
@@ -269,6 +273,8 @@ impl Topology {
                     let within = format!("{EXIT_BOUND:?} after shutdown");
                     notes.push(format!("{} not exited 0 {within}: {status:?}", p.name));
                     p.child = Some(child);
+                } else if let Some(left) = entry_named(work_dir, &window) {
+                    notes.push(format!("{} exited 0 but left {left}", p.name));
                 }
             }
             let log = std::fs::read_to_string(work_dir.join(format!("{}.log", p.name)));
@@ -278,6 +284,13 @@ impl Topology {
         }
         notes.len() == before
     }
+}
+
+/// The name of an entry of `dir` that starts with `prefix`, if any.
+fn entry_named(dir: &Path, prefix: &str) -> Option<String> {
+    let names = std::fs::read_dir(dir).ok()?.filter_map(|e| e.ok());
+    let mut names = names.map(|e| e.file_name().to_string_lossy().into_owned());
+    names.find(|name| name.starts_with(prefix))
 }
 
 impl Drop for Topology {
