@@ -11,9 +11,13 @@
 //! ```
 //!
 //! A cycle runs when a client sends an adapt request (`lre-client
-//! --adapt`); to adapt on a cadence, run that on an external schedule. A
-//! negative `--guard-max-eer-regress` forces every candidate to fail the
-//! guard — the rollback drill CI exercises.
+//! --adapt`); to adapt on a cadence, run that on an external schedule.
+//! `--guard` is validated at start and read again by every cycle, so the
+//! file must stay in place while the daemon runs: a cycle that finds it
+//! gone, damaged or replaced ends `failed` with a `guard_failed` flight
+//! event, and serving goes on. A negative `--guard-max-eer-regress`
+//! forces every candidate to fail the guard — the rollback drill CI
+//! exercises.
 //!
 //! `--unknown-threshold LLR` enables open-set rejection exactly as on
 //! `lre-serve`: replies whose best fused LLR falls below the threshold
@@ -41,8 +45,8 @@
 //! is still unsynced, and removes a scratch window's directory.
 
 use lre_adapt::{AdaptController, DrainPath, GuardArgs};
-use lre_artifact::{bundle_checksum, ArtifactRead};
-use lre_dba::GuardSet;
+use lre_artifact::bundle_checksum;
+use lre_dba::GuardFile;
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
@@ -75,16 +79,18 @@ fn main() {
     let Some(guard_path) = guard_args.guard else {
         args.fail("--guard is required")
     };
-    // The guard first: its file buffer is freed before the bundle file is
-    // read, so no sealed image is ever held beside its own decoded copy.
+    // The guard set is validated whole here and read again, record by
+    // record, by every cycle: none of it stays resident, so the file must
+    // stay in place while the daemon runs.
     let guard = or_die(
-        GuardSet::load_artifact(&guard_path),
+        GuardFile::open(&guard_path),
         format!("loading {}", guard_path.display()),
     );
     eprintln!(
-        "[adaptd] guard set: {} held-back utterances, {} subsystems",
+        "[adaptd] guard set: {} held-back utterances, {} subsystems, read from {} each cycle",
         guard.num_utts(),
-        guard.num_subsystems()
+        guard.num_subsystems(),
+        guard_path.display()
     );
     if let Some(t) = server.cfg.engine.unknown_threshold {
         eprintln!("[adaptd] open-set rejection enabled: best-LLR threshold {t}");

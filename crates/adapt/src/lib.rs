@@ -11,10 +11,10 @@
 //! - [`worker`]: the [`AdaptController`], the one adaptation coordinator —
 //!   one cycle drains its replicas' vote logs, applies the *same* Eq. 13
 //!   selection code as `lre_dba::run_dba`, retrains with the bundle's
-//!   frozen SVM recipe, shadow-scores the candidate on a held-back
-//!   [`lre_dba::GuardSet`], and either promotes it to every replica
-//!   through [`two_phase_promote`] or rejects it with serving state
-//!   untouched. Each replica retains the model it displaced, so
+//!   frozen SVM recipe, shadow-scores the candidate on a held-back guard
+//!   set streamed from its file ([`lre_dba::GuardFile`]), and either
+//!   promotes it to every replica through [`two_phase_promote`] or
+//!   rejects it with serving state untouched. Each replica retains the model it displaced, so
 //!   [`AdaptController::rollback`] restores it bit-identically. A cycle
 //!   runs when a client asks for one (`lre-client --adapt`).
 //!
@@ -40,5 +40,5 @@ pub use lre_serve::votelog;
 pub use lre_serve::{DrainPath, VoteLog, VoteLogSnapshot, VoteRecord};
 pub use worker::{
     boost_round, rollback_backends, two_phase_promote, AdaptConfig, AdaptController,
-    CandidateBundle, GuardArgs, GuardVerdict, RoundOutcome,
+    CandidateBundle, GuardArgs, GuardVerdict, RoundError, RoundOutcome,
 };

@@ -18,9 +18,11 @@
 //!    supervectors assembled by [`lre_dba::build_tr_dba`] (M1: served
 //!    utterances only), with the SVM recipe frozen in the bundle.
 //! 4. **Guard**: shadow-score parent and candidate VSMs on the held-back
-//!    [`GuardSet`]; a candidate that regresses pooled EER or min-Cavg past
-//!    the configured slack is rejected — nothing staged, generations and
-//!    live scores untouched.
+//!    guard set, streamed from its file ([`GuardFile`]) in one pass; a
+//!    candidate that regresses pooled EER or min-Cavg past the configured
+//!    slack is rejected — nothing staged, generations and live scores
+//!    untouched. A guard file that is gone, damaged or not the one
+//!    validated at start-up fails the cycle with no verdict.
 //! 5. **Promote**: seal the candidate bundle with its lineage (parent
 //!    checksum, generation, selection stats), append it to the lineage
 //!    chain when durable, and flip every replica with
@@ -33,11 +35,11 @@
 
 use lre_artifact::{bundle_checksum, ArtifactError, ArtifactRead, ArtifactWrite};
 use lre_corpus::Duration;
-use lre_dba::{build_tr_dba, dba_round_selection, vote_matrix, DbaVariant, GuardReport, GuardSet};
+use lre_dba::{build_tr_dba, dba_round_selection, vote_matrix, DbaVariant, GuardFile, GuardReport};
 use lre_eval::ScoreMatrix;
 use lre_obs::{
-    Counter, FlightRecorder, Histogram, Registry, Sketch, EV_GUARD_ACCEPT, EV_GUARD_REJECT,
-    EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
+    Counter, FlightRecorder, Histogram, Registry, Sketch, EV_GUARD_ACCEPT, EV_GUARD_FAILED,
+    EV_GUARD_REJECT, EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
 };
 use lre_serve::args::Args;
 use lre_serve::protocol::{
@@ -162,6 +164,21 @@ pub enum RoundOutcome {
     Candidate(CandidateBundle),
 }
 
+/// Why a boosting round ended without an outcome.
+#[derive(Debug)]
+pub enum RoundError {
+    /// The parent bundle or the drained records would not decode.
+    Artifact(ArtifactError),
+    /// The guard file could not be read back as it was validated.
+    Guard(ArtifactError),
+}
+
+impl From<ArtifactError> for RoundError {
+    fn from(e: ArtifactError) -> RoundError {
+        RoundError::Artifact(e)
+    }
+}
+
 /// One DBA boosting round as a pure function: records in, sealed
 /// guard-approved candidate (or a typed refusal) out — the round
 /// [`AdaptController::run_cycle`] runs over the merged pool, and the one
@@ -176,9 +193,9 @@ pub enum RoundOutcome {
 pub fn boost_round(
     parent_bytes: &[u8],
     records: Vec<VoteRecord>,
-    guard: &GuardSet,
+    guard: &GuardFile,
     cfg: &AdaptConfig,
-) -> Result<RoundOutcome, ArtifactError> {
+) -> Result<RoundOutcome, RoundError> {
     let pool = DurationPool::build(records, guard.num_subsystems())?;
     boost_pool(parent_bytes, pool, guard, cfg, None)
 }
@@ -189,14 +206,14 @@ pub fn boost_round(
 fn boost_pool(
     parent_bytes: &[u8],
     pool: DurationPool,
-    guard: &GuardSet,
+    guard: &GuardFile,
     cfg: &AdaptConfig,
     generation: Option<u64>,
-) -> Result<RoundOutcome, ArtifactError> {
+) -> Result<RoundOutcome, RoundError> {
     let drained = pool.len as u32;
     let mut bundle = SystemBundle::from_artifact_bytes(parent_bytes)?;
     if bundle.subsystems.len() != guard.num_subsystems() {
-        return Err(ArtifactError::Corrupt("guard/bundle subsystem counts"));
+        return Err(ArtifactError::Corrupt("guard/bundle subsystem counts").into());
     }
 
     let num_subsystems = bundle.subsystems.len();
@@ -227,11 +244,15 @@ fn boost_pool(
         })
         .collect();
 
-    // The eval guard: candidate vs parent on the held-back trial set.
-    let parent_vsms: Vec<OneVsRest> = bundle.subsystems.iter().map(|s| s.vsm.clone()).collect();
+    // The eval guard: candidate vs parent on the held-back trial set, both
+    // scored in one pass over the file.
+    let parent_vsms = bundle.subsystems.iter().map(|s| &s.vsm).collect();
+    let scores = guard
+        .score(&[parent_vsms, cand_vsms.iter().collect()])
+        .map_err(RoundError::Guard)?;
     let verdict = GuardVerdict {
-        parent: guard.evaluate(&parent_vsms, &bundle.fusions),
-        candidate: guard.evaluate(&cand_vsms, &bundle.fusions),
+        parent: scores.report(0, &bundle.fusions),
+        candidate: scores.report(1, &bundle.fusions),
     };
     let (parent, cand) = (verdict.parent, verdict.candidate);
     let regressed = cand.eer > parent.eer + cfg.max_eer_regress
@@ -374,7 +395,8 @@ impl CycleObs {
 pub struct AdaptController {
     replicas: Vec<Arc<dyn FleetControl>>,
     lineage: Option<CtlLineage>,
-    guard: GuardSet,
+    /// Read by every cycle, never held.
+    guard: GuardFile,
     cfg: AdaptConfig,
     /// Serializes cycles and rollbacks end to end: selection, retrain and
     /// promote must all act on one consistent parent.
@@ -388,7 +410,9 @@ pub struct AdaptController {
 
 impl AdaptController {
     /// Wire a coordinator to the replicas it adapts (an unhealthy one sits
-    /// a cycle out), the held-back guard set, and the bundle every replica
+    /// a cycle out), the held-back guard set's file as validated at
+    /// start-up (every cycle reads it again, so it must stay in place
+    /// while the controller runs), and the bundle every replica
     /// serves, sealed as [`SystemBundle::decode_sealed`] proved it (a guard
     /// whose subsystem count disagrees with it is refused here). The
     /// controller keeps those bytes as the next round's parent and decodes
@@ -412,7 +436,7 @@ impl AdaptController {
         replicas: Vec<Arc<dyn FleetControl>>,
         lineage: Option<(LineageStore, usize)>,
         registry: &Registry,
-        guard: GuardSet,
+        guard: GuardFile,
         bundle: SealedBundle,
         cfg: AdaptConfig,
         flight: Arc<FlightRecorder>,
@@ -570,17 +594,25 @@ impl AdaptController {
             return ended(ADAPT_INSUFFICIENT_DATA, 0);
         }
 
-        let round = DurationPool::build(records, self.guard.num_subsystems()).and_then(|pool| {
-            for votes in pool.winning_votes() {
-                self.obs.winning_votes.record(u64::from(votes));
-            }
-            let generation = self.next_generation();
-            boost_pool(&state.current, pool, &self.guard, &self.cfg, generation)
-        });
+        let round = DurationPool::build(records, self.guard.num_subsystems())
+            .map_err(RoundError::from)
+            .and_then(|pool| {
+                for votes in pool.winning_votes() {
+                    self.obs.winning_votes.record(u64::from(votes));
+                }
+                let generation = self.next_generation();
+                boost_pool(&state.current, pool, &self.guard, &self.cfg, generation)
+            });
         let candidate = match round.map(|round| self.judge(round, floor())) {
             Ok(Ok(candidate)) => candidate,
             Ok(Err(report)) => return report,
-            Err(_) => return ended(ADAPT_FAILED, drained),
+            Err(RoundError::Guard(e)) => {
+                let detail = format!("{}: {e}", self.guard.path().display());
+                self.flight
+                    .record(EV_GUARD_FAILED, &detail, u64::from(drained), 0, 0.0, 0.0);
+                return ended(ADAPT_FAILED, drained);
+            }
+            Err(RoundError::Artifact(_)) => return ended(ADAPT_FAILED, drained),
         };
         let promoted = (self.seal(&candidate, &state.current).ok())
             .and_then(|()| state.install(&fleet, candidate.bytes, candidate.checksum));

@@ -12,7 +12,8 @@
 //! the chain on disk; the fourth runs one coordinator over two replicas;
 //! the fifth holds a cycle inside the controller and requires ping and the
 //! metrics dump to answer meanwhile; the sixth holds the constructor's
-//! refusals. The promote and the guard-reject cases also hold the
+//! refusals; the seventh changes the guard file under a running
+//! controller and requires only that cycle to fail. The promote and the guard-reject cases also hold the
 //! controller's `adapt.*` series to what the cycle reported.
 //!
 //! Like `lre-serve`'s `serve_roundtrip`, these build the full smoke-scale
@@ -27,11 +28,12 @@ use lre_adapt::{boost_round, AdaptConfig, AdaptController, DrainPath, RoundOutco
 use lre_artifact::{bundle_checksum, ArtifactError, ArtifactRead, ArtifactWrite};
 use lre_corpus::{render_utterance, Duration, Scale};
 use lre_dba::dba::baseline_votes;
-use lre_dba::{run_dba, DbaVariant, Experiment, ExperimentConfig, GuardSet};
+use lre_dba::{run_dba, DbaVariant, Experiment, ExperimentConfig, GuardFile, GuardSet};
 use lre_eval::ScoreMatrix;
 use lre_lattice::DecodeScratch;
 use lre_obs::{
-    FlightRecorder, MetricValue, Registry, EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP,
+    FlightRecorder, MetricValue, Registry, EV_GUARD_ACCEPT, EV_GUARD_FAILED, EV_GUARD_REJECT,
+    EV_PROMOTE, EV_SWAP,
 };
 use lre_serve::client::ScoreReply;
 use lre_serve::protocol::{
@@ -45,7 +47,7 @@ use lre_serve::{
 };
 use lre_wal::LineageStore;
 use std::net::TcpListener;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Every utterance is selected at V = 1 (each subsystem always casts one
@@ -60,7 +62,9 @@ struct Fixture {
     /// `[duration][utt]` raw waveforms, exactly as a client holds them.
     waves: Vec<Vec<Vec<f32>>>,
     bytes: Vec<u8>,
-    guard_bytes: Vec<u8>,
+    guard: GuardSet,
+    /// `guard`, sealed into a file every controller reads.
+    guard_path: PathBuf,
     /// Fused baseline scores per duration (pre-adaptation serving).
     expected_baseline: Vec<ScoreMatrix>,
     /// Fused scores per duration after an offline `run_dba` (M1, V) round
@@ -78,7 +82,9 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let cfg = ExperimentConfig::new(Scale::Smoke, 42);
         let exp = Experiment::build(&cfg);
-        let guard_bytes = GuardSet::from_experiment(&exp).to_artifact_bytes();
+        let guard = GuardSet::from_experiment(&exp);
+        let guard_path = guard_file_path("fixture");
+        std::fs::write(&guard_path, guard.to_artifact_bytes()).expect("guard written");
 
         // The offline reference boosting round over the whole test pool.
         let out = run_dba(&exp, DbaVariant::M1, V);
@@ -133,7 +139,8 @@ fn fixture() -> &'static Fixture {
             expected_adapted: fuse_all(&adapted),
             waves,
             bytes,
-            guard_bytes,
+            guard,
+            guard_path,
             offline_selected,
             winning_votes,
         }
@@ -162,8 +169,15 @@ fn server_config() -> ServerConfig {
     }
 }
 
-fn guard(fx: &Fixture) -> GuardSet {
-    GuardSet::from_artifact_bytes(&fx.guard_bytes).expect("guard reloads")
+/// A guard file of this test process under Cargo's scratch directory.
+fn guard_file_path(tag: &str) -> PathBuf {
+    let name = format!("online_adaptation_{}_{tag}.guard", std::process::id());
+    Path::new(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
+/// The fixture's guard file, validated as `lre-adaptd` validates `--guard`.
+fn guard(fx: &Fixture) -> GuardFile {
+    GuardFile::open(&fx.guard_path).expect("guard validates")
 }
 
 /// `bytes` as the one decode a controller's parent comes from.
@@ -229,6 +243,11 @@ fn scratch_log(capacity: usize, registry: &Registry) -> VoteLog {
 /// A single v1 client scores one utterance at a time, so the vote log's
 /// arrival order is exactly the drive order regardless of worker count.
 fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
+    start_adaptive_server_with(fx, cfg, guard(fx))
+}
+
+/// [`start_adaptive_server`] reading its guard set from `guard`.
+fn start_adaptive_server_with(fx: &Fixture, cfg: AdaptConfig, guard: GuardFile) -> Harness {
     let hooks = ServerHooks::default();
     let log = Arc::new(scratch_log(4096, &hooks.obs.registry));
     let r = replica(fx.bytes.clone(), log, hooks);
@@ -238,7 +257,7 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
             vec![r.replica],
             None,
             &r.hooks.obs.registry,
-            guard(fx),
+            guard,
             r.sealed,
             cfg,
             Arc::clone(&flight),
@@ -598,6 +617,94 @@ fn verdict(round: RoundOutcome) -> Verdict {
             ((2, c.selected, c.drained, deltas.0, deltas.1), c.bytes)
         }
     }
+}
+
+/// The guard file is read by every cycle. Gone, damaged in place or
+/// replaced by a guard set of another shape, it fails that cycle typed:
+/// `failed`, a `guard_failed` flight event naming the path, no verdict and
+/// no install, and serving goes on. Put back, the next cycle promotes.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn a_guard_file_changed_under_a_running_controller_fails_only_that_cycle() {
+    let fx = fixture();
+    let path = guard_file_path("changed");
+    let sealed = fx.guard.to_artifact_bytes();
+    std::fs::write(&path, &sealed).expect("guard written");
+    let cfg = AdaptConfig {
+        v_threshold: V,
+        min_utts: 8,
+        max_eer_regress: f64::INFINITY,
+        max_cavg_regress: f64::INFINITY,
+    };
+    let h = start_adaptive_server_with(fx, cfg, GuardFile::open(&path).expect("guard validates"));
+    let mut client = Client::connect(h.server.local_addr()).expect("client connects");
+
+    // Eight fresh 3 s utterances before each cycle (the log keeps one vote
+    // per utterance), each still served the baseline bits.
+    let di = Experiment::duration_index(Duration::S3);
+    let mut fed = 0;
+    let mut feed = |client: &mut Client| {
+        for i in fed..fed + 8 {
+            match client.score(&fx.waves[di][i]).expect("score round trip") {
+                ScoreReply::Scored(s) => assert_bits_eq(
+                    &s.llrs,
+                    fx.expected_baseline[di].row(i),
+                    &format!("3 s utt {i}"),
+                ),
+                other => panic!("3 s utt {i} refused: {other:?}"),
+            }
+        }
+        fed += 8;
+    };
+
+    let mut damaged = sealed.clone();
+    damaged[sealed.len() / 2] ^= 0x10;
+    let n = fx.guard.labels.len() - 1;
+    let reshaped = GuardSet {
+        labels: fx.guard.labels[..n].to_vec(),
+        svs: fx.guard.svs.iter().map(|per| per[..n].to_vec()).collect(),
+    };
+    let changes = [
+        ("missing", None),
+        ("damaged", Some(damaged)),
+        ("reshaped", Some(reshaped.to_artifact_bytes())),
+    ];
+    for (k, (what, bytes)) in changes.into_iter().enumerate() {
+        match bytes {
+            None => std::fs::remove_file(&path).expect("guard removed"),
+            Some(bytes) => std::fs::write(&path, bytes).expect("guard rewritten"),
+        }
+        feed(&mut client);
+        let report = client.adapt().expect("adapt round trip");
+        assert_eq!(report.outcome, ADAPT_FAILED, "{what}");
+        assert_eq!(
+            (report.generation, h.handle.generation()),
+            (0, 0),
+            "{what}: nothing installed"
+        );
+        let failed: Vec<String> = (h.flight.peek().into_iter())
+            .filter(|e| e.kind == EV_GUARD_FAILED)
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(failed.len(), k + 1, "{what}: one guard_failed event");
+        let named = format!("{}: ", path.display());
+        assert!(failed[k].starts_with(&named), "{what}: {}", failed[k]);
+    }
+    let verdicts = [EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP];
+    let recorded = |kinds: &[u8]| kinds.iter().map(|&k| events(&h.flight, k)).sum::<usize>();
+    assert_eq!(recorded(&verdicts), 0, "no verdict, no install");
+
+    std::fs::write(&path, &sealed).expect("guard restored");
+    feed(&mut client);
+    let report = client.adapt().expect("adapt round trip");
+    assert_eq!(report.outcome, ADAPT_PROMOTED, "the restored guard judges");
+    assert_eq!(h.handle.generation(), 1);
+    assert_eq!(events(&h.flight, EV_GUARD_ACCEPT), 1);
+    assert_eq!(events(&h.flight, EV_GUARD_FAILED), 3);
+
+    client.shutdown().expect("shutdown acknowledged");
+    h.server.join();
+    std::fs::remove_file(&path).ok();
 }
 
 /// The vote log drops the supervectors of records Eq. 13 can select at no
@@ -1216,8 +1323,15 @@ fn constructor_refuses_a_foreign_guard_or_chain_head() {
         Ok(_) => panic!("controller wired up"),
     };
 
-    let mut short = guard(fx);
-    short.svs.pop();
+    let subsystems = fx.guard.svs.len();
+    let short = GuardSet {
+        labels: fx.guard.labels.clone(),
+        svs: fx.guard.svs[..subsystems - 1].to_vec(),
+    };
+    let short_path = guard_file_path("short");
+    std::fs::write(&short_path, short.to_artifact_bytes()).expect("short guard written");
+    let short = GuardFile::open(&short_path).expect("a short guard is a valid file");
+    std::fs::remove_file(&short_path).ok();
     assert_eq!(refusal(build(short, None)), "guard/bundle subsystem counts");
 
     // A chain rooted with other bytes than the served bundle's.

@@ -24,6 +24,7 @@
 //! loading); the provided methods handle sealing, opening, and file I/O.
 
 use std::fmt;
+use std::io::Read;
 use std::path::Path;
 
 /// Container magic: present in every artifact file, first four bytes.
@@ -144,37 +145,69 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 /// that algorithm); only table lookups and shifts, so it cannot depend on
 /// the target ISA.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut blocks = bytes.chunks_exact(16);
-    let t = &CRC_TABLES;
-    for b in &mut blocks {
-        // Byte `i` of the block still has `15 - i` bytes to travel, hence
-        // table `15 - i`. The register overlaps only bytes 0..4, so the
-        // other twelve lookups are folded first and only four lookups and
-        // two levels of XOR sit between one step's register and the next.
-        // (Written as one flat 16-way XOR, the AVX-512 build turned the
-        // lookups into gathers and ran at a quarter of this speed.)
-        let rest = t[11][b[4] as usize]
-            ^ t[10][b[5] as usize]
-            ^ t[9][b[6] as usize]
-            ^ t[8][b[7] as usize]
-            ^ t[7][b[8] as usize]
-            ^ t[6][b[9] as usize]
-            ^ t[5][b[10] as usize]
-            ^ t[4][b[11] as usize]
-            ^ t[3][b[12] as usize]
-            ^ t[2][b[13] as usize]
-            ^ t[1][b[14] as usize]
-            ^ t[0][b[15] as usize];
-        let r = (c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
-        c = rest
-            ^ (t[15][r[0] as usize] ^ t[14][r[1] as usize])
-            ^ (t[13][r[2] as usize] ^ t[12][r[3] as usize]);
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.value()
+}
+
+/// CRC-32 fed a piece at a time: the bytes handed to [`Crc32::update`], in
+/// any split, give [`crc32`] of their concatenation.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32 {
+    /// The register, before the final inversion.
+    reg: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32 { reg: 0xFFFF_FFFF }
     }
-    for &b in blocks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+}
+
+impl Crc32 {
+    pub fn new() -> Crc32 {
+        Crc32::default()
     }
-    c ^ 0xFFFF_FFFF
+
+    /// Fold `bytes` in, 16 per step.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut c = self.reg;
+        let mut blocks = bytes.chunks_exact(16);
+        let t = &CRC_TABLES;
+        for b in &mut blocks {
+            // Byte `i` of the block still has `15 - i` bytes to travel, hence
+            // table `15 - i`. The register overlaps only bytes 0..4, so the
+            // other twelve lookups are folded first and only four lookups and
+            // two levels of XOR sit between one step's register and the next.
+            // (Written as one flat 16-way XOR, the AVX-512 build turned the
+            // lookups into gathers and ran at a quarter of this speed.)
+            let rest = t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+            let r = (c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+            c = rest
+                ^ (t[15][r[0] as usize] ^ t[14][r[1] as usize])
+                ^ (t[13][r[2] as usize] ^ t[12][r[3] as usize]);
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.reg = c;
+    }
+
+    /// The CRC-32 of everything fed so far.
+    pub fn value(&self) -> u32 {
+        self.reg ^ 0xFFFF_FFFF
+    }
 }
 
 /// The identity of a sealed bundle, as serving handles, stage and commit
@@ -505,6 +538,19 @@ pub fn open_framed(bytes: &[u8], kind: [u8; 4], version: u32) -> Result<&[u8], A
     if bytes.len() < HEADER_LEN + TRAILER_LEN {
         return Err(ArtifactError::Truncated);
     }
+    let expect_total = container_len(check_header(bytes, kind, version)?)?;
+    match (bytes.len() as u64).cmp(&expect_total) {
+        std::cmp::Ordering::Less => return Err(ArtifactError::Truncated),
+        std::cmp::Ordering::Greater => return Err(ArtifactError::TrailingBytes),
+        std::cmp::Ordering::Equal => {}
+    }
+    Ok(&bytes[HEADER_LEN..bytes.len() - TRAILER_LEN])
+}
+
+/// Check the magic, kind and version of the header at the start of
+/// `bytes` (at least [`HEADER_LEN`] long), in that order, and return the
+/// declared payload length.
+fn check_header(bytes: &[u8], kind: [u8; 4], version: u32) -> Result<u64, ArtifactError> {
     if bytes[0..4] != MAGIC {
         return Err(ArtifactError::BadMagic);
     }
@@ -522,17 +568,16 @@ pub fn open_framed(bytes: &[u8], kind: [u8; 4], version: u32) -> Result<&[u8], A
             found: found_version,
         });
     }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let expect_total = (HEADER_LEN as u64)
+    Ok(u64::from_le_bytes(bytes[12..20].try_into().unwrap()))
+}
+
+/// The whole length of a container declaring `payload_len` payload bytes;
+/// a length no container can have is [`ArtifactError::Truncated`].
+fn container_len(payload_len: u64) -> Result<u64, ArtifactError> {
+    (HEADER_LEN as u64)
         .checked_add(payload_len)
         .and_then(|n| n.checked_add(TRAILER_LEN as u64))
-        .ok_or(ArtifactError::Truncated)?;
-    match (bytes.len() as u64).cmp(&expect_total) {
-        std::cmp::Ordering::Less => return Err(ArtifactError::Truncated),
-        std::cmp::Ordering::Greater => return Err(ArtifactError::TrailingBytes),
-        std::cmp::Ordering::Equal => {}
-    }
-    Ok(&bytes[HEADER_LEN..bytes.len() - TRAILER_LEN])
+        .ok_or(ArtifactError::Truncated)
 }
 
 /// Validate a sealed container sitting at the *head* of a longer buffer —
@@ -563,28 +608,7 @@ pub fn open_prefix(
     if bytes.len() < HEADER_LEN {
         return Err(ArtifactError::Truncated);
     }
-    if bytes[0..4] != MAGIC {
-        return Err(ArtifactError::BadMagic);
-    }
-    let found_kind: [u8; 4] = bytes[4..8].try_into().unwrap();
-    if found_kind != kind {
-        return Err(ArtifactError::WrongKind {
-            expected: kind,
-            found: found_kind,
-        });
-    }
-    let found_version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if found_version != version {
-        return Err(ArtifactError::UnsupportedVersion {
-            expected: version,
-            found: found_version,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let total = (HEADER_LEN as u64)
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(TRAILER_LEN as u64))
-        .ok_or(ArtifactError::Truncated)?;
+    let total = container_len(check_header(bytes, kind, version)?)?;
     if (bytes.len() as u64) < total {
         return Err(ArtifactError::Truncated);
     }
@@ -595,6 +619,226 @@ pub fn open_prefix(
         return Err(ArtifactError::ChecksumMismatch);
     }
     Ok((&bytes[HEADER_LEN..body_end], total))
+}
+
+// --------------------------------------------------------------- streaming
+
+/// What reading a whole sealed container proved of it: its length, its
+/// CRC trailer, and [`bundle_checksum`] of its bytes. Two reads of one
+/// file that agree on it read the same container (up to a CRC-32
+/// collision).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SealedId {
+    /// Header + payload + trailer, in bytes.
+    pub len: u64,
+    /// The CRC-32 trailer.
+    pub crc: u32,
+    /// [`bundle_checksum`] of the container's bytes.
+    pub checksum: u32,
+}
+
+/// Fill `buf` from `src` unless it ends first; the bytes read.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> Result<usize, ArtifactError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match src.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(ArtifactError::Io(e)),
+        }
+    }
+    Ok(got)
+}
+
+/// Read a whole sealed container from `src`, 64 KiB at a time, and check
+/// it as [`open`] checks a slice: the same checks in the same order, so
+/// the same bytes fail with the same error. Nothing of the payload is
+/// kept; a reader that must act only on checked bytes runs this pass
+/// first and then decodes with an [`ArtifactStream`].
+pub fn check_stream(
+    mut src: impl Read,
+    kind: [u8; 4],
+    version: u32,
+) -> Result<SealedId, ArtifactError> {
+    let mut chunk = vec![0u8; 1 << 16];
+    let mut n = read_full(&mut src, &mut chunk[..HEADER_LEN + TRAILER_LEN])?;
+    if n < HEADER_LEN + TRAILER_LEN {
+        return Err(ArtifactError::Truncated);
+    }
+    let total = container_len(check_header(&chunk, kind, version)?)?;
+    let body = total - TRAILER_LEN as u64;
+    let (mut crc, mut trailer) = (Crc32::new(), [0u8; TRAILER_LEN]);
+    let mut at = 0u64;
+    while n > 0 {
+        let (lo, hi) = (at, at + n as u64);
+        if hi > total {
+            return Err(ArtifactError::TrailingBytes);
+        }
+        let piece = |from: u64, to: u64| &chunk[(from - lo) as usize..(to - lo) as usize];
+        if lo < body {
+            crc.update(piece(lo, hi.min(body)));
+        }
+        if hi > body {
+            let from = lo.max(body);
+            trailer[(from - body) as usize..(hi - body) as usize].copy_from_slice(piece(from, hi));
+        }
+        at = hi;
+        n = read_full(&mut src, &mut chunk)?;
+    }
+    if at < total {
+        return Err(ArtifactError::Truncated);
+    }
+    let stored = u32::from_le_bytes(trailer);
+    if crc.value() != stored {
+        return Err(ArtifactError::ChecksumMismatch);
+    }
+    crc.update(&trailer);
+    Ok(SealedId {
+        len: total,
+        crc: stored,
+        checksum: crc.value(),
+    })
+}
+
+/// A sealed container decoded from a [`Read`] a piece at a time: the
+/// header when opened, then plain fields ([`ArtifactStream::fields`]) and
+/// one nested container at a time ([`ArtifactStream::nested`],
+/// [`ArtifactStream::section`]), then the trailer
+/// ([`ArtifactStream::finish`]). It holds the piece being decoded and
+/// little more, in one buffer it reuses.
+///
+/// The CRC is computed as the bytes arrive and checked only at the end,
+/// so what was decoded before [`ArtifactStream::finish`] succeeded is
+/// unchecked: a caller that must not act on damaged bytes checks the
+/// container with [`check_stream`] first, or discards what it decoded
+/// when the finish fails.
+pub struct ArtifactStream<R> {
+    src: R,
+    crc: Crc32,
+    len: u64,
+    /// Payload bytes not yet read from `src`.
+    unread: u64,
+    /// Bytes read and not yet handed out: `buf[at..]`.
+    buf: Vec<u8>,
+    at: usize,
+}
+
+impl<R: Read> ArtifactStream<R> {
+    /// Read and check the header (magic, kind, version, in [`open`]'s
+    /// order).
+    pub fn open(mut src: R, kind: [u8; 4], version: u32) -> Result<Self, ArtifactError> {
+        let mut head = [0u8; HEADER_LEN];
+        if read_full(&mut src, &mut head)? < HEADER_LEN {
+            return Err(ArtifactError::Truncated);
+        }
+        let payload_len = check_header(&head, kind, version)?;
+        let len = container_len(payload_len)?;
+        let mut crc = Crc32::new();
+        crc.update(&head);
+        Ok(ArtifactStream {
+            src,
+            crc,
+            len,
+            unread: payload_len,
+            buf: Vec::new(),
+            at: 0,
+        })
+    }
+
+    /// Payload bytes not yet handed out.
+    pub fn remaining(&self) -> u64 {
+        self.unread + (self.buf.len() - self.at) as u64
+    }
+
+    /// Have at least `n` payload bytes buffered, or all that remain.
+    fn fill(&mut self, n: usize) -> Result<(), ArtifactError> {
+        let have = self.buf.len() - self.at;
+        if have >= n || self.unread == 0 {
+            return Ok(());
+        }
+        self.buf.drain(..self.at);
+        self.at = 0;
+        let want = ((n - have) as u64).min(self.unread) as usize;
+        self.buf.reserve_exact(want);
+        self.buf.resize(have + want, 0);
+        let got = read_full(&mut self.src, &mut self.buf[have..])?;
+        self.crc.update(&self.buf[have..have + got]);
+        self.unread -= got as u64;
+        if got < want {
+            return Err(ArtifactError::Truncated);
+        }
+        Ok(())
+    }
+
+    /// Decode plain fields with `read` over the payload from here on,
+    /// reading more of it for as long as `read` finds the bytes it was
+    /// given too short. `read` sees the buffered bytes only: it may refuse
+    /// them as [`ArtifactError::Truncated`] by [`ArtifactReader::remaining`],
+    /// but must decide nothing else by it, and it reads no nested
+    /// container (that is [`ArtifactStream::nested`]).
+    pub fn fields<T>(
+        &mut self,
+        mut read: impl FnMut(&mut ArtifactReader) -> Result<T, ArtifactError>,
+    ) -> Result<T, ArtifactError> {
+        let mut want = 4096;
+        loop {
+            self.fill(want)?;
+            let mut r = ArtifactReader::new(&self.buf[self.at..]);
+            match read(&mut r) {
+                Ok(v) => {
+                    self.at += r.position();
+                    return Ok(v);
+                }
+                Err(ArtifactError::Truncated) if self.unread > 0 => want *= 2,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The next `n` payload bytes as a sealed container of its own, opened
+    /// with its CRC and decoded (a section addressed by an offset table).
+    pub fn section<T: ArtifactRead>(&mut self, n: usize) -> Result<T, ArtifactError> {
+        if n as u64 > self.remaining() {
+            return Err(ArtifactError::Truncated);
+        }
+        self.fill(n)?;
+        let out = T::from_artifact_bytes(&self.buf[self.at..self.at + n]);
+        self.at += n;
+        out
+    }
+
+    /// A nested container written by [`ArtifactRead::write_nested`]: what
+    /// [`ArtifactRead::read_nested`] reads from a slice.
+    pub fn nested<T: ArtifactRead>(&mut self) -> Result<T, ArtifactError> {
+        let n = self.fields(|r| r.get_u32())? as usize;
+        self.section(n)
+    }
+
+    /// Check the end: every payload byte handed out, the trailer, nothing
+    /// after it, and the CRC over everything read.
+    pub fn finish(mut self) -> Result<SealedId, ArtifactError> {
+        if self.remaining() != 0 {
+            return Err(ArtifactError::TrailingBytes);
+        }
+        let mut trailer = [0u8; TRAILER_LEN];
+        if read_full(&mut self.src, &mut trailer)? < TRAILER_LEN {
+            return Err(ArtifactError::Truncated);
+        }
+        if read_full(&mut self.src, &mut [0u8; 1])? != 0 {
+            return Err(ArtifactError::TrailingBytes);
+        }
+        let stored = u32::from_le_bytes(trailer);
+        if self.crc.value() != stored {
+            return Err(ArtifactError::ChecksumMismatch);
+        }
+        self.crc.update(&trailer);
+        Ok(SealedId {
+            len: self.len,
+            crc: stored,
+            checksum: self.crc.value(),
+        })
+    }
 }
 
 // ------------------------------------------------------------------ traits
@@ -1070,6 +1314,137 @@ mod tests {
         ));
     }
 
+    /// A reader that hands out at most `step` bytes per call, so every
+    /// piece boundary of a streamed decode is exercised.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// The error text of a result, or "ok".
+    fn outcome<T>(r: Result<T, ArtifactError>) -> String {
+        r.map_or_else(|e| e.to_string(), |_| "ok".into())
+    }
+
+    #[test]
+    fn check_stream_fails_every_cut_flip_and_extension_like_open() {
+        let payload: Vec<u8> = (0..53u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let sealed = seal(*b"TEST", 1, &payload);
+        let same = |bytes: &[u8]| {
+            for step in [1, 7, 1 << 16] {
+                let streamed = check_stream(Trickle { bytes, step }, *b"TEST", 1);
+                assert_eq!(outcome(streamed), outcome(open(bytes, *b"TEST", 1)));
+            }
+        };
+        for cut in 0..=sealed.len() {
+            same(&sealed[..cut]);
+        }
+        for byte in 0..sealed.len() {
+            for bit in 0..8 {
+                let mut bad = sealed.clone();
+                bad[byte] ^= 1 << bit;
+                same(&bad);
+            }
+        }
+        let mut longer = sealed.clone();
+        longer.push(0);
+        same(&longer);
+        let id = check_stream(&sealed[..], *b"TEST", 1).unwrap();
+        assert_eq!(id.len, sealed.len() as u64);
+        assert_eq!(id.crc.to_le_bytes(), sealed[sealed.len() - TRAILER_LEN..]);
+        assert_eq!(id.checksum, bundle_checksum(&sealed));
+        assert!(matches!(
+            check_stream(&sealed[..], *b"TEST", 2),
+            Err(ArtifactError::UnsupportedVersion { .. })
+        ));
+    }
+
+    /// A pair streamed: both points nested, read one at a time.
+    fn stream_pair(src: impl Read) -> Result<(Pair, SealedId), ArtifactError> {
+        let mut s = ArtifactStream::open(src, Pair::KIND, Pair::VERSION)?;
+        let pair = Pair(s.nested()?, s.nested()?);
+        Ok((pair, s.finish()?))
+    }
+
+    #[test]
+    fn streamed_nested_decode_matches_the_slice_decode_and_refuses_damage() {
+        let sealed = Pair(Point { x: 1.0, y: 2.0 }, Point { x: 3.0, y: -4.0 }).to_artifact_bytes();
+        for step in [1, 3, 64] {
+            let (p, id) = stream_pair(Trickle {
+                bytes: &sealed,
+                step,
+            })
+            .unwrap();
+            assert_eq!((p.0.x, p.0.y, p.1.x, p.1.y), (1.0, 2.0, 3.0, -4.0));
+            assert_eq!(
+                id,
+                check_stream(&sealed[..], Pair::KIND, Pair::VERSION).unwrap()
+            );
+        }
+        for cut in 0..sealed.len() {
+            assert!(stream_pair(&sealed[..cut]).is_err(), "cut {cut}");
+        }
+        for byte in 0..sealed.len() {
+            for bit in 0..8 {
+                let mut bad = sealed.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(stream_pair(&bad[..]).is_err(), "flip {byte}:{bit}");
+            }
+        }
+        let mut longer = sealed.clone();
+        longer.push(0);
+        assert!(matches!(
+            stream_pair(&longer[..]),
+            Err(ArtifactError::TrailingBytes)
+        ));
+    }
+
+    #[test]
+    fn fields_read_past_the_first_buffer_and_sections_reuse_it() {
+        // A 10 000-float slice (more than one first read), a raw section,
+        // then a string.
+        let floats: Vec<f32> = (0..10_000).map(|i| i as f32 * 0.5).collect();
+        let section = Point { x: 7.0, y: 8.0 }.to_artifact_bytes();
+        let mut w = ArtifactWriter::new();
+        w.put_f32_slice(&floats);
+        w.put_bytes(&section);
+        w.put_str("end");
+        let sealed = seal(*b"MIXD", 1, &w.into_bytes());
+        let mut s = ArtifactStream::open(
+            Trickle {
+                bytes: &sealed,
+                step: 999,
+            },
+            *b"MIXD",
+            1,
+        )
+        .unwrap();
+        assert_eq!(s.fields(|r| r.get_f32_slice()).unwrap(), floats);
+        let p: Point = s.section(section.len()).unwrap();
+        assert_eq!((p.x, p.y), (7.0, 8.0));
+        assert_eq!(s.remaining(), 4 + 3);
+        assert_eq!(s.fields(|r| r.get_str()).unwrap(), "end");
+        assert_eq!(s.finish().unwrap().len, sealed.len() as u64);
+        // A section longer than what remains is refused before any read.
+        let mut s = ArtifactStream::open(&sealed[..], *b"MIXD", 1).unwrap();
+        assert!(matches!(
+            s.section::<Point>(sealed.len()),
+            Err(ArtifactError::Truncated)
+        ));
+        // Payload left unread is the slice decode's trailing bytes.
+        let s = ArtifactStream::open(&sealed[..], *b"MIXD", 1).unwrap();
+        assert!(matches!(s.finish(), Err(ArtifactError::TrailingBytes)));
+    }
+
     /// Deterministic bytes without a dependency (xorshift64*).
     fn pseudo_random_bytes(n: usize, seed: u64) -> Vec<u8> {
         let mut s = seed | 1;
@@ -1170,6 +1545,22 @@ mod tests {
                     prop_assert_eq!(crc32(s), crc32_bytewise(s), "start {} len {}", start, len);
                 }
             }
+        }
+
+        #[test]
+        fn crc32_fed_in_pieces_is_crc32_of_the_whole(
+            buf in proptest::collection::vec(any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6)
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (buf.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([buf.len()]) {
+                crc.update(&buf[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(crc.value(), crc32_bytewise(&buf));
         }
 
         #[test]

@@ -57,6 +57,6 @@ pub use dba::{
 };
 pub use experiment::{BaselineRow, Experiment, ExperimentConfig};
 pub use fusion_pipeline::{fuse, fuse_duration, FusedSystem};
-pub use guard::{GuardReport, GuardSet};
+pub use guard::{score_guard, GuardFile, GuardReport, GuardScores, GuardSet};
 pub use subsystem::{standard_subsystems, Frontend, SubsystemSpec};
 pub use vote::{select_tr_dba, selectable, vote_matrix, PseudoLabel, VoteMatrix};

@@ -51,6 +51,10 @@ pub const EV_PANIC: u8 = 12;
 /// checksum, `x` / `y` = the guard deltas). Each replica's install is its
 /// own [`EV_SWAP`].
 pub const EV_PROMOTE: u8 = 13;
+/// An adaptation cycle could not read its guard set back as it was at
+/// start-up — the file is gone, damaged or replaced — and ended failed
+/// with no verdict (detail: the guard path and the error).
+pub const EV_GUARD_FAILED: u8 = 14;
 
 /// Stable human name for an event kind (`"unknown"` for anything else,
 /// so a newer peer's events still print).
@@ -68,6 +72,7 @@ pub fn event_name(kind: u8) -> &'static str {
         EV_WAL_RECOVER => "wal_recover",
         EV_PANIC => "panic",
         EV_PROMOTE => "promote",
+        EV_GUARD_FAILED => "guard_failed",
         _ => "unknown",
     }
 }
@@ -298,6 +303,7 @@ mod tests {
             EV_WAL_RECOVER,
             EV_PANIC,
             EV_PROMOTE,
+            EV_GUARD_FAILED,
         ] {
             assert_ne!(event_name(kind), "unknown");
         }

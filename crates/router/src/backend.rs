@@ -64,12 +64,13 @@ struct Probe {
     backoff: Duration,
 }
 
-/// Why a forward attempt did not take.
-#[derive(Debug)]
-pub enum ForwardError {
-    /// The write failed before the frame was fully on the wire; the
-    /// request was not scored and may be re-routed.
-    WriteFailed,
+/// A forward whose write failed before the frame was fully on the wire:
+/// the request was not scored and may be re-routed, and both halves come
+/// back for that.
+pub struct ForwardFailed {
+    pub pending: Pending,
+    /// The frame exactly as it was handed to [`Backend::forward`].
+    pub frame: Vec<u8>,
 }
 
 pub const INITIAL_BACKOFF: Duration = Duration::from_millis(100);
@@ -233,13 +234,10 @@ impl Backend {
     }
 
     /// Forward one score frame (`frame[SCORE_ID]` holds the client id,
-    /// which this rewrites). The pending entry is registered
-    /// before the write so the reply cannot race the bookkeeping.
-    pub fn forward(
-        &self,
-        mut frame: Vec<u8>,
-        pending: Pending,
-    ) -> Result<(), (ForwardError, Pending)> {
+    /// which this rewrites; a failed write puts it back). The pending entry
+    /// is registered before the write so the reply cannot race the
+    /// bookkeeping.
+    pub fn forward(&self, mut frame: Vec<u8>, pending: Pending) -> Result<(), ForwardFailed> {
         let backend_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         frame[SCORE_ID].copy_from_slice(&backend_id.to_le_bytes());
         self.pending
@@ -256,17 +254,21 @@ impl Backend {
         if write_ok {
             return Ok(());
         }
-        self.eject();
-        // If the entry is gone, the reader's teardown beat us to it and
-        // already answered the client with a typed failure — re-routing
-        // now would answer twice.
-        match self
+        // This request is taken back before the eject fails every other
+        // one in flight. If the entry is gone, the reader's teardown beat
+        // us to it and already answered the client with a typed failure —
+        // re-routing now would answer twice.
+        let mine = self
             .pending
             .lock()
             .expect("pending poisoned")
-            .remove(&backend_id)
-        {
-            Some(p) => Err((ForwardError::WriteFailed, p)),
+            .remove(&backend_id);
+        self.eject();
+        match mine {
+            Some(pending) => {
+                frame[SCORE_ID].copy_from_slice(&pending.client_id.to_le_bytes());
+                Err(ForwardFailed { pending, frame })
+            }
             None => Ok(()),
         }
     }
@@ -401,4 +403,13 @@ pub fn probe_round_trip(addr: &str, req: &Request, timeout: Duration) -> io::Res
     write_frame(&mut stream, &encode_request(req))?;
     read_frame(&mut stream)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "replica closed on probe"))
+}
+
+#[cfg(test)]
+impl Backend {
+    /// Route to this backend without a data connection: its next forward
+    /// fails at the write.
+    pub(crate) fn route_unconnected(&self) {
+        self.healthy.store(true, Ordering::Release);
+    }
 }

@@ -18,8 +18,7 @@
 //! the fleet rollback drill.
 
 use lre_adapt::{AdaptController, GuardArgs};
-use lre_artifact::ArtifactRead;
-use lre_dba::GuardSet;
+use lre_dba::GuardFile;
 use lre_obs::install_panic_dump;
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::args::{or_die, Args};
@@ -78,14 +77,11 @@ fn main() {
         .collect();
 
     let adapt = bundle_path.zip(guard_args.guard).map(|(bp, gp)| {
-        // The guard first, so its file buffer is freed before the bundle
-        // is read. The bundle is decoded once, to prove it; the router
-        // scores nothing, so the decoded half is dropped and the
-        // controller keeps the sealed bytes as the parent.
-        let guard = or_die(
-            GuardSet::load_artifact(&gp),
-            format!("loading {}", gp.display()),
-        );
+        // The guard is validated here and read again by every cycle, so
+        // its file must stay in place. The bundle is decoded once, to
+        // prove it; the router scores nothing, so the decoded half is
+        // dropped and the controller keeps the sealed bytes as the parent.
+        let guard = or_die(GuardFile::open(&gp), format!("loading {}", gp.display()));
         let (_, parent) = or_die(
             SystemBundle::load_sealed(&bp),
             format!("loading {}", bp.display()),

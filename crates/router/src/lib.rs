@@ -21,5 +21,5 @@
 pub mod backend;
 pub mod router;
 
-pub use backend::{probe_round_trip, Backend, ForwardError, Pending};
+pub use backend::{probe_round_trip, Backend, ForwardFailed, Pending};
 pub use router::{least_inflight, Router, RouterConfig, RouterObs};

@@ -4,10 +4,11 @@
 //! scoring server's ([`OpenDoor`]); this module is the router's [`Door`]
 //! into it.
 //!
-//! The data plane never re-encodes a score. A request is decoded once —
-//! the full `decode_request`, samples included, so a frame the replica
-//! would refuse is refused here — and then the *received bytes* are
-//! forwarded with only the id spliced in at the offset the protocol's tag
+//! The data plane never re-encodes a score. A request is checked once —
+//! `decode_request_head`, which refuses every frame the replica's full
+//! decode would refuse without building the samples — and then the
+//! *received bytes* are forwarded, the one copy of the frame the router
+//! holds, with only the id spliced in at the offset the protocol's tag
 //! table exports; the reply comes back with the client's id spliced in and
 //! the scored bytes (the replica's span included) untouched, so routed
 //! scores are bit-identical to direct ones. Every request goes to the
@@ -216,17 +217,16 @@ impl Drop for Router {
 
 impl Door for Shared {
     /// Route one score to a replica: the received bytes, id spliced. `None`
-    /// means the reply arrives through the backend reader.
+    /// means the reply arrives through the backend reader. A write that
+    /// fails hands the frame back, and it is re-routed once as it came.
     fn admit(
         &self,
         client_id: u64,
         _deadline_ms: u32,
-        _samples: Vec<f32>,
         mut frame: Vec<u8>,
         lane: Lane,
     ) -> Option<Vec<u8>> {
-        let mut attempts_left = 2;
-        loop {
+        for _ in 0..2 {
             let Some(backend) = self.pick() else {
                 self.obs.shed.incr();
                 return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
@@ -236,20 +236,14 @@ impl Door for Shared {
                 lane: lane.clone(),
                 sent: Instant::now(),
             };
-            attempts_left -= 1;
-            let send = if attempts_left > 0 {
-                frame.clone()
-            } else {
-                std::mem::take(&mut frame)
-            };
-            match backend.forward(send, pending) {
+            // The replica never saw a whole frame; safe to re-route. The
+            // window stays charged for the retry.
+            match backend.forward(frame, pending) {
                 Ok(()) => return None,
-                // The replica never saw a whole frame; safe to re-route.
-                // The window stays charged for the retry.
-                Err(_) if attempts_left > 0 => continue,
-                Err(_) => return Some(encode_status_v2(client_id, STATUS_INTERNAL)),
+                Err(failed) => frame = failed.frame,
             }
         }
+        Some(encode_status_v2(client_id, STATUS_INTERNAL))
     }
 
     fn note_shed(&self) {
@@ -314,4 +308,64 @@ fn fleet_dump(shared: &Shared) -> MetricsDump {
     }
     dump.sort_by(|a, b| a.0.cmp(&b.0));
     dump
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lre_serve::protocol::{
+        decode_score_reply_v2, encode_request, read_frame, write_frame, SCORE_ID,
+    };
+    use std::net::TcpStream;
+
+    /// A score whose first replica fails the write is re-routed with the
+    /// frame that replica handed back: the second replica receives the
+    /// client's bytes exactly, its own id spliced in.
+    #[test]
+    fn a_retried_score_reaches_the_next_replica_byte_identical() {
+        let replica = TcpListener::bind("127.0.0.1:0").unwrap();
+        let replica_addr = replica.local_addr().unwrap().to_string();
+        let (tx, received) = mpsc::channel();
+        let replica_thread = std::thread::spawn(move || {
+            let (mut conn, _) = replica.accept().unwrap();
+            let _ = tx.send(read_frame(&mut conn).unwrap().expect("one routed frame"));
+        });
+        let obs = RouterObs::new(8);
+        let dead = Arc::new(Backend::new("127.0.0.1:9".into(), &obs));
+        dead.route_unconnected();
+        let live = Arc::new(Backend::new(replica_addr, &obs));
+        live.connect().unwrap();
+        let shared = Arc::new(Shared {
+            backends: vec![Arc::clone(&dead), Arc::clone(&live)],
+            adapt: None,
+            obs,
+            probe_timeout: Duration::from_secs(1),
+        });
+        let door = OpenDoor::open(TcpListener::bind("127.0.0.1:0").unwrap(), shared, 4).unwrap();
+
+        let sent = encode_request(&Request::ScoreV2 {
+            id: 42,
+            deadline_ms: 7,
+            samples: vec![0.5, -0.0, f32::NAN, 1e-40],
+        });
+        let mut client = TcpStream::connect(door.local_addr()).unwrap();
+        write_frame(&mut client, &sent).unwrap();
+        let got = received
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the score was re-routed to the live replica");
+        let mut expect = sent.clone();
+        expect[SCORE_ID].copy_from_slice(&got[SCORE_ID]);
+        assert_eq!(got, expect, "the replica sees the client's bytes");
+        assert!(
+            !dead.is_healthy(),
+            "the failed write ejected the first replica"
+        );
+
+        // Closing the replica fails the pending score typed, under its id.
+        live.close();
+        let reply = read_frame(&mut client).unwrap().expect("a reply");
+        let (id, outcome) = decode_score_reply_v2(&reply).unwrap();
+        assert_eq!((id, outcome.err()), (42, Some(STATUS_INTERNAL)));
+        replica_thread.join().expect("the replica read one frame");
+    }
 }

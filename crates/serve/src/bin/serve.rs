@@ -37,7 +37,6 @@
 //! joined, the engine drained) and the drops that follow it: the vote
 //! log's drop closes its WAL (a last fsync) and removes a scratch window.
 
-use lre_artifact::{bundle_checksum, ArtifactRead};
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
 use lre_serve::{
@@ -66,18 +65,14 @@ fn main() {
     if server.wal_dir.is_some() && !fleet {
         args.fail("--wal-dir needs --fleet (lre-adaptd is the durable single adapting server)");
     }
-    // The file is read once: decoded, and checksummed for a fleet replica's
-    // handle (what stage/commit/rollback verify against).
-    let sealed = or_die(
-        std::fs::read(&bundle_path),
-        format!("reading {}", bundle_path.display()),
-    );
-    let bundle = or_die(
-        SystemBundle::from_artifact_bytes(&sealed),
+    // The file is streamed, never held: a checking pass, then a decode
+    // section by section (its identity carries the fleet handle's
+    // checksum, what stage/commit/rollback verify against).
+    let (bundle, sealed) = or_die(
+        SystemBundle::load_streamed(&bundle_path),
         format!("loading {}", bundle_path.display()),
     );
-    let checksum = fleet.then(|| bundle_checksum(&sealed));
-    drop(sealed);
+    let checksum = fleet.then_some(sealed.checksum);
     eprintln!(
         "[serve] bundle: scale={}, seed={}, {} subsystems",
         bundle.scale_name,

@@ -64,7 +64,7 @@ fn main() {
         println!(
             "wrote {} ({} held-back utterances)",
             path.display(),
-            guard.num_utts()
+            guard.labels.len()
         );
     }
     let size = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);

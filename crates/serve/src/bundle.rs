@@ -38,7 +38,10 @@
 //! here, decodes all of them (every request touches every subsystem) and
 //! holds the table to the size of the section region.
 
-use lre_artifact::{ArtifactError, ArtifactRead, ArtifactReader, ArtifactWrite, ArtifactWriter};
+use lre_artifact::{
+    check_stream, ArtifactError, ArtifactRead, ArtifactReader, ArtifactStream, ArtifactWrite,
+    ArtifactWriter, SealedId,
+};
 use lre_backend::LdaMmiFusion;
 use lre_corpus::Duration;
 use lre_dba::{fuse_duration, standard_subsystems, Experiment};
@@ -46,6 +49,7 @@ use lre_eval::ScoreMatrix;
 use lre_lattice::DecoderConfig;
 use lre_svm::{OneVsRest, SvmTrainConfig};
 use lre_vsm::{SupervectorBuilder, TfllrScaler};
+use std::io::{Read, Seek};
 use std::path::Path;
 
 /// One trained front-end plus its VSM, ready to serialize.
@@ -216,6 +220,40 @@ impl SystemBundle {
         Ok((bundle, sealed))
     }
 
+    /// Decode a sealed bundle from `src` without holding its bytes: a
+    /// first pass checks the whole container ([`check_stream`]: damage
+    /// fails here, before anything is decoded, with the error
+    /// [`ArtifactRead::from_artifact_bytes`] gives the same bytes), then
+    /// `src` is rewound and decoded section by section through one reused
+    /// buffer, its CRC checked again, and its identity required to be the
+    /// first pass's, so bytes that changed between the passes are refused.
+    /// Returns the bundle and that identity (its `checksum` is
+    /// [`lre_artifact::bundle_checksum`] of the bytes).
+    pub fn decode_stream<R: Read + Seek>(
+        mut src: R,
+    ) -> Result<(SystemBundle, SealedId), ArtifactError> {
+        let id = check_stream(&mut src, Self::KIND, Self::VERSION)?;
+        src.rewind()?;
+        let mut s = ArtifactStream::open(&mut src, Self::KIND, Self::VERSION)?;
+        let prefix = s.fields(Prefix::read)?;
+        let subsystems: Vec<SubsystemBundle> = prefix
+            .section_lens(s.remaining())?
+            .into_iter()
+            .map(|n| s.section(n))
+            .collect::<Result<_, _>>()?;
+        let bundle = prefix.bundle(subsystems)?;
+        if s.finish()? != id {
+            return Err(ArtifactError::ChecksumMismatch);
+        }
+        Ok((bundle, id))
+    }
+
+    /// [`SystemBundle::decode_stream`] the file at `path`: what `lre-serve`
+    /// loads at start-up.
+    pub fn load_streamed(path: &Path) -> Result<(SystemBundle, SealedId), ArtifactError> {
+        SystemBundle::decode_stream(std::fs::File::open(path)?)
+    }
+
     /// Read the file at `path` and [`SystemBundle::decode_sealed`] it.
     pub fn load_sealed(path: &Path) -> Result<(SystemBundle, SealedBundle), ArtifactError> {
         SystemBundle::decode_sealed(std::fs::read(path)?)
@@ -325,8 +363,23 @@ impl ArtifactWrite for SystemBundle {
     }
 }
 
-impl ArtifactRead for SystemBundle {
-    fn read_payload(r: &mut ArtifactReader) -> Result<SystemBundle, ArtifactError> {
+/// Everything of a bundle payload before its section region, checked
+/// against itself: what the slice decode and the streamed decode share.
+struct Prefix {
+    seed: u64,
+    scale_name: String,
+    max_order: u32,
+    svm: SvmTrainConfig,
+    lineage: Lineage,
+    fusions: Vec<LdaMmiFusion>,
+    /// The section offset table, `subsystems + 1` monotone entries from 0.
+    offsets: Vec<u64>,
+}
+
+impl Prefix {
+    /// Read the prefix up to and including the offset table. It reads
+    /// nothing by `r.remaining()`, so [`ArtifactStream::fields`] may run it.
+    fn read(r: &mut ArtifactReader) -> Result<Prefix, ArtifactError> {
         let seed = r.get_u64()?;
         let scale_name = r.get_str()?;
         let max_order = r.get_u32()?;
@@ -353,29 +406,60 @@ impl ArtifactRead for SystemBundle {
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(ArtifactError::Corrupt("bundle offset table not monotone"));
         }
-        if offsets[ns] != r.remaining() as u64 {
-            return Err(ArtifactError::Corrupt(
-                "bundle offset table disagrees with section region size",
-            ));
-        }
-        let subsystems: Vec<SubsystemBundle> = offsets
-            .windows(2)
-            .map(|w| SubsystemBundle::from_artifact_bytes(r.get_bytes((w[1] - w[0]) as usize)?))
-            .collect::<Result<_, _>>()?;
-        if subsystems
-            .iter()
-            .any(|s| s.builder.max_order() != max_order as usize)
-        {
-            return Err(ArtifactError::Corrupt("bundle N-gram order disagrees"));
-        }
-        Ok(SystemBundle {
+        Ok(Prefix {
             seed,
             scale_name,
             max_order,
             svm,
             lineage,
-            subsystems,
             fusions,
+            offsets,
         })
+    }
+
+    /// The section lengths, once the table is held to the `region` bytes
+    /// that follow it.
+    fn section_lens(&self, region: u64) -> Result<Vec<usize>, ArtifactError> {
+        if self.offsets.last() != Some(&region) {
+            return Err(ArtifactError::Corrupt(
+                "bundle offset table disagrees with section region size",
+            ));
+        }
+        Ok(self
+            .offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .collect())
+    }
+
+    /// The bundle, once every section is decoded.
+    fn bundle(self, subsystems: Vec<SubsystemBundle>) -> Result<SystemBundle, ArtifactError> {
+        if subsystems
+            .iter()
+            .any(|s| s.builder.max_order() != self.max_order as usize)
+        {
+            return Err(ArtifactError::Corrupt("bundle N-gram order disagrees"));
+        }
+        Ok(SystemBundle {
+            seed: self.seed,
+            scale_name: self.scale_name,
+            max_order: self.max_order,
+            svm: self.svm,
+            lineage: self.lineage,
+            subsystems,
+            fusions: self.fusions,
+        })
+    }
+}
+
+impl ArtifactRead for SystemBundle {
+    fn read_payload(r: &mut ArtifactReader) -> Result<SystemBundle, ArtifactError> {
+        let prefix = Prefix::read(r)?;
+        let subsystems: Vec<SubsystemBundle> = prefix
+            .section_lens(r.remaining() as u64)?
+            .into_iter()
+            .map(|n| SubsystemBundle::from_artifact_bytes(r.get_bytes(n)?))
+            .collect::<Result<_, _>>()?;
+        prefix.bundle(subsystems)
     }
 }

@@ -399,6 +399,41 @@ const fn field_span(tag: u8, field: &str) -> Range<usize> {
 /// both directions without decoding anything behind it.
 pub const SCORE_ID: Range<usize> = field_span(REQ_SCORE_V2, "id");
 
+/// Where a score request's samples start: their `u32` count.
+const SCORE_SAMPLES: usize = field_span(REQ_SCORE_V2, "samples").start;
+
+/// A request as a front door admits it: a score by its fixed fields only
+/// (its samples stay in the frame), anything else decoded whole.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RequestHead {
+    Score { id: u64, deadline_ms: u32 },
+    Other(Request),
+}
+
+/// [`decode_request`] without building a score's samples: the same bytes
+/// are refused with the same error, and a score's sample count is checked
+/// against the frame exactly as the full decode checks it. A router needs
+/// no samples; a server takes them with [`score_samples`].
+pub fn decode_request_head(frame: &[u8]) -> Result<RequestHead, ArtifactError> {
+    if frame.first() != Some(&REQ_SCORE_V2) {
+        return decode_request(frame).map(RequestHead::Other);
+    }
+    let mut r = ArtifactReader::new(&frame[1..]);
+    let (id, deadline_ms) = (r.get_u64()?, r.get_u32()?);
+    let n = r.get_count(4)?;
+    r.get_bytes(n * 4)?;
+    finish(&r)?;
+    Ok(RequestHead::Score { id, deadline_ms })
+}
+
+/// The samples of a score frame [`decode_request_head`] accepted.
+pub fn score_samples(frame: &[u8]) -> Result<Vec<f32>, ArtifactError> {
+    let mut r = ArtifactReader::new(frame.get(SCORE_SAMPLES..).unwrap_or_default());
+    let samples = r.get_f32_slice()?;
+    finish(&r)?;
+    Ok(samples)
+}
+
 /// Write one frame: `u32` LE length + payload. A payload over
 /// [`MAX_FRAME_LEN`], which every peer's [`read_frame`] would refuse, is
 /// refused here instead, before a byte is written.
@@ -936,7 +971,21 @@ mod tests {
                     frame[at..end].copy_from_slice(&inflated[..end - at]);
                 }
             }
-            if let Ok(req) = decode_request(&frame) {
+            let decoded = decode_request(&frame);
+            // The admission decode refuses exactly what the full one does.
+            match (&decoded, decode_request_head(&frame)) {
+                (
+                    Ok(Request::ScoreV2 { id, deadline_ms, samples }),
+                    Ok(RequestHead::Score { id: i, deadline_ms: d }),
+                ) => {
+                    prop_assert_eq!((*id, *deadline_ms), (i, d));
+                    prop_assert_eq!(bits(samples), bits(&score_samples(&frame).unwrap()));
+                }
+                (Ok(req), Ok(RequestHead::Other(other))) => prop_assert_eq!(req, &other),
+                (Err(e), Err(head)) => prop_assert_eq!(e.to_string(), head.to_string()),
+                (full, head) => prop_assert!(false, "{:?} vs {:?}", full, head),
+            }
+            if let Ok(req) = decoded {
                 prop_assert_eq!(encode_request(&req), frame);
             }
         }

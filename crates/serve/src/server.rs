@@ -18,7 +18,8 @@
 //! connection threads, and each connection thread (the reader) owns its
 //! writer. When the door stops, every reader stops at its next frame
 //! boundary with nothing more arrived (a frame the peer is still sending
-//! is read to its end), and the accept thread joins them all, so
+//! is read to its end), or at the first frame boundary once it has read
+//! past the stop for [`WRITE_STALL`]; the accept thread joins them all, so
 //! [`OpenDoor::join`] returns only once every reply the door owed has been
 //! written (or its peer has stopped taking bytes, see [`WRITE_STALL`]) and
 //! nothing the door shares is held by a thread of its own any more.
@@ -26,7 +27,8 @@
 //! The connection contract, the same at both doors:
 //! - a score past the connection's window is refused `overloaded` under
 //!   its id, before the door sees it; a score read after the door stopped
-//!   is refused `shutting down`;
+//!   is refused `shutting down`, for at most [`WRITE_STALL`], after which
+//!   the connection ends;
 //! - an undecodable frame is answered `bad request`, then the connection
 //!   closes;
 //! - stats-v3 and flight are always answered;
@@ -40,10 +42,10 @@
 use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
 use crate::obs::{ServeObs, DEFAULT_FLIGHT_CAPACITY};
 use crate::protocol::{
-    decode_request, encode_ok, encode_score_ok_v2, encode_status, encode_status_v2, read_frame,
-    write_frame, Ack, AdaptReport, DrainReply, MetricsDump, Request, RollbackToAck, Wire,
-    STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
-    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
+    decode_request_head, encode_ok, encode_score_ok_v2, encode_status, encode_status_v2,
+    read_frame, score_samples, write_frame, Ack, AdaptReport, DrainReply, MetricsDump, Request,
+    RequestHead, RollbackToAck, Wire, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED,
+    STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
@@ -54,30 +56,26 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often an idle connection's reader looks at its door's stop flag.
 const READ_TICK: Duration = Duration::from_millis(100);
 
 /// The longest a connection's writer waits on a peer that takes no bytes
-/// before it shuts the connection down: a peer that stops reading cannot
-/// hold its connection, and so [`OpenDoor::join`], for longer.
+/// before it shuts the connection down, and the longest a reader goes on
+/// reading (and refusing scores) after it saw its door stop: a peer that
+/// stops reading, or keeps sending, cannot hold its connection, and so
+/// [`OpenDoor::join`], for longer.
 pub const WRITE_STALL: Duration = Duration::from_secs(10);
 
 /// What one kind of front door adds to the shared connection loop.
 pub trait Door: Send + Sync + 'static {
-    /// Admit a score request the connection's window has room for (`frame`
-    /// is the request as received). `None`: the door answers it later,
-    /// exactly once, through [`Lane::reply`]. `Some(frame)`: a refusal,
-    /// sent now.
-    fn admit(
-        &self,
-        id: u64,
-        deadline_ms: u32,
-        samples: Vec<f32>,
-        frame: Vec<u8>,
-        lane: Lane,
-    ) -> Option<Vec<u8>>;
+    /// Admit a score request the connection's window has room for: `frame`
+    /// is the request as received, checked whole by
+    /// [`decode_request_head`] (its samples are still in it, see
+    /// [`score_samples`]). `None`: the door answers it later, exactly once,
+    /// through [`Lane::reply`]. `Some(frame)`: a refusal, sent now.
+    fn admit(&self, id: u64, deadline_ms: u32, frame: Vec<u8>, lane: Lane) -> Option<Vec<u8>>;
 
     /// Count one score refused by a connection's window.
     fn note_shed(&self);
@@ -274,34 +272,36 @@ impl Entry {
         };
         let door = &*self.door;
         let mut shutdown = false;
+        // When this reader first saw the door stopped.
+        let mut stop_seen: Option<Instant> = None;
 
         // Anything but a complete frame (clean close, torn connection,
         // oversized length prefix, the door's stop at a frame boundary)
         // ends the conversation, and so does a writer that gave the socket
-        // up.
+        // up, or a stop seen a whole WRITE_STALL ago.
         while !owed.closed.load(Ordering::Acquire) {
+            if self.stopping.load(Ordering::SeqCst)
+                && stop_seen.get_or_insert_with(Instant::now).elapsed() >= WRITE_STALL
+            {
+                break;
+            }
             incoming.mid_frame = false;
             let Ok(Some(frame)) = read_frame(&mut incoming) else {
                 break;
             };
             // Everything but an admitted score is answered here, in request
-            // order.
-            let reply = match decode_request(&frame) {
-                Ok(Request::ScoreV2 { id, .. }) if self.stopping.load(Ordering::SeqCst) => {
+            // order. A score's samples are not decoded here: they stay in
+            // the frame the door is handed.
+            let reply = match decode_request_head(&frame) {
+                Ok(RequestHead::Score { id, .. }) if self.stopping.load(Ordering::SeqCst) => {
                     encode_status_v2(id, STATUS_SHUTTING_DOWN)
                 }
-                Ok(Request::ScoreV2 {
-                    id,
-                    deadline_ms,
-                    samples,
-                }) => {
+                Ok(RequestHead::Score { id, deadline_ms }) => {
                     // Only the reader takes a slot, so a plain
                     // load-then-add admits at most `max_inflight`.
                     if owed.scores.load(Ordering::Acquire) < self.max_inflight {
                         owed.scores.fetch_add(1, Ordering::AcqRel);
-                        if let Some(refusal) =
-                            door.admit(id, deadline_ms, samples, frame, lane.clone())
-                        {
+                        if let Some(refusal) = door.admit(id, deadline_ms, frame, lane.clone()) {
                             lane.reply(refusal);
                         }
                         continue;
@@ -309,18 +309,18 @@ impl Entry {
                     door.note_shed();
                     encode_status_v2(id, STATUS_OVERLOADED)
                 }
-                Ok(Request::StatsV3) => encode_ok(&door.stats()),
-                Ok(Request::Flight { drain }) => encode_ok(&if drain {
+                Ok(RequestHead::Other(Request::StatsV3)) => encode_ok(&door.stats()),
+                Ok(RequestHead::Other(Request::Flight { drain })) => encode_ok(&if drain {
                     door.flight().drain()
                 } else {
                     door.flight().peek()
                 }),
-                Ok(Request::Shutdown) => {
+                Ok(RequestHead::Other(Request::Shutdown)) => {
                     inline(encode_ok(&Ack));
                     shutdown = true;
                     break;
                 }
-                Ok(request) => door.control(request),
+                Ok(RequestHead::Other(request)) => door.control(request),
                 Err(_) => {
                     inline(encode_status(STATUS_BAD_REQUEST));
                     break;
@@ -491,14 +491,12 @@ struct EngineDoor {
 }
 
 impl Door for EngineDoor {
-    fn admit(
-        &self,
-        id: u64,
-        deadline_ms: u32,
-        samples: Vec<f32>,
-        _frame: Vec<u8>,
-        lane: Lane,
-    ) -> Option<Vec<u8>> {
+    fn admit(&self, id: u64, deadline_ms: u32, frame: Vec<u8>, lane: Lane) -> Option<Vec<u8>> {
+        // The frame was checked whole before it was admitted.
+        let Ok(samples) = score_samples(&frame) else {
+            return Some(encode_status_v2(id, STATUS_BAD_REQUEST));
+        };
+        drop(frame);
         let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
         let submitted = self.engine.submit_with(samples, deadline, move |outcome| {
             lane.reply(match outcome {

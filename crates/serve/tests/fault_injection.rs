@@ -24,7 +24,7 @@ use lre_lattice::DecodeScratch;
 use lre_obs::MetricValue;
 use lre_serve::client::ScoreReply;
 use lre_serve::fuzz;
-use lre_serve::protocol::encode_request;
+use lre_serve::protocol::{decode_score_reply_v2, encode_request, STATUS_SHUTTING_DOWN};
 use lre_serve::server::WRITE_STALL;
 use lre_serve::{
     read_frame, write_frame, Client, Engine, EngineConfig, Outcome, Request, ScoreDetail, Scorer,
@@ -631,4 +631,56 @@ fn a_peer_that_never_reads_is_dropped_after_the_write_stall() {
     eprintln!("non-reader: {requests} requests written, refused after {took:?}");
     server.stop();
     server.join();
+}
+
+fn score_frame(id: u64) -> Vec<u8> {
+    encode_request(&Request::ScoreV2 {
+        id,
+        deadline_ms: 0,
+        samples: vec![0.25; 80],
+    })
+}
+
+/// A peer that keeps sending scores at a stopped server is refused
+/// `shutting down` for at most [`WRITE_STALL`] after the stop, then cut
+/// off at a frame boundary whatever still arrives: it cannot hold its
+/// connection, and so `Server::join`, for longer.
+#[test]
+fn a_peer_that_keeps_sending_at_a_stopped_server_is_cut_off_after_the_write_stall() {
+    let server = start_server(Arc::new(MockScorer { classes: 3 }), fast_config());
+    let mut peer = TcpStream::connect(server.local_addr()).expect("connect");
+    // One score answered first: the connection is being served.
+    write_frame(&mut peer, &score_frame(0)).expect("send");
+    let first = read_frame(&mut peer).expect("read").expect("a reply");
+    assert!(decode_score_reply_v2(&first).expect("decodes").1.is_ok());
+
+    server.stop();
+    let mut sending = peer.try_clone().expect("clone");
+    let sender = std::thread::spawn(move || {
+        let mut sent = 0u64;
+        while write_frame(&mut sending, &score_frame(sent + 1)).is_ok() {
+            sent += 1;
+        }
+        sent
+    });
+    let reader = std::thread::spawn(move || {
+        let mut refused = 0u64;
+        while let Ok(Some(frame)) = read_frame(&mut peer) {
+            let (id, outcome) = decode_score_reply_v2(&frame).expect("a score reply");
+            assert_eq!(outcome.err(), Some(STATUS_SHUTTING_DOWN), "score {id}");
+            refused += 1;
+        }
+        refused
+    });
+    let started = Instant::now();
+    server.join();
+    let took = started.elapsed();
+    let refused = reader.join().expect("every reply after the stop refused");
+    let sent = sender.join().expect("sender");
+    eprintln!("sent {sent} scores after the stop, {refused} refused; join took {took:?}");
+    assert!(refused > 0, "the peer's scores were read and refused");
+    assert!(
+        took < WRITE_STALL + Duration::from_secs(5),
+        "join took {took:?} beside a peer that never stops sending"
+    );
 }

@@ -37,7 +37,7 @@ use lre_serve::{
     ServeObs, Server, ServerConfig, ServerHooks, SubmitError, SystemBundle,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Cursor, Read, Seek, SeekFrom};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -647,14 +647,41 @@ fn corrupt_bundles_fail_with_typed_errors_not_panics() {
     }
 }
 
-/// `SystemBundle::decode_sealed` refuses `bytes` with the very error
-/// `from_artifact_bytes` gives.
+/// `SystemBundle::decode_sealed` and the streamed decode `lre-serve`
+/// loads with refuse `bytes` with the very error `from_artifact_bytes`
+/// gives.
 fn refused_alike(bytes: &[u8], what: &str) {
-    let want = SystemBundle::from_artifact_bytes(bytes).err();
-    let got = SystemBundle::decode_sealed(bytes.to_vec()).err();
-    let (want, got) = (want.map(|e| e.to_string()), got.map(|e| e.to_string()));
+    let text = |e: ArtifactError| e.to_string();
+    let want = SystemBundle::from_artifact_bytes(bytes).err().map(text);
     assert!(want.is_some(), "{what}: the reference decode accepted it");
-    assert_eq!(got, want, "{what}");
+    let sealed = SystemBundle::decode_sealed(bytes.to_vec()).err().map(text);
+    assert_eq!(sealed, want, "{what}: sealed decode");
+    let streamed = SystemBundle::decode_stream(Cursor::new(bytes))
+        .err()
+        .map(text);
+    assert_eq!(streamed, want, "{what}: streamed decode");
+}
+
+/// A file rewritten between the streamed decode's two passes: `first`
+/// until the rewind, `second` after it.
+struct Rewritten {
+    now: Cursor<Vec<u8>>,
+    next: Option<Vec<u8>>,
+}
+
+impl Read for Rewritten {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.now.read(buf)
+    }
+}
+
+impl Seek for Rewritten {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        if let Some(next) = self.next.take() {
+            self.now = Cursor::new(next);
+        }
+        self.now.seek(pos)
+    }
 }
 
 #[test]
@@ -727,6 +754,31 @@ fn sealed_decode_keeps_the_input_bytes_and_refuses_damage() {
         bad[probe % fx.bytes.len()] ^= 0x5A;
         refused_alike(&bad, &format!("byte {probe} ^ 0x5a"));
     }
+}
+
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn streamed_decode_is_the_slice_decode_and_refuses_a_file_that_changed() {
+    let fx = fixture();
+    let (bundle, id) = SystemBundle::decode_stream(Cursor::new(&fx.bytes)).expect("streams");
+    assert!(
+        bundle.to_artifact_bytes() == fx.bytes,
+        "the streamed bundle reseals to the input"
+    );
+    assert_eq!(id.len, fx.bytes.len() as u64);
+    assert_eq!(id.checksum, lre_artifact::bundle_checksum(&fx.bytes));
+
+    // Another valid bundle in the file's place by the second pass.
+    let mut other = bundle;
+    other.lineage.generation = 5;
+    let rewritten = Rewritten {
+        now: Cursor::new(fx.bytes.clone()),
+        next: Some(other.to_artifact_bytes()),
+    };
+    assert!(matches!(
+        SystemBundle::decode_stream(rewritten),
+        Err(ArtifactError::ChecksumMismatch)
+    ));
 }
 
 const SERVE: &str = env!("CARGO_BIN_EXE_lre-serve");

@@ -56,6 +56,16 @@ impl OneVsRest {
         self.models.len()
     }
 
+    /// The supervector dimension every class model scores: an input whose
+    /// indices all fall below it cannot index past a weight vector.
+    pub fn dim(&self) -> usize {
+        self.models
+            .iter()
+            .map(|m| m.weights().len())
+            .min()
+            .unwrap_or(0)
+    }
+
     pub fn model(&self, k: usize) -> &LinearSvm {
         &self.models[k]
     }
