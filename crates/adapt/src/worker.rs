@@ -757,7 +757,9 @@ pub fn two_phase_promote(
     }
     for (i, replica) in fleet.iter().enumerate() {
         if replica.stage(sealed) != Ok(StageAck { checksum }) {
-            for prev in &fleet[..i] {
+            // Replica `i` too: an ack that names other bytes still staged
+            // them (abort is idempotent).
+            for prev in &fleet[..=i] {
                 prev.abort();
             }
             return None;

@@ -554,6 +554,11 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
     // Lineage: the promoted bundle names its parent by checksum.
     let cand_bytes = h.controller.current_bundle_bytes();
     assert_eq!(h.handle.checksum(), bundle_checksum(&cand_bytes));
+    assert_ne!(
+        bundle_checksum(&cand_bytes),
+        bundle_checksum(&fx.bytes),
+        "the candidate has an identity of its own"
+    );
     let cand = SystemBundle::from_artifact_bytes(&cand_bytes).expect("candidate reloads");
     assert_eq!(cand.lineage.generation, 1);
     assert_eq!(cand.lineage.parent_checksum, bundle_checksum(&fx.bytes));
@@ -916,6 +921,7 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
         // Clear the generation-1 votes just teed so the post-rollback
         // window holds only baseline-scored records (the offline pool).
         dh.durable.drain_at_least(1).expect("stale window drains");
+        assert_ne!(dh.h.handle.checksum(), bundle_checksum(&fx.bytes));
         let ack = client
             .rollback_to(0)
             .expect("rollback-to round trip")
@@ -1333,6 +1339,20 @@ fn constructor_refuses_a_foreign_guard_or_chain_head() {
     let short = GuardFile::open(&short_path).expect("a short guard is a valid file");
     std::fs::remove_file(&short_path).ok();
     assert_eq!(refusal(build(short, None)), "guard/bundle subsystem counts");
+
+    // A chain rooted with a bundle one payload byte away from the served
+    // one (the seed's low byte, resealed).
+    let mut payload = lre_artifact::open(&fx.bytes, SystemBundle::KIND, SystemBundle::VERSION)
+        .expect("fixture opens")
+        .to_vec();
+    payload[0] ^= 1;
+    let twin = lre_artifact::seal(SystemBundle::KIND, SystemBundle::VERSION, &payload);
+    let mut near = LineageStore::open(&dir.join("near")).expect("lineage opens");
+    near.record_root(&twin, 0).expect("chain roots");
+    assert_eq!(
+        refusal(build(guard(fx), Some((near, 0)))),
+        "serving bundle is not the lineage chain head"
+    );
 
     // A chain rooted with other bytes than the served bundle's.
     let mut foreign = LineageStore::open(&dir.join("foreign")).expect("lineage opens");

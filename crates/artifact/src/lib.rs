@@ -24,7 +24,7 @@
 //! loading); the provided methods handle sealing, opening, and file I/O.
 
 use std::fmt;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// Container magic: present in every artifact file, first four bytes.
@@ -211,13 +211,19 @@ impl Crc32 {
 }
 
 /// The identity of a sealed bundle, as serving handles, stage and commit
-/// acks and lineage entries carry it: CRC-32 over the whole sealed
-/// container, trailer included. Every place that names or compares a
-/// bundle's identity calls this one function. (Trailer included, it is the
-/// same CRC-32 residue for every intact container, so today it does not
-/// tell two bundles apart; a fix is a change to this function alone.)
+/// acks and lineage entries carry it: the container's CRC-32 trailer, the
+/// CRC of every byte before it ([`SealedId::crc`]). Two containers that
+/// differ in any byte before the trailer have different identities (up to
+/// a CRC-32 collision). Every place that names or compares a bundle's
+/// identity calls this one function. It reads the trailer and checks
+/// nothing: a damaged container keeps its trailer, so damage is caught by
+/// the container's own check ([`open`], [`check_stream`]). A slice too
+/// short to hold a trailer has identity 0.
 pub fn bundle_checksum(sealed: &[u8]) -> u32 {
-    crc32(sealed)
+    match sealed.len().checked_sub(TRAILER_LEN) {
+        Some(at) => u32::from_le_bytes(sealed[at..].try_into().unwrap()),
+        None => 0,
+    }
 }
 
 /// The bytewise loop `crc32` replaced: one table lookup per byte.
@@ -623,9 +629,9 @@ pub fn open_prefix(
 
 // --------------------------------------------------------------- streaming
 
-/// What reading a whole sealed container proved of it: its length, its
-/// CRC trailer, and [`bundle_checksum`] of its bytes. Two reads of one
-/// file that agree on it read the same container (up to a CRC-32
+/// What reading a whole sealed container proved of it: its length and its
+/// CRC-32 trailer, which is [`bundle_checksum`] of its bytes. Two reads of
+/// one file that agree on it read the same container (up to a CRC-32
 /// collision).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SealedId {
@@ -633,8 +639,6 @@ pub struct SealedId {
     pub len: u64,
     /// The CRC-32 trailer.
     pub crc: u32,
-    /// [`bundle_checksum`] of the container's bytes.
-    pub checksum: u32,
 }
 
 /// Fill `buf` from `src` unless it ends first; the bytes read.
@@ -656,17 +660,37 @@ fn read_full(src: &mut impl Read, buf: &mut [u8]) -> Result<usize, ArtifactError
 /// the same bytes fail with the same error. Nothing of the payload is
 /// kept; a reader that must act only on checked bytes runs this pass
 /// first and then decodes with an [`ArtifactStream`].
-pub fn check_stream(
+pub fn check_stream(src: impl Read, kind: [u8; 4], version: u32) -> Result<SealedId, ArtifactError> {
+    stream_sealed(src, &mut std::io::sink(), Some((kind, version)))
+}
+
+/// Copy a whole sealed container of any kind from `src` to `dst`, 64 KiB
+/// at a time, checking it on the way as [`check_stream`] does, kind and
+/// version aside: the magic, the declared length (the source must end
+/// exactly there) and the CRC. `dst` has been handed every byte read when
+/// a check fails, so a caller copies into a file it discards on `Err`.
+pub fn copy_sealed(src: impl Read, mut dst: impl Write) -> Result<SealedId, ArtifactError> {
+    stream_sealed(src, &mut dst, None)
+}
+
+/// [`check_stream`] and [`copy_sealed`]: the header checked against
+/// `expect` (or its magic alone), every byte passed on to `dst`.
+fn stream_sealed(
     mut src: impl Read,
-    kind: [u8; 4],
-    version: u32,
+    dst: &mut dyn Write,
+    expect: Option<([u8; 4], u32)>,
 ) -> Result<SealedId, ArtifactError> {
     let mut chunk = vec![0u8; 1 << 16];
     let mut n = read_full(&mut src, &mut chunk[..HEADER_LEN + TRAILER_LEN])?;
     if n < HEADER_LEN + TRAILER_LEN {
         return Err(ArtifactError::Truncated);
     }
-    let total = container_len(check_header(&chunk, kind, version)?)?;
+    let payload_len = match expect {
+        Some((kind, version)) => check_header(&chunk, kind, version)?,
+        None if chunk[0..4] != MAGIC => return Err(ArtifactError::BadMagic),
+        None => u64::from_le_bytes(chunk[12..20].try_into().unwrap()),
+    };
+    let total = container_len(payload_len)?;
     let body = total - TRAILER_LEN as u64;
     let (mut crc, mut trailer) = (Crc32::new(), [0u8; TRAILER_LEN]);
     let mut at = 0u64;
@@ -683,6 +707,7 @@ pub fn check_stream(
             let from = lo.max(body);
             trailer[(from - body) as usize..(hi - body) as usize].copy_from_slice(piece(from, hi));
         }
+        dst.write_all(&chunk[..n])?;
         at = hi;
         n = read_full(&mut src, &mut chunk)?;
     }
@@ -693,11 +718,9 @@ pub fn check_stream(
     if crc.value() != stored {
         return Err(ArtifactError::ChecksumMismatch);
     }
-    crc.update(&trailer);
     Ok(SealedId {
         len: total,
         crc: stored,
-        checksum: crc.value(),
     })
 }
 
@@ -832,11 +855,9 @@ impl<R: Read> ArtifactStream<R> {
         if self.crc.value() != stored {
             return Err(ArtifactError::ChecksumMismatch);
         }
-        self.crc.update(&trailer);
         Ok(SealedId {
             len: self.len,
             crc: stored,
-            checksum: self.crc.value(),
         })
     }
 }
@@ -1361,11 +1382,67 @@ mod tests {
         let id = check_stream(&sealed[..], *b"TEST", 1).unwrap();
         assert_eq!(id.len, sealed.len() as u64);
         assert_eq!(id.crc.to_le_bytes(), sealed[sealed.len() - TRAILER_LEN..]);
-        assert_eq!(id.checksum, bundle_checksum(&sealed));
+        assert_eq!(id.crc, bundle_checksum(&sealed));
         assert!(matches!(
             check_stream(&sealed[..], *b"TEST", 2),
             Err(ArtifactError::UnsupportedVersion { .. })
         ));
+    }
+
+    /// A copy is the source byte for byte, with [`check_stream`]'s identity
+    /// whatever the kind, and fails every cut, flip and extension as
+    /// [`check_stream`] does (kind and version bytes aside: any kind is
+    /// copied).
+    #[test]
+    fn copy_sealed_copies_any_kind_and_refuses_damage_like_check_stream() {
+        let payload: Vec<u8> = (0..70u8).map(|i| i.wrapping_mul(91) ^ 0x33).collect();
+        let sealed = seal(*b"TEST", 1, &payload);
+        for step in [1, 7, 1 << 16] {
+            let mut out = Vec::new();
+            let id = copy_sealed(Trickle { bytes: &sealed, step }, &mut out).unwrap();
+            assert!(out == sealed);
+            assert_eq!(id, check_stream(&sealed[..], *b"TEST", 1).unwrap());
+        }
+        let same = |bytes: &[u8]| {
+            let copied = copy_sealed(bytes, std::io::sink());
+            assert_eq!(outcome(copied), outcome(check_stream(bytes, *b"TEST", 1)));
+        };
+        for cut in 0..sealed.len() {
+            same(&sealed[..cut]);
+        }
+        for byte in (0..4).chain(HEADER_LEN - 8..sealed.len()) {
+            let mut bad = sealed.clone();
+            bad[byte] ^= 0x10;
+            same(&bad);
+        }
+        let mut longer = sealed.clone();
+        longer.push(0);
+        same(&longer);
+        let other = seal(*b"ELSE", 9, &payload);
+        assert_eq!(copy_sealed(&other[..], std::io::sink()).unwrap().len, other.len() as u64);
+    }
+
+    /// The identity tells containers apart: every one-byte change of a
+    /// payload, resealed, and every pair of different payloads get
+    /// different checksums, each the trailer [`check_stream`] reads.
+    #[test]
+    fn different_containers_have_different_checksums() {
+        let payload: Vec<u8> = (0..53u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let sealed = seal(*b"TEST", 1, &payload);
+        let mut seen = std::collections::HashSet::from([bundle_checksum(&sealed)]);
+        for byte in 0..payload.len() {
+            let mut other = payload.clone();
+            other[byte] ^= 0x01;
+            let resealed = seal(*b"TEST", 1, &other);
+            let id = check_stream(&resealed[..], *b"TEST", 1).unwrap();
+            assert_eq!(id.crc, bundle_checksum(&resealed));
+            assert!(seen.insert(id.crc), "payload byte {byte}: checksum repeats");
+        }
+        assert_ne!(
+            bundle_checksum(&seal(*b"TEST", 1, b"one bundle")),
+            bundle_checksum(&seal(*b"TEST", 1, b"another bundle"))
+        );
+        assert_eq!(bundle_checksum(&sealed[..3]), 0);
     }
 
     /// A pair streamed: both points nested, read one at a time.

@@ -281,11 +281,7 @@ mod tests {
             labels: g.labels.clone(),
             subsystems: vsms.len(),
             mats: vec![mats],
-            id: SealedId {
-                len: 0,
-                crc: 0,
-                checksum: 0,
-            },
+            id: SealedId { len: 0, crc: 0 },
         }
         .report(0, fusions)
     }

@@ -50,10 +50,11 @@ fn candidate_scorer(v: u8) -> Arc<dyn Scorer> {
     Arc::new(Marker(f32::from(v) * 0.187_5 - 2.518_3))
 }
 
-/// Sealed candidates are two bytes — `[b'M', v]` — accepted by the mock
-/// validator; real bundle decode is covered by the CI fleet smoke.
+/// Sealed candidates are one-byte `MOCK` containers accepted by the mock
+/// validator; real bundle decode is covered by the CI fleet smoke. Two
+/// candidates differ in their payload byte, so in their checksums too.
 fn candidate(v: u8) -> Vec<u8> {
-    vec![b'M', v]
+    lre_artifact::seal(*b"MOCK", 1, &[v])
 }
 
 /// A served replica's vote log over a scratch WAL, as `lre-serve --fleet`
@@ -71,8 +72,8 @@ fn start_replica(accepts_candidates: bool) -> (Server, String, Arc<FleetReplica>
     let log = Arc::new(scratch_log(&hooks.obs.registry));
     let mut replica = FleetReplica::new(Arc::clone(&handle), log, Arc::clone(&hooks.obs.flight));
     if accepts_candidates {
-        replica.set_validator(|sealed| match sealed {
-            [b'M', v] => Ok(candidate_scorer(*v)),
+        replica.set_validator(|sealed| match lre_artifact::open(sealed, *b"MOCK", 1) {
+            Ok([v]) => Ok(candidate_scorer(*v)),
             _ => Err(STATUS_CONFLICT),
         });
     } else {
@@ -172,6 +173,32 @@ fn promote_flips_every_replica_or_none() {
         assert_eq!(generation_of(addr), 2);
     }
     drop(baseline);
+}
+
+/// The stage ack is an identity check: bytes one payload byte away from
+/// the candidate the coordinator named stage fine on every replica, but
+/// their acks name other bytes, so no replica flips and each staged copy
+/// is aborted.
+#[test]
+fn a_stage_of_bytes_one_payload_byte_away_is_refused_by_its_ack() {
+    let (_servers, addrs, backends) = start_fleet(&[true, true]);
+    let baseline: Vec<Vec<u32>> = addrs.iter().map(|a| score_bits(a)).collect();
+    let (named, staged) = (candidate(8), candidate(9));
+    assert_ne!(bundle_checksum(&named), bundle_checksum(&staged));
+    assert_eq!(
+        two_phase_promote(&backends, &staged, bundle_checksum(&named)),
+        None
+    );
+    for (addr, base) in addrs.iter().zip(&baseline) {
+        assert_eq!(&score_bits(addr), base, "baseline scores disturbed");
+        assert_eq!(generation_of(addr), 0, "no replica may have flipped");
+        let mut client = Client::connect(addr).expect("connect");
+        assert_eq!(client.commit_staged().expect("io"), Err(STATUS_CONFLICT));
+    }
+    assert_eq!(
+        two_phase_promote(&backends, &staged, bundle_checksum(&staged)),
+        Some(1)
+    );
 }
 
 #[test]

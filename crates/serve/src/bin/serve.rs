@@ -72,7 +72,7 @@ fn main() {
         SystemBundle::load_streamed(&bundle_path),
         format!("loading {}", bundle_path.display()),
     );
-    let checksum = fleet.then_some(sealed.checksum);
+    let checksum = fleet.then_some(sealed.crc);
     eprintln!(
         "[serve] bundle: scale={}, seed={}, {} subsystems",
         bundle.scale_name,

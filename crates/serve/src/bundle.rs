@@ -73,8 +73,10 @@ pub struct Lineage {
     /// How many adaptation generations separate this bundle from its
     /// original offline training run (0 = trained offline).
     pub generation: u64,
-    /// CRC-32 of the sealed parent bundle (0 for a root bundle). This is
-    /// what guarded rollback restores, bit-identically.
+    /// The sealed parent bundle's identity,
+    /// [`lre_artifact::bundle_checksum`] (its CRC-32 trailer); 0 for a
+    /// root bundle. This is what guarded rollback restores,
+    /// bit-identically.
     pub parent_checksum: u32,
     /// Pseudo-labeled utterances selected into `Tr_DBA` for this
     /// generation's retrain (0 for a root bundle).

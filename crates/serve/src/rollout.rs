@@ -276,14 +276,16 @@ mod tests {
     /// [`candidate`] produces (real decode is covered by the CI fleet
     /// smoke and the `--ignored` integration tests).
     fn mock_validate(sealed: &[u8]) -> Result<Arc<dyn Scorer>, u8> {
-        match sealed {
-            [b'C', v] => Ok(Arc::new(Marker(f32::from(*v)))),
+        match lre_artifact::open(sealed, *b"MOCK", 1) {
+            Ok([v]) => Ok(Arc::new(Marker(f32::from(*v)))),
             _ => Err(STATUS_CONFLICT),
         }
     }
 
+    /// A one-byte sealed container: candidates differ in their payload
+    /// byte, so their checksums differ too.
     fn candidate(v: u8) -> Vec<u8> {
-        vec![b'C', v]
+        lre_artifact::seal(*b"MOCK", 1, &[v])
     }
 
     fn scratch_log() -> Arc<VoteLog> {
@@ -312,6 +314,7 @@ mod tests {
         let sealed = candidate(7);
         let ck = rep.stage(&sealed).expect("stage validates").checksum;
         assert_eq!(ck, bundle_checksum(&sealed));
+        assert_ne!(ck, bundle_checksum(&candidate(6)), "the ack names the bytes");
         // Nothing served yet: staging must not disturb the handle.
         assert_eq!(rep.handle.generation(), 0);
         assert_eq!(rep.handle.checksum(), 0xAAAA);
@@ -410,8 +413,9 @@ mod tests {
     #[test]
     fn restage_replaces_the_pending_candidate() {
         let rep = replica();
-        rep.stage(&candidate(1)).unwrap();
+        let first = rep.stage(&candidate(1)).unwrap();
         let staged = rep.stage(&candidate(2)).unwrap();
+        assert_ne!(first.checksum, staged.checksum);
         assert_eq!(rep.commit().unwrap().checksum, staged.checksum);
         let mut scratch = DecodeScratch::new();
         assert_eq!(

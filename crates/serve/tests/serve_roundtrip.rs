@@ -766,11 +766,16 @@ fn streamed_decode_is_the_slice_decode_and_refuses_a_file_that_changed() {
         "the streamed bundle reseals to the input"
     );
     assert_eq!(id.len, fx.bytes.len() as u64);
-    assert_eq!(id.checksum, lre_artifact::bundle_checksum(&fx.bytes));
+    assert_eq!(id.crc, lre_artifact::bundle_checksum(&fx.bytes));
 
     // Another valid bundle in the file's place by the second pass.
     let mut other = bundle;
     other.lineage.generation = 5;
+    assert_ne!(
+        lre_artifact::bundle_checksum(&other.to_artifact_bytes()),
+        id.crc,
+        "another bundle has another identity"
+    );
     let rewritten = Rewritten {
         now: Cursor::new(fx.bytes.clone()),
         next: Some(other.to_artifact_bytes()),

@@ -22,7 +22,7 @@
 //! is a typed refusal, not a file-not-found surprise.
 
 use crate::dir::{fsync_dir, write_durable};
-use lre_artifact::{bundle_checksum, ArtifactError, ArtifactReader, ArtifactWriter};
+use lre_artifact::{bundle_checksum, copy_sealed, ArtifactError, ArtifactReader, ArtifactWriter};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -40,8 +40,8 @@ pub fn generation_name(generation: u64) -> String {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineageEntry {
     pub generation: u64,
-    /// CRC-32 of the sealed bundle bytes (the workspace-wide bundle
-    /// checksum).
+    /// The sealed bundle's CRC-32 trailer (the workspace-wide bundle
+    /// checksum, [`bundle_checksum`]).
     pub checksum: u32,
     /// Checksum of the bundle this one was boosted from. For the root
     /// entry this is whatever the bundle itself claims (typically 0).
@@ -210,7 +210,8 @@ impl LineageStore {
     }
 
     /// Load the pristine sealed bytes of `generation`, verifying the
-    /// stored checksum before handing them out.
+    /// container (magic, length, CRC) and that it is the one the entry
+    /// names (its length and checksum) before handing them out.
     pub fn load(&self, generation: u64) -> Result<Vec<u8>, LineageError> {
         let entry = self
             .entries
@@ -222,7 +223,8 @@ impl LineageStore {
         }
         let bytes =
             fs::read(self.path.join(generation_name(generation))).map_err(ArtifactError::Io)?;
-        if bundle_checksum(&bytes) != entry.checksum {
+        let id = copy_sealed(&bytes[..], std::io::sink())?;
+        if (id.len, id.crc) != (entry.bytes_len, entry.checksum) {
             return Err(ArtifactError::ChecksumMismatch.into());
         }
         Ok(bytes)
@@ -446,6 +448,38 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             store.load(0),
+            Err(LineageError::Artifact(ArtifactError::ChecksumMismatch))
+        ));
+        fs::remove_dir_all(&d).ok();
+    }
+
+    /// The chain's identity checks tell apart bundles one payload byte
+    /// apart: a parent pointer to the near twin of the root names no
+    /// earlier generation, and a retained file replaced by its own near
+    /// twin (a valid container) is refused at load.
+    #[test]
+    fn a_bundle_one_payload_byte_away_fails_each_identity_check() {
+        let d = tmpdir("twin");
+        let mut store = LineageStore::open(&d).unwrap();
+        let twin = |scores: &[f32]| {
+            let mut scores = scores.to_vec();
+            scores[0] = f32::from_bits(scores[0].to_bits() ^ 1);
+            scores
+        };
+        let (s0, s1) = ([1.0f32, 2.0], [3.0f32, 4.0]);
+        let (b0, b1) = (bundle(0, &s0), bundle(1, &s1));
+        let (b0_twin, b1_twin) = (bundle(0, &twin(&s0)), bundle(1, &twin(&s1)));
+        assert_ne!(bundle_checksum(&b0), bundle_checksum(&b0_twin));
+        store.record_root(&b0, 0).unwrap();
+        assert!(matches!(
+            store.append(&b1, 1, bundle_checksum(&b0_twin), 0),
+            Err(LineageError::BrokenChain(_))
+        ));
+        store.append(&b1, 1, bundle_checksum(&b0), 0).unwrap();
+        assert_eq!(store.head().unwrap().parent_checksum, bundle_checksum(&b0));
+        fs::write(d.join(generation_name(1)), &b1_twin).unwrap();
+        assert!(matches!(
+            store.load(1),
             Err(LineageError::Artifact(ArtifactError::ChecksumMismatch))
         ));
         fs::remove_dir_all(&d).ok();

@@ -76,11 +76,13 @@ proptest! {
         let dir = fresh_dir();
         let mut store = LineageStore::open(&dir).unwrap();
 
-        // Mirror of the truth: generation -> (sealed bytes, scores).
+        // Mirror of the truth: generation -> (sealed bytes, scores), and
+        // the generation each was boosted from.
         let root_scores = vec![0.25f32, -1.5];
         let root = bundle(0, &root_scores);
         store.record_root(&root, 0).unwrap();
         let mut truth: Vec<(Vec<u8>, Vec<f32>)> = vec![(root, root_scores)];
+        let mut parents: Vec<u64> = vec![0];
         let mut serving: u64 = 0;
 
         for op in &ops {
@@ -91,6 +93,7 @@ proptest! {
                     let parent_ck = bundle_checksum(&truth[serving as usize].0);
                     store.append(&sealed, next, parent_ck, scores.len() as u32).unwrap();
                     truth.push((sealed, scores.clone()));
+                    parents.push(serving);
                     serving = next;
                 }
                 Op::Rollback(pick) => {
@@ -124,11 +127,18 @@ proptest! {
                 prop_assert_eq!(w[1].generation, w[0].generation + 1, "chain not contiguous");
             }
             // Invariant 2: acyclic — every parent checksum names a
-            // strictly earlier generation.
+            // strictly earlier generation, and (checksums identify) exactly
+            // the one it was boosted from.
             for (i, e) in entries.iter().enumerate().skip(1) {
-                prop_assert!(
-                    entries[..i].iter().any(|p| p.checksum == e.parent_checksum),
-                    "generation {} has no earlier parent",
+                let named: Vec<u64> = entries[..i]
+                    .iter()
+                    .filter(|p| p.checksum == e.parent_checksum)
+                    .map(|p| p.generation)
+                    .collect();
+                prop_assert_eq!(
+                    named,
+                    vec![parents[e.generation as usize]],
+                    "generation {} names the wrong parent",
                     e.generation
                 );
             }
