@@ -24,28 +24,39 @@
 //! are flagged `unknown` — and, critically, are never teed into the vote
 //! log, so alien speech cannot steer adaptation.
 //!
+//! `--bundle` is read a section at a time, never held: a checking pass,
+//! then the decode the scorer is built from. The daemon keeps no bundle
+//! bytes. Every bundle it serves is a file of a chain that a cycle reads
+//! its parent from and splices its candidate into; a cycle that finds
+//! that file gone, damaged or replaced ends `failed` with a
+//! `bundle_failed` flight event, and serving goes on.
+//!
 //! `--wal-dir DIR` makes adaptation state durable: votes tee into a
 //! write-ahead log under `DIR/votes` (fsynced every
 //! `--wal-fsync-ms`, default 50; 0 = fsync inline on every append), and
-//! every served generation's pristine sealed bytes land in the lineage
-//! chain under `DIR/lineage` *before* the hot swap. On restart against
-//! the same `DIR` the daemon replays the vote window, resumes serving
-//! from the chain head (`--bundle` must still decode, but only roots a
-//! fresh chain), publishes the WAL and the chain on its `wal.*` and
-//! `lineage.*` series (`lre-client --wal-status`), and answers
-//! `--rollback-to GEN`. Every adaptation cycle lands in its `adapt.*`
-//! series.
+//! the chain is the lineage under `DIR/lineage`: `--bundle` is copied in
+//! as its root, and every promoted generation's pristine sealed file
+//! lands there *before* the hot swap. On restart against the same `DIR`
+//! the daemon replays the vote window, resumes serving from the chain
+//! head (`--bundle` must still decode, but only roots a fresh chain),
+//! publishes the WAL and the chain on its `wal.*` and `lineage.*` series
+//! (`lre-client --wal-status`), and answers `--rollback-to GEN`. Every
+//! adaptation cycle lands in its `adapt.*` series.
 //! `--keep-generations N` prunes all but the newest N generations' bytes
-//! after each promote (0 = keep everything). Without `--wal-dir` the vote
-//! window is a scratch WAL under `TMPDIR` (or `/tmp`), never replayed.
+//! after each promote (0 = keep everything), never the one serving nor
+//! the one a one-deep rollback restores. Without `--wal-dir` the vote
+//! window is a scratch WAL and the chain a scratch chain
+//! (`lre-bundles-<pid>-<n>`, holding what serves and what a rollback
+//! restores) under `TMPDIR` (or `/tmp`), never reopened.
 //!
 //! A graceful shutdown is `Server::join` (every connection answered and
 //! joined, the engine drained) followed by the ordinary drops at the end
 //! of `main`: the vote log's drop closes its WAL, whose drop fsyncs what
-//! is still unsynced, and removes a scratch window's directory.
+//! is still unsynced, and removes a scratch window's directory; the
+//! controller's drop removes a scratch chain's.
 
 use lre_adapt::{AdaptController, DrainPath, GuardArgs};
-use lre_artifact::bundle_checksum;
+use lre_artifact::SealedFile;
 use lre_dba::GuardFile;
 use lre_obs::install_panic_dump;
 use lre_serve::args::{or_die, Args, ServerArgs};
@@ -101,14 +112,17 @@ fn main() {
     let obs = ServeObs::new(DEFAULT_FLIGHT_CAPACITY);
     install_panic_dump(&obs.flight);
 
-    // The one decode of the served bundle: the scorer is built from its
-    // decoded half and the controller keeps its sealed half as the next
-    // round's parent. --bundle must decode even when a lineage head
-    // supersedes it.
-    let (mut bundle, mut sealed) = or_die(
-        SystemBundle::load_sealed(&bundle_path),
+    // The bundle is streamed, never held: the scorer is built from the
+    // decode, and the controller keeps the file's name and identity.
+    // --bundle must decode even when a lineage head supersedes it.
+    let (mut bundle, id) = or_die(
+        SystemBundle::load_streamed(&bundle_path),
         format!("loading {}", bundle_path.display()),
     );
+    let mut served = SealedFile {
+        path: bundle_path,
+        id,
+    };
     eprintln!(
         "[adaptd] bundle: scale={}, seed={}, {} subsystems, lineage generation {}",
         bundle.scale_name,
@@ -118,10 +132,10 @@ fn main() {
     );
 
     // Durable state recovery, before anything serves: if the lineage
-    // chain already has a head, its pristine bytes are the serving
-    // bundle — --bundle only roots a fresh chain, and both its halves are
-    // dropped before the head's bytes are read. The vote WAL replays the
-    // buffered adaptation window the previous process never drained.
+    // chain already has a head, its file is the serving bundle — --bundle
+    // only roots a fresh chain, and its decode is dropped before the
+    // head's is made. The vote WAL replays the buffered adaptation window
+    // the previous process never drained.
     let chain = server.wal_dir.as_ref().map(|dir| {
         or_die(
             LineageStore::open(&dir.join("lineage")),
@@ -131,13 +145,13 @@ fn main() {
     if let Some(store) = &chain {
         if let Some(head) = store.head().copied() {
             drop(bundle);
-            drop(sealed);
             let at_head = format!("lineage head {}", head.generation);
-            let bytes = or_die(store.load(head.generation), format!("loading {at_head}"));
-            (bundle, sealed) = or_die(
-                SystemBundle::decode_sealed(bytes),
+            let path = or_die(store.file(head.generation), format!("loading {at_head}")).path;
+            let (decoded, id) = or_die(
+                SystemBundle::load_streamed(&path),
                 format!("decoding {at_head}"),
             );
+            (bundle, served) = (decoded, SealedFile { path, id });
             eprintln!(
                 "[adaptd] resuming from lineage head: generation {} ({} chain entries, {} retained)",
                 head.generation,
@@ -151,7 +165,7 @@ fn main() {
     let log = Arc::new(log);
 
     let system = Arc::new(or_die(ScoringSystem::from_bundle(bundle), "invalid bundle"));
-    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(sealed.bytes())));
+    let handle = Arc::new(ScorerHandle::new(system, served.id.crc));
     // The controller adapts a fleet of one: the replica over the handle
     // and vote log this process serves from. It records its installs into
     // the same flight recorder as the controller's decisions.
@@ -165,7 +179,7 @@ fn main() {
         chain.map(|store| (store, keep_generations)),
         &obs.registry,
         guard,
-        sealed,
+        served,
         guard_args.adapt,
         Arc::clone(&obs.flight),
     );

@@ -23,23 +23,30 @@
 //!    slack is rejected — nothing staged, generations and live scores
 //!    untouched. A guard file that is gone, damaged or not the one
 //!    validated at start-up fails the cycle with no verdict.
-//! 5. **Promote**: seal the candidate bundle with its lineage (parent
-//!    checksum, generation, selection stats), append it to the lineage
-//!    chain when durable, and flip every replica with
-//!    [`two_phase_promote`]. Each replica keeps the model it displaced, so
-//!    [`AdaptController::rollback`] restores it bit-identically.
+//! 5. **Promote**: splice the candidate bundle from the parent's file
+//!    with the new VSMs and its lineage (parent checksum, generation,
+//!    selection stats), append it to the chain, and flip every replica
+//!    with [`two_phase_promote`]. Each replica keeps the model it
+//!    displaced, so [`AdaptController::rollback`] restores it
+//!    bit-identically.
+//!
+//! The controller holds no bundle bytes: every bundle it installs is a
+//! file of its chain — the durable lineage, or a private scratch chain
+//! when it has none — named by path and [`SealedId`]. A round streams its
+//! parent from that file a section at a time ([`BundleParent`]); a parent
+//! file that is no longer the container installed fails the cycle.
 //!
 //! The replicas are [`FleetControl`]s: `lre-adaptd` passes the one
 //! in-process [`lre_serve::FleetReplica`] it serves from, `lre-router` its
 //! TCP `Backend`s. The controller never touches a serving handle itself.
 
-use lre_artifact::{bundle_checksum, ArtifactError, ArtifactRead, ArtifactWrite};
+use lre_artifact::{ArtifactError, SealedFile};
 use lre_corpus::Duration;
 use lre_dba::{build_tr_dba, dba_round_selection, vote_matrix, DbaVariant, GuardFile, GuardReport};
 use lre_eval::ScoreMatrix;
 use lre_obs::{
-    Counter, FlightRecorder, Histogram, Registry, Sketch, EV_GUARD_ACCEPT, EV_GUARD_FAILED,
-    EV_GUARD_REJECT, EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
+    Counter, FlightRecorder, Histogram, Registry, Sketch, EV_BUNDLE_FAILED, EV_GUARD_ACCEPT,
+    EV_GUARD_FAILED, EV_GUARD_REJECT, EV_PROMOTE, EV_ROLLBACK, EV_WAL_GC,
 };
 use lre_serve::args::Args;
 use lre_serve::protocol::{
@@ -47,13 +54,13 @@ use lre_serve::protocol::{
     STATUS_UNSUPPORTED,
 };
 use lre_serve::{
-    AdaptControl, AdaptReport, FleetControl, SealedBundle, SystemBundle, VoteRecord, ADAPT_FAILED,
-    ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
+    AdaptControl, AdaptReport, BundleParent, FleetControl, Lineage, SystemBundle, VoteRecord,
+    ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED, ADAPT_REJECTED_GUARD,
 };
 use lre_svm::OneVsRest;
 use lre_wal::{LineageError, LineageStore};
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -130,15 +137,12 @@ impl GuardVerdict {
     }
 }
 
-/// A guard-approved candidate from one boosting round: the sealed bundle
-/// ready to stage, plus the round's selection stats.
+/// A guard-approved candidate from one boosting round: the sealed bundle's
+/// file, ready to stage, plus the round's selection stats.
 pub struct CandidateBundle {
-    /// Sealed bundle bytes, lineage already stamped
-    /// (`parent lineage generation + 1`, parent checksum, selection
-    /// stats).
-    pub bytes: Vec<u8>,
-    /// `bundle_checksum(&bytes)`.
-    pub checksum: u32,
+    /// The sealed bundle, lineage already stamped (generation, parent
+    /// checksum, selection stats), and its identity.
+    pub file: SealedFile,
     /// Lineage generation stamped into the candidate.
     pub lineage_generation: u64,
     /// Utterances the Eq. 13 vote selected.
@@ -167,10 +171,14 @@ pub enum RoundOutcome {
 /// Why a boosting round ended without an outcome.
 #[derive(Debug)]
 pub enum RoundError {
-    /// The parent bundle or the drained records would not decode.
+    /// The drained records would not decode, or do not fit the bundle.
     Artifact(ArtifactError),
     /// The guard file could not be read back as it was validated.
     Guard(ArtifactError),
+    /// The parent bundle's file could not be read back as the container
+    /// it was installed as (gone, damaged or replaced), or the candidate
+    /// could not be spliced from it.
+    Parent(ArtifactError),
 }
 
 impl From<ArtifactError> for RoundError {
@@ -184,39 +192,42 @@ impl From<ArtifactError> for RoundError {
 /// [`AdaptController::run_cycle`] runs over the merged pool, and the one
 /// `tests/online_adaptation.rs` holds to offline `run_dba`.
 ///
-/// `parent_bytes` is the sealed bundle currently serving; the candidate's
-/// lineage is stamped `parent + 1` and with the parent's checksum.
-/// The round consumes `records`: their supervectors move into the pool
-/// instead of being copied, so the drained records keep no second copy.
-/// Each subsystem's training set still clones the selected ones of that
-/// subsystem while it trains.
+/// `parent` is the file of the sealed bundle currently serving, read a
+/// section at a time; a guard-approved candidate is written to a new file
+/// at `out`, its lineage stamped `parent + 1` and with the parent's
+/// checksum. The round consumes `records`: their supervectors move into
+/// the pool instead of being copied, so the drained records keep no
+/// second copy. Each subsystem's training set still clones the selected
+/// ones of that subsystem while it trains.
 pub fn boost_round(
-    parent_bytes: &[u8],
+    parent: &SealedFile,
     records: Vec<VoteRecord>,
     guard: &GuardFile,
     cfg: &AdaptConfig,
+    out: &Path,
 ) -> Result<RoundOutcome, RoundError> {
     let pool = DurationPool::build(records, guard.num_subsystems())?;
-    boost_pool(parent_bytes, pool, guard, cfg, None)
+    boost_pool(parent, pool, guard, cfg, None, out)
 }
 
 /// [`boost_round`] over records already regrouped into a pool. The
 /// candidate is stamped lineage generation `generation`, or `parent + 1`
 /// when `None`.
 fn boost_pool(
-    parent_bytes: &[u8],
+    parent: &SealedFile,
     pool: DurationPool,
     guard: &GuardFile,
     cfg: &AdaptConfig,
     generation: Option<u64>,
+    out: &Path,
 ) -> Result<RoundOutcome, RoundError> {
     let drained = pool.len as u32;
-    let mut bundle = SystemBundle::from_artifact_bytes(parent_bytes)?;
-    if bundle.subsystems.len() != guard.num_subsystems() {
+    let parent = BundleParent::read(parent.clone()).map_err(RoundError::Parent)?;
+    let num_subsystems = parent.vsms().len();
+    if num_subsystems != guard.num_subsystems() {
         return Err(ArtifactError::Corrupt("guard/bundle subsystem counts").into());
     }
 
-    let num_subsystems = bundle.subsystems.len();
     let sel = dba_round_selection(&pool.score_refs(), cfg.v_threshold);
     let selected = sel.num_selected() as u32;
     if selected == 0 {
@@ -226,37 +237,30 @@ fn boost_pool(
     // Retrain every subsystem's VSM on the pseudo-labelled pool (M1:
     // served utterances only — online adaptation has no original train
     // set at hand), with the recipe frozen in the bundle.
-    let num_classes = bundle
-        .fusions
+    let num_classes = parent
+        .fusions()
         .first()
         .ok_or(ArtifactError::Corrupt("bundle has no fusion backends"))?
         .num_classes();
     let cand_vsms: Vec<OneVsRest> = (0..num_subsystems)
         .map(|q| {
             let (xs, labels) = build_tr_dba(DbaVariant::M1, &sel.selected, &pool.svs[q], &[], &[]);
-            OneVsRest::train(
-                &xs,
-                &labels,
-                num_classes,
-                bundle.subsystems[q].builder.dim(),
-                &bundle.svm,
-            )
+            OneVsRest::train(&xs, &labels, num_classes, parent.dim(q), parent.svm())
         })
         .collect();
 
     // The eval guard: candidate vs parent on the held-back trial set, both
     // scored in one pass over the file.
-    let parent_vsms = bundle.subsystems.iter().map(|s| &s.vsm).collect();
     let scores = guard
-        .score(&[parent_vsms, cand_vsms.iter().collect()])
+        .score(&[parent.vsms(), cand_vsms.iter().collect()])
         .map_err(RoundError::Guard)?;
     let verdict = GuardVerdict {
-        parent: scores.report(0, &bundle.fusions),
-        candidate: scores.report(1, &bundle.fusions),
+        parent: scores.report(0, parent.fusions()),
+        candidate: scores.report(1, parent.fusions()),
     };
-    let (parent, cand) = (verdict.parent, verdict.candidate);
-    let regressed = cand.eer > parent.eer + cfg.max_eer_regress
-        || cand.min_cavg > parent.min_cavg + cfg.max_cavg_regress;
+    let (was, cand) = (verdict.parent, verdict.candidate);
+    let regressed = cand.eer > was.eer + cfg.max_eer_regress
+        || cand.min_cavg > was.min_cavg + cfg.max_cavg_regress;
     if regressed {
         return Ok(RoundOutcome::RejectedGuard {
             selected,
@@ -265,22 +269,21 @@ fn boost_pool(
         });
     }
 
-    // Seal the candidate with its lineage.
-    let lineage_generation = generation.unwrap_or(bundle.lineage.generation + 1);
-    for (sub, vsm) in bundle.subsystems.iter_mut().zip(cand_vsms) {
-        sub.vsm = vsm;
-    }
-    bundle.lineage = lre_serve::Lineage {
+    // Splice the candidate from the parent's file: its sections with the
+    // new VSMs, and its lineage.
+    let lineage_generation = generation.unwrap_or(parent.lineage().generation + 1);
+    let lineage = Lineage {
         generation: lineage_generation,
-        parent_checksum: bundle_checksum(parent_bytes),
+        parent_checksum: parent.file().id.crc,
         selected_utts: selected,
         v_threshold: cfg.v_threshold,
     };
-    let bytes = bundle.to_artifact_bytes();
-    let checksum = bundle_checksum(&bytes);
+    let id = (parent.splice(&cand_vsms, lineage, out)).map_err(RoundError::Parent)?;
     Ok(RoundOutcome::Candidate(CandidateBundle {
-        bytes,
-        checksum,
+        file: SealedFile {
+            path: out.to_path_buf(),
+            id,
+        },
         lineage_generation,
         selected,
         drained,
@@ -289,39 +292,50 @@ fn boost_pool(
 }
 
 struct CtlState {
-    /// Sealed bytes of the bundle the replicas serve: the next round's
-    /// parent.
-    current: Arc<Vec<u8>>,
+    /// The file of the bundle the replicas serve, in the chain: the next
+    /// round's parent.
+    current: SealedFile,
     /// The bundle the last install displaced, for one-deep rollback (each
-    /// replica holds its scorer).
-    previous: Option<Arc<Vec<u8>>>,
+    /// replica holds its scorer; this is the parent a round trains from
+    /// after that rollback).
+    previous: Option<SealedFile>,
 }
 
 impl CtlState {
-    /// Flip `fleet` to `bytes` — the one install path, a promote's and a
-    /// deep rollback's. The bytes become the next round's parent, and the
-    /// bundle they displace is what a one-deep rollback restores.
-    fn install(
-        &mut self,
-        fleet: &[Arc<dyn FleetControl>],
-        bytes: Vec<u8>,
-        checksum: u32,
-    ) -> Option<u64> {
-        let generation = two_phase_promote(fleet, &bytes, checksum)?;
-        self.previous = Some(std::mem::replace(&mut self.current, Arc::new(bytes)));
+    /// Flip `fleet` to the bundle in `file` — the one install path, a
+    /// promote's and a deep rollback's. The file is read whole for the
+    /// stage (refused unless it is the container `file` names) and let go;
+    /// it becomes the next round's parent, and the bundle it displaces is
+    /// what a one-deep rollback restores.
+    fn install(&mut self, fleet: &[Arc<dyn FleetControl>], file: SealedFile) -> Option<u64> {
+        let sealed = file.read().ok()?;
+        let generation = two_phase_promote(fleet, &sealed, file.id.crc)?;
+        self.previous = Some(std::mem::replace(&mut self.current, file));
         Some(generation)
+    }
+
+    /// The checksums of the bundles the controller names: GC keeps them.
+    fn pinned(&self) -> Vec<u32> {
+        let previous = self.previous.iter().map(|p| p.id.crc);
+        std::iter::once(self.current.id.crc)
+            .chain(previous)
+            .collect()
     }
 }
 
-/// The generation-lineage chain of a durable controller and its retention
-/// policy.
-struct CtlLineage {
+/// The chain every bundle the controller installs is a file of — a
+/// durable lineage, or a scratch chain — and its retention policy.
+struct CtlChain {
     /// Locked by promotes and deep rollbacks (under the controller's state
     /// mutex, after any retrain) and by the `lineage.*` readers.
     store: Arc<Mutex<LineageStore>>,
     /// Retained generations after each promote's GC; 0 = unlimited.
     keep_generations: usize,
 }
+
+/// Where a cycle writes its candidate, in the chain's directory; the
+/// promote copies it into the chain and every cycle removes it.
+const CANDIDATE_FILE: &str = "candidate.bndl";
 
 /// Lineage failures surfaced through the cycle's artifact-error channel.
 fn lineage_err(e: LineageError) -> ArtifactError {
@@ -391,10 +405,10 @@ impl CycleObs {
 }
 
 /// The adaptation coordinator: runs the cycle over a set of replicas and
-/// keeps the parent bundle the next round trains from.
+/// names the parent bundle the next round trains from.
 pub struct AdaptController {
     replicas: Vec<Arc<dyn FleetControl>>,
-    lineage: Option<CtlLineage>,
+    chain: CtlChain,
     /// Read by every cycle, never held.
     guard: GuardFile,
     cfg: AdaptConfig,
@@ -412,22 +426,27 @@ impl AdaptController {
     /// Wire a coordinator to the replicas it adapts (an unhealthy one sits
     /// a cycle out), the held-back guard set's file as validated at
     /// start-up (every cycle reads it again, so it must stay in place
-    /// while the controller runs), and the bundle every replica
-    /// serves, sealed as [`SystemBundle::decode_sealed`] proved it (a guard
-    /// whose subsystem count disagrees with it is refused here). The
-    /// controller keeps those bytes as the next round's parent and decodes
-    /// nothing itself.
+    /// while the controller runs), and the file of the bundle every
+    /// replica serves with the identity its loader proved. A guard whose
+    /// subsystem count disagrees with the bundle is refused here. The
+    /// controller reads the bundle's lineage and keeps only file names and
+    /// identities: no bundle bytes, decoded or sealed.
     ///
-    /// With `lineage` — the chain and how many generations to retain — the
+    /// Every bundle the controller installs is a file of a chain. With
+    /// `lineage` — the chain and how many generations to retain — the
     /// controller is durable: every promoted generation is sealed into the
     /// chain *before* any replica stages it, so
     /// [`AdaptControl::rollback_to`] can restore any retained generation
     /// bit-identically, and the chain is read into the `lineage.head` /
     /// `.entries` / `.retained` / `.bytes` gauges of `registry`. An empty
-    /// chain is rooted with `bundle`; otherwise the serving bundle must be
-    /// the chain head (start from [`LineageStore::head`]'s bytes after a
-    /// restart). After each promote the oldest generations beyond the
-    /// newest `keep_generations` are pruned (0 = keep everything).
+    /// chain is rooted with a copy of `bundle`; otherwise the serving
+    /// bundle must be the chain head (start from [`LineageStore::file`] of
+    /// the head after a restart). After each promote the oldest
+    /// generations beyond the newest `keep_generations` are pruned (0 =
+    /// keep everything), never the one serving nor the one a one-deep
+    /// rollback restores. Without `lineage` the chain is a
+    /// [`LineageStore::scratch`] one, removed with the controller, that
+    /// keeps only those two.
     ///
     /// Every cycle's outcome, counts, time, guard readings and winning
     /// vote counts are recorded into `adapt.*` series of `registry`; guard
@@ -437,49 +456,52 @@ impl AdaptController {
         lineage: Option<(LineageStore, usize)>,
         registry: &Registry,
         guard: GuardFile,
-        bundle: SealedBundle,
+        bundle: SealedFile,
         cfg: AdaptConfig,
         flight: Arc<FlightRecorder>,
     ) -> Result<AdaptController, ArtifactError> {
-        if bundle.subsystems() != guard.num_subsystems() {
+        let (root, subsystems) = SystemBundle::read_lineage(&bundle)?;
+        if subsystems != guard.num_subsystems() {
             return Err(ArtifactError::Corrupt("guard/bundle subsystem counts"));
         }
-        let lineage = lineage
-            .map(|(mut store, keep_generations)| {
-                match store.head() {
-                    None => store
-                        .record_root(bundle.bytes(), bundle.generation())
-                        .map_err(lineage_err)?,
-                    Some(head) if head.checksum != bundle_checksum(bundle.bytes()) => {
-                        return Err(ArtifactError::Corrupt(
-                            "serving bundle is not the lineage chain head",
-                        ));
-                    }
-                    Some(_) => {}
-                }
-                // The chain summary is read from the store at every snapshot.
-                let store = Arc::new(Mutex::new(store));
-                let bind = |name, read: fn(&LineageStore) -> u64| {
-                    let store = Arc::clone(&store);
-                    registry.gauge_fn(name, move || read(&store.lock().expect("lineage poisoned")));
-                };
-                bind("lineage.head", |s| s.head().map_or(0, |e| e.generation));
-                bind("lineage.entries", |s| s.entries().len() as u64);
-                bind("lineage.retained", |s| s.retained() as u64);
-                bind("lineage.bytes", LineageStore::retained_bytes);
-                Ok(CtlLineage {
-                    store,
-                    keep_generations,
-                })
-            })
-            .transpose()?;
+        let durable = lineage.is_some();
+        let (mut store, keep_generations) = match lineage {
+            Some(lineage) => lineage,
+            None => (LineageStore::scratch().map_err(lineage_err)?, 1),
+        };
+        if store.head().is_none() {
+            (store.record_root(&bundle.path, root.generation)).map_err(lineage_err)?;
+        }
+        let head = *store.head().expect("the chain is rooted");
+        if (head.bytes_len, head.checksum) != (bundle.id.len, bundle.id.crc) {
+            return Err(ArtifactError::Corrupt(
+                "serving bundle is not the lineage chain head",
+            ));
+        }
+        let current = store.file(head.generation).map_err(lineage_err)?;
+        // A durable chain's summary is read from the store at every
+        // snapshot; a scratch chain publishes nothing.
+        let store = Arc::new(Mutex::new(store));
+        if durable {
+            let bind = |name, read: fn(&LineageStore) -> u64| {
+                let store = Arc::clone(&store);
+                registry.gauge_fn(name, move || read(&store.lock().expect("lineage poisoned")));
+            };
+            bind("lineage.head", |s| s.head().map_or(0, |e| e.generation));
+            bind("lineage.entries", |s| s.entries().len() as u64);
+            bind("lineage.retained", |s| s.retained() as u64);
+            bind("lineage.bytes", LineageStore::retained_bytes);
+        }
         Ok(AdaptController {
             replicas,
-            lineage,
+            chain: CtlChain {
+                store,
+                keep_generations,
+            },
             guard,
             cfg,
             state: Mutex::new(CtlState {
-                current: Arc::new(bundle.into_bytes()),
+                current,
                 previous: None,
             }),
             flight,
@@ -487,50 +509,60 @@ impl AdaptController {
         })
     }
 
-    /// Sealed bytes of the bundle the replicas serve (what a rollback of
-    /// the *next* promotion would restore).
-    pub fn current_bundle_bytes(&self) -> Arc<Vec<u8>> {
-        Arc::clone(&self.state.lock().expect("adapt state poisoned").current)
+    /// The file of the bundle the replicas serve (what a rollback of the
+    /// *next* promotion would restore).
+    pub fn current_file(&self) -> SealedFile {
+        self.state
+            .lock()
+            .expect("adapt state poisoned")
+            .current
+            .clone()
     }
 
-    /// The lineage generation the next candidate is stamped with: the
-    /// chain head's successor. Generations are contiguous serve events,
-    /// so after a deep rollback moved serving off the head the candidate
-    /// still extends the head (its parent pointer names the rolled-back
-    /// generation). `None` without a lineage: `parent + 1`.
-    fn next_generation(&self) -> Option<u64> {
-        let l = self.lineage.as_ref()?;
-        let store = l.store.lock().expect("lineage store poisoned");
-        store.head().map(|head| head.generation + 1)
+    fn store(&self) -> std::sync::MutexGuard<'_, LineageStore> {
+        self.chain.store.lock().expect("lineage store poisoned")
     }
 
-    /// Make a promote durable before it is visible (a no-op without a
-    /// lineage). The append lands on disk before any replica stages, so a
-    /// bundle is never served that the chain cannot restore.
-    fn seal(&self, candidate: &CandidateBundle, parent: &[u8]) -> Result<(), ArtifactError> {
-        let Some(l) = &self.lineage else {
-            return Ok(());
-        };
-        let mut lineage = l.store.lock().expect("lineage store poisoned");
-        lineage
-            .append(
-                &candidate.bytes,
-                candidate.lineage_generation,
-                bundle_checksum(parent),
-                candidate.selected,
-            )
-            .map_err(lineage_err)?;
-        if l.keep_generations > 0 {
-            match lineage.gc(l.keep_generations) {
-                Ok((pruned, reclaimed)) if pruned > 0 => {
-                    self.flight
-                        .record(EV_WAL_GC, "lineage gc", pruned, reclaimed, 0.0, 0.0)
-                }
-                // A failed GC only leaves more generations on disk.
-                _ => {}
-            }
+    /// Make a promote durable before it is visible: the candidate is
+    /// copied into the chain as the head's successor (generations are
+    /// contiguous serve events, so after a deep rollback moved serving off
+    /// the head the candidate still extends the head; its parent pointer
+    /// names the rolled-back generation). The copy lands on disk before
+    /// any replica stages, so a bundle is never served that the chain
+    /// cannot restore. Returns the chain's file of it.
+    fn seal(
+        &self,
+        candidate: &CandidateBundle,
+        parent: &SealedFile,
+    ) -> Result<SealedFile, ArtifactError> {
+        let mut store = self.store();
+        let generation = candidate.lineage_generation;
+        (store.append(
+            &candidate.file.path,
+            generation,
+            parent.id.crc,
+            candidate.selected,
+        ))
+        .map_err(lineage_err)?;
+        let file = store.file(generation).map_err(lineage_err)?;
+        candidate.file.check(file.id)?;
+        Ok(file)
+    }
+
+    /// Prune the chain down to its budget, keeping what `state` names.
+    fn gc(&self, state: &CtlState) {
+        if self.chain.keep_generations == 0 {
+            return;
         }
-        Ok(())
+        let mut store = self.store();
+        match store.gc(self.chain.keep_generations, &state.pinned()) {
+            Ok((pruned, reclaimed)) if pruned > 0 && !store.is_scratch() => {
+                self.flight
+                    .record(EV_WAL_GC, "lineage gc", pruned, reclaimed, 0.0, 0.0)
+            }
+            // A failed GC only leaves more generations on disk.
+            _ => {}
+        }
     }
 
     fn healthy(&self) -> Vec<Arc<dyn FleetControl>> {
@@ -542,8 +574,8 @@ impl AdaptController {
     }
 
     /// Run one adaptation cycle synchronously: peek → drain → merge →
-    /// boost → guard → lineage (when durable) → two-phase promote. Never
-    /// panics on bad data — internal failures come back as `ADAPT_FAILED`
+    /// boost → guard → splice → chain → two-phase promote. Never panics
+    /// on bad data — internal failures come back as `ADAPT_FAILED`
     /// reports. Every report's `generation` is the lowest the healthy
     /// replicas serve when the cycle ends; `drained` counts the records
     /// handed to the round after digest dedup (0 below the floor).
@@ -594,17 +626,30 @@ impl AdaptController {
             return ended(ADAPT_INSUFFICIENT_DATA, 0);
         }
 
+        let (out, generation) = {
+            let store = self.store();
+            let head = store.head().expect("the chain is rooted").generation;
+            (store.dir().join(CANDIDATE_FILE), head + 1)
+        };
         let round = DurationPool::build(records, self.guard.num_subsystems())
             .map_err(RoundError::from)
             .and_then(|pool| {
                 for votes in pool.winning_votes() {
                     self.obs.winning_votes.record(u64::from(votes));
                 }
-                let generation = self.next_generation();
-                boost_pool(&state.current, pool, &self.guard, &self.cfg, generation)
+                boost_pool(
+                    &state.current,
+                    pool,
+                    &self.guard,
+                    &self.cfg,
+                    Some(generation),
+                    &out,
+                )
             });
-        let candidate = match round.map(|round| self.judge(round, floor())) {
-            Ok(Ok(candidate)) => candidate,
+        let sealed = match round.map(|round| self.judge(round, floor())) {
+            Ok(Ok(candidate)) => self
+                .seal(&candidate, &state.current)
+                .map(|file| (candidate, file)),
             Ok(Err(report)) => return report,
             Err(RoundError::Guard(e)) => {
                 let detail = format!("{}: {e}", self.guard.path().display());
@@ -612,18 +657,28 @@ impl AdaptController {
                     .record(EV_GUARD_FAILED, &detail, u64::from(drained), 0, 0.0, 0.0);
                 return ended(ADAPT_FAILED, drained);
             }
+            Err(RoundError::Parent(e)) => {
+                let detail = format!("{}: {e}", state.current.path.display());
+                self.flight
+                    .record(EV_BUNDLE_FAILED, &detail, u64::from(drained), 0, 0.0, 0.0);
+                let _ = std::fs::remove_file(&out);
+                return ended(ADAPT_FAILED, drained);
+            }
             Err(RoundError::Artifact(_)) => return ended(ADAPT_FAILED, drained),
         };
-        let promoted = (self.seal(&candidate, &state.current).ok())
-            .and_then(|()| state.install(&fleet, candidate.bytes, candidate.checksum));
-        let Some(generation) = promoted else {
+        let _ = std::fs::remove_file(&out);
+        let promoted = sealed
+            .ok()
+            .and_then(|(candidate, file)| Some((state.install(&fleet, file)?, candidate)));
+        self.gc(state);
+        let Some((generation, candidate)) = promoted else {
             return ended(ADAPT_FAILED, drained);
         };
         self.flight.record(
             EV_PROMOTE,
             "adapt promote",
             generation,
-            u64::from(candidate.checksum),
+            u64::from(candidate.file.id.crc),
             candidate.guard.eer_delta(),
             candidate.guard.cavg_delta(),
         );
@@ -699,29 +754,30 @@ impl AdaptControl for AdaptController {
         self.run_cycle()
     }
 
-    /// Deep rollback: load generation `generation`'s pristine sealed bytes
-    /// from the lineage chain and stage + commit them on every healthy
-    /// replica under a fresh (still monotonic) serving generation — scores
-    /// return `f32::to_bits`-identical to when that generation first
-    /// served. It is an install like a promote, so a one-deep
+    /// Deep rollback: stage + commit generation `generation`'s pristine
+    /// sealed file from the lineage chain on every healthy replica under a
+    /// fresh (still monotonic) serving generation — scores return
+    /// `f32::to_bits`-identical to when that generation first served. It
+    /// is an install like a promote, so a one-deep
     /// [`AdaptController::rollback`] undoes it. Unknown or pruned
     /// generations are refused with `STATUS_CONFLICT`, and every
-    /// generation `STATUS_UNSUPPORTED` by a controller without a lineage.
+    /// generation `STATUS_UNSUPPORTED` by a controller without a durable
+    /// lineage.
     fn rollback_to(&self, generation: u64) -> Result<RollbackToAck, u8> {
-        let Some(l) = &self.lineage else {
-            return Err(STATUS_UNSUPPORTED);
-        };
         let state = &mut *self.state.lock().expect("adapt state poisoned");
-        let bytes = {
-            let lineage = l.store.lock().expect("lineage store poisoned");
-            lineage.load(generation).map_err(|e| match e {
+        let file = {
+            let store = self.store();
+            if store.is_scratch() {
+                return Err(STATUS_UNSUPPORTED);
+            }
+            store.file(generation).map_err(|e| match e {
                 LineageError::UnknownGeneration(_) | LineageError::Pruned(_) => STATUS_CONFLICT,
                 LineageError::Artifact(_) | LineageError::BrokenChain(_) => STATUS_INTERNAL,
             })?
         };
-        let checksum = bundle_checksum(&bytes);
+        let checksum = file.id.crc;
         let serving = state
-            .install(&self.healthy(), bytes, checksum)
+            .install(&self.healthy(), file)
             .ok_or(STATUS_INTERNAL)?;
         self.flight.record(
             EV_ROLLBACK,

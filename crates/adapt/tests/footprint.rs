@@ -1,16 +1,17 @@
 //! What `lre-adaptd` holds once it serves, read from Linux `/proc` right
 //! after start-up and held to the sizes of the files it loaded.
 //!
-//! The daemon keeps the decoded model and the sealed parent bytes its next
-//! round trains from; the guard set is validated at start-up and read
-//! from its file by every cycle, never held. Two bounds hold that:
+//! The daemon keeps the decoded model and nothing else of its files: the
+//! bundle is streamed into the decode, the parent its next round trains
+//! from is a file of its chain, and the guard set is validated at start-up
+//! and read from its file by every cycle. Two bounds hold that:
 //!
 //! - `VmHWM − VmRSS ≤ 1 MiB`: start-up left no transient above what stays
 //!   resident. A second decode of the bundle, or a file buffer held beside
 //!   its own decoded copy, shows here: glibc keeps the freed heap resident,
 //!   so the high-water mark is what the process costs from then on.
-//! - `RssAnon ≤ 2 × bundle file + 1 MiB`: the model and the kept parent,
-//!   and nothing else.
+//! - `RssAnon ≤ bundle file + 1 MiB`: the model, and no sealed copy of
+//!   the bundle beside it.
 //!
 //! The second case restarts on a lineage head with an undecodable
 //! `--bundle`, which is still refused, and then resumes from the head with
@@ -130,7 +131,7 @@ fn status_bytes(status: &str, field: &str) -> u64 {
 
 #[test]
 #[ignore = "builds the smoke experiment and spawns lre-adaptd; run with --release -- --ignored"]
-fn adaptd_holds_model_and_parent_and_no_startup_transient() {
+fn adaptd_holds_the_model_and_no_bundle_bytes_and_no_startup_transient() {
     let dir = workdir("startup");
     let (bundle, guard) = (dir.join("smoke.bundle"), dir.join("smoke.guard"));
     let daemon = adaptd(&bundle, &guard, &dir.join("wal")).expect("lre-adaptd serves");
@@ -139,9 +140,9 @@ fn adaptd_holds_model_and_parent_and_no_startup_transient() {
     let [hwm, rss, anon] = ["VmHWM:", "VmRSS:", "RssAnon:"].map(|f| status_bytes(&status, f));
     let fx = fixture();
     let bundle_len = fx.bundle.len() as u64;
-    let held = 2 * bundle_len + MIB;
+    let held = bundle_len + MIB;
     eprintln!(
-        "VmHWM {} kB, VmRSS {} kB, gap {} kB; RssAnon {} kB against 2 x {} + 1024 = {} kB",
+        "VmHWM {} kB, VmRSS {} kB, gap {} kB; RssAnon {} kB against {} + 1024 = {} kB",
         hwm / KIB,
         rss / KIB,
         hwm.saturating_sub(rss) / KIB,
@@ -158,7 +159,7 @@ fn adaptd_holds_model_and_parent_and_no_startup_transient() {
     );
     assert!(
         anon <= held,
-        "anonymous RSS {} kB exceeds model + parent ({} kB)",
+        "anonymous RSS {} kB exceeds the model ({} kB)",
         anon / KIB,
         held / KIB
     );
@@ -167,7 +168,6 @@ fn adaptd_holds_model_and_parent_and_no_startup_transient() {
 #[test]
 #[ignore = "builds the smoke experiment and spawns lre-adaptd; run with --release -- --ignored"]
 fn resume_from_a_lineage_head_still_refuses_an_undecodable_bundle() {
-    let fx = fixture();
     let dir = workdir("resume");
     let (bundle, guard, wal) = (
         dir.join("smoke.bundle"),
@@ -178,7 +178,7 @@ fn resume_from_a_lineage_head_still_refuses_an_undecodable_bundle() {
     std::fs::write(&garbage, b"not a sealed bundle").expect("garbage written");
     let lineage = wal.join("lineage");
     let mut chain = LineageStore::open(&lineage).expect("lineage opens");
-    chain.record_root(&fx.bundle, 0).expect("chain roots");
+    chain.record_root(&bundle, 0).expect("chain roots");
     drop(chain);
 
     let refused = match adaptd(&garbage, &guard, &wal) {

@@ -25,15 +25,17 @@
 //! ```
 
 use lre_adapt::{boost_round, AdaptConfig, AdaptController, DrainPath, RoundOutcome, VoteLog};
-use lre_artifact::{bundle_checksum, ArtifactError, ArtifactRead, ArtifactWrite};
+use lre_artifact::{
+    bundle_checksum, check_stream, ArtifactError, ArtifactRead, ArtifactWrite, SealedFile,
+};
 use lre_corpus::{render_utterance, Duration, Scale};
 use lre_dba::dba::baseline_votes;
 use lre_dba::{run_dba, DbaVariant, Experiment, ExperimentConfig, GuardFile, GuardSet};
 use lre_eval::ScoreMatrix;
 use lre_lattice::DecodeScratch;
 use lre_obs::{
-    FlightRecorder, MetricValue, Registry, EV_GUARD_ACCEPT, EV_GUARD_FAILED, EV_GUARD_REJECT,
-    EV_PROMOTE, EV_SWAP,
+    FlightRecorder, MetricValue, Registry, EV_BUNDLE_FAILED, EV_GUARD_ACCEPT, EV_GUARD_FAILED,
+    EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP,
 };
 use lre_serve::client::ScoreReply;
 use lre_serve::protocol::{
@@ -41,8 +43,8 @@ use lre_serve::protocol::{
 };
 use lre_serve::{
     vote_wal_options, AdaptReport, Client, EngineConfig, FleetControl, FleetReplica, ScoreDetail,
-    ScoreTap, Scorer, ScorerHandle, ScoringSystem, SealedBundle, Server, ServerConfig, ServerHooks,
-    SystemBundle, VoteRecord, WalStatusInfo, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED,
+    ScoreTap, Scorer, ScorerHandle, ScoringSystem, Server, ServerConfig, ServerHooks, SystemBundle,
+    VoteRecord, WalStatusInfo, ADAPT_FAILED, ADAPT_INSUFFICIENT_DATA, ADAPT_PROMOTED,
     ADAPT_REJECTED_GUARD,
 };
 use lre_wal::LineageStore;
@@ -62,6 +64,8 @@ struct Fixture {
     /// `[duration][utt]` raw waveforms, exactly as a client holds them.
     waves: Vec<Vec<Vec<f32>>>,
     bytes: Vec<u8>,
+    /// `bytes` in a file, as `lre-adaptd` is handed `--bundle`.
+    bundle_path: PathBuf,
     guard: GuardSet,
     /// `guard`, sealed into a file every controller reads.
     guard_path: PathBuf,
@@ -121,6 +125,8 @@ fn fixture() -> &'static Fixture {
             .collect();
 
         let bytes = SystemBundle::from_experiment(exp).to_artifact_bytes();
+        let bundle_path = scratch_path("fixture.bundle");
+        std::fs::write(&bundle_path, &bytes).expect("bundle written");
         // Fuse both references through the *bundle's* backends — the exact
         // objects serving applies after the hot swap.
         let bundle = SystemBundle::from_artifact_bytes(&bytes).expect("bundle reloads");
@@ -139,6 +145,7 @@ fn fixture() -> &'static Fixture {
             expected_adapted: fuse_all(&adapted),
             waves,
             bytes,
+            bundle_path,
             guard,
             guard_path,
             offline_selected,
@@ -169,10 +176,15 @@ fn server_config() -> ServerConfig {
     }
 }
 
+/// A file of this test process under Cargo's scratch directory.
+fn scratch_path(name: &str) -> PathBuf {
+    let name = format!("online_adaptation_{}_{name}", std::process::id());
+    Path::new(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
 /// A guard file of this test process under Cargo's scratch directory.
 fn guard_file_path(tag: &str) -> PathBuf {
-    let name = format!("online_adaptation_{}_{tag}.guard", std::process::id());
-    Path::new(env!("CARGO_TARGET_TMPDIR")).join(name)
+    scratch_path(&format!("{tag}.guard"))
 }
 
 /// The fixture's guard file, validated as `lre-adaptd` validates `--guard`.
@@ -180,27 +192,47 @@ fn guard(fx: &Fixture) -> GuardFile {
     GuardFile::open(&fx.guard_path).expect("guard validates")
 }
 
-/// `bytes` as the one decode a controller's parent comes from.
-fn sealed(bytes: &[u8]) -> SealedBundle {
-    SystemBundle::decode_sealed(bytes.to_vec())
-        .expect("bundle reloads")
-        .1
+/// `bytes` (a sealed bundle) one payload byte away: the seed's low byte
+/// flipped, resealed. A valid bundle of the same length, another identity.
+fn twin(bytes: &[u8]) -> Vec<u8> {
+    let (kind, version) = (SystemBundle::KIND, SystemBundle::VERSION);
+    let mut payload = lre_artifact::open(bytes, kind, version)
+        .expect("bundle opens")
+        .to_vec();
+    payload[0] ^= 1;
+    lre_artifact::seal(kind, version, &payload)
+}
+
+/// The bundle file at `path` with the identity a check of it proves, as
+/// a controller is handed it.
+fn sealed(path: &Path) -> SealedFile {
+    let file = std::fs::File::open(path).expect("bundle file opens");
+    let id = check_stream(file, SystemBundle::KIND, SystemBundle::VERSION).expect("bundle checks");
+    SealedFile {
+        path: path.to_path_buf(),
+        id,
+    }
 }
 
 /// A served bundle with its vote log tapped, the `FleetReplica` over the
-/// two — what an adaptation controller drives, in process — and the sealed
-/// half of the one decode, as `lre-adaptd` hands it to its controller.
+/// two — what an adaptation controller drives, in process — and the
+/// bundle's file with the identity its streamed decode proved, as
+/// `lre-adaptd` hands it to its controller.
 struct Replica {
     handle: Arc<ScorerHandle>,
     replica: Arc<FleetReplica>,
     hooks: ServerHooks,
-    sealed: SealedBundle,
+    sealed: SealedFile,
 }
 
-fn replica(bytes: Vec<u8>, log: Arc<VoteLog>, hooks: ServerHooks) -> Replica {
-    let (bundle, sealed) = SystemBundle::decode_sealed(bytes).expect("bundle reloads");
+fn replica(path: &Path, log: Arc<VoteLog>, hooks: ServerHooks) -> Replica {
+    let (bundle, id) = SystemBundle::load_streamed(path).expect("bundle reloads");
+    let sealed = SealedFile {
+        path: path.to_path_buf(),
+        id,
+    };
     let system = Arc::new(ScoringSystem::from_bundle(bundle).expect("bundle is coherent"));
-    let handle = Arc::new(ScorerHandle::new(system, bundle_checksum(sealed.bytes())));
+    let handle = Arc::new(ScorerHandle::new(system, sealed.id.crc));
     let replica = FleetReplica::new(
         Arc::clone(&handle),
         Arc::clone(&log),
@@ -250,7 +282,7 @@ fn start_adaptive_server(fx: &Fixture, cfg: AdaptConfig) -> Harness {
 fn start_adaptive_server_with(fx: &Fixture, cfg: AdaptConfig, guard: GuardFile) -> Harness {
     let hooks = ServerHooks::default();
     let log = Arc::new(scratch_log(4096, &hooks.obs.registry));
-    let r = replica(fx.bytes.clone(), log, hooks);
+    let r = replica(&fx.bundle_path, log, hooks);
     let flight = Arc::clone(&r.hooks.obs.flight);
     let controller = Arc::new(
         AdaptController::new(
@@ -294,12 +326,12 @@ struct DurableHarness {
 
 fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize) -> DurableHarness {
     let lineage = LineageStore::open(&dir.join("lineage")).expect("lineage opens");
-    let (bytes, head) = match lineage.head().copied() {
+    let (bundle, head) = match lineage.head().copied() {
         Some(e) => (
-            lineage.load(e.generation).expect("head loads"),
+            lineage.file(e.generation).expect("head is retained").path,
             e.generation,
         ),
-        None => (fx.bytes.clone(), 0),
+        None => (fx.bundle_path.clone(), 0),
     };
     let mut opts = vote_wal_options();
     opts.fsync_interval = std::time::Duration::ZERO; // every append durable
@@ -316,7 +348,7 @@ fn start_durable_server(fx: &Fixture, cfg: AdaptConfig, dir: &Path, keep: usize)
     )
     .expect("vote WAL opens");
     let durable = Arc::new(durable);
-    let r = replica(bytes, Arc::clone(&durable), hooks);
+    let r = replica(&bundle, Arc::clone(&durable), hooks);
     let controller = Arc::new(
         AdaptController::new(
             vec![r.replica],
@@ -552,7 +584,7 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
     assert_adapt_series(&mut client, &[report], &h.flight, &drained);
 
     // Lineage: the promoted bundle names its parent by checksum.
-    let cand_bytes = h.controller.current_bundle_bytes();
+    let cand_bytes = h.controller.current_file().read().expect("candidate reads");
     assert_eq!(h.handle.checksum(), bundle_checksum(&cand_bytes));
     assert_ne!(
         bundle_checksum(&cand_bytes),
@@ -564,6 +596,17 @@ fn online_cycle_matches_offline_run_dba_bit_for_bit() {
     assert_eq!(cand.lineage.parent_checksum, bundle_checksum(&fx.bytes));
     assert_eq!(cand.lineage.selected_utts as usize, fx.offline_selected);
     assert_eq!(cand.lineage.v_threshold, V);
+    // The candidate was spliced from the parent's file: it is the parent
+    // re-encoded with the new VSMs and lineage, bit for bit.
+    let mut reencoded = SystemBundle::from_artifact_bytes(&fx.bytes).expect("parent decodes");
+    for (sub, new) in reencoded.subsystems.iter_mut().zip(cand.subsystems) {
+        sub.vsm = new.vsm;
+    }
+    reencoded.lineage = cand.lineage;
+    assert!(
+        reencoded.to_artifact_bytes() == cand_bytes,
+        "the splice re-encodes"
+    );
 
     // 3) The swapped-in model serves fused LLRs bit-identical to the
     //    offline run_dba (M1, same V) round over the same utterances.
@@ -619,7 +662,9 @@ fn verdict(round: RoundOutcome) -> Verdict {
                 c.guard.eer_delta().to_bits(),
                 c.guard.cavg_delta().to_bits(),
             );
-            ((2, c.selected, c.drained, deltas.0, deltas.1), c.bytes)
+            let bytes = c.file.read().expect("candidate file reads");
+            std::fs::remove_file(&c.file.path).ok();
+            ((2, c.selected, c.drained, deltas.0, deltas.1), bytes)
         }
     }
 }
@@ -712,6 +757,173 @@ fn a_guard_file_changed_under_a_running_controller_fails_only_that_cycle() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Score the 3 s test utterances `from..from + 8` through `client`: eight
+/// fresh votes for the next cycle (the log keeps one per utterance).
+fn feed_fresh(client: &mut Client, fx: &Fixture, from: usize) {
+    let di = Experiment::duration_index(Duration::S3);
+    for (i, w) in fx.waves[di].iter().enumerate().skip(from).take(8) {
+        let reply = client.score(w).expect("score round trip");
+        assert!(
+            matches!(reply, ScoreReply::Scored(_)),
+            "3 s utt {i}: {reply:?}"
+        );
+    }
+}
+
+/// The parent a cycle trains from is a file of the controller's chain — a
+/// private scratch chain, or the durable lineage — read again by every
+/// cycle. Gone, damaged in place or replaced by another valid bundle of
+/// the same length, it fails that cycle typed: `failed`, a `bundle_failed`
+/// flight event naming the file, nothing installed, and serving goes on
+/// with the baseline bits. Put back, the next cycle promotes.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn a_parent_bundle_file_changed_under_a_running_controller_fails_only_that_cycle() {
+    let fx = fixture();
+    let dir = std::env::temp_dir().join(format!("lre_adapt_parent_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = AdaptConfig {
+        v_threshold: V,
+        min_utts: 8,
+        max_eer_regress: f64::INFINITY,
+        max_cavg_regress: f64::INFINITY,
+    };
+    let scratch = start_adaptive_server(fx, cfg);
+    let durable = start_durable_server(fx, cfg, &dir, 0);
+    for (mode, h) in [("scratch", scratch), ("durable", durable.h)] {
+        let parent = h.controller.current_file();
+        let chain = parent.path.parent().expect("a chain directory");
+        match mode {
+            "scratch" => {
+                let name = chain.file_name().unwrap().to_string_lossy().into_owned();
+                assert!(name.starts_with(&format!("lre-bundles-{}-", std::process::id())));
+            }
+            _ => assert_eq!(chain, dir.join("lineage")),
+        }
+        let original = std::fs::read(&parent.path).expect("parent file reads");
+        assert!(original == fx.bytes, "{mode}: the chain's root is --bundle");
+        let mut damaged = original.clone();
+        damaged[original.len() / 2] ^= 0x10;
+        let changes = [
+            ("missing", None),
+            ("damaged", Some(damaged)),
+            ("replaced", Some(twin(&original))),
+        ];
+        let mut client = Client::connect(h.server.local_addr()).expect("client connects");
+        for (k, (what, bytes)) in changes.into_iter().enumerate() {
+            match bytes {
+                None => std::fs::remove_file(&parent.path).expect("parent removed"),
+                Some(bytes) => std::fs::write(&parent.path, bytes).expect("parent rewritten"),
+            }
+            feed_fresh(&mut client, fx, 8 * k);
+            let report = client.adapt().expect("adapt round trip");
+            assert_eq!(report.outcome, ADAPT_FAILED, "{mode} {what}");
+            assert_eq!(
+                (report.generation, h.handle.generation()),
+                (0, 0),
+                "{mode} {what}: nothing installed"
+            );
+            let failed: Vec<String> = (h.flight.peek().into_iter())
+                .filter(|e| e.kind == EV_BUNDLE_FAILED)
+                .map(|e| e.detail)
+                .collect();
+            assert_eq!(
+                failed.len(),
+                k + 1,
+                "{mode} {what}: one bundle_failed event"
+            );
+            let named = format!("{}: ", parent.path.display());
+            assert!(
+                failed[k].starts_with(&named),
+                "{mode} {what}: {}",
+                failed[k]
+            );
+        }
+        let verdicts = [EV_GUARD_ACCEPT, EV_GUARD_REJECT, EV_PROMOTE, EV_SWAP];
+        let recorded = |kinds: &[u8]| kinds.iter().map(|&k| events(&h.flight, k)).sum::<usize>();
+        assert_eq!(recorded(&verdicts), 0, "{mode}: no verdict, no install");
+        drive(
+            &mut client,
+            &fx.waves,
+            &fx.expected_baseline,
+            |_| 2,
+            &format!("{mode} served on"),
+        );
+
+        std::fs::write(&parent.path, &original).expect("parent restored");
+        feed_fresh(&mut client, fx, 24);
+        let report = client.adapt().expect("adapt round trip");
+        assert_eq!(
+            report.outcome, ADAPT_PROMOTED,
+            "{mode}: the restored parent trains"
+        );
+        assert_eq!(h.handle.generation(), 1);
+        client.shutdown().expect("shutdown acknowledged");
+        h.server.join();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With one generation retained, GC never prunes what the controller
+/// serves or what a one-deep rollback restores: promote (generation 1),
+/// deep rollback to generation 0, promote again (GC prunes generation 1,
+/// not 0, now the rollback target), one-deep rollback — and the next cycle
+/// trains from generation 0's file and promotes.
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn a_retention_of_one_keeps_the_rollback_target_for_the_next_cycle() {
+    let fx = fixture();
+    let dir = std::env::temp_dir().join(format!("lre_adapt_keep1_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = AdaptConfig {
+        v_threshold: V,
+        min_utts: 8,
+        max_eer_regress: f64::INFINITY,
+        max_cavg_regress: f64::INFINITY,
+    };
+    let dh = start_durable_server(fx, cfg, &dir, 1);
+    let mut client = Client::connect(dh.h.server.local_addr()).expect("client connects");
+    let mut fed = 0;
+    let mut promote = |client: &mut Client, what: &str| {
+        feed_fresh(client, fx, fed);
+        fed += 8;
+        let report = client.adapt().expect("adapt round trip");
+        assert_eq!(report.outcome, ADAPT_PROMOTED, "{what}");
+    };
+    let retained = || {
+        let chain = LineageStore::open(&dir.join("lineage")).expect("chain opens");
+        (chain.entries().iter())
+            .filter(|e| !e.pruned)
+            .map(|e| e.generation)
+            .collect::<Vec<u64>>()
+    };
+
+    promote(&mut client, "first promote");
+    assert_eq!(retained(), [0, 1], "generation 0 is the rollback target");
+    let ack = client
+        .rollback_to(0)
+        .expect("round trip")
+        .expect("generation 0 is retained");
+    assert_eq!(ack.checksum, bundle_checksum(&fx.bytes));
+    promote(&mut client, "promote after the deep rollback");
+    assert_eq!(retained(), [0, 2], "generation 1 pruned, 0 kept");
+    assert!(dh.h.controller.rollback().rolled, "one-deep rollback");
+    assert_eq!(
+        dh.h.controller.current_file().id.crc,
+        bundle_checksum(&fx.bytes)
+    );
+    promote(&mut client, "promote from the rolled-back parent");
+    let head = dh.h.controller.current_file().read().expect("head reads");
+    let head = SystemBundle::from_artifact_bytes(&head).expect("head decodes");
+    assert_eq!(head.lineage.generation, 3);
+    assert_eq!(head.lineage.parent_checksum, bundle_checksum(&fx.bytes));
+    assert_eq!(retained(), [0, 3], "generation 2 pruned, 0 kept");
+
+    client.shutdown().expect("shutdown acknowledged");
+    dh.h.server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The vote log drops the supervectors of records Eq. 13 can select at no
 /// V. A boosting round over the trimmed window must be the round over the
 /// whole records, at every V the six subsystems allow: same outcome, same
@@ -754,8 +966,10 @@ fn trimming_changes_no_round_at_any_v() {
             max_eer_regress: f64::INFINITY,
             max_cavg_regress: f64::INFINITY,
         };
+        let (parent, out) = (sealed(&fx.bundle_path), scratch_path("trim.candidate"));
         let round = |records: Vec<VoteRecord>| {
-            verdict(boost_round(&fx.bytes, records, &guard(fx), &cfg).expect("round runs"))
+            let round = boost_round(&parent, records, &guard(fx), &cfg, &out);
+            verdict(round.expect("round runs"))
         };
         let (want, got) = (round(whole.clone()), round(trimmed.clone()));
         assert_eq!(got.0, want.0, "V = {v}: outcome, counts and deltas");
@@ -945,7 +1159,11 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
         let report = client.adapt().expect("adapt round trip");
         assert_eq!(report.outcome, ADAPT_PROMOTED);
         assert_eq!(report.generation, 2, "serving generation after the swap");
-        let cand_bytes = dh.h.controller.current_bundle_bytes();
+        let cand_bytes =
+            dh.h.controller
+                .current_file()
+                .read()
+                .expect("candidate reads");
         let cand = SystemBundle::from_artifact_bytes(&cand_bytes).expect("candidate reloads");
         assert_eq!(
             cand.lineage.generation, 2,
@@ -964,16 +1182,18 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
             "re-promoted",
         );
 
-        // keep-generations pruned the oldest bytes at the promote: the
-        // chain still validates end to end, but generation 0 is now a
-        // typed refusal (as is a generation that never existed).
+        // keep-generations pruned the oldest bytes at the promote that
+        // the controller does not name: generation 1, not generation 0,
+        // the parent a one-deep rollback restores. The chain still
+        // validates end to end, but generation 1 is now a typed refusal
+        // (as is a generation that never existed).
         let status = wal_status(&mut client, &dh.durable, &dir);
         assert_eq!(status.lineage_head, 2);
         assert_eq!(status.lineage_entries, 3);
         assert_eq!(status.lineage_retained, 2);
         assert!(status.chain_ok);
         assert_eq!(
-            client.rollback_to(0).expect("round trip"),
+            client.rollback_to(1).expect("round trip"),
             Err(STATUS_CONFLICT),
             "pruned generation refused"
         );
@@ -1004,18 +1224,25 @@ fn durable_window_survives_restart_and_deep_rollback_restores_bits() {
         // generation the controller's next round would train from.
         let head = dh.h.handle.current();
         let parent_generation = || {
-            let bytes = dh.h.controller.current_bundle_bytes();
+            let bytes = dh.h.controller.current_file().read().expect("parent reads");
             let bundle = SystemBundle::from_artifact_bytes(&bytes).expect("parent decodes");
             bundle.lineage.generation
         };
         assert_eq!(parent_generation(), 2);
         let ack = client
-            .rollback_to(1)
+            .rollback_to(0)
             .expect("round trip")
             .expect("retained");
-        assert_eq!((ack.restored, ack.serving), (1, 1));
+        assert_eq!((ack.restored, ack.serving), (0, 1));
         assert!(!Arc::ptr_eq(&dh.h.handle.current().scorer, &head.scorer));
-        assert_eq!(parent_generation(), 1);
+        assert_eq!(parent_generation(), 0);
+        drive(
+            &mut client,
+            &fx.waves,
+            &fx.expected_baseline,
+            |_| 2,
+            "deep-rolled-back-again",
+        );
         let undone = dh.h.controller.rollback();
         assert_eq!((undone.rolled, undone.generation), (true, 2));
         assert!(
@@ -1049,7 +1276,7 @@ struct Member {
 fn start_member(fx: &Fixture) -> Member {
     let hooks = ServerHooks::default();
     let log = Arc::new(scratch_log(4096, &hooks.obs.registry));
-    let r = replica(fx.bytes.clone(), log, hooks);
+    let r = replica(&fx.bundle_path, log, hooks);
     let flight = Arc::clone(&r.hooks.obs.flight);
     let hooks = ServerHooks {
         fleet: Some(Arc::clone(&r.replica) as _),
@@ -1087,7 +1314,7 @@ fn one_coordinator_over_two_replicas_matches_offline_run_dba() {
             None,
             &registry,
             guard(fx),
-            sealed(&fx.bytes),
+            sealed(&fx.bundle_path),
             cfg,
             Arc::clone(&flight),
         )
@@ -1246,7 +1473,7 @@ fn ping_and_the_dump_answer_while_a_cycle_holds_the_controller() {
     let parked = Arc::new(ParkedDrain::default());
     let hooks = ServerHooks::default();
     let log = Arc::new(scratch_log(16, &hooks.obs.registry));
-    let r = replica(fx.bytes.clone(), log, hooks);
+    let r = replica(&fx.bundle_path, log, hooks);
     let lineage = LineageStore::open(&dir).expect("lineage opens");
     let controller = AdaptController::new(
         vec![Arc::clone(&parked) as _],
@@ -1298,9 +1525,9 @@ fn ping_and_the_dump_answer_while_a_cycle_holds_the_controller() {
 }
 
 /// The constructor refuses a guard whose subsystem count disagrees with
-/// the bundle, and a durable chain whose head is not the serving bundle:
-/// both from the facts of the one decode that built the `SealedBundle`,
-/// before any cycle runs.
+/// the bundle, and a durable chain whose head is not the serving bundle —
+/// a container of another kind, or a bundle one payload byte away — before
+/// any cycle runs.
 #[test]
 #[ignore = "builds the full experiment; run with --release -- --ignored"]
 fn constructor_refuses_a_foreign_guard_or_chain_head() {
@@ -1318,7 +1545,7 @@ fn constructor_refuses_a_foreign_guard_or_chain_head() {
             lineage,
             &registry,
             guard,
-            sealed(&fx.bytes),
+            sealed(&fx.bundle_path),
             cfg,
             flight,
         )
@@ -1341,24 +1568,21 @@ fn constructor_refuses_a_foreign_guard_or_chain_head() {
     assert_eq!(refusal(build(short, None)), "guard/bundle subsystem counts");
 
     // A chain rooted with a bundle one payload byte away from the served
-    // one (the seed's low byte, resealed).
-    let mut payload = lre_artifact::open(&fx.bytes, SystemBundle::KIND, SystemBundle::VERSION)
-        .expect("fixture opens")
-        .to_vec();
-    payload[0] ^= 1;
-    let twin = lre_artifact::seal(SystemBundle::KIND, SystemBundle::VERSION, &payload);
+    // one.
+    let twin_path = scratch_path("twin.bundle");
+    std::fs::write(&twin_path, twin(&fx.bytes)).expect("twin written");
     let mut near = LineageStore::open(&dir.join("near")).expect("lineage opens");
-    near.record_root(&twin, 0).expect("chain roots");
+    near.record_root(&twin_path, 0).expect("chain roots");
+    std::fs::remove_file(&twin_path).ok();
     assert_eq!(
         refusal(build(guard(fx), Some((near, 0)))),
         "serving bundle is not the lineage chain head"
     );
 
-    // A chain rooted with other bytes than the served bundle's.
+    // A chain rooted with another container than the served bundle (the
+    // guard set's).
     let mut foreign = LineageStore::open(&dir.join("foreign")).expect("lineage opens");
-    foreign
-        .record_root(b"not the served bundle", 0)
-        .expect("chain roots");
+    foreign.record_root(&fx.guard_path, 0).expect("chain roots");
     assert_eq!(
         refusal(build(guard(fx), Some((foreign, 0)))),
         "serving bundle is not the lineage chain head"
@@ -1370,7 +1594,8 @@ fn constructor_refuses_a_foreign_guard_or_chain_head() {
     build(guard(fx), Some((own("lineage opens"), 0))).expect("an empty chain is rooted");
     let chain = own("lineage reopens");
     let head = chain.head().copied().expect("rooted");
-    assert_eq!(chain.load(head.generation).expect("root loads"), fx.bytes);
+    let root = chain.file(head.generation).expect("root retained");
+    assert!(root.read().expect("root reads") == fx.bytes);
     build(guard(fx), Some((chain, 0))).expect("the serving bundle is the head");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,8 +24,9 @@
 //! loading); the provided methods handle sealing, opening, and file I/O.
 
 use std::fmt;
+use std::fs::File;
 use std::io::{Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Container magic: present in every artifact file, first four bytes.
 pub const MAGIC: [u8; 4] = *b"LREA";
@@ -641,6 +642,49 @@ pub struct SealedId {
     pub crc: u32,
 }
 
+/// A sealed container in a file and the identity it was read with: what
+/// a holder keeps instead of the bytes. Every read of it checks that the
+/// file still holds that container.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SealedFile {
+    pub path: PathBuf,
+    pub id: SealedId,
+}
+
+impl SealedFile {
+    /// The file opened for a streamed read, refused unless it still has
+    /// the container's length. A reader that decodes it holds what its
+    /// [`ArtifactStream::finish`] returns to [`SealedFile::check`].
+    pub fn open(&self) -> Result<File, ArtifactError> {
+        let file = File::open(&self.path)?;
+        if file.metadata()?.len() != self.id.len {
+            return Err(ArtifactError::Corrupt(
+                "sealed file changed since it was read",
+            ));
+        }
+        Ok(file)
+    }
+
+    /// The whole file, refused unless it is an intact container with this
+    /// identity.
+    pub fn read(&self) -> Result<Vec<u8>, ArtifactError> {
+        let mut bytes = Vec::with_capacity(self.id.len as usize);
+        self.open()?.read_to_end(&mut bytes)?;
+        self.check(copy_sealed(&bytes[..], std::io::sink())?)?;
+        Ok(bytes)
+    }
+
+    /// `Ok` when `found`, what a read of the file proved, is this identity.
+    pub fn check(&self, found: SealedId) -> Result<(), ArtifactError> {
+        if found != self.id {
+            return Err(ArtifactError::Corrupt(
+                "sealed file changed since it was read",
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Fill `buf` from `src` unless it ends first; the bytes read.
 fn read_full(src: &mut impl Read, buf: &mut [u8]) -> Result<usize, ArtifactError> {
     let mut got = 0;
@@ -660,7 +704,11 @@ fn read_full(src: &mut impl Read, buf: &mut [u8]) -> Result<usize, ArtifactError
 /// the same bytes fail with the same error. Nothing of the payload is
 /// kept; a reader that must act only on checked bytes runs this pass
 /// first and then decodes with an [`ArtifactStream`].
-pub fn check_stream(src: impl Read, kind: [u8; 4], version: u32) -> Result<SealedId, ArtifactError> {
+pub fn check_stream(
+    src: impl Read,
+    kind: [u8; 4],
+    version: u32,
+) -> Result<SealedId, ArtifactError> {
     stream_sealed(src, &mut std::io::sink(), Some((kind, version)))
 }
 
@@ -822,11 +870,21 @@ impl<R: Read> ArtifactStream<R> {
     /// The next `n` payload bytes as a sealed container of its own, opened
     /// with its CRC and decoded (a section addressed by an offset table).
     pub fn section<T: ArtifactRead>(&mut self, n: usize) -> Result<T, ArtifactError> {
+        self.raw(n, T::from_artifact_bytes)
+    }
+
+    /// The next `n` payload bytes, as stored, handed to `read` in one
+    /// slice: a section read or copied some other way than decoded whole.
+    pub fn raw<T>(
+        &mut self,
+        n: usize,
+        read: impl FnOnce(&[u8]) -> Result<T, ArtifactError>,
+    ) -> Result<T, ArtifactError> {
         if n as u64 > self.remaining() {
             return Err(ArtifactError::Truncated);
         }
         self.fill(n)?;
-        let out = T::from_artifact_bytes(&self.buf[self.at..self.at + n]);
+        let out = read(&self.buf[self.at..self.at + n]);
         self.at += n;
         out
     }
@@ -859,6 +917,74 @@ impl<R: Read> ArtifactStream<R> {
             len: self.len,
             crc: stored,
         })
+    }
+}
+
+/// A sealed container written to a [`Write`] a piece at a time: the
+/// header, with the payload length declared up front, then the payload in
+/// any split (it is itself a [`Write`], so a nested container is a
+/// `SealWriter` over another), then the trailer at
+/// [`SealWriter::finish`]. The bytes are [`seal`]'s for the same payload.
+pub struct SealWriter<W: Write> {
+    dst: W,
+    crc: Crc32,
+    len: u64,
+    /// Declared payload bytes not yet written.
+    left: u64,
+}
+
+impl<W: Write> SealWriter<W> {
+    /// Write the header of a container of `payload_len` payload bytes.
+    pub fn begin(
+        mut dst: W,
+        kind: [u8; 4],
+        version: u32,
+        payload_len: u64,
+    ) -> Result<Self, ArtifactError> {
+        let len = container_len(payload_len)?;
+        let mut head = Vec::with_capacity(HEADER_LEN);
+        put_header(&mut head, kind, version, payload_len);
+        dst.write_all(&head)?;
+        let mut crc = Crc32::new();
+        crc.update(&head);
+        Ok(SealWriter {
+            dst,
+            crc,
+            len,
+            left: payload_len,
+        })
+    }
+
+    /// Write the trailer once every declared payload byte is written
+    /// (fewer is [`ArtifactError::Truncated`]); the destination and the
+    /// container's identity.
+    pub fn finish(mut self) -> Result<(W, SealedId), ArtifactError> {
+        if self.left != 0 {
+            return Err(ArtifactError::Truncated);
+        }
+        let crc = self.crc.value();
+        self.dst.write_all(&crc.to_le_bytes())?;
+        Ok((self.dst, SealedId { len: self.len, crc }))
+    }
+}
+
+impl<W: Write> Write for SealWriter<W> {
+    /// Refuses bytes past the declared payload length.
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if buf.len() as u64 > self.left {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "write past the declared payload length",
+            ));
+        }
+        let n = self.dst.write(buf)?;
+        self.crc.update(&buf[..n]);
+        self.left -= n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.dst.flush()
     }
 }
 
@@ -1399,7 +1525,14 @@ mod tests {
         let sealed = seal(*b"TEST", 1, &payload);
         for step in [1, 7, 1 << 16] {
             let mut out = Vec::new();
-            let id = copy_sealed(Trickle { bytes: &sealed, step }, &mut out).unwrap();
+            let id = copy_sealed(
+                Trickle {
+                    bytes: &sealed,
+                    step,
+                },
+                &mut out,
+            )
+            .unwrap();
             assert!(out == sealed);
             assert_eq!(id, check_stream(&sealed[..], *b"TEST", 1).unwrap());
         }
@@ -1419,7 +1552,10 @@ mod tests {
         longer.push(0);
         same(&longer);
         let other = seal(*b"ELSE", 9, &payload);
-        assert_eq!(copy_sealed(&other[..], std::io::sink()).unwrap().len, other.len() as u64);
+        assert_eq!(
+            copy_sealed(&other[..], std::io::sink()).unwrap().len,
+            other.len() as u64
+        );
     }
 
     /// The identity tells containers apart: every one-byte change of a
@@ -1520,6 +1656,70 @@ mod tests {
         // Payload left unread is the slice decode's trailing bytes.
         let s = ArtifactStream::open(&sealed[..], *b"MIXD", 1).unwrap();
         assert!(matches!(s.finish(), Err(ArtifactError::TrailingBytes)));
+    }
+
+    /// A container written a piece at a time, a nested one inside it, is
+    /// [`seal`]'s bytes, with its identity; a short or long payload is
+    /// refused.
+    #[test]
+    fn seal_writer_writes_seal_s_bytes_nested_and_refuses_a_wrong_length() {
+        let inner = Point { x: 7.0, y: -8.5 }.to_artifact_bytes();
+        let inner_payload = open(&inner, Point::KIND, Point::VERSION).unwrap();
+        let mut w = ArtifactWriter::new();
+        w.put_str("head");
+        let head = w.into_bytes();
+        let want = seal(*b"MIXD", 1, &[&head[..], &inner].concat());
+        for split in [0, 1, 5] {
+            let len = (head.len() + inner.len()) as u64;
+            let mut out = SealWriter::begin(Vec::new(), *b"MIXD", 1, len).unwrap();
+            out.write_all(&head).unwrap();
+            let n = inner_payload.len() as u64;
+            let mut sec = SealWriter::begin(&mut out, Point::KIND, Point::VERSION, n).unwrap();
+            sec.write_all(&inner_payload[..split]).unwrap();
+            sec.write_all(&inner_payload[split..]).unwrap();
+            assert_eq!(sec.finish().unwrap().1.crc, bundle_checksum(&inner));
+            let (bytes, id) = out.finish().unwrap();
+            assert!(bytes == want, "split {split}");
+            assert_eq!(id, check_stream(&want[..], *b"MIXD", 1).unwrap());
+        }
+        let short = SealWriter::begin(Vec::new(), *b"MIXD", 1, 4).unwrap();
+        assert!(matches!(short.finish(), Err(ArtifactError::Truncated)));
+        let mut long = SealWriter::begin(Vec::new(), *b"MIXD", 1, 2).unwrap();
+        assert!(long.write_all(b"abc").is_err());
+    }
+
+    /// A sealed file reads back only as the container it was read as: a
+    /// file replaced by another container, of the same length or not, or
+    /// damaged in place, is refused.
+    #[test]
+    fn a_sealed_file_reads_back_only_as_the_container_it_was() {
+        let dir = std::env::temp_dir().join(format!("lre_artifact_file_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.bin");
+        let sealed = seal(*b"TEST", 1, b"payload one");
+        std::fs::write(&path, &sealed).unwrap();
+        let id = check_stream(File::open(&path).unwrap(), *b"TEST", 1).unwrap();
+        let file = SealedFile {
+            path: path.clone(),
+            id,
+        };
+        assert!(file.read().unwrap() == sealed);
+        let changed = |f: &SealedFile| {
+            let read = f.read().map(|_| ()).map_err(|e| e.to_string());
+            assert!(read.is_err(), "{read:?}");
+        };
+        std::fs::write(&path, seal(*b"TEST", 1, b"payload two")).unwrap();
+        changed(&file);
+        std::fs::write(&path, seal(*b"TEST", 1, b"payload one, longer")).unwrap();
+        assert!(file.open().is_err());
+        changed(&file);
+        let mut flipped = sealed.clone();
+        flipped[HEADER_LEN + 2] ^= 0x20;
+        std::fs::write(&path, &flipped).unwrap();
+        assert!(matches!(file.read(), Err(ArtifactError::ChecksumMismatch)));
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(file.read(), Err(ArtifactError::Io(_))));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Deterministic bytes without a dependency (xorshift64*).

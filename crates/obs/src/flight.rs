@@ -55,6 +55,11 @@ pub const EV_PROMOTE: u8 = 13;
 /// start-up — the file is gone, damaged or replaced — and ended failed
 /// with no verdict (detail: the guard path and the error).
 pub const EV_GUARD_FAILED: u8 = 14;
+/// An adaptation cycle could not read its parent bundle's file back as
+/// the container it installed — gone, damaged or replaced — or could not
+/// splice the candidate from it, and ended failed with nothing installed
+/// (detail: the parent path and the error, `a` = records drained).
+pub const EV_BUNDLE_FAILED: u8 = 15;
 
 /// Stable human name for an event kind (`"unknown"` for anything else,
 /// so a newer peer's events still print).
@@ -73,6 +78,7 @@ pub fn event_name(kind: u8) -> &'static str {
         EV_PANIC => "panic",
         EV_PROMOTE => "promote",
         EV_GUARD_FAILED => "guard_failed",
+        EV_BUNDLE_FAILED => "bundle_failed",
         _ => "unknown",
     }
 }
@@ -304,6 +310,7 @@ mod tests {
             EV_PANIC,
             EV_PROMOTE,
             EV_GUARD_FAILED,
+            EV_BUNDLE_FAILED,
         ] {
             assert_ne!(event_name(kind), "unknown");
         }

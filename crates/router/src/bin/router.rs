@@ -16,8 +16,14 @@
 //! health-checks, and fans out rollbacks). A negative
 //! `--guard-max-eer-regress` forces every candidate to fail the guard —
 //! the fleet rollback drill.
+//!
+//! The router scores nothing, so it decodes no bundle: `--bundle` is
+//! checked whole as a sealed container and copied into the controller's
+//! scratch chain (`lre-bundles-<pid>-<n>` under `TMPDIR`, removed at
+//! exit), the file every cycle reads its parent from.
 
 use lre_adapt::{AdaptController, GuardArgs};
+use lre_artifact::{check_stream, ArtifactWrite, SealedFile};
 use lre_dba::GuardFile;
 use lre_obs::install_panic_dump;
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
@@ -78,14 +84,14 @@ fn main() {
 
     let adapt = bundle_path.zip(guard_args.guard).map(|(bp, gp)| {
         // The guard is validated here and read again by every cycle, so
-        // its file must stay in place. The bundle is decoded once, to
-        // prove it; the router scores nothing, so the decoded half is
-        // dropped and the controller keeps the sealed bytes as the parent.
+        // its file must stay in place. The bundle is checked whole, not
+        // decoded; the controller copies it into its chain.
         let guard = or_die(GuardFile::open(&gp), format!("loading {}", gp.display()));
-        let (_, parent) = or_die(
-            SystemBundle::load_sealed(&bp),
-            format!("loading {}", bp.display()),
-        );
+        let id = std::fs::File::open(&bp)
+            .map_err(Into::into)
+            .and_then(|f| check_stream(f, SystemBundle::KIND, SystemBundle::VERSION));
+        let id = or_die(id, format!("loading {}", bp.display()));
+        let parent = SealedFile { path: bp, id };
         let controller = AdaptController::new(
             backends.iter().map(|b| Arc::clone(b) as _).collect(),
             None,

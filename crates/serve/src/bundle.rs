@@ -34,13 +34,17 @@
 //! ```
 //!
 //! The offset table and the per-section CRCs let a reader address one
-//! subsystem without decoding the others; [`SystemBundle`], the one reader
-//! here, decodes all of them (every request touches every subsystem) and
-//! holds the table to the size of the section region.
+//! subsystem without decoding the others. [`SystemBundle`] decodes all of
+//! them (every request touches every subsystem) and holds the table to
+//! the size of the section region. [`BundleParent`] is what an adaptation
+//! round reads of its parent's file: the VSMs and what retraining and the
+//! guard need, one section at a time; it writes the candidate by copying
+//! the parent's sections with their VSMs swapped
+//! ([`BundleParent::splice`]).
 
 use lre_artifact::{
-    check_stream, ArtifactError, ArtifactRead, ArtifactReader, ArtifactStream, ArtifactWrite,
-    ArtifactWriter, SealedId,
+    check_stream, open, ArtifactError, ArtifactRead, ArtifactReader, ArtifactStream, ArtifactWrite,
+    ArtifactWriter, SealWriter, SealedFile, SealedId, HEADER_LEN, TRAILER_LEN,
 };
 use lre_backend::LdaMmiFusion;
 use lre_corpus::Duration;
@@ -49,7 +53,8 @@ use lre_eval::ScoreMatrix;
 use lre_lattice::DecoderConfig;
 use lre_svm::{OneVsRest, SvmTrainConfig};
 use lre_vsm::{SupervectorBuilder, TfllrScaler};
-use std::io::{Read, Seek};
+use std::fs::File;
+use std::io::{BufWriter, Read, Seek, Write};
 use std::path::Path;
 
 /// One trained front-end plus its VSM, ready to serialize.
@@ -95,38 +100,6 @@ impl Lineage {
             selected_utts: 0,
             v_threshold: 0,
         }
-    }
-}
-
-/// A bundle's sealed bytes, proven to decode, with the facts that decode
-/// read: what an adaptation controller keeps as the parent its next round
-/// trains from. Only [`SystemBundle::decode_sealed`] builds one, so a
-/// holder checks these facts without decoding the bytes again.
-pub struct SealedBundle {
-    bytes: Vec<u8>,
-    subsystems: usize,
-    generation: u64,
-}
-
-impl SealedBundle {
-    /// The sealed container, exactly as it was handed to the decode.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// The sealed container, given up to its new owner.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
-    /// Number of subsystems the bundle scores with.
-    pub fn subsystems(&self) -> usize {
-        self.subsystems
-    }
-
-    /// The bundle's [`Lineage::generation`].
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 }
 
@@ -206,22 +179,6 @@ impl SystemBundle {
         }
     }
 
-    /// The one verifying decode of a bundle a process adapts: the decoded
-    /// bundle, and the sealed bytes it came from with the facts the
-    /// controller checks. A process that decodes its bundle here never
-    /// decodes it twice; the freed heap of a dropped second copy would stay
-    /// resident under glibc. Refuses exactly what
-    /// [`ArtifactRead::from_artifact_bytes`] refuses.
-    pub fn decode_sealed(bytes: Vec<u8>) -> Result<(SystemBundle, SealedBundle), ArtifactError> {
-        let bundle = SystemBundle::from_artifact_bytes(&bytes)?;
-        let sealed = SealedBundle {
-            bytes,
-            subsystems: bundle.subsystems.len(),
-            generation: bundle.lineage.generation,
-        };
-        Ok((bundle, sealed))
-    }
-
     /// Decode a sealed bundle from `src` without holding its bytes: a
     /// first pass checks the whole container ([`check_stream`]: damage
     /// fails here, before anything is decoded, with the error
@@ -229,7 +186,7 @@ impl SystemBundle {
     /// `src` is rewound and decoded section by section through one reused
     /// buffer, its CRC checked again, and its identity required to be the
     /// first pass's, so bytes that changed between the passes are refused.
-    /// Returns the bundle and that identity (its `checksum` is
+    /// Returns the bundle and that identity (its `crc` is
     /// [`lre_artifact::bundle_checksum`] of the bytes).
     pub fn decode_stream<R: Read + Seek>(
         mut src: R,
@@ -251,14 +208,19 @@ impl SystemBundle {
     }
 
     /// [`SystemBundle::decode_stream`] the file at `path`: what `lre-serve`
-    /// loads at start-up.
+    /// and `lre-adaptd` load at start-up.
     pub fn load_streamed(path: &Path) -> Result<(SystemBundle, SealedId), ArtifactError> {
-        SystemBundle::decode_stream(std::fs::File::open(path)?)
+        SystemBundle::decode_stream(File::open(path)?)
     }
 
-    /// Read the file at `path` and [`SystemBundle::decode_sealed`] it.
-    pub fn load_sealed(path: &Path) -> Result<(SystemBundle, SealedBundle), ArtifactError> {
-        SystemBundle::decode_sealed(std::fs::read(path)?)
+    /// The lineage and the subsystem count of the bundle in `file`, read
+    /// from the head of its payload alone (nothing of it is checked past
+    /// the offset table: a caller proved the file's identity already, and
+    /// later reads check it again).
+    pub fn read_lineage(file: &SealedFile) -> Result<(Lineage, usize), ArtifactError> {
+        let mut s = ArtifactStream::open(file.open()?, Self::KIND, Self::VERSION)?;
+        let prefix = s.fields(Prefix::read)?;
+        Ok((prefix.lineage, prefix.offsets.len() - 1))
     }
 }
 
@@ -281,8 +243,17 @@ impl ArtifactWrite for SubsystemBundle {
     }
 }
 
-impl ArtifactRead for SubsystemBundle {
-    fn read_payload(r: &mut ArtifactReader) -> Result<SubsystemBundle, ArtifactError> {
+/// A `SUBS` payload up to its VSM, which comes last.
+struct SubsystemHead {
+    spec_index: u8,
+    decoder: DecoderConfig,
+    am: lre_am::AcousticModel,
+    builder: SupervectorBuilder,
+    scaler: TfllrScaler,
+}
+
+impl SubsystemHead {
+    fn read(r: &mut ArtifactReader) -> Result<SubsystemHead, ArtifactError> {
         let spec_index = r.get_u8()?;
         let name = r.get_str()?;
         let specs = standard_subsystems();
@@ -296,16 +267,29 @@ impl ArtifactRead for SubsystemBundle {
         let am = lre_am::AcousticModel::read_payload(r)?;
         let builder = SupervectorBuilder::read_payload(r)?;
         let scaler = TfllrScaler::read_payload(r)?;
-        let vsm = OneVsRest::read_payload(r)?;
         if scaler.dim() != builder.dim() {
             return Err(ArtifactError::Corrupt("scaler dimension disagrees"));
         }
-        Ok(SubsystemBundle {
+        Ok(SubsystemHead {
             spec_index,
             decoder,
             am,
             builder,
             scaler,
+        })
+    }
+}
+
+impl ArtifactRead for SubsystemBundle {
+    fn read_payload(r: &mut ArtifactReader) -> Result<SubsystemBundle, ArtifactError> {
+        let head = SubsystemHead::read(r)?;
+        let vsm = OneVsRest::read_payload(r)?;
+        Ok(SubsystemBundle {
+            spec_index: head.spec_index,
+            decoder: head.decoder,
+            am: head.am,
+            builder: head.builder,
+            scaler: head.scaler,
             vsm,
         })
     }
@@ -334,15 +318,6 @@ impl ArtifactWrite for SystemBundle {
     const VERSION: u32 = 6;
 
     fn write_payload(&self, w: &mut ArtifactWriter) {
-        w.put_u64(self.seed);
-        w.put_str(&self.scale_name);
-        w.put_u32(self.max_order);
-        self.svm.write_payload(w);
-        write_lineage(w, &self.lineage);
-        w.put_u32(self.fusions.len() as u32);
-        for f in &self.fusions {
-            f.write_payload(w);
-        }
         // Each subsystem is sealed independently (own CRC) and addressed by
         // the offset table, so a reader can address one section at a time.
         let sections: Vec<Vec<u8>> = self
@@ -350,18 +325,58 @@ impl ArtifactWrite for SystemBundle {
             .iter()
             .map(|s| s.to_artifact_bytes())
             .collect();
-        let mut offsets = Vec::with_capacity(sections.len() + 1);
-        let mut acc = 0u64;
-        offsets.push(0);
-        for s in &sections {
-            acc += s.len() as u64;
-            offsets.push(acc);
+        PrefixOut {
+            seed: self.seed,
+            scale_name: &self.scale_name,
+            max_order: self.max_order,
+            svm: &self.svm,
+            lineage: self.lineage,
+            fusions: &self.fusions,
+            offsets: &offsets(sections.iter().map(|s| s.len() as u64)),
         }
-        w.put_u32(self.subsystems.len() as u32);
-        w.put_u64_slice(&offsets);
+        .write(w);
         for s in &sections {
             w.put_bytes(s);
         }
+    }
+}
+
+/// The offset table of sections of `lens` bytes: 0, then each end.
+fn offsets(lens: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut acc = 0u64;
+    std::iter::once(0)
+        .chain(lens.map(|n| {
+            acc += n;
+            acc
+        }))
+        .collect()
+}
+
+/// A bundle payload's prefix as written: everything before the section
+/// region, the one writer of that layout.
+struct PrefixOut<'a> {
+    seed: u64,
+    scale_name: &'a str,
+    max_order: u32,
+    svm: &'a SvmTrainConfig,
+    lineage: Lineage,
+    fusions: &'a [LdaMmiFusion],
+    offsets: &'a [u64],
+}
+
+impl PrefixOut<'_> {
+    fn write(&self, w: &mut ArtifactWriter) {
+        w.put_u64(self.seed);
+        w.put_str(self.scale_name);
+        w.put_u32(self.max_order);
+        self.svm.write_payload(w);
+        write_lineage(w, &self.lineage);
+        w.put_u32(self.fusions.len() as u32);
+        for f in self.fusions {
+            f.write_payload(w);
+        }
+        w.put_u32(self.offsets.len() as u32 - 1);
+        w.put_u64_slice(self.offsets);
     }
 }
 
@@ -451,6 +466,169 @@ impl Prefix {
             subsystems,
             fusions: self.fusions,
         })
+    }
+}
+
+impl Prefix {
+    /// This prefix as written with `lineage` and `offsets` in place of its
+    /// own.
+    fn out<'a>(&'a self, lineage: Lineage, offsets: &'a [u64]) -> PrefixOut<'a> {
+        PrefixOut {
+            seed: self.seed,
+            scale_name: &self.scale_name,
+            max_order: self.max_order,
+            svm: &self.svm,
+            lineage,
+            fusions: &self.fusions,
+            offsets,
+        }
+    }
+}
+
+/// What an adaptation round reads of its parent bundle: the SVM recipe,
+/// the lineage, the fusions and, per subsystem, the VSM and the
+/// supervector dimension. It is read from the parent's file one section
+/// at a time (each section's acoustic model, decoder and scaler are
+/// decoded, checked and dropped), and it records where each section's
+/// VSM starts, so that [`BundleParent::splice`] can write the candidate
+/// from the file.
+pub struct BundleParent {
+    file: SealedFile,
+    prefix: Prefix,
+    subsystems: Vec<ParentSubsystem>,
+}
+
+struct ParentSubsystem {
+    dim: usize,
+    vsm: OneVsRest,
+    /// Where the VSM starts in the section's payload: everything before
+    /// it is copied into the candidate as it is.
+    vsm_at: usize,
+}
+
+impl BundleParent {
+    /// Read the bundle in `file`. A file that is gone, damaged, or not the
+    /// container `file` names is an error.
+    pub fn read(file: SealedFile) -> Result<BundleParent, ArtifactError> {
+        let (kind, version) = (SystemBundle::KIND, SystemBundle::VERSION);
+        let mut s = ArtifactStream::open(file.open()?, kind, version)?;
+        let prefix = s.fields(Prefix::read)?;
+        let subsystems = prefix
+            .section_lens(s.remaining())?
+            .into_iter()
+            .map(|n| {
+                s.raw(n, |sealed| {
+                    let (kind, version) = (SubsystemBundle::KIND, SubsystemBundle::VERSION);
+                    let mut r = ArtifactReader::new(open(sealed, kind, version)?);
+                    let head = SubsystemHead::read(&mut r)?;
+                    if head.builder.max_order() != prefix.max_order as usize {
+                        return Err(ArtifactError::Corrupt("bundle N-gram order disagrees"));
+                    }
+                    let vsm_at = r.position();
+                    let vsm = OneVsRest::read_payload(&mut r)?;
+                    if r.remaining() != 0 {
+                        return Err(ArtifactError::TrailingBytes);
+                    }
+                    Ok(ParentSubsystem {
+                        dim: head.builder.dim(),
+                        vsm,
+                        vsm_at,
+                    })
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        file.check(s.finish()?)?;
+        Ok(BundleParent {
+            file,
+            prefix,
+            subsystems,
+        })
+    }
+
+    /// The file this was read from.
+    pub fn file(&self) -> &SealedFile {
+        &self.file
+    }
+
+    /// The SVM recipe the VSMs were trained with.
+    pub fn svm(&self) -> &SvmTrainConfig {
+        &self.prefix.svm
+    }
+
+    pub fn lineage(&self) -> Lineage {
+        self.prefix.lineage
+    }
+
+    /// Fusion backends indexed like [`Duration::all`].
+    pub fn fusions(&self) -> &[LdaMmiFusion] {
+        &self.prefix.fusions
+    }
+
+    /// Subsystem `q`'s supervector dimension.
+    pub fn dim(&self, q: usize) -> usize {
+        self.subsystems[q].dim
+    }
+
+    /// Every subsystem's VSM, in subsystem order.
+    pub fn vsms(&self) -> Vec<&OneVsRest> {
+        self.subsystems.iter().map(|s| &s.vsm).collect()
+    }
+
+    /// Write a new file at `dst`: this bundle with subsystem `q`'s VSM
+    /// replaced by `vsms[q]` and its lineage by `lineage`, copied from the
+    /// parent's file one section at a time. The bytes are those
+    /// `to_artifact_bytes` writes for the decoded parent so changed. The
+    /// parent file must still be the container it was read as. Returns the
+    /// new file's identity.
+    pub fn splice(
+        &self,
+        vsms: &[OneVsRest],
+        lineage: Lineage,
+        dst: &Path,
+    ) -> Result<SealedId, ArtifactError> {
+        if vsms.len() != self.subsystems.len() {
+            return Err(ArtifactError::Corrupt("candidate subsystem count"));
+        }
+        let payloads: Vec<Vec<u8>> = vsms
+            .iter()
+            .map(|vsm| {
+                let mut w = ArtifactWriter::new();
+                vsm.write_payload(&mut w);
+                w.into_bytes()
+            })
+            .collect();
+        let lens = (self.subsystems.iter().zip(&payloads))
+            .map(|(sub, vsm)| (HEADER_LEN + sub.vsm_at + vsm.len() + TRAILER_LEN) as u64);
+        let offsets = offsets(lens);
+        let mut head = ArtifactWriter::new();
+        self.prefix.out(lineage, &offsets).write(&mut head);
+        let head = head.into_bytes();
+
+        let (kind, version) = (SystemBundle::KIND, SystemBundle::VERSION);
+        let mut src = ArtifactStream::open(self.file.open()?, kind, version)?;
+        let prefix = src.fields(Prefix::read)?;
+        let payload_len = head.len() as u64 + offsets[offsets.len() - 1];
+        let dst = BufWriter::new(File::create(dst)?);
+        let mut out = SealWriter::begin(dst, kind, version, payload_len)?;
+        out.write_all(&head)?;
+        let sections = prefix.section_lens(src.remaining())?;
+        for ((n, sub), vsm) in sections.into_iter().zip(&self.subsystems).zip(&payloads) {
+            src.raw(n, |sealed| {
+                let (kind, version) = (SubsystemBundle::KIND, SubsystemBundle::VERSION);
+                let kept = open(sealed, kind, version)?
+                    .get(..sub.vsm_at)
+                    .ok_or(ArtifactError::Truncated)?;
+                let len = (kept.len() + vsm.len()) as u64;
+                let mut section = SealWriter::begin(&mut out, kind, version, len)?;
+                section.write_all(kept)?;
+                section.write_all(vsm)?;
+                section.finish().map(drop)
+            })?;
+        }
+        self.file.check(src.finish()?)?;
+        let (dst, id) = out.finish()?;
+        dst.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        Ok(id)
     }
 }
 

@@ -59,7 +59,7 @@ pub mod swap;
 pub mod system;
 pub mod votelog;
 
-pub use bundle::{Lineage, SealedBundle, SubsystemBundle, SystemBundle};
+pub use bundle::{BundleParent, Lineage, SubsystemBundle, SystemBundle};
 pub use client::{Client, PipelinedClient, ScoreReply};
 pub use engine::{decision, Engine, EngineConfig, Outcome, ScoredUtt, SubmitError};
 pub use obs::{

@@ -314,7 +314,11 @@ mod tests {
         let sealed = candidate(7);
         let ck = rep.stage(&sealed).expect("stage validates").checksum;
         assert_eq!(ck, bundle_checksum(&sealed));
-        assert_ne!(ck, bundle_checksum(&candidate(6)), "the ack names the bytes");
+        assert_ne!(
+            ck,
+            bundle_checksum(&candidate(6)),
+            "the ack names the bytes"
+        );
         // Nothing served yet: staging must not disturb the handle.
         assert_eq!(rep.handle.generation(), 0);
         assert_eq!(rep.handle.checksum(), 0xAAAA);

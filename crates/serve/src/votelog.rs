@@ -89,10 +89,9 @@ use lre_artifact::{
 };
 use lre_obs::{Counter, FlightRecorder, Registry};
 use lre_vsm::SparseVec;
-use lre_wal::{Wal, WalObs, WalOptions, WalStatus};
+use lre_wal::{ScratchDir, Wal, WalObs, WalOptions, WalStatus};
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Everything one served utterance contributes to an adaptation cycle.
@@ -319,35 +318,6 @@ pub struct VoteLog {
     scratch: Option<ScratchDir>,
 }
 
-/// A directory this process created for one scratch WAL; dropping it
-/// removes the directory and everything in it.
-struct ScratchDir(PathBuf);
-
-/// Scratch directories this process has named so far.
-static SCRATCH_DIRS: AtomicU64 = AtomicU64::new(0);
-
-impl ScratchDir {
-    /// A new, empty `lre-votes-<pid>-<n>` directory under `parent`. A name
-    /// that exists already is never reused: it is someone else's window.
-    fn create(parent: &Path) -> std::io::Result<ScratchDir> {
-        loop {
-            let n = SCRATCH_DIRS.fetch_add(1, Ordering::Relaxed);
-            let dir = parent.join(format!("lre-votes-{}-{n}", std::process::id()));
-            match std::fs::create_dir(&dir) {
-                Ok(()) => return Ok(ScratchDir(dir)),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 impl VoteLog {
     /// An empty log admitting at most `capacity` buffered records, and,
     /// drained over the wire, no more than one drain reply can carry (a
@@ -364,9 +334,9 @@ impl VoteLog {
         opts: WalOptions,
         registry: &Registry,
     ) -> Result<VoteLog, ArtifactError> {
-        let scratch = ScratchDir::create(&std::env::temp_dir())?;
+        let scratch = ScratchDir::create(&std::env::temp_dir(), "lre-votes")?;
         let obs = WalObs::new(&Registry::new(), Arc::new(FlightRecorder::new(1)));
-        let (wal, _) = Wal::open(&scratch.0, opts, obs)?;
+        let (wal, _) = Wal::open(scratch.path(), opts, obs)?;
         Ok(VoteLog::over(wal, Some(scratch), capacity, drain, registry))
     }
 
@@ -826,7 +796,11 @@ mod tests {
     }
 
     fn scratch_dir(log: &VoteLog) -> PathBuf {
-        log.scratch.as_ref().expect("a scratch log").0.clone()
+        log.scratch
+            .as_ref()
+            .expect("a scratch log")
+            .path()
+            .to_path_buf()
     }
 
     #[test]
@@ -838,24 +812,12 @@ mod tests {
         assert!(a.wal_status().is_none(), "a scratch WAL reports no status");
         a.record(detail(1, 0, 1.0));
         assert!(b.is_empty());
+        let name = dir_a.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(name.starts_with(&format!("lre-votes-{}-", std::process::id())));
         drop((a, b));
         assert!(!dir_a.exists() && !dir_b.exists());
-
-        // Directories left where the next scratch names would go (a killed
-        // process with this pid) hold windows; a new one takes none of them.
-        let parent = tmpdir("stale");
-        let next = SCRATCH_DIRS.load(Ordering::Relaxed);
-        let stale: Vec<PathBuf> = (next..next + 16)
-            .map(|n| parent.join(format!("lre-votes-{}-{n}", std::process::id())))
-            .collect();
-        for d in &stale {
-            open(d).0.record(detail(2, 0, 1.0));
-        }
-        let fresh = ScratchDir::create(&parent).unwrap();
-        assert!(!stale.contains(&fresh.0));
-        assert_eq!(std::fs::read_dir(&fresh.0).unwrap().count(), 0);
-        drop(fresh);
-        std::fs::remove_dir_all(&parent).unwrap();
+        // That a new scratch directory never takes an existing name is
+        // `lre_wal::ScratchDir`'s test.
     }
 
     fn open(d: &Path) -> (VoteLog, VoteRecovery) {

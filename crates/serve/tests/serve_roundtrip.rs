@@ -23,19 +23,26 @@
 //! cargo test --release -p lre-serve --test serve_roundtrip -- --ignored
 //! ```
 
-use lre_am::{extract_features, AmFamily, FeatureKind};
-use lre_artifact::{ArtifactError, ArtifactRead, ArtifactWrite};
-use lre_corpus::{render_utterance, Duration, Scale};
+use lre_am::{
+    extract_features, train_acoustic_model, AcousticModel, AmFamily, AmTrainConfig, FeatureKind,
+};
+use lre_artifact::{check_stream, ArtifactError, ArtifactRead, ArtifactWrite, SealedFile};
+use lre_backend::{LdaMmiFusion, MmiConfig};
+use lre_corpus::{build_language, render_utterance, Channel, Duration, LanguageId, Scale, UttSpec};
 use lre_dba::{fuse_duration, standard_subsystems, Experiment, ExperimentConfig};
 use lre_eval::ScoreMatrix;
-use lre_lattice::{decode_with_scratch, DecodeScratch};
+use lre_lattice::{decode_with_scratch, DecodeScratch, DecoderConfig};
 use lre_obs::{STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY, STAGE_SCORE, STAGE_SUPERVECTOR};
+use lre_phone::{PhoneSet, PhoneSetId, UniversalInventory};
 use lre_serve::client::ScoreReply;
 use lre_serve::system::duration_index_for;
 use lre_serve::{
-    Client, Engine, EngineConfig, Outcome, ScoreDetail, ScoreTap, ScorerHandle, ScoringSystem,
-    ServeObs, Server, ServerConfig, ServerHooks, SubmitError, SystemBundle,
+    BundleParent, Client, Engine, EngineConfig, Lineage, Outcome, ScoreDetail, ScoreTap,
+    ScorerHandle, ScoringSystem, ServeObs, Server, ServerConfig, ServerHooks, SubmitError,
+    SubsystemBundle, SystemBundle,
 };
+use lre_svm::{OneVsRest, SvmTrainConfig};
+use lre_vsm::{SparseVec, SupervectorBuilder, TfllrScaler};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Cursor, Read, Seek, SeekFrom};
 use std::net::TcpListener;
@@ -647,15 +654,12 @@ fn corrupt_bundles_fail_with_typed_errors_not_panics() {
     }
 }
 
-/// `SystemBundle::decode_sealed` and the streamed decode `lre-serve`
-/// loads with refuse `bytes` with the very error `from_artifact_bytes`
-/// gives.
+/// The streamed decode `lre-serve` and `lre-adaptd` load with refuses
+/// `bytes` with the very error `from_artifact_bytes` gives.
 fn refused_alike(bytes: &[u8], what: &str) {
     let text = |e: ArtifactError| e.to_string();
     let want = SystemBundle::from_artifact_bytes(bytes).err().map(text);
     assert!(want.is_some(), "{what}: the reference decode accepted it");
-    let sealed = SystemBundle::decode_sealed(bytes.to_vec()).err().map(text);
-    assert_eq!(sealed, want, "{what}: sealed decode");
     let streamed = SystemBundle::decode_stream(Cursor::new(bytes))
         .err()
         .map(text);
@@ -685,7 +689,7 @@ impl Seek for Rewritten {
 }
 
 #[test]
-fn sealed_decode_refuses_every_flip_and_cut_like_the_plain_decode() {
+fn streamed_decode_refuses_every_flip_and_cut_like_the_plain_decode() {
     // The semantically invalid bundle above: every truncation and every
     // single-byte flip of it, and the intact container itself.
     let mut w = lre_artifact::ArtifactWriter::new();
@@ -711,11 +715,11 @@ fn sealed_decode_refuses_every_flip_and_cut_like_the_plain_decode() {
     }
 }
 
-/// The fixture bundle decoded through `decode_sealed`, so
-/// `check_damage_detected` drives the sealed entry point.
-struct ViaSealed;
+/// The fixture bundle decoded through `decode_stream`, so
+/// `check_damage_detected` drives the streamed entry point.
+struct ViaStreamed;
 
-impl ArtifactWrite for ViaSealed {
+impl ArtifactWrite for ViaStreamed {
     const KIND: [u8; 4] = SystemBundle::KIND;
     const VERSION: u32 = SystemBundle::VERSION;
 
@@ -724,36 +728,211 @@ impl ArtifactWrite for ViaSealed {
     }
 }
 
-impl ArtifactRead for ViaSealed {
+impl ArtifactRead for ViaStreamed {
     fn read_payload(_: &mut lre_artifact::ArtifactReader) -> Result<Self, ArtifactError> {
         unreachable!("from_artifact_bytes is overridden")
     }
 
     fn from_artifact_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        SystemBundle::decode_sealed(bytes.to_vec()).map(|_| ViaSealed)
+        SystemBundle::decode_stream(Cursor::new(bytes)).map(|_| ViaStreamed)
     }
 }
 
 #[test]
 #[ignore = "builds the full experiment; run with --release -- --ignored"]
-fn sealed_decode_keeps_the_input_bytes_and_refuses_damage() {
+fn streamed_decode_reseals_to_the_input_and_refuses_damage() {
     let fx = fixture();
-    let (bundle, sealed) = SystemBundle::decode_sealed(fx.bytes.clone()).expect("bundle decodes");
-    assert!(sealed.bytes() == fx.bytes, "the sealed half is the input");
-    assert_eq!(sealed.subsystems(), bundle.subsystems.len());
-    assert_eq!(sealed.subsystems(), standard_subsystems().len());
-    assert_eq!(sealed.generation(), bundle.lineage.generation);
-    assert_eq!(sealed.generation(), 0, "a trained bundle is a lineage root");
+    let (bundle, id) = SystemBundle::decode_stream(Cursor::new(&fx.bytes)).expect("decodes");
+    assert_eq!(id.len, fx.bytes.len() as u64);
+    assert_eq!(bundle.subsystems.len(), standard_subsystems().len());
+    assert_eq!(
+        bundle.lineage.generation, 0,
+        "a trained bundle is a lineage root"
+    );
     assert!(
         bundle.to_artifact_bytes() == fx.bytes,
-        "the decoded half reseals to the input"
+        "the decoded bundle reseals to the input"
     );
     for probe in [0, 7, 4_099, 65_537, 1_000_003, fx.bytes.len() - 3] {
-        lre_artifact::check_damage_detected::<ViaSealed>(&fx.bytes, probe);
+        lre_artifact::check_damage_detected::<ViaStreamed>(&fx.bytes, probe);
         let mut bad = fx.bytes.clone();
         bad[probe % fx.bytes.len()] ^= 0x5A;
         refused_alike(&bad, &format!("byte {probe} ^ 0x5a"));
     }
+}
+
+/// A small bundle trained in about a second: two subsystems over one tiny
+/// GMM acoustic model, a bigram supervector builder, and one fusion per
+/// duration fitted on synthetic scores.
+fn synthetic_bundle() -> SystemBundle {
+    let inv = UniversalInventory::new();
+    let set = PhoneSet::standard(PhoneSetId::Cz, &inv);
+    let lang = build_language(LanguageId::Czech, 7, &inv);
+    let utts: Vec<UttSpec> = (0..4)
+        .map(|i| UttSpec {
+            language: LanguageId::Czech,
+            speaker_seed: i,
+            channel: Channel::telephone(25.0),
+            num_frames: 60,
+            seed: 1000 + i,
+        })
+        .collect();
+    let cfg = AmTrainConfig {
+        gmm_mixtures: 1,
+        gmm_em_iters: 1,
+        ..AmTrainConfig::for_family(AmFamily::GmmHmm, 3)
+    };
+    let am = train_acoustic_model(&set, &utts, &lang, &inv, &cfg).to_artifact_bytes();
+    let (classes, svm) = (3, SvmTrainConfig::default());
+    let labels: Vec<usize> = (0..12).map(|i| i % classes).collect();
+    let subsystems = (0..2u8)
+        .map(|q| {
+            let builder = SupervectorBuilder::new(set.len(), 2);
+            let dim = builder.dim();
+            let xs: Vec<SparseVec> = (0..labels.len())
+                .map(|i| SparseVec::from_pairs(vec![(((i * 5) % dim) as u32, 0.5 + i as f32)]))
+                .collect();
+            SubsystemBundle {
+                spec_index: q,
+                decoder: DecoderConfig::default(),
+                am: AcousticModel::from_artifact_bytes(&am).expect("AM reloads"),
+                scaler: TfllrScaler::fit(&xs, dim, 1e-3),
+                vsm: OneVsRest::train(&xs, &labels, classes, dim, &svm),
+                builder,
+            }
+        })
+        .collect();
+    let scores = |q: usize| {
+        let mut m = ScoreMatrix::new(classes);
+        for (j, &l) in labels.iter().enumerate() {
+            let row: Vec<f32> = (0..classes)
+                .map(|k| f32::from(k == l) * 2.0 - 1.0 + ((j * 3 + k + q) % 5) as f32 * 0.1)
+                .collect();
+            m.push_row(&row);
+        }
+        m
+    };
+    let (a, b) = (scores(0), scores(1));
+    let fusions = Duration::all()
+        .iter()
+        .map(|_| LdaMmiFusion::train(&[&a, &b], &labels, &[1.0, 1.0], &MmiConfig::default()))
+        .collect();
+    SystemBundle {
+        seed: 7,
+        scale_name: "synthetic".into(),
+        max_order: 2,
+        svm,
+        lineage: Lineage::root(),
+        subsystems,
+        fusions,
+    }
+}
+
+/// `bytes` in a file of this test process under Cargo's scratch
+/// directory, with the identity a check of it proves.
+fn bundle_file(bytes: &[u8], tag: &str) -> SealedFile {
+    let name = format!("serve_roundtrip_{}_{tag}.bundle", std::process::id());
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, bytes).expect("bundle written");
+    let (kind, version) = (SystemBundle::KIND, SystemBundle::VERSION);
+    let id = check_stream(bytes, kind, version).expect("bundle checks");
+    SealedFile { path, id }
+}
+
+/// VSMs other than `bundle`'s, of its subsystems' dimensions: each
+/// trained on a few synthetic supervectors.
+fn other_vsms(bundle: &SystemBundle) -> Vec<OneVsRest> {
+    let classes = bundle.fusions[0].num_classes();
+    let labels: Vec<usize> = (0..2 * classes).map(|i| i % classes).collect();
+    (bundle.subsystems.iter().enumerate())
+        .map(|(q, sub)| {
+            let dim = sub.builder.dim();
+            let xs: Vec<SparseVec> = (0..labels.len())
+                .map(|i| SparseVec::from_pairs(vec![(((i * 7 + q) % dim) as u32, 1.0 + i as f32)]))
+                .collect();
+            OneVsRest::train(&xs, &labels, classes, dim, &bundle.svm)
+        })
+        .collect()
+}
+
+/// `BundleParent` reads from the file what the decode reads, and the
+/// candidate it splices from the file is `to_artifact_bytes` of the
+/// decoded bundle with its VSMs and lineage replaced, bit for bit. A
+/// parent file replaced by a bundle one payload byte away (same length,
+/// valid container) is refused by the read and by the splice.
+fn assert_splice_is_the_reencoded_bundle(bytes: &[u8], tag: &str) {
+    let file = bundle_file(bytes, tag);
+    let parent = BundleParent::read(file.clone()).expect("parent reads");
+    let mut bundle = SystemBundle::from_artifact_bytes(bytes).expect("bundle decodes");
+    assert_eq!(parent.lineage(), bundle.lineage);
+    assert!(parent.svm().to_artifact_bytes() == bundle.svm.to_artifact_bytes());
+    assert_eq!(parent.fusions().len(), bundle.fusions.len());
+    for (got, want) in parent.fusions().iter().zip(&bundle.fusions) {
+        assert!(
+            got.to_artifact_bytes() == want.to_artifact_bytes(),
+            "{tag}: fusion"
+        );
+    }
+    assert_eq!(parent.vsms().len(), bundle.subsystems.len());
+    for (q, sub) in bundle.subsystems.iter().enumerate() {
+        assert_eq!(parent.dim(q), sub.builder.dim());
+        let read = parent.vsms()[q].to_artifact_bytes();
+        assert!(read == sub.vsm.to_artifact_bytes(), "{tag}: VSM {q}");
+    }
+
+    let vsms = other_vsms(&bundle);
+    let lineage = Lineage {
+        generation: bundle.lineage.generation + 1,
+        parent_checksum: file.id.crc,
+        selected_utts: 11,
+        v_threshold: 3,
+    };
+    let out = file.path.with_extension("candidate");
+    let id = parent
+        .splice(&vsms, lineage, &out)
+        .expect("candidate splices");
+    for (sub, vsm) in bundle.subsystems.iter_mut().zip(vsms) {
+        sub.vsm = vsm;
+    }
+    bundle.lineage = lineage;
+    let want = bundle.to_artifact_bytes();
+    assert!(
+        std::fs::read(&out).expect("candidate written") == want,
+        "{tag}: the splice is the re-encoded bundle"
+    );
+    assert_eq!(
+        id,
+        check_stream(&want[..], SystemBundle::KIND, SystemBundle::VERSION).unwrap()
+    );
+    assert_ne!(
+        id.crc, file.id.crc,
+        "{tag}: the candidate has its own identity"
+    );
+
+    let (kind, version) = (SystemBundle::KIND, SystemBundle::VERSION);
+    let mut payload = lre_artifact::open(bytes, kind, version).unwrap().to_vec();
+    payload[0] ^= 1;
+    std::fs::write(&file.path, lre_artifact::seal(kind, version, &payload)).unwrap();
+    assert!(
+        BundleParent::read(file.clone()).is_err(),
+        "{tag}: replaced parent read"
+    );
+    let again = parent.splice(&other_vsms(&bundle), lineage, &out);
+    assert!(again.is_err(), "{tag}: replaced parent spliced");
+    std::fs::remove_file(&file.path).ok();
+    std::fs::remove_file(&out).ok();
+}
+
+#[test]
+fn the_splice_of_a_synthetic_bundle_is_its_reencoding_bit_for_bit() {
+    let bytes = synthetic_bundle().to_artifact_bytes();
+    assert_splice_is_the_reencoded_bundle(&bytes, "synthetic");
+}
+
+#[test]
+#[ignore = "builds the full experiment; run with --release -- --ignored"]
+fn the_splice_of_the_smoke_bundle_is_its_reencoding_bit_for_bit() {
+    assert_splice_is_the_reencoded_bundle(&fixture().bytes, "smoke");
 }
 
 #[test]

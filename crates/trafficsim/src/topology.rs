@@ -241,10 +241,11 @@ impl Topology {
 
     /// Send the front door a shutdown, then require every live process to
     /// exit 0 within [`EXIT_BOUND`], leaving no scratch vote window
-    /// (`lre-votes-<its pid>-*`) in `{work}`, and every log to hold no
+    /// (`lre-votes-<its pid>-*`) and no scratch bundle chain
+    /// (`lre-bundles-<its pid>-*`) in `{work}`, and every log to hold no
     /// panic; each miss is a note. A process SIGKILLed before is not
-    /// judged on its window. Any process still running is SIGKILLed on
-    /// drop.
+    /// judged on its scratch state. Any process still running is
+    /// SIGKILLed on drop.
     pub fn stop(mut self, notes: &mut Vec<String>) -> bool {
         let before = notes.len();
         match self
@@ -258,7 +259,6 @@ impl Topology {
         let work_dir = &self.dep.work_dir;
         for p in &mut self.procs {
             if let Some(mut child) = p.child.take() {
-                let window = format!("lre-votes-{}-", child.id());
                 // A bounded poll: std offers no wait with a timeout.
                 let status = loop {
                     match child.try_wait() {
@@ -273,7 +273,7 @@ impl Topology {
                     let within = format!("{EXIT_BOUND:?} after shutdown");
                     notes.push(format!("{} not exited 0 {within}: {status:?}", p.name));
                     p.child = Some(child);
-                } else if let Some(left) = entry_named(work_dir, &window) {
+                } else if let Some(left) = scratch_left(work_dir, child.id()) {
                     notes.push(format!("{} exited 0 but left {left}", p.name));
                 }
             }
@@ -284,6 +284,18 @@ impl Topology {
         }
         notes.len() == before
     }
+}
+
+/// Name prefixes of the private directories a serving process keeps under
+/// `TMPDIR` and removes when it exits cleanly: a scratch vote window and a
+/// scratch bundle chain.
+const SCRATCH_PREFIXES: [&str; 2] = ["lre-votes", lre_wal::SCRATCH_PREFIX];
+
+/// The scratch directory process `pid` left in `dir`, if any.
+fn scratch_left(dir: &Path, pid: u32) -> Option<String> {
+    SCRATCH_PREFIXES
+        .iter()
+        .find_map(|prefix| entry_named(dir, &format!("{prefix}-{pid}-")))
 }
 
 /// The name of an entry of `dir` that starts with `prefix`, if any.
@@ -301,5 +313,33 @@ impl Drop for Topology {
                 let _ = child.wait();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A process's scratch vote window and scratch bundle chain both count
+    /// as left behind; another process's, or a name that only starts
+    /// alike, do not.
+    #[test]
+    fn a_scratch_window_or_bundle_chain_is_left_behind() {
+        let dir = std::env::temp_dir().join(format!("lre_topology_left_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mk = |name: &str| std::fs::create_dir(dir.join(name)).unwrap();
+        mk("lre-votes-77-0");
+        mk("lre-bundles-770-0");
+        mk("lre-bundles-7");
+        assert_eq!(scratch_left(&dir, 77).as_deref(), Some("lre-votes-77-0"));
+        assert_eq!(
+            scratch_left(&dir, 770).as_deref(),
+            Some("lre-bundles-770-0")
+        );
+        assert_eq!(scratch_left(&dir, 7), None);
+        mk("lre-bundles-7-3");
+        assert_eq!(scratch_left(&dir, 7).as_deref(), Some("lre-bundles-7-3"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -27,5 +27,6 @@ pub mod dir;
 pub mod lineage;
 pub mod log;
 
-pub use lineage::{generation_name, LineageEntry, LineageError, LineageStore};
+pub use dir::ScratchDir;
+pub use lineage::{generation_name, LineageEntry, LineageError, LineageStore, SCRATCH_PREFIX};
 pub use log::{Wal, WalObs, WalOptions, WalReplay, WalStatus, LOG_FILE};

@@ -20,15 +20,26 @@
 //! down to a retained count but keeps their index entries (marked pruned),
 //! so the chain stays checkable end to end; loading a pruned generation
 //! is a typed refusal, not a file-not-found surprise.
+//!
+//! Bundles enter the chain from files and leave it as files: an append
+//! copies a sealed container a piece at a time, checking it on the way,
+//! and [`LineageStore::file`] names a retained generation's file with the
+//! identity every read of it must find. A [`LineageStore::scratch`] chain
+//! is the same store in a private directory nothing reopens.
 
-use crate::dir::{fsync_dir, write_durable};
-use lre_artifact::{bundle_checksum, copy_sealed, ArtifactError, ArtifactReader, ArtifactWriter};
-use std::fs;
+use crate::dir::{fsync_dir, write_durable, write_durable_with, ScratchDir};
+use lre_artifact::{
+    copy_sealed, ArtifactError, ArtifactReader, ArtifactWriter, SealedFile, SealedId,
+};
+use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 
 const IDX_FILE: &str = "lineage.idx";
 const IDX_KIND: [u8; 4] = *b"GLIN";
 const IDX_VERSION: u32 = 1;
+
+/// Name prefix of a scratch chain's directory: `lre-bundles-<pid>-<n>`.
+pub const SCRATCH_PREFIX: &str = "lre-bundles";
 
 /// File name of a retained generation's sealed bundle bytes.
 pub fn generation_name(generation: u64) -> String {
@@ -43,8 +54,7 @@ pub struct LineageEntry {
     /// The sealed bundle's CRC-32 trailer (the workspace-wide bundle
     /// checksum, [`bundle_checksum`]).
     pub checksum: u32,
-    /// Checksum of the bundle this one was boosted from. For the root
-    /// entry this is whatever the bundle itself claims (typically 0).
+    /// Checksum of the bundle this one was boosted from; 0 for the root.
     pub parent_checksum: u32,
     /// Utterances selected into the boost round that produced it.
     pub selected: u32,
@@ -99,6 +109,8 @@ impl From<std::io::Error> for LineageError {
 pub struct LineageStore {
     path: PathBuf,
     entries: Vec<LineageEntry>,
+    /// A scratch chain's directory, removed when the store drops.
+    scratch: Option<ScratchDir>,
 }
 
 impl LineageStore {
@@ -116,9 +128,33 @@ impl LineageStore {
         let store = LineageStore {
             path: path.to_path_buf(),
             entries,
+            scratch: None,
         };
         store.validate_chain()?;
         Ok(store)
+    }
+
+    /// An empty chain that nothing ever reopens, in a fresh
+    /// `lre-bundles-<pid>-<n>` directory under [`std::env::temp_dir`],
+    /// removed with the store: where a controller without a durable
+    /// lineage keeps the bundles it serves.
+    pub fn scratch() -> Result<LineageStore, LineageError> {
+        let dir = ScratchDir::create(&std::env::temp_dir(), SCRATCH_PREFIX)?;
+        Ok(LineageStore {
+            path: dir.path().to_path_buf(),
+            entries: Vec::new(),
+            scratch: Some(dir),
+        })
+    }
+
+    /// The chain's directory.
+    pub fn dir(&self) -> &Path {
+        &self.path
+    }
+
+    /// Whether this is a [`LineageStore::scratch`] chain.
+    pub fn is_scratch(&self) -> bool {
+        self.scratch.is_some()
     }
 
     fn validate_chain(&self) -> Result<(), LineageError> {
@@ -149,22 +185,24 @@ impl LineageStore {
     }
 
     /// Seed an empty store with the generation being served right now
-    /// (the baseline bundle). No-op if the chain already starts.
-    pub fn record_root(&mut self, sealed: &[u8], generation: u64) -> Result<(), LineageError> {
+    /// (the baseline bundle), copied from the sealed container in file
+    /// `src`. No-op if the chain already starts.
+    pub fn record_root(&mut self, src: &Path, generation: u64) -> Result<(), LineageError> {
         if !self.entries.is_empty() {
             return Ok(());
         }
-        self.push_entry(sealed, generation, read_parent_checksum(sealed), 0)
+        self.push_entry(src, generation, 0, 0)
     }
 
-    /// Append the next served generation. `generation` must extend the
-    /// head by exactly one and `parent_checksum` must name an earlier
+    /// Append the next served generation, copied from the sealed
+    /// container in file `src`. `generation` must extend the head by
+    /// exactly one and `parent_checksum` must name an earlier
     /// retained-or-pruned generation — the promote path calls this
     /// *before* swapping the scorer, so a bundle is never served that the
     /// chain cannot restore.
     pub fn append(
         &mut self,
-        sealed: &[u8],
+        src: &Path,
         generation: u64,
         parent_checksum: u32,
         selected: u32,
@@ -183,36 +221,39 @@ impl LineageStore {
                 "parent checksum matches no earlier generation",
             ));
         }
-        self.push_entry(sealed, generation, parent_checksum, selected)
+        self.push_entry(src, generation, parent_checksum, selected)
     }
 
+    /// Copy `src` into the chain as `generation`, checking the container
+    /// as it streams (a damaged source lands nothing), and record it.
     fn push_entry(
         &mut self,
-        sealed: &[u8],
+        src: &Path,
         generation: u64,
         parent_checksum: u32,
         selected: u32,
     ) -> Result<(), LineageError> {
-        let entry = LineageEntry {
-            generation,
-            checksum: bundle_checksum(sealed),
-            parent_checksum,
-            selected,
-            bytes_len: sealed.len() as u64,
-            pruned: false,
-        };
         // Bytes first, index second: a crash in between leaves an orphan
         // bundle file (harmless), never an index entry without bytes.
-        write_durable(&self.path, &generation_name(generation), sealed)?;
-        self.entries.push(entry);
+        let id = write_durable_with(&self.path, &generation_name(generation), |f| {
+            copy_sealed(File::open(src)?, f)
+        })?;
+        self.entries.push(LineageEntry {
+            generation,
+            checksum: id.crc,
+            parent_checksum,
+            selected,
+            bytes_len: id.len,
+            pruned: false,
+        });
         self.store_index()?;
         Ok(())
     }
 
-    /// Load the pristine sealed bytes of `generation`, verifying the
-    /// container (magic, length, CRC) and that it is the one the entry
-    /// names (its length and checksum) before handing them out.
-    pub fn load(&self, generation: u64) -> Result<Vec<u8>, LineageError> {
+    /// The file of retained generation `generation`, with the identity
+    /// the chain recorded for it. Nothing is read here: every read of a
+    /// [`SealedFile`] checks that the file still holds that container.
+    pub fn file(&self, generation: u64) -> Result<SealedFile, LineageError> {
         let entry = self
             .entries
             .iter()
@@ -221,13 +262,13 @@ impl LineageStore {
         if entry.pruned {
             return Err(LineageError::Pruned(generation));
         }
-        let bytes =
-            fs::read(self.path.join(generation_name(generation))).map_err(ArtifactError::Io)?;
-        let id = copy_sealed(&bytes[..], std::io::sink())?;
-        if (id.len, id.crc) != (entry.bytes_len, entry.checksum) {
-            return Err(ArtifactError::ChecksumMismatch.into());
-        }
-        Ok(bytes)
+        Ok(SealedFile {
+            path: self.path.join(generation_name(generation)),
+            id: SealedId {
+                len: entry.bytes_len,
+                crc: entry.checksum,
+            },
+        })
     }
 
     /// The newest chain entry.
@@ -256,22 +297,27 @@ impl LineageStore {
 
     /// Prune the oldest retained generations until at most `keep_count`
     /// remain. The head is never pruned — the serving generation must stay
-    /// restorable. Returns (generations pruned, bytes reclaimed).
-    pub fn gc(&mut self, keep_count: usize) -> Result<(u64, u64), LineageError> {
+    /// restorable — nor a generation whose checksum is in `pinned` (what a
+    /// controller serves, or would roll back to): those stay even past
+    /// `keep_count`. Returns (generations pruned, bytes reclaimed).
+    pub fn gc(&mut self, keep_count: usize, pinned: &[u32]) -> Result<(u64, u64), LineageError> {
         let keep_count = keep_count.max(1);
+        let head = self.entries.last().map(|e| e.generation);
+        let mut retained = self.retained();
         let mut pruned = 0u64;
         let mut reclaimed = 0u64;
-        // At least two are retained here, so the oldest is not the head.
-        while self.retained() > keep_count {
-            let oldest = self
-                .entries
-                .iter_mut()
-                .find(|e| !e.pruned)
-                .expect("more than one generation is retained");
-            fs::remove_file(self.path.join(generation_name(oldest.generation))).ok();
-            oldest.pruned = true;
+        for e in &mut self.entries {
+            if retained <= keep_count {
+                break;
+            }
+            if e.pruned || Some(e.generation) == head || pinned.contains(&e.checksum) {
+                continue;
+            }
+            fs::remove_file(self.path.join(generation_name(e.generation))).ok();
+            e.pruned = true;
+            retained -= 1;
             pruned += 1;
-            reclaimed += oldest.bytes_len;
+            reclaimed += e.bytes_len;
         }
         if pruned > 0 {
             fsync_dir(&self.path)?;
@@ -322,22 +368,33 @@ fn decode_index(bytes: &[u8]) -> Result<Vec<LineageEntry>, ArtifactError> {
     Ok(entries)
 }
 
-/// Best-effort read of a sealed bundle's own parent-checksum field is the
-/// bundle format's business, not ours; the root entry simply records 0
-/// when the caller has nothing better.
-fn read_parent_checksum(_sealed: &[u8]) -> u32 {
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lre_artifact::seal;
+    use lre_artifact::{bundle_checksum, seal};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("lre_wal_lin_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
+        cleanup(&d);
         d
+    }
+
+    fn cleanup(d: &Path) {
+        let _ = fs::remove_dir_all(d);
+        let _ = fs::remove_dir_all(d.with_extension("src"));
+    }
+
+    /// `bytes` as a file the chain in `d` can take a bundle from.
+    fn source(d: &Path, bytes: &[u8]) -> PathBuf {
+        let dir = d.with_extension("src");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{:08x}-{}", bundle_checksum(bytes), bytes.len()));
+        fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    fn load(store: &LineageStore, generation: u64) -> Result<Vec<u8>, LineageError> {
+        Ok(store.file(generation)?.read()?)
     }
 
     /// A synthetic sealed "bundle": a BNDL-tagged container of f32 bits.
@@ -356,17 +413,21 @@ mod tests {
         let b2 = bundle(2, &[0.125, 2.0, -0.0]);
         {
             let mut store = LineageStore::open(&d).unwrap();
-            store.record_root(&b0, 0).unwrap();
-            store.append(&b1, 1, bundle_checksum(&b0), 10).unwrap();
-            store.append(&b2, 2, bundle_checksum(&b1), 12).unwrap();
+            store.record_root(&source(&d, &b0), 0).unwrap();
+            store
+                .append(&source(&d, &b1), 1, bundle_checksum(&b0), 10)
+                .unwrap();
+            store
+                .append(&source(&d, &b2), 2, bundle_checksum(&b1), 12)
+                .unwrap();
         }
         let store = LineageStore::open(&d).unwrap();
         assert_eq!(store.head().unwrap().generation, 2);
         for (gen, want) in [(0, &b0), (1, &b1), (2, &b2)] {
-            let got = store.load(gen).unwrap();
+            let got = load(&store, gen).unwrap();
             assert_eq!(&got, want, "generation {gen} must be byte-identical");
         }
-        fs::remove_dir_all(&d).ok();
+        cleanup(&d);
     }
 
     #[test]
@@ -374,28 +435,39 @@ mod tests {
         let d = tmpdir("enforce");
         let mut store = LineageStore::open(&d).unwrap();
         let b0 = bundle(0, &[1.0]);
+        let src = |b: Vec<u8>| source(&d, &b);
         assert!(matches!(
-            store.append(&bundle(1, &[2.0]), 1, 0, 0),
+            store.append(&src(bundle(1, &[2.0])), 1, 0, 0),
             Err(LineageError::BrokenChain(_))
         ));
-        store.record_root(&b0, 0).unwrap();
+        store.record_root(&src(b0.clone()), 0).unwrap();
         // Gap in numbering.
         assert!(matches!(
-            store.append(&bundle(2, &[2.0]), 2, bundle_checksum(&b0), 0),
+            store.append(&src(bundle(2, &[2.0])), 2, bundle_checksum(&b0), 0),
             Err(LineageError::BrokenChain(_))
         ));
         // Unknown parent checksum.
         assert!(matches!(
-            store.append(&bundle(1, &[2.0]), 1, 0xDEAD_BEEF, 0),
+            store.append(&src(bundle(1, &[2.0])), 1, 0xDEAD_BEEF, 0),
             Err(LineageError::BrokenChain(_))
         ));
         // Parent may be any earlier generation (post-deep-rollback shape).
         let b1 = bundle(1, &[2.0]);
-        store.append(&b1, 1, bundle_checksum(&b0), 0).unwrap();
+        store.append(&src(b1), 1, bundle_checksum(&b0), 0).unwrap();
         store
-            .append(&bundle(2, &[3.0]), 2, bundle_checksum(&b0), 0)
+            .append(&src(bundle(2, &[3.0])), 2, bundle_checksum(&b0), 0)
             .unwrap();
-        fs::remove_dir_all(&d).ok();
+        // A source that is not an intact container lands nothing.
+        let mut torn = bundle(3, &[4.0]);
+        torn.pop();
+        assert!(matches!(
+            store.append(&src(torn), 3, bundle_checksum(&b0), 0),
+            Err(LineageError::Artifact(ArtifactError::Truncated))
+        ));
+        assert_eq!(store.head().unwrap().generation, 2);
+        assert!(!d.join(generation_name(3)).exists());
+        assert!(!d.join(format!("{}.tmp", generation_name(3))).exists());
+        cleanup(&d);
     }
 
     #[test]
@@ -403,36 +475,71 @@ mod tests {
         let d = tmpdir("gc");
         let mut store = LineageStore::open(&d).unwrap();
         let mut bundles = vec![bundle(0, &[0.0])];
-        store.record_root(&bundles[0], 0).unwrap();
+        store.record_root(&source(&d, &bundles[0]), 0).unwrap();
         for g in 1..6u64 {
             let b = bundle(g, &[g as f32]);
             let parent = bundle_checksum(&bundles[g as usize - 1]);
-            store.append(&b, g, parent, g as u32).unwrap();
+            store.append(&source(&d, &b), g, parent, g as u32).unwrap();
             bundles.push(b);
         }
-        let (pruned, reclaimed) = store.gc(3).unwrap();
+        let (pruned, reclaimed) = store.gc(3, &[]).unwrap();
         assert_eq!(pruned, 3);
         assert!(reclaimed > 0);
         assert_eq!(store.retained(), 3);
-        assert!(matches!(store.load(0), Err(LineageError::Pruned(0))));
+        assert!(matches!(load(&store, 0), Err(LineageError::Pruned(0))));
         assert!(matches!(
-            store.load(9),
+            load(&store, 9),
             Err(LineageError::UnknownGeneration(9))
         ));
-        assert_eq!(store.load(5).unwrap(), bundles[5]);
+        assert_eq!(load(&store, 5).unwrap(), bundles[5]);
         // Entries survive for chain validation, and reopen still validates.
         assert_eq!(store.entries().len(), 6);
         drop(store);
         let mut store = LineageStore::open(&d).unwrap();
         assert_eq!(store.retained(), 3);
-        assert_eq!(store.load(4).unwrap(), bundles[4]);
+        assert_eq!(load(&store, 4).unwrap(), bundles[4]);
         // Asked to keep nothing, GC still keeps the head.
-        let (pruned, reclaimed) = store.gc(0).unwrap();
+        let (pruned, reclaimed) = store.gc(0, &[]).unwrap();
         let freed = store.entries()[3].bytes_len + store.entries()[4].bytes_len;
         assert_eq!((pruned, reclaimed), (2, freed));
         assert_eq!(store.retained(), 1);
-        assert_eq!(store.load(5).unwrap(), bundles[5]);
-        fs::remove_dir_all(&d).ok();
+        assert_eq!(load(&store, 5).unwrap(), bundles[5]);
+        cleanup(&d);
+    }
+
+    /// GC passes over the generations it is told are in use, however
+    /// old: they stay retained past the budget, and the next-oldest go.
+    #[test]
+    fn gc_keeps_pinned_generations_past_the_budget() {
+        let d = tmpdir("pinned");
+        let mut store = LineageStore::open(&d).unwrap();
+        let bundles: Vec<Vec<u8>> = (0..5u64).map(|g| bundle(g, &[g as f32])).collect();
+        store.record_root(&source(&d, &bundles[0]), 0).unwrap();
+        for g in 1..5u64 {
+            let parent = bundle_checksum(&bundles[0]);
+            store
+                .append(&source(&d, &bundles[g as usize]), g, parent, 0)
+                .unwrap();
+        }
+        let pinned = [bundle_checksum(&bundles[0]), bundle_checksum(&bundles[2])];
+        let (pruned, _) = store.gc(1, &pinned).unwrap();
+        assert_eq!(pruned, 2, "generations 1 and 3 go");
+        let kept: Vec<u64> = store
+            .entries()
+            .iter()
+            .filter(|e| !e.pruned)
+            .map(|e| e.generation)
+            .collect();
+        assert_eq!(kept, [0, 2, 4]);
+        for g in [0, 2, 4] {
+            assert_eq!(load(&store, g).unwrap(), bundles[g as usize]);
+        }
+        assert_eq!(
+            store.gc(1, &pinned).unwrap(),
+            (0, 0),
+            "nothing left to prune"
+        );
+        cleanup(&d);
     }
 
     #[test]
@@ -440,17 +547,17 @@ mod tests {
         let d = tmpdir("damage");
         let mut store = LineageStore::open(&d).unwrap();
         let b0 = bundle(0, &[1.0, 2.0]);
-        store.record_root(&b0, 0).unwrap();
+        store.record_root(&source(&d, &b0), 0).unwrap();
         let path = d.join(generation_name(0));
         let mut bytes = fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n / 2] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            store.load(0),
+            load(&store, 0),
             Err(LineageError::Artifact(ArtifactError::ChecksumMismatch))
         ));
-        fs::remove_dir_all(&d).ok();
+        cleanup(&d);
     }
 
     /// The chain's identity checks tell apart bundles one payload byte
@@ -470,19 +577,21 @@ mod tests {
         let (b0, b1) = (bundle(0, &s0), bundle(1, &s1));
         let (b0_twin, b1_twin) = (bundle(0, &twin(&s0)), bundle(1, &twin(&s1)));
         assert_ne!(bundle_checksum(&b0), bundle_checksum(&b0_twin));
-        store.record_root(&b0, 0).unwrap();
+        store.record_root(&source(&d, &b0), 0).unwrap();
         assert!(matches!(
-            store.append(&b1, 1, bundle_checksum(&b0_twin), 0),
+            store.append(&source(&d, &b1), 1, bundle_checksum(&b0_twin), 0),
             Err(LineageError::BrokenChain(_))
         ));
-        store.append(&b1, 1, bundle_checksum(&b0), 0).unwrap();
+        store
+            .append(&source(&d, &b1), 1, bundle_checksum(&b0), 0)
+            .unwrap();
         assert_eq!(store.head().unwrap().parent_checksum, bundle_checksum(&b0));
         fs::write(d.join(generation_name(1)), &b1_twin).unwrap();
         assert!(matches!(
-            store.load(1),
-            Err(LineageError::Artifact(ArtifactError::ChecksumMismatch))
+            load(&store, 1),
+            Err(LineageError::Artifact(ArtifactError::Corrupt(_)))
         ));
-        fs::remove_dir_all(&d).ok();
+        cleanup(&d);
     }
 
     #[test]
@@ -490,13 +599,39 @@ mod tests {
         let d = tmpdir("missing");
         {
             let mut store = LineageStore::open(&d).unwrap();
-            store.record_root(&bundle(0, &[1.0]), 0).unwrap();
+            store
+                .record_root(&source(&d, &bundle(0, &[1.0])), 0)
+                .unwrap();
         }
         fs::remove_file(d.join(generation_name(0))).unwrap();
         assert!(matches!(
             LineageStore::open(&d),
             Err(LineageError::BrokenChain(_))
         ));
-        fs::remove_dir_all(&d).ok();
+        cleanup(&d);
+    }
+
+    /// A scratch chain lives in its own fresh directory under the temp
+    /// dir and leaves nothing behind when it drops.
+    #[test]
+    fn a_scratch_chain_is_private_and_removed_with_its_store() {
+        let (mut a, b) = (
+            LineageStore::scratch().unwrap(),
+            LineageStore::scratch().unwrap(),
+        );
+        assert!(a.is_scratch() && !LineageStore::open(&tmpdir("durable")).unwrap().is_scratch());
+        assert_ne!(a.path, b.path);
+        let name = a.path.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(name.starts_with(&format!("{SCRATCH_PREFIX}-{}-", std::process::id())));
+        assert!(a.path.starts_with(std::env::temp_dir()));
+        let d = tmpdir("scratch_src");
+        let b0 = bundle(0, &[1.0]);
+        a.record_root(&source(&d, &b0), 0).unwrap();
+        assert_eq!(load(&a, 0).unwrap(), b0);
+        let dir = a.path.clone();
+        drop(a);
+        assert!(!dir.exists());
+        cleanup(&d);
+        cleanup(&tmpdir("durable"));
     }
 }

@@ -56,6 +56,10 @@ fn decode_scores(sealed: &[u8]) -> Vec<f32> {
     r.get_f32_slice().unwrap()
 }
 
+fn load(store: &LineageStore, generation: u64) -> Result<Vec<u8>, LineageError> {
+    Ok(store.file(generation)?.read()?)
+}
+
 static DIR_TAG: AtomicU64 = AtomicU64::new(0);
 
 fn fresh_dir() -> std::path::PathBuf {
@@ -80,7 +84,10 @@ proptest! {
         // the generation each was boosted from.
         let root_scores = vec![0.25f32, -1.5];
         let root = bundle(0, &root_scores);
-        store.record_root(&root, 0).unwrap();
+        let src = dir.with_extension("root");
+        std::fs::write(&src, &root).unwrap();
+        store.record_root(&src, 0).unwrap();
+        std::fs::remove_file(&src).unwrap();
         let mut truth: Vec<(Vec<u8>, Vec<f32>)> = vec![(root, root_scores)];
         let mut parents: Vec<u64> = vec![0];
         let mut serving: u64 = 0;
@@ -91,7 +98,10 @@ proptest! {
                     let next = store.head().unwrap().generation + 1;
                     let sealed = bundle(next, scores);
                     let parent_ck = bundle_checksum(&truth[serving as usize].0);
-                    store.append(&sealed, next, parent_ck, scores.len() as u32).unwrap();
+                    let src = dir.with_extension("candidate");
+                    std::fs::write(&src, &sealed).unwrap();
+                    store.append(&src, next, parent_ck, scores.len() as u32).unwrap();
+                    std::fs::remove_file(&src).unwrap();
                     truth.push((sealed, scores.clone()));
                     parents.push(serving);
                     serving = next;
@@ -106,18 +116,15 @@ proptest! {
                     serving = retained[pick % retained.len()];
                 }
                 Op::Gc(keep) => {
-                    store.gc(*keep).unwrap();
-                    // Serving a pruned generation is impossible from the
-                    // controller (it never prunes what it could re-serve
-                    // without reloading); keep the model honest by moving
-                    // the serving pointer up if GC took its bytes.
+                    // The controller pins what it serves: GC never takes
+                    // the next promote's parent.
+                    let pinned = [bundle_checksum(&truth[serving as usize].0)];
+                    store.gc(*keep, &pinned).unwrap();
                     let still = store
                         .entries()
                         .iter()
                         .any(|e| e.generation == serving && !e.pruned);
-                    if !still {
-                        serving = store.head().unwrap().generation;
-                    }
+                    prop_assert!(still, "GC pruned the served generation {}", serving);
                 }
             }
 
@@ -145,7 +152,7 @@ proptest! {
             // Invariant 3: every retained generation reloads
             // byte-identically, scores pinned bit-for-bit.
             for e in entries.iter().filter(|e| !e.pruned) {
-                let loaded = store.load(e.generation).unwrap();
+                let loaded = load(&store, e.generation).unwrap();
                 let (want_bytes, want_scores) = &truth[e.generation as usize];
                 prop_assert_eq!(&loaded, want_bytes, "generation {} bytes drifted", e.generation);
                 let got_scores = decode_scores(&loaded);
@@ -158,7 +165,7 @@ proptest! {
             // typed error, not garbage.
             for e in entries.iter().filter(|e| e.pruned) {
                 prop_assert!(matches!(
-                    store.load(e.generation),
+                    load(&store, e.generation),
                     Err(LineageError::Pruned(_))
                 ));
             }
@@ -172,7 +179,7 @@ proptest! {
         prop_assert_eq!(store.head().unwrap().generation, head);
         prop_assert_eq!(store.retained(), retained);
         for e in store.entries().iter().filter(|e| !e.pruned) {
-            let loaded = store.load(e.generation).unwrap();
+            let loaded = load(&store, e.generation).unwrap();
             prop_assert_eq!(&loaded, &truth[e.generation as usize].0);
         }
         // Sanity: the per-generation files on disk are exactly the
