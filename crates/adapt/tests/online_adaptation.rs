@@ -12,9 +12,12 @@
 //! the chain on disk; the fourth runs one coordinator over two replicas;
 //! the fifth holds a cycle inside the controller and requires ping and the
 //! metrics dump to answer meanwhile; the sixth holds the constructor's
-//! refusals; the seventh changes the guard file under a running
-//! controller and requires only that cycle to fail. The promote and the guard-reject cases also hold the
-//! controller's `adapt.*` series to what the cycle reported.
+//! refusals; the seventh changes the guard file, and the eighth the
+//! parent bundle's file (in a scratch chain and in a durable one), under
+//! a running controller and requires only that cycle to fail; the ninth
+//! holds lineage GC at one retained generation to what a one-deep
+//! rollback restores. The promote and the guard-reject cases also hold
+//! the controller's `adapt.*` series to what the cycle reported.
 //!
 //! Like `lre-serve`'s `serve_roundtrip`, these build the full smoke-scale
 //! experiment (minutes in release), shared through a `OnceLock`, so they

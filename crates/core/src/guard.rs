@@ -20,7 +20,7 @@
 use crate::experiment::Experiment;
 use lre_artifact::{
     check_stream, ArtifactError, ArtifactRead, ArtifactStream, ArtifactWrite, ArtifactWriter,
-    SealedId,
+    SealedFile, SealedId,
 };
 use lre_backend::LdaMmiFusion;
 use lre_eval::{min_cavg, pooled_eer, CavgParams, ScoreMatrix};
@@ -28,7 +28,7 @@ use lre_svm::OneVsRest;
 use lre_vsm::SparseVec;
 use std::fs::File;
 use std::io::{Read, Seek};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A held-back trial set: dev supervectors and truth labels, frozen at
 /// bundle-training time. The type that writes the guard file; readers
@@ -184,8 +184,7 @@ fn validate<R: Read + Seek>(mut src: R) -> Result<GuardScores, ArtifactError> {
 /// A guard set kept as a file: validated whole once, then read again by
 /// every evaluation, which must find the container it validated.
 pub struct GuardFile {
-    path: PathBuf,
-    id: SealedId,
+    file: SealedFile,
     subsystems: usize,
     utts: usize,
 }
@@ -198,15 +197,17 @@ impl GuardFile {
     pub fn open(path: &Path) -> Result<GuardFile, ArtifactError> {
         let walked = validate(File::open(path)?)?;
         Ok(GuardFile {
-            path: path.to_path_buf(),
-            id: walked.id,
+            file: SealedFile {
+                path: path.to_path_buf(),
+                id: walked.id,
+            },
             subsystems: walked.subsystems,
             utts: walked.labels.len(),
         })
     }
 
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.file.path
     }
 
     pub fn num_utts(&self) -> usize {
@@ -221,15 +222,8 @@ impl GuardFile {
     /// is gone, damaged, or not the container validated at
     /// [`GuardFile::open`] is an error, and no scores come back.
     pub fn score(&self, sets: &[Vec<&OneVsRest>]) -> Result<GuardScores, ArtifactError> {
-        let file = File::open(&self.path)?;
-        let changed = ArtifactError::Corrupt("guard file changed since start-up");
-        if file.metadata()?.len() != self.id.len {
-            return Err(changed);
-        }
-        let scores = score_guard(file, sets)?;
-        if scores.id != self.id {
-            return Err(changed);
-        }
+        let scores = score_guard(self.file.open()?, sets)?;
+        self.file.check(scores.id)?;
         Ok(scores)
     }
 }
@@ -441,7 +435,7 @@ mod tests {
         let changed = file.score(sets).err().map(|e| e.to_string());
         assert_eq!(
             changed.as_deref(),
-            Some("artifact corrupt: guard file changed since start-up")
+            Some("artifact corrupt: sealed file changed since it was read")
         );
         // Damaged in place, gone, then restored.
         let mut bad = bytes.clone();
