@@ -32,9 +32,10 @@
 //!
 //! The controller holds no bundle bytes: every bundle it installs is a
 //! file of its chain — the durable lineage, or a private scratch chain
-//! when it has none — named by path and [`SealedId`]. A round streams its
-//! parent from that file a section at a time ([`BundleParent`]); a parent
-//! file that is no longer the container installed fails the cycle.
+//! when it has none — named by path and [`lre_artifact::SealedId`]. A
+//! round streams its parent from that file a section at a time
+//! ([`BundleParent`]); a parent file that is no longer the container
+//! installed fails the cycle.
 //!
 //! The replicas are [`FleetControl`]s: `lre-adaptd` passes the one
 //! in-process [`lre_serve::FleetReplica`] it serves from, `lre-router` its

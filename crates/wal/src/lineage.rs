@@ -52,7 +52,7 @@ pub fn generation_name(generation: u64) -> String {
 pub struct LineageEntry {
     pub generation: u64,
     /// The sealed bundle's CRC-32 trailer (the workspace-wide bundle
-    /// checksum, [`bundle_checksum`]).
+    /// checksum, [`lre_artifact::bundle_checksum`]).
     pub checksum: u32,
     /// Checksum of the bundle this one was boosted from; 0 for the root.
     pub parent_checksum: u32,
