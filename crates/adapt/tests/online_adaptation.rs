@@ -90,8 +90,7 @@ fn fixture() -> &'static Fixture {
         let cfg = ExperimentConfig::new(Scale::Smoke, 42);
         let exp = Experiment::build(&cfg);
         let guard = GuardSet::from_experiment(&exp);
-        let guard_path = guard_file_path("fixture");
-        std::fs::write(&guard_path, guard.to_artifact_bytes()).expect("guard written");
+        let guard_path = write_shared("fixture.guard", &guard.to_artifact_bytes());
 
         // The offline reference boosting round over the whole test pool.
         let out = run_dba(&exp, DbaVariant::M1, V);
@@ -128,8 +127,7 @@ fn fixture() -> &'static Fixture {
             .collect();
 
         let bytes = SystemBundle::from_experiment(exp).to_artifact_bytes();
-        let bundle_path = scratch_path("fixture.bundle");
-        std::fs::write(&bundle_path, &bytes).expect("bundle written");
+        let bundle_path = write_shared("fixture.bundle", &bytes);
         // Fuse both references through the *bundle's* backends — the exact
         // objects serving applies after the hot swap.
         let bundle = SystemBundle::from_artifact_bytes(&bytes).expect("bundle reloads");
@@ -183,6 +181,17 @@ fn server_config() -> ServerConfig {
 fn scratch_path(name: &str) -> PathBuf {
     let name = format!("online_adaptation_{}_{name}", std::process::id());
     Path::new(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
+/// `bytes` under one name in Cargo's scratch directory, shared by every
+/// run: written to a file of this process, then renamed over the last
+/// run's copy, so reruns replace the fixture instead of adding one.
+fn write_shared(name: &str, bytes: &[u8]) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("online_adaptation_{name}"));
+    let partial = scratch_path(name);
+    std::fs::write(&partial, bytes).expect("fixture file written");
+    std::fs::rename(&partial, &path).expect("fixture file renamed into place");
+    path
 }
 
 /// A guard file of this test process under Cargo's scratch directory.

@@ -99,6 +99,12 @@ impl GmmStateScorer {
     pub fn state_gmm(&self, s: usize) -> &DiagGmm {
         &self.gmms[s]
     }
+
+    /// Rows one block of `score_block` fills: each shared row once, then
+    /// every state's own.
+    pub fn rows_per_block(&self) -> usize {
+        self.shared.len() + self.rows.iter().map(|r| r.own.len()).sum::<usize>()
+    }
 }
 
 impl FrameScorer for GmmStateScorer {

@@ -133,8 +133,7 @@ fn bench_stages(c: &mut Criterion) {
 /// Historical hot path vs the batched one, on one 30 s utterance:
 /// per-frame scoring against `score_block`, and the full seed decode
 /// (per-frame scoring + fresh allocations) against the batched,
-/// scratch-reusing decode. The ≥2× speedup the
-/// perf-regression harness (`perfbaseline`) enforces shows up here too.
+/// scratch-reusing decode.
 fn bench_hot_path_comparison(c: &mut Criterion) {
     let s = setup();
     let dim = s.feats.dim();

@@ -7,6 +7,12 @@
 //! to every replica, and then stops the router. A backend ejected while its
 //! replica is still up closes its data connection on both sides, so the
 //! replica never holds more than the one the router reconnects.
+//!
+//! The router's two fleet promises, held by gates instead of clocks: N
+//! pipelined scores on one client are held by N different replicas at the
+//! same time, and a replica that stops leaves rotation at its first
+//! `shutting down` reply while every request is still answered exactly
+//! once.
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
@@ -15,28 +21,61 @@ use lre_serve::{
     read_frame, write_frame, Client, EngineConfig, ScoreDetail, ScoreReply, Scorer, ScorerHandle,
     Server, ServerConfig, ServerHooks,
 };
+use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// How long a test waits for a state its gates make certain before it
+/// fails: a failure deadline, never a pacing delay.
+const DEADLINE: Duration = Duration::from_secs(30);
+
 /// A scorer that holds every call while its gate is shut, so "a score is
-/// outstanding" is a state the test sets, not a race.
+/// outstanding" is a state the test sets, not a race. It counts the calls
+/// that reached it, so "this replica holds a score" is one it can await.
 struct Gate {
-    open: Mutex<bool>,
+    state: Mutex<GateState>,
     cv: Condvar,
+}
+
+struct GateState {
+    open: bool,
+    entered: usize,
 }
 
 impl Gate {
     fn new(open: bool) -> Arc<Gate> {
         Arc::new(Gate {
-            open: Mutex::new(open),
+            state: Mutex::new(GateState { open, entered: 0 }),
             cv: Condvar::new(),
         })
     }
 
     fn release(&self) {
-        *self.open.lock().unwrap() = true;
+        self.state.lock().unwrap().open = true;
         self.cv.notify_all();
+    }
+
+    /// The calls that have reached the scorer once `n` have, or at the
+    /// [`DEADLINE`].
+    fn await_entered(&self, n: usize) -> usize {
+        let deadline = Instant::now() + DEADLINE;
+        let mut state = self.state.lock().unwrap();
+        while state.entered < n && Instant::now() < deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            state = self.cv.wait_timeout(state, left).unwrap().0;
+        }
+        state.entered
+    }
+}
+
+/// Opens every gate when dropped, so a test that fails while its scores
+/// are held unwinds instead of waiting on them.
+struct OpenOnDrop(Vec<Arc<Gate>>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.iter().for_each(|g| g.release());
     }
 }
 
@@ -46,9 +85,11 @@ impl Scorer for Gate {
         samples: &[f32],
         _scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError> {
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.cv.wait(open).unwrap();
+        let mut state = self.state.lock().unwrap();
+        state.entered += 1;
+        self.cv.notify_all();
+        while !state.open {
+            state = self.cv.wait(state).unwrap();
         }
         Ok(ScoreDetail::from_fused(samples, vec![0.5, -0.5]))
     }
@@ -68,7 +109,11 @@ fn start_server(scorer: Arc<Gate>, max_inflight: usize) -> Server {
     Server::start(listener, handle, cfg, ServerHooks::default()).expect("server starts")
 }
 
-fn start_router(replicas: &[&Server], max_inflight: usize) -> Router {
+fn start_router(
+    replicas: &[&Server],
+    max_inflight: usize,
+    health_interval: Duration,
+) -> (Router, Arc<RouterObs>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
     let obs = RouterObs::new(8);
     let backends = replicas
@@ -77,11 +122,19 @@ fn start_router(replicas: &[&Server], max_inflight: usize) -> Router {
         .collect();
     let cfg = RouterConfig {
         max_inflight,
-        health_interval: Duration::from_millis(25),
+        health_interval,
         ..RouterConfig::default()
     };
-    Router::start(listener, backends, cfg, None, obs).expect("router starts")
+    let router = Router::start(listener, backends, cfg, None, Arc::clone(&obs));
+    (router.expect("router starts"), obs)
 }
+
+/// The health thread's cadence in the tests that rely on it.
+const PROBE_OFTEN: Duration = Duration::from_millis(25);
+
+/// A health thread that probes once, at start: in the tests that use it, a
+/// replica leaves rotation only by what its data connection says.
+const PROBE_ONCE: Duration = Duration::from_secs(3600);
 
 /// What a door at `addr` with a window of 1 answers, in order. `gate` holds
 /// the score it admits until the refusal past the window has come back.
@@ -130,7 +183,7 @@ fn server_and_router_keep_one_connection_contract() {
 
     let gate = Gate::new(false);
     let replica = start_server(Arc::clone(&gate), 4);
-    let router = start_router(&[&replica], 1);
+    let (router, _) = start_router(&[&replica], 1, PROBE_OFTEN);
     let routed = transcript(router.local_addr(), &gate);
     router.join();
     replica.join();
@@ -143,7 +196,7 @@ fn a_shutdown_through_the_router_is_acked_relayed_then_stops_it() {
         start_server(Gate::new(true), 4),
         start_server(Gate::new(true), 4),
     ];
-    let router = start_router(&[&replicas[0], &replicas[1]], 4);
+    let (router, _) = start_router(&[&replicas[0], &replicas[1]], 4, PROBE_OFTEN);
     let mut client = Client::connect(router.local_addr()).expect("connect");
     for _ in 0..4 {
         let reply = client.score(&[0.25; 8]).expect("score");
@@ -200,4 +253,147 @@ fn ejecting_a_live_replica_closes_its_data_connection() {
     assert_eq!(settled(&replica, 0), 0, "closed, yet connected");
     replica.stop();
     replica.join();
+}
+
+/// Run `body` on a thread of its own, failing the test if it has not
+/// finished by twice the [`DEADLINE`] (past any wait of its own): a score
+/// that never comes back fails the test instead of hanging it.
+fn within_deadline(body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let body = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    let limit = 2 * DEADLINE;
+    if finished.recv_timeout(limit) == Err(mpsc::RecvTimeoutError::Timeout) {
+        panic!("the test did not finish within {limit:?}");
+    }
+    if let Err(panic) = body.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// N pipelined scores on one client are held by N different replicas at
+/// the same time: with every gate shut, each one-worker replica's scorer
+/// holds exactly one of them. A router that forwarded a score only after
+/// the previous reply, or always to the same replica, leaves a replica
+/// without one.
+#[test]
+fn n_pipelined_scores_are_held_by_n_replicas_at_once() {
+    for n in [2usize, 3] {
+        within_deadline(move || {
+            let gates: Vec<Arc<Gate>> = (0..n).map(|_| Gate::new(false)).collect();
+            let replicas: Vec<Server> = gates
+                .iter()
+                .map(|g| start_server(Arc::clone(g), 4))
+                .collect();
+            let (router, _) = start_router(&replicas.iter().collect::<Vec<_>>(), 8, PROBE_ONCE);
+            let mut client = Client::connect(router.local_addr()).expect("connect");
+            let _open = OpenOnDrop(gates.clone());
+            let mut sent: HashSet<u64> = (0..n)
+                .map(|k| client.submit(&[k as f32; 8], None).expect("submit"))
+                .collect();
+
+            for (i, gate) in gates.iter().enumerate() {
+                assert_eq!(gate.await_entered(1), 1, "{n} replicas: replica {i} holds");
+            }
+
+            gates.iter().for_each(|g| g.release());
+            for _ in 0..n {
+                let (id, reply) = client.recv().expect("a reply");
+                assert!(
+                    sent.remove(&id),
+                    "{n} replicas: reply {id} twice or unasked"
+                );
+                assert!(matches!(reply, ScoreReply::Scored(_)), "{reply:?}");
+            }
+            client.shutdown().expect("shutdown acknowledged");
+            for replica in replicas {
+                replica.join();
+            }
+            router.join();
+        });
+    }
+}
+
+/// A replica stopped with scores in flight leaves rotation at its first
+/// `shutting down` reply: `router.backend.ejected` reads 1 as that reply
+/// arrives, nothing is routed to it afterwards, the survivor scores the
+/// next 16, and every request is answered exactly once, the held ones
+/// included.
+#[test]
+fn a_stopped_replica_leaves_rotation_at_its_first_shutting_down_reply() {
+    within_deadline(|| {
+        let gates = [Gate::new(false), Gate::new(false)];
+        // The victim has a window of one, so a second score bounces off it.
+        let victim = start_server(Arc::clone(&gates[0]), 1);
+        let survivor = start_server(Arc::clone(&gates[1]), 4);
+        let (router, obs) = start_router(&[&victim, &survivor], 32, PROBE_ONCE);
+        let ejected = obs.registry.counter("router.backend.ejected");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let _open = OpenOnDrop(gates.to_vec());
+        let mut sent = HashSet::new();
+        let mut submit = |client: &mut Client, x: f32| {
+            let id = client.submit(&[x; 8], None).expect("submit");
+            sent.insert(id);
+            id
+        };
+        let mut answered = HashSet::new();
+        let mut recv = |client: &mut Client| {
+            let (id, reply) = client.recv().expect("a reply");
+            assert!(answered.insert(id), "reply {id} twice");
+            (id, reply)
+        };
+
+        // One score held by each replica, then a third that ties at one in
+        // flight each: it goes to the victim, whose full window refuses it
+        // at once. So the victim's reader has just read a frame.
+        let held = [submit(&mut client, 1.0), submit(&mut client, 2.0)];
+        let bounced = submit(&mut client, 3.0);
+        let (id, reply) = recv(&mut client);
+        assert_eq!(id, bounced);
+        assert!(matches!(reply, ScoreReply::Overloaded), "{reply:?}");
+        assert_eq!(gates[0].await_entered(1), 1, "the victim holds one score");
+        assert_eq!(gates[1].await_entered(1), 1, "the survivor holds one score");
+
+        // The next score ties again and reaches the stopped victim.
+        victim.stop();
+        let refused = submit(&mut client, 4.0);
+        let (id, reply) = recv(&mut client);
+        assert_eq!(id, refused);
+        assert!(matches!(reply, ScoreReply::ShuttingDown), "{reply:?}");
+        assert_eq!(ejected.get(), 1, "ejected at its first shutting-down reply");
+        assert!(!router.backends()[0].is_healthy());
+
+        // Out of rotation: the survivor scores the next 16, the victim none.
+        gates[1].release();
+        let (id, reply) = recv(&mut client);
+        assert_eq!(id, held[1]);
+        assert!(matches!(reply, ScoreReply::Scored(_)), "{reply:?}");
+        for k in 0..16 {
+            let id = submit(&mut client, 10.0 + k as f32);
+            let (got, reply) = recv(&mut client);
+            assert_eq!(got, id);
+            assert!(
+                matches!(reply, ScoreReply::Scored(_)),
+                "score {k}: {reply:?}"
+            );
+        }
+        assert_eq!(survivor.engine().stats().requests, 17);
+        assert_eq!(router.backends()[0].inflight(), 1, "only the held score");
+
+        // The victim still owes the score it holds, and answers it.
+        gates[0].release();
+        let (id, reply) = recv(&mut client);
+        assert_eq!(id, held[0]);
+        assert!(matches!(reply, ScoreReply::Scored(_)), "{reply:?}");
+        assert_eq!(answered, sent, "every request answered exactly once");
+        assert_eq!(client.inflight(), 0);
+        assert_eq!(ejected.get(), 1);
+
+        client.shutdown().expect("shutdown acknowledged");
+        victim.join();
+        survivor.join();
+        router.join();
+    });
 }
