@@ -951,7 +951,7 @@ fn trimming_changes_no_round_at_any_v() {
         .waves
         .iter()
         .flatten()
-        .map(|w| system.score_utt(w, &mut scratch).expect("scores"))
+        .map(|w| system.score_utt(w, &mut scratch))
         .collect();
     let whole: Vec<VoteRecord> = details.iter().cloned().map(VoteRecord::from).collect();
     let log = scratch_log(whole.len(), &Registry::new());

@@ -373,8 +373,9 @@ impl<'a> ArtifactReader<'a> {
         self.data.len() - self.pos
     }
 
-    /// Bytes consumed so far — lets callers record where a section of the
-    /// payload starts (offset tables for lazily mapped sections).
+    /// Bytes consumed so far: where the next field starts, for a caller
+    /// that splices a payload at a field boundary (a bundle's VSM section)
+    /// or reads a stream one field at a time.
     pub fn position(&self) -> usize {
         self.pos
     }

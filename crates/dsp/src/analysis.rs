@@ -8,6 +8,59 @@ use crate::mfcc::MfccTail;
 use crate::plp::PlpTail;
 use crate::{F32s, F64s, LANES};
 
+/// The largest sample magnitude at which no f32 intermediate of the default
+/// analysis ([`FrameConfig::default`], 256-point spectra, the default MFCC
+/// and PLP tails) can overflow, by the bound below. A serving door refuses
+/// audio beyond it: a band energy that overflows is floored, so such audio
+/// would score as finite features that are not its own.
+///
+/// For a frame of `N` = 200 samples of amplitude at most `A`, pre-emphasis
+/// `a` = 0.97 and an `M` = 256-point FFT:
+/// 1. Pre-emphasis: `|y[n]| = |x[n] − a·x[n−1]| ≤ (1 + a)·A`. There is no
+///    DC step.
+/// 2. Hamming window `w[n] = 0.54 − 0.46·cos(2πn / (N − 1))`: its sums are
+///    `S1 = Σ w[n] = 0.54·N − 0.46` and `S2 = Σ w[n]² = 0.2916·N − 0.4968 +
+///    0.1058·(N + 1)`, from `Σ cos = 1` and `Σ cos² = (N + 1) / 2` over the
+///    window.
+/// 3. FFT: every butterfly output is a DFT of a subset of the windowed
+///    frame, so its magnitude is at most `(1 + a)·A·S1`, and every power bin
+///    `re² + im²` at most `((1 + a)·A·S1)²`.
+/// 4. Filterbank: a band is `Σ f[k]·P[k]` over its filter's span, with
+///    triangle weights `f[k] ≤ 1`; each partial sum is non-negative and at
+///    most the one-sided spectrum's energy, which by Parseval is
+///    `(M·Σ (w·y)² + P[0] + P[M/2]) / 2 ≤ (1 + a)²·A²·(M·S2 + 2·S1²) / 2`.
+///    That also bounds the single bins of step 3. PLP's equal-loudness
+///    weights are below 1 and only shrink a band.
+/// 5. Past the bands, `ln` and the cube root run in f64 on values at most
+///    `f32::MAX`, and everything after them is a few hundred at most.
+///
+/// So the largest band is at most `G·A²`, with `G = (1 + a)²·(M·S2 + 2·S1²)
+/// / 2 ≈ 84 170`, widened by `2⁻¹⁰` for rounding: each f32 operation on the
+/// path rounds by at most `2⁻²⁴`, the twiddle recurrence included, and the
+/// path has a few hundred. `A = √(f32::MAX / G) ≈ 6.355e16`. An alternating
+/// `±1.37·A` signal already overflows a power bin, so the bound is within
+/// that factor of the true one. Rendered speech peaks near 1.6e4.
+pub const MAX_SAMPLE_ABS: f32 = max_sample_abs(200, 0.97, 256);
+
+/// The bound [`MAX_SAMPLE_ABS`] derives, for a `window_len`-sample Hamming
+/// window, pre-emphasis `a` and an `nfft`-point spectrum.
+const fn max_sample_abs(window_len: usize, a: f64, nfft: usize) -> f32 {
+    let (n, m) = (window_len as f64, nfft as f64);
+    let s1 = 0.54 * n - 0.46;
+    let s2 = 0.2916 * n - 0.4968 + 0.1058 * (n + 1.0);
+    let gain = (1.0 + a) * (1.0 + a) * (m * s2 + 2.0 * s1 * s1) / 2.0;
+    let square = f32::MAX as f64 / (gain * (1.0 + 1.0 / 1024.0));
+    // `f64::sqrt` is not `const`: Newton's iteration, which converges from
+    // above. The 2⁻¹⁰ covers its last ulp and the cast's rounding.
+    let mut root = square;
+    let mut step = 0;
+    while step < 200 {
+        root = 0.5 * (root + square / root);
+        step += 1;
+    }
+    root as f32
+}
+
 /// A cepstral analysis that starts from a frame's power spectrum.
 #[derive(Clone, Debug)]
 pub enum Cepstrum {
@@ -423,6 +476,113 @@ mod tests {
                 assert!(m.as_slice().iter().all(|v| v.is_finite()), "all {bad}");
             }
         }
+    }
+
+    /// The premises of [`MAX_SAMPLE_ABS`]'s derivation hold for the tables
+    /// the default analysis builds, and the constant is the bound they give.
+    #[test]
+    fn max_sample_abs_rests_on_the_default_analysis() {
+        let (cfg, pcfg) = (MfccConfig::default(), PlpConfig::default());
+        assert_eq!((cfg.frame.window_len, cfg.frame.pre_emphasis), (200, 0.97));
+        assert_eq!((cfg.nfft, pcfg.nfft, pcfg.frame), (256, 256, cfg.frame));
+        let window = hamming_window(200);
+        let s1: f64 = window.iter().map(|&w| f64::from(w)).sum();
+        let s2: f64 = window.iter().map(|&w| f64::from(w) * f64::from(w)).sum();
+        assert!((s1 / (0.54 * 200.0 - 0.46) - 1.0).abs() < 1e-6, "Σw = {s1}");
+        let want_s2 = 0.2916 * 200.0 - 0.4968 + 0.1058 * 201.0;
+        assert!((s2 / want_s2 - 1.0).abs() < 1e-6, "Σw² = {s2}");
+        let mel = crate::mel_filterbank(cfg.num_filters, 256, 8000.0, cfg.f_lo, cfg.f_hi);
+        let bark = crate::bark_filterbank(pcfg.num_bands, 256, 8000.0, pcfg.f_lo, pcfg.f_hi);
+        for bank in [&mel, &bark] {
+            for f in 0..bank.num_filters() {
+                assert!(bank.filter(f).iter().all(|&w| (0.0..=1.0).contains(&w)));
+            }
+        }
+        let loudest = bark
+            .centers_hz
+            .iter()
+            .map(|&hz| crate::plp::equal_loudness(hz));
+        assert!(loudest.fold(0.0_f32, f32::max) < 1.0);
+        let gain = 1.97_f64.powi(2) * (256.0 * s2 + 2.0 * s1 * s1) / 2.0;
+        let bound = (f64::from(f32::MAX) / gain).sqrt();
+        let ratio = f64::from(MAX_SAMPLE_ABS) / bound;
+        assert!((0.999..1.0).contains(&ratio), "{MAX_SAMPLE_ABS} vs {bound}");
+    }
+
+    /// Every power bin and band energy (PLP's after equal loudness) of each
+    /// frame of `x`, as the single-frame reference path computes them.
+    fn spectra_and_bands(x: &[f32]) -> Vec<f32> {
+        let (cfg, pcfg) = (MfccConfig::default(), PlpConfig::default());
+        let framer = Framer::new(cfg.frame);
+        let fft = Fft::new(256);
+        let mel = crate::mel_filterbank(cfg.num_filters, 256, 8000.0, cfg.f_lo, cfg.f_hi);
+        let bark = crate::bark_filterbank(pcfg.num_bands, 256, 8000.0, pcfg.f_lo, pcfg.f_hi);
+        let (mut frame, mut buf) = (vec![0.0; 200], vec![crate::Complex::ZERO; 256]);
+        let mut power = vec![0.0; 129];
+        let mut out = Vec::new();
+        for f in 0..cfg.frame.num_frames(x.len()) {
+            framer.frame_into(x, f, &mut frame);
+            fft.power_spectrum_into(&frame, &mut buf, &mut power);
+            out.extend_from_slice(&power);
+            out.extend(mel.apply(&power));
+            let loud = bark
+                .centers_hz
+                .iter()
+                .map(|&hz| crate::plp::equal_loudness(hz));
+            out.extend(bark.apply(&power).iter().zip(loud).map(|(e, w)| e * w));
+        }
+        out
+    }
+
+    /// The worst-case signals at `±MAX_SAMPLE_ABS` — constant, alternating,
+    /// full-scale noise and square waves at every filter's centre — keep
+    /// every power bin and band energy finite, so the non-finite floor
+    /// never fires for audio a door admits. An alternating signal 1.4 ×
+    /// louder overflows a power bin: the bound is not far from the truth.
+    #[test]
+    fn worst_case_signals_at_the_bound_keep_every_band_finite() {
+        let a = MAX_SAMPLE_ABS;
+        let len = 200 + 80 * 20;
+        let mut signals: Vec<(String, Vec<f32>)> = vec![
+            ("constant".into(), vec![a; len]),
+            (
+                "alternating".into(),
+                (0..len).map(|i| [a, -a][i % 2]).collect(),
+            ),
+            ("noise".into(), {
+                let tones = noise_and_tones(len, 31);
+                tones
+                    .iter()
+                    .map(|&v| if v < 0.0 { -a } else { a })
+                    .collect()
+            }),
+        ];
+        let (cfg, pcfg) = (MfccConfig::default(), PlpConfig::default());
+        let mel = crate::mel_filterbank(cfg.num_filters, 256, 8000.0, cfg.f_lo, cfg.f_hi);
+        let bark = crate::bark_filterbank(pcfg.num_bands, 256, 8000.0, pcfg.f_lo, pcfg.f_hi);
+        for hz in mel.centers_hz.iter().chain(&bark.centers_hz) {
+            let phase = |i: usize| (2.0 * std::f32::consts::PI * hz * i as f32 / 8000.0).cos();
+            let square = (0..len).map(|i| if phase(i) < 0.0 { -a } else { a });
+            signals.push((format!("square at {hz} Hz"), square.collect()));
+        }
+        let mut loudest = 0.0_f32;
+        for (what, x) in &signals {
+            for sign in [1.0, -1.0] {
+                let x: Vec<f32> = x.iter().map(|v| sign * v).collect();
+                let values = spectra_and_bands(&x);
+                assert!(values.iter().all(|v| v.is_finite()), "{what} × {sign}");
+                loudest = values.iter().fold(loudest, |m, &v| m.max(v));
+                for m in both().analyze(&x) {
+                    assert!(m.as_slice().iter().all(|v| v.is_finite()), "{what}");
+                }
+            }
+        }
+        eprintln!(
+            "loudest bin or band at the bound: {:.3} of f32::MAX",
+            loudest / f32::MAX
+        );
+        let louder: Vec<f32> = (0..len).map(|i| [1.4 * a, -1.4 * a][i % 2]).collect();
+        assert!(spectra_and_bands(&louder).iter().any(|v| v.is_infinite()));
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub mod plp;
 pub mod sdc;
 pub mod synth;
 
-pub use analysis::{Analyzer, Cepstrum};
+pub use analysis::{Analyzer, Cepstrum, MAX_SAMPLE_ABS};
 pub use cmvn::cmvn_in_place;
 pub use delta::append_deltas;
 pub use fft::{fft_in_place, power_spectrum, Complex, Fft};

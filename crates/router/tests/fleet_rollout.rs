@@ -12,13 +12,14 @@
 //! replicas come back with the span the replica's engine minted.
 
 use lre_adapt::{rollback_backends, two_phase_promote};
-use lre_artifact::{bundle_checksum, ArtifactError};
+use lre_artifact::bundle_checksum;
 use lre_lattice::DecodeScratch;
 use lre_obs::{Registry, STAGE_QUEUE, STAGE_REPLY};
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
 use lre_serve::protocol::{
     decode_request, encode_ok, read_frame, write_frame, Request, StageAck, STATUS_CONFLICT,
 };
+use lre_serve::server::MIN_SAMPLES;
 use lre_serve::{
     vote_wal_options, Client, DrainPath, EngineConfig, FleetControl, FleetReplica, ScoreDetail,
     ScoreReply, ScoreTap, Scorer, ScorerHandle, Server, ServerConfig, ServerHooks, VoteLog,
@@ -33,12 +34,8 @@ use std::thread;
 struct Marker(f32);
 
 impl Scorer for Marker {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
-        Ok(ScoreDetail::from_fused(samples, vec![self.0, -self.0]))
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
+        ScoreDetail::from_fused(samples, vec![self.0, -self.0])
     }
 }
 
@@ -119,7 +116,7 @@ fn start_fleet(accepting: &[bool]) -> Fleet {
 /// Score through the replica's real wire path and return the llr bits.
 fn score_bits(addr: &str) -> Vec<u32> {
     let mut client = Client::connect(addr).expect("connect");
-    match client.score(&[0.5f32; 8]).expect("score") {
+    match client.score(&[0.5f32; MIN_SAMPLES]).expect("score") {
         ScoreReply::Scored(s) => s.llrs.iter().map(|x| x.to_bits()).collect(),
         other => panic!("score refused: {other:?}"),
     }
@@ -137,7 +134,6 @@ fn expected_bits(v: u8) -> Vec<u32> {
     let mut scratch = DecodeScratch::new();
     candidate_scorer(v)
         .score_utt(&[], &mut scratch)
-        .unwrap()
         .fused
         .iter()
         .map(|x| x.to_bits())
@@ -269,7 +265,7 @@ fn every_routed_reply_carries_the_span_its_replica_minted() {
         Router::start(listener, backends, RouterConfig::default(), None, obs).expect("router");
     let mut client = Client::connect(router.local_addr()).expect("connect");
 
-    let utts: Vec<Vec<f32>> = (0..16).map(|n| vec![n as f32; 8]).collect();
+    let utts: Vec<Vec<f32>> = (0..16).map(|n| vec![n as f32; MIN_SAMPLES]).collect();
     let baseline = vec![BASELINE.to_bits(), (-BASELINE).to_bits()];
     let mut trace_ids = std::collections::HashSet::new();
     for window in [1, 8] {

@@ -12,14 +12,19 @@
 //! pipelined scores on one client are held by N different replicas at the
 //! same time, and a replica that stops leaves rotation at its first
 //! `shutting down` reply while every request is still answered exactly
-//! once.
+//! once, a score routed to it after the stop included.
+//!
+//! Scores whose samples are not audio are refused `bad request` by the
+//! replica, and the router relays that under the client's id.
 
-use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
+use lre_obs::MetricValue;
 use lre_router::{Backend, Router, RouterConfig, RouterObs};
+use lre_serve::protocol::encode_request;
+use lre_serve::server::MIN_SAMPLES;
 use lre_serve::{
-    read_frame, write_frame, Client, EngineConfig, ScoreDetail, ScoreReply, Scorer, ScorerHandle,
-    Server, ServerConfig, ServerHooks,
+    fuzz, read_frame, write_frame, Client, EngineConfig, Request, ScoreDetail, ScoreReply, Scorer,
+    ScorerHandle, Server, ServerConfig, ServerHooks,
 };
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,18 +85,14 @@ impl Drop for OpenOnDrop {
 }
 
 impl Scorer for Gate {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
         let mut state = self.state.lock().unwrap();
         state.entered += 1;
         self.cv.notify_all();
         while !state.open {
             state = self.cv.wait(state).unwrap();
         }
-        Ok(ScoreDetail::from_fused(samples, vec![0.5, -0.5]))
+        ScoreDetail::from_fused(samples, vec![0.5, -0.5])
     }
 }
 
@@ -152,8 +153,8 @@ fn transcript(addr: SocketAddr, gate: &Gate) -> Vec<String> {
     let flight = client.flight(false).expect("flight");
     said.push(format!("flight answered: {}", flight.is_some()));
 
-    let held = client.submit(&[1.0], None).expect("submit");
-    let past = client.submit(&[2.0], None).expect("submit");
+    let held = client.submit(&[1.0; MIN_SAMPLES], None).expect("submit");
+    let past = client.submit(&[2.0; MIN_SAMPLES], None).expect("submit");
     let (id, reply) = client.recv().expect("the refusal");
     said.push(format!("past the window: {reply:?}, own id {}", id == past));
     gate.release();
@@ -199,7 +200,7 @@ fn a_shutdown_through_the_router_is_acked_relayed_then_stops_it() {
     let (router, _) = start_router(&[&replicas[0], &replicas[1]], 4, PROBE_OFTEN);
     let mut client = Client::connect(router.local_addr()).expect("connect");
     for _ in 0..4 {
-        let reply = client.score(&[0.25; 8]).expect("score");
+        let reply = client.score(&[0.25; MIN_SAMPLES]).expect("score");
         assert!(matches!(reply, ScoreReply::Scored(_)), "{reply:?}");
     }
     client
@@ -291,7 +292,11 @@ fn n_pipelined_scores_are_held_by_n_replicas_at_once() {
             let mut client = Client::connect(router.local_addr()).expect("connect");
             let _open = OpenOnDrop(gates.clone());
             let mut sent: HashSet<u64> = (0..n)
-                .map(|k| client.submit(&[k as f32; 8], None).expect("submit"))
+                .map(|k| {
+                    client
+                        .submit(&[k as f32; MIN_SAMPLES], None)
+                        .expect("submit")
+                })
                 .collect();
 
             for (i, gate) in gates.iter().enumerate() {
@@ -334,7 +339,7 @@ fn a_stopped_replica_leaves_rotation_at_its_first_shutting_down_reply() {
         let _open = OpenOnDrop(gates.to_vec());
         let mut sent = HashSet::new();
         let mut submit = |client: &mut Client, x: f32| {
-            let id = client.submit(&[x; 8], None).expect("submit");
+            let id = client.submit(&[x; MIN_SAMPLES], None).expect("submit");
             sent.insert(id);
             id
         };
@@ -394,6 +399,113 @@ fn a_stopped_replica_leaves_rotation_at_its_first_shutting_down_reply() {
         client.shutdown().expect("shutdown acknowledged");
         victim.join();
         survivor.join();
+        router.join();
+    });
+}
+
+/// A replica stopped while it holds a score still answers a score the
+/// router sends it afterwards: `shutting down`, which takes it out of
+/// rotation, and then the held score once it is scored. The later score
+/// arrives only after the replica's readers have gone a quiet tick past
+/// the stop: a direct connection to the replica that was last active just
+/// after the held score arrived is closed by then. A data connection whose
+/// reader stopped there would leave the later score unread until the held
+/// work ended.
+#[test]
+fn a_score_routed_to_a_stopped_replica_that_still_owes_replies_is_answered() {
+    within_deadline(|| {
+        let gate = Gate::new(false);
+        let victim = start_server(Arc::clone(&gate), 4);
+        let (router, obs) = start_router(&[&victim], 8, PROBE_ONCE);
+        let ejected = obs.registry.counter("router.backend.ejected");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let _open = OpenOnDrop(vec![Arc::clone(&gate)]);
+
+        let held = client.submit(&[1.0; MIN_SAMPLES], None).expect("submit");
+        assert_eq!(gate.await_entered(1), 1, "the victim holds one score");
+        let mut idle = TcpStream::connect(victim.local_addr()).expect("connect");
+        idle.set_read_timeout(Some(DEADLINE)).expect("timeout");
+        write_frame(&mut idle, &encode_request(&Request::StatsV3)).expect("stats");
+        read_frame(&mut idle)
+            .expect("stats reply")
+            .expect("a frame");
+
+        victim.stop();
+        let closed = read_frame(&mut idle).expect("a close, not a timeout");
+        assert_eq!(closed, None, "the idle connection closes past the stop");
+        assert!(
+            router.backends()[0].is_healthy(),
+            "nothing told the router yet"
+        );
+
+        let later = client.submit(&[2.0; MIN_SAMPLES], None).expect("submit");
+        let (id, reply) = client.recv().expect("the later score is answered");
+        assert_eq!(id, later);
+        assert_eq!(reply, ScoreReply::ShuttingDown);
+        assert_eq!(ejected.get(), 1, "ejected at its shutting-down reply");
+        assert!(!router.backends()[0].is_healthy());
+
+        gate.release();
+        let (id, reply) = client.recv().expect("the held score is answered");
+        assert_eq!(id, held);
+        assert!(matches!(reply, ScoreReply::Scored(_)), "{reply:?}");
+        assert_eq!(client.inflight(), 0);
+        victim.join();
+        assert_eq!(router.backends()[0].inflight(), 0);
+        assert_eq!(ejected.get(), 1);
+        client.shutdown().expect("shutdown acknowledged");
+        router.join();
+    });
+}
+
+/// Every bad-audio case through the router: on a fresh connection, `bad
+/// request` under its id and then the stats reply; on one pipelined
+/// connection, the same refusal under the client's id, and the next score
+/// scored. The replica counts each in `engine.bad_audio`, and the
+/// router's stats-v3 dump carries that series from its scrape.
+#[test]
+fn bad_audio_through_the_router_is_refused_under_the_clients_id() {
+    within_deadline(|| {
+        let replica = start_server(Gate::new(true), 4);
+        let (router, _) = start_router(&[&replica], 8, PROBE_ONCE);
+        let corpus = fuzz::bad_audio_corpus();
+        for case in &corpus {
+            fuzz::run_case(router.local_addr(), case, DEADLINE)
+                .unwrap_or_else(|e| panic!("case {:?}: {e}", case.name));
+        }
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        for case in &corpus {
+            let frame = read_frame(&mut &case.bytes[..]).unwrap().expect("a frame");
+            let Ok(Request::ScoreV2 { samples, .. }) = lre_serve::protocol::decode_request(&frame)
+            else {
+                panic!("{}: not a score", case.name);
+            };
+            let id = client.submit(&samples, None).expect("submit");
+            assert_eq!(client.recv().expect("reply"), (id, ScoreReply::BadRequest));
+            let reply = client.score(&[0.5; MIN_SAMPLES]).expect("the next score");
+            assert!(
+                matches!(reply, ScoreReply::Scored(_)),
+                "{}: {reply:?}",
+                case.name
+            );
+        }
+        let refused = 2 * corpus.len() as u64;
+        let bad_audio = |dump: Vec<(String, MetricValue)>, name: &str| match dump
+            .into_iter()
+            .find(|(n, _)| n == name)
+        {
+            Some((_, MetricValue::Counter(v))) => v,
+            other => panic!("{name}: {other:?}"),
+        };
+        let direct = Client::connect(replica.local_addr()).and_then(|mut c| c.metrics());
+        let direct = direct.expect("metrics").expect("stats-v3");
+        assert_eq!(bad_audio(direct, "engine.bad_audio"), refused);
+        let fleet = client.metrics().expect("metrics").expect("stats-v3");
+        let name = format!("replica.{}.engine.bad_audio", replica.local_addr());
+        assert_eq!(bad_audio(fleet, &name), refused);
+        assert_eq!(replica.engine().stats().requests, corpus.len() as u64);
+        client.shutdown().expect("shutdown acknowledged");
+        replica.join();
         router.join();
     });
 }

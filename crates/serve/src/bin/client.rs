@@ -221,7 +221,7 @@ fn main() {
                     .map(|(class, n)| format!("{class} {n}"))
                     .collect();
                 println!(
-                    "fuzz OK: {total} malformed cases ({}), every one refused cleanly",
+                    "fuzz OK: {total} hostile cases ({}), every one refused cleanly",
                     per_class.join(", ")
                 );
             }

@@ -14,8 +14,8 @@ use crate::obs::{FleetStats, PingReport, StatsSnapshot, WalStatusInfo};
 use crate::protocol::{
     decode_reply, decode_score_reply_v2, encode_request, read_frame, write_frame, AbortAck, Ack,
     AdaptReport, CommitAck, DrainReply, MetricsDump, Request, RollbackAck, RollbackToAck, StageAck,
-    Wire, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
-    STATUS_UNSUPPORTED,
+    Wire, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL, STATUS_OVERLOADED,
+    STATUS_SHUTTING_DOWN, STATUS_UNSUPPORTED,
 };
 use lre_obs::FlightEvent;
 use std::io;
@@ -36,6 +36,10 @@ pub enum ScoreReply {
     /// The server's scorer failed internally; the request is lost but the
     /// connection is still usable.
     Failed,
+    /// The server refused the samples (see `lre_serve::server::admissible`):
+    /// too few for a frame, not finite, or too loud. The connection is
+    /// still usable.
+    BadRequest,
 }
 
 impl ScoreReply {
@@ -46,6 +50,7 @@ impl ScoreReply {
             Err(STATUS_SHUTTING_DOWN) => Ok(ScoreReply::ShuttingDown),
             Err(STATUS_DEADLINE_EXCEEDED) => Ok(ScoreReply::DeadlineExceeded),
             Err(STATUS_INTERNAL) => Ok(ScoreReply::Failed),
+            Err(STATUS_BAD_REQUEST) => Ok(ScoreReply::BadRequest),
             Err(s) => Err(proto_err(format!("server refused request (status {s})"))),
         }
     }

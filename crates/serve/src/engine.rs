@@ -44,7 +44,6 @@ use crate::obs::{ServeObs, StatsSnapshot};
 use crate::queue::{BoundedQueue, PushError, Work};
 use crate::swap::ScorerHandle;
 use crate::system::{sample_digest, FanOut, ScoreDetail, ScoreTap, Scorer, WorkingSet};
-use lre_artifact::ArtifactError;
 use lre_obs::{
     StageTimes, TraceSpan, EV_DEADLINE, EV_PANIC, EV_SHED, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY,
     STAGE_SCORE, STAGE_SUPERVECTOR,
@@ -147,7 +146,7 @@ pub enum Outcome {
     /// The request's deadline passed before a worker reached it; it was
     /// shed unscored.
     DeadlineExceeded,
-    /// The scorer returned an error, or panicked.
+    /// The scorer panicked.
     Failed,
 }
 
@@ -214,7 +213,7 @@ impl Offer {
     /// The owner's wait, entered with every task claimed: sleep until the
     /// ones helpers hold have returned, then gather — or go on unwinding
     /// where a task left off.
-    fn finish(&self) -> Result<ScoreDetail, ArtifactError> {
+    fn finish(&self) -> ScoreDetail {
         let mut join = self.join.lock().expect("join state poisoned");
         while join.unfinished > 0 {
             join = self.joined.wait(join).expect("join state poisoned");
@@ -286,12 +285,7 @@ impl Worker {
     /// Score one utterance as its owner: every task of its fan-out run
     /// once, by this thread or a helper, then gathered here. A scorer that
     /// does not split is simply called.
-    fn score(
-        &self,
-        scorer: &dyn Scorer,
-        samples: &[f32],
-        ws: &mut WorkingSet,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score(&self, scorer: &dyn Scorer, samples: &[f32], ws: &mut WorkingSet) -> ScoreDetail {
         let Some(tasks) = scorer.fan_out(samples) else {
             return scorer.score_utt(samples, &mut ws.scratch);
         };
@@ -345,19 +339,14 @@ impl Worker {
         let scored = catch_unwind(AssertUnwindSafe(|| {
             self.score(&*model.scorer, &job.samples, ws)
         }));
-        let mut detail = match scored {
-            Ok(Ok(detail)) => detail,
-            failed => {
-                if failed.is_err() {
-                    // The unwound scorer may have left it half-written.
-                    *ws = WorkingSet::new();
-                    obs.flight
-                        .record(EV_PANIC, "scorer panicked", job.trace_id, 0, 0.0, 0.0);
-                }
-                obs.failed.incr();
-                (job.reply)(Outcome::Failed);
-                return;
-            }
+        let Ok(mut detail) = scored else {
+            // The unwound scorer may have left it half-written.
+            *ws = WorkingSet::new();
+            obs.flight
+                .record(EV_PANIC, "scorer panicked", job.trace_id, 0, 0.0, 0.0);
+            obs.failed.incr();
+            (job.reply)(Outcome::Failed);
+            return;
         };
         detail.generation = model.generation;
         let us = since_enqueued();

@@ -15,11 +15,16 @@
 //! field, padded, given out-of-range flags and given absurd lengths. A tag
 //! added to the table is fuzzed without touching this file. Only what no
 //! row describes — framing, torn streams, pacing — is written out by hand.
+//!
+//! [`bad_audio_corpus`] is the other half: well-formed score frames whose
+//! samples are not audio. Those are refused `bad request` under the
+//! score's id, and the connection stays open.
 
 use crate::protocol::{
-    encode_request, read_frame, write_frame, FieldKind, Request, TagRow, MAX_FRAME_LEN,
-    RETIRED_TAGS, STATUS_BAD_REQUEST, STATUS_OK, TAG_TABLE,
+    encode_request, encode_status_v2, read_frame, write_frame, FieldKind, Request, TagRow,
+    MAX_FRAME_LEN, RETIRED_TAGS, STATUS_BAD_REQUEST, STATUS_OK, TAG_TABLE,
 };
+use lre_dsp::MAX_SAMPLE_ABS;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -39,6 +44,12 @@ pub enum Expect {
     /// the server must still answer it — at least one `STATUS_OK` reply —
     /// because slow delivery of good bytes is not an error.
     Answered,
+    /// A well-formed score with id `.0` whose samples a serving door
+    /// refuses, then a stats-v3 request: `bad request` under that id and
+    /// the stats reply on the same connection, then a clean close. The two
+    /// may come in either order: a router answers the stats request itself
+    /// while its replica answers the score.
+    Refused(u64),
 }
 
 /// How the case's bytes reach the socket. Slow-loris clients are
@@ -59,7 +70,8 @@ pub enum Pacing {
 pub struct FuzzCase {
     pub name: String,
     /// Which part of the corpus the case belongs to: `per-tag` (derived
-    /// from the tag table), `payload`, `stream` or `slow-loris`.
+    /// from the tag table), `payload`, `stream`, `slow-loris` or
+    /// `bad-audio`.
     pub class: &'static str,
     pub bytes: Vec<u8>,
     pub expect: Expect,
@@ -272,17 +284,73 @@ pub fn malformed_corpus() -> Vec<FuzzCase> {
     cases
 }
 
-/// Throw the whole corpus at a live server, one fresh connection per case.
-/// Returns the number of cases run per class, or the first violation of
-/// the malformed-input contract. A read that times out counts as a hang
-/// and fails the case — the server must always answer-and-close or just
-/// close.
+/// Well-formed score frames that carry bad audio, each followed by a
+/// stats-v3 request on its connection ([`Expect::Refused`]): NaN, +Inf and
+/// −Inf laced among a tone's samples and as a whole utterance; one ulp
+/// past [`MAX_SAMPLE_ABS`] either side, and 1e19, laced and whole; and 0,
+/// 1 and 199 samples, less than one analysis window.
+pub fn bad_audio_corpus() -> Vec<FuzzCase> {
+    let tone = |n: usize| -> Vec<f32> {
+        let step = 2.0 * std::f32::consts::PI * 440.0 / 8000.0;
+        (0..n).map(|i| 1000.0 * (step * i as f32).sin()).collect()
+    };
+    let laced = |bad: f32| {
+        let mut x = tone(2_000);
+        for at in [0, 777, 1_999] {
+            x[at] = bad;
+        }
+        x
+    };
+    let mut audio: Vec<(String, Vec<f32>)> = Vec::new();
+    for (name, bad) in [
+        ("NaN", f32::NAN),
+        ("+Inf", f32::INFINITY),
+        ("-Inf", f32::NEG_INFINITY),
+        ("MAX_SAMPLE_ABS + 1 ulp", MAX_SAMPLE_ABS.next_up()),
+        ("-(MAX_SAMPLE_ABS + 1 ulp)", -MAX_SAMPLE_ABS.next_up()),
+        ("1e19", 1e19),
+    ] {
+        audio.push((format!("{name} laced among a tone"), laced(bad)));
+        audio.push((format!("{name} throughout"), vec![bad; 2_000]));
+    }
+    for n in [0, 1, 199] {
+        audio.push((format!("{n} samples"), tone(n)));
+    }
+    let stats = encode_request(&Request::StatsV3);
+    audio
+        .into_iter()
+        .zip(0xBAD0_u64..)
+        .map(|((name, samples), id)| {
+            let mut bytes = Vec::new();
+            let score = Request::ScoreV2 {
+                id,
+                deadline_ms: 0,
+                samples,
+            };
+            write_frame(&mut bytes, &encode_request(&score)).expect("Vec write cannot fail");
+            write_frame(&mut bytes, &stats).expect("Vec write cannot fail");
+            FuzzCase {
+                name: format!("bad audio: {name}"),
+                class: "bad-audio",
+                bytes,
+                expect: Expect::Refused(id),
+                pacing: Pacing::OneShot,
+            }
+        })
+        .collect()
+}
+
+/// Throw the whole corpus at a live server, one fresh connection per case:
+/// [`malformed_corpus`], then [`bad_audio_corpus`]. Returns the number of
+/// cases run per class, or the first violation of the malformed-input
+/// contract. A read that times out counts as a hang and fails the case —
+/// the server must always answer-and-close or just close.
 pub fn run_corpus(
     addr: SocketAddr,
     per_case_timeout: Duration,
 ) -> Result<BTreeMap<&'static str, usize>, String> {
     let mut ran = BTreeMap::new();
-    for case in &malformed_corpus() {
+    for case in malformed_corpus().iter().chain(&bad_audio_corpus()) {
         run_case(addr, case, per_case_timeout).map_err(|e| format!("case {:?}: {e}", case.name))?;
         *ran.entry(case.class).or_insert(0) += 1;
     }
@@ -360,6 +428,16 @@ pub fn run_case(addr: SocketAddr, case: &FuzzCase, timeout: Duration) -> Result<
                 "expected a STATUS_OK answer to a valid-but-slow request, got {replies:?}"
             ));
         }
+        Expect::Refused(id) => {
+            let refusal = encode_status_v2(id, STATUS_BAD_REQUEST);
+            let refused = replies.iter().filter(|r| **r == refusal).count();
+            let answered = replies.iter().filter(|r| r.first() == Some(&STATUS_OK));
+            if (replies.len(), refused, answered.count()) != (2, 1, 1) {
+                return Err(format!(
+                    "expected BAD_REQUEST under id {id} and the stats reply, got {replies:?}"
+                ));
+            }
+        }
         _ => {}
     }
     Ok(())
@@ -417,6 +495,37 @@ mod tests {
                 "case {:?} decoded successfully — not malformed",
                 case.name
             );
+        }
+    }
+
+    /// Every bad-audio case is one well-formed score frame and a stats
+    /// request, and the door refuses its samples for what its name says:
+    /// the same samples with the bad values zeroed and padded to a window
+    /// are admitted.
+    #[test]
+    fn every_bad_audio_case_is_well_formed_and_refused_for_its_fault() {
+        use crate::server::{admissible, MIN_SAMPLES};
+        let corpus = bad_audio_corpus();
+        assert_eq!(corpus.len(), 15);
+        for case in &corpus {
+            let mut stream = &case.bytes[..];
+            let score = read_frame(&mut stream).unwrap().expect("a score frame");
+            let stats = read_frame(&mut stream).unwrap().expect("a stats frame");
+            assert_eq!(
+                (decode_request(&stats).ok(), stream.len()),
+                (Some(Request::StatsV3), 0)
+            );
+            let Ok(Request::ScoreV2 { id, samples, .. }) = decode_request(&score) else {
+                panic!("{}: not a score", case.name);
+            };
+            assert_eq!(case.expect, Expect::Refused(id));
+            assert!(!admissible(&samples), "{}", case.name);
+            let mut mended: Vec<f32> = samples
+                .iter()
+                .map(|&x| if x.abs() <= MAX_SAMPLE_ABS { x } else { 0.0 })
+                .collect();
+            mended.resize(mended.len().max(MIN_SAMPLES), 0.0);
+            assert!(admissible(&mended), "{} mended", case.name);
         }
     }
 

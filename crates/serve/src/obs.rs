@@ -25,7 +25,8 @@
 //! | `engine.requests` | counter | submissions seen, accepted or shed |
 //! | `engine.rejected` | counter | submissions shed: queue full or connection window |
 //! | `engine.expired` | counter | accepted requests shed because their deadline passed |
-//! | `engine.failed` | counter | requests whose scorer returned an error or panicked |
+//! | `engine.failed` | counter | requests whose scorer panicked |
+//! | `engine.bad_audio` | counter | scores refused `bad request` at the door for their samples (outside `engine.requests`) |
 //! | `engine.queue.wait_us` | histogram | admission → a worker picked it up |
 //! | `engine.latency_us` | histogram | admission → scored |
 //! | `engine.stage.decode_us` | histogram | acoustic decode per utterance, busy time summed over subsystems |
@@ -65,6 +66,7 @@ pub struct ServeObs {
     pub(crate) rejected: Arc<Counter>,
     pub(crate) expired: Arc<Counter>,
     pub(crate) failed: Arc<Counter>,
+    pub(crate) bad_audio: Arc<Counter>,
     pub(crate) queue_wait_us: Arc<Histogram>,
     pub(crate) latency_us: Arc<Histogram>,
     pub(crate) decode_us: Arc<Histogram>,
@@ -90,6 +92,7 @@ impl ServeObs {
             rejected: registry.counter("engine.rejected"),
             expired: registry.counter("engine.expired"),
             failed: registry.counter("engine.failed"),
+            bad_audio: registry.counter("engine.bad_audio"),
             queue_wait_us: registry.histogram("engine.queue.wait_us"),
             latency_us: registry.histogram("engine.latency_us"),
             decode_us: registry.histogram("engine.stage.decode_us"),
@@ -154,7 +157,7 @@ pub struct StatsSnapshot {
     pub uptime_us: u64,
     /// Accepted requests shed unscored because their deadline passed.
     pub expired: u64,
-    /// Requests lost to scorer failures.
+    /// Requests lost to scorer panics.
     pub failed: u64,
     /// Generation of the currently installed model (bumps on every hot
     /// swap, including rollbacks).
@@ -452,8 +455,8 @@ mod tests {
             &self,
             samples: &[f32],
             _scratch: &mut lre_lattice::DecodeScratch,
-        ) -> Result<crate::system::ScoreDetail, lre_artifact::ArtifactError> {
-            Ok(crate::system::ScoreDetail::from_fused(samples, vec![0.0]))
+        ) -> crate::system::ScoreDetail {
+            crate::system::ScoreDetail::from_fused(samples, vec![0.0])
         }
     }
 
@@ -475,6 +478,7 @@ mod tests {
         assert_eq!(
             names,
             [
+                "engine.bad_audio",
                 "engine.expired",
                 "engine.failed",
                 "engine.fanout.helped",

@@ -40,13 +40,16 @@ use std::ops::Range;
 
 pub const STATUS_OK: u8 = 0;
 pub const STATUS_OVERLOADED: u8 = 1;
+/// An undecodable request (the connection then closes), or a score whose
+/// samples a serving door refuses (`crate::server::admissible`), under
+/// its id, with the connection left open.
 pub const STATUS_BAD_REQUEST: u8 = 2;
 pub const STATUS_SHUTTING_DOWN: u8 = 3;
 /// The request's deadline passed before a worker reached it; the server
 /// shed it without scoring.
 pub const STATUS_DEADLINE_EXCEEDED: u8 = 4;
-/// The scorer itself failed (e.g. a lazily mapped bundle section failed to
-/// decode). The request is lost but the connection stays usable.
+/// The scorer panicked, or (at a router) the replica holding the request
+/// went away. The request is lost but the connection stays usable.
 pub const STATUS_INTERNAL: u8 = 5;
 /// The server understood the request but has no handler for it (e.g.
 /// [`REQ_ADAPT`] against a server started without an adaptation
@@ -58,8 +61,9 @@ pub const STATUS_UNSUPPORTED: u8 = 6;
 /// usable.
 pub const STATUS_CONFLICT: u8 = 7;
 
-/// Refuse frames above this size (16 MiB ≈ a half-hour utterance) so a
-/// corrupt or hostile length prefix cannot trigger a huge allocation.
+/// Refuse frames above this size (16 MiB, about 4.19 M f32 samples, or
+/// 8.7 min of 8 kHz audio) so a corrupt or hostile length prefix cannot
+/// trigger a huge allocation.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// The largest sealed `VLOG` one [`DrainReply`] frame can carry: the

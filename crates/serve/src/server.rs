@@ -17,9 +17,11 @@
 //! Every thread has an owner that joins it: the accept thread owns the
 //! connection threads, and each connection thread (the reader) owns its
 //! writer. When the door stops, every reader stops at its next frame
-//! boundary with nothing more arrived (a frame the peer is still sending
-//! is read to its end), or at the first frame boundary once it has read
-//! past the stop for [`WRITE_STALL`]; the accept thread joins them all, so
+//! boundary with nothing more arrived and no admitted score unanswered (a
+//! frame the peer is still sending is read to its end, and a score read
+//! while the connection still owes replies is refused `shutting down`),
+//! or at the first frame boundary once it has read past the stop for
+//! [`WRITE_STALL`]; the accept thread joins them all, so
 //! [`OpenDoor::join`] returns only once every reply the door owed has been
 //! written (or its peer has stopped taking bytes, see [`WRITE_STALL`]) and
 //! nothing the door shares is held by a thread of its own any more.
@@ -29,6 +31,9 @@
 //!   its id, before the door sees it; a score read after the door stopped
 //!   is refused `shutting down`, for at most [`WRITE_STALL`], after which
 //!   the connection ends;
+//! - a score whose samples are not audio (see [`admissible`]) is refused
+//!   `bad request` under its id by the scoring server's door, and the
+//!   connection stays open; a router relays that reply from its replica;
 //! - an undecodable frame is answered `bad request`, then the connection
 //!   closes;
 //! - stats-v3 and flight are always answered;
@@ -50,6 +55,7 @@ use crate::protocol::{
 use crate::rollout::FleetControl;
 use crate::swap::ScorerHandle;
 use crate::system::ScoreTap;
+use lre_dsp::MAX_SAMPLE_ABS;
 use lre_obs::FlightRecorder;
 use std::io::{self, ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -247,16 +253,17 @@ impl Entry {
             return;
         };
         let _ = stream.set_read_timeout(Some(READ_TICK));
+        let owed = Arc::new(Owed::default());
         let mut incoming = Incoming {
             socket: &stream,
             stopping: &self.stopping,
+            owed: &owed,
             mid_frame: false,
         };
         // The writer lives until every sender is gone: until the reader has
         // returned *and* the door has answered every admitted score, so a
         // drained shutdown never strands a reply.
         let (tx, rx) = mpsc::channel();
-        let owed = Arc::new(Owed::default());
         let writer = {
             let (owed, reader) = (Arc::clone(&owed), std::thread::current());
             std::thread::spawn(move || write_replies(write_half, rx, &owed, &reader))
@@ -345,12 +352,16 @@ impl Entry {
 /// A connection's socket as its reader sees it. Reads time out every
 /// [`READ_TICK`], so an idle reader notices the door's stop: once the door
 /// has stopped, a frame boundary with nothing more arrived reads as the
-/// peer's close. A frame the peer is still sending is read to its end (its
-/// score is then refused `shutting down`), unless the peer sends nothing
-/// for [`WRITE_STALL`].
+/// peer's close, as soon as no admitted score is unanswered. Until then
+/// the reader goes on reading, so a peer that sends a score to a stopped
+/// door that still owes it replies (a router's data connection) is told
+/// `shutting down` instead of being left unread. A frame the peer is still
+/// sending is read to its end (its score is then refused `shutting down`).
+/// Either wait ends once the peer has sent nothing for [`WRITE_STALL`].
 struct Incoming<'a> {
     socket: &'a TcpStream,
     stopping: &'a AtomicBool,
+    owed: &'a Owed,
     /// Part of the current frame has been read.
     mid_frame: bool,
 }
@@ -361,8 +372,8 @@ impl Read for Incoming<'_> {
         loop {
             match self.socket.read(buf) {
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    let stopped = self.stopping.load(Ordering::SeqCst);
-                    if stopped && (!self.mid_frame || quiet >= WRITE_STALL) {
+                    let settled = !self.mid_frame && self.owed.scores.load(Ordering::Acquire) == 0;
+                    if self.stopping.load(Ordering::SeqCst) && (settled || quiet >= WRITE_STALL) {
                         return Ok(0);
                     }
                     quiet += READ_TICK;
@@ -490,6 +501,25 @@ struct EngineDoor {
     hooks: ServerHooks,
 }
 
+/// The fewest samples a door admits: one analysis window of the default
+/// framing (`lre_dsp::FrameConfig`), the shortest audio with a frame.
+pub const MIN_SAMPLES: usize = 200;
+
+/// The admission rule for a score's samples, the same at every serving
+/// door: at least [`MIN_SAMPLES`] of them, each finite and within
+/// `±MAX_SAMPLE_ABS`. Other audio would score as finite features that are
+/// not its own: zero frames, or band energies the feature pass floors
+/// because they overflowed or were not finite. Offline callers of the
+/// scorer are not held to it.
+pub fn admissible(samples: &[f32]) -> bool {
+    // A fold without an early exit vectorizes: about 17 µs over a 30 s
+    // utterance where `all` takes about 165 µs. NaN fails the comparison.
+    let in_range = samples
+        .iter()
+        .fold(true, |ok, x| ok & (x.abs() <= MAX_SAMPLE_ABS));
+    samples.len() >= MIN_SAMPLES && in_range
+}
+
 impl Door for EngineDoor {
     fn admit(&self, id: u64, deadline_ms: u32, frame: Vec<u8>, lane: Lane) -> Option<Vec<u8>> {
         // The frame was checked whole before it was admitted.
@@ -497,6 +527,12 @@ impl Door for EngineDoor {
             return Some(encode_status_v2(id, STATUS_BAD_REQUEST));
         };
         drop(frame);
+        // Refused before anything is queued: it never reaches a scorer, a
+        // vote log or a WAL.
+        if !admissible(&samples) {
+            self.hooks.obs.bad_audio.incr();
+            return Some(encode_status_v2(id, STATUS_BAD_REQUEST));
+        }
         let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
         let submitted = self.engine.submit_with(samples, deadline, move |outcome| {
             lane.reply(match outcome {
@@ -607,5 +643,31 @@ impl Server {
     pub fn join(mut self) {
         self.door.join();
         self.engine.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lre_dsp::FrameConfig;
+
+    /// `MIN_SAMPLES` is the shortest audio with a frame, and one bad
+    /// sample anywhere refuses the rest.
+    #[test]
+    fn the_admission_rule_reads_the_default_framing() {
+        let framing = FrameConfig::default();
+        assert_eq!(framing.window_len, MIN_SAMPLES);
+        assert_eq!(framing.num_frames(MIN_SAMPLES - 1), 0);
+        assert_eq!(framing.num_frames(MIN_SAMPLES), 1);
+        let edge = [MAX_SAMPLE_ABS, -MAX_SAMPLE_ABS].repeat(MIN_SAMPLES / 2);
+        assert!(admissible(&edge));
+        assert!(!admissible(&edge[1..]));
+        for bad in [f32::NAN, f32::NEG_INFINITY, -MAX_SAMPLE_ABS.next_up()] {
+            for at in [0, MIN_SAMPLES - 1] {
+                let mut x = edge.clone();
+                x[at] = bad;
+                assert!(!admissible(&x), "{bad} at {at}");
+            }
+        }
     }
 }

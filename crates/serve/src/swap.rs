@@ -116,17 +116,12 @@ impl ScorerHandle {
 mod tests {
     use super::*;
     use crate::system::ScoreDetail;
-    use lre_artifact::ArtifactError;
     use lre_lattice::DecodeScratch;
 
     struct Marker(f32);
     impl Scorer for Marker {
-        fn score_utt(
-            &self,
-            samples: &[f32],
-            _scratch: &mut DecodeScratch,
-        ) -> Result<ScoreDetail, ArtifactError> {
-            Ok(ScoreDetail::from_fused(samples, vec![self.0]))
+        fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
+            ScoreDetail::from_fused(samples, vec![self.0])
         }
     }
 
@@ -140,10 +135,7 @@ mod tests {
         assert_eq!(cur.generation, 1);
         assert_eq!(cur.checksum, 0xBBBB);
         let mut scratch = DecodeScratch::new();
-        assert_eq!(
-            cur.scorer.score_utt(&[], &mut scratch).unwrap().fused,
-            vec![1.0]
-        );
+        assert_eq!(cur.scorer.score_utt(&[], &mut scratch).fused, vec![1.0]);
         assert_eq!(h.swap_count(), 1);
         assert_eq!(h.rollback_count(), 0);
     }
@@ -167,10 +159,7 @@ mod tests {
         let pinned = h.current();
         h.swap(Arc::new(Marker(8.0)), 0);
         let mut scratch = DecodeScratch::new();
-        assert_eq!(
-            pinned.scorer.score_utt(&[], &mut scratch).unwrap().fused,
-            vec![7.0]
-        );
+        assert_eq!(pinned.scorer.score_utt(&[], &mut scratch).fused, vec![7.0]);
         assert_eq!(pinned.generation, 0);
     }
 }

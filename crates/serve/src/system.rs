@@ -24,7 +24,7 @@ pub struct ScoreDetail {
     /// Content digest of the raw samples (see [`sample_digest`]) — the
     /// vote log's dedup key for replayed utterances. Computed where it is
     /// read: by the engine as it tees a reply into a [`ScoreTap`], and by
-    /// [`ScoringSystem::try_score_detailed`]; a bare [`FanOut::finish`]
+    /// [`ScoringSystem::score_detailed`]; a bare [`FanOut::finish`]
     /// leaves it zero.
     pub digest: u64,
     /// Frame count of the utterance (duration routing provenance).
@@ -110,19 +110,17 @@ pub fn sample_digest(samples: &[f32]) -> u64 {
 /// Anything the serving engine can score against. The engine and server
 /// are generic over this, so tests can drive the full pipelined protocol
 /// with a mock scorer instead of minutes of acoustic-model training.
+///
+/// Scoring has no error path. A bundle is decoded whole before it serves,
+/// and audio that is not audio is refused at the door before it is queued
+/// (see [`crate::server::admissible`]), so a scorer fails only by
+/// panicking: the engine catches that and answers the one request
+/// `STATUS_INTERNAL`, keeping the connection alive.
 pub trait Scorer: Send + Sync + 'static {
     /// Score one utterance: the fused per-language detection LLRs plus
     /// whatever intermediates and stage split the scorer has (a mock
     /// wraps its row with [`ScoreDetail::from_fused`]).
-    ///
-    /// An `Err` is an internal scorer failure (e.g. a lazily mapped bundle
-    /// section that fails to decode) — the server reports it to the client
-    /// as `STATUS_INTERNAL` and keeps the connection alive.
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError>;
+    fn score_utt(&self, samples: &[f32], scratch: &mut DecodeScratch) -> ScoreDetail;
 
     /// Split one utterance into independent tasks, so that idle engine
     /// workers can help the one that owns the request: do the serial part
@@ -150,7 +148,7 @@ pub trait FanOut: Send + Sync {
     fn run_task(&self, task: usize, ws: &mut WorkingSet);
     /// Gather the task results, in an order that does not depend on who
     /// ran what, into the utterance's detail.
-    fn finish(&self) -> Result<ScoreDetail, ArtifactError>;
+    fn finish(&self) -> ScoreDetail;
 }
 
 /// The scoring memory one thread reuses from task to task: the decoder's
@@ -289,35 +287,31 @@ impl ScoringSystem {
     }
 
     /// Score one utterance of raw 8 kHz samples into calibrated
-    /// per-language detection LLRs, reusing caller-owned decoder scratch.
-    /// Never fails today; the `Result` is the [`Scorer`] seam's, which
-    /// other scorers do fail through.
+    /// per-language detection LLRs, reusing caller-owned decoder scratch:
+    /// [`ScoringSystem::score`]. It never fails; the `Result` stays because
+    /// the benchmark package calls it by this signature.
     pub fn try_score(
         &self,
         samples: &[f32],
         scratch: &mut DecodeScratch,
     ) -> Result<Vec<f32>, ArtifactError> {
-        Ok(self.try_score_detailed(samples, scratch)?.fused)
+        Ok(self.score(samples, scratch))
     }
 
-    /// [`ScoringSystem::try_score`] plus the per-subsystem intermediates
-    /// (OvR rows, scaled supervectors) the adaptation tap records. This is
-    /// the engine's fan-out ([`Scorer::fan_out`]) with every task run by
-    /// the calling thread: there is one scoring code path, so what a
-    /// server replies is bit-identical to this whoever ran which task.
-    pub fn try_score_detailed(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    /// [`ScoringSystem::score`] plus the per-subsystem intermediates (OvR
+    /// rows, scaled supervectors) the adaptation tap records. This is the
+    /// engine's fan-out ([`Scorer::fan_out`]) with every task run by the
+    /// calling thread: there is one scoring code path, so what a server
+    /// replies is bit-identical to this whoever ran which task.
+    pub fn score_detailed(&self, samples: &[f32], scratch: &mut DecodeScratch) -> ScoreDetail {
         let tasks = self.split(samples);
         let mut normalized = FrameMatrix::new(FEATURE_DIM);
         for task in 0..tasks.slots.len() {
             tasks.run(task, scratch, &mut normalized);
         }
-        let mut detail = tasks.finish()?;
+        let mut detail = tasks.finish();
         detail.digest = sample_digest(samples);
-        Ok(detail)
+        detail
     }
 
     /// The serial head of a request — one pass over the audio for every
@@ -334,21 +328,16 @@ impl ScoringSystem {
         }
     }
 
-    /// [`ScoringSystem::try_score`] without the `Result` (the offline
-    /// verify path).
+    /// Score one utterance of raw 8 kHz samples into calibrated
+    /// per-language detection LLRs, reusing caller-owned decoder scratch.
     pub fn score(&self, samples: &[f32], scratch: &mut DecodeScratch) -> Vec<f32> {
-        self.try_score(samples, scratch)
-            .expect("ScoringSystem scoring is infallible")
+        self.score_detailed(samples, scratch).fused
     }
 }
 
 impl Scorer for ScoringSystem {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
-        self.try_score_detailed(samples, scratch)
+    fn score_utt(&self, samples: &[f32], scratch: &mut DecodeScratch) -> ScoreDetail {
+        self.score_detailed(samples, scratch)
     }
 
     fn fan_out(&self, samples: &[f32]) -> Option<Arc<dyn FanOut>> {
@@ -422,7 +411,7 @@ impl FanOut for UttTasks {
         self.run(task, &mut ws.scratch, &mut ws.normalized);
     }
 
-    fn finish(&self) -> Result<ScoreDetail, ArtifactError> {
+    fn finish(&self) -> ScoreDetail {
         let subs: Vec<SubScore> = self
             .slots
             .iter()
@@ -464,7 +453,7 @@ impl FanOut for UttTasks {
         stage_us.score_us += (score - fuse_started).as_micros() as u64;
         let (subsystem_scores, supervectors) =
             subs.into_iter().map(|s| (s.row, s.supervector)).unzip();
-        Ok(ScoreDetail {
+        ScoreDetail {
             digest: 0,
             num_frames: num_frames as u32,
             duration_index: di,
@@ -478,7 +467,7 @@ impl FanOut for UttTasks {
                 supervector,
                 score,
             }),
-        })
+        }
     }
 }
 

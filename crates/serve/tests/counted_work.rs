@@ -89,9 +89,7 @@ fn every_request_does_exactly_the_committed_work() {
         .map(|(i, samples)| {
             let fan_out = system.fan_out(samples).expect("the system splits");
             assert_eq!(fan_out.num_tasks(), TASKS, "request {i}: fan-out tasks");
-            let detail = system
-                .try_score_detailed(samples, &mut scratch)
-                .expect("scores");
+            let detail = system.score_detailed(samples, &mut scratch);
             for (q, row) in detail.subsystem_scores.iter().enumerate() {
                 assert_eq!(row.len(), OVR_ROWS, "request {i}, subsystem {q}: OvR rows");
             }

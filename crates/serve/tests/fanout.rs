@@ -17,7 +17,6 @@
 //! engine that is a contained scorer panic, so a broken schedule shows up
 //! as a `Failed` outcome or a `recv_timeout`, not as a hung test binary.
 
-use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_obs::MetricValue;
 use lre_serve::{
@@ -104,12 +103,8 @@ fn llrs(samples: &[f32]) -> Vec<f32> {
 }
 
 impl Scorer for SplitScorer {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
-        Ok(ScoreDetail::from_fused(samples, llrs(samples)))
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
+        ScoreDetail::from_fused(samples, llrs(samples))
     }
 
     fn fan_out(&self, samples: &[f32]) -> Option<Arc<dyn FanOut>> {
@@ -151,7 +146,7 @@ impl FanOut for SplitUtt {
         assert_eq!(previous, None, "task {task} ran twice");
     }
 
-    fn finish(&self) -> Result<ScoreDetail, ArtifactError> {
+    fn finish(&self) -> ScoreDetail {
         let fused = self
             .slots
             .lock()
@@ -159,7 +154,7 @@ impl FanOut for SplitUtt {
             .iter()
             .map(|slot| slot.expect("finish came before a task"))
             .collect();
-        Ok(ScoreDetail::from_fused(&self.samples, fused))
+        ScoreDetail::from_fused(&self.samples, fused)
     }
 }
 

@@ -19,17 +19,20 @@
 //!   and loses its connection once the writer has made no progress for
 //!   [`WRITE_STALL`].
 
-use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_obs::MetricValue;
 use lre_serve::client::ScoreReply;
 use lre_serve::fuzz;
-use lre_serve::protocol::{decode_score_reply_v2, encode_request, STATUS_SHUTTING_DOWN};
-use lre_serve::server::WRITE_STALL;
-use lre_serve::{
-    read_frame, write_frame, Client, Engine, EngineConfig, Outcome, Request, ScoreDetail, Scorer,
-    ScorerHandle, ServeObs, Server, ServerConfig, ServerHooks, SubmitError,
+use lre_serve::protocol::{
+    decode_request, decode_score_reply_v2, encode_request, STATUS_SHUTTING_DOWN,
 };
+use lre_serve::server::{MIN_SAMPLES, WRITE_STALL};
+use lre_serve::{
+    read_frame, vote_wal_options, write_frame, Client, DrainPath, Engine, EngineConfig, Outcome,
+    Request, ScoreDetail, Scorer, ScorerHandle, ServeObs, Server, ServerConfig, ServerHooks,
+    SubmitError, VoteLog,
+};
+use lre_vsm::SparseVec;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -46,15 +49,8 @@ fn mock_llrs(samples: &[f32], classes: usize) -> Vec<f32> {
 }
 
 impl Scorer for MockScorer {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
-        Ok(ScoreDetail::from_fused(
-            samples,
-            mock_llrs(samples, self.classes),
-        ))
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
+        ScoreDetail::from_fused(samples, mock_llrs(samples, self.classes))
     }
 }
 
@@ -104,11 +100,7 @@ impl GatedScorer {
 }
 
 impl Scorer for GatedScorer {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
         let mut gate = self.gate.lock().unwrap();
         gate.entered += 1;
         self.cv.notify_all();
@@ -116,23 +108,7 @@ impl Scorer for GatedScorer {
             gate = self.cv.wait(gate).unwrap();
         }
         drop(gate);
-        Ok(ScoreDetail::from_fused(
-            samples,
-            mock_llrs(samples, self.classes),
-        ))
-    }
-}
-
-/// A scorer that always fails.
-struct FailingScorer;
-
-impl Scorer for FailingScorer {
-    fn score_utt(
-        &self,
-        _samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
-        Err(ArtifactError::Corrupt("injected scorer failure"))
+        ScoreDetail::from_fused(samples, mock_llrs(samples, self.classes))
     }
 }
 
@@ -140,14 +116,18 @@ impl Scorer for FailingScorer {
 struct PanickingScorer;
 
 impl Scorer for PanickingScorer {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
         assert!(samples[0] >= 0.0, "injected scorer panic");
-        Ok(ScoreDetail::from_fused(samples, mock_llrs(samples, 2)))
+        ScoreDetail::from_fused(samples, mock_llrs(samples, 2))
     }
+}
+
+/// `head` followed by silence up to one analysis window: the shortest
+/// utterance a door admits, whose samples sum to `head`'s.
+fn utt(head: &[f32]) -> Vec<f32> {
+    let mut samples = head.to_vec();
+    samples.resize(samples.len().max(MIN_SAMPLES), 0.0);
+    samples
 }
 
 fn start_server(scorer: Arc<dyn Scorer>, cfg: ServerConfig) -> Server {
@@ -192,7 +172,7 @@ fn malformed_corpus_against_live_server() {
     let addr = server.local_addr();
 
     let ran = fuzz::run_corpus(addr, Duration::from_secs(10)).expect("malformed-input contract");
-    for class in ["per-tag", "payload", "stream", "slow-loris"] {
+    for class in ["per-tag", "payload", "stream", "slow-loris", "bad-audio"] {
         assert!(
             ran.get(class).is_some_and(|&n| n > 0),
             "no {class} case ran"
@@ -200,13 +180,13 @@ fn malformed_corpus_against_live_server() {
     }
 
     // No request ever reached the engine: admission rejects malformed
-    // frames before they touch the queue.
+    // frames and bad audio before they touch the queue.
     assert_eq!(server.engine().stats().requests, 0);
 
     // The server is fully alive afterwards: a well-formed request on a
     // fresh connection scores normally.
     let mut client = Client::connect(addr).expect("post-corpus connect");
-    match client.score(&[1.0, 2.0]).expect("post-corpus score") {
+    match client.score(&utt(&[1.0, 2.0])).expect("post-corpus score") {
         ScoreReply::Scored(s) => assert_eq!(s.llrs, mock_llrs(&[1.0, 2.0], 3)),
         other => panic!("post-corpus request refused: {other:?}"),
     }
@@ -219,6 +199,92 @@ fn malformed_corpus_against_live_server() {
 
     client.shutdown().expect("shutdown acknowledged");
     server.join();
+}
+
+/// A scorer whose details carry what a vote log keeps (one subsystem row
+/// and supervector), so every utterance it scores is appended.
+struct VotingScorer;
+
+impl Scorer for VotingScorer {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
+        let fused = mock_llrs(samples, 3);
+        ScoreDetail {
+            subsystem_scores: vec![fused.clone()],
+            supervectors: vec![SparseVec::from_pairs(vec![(0, 1.0)])],
+            ..ScoreDetail::from_fused(samples, fused)
+        }
+    }
+}
+
+/// The samples of a bad-audio case's score frame and its id.
+fn bad_audio_of(case: &fuzz::FuzzCase) -> (u64, Vec<f32>) {
+    let frame = read_frame(&mut &case.bytes[..]).unwrap().expect("a frame");
+    match decode_request(&frame) {
+        Ok(Request::ScoreV2 { id, samples, .. }) => (id, samples),
+        other => panic!("{}: not a score: {other:?}", case.name),
+    }
+}
+
+/// Every bad-audio case, at a server wired as `lre-adaptd` is (a vote log
+/// over a WAL as its tap): answered `bad request` under its id, on a fresh
+/// connection that then answers stats, and again on one pipelined
+/// connection that goes on scoring. Each is counted in `engine.bad_audio`,
+/// none in `engine.requests`, and none reaches the vote log or its WAL.
+#[test]
+fn bad_audio_is_refused_under_its_id_and_never_voted() {
+    let dir = std::env::temp_dir().join(format!("lre_bad_audio_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let hooks = ServerHooks::default();
+    let flight = Arc::clone(&hooks.obs.flight);
+    let (log, _) = VoteLog::open(
+        &dir,
+        64,
+        DrainPath::InProcess,
+        vote_wal_options(),
+        &hooks.obs.registry,
+        flight,
+    )
+    .expect("vote WAL opens");
+    let log = Arc::new(log);
+    let obs = Arc::clone(&hooks.obs);
+    let hooks = ServerHooks {
+        tap: Some(Arc::clone(&log) as _),
+        ..hooks
+    };
+    let handle = Arc::new(ScorerHandle::new(Arc::new(VotingScorer), 0));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let server = Server::start(listener, handle, fast_config(), hooks).expect("server starts");
+    let addr = server.local_addr();
+    let count = |name: &str| match obs.registry.snapshot().iter().find(|m| m.0 == name) {
+        Some((_, MetricValue::Counter(v))) => *v,
+        other => panic!("{name} is not a counter: {other:?}"),
+    };
+
+    let corpus = fuzz::bad_audio_corpus();
+    for case in &corpus {
+        fuzz::run_case(addr, case, Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("case {:?}: {e}", case.name));
+    }
+    let mut client = Client::connect(addr).expect("connect");
+    for (k, case) in corpus.iter().enumerate() {
+        let (_, samples) = bad_audio_of(case);
+        let id = client.submit(&samples, None).expect("submit");
+        assert_eq!(client.recv().expect("reply"), (id, ScoreReply::BadRequest));
+        let voted = utt(&[k as f32]);
+        match client.score(&voted).expect("the connection still scores") {
+            ScoreReply::Scored(s) => assert_eq!(s.llrs, mock_llrs(&voted, 3)),
+            other => panic!("{}: the next score got {other:?}", case.name),
+        }
+    }
+
+    let scored = corpus.len() as u64;
+    assert_eq!(count("engine.bad_audio"), 2 * scored);
+    assert_eq!(count("engine.requests"), scored);
+    assert_eq!(count("wal.appended_records"), scored);
+    assert_eq!(log.len() as u64, scored);
+    client.shutdown().expect("shutdown");
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -257,7 +323,7 @@ fn pipelined_replies_match_ids_and_are_bit_faithful() {
     let server = start_server(Arc::new(MockScorer { classes: 4 }), fast_config());
     let addr = server.local_addr();
 
-    let utts: Vec<Vec<f32>> = (0..32).map(|i| vec![i as f32; 8]).collect();
+    let utts: Vec<Vec<f32>> = (0..32).map(|i| utt(&[i as f32; 8])).collect();
     let mut client = Client::connect(addr).expect("connect");
     let replies = client.score_all(&utts, 4, None).expect("pipelined run");
     for (i, (utt, reply)) in utts.iter().zip(&replies).enumerate() {
@@ -291,7 +357,7 @@ fn server_enforces_the_inflight_window() {
 
     let mut client = Client::connect(addr).expect("connect");
     for i in 0..5 {
-        client.submit(&[i as f32], None).expect("submit");
+        client.submit(&utt(&[i as f32]), None).expect("submit");
     }
     // The fifth request breached the window: it must be refused
     // immediately, while the first four are still outstanding.
@@ -314,7 +380,9 @@ fn server_enforces_the_inflight_window() {
     }
 
     // The window reopened: new submissions are admitted again.
-    client.submit(&[9.0], None).expect("submit after drain");
+    client
+        .submit(&utt(&[9.0]), None)
+        .expect("submit after drain");
     let (_, reply) = client.recv().expect("post-drain reply");
     match reply {
         ScoreReply::Scored(s) => assert_eq!(s.llrs, mock_llrs(&[9.0], 2)),
@@ -353,10 +421,10 @@ fn deadlines_are_shed_with_a_typed_status() {
     // deadlines then expire while they wait. The 500 µs one is the
     // tightest a client can ask for: it must travel as 1 ms, not as the
     // `0` that means "no deadline".
-    let blocker = client.submit(&[1.0], None).expect("blocker");
+    let blocker = client.submit(&utt(&[1.0]), None).expect("blocker");
     gate.wait_entered(1);
     let victims = [Duration::from_millis(5), Duration::from_micros(500)]
-        .map(|deadline| client.submit(&[2.0], Some(deadline)).expect("victim"));
+        .map(|deadline| client.submit(&utt(&[2.0]), Some(deadline)).expect("victim"));
     // The blocker left the queue before the victims came, so its depth
     // reads 2 only once both are on it; each was admitted before that, so
     // 5 ms later both deadlines have passed.
@@ -392,25 +460,31 @@ fn deadlines_are_shed_with_a_typed_status() {
 }
 
 #[test]
-fn scorer_failures_map_to_internal_status_and_keep_the_connection() {
-    let server = start_server(Arc::new(FailingScorer), fast_config());
+fn scorer_panics_map_to_internal_status_and_keep_the_connection() {
+    let server = start_server(Arc::new(PanickingScorer), fast_config());
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");
-    client.submit(&[1.0], None).expect("submit");
+    client.submit(&utt(&[-1.0]), None).expect("submit");
     let (_, reply) = client.recv().expect("reply");
     assert_eq!(reply, ScoreReply::Failed);
 
     // The connection survives an internal failure.
-    client.submit(&[2.0], None).expect("submit again");
+    client.submit(&utt(&[-2.0]), None).expect("submit again");
     let (_, reply) = client.recv().expect("second reply");
     assert_eq!(reply, ScoreReply::Failed);
 
     // The submit-and-wait call is told the same thing — not that the
     // server is going away — and its connection survives too.
     let mut waiting = Client::connect(addr).expect("second connect");
-    assert_eq!(waiting.score(&[3.0]).expect("reply"), ScoreReply::Failed);
-    assert_eq!(waiting.score(&[4.0]).expect("reply"), ScoreReply::Failed);
+    assert_eq!(
+        waiting.score(&utt(&[-3.0])).expect("reply"),
+        ScoreReply::Failed
+    );
+    assert_eq!(
+        waiting.score(&utt(&[-4.0])).expect("reply"),
+        ScoreReply::Failed
+    );
 
     let stats = client.stats_v2().expect("stats");
     assert_eq!(stats.failed, 4);
@@ -437,7 +511,7 @@ fn a_scorer_panic_is_a_typed_failure_and_the_only_worker_lives_on() {
         // More panics than the connection's window has slots: a failed
         // request must give its slot back.
         let utts = [-1.0f32, 2.0, -3.0, -4.0, -5.0, 6.0];
-        let replies = utts.map(|first| client.score(&[first, 0.5]).expect("a reply"));
+        let replies = utts.map(|first| client.score(&utt(&[first, 0.5])).expect("a reply"));
         let stats = client.stats_v2().expect("stats");
         tx.send((utts, replies, stats))
             .expect("the test is waiting");
@@ -489,7 +563,7 @@ fn retired_v1_tags_are_refused_and_never_reach_the_engine() {
     // at window 1.
     let mut client = Client::connect(addr).expect("connect");
     for i in 0..8 {
-        let samples = vec![i as f32; 4];
+        let samples = utt(&[i as f32; 4]);
         match client.score(&samples).expect("score") {
             ScoreReply::Scored(s) => {
                 assert_eq!(s.llrs, mock_llrs(&samples, 3));
@@ -588,7 +662,7 @@ fn deadline_zero_means_no_deadline_on_the_wire() {
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
     client
-        .submit(&[3.0], Some(Duration::from_millis(0)))
+        .submit(&utt(&[3.0]), Some(Duration::from_millis(0)))
         .expect("submit");
     let (_, reply) = client.recv().expect("reply");
     match reply {
@@ -637,7 +711,7 @@ fn score_frame(id: u64) -> Vec<u8> {
     encode_request(&Request::ScoreV2 {
         id,
         deadline_ms: 0,
-        samples: vec![0.25; 80],
+        samples: vec![0.25; MIN_SAMPLES],
     })
 }
 

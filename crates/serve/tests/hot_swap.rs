@@ -13,7 +13,6 @@
 //! - **rollback restores the parent bit-identically**: same scorer
 //!   object, same checksum, same output bits, under a fresh generation.
 
-use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_serve::{
     Engine, EngineConfig, FanOut, Outcome, ScoreDetail, ScoredUtt, Scorer, ScorerHandle, ServeObs,
@@ -30,12 +29,8 @@ use std::time::Duration;
 struct Marker(f32);
 
 impl Scorer for Marker {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
-        Ok(ScoreDetail::from_fused(samples, vec![self.0]))
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
+        ScoreDetail::from_fused(samples, vec![self.0])
     }
 }
 
@@ -102,16 +97,9 @@ impl GatedMarker {
 }
 
 impl Scorer for GatedMarker {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
         self.gate.enter();
-        Ok(ScoreDetail::from_fused(
-            samples,
-            vec![self.marker; self.tasks.max(1)],
-        ))
+        ScoreDetail::from_fused(samples, vec![self.marker; self.tasks.max(1)])
     }
 
     fn fan_out(&self, _samples: &[f32]) -> Option<Arc<dyn FanOut>> {
@@ -143,7 +131,7 @@ impl FanOut for GatedTasks {
         self.slots.lock().unwrap()[task] = Some(self.marker);
     }
 
-    fn finish(&self) -> Result<ScoreDetail, ArtifactError> {
+    fn finish(&self) -> ScoreDetail {
         let fused = self
             .slots
             .lock()
@@ -152,7 +140,7 @@ impl FanOut for GatedTasks {
             .flatten()
             .copied()
             .collect();
-        Ok(ScoreDetail::from_fused(&[], fused))
+        ScoreDetail::from_fused(&[], fused)
     }
 }
 

@@ -14,23 +14,24 @@
 //! - every server answers stats-v3 and flight, even one started from
 //!   `ServerHooks::default()`;
 //! - stats-v2 is a view over the stats-v3 series: after scored replies,
-//!   a window shed, a deadline expiry, a scorer failure, an open-set
+//!   a window shed, a deadline expiry, a scorer panic, an open-set
 //!   unknown, a swap and a rollback, every stats-v2 field equals its
 //!   series, and ping is `PingReport::from_stats` of that view, counting
-//!   each refusal once;
+//!   each refusal once; a score refused for bad audio is counted in
+//!   `engine.bad_audio` only, outside `engine.requests`;
 //! - wal-status is a view over the `wal.*` series: against a WAL-backed
 //!   server every field equals the log's own status after appends, a
 //!   drain and a reopen over a torn tail, and a server without a WAL has
 //!   no view. Neither kind mounts an adaptation controller, so both refuse
 //!   a deep rollback `unsupported`.
 
-use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_obs::{
     HistogramSummary, MetricValue, EV_DEADLINE, EV_PANIC, EV_SWAP, STAGE_QUEUE, STAGE_REPLY,
 };
 use lre_serve::client::ScoreReply;
 use lre_serve::protocol::{MetricsDump, STATUS_UNSUPPORTED};
+use lre_serve::server::MIN_SAMPLES;
 use lre_serve::{
     vote_wal_options, Client, DrainPath, EngineConfig, PingReport, ScoreDetail, ScoreTap, Scorer,
     ScorerHandle, ServeObs, Server, ServerConfig, ServerHooks, VoteLog, WalStatusInfo,
@@ -47,17 +48,18 @@ struct MockScorer {
     classes: usize,
 }
 
+/// `head` followed by silence up to one analysis window: the shortest
+/// utterance a door admits.
+fn utt(head: &[f32]) -> Vec<f32> {
+    let mut samples = head.to_vec();
+    samples.resize(samples.len().max(MIN_SAMPLES), 0.0);
+    samples
+}
+
 impl Scorer for MockScorer {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
         let s: f32 = samples.iter().sum();
-        Ok(ScoreDetail::from_fused(
-            samples,
-            (0..self.classes).map(|i| s + i as f32).collect(),
-        ))
+        ScoreDetail::from_fused(samples, (0..self.classes).map(|i| s + i as f32).collect())
     }
 }
 
@@ -112,11 +114,11 @@ fn traced_request_returns_a_well_formed_span() {
 
     // Window 1: submit and wait.
     for n in 0..4 {
-        let reply = client.score(&[0.25 * n as f32; 16]).expect("score");
+        let reply = client.score(&utt(&[0.25 * n as f32; 16])).expect("score");
         ids.insert(assert_minted_span(&reply, &format!("window 1, utt {n}")));
     }
     // Window 8: replies arrive in completion order, each with its own span.
-    let utts: Vec<Vec<f32>> = (0..16).map(|n| vec![n as f32; 16]).collect();
+    let utts: Vec<Vec<f32>> = (0..16).map(|n| utt(&[n as f32; 16])).collect();
     let replies = client.score_all(&utts, 8, None).expect("pipelined scores");
     for (n, reply) in replies.iter().enumerate() {
         ids.insert(assert_minted_span(reply, &format!("window 8, utt {n}")));
@@ -133,7 +135,7 @@ fn metrics_snapshot_moves_with_traffic_and_is_name_sorted() {
     let (server, _obs, addr) = start_mock();
     let mut client = Client::connect(&addr).expect("connect");
     for _ in 0..8 {
-        match client.score(&[1.0; 16]).expect("score") {
+        match client.score(&utt(&[1.0; 16])).expect("score") {
             ScoreReply::Scored(_) => {}
             other => panic!("unexpected refusal: {other:?}"),
         }
@@ -224,14 +226,13 @@ fn a_server_from_default_hooks_answers_metrics_and_flight() {
 }
 
 /// First samples the scripted scorer reacts to.
-const FAIL: f32 = -1.0;
 const PANIC: f32 = -2.0;
 const HOLD: f32 = 9.0;
 /// Top LLR is `samples[0] + 2`, so with the threshold at 0 this one is
 /// flagged unknown.
 const ALIEN: f32 = -5.0;
 
-/// LLR `i` is `samples[0] + i`; `FAIL` returns an error, `PANIC` panics and
+/// LLR `i` is `samples[0] + i`; `PANIC` panics and
 /// `HOLD` parks the worker until the test opens the gate.
 #[derive(Default)]
 struct ScriptedScorer {
@@ -259,13 +260,8 @@ impl ScriptedScorer {
 }
 
 impl Scorer for ScriptedScorer {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
         match samples[0] {
-            FAIL => return Err(ArtifactError::Corrupt("scripted failure")),
             PANIC => panic!("scripted panic"),
             HOLD => {
                 let mut gate = self.gate.lock().unwrap();
@@ -278,7 +274,7 @@ impl Scorer for ScriptedScorer {
             _ => {}
         }
         let llrs = (0..3).map(|i| samples[0] + i as f32).collect();
-        Ok(ScoreDetail::from_fused(samples, llrs))
+        ScoreDetail::from_fused(samples, llrs)
     }
 }
 
@@ -327,26 +323,28 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     let mut a = Client::connect(&addr).expect("connect");
     let mut b = Client::connect(&addr).expect("connect");
 
-    // Scored, scored-but-unknown, failed.
-    assert!(matches!(a.score(&[1.0]).expect("score"), ScoreReply::Scored(s) if !s.unknown));
-    assert!(matches!(a.score(&[ALIEN]).expect("score"), ScoreReply::Scored(s) if s.unknown));
-    assert_eq!(a.score(&[FAIL]).expect("score"), ScoreReply::Failed);
+    // Scored, scored-but-unknown, failed; refused at the door for bad
+    // audio, which no other series counts.
+    assert!(matches!(a.score(&utt(&[1.0])).expect("score"), ScoreReply::Scored(s) if !s.unknown));
+    assert!(matches!(a.score(&utt(&[ALIEN])).expect("score"), ScoreReply::Scored(s) if s.unknown));
+    assert_eq!(a.score(&utt(&[PANIC])).expect("score"), ScoreReply::Failed);
+    assert_eq!(a.score(&[1.0]).expect("score"), ScoreReply::BadRequest);
 
     // The hold parks the only worker; a request queued behind it with a
     // 1 ms deadline expires there. Both fill `a`'s window of 2, so a
     // third is shed by the window; the reader answers it after queueing
     // the first two.
-    let hold = a.submit(&[HOLD], None).expect("submit");
+    let hold = a.submit(&utt(&[HOLD]), None).expect("submit");
     scorer.wait_held();
     let late = a
-        .submit(&[2.0], Some(Duration::from_millis(1)))
+        .submit(&utt(&[2.0]), Some(Duration::from_millis(1)))
         .expect("submit");
-    a.submit(&[3.0], None).expect("submit");
+    a.submit(&utt(&[3.0]), None).expect("submit");
     assert_eq!(a.recv().expect("window refusal").1, ScoreReply::Overloaded);
     // Another connection's window is its own: `b`'s request is admitted
     // and queued behind the hold too. Release only once both sit on the
     // queue and the late one's deadline has passed.
-    let queued = b.submit(&[4.0], None).expect("submit");
+    let queued = b.submit(&utt(&[4.0]), None).expect("submit");
     wait_queued_then_expired(&obs, 2, Duration::from_millis(1));
     scorer.release();
 
@@ -394,6 +392,7 @@ fn stats_v2_is_a_view_over_the_stats_v3_series() {
     );
     assert_eq!(stats.unknown, 1);
     assert_eq!(stats.requests, 7);
+    assert_eq!(counter(&dump, "engine.bad_audio"), 1);
     // The expiring request and `b`'s queued one waited behind the hold;
     // every request has been answered, so none is queued now.
     assert_eq!(stats.max_queue_depth, 2);
@@ -426,14 +425,17 @@ fn deadline_and_panic_events_carry_the_requests_trace_id() {
     let (server, obs, addr) = start_server(Arc::clone(&scorer) as _, cfg);
     let mut client = Client::connect(&addr).expect("connect");
 
-    assert_eq!(client.score(&[PANIC]).expect("score"), ScoreReply::Failed);
+    assert_eq!(
+        client.score(&utt(&[PANIC])).expect("score"),
+        ScoreReply::Failed
+    );
     // The hold parks the only worker, and a request with a 1 ms deadline
     // waits behind it. The gate opens only after it is on the queue and
     // its deadline has passed, so it expires there.
-    let hold = client.submit(&[HOLD], None).expect("submit");
+    let hold = client.submit(&utt(&[HOLD]), None).expect("submit");
     scorer.wait_held();
     let late = client
-        .submit(&[2.0], Some(Duration::from_millis(1)))
+        .submit(&utt(&[2.0]), Some(Duration::from_millis(1)))
         .expect("submit");
     wait_queued_then_expired(&obs, 1, Duration::from_millis(1));
     scorer.release();

@@ -8,9 +8,9 @@
 //! `sum(samples) + i`), so each test picks its side of the threshold by
 //! construction, not by luck.
 
-use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_serve::client::ScoreReply;
+use lre_serve::server::MIN_SAMPLES;
 use lre_serve::{
     Client, EngineConfig, ScoreDetail, ScoreTap, Scorer, ScorerHandle, Server, ServerConfig,
     ServerHooks,
@@ -19,6 +19,14 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// `head` followed by silence up to one analysis window: the shortest
+/// utterance a door admits, whose samples sum to `head`'s.
+fn utt(head: &[f32]) -> Vec<f32> {
+    let mut samples = head.to_vec();
+    samples.resize(samples.len().max(MIN_SAMPLES), 0.0);
+    samples
+}
+
 /// LLR `i` is `sum(samples) + i` — best is always class `classes-1` with
 /// score `sum + classes - 1`.
 struct MockScorer {
@@ -26,16 +34,9 @@ struct MockScorer {
 }
 
 impl Scorer for MockScorer {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
         let s: f32 = samples.iter().sum();
-        Ok(ScoreDetail::from_fused(
-            samples,
-            (0..self.classes).map(|i| s + i as f32).collect(),
-        ))
+        ScoreDetail::from_fused(samples, (0..self.classes).map(|i| s + i as f32).collect())
     }
 }
 
@@ -89,7 +90,7 @@ fn below_threshold_replies_unknown_and_never_votes() {
     let (server, log) = start_open_set(Some(0.0));
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    let scored = match client.score(&[-10.0]).expect("low score") {
+    let scored = match client.score(&utt(&[-10.0])).expect("low score") {
         ScoreReply::Scored(s) => s,
         other => panic!("low utterance refused: {other:?}"),
     };
@@ -105,7 +106,7 @@ fn below_threshold_replies_unknown_and_never_votes() {
     );
 
     // sum = 10 → best 12: a confident in-set answer, which does vote.
-    let scored = match client.score(&[10.0]).expect("high score") {
+    let scored = match client.score(&utt(&[10.0])).expect("high score") {
         ScoreReply::Scored(s) => s,
         other => panic!("high utterance refused: {other:?}"),
     };
@@ -132,7 +133,7 @@ fn boundary_is_inclusive_accept() {
     // is answered, not rejected. sum = -2 → best LLR exactly 0.0.
     let (server, log) = start_open_set(Some(0.0));
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let scored = match client.score(&[-2.0]).expect("boundary score") {
+    let scored = match client.score(&utt(&[-2.0])).expect("boundary score") {
         ScoreReply::Scored(s) => s,
         other => panic!("boundary utterance refused: {other:?}"),
     };
@@ -148,7 +149,7 @@ fn no_threshold_means_closed_set() {
     // existing closed-set deployments are untouched.
     let (server, log) = start_open_set(None);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let scored = match client.score(&[-1000.0]).expect("score") {
+    let scored = match client.score(&utt(&[-1000.0])).expect("score") {
         ScoreReply::Scored(s) => s,
         other => panic!("refused: {other:?}"),
     };
@@ -170,7 +171,7 @@ fn pipelined_replies_carry_the_unknown_flag() {
     // mix of confident and alien utterances flags exactly the aliens.
     let (server, log) = start_open_set(Some(0.0));
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let utts: Vec<Vec<f32>> = vec![vec![5.0], vec![-20.0], vec![7.0], vec![-30.0]];
+    let utts: Vec<Vec<f32>> = [5.0, -20.0, 7.0, -30.0].map(|x| utt(&[x])).to_vec();
     let replies = client.score_all(&utts, 4, None).expect("pipelined run");
     let flags: Vec<bool> = replies
         .iter()

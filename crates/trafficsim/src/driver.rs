@@ -17,7 +17,7 @@
 //! shutdown that each process must obey.
 
 use crate::plan::{CommandStream, SimCommand, UttPlan};
-use crate::scenario::{Expect, InvariantSpec, ScenarioSpec, ADAPT_OUTCOMES};
+use crate::scenario::{Expect, InvariantSpec, ScenarioSpec, Scope, ADAPT_OUTCOMES};
 use crate::topology::{Deployment, Topology};
 use lre_artifact::ArtifactRead;
 use lre_corpus::{build_language, render_utterance, Channel, LanguageId, LanguageModel, UttSpec};
@@ -580,9 +580,14 @@ fn series(dump: &MetricsDump, name: &str) -> Option<u64> {
 /// process's value with `read` (`None` = nothing to read: a fail).
 fn scoped(tally: &Tally, check: &Expect, read: impl Fn(&str) -> Option<u64>) -> bool {
     let holds = |proc: &str| read(proc).is_some_and(|v| check.holds(v));
-    match check.on_replicas {
-        true => !tally.replica_names.is_empty() && tally.replica_names.iter().all(|r| holds(r)),
-        false => holds("front"),
+    let replicas = &tally.replica_names;
+    match check.scope {
+        Scope::Front => holds("front"),
+        Scope::Replicas => !replicas.is_empty() && replicas.iter().all(|r| holds(r)),
+        Scope::Fleet => {
+            let sum = replicas.iter().map(|r| read(r).unwrap_or(0)).sum();
+            !replicas.is_empty() && check.holds(sum)
+        }
     }
 }
 
@@ -907,7 +912,8 @@ mod tests {
 
     #[test]
     fn expect_counter_fails_on_a_missing_or_wrong_series() {
-        let spec = "expect_counter = engine.fanout.tasks%6=0, engine.requests>=1@replicas";
+        let spec = "expect_counter = engine.fanout.tasks%6=0, engine.requests>=1@replicas, \
+                    engine.requests>=4@fleet";
         let dump = |v: u64| -> MetricsDump {
             vec![
                 ("engine.fanout.tasks".to_string(), MetricValue::Counter(v)),
@@ -932,6 +938,10 @@ mod tests {
         assert!(verdict_line(spec, metrics(13, Some(3)), tasks).starts_with("FAIL"));
         assert!(verdict_line(spec, metrics(12, Some(0)), requests).starts_with("FAIL"));
         assert!(verdict_line(spec, metrics(12, None), requests).starts_with("FAIL"));
+        let fleet = "counter:engine.requests>=4@fleet";
+        assert!(verdict_line(spec, metrics(1, Some(3)), fleet).starts_with("PASS"));
+        assert!(verdict_line(spec, metrics(4, None), fleet).starts_with("PASS"));
+        assert!(verdict_line(spec, metrics(1, Some(2)), fleet).starts_with("FAIL"));
     }
 
     #[test]

@@ -42,10 +42,12 @@ const BUILTIN: [&str; 9] = [
 pub const ADAPT_OUTCOMES: [&str; 4] = ["promoted", "rejected_guard", "insufficient_data", "failed"];
 
 /// A counted check on flight-recorder events or on one metric series,
-/// written `NAME[%M](=|>=)N[@replicas]`, judged on the front process or,
-/// with `@replicas`, on every replica. A bare `NAME` means `NAME>=1`. For
-/// a series the value is a counter's or gauge's value, or a histogram's
-/// or sketch's count; `%M` takes it modulo M.
+/// written `NAME[%M](=|>=)N[@replicas|@fleet]`, judged on the front
+/// process, with `@replicas` on every replica, or with `@fleet` on the sum
+/// over the replicas (a replica that has nothing to read adds 0). A bare
+/// `NAME` means `NAME>=1`. For a series the value is a counter's or
+/// gauge's value, or a histogram's or sketch's count; `%M` takes it
+/// modulo M.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Expect {
     /// The check as written; the verdict quotes it.
@@ -55,15 +57,26 @@ pub struct Expect {
     /// `>=` when true, `=` otherwise.
     pub at_least: bool,
     pub value: u64,
-    pub on_replicas: bool,
+    pub scope: Scope,
+}
+
+/// Which processes an [`Expect`] is judged on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scope {
+    Front,
+    /// Each replica on its own.
+    Replicas,
+    /// The replicas' values summed.
+    Fleet,
 }
 
 impl Expect {
     fn parse(text: &str) -> Result<Expect, String> {
-        let bad = || format!("bad check {text:?} (want NAME[%M](=|>=)N[@replicas])");
-        let (body, on_replicas) = match text.split_once('@') {
-            None => (text, false),
-            Some((body, "replicas")) => (body, true),
+        let bad = || format!("bad check {text:?} (want NAME[%M](=|>=)N[@replicas|@fleet])");
+        let (body, scope) = match text.split_once('@') {
+            None => (text, Scope::Front),
+            Some((body, "replicas")) => (body, Scope::Replicas),
+            Some((body, "fleet")) => (body, Scope::Fleet),
             Some(_) => return Err(bad()),
         };
         let (lhs, at_least, value) = match (body.split_once(">="), body.split_once('=')) {
@@ -84,7 +97,7 @@ impl Expect {
             modulo,
             at_least,
             value,
-            on_replicas,
+            scope,
         })
     }
 
@@ -785,17 +798,25 @@ min_completed = 8
     fn checks_parse_with_count_modulo_and_scope() {
         let e = Expect::parse("swap=1@replicas").expect("parses");
         assert_eq!(
-            (e.name.as_str(), e.at_least, e.value, e.on_replicas),
-            ("swap", false, 1, true)
+            (e.name.as_str(), e.at_least, e.value, e.scope),
+            ("swap", false, 1, Scope::Replicas)
         );
         assert!(e.holds(1) && !e.holds(0) && !e.holds(2));
         let e = Expect::parse("eject").expect("parses");
-        assert_eq!((e.at_least, e.value, e.on_replicas), (true, 1, false));
+        assert_eq!((e.at_least, e.value, e.scope), (true, 1, Scope::Front));
+        let e = Expect::parse("engine.bad_audio>=15@fleet").expect("parses");
+        assert_eq!((e.at_least, e.value, e.scope), (true, 15, Scope::Fleet));
         let e = Expect::parse("engine.fanout.tasks%6=0").expect("parses");
         assert_eq!(e.modulo, Some(6));
         assert!(e.holds(12) && !e.holds(13));
         assert!(Expect::parse("x>=1").expect("parses").holds(5));
-        for bad in ["swap=one", "swap@fleet", "swap@front", "%6=0", "tasks%0=0"] {
+        for bad in [
+            "swap=one",
+            "swap@replica",
+            "swap@front",
+            "%6=0",
+            "tasks%0=0",
+        ] {
             assert!(Expect::parse(bad).is_err(), "{bad} accepted");
         }
     }

@@ -8,7 +8,6 @@
 //! against a fresh server, must produce byte-identical verdict text, both
 //! FAILing the same invariant.
 
-use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_serve::{
     EngineConfig, ScoreDetail, Scorer, ScorerHandle, Server, ServerConfig, ServerHooks,
@@ -24,16 +23,9 @@ use std::sync::Arc;
 struct MockScorer;
 
 impl Scorer for MockScorer {
-    fn score_utt(
-        &self,
-        samples: &[f32],
-        _scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
+    fn score_utt(&self, samples: &[f32], _scratch: &mut DecodeScratch) -> ScoreDetail {
         let s: f32 = samples.iter().sum();
-        Ok(ScoreDetail::from_fused(
-            samples,
-            (0..3).map(|i| s + i as f32).collect(),
-        ))
+        ScoreDetail::from_fused(samples, (0..3).map(|i| s + i as f32).collect())
     }
 }
 
